@@ -434,8 +434,8 @@ func (db *DB) Close() error {
 	if db.followCli != nil {
 		_ = db.followCli.Close()
 	}
-	_ = db.eng.Close()                        // stop the compactor before the store goes away
-	store.NodeCacheOf(db.eng.Store()).Purge() // nil-safe; covers injected caches too
+	_ = db.eng.Close()         // stop the compactor before the store goes away
+	db.eng.NodeCache().Purge() // nil-safe; covers injected caches too
 	if db.fileStore != nil {
 		return db.fileStore.Close()
 	}
@@ -709,8 +709,8 @@ func (db *DB) SpliceBlob(key, branch string, at, del uint64, ins []byte, meta ma
 // storage.  In-memory stores free the swept chunks directly; file-backed
 // stores compact their log — live records of garbage-heavy segments are
 // rewritten into fresh segments and the old files unlinked, so the on-disk
-// footprint shrinks to the live set.  Only injected stores that implement
-// neither collection capability return core.ErrNotCollectable.
+// footprint shrinks to the live set.  Only injected stores with no reachable
+// store.Collector return core.ErrNotCollectable.
 func (db *DB) GC() (GCStats, error) {
 	if err := db.writeGuard(); err != nil {
 		return GCStats{}, err

@@ -14,9 +14,10 @@ import (
 // FlakyStore wraps a store.Store and injects transient failures and slow
 // calls.  Failures surface as store.ErrUnavailable — the transient class
 // the retry and serving layers are built to absorb — never as silent
-// corruption (that threat model is MaliciousStore's job).  It forwards the
-// batch capabilities, so it composes with the counting/verifying wrappers
-// in either order.
+// corruption (that threat model is MaliciousStore's job).  It deliberately
+// declares no Unwrap: a fault injector ends every store.As walk, so a stack
+// containing it is never verify-cache-trusted and whatever it fronts stays
+// hidden from GC, scrub and heal discovery.
 //
 // Concurrency: every knob, the rng and both counters (ops, failures) are
 // read and written only under one mutex in enter(), so the fault schedule
@@ -35,11 +36,7 @@ type FlakyStore struct {
 	failures  int64
 }
 
-var (
-	_ store.Store          = (*FlakyStore)(nil)
-	_ store.BatchStore     = (*FlakyStore)(nil)
-	_ store.BatchReadStore = (*FlakyStore)(nil)
-)
+var _ store.Store = (*FlakyStore)(nil)
 
 // NewFlakyStore wraps inner with a seeded fault source.  With no knobs set
 // it is a transparent pass-through.
@@ -109,29 +106,29 @@ func (f *FlakyStore) Has(id hash.Hash) (bool, error) {
 	return f.Inner.Has(id)
 }
 
-// PutBatch implements store.BatchStore; one injection decision covers the
+// PutBatch implements store.Store; one injection decision covers the
 // whole batch (a backend fails per request, not per record).
 func (f *FlakyStore) PutBatch(cs []*chunk.Chunk) ([]bool, error) {
 	if err := f.enter("putbatch"); err != nil {
 		return make([]bool, len(cs)), err
 	}
-	return store.PutBatch(f.Inner, cs)
+	return f.Inner.PutBatch(cs)
 }
 
-// GetBatch implements store.BatchReadStore.
+// GetBatch implements store.Store.
 func (f *FlakyStore) GetBatch(ids []hash.Hash) ([]*chunk.Chunk, error) {
 	if err := f.enter("getbatch"); err != nil {
 		return nil, err
 	}
-	return store.GetBatch(f.Inner, ids)
+	return f.Inner.GetBatch(ids)
 }
 
-// HasBatch implements store.BatchReadStore.
+// HasBatch implements store.Store.
 func (f *FlakyStore) HasBatch(ids []hash.Hash) ([]bool, error) {
 	if err := f.enter("hasbatch"); err != nil {
 		return nil, err
 	}
-	return store.HasBatch(f.Inner, ids)
+	return f.Inner.HasBatch(ids)
 }
 
 // Stats implements store.Store.  Never injected: health probes must see the

@@ -113,10 +113,7 @@ func (c *Cluster) BranchTable() core.BranchTable { return c.heads }
 // shardedStore implements store.Store over the shards.
 type shardedStore Cluster
 
-var (
-	_ store.BatchStore     = (*shardedStore)(nil)
-	_ store.BatchReadStore = (*shardedStore)(nil)
-)
+var _ store.Store = (*shardedStore)(nil)
 
 func (s *shardedStore) cluster() *Cluster { return (*Cluster)(s) }
 
@@ -128,7 +125,7 @@ func (s *shardedStore) Put(ch *chunk.Chunk) (bool, error) {
 	return fresh, c.shardErr(n, err)
 }
 
-// PutBatch implements store.BatchStore: the batch is split by placement and
+// PutBatch implements store.Store: the batch is split by placement and
 // each node receives its share as one OpPutChunks request, all shards in
 // parallel — a B-chunk batch over N nodes costs one round-trip time instead
 // of B.
@@ -220,7 +217,7 @@ func (s *shardedStore) scatter(ids []hash.Hash, fn func(node int, idxs []int, pa
 	return errors.Join(errs...)
 }
 
-// GetBatch implements store.BatchReadStore: ids are split by placement and
+// GetBatch implements store.Store: ids are split by placement and
 // fetched from all involved nodes in parallel, one OpGetChunks round trip
 // per node — a whole sync-frontier level costs one RTT regardless of size.
 func (s *shardedStore) GetBatch(ids []hash.Hash) ([]*chunk.Chunk, error) {
@@ -239,7 +236,7 @@ func (s *shardedStore) GetBatch(ids []hash.Hash) ([]*chunk.Chunk, error) {
 	return out, err
 }
 
-// HasBatch implements store.BatchReadStore with the same scatter/gather.
+// HasBatch implements store.Store with the same scatter/gather.
 func (s *shardedStore) HasBatch(ids []hash.Hash) ([]bool, error) {
 	c := s.cluster()
 	out := make([]bool, len(ids))

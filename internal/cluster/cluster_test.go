@@ -149,13 +149,13 @@ func TestClusterBatchReads(t *testing.T) {
 		cs = append(cs, ch)
 		ids = append(ids, ch.ID())
 	}
-	if _, err := store.PutBatch(st, cs); err != nil {
+	if _, err := st.PutBatch(cs); err != nil {
 		t.Fatal(err)
 	}
 	query := append([]hash.Hash(nil), ids...)
 	query = append(query, hash.Of([]byte("absent")))
 
-	got, err := store.GetBatch(st, query)
+	got, err := st.GetBatch(query)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestClusterBatchReads(t *testing.T) {
 		t.Fatal("absent id must yield nil")
 	}
 
-	has, err := store.HasBatch(st, query)
+	has, err := st.HasBatch(query)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestClusterGetBatchShardDownNamesShard(t *testing.T) {
 	proxy.Partition(chaos.ToClient, true) // shard 1 receives, never answers
 
 	start := time.Now()
-	_, err = store.GetBatch(st, ids)
+	_, err = st.GetBatch(ids)
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("GetBatch with a dead shard succeeded")
@@ -251,7 +251,7 @@ func TestClusterGetBatchShardDownNamesShard(t *testing.T) {
 
 	// The healthy shards still serve their share.
 	proxy.Heal()
-	got, err := store.GetBatch(st, ids)
+	got, err := st.GetBatch(ids)
 	if err != nil {
 		t.Fatalf("after heal: %v", err)
 	}

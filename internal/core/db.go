@@ -36,10 +36,14 @@ const DefaultBranch = "master"
 // All chunk reads go through a verifying wrapper, so any tampering by the
 // storage provider surfaces as chunk.ErrCorrupt.
 type DB struct {
-	raw     store.Store // instrumented backend, for Stats and GC discovery
-	st      store.Store // verifying read path (node cache layered on top)
-	met     *dbObs      // observability wiring (metrics, slow-op logs)
-	ncache  *nodecache.Cache
+	// The store stack, assembled once by assembleStore; DB addresses these
+	// layers directly and never looks them up again.
+	st       store.Store           // top handle: verifier plus attachments
+	raw      store.Store           // instrumented backend: Stats, capability discovery (store.As)
+	verifier *store.VerifyingStore // invalidation hooks and VerifyStats
+	ncache   *nodecache.Cache      // the read path's decoded-node cache (core's own or caller-attached); nil = none
+
+	met     *dbObs // observability wiring (metrics, slow-op logs)
 	cfg     chunker.Config
 	idxKind index.Kind // structure new composite values are indexed with
 	heads   BranchTable
@@ -157,19 +161,12 @@ func Open(opts Options) *DB {
 	if opts.Logger == nil {
 		opts.Logger = slog.Default()
 	}
-	// Every chunk operation crossing into the backend is counted and timed
-	// per backend kind; store.Instrument is the identity for obs.Discard,
-	// so a metrics-disabled engine keeps the unwrapped hot path.
-	opts.Store = store.InstrumentSlow(opts.Store, opts.Metrics, opts.Logger, opts.SlowOp)
-	verifier := store.NewVerifyingStoreCache(opts.Store, opts.VerifyCacheBytes)
-	verifier.SetVerifyWorkers(opts.SinkHashers)
 	db := &DB{
-		raw:     opts.Store,
-		st:      verifier,
 		met:     newDBObs(opts.Metrics, opts.Logger, opts.SlowOp),
 		cfg:     opts.Chunking,
 		idxKind: opts.Index,
 	}
+	db.st, db.raw, db.verifier, db.ncache = assembleStore(opts)
 	// Every head movement is journaled into the change feed (the replication
 	// source).  A caller that already wrapped its table — cmd/forkbased
 	// shares one feed between the TCP server and this engine — keeps its
@@ -180,13 +177,6 @@ func Open(opts Options) *DB {
 	}
 	db.heads = ft
 	db.feed = ft.Feed()
-	if opts.NodeCacheBytes > 0 {
-		db.ncache = nodecache.New(opts.NodeCacheBytes)
-		db.st = store.WithNodeCache(db.st, db.ncache)
-	}
-	if opts.SinkHashers != 0 {
-		db.st = store.WithSinkHashers(db.st, opts.SinkHashers)
-	}
 	db.registerGauges()
 	db.compactRatio = opts.CompactRatio
 	if db.compactRatio <= 0 {
@@ -198,6 +188,33 @@ func Open(opts Options) *DB {
 		go db.compactLoop(opts.CompactEvery)
 	}
 	return db
+}
+
+// assembleStore builds the engine's store stack in its one fixed order:
+//
+//	backend → metrics → verification → (node cache, sink hashers)
+//
+// Every chunk operation crossing into the backend is counted and timed per
+// backend kind (store.InstrumentSlow is the identity for obs.Discard, so a
+// metrics-disabled engine keeps the unwrapped hot path); every read is
+// verified above that; and the attachments sit on top, so only nodes that
+// passed verification are ever cached.  It returns the top handle together
+// with the layers DB addresses directly.  A stack the caller injected
+// (a CountingStore over a MemStore, a store with its own node cache) is
+// the backend here; its capabilities stay reachable through store.As.
+func assembleStore(opts Options) (top, raw store.Store, verifier *store.VerifyingStore, cache *nodecache.Cache) {
+	raw = store.InstrumentSlow(opts.Store, opts.Metrics, opts.Logger, opts.SlowOp)
+	verifier = store.NewVerifyingStoreCache(raw, opts.VerifyCacheBytes)
+	verifier.SetVerifyWorkers(opts.SinkHashers)
+	if opts.NodeCacheBytes > 0 {
+		cache = nodecache.New(opts.NodeCacheBytes)
+	}
+	// Both attachments are the identity for their zero value.
+	top = store.WithSinkHashers(store.WithNodeCache(verifier, cache), opts.SinkHashers)
+	if cache == nil {
+		cache = store.NodeCacheOf(raw) // one the caller attached, if any
+	}
+	return top, raw, verifier, cache
 }
 
 // compactLoop is the background compactor: a ratio-gated GC pass per tick.
@@ -287,7 +304,8 @@ func (db *DB) kindOf(v value.Value) (index.Kind, error) {
 	return index.KindOfRoot(db.st, v.Root())
 }
 
-// NodeCache returns the decoded-node cache, or nil when disabled.
+// NodeCache returns the decoded-node cache the read path uses (core's own or
+// one the caller attached to the injected store), or nil when there is none.
 func (db *DB) NodeCache() *nodecache.Cache { return db.ncache }
 
 // NodeCacheStats snapshots decoded-node cache effectiveness (zeros when the

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"forkbase/internal/chunk"
 	"forkbase/internal/fnode"
 	"forkbase/internal/hash"
 	"forkbase/internal/index"
@@ -31,22 +30,9 @@ type GCStats struct {
 	Relocated int
 }
 
-// Collectable is the legacy per-chunk collection capability, kept so
-// third-party stores that enumerate and delete chunks individually remain
-// collectable.  Both built-in stores now implement the preferred bulk
-// capability, store.Collector — MemStore sweeps under one lock round, and
-// FileStore compacts its log segments (rewriting live records, unlinking
-// garbage-heavy segments) — so ErrNotCollectable is only reachable for
-// injected stores that implement neither interface.
-type Collectable interface {
-	IDs() []hash.Hash
-	Delete(id hash.Hash)
-	Get(id hash.Hash) (*chunk.Chunk, error)
-}
-
-// ErrNotCollectable is returned when the backing store supports neither
-// store.Collector nor the legacy Collectable surface, so unreachable chunks
-// cannot be enumerated and deleted.
+// ErrNotCollectable is returned when no reachable layer of the backing store
+// stack implements store.Collector, so unreachable chunks cannot be
+// enumerated and deleted.
 var ErrNotCollectable = fmt.Errorf("core: store does not support garbage collection")
 
 // GC removes every chunk not reachable from any branch head of any key and
@@ -84,7 +70,7 @@ func (db *DB) gcInner(minDeadRatio float64) (GCStats, error) {
 	if err := db.writeGuard(); err != nil {
 		return GCStats{}, err
 	}
-	col, ok := findCollector(db.raw)
+	col, ok := store.As[store.Collector](db.raw)
 	if !ok {
 		return GCStats{}, ErrNotCollectable
 	}
@@ -117,27 +103,22 @@ func (db *DB) gcInner(minDeadRatio float64) (GCStats, error) {
 	if err != nil {
 		return GCStats{}, err
 	}
-	// Purge swept ids from whichever decoded-node cache the read path uses:
-	// db.ncache when core created it, or one the caller attached to the
-	// injected store.  Either way it is discoverable on db.st (nil-safe).
-	// Relocated chunks are purged too: their content is unchanged, but a
-	// cached decode may alias storage the compaction retired.
-	ncache := store.NodeCacheOf(db.st)
-	verifier := store.VerifierOf(db.st)
+	// Purge swept ids from the decoded-node cache the read path uses (core's
+	// own or one the caller attached; nil-safe).  Relocated chunks are
+	// purged too: their content is unchanged, but a cached decode may alias
+	// storage the compaction retired.
 	for _, id := range res.SweptIDs {
-		ncache.Remove(id)
+		db.ncache.Remove(id)
 	}
 	for _, id := range res.MovedIDs {
-		ncache.Remove(id)
+		db.ncache.Remove(id)
 	}
-	if verifier != nil {
-		// Swept ids no longer resolve, and moved ids live in relocated
-		// records; neither may keep skipping the rehash on a stale entry.
-		// (FileStore's placement epoch also retires the moved set — this is
-		// the explicit half of the belt-and-braces pair.)
-		verifier.Invalidate(res.SweptIDs...)
-		verifier.Invalidate(res.MovedIDs...)
-	}
+	// Swept ids no longer resolve, and moved ids live in relocated records;
+	// neither may keep skipping the rehash on a stale entry.  (FileStore's
+	// placement epoch also retires the moved set — this is the explicit half
+	// of the belt-and-braces pair.)
+	db.verifier.Invalidate(res.SweptIDs...)
+	db.verifier.Invalidate(res.MovedIDs...)
 	return GCStats{
 		Live:              len(live),
 		Swept:             res.Swept,
@@ -182,52 +163,6 @@ func (db *DB) mark() (map[hash.Hash]bool, error) {
 		}
 	}
 	return live, nil
-}
-
-// findCollector unwraps the store stack until it finds the bulk sweep
-// capability, falling back to an adapter over the legacy per-chunk surface.
-func findCollector(st store.Store) (store.Collector, bool) {
-	for {
-		if c, ok := st.(store.Collector); ok {
-			return c, true
-		}
-		switch s := st.(type) {
-		case *store.CountingStore:
-			st = s.Inner
-		case *store.VerifyingStore:
-			st = s.Inner
-		case *store.MaliciousStore:
-			st = s.Inner
-		case interface{ Unwrap() store.Store }:
-			st = s.Unwrap()
-		default:
-			if l, ok := st.(Collectable); ok {
-				return legacyCollector{l}, true
-			}
-			return nil, false
-		}
-	}
-}
-
-// legacyCollector adapts the per-chunk Collectable surface to the bulk
-// Sweep contract (no compaction; reclaimed = swept).
-type legacyCollector struct{ col Collectable }
-
-func (lc legacyCollector) Sweep(keep func(hash.Hash) bool, _ float64) (store.SweepStats, error) {
-	var res store.SweepStats
-	for _, id := range lc.col.IDs() {
-		if keep(id) {
-			continue
-		}
-		if c, err := lc.col.Get(id); err == nil {
-			res.SweptBytes += int64(c.Size())
-		}
-		lc.col.Delete(id)
-		res.Swept++
-		res.SweptIDs = append(res.SweptIDs, id)
-	}
-	res.ReclaimedBytes = res.SweptBytes
-	return res, nil
 }
 
 // markFrom adds every chunk reachable from a version uid to live: the FNode

@@ -7,9 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"forkbase/internal/chunk"
 	"forkbase/internal/chunker"
-	"forkbase/internal/hash"
 	"forkbase/internal/nodecache"
 	"forkbase/internal/pos"
 	"forkbase/internal/store"
@@ -144,48 +142,14 @@ func TestGCOnWrappedStores(t *testing.T) {
 
 // opaqueStore hides every collection capability of its backing store — the
 // shape of a third-party store that implements only the base interface.
-type opaqueStore struct{ mem *store.MemStore }
-
-func (o opaqueStore) Put(c *chunk.Chunk) (bool, error)       { return o.mem.Put(c) }
-func (o opaqueStore) Get(id hash.Hash) (*chunk.Chunk, error) { return o.mem.Get(id) }
-func (o opaqueStore) Has(id hash.Hash) (bool, error)         { return o.mem.Has(id) }
-func (o opaqueStore) Stats() store.Stats                     { return o.mem.Stats() }
+// Embedding the interface narrows the method set to exactly store.Store, and
+// without Unwrap the capability walk ends here.
+type opaqueStore struct{ store.Store }
 
 func TestGCNotCollectable(t *testing.T) {
 	db := Open(Options{Store: opaqueStore{store.NewMemStore()}, Chunking: chunker.SmallConfig()})
 	if _, err := db.GC(); !errors.Is(err, ErrNotCollectable) {
 		t.Fatalf("opaque store GC err = %v", err)
-	}
-}
-
-// TestGCLegacyCollectable pins the adapter: a third-party store exposing
-// only the per-chunk IDs/Delete/Get surface is still collectable.
-// hideSweep wraps a MemStore so only the legacy Collectable surface shows.
-type hideSweep struct{ mem *store.MemStore }
-
-func (h hideSweep) Put(c *chunk.Chunk) (bool, error)       { return h.mem.Put(c) }
-func (h hideSweep) Get(id hash.Hash) (*chunk.Chunk, error) { return h.mem.Get(id) }
-func (h hideSweep) Has(id hash.Hash) (bool, error)         { return h.mem.Has(id) }
-func (h hideSweep) Stats() store.Stats                     { return h.mem.Stats() }
-func (h hideSweep) IDs() []hash.Hash                       { return h.mem.IDs() }
-func (h hideSweep) Delete(id hash.Hash)                    { h.mem.Delete(id) }
-
-func TestGCLegacyCollectable(t *testing.T) {
-	db := Open(Options{Store: hideSweep{store.NewMemStore()}, Chunking: chunker.SmallConfig()})
-	db.Put("keep", "", bigMap(t, db, 200, "keep"), nil)
-	db.Put("drop", "", bigMap(t, db, 200, "drop"), nil)
-	if err := db.DeleteBranch("drop", "master"); err != nil {
-		t.Fatal(err)
-	}
-	stats, err := db.GC()
-	if err != nil {
-		t.Fatalf("legacy collectable GC: %v", err)
-	}
-	if stats.Swept == 0 || stats.ReclaimedBytes == 0 {
-		t.Fatalf("legacy sweep reclaimed nothing: %+v", stats)
-	}
-	if _, err := db.Get("keep", "master"); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -73,7 +73,7 @@ func (db *DB) healInner(src ChunkSource) (HealStats, error) {
 	db.writeMu.RLock()
 	defer db.writeMu.RUnlock()
 
-	rep, _ := findRepairer(db.raw)
+	rep, _ := store.As[store.Repairer](db.raw)
 
 	keys, err := db.heads.Keys()
 	if err != nil {
@@ -96,8 +96,6 @@ func (db *DB) healInner(src ChunkSource) (HealStats, error) {
 		}
 	}
 
-	ncache := store.NodeCacheOf(db.st)
-	verifier := store.VerifierOf(db.st)
 	for len(frontier) > 0 {
 		var next, damaged []hash.Hash
 		for _, id := range frontier {
@@ -105,9 +103,7 @@ func (db *DB) healInner(src ChunkSource) (HealStats, error) {
 			// Heal's contract is to re-verify what is actually on disk, so
 			// every read must pay the rehash: drop any verified-id entry
 			// before the Get (the read re-adds a fresh one on success).
-			if verifier != nil {
-				verifier.Invalidate(id)
-			}
+			db.verifier.Invalidate(id)
 			c, err := db.st.Get(id)
 			switch {
 			case err == nil:
@@ -169,10 +165,8 @@ func (db *DB) healInner(src ChunkSource) (HealStats, error) {
 				}
 				// A cached decode may alias storage of the damaged copy, and a
 				// verified-id entry still describes the bytes repair replaced.
-				ncache.Remove(want)
-				if verifier != nil {
-					verifier.Invalidate(want)
-				}
+				db.ncache.Remove(want)
+				db.verifier.Invalidate(want)
 				hs.Repaired++
 				hs.BytesFetched += int64(c.Size())
 				kids, err := chunkChildren(c)
@@ -218,26 +212,4 @@ func chunkChildren(c *chunk.Chunk) ([]hash.Hash, error) {
 		return out, nil
 	}
 	return index.Children(c)
-}
-
-// findRepairer unwraps the store stack until it finds the repair capability
-// (mirrors findCollector).
-func findRepairer(st store.Store) (store.Repairer, bool) {
-	for {
-		if r, ok := st.(store.Repairer); ok {
-			return r, true
-		}
-		switch s := st.(type) {
-		case *store.CountingStore:
-			st = s.Inner
-		case *store.VerifyingStore:
-			st = s.Inner
-		case *store.MaliciousStore:
-			st = s.Inner
-		case interface{ Unwrap() store.Store }:
-			st = s.Unwrap()
-		default:
-			return nil, false
-		}
-	}
 }

@@ -17,7 +17,7 @@ import (
 type testChunkSource struct{ st store.Store }
 
 func (s testChunkSource) GetChunks(ids []hash.Hash) ([]*chunk.Chunk, error) {
-	return store.GetBatch(s.st, ids)
+	return s.st.GetBatch(ids)
 }
 
 func newFileDB(t *testing.T, dir string) (*DB, *store.FileStore) {

@@ -198,18 +198,17 @@ func (db *DB) registerGauges() {
 		reg.CounterFuncVec("forkbase_store_dedup_hits_total", "Put calls that found the chunk already present, by backend kind.",
 			labels, vals, func() float64 { return float64(raw.Stats().DedupHits) })
 	}
-	if vs := store.VerifierOf(db.st); vs != nil {
-		reg.CounterFunc("forkbase_verify_cache_hits_total", "Verified-id set hits (reads that skipped the rehash).",
-			func() float64 { return float64(vs.VerifyStats().Hits) })
-		reg.CounterFunc("forkbase_verify_cache_misses_total", "Verified-id set misses (reads that paid the rehash).",
-			func() float64 { return float64(vs.VerifyStats().Misses) })
-		reg.CounterFunc("forkbase_verify_cache_invalidations_total", "Verified-id entries dropped by GC, scrub, heal, repair, or epoch change.",
-			func() float64 { return float64(vs.VerifyStats().Invalidations) })
-		reg.CounterFunc("forkbase_verify_skipped_hashes_total", "Rehashes amortized away (verified-id hits plus provenance-trusted writes).",
-			func() float64 { return float64(vs.VerifyStats().SkippedHashes) })
-		reg.GaugeFunc("forkbase_verify_cache_entries", "Verified-id set resident entries.",
-			func() float64 { return float64(vs.VerifyStats().Entries) })
-	}
+	vs := db.verifier
+	reg.CounterFunc("forkbase_verify_cache_hits_total", "Verified-id set hits (reads that skipped the rehash).",
+		func() float64 { return float64(vs.VerifyStats().Hits) })
+	reg.CounterFunc("forkbase_verify_cache_misses_total", "Verified-id set misses (reads that paid the rehash).",
+		func() float64 { return float64(vs.VerifyStats().Misses) })
+	reg.CounterFunc("forkbase_verify_cache_invalidations_total", "Verified-id entries dropped by GC, scrub, heal, repair, or epoch change.",
+		func() float64 { return float64(vs.VerifyStats().Invalidations) })
+	reg.CounterFunc("forkbase_verify_skipped_hashes_total", "Rehashes amortized away (verified-id hits plus provenance-trusted writes).",
+		func() float64 { return float64(vs.VerifyStats().SkippedHashes) })
+	reg.GaugeFunc("forkbase_verify_cache_entries", "Verified-id set resident entries.",
+		func() float64 { return float64(vs.VerifyStats().Entries) })
 	if db.ncache != nil {
 		c := db.ncache
 		reg.CounterFunc("forkbase_cache_hits_total", "Decoded-node cache hits.",
@@ -228,12 +227,7 @@ func (db *DB) registerGauges() {
 // VerifyStats snapshots the verifying layer's amortization counters: hits,
 // misses and invalidations of the verified-id set plus the total rehashes
 // skipped (set hits and provenance-trusted writes).
-func (db *DB) VerifyStats() store.VerifyStats {
-	if vs := store.VerifierOf(db.st); vs != nil {
-		return vs.VerifyStats()
-	}
-	return store.VerifyStats{}
-}
+func (db *DB) VerifyStats() store.VerifyStats { return db.verifier.VerifyStats() }
 
 // Metrics returns the registry this engine reports into (obs.Discard when
 // observability is disabled; never nil).
@@ -248,50 +242,26 @@ func (db *DB) Metrics() *obs.Registry {
 // can audit its own media (pure in-memory stores have nothing to scrub).
 var ErrNotScrubbable = errors.New("core: store does not support scrubbing")
 
-// findScrubber unwraps the store stack until it finds the media-audit
-// capability (mirrors findCollector/findRepairer).
-func findScrubber(st store.Store) (store.Scrubber, bool) {
-	for {
-		if s, ok := st.(store.Scrubber); ok {
-			return s, true
-		}
-		switch s := st.(type) {
-		case *store.CountingStore:
-			st = s.Inner
-		case *store.VerifyingStore:
-			st = s.Inner
-		case *store.MaliciousStore:
-			st = s.Inner
-		case interface{ Unwrap() store.Store }:
-			st = s.Unwrap()
-		default:
-			return nil, false
-		}
-	}
-}
-
 // Scrub audits the backing store's physical media (see store.Scrubber),
 // recording pass duration and quarantine/loss totals.  Returns
 // ErrNotScrubbable when no layer has media to audit.
 func (db *DB) Scrub() (store.ScrubStats, error) {
-	scr, ok := findScrubber(db.raw)
+	scr, ok := store.As[store.Scrubber](db.raw)
 	if !ok {
 		return store.ScrubStats{}, ErrNotScrubbable
 	}
 	start := time.Now()
 	ss, err := scr.Scrub()
 	db.met.scrubDone(start, ss, err)
-	if verifier := store.VerifierOf(db.st); verifier != nil {
-		// Scrub itself never consults the verified set (it reads segment
-		// files directly), but its findings do invalidate: lost ids must not
-		// be vouched for, and a quarantine pass rescues records into new
-		// homes — drop everything rather than reason about which survived.
-		// (FileStore's placement epoch bump covers direct store.Scrub()
-		// callers; this is the engine-level half of the pair.)
-		verifier.Invalidate(ss.Lost...)
-		if ss.QuarantinedSegments > 0 {
-			verifier.InvalidateAll()
-		}
+	// Scrub itself never consults the verified set (it reads segment files
+	// directly), but its findings do invalidate: lost ids must not be
+	// vouched for, and a quarantine pass rescues records into new homes —
+	// drop everything rather than reason about which survived.  (FileStore's
+	// placement epoch bump covers direct store.Scrub() callers; this is the
+	// engine-level half of the pair.)
+	db.verifier.Invalidate(ss.Lost...)
+	if ss.QuarantinedSegments > 0 {
+		db.verifier.InvalidateAll()
 	}
 	return ss, err
 }
@@ -301,7 +271,7 @@ func (db *DB) Scrub() (store.ScrubStats, error) {
 // audit), an error wrapping store.ErrCorrupt while lost chunks await
 // repair.
 func (db *DB) StoreHealth() error {
-	scr, ok := findScrubber(db.raw)
+	scr, ok := store.As[store.Scrubber](db.raw)
 	if !ok {
 		return nil
 	}

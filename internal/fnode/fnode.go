@@ -204,7 +204,7 @@ func SaveAll(st store.Store, fs []*FNode) ([]hash.Hash, error) {
 		cs[i] = chunk.New(chunk.TypeFNode, f.Encode())
 		uids[i] = cs[i].ID()
 	}
-	if _, err := store.PutBatch(st, cs); err != nil {
+	if _, err := st.PutBatch(cs); err != nil {
 		return nil, fmt.Errorf("fnode: save batch: %w", err)
 	}
 	return uids, nil

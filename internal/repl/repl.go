@@ -28,7 +28,6 @@ import (
 	"forkbase/internal/chunk"
 	"forkbase/internal/core"
 	"forkbase/internal/hash"
-	"forkbase/internal/store"
 )
 
 // Source is the replica's view of a primary: a sequenced change feed, a
@@ -140,7 +139,7 @@ func (s *LocalSource) Heads() (map[string]map[string]hash.Hash, error) {
 // disk.  A remote source gives this ownership guarantee for free (bytes
 // cross the wire); the local source must give the same one.
 func (s *LocalSource) GetChunks(ids []hash.Hash) ([]*chunk.Chunk, error) {
-	out, err := store.GetBatch(s.db.Store(), ids)
+	out, err := s.db.Store().GetBatch(ids)
 	if err != nil {
 		return nil, err
 	}

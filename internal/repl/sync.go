@@ -115,7 +115,7 @@ func (s *syncer) syncRoot(root hash.Hash) error {
 	visited := map[hash.Hash]bool{root: true}
 	var levels [][]*chunk.Chunk
 	for len(frontier) > 0 {
-		present, err := store.HasBatch(s.local, frontier)
+		present, err := s.local.HasBatch(frontier)
 		if err != nil {
 			return err
 		}
@@ -164,7 +164,7 @@ func (s *syncer) syncRoot(root hash.Hash) error {
 	}
 	// Land children before parents.
 	for i := len(levels) - 1; i >= 0; i-- {
-		if _, err := store.PutBatch(s.local, levels[i]); err != nil {
+		if _, err := s.local.PutBatch(levels[i]); err != nil {
 			return err
 		}
 	}

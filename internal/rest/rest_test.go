@@ -10,10 +10,8 @@ import (
 	"testing"
 
 	"forkbase/internal/chaos"
-	"forkbase/internal/chunk"
 	"forkbase/internal/chunker"
 	"forkbase/internal/core"
-	"forkbase/internal/hash"
 	"forkbase/internal/store"
 )
 
@@ -232,7 +230,7 @@ func TestVerifyEndpoint(t *testing.T) {
 	}
 
 	// Corrupt a chunk and verify again.
-	ids := mal.Inner.(*store.MemStore).IDs()
+	ids := mal.Unwrap().(*store.MemStore).IDs()
 	corrupted := false
 	for _, id := range ids {
 		if id.String() != uid {
@@ -371,12 +369,7 @@ func TestGCEndpoint(t *testing.T) {
 
 // TestGCEndpointNotCollectable answers 501 when the store has no collection
 // capability.
-type opaqueStore struct{ inner store.Store }
-
-func (o opaqueStore) Put(c *chunk.Chunk) (bool, error)       { return o.inner.Put(c) }
-func (o opaqueStore) Get(id hash.Hash) (*chunk.Chunk, error) { return o.inner.Get(id) }
-func (o opaqueStore) Has(id hash.Hash) (bool, error)         { return o.inner.Has(id) }
-func (o opaqueStore) Stats() store.Stats                     { return o.inner.Stats() }
+type opaqueStore struct{ store.Store }
 
 func TestGCEndpointNotCollectable(t *testing.T) {
 	db := core.Open(core.Options{Store: opaqueStore{store.NewMemStore()}, Chunking: chunker.SmallConfig()})

@@ -254,10 +254,7 @@ type RemoteStore struct {
 	c *Client
 }
 
-var (
-	_ store.BatchStore     = (*RemoteStore)(nil)
-	_ store.BatchReadStore = (*RemoteStore)(nil)
-)
+var _ store.Store = (*RemoteStore)(nil)
 
 // NewRemoteStore wraps a client as a chunk store.
 func NewRemoteStore(c *Client) *RemoteStore { return &RemoteStore{c: c} }
@@ -277,7 +274,7 @@ func (r *RemoteStore) Put(ch *chunk.Chunk) (bool, error) {
 	return resp.OK, nil
 }
 
-// PutBatch implements store.BatchStore: the whole batch travels in one
+// PutBatch implements store.Store: the whole batch travels in one
 // request and lands on the server in one store round, collapsing N network
 // round trips into one — the dominant cost of remote bulk ingest.
 func (r *RemoteStore) PutBatch(cs []*chunk.Chunk) ([]bool, error) {
@@ -412,12 +409,12 @@ func (r *RemoteStore) Has(id hash.Hash) (bool, error) {
 	return resp.OK, nil
 }
 
-// GetBatch implements store.BatchReadStore: one round trip for the whole id
+// GetBatch implements store.Store: one round trip for the whole id
 // list, collapsing the per-chunk request latency that made RemoteStore reads
 // pay one RTT per Get.
 func (r *RemoteStore) GetBatch(ids []hash.Hash) ([]*chunk.Chunk, error) { return r.c.GetChunks(ids) }
 
-// HasBatch implements store.BatchReadStore.
+// HasBatch implements store.Store.
 func (r *RemoteStore) HasBatch(ids []hash.Hash) ([]bool, error) { return r.c.HasChunks(ids) }
 
 // Stats implements store.Store.

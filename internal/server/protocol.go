@@ -33,7 +33,7 @@ const (
 	OpPing
 	// OpPutChunks ingests a whole batch of chunks in one round trip; the
 	// server verifies every claimed id and lands the batch with one
-	// store.PutBatch (group commit on file-backed stores).
+	// Store.PutBatch (group commit on file-backed stores).
 	OpPutChunks
 	// OpGetChunks fetches a batch of chunks in one round trip — the read
 	// half of Merkle-delta sync: a replica resolves a whole frontier level

@@ -296,7 +296,7 @@ func (s *Server) handle(req *Request) *Response {
 			}
 			cs[i] = c
 		}
-		fresh, err := store.PutBatch(s.st, cs)
+		fresh, err := s.st.PutBatch(cs)
 		if err != nil {
 			return fail(err)
 		}
@@ -321,7 +321,7 @@ func (s *Server) handle(req *Request) *Response {
 		}
 		resp.OK = ok
 	case OpGetChunks:
-		cs, err := store.GetBatch(s.st, req.IDs)
+		cs, err := s.st.GetBatch(req.IDs)
 		if err != nil {
 			return fail(err)
 		}
@@ -334,7 +334,7 @@ func (s *Server) handle(req *Request) *Response {
 		}
 		resp.OK = true
 	case OpHasChunks:
-		bools, err := store.HasBatch(s.st, req.IDs)
+		bools, err := s.st.HasBatch(req.IDs)
 		if err != nil {
 			return fail(err)
 		}

@@ -8,14 +8,6 @@ import (
 	"forkbase/internal/nodecache"
 )
 
-// plainStore hides every optional capability, exercising the fallbacks.
-type plainStore struct{ inner *MemStore }
-
-func (p plainStore) Put(c *chunk.Chunk) (bool, error)       { return p.inner.Put(c) }
-func (p plainStore) Get(id hash.Hash) (*chunk.Chunk, error) { return p.inner.Get(id) }
-func (p plainStore) Has(id hash.Hash) (bool, error)         { return p.inner.Has(id) }
-func (p plainStore) Stats() Stats                           { return p.inner.Stats() }
-
 func TestBatchReadAcrossImplementations(t *testing.T) {
 	mk := func(s Store) (ids []hash.Hash, missing hash.Hash) {
 		for _, payload := range []string{"alpha", "beta", "gamma"} {
@@ -34,7 +26,6 @@ func TestBatchReadAcrossImplementations(t *testing.T) {
 		wrap func(*MemStore) Store
 	}{
 		{"mem", func(m *MemStore) Store { return m }},
-		{"fallback", func(m *MemStore) Store { return plainStore{m} }},
 		{"verifying", func(m *MemStore) Store { return NewVerifyingStore(m) }},
 		{"counting", func(m *MemStore) Store { return NewCountingStore(m) }},
 		{"malicious-honest", func(m *MemStore) Store { return NewMaliciousStore(m) }},
@@ -48,7 +39,7 @@ func TestBatchReadAcrossImplementations(t *testing.T) {
 			ids, missing := mk(s)
 			query := []hash.Hash{ids[2], missing, ids[0]}
 
-			got, err := GetBatch(s, query)
+			got, err := s.GetBatch(query)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -62,7 +53,7 @@ func TestBatchReadAcrossImplementations(t *testing.T) {
 				t.Fatalf("slot 2 = %v, want %s", got[2], ids[0].Short())
 			}
 
-			has, err := HasBatch(s, query)
+			has, err := s.HasBatch(query)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -81,17 +72,17 @@ func TestVerifyingGetBatchCatchesForgery(t *testing.T) {
 		t.Fatal(err)
 	}
 	mal.Forge(c.ID(), chunk.TypeBlobLeaf, []byte("forged"))
-	if _, err := GetBatch(v, []hash.Hash{c.ID()}); err == nil {
+	if _, err := v.GetBatch([]hash.Hash{c.ID()}); err == nil {
 		t.Fatal("verifying GetBatch must reject a forged chunk")
 	}
 	// The raw malicious store serves the forgery without complaint.
-	out, err := GetBatch(Store(mal), []hash.Hash{c.ID()})
+	out, err := mal.GetBatch([]hash.Hash{c.ID()})
 	if err != nil || out[0] == nil {
 		t.Fatalf("malicious store should serve the forgery silently: %v", err)
 	}
 }
 
-func TestFileStoreBatchReadFallback(t *testing.T) {
+func TestFileStoreBatchRead(t *testing.T) {
 	fs, err := OpenFileStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -99,10 +90,10 @@ func TestFileStoreBatchReadFallback(t *testing.T) {
 	defer fs.Close()
 	c1 := chunk.New(chunk.TypeBlobLeaf, []byte("one"))
 	c2 := chunk.New(chunk.TypeBlobLeaf, []byte("two"))
-	if _, err := PutBatch(fs, []*chunk.Chunk{c1, c2}); err != nil {
+	if _, err := fs.PutBatch([]*chunk.Chunk{c1, c2}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := GetBatch(fs, []hash.Hash{c2.ID(), hash.Of([]byte("nope")), c1.ID()})
+	got, err := fs.GetBatch([]hash.Hash{c2.ID(), hash.Of([]byte("nope")), c1.ID()})
 	if err != nil {
 		t.Fatal(err)
 	}

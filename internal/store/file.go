@@ -321,7 +321,7 @@ func (g *groupSyncer) sync(do func() error) error {
 }
 
 var (
-	_ BatchStore            = (*FileStore)(nil)
+	_ Store                 = (*FileStore)(nil)
 	_ GenerationalCollector = (*FileStore)(nil)
 )
 
@@ -711,7 +711,7 @@ func (f *FileStore) appendLocked(c *chunk.Chunk) (bool, error) {
 	return true, nil
 }
 
-// PutBatch implements BatchStore with group commit: one write-lock
+// PutBatch implements Store with group commit: one write-lock
 // acquisition, one dedup index pass and one buffered-write sequence for the
 // whole batch, closed by a single Flush so every record of the batch is on
 // disk (modulo OS caching) when PutBatch returns.  Records are laid out
@@ -1027,6 +1027,20 @@ func (f *FileStore) Has(id hash.Hash) (bool, error) {
 	_, ok := f.lookup(id)
 	return ok, nil
 }
+
+// HasBatch implements Store: one sharded-index probe per id, no I/O.
+func (f *FileStore) HasBatch(ids []hash.Hash) ([]bool, error) {
+	out := make([]bool, len(ids))
+	for i, id := range ids {
+		_, out[i] = f.lookup(id)
+	}
+	return out, nil
+}
+
+// GetBatch implements Store.  Each id resolves exactly as Get does: the
+// index is sharded per id and sealed reads are lock-free, so there is no
+// batch-wide lock to amortize.
+func (f *FileStore) GetBatch(ids []hash.Hash) ([]*chunk.Chunk, error) { return getEach(f.Get, ids) }
 
 // IDs returns the ids of all indexed chunks (order unspecified); used by
 // tests and diagnostics.

@@ -1,36 +1,29 @@
 package store
 
 import (
+	"errors"
 	"log/slog"
 	"sync/atomic"
 	"time"
 
 	"forkbase/internal/chunk"
 	"forkbase/internal/hash"
-	"forkbase/internal/nodecache"
 	"forkbase/internal/obs"
 )
 
-// Kinder is the optional capability by which a store names its backend for
-// metric labels ("mem", "file", "remote", ...).  Wrappers are transparent:
-// KindOf walks the Unwrap chain, so the label always describes the store
-// that actually holds the bytes.
+// Kinder is the optional capability by which a backend names itself for
+// metric labels ("mem", "file").  Only backends implement it; KindOf finds
+// it through any wrapper stack, so the label always describes the store that
+// actually holds the bytes.
 type Kinder interface {
 	StoreKind() string
 }
 
-// KindOf returns the backend kind of st, walking wrappers; "store" when no
+// KindOf returns the backend kind of st's stack; "store" when no reachable
 // layer declares one.
 func KindOf(st Store) string {
-	for st != nil {
-		if k, ok := st.(Kinder); ok {
-			return k.StoreKind()
-		}
-		u, ok := st.(interface{ Unwrap() Store })
-		if !ok {
-			break
-		}
-		st = u.Unwrap()
+	if k, ok := As[Kinder](st); ok {
+		return k.StoreKind()
 	}
 	return "store"
 }
@@ -54,9 +47,8 @@ const latSampleMask = 31
 // and times a sample of them.  All metric handles are resolved at
 // construction, so the common per-op cost is a handful of atomic adds.
 //
-// The wrapper is transparent to every capability discovery in the tree:
-// batch paths are instrumented natively, NodeCache/SinkHashers forward,
-// and Unwrap exposes the inner store for GC/scrub/heal discovery.
+// The wrapper is transparent to capability discovery: batch paths are
+// instrumented natively and Unwrap exposes the inner store to As.
 type instrumentedStore struct {
 	Store
 	kind string
@@ -175,7 +167,7 @@ func (s *instrumentedStore) begin(op *opMetrics) time.Time {
 // accounting, slow-op log.
 func (s *instrumentedStore) observe(op *opMetrics, start time.Time, err error) {
 	op.total.Inc()
-	if err != nil && err != ErrNotFound {
+	if err != nil && !errors.Is(err, ErrNotFound) {
 		s.errs.Inc()
 	}
 	if start.IsZero() {
@@ -218,12 +210,12 @@ func (s *instrumentedStore) Has(id hash.Hash) (bool, error) {
 	return ok, err
 }
 
-// PutBatch implements BatchStore (instrumented as one operation — the
+// PutBatch implements Store (instrumented as one operation — the
 // clock amortizes over the batch, so batches are always timed; bytes count
 // every chunk offered).
 func (s *instrumentedStore) PutBatch(cs []*chunk.Chunk) ([]bool, error) {
 	start := time.Now()
-	fresh, err := PutBatch(s.Store, cs)
+	fresh, err := s.Store.PutBatch(cs)
 	s.observe(&s.putB, start, err)
 	var n int64
 	for _, c := range cs {
@@ -235,10 +227,10 @@ func (s *instrumentedStore) PutBatch(cs []*chunk.Chunk) ([]bool, error) {
 	return fresh, err
 }
 
-// GetBatch implements BatchReadStore.
+// GetBatch implements Store.
 func (s *instrumentedStore) GetBatch(ids []hash.Hash) ([]*chunk.Chunk, error) {
 	start := time.Now()
-	cs, err := GetBatch(s.Store, ids)
+	cs, err := s.Store.GetBatch(ids)
 	s.observe(&s.getB, start, err)
 	var n int64
 	for _, c := range cs {
@@ -250,32 +242,13 @@ func (s *instrumentedStore) GetBatch(ids []hash.Hash) ([]*chunk.Chunk, error) {
 	return cs, err
 }
 
-// HasBatch implements BatchReadStore.
+// HasBatch implements Store.
 func (s *instrumentedStore) HasBatch(ids []hash.Hash) ([]bool, error) {
 	start := time.Now()
-	oks, err := HasBatch(s.Store, ids)
+	oks, err := s.Store.HasBatch(ids)
 	s.observe(&s.hasB, start, err)
 	return oks, err
 }
 
-// NodeCache forwards the node-cache capability through the wrapper.
-func (s *instrumentedStore) NodeCache() *nodecache.Cache { return NodeCacheOf(s.Store) }
-
-// SinkHashers forwards the tuning capability through the wrapper.
-func (s *instrumentedStore) SinkHashers() int { return SinkHashersOf(s.Store) }
-
-// StoreKind implements Kinder (the wrapper reports the backend it fronts).
-func (s *instrumentedStore) StoreKind() string { return s.kind }
-
-// Unwrap exposes the inner store (GC/scrub/heal capability discovery).
+// Unwrap exposes the inner store to As.
 func (s *instrumentedStore) Unwrap() Store { return s.Store }
-
-var (
-	_ BatchStore        = (*instrumentedStore)(nil)
-	_ BatchReadStore    = (*instrumentedStore)(nil)
-	_ NodeCacheProvider = (*instrumentedStore)(nil)
-	_ SinkTuner         = (*instrumentedStore)(nil)
-	_ Kinder            = (*instrumentedStore)(nil)
-	_ Kinder            = (*MemStore)(nil)
-	_ Kinder            = (*FileStore)(nil)
-)

@@ -1,11 +1,12 @@
 package store
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 
 	"forkbase/internal/chunk"
 	"forkbase/internal/hash"
-	"forkbase/internal/nodecache"
 	"forkbase/internal/obs"
 )
 
@@ -28,13 +29,13 @@ func TestInstrumentedStoreCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	c2 := chunk.New(chunk.TypeBlobLeaf, []byte("batchling"))
-	if _, err := PutBatch(st, []*chunk.Chunk{c2}); err != nil {
+	if _, err := st.PutBatch([]*chunk.Chunk{c2}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := GetBatch(st, []hash.Hash{c.ID(), c2.ID()}); err != nil {
+	if _, err := st.GetBatch([]hash.Hash{c.ID(), c2.ID()}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := HasBatch(st, []hash.Hash{c.ID()}); err != nil {
+	if _, err := st.HasBatch([]hash.Hash{c.ID()}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -69,9 +70,10 @@ func TestInstrumentedStoreCounts(t *testing.T) {
 	}
 }
 
-// TestInstrumentTransparent: the wrapper forwards every discovered
-// capability and is the identity for nil/Discard registries.
-func TestInstrumentTransparent(t *testing.T) {
+// TestInstrumentIdentity: a nil or Discard registry leaves the store
+// unwrapped.  (Capability transparency of the wrapper itself is pinned by
+// TestStackConformance.)
+func TestInstrumentIdentity(t *testing.T) {
 	ms := NewMemStore()
 	if st := Instrument(ms, nil); st != ms {
 		t.Error("nil registry should return inner unchanged")
@@ -79,41 +81,37 @@ func TestInstrumentTransparent(t *testing.T) {
 	if st := Instrument(ms, obs.Discard); st != ms {
 		t.Error("Discard registry should return inner unchanged")
 	}
-
-	cache := nodecache.New(1 << 20)
-	layered := WithSinkHashers(WithNodeCache(ms, cache), 3)
-	st := Instrument(layered, obs.NewRegistry())
-	if NodeCacheOf(st) != cache {
-		t.Error("node cache not forwarded through instrumentation")
-	}
-	if SinkHashersOf(st) != 3 {
-		t.Error("sink hashers not forwarded through instrumentation")
-	}
-	if KindOf(st) != "mem" {
-		t.Errorf("KindOf = %q, want mem", KindOf(st))
-	}
-	u, ok := st.(interface{ Unwrap() Store })
-	if !ok || u.Unwrap() != layered {
-		t.Error("Unwrap should expose the wrapped store")
-	}
-	if _, ok := st.(BatchStore); !ok {
-		t.Error("batch capability not forwarded")
-	}
-	if _, ok := st.(BatchReadStore); !ok {
-		t.Error("batch-read capability not forwarded")
-	}
 }
 
-func TestKindOf(t *testing.T) {
-	ms := NewMemStore()
-	if got := KindOf(ms); got != "mem" {
-		t.Errorf("mem store kind = %q", got)
+// shardLikeStore reports absence the way cluster.ShardError does: the
+// sentinel wrapped in context, never bare.
+type shardLikeStore struct{ Store }
+
+func (s shardLikeStore) Get(id hash.Hash) (*chunk.Chunk, error) {
+	c, err := s.Store.Get(id)
+	if err != nil {
+		return nil, fmt.Errorf("shard 3: %w", err)
 	}
-	if got := KindOf(WithNodeCache(ms, nodecache.New(1024))); got != "mem" {
-		t.Errorf("wrapped mem store kind = %q", got)
+	return c, nil
+}
+
+// TestWrappedNotFoundIsNotAnError: not-found is classified with errors.Is,
+// so a wrapped sentinel neither counts as a store error nor turns
+// MaliciousStore.CorruptFlip's "unknown id" answer into a hard failure.
+func TestWrappedNotFoundIsNotAnError(t *testing.T) {
+	reg := obs.NewRegistry()
+	inner := shardLikeStore{NewMemStore()}
+	absent := hash.Of([]byte("absent"))
+
+	st := Instrument(inner, reg)
+	if _, err := st.Get(absent); !errors.Is(err, ErrNotFound) || err == ErrNotFound {
+		t.Fatalf("want a wrapped ErrNotFound, got %v", err)
 	}
-	if got := KindOf(NewCountingStore(ms)); got != "store" {
-		// CountingStore has no Unwrap; the generic fallback applies.
-		t.Errorf("counting store kind = %q", got)
+	if got, _ := reg.Value("forkbase_store_errors_total", "store"); got != 0 {
+		t.Errorf("errors_total = %v after a wrapped not-found, want 0", got)
+	}
+
+	if ok, err := NewMaliciousStore(inner).CorruptFlip(absent, 0, 0); ok || err != nil {
+		t.Errorf("CorruptFlip(unknown id) = %v, %v; want false, nil", ok, err)
 	}
 }

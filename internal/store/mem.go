@@ -22,10 +22,7 @@ type MemStore struct {
 	gets   atomic.Int64
 }
 
-var (
-	_ BatchStore     = (*MemStore)(nil)
-	_ BatchReadStore = (*MemStore)(nil)
-)
+var _ Store = (*MemStore)(nil)
 
 // NewMemStore returns an empty in-memory store.
 func NewMemStore() *MemStore {
@@ -52,7 +49,7 @@ func (m *MemStore) Put(c *chunk.Chunk) (bool, error) {
 	return true, nil
 }
 
-// PutBatch implements BatchStore: the whole batch is applied under one
+// PutBatch implements Store: the whole batch is applied under one
 // write-lock acquisition instead of one per chunk, so bulk ingest does not
 // convoy concurrent readers on the mutex.
 func (m *MemStore) PutBatch(cs []*chunk.Chunk) ([]bool, error) {
@@ -86,7 +83,7 @@ func (m *MemStore) Get(id hash.Hash) (*chunk.Chunk, error) {
 	return c, nil
 }
 
-// GetBatch implements BatchReadStore: one read-lock round for the whole
+// GetBatch implements Store: one read-lock round for the whole
 // batch; absent ids yield nil slots.
 func (m *MemStore) GetBatch(ids []hash.Hash) ([]*chunk.Chunk, error) {
 	out := make([]*chunk.Chunk, len(ids))
@@ -107,7 +104,7 @@ func (m *MemStore) Has(id hash.Hash) (bool, error) {
 	return ok, nil
 }
 
-// HasBatch implements BatchReadStore under one read-lock round.
+// HasBatch implements Store under one read-lock round.
 func (m *MemStore) HasBatch(ids []hash.Hash) ([]bool, error) {
 	out := make([]bool, len(ids))
 	m.mu.RLock()

@@ -1,10 +1,6 @@
 package store
 
-import (
-	"forkbase/internal/chunk"
-	"forkbase/internal/hash"
-	"forkbase/internal/nodecache"
-)
+import "forkbase/internal/nodecache"
 
 // NodeCacheProvider is the optional capability by which a store advertises a
 // decoded-node cache to higher layers (package pos).  The cache is keyed by
@@ -20,15 +16,17 @@ type NodeCacheProvider interface {
 	NodeCache() *nodecache.Cache
 }
 
-// nodeCachedStore attaches a decoded-node cache to an inner store.  All
-// Store methods delegate; only the NodeCacheProvider capability is added.
+// nodeCachedStore attaches a decoded-node cache to an inner store: a value
+// plus Unwrap, every Store method is the embedded store's.
 type nodeCachedStore struct {
 	Store
 	cache *nodecache.Cache
 }
 
 // WithNodeCache returns a store that carries cache for the read path to
-// discover.  A nil cache returns inner unchanged.
+// discover.  A nil cache returns inner unchanged.  core.Open attaches the
+// cache *above* the verifying layer — WithNodeCache(NewVerifyingStore(raw),
+// c) — so nodes enter it only after passing verification.
 func WithNodeCache(inner Store, cache *nodecache.Cache) Store {
 	if cache == nil {
 		return inner
@@ -39,49 +37,14 @@ func WithNodeCache(inner Store, cache *nodecache.Cache) Store {
 // NodeCache implements NodeCacheProvider.
 func (s *nodeCachedStore) NodeCache() *nodecache.Cache { return s.cache }
 
-// PutBatch forwards the batch capability through the cache wrapper (the
-// embedded Store interface would otherwise hide the inner store's native
-// batch path from the BatchStore type assertion).
-func (s *nodeCachedStore) PutBatch(cs []*chunk.Chunk) ([]bool, error) { return PutBatch(s.Store, cs) }
-
-// GetBatch forwards the batch-read capability through the cache wrapper.
-func (s *nodeCachedStore) GetBatch(ids []hash.Hash) ([]*chunk.Chunk, error) {
-	return GetBatch(s.Store, ids)
-}
-
-// HasBatch forwards the batch-read capability through the cache wrapper.
-func (s *nodeCachedStore) HasBatch(ids []hash.Hash) ([]bool, error) { return HasBatch(s.Store, ids) }
-
-// Unwrap exposes the inner store (GC capability discovery).
+// Unwrap exposes the inner store to As.
 func (s *nodeCachedStore) Unwrap() Store { return s.Store }
 
-// NodeCacheOf returns the decoded-node cache attached to st, or nil.
+// NodeCacheOf returns the decoded-node cache attached anywhere in st's
+// stack, or nil (nodecache methods are nil-safe).
 func NodeCacheOf(st Store) *nodecache.Cache {
-	if p, ok := st.(NodeCacheProvider); ok {
+	if p, ok := As[NodeCacheProvider](st); ok {
 		return p.NodeCache()
 	}
 	return nil
 }
-
-// NodeCache forwards the capability through the verifying wrapper, so a
-// cache attached below verification is still discoverable.  Note the
-// converse layering — WithNodeCache(NewVerifyingStore(raw), c) — is the one
-// core.Open uses: nodes enter the cache only after passing verification.
-func (v *VerifyingStore) NodeCache() *nodecache.Cache { return NodeCacheOf(v.Inner) }
-
-// NodeCache forwards the capability through the counting wrapper.
-func (c *CountingStore) NodeCache() *nodecache.Cache { return NodeCacheOf(c.Inner) }
-
-var (
-	_ NodeCacheProvider = (*nodeCachedStore)(nil)
-	_ NodeCacheProvider = (*VerifyingStore)(nil)
-	_ NodeCacheProvider = (*CountingStore)(nil)
-	_ BatchStore        = (*nodeCachedStore)(nil)
-	_ BatchStore        = (*VerifyingStore)(nil)
-	_ BatchStore        = (*CountingStore)(nil)
-	_ BatchStore        = (*MaliciousStore)(nil)
-	_ BatchReadStore    = (*nodeCachedStore)(nil)
-	_ BatchReadStore    = (*VerifyingStore)(nil)
-	_ BatchReadStore    = (*CountingStore)(nil)
-	_ BatchReadStore    = (*MaliciousStore)(nil)
-)

@@ -105,58 +105,6 @@ func TestGroupSyncerCoalesces(t *testing.T) {
 	}
 }
 
-// fixedTuner is a Store advertising a sink-hasher preference.
-type fixedTuner struct {
-	Store
-	n int
-}
-
-func (f fixedTuner) SinkHashers() int { return f.n }
-func (f fixedTuner) Unwrap() Store    { return f.Store }
-
-// TestSinkHashersDiscovery pins the capability walk: preferences surface
-// through wrapper layers (verify, counting, tuning), an inner 0 keeps
-// walking, and WithSinkHashers overrides whatever is beneath it.
-func TestSinkHashersDiscovery(t *testing.T) {
-	base := NewMemStore()
-	if got := SinkHashersOf(base); got != 0 {
-		t.Fatalf("plain MemStore preference = %d, want 0", got)
-	}
-	layered := NewVerifyingStore(NewCountingStore(WithSinkHashers(base, 3)))
-	if got := SinkHashersOf(layered); got != 3 {
-		t.Fatalf("layered preference = %d, want 3", got)
-	}
-	// -1 (synchronous) must survive the walk — it is a preference, not a
-	// "keep walking" marker.
-	if got := SinkHashersOf(NewCountingStore(WithSinkHashers(base, -1))); got != -1 {
-		t.Fatalf("sync preference = %d, want -1", got)
-	}
-	// A tuner advertising 0 is "no preference": the walk keeps descending.
-	if got := SinkHashersOf(fixedTuner{Store: WithSinkHashers(base, 2), n: 0}); got != 2 {
-		t.Fatalf("zero tuner should defer to inner, got %d", got)
-	}
-	// WithSinkHashers(st, 0) is a no-op, not a wrapper.
-	if st := WithSinkHashers(base, 0); st != Store(base) {
-		t.Fatal("WithSinkHashers(st, 0) should return st unchanged")
-	}
-	// The sink actually honors a discovered synchronous preference: no
-	// hasher goroutines means emissions hash inline (observable via Flush
-	// being a pure barrier — hard to observe directly, so settle for the
-	// sink completing correctly against the tuned store).
-	sink := NewChunkSink(WithSinkHashers(base, -1), SinkOptions{})
-	for i := 0; i < 10; i++ {
-		if _, err := sink.Emit(fileChunk(i).Type(), fileChunk(i).Data()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sink.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if base.Len() != 10 {
-		t.Fatalf("tuned sink stored %d chunks, want 10", base.Len())
-	}
-}
-
 // TestSweepMovedAccounting pins the compaction accounting the parallel
 // liveness phase feeds: MovedIDs must name exactly the surviving chunks of
 // rewritten segments, MovedBytes their on-disk volume, and every moved

@@ -106,10 +106,10 @@ func NewChunkSink(st Store, opt SinkOptions) *ChunkSink {
 		opt.BatchSize = DefaultSinkBatch
 	}
 	if !opt.hashersSet && opt.Hashers == 0 {
-		if n := SinkHashersOf(st); n != 0 {
+		if t, ok := As[SinkTuner](st); ok {
 			// A preference attached to the store wins over the built-in
 			// default (negative = explicitly synchronous).
-			opt.Hashers = n
+			opt.Hashers = t.SinkHashers()
 		} else {
 			opt.Hashers = runtime.GOMAXPROCS(0) - 1
 			if opt.Hashers > 4 {
@@ -231,7 +231,7 @@ func (s *ChunkSink) process(job sinkJob) {
 	s.batch = make([]*chunk.Chunk, 0, s.opt.BatchSize)
 	s.stats.Batches++
 	s.mu.Unlock()
-	if _, err := PutBatch(s.st, full); err != nil {
+	if _, err := s.st.PutBatch(full); err != nil {
 		s.fail(err)
 	}
 }
@@ -269,7 +269,7 @@ func (s *ChunkSink) Flush() error {
 	if len(rest) == 0 {
 		return nil
 	}
-	if _, err := PutBatch(s.st, rest); err != nil {
+	if _, err := s.st.PutBatch(rest); err != nil {
 		s.fail(err)
 		return err
 	}

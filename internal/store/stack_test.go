@@ -1,0 +1,268 @@
+package store_test
+
+import (
+	"sync/atomic"
+	"testing"
+
+	"forkbase/internal/chaos"
+	"forkbase/internal/chunk"
+	"forkbase/internal/hash"
+	"forkbase/internal/nodecache"
+	"forkbase/internal/obs"
+	"forkbase/internal/server"
+	"forkbase/internal/store"
+)
+
+// probe is a transparent layer slipped between a wrapper and its backend: it
+// counts which operations arrive, so the test can tell a native batch call
+// from a per-chunk loop.
+type probe struct {
+	store.Store
+	single, batch atomic.Int64
+}
+
+func (p *probe) Unwrap() store.Store { return p.Store }
+
+func (p *probe) Put(c *chunk.Chunk) (bool, error) { p.single.Add(1); return p.Store.Put(c) }
+func (p *probe) Get(id hash.Hash) (*chunk.Chunk, error) {
+	p.single.Add(1)
+	return p.Store.Get(id)
+}
+func (p *probe) Has(id hash.Hash) (bool, error) { p.single.Add(1); return p.Store.Has(id) }
+func (p *probe) PutBatch(cs []*chunk.Chunk) ([]bool, error) {
+	p.batch.Add(1)
+	return p.Store.PutBatch(cs)
+}
+func (p *probe) GetBatch(ids []hash.Hash) ([]*chunk.Chunk, error) {
+	p.batch.Add(1)
+	return p.Store.GetBatch(ids)
+}
+func (p *probe) HasBatch(ids []hash.Hash) ([]bool, error) {
+	p.batch.Add(1)
+	return p.Store.HasBatch(ids)
+}
+
+// foreign is a third-party Store: the base contract and nothing else — no
+// capability, no Unwrap.
+type foreign struct{ store.Store }
+
+// trusted is the verifying layer's trust rule, spelled out.
+func trusted(st store.Store) bool {
+	t, ok := store.As[store.VerifyCacheTruster](st)
+	return ok && t.VerifyCacheTrusted()
+}
+
+func sinkHashers(st store.Store) (int, bool) {
+	t, ok := store.As[store.SinkTuner](st)
+	if !ok {
+		return 0, false
+	}
+	return t.SinkHashers(), true
+}
+
+// TestStackConformance pins capability transparency for every wrapper over
+// every backend: As finds each optional capability exactly when the backend
+// has it (and finds the backend itself, not a forwarder), attachments are
+// found through any layering, batch calls reach the backend as one native
+// batch call, and verify-cache trust is deny-by-default.
+func TestStackConformance(t *testing.T) {
+	backends := []struct {
+		name string
+		open func(t *testing.T) store.Store
+	}{
+		{"mem", func(*testing.T) store.Store { return store.NewMemStore() }},
+		{"file", func(t *testing.T) store.Store {
+			fs, err := store.OpenFileStore(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { fs.Close() })
+			return fs
+		}},
+	}
+	ownCache := nodecache.New(1 << 20)
+	wrappers := []struct {
+		name string
+		wrap func(store.Store) store.Store
+		// cache / hashers are what the wrapper itself attaches (nil / 0 = none).
+		cache   *nodecache.Cache
+		hashers int
+		// perIDReads: GetBatch is deliberately a per-id loop (MaliciousStore
+		// substitutes attacked ids one by one).
+		perIDReads bool
+		untrusted  bool
+	}{
+		{name: "bare", wrap: func(s store.Store) store.Store { return s }},
+		{name: "counting", wrap: func(s store.Store) store.Store { return store.NewCountingStore(s) }},
+		{name: "verifying", wrap: func(s store.Store) store.Store { return store.NewVerifyingStore(s) }},
+		{name: "instrumented", wrap: func(s store.Store) store.Store { return store.Instrument(s, obs.NewRegistry()) }},
+		{name: "nodecached", wrap: func(s store.Store) store.Store { return store.WithNodeCache(s, ownCache) }, cache: ownCache},
+		{name: "tuned", wrap: func(s store.Store) store.Store { return store.WithSinkHashers(s, 3) }, hashers: 3},
+		{name: "malicious", wrap: func(s store.Store) store.Store { return store.NewMaliciousStore(s) },
+			perIDReads: true, untrusted: true},
+		{name: "malicious-under-counting", wrap: func(s store.Store) store.Store {
+			return store.NewCountingStore(store.NewMaliciousStore(s))
+		}, perIDReads: true, untrusted: true},
+		// The order core.Open assembles.
+		{name: "full-stack", wrap: func(s store.Store) store.Store {
+			v := store.NewVerifyingStore(store.Instrument(s, obs.NewRegistry()))
+			return store.WithSinkHashers(store.WithNodeCache(v, ownCache), 3)
+		}, cache: ownCache, hashers: 3},
+	}
+
+	for _, b := range backends {
+		for _, w := range wrappers {
+			t.Run(b.name+"/"+w.name, func(t *testing.T) {
+				backend := b.open(t)
+				st := w.wrap(backend)
+
+				checkCap[store.Collector](t, "Collector", st, backend)
+				checkCap[store.Scrubber](t, "Scrubber", st, backend)
+				checkCap[store.Repairer](t, "Repairer", st, backend)
+				checkCap[store.PlacementEpocher](t, "PlacementEpocher", st, backend)
+				checkCap[store.Kinder](t, "Kinder", st, backend)
+				if got, want := store.KindOf(st), backend.(store.Kinder).StoreKind(); got != want {
+					t.Errorf("KindOf = %q, want %q", got, want)
+				}
+
+				// Attachments: only the wrapper's own over a bare backend...
+				if got := store.NodeCacheOf(st); got != w.cache {
+					t.Errorf("NodeCacheOf = %p, want the wrapper's own %p", got, w.cache)
+				}
+				if n, ok := sinkHashers(st); n != w.hashers || ok != (w.hashers != 0) {
+					t.Errorf("sink hashers = %d (found %v), want %d", n, ok, w.hashers)
+				}
+				// ...and one attached beneath is found through the wrapper,
+				// unless the wrapper attaches its own on top (topmost wins;
+				// -1, "synchronous", is a preference like any other).
+				below := nodecache.New(1 << 20)
+				deep := w.wrap(store.WithSinkHashers(store.WithNodeCache(backend, below), -1))
+				wantCache, wantHashers := below, -1
+				if w.cache != nil {
+					wantCache = w.cache
+				}
+				if w.hashers != 0 {
+					wantHashers = w.hashers
+				}
+				if got := store.NodeCacheOf(deep); got != wantCache {
+					t.Errorf("NodeCacheOf over an attached backend = %p, want %p", got, wantCache)
+				}
+				if n, _ := sinkHashers(deep); n != wantHashers {
+					t.Errorf("sink hashers over an attached backend = %d, want %d", n, wantHashers)
+				}
+
+				// Batches arrive at the backend as batches.
+				p := &probe{Store: backend}
+				top := w.wrap(p)
+				cs := []*chunk.Chunk{
+					chunk.New(chunk.TypeBlobLeaf, []byte(b.name+w.name+"-a")),
+					chunk.New(chunk.TypeBlobLeaf, []byte(b.name+w.name+"-b")),
+					chunk.New(chunk.TypeBlobLeaf, []byte(b.name+w.name+"-c")),
+				}
+				ids := []hash.Hash{cs[0].ID(), cs[1].ID(), cs[2].ID()}
+				before := backend.Stats()
+				if _, err := top.PutBatch(cs); err != nil {
+					t.Fatal(err)
+				}
+				if has, err := top.HasBatch(ids); err != nil || !has[0] || !has[1] || !has[2] {
+					t.Fatalf("HasBatch = %v, %v", has, err)
+				}
+				if got, err := top.GetBatch(ids); err != nil || got[0] == nil || got[1] == nil || got[2] == nil {
+					t.Fatalf("GetBatch = %v, %v", got, err)
+				}
+				wantBatch, wantSingle := int64(3), int64(0)
+				if w.perIDReads {
+					wantBatch, wantSingle = 2, 3
+				}
+				if gb, gs := p.batch.Load(), p.single.Load(); gb != wantBatch || gs != wantSingle {
+					t.Errorf("backend saw %d batch and %d single calls, want %d and %d", gb, gs, wantBatch, wantSingle)
+				}
+				after := backend.Stats()
+				if d := after.UniqueChunks - before.UniqueChunks; d != 3 {
+					t.Errorf("backend UniqueChunks moved by %d, want 3", d)
+				}
+				if d := after.Gets - before.Gets; d != 3 {
+					t.Errorf("backend Gets moved by %d, want 3", d)
+				}
+
+				// Trust, stated and as the verifying layer applies it.
+				if got := trusted(st); got == w.untrusted {
+					t.Errorf("trusted = %v, want %v", got, !w.untrusted)
+				}
+				if got := store.NewVerifyingStore(st).VerifyStats().Enabled; got == w.untrusted {
+					t.Errorf("verify cache enabled = %v, want %v", got, !w.untrusted)
+				}
+			})
+		}
+	}
+}
+
+// checkCap asserts As finds capability T on st exactly when backend has it,
+// and that what it finds is the backend.
+func checkCap[T any](t *testing.T, name string, st, backend store.Store) {
+	t.Helper()
+	want, has := backend.(T)
+	got, found := store.As[T](st)
+	if found != has {
+		t.Errorf("As[%s] found = %v, backend has it = %v", name, found, has)
+		return
+	}
+	if has && any(got) != any(want) {
+		t.Errorf("As[%s] returned %T, want the backend itself", name, got)
+	}
+}
+
+// TestTrustDenyByDefault: a layer that does not unwrap ends the walk, so a
+// stack containing a fault injector, a wire client or a foreign Store is
+// never verify-cache-trusted — and hides the capabilities beneath it —
+// whatever transparent wrappers sit above.
+func TestTrustDenyByDefault(t *testing.T) {
+	mem := store.NewMemStore()
+	opaque := map[string]store.Store{
+		"flaky":   chaos.NewFlakyStore(mem, 1),
+		"remote":  server.NewRemoteStore(nil), // never dialed: discovery makes no calls
+		"foreign": foreign{mem},
+	}
+	for name, inner := range opaque {
+		for _, st := range []store.Store{
+			inner,
+			store.NewCountingStore(inner),
+			store.WithNodeCache(store.Instrument(inner, obs.NewRegistry()), nodecache.New(1<<10)),
+		} {
+			if trusted(st) {
+				t.Errorf("%s: %T stack is trusted", name, st)
+			}
+			if store.NewVerifyingStore(st).VerifyStats().Enabled {
+				t.Errorf("%s: verify cache engaged over %T stack", name, st)
+			}
+			if _, ok := store.As[store.Collector](st); ok {
+				t.Errorf("%s: Collector visible through %T stack", name, st)
+			}
+		}
+	}
+	if !trusted(store.NewCountingStore(mem)) {
+		t.Error("control: counting over mem should be trusted")
+	}
+}
+
+// TestSinkHonorsAttachedPreference: a sink opened over a tuned handle takes
+// the preference (synchronous hashing here) and still lands every chunk, and
+// a zero preference attaches nothing.
+func TestSinkHonorsAttachedPreference(t *testing.T) {
+	base := store.NewMemStore()
+	if st := store.WithSinkHashers(base, 0); st != store.Store(base) {
+		t.Fatal("WithSinkHashers(st, 0) should return st unchanged")
+	}
+	sink := store.NewChunkSink(store.NewVerifyingStore(store.WithSinkHashers(base, -1)), store.SinkOptions{})
+	for i := 0; i < 10; i++ {
+		if _, err := sink.Emit(chunk.TypeBlobLeaf, []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if base.Len() != 10 {
+		t.Fatalf("tuned sink stored %d chunks, want 10", base.Len())
+	}
+}

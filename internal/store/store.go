@@ -2,15 +2,20 @@
 //
 // A Store materialises chunks into physical storage keyed by their content
 // hash: each distinct chunk is stored exactly once and may be shared by any
-// number of logical objects (paper §II-C).  The package ships four
-// implementations:
+// number of logical objects (paper §II-C).
 //
-//   - MemStore: in-memory map, the default substrate for tests and benches.
-//   - FileStore: durable segmented append-only log with an in-memory index.
-//   - CountingStore: wrapper that tracks logical vs. physical bytes, the
-//     instrument behind the storage-efficiency experiments (Fig 4).
-//   - MaliciousStore: wrapper that can corrupt or forge chunks, the threat
-//     model for the tamper-evidence experiments (Fig 6).
+// Two backends hold bytes: MemStore (in-memory map) and FileStore (durable
+// segmented append-only log with an in-memory index).  Everything else is a
+// wrapper that embeds Store, overrides the operations it cares about and
+// declares Unwrap: the verifying layer (VerifyingStore), the metrics layer
+// (Instrument), the value attachments (WithNodeCache, WithSinkHashers) and
+// the experiment wrappers CountingStore (Fig 4 storage accounting) and
+// MaliciousStore (Fig 6 threat model).
+//
+// Optional capabilities (Collector, Scrubber, Repairer, PlacementEpocher,
+// Kinder, VerifyCacheTruster, NodeCacheProvider, SinkTuner) are implemented
+// only by the layer that owns them and found with As, the one function that
+// walks the Unwrap chain.
 package store
 
 import (
@@ -51,6 +56,42 @@ type Store interface {
 	Has(id hash.Hash) (bool, error)
 	// Stats returns a snapshot of the store's accounting counters.
 	Stats() Stats
+
+	// PutBatch stores every chunk of cs that is absent, in one round: MemStore
+	// takes its write lock once, FileStore group-commits with a single index
+	// pass and one flush, RemoteStore ships one request.  fresh[i] reports
+	// whether cs[i] was new (false = dedup hit).  Implementations must either
+	// apply the whole batch or return an error having applied a prefix; they
+	// never skip chunks silently.
+	PutBatch(cs []*chunk.Chunk) (fresh []bool, err error)
+	// GetBatch retrieves the chunks with the given ids in one round.  out[i]
+	// is nil when ids[i] is absent — absence is not an error, so one batched
+	// call replaces the Get-and-check loop of a sync walk (one round trip
+	// per tree level instead of one per chunk).
+	GetBatch(ids []hash.Hash) ([]*chunk.Chunk, error)
+	// HasBatch reports presence for every id.
+	HasBatch(ids []hash.Hash) ([]bool, error)
+}
+
+// As returns the first layer of st's wrapper stack that implements T,
+// walking Unwrap() Store from the top.  It is the only capability lookup: a
+// capability is implemented by the one layer that owns it, wrappers expose
+// their inner store through Unwrap, and a layer that does not unwrap (a wire
+// client, a fault injector, a foreign Store) ends the walk — so whatever it
+// fronts stays hidden, which is what keeps trust deny-by-default.
+func As[T any](st Store) (T, bool) {
+	for st != nil {
+		if t, ok := st.(T); ok {
+			return t, true
+		}
+		u, ok := st.(interface{ Unwrap() Store })
+		if !ok {
+			break
+		}
+		st = u.Unwrap()
+	}
+	var zero T
+	return zero, false
 }
 
 // Stats captures the deduplication accounting of a store.
@@ -93,46 +134,12 @@ func MustPut(s Store, c *chunk.Chunk) {
 	}
 }
 
-// BatchStore is the optional capability of stores that can ingest a batch of
-// chunks in one locking round: MemStore takes its write lock once for the
-// whole batch, FileStore group-commits the batch with a single index pass,
-// one buffered write sequence and one flush.  Wrappers (verifying, counting,
-// malicious, node-cached) forward the capability so a batch put composes with
-// the same layering as a single put.
-type BatchStore interface {
-	Store
-	// PutBatch stores every chunk of cs that is absent.  fresh[i] reports
-	// whether cs[i] was new (false = dedup hit).  Implementations must
-	// either apply the whole batch or return an error having applied a
-	// prefix; they never skip chunks silently.
-	PutBatch(cs []*chunk.Chunk) (fresh []bool, err error)
-}
-
-// BatchReadStore is the optional capability of stores that can answer many
-// point reads in one round: MemStore holds its read lock once for the whole
-// batch, and RemoteStore ships the whole id list in a single request —
-// the capability Merkle-delta replication's frontier walk is built on (one
-// round trip per tree level instead of one per chunk).
-type BatchReadStore interface {
-	Store
-	// GetBatch retrieves the chunks with the given ids.  out[i] is nil when
-	// ids[i] is absent — absence is not an error, so one batched call
-	// replaces the Get-and-check loop of a sync walk.
-	GetBatch(ids []hash.Hash) ([]*chunk.Chunk, error)
-	// HasBatch reports presence for every id.
-	HasBatch(ids []hash.Hash) ([]bool, error)
-}
-
-// GetBatch reads ids from s, using the native batch path when s implements
-// BatchReadStore and falling back to per-id Gets otherwise.  Missing chunks
-// yield nil slots, never an error.
-func GetBatch(s Store, ids []hash.Hash) ([]*chunk.Chunk, error) {
-	if bs, ok := s.(BatchReadStore); ok {
-		return bs.GetBatch(ids)
-	}
+// getEach answers a GetBatch with one get per id — for stores whose batched
+// read has nothing to amortize.  Absent ids yield nil slots.
+func getEach(get func(hash.Hash) (*chunk.Chunk, error), ids []hash.Hash) ([]*chunk.Chunk, error) {
 	out := make([]*chunk.Chunk, len(ids))
 	for i, id := range ids {
-		c, err := s.Get(id)
+		c, err := get(id)
 		if errors.Is(err, ErrNotFound) {
 			continue
 		}
@@ -144,22 +151,23 @@ func GetBatch(s Store, ids []hash.Hash) ([]*chunk.Chunk, error) {
 	return out, nil
 }
 
-// HasBatch reports presence of ids in s, using the native batch path when
-// available.
-func HasBatch(s Store, ids []hash.Hash) ([]bool, error) {
-	if bs, ok := s.(BatchReadStore); ok {
-		return bs.HasBatch(ids)
-	}
-	out := make([]bool, len(ids))
-	for i, id := range ids {
-		ok, err := s.Has(id)
-		if err != nil {
-			return out, err
-		}
-		out[i] = ok
-	}
-	return out, nil
-}
+// BatchStore, BatchReadStore and the PutBatch/GetBatch/HasBatch functions
+// below predate batch operations joining Store.  The frozen benchmark harness
+// (benchmark/trace.go) names them and is the only reason they remain; new
+// code uses Store and calls the methods.
+type (
+	BatchStore     = Store
+	BatchReadStore = Store
+)
+
+// PutBatch is s.PutBatch(cs); kept for the frozen benchmark harness only.
+func PutBatch(s Store, cs []*chunk.Chunk) ([]bool, error) { return s.PutBatch(cs) }
+
+// GetBatch is s.GetBatch(ids); kept for the frozen benchmark harness only.
+func GetBatch(s Store, ids []hash.Hash) ([]*chunk.Chunk, error) { return s.GetBatch(ids) }
+
+// HasBatch is s.HasBatch(ids); kept for the frozen benchmark harness only.
+func HasBatch(s Store, ids []hash.Hash) ([]bool, error) { return s.HasBatch(ids) }
 
 // SweepStats reports what a Collector's Sweep removed and reclaimed.
 type SweepStats struct {
@@ -192,9 +200,8 @@ type SweepStats struct {
 // garbage; memory stores ignore the ratio).
 //
 // keep may be called with internal locks held and must not call back into
-// the store.  Stores without this capability (and without the legacy
-// per-chunk core.Collectable surface) are not collectable: core.DB.GC
-// returns ErrNotCollectable for them.
+// the store.  Stores without this capability are not collectable:
+// core.DB.GC returns ErrNotCollectable for them.
 type Collector interface {
 	Sweep(keep func(hash.Hash) bool, minDeadRatio float64) (SweepStats, error)
 }
@@ -260,23 +267,4 @@ type ScrubStats struct {
 	Lost []hash.Hash
 	// ElapsedNs is the wall time of the pass.
 	ElapsedNs int64
-}
-
-// PutBatch stores cs into s, using the native batch path when s implements
-// BatchStore and falling back to per-chunk Puts otherwise.  It is the one
-// entry point batch producers (the chunk sink, fnode.SaveAll, the network
-// server) should use, so a store lacking the capability still works.
-func PutBatch(s Store, cs []*chunk.Chunk) ([]bool, error) {
-	if bs, ok := s.(BatchStore); ok {
-		return bs.PutBatch(cs)
-	}
-	fresh := make([]bool, len(cs))
-	for i, c := range cs {
-		f, err := s.Put(c)
-		if err != nil {
-			return fresh, err
-		}
-		fresh[i] = f
-	}
-	return fresh, nil
 }

@@ -277,7 +277,7 @@ func TestPutBatchFallback(t *testing.T) {
 	type plain struct{ Store }
 	s := plain{NewMemStore()}
 	c := mkChunk(3)
-	fresh, err := PutBatch(s, []*chunk.Chunk{c, c})
+	fresh, err := s.PutBatch([]*chunk.Chunk{c, c})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,28 +1,20 @@
 package store
 
-import (
-	"forkbase/internal/chunk"
-	"forkbase/internal/hash"
-	"forkbase/internal/nodecache"
-)
-
-// SinkTuner is the optional capability by which a store (or a wrapper in
-// front of it) advertises a preferred ChunkSink hashing configuration.
-// Builders open sinks deep inside the value and index layers, far from the
-// code that knows the deployment's core budget; attaching the preference to
-// the store handle lets forkbase.WithSinkHashers reach every sink opened
-// over that handle without threading a knob through each constructor — the
-// same discovery pattern as NodeCacheProvider.
+// SinkTuner is the optional capability by which a store handle advertises a
+// preferred ChunkSink hashing configuration.  Builders open sinks deep
+// inside the value and index layers, far from the code that knows the
+// deployment's core budget; attaching the preference to the store handle
+// lets forkbase.WithSinkHashers reach every sink opened over that handle
+// without threading a knob through each constructor — the same discovery
+// pattern as NodeCacheProvider.
 type SinkTuner interface {
 	// SinkHashers returns the preferred hashing worker count: n > 0 runs n
-	// workers, n < 0 pins hashing to the producer goroutine (synchronous),
-	// and 0 means "no preference" (the sink's own default applies).
+	// workers, n < 0 pins hashing to the producer goroutine (synchronous).
 	SinkHashers() int
 }
 
-// tunedStore attaches a sink-hashing preference to an inner store.  All
-// Store methods delegate; batch and node-cache capabilities are forwarded so
-// the wrapper is transparent to every other discovery path.
+// tunedStore attaches a sink-hashing preference to an inner store: a value
+// plus Unwrap, every Store method is the embedded store's.
 type tunedStore struct {
 	Store
 	hashers int
@@ -31,7 +23,8 @@ type tunedStore struct {
 // WithSinkHashers returns a store over which every ChunkSink defaults to n
 // hashing workers (n < 0 pins hashing synchronous to the producer).  n == 0
 // means "no preference" and returns inner unchanged.  An explicit
-// SinkOptions.Hashers set by the sink's opener still wins.
+// SinkOptions.Hashers set by the sink's opener still wins, and the topmost
+// attachment in a stack overrides any beneath it.
 func WithSinkHashers(inner Store, n int) Store {
 	if n == 0 {
 		return inner
@@ -42,52 +35,5 @@ func WithSinkHashers(inner Store, n int) Store {
 // SinkHashers implements SinkTuner.
 func (s *tunedStore) SinkHashers() int { return s.hashers }
 
-// PutBatch forwards the batch capability through the tuning wrapper.
-func (s *tunedStore) PutBatch(cs []*chunk.Chunk) ([]bool, error) { return PutBatch(s.Store, cs) }
-
-// GetBatch forwards the batch-read capability through the tuning wrapper.
-func (s *tunedStore) GetBatch(ids []hash.Hash) ([]*chunk.Chunk, error) {
-	return GetBatch(s.Store, ids)
-}
-
-// HasBatch forwards the batch-read capability through the tuning wrapper.
-func (s *tunedStore) HasBatch(ids []hash.Hash) ([]bool, error) { return HasBatch(s.Store, ids) }
-
-// NodeCache forwards the node-cache capability through the tuning wrapper.
-func (s *tunedStore) NodeCache() *nodecache.Cache { return NodeCacheOf(s.Store) }
-
-// Unwrap exposes the inner store (GC capability discovery).
+// Unwrap exposes the inner store to As.
 func (s *tunedStore) Unwrap() Store { return s.Store }
-
-// SinkHashersOf returns the hashing preference attached to st, or 0 when no
-// layer carries one.  Wrappers forward the capability (like NodeCache), and
-// any Unwrap chain is walked, so the preference survives whatever layering
-// core.Open assembles.
-func SinkHashersOf(st Store) int {
-	for st != nil {
-		if t, ok := st.(SinkTuner); ok {
-			if n := t.SinkHashers(); n != 0 {
-				return n
-			}
-		}
-		u, ok := st.(interface{ Unwrap() Store })
-		if !ok {
-			return 0
-		}
-		st = u.Unwrap()
-	}
-	return 0
-}
-
-// SinkHashers forwards the tuning capability through the verifying wrapper.
-func (v *VerifyingStore) SinkHashers() int { return SinkHashersOf(v.Inner) }
-
-// SinkHashers forwards the tuning capability through the counting wrapper.
-func (c *CountingStore) SinkHashers() int { return SinkHashersOf(c.Inner) }
-
-var (
-	_ SinkTuner         = (*tunedStore)(nil)
-	_ BatchStore        = (*tunedStore)(nil)
-	_ BatchReadStore    = (*tunedStore)(nil)
-	_ NodeCacheProvider = (*tunedStore)(nil)
-)

@@ -15,67 +15,32 @@ import (
 // phases, so experiments can report "loading dataset 2 increased storage by
 // only 0.04 KB" exactly like Fig 4 of the paper.
 //
-// Concurrency: the wrapper itself holds no per-op state — delegated calls
-// touch only the inner store — and Mark/Increments guard the snapshot
+// Concurrency: the wrapper itself holds no per-op state — every Store call
+// is the embedded inner store's — and Mark/Increments guard the snapshot
 // slices with one mutex, so concurrent builder workers can write through a
 // CountingStore while an experiment thread marks phases.
 type CountingStore struct {
-	Inner Store
+	Store
 
 	mu     sync.Mutex
 	marks  []Stats
 	labels []string
 }
 
-var _ Store = (*CountingStore)(nil)
-
 // NewCountingStore wraps inner.
 func NewCountingStore(inner Store) *CountingStore {
-	return &CountingStore{Inner: inner}
+	return &CountingStore{Store: inner}
 }
 
-// Put implements Store.
-func (c *CountingStore) Put(ch *chunk.Chunk) (bool, error) { return c.Inner.Put(ch) }
-
-// PutBatch implements BatchStore by delegating, so batched ingest stays
-// visible to the phase accounting (the inner store's counters move exactly as
-// they would for per-chunk Puts).
-func (c *CountingStore) PutBatch(cs []*chunk.Chunk) ([]bool, error) { return PutBatch(c.Inner, cs) }
-
-// GetBatch implements BatchReadStore by delegating.
-func (c *CountingStore) GetBatch(ids []hash.Hash) ([]*chunk.Chunk, error) {
-	return GetBatch(c.Inner, ids)
-}
-
-// HasBatch implements BatchReadStore by delegating.
-func (c *CountingStore) HasBatch(ids []hash.Hash) ([]bool, error) { return HasBatch(c.Inner, ids) }
-
-// Get implements Store.
-func (c *CountingStore) Get(id hash.Hash) (*chunk.Chunk, error) { return c.Inner.Get(id) }
-
-// Has implements Store.
-func (c *CountingStore) Has(id hash.Hash) (bool, error) { return c.Inner.Has(id) }
-
-// Stats implements Store.
-func (c *CountingStore) Stats() Stats { return c.Inner.Stats() }
-
-// VerifyCacheTrusted forwards the trust capability: phase accounting does
-// not change whose bytes are served.
-func (c *CountingStore) VerifyCacheTrusted() bool { return verifyCacheTrusted(c.Inner) }
-
-// PlacementEpoch forwards the epoch capability through the counting wrapper.
-func (c *CountingStore) PlacementEpoch() uint64 {
-	if ep := placementEpochOf(c.Inner); ep != nil {
-		return ep()
-	}
-	return 0
-}
+// Unwrap exposes the inner store to As: phase accounting changes neither
+// whose bytes are served nor what the backend can do.
+func (c *CountingStore) Unwrap() Store { return c.Store }
 
 // Mark snapshots the current counters under a label.
 func (c *CountingStore) Mark(label string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.marks = append(c.marks, c.Inner.Stats())
+	c.marks = append(c.marks, c.Store.Stats())
 	c.labels = append(c.labels, label)
 }
 
@@ -113,56 +78,37 @@ func (c *CountingStore) Increments() []Increment {
 // uid of every branch".  It can silently corrupt stored chunks or substitute
 // forged ones; chunk verification at the read path must catch every attack.
 type MaliciousStore struct {
-	Inner Store
+	Store
 
 	mu        sync.Mutex
 	corrupted map[hash.Hash][]byte // id -> forged payload served instead
 	forgeType map[hash.Hash]chunk.Type
 }
 
-var _ Store = (*MaliciousStore)(nil)
-
 // NewMaliciousStore wraps inner; it behaves honestly until an attack is
 // injected.
 func NewMaliciousStore(inner Store) *MaliciousStore {
 	return &MaliciousStore{
-		Inner:     inner,
+		Store:     inner,
 		corrupted: make(map[hash.Hash][]byte),
 		forgeType: make(map[hash.Hash]chunk.Type),
 	}
 }
 
-// Put implements Store.
-func (m *MaliciousStore) Put(ch *chunk.Chunk) (bool, error) { return m.Inner.Put(ch) }
+// Unwrap exposes the inner store to As, so GC, scrub and heal still reach the
+// backend's capabilities through the adversarial layer.
+func (m *MaliciousStore) Unwrap() Store { return m.Store }
 
-// PutBatch implements BatchStore by delegating.
-func (m *MaliciousStore) PutBatch(cs []*chunk.Chunk) ([]bool, error) { return PutBatch(m.Inner, cs) }
+// VerifyCacheTrusted implements VerifyCacheTruster with a refusal: because
+// this layer unwraps, it must end the trust walk itself — bytes it serves may
+// differ from read to read, so no verification of them may be amortized.
+func (m *MaliciousStore) VerifyCacheTrusted() bool { return false }
 
-// GetBatch implements BatchReadStore: attacked ids are substituted exactly as
-// in Get, so batched readers face the same threat model as point readers.
+// GetBatch implements Store: attacked ids are substituted exactly as in Get,
+// so batched readers face the same threat model as point readers.
 func (m *MaliciousStore) GetBatch(ids []hash.Hash) ([]*chunk.Chunk, error) {
-	out := make([]*chunk.Chunk, len(ids))
-	for i, id := range ids {
-		c, err := m.Get(id)
-		if errors.Is(err, ErrNotFound) {
-			continue
-		}
-		if err != nil {
-			return out, err
-		}
-		out[i] = c
-	}
-	return out, nil
+	return getEach(m.Get, ids)
 }
-
-// HasBatch implements BatchReadStore by delegating.
-func (m *MaliciousStore) HasBatch(ids []hash.Hash) ([]bool, error) { return HasBatch(m.Inner, ids) }
-
-// Has implements Store.
-func (m *MaliciousStore) Has(id hash.Hash) (bool, error) { return m.Inner.Has(id) }
-
-// Stats implements Store.
-func (m *MaliciousStore) Stats() Stats { return m.Inner.Stats() }
 
 // Get implements Store: it serves the forged payload for attacked ids.
 //
@@ -177,15 +123,15 @@ func (m *MaliciousStore) Get(id hash.Hash) (*chunk.Chunk, error) {
 	if bad {
 		return chunk.New(typ, payload), nil
 	}
-	return m.Inner.Get(id)
+	return m.Store.Get(id)
 }
 
 // CorruptFlip arranges for future Gets of id to return the genuine payload
 // with the bit at (offset, bit) flipped.  Returns false if id is unknown.
 func (m *MaliciousStore) CorruptFlip(id hash.Hash, offset int, bit uint) (bool, error) {
-	c, err := m.Inner.Get(id)
+	c, err := m.Store.Get(id)
 	if err != nil {
-		if err == ErrNotFound {
+		if errors.Is(err, ErrNotFound) {
 			return false, nil
 		}
 		return false, err
@@ -234,20 +180,23 @@ func (m *MaliciousStore) AttackCount() int {
 // Verification is amortized, not weakened: once an id's inner-store bytes
 // have been rehashed on this instance, repeat reads skip the hash via a
 // byte-budgeted VerifiedSet — but only when the inner stack is trusted
-// (VerifyCacheTrusted walk: local Mem/File stores qualify; anything with a
+// (see VerifyCacheTruster: local Mem/File stores qualify; anything with a
 // wire, fault-injection, or adversarial layer does not), and only while the
 // store's placement epoch is unchanged.  Writes honor in-process provenance
 // (chunk.Claimed() == false) instead of rehashing; claimed chunks from disk,
 // the wire, or untrusted constructors still pay the full recheck.
+//
+// Has, HasBatch and Stats are the embedded store's own: presence needs no
+// verification — a forged chunk is caught when it is actually read.
 type VerifyingStore struct {
-	Inner Store
+	Store
 
 	// verified is the verified-id set; nil when the cache is disabled
 	// (untrusted inner stack or explicit opt-out).
 	verified *VerifiedSet
-	// epoch reads the inner store's placement epoch (constant 0 for stores
-	// that never relocate an id's bytes, like MemStore).
-	epoch func() uint64
+	// epoch is the inner stack's placement epoch; nil for stores that never
+	// relocate an id's bytes, like MemStore.
+	epoch PlacementEpocher
 
 	// marker, when non-nil, is the inner store's verified-index capability:
 	// the verified witness lives inside the store's own index entry, so a
@@ -267,14 +216,14 @@ type VerifyingStore struct {
 	skippedHashes atomic.Int64
 }
 
-var _ Store = (*VerifyingStore)(nil)
-
 // VerifyCacheTruster is the capability by which a store declares that its
 // bytes come from a boundary the verify cache may amortize over (local
-// memory or local disk owned by this process).  Transparent wrappers forward
-// it; wire clients, fault injectors, and adversarial test stores simply lack
-// it, which turns the cache off without any of them having to know it
-// exists.
+// memory or local disk owned by this process).  Trust is deny-by-default: a
+// stack is trusted only if the first layer As finds answering this says yes.
+// Transparent wrappers unwrap to the backend's answer; wire clients, fault
+// injectors and foreign stores do not unwrap, which ends the walk and turns
+// the cache off without any of them having to know it exists; an adversarial
+// wrapper that does unwrap (MaliciousStore) answers false itself.
 type VerifyCacheTruster interface {
 	VerifyCacheTrusted() bool
 }
@@ -308,38 +257,6 @@ type PlacementEpocher interface {
 	PlacementEpoch() uint64
 }
 
-// verifyCacheTrusted walks the wrapper stack for the trust capability.  The
-// default is distrust: a stack is trusted only if some layer positively says
-// so and every layer above it is a transparent (Unwrap-able) wrapper.
-func verifyCacheTrusted(st Store) bool {
-	for st != nil {
-		if t, ok := st.(VerifyCacheTruster); ok {
-			return t.VerifyCacheTrusted()
-		}
-		u, ok := st.(interface{ Unwrap() Store })
-		if !ok {
-			return false
-		}
-		st = u.Unwrap()
-	}
-	return false
-}
-
-// placementEpochOf finds the epoch capability in the stack, or nil.
-func placementEpochOf(st Store) func() uint64 {
-	for st != nil {
-		if p, ok := st.(PlacementEpocher); ok {
-			return p.PlacementEpoch
-		}
-		u, ok := st.(interface{ Unwrap() Store })
-		if !ok {
-			return nil
-		}
-		st = u.Unwrap()
-	}
-	return nil
-}
-
 // DefaultVerifyCacheBytes is the default verified-id set budget (~128k
 // entries): big enough to cover the hot node set of a large tree, small
 // next to the node cache it sits behind.
@@ -355,19 +272,20 @@ func NewVerifyingStore(inner Store) *VerifyingStore {
 // NewVerifyingStoreCache wraps inner with an explicit verified-id budget:
 // 0 picks DefaultVerifyCacheBytes, negative disables the cache entirely.
 func NewVerifyingStoreCache(inner Store, cacheBytes int64) *VerifyingStore {
-	v := &VerifyingStore{Inner: inner}
+	v := &VerifyingStore{Store: inner}
 	if cacheBytes == 0 {
 		cacheBytes = DefaultVerifyCacheBytes
 	}
-	if cacheBytes > 0 && verifyCacheTrusted(inner) {
+	if t, ok := As[VerifyCacheTruster](inner); cacheBytes > 0 && ok && t.VerifyCacheTrusted() {
 		v.verified = NewVerifiedSet(cacheBytes)
-		v.epoch = placementEpochOf(inner)
-		if mi, ok := inner.(VerifiedIndexer); ok {
-			v.marker = mi
-		}
+		v.epoch, _ = As[PlacementEpocher](inner)
+		v.marker, _ = inner.(VerifiedIndexer)
 	}
 	return v
 }
+
+// Unwrap exposes the inner store to As.
+func (v *VerifyingStore) Unwrap() Store { return v.Store }
 
 // SetVerifyWorkers sets the batch-recheck worker preference (the same value
 // as the sink's hasher tuning: n > 0 fixes the pool size, n < 0 pins
@@ -396,7 +314,7 @@ func (v *VerifyingStore) epochNow() uint64 {
 	if v.epoch == nil {
 		return 0
 	}
-	return v.epoch()
+	return v.epoch.PlacementEpoch()
 }
 
 // recheckWrite verifies one chunk on the write path.  Chunks hashed by this
@@ -418,7 +336,7 @@ func (v *VerifyingStore) Put(ch *chunk.Chunk) (bool, error) {
 	if err := v.recheckWrite(ch); err != nil {
 		return false, err
 	}
-	ok, err := v.Inner.Put(ch)
+	ok, err := v.Store.Put(ch)
 	if err == nil && v.verified != nil {
 		// The bytes just written are known-good: seed the witnesses so the
 		// first read back skips the rehash.
@@ -427,7 +345,7 @@ func (v *VerifyingStore) Put(ch *chunk.Chunk) (bool, error) {
 	return ok, err
 }
 
-// PutBatch implements BatchStore.  Every claimed chunk in the batch is
+// PutBatch implements Store.  Every claimed chunk in the batch is
 // rehashed — fanned out across the recheck pool — before anything is
 // written: a single forged chunk rejects the whole batch, keeping batched
 // ingest exactly as tamper-evident as the per-chunk path.
@@ -443,7 +361,7 @@ func (v *VerifyingStore) PutBatch(cs []*chunk.Chunk) ([]bool, error) {
 	if err := recheckIndexes(cs, work, v.verifyWorkers()); err != nil {
 		return make([]bool, len(cs)), err
 	}
-	res, err := PutBatch(v.Inner, cs)
+	res, err := v.Store.PutBatch(cs)
 	if err == nil && v.verified != nil {
 		ep := v.epochNow()
 		for _, ch := range cs {
@@ -453,19 +371,12 @@ func (v *VerifyingStore) PutBatch(cs []*chunk.Chunk) ([]bool, error) {
 	return res, err
 }
 
-// Has implements Store.
-func (v *VerifyingStore) Has(id hash.Hash) (bool, error) { return v.Inner.Has(id) }
-
-// HasBatch implements BatchReadStore by delegating (presence needs no
-// verification; a forged chunk is caught when it is actually read).
-func (v *VerifyingStore) HasBatch(ids []hash.Hash) ([]bool, error) { return HasBatch(v.Inner, ids) }
-
-// GetBatch implements BatchReadStore: every returned chunk passes the same
+// GetBatch implements Store: every returned chunk passes the same
 // recheck-and-verify gauntlet as a point Get — with the rehashes for
 // verified-set misses fanned out across the recheck pool, so repl catch-up
 // and heal scale with cores.
 func (v *VerifyingStore) GetBatch(ids []hash.Hash) ([]*chunk.Chunk, error) {
-	out, err := GetBatch(v.Inner, ids)
+	out, err := v.Store.GetBatch(ids)
 	if err != nil {
 		return out, err
 	}
@@ -548,9 +459,6 @@ func recheckIndexes(cs []*chunk.Chunk, idx []int, workers int) error {
 	return firstErr
 }
 
-// Stats implements Store.
-func (v *VerifyingStore) Stats() Stats { return v.Inner.Stats() }
-
 // Get implements Store, verifying content against id.  Chunks whose id was
 // merely claimed by the inner store (FileStore's zero-copy mmap path trusts
 // its own index) are rehashed here — unless this instance already verified
@@ -574,7 +482,7 @@ func (v *VerifyingStore) Get(id hash.Hash) (*chunk.Chunk, error) {
 			return c, nil
 		}
 	} else {
-		c, err = v.Inner.Get(id)
+		c, err = v.Store.Get(id)
 	}
 	if err != nil {
 		return nil, err
@@ -696,21 +604,4 @@ func (v *VerifyingStore) InvalidateAll() {
 	if v.marker != nil {
 		v.marker.UnmarkAllVerified()
 	}
-}
-
-// VerifierOf walks the wrapper stack for the verifying layer, so invalidation
-// hooks (GC, scrub, heal) reach it through whatever layering core.Open
-// assembled.  Returns nil if the stack has no verifier.
-func VerifierOf(st Store) *VerifyingStore {
-	for st != nil {
-		if v, ok := st.(*VerifyingStore); ok {
-			return v
-		}
-		u, ok := st.(interface{ Unwrap() Store })
-		if !ok {
-			return nil
-		}
-		st = u.Unwrap()
-	}
-	return nil
 }
