@@ -1,11 +1,11 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
-// (Table I, Figs 2–6) plus the DESIGN.md ablations.  Run:
+// (Table I, Figs 2–6) plus the ablations A1–A3.  Run:
 //
 //	go test -bench=. -benchmem
 //
 // Each benchmark reports the headline quantity of its experiment as custom
 // metrics, so `go test -bench` output doubles as the reproduction record
-// (EXPERIMENTS.md is generated from the same harness via cmd/bench).
+// (cmd/bench prints the same experiments as tables).
 package forkbase_test
 
 import (

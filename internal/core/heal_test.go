@@ -2,8 +2,11 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"forkbase/internal/chunk"
@@ -53,10 +56,7 @@ func mirrorStore(t *testing.T, fs *store.FileStore) *store.MemStore {
 // file (same shape as the store-level scrub tests).
 func rotSegment(t *testing.T, dir string, seg int) {
 	t.Helper()
-	path := filepath.Join(dir, "seg-000001.log")
-	if seg != 1 {
-		t.Fatalf("rotSegment helper only aims at seg 1")
-	}
+	path := filepath.Join(dir, fmt.Sprintf("seg-%06d.log", seg))
 	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -95,23 +95,40 @@ func seedHealDB(t *testing.T, db *DB, fs *store.FileStore) {
 	}
 }
 
-func verifyAllBranches(t *testing.T, db *DB) {
+// allHeads snapshots every branch head: key → branch → uid.
+func allHeads(t *testing.T, db *DB) map[string]map[string]hash.Hash {
 	t.Helper()
 	keys, err := db.heads.Keys()
 	if err != nil {
 		t.Fatal(err)
 	}
+	out := map[string]map[string]hash.Hash{}
 	for _, key := range keys {
-		branches, err := db.heads.Branches(key)
-		if err != nil {
+		if out[key], err = db.heads.Branches(key); err != nil {
 			t.Fatal(err)
 		}
+	}
+	return out
+}
+
+func verifyAllBranches(t *testing.T, db *DB) {
+	t.Helper()
+	for key, branches := range allHeads(t, db) {
 		for branch, head := range branches {
 			if _, err := db.VerifyVersion(key, head, true); err != nil {
 				t.Fatalf("deep verify %s@%s after heal: %v", key, branch, err)
 			}
 		}
 	}
+}
+
+func globSegments(t *testing.T, dir, pattern string) []string {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(dir, pattern))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return names
 }
 
 // TestHealRepairsCorruptInPlace: rot a sealed segment and heal *without*
@@ -155,39 +172,61 @@ func TestHealRepairsCorruptInPlace(t *testing.T) {
 }
 
 // TestHealAfterScrubQuarantine is the full detect → quarantine → repair
-// loop at the engine level: scrub quarantines the rotted segment (chunk now
-// *missing*), heal refills the hole from the replica, and the store's
-// health state recovers.
+// loop at the engine level: scrub quarantines every rotted sealed segment
+// (renaming, never unlinking: the chunks are now *missing*), heal refills the
+// holes from the replica, no branch head moves, and the store's health state
+// recovers.
 func TestHealAfterScrubQuarantine(t *testing.T) {
-	dir := t.TempDir()
-	db, fs := newFileDB(t, dir)
-	defer fs.Close()
-	seedHealDB(t, db, fs)
-	replica := mirrorStore(t, fs)
+	for _, rot := range [][]int{{1}, {0, 1, 3}} {
+		t.Run(fmt.Sprintf("segments-%v", rot), func(t *testing.T) {
+			dir := t.TempDir()
+			db, fs := newFileDB(t, dir)
+			defer fs.Close()
+			seedHealDB(t, db, fs)
+			replica := mirrorStore(t, fs)
+			headsBefore := allHeads(t, db)
+			segsBefore := globSegments(t, dir, "seg-*.log")
 
-	rotSegment(t, dir, 1)
-	st, err := fs.Scrub()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Corrupt == 0 || st.QuarantinedSegments != 1 || len(st.Lost) == 0 {
-		t.Fatalf("scrub missed the rot: %+v", st)
-	}
-	if err := fs.Health(); !errors.Is(err, store.ErrCorrupt) {
-		t.Fatalf("health = %v, want ErrCorrupt", err)
-	}
+			for _, seg := range rot {
+				rotSegment(t, dir, seg)
+			}
+			st, err := fs.Scrub()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Corrupt < len(rot) || st.QuarantinedSegments != len(rot) || len(st.Lost) < len(rot) {
+				t.Fatalf("scrub missed rot in segments %v: %+v", rot, st)
+			}
+			if q := globSegments(t, dir, "seg-*.quarantine"); len(q) != len(rot) {
+				t.Fatalf("quarantine files %v, want one per rotted segment %v", q, rot)
+			}
+			for _, seg := range segsBefore {
+				_, errLog := os.Stat(seg)
+				_, errQ := os.Stat(strings.TrimSuffix(seg, ".log") + ".quarantine")
+				if errLog != nil && errQ != nil {
+					t.Fatalf("scrub unlinked %s", seg)
+				}
+			}
+			if err := fs.Health(); !errors.Is(err, store.ErrCorrupt) {
+				t.Fatalf("health = %v, want ErrCorrupt", err)
+			}
 
-	hs, err := db.Heal(testChunkSource{replica})
-	if err != nil {
-		t.Fatal(err)
+			hs, err := db.Heal(testChunkSource{replica})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if hs.Missing == 0 || hs.Repaired != hs.Corrupt+hs.Missing {
+				t.Fatalf("heal did not refill the quarantine holes: %+v", hs)
+			}
+			if err := fs.Health(); err != nil {
+				t.Fatalf("health after heal = %v, want nil", err)
+			}
+			if got := allHeads(t, db); !reflect.DeepEqual(got, headsBefore) {
+				t.Fatalf("heal moved a branch head: %v, want %v", got, headsBefore)
+			}
+			verifyAllBranches(t, db)
+		})
 	}
-	if hs.Missing == 0 || hs.Repaired != hs.Corrupt+hs.Missing {
-		t.Fatalf("heal did not refill the quarantine holes: %+v", hs)
-	}
-	if err := fs.Health(); err != nil {
-		t.Fatalf("health after heal = %v, want nil", err)
-	}
-	verifyAllBranches(t, db)
 }
 
 // TestHealReportsUnrepairable: a source that lacks the damaged chunks cannot

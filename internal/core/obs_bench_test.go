@@ -9,8 +9,8 @@ import (
 )
 
 // The instrumentation-overhead benchmarks: the same engine point get with
-// metrics disabled (obs.Discard) and enabled.  `bench -exp obs` gates the
-// delta; these exist for quick local comparison with -bench.
+// metrics disabled (obs.Discard) and enabled, for local comparison with
+// -bench.
 
 func benchGetMem(b *testing.B, reg *obs.Registry) {
 	db := Open(Options{Store: store.NewMemStore(), Branches: NewMemBranchTable(), Metrics: reg})

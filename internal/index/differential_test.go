@@ -112,18 +112,78 @@ func assertSameDeltas(t *testing.T, da, db []index.Delta, ctx string) {
 	}
 }
 
+// opStream is one workload for TestDifferentialOpStream: the batch applied
+// at each step and the keys probed after it.
+type opStream struct {
+	name  string
+	steps int
+	ops   func(rng *rand.Rand, step int) []index.Op
+	key   func(rng *rand.Rand) []byte
+	// smallDelta streams change a sliver of a large version per step, so each
+	// structure must also show the SIRI properties: diffs prune shared
+	// subtrees by hash and versions share stored pages.
+	smallDelta bool
+}
+
+// The versioned-table stream: a base table and the 1% window each later
+// version rewrites.
+const (
+	versionedRows   = 3000
+	versionedWindow = versionedRows / 100
+)
+
+func rowKey(i int) []byte { return []byte(fmt.Sprintf("row-%06d", i)) }
+
+var opStreams = []opStream{
+	{
+		name:  "random",
+		steps: 25,
+		ops:   func(rng *rand.Rand, _ int) []index.Op { return randOps(rng, 30, 3) },
+		key:   randKey,
+	},
+	{
+		// A base table, then a chain of versions each rewriting one
+		// contiguous 1% window: the paper's versioned-dataset workload.
+		name:  "versioned-table",
+		steps: 6,
+		ops: func(_ *rand.Rand, step int) []index.Op {
+			lo, n := 0, versionedRows
+			if step > 0 {
+				lo, n = (step*1031)%(versionedRows-versionedWindow), versionedWindow
+			}
+			ops := make([]index.Op, n)
+			for i := range ops {
+				ops[i] = index.Put(rowKey(lo+i), []byte(fmt.Sprintf("value-%d-gen%d", lo+i, step)))
+			}
+			return ops
+		},
+		key:        func(rng *rand.Rand) []byte { return rowKey(rng.Intn(versionedRows + 10)) },
+		smallDelta: true,
+	},
+}
+
 // TestDifferentialOpStream drives both structures through the same batched
 // op stream, checking contents, point reads, rank queries and per-step
 // structural diffs against each other at every step.
 func TestDifferentialOpStream(t *testing.T) {
+	for _, s := range opStreams {
+		t.Run(s.name, func(t *testing.T) { differentialOpStream(t, s) })
+	}
+}
+
+func differentialOpStream(t *testing.T, s opStream) {
 	rng := rand.New(rand.NewSource(71))
 	cur := map[index.Kind]index.VersionedIndex{}
 	prev := map[index.Kind]index.VersionedIndex{}
+	stores := map[index.Kind]*store.MemStore{}
+	pruned := map[index.Kind]int{}
+	logical := map[index.Kind]int64{}
 	for _, k := range kinds {
-		cur[k] = emptyOf(t, k, store.NewMemStore())
+		stores[k] = store.NewMemStore()
+		cur[k] = emptyOf(t, k, stores[k])
 	}
-	for step := 0; step < 25; step++ {
-		ops := randOps(rng, 30, 3)
+	for step := 0; step < s.steps; step++ {
+		ops := s.ops(rng, step)
 		for _, k := range kinds {
 			prev[k] = cur[k]
 			next, err := cur[k].Apply(ops)
@@ -137,19 +197,28 @@ func TestDifferentialOpStream(t *testing.T) {
 
 		// Same-structure structural diffs across the step must agree
 		// across structures.
-		dPOS, _, err := prev[index.KindPOS].DiffWith(cur[index.KindPOS])
+		dPOS, sPOS, err := prev[index.KindPOS].DiffWith(cur[index.KindPOS])
 		if err != nil {
 			t.Fatalf("%s: pos diff: %v", ctx, err)
 		}
-		dMPT, _, err := prev[index.KindMPT].DiffWith(cur[index.KindMPT])
+		dMPT, sMPT, err := prev[index.KindMPT].DiffWith(cur[index.KindMPT])
 		if err != nil {
 			t.Fatalf("%s: mpt diff: %v", ctx, err)
 		}
 		assertSameDeltas(t, dPOS, dMPT, ctx)
+		pruned[index.KindPOS] += sPOS.PrunedRefs
+		pruned[index.KindMPT] += sMPT.PrunedRefs
+		for _, k := range kinds {
+			shape, err := cur[k].ComputeStats()
+			if err != nil {
+				t.Fatalf("%s: %s stats: %v", ctx, k, err)
+			}
+			logical[k] += shape.Bytes
+		}
 
 		// Point reads and rank queries agree.
 		for i := 0; i < 10; i++ {
-			key := randKey(rng)
+			key := s.key(rng)
 			vp, errP := cur[index.KindPOS].Get(key)
 			vm, errM := cur[index.KindMPT].Get(key)
 			if errors.Is(errP, index.ErrKeyNotFound) != errors.Is(errM, index.ErrKeyNotFound) {
@@ -183,6 +252,19 @@ func TestDifferentialOpStream(t *testing.T) {
 			if !bytes.Equal(ep.Key, em.Key) || !bytes.Equal(ep.Val, em.Val) {
 				t.Fatalf("%s: At(%d) = (%q,%q) vs (%q,%q)", ctx, i, ep.Key, ep.Val, em.Key, em.Val)
 			}
+		}
+	}
+	if !s.smallDelta {
+		return
+	}
+	for _, k := range kinds {
+		if pruned[k] == 0 {
+			t.Errorf("%s: structural diffs pruned nothing over the stream", k)
+		}
+		// Each version is 99% its predecessor: without page sharing the
+		// store would hold the full logical volume.
+		if physical := stores[k].Stats().PhysicalBytes; logical[k] < 2*physical {
+			t.Errorf("%s: no cross-version dedup: %d logical bytes over %d stored", k, logical[k], physical)
 		}
 	}
 }

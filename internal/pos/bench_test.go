@@ -86,66 +86,35 @@ func BenchmarkBuildMap(b *testing.B) {
 	}
 }
 
-// BenchmarkBuildMapPerChunk measures the preserved per-chunk-Put baseline
-// (the pre-sink write path) on the same workload; the BuildMap/PerChunk
-// ratio is the write-path speedup this tree reports in CHANGES.md.
-func BenchmarkBuildMapPerChunk(b *testing.B) {
-	for _, n := range []int{1000, 10000, 100000} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			entries := buildEntries(n)
-			b.SetBytes(int64(n * 24))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ms := store.NewMemStore()
-				if _, err := BuildMapPerChunk(ms, chunker.DefaultConfig(), entries); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkBuildMapFileStore is the same comparison over a durable store:
-// the batched path group-commits, the baseline issues one synchronous Put
-// per node.
+// BenchmarkBuildMapFileStore is the same build over a durable store, where
+// the sink group-commits whole batches.
 func BenchmarkBuildMapFileStore(b *testing.B) {
 	entries := buildEntries(100000)
-	for _, mode := range []string{"perchunk", "batched"} {
-		b.Run(mode, func(b *testing.B) {
-			b.SetBytes(int64(len(entries) * 24))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				fs, err := store.OpenFileStore(b.TempDir())
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				if mode == "batched" {
-					_, err = BuildMap(fs, chunker.DefaultConfig(), entries)
-				} else {
-					_, err = BuildMapPerChunk(fs, chunker.DefaultConfig(), entries)
-				}
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := fs.Flush(); err != nil {
-					b.Fatal(err)
-				}
-				b.StopTimer()
-				fs.Close()
-				b.StartTimer()
-			}
-		})
+	b.SetBytes(int64(len(entries) * 24))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		fs, err := store.OpenFileStore(b.TempDir())
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if _, err := BuildMap(fs, chunker.DefaultConfig(), entries); err != nil {
+			b.Fatal(err)
+		}
+		if err := fs.Flush(); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		fs.Close()
+		b.StartTimer()
 	}
 }
 
 // BenchmarkIngestParallel is the multi-client bulk-ingest workload: 8
-// writers each build their own map into one shared FileStore.  The per-chunk
-// baseline serializes every node store on the write mutex; the batched path
-// amortizes the lock over whole batches (and hashes on a pool when cores
-// allow).
+// writers each build their own map into one shared FileStore.  The sink
+// amortizes the store's write lock over whole batches (and hashes on a pool
+// when cores allow).
 func BenchmarkIngestParallel(b *testing.B) {
 	const writers = 8
 	parts := make([][]Entry, writers)
@@ -159,39 +128,29 @@ func BenchmarkIngestParallel(b *testing.B) {
 		}
 		parts[g] = part
 	}
-	for _, mode := range []string{"perchunk", "batched"} {
-		b.Run(mode, func(b *testing.B) {
-			b.SetBytes(int64(writers * 12500 * 24))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				fs, err := store.OpenFileStore(b.TempDir())
-				if err != nil {
-					b.Fatal(err)
+	b.SetBytes(int64(writers * 12500 * 24))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		fs, err := store.OpenFileStore(b.TempDir())
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		var wg sync.WaitGroup
+		for g := 0; g < writers; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				if _, err := BuildMap(fs, chunker.DefaultConfig(), parts[g]); err != nil {
+					b.Error(err)
 				}
-				b.StartTimer()
-				var wg sync.WaitGroup
-				for g := 0; g < writers; g++ {
-					wg.Add(1)
-					go func(g int) {
-						defer wg.Done()
-						var err error
-						if mode == "batched" {
-							_, err = BuildMap(fs, chunker.DefaultConfig(), parts[g])
-						} else {
-							_, err = BuildMapPerChunk(fs, chunker.DefaultConfig(), parts[g])
-						}
-						if err != nil {
-							b.Error(err)
-						}
-					}(g)
-				}
-				wg.Wait()
-				b.StopTimer()
-				fs.Close()
-				b.StartTimer()
-			}
-		})
+			}(g)
+		}
+		wg.Wait()
+		b.StopTimer()
+		fs.Close()
+		b.StartTimer()
 	}
 }
 

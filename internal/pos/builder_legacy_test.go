@@ -11,18 +11,13 @@ import (
 
 // This file preserves the pre-sink write path — one chunk.New and one
 // synchronous store.Put per node, boundary detection through the byte-wise
-// chunker — verbatim.  It serves two purposes:
-//
-//  1. Oracle: the batched sink path must produce byte-identical trees; the
-//     differential tests in builder_test.go compare roots against this
-//     implementation over randomized inputs.
-//  2. Baseline: the per-chunk-Put baseline of the write-path benchmarks
-//     (BenchmarkBuildMapPerChunk, the bench -exp perf suite) is this code,
-//     so the measured speedup is the end-to-end write-path delta rather than
-//     a synthetic reconstruction.
+// chunker — verbatim, as the oracle for the batched sink path: the two must
+// produce byte-identical trees, and the differential tests in builder_test.go
+// and gear_build_test.go compare roots against this implementation over
+// randomized inputs.
 //
 // It intentionally mirrors builder.go's structure; do not "fix" it to share
-// code with the new path, or the comparison stops measuring anything.
+// code with the new path, or the comparison stops checking anything.
 
 // legacyLevelBuilder assembles one level of a POS-Tree with a synchronous
 // Put per finished node.
@@ -142,8 +137,7 @@ func legacyBuildLevels(st store.Store, cfg chunker.Config, refs []childRef, leve
 }
 
 // legacyNormalizeEntries is the pre-sink normalization: unconditional copy
-// plus reflective stable sort, kept so the baseline measures the old path's
-// full cost.
+// plus reflective stable sort.
 func legacyNormalizeEntries(entries []Entry) []Entry {
 	sorted := make([]Entry, len(entries))
 	copy(sorted, entries)
@@ -160,11 +154,11 @@ func legacyNormalizeEntries(entries []Entry) []Entry {
 	return out
 }
 
-// BuildMapPerChunk builds a map POS-Tree through the pre-sink write path:
+// buildMapPerChunk builds a map POS-Tree through the pre-sink write path:
 // every node is materialised with an individual synchronous store.Put.  It
 // must produce a tree byte-identical to BuildMap — structural invariance is a
 // property of the record set, not of the write path that stored it.
-func BuildMapPerChunk(st store.Store, cfg chunker.Config, entries []Entry) (*Tree, error) {
+func buildMapPerChunk(st store.Store, cfg chunker.Config, entries []Entry) (*Tree, error) {
 	sorted := legacyNormalizeEntries(entries)
 	lb := newLegacyLevelBuilder(st, cfg, 0, true)
 	var enc []byte

@@ -36,7 +36,7 @@ func TestBuildMapMatchesPerChunkPath(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := BuildMapPerChunk(msOld, cfg, entries)
+			b, err := buildMapPerChunk(msOld, cfg, entries)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -92,9 +92,9 @@ func encodeSeqChildRef(dst []byte, r childRef) []byte {
 //	[1B level][uvarint n][n encoded entries]
 //
 // level 0 = leaf; ≥1 = index.  The level byte lets Diff align subtrees of
-// trees with different heights without external metadata.  The legacy
-// builder materialises the layout with encodeNodePayload (builder_legacy.go);
-// the sink builder assembles it in place inside its node buffer.
+// trees with different heights without external metadata.  The sink builder
+// assembles the layout in place inside its node buffer (the test oracle in
+// builder_legacy_test.go materialises it with encodeNodePayload).
 
 func errTrunc(what string) error { return fmt.Errorf("pos: truncated %s payload", what) }
 

@@ -64,9 +64,9 @@ func TestGearBuildAndEdit(t *testing.T) {
 	// The legacy per-chunk builder (byte-wise EntryChunker) must agree with
 	// the bulk-scanning sink builder under gear, exactly as it does under
 	// the rolling hash.
-	legacy, err := BuildMapPerChunk(store.NewMemStore(), cfg, entries)
+	legacy, err := buildMapPerChunk(store.NewMemStore(), cfg, entries)
 	if err != nil {
-		t.Fatalf("BuildMapPerChunk(gear): %v", err)
+		t.Fatalf("buildMapPerChunk(gear): %v", err)
 	}
 	if legacy.Root() != tree.Root() {
 		t.Fatalf("gear legacy root %s != sink root %s", legacy.Root().Short(), tree.Root().Short())

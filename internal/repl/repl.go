@@ -33,7 +33,7 @@ import (
 // Source is the replica's view of a primary: a sequenced change feed, a
 // branch-head snapshot, batched chunk reads, and GC pins bracketing each
 // head pull.  Two implementations ship: LocalSource (in-process, for
-// embedded replicas and the experiments) and RemoteSource (over the TCP
+// embedded replicas and tests) and RemoteSource (over the TCP
 // protocol's OpFeedSince/OpGetChunks/OpPinHead).
 type Source interface {
 	// Seq returns the primary's current feed position (epoch + sequence).
@@ -81,7 +81,7 @@ type Stats struct {
 }
 
 // LocalSource adapts an in-process core.DB into a Source — the primary and
-// replica share an address space (embedded replicas, tests, experiments)
+// replica share an address space (embedded replicas, tests, the benchmark)
 // but replication still moves only chunk bytes, so measurements over a
 // LocalSource reflect wire costs faithfully.
 type LocalSource struct {

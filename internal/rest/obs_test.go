@@ -56,6 +56,10 @@ func TestRESTMetricsEndToEnd(t *testing.T) {
 			t.Errorf("http_requests_total{/v1/obj/{key},%s} = %v (ok=%v), want %v", tc.code, got, ok, tc.want)
 		}
 	}
+	// Nothing else moved the family: the total is exactly what was issued.
+	if got := reg.Sum("forkbase_http_requests_total"); got != 6 {
+		t.Errorf("http_requests_total summed over routes = %v, want 6", got)
+	}
 	// The per-route histogram saw every request on the route.
 	if got, _ := reg.Value("forkbase_http_request_seconds", "/v1/obj/{key}"); got != 6 {
 		t.Errorf("http_request_seconds{/v1/obj/{key}} count = %v, want 6", got)

@@ -152,25 +152,19 @@ func BenchmarkChunkSink(b *testing.B) {
 	}
 }
 
-// coldStore builds a multi-segment store and reopens it in the given mode,
-// returning the store and its chunk ids.
+// coldStore builds a multi-segment store on the given read path, returning
+// the store and its chunks.
 func coldStore(b *testing.B, noMmap bool) (*FileStore, []*chunk.Chunk) {
 	b.Helper()
-	dir := b.TempDir()
 	cs := benchChunks(2000, 4096)
-	builder, err := OpenFileStoreSegmented(dir, 256<<10)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := builder.PutBatch(cs); err != nil {
-		b.Fatal(err)
-	}
-	builder.Close()
-	fs, err := OpenFileStoreWith(dir, FileStoreOptions{SegmentSize: 256 << 10, NoMmap: noMmap})
-	if err != nil {
-		b.Fatal(err)
-	}
+	fs := openFileStoreMode(b, b.TempDir(), FileStoreOptions{SegmentSize: 256 << 10}, noMmap)
 	b.Cleanup(func() { fs.Close() })
+	if _, err := fs.PutBatch(cs); err != nil {
+		b.Fatal(err)
+	}
+	if err := fs.Flush(); err != nil {
+		b.Fatal(err)
+	}
 	return fs, cs
 }
 

@@ -53,9 +53,9 @@ import (
 // the segment mapping.  They are valid until Close, except that data whose
 // segment was compacted away is only guaranteed through the sweep *after*
 // the one that retired it — callers holding chunk data across multiple GC
-// cycles (or past Close) must copy.  On platforms without mmap (and with
-// the NoMmap option) every read falls back to positioned reads through
-// persistent per-segment handles, which copy and verify as before.
+// cycles (or past Close) must copy.  On platforms without mmap every read
+// falls back to positioned reads through persistent per-segment handles,
+// which copy and verify; the active tail is always read that way.
 type FileStore struct {
 	dir        string
 	maxSegment int64
@@ -271,10 +271,6 @@ type FileStoreOptions struct {
 	// SegmentSize is the size at which the active segment rotates
 	// (0 = DefaultSegmentSize).
 	SegmentSize int64
-	// NoMmap disables memory-mapping of sealed segments; all reads use
-	// positioned pread through persistent handles (the pre-mmap behavior,
-	// kept as the portability fallback and as the benchmark baseline).
-	NoMmap bool
 	// SyncPolicy selects when the active tail is fsynced (default SyncNone).
 	SyncPolicy SyncPolicy
 	// SyncEvery is the SyncInterval ticker period (0 = DefaultSyncEvery);
@@ -361,7 +357,7 @@ func OpenFileStoreWith(dir string, opts FileStoreOptions) (*FileStore, error) {
 	fs := &FileStore{
 		dir:        dir,
 		maxSegment: opts.SegmentSize,
-		noMmap:     opts.NoMmap || !mmapSupported,
+		noMmap:     !mmapSupported,
 		syncPolicy: opts.SyncPolicy,
 		segUse:     make(map[int]*segUsage),
 		sealed:     make(map[int]*mseg),

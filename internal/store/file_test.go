@@ -379,14 +379,27 @@ func TestFileStoreRecoverSegmentGaps(t *testing.T) {
 	}
 }
 
+// openFileStoreMode opens a store over an empty dir on the chosen read path.
+// Outside tests the pread path serves sealed segments only where mmap is
+// unsupported; flipping the field right after open — nothing is sealed yet —
+// runs it on every platform.
+func openFileStoreMode(tb testing.TB, dir string, opts FileStoreOptions, noMmap bool) *FileStore {
+	tb.Helper()
+	s, err := OpenFileStoreWith(dir, opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if len(s.sealed) != 0 {
+		tb.Fatal("openFileStoreMode needs an empty directory: recovery already mapped segments")
+	}
+	s.noMmap = s.noMmap || noMmap
+	return s
+}
+
 // TestFileStoreNoMmapParity runs the full lifecycle on the positioned-read
 // fallback: identical behavior, no mapped memory.
 func TestFileStoreNoMmapParity(t *testing.T) {
-	dir := t.TempDir()
-	s, err := OpenFileStoreWith(dir, FileStoreOptions{SegmentSize: 2048, NoMmap: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := openFileStoreMode(t, t.TempDir(), FileStoreOptions{SegmentSize: 2048}, true)
 	defer s.Close()
 	ids := fillSegments(t, s, 100)
 	for i, id := range ids {
@@ -419,17 +432,14 @@ func TestFileStoreNoMmapParity(t *testing.T) {
 // TestFileStoreConcurrentSweep races readers and writers against repeated
 // sweeps on both read paths; under -race this validates the locking, and
 // the end state must be exact: survivors readable, garbage gone.  The
-// NoMmap variant exercises the relocated-mid-pread retry.
+// pread variant exercises the relocated-mid-pread retry.
 func TestFileStoreConcurrentSweep(t *testing.T) {
 	t.Run("mmap", func(t *testing.T) { testConcurrentSweep(t, false) })
 	t.Run("pread", func(t *testing.T) { testConcurrentSweep(t, true) })
 }
 
 func testConcurrentSweep(t *testing.T, noMmap bool) {
-	s, err := OpenFileStoreWith(t.TempDir(), FileStoreOptions{SegmentSize: 4096, NoMmap: noMmap})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := openFileStoreMode(t, t.TempDir(), FileStoreOptions{SegmentSize: 4096}, noMmap)
 	defer s.Close()
 	ids := fillSegments(t, s, 300)
 	keep := map[hash.Hash]bool{}

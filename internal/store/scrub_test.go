@@ -86,10 +86,7 @@ func TestScrubQuarantinesAndRescues(t *testing.T) {
 				t.Skip("no mmap on this platform")
 			}
 			dir := t.TempDir()
-			s, err := OpenFileStoreWith(dir, FileStoreOptions{SegmentSize: 2048, NoMmap: noMmap})
-			if err != nil {
-				t.Fatal(err)
-			}
+			s := openFileStoreMode(t, dir, FileStoreOptions{SegmentSize: 2048}, noMmap)
 			defer s.Close()
 			ids := fillSegments(t, s, 60)
 			if s.actSeg.Load() < 2 {
@@ -172,10 +169,7 @@ func TestScrubQuarantinesAndRescues(t *testing.T) {
 // file-read path sees the short read and classifies torn.
 func TestScrubTornSegment(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenFileStoreWith(dir, FileStoreOptions{SegmentSize: 2048, NoMmap: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := openFileStoreMode(t, dir, FileStoreOptions{SegmentSize: 2048}, true)
 	defer s.Close()
 	ids := fillSegments(t, s, 60)
 	victim := s.segmentPath(1)

@@ -50,8 +50,7 @@ type SinkOptions struct {
 	// otherwise min(GOMAXPROCS-1, 4) — synchronous when that is zero, i.e.
 	// at GOMAXPROCS=1, where worker handoff cannot overlap with anything.
 	//
-	// The cap of 4 is the single-producer saturation point, re-checked
-	// against the GOMAXPROCS={1,4,8} scale matrix (BENCH_7): SHA-256 over a
+	// The cap of 4 is the single-producer saturation point: SHA-256 over a
 	// ~4 KiB node costs a small multiple of what encoding and boundary-
 	// scanning the same node costs, so one producer can keep roughly four
 	// hashers busy before production becomes the bottleneck and extra

@@ -567,13 +567,9 @@ func TestMustPutPanicsOnClosedStore(t *testing.T) {
 }
 
 func TestFileStoreReadHandleBoundAndClose(t *testing.T) {
-	dir := t.TempDir()
-	// NoMmap keeps every read on the positioned-read path, which is what
-	// the handle table serves.
-	s, err := OpenFileStoreWith(dir, FileStoreOptions{SegmentSize: 256, NoMmap: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Every read stays on the positioned-read path, which is what the handle
+	// table serves.
+	s := openFileStoreMode(t, t.TempDir(), FileStoreOptions{SegmentSize: 256}, true)
 	var ids []hash.Hash
 	for i := 0; i < 400; i++ {
 		c := chunk.New(chunk.TypeBlobLeaf, bytes.Repeat([]byte{byte(i), byte(i >> 8)}, 100))
