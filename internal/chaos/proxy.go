@@ -224,7 +224,7 @@ func (p *Proxy) throttle(dir int, n int) bool {
 type Agitator struct {
 	rng        *rand.Rand
 	proxies    []*Proxy
-	disks      []string // FileStore dirs eligible for bit rot (see AddDisk)
+	disks      []string      // FileStore dirs eligible for bit rot (see AddDisk)
 	MaxLatency time.Duration // latency-spike ceiling (default 10ms)
 	MaxOutage  time.Duration // partition/outage hold ceiling (default 120ms)
 	MaxFlips   int           // bit flips per disk event ceiling (default 8)

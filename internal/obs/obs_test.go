@@ -81,7 +81,7 @@ func TestJSONSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	var snap Snapshot
-	if err := json.Unmarshal([]byte(b.String()), &snap);	err != nil {
+	if err := json.Unmarshal([]byte(b.String()), &snap); err != nil {
 		t.Fatalf("snapshot is not valid JSON: %v", err)
 	}
 	if len(snap.Counters) != 2 || len(snap.Gauges) != 1 || len(snap.Histograms) != 1 {

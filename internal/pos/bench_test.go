@@ -184,6 +184,48 @@ func BenchmarkTreeInsert(b *testing.B) {
 	}
 }
 
+// BenchmarkEditScattered commits 8 puts to a 100k-row table of 96-byte rows,
+// packed into one leaf or spread evenly over the key space, with and
+// without a decoded-node cache.  gets/op is the chunks one Edit fetches from
+// the store: the read side of "commit cost proportional to the edit".
+func BenchmarkEditScattered(b *testing.B) {
+	const rows, batch = 100003, 8
+	entries := genRows(rows)
+	for _, shape := range []struct {
+		name   string
+		stride int
+	}{{"clustered", 1}, {"scattered", rows / batch}} {
+		for _, cached := range []bool{false, true} {
+			b.Run(fmt.Sprintf("%s/cache=%v", shape.name, cached), func(b *testing.B) {
+				ms := store.NewMemStore()
+				var st store.Store = ms
+				if cached {
+					st = store.WithNodeCache(ms, nodecache.New(256<<20))
+				}
+				tree, err := BuildMap(st, chunker.DefaultConfig(), entries)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := tree.Edit([]Op{Put(rowKey(0), []byte("warm"))}); err != nil {
+					b.Fatal(err)
+				}
+				ops := make([]Op, batch)
+				gets := ms.Stats().Gets
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for j := range ops {
+						ops[j] = Put(rowKey((i*131+j*shape.stride)%rows), []byte(fmt.Sprintf("edit-%d-%d", i, j)))
+					}
+					if _, err := tree.Edit(ops); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(ms.Stats().Gets-gets)/float64(b.N), "gets/op")
+			})
+		}
+	}
+}
+
 // BenchmarkTreeGetCached is the cached counterpart of BenchmarkTreeGet:
 // point lookups served from the decoded-node cache instead of re-fetching
 // and re-decoding whole leaves per Get.

@@ -277,14 +277,9 @@ func (b *Blob) ReadAt(p []byte, off uint64) (int, error) {
 	return n, nil
 }
 
-// blobLevels materialises the blob's levels (leaves carry byte counts).
-func (b *Blob) blobLevels() ([]levelInfo, error) {
-	s := &Seq{src: b.src, cfg: b.cfg, root: b.root, count: b.size}
-	return s.seqLevels()
-}
-
 // Splice returns a blob with bytes [at, at+del) replaced by ins, re-chunking
-// incrementally from the affected leaf until boundary re-synchronisation.
+// incrementally from the leaf holding `at` until boundary re-synchronisation;
+// like Seq.Splice it reads one root→leaf path plus the spliced leaves.
 func (b *Blob) Splice(at, del uint64, ins []byte) (*Blob, error) {
 	if at > b.size {
 		return nil, ErrOutOfRange
@@ -298,141 +293,32 @@ func (b *Blob) Splice(at, del uint64, ins []byte) (*Blob, error) {
 	if b.root.IsZero() {
 		return BuildBlob(b.src.st, b.cfg, ins)
 	}
-
-	levels, err := b.blobLevels()
-	if err != nil {
-		return nil, err
-	}
-	leafRefs := levels[0].refs
-
-	lo := 0
-	var skipped uint64
-	for lo < len(leafRefs)-1 && skipped+leafRefs[lo].count <= at {
-		skipped += leafRefs[lo].count
-		lo++
-	}
-
 	sink := editSink(b.src.st)
 	defer sink.Close()
 	bb := newBlobBuilder(sink, b.cfg)
-	oldLeaf := lo
-	var oldData []byte
-	oldPos := 0
-	loaded := false
-	pos := skipped
-	peek := func() (byte, bool, error) {
-		for {
-			if oldLeaf >= len(leafRefs) {
-				return 0, false, nil
-			}
-			if !loaded {
-				n, err := b.src.load(leafRefs[oldLeaf].id)
-				if err != nil {
-					return 0, false, err
-				}
-				if n.typ != chunk.TypeBlobLeaf {
-					return 0, false, fmt.Errorf("pos: expected blob leaf, got %s", n.typ)
-				}
-				oldData = n.blob
-				loaded = true
-				oldPos = 0
-			}
-			if oldPos < len(oldData) {
-				return oldData[oldPos], true, nil
-			}
-			oldLeaf++
-			loaded = false
+	feed := func(leaf *node, lo, hi uint64, insert bool) error {
+		if leaf.typ != chunk.TypeBlobLeaf || hi > uint64(len(leaf.blob)) {
+			return fmt.Errorf("pos: blob splice: %s of %d bytes where a leaf of at least %d was expected", leaf.typ, len(leaf.blob), hi)
 		}
+		runs := [3][]byte{leaf.blob[:lo], nil, leaf.blob[hi:]}
+		if insert {
+			runs[1] = ins
+		}
+		for _, run := range runs {
+			if err := bb.addAll(run); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
-
-	insDone := false
-	delEnd := at + del
-	hi := len(leafRefs)
-	for {
-		by, ok, err := peek()
-		if err != nil {
-			return nil, err
-		}
-		switch {
-		case pos < at:
-			if !ok {
-				return nil, fmt.Errorf("pos: blob splice ran out of bytes before at=%d", at)
-			}
-			if err := bb.add(by); err != nil {
-				return nil, err
-			}
-			oldPos++
-			pos++
-		case !insDone:
-			if err := bb.addAll(ins); err != nil {
-				return nil, err
-			}
-			insDone = true
-		case pos < delEnd:
-			if !ok {
-				return nil, fmt.Errorf("pos: blob splice ran out of bytes during delete")
-			}
-			oldPos++
-			pos++
-		default:
-			if !ok {
-				hi = len(leafRefs)
-				goto done
-			}
-			if oldPos == 0 && bb.boundary {
-				hi = oldLeaf
-				goto done
-			}
-			if err := bb.add(by); err != nil {
-				return nil, err
-			}
-			oldPos++
-			pos++
-		}
-	}
-done:
-	newRefs, err := bb.finish()
+	root, err := splicePositions(b.src, b.cfg, sink, childRef{id: b.root, count: b.size}, at, del,
+		func() bool { return bb.boundary }, feed, bb.finish)
 	if err != nil {
 		return nil, err
 	}
-	flushed := func(bl *Blob) (*Blob, error) {
-		if err := sink.Flush(); err != nil {
-			return nil, err
-		}
-		return bl, nil
-	}
-	newSize := b.size - del + uint64(len(ins))
-	cur := splice{lo: lo, hi: hi, refs: newRefs}
-	for h := 0; ; h++ {
-		level := levels[h]
-		total := len(level.refs) - (cur.hi - cur.lo) + len(cur.refs)
-		if total == 0 {
-			return flushed(&Blob{src: b.src, cfg: b.cfg})
-		}
-		if total == 1 {
-			root := singleSurvivor(level.refs, cur)
-			return flushed(&Blob{src: b.src, cfg: b.cfg, root: root.id, size: newSize})
-		}
-		if h == len(levels)-1 {
-			full := make([]childRef, 0, total)
-			full = append(full, level.refs[:cur.lo]...)
-			full = append(full, cur.refs...)
-			full = append(full, level.refs[cur.hi:]...)
-			root, err := buildLevels(sink, b.cfg, full, uint8(h+1), false)
-			if err != nil {
-				return nil, err
-			}
-			return flushed(&Blob{src: b.src, cfg: b.cfg, root: root.id, size: newSize})
-		}
-		cur, err = seqSpliceLevel(sink, b.cfg, levels[h+1], level.refs, cur, uint8(h+1))
-		if err != nil {
-			return nil, err
-		}
-	}
+	return &Blob{src: b.src, cfg: b.cfg, root: root.id, size: root.count}, nil
 }
 
-// ChunkIDs returns every chunk reachable from the blob root.
-func (b *Blob) ChunkIDs() ([]hash.Hash, error) {
-	s := &Seq{src: b.src, cfg: b.cfg, root: b.root, count: b.size}
-	return s.ChunkIDs()
-}
+// ChunkIDs returns every chunk reachable from the blob root; the leaves'
+// bytes are not read.
+func (b *Blob) ChunkIDs() ([]hash.Hash, error) { return chunkIDs(b.src, b.root) }

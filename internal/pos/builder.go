@@ -239,8 +239,12 @@ func buildSink(st store.Store) *store.ChunkSink {
 
 // editSink returns the write sink for incremental edits and merges: the
 // dedup pre-check is on, so re-emitting shared subtrees costs read-locked
-// index lookups instead of writes.
+// index lookups instead of writes, and on a store with a decoded-node cache
+// the nodes the edit lands enter the cache as they are stored (cacheFill).
 func editSink(st store.Store) *store.ChunkSink {
+	if cache := store.NodeCacheOf(st); cache != nil {
+		st = cacheFill{Store: st, cache: cache}
+	}
 	return store.NewChunkSink(st, store.SinkOptions{Dedup: true})
 }
 

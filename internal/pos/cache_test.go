@@ -148,6 +148,31 @@ func TestCachedDiffAndEdit(t *testing.T) {
 	}
 }
 
+// TestEditFillsNodeCache: the nodes an edit writes enter the decoded-node
+// cache as they land, so reading the new version back — here the edited
+// key, then a diff against the old version — fetches nothing from the store.
+func TestEditFillsNodeCache(t *testing.T) {
+	tree, ms, _ := cachedTree(t, 20000, 64<<20)
+	key := []byte("key-0000012345")
+	if _, err := tree.Entries(); err != nil { // every old node is now cached
+		t.Fatal(err)
+	}
+	edited, err := tree.Edit([]Op{Put(key, []byte("rewritten"))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gets := ms.Stats().Gets
+	if v, err := edited.Get(key); err != nil || string(v) != "rewritten" {
+		t.Fatalf("Get after Edit = %q, %v", v, err)
+	}
+	if deltas, _, err := tree.Diff(edited); err != nil || len(deltas) != 1 {
+		t.Fatalf("Diff after Edit = %d deltas, %v", len(deltas), err)
+	}
+	if n := ms.Stats().Gets - gets; n != 0 {
+		t.Fatalf("reading back a just-edited path fetched %d chunks from the store", n)
+	}
+}
+
 // TestCachedConcurrentReaders hammers one cached tree from many goroutines
 // under -race: the cache and the RLock store path must both be safe, and
 // every reader must observe correct values.

@@ -3,12 +3,12 @@ package pos
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 
 	"forkbase/internal/chunk"
 	"forkbase/internal/hash"
 	"forkbase/internal/index"
-	"forkbase/internal/store"
 )
 
 // Op is a single mutation in an edit batch: a put (Delete=false) or a
@@ -39,75 +39,22 @@ func normalizeOps(ops []Op) []Op {
 	return out
 }
 
-// levelInfo is a materialised level of the tree: the refs of its nodes and,
-// for index levels, where each node's children start in the level below.
-type levelInfo struct {
-	refs       []childRef
-	childStart []int // childStart[i] = index in lower level of node i's first child
-}
-
-// materializeLevels reads every index node (but no leaves) and returns the
-// levels bottom-up: levels[0] are leaf refs, levels[len-1] is the root.
-func (t *Tree) materializeLevels() ([]levelInfo, error) {
-	rootNode, err := t.src.load(t.root)
-	if err != nil {
-		return nil, fmt.Errorf("pos: edit: %w", err)
-	}
-	if rootNode.typ == chunk.TypeMapLeaf {
-		return []levelInfo{{refs: []childRef{{id: t.root, count: t.count, splitKey: lastLeafKey(rootNode)}}}}, nil
-	}
-	// Walk top-down accumulating levels, then reverse.
-	var topDown []levelInfo
-	cur := []childRef{{id: t.root, count: t.count}}
-	for {
-		topDown = append(topDown, levelInfo{refs: cur})
-		var lower []childRef
-		starts := make([]int, len(cur))
-		leaf := false
-		for i, r := range cur {
-			starts[i] = len(lower)
-			n, err := t.src.load(r.id)
-			if err != nil {
-				return nil, fmt.Errorf("pos: edit: %w", err)
-			}
-			switch n.typ {
-			case chunk.TypeMapIndex:
-				lower = append(lower, n.refs...)
-			case chunk.TypeMapLeaf:
-				leaf = true
-			default:
-				return nil, fmt.Errorf("pos: unexpected chunk type %s", n.typ)
-			}
-		}
-		if leaf {
-			break
-		}
-		topDown[len(topDown)-1].childStart = starts
-		cur = lower
-	}
-	// Reverse into bottom-up order.
-	levels := make([]levelInfo, len(topDown))
-	for i := range topDown {
-		levels[len(topDown)-1-i] = topDown[i]
-	}
-	return levels, nil
-}
-
-func lastLeafKey(n *node) []byte {
-	if len(n.entries) == 0 {
-		return nil
-	}
-	return n.entries[len(n.entries)-1].Key
-}
-
 // Edit applies a batch of mutations and returns the resulting tree.
 //
-// The edit is *incremental*: chunking restarts at the first affected leaf and
-// proceeds only until the content-defined boundaries re-synchronise with the
-// old tree, at which point the remaining nodes — at every level — are reused
-// verbatim (SIRI property 2, "recursively identical").  The result is
-// guaranteed byte-identical to rebuilding the tree from scratch over the
-// edited record set; the property tests in edit_test.go enforce this.
+// The edit is *incremental* and its cost follows the batch, not the table.
+// The ops are grouped into clusters by the old leaves they fall in: for each
+// cluster one root→leaf path is read, chunking restarts at that leaf's first
+// entry and stops at the first old leaf boundary the chunker re-synchronises
+// with once no further op falls in the leaf that follows (a tail that runs
+// into the next op's leaf absorbs it, so a dense batch is one long splice).
+// The resulting list of leaf splices is carried up by levelEditor.raise, which
+// re-chunks only the index nodes above them; every node outside a splice — at
+// every level — is reused verbatim without being read (SIRI property 2,
+// "recursively identical").  Splices that reproduce their old leaves are
+// dropped, so a batch of no-ops returns t itself and writes nothing.  The
+// result is guaranteed byte-identical to rebuilding the tree from scratch
+// over the edited record set; the property tests enforce this against
+// EditRebuild.
 func (t *Tree) Edit(ops []Op) (*Tree, error) {
 	ops = normalizeOps(ops)
 	if len(ops) == 0 {
@@ -123,270 +70,103 @@ func (t *Tree) Edit(ops []Op) (*Tree, error) {
 		return BuildMap(t.src.st, t.cfg, entries)
 	}
 
-	levels, err := t.materializeLevels()
-	if err != nil {
-		return nil, err
-	}
-	leafRefs := levels[0].refs
-
 	// Edits write through a dedup-checking sink: nodes whose bytes already
 	// exist (identity rewrites, shared subtrees) cost an index lookup, not a
 	// write.  The deferred Close lands stray emissions on the no-new-tree
-	// return paths; paths that return a new tree flush explicitly first.
+	// return paths; the path that returns a new tree flushes explicitly.
 	sink := editSink(t.src.st)
 	defer sink.Close()
-	done := func(tr *Tree) (*Tree, error) {
-		if err := sink.Flush(); err != nil {
-			return nil, err
-		}
-		return tr, nil
-	}
-
-	lo, hi, newRefs, delta, err := t.editLeaves(sink, leafRefs, ops)
+	e, err := newLevelEditor(t.src, t.cfg, sink, true, childRef{id: t.root, count: t.count})
 	if err != nil {
 		return nil, err
 	}
-	if lo == hi && len(newRefs) == 0 {
-		return t, nil // all ops were no-ops
-	}
-	// Fast path: detect fully-unchanged splices (ops that rewrote identical
-	// content), so Edit(identity) returns the identical root.
-	if hi-lo == len(newRefs) {
-		same := true
-		for k := range newRefs {
-			if newRefs[k].id != leafRefs[lo+k].id {
-				same = false
-				break
-			}
-		}
-		if same {
-			return t, nil
-		}
-	}
 
-	newCount := uint64(int64(t.count) + delta)
-	cur := splice{lo: lo, hi: hi, refs: newRefs}
-	for h := 0; ; h++ {
-		level := levels[h]
-		total := len(level.refs) - (cur.hi - cur.lo) + len(cur.refs)
-		if total == 0 {
-			return done(&Tree{src: t.src, cfg: t.cfg}) // tree emptied
+	lb := newLevelBuilder(sink, t.cfg, 0, true)
+	put := func(o Op) error {
+		if o.Delete {
+			return nil
 		}
-		if total == 1 {
-			root := singleSurvivor(level.refs, cur)
-			return done(&Tree{src: t.src, cfg: t.cfg, root: root.id, count: newCount})
-		}
-		if h == len(levels)-1 {
-			// Top existing level still has multiple nodes: stack fresh
-			// index levels above the full spliced list.
-			full := make([]childRef, 0, total)
-			full = append(full, level.refs[:cur.lo]...)
-			full = append(full, cur.refs...)
-			full = append(full, level.refs[cur.hi:]...)
-			root, err := buildLevels(sink, t.cfg, full, uint8(h+1), true)
-			if err != nil {
-				return nil, err
+		return lb.addEntry(Entry{Key: o.Key, Val: o.Val})
+	}
+	var spl []splice
+	var replaced [][]hash.Hash // replaced[k]: ids of the old leaves spl[k] covers
+	for i := 0; i < len(ops); {
+		key := ops[i].Key
+		c, err := e.seek(e.height, func(refs []childRef) int {
+			j := sort.Search(len(refs), func(j int) bool { return bytes.Compare(refs[j].splitKey, key) >= 0 })
+			if j == len(refs) {
+				j-- // beyond the greatest key: the op lands in the last leaf
 			}
-			return done(&Tree{src: t.src, cfg: t.cfg, root: root.id, count: newCount})
-		}
-		cur, err = t.spliceLevel(sink, levels[h+1], level.refs, cur, uint8(h+1))
+			return j
+		})
 		if err != nil {
 			return nil, err
 		}
-	}
-}
-
-// splice describes the replacement of node range [lo, hi) of a level by refs.
-type splice struct {
-	lo, hi int
-	refs   []childRef
-}
-
-func singleSurvivor(old []childRef, s splice) childRef {
-	if len(s.refs) == 1 && s.lo == 0 && s.hi == len(old) {
-		return s.refs[0]
-	}
-	if s.lo > 0 {
-		return old[0]
-	}
-	return old[len(old)-1]
-}
-
-// editLeaves re-chunks the leaf level across the affected key range.
-// It returns the replaced leaf range [lo, hi), the replacement refs, and the
-// entry-count delta.
-func (t *Tree) editLeaves(sink *store.ChunkSink, leafRefs []childRef, ops []Op) (lo, hi int, out []childRef, delta int64, err error) {
-	firstKey := ops[0].Key
-	lo = sort.Search(len(leafRefs), func(i int) bool {
-		return bytes.Compare(leafRefs[i].splitKey, firstKey) >= 0
-	})
-	if lo == len(leafRefs) {
-		lo = len(leafRefs) - 1
-	}
-
-	lb := newLevelBuilder(sink, t.cfg, 0, true)
-	oldLeaf := lo
-	var oldEntries []Entry
-	oldPos := 0
-	loaded := false
-
-	// peekOld returns the next untouched entry of the old tree, loading
-	// leaves lazily; ok=false at the end of the tree.
-	peekOld := func() (Entry, bool, error) {
-		for {
-			if oldLeaf >= len(leafRefs) {
-				return Entry{}, false, nil
+		sp := splice{lo: c.clone(), from: len(lb.emitted)}
+		var ids []hash.Hash
+		for !c.end() {
+			ref, last := c.ref(), c.isLast()
+			if lb.atBoundary() && (i == len(ops) || !last && bytes.Compare(ops[i].Key, ref.splitKey) > 0) {
+				break
 			}
-			if !loaded {
-				oldEntries, err = t.src.loadMapLeaf(leafRefs[oldLeaf].id)
+			n, err := e.load(ref)
+			if err != nil {
+				return nil, err
+			}
+			if n.typ != chunk.TypeMapLeaf {
+				return nil, fmt.Errorf("pos: expected map leaf, got %s", n.typ)
+			}
+			ids = append(ids, ref.id)
+			for _, old := range n.entries {
+				for ; i < len(ops) && bytes.Compare(ops[i].Key, old.Key) < 0; i++ {
+					if err := put(ops[i]); err != nil {
+						return nil, err
+					}
+				}
+				if i < len(ops) && bytes.Equal(ops[i].Key, old.Key) {
+					err = put(ops[i])
+					i++
+				} else {
+					err = lb.addEntry(old)
+				}
 				if err != nil {
-					return Entry{}, false, err
-				}
-				loaded = true
-				oldPos = 0
-			}
-			if oldPos < len(oldEntries) {
-				return oldEntries[oldPos], true, nil
-			}
-			oldLeaf++
-			loaded = false
-		}
-	}
-	advanceOld := func() { oldPos++ }
-	feed := func(e Entry, isNew bool) error {
-		if isNew {
-			delta++
-		}
-		return lb.addEntry(e)
-	}
-
-	opIdx := 0
-	for {
-		if opIdx >= len(ops) {
-			// Tail phase: pass old entries through until the chunker
-			// re-synchronises with an old leaf boundary.
-			e, ok, perr := peekOld()
-			if perr != nil {
-				return 0, 0, nil, 0, perr
-			}
-			if !ok {
-				hi = len(leafRefs)
-				break
-			}
-			if oldPos == 0 && lb.atBoundary() {
-				hi = oldLeaf
-				break
-			}
-			if err := feed(e, false); err != nil {
-				return 0, 0, nil, 0, err
-			}
-			advanceOld()
-			continue
-		}
-		op := ops[opIdx]
-		e, ok, perr := peekOld()
-		if perr != nil {
-			return 0, 0, nil, 0, perr
-		}
-		switch {
-		case ok && bytes.Compare(e.Key, op.Key) < 0:
-			if err := feed(e, false); err != nil {
-				return 0, 0, nil, 0, err
-			}
-			advanceOld()
-		case ok && bytes.Equal(e.Key, op.Key):
-			if op.Delete {
-				delta--
-			} else if err := feed(Entry{Key: op.Key, Val: op.Val}, false); err != nil {
-				return 0, 0, nil, 0, err
-			}
-			advanceOld()
-			opIdx++
-		default: // old exhausted, or op key precedes next old key: insertion point
-			if !op.Delete {
-				if err := feed(Entry{Key: op.Key, Val: op.Val}, true); err != nil {
-					return 0, 0, nil, 0, err
+					return nil, err
 				}
 			}
-			opIdx++
+			for ; last && i < len(ops); i++ {
+				if err := put(ops[i]); err != nil {
+					return nil, err
+				}
+			}
+			if err := c.next(); err != nil {
+				return nil, err
+			}
 		}
+		sp.hi = c
+		spl, replaced = append(spl, sp), append(replaced, ids)
 	}
-	out, err = lb.finish()
+	emitted, err := lb.finish()
 	if err != nil {
-		return 0, 0, nil, 0, err
+		return nil, err
 	}
-	return lo, hi, out, delta, nil
-}
-
-// spliceLevel propagates a lower-level splice through index level `level`
-// (whose nodes' children are lowerOld).  It re-chunks index entries from the
-// first affected node until re-synchronisation and returns the splice to
-// apply one level up.
-func (t *Tree) spliceLevel(sink *store.ChunkSink, level levelInfo, lowerOld []childRef, s splice, levelNo uint8) (splice, error) {
-	starts := level.childStart
-	// Node a: the last node whose first child is <= s.lo.
-	a := sort.Search(len(starts), func(i int) bool { return starts[i] > s.lo }) - 1
-	if a < 0 {
-		a = 0
+	resolveSplices(spl, emitted)
+	changed := spl[:0]
+	for k, sp := range spl {
+		if !slices.EqualFunc(sp.refs, replaced[k], func(r childRef, id hash.Hash) bool { return r.id == id }) {
+			changed = append(changed, sp)
+		}
 	}
-
-	lb := newLevelBuilder(sink, t.cfg, levelNo, true)
-	feed := func(r childRef) error {
-		return lb.addRef(r)
+	if len(changed) == 0 {
+		return t, nil // every op was a no-op
 	}
-
-	pos := starts[a]
-	newIdx := 0
-	c := len(level.refs)
-	// nodeStartAt returns (node index, true) when pos is the first child of
-	// a node after a.
-	nodeStartAt := func(pos int) (int, bool) {
-		i := sort.Search(len(starts), func(i int) bool { return starts[i] >= pos })
-		if i < len(starts) && starts[i] == pos && i > a {
-			return i, true
-		}
-		return 0, false
-	}
-	for {
-		if pos < s.lo {
-			if err := feed(lowerOld[pos]); err != nil {
-				return splice{}, err
-			}
-			pos++
-			continue
-		}
-		if newIdx < len(s.refs) {
-			if err := feed(s.refs[newIdx]); err != nil {
-				return splice{}, err
-			}
-			newIdx++
-			continue
-		}
-		if pos < s.hi {
-			pos = s.hi
-			continue
-		}
-		// Tail: reuse as soon as boundaries align.
-		if pos == len(lowerOld) {
-			c = len(level.refs)
-			break
-		}
-		if lb.atBoundary() {
-			if node, ok := nodeStartAt(pos); ok {
-				c = node
-				break
-			}
-		}
-		if err := feed(lowerOld[pos]); err != nil {
-			return splice{}, err
-		}
-		pos++
-	}
-	out, err := lb.finish()
+	root, err := e.raise(changed)
 	if err != nil {
-		return splice{}, err
+		return nil, err
 	}
-	return splice{lo: a, hi: c, refs: out}, nil
+	if err := sink.Flush(); err != nil {
+		return nil, err
+	}
+	return &Tree{src: t.src, cfg: t.cfg, root: root.id, count: root.count}, nil
 }
 
 // EditRebuild is the reference implementation of Edit: it streams the entire
@@ -481,5 +261,3 @@ func (t *Tree) Insert(key, val []byte) (*Tree, error) {
 func (t *Tree) Remove(key []byte) (*Tree, error) {
 	return t.Edit([]Op{Del(key)})
 }
-
-var _ = hash.Hash{} // keep hash imported for documentation references

@@ -14,17 +14,19 @@ import (
 
 // opsBatch is a generatable random edit workload for testing/quick.
 type opsBatch struct {
-	Seed int64
-	NOps int
-	Base int // base tree size
+	Seed  int64
+	NOps  int
+	Base  int // base tree size
+	Shape int // 0: random ops; otherwise picks one of adversarialShapes
 }
 
 // Generate implements quick.Generator so batches stay within useful bounds.
 func (opsBatch) Generate(r *rand.Rand, size int) reflect.Value {
 	return reflect.ValueOf(opsBatch{
-		Seed: r.Int63(),
-		NOps: 1 + r.Intn(60),
-		Base: 50 + r.Intn(800),
+		Seed:  r.Int63(),
+		NOps:  1 + r.Intn(60),
+		Base:  300 + r.Intn(800), // at least four levels under testCfg
+		Shape: r.Intn(3) * (1 + r.Intn(1<<16)),
 	})
 }
 
@@ -62,37 +64,30 @@ func (b opsBatch) ops() []Op {
 func TestQuickEditEquivalence(t *testing.T) {
 	st := store.NewMemStore()
 	f := func(b opsBatch) bool {
-		tree, err := BuildMap(st, testCfg(), b.baseEntries())
+		base := b.baseEntries()
+		tree, err := BuildMap(st, testCfg(), base)
 		if err != nil {
 			return false
 		}
-		ops := b.ops()
-		inc, err := tree.Edit(ops)
-		if err != nil {
-			t.Logf("Edit: %v", err)
+		ops, shape := b.ops(), "random"
+		if b.Shape != 0 {
+			layout, err := leafLayout(tree)
+			if err != nil {
+				return false
+			}
+			shapes := adversarialShapes(layout)
+			sh := shapes[b.Shape%len(shapes)]
+			// The shape rides along with the random ops, which land inside,
+			// between and around its splices.
+			ops, shape = append(ops, sh.ops...), sh.name
+		}
+		if err := checkEditEquivalence(st, tree, base, ops); err != nil {
+			t.Logf("seed=%d nops=%d base=%d shape=%q: %v", b.Seed, b.NOps, b.Base, shape, err)
 			return false
 		}
-		reb, err := tree.EditRebuild(ops)
-		if err != nil {
-			t.Logf("EditRebuild: %v", err)
-			return false
-		}
-		if inc.Root() != reb.Root() {
-			t.Logf("divergence: seed=%d nops=%d base=%d", b.Seed, b.NOps, b.Base)
-			return false
-		}
-		// From-scratch oracle.
-		entries, err := inc.Entries()
-		if err != nil {
-			return false
-		}
-		fresh, err := BuildMap(st, testCfg(), entries)
-		if err != nil {
-			return false
-		}
-		return fresh.Root() == inc.Root()
+		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -2,7 +2,6 @@ package pos
 
 import (
 	"fmt"
-	"sort"
 
 	"forkbase/internal/chunk"
 	"forkbase/internal/chunker"
@@ -160,55 +159,12 @@ func (s *Seq) walkLeaves(fn func(items [][]byte)) error {
 	return walk(s.root)
 }
 
-// seqLevels materialises index levels bottom-up (like materializeLevels but
-// count-routed).
-func (s *Seq) seqLevels() ([]levelInfo, error) {
-	rootNode, err := s.src.load(s.root)
-	if err != nil {
-		return nil, fmt.Errorf("pos: seq: %w", err)
-	}
-	if rootNode.typ == chunk.TypeSeqLeaf {
-		return []levelInfo{{refs: []childRef{{id: s.root, count: s.count}}}}, nil
-	}
-	var topDown []levelInfo
-	cur := []childRef{{id: s.root, count: s.count}}
-	for {
-		topDown = append(topDown, levelInfo{refs: cur})
-		var lower []childRef
-		starts := make([]int, len(cur))
-		leaf := false
-		for i, r := range cur {
-			starts[i] = len(lower)
-			n, err := s.src.load(r.id)
-			if err != nil {
-				return nil, err
-			}
-			switch n.typ {
-			case chunk.TypeSeqIndex:
-				lower = append(lower, n.refs...)
-			case chunk.TypeSeqLeaf, chunk.TypeBlobLeaf:
-				leaf = true
-			default:
-				return nil, fmt.Errorf("pos: unexpected chunk %s", n.typ)
-			}
-		}
-		if leaf {
-			break
-		}
-		topDown[len(topDown)-1].childStart = starts
-		cur = lower
-	}
-	levels := make([]levelInfo, len(topDown))
-	for i := range topDown {
-		levels[len(topDown)-1-i] = topDown[i]
-	}
-	return levels, nil
-}
-
 // Splice returns a sequence with items [at, at+del) removed and ins inserted
-// at position at.  Like Tree.Edit it is incremental: chunking restarts at
-// the affected leaf and stops at re-synchronisation, and the result is
-// byte-identical to a from-scratch build of the edited item list.
+// at position at.  Like Tree.Edit it is incremental: one root→leaf path is
+// read, chunking restarts at the leaf holding `at` and stops at
+// re-synchronisation, only the index nodes above that splice are rebuilt
+// (splicePositions, levelEditor.raise), and the result is byte-identical to a
+// from-scratch build of the edited item list.
 func (s *Seq) Splice(at, del uint64, ins [][]byte) (*Seq, error) {
 	if at > s.count {
 		return nil, ErrOutOfRange
@@ -222,207 +178,31 @@ func (s *Seq) Splice(at, del uint64, ins [][]byte) (*Seq, error) {
 	if s.root.IsZero() {
 		return BuildSeq(s.src.st, s.cfg, ins)
 	}
-
-	levels, err := s.seqLevels()
-	if err != nil {
-		return nil, err
-	}
-	leafRefs := levels[0].refs
-
-	// Locate the leaf containing position `at` (last leaf for appends).
-	lo := 0
-	var skipped uint64
-	for lo < len(leafRefs)-1 && skipped+leafRefs[lo].count <= at {
-		skipped += leafRefs[lo].count
-		lo++
-	}
-
 	sink := editSink(s.src.st)
 	defer sink.Close()
 	lb := newLevelBuilder(sink, s.cfg, 0, false)
-	feed := func(item []byte) error {
-		return lb.addItem(item)
-	}
-
-	oldLeaf := lo
-	var oldItems [][]byte
-	oldPos := 0
-	loaded := false
-	pos := skipped // absolute position of next old item
-	peek := func() ([]byte, bool, error) {
-		for {
-			if oldLeaf >= len(leafRefs) {
-				return nil, false, nil
-			}
-			if !loaded {
-				n, err := s.src.load(leafRefs[oldLeaf].id)
-				if err != nil {
-					return nil, false, err
-				}
-				if n.typ != chunk.TypeSeqLeaf {
-					return nil, false, fmt.Errorf("pos: expected seq leaf, got %s", n.typ)
-				}
-				oldItems = n.items
-				loaded = true
-				oldPos = 0
-			}
-			if oldPos < len(oldItems) {
-				return oldItems[oldPos], true, nil
-			}
-			oldLeaf++
-			loaded = false
+	feed := func(leaf *node, a, b uint64, insert bool) error {
+		if leaf.typ != chunk.TypeSeqLeaf || b > uint64(len(leaf.items)) {
+			return fmt.Errorf("pos: seq splice: %s with %d items where a leaf of at least %d was expected", leaf.typ, len(leaf.items), b)
 		}
-	}
-
-	insDone := false
-	delEnd := at + del
-	hi := len(leafRefs)
-	for {
-		it, ok, err := peek()
-		if err != nil {
-			return nil, err
+		runs := [3][][]byte{leaf.items[:a], nil, leaf.items[b:]}
+		if insert {
+			runs[1] = ins
 		}
-		switch {
-		case pos < at:
-			if !ok {
-				return nil, fmt.Errorf("pos: seq splice ran out of items before at=%d", at)
-			}
-			if err := feed(it); err != nil {
-				return nil, err
-			}
-			oldPos++
-			pos++
-		case !insDone:
-			for _, item := range ins {
-				if err := feed(item); err != nil {
-					return nil, err
+		for _, run := range runs {
+			for _, item := range run {
+				if err := lb.addItem(item); err != nil {
+					return err
 				}
 			}
-			insDone = true
-		case pos < delEnd:
-			if !ok {
-				return nil, fmt.Errorf("pos: seq splice ran out of items during delete")
-			}
-			oldPos++
-			pos++
-		default:
-			// Tail phase: sync at a leaf boundary, or run to the end.
-			if !ok {
-				hi = len(leafRefs)
-				goto done
-			}
-			if oldPos == 0 && lb.atBoundary() {
-				hi = oldLeaf
-				goto done
-			}
-			if err := feed(it); err != nil {
-				return nil, err
-			}
-			oldPos++
-			pos++
 		}
+		return nil
 	}
-done:
-	newRefs, err := lb.finish()
+	root, err := splicePositions(s.src, s.cfg, sink, childRef{id: s.root, count: s.count}, at, del, lb.atBoundary, feed, lb.finish)
 	if err != nil {
 		return nil, err
 	}
-	flushed := func(sq *Seq) (*Seq, error) {
-		if err := sink.Flush(); err != nil {
-			return nil, err
-		}
-		return sq, nil
-	}
-	newCount := s.count - del + uint64(len(ins))
-	cur := splice{lo: lo, hi: hi, refs: newRefs}
-	for h := 0; ; h++ {
-		level := levels[h]
-		total := len(level.refs) - (cur.hi - cur.lo) + len(cur.refs)
-		if total == 0 {
-			return flushed(&Seq{src: s.src, cfg: s.cfg})
-		}
-		if total == 1 {
-			root := singleSurvivor(level.refs, cur)
-			return flushed(&Seq{src: s.src, cfg: s.cfg, root: root.id, count: newCount})
-		}
-		if h == len(levels)-1 {
-			full := make([]childRef, 0, total)
-			full = append(full, level.refs[:cur.lo]...)
-			full = append(full, cur.refs...)
-			full = append(full, level.refs[cur.hi:]...)
-			root, err := buildLevels(sink, s.cfg, full, uint8(h+1), false)
-			if err != nil {
-				return nil, err
-			}
-			return flushed(&Seq{src: s.src, cfg: s.cfg, root: root.id, count: newCount})
-		}
-		cur, err = seqSpliceLevel(sink, s.cfg, levels[h+1], level.refs, cur, uint8(h+1))
-		if err != nil {
-			return nil, err
-		}
-	}
-}
-
-// seqSpliceLevel propagates a splice through a sequence index level.
-func seqSpliceLevel(sink *store.ChunkSink, cfg chunker.Config, level levelInfo, lowerOld []childRef, s splice, levelNo uint8) (splice, error) {
-	starts := level.childStart
-	a := sort.Search(len(starts), func(i int) bool { return starts[i] > s.lo }) - 1
-	if a < 0 {
-		a = 0
-	}
-	lb := newLevelBuilder(sink, cfg, levelNo, false)
-	feed := func(r childRef) error {
-		return lb.addRef(r)
-	}
-	pos := starts[a]
-	newIdx := 0
-	c := len(level.refs)
-	nodeStartAt := func(pos int) (int, bool) {
-		i := sort.Search(len(starts), func(i int) bool { return starts[i] >= pos })
-		if i < len(starts) && starts[i] == pos && i > a {
-			return i, true
-		}
-		return 0, false
-	}
-	for {
-		if pos < s.lo {
-			if err := feed(lowerOld[pos]); err != nil {
-				return splice{}, err
-			}
-			pos++
-			continue
-		}
-		if newIdx < len(s.refs) {
-			if err := feed(s.refs[newIdx]); err != nil {
-				return splice{}, err
-			}
-			newIdx++
-			continue
-		}
-		if pos < s.hi {
-			pos = s.hi
-			continue
-		}
-		if pos == len(lowerOld) {
-			c = len(level.refs)
-			break
-		}
-		if lb.atBoundary() {
-			if node, ok := nodeStartAt(pos); ok {
-				c = node
-				break
-			}
-		}
-		if err := feed(lowerOld[pos]); err != nil {
-			return splice{}, err
-		}
-		pos++
-	}
-	out, err := lb.finish()
-	if err != nil {
-		return splice{}, err
-	}
-	return splice{lo: a, hi: c, refs: out}, nil
+	return &Seq{src: s.src, cfg: s.cfg, root: root.id, count: root.count}, nil
 }
 
 // Append returns the sequence with items added at the end.
@@ -431,30 +211,4 @@ func (s *Seq) Append(items ...[]byte) (*Seq, error) {
 }
 
 // ChunkIDs returns every chunk id reachable from the sequence root.
-func (s *Seq) ChunkIDs() ([]hash.Hash, error) {
-	var out []hash.Hash
-	if s.root.IsZero() {
-		return nil, nil
-	}
-	var walk func(id hash.Hash) error
-	walk = func(id hash.Hash) error {
-		out = append(out, id)
-		n, err := s.src.load(id)
-		if err != nil {
-			return err
-		}
-		if n.typ != chunk.TypeSeqIndex {
-			return nil
-		}
-		for _, r := range n.refs {
-			if err := walk(r.id); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := walk(s.root); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
+func (s *Seq) ChunkIDs() ([]hash.Hash, error) { return chunkIDs(s.src, s.root) }

@@ -1,8 +1,6 @@
 package pos
 
 import (
-	"fmt"
-
 	"forkbase/internal/chunk"
 	"forkbase/internal/hash"
 	"forkbase/internal/nodecache"
@@ -139,14 +137,38 @@ func (ns nodeSource) load(id hash.Hash) (*node, error) {
 	return n, nil
 }
 
-// loadMapLeaf loads id and requires a map leaf.
-func (ns nodeSource) loadMapLeaf(id hash.Hash) ([]Entry, error) {
-	n, err := ns.load(id)
+// cacheFill is the store an edit writes through when its source has a
+// decoded-node cache.  An edit reads only the paths it touches, so nothing
+// else would bring the nodes it has just built into the cache before their
+// first read — the next commit's descent from the new root, a diff against
+// the new version — and that read would fetch (on a remote store: a round
+// trip) and decode bytes this process produced a moment ago.  Every batch
+// that lands is therefore decoded into the cache, revalidated against the
+// store exactly as nodeSource.load revalidates its own inserts.
+type cacheFill struct {
+	store.Store
+	cache *nodecache.Cache
+}
+
+func (f cacheFill) Unwrap() store.Store { return f.Store }
+
+func (f cacheFill) PutBatch(cs []*chunk.Chunk) ([]bool, error) {
+	fresh, err := f.Store.PutBatch(cs)
 	if err != nil {
-		return nil, err
+		return fresh, err
 	}
-	if n.typ != chunk.TypeMapLeaf {
-		return nil, fmt.Errorf("pos: expected map leaf, got %s", n.typ)
+	ids := make([]hash.Hash, 0, len(cs))
+	for _, c := range cs {
+		if n, err := decodeNode(c); err == nil && n.cacheable() {
+			f.cache.Put(c.ID(), n, n.memSize)
+			ids = append(ids, c.ID())
+		}
 	}
-	return n.entries, nil
+	present, err := f.Store.HasBatch(ids)
+	for i, id := range ids {
+		if err != nil || !present[i] {
+			f.cache.Remove(id) // swept by a racing GC, whose purge may have preceded the insert
+		}
+	}
+	return fresh, nil
 }

@@ -198,31 +198,33 @@ func (t *Tree) ComputeStats() (Stats, error) {
 
 // ChunkIDs returns the ids of every chunk in the tree (root included).
 // Used by merge-reuse accounting (Fig 3) and by the garbage collector.
-func (t *Tree) ChunkIDs() ([]hash.Hash, error) {
-	var out []hash.Hash
-	if t.root.IsZero() {
+func (t *Tree) ChunkIDs() ([]hash.Hash, error) { return chunkIDs(t.src, t.root) }
+
+// chunkIDs lists, in pre-order, the id of every node under root of a map,
+// sequence or blob tree.  Only index nodes are read: a level-1 node's refs
+// already are its leaves' ids.
+func chunkIDs(src nodeSource, root hash.Hash) ([]hash.Hash, error) {
+	if root.IsZero() {
 		return nil, nil
 	}
+	out := []hash.Hash{root}
 	var walk func(id hash.Hash) error
 	walk = func(id hash.Hash) error {
-		out = append(out, id)
-		n, err := t.src.load(id)
+		n, err := src.load(id)
 		if err != nil {
 			return err
 		}
-		switch n.typ {
-		case chunk.TypeMapIndex, chunk.TypeSeqIndex:
-		default:
-			return nil
-		}
-		for _, r := range n.refs {
-			if err := walk(r.id); err != nil {
-				return err
+		for _, r := range n.refs { // leaves carry no refs
+			out = append(out, r.id)
+			if n.level > 1 {
+				if err := walk(r.id); err != nil {
+					return err
+				}
 			}
 		}
 		return nil
 	}
-	if err := walk(t.root); err != nil {
+	if err := walk(root); err != nil {
 		return nil, err
 	}
 	return out, nil

@@ -348,6 +348,10 @@ func TestEditMatchesRebuildRandomized(t *testing.T) {
 			t.Fatalf("final mismatch at %q: %q != %q", e.Key, e.Val, model[string(e.Key)])
 		}
 	}
+
+	// The same three-way equivalence on batches built from the trees'
+	// physical layout, under both boundary algorithms and page sizes.
+	t.Run("shapes", testEditShapes)
 }
 
 func TestEditEdgeCases(t *testing.T) {
