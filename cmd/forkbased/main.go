@@ -64,7 +64,7 @@ func main() {
 	follow := flag.String("follow", "", "run as a read replica of the primary at this address")
 	indexKind := flag.String("index", "", "index structure for new composite values: pos|mpt (default pos)")
 	maxConns := flag.Int("max-conns", 1024, "max concurrent TCP connections (0 = unlimited)")
-	readTimeout := flag.Duration("read-timeout", 2*time.Minute, "per-request read deadline / idle-connection timeout (0 = none)")
+	readTimeout := flag.Duration("read-timeout", 2*time.Minute, "per-request deadline: waiting for a request (idle timeout) and writing its reply (0 = none)")
 	maxLag := flag.Uint64("max-lag", 1024, "replica readiness threshold: max feed entries behind the primary")
 	scrubEvery := flag.Duration("scrub-interval", 0, "background disk-scrub period for file-backed nodes (0 = disabled)")
 	logLevel := flag.String("log-level", "info", "log floor: debug|info|warn|error")

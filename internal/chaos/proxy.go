@@ -25,8 +25,8 @@ const (
 //
 // Partitions *stall* bytes rather than discarding them: like a real
 // network outage, data queued behind the partition is delivered intact
-// once it heals, so a gob stream survives a healed partition but times out
-// during one.  Resets and cuts, by contrast, kill the TCP connection —
+// once it heals, so a framed stream survives a healed partition but times
+// out during one.  Resets and cuts, by contrast, kill the TCP connection —
 // the client must redial.
 type Proxy struct {
 	target string
@@ -82,8 +82,8 @@ func (p *Proxy) Heal() {
 
 // CutNext arms a mid-frame truncation: after roughly n more bytes flow in
 // the given direction, the stream stops and the connection carrying it is
-// reset.  With n smaller than a gob frame this tears a message in half —
-// the decoder on the receiving side sees a corrupt/short stream.
+// reset.  With n smaller than a frame (16-byte header + payload) this tears
+// a message in half — the receiving side reads a short frame.
 func (p *Proxy) CutNext(dir int, n int64) {
 	if n < 1 {
 		n = 1

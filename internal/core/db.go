@@ -383,21 +383,29 @@ func (db *DB) put(key, branch string, v value.Value, meta map[string]string) (Ve
 	if branch == "" {
 		branch = DefaultBranch
 	}
-	head, ok, err := db.heads.Head(key, branch)
+	head, _, err := db.heads.Head(key, branch) // zero when the branch does not exist yet
 	if err != nil {
 		return Version{}, err
 	}
+	return db.putOnto(key, branch, head, v, meta)
+}
+
+// putOnto publishes v as the successor of version parent (zero: the branch's
+// first version) with a head CAS against parent.  A caller that derived v
+// from a version it read earlier passes that version here rather than
+// letting put re-read the head: a writer that moved the head in between then
+// costs this one ErrStaleHead, instead of having its change silently dropped
+// from a history that claims to descend from it.
+func (db *DB) putOnto(key, branch string, parent hash.Hash, v value.Value, meta map[string]string) (Version, error) {
 	var bases []hash.Hash
-	var seq uint64
-	if ok {
-		parent, err := fnode.Load(db.st, head)
+	seq := uint64(1)
+	if !parent.IsZero() {
+		p, err := fnode.Load(db.st, parent)
 		if err != nil {
 			return Version{}, fmt.Errorf("core: loading head of %s@%s: %w", key, branch, err)
 		}
-		bases = []hash.Hash{head}
-		seq = parent.Seq + 1
-	} else {
-		seq = 1
+		bases = []hash.Hash{parent}
+		seq = p.Seq + 1
 	}
 	kind, err := db.kindOf(v)
 	if err != nil {
@@ -409,7 +417,7 @@ func (db *DB) put(key, branch string, v value.Value, meta map[string]string) (Ve
 	if err != nil {
 		return Version{}, err
 	}
-	okCAS, err := db.heads.CompareAndSet(key, branch, head, uid)
+	okCAS, err := db.heads.CompareAndSet(key, branch, parent, uid)
 	if err != nil {
 		return Version{}, err
 	}

@@ -13,6 +13,10 @@ import (
 // rather than O(N), and all untouched nodes are shared with the previous
 // version.  The edit goes through the index registry, so a branch keeps
 // whatever structure (POS-Tree, MPT, ...) its head was written with.
+//
+// Like Put, the three edit methods do not retry: the new version is
+// published by a CAS against the head the edit was computed from, so a
+// concurrent writer costs ErrStaleHead and the caller reloads.
 func (db *DB) EditMap(key, branch string, puts []index.Entry, deletes [][]byte, meta map[string]string) (Version, error) {
 	if err := db.writeGuard(); err != nil {
 		return Version{}, err
@@ -46,7 +50,7 @@ func (db *DB) EditMap(key, branch string, puts []index.Entry, deletes [][]byte, 
 	if err != nil {
 		return Version{}, err
 	}
-	return db.put(key, branch, value.FromIndex(cur.Value.Kind(), edited), meta)
+	return db.putOnto(key, branch, cur.UID, value.FromIndex(cur.Value.Kind(), edited), meta)
 }
 
 // AppendList writes a new version of a list-valued object with items
@@ -72,7 +76,7 @@ func (db *DB) AppendList(key, branch string, items [][]byte, meta map[string]str
 	if err != nil {
 		return Version{}, err
 	}
-	return db.put(key, branch, value.FromSeq(appended), meta)
+	return db.putOnto(key, branch, cur.UID, value.FromSeq(appended), meta)
 }
 
 // SpliceBlob writes a new version of a blob-valued object with bytes
@@ -98,5 +102,5 @@ func (db *DB) SpliceBlob(key, branch string, at, del uint64, ins []byte, meta ma
 	if err != nil {
 		return Version{}, err
 	}
-	return db.put(key, branch, value.FromBlob(spliced), meta)
+	return db.putOnto(key, branch, cur.UID, value.FromBlob(spliced), meta)
 }

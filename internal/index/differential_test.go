@@ -384,3 +384,34 @@ func TestCrossStructureDiff(t *testing.T) {
 	}
 	assertSameDeltas(t, dCross, dSame, "cross vs structural")
 }
+
+// TestLoadKindRefusesARootOfAnotherFamily: LoadKind trusts the caller's kind
+// enough to skip the sniff, not enough to mis-decode — each structure's own
+// root load rejects the other's root, and the right kind still loads.
+func TestLoadKindRefusesARootOfAnotherFamily(t *testing.T) {
+	cfg := chunker.SmallConfig()
+	ops := randOps(rand.New(rand.NewSource(5)), 40, 0)
+	for _, k := range kinds {
+		st := store.NewMemStore()
+		ix, err := emptyOf(t, k, st).Apply(ops)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, as := range kinds {
+			got, err := index.LoadKind(st, cfg, ix.Root(), as)
+			if as == k {
+				if err != nil || got.Len() != ix.Len() {
+					t.Errorf("%s root as %s: %v", k, as, err)
+				}
+				continue
+			}
+			// A lazy loader may defer its root read to first use.
+			if err == nil {
+				_, err = got.Get(ops[0].Key)
+			}
+			if err == nil {
+				t.Errorf("%s root loaded and read as %s", k, as)
+			}
+		}
+	}
+}

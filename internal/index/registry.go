@@ -116,9 +116,10 @@ func Children(c *chunk.Chunk) ([]hash.Hash, error) {
 }
 
 // KindOfRoot identifies the index structure rooted at root by reading the
-// root chunk's type tag — stored data is self-describing, so readers need
-// no out-of-band metadata.  The read goes through st (and any decoded-node
-// cache layered on it is free to serve the subsequent factory Load).
+// root chunk's type tag — stored data is self-describing, so a descriptor
+// with no recorded kind needs no out-of-band metadata.  The sniff is a full
+// st.Get of the root chunk (fetched and verified, not served by a decoded-
+// node cache), so callers that already know the kind must not come here.
 func KindOfRoot(st store.Store, root hash.Hash) (Kind, error) {
 	c, err := st.Get(root)
 	if err != nil {
@@ -134,8 +135,9 @@ func KindOfRoot(st store.Store, root hash.Hash) (Kind, error) {
 }
 
 // Load attaches to the index rooted at root, sniffing the structure from
-// the root chunk.  A zero root loads as the empty index of hint's kind
-// (an empty index has no chunk to sniff).
+// the root chunk.  A zero root loads as the empty index of hint's kind (an
+// empty index has no chunk to sniff).  A caller that holds an authoritative
+// kind uses LoadKind and saves the sniff.
 func Load(st store.Store, cfg chunker.Config, root hash.Hash, hint Kind) (VersionedIndex, error) {
 	k := hint
 	if !root.IsZero() {
@@ -144,6 +146,15 @@ func Load(st store.Store, cfg chunker.Config, root hash.Hash, hint Kind) (Versio
 			return nil, err
 		}
 	}
+	return LoadKind(st, cfg, root, k)
+}
+
+// LoadKind attaches to the index rooted at root, of a structure the caller
+// knows authoritatively — recorded on the hashed FNode, or by the
+// constructor that built the value.  It does not touch the store itself: the
+// factory's root load goes through the node cache, and fails with a typed
+// error on a root of another family.
+func LoadKind(st store.Store, cfg chunker.Config, root hash.Hash, k Kind) (VersionedIndex, error) {
 	f, err := For(k)
 	if err != nil {
 		return nil, err

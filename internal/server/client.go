@@ -1,7 +1,8 @@
 package server
 
 import (
-	"encoding/gob"
+	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -29,15 +30,15 @@ type ClientOptions struct {
 	// DialTimeout bounds each (re)connection attempt (default 5s).
 	DialTimeout time.Duration
 	// OpTimeout bounds one request-response attempt: the write deadline
-	// covers the encode, the read deadline covers the decode (plus the
-	// long-poll budget for feed reads).  A stalled server or a chaos
-	// mid-frame truncation surfaces as a timeout instead of hanging the
-	// caller forever (default 10s).
+	// covers sending the request frame, the read deadline receiving the
+	// reply (plus the long-poll budget for feed reads).  A stalled server or
+	// a chaos mid-frame truncation surfaces as a timeout instead of hanging
+	// the caller forever (default 10s).
 	OpTimeout time.Duration
 	// Retry is the transport-failure policy: failed attempts reconnect
 	// with exponential backoff.  Retry.Timeout is ignored (OpTimeout is
 	// authoritative).  Non-idempotent ops are never blindly re-sent; see
-	// roundTrip.
+	// attempt.
 	Retry retry.Policy
 }
 
@@ -67,19 +68,20 @@ func (o *ClientOptions) fill() {
 //
 // Idempotency contract: reads (Get/Has/GetBatch/feed/pin) are retried
 // freely.  Mutations (CAS, chunk puts, branch delete/rename) are re-sent
-// only when the failed attempt provably wrote zero bytes of the request —
-// otherwise the server may have executed it, and the ambiguous error is
-// surfaced to the caller (who owns the op-level recovery; see
-// RemoteBranchTable.CompareAndSet for the CAS probe).
+// only when the failed attempt's one Write provably put zero bytes of the
+// request frame on the wire — otherwise the server may have executed it, and
+// the ambiguous error is surfaced to the caller (who owns the op-level
+// recovery; see RemoteBranchTable.CompareAndSet for the CAS probe).
 type Client struct {
 	addr string
 	opts ClientOptions
 
 	mu     sync.Mutex
 	conn   net.Conn
-	cw     *countingWriter
-	enc    *gob.Encoder
-	dec    *gob.Decoder
+	br     *bufio.Reader
+	wbuf   []byte // scratch: the request frame, unless a large batch outgrows it
+	rbuf   []byte // scratch: a reply payload that carries no chunks
+	lastID uint64 // request id of the latest frame sent
 	closed bool
 	stop   chan struct{} // closed by Close; aborts in-flight backoffs
 }
@@ -93,28 +95,17 @@ func Dial(addr string) (*Client, error) {
 	return DialWithOptions(addr, ClientOptions{})
 }
 
-// DialWithOptions connects with explicit timeouts and retry policy.
+// DialWithOptions connects with explicit timeouts and retry policy.  The
+// ping doubles as the protocol handshake: every frame header carries the
+// version, and a server that does not speak it closes the connection.
 func DialWithOptions(addr string, opts ClientOptions) (*Client, error) {
 	opts.fill()
-	c := &Client{addr: addr, opts: opts, stop: make(chan struct{})}
-	var resp Response
-	if err := c.roundTrip(&Request{Op: OpPing}, &resp); err != nil {
+	c := &Client{addr: addr, opts: opts, stop: make(chan struct{}),
+		wbuf: make([]byte, 0, 64<<10), rbuf: make([]byte, 0, 4<<10)}
+	if err := c.call(OpPing, 0, nil, nil); err != nil {
 		return nil, err
 	}
 	return c, nil
-}
-
-// countingWriter counts bytes written since the last reset — the witness
-// that lets roundTrip prove a failed send never reached the wire.
-type countingWriter struct {
-	w net.Conn
-	n int64
-}
-
-func (cw *countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.n += int64(n)
-	return n, err
 }
 
 // connectLocked dials and installs a fresh connection.  Callers hold c.mu.
@@ -124,32 +115,32 @@ func (c *Client) connectLocked() error {
 		return fmt.Errorf("client: dial %s: %w", c.addr, err)
 	}
 	c.conn = conn
-	c.cw = &countingWriter{w: conn}
-	c.enc = gob.NewEncoder(c.cw)
-	c.dec = gob.NewDecoder(conn)
+	c.br = bufio.NewReader(conn)
 	return nil
 }
 
 // teardownLocked discards a connection after a transport failure, so the
-// next attempt redials instead of reusing a dead encoder.  Callers hold
-// c.mu.
+// next attempt redials instead of reading a stream that lost its framing.
+// Callers hold c.mu.
 func (c *Client) teardownLocked() {
 	if c.conn != nil {
 		c.conn.Close()
 	}
-	c.conn, c.cw, c.enc, c.dec = nil, nil, nil, nil
+	c.conn, c.br = nil, nil
 }
 
-// idempotent reports whether op may be blindly re-sent after a transport
-// failure that left the server's state unknown.  Reads, presence checks,
-// feed reads and pins are; mutations are not — a CAS executed twice is a
-// lost-update bug, and a re-run batch put skews freshness accounting.
-func idempotent(op Op) bool {
+// mutates reports whether op changes server state.  The server refuses
+// these on a read-only node; the client never blindly re-sends one after a
+// transport failure that left the server's state unknown — a CAS executed
+// twice is a lost-update bug, and a re-run batch put skews freshness
+// accounting.  Everything else (reads, presence checks, feed reads, pins) is
+// idempotent.
+func mutates(op Op) bool {
 	switch op {
 	case OpCAS, OpDeleteBranch, OpRenameBranch, OpPutChunk, OpPutChunks:
-		return false
+		return true
 	}
-	return true
+	return false
 }
 
 // ErrAmbiguous marks a transport failure after part of a non-idempotent
@@ -158,24 +149,25 @@ func idempotent(op Op) bool {
 // RemoteBranchTable.CompareAndSet.
 var ErrAmbiguous = errors.New("client: request outcome unknown")
 
-// roundTrip performs one request-response exchange under the retry policy.
-func (c *Client) roundTrip(req *Request, resp *Response) error {
-	// Long-poll feed reads legitimately idle on the server up to their wait
-	// budget; the read deadline must cover it on top of the op timeout.
-	var extraRead time.Duration
-	if req.Op == OpFeedSince && req.WaitMillis > 0 {
-		extraRead = time.Duration(req.WaitMillis) * time.Millisecond
-	}
-	return c.opts.Retry.Do(c.stop, func(a retry.Attempt) error {
-		return c.attempt(req, resp, extraRead)
+// call performs one request-response exchange under the retry policy.
+// build appends the request payload behind the frame header (nil: none);
+// read decodes the reply payload (nil: none expected) and must copy out
+// whatever it keeps, except for the chunk-bearing replies, whose buffer is
+// theirs.  Both run under the connection lock and again on every retry.
+// extraRead widens the read deadline for an op that legitimately idles on
+// the server (a long-poll feed read).
+func (c *Client) call(op Op, extraRead time.Duration, build func([]byte) []byte, read func(*dec)) error {
+	return c.opts.Retry.Do(c.stop, func(retry.Attempt) error {
+		return c.attempt(op, extraRead, build, read)
 	})
 }
 
-// attempt is one full exchange: (re)connect, encode under a write deadline,
-// decode under a read deadline.  Errors are classified for the retry loop:
-// server-sent errors and ambiguous non-idempotent failures are permanent;
-// everything else is transient and redials.
-func (c *Client) attempt(req *Request, resp *Response, extraRead time.Duration) error {
+// attempt is one full exchange: (re)connect, send the request frame with
+// one Write under a write deadline, receive the reply under a read deadline.
+// Errors are classified for the retry loop: server-sent errors and ambiguous
+// non-idempotent failures are permanent; everything else is transient and
+// redials.
+func (c *Client) attempt(op Op, extraRead time.Duration, build func([]byte) []byte, read func(*dec)) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
@@ -186,35 +178,52 @@ func (c *Client) attempt(req *Request, resp *Response, extraRead time.Duration) 
 			return err // transient: the policy redials with backoff
 		}
 	}
-	now := time.Now()
-	_ = c.conn.SetWriteDeadline(now.Add(c.opts.OpTimeout))
-	c.cw.n = 0
-	if err := c.enc.Encode(req); err != nil {
-		sent := c.cw.n > 0
+	c.lastID++
+	frame := appendHeader(c.wbuf, op, 0, c.lastID)
+	if build != nil {
+		frame = build(frame)
+	}
+	frame, err := finishFrame(frame)
+	if err != nil {
+		return retry.Permanent(err) // over the frame cap; nothing was sent
+	}
+	_ = c.conn.SetWriteDeadline(time.Now().Add(c.opts.OpTimeout))
+	if n, err := c.conn.Write(frame); err != nil {
 		c.teardownLocked()
-		if sent && !idempotent(req.Op) {
+		if n > 0 && mutates(op) {
 			ambiguousTotal.Inc()
 			return retry.Permanent(fmt.Errorf("%w: send of %s interrupted after %s: %v",
-				ErrAmbiguous, req.Op, c.addr, err))
+				ErrAmbiguous, op, c.addr, err))
 		}
-		return fmt.Errorf("client: send %s: %w", req.Op, err)
+		return fmt.Errorf("client: send %s: %w", op, err)
 	}
 	_ = c.conn.SetReadDeadline(time.Now().Add(c.opts.OpTimeout + extraRead))
-	*resp = Response{}
-	if err := c.dec.Decode(resp); err != nil {
+	h, payload, err := readFrame(c.br, c.rbuf)
+	if err == nil && (h.id != c.lastID || h.op != op) {
+		// The stream is out of step: a transport failure like any other.
+		err = fmt.Errorf("reply to %s #%d does not answer %s #%d", h.op, h.id, op, c.lastID)
+	}
+	if err == nil && h.flags&flagError == 0 {
+		d := dec{b: payload}
+		if read != nil {
+			read(&d)
+		}
+		err = d.done()
+	}
+	if err != nil {
 		c.teardownLocked()
-		if !idempotent(req.Op) {
+		if mutates(op) {
 			// The request reached the wire whole; only the reply was lost.
 			ambiguousTotal.Inc()
 			return retry.Permanent(fmt.Errorf("%w: reply to %s lost from %s: %v",
-				ErrAmbiguous, req.Op, c.addr, err))
+				ErrAmbiguous, op, c.addr, err))
 		}
-		return fmt.Errorf("client: recv %s: %w", req.Op, err)
+		return fmt.Errorf("client: recv %s: %w", op, err)
 	}
-	if resp.Err != "" {
+	if h.flags&flagError != 0 {
 		// The server executed the request and refused it: retrying would
 		// re-execute, and the answer would not change.
-		return retry.Permanent(errors.New(resp.Err))
+		return retry.Permanent(errors.New(string(payload)))
 	}
 	return nil
 }
@@ -244,7 +253,7 @@ func (c *Client) Close() error {
 		return nil
 	}
 	err := c.conn.Close()
-	c.conn, c.cw, c.enc, c.dec = nil, nil, nil, nil
+	c.conn, c.br = nil, nil
 	return err
 }
 
@@ -259,69 +268,89 @@ var _ store.Store = (*RemoteStore)(nil)
 // NewRemoteStore wraps a client as a chunk store.
 func NewRemoteStore(c *Client) *RemoteStore { return &RemoteStore{c: c} }
 
+// putChunks ships cs as one frame (op is OpPutChunk or OpPutChunks).
+func (c *Client) putChunks(op Op, cs []*chunk.Chunk) (fresh []bool, err error) {
+	err = c.call(op, 0, func(b []byte) []byte {
+		b = appendUvarint(b, uint64(len(cs)))
+		for _, ch := range cs {
+			id := ch.ID()
+			b = append(b, id[:]...)
+		}
+		return appendChunks(b, cs)
+	}, func(d *dec) { fresh = d.bools(len(cs)) })
+	return fresh, err
+}
+
 // Put implements store.Store.
 func (r *RemoteStore) Put(ch *chunk.Chunk) (bool, error) {
-	var resp Response
-	err := r.c.roundTrip(&Request{
-		Op:        OpPutChunk,
-		ID:        ch.ID(),
-		ChunkType: byte(ch.Type()),
-		Data:      ch.Data(),
-	}, &resp)
-	if err != nil {
-		return false, err
-	}
-	return resp.OK, nil
+	fresh, err := r.c.putChunks(OpPutChunk, []*chunk.Chunk{ch})
+	return err == nil && fresh[0], err
 }
 
 // PutBatch implements store.Store: the whole batch travels in one
 // request and lands on the server in one store round, collapsing N network
-// round trips into one — the dominant cost of remote bulk ingest.
+// round trips into one — the dominant cost of remote bulk ingest.  A batch
+// too large for one frame travels as several, each landing on its own.
 func (r *RemoteStore) PutBatch(cs []*chunk.Chunk) ([]bool, error) {
-	wire := make([]WireChunk, len(cs))
-	for i, c := range cs {
-		wire[i] = WireChunk{ID: c.ID(), Type: byte(c.Type()), Data: c.Data()}
-	}
-	var resp Response
-	if err := r.c.roundTrip(&Request{Op: OpPutChunks, Chunks: wire}, &resp); err != nil {
-		return make([]bool, len(cs)), err
-	}
-	fresh := resp.Fresh
-	if len(fresh) != len(cs) {
-		return make([]bool, len(cs)), fmt.Errorf("client: server returned %d freshness flags for %d chunks", len(fresh), len(cs))
+	fresh := make([]bool, 0, len(cs))
+	for len(cs) > 0 {
+		n, size := 0, 2*binary.MaxVarintLen32
+		for n < len(cs) && (n == 0 || size+hash.Size+chunkWireSize(cs[n]) <= MaxPayload) {
+			size += hash.Size + chunkWireSize(cs[n])
+			n++
+		}
+		part, err := r.c.putChunks(OpPutChunks, cs[:n])
+		if err != nil {
+			return make([]bool, cap(fresh)), err
+		}
+		fresh, cs = append(fresh, part...), cs[n:]
 	}
 	return fresh, nil
 }
 
-// GetChunks fetches a batch of chunks in one round trip.  out[i] is nil when
-// ids[i] is absent on the server.  Every returned chunk is matched to its
-// requested id and verified client-side, so a malicious server can neither
-// forge content nor satisfy a request with a different (valid) chunk.
+// getChunks fetches ids (op is OpGetChunk or OpGetChunks); out[i] is nil
+// when ids[i] is absent on the server.  A reply answers by position and may
+// defer a tail that did not fit its frame, which is asked for again.  Every
+// chunk is verified against the id it answers, so a malicious server can
+// neither forge content nor satisfy a request with a different (valid)
+// chunk.  The chunks of one reply share its buffer.
+func (c *Client) getChunks(op Op, ids []hash.Hash) ([]*chunk.Chunk, error) {
+	out := make([]*chunk.Chunk, len(ids))
+	for off := 0; off < len(ids); {
+		want, answered := ids[off:], 0
+		err := c.call(op, 0, func(b []byte) []byte { return appendIDs(b, want...) },
+			func(d *dec) { answered = d.chunkReply(want, out[off:]) })
+		if err == nil && answered == 0 {
+			err = fmt.Errorf("client: server deferred all %d requested chunks", len(want))
+		}
+		for _, ch := range out[off : off+answered] {
+			if err == nil && ch != nil {
+				err = ch.Recheck() // fails on content forged or corrupted in flight
+			}
+		}
+		if err != nil {
+			return nil, err
+		}
+		off += answered
+	}
+	return out, nil
+}
+
+// GetChunks fetches a batch of chunks in one round trip (more when they
+// overflow one frame).  out[i] is nil when ids[i] is absent on the server;
+// every returned chunk has been verified against ids[i].
 func (c *Client) GetChunks(ids []hash.Hash) ([]*chunk.Chunk, error) {
 	if len(ids) == 0 {
 		return nil, nil
 	}
-	var resp Response
-	if err := c.roundTrip(&Request{Op: OpGetChunks, IDs: ids}, &resp); err != nil {
-		return nil, err
-	}
-	byID := make(map[hash.Hash]*chunk.Chunk, len(resp.Chunks))
-	for _, w := range resp.Chunks {
-		t := chunk.Type(w.Type)
-		if !t.Valid() {
-			return nil, fmt.Errorf("client: server returned invalid chunk type %d", w.Type)
-		}
-		ch := chunk.NewClaimed(t, w.Data, w.ID)
-		if err := ch.Recheck(); err != nil {
-			return nil, err // forged or corrupted in flight
-		}
-		byID[ch.ID()] = ch
-	}
-	out := make([]*chunk.Chunk, len(ids))
-	for i, id := range ids {
-		out[i] = byID[id] // nil when the server omitted it
-	}
-	return out, nil
+	return c.getChunks(OpGetChunks, ids)
+}
+
+// hasChunks answers presence for ids (op is OpHasChunk or OpHasChunks).
+func (c *Client) hasChunks(op Op, ids []hash.Hash) (has []bool, err error) {
+	err = c.call(op, 0, func(b []byte) []byte { return appendIDs(b, ids...) },
+		func(d *dec) { has = d.bools(len(ids)) })
+	return has, err
 }
 
 // HasChunks answers presence for a batch of ids in one round trip.
@@ -329,14 +358,7 @@ func (c *Client) HasChunks(ids []hash.Hash) ([]bool, error) {
 	if len(ids) == 0 {
 		return nil, nil
 	}
-	var resp Response
-	if err := c.roundTrip(&Request{Op: OpHasChunks, IDs: ids}, &resp); err != nil {
-		return nil, err
-	}
-	if len(resp.Bools) != len(ids) {
-		return nil, fmt.Errorf("client: server returned %d presence flags for %d ids", len(resp.Bools), len(ids))
-	}
-	return resp.Bools, nil
+	return c.hasChunks(OpHasChunks, ids)
 }
 
 // FeedSince reads the server's change feed from cursor, long-polling up to
@@ -344,69 +366,51 @@ func (c *Client) HasChunks(ids []hash.Hash) ([]bool, error) {
 // and whether the cursor was truncated — evicted from the feed's retained
 // window, or belonging to a previous feed incarnation (primary restart) —
 // in which case the caller must fall back to a snapshot catch-up.
-func (c *Client) FeedSince(cursor core.FeedCursor, limit int, wait time.Duration) ([]core.FeedEntry, core.FeedCursor, bool, error) {
-	var resp Response
-	req := &Request{Op: OpFeedSince, Cursor: cursor.Seq, FeedEpoch: cursor.Epoch, Limit: limit, WaitMillis: wait.Milliseconds()}
-	if err := c.roundTrip(req, &resp); err != nil {
+func (c *Client) FeedSince(cursor core.FeedCursor, limit int, wait time.Duration) (entries []core.FeedEntry, next core.FeedCursor, truncated bool, err error) {
+	wait = max(wait, 0)
+	err = c.call(OpFeedSince, wait,
+		func(b []byte) []byte { return appendFeedReq(b, cursor, limit, uint64(wait.Milliseconds())) },
+		func(d *dec) { next, truncated, entries = d.feedPage() })
+	if err != nil {
 		return nil, cursor, false, err
 	}
-	entries := make([]core.FeedEntry, len(resp.Entries))
-	for i, e := range resp.Entries {
-		entries[i] = core.FeedEntry{Seq: e.Seq, Key: e.Key, Branch: e.Branch, Old: e.Old, New: e.New}
-	}
-	return entries, core.FeedCursor{Epoch: resp.FeedEpoch, Seq: resp.Cursor}, resp.Truncated, nil
+	return entries, next, truncated, nil
 }
 
 // FeedSeq probes the server's current feed position without reading entries.
 func (c *Client) FeedSeq() (core.FeedCursor, error) {
-	var resp Response
-	if err := c.roundTrip(&Request{Op: OpFeedSince, Limit: -1}, &resp); err != nil {
-		return core.FeedCursor{}, err
-	}
-	return core.FeedCursor{Epoch: resp.FeedEpoch, Seq: resp.Cursor}, nil
+	_, cur, _, err := c.FeedSince(core.FeedCursor{}, -1, 0)
+	return cur, err
 }
 
 // PinHead pins uid as a GC root on the server for the server's pin lease;
 // UnpinHead releases it.  Replicas bracket each head pull with these so a
 // primary-side collection cannot sweep a graph mid-sync.
 func (c *Client) PinHead(uid hash.Hash) error {
-	var resp Response
-	return c.roundTrip(&Request{Op: OpPinHead, ID: uid}, &resp)
+	return c.call(OpPinHead, 0, func(b []byte) []byte { return appendIDs(b, uid) }, nil)
 }
 
 // UnpinHead releases a PinHead.
 func (c *Client) UnpinHead(uid hash.Hash) error {
-	var resp Response
-	return c.roundTrip(&Request{Op: OpUnpinHead, ID: uid}, &resp)
+	return c.call(OpUnpinHead, 0, func(b []byte) []byte { return appendIDs(b, uid) }, nil)
 }
 
 // Get implements store.Store; the chunk is verified client-side.
 func (r *RemoteStore) Get(id hash.Hash) (*chunk.Chunk, error) {
-	var resp Response
-	if err := r.c.roundTrip(&Request{Op: OpGetChunk, ID: id}, &resp); err != nil {
+	out, err := r.c.getChunks(OpGetChunk, []hash.Hash{id})
+	if err == nil && out[0] == nil {
+		err = store.ErrNotFound
+	}
+	if err != nil {
 		return nil, err
 	}
-	if !resp.Found {
-		return nil, store.ErrNotFound
-	}
-	t := chunk.Type(resp.ChunkType)
-	if !t.Valid() {
-		return nil, fmt.Errorf("client: server returned invalid chunk type %d", resp.ChunkType)
-	}
-	c := chunk.New(t, resp.Data)
-	if err := c.Verify(id); err != nil {
-		return nil, err // forged or corrupted in flight
-	}
-	return c, nil
+	return out[0], nil
 }
 
 // Has implements store.Store.
 func (r *RemoteStore) Has(id hash.Hash) (bool, error) {
-	var resp Response
-	if err := r.c.roundTrip(&Request{Op: OpHasChunk, ID: id}, &resp); err != nil {
-		return false, err
-	}
-	return resp.OK, nil
+	has, err := r.c.hasChunks(OpHasChunk, []hash.Hash{id})
+	return err == nil && has[0], err
 }
 
 // GetBatch implements store.Store: one round trip for the whole id
@@ -418,12 +422,11 @@ func (r *RemoteStore) GetBatch(ids []hash.Hash) ([]*chunk.Chunk, error) { return
 func (r *RemoteStore) HasBatch(ids []hash.Hash) ([]bool, error) { return r.c.HasChunks(ids) }
 
 // Stats implements store.Store.
-func (r *RemoteStore) Stats() store.Stats {
-	var resp Response
-	if err := r.c.roundTrip(&Request{Op: OpStats}, &resp); err != nil {
+func (r *RemoteStore) Stats() (st store.Stats) {
+	if err := r.c.call(OpStats, 0, nil, func(d *dec) { st = d.stats() }); err != nil {
 		return store.Stats{}
 	}
-	return resp.Stats
+	return st
 }
 
 // RemoteBranchTable adapts a Client into a core.BranchTable.
@@ -434,13 +437,22 @@ type RemoteBranchTable struct {
 // NewRemoteBranchTable wraps a client as a branch table.
 func NewRemoteBranchTable(c *Client) *RemoteBranchTable { return &RemoteBranchTable{c: c} }
 
+// branchOp sends one tuple-shaped branch request.
+func (r *RemoteBranchTable) branchOp(op Op, t tuple, read func(*dec)) error {
+	return r.c.call(op, 0, func(b []byte) []byte { return appendTuple(b, t) }, read)
+}
+
 // Head implements core.BranchTable.
 func (r *RemoteBranchTable) Head(key, branch string) (hash.Hash, bool, error) {
-	var resp Response
-	if err := r.c.roundTrip(&Request{Op: OpHead, Key: key, Branch: branch}, &resp); err != nil {
+	var heads []hash.Hash
+	err := r.branchOp(OpHead, tuple{key: key, branch: branch}, func(d *dec) {
+		heads = d.ids()
+		d.bad = d.bad || len(heads) > 1
+	})
+	if err != nil || len(heads) == 0 {
 		return hash.Hash{}, false, err
 	}
-	return resp.UID, resp.Found, nil
+	return heads[0], true, nil
 }
 
 // CompareAndSet implements core.BranchTable.  An ambiguous transport
@@ -449,53 +461,47 @@ func (r *RemoteBranchTable) Head(key, branch string) (hash.Hash, bool, error) {
 // content-addressed, so "head == new" is exactly the postcondition the
 // caller asked for regardless of which attempt (or writer) established it.
 func (r *RemoteBranchTable) CompareAndSet(key, branch string, old, new hash.Hash) (bool, error) {
-	var resp Response
-	err := r.c.roundTrip(&Request{Op: OpCAS, Key: key, Branch: branch, Old: old, New: new}, &resp)
-	if err != nil {
-		if errors.Is(err, ErrAmbiguous) {
-			if cur, found, herr := r.Head(key, branch); herr == nil && found && cur == new {
-				return true, nil
-			}
+	var swapped []bool
+	err := r.branchOp(OpCAS, tuple{key: key, branch: branch, old: old, new: new},
+		func(d *dec) { swapped = d.bools(1) })
+	if errors.Is(err, ErrAmbiguous) {
+		if cur, found, herr := r.Head(key, branch); herr == nil && found && cur == new {
+			return true, nil
 		}
-		return false, err
 	}
-	return resp.OK, nil
+	return err == nil && swapped[0], err
 }
 
 // Delete implements core.BranchTable.
 func (r *RemoteBranchTable) Delete(key, branch string) error {
-	var resp Response
-	return r.c.roundTrip(&Request{Op: OpDeleteBranch, Key: key, Branch: branch}, &resp)
+	return r.branchOp(OpDeleteBranch, tuple{key: key, branch: branch}, nil)
 }
 
 // Rename implements core.BranchTable.
 func (r *RemoteBranchTable) Rename(key, from, to string) error {
-	var resp Response
-	return r.c.roundTrip(&Request{Op: OpRenameBranch, Key: key, Branch: from, ToBranch: to}, &resp)
+	return r.branchOp(OpRenameBranch, tuple{key: key, branch: from, to: to}, nil)
 }
 
 // Branches implements core.BranchTable.
 func (r *RemoteBranchTable) Branches(key string) (map[string]hash.Hash, error) {
-	var resp Response
-	if err := r.c.roundTrip(&Request{Op: OpBranches, Key: key}, &resp); err != nil {
+	var names []string
+	var heads []hash.Hash
+	err := r.branchOp(OpBranches, tuple{key: key}, func(d *dec) {
+		names, heads = d.strs(), d.ids()
+		d.bad = d.bad || len(names) != len(heads)
+	})
+	if err != nil {
 		return nil, err
 	}
-	out := make(map[string]hash.Hash, len(resp.Heads))
-	for b, s := range resp.Heads {
-		uid, err := hash.Parse(s)
-		if err != nil {
-			return nil, fmt.Errorf("client: bad uid from server: %w", err)
-		}
-		out[b] = uid
+	out := make(map[string]hash.Hash, len(names))
+	for i, b := range names {
+		out[b] = heads[i]
 	}
 	return out, nil
 }
 
 // Keys implements core.BranchTable.
-func (r *RemoteBranchTable) Keys() ([]string, error) {
-	var resp Response
-	if err := r.c.roundTrip(&Request{Op: OpKeys}, &resp); err != nil {
-		return nil, err
-	}
-	return resp.Keys, nil
+func (r *RemoteBranchTable) Keys() (keys []string, err error) {
+	err = r.c.call(OpKeys, 0, nil, func(d *dec) { keys = d.strs() })
+	return keys, err
 }

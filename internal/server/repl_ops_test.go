@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -80,16 +81,12 @@ func TestGetChunksRejectsForgedPayload(t *testing.T) {
 		t.Fatal(err)
 	}
 	mal.Forge(c.ID(), chunk.TypeBlobLeaf, []byte("forged!"))
-	// The forged payload hashes to a different id, so the client's
-	// match-by-requested-id step classifies it as absent: the forgery can
-	// stall a sync (the chunk looks missing) but can never be accepted as
-	// the genuine content.
+	// Replies answer by position, so the forged payload is checked against
+	// the very id it claims to answer: the forgery can stall a sync (the
+	// fetch fails) but can never be accepted as the genuine content.
 	out, err := cl.GetChunks([]hash.Hash{c.ID()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out[0] != nil {
-		t.Fatalf("forged chunk crossed the wire as %s", out[0].ID().Short())
+	if !errors.Is(err, chunk.ErrCorrupt) || out != nil {
+		t.Fatalf("forged chunk crossed the wire: out=%v err=%v", out, err)
 	}
 }
 

@@ -1,17 +1,19 @@
 package server
 
 import (
-	"encoding/gob"
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"net"
+	"sort"
 	"sync"
 	"time"
 
 	"forkbase/internal/chunk"
 	"forkbase/internal/core"
+	"forkbase/internal/hash"
 	"forkbase/internal/obs"
 	"forkbase/internal/store"
 )
@@ -111,10 +113,11 @@ type Limits struct {
 	// retry with backoff, by which time a slot may have freed.  0 = no cap.
 	MaxConns int
 	// ReadTimeout bounds how long the server waits for a complete request
-	// frame.  It is also the idle-connection timeout: a client that goes
-	// quiet (or a chaos proxy that truncates a frame mid-gob) loses its
-	// connection instead of parking a goroutine forever.  Well-behaved
-	// clients reconnect transparently.  0 = wait forever.
+	// frame.  It is also the idle-connection timeout and the bound on
+	// writing a reply: a client that goes quiet or stops reading (or a chaos
+	// proxy that truncates a frame half way) loses its connection instead of
+	// parking a goroutine forever.  Well-behaved clients reconnect
+	// transparently.  0 = wait forever.
 	ReadTimeout time.Duration
 }
 
@@ -220,16 +223,19 @@ func (s *Server) serveConn(conn net.Conn) {
 			s.met.open.Add(-1)
 		}
 	}()
-	dec := gob.NewDecoder(conn)
-	enc := gob.NewEncoder(conn)
+	br := bufio.NewReader(conn)
+	// Per-connection scratch: a request payload that carries no chunks, and
+	// the reply frame to anything but a large batch get (which outgrows it
+	// into a buffer of its own, dropped after the write).
+	in, out := make([]byte, 0, 4<<10), make([]byte, 0, 64<<10)
+	if s.limits.ReadTimeout > 0 {
+		_ = conn.SetDeadline(time.Now().Add(s.limits.ReadTimeout))
+	}
 	for {
-		if s.limits.ReadTimeout > 0 {
-			_ = conn.SetReadDeadline(time.Now().Add(s.limits.ReadTimeout))
-		}
-		var req Request
-		if err := dec.Decode(&req); err != nil {
+		h, payload, err := readFrame(br, in)
+		if err != nil {
 			if !errors.Is(err, io.EOF) {
-				s.logger.Debug("request decode failed", "remote", conn.RemoteAddr().String(), "err", err)
+				s.logger.Debug("request read failed", "remote", conn.RemoteAddr().String(), "err", err)
 			}
 			return
 		}
@@ -237,205 +243,177 @@ func (s *Server) serveConn(conn net.Conn) {
 		if s.met != nil {
 			s.met.inflight.Add(1)
 		}
-		resp := s.handle(&req)
+		reply, herr := s.handle(h, payload, appendHeader(out, h.op, 0, h.id))
+		if herr == nil {
+			reply, herr = finishFrame(reply)
+		}
+		if herr != nil {
+			reply, _ = finishFrame(append(appendHeader(out, h.op, flagError, h.id), herr.Error()...))
+		}
 		if s.met != nil {
 			s.met.inflight.Add(-1)
-			s.met.opDone(req.Op, start, resp.Err != "")
+			s.met.opDone(h.op, start, herr != nil)
 		}
-		if err := enc.Encode(resp); err != nil {
-			s.logger.Debug("response encode failed", "remote", conn.RemoteAddr().String(), "err", err)
+		if s.limits.ReadTimeout > 0 {
+			// One deadline bounds this reply's write — a peer that stopped
+			// reading must not park the goroutine and its MaxConns slot —
+			// and the wait for the next request.
+			_ = conn.SetDeadline(time.Now().Add(s.limits.ReadTimeout))
+		}
+		if _, err := conn.Write(reply); err != nil {
+			s.logger.Debug("reply write failed", "remote", conn.RemoteAddr().String(), "err", err)
 			return
+		}
+		if errors.Is(herr, errMalformed) {
+			return // told why; a peer that cannot frame a payload is not served further
 		}
 	}
 }
 
-func (s *Server) handle(req *Request) *Response {
-	resp := &Response{}
-	fail := func(err error) *Response {
-		resp.Err = err.Error()
-		return resp
+// errNoFeed answers feed and pin ops on a node that publishes no feed.
+var errNoFeed = errors.New("server: node does not publish a change feed")
+
+// handle decodes the request payload p, executes the op and appends the
+// reply payload to out (which already holds the reply header).
+func (s *Server) handle(h header, p, out []byte) ([]byte, error) {
+	op, d := h.op, dec{b: p}
+	if h.flags != 0 {
+		return nil, fmt.Errorf("server: request carries reply flags %#x", h.flags)
 	}
-	if s.readOnly {
-		switch req.Op {
-		case OpPutChunk, OpPutChunks, OpCAS, OpDeleteBranch, OpRenameBranch:
-			return fail(errReadOnly)
-		}
+	if s.readOnly && mutates(op) {
+		return nil, errReadOnly
 	}
-	switch req.Op {
-	case OpPing:
-		resp.OK = true
-	case OpPutChunk:
-		t := chunk.Type(req.ChunkType)
-		if !t.Valid() {
-			return fail(fmt.Errorf("invalid chunk type %d", req.ChunkType))
+	switch op {
+	case OpPing, OpStats, OpKeys:
+		if err := d.done(); err != nil || op == OpPing {
+			return out, err
 		}
-		c := chunk.New(t, req.Data)
-		if c.ID() != req.ID {
-			// Refuse mislabelled chunks: content addressing is the
-			// integrity contract in both directions.
-			return fail(fmt.Errorf("%w: claimed %s actual %s", chunk.ErrCorrupt, req.ID.Short(), c.ID().Short()))
+		if op == OpStats {
+			return appendStats(out, s.st.Stats()), nil
 		}
-		fresh, err := s.st.Put(c)
-		if err != nil {
-			return fail(err)
-		}
-		resp.OK = fresh
-	case OpPutChunks:
-		// Batched ingest: verify every claimed id up front (content
-		// addressing is the integrity contract in both directions), then
-		// land the whole batch in one store round.
-		cs := make([]*chunk.Chunk, len(req.Chunks))
-		for i, w := range req.Chunks {
-			t := chunk.Type(w.Type)
-			if !t.Valid() {
-				return fail(fmt.Errorf("invalid chunk type %d at %d", w.Type, i))
-			}
-			c := chunk.NewClaimed(t, w.Data, w.ID)
-			if err := c.Recheck(); err != nil {
-				return fail(fmt.Errorf("chunk %d: %w", i, err))
-			}
-			cs[i] = c
-		}
-		fresh, err := s.st.PutBatch(cs)
-		if err != nil {
-			return fail(err)
-		}
-		resp.Fresh = fresh
-		resp.OK = true
-	case OpGetChunk:
-		c, err := s.st.Get(req.ID)
-		if err != nil {
-			if errors.Is(err, store.ErrNotFound) {
-				resp.Found = false
-				return resp
-			}
-			return fail(err)
-		}
-		resp.Found = true
-		resp.ChunkType = byte(c.Type())
-		resp.Data = c.Data()
-	case OpHasChunk:
-		ok, err := s.st.Has(req.ID)
-		if err != nil {
-			return fail(err)
-		}
-		resp.OK = ok
-	case OpGetChunks:
-		cs, err := s.st.GetBatch(req.IDs)
-		if err != nil {
-			return fail(err)
-		}
-		resp.Chunks = make([]WireChunk, 0, len(cs))
-		for _, c := range cs {
-			if c == nil {
-				continue // absent ids are omitted; the client notices the gap
-			}
-			resp.Chunks = append(resp.Chunks, WireChunk{ID: c.ID(), Type: byte(c.Type()), Data: c.Data()})
-		}
-		resp.OK = true
-	case OpHasChunks:
-		bools, err := s.st.HasBatch(req.IDs)
-		if err != nil {
-			return fail(err)
-		}
-		resp.Bools = bools
-		resp.OK = true
+		keys, err := s.heads.Keys()
+		return appendStrs(out, keys), err
 	case OpFeedSince:
-		if s.feed == nil {
-			return fail(errors.New("server: node does not publish a change feed"))
+		cursor, limit, waitMillis := d.feedReq()
+		if err := d.done(); err != nil {
+			return nil, err
 		}
-		resp.FeedEpoch = s.feed.Epoch()
-		if req.Limit < 0 {
+		if s.feed == nil {
+			return nil, errNoFeed
+		}
+		epoch := s.feed.Epoch()
+		if limit < 0 {
 			// Sequence probe: report the feed tip without shipping entries.
 			// Replicas take a cursor this way before a snapshot catch-up.
-			resp.Cursor = s.feed.Seq()
-			resp.OK = true
-			return resp
+			return appendFeedPage(out, core.FeedCursor{Epoch: epoch, Seq: s.feed.Seq()}, false, nil), nil
 		}
-		if req.FeedEpoch != 0 && req.FeedEpoch != s.feed.Epoch() {
+		if cursor.Epoch != 0 && cursor.Epoch != epoch {
 			// The cursor belongs to a previous feed incarnation (primary
 			// restart): every retained entry may already be stale relative
 			// to it, so force a snapshot exactly like ring truncation.
-			resp.Cursor = req.Cursor
-			resp.Truncated = true
-			resp.OK = true
-			return resp
+			return appendFeedPage(out, core.FeedCursor{Epoch: epoch, Seq: cursor.Seq}, true, nil), nil
 		}
-		limit := req.Limit
 		if limit == 0 || limit > feedDefaultLimit {
 			limit = feedDefaultLimit
 		}
-		if req.WaitMillis > 0 {
-			wait := time.Duration(req.WaitMillis) * time.Millisecond
-			if wait > feedMaxWait {
-				wait = feedMaxWait
+		if waitMillis > 0 {
+			wait := time.Duration(min(waitMillis, uint64(feedMaxWait/time.Millisecond))) * time.Millisecond
+			s.feed.Wait(cursor.Seq, wait)
+		}
+		entries, next, truncated := s.feed.Since(cursor.Seq, limit)
+		return appendFeedPage(out, core.FeedCursor{Epoch: epoch, Seq: next}, truncated, entries), nil
+	case OpHead, OpCAS, OpDeleteBranch, OpRenameBranch, OpBranches:
+		t := d.tuple()
+		if err := d.done(); err != nil {
+			return nil, err
+		}
+		switch op {
+		case OpHead:
+			uid, ok, err := s.heads.Head(t.key, t.branch)
+			if !ok {
+				return appendIDs(out), err
 			}
-			s.feed.Wait(req.Cursor, wait)
+			return appendIDs(out, uid), err
+		case OpCAS:
+			ok, err := s.heads.CompareAndSet(t.key, t.branch, t.old, t.new)
+			return appendFlags(out, ok), err
+		case OpDeleteBranch:
+			return out, s.heads.Delete(t.key, t.branch)
+		case OpRenameBranch:
+			return out, s.heads.Rename(t.key, t.branch, t.to)
 		}
-		entries, next, truncated := s.feed.Since(req.Cursor, limit)
-		resp.Entries = make([]WireFeedEntry, len(entries))
-		for i, e := range entries {
-			resp.Entries[i] = WireFeedEntry{Seq: e.Seq, Key: e.Key, Branch: e.Branch, Old: e.Old, New: e.New}
+		branches, err := s.heads.Branches(t.key)
+		names := make([]string, 0, len(branches))
+		for b := range branches {
+			names = append(names, b)
 		}
-		resp.Cursor = next
-		resp.Truncated = truncated
-		resp.OK = true
-	case OpPinHead:
-		if s.feed == nil {
-			return fail(errors.New("server: node does not publish a change feed"))
+		sort.Strings(names)
+		heads := make([]hash.Hash, len(names))
+		for i, b := range names {
+			heads[i] = branches[b]
 		}
-		s.feed.Pin(req.ID, 0) // server-side lease; replicas re-pin per round
-		resp.OK = true
-	case OpUnpinHead:
-		if s.feed == nil {
-			return fail(errors.New("server: node does not publish a change feed"))
-		}
-		s.feed.Unpin(req.ID)
-		resp.OK = true
-	case OpStats:
-		resp.Stats = s.st.Stats()
-	case OpHead:
-		uid, ok, err := s.heads.Head(req.Key, req.Branch)
-		if err != nil {
-			return fail(err)
-		}
-		resp.Found = ok
-		resp.UID = uid
-	case OpCAS:
-		ok, err := s.heads.CompareAndSet(req.Key, req.Branch, req.Old, req.New)
-		if err != nil {
-			return fail(err)
-		}
-		resp.OK = ok
-	case OpDeleteBranch:
-		if err := s.heads.Delete(req.Key, req.Branch); err != nil {
-			return fail(err)
-		}
-		resp.OK = true
-	case OpRenameBranch:
-		if err := s.heads.Rename(req.Key, req.Branch, req.ToBranch); err != nil {
-			return fail(err)
-		}
-		resp.OK = true
-	case OpBranches:
-		branches, err := s.heads.Branches(req.Key)
-		if err != nil {
-			return fail(err)
-		}
-		resp.Heads = make(map[string]string, len(branches))
-		for b, uid := range branches {
-			resp.Heads[b] = uid.String()
-		}
-	case OpKeys:
-		keys, err := s.heads.Keys()
-		if err != nil {
-			return fail(err)
-		}
-		resp.Keys = keys
+		return appendIDs(appendStrs(out, names), heads...), err
+	case OpPutChunk, OpPutChunks, OpGetChunk, OpGetChunks, OpHasChunk, OpHasChunks, OpPinHead, OpUnpinHead:
 	default:
-		return fail(fmt.Errorf("unknown op %d", req.Op))
+		return nil, fmt.Errorf("unknown op %d", op)
 	}
-	return resp
+	// What is left takes an id list — exactly one id unless it is a batch op
+	// — and a put, the chunks claiming those ids.  The single ops stay on
+	// the store's single calls, as their metrics do.
+	ids := d.ids()
+	var cs []*chunk.Chunk
+	if op == OpPutChunk || op == OpPutChunks {
+		cs = d.chunks(ids)
+	}
+	batch := op == OpPutChunks || op == OpGetChunks || op == OpHasChunks
+	if err := d.done(); err != nil || !batch && len(ids) != 1 {
+		return nil, errMalformed
+	}
+	switch op {
+	case OpPutChunk, OpPutChunks:
+		// Verify every claimed id up front (content addressing is the
+		// integrity contract in both directions), then land the whole batch
+		// in one store round.
+		for i, c := range cs {
+			if err := c.Recheck(); err != nil {
+				return nil, fmt.Errorf("chunk %d: %w", i, err)
+			}
+		}
+		if op == OpPutChunk {
+			fresh, err := s.st.Put(cs[0])
+			return appendFlags(out, fresh), err
+		}
+		fresh, err := s.st.PutBatch(cs)
+		return appendFlags(out, fresh...), err
+	case OpGetChunk:
+		c, err := s.st.Get(ids[0])
+		if err != nil && !errors.Is(err, store.ErrNotFound) {
+			return nil, err
+		}
+		return appendChunkReply(out, []*chunk.Chunk{c}, MaxPayload), nil
+	case OpGetChunks:
+		cs, err := s.st.GetBatch(ids)
+		if err != nil {
+			return nil, err
+		}
+		return appendChunkReply(out, cs, MaxPayload), nil
+	case OpHasChunk:
+		ok, err := s.st.Has(ids[0])
+		return appendFlags(out, ok), err
+	case OpHasChunks:
+		flags, err := s.st.HasBatch(ids)
+		return appendFlags(out, flags...), err
+	default: // OpPinHead, OpUnpinHead
+		if s.feed == nil {
+			return nil, errNoFeed
+		}
+		if op == OpPinHead {
+			s.feed.Pin(ids[0], 0) // server-side lease; replicas re-pin per round
+		} else {
+			s.feed.Unpin(ids[0])
+		}
+		return out, nil
+	}
 }
 
 // Addr returns the bound address ("" before Listen).

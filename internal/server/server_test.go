@@ -70,14 +70,10 @@ func TestServerRejectsMislabelledChunk(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	var resp Response
-	err = cl.roundTrip(&Request{
-		Op:        OpPutChunk,
-		ID:        hash.Of([]byte("lie")),
-		ChunkType: byte(chunk.TypeBlobLeaf),
-		Data:      []byte("actual content"),
-	}, &resp)
-	if err == nil {
+	// An honest client cannot mislabel (putChunks sends each chunk's own
+	// id), so claim the id by hand.
+	lie := chunk.NewClaimed(chunk.TypeBlobLeaf, []byte("actual content"), hash.Of([]byte("lie")))
+	if _, err = cl.putChunks(OpPutChunk, []*chunk.Chunk{lie}); err == nil {
 		t.Fatal("server accepted mislabelled chunk")
 	}
 }
@@ -256,12 +252,8 @@ func TestBatchedIngestRejectsForgery(t *testing.T) {
 	defer cl.Close()
 
 	honest := chunk.New(chunk.TypeBlobLeaf, []byte("honest"))
-	var resp Response
-	err = cl.roundTrip(&Request{Op: OpPutChunks, Chunks: []WireChunk{
-		{ID: honest.ID(), Type: byte(honest.Type()), Data: honest.Data()},
-		{ID: honest.ID(), Type: byte(chunk.TypeBlobLeaf), Data: []byte("forged payload")},
-	}}, &resp)
-	if err == nil {
+	forged := chunk.NewClaimed(chunk.TypeBlobLeaf, []byte("forged payload"), honest.ID())
+	if _, err = cl.putChunks(OpPutChunks, []*chunk.Chunk{honest, forged}); err == nil {
 		t.Fatal("forged batch accepted")
 	}
 	// Nothing from the rejected batch landed.

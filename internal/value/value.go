@@ -304,16 +304,18 @@ func (v Value) WithIndexKind(k index.Kind) Value {
 	return v
 }
 
-// Index loads the versioned index backing a map or set value, sniffing the
-// structure from the root chunk.  For empty values — no chunk to sniff —
-// the value's own stamped kind (constructors, WithIndexKind) wins over the
-// caller's hint, so a branch whose head emptied keeps its structure.
+// Index loads the versioned index backing a map or set value.  A value that
+// carries its structure (constructors, FromIndex, WithIndexKind — so
+// everything the engine's GetVersion returns) loads it directly, with no
+// store read of its own and regardless of hint; that also keeps a branch
+// whose head emptied on its structure.  Only a bare decoded descriptor is
+// sniffed from its root chunk, with hint as the kind of an empty one.
 func (v Value) Index(st store.Store, cfg chunker.Config, hint index.Kind) (index.VersionedIndex, error) {
 	if v.kind != KindMap && v.kind != KindSet {
 		return nil, fmt.Errorf("%w: have %s want map or set", ErrWrongKind, v.kind)
 	}
 	if v.idxKnown {
-		hint = v.idx
+		return index.LoadKind(st, cfg, v.root, v.idx)
 	}
 	return index.Load(st, cfg, v.root, hint)
 }
@@ -413,7 +415,7 @@ func (v Value) ChunkIDs(st store.Store, cfg chunker.Config) ([]hash.Hash, error)
 	}
 	switch v.kind {
 	case KindMap, KindSet:
-		ix, err := index.Load(st, cfg, v.root, index.KindPOS)
+		ix, err := v.Index(st, cfg, index.KindPOS)
 		if err != nil {
 			return nil, err
 		}

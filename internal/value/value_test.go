@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"forkbase/internal/chunker"
+	"forkbase/internal/index"
 	"forkbase/internal/pos"
 	"forkbase/internal/store"
 )
@@ -277,5 +278,38 @@ func TestKindStrings(t *testing.T) {
 	}
 	if !KindMap.Composite() || KindInt.Composite() {
 		t.Fatal("Composite misclassifies")
+	}
+}
+
+// TestIndexWithAKnownKindSkipsTheSniff: a value that carries its structure
+// loads its index with the factory's one root read; only a bare decoded
+// descriptor pays the extra sniffing Get.
+func TestIndexWithAKnownKindSkipsTheSniff(t *testing.T) {
+	st := store.NewMemStore()
+	v, err := NewMap(st, cfg(), []pos.Entry{{Key: []byte("a"), Val: []byte("1")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare, err := Decode(v.Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, known := bare.IndexKind(); known {
+		t.Fatal("a decoded descriptor claims to know its structure")
+	}
+	gets := func(v Value) int64 {
+		before := st.Stats().Gets
+		ix, err := v.Index(st, cfg(), index.KindPOS)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := ix.Get([]byte("a")); err != nil || string(got) != "1" {
+			t.Fatalf("%q %v", got, err)
+		}
+		return st.Stats().Gets - before
+	}
+	known, sniffed := gets(v), gets(bare)
+	if sniffed != known+1 {
+		t.Fatalf("store reads: %d with the kind known, %d sniffing; want exactly one more", known, sniffed)
 	}
 }
