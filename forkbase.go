@@ -189,7 +189,6 @@ type options struct {
 	nodeCacheBytes int64
 	compactEvery   time.Duration
 	compactRatio   float64
-	sinkHashers    int
 	verifyCache    int64
 	metrics        *obs.Registry
 	logger         *slog.Logger
@@ -280,17 +279,6 @@ func WithAutoCompact(every time.Duration) Option {
 // before a Compact pass (background or explicit) rewrites it.
 func WithCompactRatio(ratio float64) Option {
 	return func(o *options) { o.compactRatio = ratio }
-}
-
-// WithSinkHashers overrides the SHA-256 worker count of every chunk sink the
-// engine opens (builders, editors, merges): n > 0 runs n hashing workers per
-// sink, n < 0 pins hashing to each producer goroutine (the right setting
-// when the caller already saturates the cores — e.g. many concurrent
-// writers), and 0 keeps the default of min(GOMAXPROCS-1, 4).  Bulk builds
-// additionally fan out across worker goroutines whose sinks always hash
-// synchronously; this knob governs the remaining single-producer sinks.
-func WithSinkHashers(n int) Option {
-	return func(o *options) { o.sinkHashers = n }
 }
 
 // WithVerifyCache budgets the verified-id set inside the tamper-verification
@@ -385,7 +373,6 @@ func Open(opts ...Option) (*DB, error) {
 		NodeCacheBytes:   o.nodeCacheBytes,
 		CompactEvery:     compactEvery,
 		CompactRatio:     o.compactRatio,
-		SinkHashers:      o.sinkHashers,
 		VerifyCacheBytes: o.verifyCache,
 		Metrics:          o.metrics,
 		Logger:           o.logger,

@@ -113,10 +113,9 @@ type Provenance struct {
 func (p Provenance) Covers(id hash.Hash) bool { return p.ok && p.id == id }
 
 // HashEncoding computes the content id of a full [type][payload] encoding
-// into dst (allocation-free; dst slots are handed out in slabs by the write
-// path) and mints the provenance witness for it.  This is the single trusted
-// hashing site: a Provenance exists if and only if this function ran over
-// the bytes in question.
+// into dst (allocation-free) and mints the provenance witness for it.  This
+// is the single trusted hashing site: a Provenance exists if and only if
+// this function ran over the bytes in question.
 func HashEncoding(dst *hash.Hash, enc []byte) Provenance {
 	hash.SumInto(dst, enc)
 	return Provenance{ok: true, id: *dst}
@@ -124,12 +123,12 @@ func HashEncoding(dst *hash.Hash, enc []byte) Provenance {
 
 // NewPrehashed creates a chunk whose id was already computed as
 // SHA-256(type || data) by HashEncoding — the batched write path hashes node
-// encodings on a worker pool and over a contiguous [type][payload] buffer,
-// so recomputing here would double the hashing cost.  The provenance token
-// is the proof the id really came from this process's hasher; it panics on a
-// token that does not cover id, which makes "pretend it's prehashed" a
-// programming error rather than a trust decision.  Callers that received the
-// id from an untrusted party must use NewClaimed instead.
+// encodings over a contiguous [type][payload] buffer, so recomputing here
+// would double the hashing cost.  The provenance token is the proof the id
+// really came from this process's hasher; it panics on a token that does not
+// cover id, which makes "pretend it's prehashed" a programming error rather
+// than a trust decision.  Callers that received the id from an untrusted
+// party must use NewClaimed instead.
 func NewPrehashed(t Type, data []byte, id hash.Hash, prov Provenance) *Chunk {
 	if !t.Valid() {
 		panic(fmt.Sprintf("chunk: invalid type %d", t))

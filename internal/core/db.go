@@ -80,9 +80,9 @@ type Options struct {
 	Chunking chunker.Config
 	// Index selects the structure backing new composite (map/set) values:
 	// index.KindPOS (default) or index.KindMPT.  Reading is always
-	// self-describing — every load sniffs the structure from the stored
-	// root chunk and every FNode records its kind — so a DB can open data
-	// written under either setting.
+	// self-describing — every FNode records the kind of the value it
+	// versions and loads go by that record (index.LoadKind) — so a DB can
+	// open data written under either setting.
 	Index index.Kind
 	// NodeCacheBytes enables a decoded-node cache with the given byte
 	// budget on the read path (0 = disabled).  Because chunks are immutable
@@ -101,16 +101,6 @@ type Options struct {
 	// rewrites it; 0 selects DefaultCompactRatio.  Explicit GC always uses
 	// ratio 0 — it reclaims everything.
 	CompactRatio float64
-	// FeedCapacity bounds the change feed's retained window (0 selects
-	// DefaultFeedCapacity).  Ignored when Branches is already feed-wrapped.
-	FeedCapacity int
-	// SinkHashers, when non-zero, tunes the SHA-256 worker count of every
-	// chunk sink opened over this DB's store: > 0 runs that many workers
-	// per sink, < 0 pins hashing to the producer goroutine.  Attached to
-	// the store handle as a discovered capability (store.WithSinkHashers),
-	// so it reaches sinks opened deep inside the value layer.  The same
-	// preference sizes the verifying layer's batch-recheck pool.
-	SinkHashers int
 	// VerifyCacheBytes budgets the verified-id set inside the verifying
 	// layer: once a chunk has been rehashed on this engine, repeat reads
 	// skip the hash until GC, scrub, heal, or a placement-epoch change
@@ -170,10 +160,10 @@ func Open(opts Options) *DB {
 	// Every head movement is journaled into the change feed (the replication
 	// source).  A caller that already wrapped its table — cmd/forkbased
 	// shares one feed between the TCP server and this engine — keeps its
-	// feed; otherwise the DB owns a fresh one.
+	// feed; otherwise the DB owns a fresh one of the default capacity.
 	ft, ok := opts.Branches.(*FeedTable)
 	if !ok {
-		ft = WithFeed(opts.Branches, NewFeed(opts.FeedCapacity))
+		ft = WithFeed(opts.Branches, NewFeed(0))
 	}
 	db.heads = ft
 	db.feed = ft.Feed()
@@ -192,25 +182,24 @@ func Open(opts Options) *DB {
 
 // assembleStore builds the engine's store stack in its one fixed order:
 //
-//	backend → metrics → verification → (node cache, sink hashers)
+//	backend → metrics → verification → node cache
 //
 // Every chunk operation crossing into the backend is counted and timed per
 // backend kind (store.InstrumentSlow is the identity for obs.Discard, so a
 // metrics-disabled engine keeps the unwrapped hot path); every read is
-// verified above that; and the attachments sit on top, so only nodes that
-// passed verification are ever cached.  It returns the top handle together
-// with the layers DB addresses directly.  A stack the caller injected
-// (a CountingStore over a MemStore, a store with its own node cache) is
-// the backend here; its capabilities stay reachable through store.As.
+// verified above that; and the cache attachment sits on top, so only nodes
+// that passed verification are ever cached.  It returns the top handle
+// together with the layers DB addresses directly.  A stack the caller
+// injected (a CountingStore over a MemStore, a store with its own node
+// cache) is the backend here; its capabilities stay reachable through
+// store.As.
 func assembleStore(opts Options) (top, raw store.Store, verifier *store.VerifyingStore, cache *nodecache.Cache) {
 	raw = store.InstrumentSlow(opts.Store, opts.Metrics, opts.Logger, opts.SlowOp)
 	verifier = store.NewVerifyingStoreCache(raw, opts.VerifyCacheBytes)
-	verifier.SetVerifyWorkers(opts.SinkHashers)
 	if opts.NodeCacheBytes > 0 {
 		cache = nodecache.New(opts.NodeCacheBytes)
 	}
-	// Both attachments are the identity for their zero value.
-	top = store.WithSinkHashers(store.WithNodeCache(verifier, cache), opts.SinkHashers)
+	top = store.WithNodeCache(verifier, cache) // the identity for a nil cache
 	if cache == nil {
 		cache = store.NodeCacheOf(raw) // one the caller attached, if any
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"time"
 
 	"forkbase/internal/baseline"
 	"forkbase/internal/chunker"
@@ -316,6 +315,3 @@ func PrintA3(w io.Writer, rows []A3Row, entries int) {
 			float64(r.EditNanos)/1e6, r.SecondCopyPct)
 	}
 }
-
-// Elapsed re-exports duration formatting for the bench harness.
-func Elapsed(d time.Duration) string { return d.String() }

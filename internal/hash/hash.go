@@ -101,8 +101,7 @@ func SumTagged(tag byte, payload []byte) Hash {
 }
 
 // SumInto writes the digest of data into dst without allocating.  The batched
-// write path hashes contiguous [type][payload] encodings straight into id
-// slots handed out in slabs; SumInto fills such a slot in place.
+// write path hashes contiguous [type][payload] encodings with it.
 func SumInto(dst *Hash, data []byte) {
 	d := statePool.Get().(*digestState)
 	d.h.Reset()

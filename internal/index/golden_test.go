@@ -1,0 +1,150 @@
+// Golden roots: the stored bytes of every structure are pinned, not only
+// their self-consistency.  A root hash commits to every node encoding and
+// every chunk boundary beneath it, so one table of hex roots states "no
+// stored byte changed" for map, trie, list and blob builds and for an
+// incremental edit, under both chunking hashes.  The scale-matrix CI job
+// runs it at GOMAXPROCS=8 too, where BuildMap takes the boundary-split path.
+// The hex values were generated at the commit before the sink stopped
+// hashing on a worker pool; a change that moves one changes the format.
+package index_test
+
+import (
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
+	"testing"
+
+	"forkbase/internal/chunker"
+	"forkbase/internal/hash"
+	"forkbase/internal/index"
+	"forkbase/internal/mpt"
+	"forkbase/internal/pos"
+	"forkbase/internal/store"
+)
+
+// goldenStream is a fixed splitmix64 generator: the inputs below must not
+// drift with the standard library's math/rand.
+type goldenStream uint64
+
+func (s *goldenStream) next() uint64 {
+	*s += 0x9e3779b97f4a7c15
+	z := uint64(*s)
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
+}
+
+func (s *goldenStream) bytes(n int) []byte {
+	out := make([]byte, 0, n+8)
+	for len(out) < n {
+		out = binary.LittleEndian.AppendUint64(out, s.next())
+	}
+	return out[:n]
+}
+
+// goldenRows are n rows keyed row-%08d with 24–87 byte values.
+func goldenRows(n int) []index.Entry {
+	s := goldenStream(1)
+	rows := make([]index.Entry, n)
+	for i := range rows {
+		rows[i] = index.Entry{
+			Key: []byte(fmt.Sprintf("row-%08d", i)),
+			Val: s.bytes(24 + int(s.next()%64)),
+		}
+	}
+	return rows
+}
+
+func goldenItems(n int) [][]byte {
+	s := goldenStream(2)
+	items := make([][]byte, n)
+	for i := range items {
+		items[i] = s.bytes(8 + int(s.next()%40))
+	}
+	return items
+}
+
+func gearConfig() chunker.Config {
+	cfg := chunker.DefaultConfig()
+	cfg.Algo = chunker.AlgoGear
+	return cfg
+}
+
+// rooted is any built structure; rootOf unwraps a constructor's result.
+type rooted interface{ Root() hash.Hash }
+
+func rootOf[T rooted](v T, err error) (hash.Hash, error) {
+	if err != nil {
+		return hash.Hash{}, err
+	}
+	return v.Root(), nil
+}
+
+func goldenMap(cfg chunker.Config, edit bool) func(store.Store) (hash.Hash, error) {
+	return func(st store.Store) (hash.Hash, error) {
+		t, err := pos.BuildMap(st, cfg, goldenRows(10000))
+		if err != nil || !edit {
+			return rootOf(t, err)
+		}
+		// One 8-row commit: six overwrites scattered over the key space,
+		// one insert between existing keys, one delete.
+		s := goldenStream(3)
+		var ops []index.Op
+		for _, i := range []int{17, 1500, 1501, 4999, 7321, 9998} {
+			ops = append(ops, index.Put([]byte(fmt.Sprintf("row-%08d", i)), s.bytes(40)))
+		}
+		ops = append(ops, index.Put([]byte("row-00002500-b"), s.bytes(40)), index.Del([]byte("row-00006000")))
+		return rootOf(t.Edit(ops))
+	}
+}
+
+func goldenTrie(cfg chunker.Config) func(store.Store) (hash.Hash, error) {
+	return func(st store.Store) (hash.Hash, error) {
+		return rootOf(mpt.Build(st, cfg, goldenRows(10000)))
+	}
+}
+
+func goldenList(cfg chunker.Config) func(store.Store) (hash.Hash, error) {
+	return func(st store.Store) (hash.Hash, error) {
+		return rootOf(pos.BuildSeq(st, cfg, goldenItems(50000)))
+	}
+}
+
+func goldenBlob(cfg chunker.Config) func(store.Store) (hash.Hash, error) {
+	return func(st store.Store) (hash.Hash, error) {
+		s := goldenStream(4)
+		return rootOf(pos.BuildBlob(st, cfg, s.bytes(1<<20)))
+	}
+}
+
+func TestGoldenRoots(t *testing.T) {
+	def, gear := chunker.DefaultConfig(), gearConfig()
+	for _, tc := range []struct {
+		name    string
+		build   func(store.Store) (hash.Hash, error)
+		wantHex string
+	}{
+		{"pos-map-10k/default", goldenMap(def, false), "28fd2de513d1d1c4a62c45f4e32939646202e3dd351d06f58b29e184593f035c"},
+		{"pos-map-10k/gear", goldenMap(gear, false), "13b9e259fd391ec2a90309b5f8b328a6079a33d4bcfc0de0dd28e0840ab46ba5"},
+		{"pos-map-10k+edit8/default", goldenMap(def, true), "62bf3b5bdb6f58ed91186105deb04e108c41539482f5034f4562b549a36b6d5b"},
+		{"pos-map-10k+edit8/gear", goldenMap(gear, true), "4b75bb0484ca7665d3a59eda0ee210cd49be02af3279dd5d1a568404de940215"},
+		{"list-50k/default", goldenList(def), "a96941eae5f8d9d0dd0954094350559324755fe70e7726c9f606f0764e6af35d"},
+		{"list-50k/gear", goldenList(gear), "dc0bdfd56aafe8f9894ce822dd3b3f49e1831eb5a3cce42b07ca722682ec6fee"},
+		// The trie has no chunker, and neither the blob leaf scan nor the
+		// index-level chunker consults Config.Algo: these pairs agree.
+		{"blob-1MiB/default", goldenBlob(def), "7d4df8ddd0f1018631bd9a890caa757e59b7bb8e0af4e2d763e5bfccfc5e56c8"},
+		{"blob-1MiB/gear", goldenBlob(gear), "7d4df8ddd0f1018631bd9a890caa757e59b7bb8e0af4e2d763e5bfccfc5e56c8"},
+		{"mpt-10k/default", goldenTrie(def), "4ba47d55282bf799b77d8faa1029227a8ecff078b420d2724ac2dee6f211dfa0"},
+		{"mpt-10k/gear", goldenTrie(gear), "4ba47d55282bf799b77d8faa1029227a8ecff078b420d2724ac2dee6f211dfa0"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			root, err := tc.build(store.NewMemStore())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := hex.EncodeToString(root[:]); got != tc.wantHex {
+				t.Errorf("root = %s, want %s", got, tc.wantHex)
+			}
+		})
+	}
+}

@@ -280,8 +280,8 @@ func (e *editor) normalizeBranch(m *mnode) (*mref, error) {
 
 // commit writes every expanded node under r bottom-up through the sink and
 // returns its chunk id and entry count.  Collapsed references are reused
-// verbatim — that is the structural sharing between versions.  The sink
-// hashes synchronously, so child ids are available when parents encode.
+// verbatim — that is the structural sharing between versions.  Emit returns
+// each child's id, so it is available when the parent encodes.
 func (e *editor) commit(r *mref, sink *store.ChunkSink, scratch []byte) (hash.Hash, uint64, []byte, error) {
 	if r.mem == nil {
 		return r.id, r.count, scratch, nil
@@ -318,20 +318,18 @@ func (e *editor) commit(r *mref, sink *store.ChunkSink, scratch []byte) (hash.Ha
 		}
 	}
 	scratch = encodeNode(scratch[:0], m.kind, m.path, m.val, m.hasVal, mask, &ids, &counts)
-	idp, err := sink.Emit(chunk.Type(scratch[0]), scratch)
+	id, err := sink.Emit(chunk.Type(scratch[0]), scratch)
 	if err != nil {
 		return hash.Hash{}, 0, scratch, fmt.Errorf("mpt: storing node: %w", err)
 	}
-	r.id, r.count, r.mem = *idp, total, nil
+	r.id, r.count, r.mem = id, total, nil
 	return r.id, total, scratch, nil
 }
 
-// editSink returns the write sink for trie mutations: hashing is pinned to
-// the producer goroutine (parents need child ids synchronously) and the
-// dedup pre-check is on, so re-created shared nodes cost index lookups,
-// not writes.
+// editSink returns the write sink for trie mutations: the dedup pre-check is
+// on, so re-created shared nodes cost index lookups, not writes.
 func editSink(st store.Store) *store.ChunkSink {
-	return store.NewChunkSink(st, store.SinkOptions{Dedup: true}.SyncHashers())
+	return store.NewChunkSink(st, store.SinkOptions{Dedup: true})
 }
 
 // Apply applies a batch of puts and deletes and returns the resulting trie.

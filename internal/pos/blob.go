@@ -66,7 +66,6 @@ type blobBuilder struct {
 	scanPos  int
 	scanHash uint64
 	emitted  []childRef
-	ids      []*hash.Hash
 	boundary bool
 	one      [1]byte // scratch for single-byte adds
 }
@@ -140,12 +139,11 @@ func (b *blobBuilder) addAll(p []byte) error {
 // ByteChunker gets from resetting its hasher at each boundary.
 func (b *blobBuilder) closeLeafAt(cut int) error {
 	region := b.buf[:1+cut]
-	idp, err := b.sink.Emit(chunk.TypeBlobLeaf, region)
+	id, err := b.sink.Emit(chunk.TypeBlobLeaf, region)
 	if err != nil {
 		return err
 	}
-	b.emitted = append(b.emitted, childRef{count: uint64(cut)})
-	b.ids = append(b.ids, idp)
+	b.emitted = append(b.emitted, childRef{id: id, count: uint64(cut)})
 	rem := copy(b.buf[1:], b.buf[1+cut:])
 	b.buf = b.buf[:1+rem]
 	b.scanPos, b.scanHash = 0, 0
@@ -158,12 +156,6 @@ func (b *blobBuilder) finish() ([]childRef, error) {
 		if err := b.closeLeafAt(n); err != nil {
 			return nil, err
 		}
-	}
-	if err := b.sink.Barrier(); err != nil {
-		return nil, err
-	}
-	for i := range b.emitted {
-		b.emitted[i].id = *b.ids[i]
 	}
 	return b.emitted, nil
 }

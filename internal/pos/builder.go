@@ -8,7 +8,6 @@ import (
 
 	"forkbase/internal/chunk"
 	"forkbase/internal/chunker"
-	"forkbase/internal/hash"
 	"forkbase/internal/rolling"
 	"forkbase/internal/store"
 )
@@ -21,10 +20,9 @@ const nodeHeadroom = 2 + binary.MaxVarintLen64
 
 // levelBuilder assembles one level of a POS-Tree.  Entries are encoded
 // directly into the open node's buffer; the chunker decides boundaries; each
-// finished node is emitted into the write sink, which hashes it (possibly on
-// a worker pool) and lands it in a batched store write.  Child ids therefore
-// resolve asynchronously: emitted refs carry pending id pointers that finish
-// fills in after a sink barrier.
+// finished node is emitted into the write sink, which hashes it in place and
+// lands it in a batched store write.  A childRef is complete — id included —
+// the moment closeNode returns, whether or not its batch has been flushed.
 type levelBuilder struct {
 	sink  *store.ChunkSink
 	cfg   chunker.Config
@@ -52,8 +50,7 @@ type levelBuilder struct {
 	lastKey  []byte // greatest key seen in the open node (map only)
 	count    uint64 // leaf entries below the open node
 	emitted  []childRef
-	ids      []*hash.Hash // pending chunk ids, parallel to emitted
-	boundary bool         // true when positioned exactly at a node boundary
+	boundary bool // true when positioned exactly at a node boundary
 }
 
 // boundaryScan is the resumable bulk boundary-detection contract shared by
@@ -144,8 +141,7 @@ func (b *levelBuilder) addRef(r childRef) error {
 // with the old chunking.
 func (b *levelBuilder) atBoundary() bool { return b.boundary }
 
-// closeNode finalises the open node in place and emits it into the sink;
-// its id resolves at the next barrier (finish).
+// closeNode finalises the open node in place and emits it into the sink.
 func (b *levelBuilder) closeNode() error {
 	if b.n == 0 {
 		b.boundary = true
@@ -170,16 +166,15 @@ func (b *levelBuilder) closeNode() error {
 	region[0] = byte(t)
 	region[1] = b.level
 	copy(region[2:], tmp[:nlen])
-	idp, err := b.sink.Emit(t, region)
+	id, err := b.sink.Emit(t, region)
 	if err != nil {
 		return fmt.Errorf("pos: storing node: %w", err)
 	}
-	ref := childRef{count: b.count}
+	ref := childRef{id: id, count: b.count}
 	if b.isMap {
 		ref.splitKey = append([]byte(nil), b.lastKey...)
 	}
 	b.emitted = append(b.emitted, ref)
-	b.ids = append(b.ids, idp)
 	b.buf = b.buf[:nodeHeadroom]
 	b.n = 0
 	b.lastKey = nil
@@ -193,17 +188,10 @@ func (b *levelBuilder) closeNode() error {
 }
 
 // finish closes any trailing node (the "last node of a level", which the
-// paper allows to end without a pattern), waits for the sink to resolve every
-// pending id, and returns the refs of this level.
+// paper allows to end without a pattern) and returns the refs of this level.
 func (b *levelBuilder) finish() ([]childRef, error) {
 	if err := b.closeNode(); err != nil {
 		return nil, err
-	}
-	if err := b.sink.Barrier(); err != nil {
-		return nil, err
-	}
-	for i := range b.emitted {
-		b.emitted[i].id = *b.ids[i]
 	}
 	return b.emitted, nil
 }

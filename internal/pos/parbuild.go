@@ -25,9 +25,8 @@ import (
 // byte-for-byte the same.  The differential tests in parallel_test.go pin
 // this against BuildMapSerial for worker counts {1, 2, 8}.
 //
-// Each worker owns a ChunkSink over the shared store with *synchronous*
-// hashing: the workers themselves are the parallelism, so per-sink hasher
-// pools would only oversubscribe the cores.
+// Each worker owns a ChunkSink over the shared store and hashes what it
+// emits: the workers are the build's only parallel axis.
 
 // parallelBuildMin is the entry count below which BuildMap stays serial:
 // under it the pre-scan plus goroutine startup costs more than the build.
@@ -140,7 +139,7 @@ func BuildMapParallel(st store.Store, cfg chunker.Config, entries []Entry, worke
 		go func(p int) {
 			defer wg.Done()
 			slice := sorted[borders[p]:borders[p+1]]
-			sink := store.NewChunkSink(st, store.SinkOptions{}.SyncHashers())
+			sink := buildSink(st)
 			defer sink.Close()
 			lb := newLevelBuilder(sink, cfg, 0, true)
 			for _, e := range slice {

@@ -128,7 +128,7 @@ func (c *cursor) next() error {
 
 // splice replaces the old nodes [lo, hi) of one level by refs.  from is the
 // index of refs[0] among the refs its level builder emitted; refs itself is
-// filled once the level is finished and its ids have resolved.  The splices
+// filled once the level is finished and its last node closed.  The splices
 // of a level are sorted and never touch: a re-chunk ends only where the next
 // edit lies beyond the node that follows.
 type splice struct {

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"forkbase/internal/core"
-	"forkbase/internal/hash"
 	"forkbase/internal/obs"
 	"forkbase/internal/retry"
 	"forkbase/internal/store"
@@ -426,16 +425,4 @@ func (f *Follower) tailOnce(cursor core.FeedCursor) (core.FeedCursor, bool, erro
 		f.bump(func(s *Stats) { s.HeadsApplied++ })
 	}
 	return next, false, nil
-}
-
-// SyncRootInto is a one-shot Merkle-delta pull of a single version graph,
-// without a follower around it.  It returns the chunks and bytes fetched.
-func SyncRootInto(src Source, local store.Store, root hash.Hash) (chunks, bytes uint64, err error) {
-	// Single-attempt policy: a one-shot pull reports failures instead of
-	// silently padding its counts with retries.
-	s := &syncer{src: src, local: local, retry: retry.Policy{Attempts: -1}}
-	if err := s.syncRoot(root); err != nil {
-		return s.chunksFetched.Load(), s.bytesFetched.Load(), err
-	}
-	return s.chunksFetched.Load(), s.bytesFetched.Load(), nil
 }

@@ -10,6 +10,7 @@ import (
 	"forkbase/internal/core"
 	"forkbase/internal/hash"
 	"forkbase/internal/pos"
+	"forkbase/internal/retry"
 	"forkbase/internal/store"
 	"forkbase/internal/value"
 )
@@ -368,7 +369,7 @@ func TestPrimaryGCDuringInFlightSync(t *testing.T) {
 
 func TestFeedTruncationForcesSnapshot(t *testing.T) {
 	// Tiny feed window: the replica misses entries while detached.
-	primary := core.Open(core.Options{FeedCapacity: 4})
+	primary := core.Open(core.Options{Branches: core.WithFeed(core.NewMemBranchTable(), core.NewFeed(4))})
 	if _, err := primary.Put("a", "master", value.String("v1"), nil); err != nil {
 		t.Fatal(err)
 	}
@@ -414,25 +415,25 @@ func TestSyncRootResumesFromTornState(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw := store.NewMemStore()
-	local := store.NewVerifyingStore(raw)
-	if _, _, err := SyncRootInto(NewLocalSource(primary), local, head); err != nil {
-		t.Fatal(err)
+	// Single-attempt policy: a failure is reported, not retried into the
+	// fetch counts.
+	s := &syncer{src: NewLocalSource(primary), local: store.NewVerifyingStore(raw), retry: retry.Policy{Attempts: -1}}
+	pull := func() uint64 {
+		t.Helper()
+		before := s.chunksFetched.Load()
+		if err := s.syncRoot(head); err != nil {
+			t.Fatal(err)
+		}
+		return s.chunksFetched.Load() - before
 	}
+	pull()
 	// Simulate the torn state: drop the root (the FNode) and re-sync.
 	raw.Delete(head)
-	chunks, _, err := SyncRootInto(NewLocalSource(primary), local, head)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if chunks != 1 {
+	if chunks := pull(); chunks != 1 {
 		t.Fatalf("resume fetched %d chunks, want exactly the torn root", chunks)
 	}
 	// Complete store: pure prune.
-	chunks, _, err = SyncRootInto(NewLocalSource(primary), local, head)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if chunks != 0 {
+	if chunks := pull(); chunks != 0 {
 		t.Fatalf("re-sync over complete store fetched %d chunks, want 0", chunks)
 	}
 }

@@ -16,31 +16,28 @@ func sinkEnc(t chunk.Type, payload []byte) []byte {
 	return append(enc, payload...)
 }
 
-func testSinkRoundTrip(t *testing.T, opt SinkOptions) {
-	t.Helper()
+func TestChunkSinkRoundTrip(t *testing.T) {
 	ms := NewMemStore()
-	sink := NewChunkSink(ms, opt)
+	sink := NewChunkSink(ms, SinkOptions{BatchSize: 7})
 	defer sink.Close()
 
-	var ids []*hash.Hash
-	var want []hash.Hash
+	var ids []hash.Hash
 	for i := 0; i < 300; i++ {
 		payload := []byte(fmt.Sprintf("payload-%d", i))
-		want = append(want, chunk.New(chunk.TypeBlobLeaf, payload).ID())
-		idp, err := sink.Emit(chunk.TypeBlobLeaf, sinkEnc(chunk.TypeBlobLeaf, payload))
+		id, err := sink.Emit(chunk.TypeBlobLeaf, sinkEnc(chunk.TypeBlobLeaf, payload))
 		if err != nil {
 			t.Fatal(err)
 		}
-		ids = append(ids, idp)
+		if want := chunk.New(chunk.TypeBlobLeaf, payload).ID(); id != want {
+			t.Fatalf("chunk %d: sink id %s, want %s", i, id.Short(), want.Short())
+		}
+		ids = append(ids, id)
 	}
 	if err := sink.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	for i, idp := range ids {
-		if *idp != want[i] {
-			t.Fatalf("chunk %d: sink id %s, want %s", i, idp.Short(), want[i].Short())
-		}
-		c, err := ms.Get(*idp)
+	for i, id := range ids {
+		c, err := ms.Get(id)
 		if err != nil {
 			t.Fatalf("chunk %d not landed: %v", i, err)
 		}
@@ -48,57 +45,65 @@ func testSinkRoundTrip(t *testing.T, opt SinkOptions) {
 			t.Fatal(err)
 		}
 	}
-	if st := sink.Stats(); st.Emitted != 300 || st.Batches == 0 {
-		t.Fatalf("sink stats = %+v", st)
+	if st := sink.Stats(); st.Emitted != 300 || st.Batches != 43 {
+		t.Fatalf("sink stats = %+v, want 300 chunks in 43 batches of 7", st)
 	}
 }
 
-func TestChunkSinkSync(t *testing.T) {
-	testSinkRoundTrip(t, SinkOptions{BatchSize: 7}.SyncHashers())
-}
-
-func TestChunkSinkAsync(t *testing.T) {
-	testSinkRoundTrip(t, SinkOptions{BatchSize: 7, Hashers: 3})
+// TestChunkSinkEmitReturnsFinalID pins the contract producers build parents
+// on: the id Emit returns is hash(type, payload) at once, while the chunk
+// itself may still sit in the open batch.
+func TestChunkSinkEmitReturnsFinalID(t *testing.T) {
+	ms := NewMemStore()
+	sink := NewChunkSink(ms, SinkOptions{})
+	defer sink.Close()
+	payload := []byte("not flushed yet")
+	id, err := sink.Emit(chunk.TypeMapLeaf, sinkEnc(chunk.TypeMapLeaf, payload))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := hash.SumTagged(byte(chunk.TypeMapLeaf), payload); id != want {
+		t.Fatalf("Emit returned %s before Flush, want %s", id.Short(), want.Short())
+	}
+	if ok, _ := ms.Has(id); ok {
+		t.Fatal("a one-chunk batch reached the store before Flush")
+	}
+	if err := sink.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if ok, _ := ms.Has(id); !ok {
+		t.Fatal("chunk missing after Flush")
+	}
 }
 
 // TestChunkSinkBorrowsScratch proves Emit copies what it keeps: the producer
 // reuses (and clobbers) one buffer for every emission.
 func TestChunkSinkBorrowsScratch(t *testing.T) {
-	for _, hashers := range []int{0, 2} {
-		t.Run(fmt.Sprintf("hashers=%d", hashers), func(t *testing.T) {
-			ms := NewMemStore()
-			opt := SinkOptions{BatchSize: 4, Hashers: hashers}
-			if hashers == 0 {
-				opt = opt.SyncHashers()
-			}
-			sink := NewChunkSink(ms, opt)
-			defer sink.Close()
-			scratch := make([]byte, 0, 64)
-			var ids []*hash.Hash
-			var want []hash.Hash
-			for i := 0; i < 50; i++ {
-				scratch = scratch[:0]
-				scratch = append(scratch, byte(chunk.TypeBlobLeaf))
-				scratch = append(scratch, []byte(fmt.Sprintf("scratch-%d", i))...)
-				want = append(want, hash.Of(scratch))
-				idp, err := sink.Emit(chunk.TypeBlobLeaf, scratch)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ids = append(ids, idp)
-			}
-			if err := sink.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			for i := range ids {
-				if *ids[i] != want[i] {
-					t.Fatalf("emission %d hashed clobbered bytes", i)
-				}
-				if _, err := ms.Get(want[i]); err != nil {
-					t.Fatalf("emission %d lost: %v", i, err)
-				}
-			}
-		})
+	ms := NewMemStore()
+	sink := NewChunkSink(ms, SinkOptions{BatchSize: 4})
+	defer sink.Close()
+	scratch := make([]byte, 0, 64)
+	var want []hash.Hash
+	for i := 0; i < 50; i++ {
+		scratch = scratch[:0]
+		scratch = append(scratch, byte(chunk.TypeBlobLeaf))
+		scratch = append(scratch, []byte(fmt.Sprintf("scratch-%d", i))...)
+		want = append(want, hash.Of(scratch))
+		if _, err := sink.Emit(chunk.TypeBlobLeaf, scratch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sink.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for i, id := range want {
+		c, err := ms.Get(id)
+		if err != nil {
+			t.Fatalf("emission %d lost: %v", i, err)
+		}
+		if got := fmt.Sprintf("scratch-%d", i); string(c.Data()) != got {
+			t.Fatalf("emission %d stored %q, want %q: the sink kept the borrowed buffer", i, c.Data(), got)
+		}
 	}
 }
 
@@ -110,7 +115,7 @@ func TestChunkSinkDedup(t *testing.T) {
 	ms.Put(pre)
 	logicalBefore := ms.Stats().LogicalBytes
 
-	sink := NewChunkSink(ms, SinkOptions{Dedup: true}.SyncHashers())
+	sink := NewChunkSink(ms, SinkOptions{Dedup: true})
 	defer sink.Close()
 	idp, err := sink.Emit(chunk.TypeBlobLeaf, sinkEnc(chunk.TypeBlobLeaf, []byte("already here")))
 	if err != nil {
@@ -123,7 +128,7 @@ func TestChunkSinkDedup(t *testing.T) {
 	if err := sink.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if *idp != pre.ID() {
+	if idp != pre.ID() {
 		t.Fatalf("dedup id mismatch: %s vs %s", idp.Short(), pre.ID().Short())
 	}
 	st := sink.Stats()
@@ -135,7 +140,7 @@ func TestChunkSinkDedup(t *testing.T) {
 	if got := ms.Stats().LogicalBytes - logicalBefore; got != int64(1+len("brand new")) {
 		t.Fatalf("logical delta = %d", got)
 	}
-	if _, err := ms.Get(*fresh); err != nil {
+	if _, err := ms.Get(fresh); err != nil {
 		t.Fatalf("fresh chunk missing: %v", err)
 	}
 }
@@ -171,7 +176,7 @@ func (f *failingStore) PutBatch(cs []*chunk.Chunk) ([]bool, error) {
 
 func TestChunkSinkStickyError(t *testing.T) {
 	fs := &failingStore{MemStore: NewMemStore(), failAfter: 2}
-	sink := NewChunkSink(fs, SinkOptions{BatchSize: 1}.SyncHashers())
+	sink := NewChunkSink(fs, SinkOptions{BatchSize: 1})
 	defer sink.Close()
 	for i := 0; i < 5; i++ {
 		sink.Emit(chunk.TypeBlobLeaf, sinkEnc(chunk.TypeBlobLeaf, []byte(fmt.Sprintf("c%d", i))))
@@ -190,7 +195,7 @@ func TestChunkSinkStickyError(t *testing.T) {
 func TestChunkSinkThroughVerifyingLayer(t *testing.T) {
 	inner := NewMemStore()
 	v := NewVerifyingStore(inner)
-	sink := NewChunkSink(v, SinkOptions{}.SyncHashers())
+	sink := NewChunkSink(v, SinkOptions{})
 	defer sink.Close()
 	idp, err := sink.Emit(chunk.TypeBlobLeaf, sinkEnc(chunk.TypeBlobLeaf, []byte("honest")))
 	if err != nil {
@@ -199,7 +204,7 @@ func TestChunkSinkThroughVerifyingLayer(t *testing.T) {
 	if err := sink.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := inner.Get(*idp); err != nil {
+	if _, err := inner.Get(idp); err != nil {
 		t.Fatalf("honest chunk missing below verifier: %v", err)
 	}
 }

@@ -52,19 +52,11 @@ func trusted(st store.Store) bool {
 	return ok && t.VerifyCacheTrusted()
 }
 
-func sinkHashers(st store.Store) (int, bool) {
-	t, ok := store.As[store.SinkTuner](st)
-	if !ok {
-		return 0, false
-	}
-	return t.SinkHashers(), true
-}
-
 // TestStackConformance pins capability transparency for every wrapper over
 // every backend: As finds each optional capability exactly when the backend
-// has it (and finds the backend itself, not a forwarder), attachments are
-// found through any layering, batch calls reach the backend as one native
-// batch call, and verify-cache trust is deny-by-default.
+// has it (and finds the backend itself, not a forwarder), the node-cache
+// attachment is found through any layering, batch calls reach the backend as
+// one native batch call, and verify-cache trust is deny-by-default.
 func TestStackConformance(t *testing.T) {
 	backends := []struct {
 		name string
@@ -84,9 +76,8 @@ func TestStackConformance(t *testing.T) {
 	wrappers := []struct {
 		name string
 		wrap func(store.Store) store.Store
-		// cache / hashers are what the wrapper itself attaches (nil / 0 = none).
-		cache   *nodecache.Cache
-		hashers int
+		// cache is what the wrapper itself attaches (nil = none).
+		cache *nodecache.Cache
 		// perIDReads: GetBatch is deliberately a per-id loop (MaliciousStore
 		// substitutes attacked ids one by one).
 		perIDReads bool
@@ -97,7 +88,6 @@ func TestStackConformance(t *testing.T) {
 		{name: "verifying", wrap: func(s store.Store) store.Store { return store.NewVerifyingStore(s) }},
 		{name: "instrumented", wrap: func(s store.Store) store.Store { return store.Instrument(s, obs.NewRegistry()) }},
 		{name: "nodecached", wrap: func(s store.Store) store.Store { return store.WithNodeCache(s, ownCache) }, cache: ownCache},
-		{name: "tuned", wrap: func(s store.Store) store.Store { return store.WithSinkHashers(s, 3) }, hashers: 3},
 		{name: "malicious", wrap: func(s store.Store) store.Store { return store.NewMaliciousStore(s) },
 			perIDReads: true, untrusted: true},
 		{name: "malicious-under-counting", wrap: func(s store.Store) store.Store {
@@ -106,8 +96,8 @@ func TestStackConformance(t *testing.T) {
 		// The order core.Open assembles.
 		{name: "full-stack", wrap: func(s store.Store) store.Store {
 			v := store.NewVerifyingStore(store.Instrument(s, obs.NewRegistry()))
-			return store.WithSinkHashers(store.WithNodeCache(v, ownCache), 3)
-		}, cache: ownCache, hashers: 3},
+			return store.WithNodeCache(v, ownCache)
+		}, cache: ownCache},
 	}
 
 	for _, b := range backends {
@@ -125,30 +115,20 @@ func TestStackConformance(t *testing.T) {
 					t.Errorf("KindOf = %q, want %q", got, want)
 				}
 
-				// Attachments: only the wrapper's own over a bare backend...
+				// The attachment: only the wrapper's own over a bare backend...
 				if got := store.NodeCacheOf(st); got != w.cache {
 					t.Errorf("NodeCacheOf = %p, want the wrapper's own %p", got, w.cache)
 				}
-				if n, ok := sinkHashers(st); n != w.hashers || ok != (w.hashers != 0) {
-					t.Errorf("sink hashers = %d (found %v), want %d", n, ok, w.hashers)
-				}
 				// ...and one attached beneath is found through the wrapper,
-				// unless the wrapper attaches its own on top (topmost wins;
-				// -1, "synchronous", is a preference like any other).
+				// unless the wrapper attaches its own on top (topmost wins).
 				below := nodecache.New(1 << 20)
-				deep := w.wrap(store.WithSinkHashers(store.WithNodeCache(backend, below), -1))
-				wantCache, wantHashers := below, -1
+				deep := w.wrap(store.WithNodeCache(backend, below))
+				wantCache := below
 				if w.cache != nil {
 					wantCache = w.cache
 				}
-				if w.hashers != 0 {
-					wantHashers = w.hashers
-				}
 				if got := store.NodeCacheOf(deep); got != wantCache {
 					t.Errorf("NodeCacheOf over an attached backend = %p, want %p", got, wantCache)
-				}
-				if n, _ := sinkHashers(deep); n != wantHashers {
-					t.Errorf("sink hashers over an attached backend = %d, want %d", n, wantHashers)
 				}
 
 				// Batches arrive at the backend as batches.
@@ -242,27 +222,5 @@ func TestTrustDenyByDefault(t *testing.T) {
 	}
 	if !trusted(store.NewCountingStore(mem)) {
 		t.Error("control: counting over mem should be trusted")
-	}
-}
-
-// TestSinkHonorsAttachedPreference: a sink opened over a tuned handle takes
-// the preference (synchronous hashing here) and still lands every chunk, and
-// a zero preference attaches nothing.
-func TestSinkHonorsAttachedPreference(t *testing.T) {
-	base := store.NewMemStore()
-	if st := store.WithSinkHashers(base, 0); st != store.Store(base) {
-		t.Fatal("WithSinkHashers(st, 0) should return st unchanged")
-	}
-	sink := store.NewChunkSink(store.NewVerifyingStore(store.WithSinkHashers(base, -1)), store.SinkOptions{})
-	for i := 0; i < 10; i++ {
-		if _, err := sink.Emit(chunk.TypeBlobLeaf, []byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sink.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if base.Len() != 10 {
-		t.Fatalf("tuned sink stored %d chunks, want 10", base.Len())
 	}
 }

@@ -8,14 +8,14 @@
 // segmented append-only log with an in-memory index).  Everything else is a
 // wrapper that embeds Store, overrides the operations it cares about and
 // declares Unwrap: the verifying layer (VerifyingStore), the metrics layer
-// (Instrument), the value attachments (WithNodeCache, WithSinkHashers) and
-// the experiment wrappers CountingStore (Fig 4 storage accounting) and
-// MaliciousStore (Fig 6 threat model).
+// (Instrument), the value attachment WithNodeCache and the experiment
+// wrappers CountingStore (Fig 4 storage accounting) and MaliciousStore
+// (Fig 6 threat model).
 //
 // Optional capabilities (Collector, Scrubber, Repairer, PlacementEpocher,
-// Kinder, VerifyCacheTruster, NodeCacheProvider, SinkTuner) are implemented
-// only by the layer that owns them and found with As, the one function that
-// walks the Unwrap chain.
+// Kinder, VerifyCacheTruster, NodeCacheProvider) are implemented only by the
+// layer that owns them and found with As, the one function that walks the
+// Unwrap chain.
 package store
 
 import (

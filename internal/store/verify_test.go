@@ -230,33 +230,53 @@ func TestVerifyCacheGetBatchAmortizes(t *testing.T) {
 
 // TestVerifyCacheParallelBatchRecheck pins that the parallel recheck pool
 // returns the same answers as the serial path, including catching a
-// mid-batch forgery, across worker counts.
+// mid-batch forgery, across pool widths — and that the store's own batch
+// write rejects the same batch at whatever width GOMAXPROCS gives it.
 func TestVerifyCacheParallelBatchRecheck(t *testing.T) {
+	// claimedBatch has one tampered element; 64 chunks keep four workers busy.
+	claimedBatch := func() ([]*chunk.Chunk, []int) {
+		cs := make([]*chunk.Chunk, 64)
+		idx := make([]int, len(cs))
+		for i := range cs {
+			genuine := mkChunk(1000 + i)
+			data := append([]byte(nil), genuine.Data()...)
+			if i == 43 {
+				data[0] ^= 0x01 // payload no longer matches id
+			}
+			cs[i] = chunk.NewClaimed(genuine.Type(), data, genuine.ID())
+			idx[i] = i
+		}
+		return cs, idx
+	}
 	for _, workers := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("workers-%d", workers), func(t *testing.T) {
-			_, v, ids := warmFileStack(t, 1<<20)
-			v.SetVerifyWorkers(workers)
-			if _, err := v.GetBatch(ids); err != nil {
+			cs, idx := claimedBatch()
+			// A clean prefix passes and promotes every chunk it covers.
+			if err := recheckIndexes(cs, idx[:40], workers); err != nil {
 				t.Fatal(err)
 			}
-			// A claimed batch write with one tampered element must fail
-			// whichever worker meets it.
-			cs := make([]*chunk.Chunk, 16)
-			for i := range cs {
-				genuine := mkChunk(1000 + i)
-				data := append([]byte(nil), genuine.Data()...)
-				id := genuine.ID()
-				if i == 11 {
-					data[0] ^= 0x01 // payload no longer matches id
+			for _, c := range cs[:40] {
+				if c.Claimed() {
+					t.Fatal("a rechecked chunk is still only claimed")
 				}
-				cs[i] = chunk.NewClaimed(genuine.Type(), data, id)
 			}
-			if _, err := v.PutBatch(cs); err == nil {
-				t.Fatal("PutBatch accepted a tampered claimed chunk")
-			} else if !strings.Contains(err.Error(), "batch chunk 11") {
+			// The tampered element fails whichever worker meets it.
+			if err := recheckIndexes(cs, idx, workers); err == nil {
+				t.Fatal("recheck accepted a tampered claimed chunk")
+			} else if !strings.Contains(err.Error(), "batch chunk 43") {
 				t.Fatalf("error does not name the tampered element: %v", err)
 			}
 		})
+	}
+	_, v, ids := warmFileStack(t, 1<<20)
+	if _, err := v.GetBatch(ids); err != nil {
+		t.Fatal(err)
+	}
+	cs, _ := claimedBatch()
+	if _, err := v.PutBatch(cs); err == nil {
+		t.Fatal("PutBatch accepted a tampered claimed chunk")
+	} else if !strings.Contains(err.Error(), "batch chunk 43") {
+		t.Fatalf("error does not name the tampered element: %v", err)
 	}
 }
 
@@ -352,37 +372,27 @@ func TestScrubBypassesVerifyCache(t *testing.T) {
 // per emitted chunk — the sink's own id hash — because the provenance token
 // lets the verifying write path skip its recheck.
 func TestSinkIngestOneHashPerChunk(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		opt  SinkOptions
-	}{
-		{"sync", SinkOptions{BatchSize: 8}.SyncHashers()},
-		{"async", SinkOptions{BatchSize: 8, Hashers: 2}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			v := NewVerifyingStoreCache(NewMemStore(), 1<<20)
-			sink := NewChunkSink(v, tc.opt)
-			defer sink.Close()
+	v := NewVerifyingStoreCache(NewMemStore(), 1<<20)
+	sink := NewChunkSink(v, SinkOptions{BatchSize: 8})
+	defer sink.Close()
 
-			const n = 200
-			skippedBefore := v.VerifyStats().SkippedHashes
-			before := hash.Digests()
-			for i := 0; i < n; i++ {
-				payload := []byte(fmt.Sprintf("ingest-%s-%d", tc.name, i))
-				if _, err := sink.Emit(chunk.TypeBlobLeaf, sinkEnc(chunk.TypeBlobLeaf, payload)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := sink.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			if got := hash.Digests() - before; got != n {
-				t.Fatalf("ingest of %d chunks paid %d digests, want exactly %d", n, got, n)
-			}
-			if got := v.VerifyStats().SkippedHashes - skippedBefore; got != n {
-				t.Fatalf("provenance skipped %d rechecks, want %d", got, n)
-			}
-		})
+	const n = 200
+	skippedBefore := v.VerifyStats().SkippedHashes
+	before := hash.Digests()
+	for i := 0; i < n; i++ {
+		payload := []byte(fmt.Sprintf("ingest-%d", i))
+		if _, err := sink.Emit(chunk.TypeBlobLeaf, sinkEnc(chunk.TypeBlobLeaf, payload)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sink.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := hash.Digests() - before; got != n {
+		t.Fatalf("ingest of %d chunks paid %d digests, want exactly %d", n, got, n)
+	}
+	if got := v.VerifyStats().SkippedHashes - skippedBefore; got != n {
+		t.Fatalf("provenance skipped %d rechecks, want %d", got, n)
 	}
 }
 

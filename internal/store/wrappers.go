@@ -206,11 +206,6 @@ type VerifyingStore struct {
 	// path bypass intermediate wrappers' accounting).
 	marker VerifiedIndexer
 
-	// workers is the explicit recheck-pool preference shared with the sink's
-	// hasher tuning; 0 means "derive from GOMAXPROCS", negative pins batch
-	// rechecks to the calling goroutine.
-	workers atomic.Int64
-
 	// skippedHashes counts every rehash avoided by amortization: verified-id
 	// hits on reads plus provenance-trusted chunks on writes.
 	skippedHashes atomic.Int64
@@ -287,28 +282,8 @@ func NewVerifyingStoreCache(inner Store, cacheBytes int64) *VerifyingStore {
 // Unwrap exposes the inner store to As.
 func (v *VerifyingStore) Unwrap() Store { return v.Store }
 
-// SetVerifyWorkers sets the batch-recheck worker preference (the same value
-// as the sink's hasher tuning: n > 0 fixes the pool size, n < 0 pins
-// rechecks to the caller, 0 restores the GOMAXPROCS-derived default).
-func (v *VerifyingStore) SetVerifyWorkers(n int) { v.workers.Store(int64(n)) }
-
-// verifyWorkers resolves the recheck pool width for one batch.
-func (v *VerifyingStore) verifyWorkers() int {
-	n := int(v.workers.Load())
-	if n < 0 {
-		return 1
-	}
-	if n == 0 {
-		n = runtime.GOMAXPROCS(0)
-		if n > 4 {
-			n = 4
-		}
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
+// verifyWorkers is the recheck pool width for one batch.
+func verifyWorkers() int { return min(runtime.GOMAXPROCS(0), 4) }
 
 func (v *VerifyingStore) epochNow() uint64 {
 	if v.epoch == nil {
@@ -358,7 +333,7 @@ func (v *VerifyingStore) PutBatch(cs []*chunk.Chunk) ([]bool, error) {
 		}
 		work = append(work, i)
 	}
-	if err := recheckIndexes(cs, work, v.verifyWorkers()); err != nil {
+	if err := recheckIndexes(cs, work, verifyWorkers()); err != nil {
 		return make([]bool, len(cs)), err
 	}
 	res, err := v.Store.PutBatch(cs)
@@ -397,7 +372,7 @@ func (v *VerifyingStore) GetBatch(ids []hash.Hash) ([]*chunk.Chunk, error) {
 		}
 		work = append(work, i)
 	}
-	if err := recheckIndexes(out, work, v.verifyWorkers()); err != nil {
+	if err := recheckIndexes(out, work, verifyWorkers()); err != nil {
 		// Something in this batch failed to rehash; drop any witnesses for
 		// the batch so nothing corrupt lingers as "verified".
 		for _, i := range work {
