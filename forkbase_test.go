@@ -176,6 +176,10 @@ func TestPublicVerify(t *testing.T) {
 	if err != nil || !rep.OK {
 		t.Fatalf("verify: %+v %v", rep, err)
 	}
+	// The same uid is not a version of any other key.
+	if rep, err := db.Verify("other", v.UID, true); !errors.Is(err, forkbase.ErrTampered) || rep.OK {
+		t.Fatalf("verify under a foreign key: %+v %v", rep, err)
+	}
 }
 
 func TestParseHash(t *testing.T) {

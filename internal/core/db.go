@@ -820,7 +820,8 @@ func (db *DB) DiffBranches(key, fromBranch, toBranch string) ([]index.Delta, ind
 }
 
 // DiffValues diffs two map/set values directly.  Each side loads through
-// the index registry (the structure is sniffed from its root chunk), so
+// the index registry under the structure its value carries (value.Index;
+// only a bare decoded descriptor is sniffed from its root chunk), so
 // same-structure diffs prune shared subtrees — whatever the structure —
 // and cross-structure diffs fall back to the generic iterator merge.
 func (db *DB) DiffValues(a, b value.Value) ([]index.Delta, index.DiffStats, error) {

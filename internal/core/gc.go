@@ -1,13 +1,12 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
+	"forkbase/internal/chunk"
 	"forkbase/internal/fnode"
 	"forkbase/internal/hash"
-	"forkbase/internal/index"
 	"forkbase/internal/store"
 )
 
@@ -129,107 +128,67 @@ func (db *DB) gcInner(minDeadRatio float64) (GCStats, error) {
 	}, nil
 }
 
-// mark computes the live set: the closure of every branch head over FNode
-// bases and POS-Tree child pointers.
+// mark computes the live set: the closure of every branch head, and of every
+// head a replica has pinned, under fnode.Walk.  The walk's seen set is the
+// live set.
 func (db *DB) mark() (map[hash.Hash]bool, error) {
 	live := make(map[hash.Hash]bool)
-	keys, err := db.heads.Keys()
+	heads, err := db.branchHeads()
 	if err != nil {
 		return nil, err
-	}
-	for _, key := range keys {
-		branches, err := db.heads.Branches(key)
-		if err != nil {
-			return nil, err
-		}
-		for _, head := range branches {
-			if err := db.markFrom(head, live); err != nil {
-				return nil, err
-			}
-		}
 	}
 	// Feed pins: heads replicas are actively pulling stay fully reachable,
 	// so a concurrent collection can never break an in-flight sync — the
 	// replication analogue of the segment-generation sweep grace.  Pinned
 	// roots may legitimately be gone already (a replica pinned a head it
 	// learned just before the branch was deleted and an earlier pass
-	// collected it between lease refreshes), so this walk tolerates missing
-	// chunks instead of failing the pass.
-	if db.feed != nil {
-		for _, head := range db.feed.PinnedHeads() {
-			if err := db.markFromTolerant(head, live); err != nil {
-				return nil, err
+	// collected it between lease refreshes), so under a pin a missing chunk
+	// prunes the walk — and is not live — instead of failing the pass.
+	pinned := false
+	fetch := func(ids []hash.Hash) ([]*chunk.Chunk, error) {
+		chunks, err := db.st.GetBatch(ids)
+		if err != nil {
+			return nil, fmt.Errorf("core: gc mark: %w", err)
+		}
+		for i, c := range chunks {
+			if c != nil {
+				continue
 			}
+			if !pinned {
+				return nil, fmt.Errorf("core: gc mark %s: %w", ids[i].Short(), store.ErrNotFound)
+			}
+			delete(live, ids[i])
+		}
+		return chunks, nil
+	}
+	if err := fnode.Walk(heads, live, fetch); err != nil {
+		return nil, err
+	}
+	if db.feed != nil {
+		pinned = true
+		if err := fnode.Walk(db.feed.PinnedHeads(), live, fetch); err != nil {
+			return nil, err
 		}
 	}
 	return live, nil
 }
 
-// markFrom adds every chunk reachable from a version uid to live: the FNode
-// chain (all bases, transitively) and each version's value tree.
-func (db *DB) markFrom(uid hash.Hash, live map[hash.Hash]bool) error {
-	return db.markFromOpt(uid, live, false)
-}
-
-// markFromTolerant is markFrom for advisory roots (feed pins): a missing
-// chunk prunes the walk instead of failing it.
-func (db *DB) markFromTolerant(uid hash.Hash, live map[hash.Hash]bool) error {
-	return db.markFromOpt(uid, live, true)
-}
-
-func (db *DB) markFromOpt(uid hash.Hash, live map[hash.Hash]bool, tolerant bool) error {
-	queue := []hash.Hash{uid}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		if cur.IsZero() || live[cur] {
-			continue
-		}
-		f, err := fnode.Load(db.st, cur)
-		if err != nil {
-			if tolerant && errors.Is(err, store.ErrNotFound) {
-				continue
-			}
-			return fmt.Errorf("core: gc mark %s: %w", cur.Short(), err)
-		}
-		live[cur] = true
-		queue = append(queue, f.Bases...)
-		v, err := f.DecodedValue()
-		if err != nil {
-			return err
-		}
-		if v.Kind().Composite() && !v.Root().IsZero() {
-			if err := db.markValue(v.Root(), live, tolerant); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-func (db *DB) markValue(root hash.Hash, live map[hash.Hash]bool, tolerant bool) error {
-	if live[root] {
-		return nil
-	}
-	c, err := db.st.Get(root)
+// branchHeads returns the head of every branch of every key: the roots of
+// everything the store must keep.
+func (db *DB) branchHeads() ([]hash.Hash, error) {
+	keys, err := db.heads.Keys()
 	if err != nil {
-		if tolerant && errors.Is(err, store.ErrNotFound) {
-			return nil
+		return nil, err
+	}
+	var heads []hash.Hash
+	for _, key := range keys {
+		branches, err := db.heads.Branches(key)
+		if err != nil {
+			return nil, err
 		}
-		return fmt.Errorf("core: gc mark value %s: %w", root.Short(), err)
-	}
-	live[root] = true
-	// Dispatch through the index layer's node-type registry: the walk
-	// follows child pointers of whatever structure the value uses without
-	// naming one.
-	children, err := index.Children(c)
-	if err != nil {
-		return err
-	}
-	for _, child := range children {
-		if err := db.markValue(child, live, tolerant); err != nil {
-			return err
+		for _, head := range branches {
+			heads = append(heads, head)
 		}
 	}
-	return nil
+	return heads, nil
 }

@@ -8,7 +8,6 @@ import (
 	"forkbase/internal/chunk"
 	"forkbase/internal/fnode"
 	"forkbase/internal/hash"
-	"forkbase/internal/index"
 	"forkbase/internal/store"
 )
 
@@ -20,9 +19,6 @@ import (
 type ChunkSource interface {
 	GetChunks(ids []hash.Hash) ([]*chunk.Chunk, error)
 }
-
-// healFetchBatch bounds how many damaged ids travel in one GetChunks call.
-const healFetchBatch = 512
 
 // HealStats reports one anti-entropy pass.
 type HealStats struct {
@@ -74,31 +70,17 @@ func (db *DB) healInner(src ChunkSource) (HealStats, error) {
 	defer db.writeMu.RUnlock()
 
 	rep, _ := store.As[store.Repairer](db.raw)
-
-	keys, err := db.heads.Keys()
+	heads, err := db.branchHeads()
 	if err != nil {
 		return hs, err
 	}
-	visited := make(map[hash.Hash]bool)
-	var frontier []hash.Hash
-	for _, key := range keys {
-		branches, err := db.heads.Branches(key)
-		if err != nil {
-			return hs, err
-		}
-		for _, head := range branches {
-			hs.Branches++
-			if head.IsZero() || visited[head] {
-				continue
-			}
-			visited[head] = true
-			frontier = append(frontier, head)
-		}
-	}
+	hs.Branches = len(heads)
 
-	for len(frontier) > 0 {
-		var next, damaged []hash.Hash
-		for _, id := range frontier {
+	err = fnode.Walk(heads, map[hash.Hash]bool{}, func(ids []hash.Hash) ([]*chunk.Chunk, error) {
+		out := make([]*chunk.Chunk, len(ids))
+		var damaged []hash.Hash
+		var slot []int // damaged[j] is ids[slot[j]]
+		for i, id := range ids {
 			hs.Checked++
 			// Heal's contract is to re-verify what is actually on disk, so
 			// every read must pay the rehash: drop any verified-id entry
@@ -107,109 +89,68 @@ func (db *DB) healInner(src ChunkSource) (HealStats, error) {
 			c, err := db.st.Get(id)
 			switch {
 			case err == nil:
-				kids, err := chunkChildren(c)
-				if err != nil {
-					return hs, err
-				}
-				for _, k := range kids {
-					if k.IsZero() || visited[k] {
-						continue
-					}
-					visited[k] = true
-					next = append(next, k)
-				}
+				out[i] = c
+				continue
 			case errors.Is(err, store.ErrNotFound):
 				hs.Missing++
-				damaged = append(damaged, id)
 			case errors.Is(err, chunk.ErrCorrupt):
 				hs.Corrupt++
-				damaged = append(damaged, id)
 			default:
-				return hs, fmt.Errorf("core: heal read %s: %w", id.Short(), err)
+				return nil, fmt.Errorf("core: heal read %s: %w", id.Short(), err)
 			}
+			damaged, slot = append(damaged, id), append(slot, i)
 		}
-		for off := 0; off < len(damaged); off += healFetchBatch {
-			end := off + healFetchBatch
-			if end > len(damaged) {
-				end = len(damaged)
+		if len(damaged) == 0 {
+			return out, nil
+		}
+		got, err := src.GetChunks(damaged)
+		if err != nil {
+			return nil, fmt.Errorf("core: heal fetch: %w", err)
+		}
+		if len(got) != len(damaged) {
+			return nil, fmt.Errorf("core: heal fetch: source returned %d chunks for %d ids", len(got), len(damaged))
+		}
+		for j, c := range got {
+			want := damaged[j]
+			// The source is untrusted: rehash the bytes, and pin them to
+			// the id *requested* — a self-consistent chunk under the
+			// wrong id must not land either.
+			if c == nil || c.Recheck() != nil || c.Verify(want) != nil {
+				hs.Failed = append(hs.Failed, want)
+				continue
 			}
-			batch := damaged[off:end]
-			got, err := src.GetChunks(batch)
-			if err != nil {
-				return hs, fmt.Errorf("core: heal fetch: %w", err)
-			}
-			for i, c := range got {
-				want := batch[i]
-				// The source is untrusted: rehash the bytes, and pin them to
-				// the id *requested* — a self-consistent chunk under the
-				// wrong id must not land either.
-				if c == nil || c.Recheck() != nil || c.Verify(want) != nil {
+			if rep != nil {
+				if err := rep.Repair(c); err != nil {
+					return nil, fmt.Errorf("core: heal repair %s: %w", want.Short(), err)
+				}
+			} else {
+				// No repair capability: Put covers the missing case; a
+				// corrupt-but-resident copy that Put dedup-hits against
+				// stays broken, so re-read to find out.
+				if _, err := db.st.Put(c); err != nil {
+					return nil, fmt.Errorf("core: heal put %s: %w", want.Short(), err)
+				}
+				if _, err := db.st.Get(want); err != nil {
 					hs.Failed = append(hs.Failed, want)
 					continue
 				}
-				if rep != nil {
-					if err := rep.Repair(c); err != nil {
-						return hs, fmt.Errorf("core: heal repair %s: %w", want.Short(), err)
-					}
-				} else {
-					// No repair capability: Put covers the missing case; a
-					// corrupt-but-resident copy that Put dedup-hits against
-					// stays broken, so re-read to find out.
-					if _, err := db.st.Put(c); err != nil {
-						return hs, fmt.Errorf("core: heal put %s: %w", want.Short(), err)
-					}
-					if _, err := db.st.Get(want); err != nil {
-						hs.Failed = append(hs.Failed, want)
-						continue
-					}
-				}
-				// A cached decode may alias storage of the damaged copy, and a
-				// verified-id entry still describes the bytes repair replaced.
-				db.ncache.Remove(want)
-				db.verifier.Invalidate(want)
-				hs.Repaired++
-				hs.BytesFetched += int64(c.Size())
-				kids, err := chunkChildren(c)
-				if err != nil {
-					return hs, err
-				}
-				for _, k := range kids {
-					if k.IsZero() || visited[k] {
-						continue
-					}
-					visited[k] = true
-					next = append(next, k)
-				}
 			}
+			// A cached decode may alias storage of the damaged copy, and a
+			// verified-id entry still describes the bytes repair replaced.
+			db.ncache.Remove(want)
+			db.verifier.Invalidate(want)
+			hs.Repaired++
+			hs.BytesFetched += int64(c.Size())
+			// The repaired chunk's children rejoin the walk.
+			out[slot[j]] = c
 		}
-		frontier = next
+		return out, nil
+	})
+	if err != nil {
+		return hs, err
 	}
 	if len(hs.Failed) > 0 {
 		return hs, fmt.Errorf("core: heal left %d chunk(s) unrepaired: %w", len(hs.Failed), chunk.ErrCorrupt)
 	}
 	return hs, nil
-}
-
-// chunkChildren returns the chunk ids a chunk references: FNodes link their
-// base versions and value root; index nodes link their child pages via the
-// node-type registry; leaves link nothing.  (The repl package keeps an
-// identical helper for its pull walk; both must follow every edge GC's mark
-// follows, or heal/replication would strand subtrees GC keeps alive.)
-func chunkChildren(c *chunk.Chunk) ([]hash.Hash, error) {
-	if c.Type() == chunk.TypeFNode {
-		f, err := fnode.Decode(c.Data())
-		if err != nil {
-			return nil, fmt.Errorf("core: decoding fnode %s: %w", c.ID().Short(), err)
-		}
-		out := append([]hash.Hash(nil), f.Bases...)
-		v, err := f.DecodedValue()
-		if err != nil {
-			return nil, err
-		}
-		if v.Kind().Composite() && !v.Root().IsZero() {
-			out = append(out, v.Root())
-		}
-		return out, nil
-	}
-	return index.Children(c)
 }

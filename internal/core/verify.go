@@ -4,10 +4,9 @@ import (
 	"errors"
 	"fmt"
 
+	"forkbase/internal/chunk"
 	"forkbase/internal/fnode"
 	"forkbase/internal/hash"
-	"forkbase/internal/index"
-	"forkbase/internal/value"
 )
 
 // VerifyReport summarises a tamper-evidence validation run (paper §III-C):
@@ -18,7 +17,8 @@ import (
 // nor any version in its derivation history has been altered.
 type VerifyReport struct {
 	UID hash.Hash
-	// ChunksChecked counts every chunk fetched and re-hashed.
+	// ChunksChecked counts the distinct chunks fetched and re-hashed: a
+	// subtree shared by several versions is read and counted once.
 	ChunksChecked int
 	// VersionsChecked counts FNodes walked in the derivation history.
 	VersionsChecked int
@@ -38,89 +38,66 @@ type VerifyFailure struct {
 // ErrTampered is returned by VerifyVersion when validation fails.
 var ErrTampered = errors.New("core: tamper detected")
 
-// VerifyVersion validates the full object graph reachable from uid: the
-// FNode, its value's POS-Tree, and (recursively) every historical version
-// via the bases hash chain.  deep=false verifies only the head version's
-// value, matching the common "validate what I just fetched" flow.
+// VerifyVersion validates the object graph reachable from uid, which must be
+// a version of key: the FNode, every chunk of its value's index, and
+// (recursively) every historical version via the bases hash chain.
+// deep=false verifies only the head version's value, matching the common
+// "validate what I just fetched" flow.  Reads go through the verifying
+// store, so corruption surfaces as chunk.ErrCorrupt; a chunk that fails is
+// reported and not descended into — its pointers are not trustworthy.
 func (db *DB) VerifyVersion(key string, uid hash.Hash, deep bool) (VerifyReport, error) {
 	rep := VerifyReport{UID: uid, OK: true}
+	fail := func(id hash.Hash, context string, err error) {
+		rep.OK = false
+		rep.Failures = append(rep.Failures, VerifyFailure{ChunkID: id, Context: context, Err: err})
+	}
 	seen := map[hash.Hash]bool{}
-	queue := []hash.Hash{uid}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		if cur.IsZero() || seen[cur] {
-			continue
+	err := fnode.Walk([]hash.Hash{uid}, seen, func(ids []hash.Hash) ([]*chunk.Chunk, error) {
+		out := make([]*chunk.Chunk, len(ids))
+		for i, id := range ids {
+			c, err := db.st.Get(id)
+			if err != nil {
+				context := "chunk reachable from " + uid.Short()
+				if id == uid {
+					context = "version object (FNode)"
+				}
+				fail(id, context, err)
+				continue
+			}
+			if id == uid && c.Type() != chunk.TypeFNode {
+				fail(id, "version object (FNode)", fmt.Errorf("%w: %s is a %s", fnode.ErrNotFNode, id.Short(), c.Type()))
+				continue
+			}
+			if c.Type() == chunk.TypeFNode {
+				f, err := fnode.Decode(c.Data())
+				if err == nil && string(f.Key) != key {
+					err = fmt.Errorf("core: version belongs to key %q, not %q", f.Key, key)
+				}
+				if err != nil {
+					fail(id, "version object (FNode)", err)
+					continue
+				}
+				rep.VersionsChecked++
+				if !deep {
+					// The history is out of scope: marking the bases seen
+					// takes those edges out of the walk.
+					for _, b := range f.Bases {
+						seen[b] = true
+					}
+				}
+			}
+			rep.ChunksChecked++
+			out[i] = c
 		}
-		seen[cur] = true
-		f, err := fnode.Load(db.st, cur)
-		if err != nil {
-			rep.OK = false
-			rep.Failures = append(rep.Failures, VerifyFailure{
-				ChunkID: cur,
-				Context: "version object (FNode)",
-				Err:     err,
-			})
-			continue
-		}
-		rep.VersionsChecked++
-		rep.ChunksChecked++
-		v, err := f.DecodedValue()
-		if err != nil {
-			rep.OK = false
-			rep.Failures = append(rep.Failures, VerifyFailure{ChunkID: cur, Context: "value descriptor", Err: err})
-			continue
-		}
-		db.verifyValue(v, cur, &rep)
-		if deep {
-			queue = append(queue, f.Bases...)
-		}
+		return out, nil
+	})
+	if err != nil {
+		// A chunk that hashes to its id but does not decode as its type was
+		// written malformed; the walk cannot continue past it.
+		fail(uid, "object graph decoding", err)
 	}
 	if !rep.OK {
 		return rep, fmt.Errorf("%w: %d corrupt chunk(s) reachable from %s", ErrTampered, len(rep.Failures), uid.Short())
 	}
 	return rep, nil
-}
-
-// verifyValue walks a value's POS-Tree, re-hashing every chunk.  Reads go
-// through the verifying store, so corruption surfaces as chunk.ErrCorrupt.
-func (db *DB) verifyValue(v value.Value, owner hash.Hash, rep *VerifyReport) {
-	if !v.Kind().Composite() || v.Root().IsZero() {
-		return
-	}
-	var walk func(id hash.Hash) error
-	walk = func(id hash.Hash) error {
-		c, err := db.st.Get(id)
-		if err != nil {
-			rep.OK = false
-			rep.Failures = append(rep.Failures, VerifyFailure{
-				ChunkID: id,
-				Context: fmt.Sprintf("%s value of version %s", v.Kind(), owner.Short()),
-				Err:     err,
-			})
-			// Do not descend into a corrupt node: its child pointers are
-			// not trustworthy.
-			return nil
-		}
-		rep.ChunksChecked++
-		// Structure-agnostic: child pointers decode through the index
-		// layer's node-type registry.
-		children, err := index.Children(c)
-		if err != nil {
-			rep.OK = false
-			rep.Failures = append(rep.Failures, VerifyFailure{
-				ChunkID: id,
-				Context: "index node decoding",
-				Err:     err,
-			})
-			return nil
-		}
-		for _, childID := range children {
-			if err := walk(childID); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	_ = walk(v.Root())
 }

@@ -5,7 +5,10 @@ import (
 	"fmt"
 	"testing"
 
+	"forkbase/internal/chunk"
 	"forkbase/internal/chunker"
+	"forkbase/internal/fnode"
+	"forkbase/internal/hash"
 	"forkbase/internal/pos"
 	"forkbase/internal/store"
 	"forkbase/internal/value"
@@ -197,5 +200,117 @@ func TestNodeCacheCannotMaskTampering(t *testing.T) {
 	}
 	if st := db.NodeCacheStats(); st.Entries != 0 {
 		t.Fatalf("forged chunks entered the cache: %+v", st)
+	}
+}
+
+// TestVerifyRejectsForeignKey: a uid proves a version of *its* key.  Asking
+// whether it is a version of another key must fail the way GetVersion does,
+// at the root and at any version in the history walked.
+func TestVerifyRejectsForeignKey(t *testing.T) {
+	db := newTestDB()
+	a, err := db.Put("a", "", value.String("of a"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, deep := range []bool{false, true} {
+		if _, err := db.VerifyVersion("a", a.UID, deep); err != nil {
+			t.Fatalf("own key, deep=%v: %v", deep, err)
+		}
+		rep, err := db.VerifyVersion("b", a.UID, deep)
+		if !errors.Is(err, ErrTampered) || rep.OK || len(rep.Failures) != 1 || rep.Failures[0].ChunkID != a.UID {
+			t.Fatalf("foreign key, deep=%v: err=%v report=%+v", deep, err, rep)
+		}
+	}
+	// Nor is a chunk that is no version object a version of anything.
+	leaf := chunk.New(chunk.TypeBlobLeaf, []byte("not a version"))
+	store.MustPut(db.Store(), leaf)
+	if rep, err := db.VerifyVersion("a", leaf.ID(), false); !errors.Is(err, ErrTampered) || rep.VersionsChecked != 0 {
+		t.Fatalf("verify of a leaf chunk's id: err=%v report=%+v", err, rep)
+	}
+	// A version of "b" whose base is a version of "a": the head passes a
+	// shallow check, the history does not.
+	f := fnode.New([]byte("b"), value.String("of b"), []hash.Hash{a.UID}, a.Seq+1, nil)
+	spliced, err := f.Save(db.Store())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.VerifyVersion("b", spliced, false); err != nil {
+		t.Fatalf("shallow verify of the head: %v", err)
+	}
+	rep, err := db.VerifyVersion("b", spliced, true)
+	if !errors.Is(err, ErrTampered) || len(rep.Failures) != 1 || rep.Failures[0].ChunkID != a.UID {
+		t.Fatalf("foreign version in history: err=%v report=%+v", err, rep)
+	}
+}
+
+// distinctChunks is the brute-force size of uid's closure: every version of
+// the history, each with the chunk ids its value enumerates for itself.
+func distinctChunks(t *testing.T, db *DB, key string, uid hash.Hash) int {
+	t.Helper()
+	set := map[hash.Hash]bool{}
+	queue := []hash.Hash{uid}
+	for len(queue) > 0 {
+		cur := queue[0]
+		queue = queue[1:]
+		if set[cur] {
+			continue
+		}
+		set[cur] = true
+		v, err := db.GetVersion(key, cur)
+		if err != nil {
+			t.Fatal(err)
+		}
+		queue = append(queue, v.Bases...)
+		ids, err := v.Value.ChunkIDs(db.RawStore(), db.Chunking())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range ids {
+			set[id] = true
+		}
+	}
+	return len(set)
+}
+
+// TestDeepVerifyReadsEachChunkOnce is the read-once bound: a deep verify
+// issues one store read per distinct reachable chunk, however many versions
+// share it, so a longer history costs its new chunks and nothing else.
+func TestDeepVerifyReadsEachChunkOnce(t *testing.T) {
+	db := newTestDB()
+	if _, err := db.Put("table", "", bigMap(t, db, 2000, "v0"), nil); err != nil {
+		t.Fatal(err)
+	}
+	have := 1
+	measure := func(versions int) (reads, distinct int) {
+		t.Helper()
+		var head Version
+		for n := have; n < versions; n++ {
+			puts := make([]pos.Entry, 8)
+			for i := range puts {
+				puts[i] = pos.Entry{Key: []byte(fmt.Sprintf("k-%05d", (n*37+i)%2000)), Val: []byte(fmt.Sprintf("edit-%d", n))}
+			}
+			var err error
+			if head, err = db.EditMap("table", "", puts, nil, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		have = versions
+		distinct = distinctChunks(t, db, "table", head.UID)
+		before := db.RawStore().Stats().Gets
+		rep, err := db.VerifyVersion("table", head.UID, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reads = int(db.RawStore().Stats().Gets - before)
+		if rep.VersionsChecked != versions || rep.ChunksChecked != distinct || reads != distinct {
+			t.Fatalf("%d versions: %d versions checked, %d chunks checked, %d store reads, %d distinct chunks reachable",
+				versions, rep.VersionsChecked, rep.ChunksChecked, reads, distinct)
+		}
+		return reads, distinct
+	}
+	reads16, distinct16 := measure(16)
+	reads64, distinct64 := measure(64)
+	if reads64-reads16 != distinct64-distinct16 {
+		t.Fatalf("48 more versions cost %d more reads for %d new chunks", reads64-reads16, distinct64-distinct16)
 	}
 }

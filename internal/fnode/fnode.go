@@ -136,6 +136,9 @@ func Decode(data []byte) (*FNode, error) {
 	if n, p, err = readUvarint(p); err != nil {
 		return nil, fmt.Errorf("fnode: meta count: %w", err)
 	}
+	if n > uint64(len(p))/2 { // an entry is at least its two length bytes
+		return nil, errors.New("fnode: meta count exceeds payload")
+	}
 	if n > 0 {
 		f.Meta = make(map[string]string, n)
 		for i := uint64(0); i < n; i++ {

@@ -53,8 +53,8 @@ func Register(f Factory) {
 }
 
 // RegisterChildren installs the child-hash decoder for one node chunk type.
-// GC reachability, verification and the replication Merkle prune dispatch
-// through Children instead of naming a structure.
+// The object-graph edge rule (fnode.Refs) dispatches through Children
+// instead of naming a structure.
 func RegisterChildren(t chunk.Type, fn ChildrenFunc) {
 	registry.mu.Lock()
 	defer registry.mu.Unlock()
@@ -103,8 +103,9 @@ func Registered(k Kind) bool {
 
 // Children returns the chunk ids a node chunk references, dispatching on
 // the chunk's type.  Chunk types with no registered decoder — leaves,
-// FNodes, tags — reference nothing and return (nil, nil), so reachability
-// walks can feed every chunk through here.
+// FNodes, tags — reference nothing *as index nodes* and return (nil, nil).
+// fnode.Refs is the one caller: it adds the FNode's own edges, and CI fails
+// on a second call site.
 func Children(c *chunk.Chunk) ([]hash.Hash, error) {
 	registry.mu.RLock()
 	fn := registry.children[c.Type()]

@@ -24,9 +24,9 @@
 // Writes land through the batched store.ChunkSink with the dedup pre-check
 // on, so edits that recreate shared subtrees cost index lookups, not
 // writes.  The trie registers itself with the index layer: reachability
-// walks (GC, verify, replication pruning) decode its children through
-// index.Children, and index.Load sniffs TypeMPTNode roots back to this
-// package.
+// walks (fnode.Walk: GC, verify, heal, replication pruning) decode its
+// children through index.Children, and index.Load sniffs TypeMPTNode roots
+// back to this package.
 package mpt
 
 import (
@@ -264,8 +264,7 @@ func decodeNode(c *chunk.Chunk) (*node, error) {
 }
 
 // Children returns the child chunk hashes of an MPT node chunk — the hook
-// the index layer's reachability registry dispatches to for GC marking,
-// verification and the replication Merkle prune.
+// the index layer's reachability registry dispatches to.
 func Children(c *chunk.Chunk) ([]hash.Hash, error) {
 	if c.Type() != chunk.TypeMPTNode {
 		return nil, nil

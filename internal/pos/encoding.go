@@ -261,8 +261,8 @@ func decodeSeqIndex(data []byte) (uint8, []childRef, error) {
 }
 
 // IndexChildren returns the child hashes of a POS-Tree index node chunk, or
-// nil for leaf chunks.  It is the hook external verifiers (package core) use
-// to walk value graphs without depending on pos internals.
+// nil for leaf chunks — the hook the index layer's reachability registry
+// dispatches to.
 func IndexChildren(c *chunk.Chunk) ([]hash.Hash, error) {
 	switch c.Type() {
 	case chunk.TypeMapIndex:

@@ -197,7 +197,8 @@ func (t *Tree) ComputeStats() (Stats, error) {
 }
 
 // ChunkIDs returns the ids of every chunk in the tree (root included).
-// Used by merge-reuse accounting (Fig 3) and by the garbage collector.
+// Used by merge-reuse accounting (Fig 3) and by tests picking chunks to
+// corrupt; reachability walks go through fnode.Walk instead.
 func (t *Tree) ChunkIDs() ([]hash.Hash, error) { return chunkIDs(t.src, t.root) }
 
 // chunkIDs lists, in pre-order, the id of every node under root of a map,

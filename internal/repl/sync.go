@@ -8,7 +8,6 @@ import (
 	"forkbase/internal/chunk"
 	"forkbase/internal/fnode"
 	"forkbase/internal/hash"
-	"forkbase/internal/index"
 	"forkbase/internal/retry"
 	"forkbase/internal/store"
 )
@@ -19,11 +18,6 @@ import (
 // window).  The follower treats it as retriable: it re-reads the feed,
 // where a newer entry for the branch supersedes the vanished head.
 var ErrChunkVanished = errors.New("repl: chunk vanished from source mid-sync")
-
-// fetchBatch bounds how many chunk ids travel in one GetChunks request, so
-// a single huge tree level neither builds an unbounded request nor stalls
-// the connection.
-const fetchBatch = 512
 
 // syncer pulls Merkle graphs from a Source into a local store.  It is the
 // mechanism under both catch-up modes: snapshot (walk every head) and
@@ -54,6 +48,9 @@ func (s *syncer) fetch(ids []hash.Hash) ([]*chunk.Chunk, error) {
 		if err != nil {
 			return err
 		}
+		if len(part) != len(ids) {
+			return retry.Permanent(fmt.Errorf("repl: source returned %d chunks for %d ids", len(part), len(ids)))
+		}
 		for j, c := range part {
 			if c == nil {
 				return retry.Permanent(fmt.Errorf("%w: %s", ErrChunkVanished, ids[j].Short()))
@@ -65,41 +62,17 @@ func (s *syncer) fetch(ids []hash.Hash) ([]*chunk.Chunk, error) {
 	return out, err
 }
 
-// children returns the chunk ids a chunk references: FNodes link their base
-// versions and their value root; index nodes — of whatever structure, via
-// the index layer's node-type registry — link their child pages; leaves
-// link nothing.  Dispatching through the registry is what lets the Merkle
-// prune walk replicate POS-Tree and MPT value graphs alike.
-func children(c *chunk.Chunk) ([]hash.Hash, error) {
-	if c.Type() == chunk.TypeFNode {
-		f, err := fnode.Decode(c.Data())
-		if err != nil {
-			return nil, fmt.Errorf("repl: decoding fnode %s: %w", c.ID().Short(), err)
-		}
-		out := append([]hash.Hash(nil), f.Bases...)
-		v, err := f.DecodedValue()
-		if err != nil {
-			return nil, err
-		}
-		if v.Kind().Composite() && !v.Root().IsZero() {
-			out = append(out, v.Root())
-		}
-		return out, nil
-	}
-	return index.Children(c)
-}
-
 // syncRoot makes every chunk reachable from root present in the local
 // store, fetching only what is missing.
 //
-// The walk is top-down and level-batched: each frontier level is first
-// pruned against the local store with one HasBatch (a present chunk implies
-// its whole subtree is present — the Merkle prune invariant), then the
-// missing chunks are fetched with batched GetChunks and their children
-// become the next frontier.  Chunks land in reverse level order (children
-// before parents), which is what *maintains* the prune invariant across
-// crashes: a torn sync can leave orphaned subtrees (harmless; unreferenced)
-// but never a parent whose descendants are absent.
+// The walk (fnode.Walk) is top-down and level-batched: each batch of ids is
+// first pruned against the local store with one HasBatch (a present chunk
+// implies its whole subtree is present — the Merkle prune invariant), then
+// the missing chunks are fetched with one GetChunks and their children join
+// the next level.  Chunks land in reverse fetch order (children before
+// parents), which is what *maintains* the prune invariant across crashes: a
+// torn sync can leave orphaned subtrees (harmless; unreferenced) but never a
+// parent whose descendants are absent.
 //
 // Memory holds the missing byte volume of one root until the landing pass —
 // small for incremental syncs (the delta), but a cold snapshot of a huge
@@ -108,63 +81,43 @@ func children(c *chunk.Chunk) ([]hash.Hash, error) {
 // buffering is the price of the child-first landing order that keeps
 // pruning safe across torn syncs.
 func (s *syncer) syncRoot(root hash.Hash) error {
-	if root.IsZero() {
-		return nil
-	}
-	frontier := []hash.Hash{root}
-	visited := map[hash.Hash]bool{root: true}
-	var levels [][]*chunk.Chunk
-	for len(frontier) > 0 {
-		present, err := s.local.HasBatch(frontier)
+	var fetched [][]*chunk.Chunk
+	err := fnode.Walk([]hash.Hash{root}, map[hash.Hash]bool{}, func(ids []hash.Hash) ([]*chunk.Chunk, error) {
+		present, err := s.local.HasBatch(ids)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		missing := frontier[:0:0]
-		for i, id := range frontier {
+		out := make([]*chunk.Chunk, len(ids))
+		var missing []hash.Hash
+		var slot []int // missing[j] is ids[slot[j]]
+		for i, id := range ids {
 			if present[i] {
 				s.chunksSkipped.Add(1)
-				continue
-			}
-			missing = append(missing, id)
-		}
-		var level []*chunk.Chunk
-		for off := 0; off < len(missing); off += fetchBatch {
-			end := off + fetchBatch
-			if end > len(missing) {
-				end = len(missing)
-			}
-			part, err := s.fetch(missing[off:end])
-			if err != nil {
-				return err
-			}
-			for _, c := range part {
-				level = append(level, c)
-				s.chunksFetched.Add(1)
-				s.bytesFetched.Add(uint64(c.Size()))
+			} else {
+				missing, slot = append(missing, id), append(slot, i)
 			}
 		}
-		if len(level) > 0 {
-			levels = append(levels, level)
+		if len(missing) == 0 {
+			return out, nil
 		}
-		var next []hash.Hash
-		for _, c := range level {
-			kids, err := children(c)
-			if err != nil {
-				return err
-			}
-			for _, k := range kids {
-				if k.IsZero() || visited[k] {
-					continue
-				}
-				visited[k] = true
-				next = append(next, k)
-			}
+		part, err := s.fetch(missing)
+		if err != nil {
+			return nil, err
 		}
-		frontier = next
+		fetched = append(fetched, part)
+		for j, c := range part {
+			out[slot[j]] = c
+			s.chunksFetched.Add(1)
+			s.bytesFetched.Add(uint64(c.Size()))
+		}
+		return out, nil
+	})
+	if err != nil {
+		return err
 	}
 	// Land children before parents.
-	for i := len(levels) - 1; i >= 0; i-- {
-		if _, err := s.local.PutBatch(levels[i]); err != nil {
+	for i := len(fetched) - 1; i >= 0; i-- {
+		if _, err := s.local.PutBatch(fetched[i]); err != nil {
 			return err
 		}
 	}

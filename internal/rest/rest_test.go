@@ -228,6 +228,11 @@ func TestVerifyEndpoint(t *testing.T) {
 	if code != http.StatusOK || body["ok"] != true {
 		t.Fatalf("clean verify: %d %v", code, body)
 	}
+	// The same uid is not a version of any other key.
+	code, body = doJSON(t, http.MethodGet, srv.URL+"/v1/obj/other/verify?uid="+uid, nil)
+	if code != http.StatusBadGateway || body["ok"] != false || len(body["failures"].([]any)) != 1 {
+		t.Fatalf("verify under a foreign key: %d %v", code, body)
+	}
 
 	// Corrupt a chunk and verify again.
 	ids := mal.Unwrap().(*store.MemStore).IDs()

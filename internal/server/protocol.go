@@ -122,7 +122,7 @@ const (
 	flagError    = 1 // reply flag: the payload is an error message
 
 	// MaxPayload caps one frame's payload: room for the largest batch a
-	// replica fetches (repl's fetchBatch, 512 ids) of the largest chunks the
+	// replica fetches (fnode.WalkBatch, 512 ids) of the largest chunks the
 	// default chunker cuts (64 KiB) plus their framing.  Larger batches are
 	// split (puts) or answered in part (gets); a single chunk that does not
 	// fit cannot travel.

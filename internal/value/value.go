@@ -406,9 +406,10 @@ func (v Value) Blob(st store.Store, cfg chunker.Config) (*pos.Blob, error) {
 }
 
 // ChunkIDs returns every chunk id reachable from a value (empty for
-// primitives); used by whole-version verification and GC.  Map and set
-// values dispatch through the index registry, so the enumeration works for
-// every registered structure.
+// primitives); used by the paper experiments' accounting and by tests
+// picking chunks to corrupt — verification and GC walk with fnode.Walk.
+// Map and set values dispatch through the index registry, so the
+// enumeration works for every registered structure.
 func (v Value) ChunkIDs(st store.Store, cfg chunker.Config) ([]hash.Hash, error) {
 	if !v.kind.Composite() || v.root.IsZero() {
 		return nil, nil
