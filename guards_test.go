@@ -1,0 +1,88 @@
+package forkbase_test
+
+import (
+	"bufio"
+	"fmt"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+)
+
+// TestSourceGuards pins design decisions the compiler cannot see.  Each row
+// names a line pattern, the paths searched for it (a directory is walked;
+// only non-test .go files count) and how many matching lines there must be —
+// exactly, so a rename that leaves a guard aimed at nothing fails too.
+func TestSourceGuards(t *testing.T) {
+	for _, g := range []struct {
+		name    string
+		pattern string
+		paths   []string
+		want    int
+	}{{
+		// The framed protocol replaced gob; nothing may bring it back as a
+		// second codec.
+		name:    "one wire codec",
+		pattern: `"encoding/gob"`,
+		paths:   []string{"."},
+		want:    0,
+	}, {
+		// GC mark, verify, heal and replica sync are fetch functions under
+		// fnode.Walk, whose edge rule (fnode.Refs) is the only caller of the
+		// index layer's child decoder; a second call site is a second
+		// definition of what a version keeps reachable.
+		name:    "one object-graph walk",
+		pattern: `index\.Children\(`,
+		paths:   []string{"internal"},
+		want:    1,
+	}, {
+		// A sink hashes on its producer's goroutine; a build uses more cores
+		// by forking producers in pos/parbuild.go (deliberately not listed),
+		// never by starting goroutines on the write path below one.
+		name:    "one producer, no pool beneath it",
+		pattern: `^\s*go (func|s\.)`,
+		paths: []string{"internal/store/sink.go", "internal/pos/builder.go", "internal/pos/blob.go",
+			"internal/pos/splice.go", "internal/mpt/edit.go"},
+		want: 0,
+	}} {
+		re := regexp.MustCompile(g.pattern)
+		var hits []string
+		for _, root := range g.paths {
+			err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+				if err != nil {
+					return err
+				}
+				if d.IsDir() {
+					if path != root && strings.HasPrefix(d.Name(), ".") {
+						return filepath.SkipDir
+					}
+					return nil
+				}
+				if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+					return nil
+				}
+				f, err := os.Open(path)
+				if err != nil {
+					return err
+				}
+				defer f.Close()
+				sc := bufio.NewScanner(f)
+				sc.Buffer(nil, 1<<20)
+				for n := 1; sc.Scan(); n++ {
+					if re.MatchString(sc.Text()) {
+						hits = append(hits, fmt.Sprintf("%s:%d: %s", path, n, sc.Text()))
+					}
+				}
+				return sc.Err()
+			})
+			if err != nil {
+				t.Errorf("%s: %v", g.name, err)
+			}
+		}
+		if len(hits) != g.want {
+			t.Errorf("%s: %d lines match %s, want %d:\n%s", g.name, len(hits), g.pattern, g.want, strings.Join(hits, "\n"))
+		}
+	}
+}

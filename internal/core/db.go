@@ -356,14 +356,8 @@ func (db *DB) Put(key, branch string, v value.Value, meta map[string]string) (Ve
 // serving edge rides ctx into the slow-op log, so a stalled commit can be
 // attributed to the request that issued it.  ctx does not cancel the
 // write — a version is either fully committed or not published.
-func (db *DB) PutCtx(ctx context.Context, key, branch string, v value.Value, meta map[string]string) (_ Version, err error) {
-	if gerr := db.writeGuard(); gerr != nil {
-		return Version{}, gerr
-	}
-	defer db.met.finish(ctx, db.met.opPut, db.met.begin(), &err, "key", key, "branch", branch)
-	db.writeMu.RLock()
-	defer db.writeMu.RUnlock()
-	return db.put(key, branch, v, meta)
+func (db *DB) PutCtx(ctx context.Context, key, branch string, v value.Value, meta map[string]string) (Version, error) {
+	return db.BuildAndPutCtx(ctx, key, branch, meta, func() (value.Value, error) { return v, nil })
 }
 
 // put is Put without the GC write fence, for compound write operations that
@@ -442,14 +436,8 @@ func (db *DB) WriteBatch(ops []WriteOp) ([]Version, error) {
 }
 
 // WriteBatchCtx is WriteBatch carrying a request context (see PutCtx).
-func (db *DB) WriteBatchCtx(ctx context.Context, ops []WriteOp) (_ []Version, err error) {
-	if gerr := db.writeGuard(); gerr != nil {
-		return nil, gerr
-	}
-	defer db.met.finish(ctx, db.met.opWriteBatch, db.met.begin(), &err, "ops", len(ops))
-	db.writeMu.RLock()
-	defer db.writeMu.RUnlock()
-	return db.writeBatch(ops)
+func (db *DB) WriteBatchCtx(ctx context.Context, ops []WriteOp) ([]Version, error) {
+	return db.BuildAndWriteBatchCtx(ctx, func() ([]WriteOp, error) { return ops, nil })
 }
 
 // BuildAndPut runs build — which typically stores chunks, e.g. the value
@@ -500,9 +488,10 @@ func (db *DB) BuildAndWriteBatchCtx(ctx context.Context, build func() ([]WriteOp
 		return nil, gerr
 	}
 	var buildDur time.Duration
+	var ops []WriteOp
 	start := db.met.begin()
 	defer func() {
-		db.met.finish(ctx, db.met.opWriteBatch, start, &err, "build", buildDur)
+		db.met.finish(ctx, db.met.opWriteBatch, start, &err, "ops", len(ops), "build", buildDur)
 	}()
 	db.writeMu.RLock()
 	defer db.writeMu.RUnlock()
@@ -612,15 +601,9 @@ func (db *DB) Get(key, branch string) (Version, error) {
 // GetCtx is Get carrying a request context (see PutCtx).
 func (db *DB) GetCtx(ctx context.Context, key, branch string) (_ Version, err error) {
 	defer db.met.finish(ctx, db.met.opGet, db.met.begin(), &err, "key", key, "branch", branch)
-	if branch == "" {
-		branch = DefaultBranch
-	}
-	head, ok, herr := db.heads.Head(key, branch)
-	if herr != nil {
-		return Version{}, herr
-	}
-	if !ok {
-		return Version{}, fmt.Errorf("%w: %s@%s", ErrBranchNotFound, key, branch)
+	head, err := db.Head(key, branch)
+	if err != nil {
+		return Version{}, err
 	}
 	return db.GetVersion(key, head)
 }
@@ -632,6 +615,12 @@ func (db *DB) GetVersion(key string, uid hash.Hash) (Version, error) {
 	if err != nil {
 		return Version{}, err
 	}
+	return versionOf(key, uid, f)
+}
+
+// versionOf builds the Version of key that FNode f, loaded and verified
+// under uid, describes — rejecting an FNode of another key.
+func versionOf(key string, uid hash.Hash, f *fnode.FNode) (Version, error) {
 	if string(f.Key) != key {
 		return Version{}, fmt.Errorf("core: version %s belongs to key %q, not %q", uid.Short(), f.Key, key)
 	}
@@ -669,19 +658,14 @@ func (db *DB) Latest(key string) (string, Version, error) {
 	if err != nil {
 		return "", Version{}, err
 	}
-	names := make([]string, 0, len(branches))
-	for b := range branches {
-		names = append(names, b)
-	}
-	sort.Strings(names)
 	var bestName string
 	var best Version
-	for _, b := range names {
-		v, err := db.GetVersion(key, branches[b])
+	for b, uid := range branches {
+		v, err := db.GetVersion(key, uid)
 		if err != nil {
 			return "", Version{}, err
 		}
-		if bestName == "" || v.Seq > best.Seq {
+		if bestName == "" || v.Seq > best.Seq || v.Seq == best.Seq && b < bestName {
 			bestName, best = b, v
 		}
 	}
@@ -695,15 +679,9 @@ func (db *DB) Branch(key, newBranch, fromBranch string) error {
 	if err := db.writeGuard(); err != nil {
 		return err
 	}
-	if fromBranch == "" {
-		fromBranch = DefaultBranch
-	}
-	head, ok, err := db.heads.Head(key, fromBranch)
+	head, err := db.Head(key, fromBranch)
 	if err != nil {
 		return err
-	}
-	if !ok {
-		return fmt.Errorf("%w: %s@%s", ErrBranchNotFound, key, fromBranch)
 	}
 	return db.branchAt(key, newBranch, head)
 }
@@ -777,17 +755,11 @@ func (db *DB) History(key, branch string, limit int) ([]Version, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Version, 0, len(uids))
+	out := make([]Version, len(nodes))
 	for i, f := range nodes {
-		if string(f.Key) != key {
-			return nil, fmt.Errorf("core: version %s belongs to key %q, not %q", uids[i].Short(), f.Key, key)
-		}
-		v, err := f.DecodedValue()
-		if err != nil {
+		if out[i], err = versionOf(key, uids[i], f); err != nil {
 			return nil, err
 		}
-		v = v.WithIndexKind(f.Index)
-		out = append(out, Version{UID: uids[i], Seq: f.Seq, Bases: f.Bases, Value: v, Meta: f.Meta, Key: key, Index: f.Index})
 	}
 	return out, nil
 }
@@ -853,23 +825,31 @@ type MergeResult struct {
 }
 
 // Merge three-way-merges branch src into branch dst of key (paper §II-B).
-// The merge base is the LCA in the version DAG.  The merged version carries
-// both heads as bases, making the merge itself part of the tamper-evident
-// history.  resolve handles conflicting keys (nil = fail on conflict).
+// The merge base is the LCA in the version DAG, found by one walk in
+// descending Seq order (fnode.MergeBase) that stops at the first version
+// both heads reach — the highest Seq, the smaller uid among equals — so a
+// merge costs the distance to its base, not the history; a history breaking
+// that order fails with ErrTampered and publishes nothing.  The merged
+// version carries both heads as bases, making the merge itself part of the
+// tamper-evident history.  resolve handles conflicting keys (nil = fail on
+// conflict).
 func (db *DB) Merge(key, dst, src string, resolve index.Resolver, meta map[string]string) (MergeResult, error) {
 	return db.MergeCtx(context.Background(), key, dst, src, resolve, meta)
 }
 
-// MergeCtx is Merge carrying a request context (see PutCtx).
+// MergeCtx is Merge carrying a request context (see PutCtx).  The slow-op
+// record carries ancestry_nodes, the FNodes the base walk loaded.
 func (db *DB) MergeCtx(ctx context.Context, key, dst, src string, resolve index.Resolver, meta map[string]string) (_ MergeResult, err error) {
 	if gerr := db.writeGuard(); gerr != nil {
 		return MergeResult{}, gerr
 	}
-	defer db.met.finish(ctx, db.met.opMerge, db.met.begin(), &err, "key", key, "dst", dst, "src", src)
-	// Normalize up front: Head defaults empty branch names on the read
-	// side, so the CAS below must target the same (defaulted) branch — an
-	// empty dst used to read master's head but CAS branch "", failing
-	// every merge with a spurious ErrStaleHead.
+	var anc fnode.Ancestry
+	start := db.met.begin()
+	defer func() {
+		db.met.finish(ctx, db.met.opMerge, start, &err, "key", key, "dst", dst, "src", src, "ancestry_nodes", anc.Loaded)
+	}()
+	// Default the names up front: Head defaults them on the read side, and
+	// the CAS below must target the branch whose head it read.
 	if dst == "" {
 		dst = DefaultBranch
 	}
@@ -888,77 +868,71 @@ func (db *DB) MergeCtx(ctx context.Context, key, dst, src string, resolve index.
 	if err != nil {
 		return MergeResult{}, err
 	}
-	if dstHead == srcHead {
-		v, err := db.GetVersion(key, dstHead)
-		return MergeResult{Version: v, FastForward: true}, err
-	}
-	// Fast-forward: dst is an ancestor of src.
-	if anc, err := fnode.IsAncestor(db.st, dstHead, srcHead); err != nil {
+	anc, err = fnode.MergeBase(db.st, dstHead, srcHead)
+	db.met.mergeAncestry.Add(int64(anc.Loaded))
+	if err != nil {
+		if errors.Is(err, fnode.ErrSeqOrder) {
+			err = fmt.Errorf("%w: %w", ErrTampered, err)
+		}
 		return MergeResult{}, err
-	} else if anc {
-		ok, err := db.heads.CompareAndSet(key, dst, dstHead, srcHead)
-		if err != nil {
+	}
+	dv, err := versionOf(key, dstHead, anc.A)
+	if err != nil {
+		return MergeResult{}, err
+	}
+	sv, err := versionOf(key, srcHead, anc.B)
+	if err != nil {
+		return MergeResult{}, err
+	}
+	if anc.Base == srcHead { // already merged: dst contains src (or is src)
+		return MergeResult{Version: dv, FastForward: true}, nil
+	}
+	res := MergeResult{Version: sv, FastForward: true} // src descends from dst
+	if anc.Base != dstHead {
+		if res, err = db.mergeCommit(key, dv, sv, anc, resolve, meta); err != nil {
 			return MergeResult{}, err
 		}
-		if !ok {
-			return MergeResult{}, fmt.Errorf("%w: %s@%s", ErrStaleHead, key, dst)
-		}
-		v, err := db.GetVersion(key, srcHead)
-		return MergeResult{Version: v, FastForward: true}, err
 	}
-	// Already-merged: src is an ancestor of dst.
-	if anc, err := fnode.IsAncestor(db.st, srcHead, dstHead); err != nil {
-		return MergeResult{}, err
-	} else if anc {
-		v, err := db.GetVersion(key, dstHead)
-		return MergeResult{Version: v, FastForward: true}, err
-	}
-
-	baseUID, err := fnode.LCA(db.st, dstHead, srcHead)
-	if err != nil {
-		return MergeResult{}, err
-	}
-	dv, err := db.GetVersion(key, dstHead)
-	if err != nil {
-		return MergeResult{}, err
-	}
-	sv, err := db.GetVersion(key, srcHead)
-	if err != nil {
-		return MergeResult{}, err
-	}
-	mergedVal, stats, err := db.mergeValues(key, baseUID, dv.Value, sv.Value, resolve)
-	if err != nil {
-		return MergeResult{}, err
-	}
-
-	seq := dv.Seq
-	if sv.Seq > seq {
-		seq = sv.Seq
-	}
-	kind, err := db.kindOf(mergedVal)
-	if err != nil {
-		return MergeResult{}, err
-	}
-	f := fnode.New([]byte(key), mergedVal, []hash.Hash{dstHead, srcHead}, seq+1, meta)
-	f.Index = kind
-	uid, err := f.Save(db.st)
-	if err != nil {
-		return MergeResult{}, err
-	}
-	ok, err := db.heads.CompareAndSet(key, dst, dstHead, uid)
+	ok, err := db.heads.CompareAndSet(key, dst, dstHead, res.Version.UID)
 	if err != nil {
 		return MergeResult{}, err
 	}
 	if !ok {
 		return MergeResult{}, fmt.Errorf("%w: %s@%s", ErrStaleHead, key, dst)
 	}
-	return MergeResult{
-		Version: Version{UID: uid, Seq: seq + 1, Bases: []hash.Hash{dstHead, srcHead}, Value: mergedVal, Meta: meta, Key: key, Index: kind},
-		Stats:   stats,
-	}, nil
+	return res, nil
 }
 
-func (db *DB) mergeValues(key string, baseUID hash.Hash, a, b value.Value, resolve index.Resolver) (value.Value, index.MergeStats, error) {
+// mergeCommit stores the three-way merge of heads dv and sv over their base
+// as a version deriving from both, for Merge to publish.
+func (db *DB) mergeCommit(key string, dv, sv Version, anc fnode.Ancestry, resolve index.Resolver, meta map[string]string) (MergeResult, error) {
+	var base value.Value // unrelated histories merge against an empty base
+	if !anc.Base.IsZero() {
+		bv, err := versionOf(key, anc.Base, anc.BaseNode)
+		if err != nil {
+			return MergeResult{}, err
+		}
+		base = bv.Value
+	}
+	mergedVal, stats, err := db.mergeValues(base, dv.Value, sv.Value, resolve)
+	if err != nil {
+		return MergeResult{}, err
+	}
+	kind, err := db.kindOf(mergedVal)
+	if err != nil {
+		return MergeResult{}, err
+	}
+	bases, seq := []hash.Hash{dv.UID, sv.UID}, max(dv.Seq, sv.Seq)+1
+	f := fnode.New([]byte(key), mergedVal, bases, seq, meta)
+	f.Index = kind
+	uid, err := f.Save(db.st)
+	if err != nil {
+		return MergeResult{}, err
+	}
+	return MergeResult{Version: Version{UID: uid, Seq: seq, Bases: bases, Value: mergedVal, Meta: meta, Key: key, Index: kind}, Stats: stats}, nil
+}
+
+func (db *DB) mergeValues(baseVal, a, b value.Value, resolve index.Resolver) (value.Value, index.MergeStats, error) {
 	if a.Equal(b) {
 		return a, index.MergeStats{}, nil
 	}
@@ -971,14 +945,6 @@ func (db *DB) mergeValues(key string, baseUID hash.Hash, a, b value.Value, resol
 		return value.Value{}, index.MergeStats{}, fmt.Errorf("core: merge unsupported for diverged %s values", a.Kind())
 	}
 
-	var baseVal value.Value
-	if !baseUID.IsZero() {
-		bv, err := db.GetVersion(key, baseUID)
-		if err != nil {
-			return value.Value{}, index.MergeStats{}, err
-		}
-		baseVal = bv.Value
-	}
 	// The destination side decides the structure; a missing base loads as
 	// that structure's empty index so the base→a diff can prune.
 	at, err := a.Index(db.st, db.cfg, db.idxKind)

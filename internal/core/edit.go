@@ -7,100 +7,91 @@ import (
 	"forkbase/internal/value"
 )
 
+// editHead is the frame of the three edit methods: under the GC fence it
+// reads the head of key@branch, derives a new value from it with edit, and
+// publishes that value by a CAS against the head it was derived from.  Like
+// Put it does not retry: a concurrent writer costs ErrStaleHead and the
+// caller reloads.
+func (db *DB) editHead(key, branch string, meta map[string]string, edit func(cur Version) (value.Value, error)) (Version, error) {
+	if err := db.writeGuard(); err != nil {
+		return Version{}, err
+	}
+	if branch == "" {
+		branch = DefaultBranch
+	}
+	db.writeMu.RLock()
+	defer db.writeMu.RUnlock()
+	cur, err := db.Get(key, branch)
+	if err != nil {
+		return Version{}, err
+	}
+	v, err := edit(cur)
+	if err != nil {
+		return Version{}, err
+	}
+	return db.putOnto(key, branch, cur.UID, v, meta)
+}
+
 // EditMap writes a new version of a map- or set-valued object by applying
 // puts and deletes to the current branch head *incrementally*: only the
 // affected index region is rewritten, so the cost is O(changes · log N)
 // rather than O(N), and all untouched nodes are shared with the previous
 // version.  The edit goes through the index registry, so a branch keeps
 // whatever structure (POS-Tree, MPT, ...) its head was written with.
-//
-// Like Put, the three edit methods do not retry: the new version is
-// published by a CAS against the head the edit was computed from, so a
-// concurrent writer costs ErrStaleHead and the caller reloads.
 func (db *DB) EditMap(key, branch string, puts []index.Entry, deletes [][]byte, meta map[string]string) (Version, error) {
-	if err := db.writeGuard(); err != nil {
-		return Version{}, err
-	}
-	if branch == "" {
-		branch = DefaultBranch
-	}
-	db.writeMu.RLock()
-	defer db.writeMu.RUnlock()
-	cur, err := db.Get(key, branch)
-	if err != nil {
-		return Version{}, err
-	}
-	switch cur.Value.Kind() {
-	case value.KindMap, value.KindSet:
-	default:
-		return Version{}, fmt.Errorf("core: EditMap on %s value", cur.Value.Kind())
-	}
-	ix, err := cur.Value.Index(db.st, db.cfg, cur.Index)
-	if err != nil {
-		return Version{}, err
-	}
-	ops := make([]index.Op, 0, len(puts)+len(deletes))
-	for _, e := range puts {
-		ops = append(ops, index.Put(e.Key, e.Val))
-	}
-	for _, k := range deletes {
-		ops = append(ops, index.Del(k))
-	}
-	edited, err := ix.Apply(ops)
-	if err != nil {
-		return Version{}, err
-	}
-	return db.putOnto(key, branch, cur.UID, value.FromIndex(cur.Value.Kind(), edited), meta)
+	return db.editHead(key, branch, meta, func(cur Version) (value.Value, error) {
+		switch cur.Value.Kind() {
+		case value.KindMap, value.KindSet:
+		default:
+			return value.Value{}, fmt.Errorf("core: EditMap on %s value", cur.Value.Kind())
+		}
+		ix, err := cur.Value.Index(db.st, db.cfg, cur.Index)
+		if err != nil {
+			return value.Value{}, err
+		}
+		ops := make([]index.Op, 0, len(puts)+len(deletes))
+		for _, e := range puts {
+			ops = append(ops, index.Put(e.Key, e.Val))
+		}
+		for _, k := range deletes {
+			ops = append(ops, index.Del(k))
+		}
+		edited, err := ix.Apply(ops)
+		if err != nil {
+			return value.Value{}, err
+		}
+		return value.FromIndex(cur.Value.Kind(), edited), nil
+	})
 }
 
 // AppendList writes a new version of a list-valued object with items
 // appended, reusing the existing sequence chunks.
 func (db *DB) AppendList(key, branch string, items [][]byte, meta map[string]string) (Version, error) {
-	if err := db.writeGuard(); err != nil {
-		return Version{}, err
-	}
-	if branch == "" {
-		branch = DefaultBranch
-	}
-	db.writeMu.RLock()
-	defer db.writeMu.RUnlock()
-	cur, err := db.Get(key, branch)
-	if err != nil {
-		return Version{}, err
-	}
-	seq, err := cur.Value.Seq(db.st, db.cfg)
-	if err != nil {
-		return Version{}, err
-	}
-	appended, err := seq.Append(items...)
-	if err != nil {
-		return Version{}, err
-	}
-	return db.putOnto(key, branch, cur.UID, value.FromSeq(appended), meta)
+	return db.editHead(key, branch, meta, func(cur Version) (value.Value, error) {
+		seq, err := cur.Value.Seq(db.st, db.cfg)
+		if err != nil {
+			return value.Value{}, err
+		}
+		appended, err := seq.Append(items...)
+		if err != nil {
+			return value.Value{}, err
+		}
+		return value.FromSeq(appended), nil
+	})
 }
 
 // SpliceBlob writes a new version of a blob-valued object with bytes
 // [at, at+del) replaced by ins, re-chunking only the affected region.
 func (db *DB) SpliceBlob(key, branch string, at, del uint64, ins []byte, meta map[string]string) (Version, error) {
-	if err := db.writeGuard(); err != nil {
-		return Version{}, err
-	}
-	if branch == "" {
-		branch = DefaultBranch
-	}
-	db.writeMu.RLock()
-	defer db.writeMu.RUnlock()
-	cur, err := db.Get(key, branch)
-	if err != nil {
-		return Version{}, err
-	}
-	blob, err := cur.Value.Blob(db.st, db.cfg)
-	if err != nil {
-		return Version{}, err
-	}
-	spliced, err := blob.Splice(at, del, ins)
-	if err != nil {
-		return Version{}, err
-	}
-	return db.putOnto(key, branch, cur.UID, value.FromBlob(spliced), meta)
+	return db.editHead(key, branch, meta, func(cur Version) (value.Value, error) {
+		blob, err := cur.Value.Blob(db.st, db.cfg)
+		if err != nil {
+			return value.Value{}, err
+		}
+		spliced, err := blob.Splice(at, del, ins)
+		if err != nil {
+			return value.Value{}, err
+		}
+		return value.FromBlob(spliced), nil
+	})
 }

@@ -34,6 +34,7 @@ type dbObs struct {
 	sample atomic.Uint64
 
 	opPut, opWriteBatch, opGet, opMerge *engineOp
+	mergeAncestry                       *obs.Counter
 
 	gcRuns, gcErrors, gcSwept, gcReclaimed, gcCompacted *obs.Counter
 	gcSeconds                                           *obs.Histogram
@@ -66,6 +67,8 @@ func newDBObs(reg *obs.Registry, logger *slog.Logger, slowOp time.Duration) *dbO
 	}
 	o.opPut, o.opWriteBatch, o.opGet, o.opMerge =
 		mk("put"), mk("write_batch"), mk("get"), mk("merge")
+	o.mergeAncestry = reg.Counter("forkbase_engine_merge_ancestry_nodes_total",
+		"FNodes loaded by merges' base-finding walks.")
 	o.gcRuns = reg.Counter("forkbase_gc_runs_total", "Completed GC/compaction passes.")
 	o.gcErrors = reg.Counter("forkbase_gc_errors_total", "GC passes that failed.")
 	o.gcSwept = reg.Counter("forkbase_gc_swept_chunks_total", "Unreachable chunks deleted by GC.")

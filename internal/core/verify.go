@@ -42,7 +42,9 @@ var ErrTampered = errors.New("core: tamper detected")
 // a version of key: the FNode, every chunk of its value's index, and
 // (recursively) every historical version via the bases hash chain.
 // deep=false verifies only the head version's value, matching the common
-// "validate what I just fetched" flow.  Reads go through the verifying
+// "validate what I just fetched" flow; deep=true also reports each version
+// whose Seq is not above a base's, which no hash catches and which would
+// mislead Merge's Seq-ordered base walk.  Reads go through the verifying
 // store, so corruption surfaces as chunk.ErrCorrupt; a chunk that fails is
 // reported and not descended into — its pointers are not trustworthy.
 func (db *DB) VerifyVersion(key string, uid hash.Hash, deep bool) (VerifyReport, error) {
@@ -52,6 +54,11 @@ func (db *DB) VerifyVersion(key string, uid hash.Hash, deep bool) (VerifyReport,
 		rep.Failures = append(rep.Failures, VerifyFailure{ChunkID: id, Context: context, Err: err})
 	}
 	seen := map[hash.Hash]bool{}
+	// A deep walk also holds every base edge to the Seq order merges rely
+	// on (fnode.CheckSeq), once both ends are verified: seqs records each
+	// FNode's Seq, edges each (child, base) pair.
+	seqs := map[hash.Hash]uint64{}
+	var edges [][2]hash.Hash
 	err := fnode.Walk([]hash.Hash{uid}, seen, func(ids []hash.Hash) ([]*chunk.Chunk, error) {
 		out := make([]*chunk.Chunk, len(ids))
 		for i, id := range ids {
@@ -84,6 +91,11 @@ func (db *DB) VerifyVersion(key string, uid hash.Hash, deep bool) (VerifyReport,
 					for _, b := range f.Bases {
 						seen[b] = true
 					}
+				} else {
+					seqs[id] = f.Seq
+					for _, b := range f.Bases {
+						edges = append(edges, [2]hash.Hash{id, b})
+					}
 				}
 			}
 			rep.ChunksChecked++
@@ -95,6 +107,13 @@ func (db *DB) VerifyVersion(key string, uid hash.Hash, deep bool) (VerifyReport,
 		// A chunk that hashes to its id but does not decode as its type was
 		// written malformed; the walk cannot continue past it.
 		fail(uid, "object graph decoding", err)
+	}
+	for _, e := range edges {
+		if baseSeq, ok := seqs[e[1]]; ok {
+			if err := fnode.CheckSeq(e[0], seqs[e[0]], e[1], baseSeq); err != nil {
+				fail(e[0], "version history (Seq order)", err)
+			}
+		}
 	}
 	if !rep.OK {
 		return rep, fmt.Errorf("%w: %d corrupt chunk(s) reachable from %s", ErrTampered, len(rep.Failures), uid.Short())

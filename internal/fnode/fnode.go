@@ -11,9 +11,11 @@
 package fnode
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"forkbase/internal/chunk"
@@ -27,8 +29,9 @@ import (
 type FNode struct {
 	// Key is the object key this version belongs to.
 	Key []byte
-	// Seq is a logical clock: 1 + max(Seq of bases); used by Latest to
-	// order versions across branches deterministically and offline.
+	// Seq is the generation number, 1 + max(Seq of bases): Latest orders
+	// versions by it, and MergeBase walks ancestry in its order, so that
+	// walk and deep verification check each base's Seq is below its child's.
 	Seq uint64
 	// Bases are the uids of the parent versions: none for an initial
 	// version, one for a normal update, two for a merge.
@@ -233,18 +236,9 @@ func Load(st store.Store, uid hash.Hash) (*FNode, error) {
 	return Decode(c.Data())
 }
 
-// History walks the first-parent chain from uid, returning up to limit uids
-// (most recent first).  limit <= 0 walks the full chain.
-func History(st store.Store, uid hash.Hash, limit int) ([]hash.Hash, error) {
-	uids, _, err := HistoryNodes(st, uid, limit)
-	return uids, err
-}
-
-// HistoryNodes walks the first-parent chain from uid and returns both the
-// uids and the loaded FNodes (parallel slices, most recent first).  The walk
-// has to load and decode every FNode anyway to follow its parent link, so
-// callers that also need the versions' contents (core.DB.History) take the
-// nodes from here instead of fetching and decoding each one a second time.
+// HistoryNodes walks the first-parent chain from uid, returning up to limit
+// (<= 0: all) uids and their loaded FNodes as parallel slices, most recent
+// first, so a caller needing the contents does not load each one twice.
 func HistoryNodes(st store.Store, uid hash.Hash, limit int) ([]hash.Hash, []*FNode, error) {
 	var uids []hash.Hash
 	var nodes []*FNode
@@ -267,89 +261,111 @@ func HistoryNodes(st store.Store, uid hash.Hash, limit int) ([]hash.Hash, []*FNo
 	return uids, nodes, nil
 }
 
-// LCA returns the lowest common ancestor of two versions in the derivation
-// DAG (the merge base), or the zero hash if the histories are unrelated.
-// Ties are broken deterministically by preferring the ancestor with the
-// highest Seq, then the smaller uid.
-func LCA(st store.Store, a, b hash.Hash) (hash.Hash, error) {
-	ancestorsA, err := allAncestors(st, a)
-	if err != nil {
-		return hash.Hash{}, err
+// ErrSeqOrder reports a version whose Seq is not above one of its bases',
+// which no honest writer produces and which a Seq-ordered walk cannot trust.
+var ErrSeqOrder = errors.New("fnode: base Seq not below its child's")
+
+// CheckSeq returns ErrSeqOrder, naming both ends of the edge, unless base's
+// Seq is strictly below that of child, a version listing it as a base.
+func CheckSeq(child hash.Hash, childSeq uint64, base hash.Hash, baseSeq uint64) error {
+	if baseSeq < childSeq {
+		return nil
 	}
-	// BFS from b; the first node found in ancestorsA with maximal Seq wins.
-	type cand struct {
-		uid hash.Hash
-		seq uint64
+	return fmt.Errorf("%w: %s (Seq %d) is a base of %s (Seq %d)", ErrSeqOrder, base.Short(), baseSeq, child.Short(), childSeq)
+}
+
+// Ancestry is what MergeBase learns about versions a and b: their FNodes,
+// the merge base and its FNode (both zero for unrelated histories), and how
+// many FNodes the walk loaded, each once.
+type Ancestry struct {
+	A, B     *FNode
+	Base     hash.Hash
+	BaseNode *FNode
+	Loaded   int
+}
+
+// painted is a version the ancestry walk has reached; bit i of paint is set
+// once the walk's i-th starting version reaches it.
+type painted struct {
+	uid   hash.Hash
+	f     *FNode
+	paint uint8
+}
+
+// popLater orders the walk's queue so that its last element is the next to
+// pop: the highest Seq, and among equals the smaller uid.
+func popLater(x, y *painted) int {
+	if c := cmp.Compare(x.f.Seq, y.f.Seq); c != 0 {
+		return c
 	}
-	var best *cand
-	seen := map[hash.Hash]bool{}
-	queue := []hash.Hash{b}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		if seen[cur] || cur.IsZero() {
-			continue
-		}
-		seen[cur] = true
-		f, err := Load(st, cur)
-		if err != nil {
-			return hash.Hash{}, err
-		}
-		if ancestorsA[cur] {
-			if best == nil || f.Seq > best.seq || (f.Seq == best.seq && cur.Compare(best.uid) < 0) {
-				best = &cand{uid: cur, seq: f.Seq}
+	return y.uid.Compare(x.uid)
+}
+
+// MergeBase finds the merge base of versions a and b: of their common
+// ancestors (a version is its own ancestor), the one with the highest Seq,
+// the smaller uid among equals.  Base == a means b descends from a (a
+// fast-forward), Base == b that a already contains b, and a zero Base that
+// the histories are unrelated.
+//
+// The walk paints a and b each a colour and pops versions in (Seq desc, uid
+// asc) order, handing the popped version's paint to its bases.  Descendants
+// have higher Seqs and pop first, so the first version popped with both
+// colours is the base; the walk stops there, or once one colour has nothing
+// queued, and so loads the versions down to the base (and their bases), not
+// the history below.  Each FNode is loaded and verified once, and each edge
+// followed is held to CheckSeq.  On error only Loaded is meaningful.
+func MergeBase(st store.Store, a, b hash.Hash) (Ancestry, error) {
+	const both = 3
+	var anc Ancestry
+	reached := map[hash.Hash]*painted{}
+	var queue []*painted // sorted by popLater
+	reach := func(uid hash.Hash, paint uint8, child *painted) error {
+		p := reached[uid]
+		if p == nil {
+			f, err := Load(st, uid)
+			if err != nil {
+				return err
 			}
-			continue // ancestors of a common ancestor cannot be lower
+			anc.Loaded++
+			p = &painted{uid: uid, f: f}
+			reached[uid] = p
+			i, _ := slices.BinarySearchFunc(queue, p, popLater)
+			queue = slices.Insert(queue, i, p)
 		}
-		queue = append(queue, f.Bases...)
+		// Everything popped so far has a Seq at least child's, so an edge
+		// that checks out leads to a version still queued.
+		if child != nil {
+			if err := CheckSeq(child.uid, child.f.Seq, uid, p.f.Seq); err != nil {
+				return err
+			}
+		}
+		p.paint |= paint
+		return nil
 	}
-	if best == nil {
-		return hash.Hash{}, nil
+	for i, uid := range []hash.Hash{a, b} {
+		if err := reach(uid, 1<<i, nil); err != nil {
+			return anc, err
+		}
 	}
-	return best.uid, nil
-}
-
-func allAncestors(st store.Store, uid hash.Hash) (map[hash.Hash]bool, error) {
-	out := map[hash.Hash]bool{}
-	queue := []hash.Hash{uid}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		if cur.IsZero() || out[cur] {
-			continue
+	anc.A, anc.B = reached[a].f, reached[b].f
+	for {
+		var queuedPaint uint8
+		for _, p := range queue {
+			queuedPaint |= p.paint
 		}
-		out[cur] = true
-		f, err := Load(st, cur)
-		if err != nil {
-			return nil, err
+		if queuedPaint != both {
+			return anc, nil
 		}
-		queue = append(queue, f.Bases...)
+		p := queue[len(queue)-1]
+		queue = queue[:len(queue)-1]
+		if p.paint == both {
+			anc.Base, anc.BaseNode = p.uid, p.f
+			return anc, nil
+		}
+		for _, base := range p.f.Bases {
+			if err := reach(base, p.paint, p); err != nil {
+				return anc, err
+			}
+		}
 	}
-	return out, nil
-}
-
-// IsAncestor reports whether anc is reachable from uid (inclusive).
-func IsAncestor(st store.Store, anc, uid hash.Hash) (bool, error) {
-	if anc.IsZero() {
-		return false, nil
-	}
-	seen := map[hash.Hash]bool{}
-	queue := []hash.Hash{uid}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		if cur.IsZero() || seen[cur] {
-			continue
-		}
-		if cur == anc {
-			return true, nil
-		}
-		seen[cur] = true
-		f, err := Load(st, cur)
-		if err != nil {
-			return false, err
-		}
-		queue = append(queue, f.Bases...)
-	}
-	return false, nil
 }

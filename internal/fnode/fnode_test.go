@@ -2,9 +2,12 @@ package fnode
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"math/rand"
 	"testing"
 
+	"forkbase/internal/chunk"
 	"forkbase/internal/chunker"
 	"forkbase/internal/hash"
 	"forkbase/internal/index"
@@ -98,6 +101,13 @@ func TestDecodeErrors(t *testing.T) {
 	}
 }
 
+// History walks the first-parent chain from uid, returning up to limit uids
+// (most recent first).  limit <= 0 walks the full chain.
+func History(st store.Store, uid hash.Hash, limit int) ([]hash.Hash, error) {
+	uids, _, err := HistoryNodes(st, uid, limit)
+	return uids, err
+}
+
 func TestHistoryChain(t *testing.T) {
 	st := store.NewMemStore()
 	var uids []hash.Hash
@@ -145,28 +155,35 @@ func TestLCA(t *testing.T) {
 	a2 := save(4, 3, a1)
 	b1 := save(3, 4, base)
 
-	got, err := LCA(st, a2, b1)
+	anc, err := MergeBase(st, a2, b1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != base {
-		t.Fatalf("LCA = %s, want %s", got.Short(), base.Short())
+	if anc.Base != base || anc.BaseNode.UID() != base {
+		t.Fatalf("LCA = %s, want %s", anc.Base.Short(), base.Short())
+	}
+	if anc.A.UID() != a2 || anc.B.UID() != b1 {
+		t.Fatal("walk returned the wrong FNodes for its two versions")
+	}
+	// a2, a1, b1, base: the walk stops at the base, before the root.
+	if anc.Loaded != 4 {
+		t.Fatalf("loaded %d FNodes, want 4", anc.Loaded)
 	}
 	// LCA with self is self.
-	got, err = LCA(st, a1, a1)
-	if err != nil || got != a1 {
-		t.Fatalf("LCA(self) = %s, %v", got.Short(), err)
+	anc, err = MergeBase(st, a1, a1)
+	if err != nil || anc.Base != a1 || anc.Loaded != 1 {
+		t.Fatalf("LCA(self) = %s (%d loaded), %v", anc.Base.Short(), anc.Loaded, err)
 	}
 	// LCA where one is ancestor of the other.
-	got, err = LCA(st, base, a2)
-	if err != nil || got != base {
-		t.Fatalf("LCA(anc) = %s, %v", got.Short(), err)
+	anc, err = MergeBase(st, base, a2)
+	if err != nil || anc.Base != base {
+		t.Fatalf("LCA(anc) = %s, %v", anc.Base.Short(), err)
 	}
 	// Unrelated histories → zero.
 	solo := save(1, 99)
-	got, err = LCA(st, solo, a2)
-	if err != nil || !got.IsZero() {
-		t.Fatalf("unrelated LCA = %s, %v", got.Short(), err)
+	anc, err = MergeBase(st, solo, a2)
+	if err != nil || !anc.Base.IsZero() || anc.BaseNode != nil {
+		t.Fatalf("unrelated LCA = %s, %v", anc.Base.Short(), err)
 	}
 }
 
@@ -177,18 +194,237 @@ func TestIsAncestor(t *testing.T) {
 	f2 := New([]byte("k"), value.Int(2), []hash.Hash{u1}, 2, nil)
 	u2, _ := f2.Save(st)
 
-	if ok, err := IsAncestor(st, u1, u2); err != nil || !ok {
+	isAncestor := func(anc, uid hash.Hash) (bool, error) {
+		a, err := MergeBase(st, anc, uid)
+		return err == nil && a.Base == anc, err
+	}
+	if ok, err := isAncestor(u1, u2); err != nil || !ok {
 		t.Fatalf("ancestor: %v %v", ok, err)
 	}
-	if ok, err := IsAncestor(st, u2, u1); err != nil || ok {
+	if ok, err := isAncestor(u2, u1); err != nil || ok {
 		t.Fatalf("descendant flagged as ancestor: %v %v", ok, err)
 	}
-	if ok, err := IsAncestor(st, u2, u2); err != nil || !ok {
+	if ok, err := isAncestor(u2, u2); err != nil || !ok {
 		t.Fatalf("self not ancestor: %v %v", ok, err)
 	}
-	if ok, _ := IsAncestor(st, hash.Hash{}, u2); ok {
+	if ok, _ := isAncestor(hash.Hash{}, u2); ok {
 		t.Fatal("zero hash is ancestor")
 	}
+}
+
+// TestMergeBaseRejectsSeqDisorder: a version whose Seq is not above its
+// base's breaks the order the walk relies on, and the walk says so rather
+// than returning whatever base that order happens to produce.
+func TestMergeBaseRejectsSeqDisorder(t *testing.T) {
+	st := store.NewMemStore()
+	save := func(seq uint64, val int64, bases ...hash.Hash) hash.Hash {
+		uid, err := New([]byte("k"), value.Int(val), bases, seq, nil).Save(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return uid
+	}
+	root := save(1, 0)
+	mid := save(2, 1, root)
+	for _, seq := range []uint64{2, 1} { // equal to, then below, its base's
+		forged := save(seq, 10+int64(seq), mid)
+		other := save(3, 20+int64(seq), mid)
+		if _, err := MergeBase(st, forged, other); !errors.Is(err, ErrSeqOrder) {
+			t.Fatalf("child Seq %d over a base of Seq 2: err = %v", seq, err)
+		}
+	}
+}
+
+// getCounter counts store reads per id.
+type getCounter struct {
+	store.Store
+	gets map[hash.Hash]int
+}
+
+func (g *getCounter) Get(id hash.Hash) (*chunk.Chunk, error) {
+	g.gets[id]++
+	return g.Store.Get(id)
+}
+
+// randomDAG builds a seeded version graph: a few unrelated roots, then
+// commits of one base and merges of two, with each merge's bases drawn from
+// the newest versions so criss-crosses (two merges of the same pair of
+// bases, the same Seq, two equally good merge bases) come up often.  It
+// returns the uids in creation order.
+func randomDAG(t *testing.T, st store.Store, rng *rand.Rand) []hash.Hash {
+	t.Helper()
+	var uids []hash.Hash
+	seqs := map[hash.Hash]uint64{}
+	save := func(bases ...hash.Hash) {
+		seq := uint64(1)
+		for _, b := range bases {
+			seq = max(seq, seqs[b]+1)
+		}
+		uid, err := New([]byte("k"), value.Int(int64(len(uids))), bases, seq, nil).Save(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seqs[uid] = seq
+		uids = append(uids, uid)
+	}
+	for r := 1 + rng.Intn(2); r > 0; r-- {
+		save()
+	}
+	pick := func() hash.Hash { return uids[len(uids)-1-rng.Intn(min(len(uids), 6))] }
+	for n := 10 + rng.Intn(30); n > 0; n-- {
+		switch x, y := pick(), pick(); {
+		case rng.Intn(10) == 0:
+			save()
+		case x != y && rng.Intn(3) == 0:
+			save(x, y)
+			if rng.Intn(2) == 0 {
+				save(y, x) // the criss-cross twin
+			}
+		default:
+			save(x)
+		}
+	}
+	return uids
+}
+
+// TestMergeBaseMatchesOracle holds the Seq-ordered walk to the exhaustive
+// walks it replaced (LCA and IsAncestor, kept below as the oracle) on seeded
+// random DAGs: unrelated roots, criss-cross merges, a == b, and a an
+// ancestor of b in both directions.  The walk must also load each FNode at
+// most once and count exactly the loads it made.
+func TestMergeBaseMatchesOracle(t *testing.T) {
+	for seed := int64(1); seed <= 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		st := &getCounter{Store: store.NewMemStore(), gets: map[hash.Hash]int{}}
+		uids := randomDAG(t, st, rng)
+		for q := 0; q < 20; q++ {
+			a, b := uids[rng.Intn(len(uids))], uids[rng.Intn(len(uids))]
+			if q == 0 {
+				b = a
+			}
+			want, err := LCA(st, a, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ab, err1 := IsAncestor(st, a, b)
+			ba, err2 := IsAncestor(st, b, a)
+			if err := errors.Join(err1, err2); err != nil {
+				t.Fatal(err)
+			}
+			clear(st.gets)
+			got, err := MergeBase(st, a, b)
+			if err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			if got.Base != want {
+				t.Fatalf("seed %d: MergeBase(%s, %s) = %s, oracle LCA %s", seed, a.Short(), b.Short(), got.Base.Short(), want.Short())
+			}
+			if (got.Base == a) != ab || (got.Base == b) != ba {
+				t.Fatalf("seed %d: base %s disagrees with IsAncestor (a≤b %v, b≤a %v)", seed, got.Base.Short(), ab, ba)
+			}
+			if got.A.UID() != a || got.B.UID() != b || (!want.IsZero() && got.BaseNode.UID() != want) {
+				t.Fatalf("seed %d: returned FNodes do not match their uids", seed)
+			}
+			if len(st.gets) != got.Loaded {
+				t.Fatalf("seed %d: Loaded = %d, store saw %d distinct reads", seed, got.Loaded, len(st.gets))
+			}
+			for id, n := range st.gets {
+				if n != 1 {
+					t.Fatalf("seed %d: %s read %d times", seed, id.Short(), n)
+				}
+			}
+		}
+	}
+}
+
+// The exhaustive ancestry walks MergeBase replaced, kept verbatim as the
+// oracle TestMergeBaseMatchesOracle holds it to.
+
+// LCA returns the lowest common ancestor of two versions in the derivation
+// DAG (the merge base), or the zero hash if the histories are unrelated.
+// Ties are broken deterministically by preferring the ancestor with the
+// highest Seq, then the smaller uid.
+func LCA(st store.Store, a, b hash.Hash) (hash.Hash, error) {
+	ancestorsA, err := allAncestors(st, a)
+	if err != nil {
+		return hash.Hash{}, err
+	}
+	// BFS from b; the first node found in ancestorsA with maximal Seq wins.
+	type cand struct {
+		uid hash.Hash
+		seq uint64
+	}
+	var best *cand
+	seen := map[hash.Hash]bool{}
+	queue := []hash.Hash{b}
+	for len(queue) > 0 {
+		cur := queue[0]
+		queue = queue[1:]
+		if seen[cur] || cur.IsZero() {
+			continue
+		}
+		seen[cur] = true
+		f, err := Load(st, cur)
+		if err != nil {
+			return hash.Hash{}, err
+		}
+		if ancestorsA[cur] {
+			if best == nil || f.Seq > best.seq || (f.Seq == best.seq && cur.Compare(best.uid) < 0) {
+				best = &cand{uid: cur, seq: f.Seq}
+			}
+			continue // ancestors of a common ancestor cannot be lower
+		}
+		queue = append(queue, f.Bases...)
+	}
+	if best == nil {
+		return hash.Hash{}, nil
+	}
+	return best.uid, nil
+}
+
+func allAncestors(st store.Store, uid hash.Hash) (map[hash.Hash]bool, error) {
+	out := map[hash.Hash]bool{}
+	queue := []hash.Hash{uid}
+	for len(queue) > 0 {
+		cur := queue[0]
+		queue = queue[1:]
+		if cur.IsZero() || out[cur] {
+			continue
+		}
+		out[cur] = true
+		f, err := Load(st, cur)
+		if err != nil {
+			return nil, err
+		}
+		queue = append(queue, f.Bases...)
+	}
+	return out, nil
+}
+
+// IsAncestor reports whether anc is reachable from uid (inclusive).
+func IsAncestor(st store.Store, anc, uid hash.Hash) (bool, error) {
+	if anc.IsZero() {
+		return false, nil
+	}
+	seen := map[hash.Hash]bool{}
+	queue := []hash.Hash{uid}
+	for len(queue) > 0 {
+		cur := queue[0]
+		queue = queue[1:]
+		if cur.IsZero() || seen[cur] {
+			continue
+		}
+		if cur == anc {
+			return true, nil
+		}
+		seen[cur] = true
+		f, err := Load(st, cur)
+		if err != nil {
+			return false, err
+		}
+		queue = append(queue, f.Bases...)
+	}
+	return false, nil
 }
 
 func cfgSmall() chunker.Config { return chunker.SmallConfig() }
