@@ -170,7 +170,6 @@ type DB struct {
 	clust     *cluster.Cluster // non-nil for cluster-backed instances
 
 	// Replica state (WithFollow / OpenReplica).
-	readOnly  bool
 	follower  *repl.Follower
 	followCli *server.Client
 }
@@ -388,7 +387,6 @@ func Open(opts ...Option) (*DB, error) {
 			db.Close()
 			return nil, err
 		}
-		db.readOnly = true
 		db.eng.SetReadOnly(true) // gate every path that reaches the engine
 		db.followCli = cli
 		// The follower writes through the engine's verifying store, so every
@@ -433,7 +431,7 @@ func (db *DB) Close() error {
 }
 
 // Following reports whether this DB is a read replica.
-func (db *DB) Following() bool { return db.readOnly }
+func (db *DB) Following() bool { return db.follower != nil }
 
 // ReplStats snapshots replication progress (zeros when not following).
 func (db *DB) ReplStats() ReplStats {
@@ -454,14 +452,6 @@ func (db *DB) WaitSynced(timeout time.Duration) error {
 	return db.follower.WaitCaughtUp(timeout)
 }
 
-// writeGuard rejects mutations on read replicas.
-func (db *DB) writeGuard() error {
-	if db.readOnly {
-		return ErrReadOnlyReplica
-	}
-	return nil
-}
-
 // Engine exposes the underlying engine for advanced integrations
 // (the dataset and REST layers use it).
 func (db *DB) Engine() *core.DB { return db.eng }
@@ -470,9 +460,6 @@ func (db *DB) Engine() *core.DB { return db.eng }
 
 // Put writes a new version of key on branch and returns it.
 func (db *DB) Put(key, branch string, v Value, meta map[string]string) (Version, error) {
-	if err := db.writeGuard(); err != nil {
-		return Version{}, err
-	}
 	return db.eng.Put(key, branch, v, meta)
 }
 
@@ -485,17 +472,11 @@ type WriteOp = core.WriteOp
 // clusters).  Ops on the same key@branch chain like sequential Puts.  See
 // core.DB.WriteBatch for the per-op failure contract.
 func (db *DB) WriteBatch(ops []WriteOp) ([]Version, error) {
-	if err := db.writeGuard(); err != nil {
-		return nil, err
-	}
 	return db.eng.WriteBatch(ops)
 }
 
 // PutString is Put with a string value.
 func (db *DB) PutString(key, branch, s string, meta map[string]string) (Version, error) {
-	if err := db.writeGuard(); err != nil {
-		return Version{}, err
-	}
 	return db.eng.Put(key, branch, value.String(s), meta)
 }
 
@@ -504,9 +485,6 @@ func (db *DB) PutString(key, branch, s string, meta map[string]string) (Version,
 // engine's GC write fence, so a concurrent collection cannot sweep the
 // freshly built chunks before the head publishes them.
 func (db *DB) PutMap(key, branch string, entries []Entry, meta map[string]string) (Version, error) {
-	if err := db.writeGuard(); err != nil {
-		return Version{}, err
-	}
 	return db.eng.BuildAndPut(key, branch, meta, func() (Value, error) {
 		return db.eng.NewMapValue(entries)
 	})
@@ -514,9 +492,6 @@ func (db *DB) PutMap(key, branch string, entries []Entry, meta map[string]string
 
 // PutBlob builds a blob value from data and Puts it (fenced; see PutMap).
 func (db *DB) PutBlob(key, branch string, data []byte, meta map[string]string) (Version, error) {
-	if err := db.writeGuard(); err != nil {
-		return Version{}, err
-	}
 	return db.eng.BuildAndPut(key, branch, meta, func() (Value, error) {
 		return value.NewBlob(db.eng.Store(), db.eng.Chunking(), data)
 	})
@@ -525,9 +500,6 @@ func (db *DB) PutBlob(key, branch string, data []byte, meta map[string]string) (
 // PutSet builds a set value from elements (over the structure selected
 // with WithIndex) and Puts it (fenced; see PutMap).
 func (db *DB) PutSet(key, branch string, elems [][]byte, meta map[string]string) (Version, error) {
-	if err := db.writeGuard(); err != nil {
-		return Version{}, err
-	}
 	return db.eng.BuildAndPut(key, branch, meta, func() (Value, error) {
 		return db.eng.NewSetValue(elems)
 	})
@@ -535,9 +507,6 @@ func (db *DB) PutSet(key, branch string, elems [][]byte, meta map[string]string)
 
 // PutList builds a list value from items and Puts it (fenced; see PutMap).
 func (db *DB) PutList(key, branch string, items [][]byte, meta map[string]string) (Version, error) {
-	if err := db.writeGuard(); err != nil {
-		return Version{}, err
-	}
 	return db.eng.BuildAndPut(key, branch, meta, func() (Value, error) {
 		return value.NewList(db.eng.Store(), db.eng.Chunking(), items)
 	})
@@ -610,33 +579,21 @@ func (db *DB) History(key, branch string, limit int) ([]Version, error) {
 
 // Branch forks newBranch from fromBranch's head.
 func (db *DB) Branch(key, newBranch, fromBranch string) error {
-	if err := db.writeGuard(); err != nil {
-		return err
-	}
 	return db.eng.Branch(key, newBranch, fromBranch)
 }
 
 // BranchFromVersion forks newBranch from a historical version.
 func (db *DB) BranchFromVersion(key, newBranch string, uid Hash) error {
-	if err := db.writeGuard(); err != nil {
-		return err
-	}
 	return db.eng.BranchFromVersion(key, newBranch, uid)
 }
 
 // DeleteBranch removes a branch head.
 func (db *DB) DeleteBranch(key, branch string) error {
-	if err := db.writeGuard(); err != nil {
-		return err
-	}
 	return db.eng.DeleteBranch(key, branch)
 }
 
 // RenameBranch renames a branch.
 func (db *DB) RenameBranch(key, from, to string) error {
-	if err := db.writeGuard(); err != nil {
-		return err
-	}
 	return db.eng.RenameBranch(key, from, to)
 }
 
@@ -658,9 +615,6 @@ func (db *DB) DiffBranches(key, fromBranch, toBranch string) ([]Delta, DiffStats
 
 // Merge three-way-merges branch src into dst.
 func (db *DB) Merge(key, dst, src string, resolve Resolver, meta map[string]string) (MergeResult, error) {
-	if err := db.writeGuard(); err != nil {
-		return MergeResult{}, err
-	}
 	return db.eng.Merge(key, dst, src, resolve, meta)
 }
 
@@ -668,27 +622,18 @@ func (db *DB) Merge(key, dst, src string, resolve Resolver, meta map[string]stri
 // puts and deletes incrementally to the current head: cost is
 // O(changes·log N) and untouched pages are shared with the previous version.
 func (db *DB) EditMap(key, branch string, puts []Entry, deletes [][]byte, meta map[string]string) (Version, error) {
-	if err := db.writeGuard(); err != nil {
-		return Version{}, err
-	}
 	return db.eng.EditMap(key, branch, puts, deletes, meta)
 }
 
 // AppendList writes a new version of a list-valued object with items
 // appended.
 func (db *DB) AppendList(key, branch string, items [][]byte, meta map[string]string) (Version, error) {
-	if err := db.writeGuard(); err != nil {
-		return Version{}, err
-	}
 	return db.eng.AppendList(key, branch, items, meta)
 }
 
 // SpliceBlob writes a new version of a blob-valued object with bytes
 // [at, at+del) replaced by ins.
 func (db *DB) SpliceBlob(key, branch string, at, del uint64, ins []byte, meta map[string]string) (Version, error) {
-	if err := db.writeGuard(); err != nil {
-		return Version{}, err
-	}
 	return db.eng.SpliceBlob(key, branch, at, del, ins, meta)
 }
 
@@ -699,9 +644,6 @@ func (db *DB) SpliceBlob(key, branch string, at, del uint64, ins []byte, meta ma
 // footprint shrinks to the live set.  Only injected stores with no reachable
 // store.Collector return core.ErrNotCollectable.
 func (db *DB) GC() (GCStats, error) {
-	if err := db.writeGuard(); err != nil {
-		return GCStats{}, err
-	}
 	return db.eng.GC()
 }
 
@@ -710,9 +652,6 @@ func (db *DB) GC() (GCStats, error) {
 // rewritten, bounding write amplification.  This is what the background
 // compactor (WithAutoCompact) runs.
 func (db *DB) Compact() (GCStats, error) {
-	if err := db.writeGuard(); err != nil {
-		return GCStats{}, err
-	}
 	return db.eng.Compact()
 }
 
@@ -816,17 +755,11 @@ func (db *DB) FeedLag() (uint64, error) {
 
 // CreateDataset writes rows as a new dataset.
 func (db *DB) CreateDataset(name, branch string, schema Schema, rows []Row, meta map[string]string) (*Dataset, error) {
-	if err := db.writeGuard(); err != nil {
-		return nil, err
-	}
 	return dataset.Create(db.eng, name, branch, schema, rows, meta)
 }
 
 // LoadCSVDataset loads a CSV stream (header first) as a dataset.
 func (db *DB) LoadCSVDataset(name, branch, keyColumn string, r io.Reader, meta map[string]string) (*Dataset, error) {
-	if err := db.writeGuard(); err != nil {
-		return nil, err
-	}
 	return dataset.CreateFromCSV(db.eng, name, branch, keyColumn, r, meta)
 }
 

@@ -46,6 +46,22 @@ func TestSourceGuards(t *testing.T) {
 		paths: []string{"internal/store/sink.go", "internal/pos/builder.go", "internal/pos/blob.go",
 			"internal/pos/splice.go", "internal/mpt/edit.go"},
 		want: 0,
+	}, {
+		// Chunk boundaries are the cyclic-polynomial rolling hash of package
+		// rolling and nothing else: a second hash, or a setting that picks
+		// one, is a second chunking that forfeits dedup against the first.
+		name:    "one boundary hash",
+		pattern: `Gear|\bAlgo\b`,
+		paths:   []string{"internal"},
+		want:    0,
+	}, {
+		// Map, list and blob leaves and the parallel pre-scan get their
+		// scanner and its skip constants from pos.newLeafScan, so they cannot
+		// cut differently.
+		name:    "one leaf-scan constructor",
+		pattern: `rolling\.NewScan\(`,
+		paths:   []string{"internal"},
+		want:    1,
 	}} {
 		re := regexp.MustCompile(g.pattern)
 		var hits []string

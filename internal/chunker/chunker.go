@@ -22,40 +22,11 @@ import (
 	"forkbase/internal/rolling"
 )
 
-// Algorithm selects the boundary-detection hash.
-type Algorithm uint8
-
-// Boundary-detection algorithms.
-const (
-	// AlgoRolling is the cyclic-polynomial (buzhash-style) rolling hash of
-	// the paper — the default; all pre-existing data was chunked with it.
-	AlgoRolling Algorithm = 0
-	// AlgoGear is the FastCDC-2020-style gear hash with normalized masks:
-	// one shift-and-add per byte, no ring buffer, chunk sizes pulled
-	// toward 2^Q by a strict-then-loose mask pair.  Structural invariance
-	// holds exactly as for the rolling hash — but the two algorithms place
-	// different boundaries, so mixing them across stores that should dedup
-	// against each other forfeits sharing.
-	AlgoGear Algorithm = 1
-)
-
-func (a Algorithm) String() string {
-	switch a {
-	case AlgoRolling:
-		return "rolling"
-	case AlgoGear:
-		return "gear"
-	default:
-		return fmt.Sprintf("algo(%d)", uint8(a))
-	}
-}
-
 // Config controls chunk-boundary detection.
 type Config struct {
 	// Q is the pattern bit-width; expected chunk size is 2^Q bytes.
 	Q uint
-	// Window is the rolling hash window size in bytes (AlgoRolling only;
-	// the gear hash has a fixed implicit window).
+	// Window is the rolling hash window size in bytes.
 	Window int
 	// MinSize suppresses patterns before this many bytes of a chunk,
 	// avoiding degenerate tiny chunks.
@@ -63,8 +34,6 @@ type Config struct {
 	// MaxSize forces a boundary after this many bytes even without a
 	// pattern, bounding worst-case node size.
 	MaxSize int
-	// Algo selects the boundary hash (default AlgoRolling).
-	Algo Algorithm
 }
 
 // Validate rejects configurations that would chunk nonsensically, so a bad
@@ -76,26 +45,17 @@ func (c Config) Validate() error {
 	if c.Q < 1 || c.Q > 30 {
 		return fmt.Errorf("chunker: Q=%d out of range [1,30] (expected chunk size is 2^Q bytes)", c.Q)
 	}
-	// The gear hash has a fixed implicit window; Window only configures the
-	// rolling hash, so a gear config legitimately leaves it zero.
-	if c.Algo != AlgoGear {
-		if c.Window <= 0 {
-			return fmt.Errorf("chunker: Window=%d must be positive", c.Window)
-		}
-		if c.Window > 1<<20 {
-			return fmt.Errorf("chunker: Window=%d is absurd (max 1 MiB)", c.Window)
-		}
+	if c.Window <= 0 {
+		return fmt.Errorf("chunker: Window=%d must be positive", c.Window)
+	}
+	if c.Window > 1<<20 {
+		return fmt.Errorf("chunker: Window=%d is absurd (max 1 MiB)", c.Window)
 	}
 	if c.MinSize <= 0 {
 		return fmt.Errorf("chunker: MinSize=%d must be positive", c.MinSize)
 	}
 	if c.MinSize >= c.MaxSize {
 		return fmt.Errorf("chunker: MinSize=%d must be smaller than MaxSize=%d", c.MinSize, c.MaxSize)
-	}
-	switch c.Algo {
-	case AlgoRolling, AlgoGear:
-	default:
-		return fmt.Errorf("chunker: unknown algorithm %d", c.Algo)
 	}
 	return nil
 }
@@ -133,42 +93,18 @@ func (c Config) validate() Config {
 	return c
 }
 
-// byteBoundary is the per-byte boundary hash behind both chunkers: Roll
-// feeds one byte and reports a split-pattern hit (min/max guards are the
-// chunkers' concern).  rolling.GearHash satisfies it directly; the cyclic
-// polynomial adapts via rollingBoundary — so the Algo dispatch happens
-// once, in newByteBoundary, instead of at every per-byte call site.
-type byteBoundary interface {
-	Roll(b byte) bool
-	Reset()
-}
-
-// rollingBoundary adapts rolling.Hasher to the byteBoundary contract.
-type rollingBoundary struct{ h *rolling.Hasher }
-
-func (r rollingBoundary) Roll(b byte) bool { r.h.Roll(b); return r.h.OnPattern() }
-func (r rollingBoundary) Reset()           { r.h.Reset() }
-
-// newByteBoundary picks the boundary hash for a (validated) config.
-func newByteBoundary(cfg Config) byteBoundary {
-	if cfg.Algo == AlgoGear {
-		return rolling.NewGearHash(cfg.Q)
-	}
-	return rollingBoundary{h: rolling.New(cfg.Q, cfg.Window)}
-}
-
 // ByteChunker consumes bytes and reports boundaries.
 // Not safe for concurrent use.
 type ByteChunker struct {
 	cfg Config
-	bh  byteBoundary
+	h   *rolling.Hasher
 	n   int // bytes since last boundary
 }
 
 // NewByteChunker returns a chunker with the given configuration.
 func NewByteChunker(cfg Config) *ByteChunker {
 	cfg = cfg.validate()
-	return &ByteChunker{cfg: cfg, bh: newByteBoundary(cfg)}
+	return &ByteChunker{cfg: cfg, h: rolling.New(cfg.Q, cfg.Window)}
 }
 
 // Write feeds p into the chunker and returns the offsets (relative to the
@@ -196,16 +132,16 @@ func (b *ByteChunker) Roll(by byte) bool {
 // roll feeds one byte and reports whether a boundary occurs after it,
 // without resetting.
 func (b *ByteChunker) roll(by byte) bool {
-	hit := b.bh.Roll(by)
+	b.h.Roll(by)
 	b.n++
 	if b.n >= b.cfg.MaxSize {
 		return true
 	}
-	return b.n >= b.cfg.MinSize && hit
+	return b.n >= b.cfg.MinSize && b.h.OnPattern()
 }
 
 func (b *ByteChunker) reset() {
-	b.bh.Reset()
+	b.h.Reset()
 	b.n = 0
 }
 
@@ -240,7 +176,7 @@ func SplitBytes(data []byte, cfg Config) [][]byte {
 // Not safe for concurrent use.
 type EntryChunker struct {
 	cfg     Config
-	bh      byteBoundary
+	h       *rolling.Hasher
 	bytes   int // bytes since last boundary
 	entries int // entries since last boundary
 	// MaxEntries optionally bounds entries per node (0 = no bound).
@@ -250,7 +186,7 @@ type EntryChunker struct {
 // NewEntryChunker returns an entry-aligned chunker.
 func NewEntryChunker(cfg Config) *EntryChunker {
 	cfg = cfg.validate()
-	return &EntryChunker{cfg: cfg, bh: newByteBoundary(cfg)}
+	return &EntryChunker{cfg: cfg, h: rolling.New(cfg.Q, cfg.Window)}
 }
 
 // Add feeds one encoded entry and reports whether the node should be closed
@@ -260,9 +196,9 @@ func NewEntryChunker(cfg Config) *EntryChunker {
 func (e *EntryChunker) Add(encoded []byte) bool {
 	hit := false
 	for _, by := range encoded {
-		on := e.bh.Roll(by)
+		e.h.Roll(by)
 		e.bytes++
-		if !hit && e.bytes >= e.cfg.MinSize && on {
+		if !hit && e.bytes >= e.cfg.MinSize && e.h.OnPattern() {
 			hit = true
 		}
 	}
@@ -281,7 +217,7 @@ func (e *EntryChunker) Add(encoded []byte) bool {
 
 // Reset restarts the chunker at a node boundary.
 func (e *EntryChunker) Reset() {
-	e.bh.Reset()
+	e.h.Reset()
 	e.bytes = 0
 	e.entries = 0
 }

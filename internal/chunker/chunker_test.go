@@ -181,6 +181,30 @@ func TestEntryChunkerMaxEntries(t *testing.T) {
 	}
 }
 
+func TestValidate(t *testing.T) {
+	cases := []struct {
+		name string
+		cfg  Config
+		ok   bool
+	}{
+		{"default", DefaultConfig(), true},
+		{"small", SmallConfig(), true},
+		{"test", tcfg(), true},
+		{"zero q", Config{Q: 0, Window: 48, MinSize: 1, MaxSize: 2}, false},
+		{"absurd q", Config{Q: 40, Window: 48, MinSize: 1, MaxSize: 2}, false},
+		{"zero window", Config{Q: 12, Window: 0, MinSize: 1, MaxSize: 2}, false},
+		{"absurd window", Config{Q: 12, Window: 1 << 21, MinSize: 1, MaxSize: 2}, false},
+		{"min>=max", Config{Q: 12, Window: 48, MinSize: 64, MaxSize: 64}, false},
+		{"min>max", Config{Q: 12, Window: 48, MinSize: 65, MaxSize: 64}, false},
+		{"zero min", Config{Q: 12, Window: 48, MinSize: 0, MaxSize: 64}, false},
+	}
+	for _, c := range cases {
+		if err := c.cfg.Validate(); (err == nil) != c.ok {
+			t.Errorf("%s: Validate() = %v, want ok=%v", c.name, err, c.ok)
+		}
+	}
+}
+
 func TestConfigValidateDefaults(t *testing.T) {
 	c := Config{}.validate()
 	if c.Q == 0 || c.Window <= 0 || c.MinSize <= 0 || c.MaxSize < c.MinSize {

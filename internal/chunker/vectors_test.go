@@ -1,11 +1,15 @@
 package chunker
 
-import "testing"
+import (
+	"testing"
 
-// FastCDC-2020-style pinned vectors for the gear chunker: a fixed
+	"forkbase/internal/rolling"
+)
+
+// FastCDC-2020-style pinned vectors for the rolling-hash chunker: a fixed
 // SplitMix64-generated input must always cut at exactly these offsets. Any
-// change to the gear table, the rolling update, or the min/max clamping shows
-// up here as a diff of literal integers rather than a silent re-chunk of every
+// change to the Γ table, the rolling update, or the min/max clamping shows up
+// here as a diff of literal integers rather than a silent re-chunk of every
 // stored object (which would destroy cross-version dedup).
 
 // vecInput deterministically expands a seed into n bytes with SplitMix64.
@@ -27,7 +31,7 @@ func vecInput(seed uint64, n int) []byte {
 	return out
 }
 
-var gearVectors = []struct {
+var rollingVectors = []struct {
 	name string
 	seed uint64
 	n    int
@@ -35,118 +39,152 @@ var gearVectors = []struct {
 	cuts []int // end offset of every chunk, in order; last == n
 }{
 	{
-		name: "q10-64k",
+		name: "default-128k",
 		seed: 1,
-		n:    64 << 10,
-		cfg:  Config{Q: 10, MinSize: 1 << 7, MaxSize: 1 << 13, Algo: AlgoGear},
-		cuts: []int{
-			1278, 2476, 2761, 3941, 5040, 5379, 6580, 7161, 7453, 8718,
-			10119, 12109, 13183, 14274, 14705, 15855, 16881, 17878, 18931, 20538,
-			22205, 23243, 24919, 25221, 27314, 28482, 29653, 30913, 32319, 33364,
-			34699, 36423, 37600, 38957, 40065, 41696, 43044, 43281, 44390, 45743,
-			47188, 47509, 48935, 50607, 51746, 52307, 53371, 54433, 56499, 57606,
-			59077, 60181, 61810, 62836, 63922, 64486, 65536,
-		},
-	},
-	{
-		name: "q12-128k-default-geometry",
-		seed: 2,
 		n:    128 << 10,
-		cfg:  Config{Q: 12, MinSize: 1 << 9, MaxSize: 1 << 16, Algo: AlgoGear},
+		cfg:  DefaultConfig(),
 		cuts: []int{
-			4686, 9300, 10167, 15047, 19236, 24271, 28869, 35480, 40816, 45526,
-			51065, 51880, 59715, 65898, 70646, 71475, 72366, 78062, 82338, 86698,
-			91377, 97103, 99987, 102688, 104889, 109036, 113667, 119581, 126854, 131072,
+			1391, 2734, 4686, 15612, 16799, 23126, 23638, 26351, 36075, 42618,
+			44179, 44843, 48410, 49354, 54444, 55386, 69354, 71378, 74739, 78040,
+			82214, 82886, 84140, 89150, 89917, 90955, 92511, 95682, 97362, 101726,
+			102635, 104827, 110306, 112114, 117323, 127124, 131072,
 		},
 	},
 	{
-		name: "q8-16k",
+		name: "small-16k",
+		seed: 2,
+		n:    16 << 10,
+		cfg:  SmallConfig(),
+		cuts: []int{
+			850, 1055, 1509, 1793, 2261, 2641, 2963, 3389, 3819, 3878,
+			4729, 5079, 5761, 6052, 6385, 6784, 6922, 7137, 7275, 7342,
+			7618, 8108, 8230, 8527, 8645, 8913, 9026, 9132, 9428, 9506,
+			9554, 9647, 9953, 10144, 10544, 10599, 10782, 11071, 11155, 11656,
+			11709, 11819, 11884, 11975, 12667, 12873, 13142, 13493, 13692, 14520,
+			15335, 15932, 16205, 16333, 16384,
+		},
+	},
+	{
+		name: "window16-16k",
 		seed: 3,
 		n:    16 << 10,
-		cfg:  Config{Q: 8, MinSize: 1 << 5, MaxSize: 1 << 12, Algo: AlgoGear},
+		cfg:  tcfg(),
 		cuts: []int{
-			307, 713, 1044, 1344, 1633, 1931, 2247, 2283, 2743, 2779,
-			3057, 3349, 3621, 3908, 4184, 4521, 4870, 5098, 5454, 5779,
-			6039, 6318, 6584, 6632, 6740, 6829, 7093, 7389, 7801, 8061,
-			8304, 8636, 8671, 9045, 9365, 9610, 9952, 10346, 10630, 10875,
-			11156, 11208, 11669, 11937, 12197, 12501, 12767, 13069, 13381, 13881,
-			13980, 14280, 14565, 14707, 14815, 15006, 15199, 15619, 16016, 16365,
-			16384,
+			373, 758, 1369, 1437, 1590, 1767, 2110, 2298, 2331, 2389,
+			3435, 3488, 3642, 3729, 3962, 5122, 5344, 5379, 5740, 5863,
+			5945, 6166, 6332, 7111, 7346, 7428, 7843, 8030, 8855, 8921,
+			9422, 9904, 9942, 10114, 10996, 11119, 11443, 11562, 11837, 12098,
+			12164, 12289, 13045, 13503, 13653, 14035, 14570, 14631, 14878, 15884,
+			16329, 16379, 16384,
 		},
 	},
 }
 
-func TestGearGoldenVectors(t *testing.T) {
-	for _, tc := range gearVectors {
+// sameCuts fails t unless got equals want.
+func sameCuts(t *testing.T, how string, got, want []int) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d chunks, want %d", how, len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("%s: chunk %d ends at %d, want %d", how, i, got[i], want[i])
+		}
+	}
+}
+
+func TestRollingGoldenVectors(t *testing.T) {
+	for _, tc := range rollingVectors {
 		t.Run(tc.name, func(t *testing.T) {
-			data := vecInput(tc.seed, tc.n)
-			segs := SplitBytes(data, tc.cfg)
-			if len(segs) != len(tc.cuts) {
-				t.Fatalf("chunk count = %d, want %d", len(segs), len(tc.cuts))
-			}
+			var cuts []int
 			off := 0
-			for i, s := range segs {
+			for i, s := range SplitBytes(vecInput(tc.seed, tc.n), tc.cfg) {
 				off += len(s)
-				if off != tc.cuts[i] {
-					t.Fatalf("chunk %d ends at %d, want %d", i, off, tc.cuts[i])
-				}
+				cuts = append(cuts, off)
 				if off != tc.n && (len(s) < tc.cfg.MinSize || len(s) > tc.cfg.MaxSize) {
 					t.Fatalf("chunk %d size %d outside [%d, %d]", i, len(s), tc.cfg.MinSize, tc.cfg.MaxSize)
 				}
 			}
-			if off != tc.n {
-				t.Fatalf("chunks cover %d bytes, want %d", off, tc.n)
-			}
+			sameCuts(t, "SplitBytes", cuts, tc.cuts)
 		})
 	}
 }
 
-// TestGearStreamingMatchesVectors pins that the incremental byte chunker
-// produces the same cut points as the one-shot splitter, feeding the input in
-// awkward write sizes to exercise buffer-boundary handling.
-func TestGearStreamingMatchesVectors(t *testing.T) {
-	for _, tc := range gearVectors {
+// TestRollingStreamingMatchesVectors pins that the streaming forms cut where
+// the one-shot splitter does: ByteChunker fed in awkward write sizes,
+// EntryChunker fed uneven entries (none straddling a pinned cut, so the
+// whole-entry rule never moves a boundary), and rolling.Scan.Find resumed over
+// uneven appends with the builders' min-size skip and max-size clamp.
+func TestRollingStreamingMatchesVectors(t *testing.T) {
+	for _, tc := range rollingVectors {
 		t.Run(tc.name, func(t *testing.T) {
 			data := vecInput(tc.seed, tc.n)
+			// The tail after the final content-defined boundary is the last
+			// chunk; SplitBytes emits it, the streaming forms leave it pending.
+			withTail := func(cuts []int) []int {
+				if len(cuts) == 0 || cuts[len(cuts)-1] != tc.n {
+					cuts = append(cuts, tc.n)
+				}
+				return cuts
+			}
+
 			bc := NewByteChunker(tc.cfg)
 			var cuts []int
 			for i := 0; i < len(data); {
-				step := 1 + (i % 777)
-				if i+step > len(data) {
-					step = len(data) - i
-				}
+				step := min(1+(i%777), len(data)-i)
 				for _, rel := range bc.Write(data[i : i+step]) {
 					cuts = append(cuts, i+rel)
 				}
 				i += step
 			}
-			// The tail after the final content-defined boundary is the last
-			// chunk; SplitBytes emits it, the incremental chunker leaves it
-			// pending.
-			if len(cuts) == 0 || cuts[len(cuts)-1] != tc.n {
-				cuts = append(cuts, tc.n)
-			}
-			if len(cuts) != len(tc.cuts) {
-				t.Fatalf("streaming chunk count = %d, want %d", len(cuts), len(tc.cuts))
-			}
-			for i := range cuts {
-				if cuts[i] != tc.cuts[i] {
-					t.Fatalf("streaming cut %d at %d, want %d", i, cuts[i], tc.cuts[i])
+			sameCuts(t, "ByteChunker", withTail(cuts), tc.cuts)
+
+			ec := NewEntryChunker(tc.cfg)
+			cuts = nil
+			for off, next := 0, 0; off < len(data); {
+				end := min(off+1+(off*7)%61, tc.cuts[next])
+				if ec.Add(data[off:end]) {
+					cuts = append(cuts, end)
 				}
+				if end == tc.cuts[next] {
+					next++
+				}
+				off = end
 			}
+			sameCuts(t, "EntryChunker", withTail(cuts), tc.cuts)
+
+			sameCuts(t, "Scan.Find", withTail(scanCuts(data, tc.cfg)), tc.cuts)
 		})
 	}
 }
 
-// TestGearMeanChunkSize sanity-checks that the expected chunk size tracks 2^Q:
-// the vectors pin exact behaviour, this pins the statistical contract.
-func TestGearMeanChunkSize(t *testing.T) {
-	cfg := Config{Q: 10, MinSize: 1 << 7, MaxSize: 1 << 13, Algo: AlgoGear}
-	data := vecInput(99, 1<<20)
-	segs := SplitBytes(data, cfg)
-	mean := len(data) / len(segs)
-	// Min-size skipping shifts the mean above 2^Q; allow [0.75x, 2.5x].
-	if mean < (1<<10)*3/4 || mean > (1<<10)*5/2 {
-		t.Fatalf("mean chunk size %d too far from 2^Q = %d", mean, 1<<10)
+// scanCuts chunks data the way the POS-Tree leaf builders do: the open chunk
+// grows by uneven appends (never past MaxSize), Find resumes from the last
+// scanned position and hash, and a hit or a full chunk closes it, carrying
+// any bytes past the hit into the next chunk with fresh scan state.
+func scanCuts(data []byte, cfg Config) []int {
+	cfg = cfg.Normalized()
+	s := rolling.NewScan(cfg.Q, cfg.Window)
+	begin, check := s.SkipStart(cfg.MinSize), cfg.MinSize-1
+	var cuts []int
+	start, end := 0, 0 // the open chunk is data[start:end]
+	pos, h := 0, uint64(0)
+	for start < len(data) {
+		end = min(end+1+(end%301), start+cfg.MaxSize, len(data))
+		hit, nh := s.Find(data[start:end], pos, h, begin, check)
+		switch {
+		case hit >= 0:
+			start += hit + 1
+		case end-start >= cfg.MaxSize:
+			start = end
+		case end == len(data):
+			return cuts
+		default:
+			pos, h = end-start, nh
+			continue
+		}
+		cuts = append(cuts, start)
+		pos, h = 0, 0
 	}
+	return cuts
 }

@@ -2,7 +2,7 @@
 // their self-consistency.  A root hash commits to every node encoding and
 // every chunk boundary beneath it, so one table of hex roots states "no
 // stored byte changed" for map, trie, list and blob builds and for an
-// incremental edit, under both chunking hashes.  The scale-matrix CI job
+// incremental edit, at the default chunking.  The scale-matrix CI job
 // runs it at GOMAXPROCS=8 too, where BuildMap takes the boundary-split path.
 // The hex values were generated at the commit before the sink stopped
 // hashing on a worker pool; a change that moves one changes the format.
@@ -64,12 +64,6 @@ func goldenItems(n int) [][]byte {
 	return items
 }
 
-func gearConfig() chunker.Config {
-	cfg := chunker.DefaultConfig()
-	cfg.Algo = chunker.AlgoGear
-	return cfg
-}
-
 // rooted is any built structure; rootOf unwraps a constructor's result.
 type rooted interface{ Root() hash.Hash }
 
@@ -118,24 +112,17 @@ func goldenBlob(cfg chunker.Config) func(store.Store) (hash.Hash, error) {
 }
 
 func TestGoldenRoots(t *testing.T) {
-	def, gear := chunker.DefaultConfig(), gearConfig()
+	def := chunker.DefaultConfig()
 	for _, tc := range []struct {
 		name    string
 		build   func(store.Store) (hash.Hash, error)
 		wantHex string
 	}{
 		{"pos-map-10k/default", goldenMap(def, false), "28fd2de513d1d1c4a62c45f4e32939646202e3dd351d06f58b29e184593f035c"},
-		{"pos-map-10k/gear", goldenMap(gear, false), "13b9e259fd391ec2a90309b5f8b328a6079a33d4bcfc0de0dd28e0840ab46ba5"},
 		{"pos-map-10k+edit8/default", goldenMap(def, true), "62bf3b5bdb6f58ed91186105deb04e108c41539482f5034f4562b549a36b6d5b"},
-		{"pos-map-10k+edit8/gear", goldenMap(gear, true), "4b75bb0484ca7665d3a59eda0ee210cd49be02af3279dd5d1a568404de940215"},
 		{"list-50k/default", goldenList(def), "a96941eae5f8d9d0dd0954094350559324755fe70e7726c9f606f0764e6af35d"},
-		{"list-50k/gear", goldenList(gear), "dc0bdfd56aafe8f9894ce822dd3b3f49e1831eb5a3cce42b07ca722682ec6fee"},
-		// The trie has no chunker, and neither the blob leaf scan nor the
-		// index-level chunker consults Config.Algo: these pairs agree.
 		{"blob-1MiB/default", goldenBlob(def), "7d4df8ddd0f1018631bd9a890caa757e59b7bb8e0af4e2d763e5bfccfc5e56c8"},
-		{"blob-1MiB/gear", goldenBlob(gear), "7d4df8ddd0f1018631bd9a890caa757e59b7bb8e0af4e2d763e5bfccfc5e56c8"},
 		{"mpt-10k/default", goldenTrie(def), "4ba47d55282bf799b77d8faa1029227a8ecff078b420d2724ac2dee6f211dfa0"},
-		{"mpt-10k/gear", goldenTrie(gear), "4ba47d55282bf799b77d8faa1029227a8ecff078b420d2724ac2dee6f211dfa0"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			root, err := tc.build(store.NewMemStore())

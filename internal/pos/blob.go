@@ -72,15 +72,8 @@ type blobBuilder struct {
 
 func newBlobBuilder(sink *store.ChunkSink, cfg chunker.Config) *blobBuilder {
 	cfg = cfg.Normalized()
-	scan := rolling.NewScan(cfg.Q, cfg.Window)
-	b := &blobBuilder{
-		sink:     sink,
-		cfg:      cfg,
-		scan:     scan,
-		begin:    scan.SkipStart(cfg.MinSize),
-		check:    cfg.MinSize - 1,
-		boundary: true,
-	}
+	b := &blobBuilder{sink: sink, cfg: cfg, boundary: true}
+	b.scan, b.begin, b.check = newLeafScan(cfg)
 	est := 2 << cfg.Q
 	if est > cfg.MaxSize {
 		est = cfg.MaxSize

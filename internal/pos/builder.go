@@ -33,10 +33,8 @@ type levelBuilder struct {
 	// node buffer — the same byte-granular pattern as chunker.EntryChunker,
 	// minus the per-byte call and ring-buffer bookkeeping, plus the min-size
 	// skip (bytes that no checkable window can reach are never hashed).
-	// The scanner is picked by Config.Algo: the cyclic-polynomial Scan or
-	// the FastCDC-style GearScan — both share the resumable Find contract.
 	// Index levels keep the entry-granular IndexChunker.
-	scan         boundaryScan
+	scan         *rolling.Scan
 	begin, check int // scan constants: hash start index, first checkable index
 	scanPos      int
 	scanHash     uint64
@@ -53,11 +51,13 @@ type levelBuilder struct {
 	boundary bool // true when positioned exactly at a node boundary
 }
 
-// boundaryScan is the resumable bulk boundary-detection contract shared by
-// rolling.Scan (cyclic polynomial) and rolling.GearScan (FastCDC gear).
-type boundaryScan interface {
-	Find(node []byte, pos int, h uint64, begin, check int) (int, uint64)
-	SkipStart(minSize int) int
+// newLeafScan returns the leaf boundary scanner for a normalized config and
+// its constants: the index hashing starts at (the min-size skip) and the
+// first index a pattern may fire at.  Map and list leaves, blob leaves and
+// the parallel build's pre-scan all cut with it, so they cannot disagree.
+func newLeafScan(cfg chunker.Config) (scan *rolling.Scan, begin, check int) {
+	scan = rolling.NewScan(cfg.Q, cfg.Window)
+	return scan, scan.SkipStart(cfg.MinSize), cfg.MinSize - 1
 }
 
 func newLevelBuilder(sink *store.ChunkSink, cfg chunker.Config, level uint8, isMap bool) *levelBuilder {
@@ -70,13 +70,7 @@ func newLevelBuilder(sink *store.ChunkSink, cfg chunker.Config, level uint8, isM
 		boundary: true,
 	}
 	if level == 0 {
-		if cfg.Algo == chunker.AlgoGear {
-			b.scan = rolling.NewGearScan(cfg.Q)
-		} else {
-			b.scan = rolling.NewScan(cfg.Q, cfg.Window)
-		}
-		b.begin = b.scan.SkipStart(cfg.MinSize)
-		b.check = cfg.MinSize - 1
+		b.scan, b.begin, b.check = newLeafScan(cfg)
 	} else {
 		b.idx = chunker.NewIndexChunker(cfg)
 	}

@@ -13,8 +13,7 @@ import (
 // synchronous store.Put per node, boundary detection through the byte-wise
 // chunker — verbatim, as the oracle for the batched sink path: the two must
 // produce byte-identical trees, and the differential tests in builder_test.go
-// and gear_build_test.go compare roots against this implementation over
-// randomized inputs.
+// compare roots against this implementation over randomized inputs.
 //
 // It intentionally mirrors builder.go's structure; do not "fix" it to share
 // code with the new path, or the comparison stops checking anything.

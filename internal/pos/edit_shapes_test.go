@@ -202,27 +202,22 @@ func checkEditEquivalence(st *store.MemStore, tree *Tree, base []Entry, ops []Op
 	return nil
 }
 
-// shapeConfigs are the chunkings the adversarial shapes run under: both
-// boundary algorithms, on the tiny test pages and on the default 4 KiB pages.
-// The tables are sized so that every tree has at least four levels — on
-// the 4 KiB pages that is a matter of where the second index level happens
-// to split, hence the odd row count.
+// shapeConfigs are the chunkings the adversarial shapes run under: the tiny
+// test pages and the default 4 KiB pages.  The tables are sized so that every
+// tree has at least four levels — on the 4 KiB pages that is a matter of
+// where the second index level happens to split, hence the odd row count.
 func shapeConfigs() []struct {
 	name string
 	cfg  chunker.Config
 	rows int
 } {
-	gearDefault := chunker.DefaultConfig()
-	gearDefault.Algo = chunker.AlgoGear
 	return []struct {
 		name string
 		cfg  chunker.Config
 		rows int
 	}{
 		{"test/rolling", testCfg(), 800},
-		{"test/gear", gearCfg(), 3000},
 		{"default/rolling", chunker.DefaultConfig(), 100003},
-		{"default/gear", gearDefault, 100003},
 	}
 }
 

@@ -21,7 +21,6 @@ func parConfigs() []chunker.Config {
 	return []chunker.Config{
 		chunker.DefaultConfig(),
 		chunker.SmallConfig(),
-		{Q: 8, Window: 48, MinSize: 1 << 5, MaxSize: 1 << 12, Algo: chunker.AlgoGear},
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"forkbase/internal/chunker"
-	"forkbase/internal/rolling"
 	"forkbase/internal/store"
 )
 
@@ -59,14 +58,7 @@ func buildWorkers(n int) int {
 // rolling hash.
 func leafCuts(cfg chunker.Config, entries []Entry) []int {
 	cfg = cfg.Normalized()
-	var scan boundaryScan
-	if cfg.Algo == chunker.AlgoGear {
-		scan = rolling.NewGearScan(cfg.Q)
-	} else {
-		scan = rolling.NewScan(cfg.Q, cfg.Window)
-	}
-	begin := scan.SkipStart(cfg.MinSize)
-	check := cfg.MinSize - 1
+	scan, begin, check := newLeafScan(cfg)
 	var (
 		cuts     []int
 		buf      []byte

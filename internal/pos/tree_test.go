@@ -350,7 +350,7 @@ func TestEditMatchesRebuildRandomized(t *testing.T) {
 	}
 
 	// The same three-way equivalence on batches built from the trees'
-	// physical layout, under both boundary algorithms and page sizes.
+	// physical layout, on both page sizes.
 	t.Run("shapes", testEditShapes)
 }
 

@@ -233,6 +233,9 @@ func TestScanSkipStart(t *testing.T) {
 	}
 }
 
+// BenchmarkScanFind times the boundary scan every POS-Tree builder runs (map
+// and list leaves, blob leaves) at the default geometry, with the builders'
+// min-size skip.
 func BenchmarkScanFind(b *testing.B) {
 	data := make([]byte, 1<<16)
 	rand.New(rand.NewSource(7)).Read(data)

@@ -3,6 +3,7 @@ package forkbase
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -44,6 +45,18 @@ func TestOpenReplicaFollowsPrimary(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	// A list and a blob, so the replica's AppendList and SpliceBlob below
+	// target values they could legally edit.
+	if _, err := primaryEng.BuildAndPut("lst", "master", nil, func() (Value, error) {
+		return value.NewList(primaryEng.Store(), primaryEng.Chunking(), [][]byte{[]byte("a")})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := primaryEng.BuildAndPut("blb", "master", nil, func() (Value, error) {
+		return value.NewBlob(primaryEng.Store(), primaryEng.Chunking(), []byte("bytes"))
+	}); err != nil {
+		t.Fatal(err)
+	}
 
 	replica, err := OpenReplica(addr, WithNodeCache(1<<20))
 	if err != nil {
@@ -78,19 +91,29 @@ func TestOpenReplicaFollowsPrimary(t *testing.T) {
 		t.Fatalf("replica map read: %q %v", got, err)
 	}
 
-	// Every mutating method is rejected.
+	// Every mutating method is rejected, by the engine's read-only gate, on
+	// inputs a primary would accept.
+	schema := Schema{Columns: []string{"id", "name"}, KeyColumn: 0}
 	writes := map[string]error{
-		"Put":          errOf2(replica.Put("obj", "master", NewString("x"), nil)),
-		"PutString":    errOf2(replica.PutString("obj", "master", "x", nil)),
-		"PutMap":       errOf2(replica.PutMap("obj", "master", entries[:1], nil)),
-		"EditMap":      errOf2(replica.EditMap("obj", "master", entries[:1], nil, nil)),
-		"Branch":       replica.Branch("obj", "b2", "master"),
-		"DeleteBranch": replica.DeleteBranch("obj", "master"),
-		"RenameBranch": replica.RenameBranch("obj", "master", "m2"),
-		"Merge":        errOf2(replica.Merge("obj", "a", "b", nil, nil)),
-		"GC":           errOf2(replica.GC()),
-		"Compact":      errOf2(replica.Compact()),
-		"WriteBatch":   errOf2(replica.WriteBatch([]WriteOp{{Key: "x", Value: NewString("y")}})),
+		"Put":               errOf2(replica.Put("obj", "master", NewString("x"), nil)),
+		"PutString":         errOf2(replica.PutString("obj", "master", "x", nil)),
+		"PutMap":            errOf2(replica.PutMap("obj", "master", entries[:1], nil)),
+		"PutBlob":           errOf2(replica.PutBlob("obj", "master", []byte("x"), nil)),
+		"PutSet":            errOf2(replica.PutSet("obj", "master", [][]byte{[]byte("x")}, nil)),
+		"PutList":           errOf2(replica.PutList("obj", "master", [][]byte{[]byte("x")}, nil)),
+		"EditMap":           errOf2(replica.EditMap("obj", "master", entries[:1], nil, nil)),
+		"AppendList":        errOf2(replica.AppendList("lst", "master", [][]byte{[]byte("b")}, nil)),
+		"SpliceBlob":        errOf2(replica.SpliceBlob("blb", "master", 1, 2, []byte("x"), nil)),
+		"Branch":            replica.Branch("obj", "b2", "master"),
+		"BranchFromVersion": replica.BranchFromVersion("obj", "b3", pv.UID),
+		"DeleteBranch":      replica.DeleteBranch("obj", "master"),
+		"RenameBranch":      replica.RenameBranch("obj", "master", "m2"),
+		"Merge":             errOf2(replica.Merge("obj", "a", "b", nil, nil)),
+		"GC":                errOf2(replica.GC()),
+		"Compact":           errOf2(replica.Compact()),
+		"WriteBatch":        errOf2(replica.WriteBatch([]WriteOp{{Key: "x", Value: NewString("y")}})),
+		"CreateDataset":     errOf2(replica.CreateDataset("ds", "master", schema, []Row{{"1", "ada"}}, nil)),
+		"LoadCSVDataset":    errOf2(replica.LoadCSVDataset("csv", "master", "id", strings.NewReader("id,name\n1,ada\n"), nil)),
 	}
 	for name, err := range writes {
 		if !errors.Is(err, ErrReadOnlyReplica) {
