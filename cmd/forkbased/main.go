@@ -105,6 +105,7 @@ func main() {
 		if err != nil {
 			fatal("opening branch table", "dir", *dir, "err", err)
 		}
+		defer bt.Close()
 		fileStore = fs
 		st, rawHeads = fs, bt
 	} else {

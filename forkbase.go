@@ -166,8 +166,9 @@ type DB struct {
 	eng *core.DB
 	acl *access.Controller
 
-	fileStore *store.FileStore // non-nil for file-backed instances
-	clust     *cluster.Cluster // non-nil for cluster-backed instances
+	fileStore *store.FileStore      // non-nil for file-backed instances
+	fileHeads *core.FileBranchTable // non-nil for file-backed instances
+	clust     *cluster.Cluster      // non-nil for cluster-backed instances
 
 	// Replica state (WithFollow / OpenReplica).
 	follower  *repl.Follower
@@ -352,7 +353,7 @@ func Open(opts ...Option) (*DB, error) {
 			fs.Close()
 			return nil, err
 		}
-		db.fileStore = fs
+		db.fileStore, db.fileHeads = fs, bt
 		o.st = fs
 		o.branches = bt
 	}
@@ -422,7 +423,7 @@ func (db *DB) Close() error {
 	_ = db.eng.Close()         // stop the compactor before the store goes away
 	db.eng.NodeCache().Purge() // nil-safe; covers injected caches too
 	if db.fileStore != nil {
-		return db.fileStore.Close()
+		return errors.Join(db.fileHeads.Close(), db.fileStore.Close())
 	}
 	if db.clust != nil {
 		return db.clust.Close()

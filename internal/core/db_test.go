@@ -465,7 +465,7 @@ func TestStaleHeadDetection(t *testing.T) {
 	}
 }
 
-func TestFileBrancheTablePersistence(t *testing.T) {
+func TestFileBranchTablePersistence(t *testing.T) {
 	dir := t.TempDir()
 	fs, err := store.OpenFileStore(dir)
 	if err != nil {
@@ -480,7 +480,16 @@ func TestFileBrancheTablePersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db.Branch("persisted", "extra", "")
+	if err := db.Branch("persisted", "extra", ""); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.RenameBranch("persisted", "extra", "renamed"); err != nil {
+		t.Fatal(err)
+	}
+	db.Close()
+	if err := bt.Close(); err != nil {
+		t.Fatal(err)
+	}
 	fs.Close()
 
 	// Reopen everything.
@@ -493,7 +502,9 @@ func TestFileBrancheTablePersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer bt2.Close()
 	db2 := Open(Options{Store: fs2, Branches: bt2, Chunking: chunker.SmallConfig()})
+	defer db2.Close()
 	got, err := db2.Get("persisted", "master")
 	if err != nil {
 		t.Fatal(err)
@@ -506,7 +517,7 @@ func TestFileBrancheTablePersistence(t *testing.T) {
 		t.Fatalf("value = %q", s)
 	}
 	branches, _ := db2.ListBranches("persisted")
-	if len(branches) != 2 {
+	if len(branches) != 2 || (branches[0] != "renamed" && branches[1] != "renamed") {
 		t.Fatalf("branches after reopen = %v", branches)
 	}
 }

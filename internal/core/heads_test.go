@@ -1,0 +1,666 @@
+package core
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/binary"
+	"encoding/hex"
+	"errors"
+	"fmt"
+	"hash/crc32"
+	"math/rand"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"reflect"
+	"runtime"
+	"slices"
+	"strconv"
+	"strings"
+	"testing"
+
+	"forkbase/internal/hash"
+)
+
+// fill is a uid whose bytes are all b, so it reads plainly in a hex dump.
+func fill(b byte) hash.Hash {
+	var h hash.Hash
+	for i := range h {
+		h[i] = b
+	}
+	return h
+}
+
+func openHeads(t testing.TB, dir string) *FileBranchTable {
+	t.Helper()
+	f, err := OpenFileBranchTable(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.Close() })
+	return f
+}
+
+func mustCAS(t testing.TB, f BranchTable, key, branch string, old, new hash.Hash) {
+	t.Helper()
+	if ok, err := f.CompareAndSet(key, branch, old, new); !ok || err != nil {
+		t.Fatalf("CAS %s@%s: ok=%v err=%v", key, branch, ok, err)
+	}
+}
+
+func journalOf(t testing.TB, dir string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join(dir, headsFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// allHeadsOf lists every head of a table as key → branch → uid.
+func allHeadsOf(t testing.TB, bt BranchTable) map[string]map[string]hash.Hash {
+	t.Helper()
+	keys, err := bt.Keys()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]map[string]hash.Hash, len(keys))
+	for _, k := range keys {
+		if out[k], err = bt.Branches(k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// journalOp is one step of a golden-vector script.
+type journalOp func(*FileBranchTable) error
+
+func opSetHead(key, branch string, old, new hash.Hash) journalOp {
+	return func(f *FileBranchTable) error {
+		if ok, err := f.CompareAndSet(key, branch, old, new); !ok || err != nil {
+			return fmt.Errorf("CAS %s@%s: ok=%v err=%v", key, branch, ok, err)
+		}
+		return nil
+	}
+}
+
+func opDeleteHead(key, branch string) journalOp {
+	return func(f *FileBranchTable) error { return f.Delete(key, branch) }
+}
+
+func opRenameHead(key, from, to string) journalOp {
+	return func(f *FileBranchTable) error { return f.Rename(key, from, to) }
+}
+
+func opCompact(f *FileBranchTable) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.compact()
+}
+
+// goldenJournals pin the on-disk format: a changed byte in any of them is a
+// format change, which needs a headsVersion bump and a reader for the old
+// version.  Each row's hex is split at record boundaries.
+var goldenJournals = []struct {
+	name    string
+	ops     []journalOp
+	wantHex string
+}{
+	{
+		name:    "header",
+		wantHex: "4642484541445301",
+	},
+	{
+		name: "set",
+		ops:  []journalOp{opSetHead("k", "master", hash.Hash{}, fill(0x11))},
+		wantHex: "4642484541445301" +
+			"2c000000" + "f74f5edf" + "01" + "0100" + "6b" + "0600" + "6d6173746572" + strings.Repeat("11", 32),
+	},
+	{
+		name: "delete",
+		ops: []journalOp{
+			opSetHead("k", "master", hash.Hash{}, fill(0x11)),
+			opDeleteHead("k", "master"),
+		},
+		wantHex: "4642484541445301" +
+			"2c000000" + "f74f5edf" + "01" + "0100" + "6b" + "0600" + "6d6173746572" + strings.Repeat("11", 32) +
+			"0c000000" + "72e2ca27" + "02" + "0100" + "6b" + "0600" + "6d6173746572",
+	},
+	{
+		name: "rename",
+		ops: []journalOp{
+			opSetHead("k", "master", hash.Hash{}, fill(0x11)),
+			opRenameHead("k", "master", "main"),
+		},
+		wantHex: "4642484541445301" +
+			"2c000000" + "f74f5edf" + "01" + "0100" + "6b" + "0600" + "6d6173746572" + strings.Repeat("11", 32) +
+			"12000000" + "8c007a01" + "03" + "0100" + "6b" + "0600" + "6d6173746572" + "0400" + "6d61696e",
+	},
+	{
+		name: "compacted snapshot",
+		ops: []journalOp{
+			opSetHead("k", "master", hash.Hash{}, fill(0x11)),
+			opSetHead("k", "dev", hash.Hash{}, fill(0x22)),
+			opSetHead("a", "master", hash.Hash{}, fill(0x33)),
+			opDeleteHead("k", "dev"),
+			opRenameHead("a", "master", "main"),
+			opSetHead("k", "master", fill(0x11), fill(0x44)),
+			opCompact,
+		},
+		wantHex: "4642484541445301" +
+			"2a000000" + "78521aa8" + "01" + "0100" + "61" + "0400" + "6d61696e" + strings.Repeat("33", 32) +
+			"2c000000" + "503b4987" + "01" + "0100" + "6b" + "0600" + "6d6173746572" + strings.Repeat("44", 32),
+	},
+}
+
+func TestHeadsJournalGoldenVectors(t *testing.T) {
+	for _, tc := range goldenJournals {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			f := openHeads(t, dir)
+			for i, op := range tc.ops {
+				if err := op(f); err != nil {
+					t.Fatalf("op %d: %v", i, err)
+				}
+			}
+			if got := hex.EncodeToString(journalOf(t, dir)); got != tc.wantHex {
+				t.Fatalf("journal\n got %s\nwant %s", got, tc.wantHex)
+			}
+			// The journal replays to the table that wrote it.
+			want := allHeadsOf(t, f)
+			f.Close()
+			if got := allHeadsOf(t, openHeads(t, dir)); !reflect.DeepEqual(got, want) {
+				t.Fatalf("reopened %v, want %v", got, want)
+			}
+		})
+	}
+}
+
+// frameOf frames payload as a record with a correct length and checksum.
+func frameOf(payload []byte) []byte {
+	b := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(payload, castagnoli))
+	return append(b, payload...)
+}
+
+func cat(parts ...[]byte) []byte {
+	var out []byte
+	for _, p := range parts {
+		out = append(out, p...)
+	}
+	return out
+}
+
+// hostileJournals are journals no writer produces.  Each begins with the
+// header and a record setting a@master (unless the header itself is the
+// damage); torn ones must open with exactly that head, the rest must fail
+// with ErrHeadsCorrupt and leave the file alone.
+func hostileJournals() []struct {
+	name    string
+	journal []byte
+	corrupt bool
+} {
+	hdr := []byte(headsMagic + "\x01")
+	recA := appendRecord(nil, headRecord{op: opSet, key: "a", branch: "master", uid: fill(0x11)})
+	recB := appendRecord(nil, headRecord{op: opSet, key: "b", branch: "master", uid: fill(0x22)})
+	withA := func(tail ...[]byte) []byte { return cat(append([][]byte{hdr, recA}, tail...)...) }
+	lenAs := func(rec []byte, n uint32) []byte {
+		rec = slices.Clone(rec)
+		binary.LittleEndian.PutUint32(rec, n)
+		return rec
+	}
+	flip := func(rec []byte, at int) []byte {
+		rec = slices.Clone(rec)
+		rec[at] ^= 0x40
+		return rec
+	}
+	setPayload := recB[frameLen:]
+	return []struct {
+		name    string
+		journal []byte
+		corrupt bool
+	}{
+		{"length past EOF", withA(lenAs(recB, 1000)), false},
+		{"checksum failure on the last record", withA(flip(recB, frameLen+5)), false},
+		{"length 0xFFFFFFFF", withA(lenAs(recB, 0xFFFFFFFF)), true},
+		{"length below any record", withA(lenAs(recB, 3), recB), true},
+		{"checksum failure mid-file", cat(hdr, flip(recA, frameLen+5), recB), true},
+		{"key length past its record", withA(frameOf(cat([]byte{opSet, 0xFF, 0xFF}, setPayload[3:]))), true},
+		{"empty key", withA(frameOf([]byte{opDelete, 0, 0, 1, 0, 'x'})), true},
+		{"unknown op", withA(frameOf(cat([]byte{9}, setPayload[1:]))), true},
+		{"short uid", withA(frameOf(setPayload[:len(setPayload)-1])), true},
+		{"trailing bytes", withA(frameOf(cat(setPayload, []byte{0}))), true},
+		{"delete of a branch that is not there", withA(appendRecord(nil, headRecord{op: opDelete, key: "b", branch: "master"})), true},
+		{"rename onto a branch that is there", withA(appendRecord(nil, headRecord{op: opRename, key: "a", branch: "master", to: "master"})), true},
+		{"wrong magic", cat([]byte("FBHEADX\x01"), recA), true},
+		{"wrong version", cat([]byte(headsMagic+"\x02"), recA), true},
+		{"header cut short", hdr[:5], true},
+		{"empty file", nil, true},
+	}
+}
+
+func TestHeadsJournalHostile(t *testing.T) {
+	wantA := map[string]map[string]hash.Hash{"a": {"master": fill(0x11)}}
+	intactA := headerLen + len(appendRecord(nil, headRecord{op: opSet, key: "a", branch: "master", uid: fill(0x11)}))
+	for _, tc := range hostileJournals() {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, headsFile)
+			if err := os.WriteFile(path, tc.journal, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			f, err := OpenFileBranchTable(dir)
+			if tc.corrupt {
+				if !errors.Is(err, ErrHeadsCorrupt) {
+					t.Fatalf("opened with err %v, want ErrHeadsCorrupt", err)
+				}
+				if got := journalOf(t, dir); !bytes.Equal(got, tc.journal) {
+					t.Fatalf("a refused journal was changed:\n got %x\nwant %x", got, tc.journal)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			if got := allHeadsOf(t, f); !reflect.DeepEqual(got, wantA) {
+				t.Fatalf("heads %v, want %v", got, wantA)
+			}
+			if got := journalOf(t, dir); !bytes.Equal(got, tc.journal[:intactA]) {
+				t.Fatalf("torn tail not cut off: %x", got)
+			}
+		})
+	}
+}
+
+// TestHeadsJournalTornTail cuts the last record short at every byte: each
+// cut opens with every earlier head, and the next append lands where the
+// torn record began.
+func TestHeadsJournalTornTail(t *testing.T) {
+	src := t.TempDir()
+	f := openHeads(t, src)
+	mustCAS(t, f, "a", "master", hash.Hash{}, fill(0x11))
+	mustCAS(t, f, "a", "dev", hash.Hash{}, fill(0x22))
+	before := allHeadsOf(t, f)
+	if err := f.Rename("a", "dev", "feature"); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	full := journalOf(t, src)
+	last := len(full) - len(appendRecord(nil, headRecord{op: opRename, key: "a", branch: "dev", to: "feature"}))
+	for cut := last + 1; cut < len(full); cut++ {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, headsFile), full[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		g, err := OpenFileBranchTable(dir)
+		if err != nil {
+			t.Fatalf("cut at %d: %v", cut, err)
+		}
+		if got := allHeadsOf(t, g); !reflect.DeepEqual(got, before) {
+			t.Fatalf("cut at %d: heads %v, want %v", cut, got, before)
+		}
+		mustCAS(t, g, "b", "master", hash.Hash{}, fill(0x33))
+		g.Close()
+		rec := appendRecord(nil, headRecord{op: opSet, key: "b", branch: "master", uid: fill(0x33)})
+		if got := journalOf(t, dir); !bytes.Equal(got, cat(full[:last], rec)) {
+			t.Fatalf("cut at %d: append after recovery left %x", cut, got)
+		}
+		if _, ok, _ := openHeads(t, dir).Head("b", "master"); !ok {
+			t.Fatalf("cut at %d: the append after recovery did not survive a reopen", cut)
+		}
+	}
+}
+
+// FuzzHeadsJournal: the journal decoder reads whatever is on disk.  It must
+// not panic or allocate by a length field instead of by the input, and the
+// records it accepts must re-encode to exactly the bytes they came from; a
+// snapshot of the table they build must decode to the same table.
+func FuzzHeadsJournal(f *testing.F) {
+	for _, tc := range goldenJournals {
+		b, err := hex.DecodeString(tc.wantHex)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	for _, tc := range hostileJournals() {
+		f.Add(tc.journal)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		m := NewMemBranchTable()
+		var recs []headRecord
+		intact, err := scanJournal(b, func(r headRecord) error {
+			if err := r.applyTo(m); err != nil {
+				return err
+			}
+			recs = append(recs, r)
+			return nil
+		})
+		runtime.ReadMemStats(&after)
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(1<<16+256*len(b)); got > limit {
+			t.Fatalf("%d-byte journal allocated %d bytes (limit %d)", len(b), got, limit)
+		}
+		if intact > len(b) || (err != nil) != errors.Is(err, ErrHeadsCorrupt) {
+			t.Fatalf("intact %d of %d, err %v", intact, len(b), err)
+		}
+		if intact == 0 {
+			return // the header was refused
+		}
+		enc := []byte(headsMagic + "\x01")
+		for _, r := range recs {
+			enc = appendRecord(enc, r)
+		}
+		if !bytes.Equal(enc, b[:intact]) {
+			t.Fatalf("%x decoded to %d records, which encode as %x", b[:intact], len(recs), enc)
+		}
+		snap := appendSnapshot(nil, m)
+		m2 := NewMemBranchTable()
+		if n, err := scanJournal(snap, func(r headRecord) error { return r.applyTo(m2) }); err != nil || n != len(snap) {
+			t.Fatalf("snapshot %x: intact %d, err %v", snap, n, err)
+		}
+		if !reflect.DeepEqual(allHeadsOf(t, m), allHeadsOf(t, m2)) || !bytes.Equal(appendSnapshot(nil, m2), snap) {
+			t.Fatalf("snapshot %x does not round-trip", snap)
+		}
+	})
+}
+
+const (
+	killDirEnv  = "FORKBASE_TEST_HEADS_KILL_DIR"
+	killSeedEnv = "FORKBASE_TEST_HEADS_KILL_SEED"
+)
+
+// killChildUID is the head the kill test's child gives key under seed.
+func killChildUID(seed int, key string) hash.Hash {
+	return hash.Of([]byte(strconv.Itoa(seed) + "/" + key))
+}
+
+// TestHeadsSurviveKill kills a writer with SIGKILL mid-stream, not with a
+// panic hook: a child process (this test binary, re-executed) sets heads on
+// distinct keys and prints each one once CompareAndSet has returned; the
+// parent kills it after about 200 lines and reopens the journal.  Every
+// printed head must be there, and at most one head the child set but had
+// not printed yet.
+func TestHeadsSurviveKill(t *testing.T) {
+	if dir := os.Getenv(killDirEnv); dir != "" {
+		seed, _ := strconv.Atoi(os.Getenv(killSeedEnv))
+		headsKillChild(dir, seed)
+		return
+	}
+	for seed := 1; seed <= 3; seed++ {
+		seed := seed
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			dir := t.TempDir()
+			cmd := exec.Command(os.Args[0], "-test.run=^TestHeadsSurviveKill$")
+			cmd.Env = append(os.Environ(), killDirEnv+"="+dir, killSeedEnv+"="+strconv.Itoa(seed))
+			var stderr bytes.Buffer
+			cmd.Stderr = &stderr
+			out, err := cmd.StdoutPipe()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := cmd.Start(); err != nil {
+				t.Fatal(err)
+			}
+			acked := map[string]hash.Hash{}
+			sc := bufio.NewScanner(out)
+			readLine := func() bool {
+				if !sc.Scan() {
+					return false
+				}
+				key, uid, ok := strings.Cut(sc.Text(), " ")
+				if !ok || uid != killChildUID(seed, key).String() {
+					t.Errorf("child printed %q", sc.Text())
+				}
+				acked[key] = killChildUID(seed, key)
+				return true
+			}
+			killAfter := 180 + rand.New(rand.NewSource(int64(seed))).Intn(40)
+			for len(acked) < killAfter && readLine() {
+			}
+			if err := cmd.Process.Kill(); err != nil {
+				t.Fatal(err)
+			}
+			for readLine() { // what the child printed before it died
+			}
+			if err := cmd.Wait(); err == nil || len(acked) < killAfter {
+				t.Fatalf("child exited with %v after %d heads; stderr:\n%s", err, len(acked), stderr.Bytes())
+			}
+
+			got := allHeadsOf(t, openHeads(t, dir))
+			extra := 0
+			for key, branches := range got {
+				uid, printed := acked[key]
+				if !printed {
+					uid = killChildUID(seed, key)
+					extra++
+				}
+				if len(branches) != 1 || branches["master"] != uid {
+					t.Fatalf("%s reopened as %v, want master=%s", key, branches, uid.Short())
+				}
+			}
+			if len(got)-extra != len(acked) || extra > 1 {
+				t.Fatalf("reopened %d heads, %d printed of which %d survived, %d unprinted", len(got), len(acked), len(got)-extra, extra)
+			}
+			t.Logf("killed after %d acked heads (%d unprinted survivors)", len(acked), extra)
+		})
+	}
+}
+
+// headsKillChild is the kill test's child: it sets heads until it is killed.
+func headsKillChild(dir string, seed int) {
+	f, err := OpenFileBranchTable(dir)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	for i := 0; i < 100000; i++ {
+		key := fmt.Sprintf("k%06d", i)
+		uid := killChildUID(seed, key)
+		if ok, err := f.CompareAndSet(key, "master", hash.Hash{}, uid); !ok || err != nil {
+			fmt.Fprintln(os.Stderr, "CAS:", ok, err)
+			os.Exit(2)
+		}
+		fmt.Printf("%s %s\n", key, uid)
+	}
+	os.Exit(3) // not killed in time
+}
+
+// TestHeadsBytesPerCASIndependentOfKeys: moving one head appends one record,
+// whether the table holds 10 heads or 10,000.
+func TestHeadsBytesPerCASIndependentOfKeys(t *testing.T) {
+	grow := func(keys int) int64 {
+		dir := t.TempDir()
+		f := openHeads(t, dir)
+		for i := 0; i < keys; i++ {
+			mustCAS(t, f, fmt.Sprintf("k%05d", i), "master", hash.Hash{}, fill(0x11))
+		}
+		size := func() int64 {
+			fi, err := os.Stat(filepath.Join(dir, headsFile))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return fi.Size()
+		}
+		before := size()
+		mustCAS(t, f, "k00000", "master", fill(0x11), fill(0x22))
+		return size() - before
+	}
+	few, many := grow(10), grow(10000)
+	if few != many || few >= 128 {
+		t.Fatalf("one CAS grew the journal by %d bytes at 10 keys and %d at 10,000; want equal and under 128", few, many)
+	}
+}
+
+func BenchmarkFileBranchTableCAS(b *testing.B) {
+	for _, keys := range []int{10, 10000} {
+		b.Run(fmt.Sprintf("keys=%d", keys), func(b *testing.B) {
+			f := openHeads(b, b.TempDir())
+			names, heads := make([]string, keys), make([]hash.Hash, keys)
+			for i := range names {
+				names[i], heads[i] = fmt.Sprintf("k%05d", i), fill(0xFF)
+				mustCAS(b, f, names[i], "master", hash.Hash{}, heads[i])
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k, next := i%keys, hash.Hash{byte(i), byte(i >> 8), byte(i >> 16), byte(i >> 24)}
+				if ok, err := f.CompareAndSet(names[k], "master", heads[k], next); !ok || err != nil {
+					b.Fatalf("CAS: ok=%v err=%v", ok, err)
+				}
+				heads[k] = next
+			}
+		})
+	}
+}
+
+// TestHeadsJournalCompacts drives one head through more moves than the
+// compaction floor holds: the journal stays bounded, the rewrite leaves no
+// temporary file, and the compacted journal reopens to the same heads.
+func TestHeadsJournalCompacts(t *testing.T) {
+	dir := t.TempDir()
+	f := openHeads(t, dir)
+	mustCAS(t, f, "keep", "master", hash.Hash{}, fill(0x11))
+	mustCAS(t, f, "gone", "master", hash.Hash{}, fill(0x22))
+	if err := f.Delete("gone", "master"); err != nil {
+		t.Fatal(err)
+	}
+	rec := int64(len(appendRecord(nil, headRecord{op: opSet, key: "hot", branch: "master"})))
+	head := hash.Hash{}
+	for i := 0; int64(i) < 2*compactFloor/rec; i++ {
+		next := hash.Hash{1, byte(i), byte(i >> 8), byte(i >> 16)}
+		mustCAS(t, f, "hot", "master", head, next)
+		head = next
+		if f.size > compactFloor+rec {
+			t.Fatalf("journal at %d bytes after %d moves, compaction floor %d", f.size, i+1, compactFloor)
+		}
+	}
+	if err := f.Rename("keep", "master", "main"); err != nil {
+		t.Fatal(err)
+	}
+	want := allHeadsOf(t, f)
+	f.Close()
+	if _, err := os.Stat(filepath.Join(dir, headsFile+".tmp")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("compaction left its temporary file: %v", err)
+	}
+	if got := allHeadsOf(t, openHeads(t, dir)); !reflect.DeepEqual(got, want) {
+		t.Fatalf("reopened %v, want %v", got, want)
+	}
+}
+
+// TestHeadsConvertBranchesJSON: a store written before the journal opens
+// with the heads its branches.json held, converted once into heads.log.
+func TestHeadsConvertBranchesJSON(t *testing.T) {
+	legacy, err := os.ReadFile(filepath.Join("testdata", legacyHeads))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]map[string]hash.Hash{}
+	for key, branches := range map[string][]string{
+		"orders": {"master", "dev", "q3-fix"},
+		"users":  {"master"},
+		"events": {"master", "staging"},
+	} {
+		want[key] = map[string]hash.Hash{}
+		for _, br := range branches {
+			want[key][br] = hash.Of([]byte(key + "@" + br))
+		}
+	}
+	dir := t.TempDir()
+	jsonPath := filepath.Join(dir, legacyHeads)
+	if err := os.WriteFile(jsonPath, legacy, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f := openHeads(t, dir)
+	if got := allHeadsOf(t, f); !reflect.DeepEqual(got, want) {
+		t.Fatalf("converted %v, want %v", got, want)
+	}
+	f.Close()
+	if _, err := os.Stat(jsonPath); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("branches.json still there after conversion: %v", err)
+	}
+	journal := journalOf(t, dir)
+	if got := allHeadsOf(t, openHeads(t, dir)); !reflect.DeepEqual(got, want) || !bytes.Equal(journalOf(t, dir), journal) {
+		t.Fatalf("reopened %v, want %v, journal unchanged", got, want)
+	}
+
+	// A crash between the journal's rename and the JSON file's removal
+	// leaves both: the journal wins, and the conversion finishes.
+	if err := os.WriteFile(jsonPath, []byte(`{"stale":{"master":"`+fill(0x55).String()+`"}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got := allHeadsOf(t, openHeads(t, dir)); !reflect.DeepEqual(got, want) {
+		t.Fatalf("with a leftover branches.json: %v, want %v", got, want)
+	}
+	if _, err := os.Stat(jsonPath); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("leftover branches.json not removed: %v", err)
+	}
+}
+
+// TestFileBranchTableClose: after Close every mutation fails without
+// touching the journal, reads still answer, and Close is idempotent.
+func TestFileBranchTableClose(t *testing.T) {
+	dir := t.TempDir()
+	f := openHeads(t, dir)
+	mustCAS(t, f, "k", "master", hash.Hash{}, fill(0x11))
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	journal := journalOf(t, dir)
+	if ok, err := f.CompareAndSet("k", "master", fill(0x11), fill(0x22)); ok || !errors.Is(err, errHeadsClosed) {
+		t.Fatalf("CAS after Close: ok=%v err=%v", ok, err)
+	}
+	if err := f.Delete("k", "master"); !errors.Is(err, errHeadsClosed) {
+		t.Fatalf("Delete after Close: %v", err)
+	}
+	if err := f.Rename("k", "master", "main"); !errors.Is(err, errHeadsClosed) {
+		t.Fatalf("Rename after Close: %v", err)
+	}
+	if uid, ok, err := f.Head("k", "master"); !ok || err != nil || uid != fill(0x11) {
+		t.Fatalf("Head after Close: %s %v %v", uid.Short(), ok, err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(journalOf(t, dir), journal) {
+		t.Fatal("the journal changed after Close")
+	}
+}
+
+// TestHeadsRefusalsWriteNothing: a mutation the table refuses — a stale
+// CAS, a missing or clashing branch, a name no record can hold — leaves the
+// journal as it was.
+func TestHeadsRefusalsWriteNothing(t *testing.T) {
+	dir := t.TempDir()
+	f := openHeads(t, dir)
+	long := strings.Repeat("x", maxName+1)
+	mustCAS(t, f, strings.Repeat("k", maxName), strings.Repeat("b", maxName), hash.Hash{}, fill(0x11))
+	mustCAS(t, f, "k", "", hash.Hash{}, fill(0x11))
+	mustCAS(t, f, "k", "dev", hash.Hash{}, fill(0x22))
+	journal := journalOf(t, dir)
+	for _, c := range [][2]string{{"", "master"}, {long, "master"}, {"k", long}} {
+		if ok, err := f.CompareAndSet(c[0], c[1], hash.Hash{}, fill(0x22)); ok || err == nil {
+			t.Fatalf("CAS of a %d-byte key and %d-byte branch accepted", len(c[0]), len(c[1]))
+		}
+	}
+	if ok, err := f.CompareAndSet("k", "dev", fill(0x11), fill(0x33)); ok || err != nil {
+		t.Fatalf("stale CAS: ok=%v err=%v", ok, err)
+	}
+	if err := f.Rename("k", "", long); err == nil {
+		t.Fatal("rename to an over-long name accepted")
+	}
+	if err := f.Rename("k", "", "dev"); !errors.Is(err, ErrBranchExists) {
+		t.Fatalf("rename onto an existing branch: %v", err)
+	}
+	if err := f.Rename("k", "nope", "new"); !errors.Is(err, ErrBranchNotFound) {
+		t.Fatalf("rename of a missing branch: %v", err)
+	}
+	if err := f.Delete("k", "nope"); !errors.Is(err, ErrBranchNotFound) {
+		t.Fatalf("delete of a missing branch: %v", err)
+	}
+	if !bytes.Equal(journalOf(t, dir), journal) {
+		t.Fatal("a refused mutation reached the journal")
+	}
+}
