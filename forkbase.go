@@ -189,7 +189,6 @@ type options struct {
 	nodeCacheBytes int64
 	compactEvery   time.Duration
 	compactRatio   float64
-	verifyCache    int64
 	metrics        *obs.Registry
 	logger         *slog.Logger
 	slowOp         time.Duration
@@ -281,19 +280,6 @@ func WithCompactRatio(ratio float64) Option {
 	return func(o *options) { o.compactRatio = ratio }
 }
 
-// WithVerifyCache budgets the verified-id set inside the tamper-verification
-// layer: once a chunk has been rehashed on this instance, repeat reads skip
-// the SHA-256 until GC relocation, scrub findings, quarantine, repair, heal,
-// or a segment remap invalidates the entry.  bytes == 0 keeps the default
-// budget (store.DefaultVerifyCacheBytes); bytes < 0 disables amortization so
-// every read rehashes.  The set engages only over this process's own
-// memory or disk — reads from remote stores, replicas mid-fetch, and any
-// injected untrusted store always pay the full rehash regardless of this
-// knob, so the trust model at the wire and disk boundaries is unchanged.
-func WithVerifyCache(bytes int64) Option {
-	return func(o *options) { o.verifyCache = bytes }
-}
-
 // WithMetrics selects the registry this instance reports into: engine and
 // store operation counts/latencies, cache and dedup gauges, GC/scrub/heal
 // accounting.  The default is obs.Default() (the process-wide registry);
@@ -366,17 +352,16 @@ func Open(opts ...Option) (*DB, error) {
 		compactEvery = 0
 	}
 	db.eng = core.Open(core.Options{
-		Store:            o.st,
-		Branches:         o.branches,
-		Chunking:         o.chunking,
-		Index:            o.idxKind,
-		NodeCacheBytes:   o.nodeCacheBytes,
-		CompactEvery:     compactEvery,
-		CompactRatio:     o.compactRatio,
-		VerifyCacheBytes: o.verifyCache,
-		Metrics:          o.metrics,
-		Logger:           o.logger,
-		SlowOp:           o.slowOp,
+		Store:          o.st,
+		Branches:       o.branches,
+		Chunking:       o.chunking,
+		Index:          o.idxKind,
+		NodeCacheBytes: o.nodeCacheBytes,
+		CompactEvery:   compactEvery,
+		CompactRatio:   o.compactRatio,
+		Metrics:        o.metrics,
+		Logger:         o.logger,
+		SlowOp:         o.slowOp,
 	})
 	if o.followAddr != "" {
 		if db.clust != nil {
@@ -727,10 +712,10 @@ func (db *DB) Stats() StoreStats { return db.eng.Stats() }
 func (db *DB) CacheStats() NodeCacheStats { return db.eng.NodeCacheStats() }
 
 // VerifyCacheStats returns the verification layer's amortization counters:
-// verified-id set hits/misses/invalidations and the total rehashes skipped
-// (set hits plus provenance-trusted writes).  Enabled is false when the set
-// is off — disabled via WithVerifyCache(-1) or inert because the store stack
-// crosses a trust boundary.
+// verified-stamp hits/misses/invalidations and the total rehashes skipped
+// (stamp hits plus provenance-trusted writes).  Enabled is false when there
+// is no stamp to consult — an in-memory store, or a stack that crosses a
+// trust boundary.
 func (db *DB) VerifyCacheStats() store.VerifyStats { return db.eng.VerifyStats() }
 
 // Metrics returns the registry this instance reports into (obs.Discard

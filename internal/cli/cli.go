@@ -511,8 +511,8 @@ func cmdStats(db *forkbase.DB, args []string, out io.Writer) error {
 		fmt.Fprintln(out, "health:         ok")
 	}
 	if vs := db.VerifyCacheStats(); vs.Enabled {
-		fmt.Fprintf(out, "verify cache:   %d hits / %d misses / %d invalidations, %d hashes skipped, %d entries\n",
-			vs.Hits, vs.Misses, vs.Invalidations, vs.SkippedHashes, vs.Entries)
+		fmt.Fprintf(out, "verify cache:   %d hits / %d misses / %d invalidations, %d hashes skipped\n",
+			vs.Hits, vs.Misses, vs.Invalidations, vs.SkippedHashes)
 	} else {
 		fmt.Fprintf(out, "verify cache:   off (%d hashes skipped by provenance)\n", vs.SkippedHashes)
 	}

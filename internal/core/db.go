@@ -101,14 +101,6 @@ type Options struct {
 	// rewrites it; 0 selects DefaultCompactRatio.  Explicit GC always uses
 	// ratio 0 — it reclaims everything.
 	CompactRatio float64
-	// VerifyCacheBytes budgets the verified-id set inside the verifying
-	// layer: once a chunk has been rehashed on this engine, repeat reads
-	// skip the hash until GC, scrub, heal, or a placement-epoch change
-	// invalidates the entry.  0 selects store.DefaultVerifyCacheBytes;
-	// negative disables the set (every read rehashes, the pre-amortization
-	// behavior).  The set only ever engages over trusted local stacks —
-	// over wire or adversarial stores the knob is inert.
-	VerifyCacheBytes int64
 	// Metrics selects the registry this engine reports into: engine
 	// operation counts/latencies, store-level per-backend instrumentation,
 	// cache and dedup gauges, GC/heal/scrub accounting.  nil selects
@@ -195,7 +187,7 @@ func Open(opts Options) *DB {
 // store.As.
 func assembleStore(opts Options) (top, raw store.Store, verifier *store.VerifyingStore, cache *nodecache.Cache) {
 	raw = store.InstrumentSlow(opts.Store, opts.Metrics, opts.Logger, opts.SlowOp)
-	verifier = store.NewVerifyingStoreCache(raw, opts.VerifyCacheBytes)
+	verifier = store.NewVerifyingStore(raw)
 	if opts.NodeCacheBytes > 0 {
 		cache = nodecache.New(opts.NodeCacheBytes)
 	}

@@ -113,8 +113,8 @@ func (db *DB) gcInner(minDeadRatio float64) (GCStats, error) {
 		db.ncache.Remove(id)
 	}
 	// Swept ids no longer resolve, and moved ids live in relocated records;
-	// neither may keep skipping the rehash on a stale entry.  (FileStore's
-	// placement epoch also retires the moved set — this is the explicit half
+	// neither may keep skipping the rehash on a stale stamp.  (FileStore's
+	// placement epoch also retires the moved ones — this is the explicit half
 	// of the belt-and-braces pair.)
 	db.verifier.Invalidate(res.SweptIDs...)
 	db.verifier.Invalidate(res.MovedIDs...)

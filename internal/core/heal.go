@@ -83,8 +83,8 @@ func (db *DB) healInner(src ChunkSource) (HealStats, error) {
 		for i, id := range ids {
 			hs.Checked++
 			// Heal's contract is to re-verify what is actually on disk, so
-			// every read must pay the rehash: drop any verified-id entry
-			// before the Get (the read re-adds a fresh one on success).
+			// every read must pay the rehash: drop any verified stamp
+			// before the Get (the read stamps afresh on success).
 			db.verifier.Invalidate(id)
 			c, err := db.st.Get(id)
 			switch {
@@ -136,7 +136,7 @@ func (db *DB) healInner(src ChunkSource) (HealStats, error) {
 				}
 			}
 			// A cached decode may alias storage of the damaged copy, and a
-			// verified-id entry still describes the bytes repair replaced.
+			// verified stamp still describes the bytes repair replaced.
 			db.ncache.Remove(want)
 			db.verifier.Invalidate(want)
 			hs.Repaired++

@@ -202,16 +202,14 @@ func (db *DB) registerGauges() {
 			labels, vals, func() float64 { return float64(raw.Stats().DedupHits) })
 	}
 	vs := db.verifier
-	reg.CounterFunc("forkbase_verify_cache_hits_total", "Verified-id set hits (reads that skipped the rehash).",
+	reg.CounterFunc("forkbase_verify_cache_hits_total", "Reads served on the store's verified stamp (rehash skipped).",
 		func() float64 { return float64(vs.VerifyStats().Hits) })
-	reg.CounterFunc("forkbase_verify_cache_misses_total", "Verified-id set misses (reads that paid the rehash).",
+	reg.CounterFunc("forkbase_verify_cache_misses_total", "Claimed reads without a current verified stamp (rehash paid, stamp written).",
 		func() float64 { return float64(vs.VerifyStats().Misses) })
-	reg.CounterFunc("forkbase_verify_cache_invalidations_total", "Verified-id entries dropped by GC, scrub, heal, repair, or epoch change.",
+	reg.CounterFunc("forkbase_verify_cache_invalidations_total", "Verified stamps retired by GC, scrub, heal or repair (ids, plus one per wholesale retirement).",
 		func() float64 { return float64(vs.VerifyStats().Invalidations) })
-	reg.CounterFunc("forkbase_verify_skipped_hashes_total", "Rehashes amortized away (verified-id hits plus provenance-trusted writes).",
+	reg.CounterFunc("forkbase_verify_skipped_hashes_total", "Rehashes amortized away (verified-stamp hits plus provenance-trusted writes).",
 		func() float64 { return float64(vs.VerifyStats().SkippedHashes) })
-	reg.GaugeFunc("forkbase_verify_cache_entries", "Verified-id set resident entries.",
-		func() float64 { return float64(vs.VerifyStats().Entries) })
 	if db.ncache != nil {
 		c := db.ncache
 		reg.CounterFunc("forkbase_cache_hits_total", "Decoded-node cache hits.",
@@ -228,8 +226,8 @@ func (db *DB) registerGauges() {
 }
 
 // VerifyStats snapshots the verifying layer's amortization counters: hits,
-// misses and invalidations of the verified-id set plus the total rehashes
-// skipped (set hits and provenance-trusted writes).
+// misses and invalidations of the store's verified stamp plus the total
+// rehashes skipped (stamp hits and provenance-trusted writes).
 func (db *DB) VerifyStats() store.VerifyStats { return db.verifier.VerifyStats() }
 
 // Metrics returns the registry this engine reports into (obs.Discard when
@@ -256,7 +254,7 @@ func (db *DB) Scrub() (store.ScrubStats, error) {
 	start := time.Now()
 	ss, err := scr.Scrub()
 	db.met.scrubDone(start, ss, err)
-	// Scrub itself never consults the verified set (it reads segment files
+	// Scrub itself never consults a verified stamp (it reads segment files
 	// directly), but its findings do invalidate: lost ids must not be
 	// vouched for, and a quarantine pass rescues records into new homes —
 	// drop everything rather than reason about which survived.  (FileStore's

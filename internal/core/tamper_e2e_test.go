@@ -8,11 +8,11 @@ import (
 )
 
 // TestTamperAfterVerifyScrubHealRecovers is the end-to-end pin for the
-// verified-id cache's one accepted staleness window: bytes that rot on disk
-// *after* a fully verified read.  The cache is warm for every reachable
-// chunk when the rot lands; the sequence scrub → health → heal must still
-// classify the damage, repair it from a replica, and leave the cache holding
-// nothing stale.  Run under -race in CI's verify shard.
+// verified stamp's one accepted staleness window: bytes that rot on disk
+// *after* a fully verified read.  Every reachable sealed chunk is stamped
+// when the rot lands; the sequence scrub → health → heal must still
+// classify the damage, repair it from a replica, and leave no stamp
+// vouching for stale bytes.  Run under -race in CI's verify shard.
 func TestTamperAfterVerifyScrubHealRecovers(t *testing.T) {
 	dir := t.TempDir()
 	db, fs := newFileDB(t, dir)
@@ -21,21 +21,21 @@ func TestTamperAfterVerifyScrubHealRecovers(t *testing.T) {
 	replica := mirrorStore(t, fs)
 
 	// Phase 1 — verified read: deep-verify every branch, which walks every
-	// reachable chunk through the verifying store and warms the set.
+	// reachable chunk through the verifying store; what it reads is stamped.
 	verifyAllBranches(t, db)
 	vst := db.VerifyStats()
 	if !vst.Enabled {
-		t.Fatal("verified-id cache off over a plain file store")
+		t.Fatal("verified stamp off over a plain file store")
 	}
-	if vst.Entries == 0 {
-		t.Fatalf("deep verify warmed nothing: %+v", vst)
+	if vst.Hits == 0 {
+		t.Fatalf("deep verify was served by no stamp: %+v", vst)
 	}
 
 	// Phase 2 — tamper after the verified read.
 	rotSegment(t, dir, 1)
 
 	// Phase 3 — scrub classifies despite the warm cache (scrub reads the
-	// segment bytes directly; the verified set is never an oracle for it).
+	// segment bytes directly; a verified stamp is never an oracle for it).
 	ss, err := db.Scrub()
 	if err != nil {
 		t.Fatal(err)
@@ -47,7 +47,7 @@ func TestTamperAfterVerifyScrubHealRecovers(t *testing.T) {
 		t.Fatalf("health = %v, want ErrCorrupt", err)
 	}
 	if got := db.VerifyStats().Invalidations; got == 0 {
-		t.Fatal("scrub findings invalidated nothing in the verified set")
+		t.Fatal("scrub findings invalidated no verified stamp")
 	}
 	// The lost chunk must not be served from any cache layer.
 	if _, err := db.Store().Get(ss.Lost[0]); err == nil {
@@ -55,7 +55,7 @@ func TestTamperAfterVerifyScrubHealRecovers(t *testing.T) {
 	}
 
 	// Phase 4 — heal refills the holes from the replica and re-verifies
-	// what is actually on disk (heal never trusts the warm set either).
+	// what is actually on disk (heal never trusts a stamp either).
 	hs, err := db.Heal(testChunkSource{replica})
 	if err != nil {
 		t.Fatal(err)

@@ -86,8 +86,8 @@ type FileStore struct {
 
 	// placeEpoch counts the events after which previously-served bytes for an
 	// id may live somewhere new (compaction rewrites, quarantine rescues).
-	// The verifying layer stamps verified-id entries with it, so a remap can
-	// never satisfy a stale "verified" hit.  Sealing does not bump it: a seal
+	// Verified stamps (recordLoc.verifiedAt) carry it, so a remap can never
+	// satisfy a stale "verified" read.  Sealing does not bump it: a seal
 	// changes how bytes are served, not which bytes an id resolves to.
 	placeEpoch atomic.Uint64
 
@@ -540,7 +540,8 @@ func (f *FileStore) scanSegment(seg int, size int64, st *ScrubStats, claimed *[]
 		copy(id[:], hdr[:hash.Size])
 		plen := int32(binary.LittleEndian.Uint32(hdr[hash.Size : hash.Size+4]))
 		typ := chunk.Type(hdr[hash.Size+4])
-		if plen < 0 || !typ.Valid() {
+		// Refuse a length past the segment's end before allocating it.
+		if plen < 0 || !typ.Valid() || int64(plen) > size-off-recordHeader {
 			st.Torn++
 			return f.truncate(seg, off, use)
 		}
@@ -895,8 +896,7 @@ func (f *FileStore) UnmarkVerified(id hash.Hash) {
 }
 
 // UnmarkAllVerified retires every verified stamp at once.  Implemented as a
-// placement-epoch bump: stamps (and verified-set entries) are keyed to the
-// epoch they were minted at, so advancing it invalidates all of them in O(1)
+// placement-epoch bump: stamps are keyed to the epoch they were minted at, so advancing it invalidates all of them in O(1)
 // without walking the index shards.
 func (f *FileStore) UnmarkAllVerified() { f.placeEpoch.Add(1) }
 
@@ -1190,8 +1190,8 @@ func (f *FileStore) compactLocked(minDeadRatio float64, res *SweepStats) error {
 		return nil
 	}
 	sort.Ints(victims)
-	// Records are about to move; retire every verified-id entry stamped with
-	// the old epoch before any index repointing becomes visible to readers.
+	// Records are about to move; retire every verified stamp minted at the
+	// old epoch before any index repointing becomes visible to readers.
 	f.placeEpoch.Add(1)
 	// Phase 1 — parallel collect: scan each victim and liveness-check its
 	// records on a bounded worker pool.  Safe under f.mu: no writer can move

@@ -137,7 +137,7 @@ func (f *FileStore) scrubSegment(seg int, st *ScrubStats) bool {
 // file aside.  Callers hold f.mu.
 func (f *FileStore) quarantine(seg int, st *ScrubStats) error {
 	// The segment's records are about to be rescued elsewhere or dropped;
-	// stale verified-id entries must not outlive the move.
+	// stale verified stamps must not outlive the move.
 	f.placeEpoch.Add(1)
 	// A damaged active tail must rotate out of the way first, both so the
 	// rescue below has somewhere sound to append and so the quarantine

@@ -56,7 +56,9 @@ func trusted(st store.Store) bool {
 // every backend: As finds each optional capability exactly when the backend
 // has it (and finds the backend itself, not a forwarder), the node-cache
 // attachment is found through any layering, batch calls reach the backend as
-// one native batch call, and verify-cache trust is deny-by-default.
+// one native batch call, verify-cache trust is deny-by-default, and the
+// verifier finds its witness exactly when the stack puts a trusted
+// VerifiedIndexer directly beneath it.
 func TestStackConformance(t *testing.T) {
 	backends := []struct {
 		name string
@@ -82,11 +84,14 @@ func TestStackConformance(t *testing.T) {
 		// substitutes attacked ids one by one).
 		perIDReads bool
 		untrusted  bool
+		// witness: over a backend that keeps one, the verifier the stack
+		// reads through sits directly on it (or on a layer forwarding it).
+		witness bool
 	}{
-		{name: "bare", wrap: func(s store.Store) store.Store { return s }},
+		{name: "bare", wrap: func(s store.Store) store.Store { return s }, witness: true},
 		{name: "counting", wrap: func(s store.Store) store.Store { return store.NewCountingStore(s) }},
-		{name: "verifying", wrap: func(s store.Store) store.Store { return store.NewVerifyingStore(s) }},
-		{name: "instrumented", wrap: func(s store.Store) store.Store { return store.Instrument(s, obs.NewRegistry()) }},
+		{name: "verifying", wrap: func(s store.Store) store.Store { return store.NewVerifyingStore(s) }, witness: true},
+		{name: "instrumented", wrap: func(s store.Store) store.Store { return store.Instrument(s, obs.NewRegistry()) }, witness: true},
 		{name: "nodecached", wrap: func(s store.Store) store.Store { return store.WithNodeCache(s, ownCache) }, cache: ownCache},
 		{name: "malicious", wrap: func(s store.Store) store.Store { return store.NewMaliciousStore(s) },
 			perIDReads: true, untrusted: true},
@@ -97,7 +102,7 @@ func TestStackConformance(t *testing.T) {
 		{name: "full-stack", wrap: func(s store.Store) store.Store {
 			v := store.NewVerifyingStore(store.Instrument(s, obs.NewRegistry()))
 			return store.WithNodeCache(v, ownCache)
-		}, cache: ownCache},
+		}, cache: ownCache, witness: true},
 	}
 
 	for _, b := range backends {
@@ -169,8 +174,15 @@ func TestStackConformance(t *testing.T) {
 				if got := trusted(st); got == w.untrusted {
 					t.Errorf("trusted = %v, want %v", got, !w.untrusted)
 				}
-				if got := store.NewVerifyingStore(st).VerifyStats().Enabled; got == w.untrusted {
-					t.Errorf("verify cache enabled = %v, want %v", got, !w.untrusted)
+				// The verifier a stack already holds, else the one core.Open
+				// would put on top of it.
+				v, ok := store.As[*store.VerifyingStore](st)
+				if !ok {
+					v = store.NewVerifyingStore(st)
+				}
+				_, indexed := backend.(store.VerifiedIndexer)
+				if got, want := v.VerifyStats().Enabled, indexed && w.witness; got != want {
+					t.Errorf("witness enabled = %v, want %v", got, want)
 				}
 			})
 		}

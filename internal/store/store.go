@@ -15,7 +15,10 @@
 // Optional capabilities (Collector, Scrubber, Repairer, PlacementEpocher,
 // Kinder, VerifyCacheTruster, NodeCacheProvider) are implemented only by the
 // layer that owns them and found with As, the one function that walks the
-// Unwrap chain.
+// Unwrap chain.  VerifiedIndexer is the exception: the verifying layer takes
+// it from its immediate inner store only, because it is the one witness that
+// lets a read skip its rehash — FileStore's stamp in its own index entry —
+// and a layer in between (Instrument) must forward it to keep counting.
 package store
 
 import (

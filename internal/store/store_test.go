@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -248,6 +249,65 @@ func TestFileStoreTornTailRecovery(t *testing.T) {
 	// The store must still accept writes after truncation.
 	if _, err := s2.Put(mkChunk(2)); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFileStoreHostileLengthBoundedAlloc pins that open bounds a record's
+// length by the bytes left in its segment before allocating: a damaged
+// header claiming ~2 GiB takes the torn-tail branch, the records before it
+// stay readable, and reopening allocates less than the segment holds.
+func TestFileStoreHostileLengthBoundedAlloc(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Small records first, then one big enough that the fixed cost of an
+	// open (two 1 MiB buffers) stays well under the segment size.
+	good := []*chunk.Chunk{mkChunk(1), mkChunk(2), mkChunk(3)}
+	big := chunk.New(chunk.TypeBlobLeaf, bytes.Repeat([]byte{7}, 8<<20))
+	for _, c := range append(good, big) {
+		if _, err := s.Put(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	path := filepath.Join(dir, "seg-000000.log")
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lenAt := fi.Size() - int64(recordHeader+len(big.Data())) + hash.Size
+	if _, err := f.WriteAt([]byte{0xF0, 0xFF, 0xFF, 0x7F}, lenAt); err != nil { // 0x7FFFFFF0
+		t.Fatal(err)
+	}
+	f.Close()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s2, err := OpenFileStore(dir)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatalf("reopen over a hostile length: %v", err)
+	}
+	defer s2.Close()
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= uint64(fi.Size()) {
+		t.Fatalf("reopen allocated %d bytes, segment holds %d", grew, fi.Size())
+	}
+	for _, c := range good {
+		if _, err := s2.Get(c.ID()); err != nil {
+			t.Fatalf("record before the damaged header lost: %v", err)
+		}
+	}
+	if _, err := s2.Get(big.ID()); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("record behind the damaged header: %v, want ErrNotFound", err)
 	}
 }
 

@@ -1,122 +1,61 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
 
 	"forkbase/internal/chunk"
 	"forkbase/internal/hash"
+	"forkbase/internal/obs"
 )
-
-// ---------------------------------------------------------------------------
-// VerifiedSet unit tests
-// ---------------------------------------------------------------------------
-
-func vsID(i int) hash.Hash {
-	return hash.Of([]byte(fmt.Sprintf("verified-set-%d", i)))
-}
-
-func TestVerifiedSetHitAddInvalidate(t *testing.T) {
-	s := NewVerifiedSet(1 << 20)
-	id := vsID(1)
-	if s.Hit(id, 0) {
-		t.Fatal("empty set reported a hit")
-	}
-	s.Add(id, 0)
-	if !s.Hit(id, 0) {
-		t.Fatal("added id not hit")
-	}
-	s.Invalidate(id)
-	if s.Hit(id, 0) {
-		t.Fatal("invalidated id still hit")
-	}
-	s.Add(id, 0)
-	s.InvalidateAll()
-	if s.Hit(id, 0) || s.Len() != 0 {
-		t.Fatalf("InvalidateAll left entries: len=%d", s.Len())
-	}
-}
-
-// TestVerifiedSetEpochStaleness pins the relocation contract: an entry
-// stamped with an older placement epoch is a miss (and is evicted), because
-// the id may have been re-homed by compaction or quarantine since it was
-// verified.
-func TestVerifiedSetEpochStaleness(t *testing.T) {
-	s := NewVerifiedSet(1 << 20)
-	id := vsID(2)
-	s.Add(id, 1)
-	if !s.Hit(id, 1) {
-		t.Fatal("same-epoch hit failed")
-	}
-	if s.Hit(id, 2) {
-		t.Fatal("stale-epoch entry reported a hit")
-	}
-	// The stale entry must have been dropped, not left to match epoch 1 again.
-	if s.Hit(id, 1) {
-		t.Fatal("stale entry survived the epoch-bumped probe")
-	}
-	s.Add(id, 2)
-	if !s.Hit(id, 2) {
-		t.Fatal("re-added id at new epoch not hit")
-	}
-}
-
-// TestVerifiedSetBudgetBounded pins that the two-generation rotation keeps
-// the entry count bounded by the byte budget no matter how many ids flow
-// through, and that recently added ids survive rotation.
-func TestVerifiedSetBudgetBounded(t *testing.T) {
-	const budget = 64 * 2 * 16 * 64 // capPerGen = 64 per shard
-	s := NewVerifiedSet(budget)
-	const n = 100_000
-	for i := 0; i < n; i++ {
-		s.Add(vsID(i), 0)
-	}
-	// Hard bound: hot+cold per shard, 16 shards.
-	if max := 64 * 2 * 16; s.Len() > max {
-		t.Fatalf("set holds %d entries, budget allows at most %d", s.Len(), max)
-	}
-	if !s.Hit(vsID(n-1), 0) {
-		t.Fatal("most recently added id already evicted")
-	}
-}
 
 // ---------------------------------------------------------------------------
 // Trust gating
 // ---------------------------------------------------------------------------
 
-// TestVerifyCacheTrustGating pins which stacks may carry a verified-id set:
-// stores that own their bytes (mem, file) and pass-through wrappers over
-// them are eligible; anything that cannot vouch for stable storage — the
-// malicious store stands in for every wire/untrusted boundary — disables the
-// cache automatically, with no configuration.
+// TestVerifyCacheTrustGating pins which stacks may amortize verification:
+// only those whose immediate inner store keeps the witness (VerifiedIndexer)
+// and that As reports trusted.  A store without a witness (mem), a wrapper
+// between the verifier and the witness (counting), an untrusted boundary
+// (the malicious store stands in for every wire) and a witness declaring
+// itself untrusted all leave every claimed read rehashing.
 func TestVerifyCacheTrustGating(t *testing.T) {
 	mem := NewMemStore()
+	fs, err := OpenFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
 	cases := []struct {
 		name    string
 		inner   Store
 		enabled bool
 	}{
-		{"mem", mem, true},
-		{"counting-over-mem", NewCountingStore(mem), true},
+		{"mem", mem, false},
+		{"counting-over-mem", NewCountingStore(mem), false},
 		{"malicious-over-mem", NewMaliciousStore(mem), false},
 		{"counting-over-malicious", NewCountingStore(NewMaliciousStore(mem)), false},
+		{"file", fs, true},
+		{"counting-over-file", NewCountingStore(fs), false},
+		{"malicious-over-file", NewMaliciousStore(fs), false},
+		{"untrusted-witness", untrustedWitness{fs}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			v := NewVerifyingStoreCache(tc.inner, 1<<20)
-			if got := v.VerifyStats().Enabled; got != tc.enabled {
-				t.Fatalf("cache enabled = %v, want %v", got, tc.enabled)
+			if got := NewVerifyingStore(tc.inner).VerifyStats().Enabled; got != tc.enabled {
+				t.Fatalf("witness enabled = %v, want %v", got, tc.enabled)
 			}
 		})
 	}
-	t.Run("negative-budget-disables", func(t *testing.T) {
-		v := NewVerifyingStoreCache(mem, -1)
-		if v.VerifyStats().Enabled {
-			t.Fatal("negative budget did not disable the cache")
-		}
-	})
 }
+
+// untrustedWitness offers FileStore's witness but declares its bytes
+// untrusted, as any layer that cannot vouch for them must.
+type untrustedWitness struct{ *FileStore }
+
+func (untrustedWitness) VerifyCacheTrusted() bool { return false }
 
 // TestVerifyCacheOffStillDetectsTamper pins that over an untrusted stack the
 // verifying store behaves exactly as before this optimization existed: every
@@ -124,7 +63,7 @@ func TestVerifyCacheTrustGating(t *testing.T) {
 // read and on every repeat read.
 func TestVerifyCacheOffStillDetectsTamper(t *testing.T) {
 	mal := NewMaliciousStore(NewMemStore())
-	v := NewVerifyingStoreCache(mal, 1<<20)
+	v := NewVerifyingStore(mal)
 	c := mkChunk(7)
 	if _, err := v.Put(c); err != nil {
 		t.Fatal(err)
@@ -151,8 +90,8 @@ func TestVerifyCacheOffStillDetectsTamper(t *testing.T) {
 
 // warmFileStack builds a small multi-segment file store (sealed segments are
 // served as claimed mmap chunks — the path that pays a recheck) behind a
-// verifying store with the cache on.
-func warmFileStack(t *testing.T, cacheBytes int64) (*FileStore, *VerifyingStore, []hash.Hash) {
+// verifying store that reads it directly.
+func warmFileStack(t *testing.T) (*FileStore, *VerifyingStore, []hash.Hash) {
 	t.Helper()
 	if !mmapSupported {
 		t.Skip("no mmap on this platform; sealed reads are unclaimed")
@@ -166,65 +105,88 @@ func warmFileStack(t *testing.T, cacheBytes int64) (*FileStore, *VerifyingStore,
 	if fs.actSeg.Load() < 2 {
 		t.Fatal("expected several sealed segments")
 	}
-	return fs, NewVerifyingStoreCache(fs, cacheBytes), ids
+	return fs, NewVerifyingStore(fs), ids
+}
+
+// witnessRows are the two ways a verifier meets a FileStore's witness:
+// directly, and through the metrics layer, in the order core.Open builds.
+var witnessRows = []struct {
+	name string
+	wrap func(*FileStore) Store
+}{
+	{"bare", func(fs *FileStore) Store { return fs }},
+	{"instrumented", func(fs *FileStore) Store { return Instrument(fs, obs.NewRegistry()) }},
 }
 
 // TestVerifyCacheSkipsRepeatRehash is the tentpole pin: the first verified
 // read of a sealed chunk pays exactly one digest, the second pays zero.
 func TestVerifyCacheSkipsRepeatRehash(t *testing.T) {
-	_, v, ids := warmFileStack(t, 1<<20)
-	id := ids[0]
+	for _, row := range witnessRows {
+		t.Run(row.name, func(t *testing.T) {
+			fs, _, ids := warmFileStack(t)
+			v := NewVerifyingStore(row.wrap(fs))
+			id := ids[0]
 
-	before := hash.Digests()
-	if _, err := v.Get(id); err != nil {
-		t.Fatal(err)
-	}
-	if got := hash.Digests() - before; got != 1 {
-		t.Fatalf("cold verified read paid %d digests, want exactly 1", got)
-	}
+			before := hash.Digests()
+			if _, err := v.Get(id); err != nil {
+				t.Fatal(err)
+			}
+			if got := hash.Digests() - before; got != 1 {
+				t.Fatalf("cold verified read paid %d digests, want exactly 1", got)
+			}
 
-	before = hash.Digests()
-	for i := 0; i < 5; i++ {
-		if _, err := v.Get(id); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := hash.Digests() - before; got != 0 {
-		t.Fatalf("warm verified reads paid %d digests, want 0", got)
-	}
-	st := v.VerifyStats()
-	if !st.Enabled || st.Hits < 5 || st.SkippedHashes < 5 {
-		t.Fatalf("verify stats after warm reads: %+v", st)
+			before = hash.Digests()
+			for i := 0; i < 5; i++ {
+				if _, err := v.Get(id); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := hash.Digests() - before; got != 0 {
+				t.Fatalf("warm verified reads paid %d digests, want 0", got)
+			}
+			st := v.VerifyStats()
+			if !st.Enabled || st.Hits != 5 || st.Misses != 1 || st.SkippedHashes < 5 {
+				t.Fatalf("verify stats after warm reads: %+v", st)
+			}
+		})
 	}
 }
 
-// TestVerifyCacheGetBatchAmortizes pins the batch path: a warm GetBatch over
-// already-verified ids pays zero digests.
+// TestVerifyCacheGetBatchAmortizes pins the batch path: a cold GetBatch pays
+// one digest per chunk and stamps it, so a warm GetBatch — or a point Get —
+// over the same ids pays zero.
 func TestVerifyCacheGetBatchAmortizes(t *testing.T) {
-	_, v, ids := warmFileStack(t, 1<<20)
-	batch := ids[:20]
+	for _, row := range witnessRows {
+		t.Run(row.name, func(t *testing.T) {
+			fs, _, ids := warmFileStack(t)
+			v := NewVerifyingStore(row.wrap(fs))
+			batch := ids[:20]
 
-	before := hash.Digests()
-	cs, err := v.GetBatch(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, c := range cs {
-		if c == nil {
-			t.Fatalf("missing chunk %d", i)
-		}
-	}
-	cold := hash.Digests() - before
-	if cold != int64(len(batch)) {
-		t.Fatalf("cold GetBatch paid %d digests, want %d", cold, len(batch))
-	}
+			before := hash.Digests()
+			cs, err := v.GetBatch(batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, c := range cs {
+				if c == nil {
+					t.Fatalf("missing chunk %d", i)
+				}
+			}
+			if cold := hash.Digests() - before; cold != int64(len(batch)) {
+				t.Fatalf("cold GetBatch paid %d digests, want %d", cold, len(batch))
+			}
 
-	before = hash.Digests()
-	if _, err := v.GetBatch(batch); err != nil {
-		t.Fatal(err)
-	}
-	if got := hash.Digests() - before; got != 0 {
-		t.Fatalf("warm GetBatch paid %d digests, want 0", got)
+			before = hash.Digests()
+			if _, err := v.GetBatch(batch); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := v.Get(batch[0]); err != nil {
+				t.Fatal(err)
+			}
+			if got := hash.Digests() - before; got != 0 {
+				t.Fatalf("warm GetBatch and Get paid %d digests, want 0", got)
+			}
+		})
 	}
 }
 
@@ -268,7 +230,7 @@ func TestVerifyCacheParallelBatchRecheck(t *testing.T) {
 			}
 		})
 	}
-	_, v, ids := warmFileStack(t, 1<<20)
+	_, v, ids := warmFileStack(t)
 	if _, err := v.GetBatch(ids); err != nil {
 		t.Fatal(err)
 	}
@@ -285,10 +247,10 @@ func TestVerifyCacheParallelBatchRecheck(t *testing.T) {
 // ---------------------------------------------------------------------------
 
 // TestCompactionInvalidatesVerifyCache pins the placement-epoch contract: a
-// sweep that compacts segments re-homes records, so every warm entry goes
+// sweep that compacts segments re-homes records, so every warm stamp goes
 // stale and the next read repays its recheck.
 func TestCompactionInvalidatesVerifyCache(t *testing.T) {
-	fs, v, ids := warmFileStack(t, 1<<20)
+	fs, v, ids := warmFileStack(t)
 	keep := ids[0]
 	if _, err := v.Get(keep); err != nil {
 		t.Fatal(err)
@@ -309,18 +271,14 @@ func TestCompactionInvalidatesVerifyCache(t *testing.T) {
 		t.Fatal("sweep compacted nothing; test needs a relocation")
 	}
 
-	invBefore := v.VerifyStats().Invalidations
 	before = hash.Digests()
 	if _, err := v.Get(keep); err != nil {
 		t.Fatalf("surviving chunk unreadable after compaction: %v", err)
 	}
 	if got := hash.Digests() - before; got != 1 {
-		t.Fatalf("post-compaction read paid %d digests, want 1 (stale entry must not be served)", got)
+		t.Fatalf("post-compaction read paid %d digests, want 1 (stale stamp must not be served)", got)
 	}
-	if v.VerifyStats().Invalidations <= invBefore {
-		t.Fatal("stale epoch probe did not count an invalidation")
-	}
-	// And the re-verified entry is warm again at the new epoch.
+	// And the re-verified id is warm again at the new epoch.
 	before = hash.Digests()
 	if _, err := v.Get(keep); err != nil {
 		t.Fatal(err)
@@ -331,17 +289,27 @@ func TestCompactionInvalidatesVerifyCache(t *testing.T) {
 }
 
 // TestScrubBypassesVerifyCache pins the non-negotiable scrub property: scrub
-// reads segment bytes directly and never consults the verified-id set, so
-// rot that creeps in *after* a verified read is still classified.  This is
-// what closes the cache's accepted staleness window.
+// reads segment bytes directly and never consults a verified stamp, so rot
+// that creeps in *after* a verified read is still classified.  This is what
+// closes the witness's accepted staleness window.
 func TestScrubBypassesVerifyCache(t *testing.T) {
-	fs, v, ids := warmFileStack(t, 1<<20)
-	// Verify and cache every id in segment 0 (and the rest) first.
+	fs, v, ids := warmFileStack(t)
+	// Verify and stamp every id in segment 0 (and the rest) first.
 	if _, err := v.GetBatch(ids); err != nil {
 		t.Fatal(err)
 	}
-	if v.VerifyStats().Entries == 0 {
-		t.Fatal("warm pass cached nothing")
+	var seg0 []hash.Hash
+	for _, id := range ids {
+		if loc, _ := fs.lookup(id); loc.segment == 0 {
+			seg0 = append(seg0, id)
+		}
+	}
+	before := hash.Digests()
+	if _, err := v.GetBatch(seg0); err != nil {
+		t.Fatal(err)
+	}
+	if got := hash.Digests() - before; len(seg0) == 0 || got != 0 {
+		t.Fatalf("warm re-read of segment 0's %d ids paid %d digests, want 0", len(seg0), got)
 	}
 	flipPayloadByte(t, fs.segmentPath(0))
 
@@ -356,7 +324,7 @@ func TestScrubBypassesVerifyCache(t *testing.T) {
 		t.Fatal("store healthy after scrub found corruption")
 	}
 	// Quarantine re-homed the victim segment's survivors: the placement
-	// epoch moved, so no pre-scrub entry can satisfy a read anymore.
+	// epoch moved, so no pre-scrub stamp can satisfy a read anymore.
 	lost := st.Lost[0]
 	if _, err := v.Get(lost); err == nil {
 		t.Fatal("lost chunk still readable through the verifying store")
@@ -372,7 +340,7 @@ func TestScrubBypassesVerifyCache(t *testing.T) {
 // per emitted chunk — the sink's own id hash — because the provenance token
 // lets the verifying write path skip its recheck.
 func TestSinkIngestOneHashPerChunk(t *testing.T) {
-	v := NewVerifyingStoreCache(NewMemStore(), 1<<20)
+	v := NewVerifyingStore(NewMemStore())
 	sink := NewChunkSink(v, SinkOptions{BatchSize: 8})
 	defer sink.Close()
 
@@ -396,18 +364,18 @@ func TestSinkIngestOneHashPerChunk(t *testing.T) {
 	}
 }
 
-// TestPutSeedsVerifyCache pins that a verified write warms the set: bytes
+// TestPutSeedsVerifyCache pins that a verified write stamps the id: bytes
 // the writer just hashed (or recheck just confirmed) need no rehash on the
 // first read back — as long as the read returns a claimed chunk.
 func TestPutSeedsVerifyCache(t *testing.T) {
-	fs, v, _ := warmFileStack(t, 1<<20)
+	fs, v, _ := warmFileStack(t)
 	c := mkChunk(4242)
 	if _, err := v.Put(c); err != nil {
 		t.Fatal(err)
 	}
 	// Force the tail (holding c) to seal so the read back is a claimed mmap
 	// chunk; a pread from the active tail is verified by construction and
-	// never consults the cache.
+	// never consults the stamp.
 	sealedBefore := fs.actSeg.Load()
 	for i := 0; i < 30; i++ {
 		if _, err := fs.Put(fileChunk(10_000 + i)); err != nil {
@@ -426,5 +394,26 @@ func TestPutSeedsVerifyCache(t *testing.T) {
 	}
 	if got := hash.Digests() - before; got != 0 {
 		t.Fatalf("first read of a just-written chunk paid %d digests, want 0", got)
+	}
+}
+
+// TestDedupPutLeavesStoredBytesUnstamped pins that a write stamps only bytes
+// it stored: a Put or PutBatch that dedups against rotted bytes checked the
+// caller's copy, not the stored one, so the next point or batch read must
+// still rehash the stored copy and refuse it.
+func TestDedupPutLeavesStoredBytesUnstamped(t *testing.T) {
+	fs, v, ids := warmFileStack(t)
+	flipPayloadByte(t, fs.segmentPath(0)) // the first record: ids[0]
+	if fresh, err := v.Put(fileChunk(0)); err != nil || fresh {
+		t.Fatalf("Put of a stored id: fresh=%v err=%v", fresh, err)
+	}
+	if fresh, err := v.PutBatch([]*chunk.Chunk{fileChunk(0)}); err != nil || fresh[0] {
+		t.Fatalf("PutBatch of a stored id: fresh=%v err=%v", fresh, err)
+	}
+	if _, err := v.Get(ids[0]); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Get of rotted bytes after a dedup write = %v, want ErrCorrupt", err)
+	}
+	if _, err := v.GetBatch(ids[:1]); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("GetBatch of rotted bytes after a dedup write = %v, want ErrCorrupt", err)
 	}
 }

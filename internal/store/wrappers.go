@@ -177,62 +177,58 @@ func (m *MaliciousStore) AttackCount() int {
 // always reads through a VerifyingStore, which is how a uid certifies the
 // entire reachable object graph.
 //
-// Verification is amortized, not weakened: once an id's inner-store bytes
-// have been rehashed on this instance, repeat reads skip the hash via a
-// byte-budgeted VerifiedSet — but only when the inner stack is trusted
-// (see VerifyCacheTruster: local Mem/File stores qualify; anything with a
-// wire, fault-injection, or adversarial layer does not), and only while the
-// store's placement epoch is unchanged.  Writes honor in-process provenance
-// (chunk.Claimed() == false) instead of rehashing; claimed chunks from disk,
-// the wire, or untrusted constructors still pay the full recheck.
+// Verification is amortized, not weakened, by one witness: the stamp a
+// VerifiedIndexer keeps in its own index entry.  The witness is used only
+// when the *immediate* inner store offers that capability and the stack is
+// trusted (see VerifyCacheTruster: local Mem/File stores qualify; anything
+// with a wire, fault-injection, or adversarial layer does not).  A successful
+// recheck stamps the id at the placement epoch read before the rehash, and a
+// repeat read the stamp still covers skips the hash.  Without a witness every
+// claimed chunk is rehashed on every read.  Writes honor in-process
+// provenance (chunk.Claimed() == false) instead of rehashing; claimed chunks
+// from disk, the wire, or untrusted constructors still pay the full recheck.
 //
 // Has, HasBatch and Stats are the embedded store's own: presence needs no
 // verification — a forged chunk is caught when it is actually read.
 type VerifyingStore struct {
 	Store
 
-	// verified is the verified-id set; nil when the cache is disabled
-	// (untrusted inner stack or explicit opt-out).
-	verified *VerifiedSet
-	// epoch is the inner stack's placement epoch; nil for stores that never
-	// relocate an id's bytes, like MemStore.
+	// witness is the immediate inner store's verified index; nil over an
+	// untrusted stack or an inner store without one.  It is never found by a
+	// walk: that would let the stamped read bypass the accounting of the
+	// wrappers in between.
+	witness VerifiedIndexer
+	// epoch is the inner stack's placement epoch; nil without a witness or
+	// for stores that never relocate an id's bytes.
 	epoch PlacementEpocher
 
-	// marker, when non-nil, is the inner store's verified-index capability:
-	// the verified witness lives inside the store's own index entry, so a
-	// warm point get returns with the verdict already resolved — no set
-	// probe, no epoch read.  Only engaged when the cache itself is enabled
-	// and the *immediate* inner implements it (a walk would let the fast
-	// path bypass intermediate wrappers' accounting).
-	marker VerifiedIndexer
-
-	// skippedHashes counts every rehash avoided by amortization: verified-id
-	// hits on reads plus provenance-trusted chunks on writes.
-	skippedHashes atomic.Int64
+	// misses counts claimed reads that paid a recheck over the witness,
+	// invalidations the ids (and wholesale calls) Invalidate and
+	// InvalidateAll retired, skippedHashes the provenance-trusted writes.
+	misses, invalidations, skippedHashes atomic.Int64
 }
 
 // VerifyCacheTruster is the capability by which a store declares that its
-// bytes come from a boundary the verify cache may amortize over (local
-// memory or local disk owned by this process).  Trust is deny-by-default: a
-// stack is trusted only if the first layer As finds answering this says yes.
+// bytes come from a boundary verification may amortize over (local memory
+// or local disk owned by this process).  Trust is deny-by-default: a stack is
+// trusted only if the first layer As finds answering this says yes.
 // Transparent wrappers unwrap to the backend's answer; wire clients, fault
 // injectors and foreign stores do not unwrap, which ends the walk and turns
-// the cache off without any of them having to know it exists; an adversarial
-// wrapper that does unwrap (MaliciousStore) answers false itself.
+// the witness off without any of them having to know it exists; an
+// adversarial wrapper that does unwrap (MaliciousStore) answers false itself.
 type VerifyCacheTruster interface {
 	VerifyCacheTrusted() bool
 }
 
-// VerifiedIndexer is the capability by which a trusted store co-locates the
-// verified-id witness with its own index, collapsing the verifier's warm-path
-// probe into the index lookup the store performs anyway.  The contract
-// mirrors VerifiedSet's exactly: MarkVerified records "the verifying layer
-// rehashed this id's bytes at this placement epoch", GetVerified answers a
-// read with that witness only while placement is unchanged, and the stamp
-// dies whenever the entry is rewritten or the epoch moves.  The chunk
-// returned by GetVerified keeps its claimed state — the verdict is carried
-// beside the chunk, never baked into it — so nothing downstream gains a way
-// to mint trusted chunks.
+// VerifiedIndexer is the capability by which a trusted store keeps the
+// verifying layer's witness inside its own index, so a warm read's verdict
+// comes back from the index lookup the store performs anyway.  MarkVerified
+// records "the verifying layer rehashed this id's bytes at this placement
+// epoch", GetVerified answers a read with that witness only while placement
+// is unchanged, and the stamp dies whenever the entry is rewritten or the
+// epoch moves.  The chunk returned by GetVerified keeps its claimed state —
+// the verdict is carried beside the chunk, never baked into it — so nothing
+// downstream gains a way to mint trusted chunks.
 type VerifiedIndexer interface {
 	// GetVerified must return a chunk whose ID() equals the requested id
 	// (FileStore's claimed reads stamp the index key into the chunk), so the
@@ -246,35 +242,22 @@ type VerifiedIndexer interface {
 
 // PlacementEpocher is the capability by which a store exposes a counter that
 // bumps whenever previously-served bytes for an id may have been remapped
-// (segment compaction, quarantine rescue).  Verified-set entries are stamped
-// with it so a remap can never satisfy a stale "verified" hit.
+// (segment compaction, quarantine rescue).  Verified stamps carry it so a
+// remap can never satisfy a stale "verified" read.
 type PlacementEpocher interface {
 	PlacementEpoch() uint64
 }
 
-// DefaultVerifyCacheBytes is the default verified-id set budget (~128k
-// entries): big enough to cover the hot node set of a large tree, small
-// next to the node cache it sits behind.
-const DefaultVerifyCacheBytes = 8 << 20
-
-// NewVerifyingStore wraps inner with the default verify-cache budget.  The
-// cache engages only over trusted local stacks; over anything else this is
-// exactly the always-rehash verifier.
+// NewVerifyingStore wraps inner.  The witness engages only when inner itself
+// is a VerifiedIndexer over a trusted stack; over anything else this is the
+// always-rehash verifier.
 func NewVerifyingStore(inner Store) *VerifyingStore {
-	return NewVerifyingStoreCache(inner, 0)
-}
-
-// NewVerifyingStoreCache wraps inner with an explicit verified-id budget:
-// 0 picks DefaultVerifyCacheBytes, negative disables the cache entirely.
-func NewVerifyingStoreCache(inner Store, cacheBytes int64) *VerifyingStore {
 	v := &VerifyingStore{Store: inner}
-	if cacheBytes == 0 {
-		cacheBytes = DefaultVerifyCacheBytes
-	}
-	if t, ok := As[VerifyCacheTruster](inner); cacheBytes > 0 && ok && t.VerifyCacheTrusted() {
-		v.verified = NewVerifiedSet(cacheBytes)
-		v.epoch, _ = As[PlacementEpocher](inner)
-		v.marker, _ = inner.(VerifiedIndexer)
+	if w, ok := inner.(VerifiedIndexer); ok {
+		if t, ok := As[VerifyCacheTruster](inner); ok && t.VerifyCacheTrusted() {
+			v.witness = w
+			v.epoch, _ = As[PlacementEpocher](inner)
+		}
 	}
 	return v
 }
@@ -311,13 +294,14 @@ func (v *VerifyingStore) Put(ch *chunk.Chunk) (bool, error) {
 	if err := v.recheckWrite(ch); err != nil {
 		return false, err
 	}
-	ok, err := v.Store.Put(ch)
-	if err == nil && v.verified != nil {
-		// The bytes just written are known-good: seed the witnesses so the
-		// first read back skips the rehash.
-		v.remember(ch.ID(), v.epochNow())
+	fresh, err := v.Store.Put(ch)
+	if err == nil && fresh && v.witness != nil {
+		// The bytes just written are known-good: stamp them so the first
+		// read back skips the rehash.  A dedup hit wrote nothing, so the
+		// bytes already stored are not the ones just checked.
+		v.witness.MarkVerified(ch.ID(), v.epochNow())
 	}
-	return ok, err
+	return fresh, err
 }
 
 // PutBatch implements Store.  Every claimed chunk in the batch is
@@ -336,54 +320,64 @@ func (v *VerifyingStore) PutBatch(cs []*chunk.Chunk) ([]bool, error) {
 	if err := recheckIndexes(cs, work, verifyWorkers()); err != nil {
 		return make([]bool, len(cs)), err
 	}
-	res, err := v.Store.PutBatch(cs)
-	if err == nil && v.verified != nil {
+	fresh, err := v.Store.PutBatch(cs)
+	if err == nil && v.witness != nil {
 		ep := v.epochNow()
-		for _, ch := range cs {
-			v.remember(ch.ID(), ep)
+		for i, ch := range cs {
+			if fresh[i] {
+				v.witness.MarkVerified(ch.ID(), ep)
+			}
 		}
 	}
-	return res, err
+	return fresh, err
 }
 
 // GetBatch implements Store: every returned chunk passes the same
-// recheck-and-verify gauntlet as a point Get — with the rehashes for
-// verified-set misses fanned out across the recheck pool, so repl catch-up
-// and heal scale with cores.
+// recheck-and-verify gauntlet as a point Get, with the rehashes fanned out
+// across the recheck pool so repl catch-up and heal scale with cores.  Over
+// a witness each id is read through the stamp exactly as Get reads it
+// (FileStore's own GetBatch is a per-id loop, so no batch round is lost).
 func (v *VerifyingStore) GetBatch(ids []hash.Hash) ([]*chunk.Chunk, error) {
-	out, err := v.Store.GetBatch(ids)
-	if err != nil {
-		return out, err
+	var (
+		out     []*chunk.Chunk
+		stamped []bool // nil without a witness
+		err     error
+	)
+	if v.witness == nil {
+		if out, err = v.Store.GetBatch(ids); err != nil {
+			return out, err
+		}
+	} else {
+		out, stamped = make([]*chunk.Chunk, len(ids)), make([]bool, len(ids))
+		for i, id := range ids {
+			c, ok, err := v.witness.GetVerified(id)
+			if errors.Is(err, ErrNotFound) {
+				continue
+			}
+			if err != nil {
+				return out, err
+			}
+			out[i], stamped[i] = c, ok
+		}
 	}
-	ep := v.epochNow()
 	var work []int
 	for i, c := range out {
-		if c == nil {
+		if c == nil || (stamped != nil && stamped[i]) {
 			continue
 		}
 		if err := c.Verify(ids[i]); err != nil {
 			return out, err
 		}
-		if !c.Claimed() {
-			continue
+		if c.Claimed() {
+			work = append(work, i)
 		}
-		if v.verified != nil && v.verified.Hit(ids[i], ep) {
-			continue // skip counted via the hit counter
-		}
-		work = append(work, i)
 	}
-	if err := recheckIndexes(out, work, verifyWorkers()); err != nil {
-		// Something in this batch failed to rehash; drop any witnesses for
-		// the batch so nothing corrupt lingers as "verified".
-		for _, i := range work {
-			v.forget(ids[i])
-		}
-		return out, err
-	}
+	ep := v.epochNow()
+	err = recheckIndexes(out, work, verifyWorkers())
 	for _, i := range work {
-		v.remember(ids[i], ep)
+		v.settle(ids[i], ep, err)
 	}
-	return out, nil
+	return out, err
 }
 
 // recheckIndexes rehashes cs[i] for each i in idx, fanning out across up to
@@ -436,22 +430,19 @@ func recheckIndexes(cs []*chunk.Chunk, idx []int, workers int) error {
 
 // Get implements Store, verifying content against id.  Chunks whose id was
 // merely claimed by the inner store (FileStore's zero-copy mmap path trusts
-// its own index) are rehashed here — unless this instance already verified
-// the id at the current placement epoch, in which case the hash is skipped.
+// its own index) are rehashed here — unless the witness stamped the id at
+// the current placement epoch, in which case the hash is skipped.
 func (v *VerifyingStore) Get(id hash.Hash) (*chunk.Chunk, error) {
 	var (
 		c   *chunk.Chunk
 		err error
 	)
-	if v.marker != nil {
-		// Warm fast path: the inner store resolves the verified witness
-		// inside the index lookup it performs anyway, so a repeat read costs
-		// the bare get plus one id comparison.
-		var okv bool
-		c, okv, err = v.marker.GetVerified(id)
-		if err == nil && okv {
+	if v.witness != nil {
+		var stamped bool
+		c, stamped, err = v.witness.GetVerified(id)
+		if err == nil && stamped {
 			// No Verify(id) here: the capability contract pins the returned
-			// chunk's id to the request, and the witness already attests the
+			// chunk's id to the request, and the stamp already attests the
 			// bytes hash to it — the comparison would test the claim against
 			// itself.
 			return c, nil
@@ -468,115 +459,78 @@ func (v *VerifyingStore) Get(id hash.Hash) (*chunk.Chunk, error) {
 	if !c.Claimed() {
 		return c, nil
 	}
-	if err := v.recheckRemember(c, id); err != nil {
+	ep := v.epochNow()
+	err = c.Recheck()
+	v.settle(id, ep, err)
+	if err != nil {
 		return nil, err
 	}
 	return c, nil
 }
 
-// recheckRemember resolves a claimed chunk on the slow path: consult the
-// verified set, rehash on a miss, and record the outcome in both witnesses
-// (set and, when present, the inner store's verified index).
-func (v *VerifyingStore) recheckRemember(c *chunk.Chunk, id hash.Hash) error {
-	var ep uint64
-	if v.verified != nil {
-		ep = v.epochNow()
-		if v.verified.Hit(id, ep) {
-			// Every hit skips exactly one rehash; VerifyStats derives the
-			// skip count from the hit counter so the hot path pays a single
-			// atomic increment.
-			if v.marker != nil {
-				// Restamp: the set remembered what the index entry lost.
-				v.marker.MarkVerified(id, ep)
-			}
-			return nil
-		}
+// settle records in the witness the outcome of rechecking id, whose epoch
+// was read before the rehash: a stamp when it passed, none when it failed.
+func (v *VerifyingStore) settle(id hash.Hash, ep uint64, err error) {
+	if v.witness == nil {
+		return
 	}
-	if err := c.Recheck(); err != nil {
-		v.forget(id)
-		return err
+	v.misses.Add(1)
+	if err != nil {
+		v.witness.UnmarkVerified(id)
+		return
 	}
-	v.remember(id, ep)
-	return nil
-}
-
-// remember records a successful recheck of id at epoch ep in every witness.
-func (v *VerifyingStore) remember(id hash.Hash, ep uint64) {
-	if v.verified != nil {
-		v.verified.Add(id, ep)
-	}
-	if v.marker != nil {
-		v.marker.MarkVerified(id, ep)
-	}
-}
-
-// forget drops id from every witness after a failed recheck or an explicit
-// invalidation.
-func (v *VerifyingStore) forget(id hash.Hash) {
-	if v.verified != nil {
-		v.verified.Invalidate(id)
-	}
-	if v.marker != nil {
-		v.marker.UnmarkVerified(id)
-	}
+	v.witness.MarkVerified(id, ep)
 }
 
 // VerifyStats is a snapshot of the verifier's amortization counters.
 type VerifyStats struct {
-	// Enabled reports whether the verified-id set is active (trusted stack,
-	// non-negative budget).
+	// Enabled reports whether a witness is present (a trusted
+	// VerifiedIndexer directly beneath the verifier).
 	Enabled bool `json:"enabled"`
-	// Hits/Misses/Invalidations are verified-set lookup outcomes.
+	// Hits counts reads the witness's stamp served; Misses claimed reads
+	// that paid a recheck over the witness; Invalidations the ids passed to
+	// Invalidate plus InvalidateAll calls.
 	Hits          int64 `json:"hits"`
 	Misses        int64 `json:"misses"`
 	Invalidations int64 `json:"invalidations"`
-	// SkippedHashes counts every rehash amortized away: set hits on reads
+	// SkippedHashes counts every rehash amortized away: stamp hits on reads
 	// plus provenance-trusted chunks on writes.
 	SkippedHashes int64 `json:"skipped_hashes"`
-	// Entries/BudgetBytes describe the set's current size and bound.
-	Entries     int   `json:"entries"`
-	BudgetBytes int64 `json:"budget_bytes"`
 }
 
 // VerifyStats snapshots the amortization counters.
 func (v *VerifyingStore) VerifyStats() VerifyStats {
-	st := VerifyStats{SkippedHashes: v.skippedHashes.Load()}
-	if v.verified != nil {
-		st.Enabled = true
-		st.Hits = v.verified.hits.Load()
-		st.Misses = v.verified.misses.Load()
-		st.Invalidations = v.verified.invalidations.Load()
-		st.Entries = v.verified.Len()
-		st.BudgetBytes = v.verified.budget
-		if v.marker != nil {
-			// Index-stamp serves are hits resolved inside the inner store.
-			st.Hits += v.marker.VerifiedServes()
-		}
-		// Each hit skipped exactly one rehash (reads); skippedHashes itself
-		// counts provenance-trusted writes.
+	st := VerifyStats{
+		Enabled:       v.witness != nil,
+		Misses:        v.misses.Load(),
+		Invalidations: v.invalidations.Load(),
+		SkippedHashes: v.skippedHashes.Load(),
+	}
+	if v.witness != nil {
+		st.Hits = v.witness.VerifiedServes()
 		st.SkippedHashes += st.Hits
 	}
 	return st
 }
 
-// Invalidate drops ids from the verified set (no-op when disabled).  Scrub,
-// quarantine, repair, heal and GC call this for every id whose inner-store
-// bytes they move, delete, or find damaged.
+// Invalidate drops the witness's stamps for ids (no-op without a witness).
+// Scrub, quarantine, repair, heal and GC call this for every id whose
+// inner-store bytes they move, delete, or find damaged.
 func (v *VerifyingStore) Invalidate(ids ...hash.Hash) {
-	if v.verified == nil {
+	if v.witness == nil {
 		return
 	}
+	v.invalidations.Add(int64(len(ids)))
 	for _, id := range ids {
-		v.forget(id)
+		v.witness.UnmarkVerified(id)
 	}
 }
 
-// InvalidateAll empties every witness (no-op when disabled).
+// InvalidateAll retires every stamp (no-op without a witness).
 func (v *VerifyingStore) InvalidateAll() {
-	if v.verified != nil {
-		v.verified.InvalidateAll()
+	if v.witness == nil {
+		return
 	}
-	if v.marker != nil {
-		v.marker.UnmarkAllVerified()
-	}
+	v.invalidations.Add(1)
+	v.witness.UnmarkAllVerified()
 }
