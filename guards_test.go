@@ -77,6 +77,23 @@ func TestSourceGuards(t *testing.T) {
 		pattern: `VerifiedSet|VerifyCacheBytes|WithVerifyCache|NewVerifyingStoreCache`,
 		paths:   []string{"internal", "forkbase.go"},
 		want:    0,
+	}, {
+		// Recovery, scrub, compaction and quarantine agree on what a segment
+		// record is because scanRecords is the only code that parses its
+		// header; a second parser is a second answer to "where does this
+		// segment stop making sense?".
+		name:    "one segment-record decoder",
+		pattern: `binary\.LittleEndian\.Uint32\(`,
+		paths:   []string{"internal/store"},
+		want:    1,
+	}, {
+		// The store's maintenance (recovery, compaction, scrub) and its sync
+		// policy run on the caller's goroutine under f.mu; a worker pool or a
+		// ticker here is a second schedule the crash matrix cannot see.
+		name:    "no goroutines in FileStore",
+		pattern: `^\s*go `,
+		paths:   []string{"internal/store/file.go", "internal/store/scrub.go"},
+		want:    0,
 	}} {
 		re := regexp.MustCompile(g.pattern)
 		var hits []string

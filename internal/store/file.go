@@ -4,10 +4,8 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -62,11 +60,8 @@ type FileStore struct {
 	noMmap     bool
 	syncPolicy SyncPolicy
 
-	// group coalesces SyncGroup fsyncs; the sync loop drives SyncInterval.
-	group    groupSyncer
-	syncStop chan struct{}
-	syncOnce sync.Once // guards closing syncStop
-	syncWG   sync.WaitGroup
+	// group coalesces the fsyncs of concurrent SyncAlways committers.
+	group groupSyncer
 
 	shards [indexShards]indexShard
 
@@ -125,6 +120,10 @@ type FileStore struct {
 	// lost holds ids whose every on-disk copy was found damaged; entries are
 	// dropped once the id is indexed again (repair).
 	lost map[hash.Hash]struct{}
+	// damaged holds sealed segments recovery could not parse to their end;
+	// they are left byte-for-byte on disk, exempt from compaction, until a
+	// scrub quarantines them.
+	damaged map[int]struct{}
 }
 
 // Named crash points, in lifecycle order.  Each fires with the relevant
@@ -237,6 +236,30 @@ func (l recordLoc) diskBytes() int64 { return int64(recordHeader) + int64(l.leng
 
 const recordHeader = hash.Size + 4 + 1
 
+// scanRecords is the one decoder of the record header.  It walks data (one
+// segment's bytes) from the start, calling fn with each record's offset,
+// claimed id, type and payload (aliasing data), and returns the offset where
+// parsing stopped: len(data) for a clean segment, otherwise the start of the
+// first record whose header is cut short, names an invalid type, or claims a
+// negative length or more bytes than remain.  Nothing is hashed or
+// allocated here; what a bad record means is the caller's call.
+func scanRecords(data []byte, fn func(off int64, id hash.Hash, typ chunk.Type, payload []byte)) int64 {
+	size := int64(len(data))
+	off := int64(0)
+	for size-off >= recordHeader {
+		h := data[off : off+recordHeader]
+		plen := int32(binary.LittleEndian.Uint32(h[hash.Size:]))
+		typ := chunk.Type(h[hash.Size+4])
+		if plen < 0 || !typ.Valid() || int64(plen) > size-off-recordHeader {
+			break
+		}
+		end := off + recordHeader + int64(plen)
+		fn(off, hash.Hash(h[:hash.Size]), typ, data[off+recordHeader:end:end])
+		off = end
+	}
+	return off
+}
+
 // DefaultSegmentSize is the size at which a new log segment is started.
 const DefaultSegmentSize = 64 << 20
 
@@ -248,23 +271,13 @@ const (
 	// calls — the historical behavior and the default.  Sealed segments are
 	// always fsynced regardless of policy.
 	SyncNone SyncPolicy = iota
-	// SyncAlways flushes and fsyncs the tail after every Put and PutBatch.
-	// Every acknowledged write is durable, at one fsync per commit.
+	// SyncAlways makes every acknowledged Put and PutBatch durable: the
+	// committer flushes and fsyncs the tail before returning.  Committers
+	// arriving while an fsync is in flight share the next one (groupSyncer),
+	// so a lone writer pays one fsync per commit and W concurrent writers
+	// tend toward one per W commits.
 	SyncAlways
-	// SyncGroup gives SyncAlways durability at a fraction of the fsyncs
-	// under concurrency: committers entering while an fsync is in flight
-	// park on a shared barrier, and the leader's next fsync covers the whole
-	// cohort.  With W concurrent writers the fsync rate tends toward one per
-	// W commits; a lone writer degenerates to SyncAlways.
-	SyncGroup
-	// SyncInterval fsyncs the tail from a background ticker every SyncEvery
-	// (default 2ms): commits return immediately and the crash-loss window is
-	// bounded by the interval instead of by segment rotation.
-	SyncInterval
 )
-
-// DefaultSyncEvery is the SyncInterval ticker period when SyncEvery is 0.
-const DefaultSyncEvery = 2 * time.Millisecond
 
 // FileStoreOptions tune OpenFileStoreWith.
 type FileStoreOptions struct {
@@ -273,9 +286,6 @@ type FileStoreOptions struct {
 	SegmentSize int64
 	// SyncPolicy selects when the active tail is fsynced (default SyncNone).
 	SyncPolicy SyncPolicy
-	// SyncEvery is the SyncInterval ticker period (0 = DefaultSyncEvery);
-	// ignored under the other policies.
-	SyncEvery time.Duration
 }
 
 // groupSyncer coalesces concurrent fsync requests: the first caller becomes
@@ -362,6 +372,7 @@ func OpenFileStoreWith(dir string, opts FileStoreOptions) (*FileStore, error) {
 		segUse:     make(map[int]*segUsage),
 		sealed:     make(map[int]*mseg),
 		readers:    make(map[int]*os.File),
+		damaged:    make(map[int]struct{}),
 	}
 	for i := range fs.shards {
 		fs.shards[i].m = make(map[hash.Hash]recordLoc)
@@ -375,59 +386,17 @@ func OpenFileStoreWith(dir string, opts FileStoreOptions) (*FileStore, error) {
 	// Everything sealed before this open is old; the resumed tail is of
 	// unknown age and stays in the young generation until the first sweep.
 	fs.graceSeg = int(fs.actSeg.Load())
-	if opts.SyncPolicy == SyncInterval {
-		every := opts.SyncEvery
-		if every <= 0 {
-			every = DefaultSyncEvery
-		}
-		fs.syncStop = make(chan struct{})
-		fs.syncWG.Add(1)
-		go fs.syncLoop(every)
-	}
 	return fs, nil
 }
 
-// syncLoop is the SyncInterval ticker: one tail fsync per period while the
-// store is open.  Sync errors here are dropped — the same write surfaces the
-// failure on the next rotation or explicit Sync, and a best-effort ticker
-// has no caller to report to.
-func (f *FileStore) syncLoop(every time.Duration) {
-	defer f.syncWG.Done()
-	ticker := time.NewTicker(every)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-f.syncStop:
-			return
-		case <-ticker.C:
-			_ = f.Sync()
-		}
-	}
-}
-
-// stopSyncLoop stops the SyncInterval ticker (idempotent, no-op for other
-// policies).  Must be called before f.mu is held: the loop's in-flight Sync
-// takes f.mu, so waiting under it would deadlock.
-func (f *FileStore) stopSyncLoop() {
-	if f.syncStop == nil {
-		return
-	}
-	f.syncOnce.Do(func() { close(f.syncStop) })
-	f.syncWG.Wait()
-}
-
 // afterCommit applies the tail sync policy after a Put/PutBatch released
-// f.mu.  SyncGroup funnels through the shared barrier: under concurrency the
+// f.mu.  SyncAlways funnels through the shared barrier: under concurrency the
 // leader's fsync covers every committer that arrived while it ran.
 func (f *FileStore) afterCommit() error {
-	switch f.syncPolicy {
-	case SyncAlways:
-		return f.Sync()
-	case SyncGroup:
-		return f.group.sync(f.Sync)
-	default:
+	if f.syncPolicy != SyncAlways {
 		return nil
 	}
+	return f.group.sync(f.Sync)
 }
 
 func (f *FileStore) segmentPath(n int) string {
@@ -468,32 +437,23 @@ func (f *FileStore) listSegments() ([]int, error) {
 	return segs, nil
 }
 
-// recover scans all existing segments in ascending order and rebuilds the
-// index (first occurrence of an id wins, which collapses the duplicate a
-// crash mid-compaction can leave).  Truncated trailing records are
-// discarded.  Every segment except the highest-numbered is sealed.
+// recover seals every existing segment except the highest-numbered, then
+// scans all of them in ascending order and rebuilds the index (first
+// occurrence of an id wins, which collapses the duplicate a crash
+// mid-compaction can leave).
 //
 // The scan doubles as the scrubber's classifier (ok / corrupt / torn): the
 // resulting ScrubStats seed the store's health state, so a store that comes
 // up with rotted records reports unhealthy immediately instead of waiting
-// for the first background scrub.  Torn tails alone are *not* unhealthy —
-// they are the expected residue of a crash mid-append, and truncating them
-// loses nothing acknowledged as durable.
+// for the first background scrub.  A torn tail of the last segment is *not*
+// unhealthy — it is the expected residue of a crash mid-append, and
+// truncating it loses nothing acknowledged as durable.  A sealed segment was
+// fsynced whole, so a record in it that will not parse is damage: see
+// scanSegment.
 func (f *FileStore) recover() error {
 	segs, err := f.listSegments()
 	if err != nil {
 		return err
-	}
-	var st ScrubStats
-	var claimed []hash.Hash // claimed ids of corrupt records
-	for _, seg := range segs {
-		fi, err := os.Stat(f.segmentPath(seg))
-		if err != nil {
-			return fmt.Errorf("filestore: %w", err)
-		}
-		if err := f.scanSegment(seg, fi.Size(), &st, &claimed); err != nil {
-			return err
-		}
 	}
 	act := 0
 	if len(segs) > 0 {
@@ -502,6 +462,13 @@ func (f *FileStore) recover() error {
 			if err := f.seal(seg); err != nil {
 				return err
 			}
+		}
+	}
+	var st ScrubStats
+	var claimed []hash.Hash // claimed ids of corrupt records
+	for _, seg := range segs {
+		if err := f.scanSegment(seg, seg == act, &st, &claimed); err != nil {
+			return err
 		}
 	}
 	f.actSeg.Store(int64(act))
@@ -518,45 +485,27 @@ func (f *FileStore) recover() error {
 	return nil
 }
 
-func (f *FileStore) scanSegment(seg int, size int64, st *ScrubStats, claimed *[]hash.Hash) error {
-	file, err := os.Open(f.segmentPath(seg))
+// scanSegment indexes one segment at open and classifies its records into
+// st.  A record that will not parse ends the scan and counts as torn.  In
+// the last segment that is a crash mid-append: the tail is cut off.  In a
+// sealed segment it is damage: the file stays byte-for-byte as it was, the
+// records after the damage stay unindexed, and Health reports ErrCorrupt
+// until a scrub quarantines the segment.
+func (f *FileStore) scanSegment(seg int, last bool, st *ScrubStats, claimed *[]hash.Hash) error {
+	data, release, err := f.segmentBytes(seg)
 	if err != nil {
 		return fmt.Errorf("filestore: %w", err)
 	}
-	defer file.Close()
+	size := int64(len(data))
 	st.Segments++
 	st.ScannedBytes += size
 	use := f.useOf(seg)
-	r := bufio.NewReaderSize(file, 1<<20)
-	var off int64
-	hdr := make([]byte, recordHeader)
-	for off < size {
-		if _, err := io.ReadFull(r, hdr); err != nil {
-			// Torn header at the tail: truncate logically and stop.
-			st.Torn++
-			return f.truncate(seg, off, use)
-		}
-		var id hash.Hash
-		copy(id[:], hdr[:hash.Size])
-		plen := int32(binary.LittleEndian.Uint32(hdr[hash.Size : hash.Size+4]))
-		typ := chunk.Type(hdr[hash.Size+4])
-		// Refuse a length past the segment's end before allocating it.
-		if plen < 0 || !typ.Valid() || int64(plen) > size-off-recordHeader {
-			st.Torn++
-			return f.truncate(seg, off, use)
-		}
-		payload := make([]byte, plen)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			st.Torn++
-			return f.truncate(seg, off, use)
-		}
-		rec := int64(recordHeader) + int64(plen)
-		use.total += rec
-		c := chunk.New(typ, payload)
+	end := scanRecords(data, func(off int64, id hash.Hash, typ chunk.Type, payload []byte) {
+		rec := int64(recordHeader + len(payload))
 		sh := f.shard(id)
 		_, dup := sh.m[id]
 		switch {
-		case c.ID() != id:
+		case chunk.New(typ, payload).ID() != id:
 			// Bit rot inside a record: refuse to index it but keep going;
 			// readers will get ErrNotFound rather than corrupt data.
 			use.dead += rec
@@ -568,23 +517,65 @@ func (f *FileStore) scanSegment(seg int, size int64, st *ScrubStats, claimed *[]
 			use.dead += rec
 			st.Ok++
 		default:
-			sh.m[id] = recordLoc{segment: seg, offset: off, length: plen, typ: typ}
+			sh.m[id] = recordLoc{segment: seg, offset: off, length: int32(len(payload)), typ: typ}
 			f.stats.UniqueChunks++
-			f.stats.PhysicalBytes += int64(c.Size())
+			f.stats.PhysicalBytes += int64(1 + len(payload))
 			st.Ok++
 		}
-		off += rec
+	})
+	release()
+	use.total = size
+	if end == size {
+		return nil
 	}
+	st.Torn++
+	if !last {
+		use.dead += size - end
+		f.damaged[seg] = struct{}{}
+		return nil
+	}
+	if err := os.Truncate(f.segmentPath(seg), end); err != nil {
+		return fmt.Errorf("filestore: truncating torn tail: %w", err)
+	}
+	use.total = end
 	return nil
 }
 
-// truncate drops a torn tail produced by a crash mid-write.
-func (f *FileStore) truncate(seg int, off int64, use *segUsage) error {
-	if err := os.Truncate(f.segmentPath(seg), off); err != nil {
-		return fmt.Errorf("filestore: truncating torn tail: %w", err)
+// segmentBytes returns a segment's bytes and a func that releases them: the
+// sealed mapping when there is one (refcounted, so quarantine's rename or a
+// retire cannot unmap it mid-use), otherwise a private read-only mapping of
+// the file, and a copy read into memory only where nothing is mapped.
+// Callers hold f.mu (or are recovering), so no append races the read.
+func (f *FileStore) segmentBytes(seg int) ([]byte, func(), error) {
+	if f.noMmap {
+		b, err := os.ReadFile(f.segmentPath(seg))
+		return b, func() {}, err
 	}
-	use.total = off
-	return nil
+	f.segMu.RLock()
+	m := f.sealed[seg]
+	f.segMu.RUnlock()
+	if m != nil && m.acquire() {
+		return m.data, m.release, nil
+	}
+	data, err := f.mapSegment(seg)
+	if err != nil {
+		return nil, nil, err
+	}
+	return data, func() { _ = munmapFile(data) }, nil
+}
+
+// mapSegment maps a segment file read-only, as it is on disk now.
+func (f *FileStore) mapSegment(seg int) ([]byte, error) {
+	file, err := os.Open(f.segmentPath(seg))
+	if err != nil {
+		return nil, err
+	}
+	defer file.Close()
+	fi, err := file.Stat()
+	if err != nil {
+		return nil, err
+	}
+	return mmapFile(file, fi.Size())
 }
 
 // useOf returns (creating if needed) the disk accounting of a segment.
@@ -604,16 +595,7 @@ func (f *FileStore) seal(seg int) error {
 	if f.noMmap {
 		return nil
 	}
-	file, err := os.Open(f.segmentPath(seg))
-	if err != nil {
-		return fmt.Errorf("filestore: %w", err)
-	}
-	defer file.Close()
-	fi, err := file.Stat()
-	if err != nil {
-		return fmt.Errorf("filestore: %w", err)
-	}
-	data, err := mmapFile(file, fi.Size())
+	data, err := f.mapSegment(seg)
 	if err != nil {
 		return fmt.Errorf("filestore: mmap seg %d: %w", seg, err)
 	}
@@ -638,7 +620,11 @@ func (f *FileStore) openActive() error {
 		return fmt.Errorf("filestore: %w", err)
 	}
 	f.active = file
-	f.actBuf = bufio.NewWriterSize(file, 1<<20)
+	if f.actBuf == nil {
+		f.actBuf = bufio.NewWriterSize(file, 1<<20)
+	} else {
+		f.actBuf.Reset(file) // rotation: the old tail was flushed; keep its buffer
+	}
 	f.actSize = fi.Size()
 	f.actFlushed = fi.Size() // everything already on disk is flushed
 	f.useOf(seg).total = fi.Size()
@@ -649,7 +635,7 @@ func (f *FileStore) openActive() error {
 func (f *FileStore) Put(c *chunk.Chunk) (bool, error) {
 	// The locked section sits in a closure so the deferred unlock also
 	// covers simulated crashes (panics from injected crash hooks); the
-	// fsync policy runs after the lock is released so SyncGroup cohorts
+	// fsync policy runs after the lock is released so SyncAlways cohorts
 	// can coalesce behind one leader.
 	fresh, err := func() (bool, error) {
 		f.mu.Lock()
@@ -1090,7 +1076,8 @@ func (f *FileStore) DiskBytes() int64 {
 // Sweep implements Collector: it removes every chunk for which keep returns
 // false from the index, then compacts sealed segments whose dead-byte ratio
 // reaches minDeadRatio (0 = any garbage) by rewriting their live records
-// into the active tail and unlinking the victims.
+// into the active tail and unlinking the victims.  A segment recovery found
+// damaged is never a victim: it waits, whole, for Scrub to quarantine it.
 //
 // Generational grace: an *online* sweep (minDeadRatio > 0, the mode the
 // background compactor uses) never removes records written since the
@@ -1178,14 +1165,16 @@ func (f *FileStore) compactLocked(minDeadRatio float64, res *SweepStats) error {
 		}
 	}
 	var victims []int
+	f.scrubMu.Lock()
 	for seg, u := range f.segUse {
-		if seg == int(f.actSeg.Load()) || u.dead == 0 || u.total == 0 {
-			continue
+		if _, bad := f.damaged[seg]; bad || seg == int(f.actSeg.Load()) || u.dead == 0 || u.total == 0 {
+			continue // a damaged segment is evidence: only quarantine moves it
 		}
 		if float64(u.dead)/float64(u.total) >= minDeadRatio {
 			victims = append(victims, seg)
 		}
 	}
+	f.scrubMu.Unlock()
 	if len(victims) == 0 {
 		return nil
 	}
@@ -1193,23 +1182,29 @@ func (f *FileStore) compactLocked(minDeadRatio float64, res *SweepStats) error {
 	// Records are about to move; retire every verified stamp minted at the
 	// old epoch before any index repointing becomes visible to readers.
 	f.placeEpoch.Add(1)
-	// Phase 1 — parallel collect: scan each victim and liveness-check its
-	// records on a bounded worker pool.  Safe under f.mu: no writer can move
-	// records, so the index is stable; workers only RLock the shards and
-	// read immutable segment data (the mapping, or a private ReadFile copy).
-	collected, err := f.collectLive(victims)
-	if err != nil {
-		return err
-	}
-	// Phase 2 — serial append: rewrite the collected records into the tail
-	// in victim order, offset order — byte-identical tail layout to the old
-	// all-serial rewrite — and repoint the index.  All SweepStats accounting
-	// (MovedIDs, MovedBytes — what core reports as Relocated) happens here
-	// on one goroutine, race-clean by construction.
-	for _, cv := range collected {
-		if err := f.appendLive(cv, res); err != nil {
+	// Rewrite the live records into the tail in victim order, then offset
+	// order, and repoint the index.  f.mu fences every writer, so the
+	// gathered entries are exactly the live set until they have moved.
+	live := f.gather(victims...)
+	for len(live) > 0 {
+		seg, n := live[0].loc.segment, 1
+		for n < len(live) && live[n].loc.segment == seg {
+			n++
+		}
+		data, release, err := f.segmentBytes(seg)
+		if err != nil {
+			return fmt.Errorf("filestore: %w", err)
+		}
+		err = f.relocateLocked(data, live[:n])
+		release()
+		if err != nil {
 			return err
 		}
+		for _, e := range live[:n] {
+			res.MovedIDs = append(res.MovedIDs, e.id)
+			res.MovedBytes += e.loc.diskBytes()
+		}
+		live = live[n:]
 	}
 	f.at(CrashCompactAfterRewrite, victims[0])
 	// Durability barrier: every rewritten record is on disk before any
@@ -1254,131 +1249,63 @@ func (f *FileStore) compactLocked(minDeadRatio float64, res *SweepStats) error {
 	return nil
 }
 
-// liveRecord is one record a compaction worker found still indexed at its
-// original home: a span of the victim's data plus the fields needed to
-// repoint the index after the span is re-appended.
-type liveRecord struct {
-	id   hash.Hash
-	off  int64 // offset in the victim (start of the record header)
-	rec  int64 // on-disk record size (header + payload)
-	plen int32
-	typ  chunk.Type
+// segEntry is one index entry: a chunk id and where its record lives.
+type segEntry struct {
+	id  hash.Hash
+	loc recordLoc
 }
 
-// collectedVictim is the phase-1 output for one victim segment.  data stays
-// referenced until phase 2 has copied the spans out (the mapping cannot be
-// released mid-compaction — the store holds its reference and sweeps are
-// serialized under f.mu — and the ReadFile copy is private).
-type collectedVictim struct {
-	seg  int
-	data []byte
-	live []liveRecord
-}
-
-// collectLive scans the victim segments on parallel workers and returns, in
-// victim order, the records still indexed at their original location.
-// Callers hold f.mu, which is what makes the concurrent liveness check
-// sound: nothing can move or insert records, so a record live here is still
-// live when phase 2 rewrites it (phase 2's own repointing touches only
-// records in *other* victims — a chunk has exactly one index entry).
-func (f *FileStore) collectLive(victims []int) ([]*collectedVictim, error) {
-	out := make([]*collectedVictim, len(victims))
-	errs := make([]error, len(victims))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(victims) {
-		workers = len(victims)
+// gather returns the index entries whose records live in segs, sorted by
+// segment, then offset: on-disk order.  One pass over the index shards.
+// Callers hold f.mu, so no writer can add or move an entry under them.
+func (f *FileStore) gather(segs ...int) []segEntry {
+	want := make(map[int]bool, len(segs))
+	for _, seg := range segs {
+		want[seg] = true
 	}
-	if workers > 8 {
-		workers = 8
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(victims) {
-					return
-				}
-				out[i], errs[i] = f.collectSegment(victims[i])
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// collectSegment scans one victim and returns its live records in offset
-// order.  Runs on a pool worker; reads shards only under their RLock.
-func (f *FileStore) collectSegment(seg int) (*collectedVictim, error) {
-	cv := &collectedVictim{seg: seg}
-	f.segMu.RLock()
-	if m := f.sealed[seg]; m != nil {
-		cv.data = m.data
-	}
-	f.segMu.RUnlock()
-	if cv.data == nil { // no-mmap mode: one buffered read of the victim
-		b, err := os.ReadFile(f.segmentPath(seg))
-		if err != nil {
-			return nil, fmt.Errorf("filestore: %w", err)
-		}
-		cv.data = b
-	}
-	data := cv.data
-	for off := int64(0); off < int64(len(data)); {
-		if off+recordHeader > int64(len(data)) {
-			break // torn tail already truncated logically at scan time
-		}
-		var id hash.Hash
-		copy(id[:], data[off:off+hash.Size])
-		plen := int64(int32(binary.LittleEndian.Uint32(data[off+hash.Size : off+hash.Size+4])))
-		typ := chunk.Type(data[off+hash.Size+4])
-		rec := int64(recordHeader) + plen
-		if plen < 0 || !typ.Valid() || off+rec > int64(len(data)) {
-			break
-		}
-		sh := f.shard(id)
+	var out []segEntry
+	for i := range f.shards {
+		sh := &f.shards[i]
 		sh.mu.RLock()
-		loc, ok := sh.m[id]
-		sh.mu.RUnlock()
-		if ok && loc.segment == seg && loc.offset == off {
-			cv.live = append(cv.live, liveRecord{id: id, off: off, rec: rec, plen: int32(plen), typ: typ})
+		for id, loc := range sh.m {
+			if want[loc.segment] {
+				out = append(out, segEntry{id, loc})
+			}
 		}
-		// Otherwise dead, or a duplicate whose other copy won.
-		off += rec
+		sh.mu.RUnlock()
 	}
-	return cv, nil
+	sort.Slice(out, func(i, j int) bool {
+		a, b := out[i].loc, out[j].loc
+		return a.segment < b.segment || a.segment == b.segment && a.offset < b.offset
+	})
+	return out
 }
 
-// appendLive rewrites one collected victim's live records into the active
-// tail and repoints the index.  Callers hold f.mu.
-func (f *FileStore) appendLive(cv *collectedVictim, res *SweepStats) error {
-	for _, lr := range cv.live {
+// relocateLocked copies each entry's record verbatim out of data (the bytes
+// of the segment the entries live in) onto the tail, in entry order, and
+// repoints the index at the copy.  The fresh recordLoc carries no verified
+// stamp.  Callers hold f.mu.
+func (f *FileStore) relocateLocked(data []byte, entries []segEntry) error {
+	for _, e := range entries {
+		end := e.loc.offset + e.loc.diskBytes()
+		if end > int64(len(data)) {
+			return fmt.Errorf("filestore: index points past the end of seg %d", e.loc.segment)
+		}
 		if f.actSize >= f.maxSegment {
 			if err := f.rotate(); err != nil {
 				return err
 			}
 		}
-		if _, err := f.actBuf.Write(cv.data[lr.off : lr.off+lr.rec]); err != nil {
+		if _, err := f.actBuf.Write(data[e.loc.offset:end]); err != nil {
 			return fmt.Errorf("filestore: %w", err)
 		}
 		dst := int(f.actSeg.Load())
-		newLoc := recordLoc{segment: dst, offset: f.actSize, length: lr.plen, typ: lr.typ}
-		sh := f.shard(lr.id)
+		sh := f.shard(e.id)
 		sh.mu.Lock()
-		sh.m[lr.id] = newLoc
+		sh.m[e.id] = recordLoc{segment: dst, offset: f.actSize, length: e.loc.length, typ: e.loc.typ}
 		sh.mu.Unlock()
-		f.actSize += lr.rec
+		f.actSize += e.loc.diskBytes()
 		f.useOf(dst).total = f.actSize
-		res.MovedIDs = append(res.MovedIDs, lr.id)
-		res.MovedBytes += lr.rec
 	}
 	return nil
 }
@@ -1408,7 +1335,7 @@ func (f *FileStore) Sync() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.closed {
-		// A policy-driven sync racing Close is benign: Close flushed and
+		// A SyncAlways commit racing Close is benign: Close flushed and
 		// closed the tail already.
 		return nil
 	}
@@ -1423,9 +1350,6 @@ func (f *FileStore) Sync() error {
 // zero-copy payloads returned by Get become invalid: each segment mapping is
 // released once its in-flight readers drain.
 func (f *FileStore) Close() error {
-	// Stop the interval sync loop before taking f.mu: its in-flight Sync
-	// needs the lock to finish.
-	f.stopSyncLoop()
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.closed {

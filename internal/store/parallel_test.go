@@ -15,10 +15,8 @@ import (
 // never differ is that an fsynced, cleanly closed store loses nothing.)
 func TestFileStoreSyncPolicies(t *testing.T) {
 	policies := map[string]FileStoreOptions{
-		"none":     {SyncPolicy: SyncNone},
-		"always":   {SyncPolicy: SyncAlways},
-		"group":    {SyncPolicy: SyncGroup},
-		"interval": {SyncPolicy: SyncInterval, SyncEvery: time.Millisecond},
+		"none":   {SyncPolicy: SyncNone},
+		"always": {SyncPolicy: SyncAlways},
 	}
 	for name, opts := range policies {
 		t.Run(name, func(t *testing.T) {

@@ -1,11 +1,9 @@
 package store
 
 import (
-	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"time"
 
 	"forkbase/internal/chunk"
@@ -76,31 +74,11 @@ func (f *FileStore) Scrub() (ScrubStats, error) {
 	return st, nil
 }
 
-// segmentData returns a segment's bytes plus a release func: the sealed
-// mapping when one exists (refcounted, so quarantine's rename cannot fault an
-// in-flight copy), otherwise a private read of the file (active tail,
-// no-mmap mode).  Callers hold f.mu.
-func (f *FileStore) segmentData(seg int) ([]byte, func(), error) {
-	if !f.noMmap {
-		f.segMu.RLock()
-		m := f.sealed[seg]
-		f.segMu.RUnlock()
-		if m != nil && m.acquire() {
-			return m.data, m.release, nil
-		}
-	}
-	b, err := os.ReadFile(f.segmentPath(seg))
-	if err != nil {
-		return nil, nil, err
-	}
-	return b, func() {}, nil
-}
-
 // scrubSegment classifies every record of one segment into st and reports
 // whether the segment needs quarantine.  Callers hold f.mu.
 func (f *FileStore) scrubSegment(seg int, st *ScrubStats) bool {
 	st.Segments++
-	data, release, err := f.segmentData(seg)
+	data, release, err := f.segmentBytes(seg)
 	if err != nil {
 		st.Unreadable++
 		return true
@@ -108,27 +86,17 @@ func (f *FileStore) scrubSegment(seg int, st *ScrubStats) bool {
 	defer release()
 	st.ScannedBytes += int64(len(data))
 	bad := false
-	for off := int64(0); off < int64(len(data)); {
-		if off+recordHeader > int64(len(data)) {
-			st.Torn++
-			return true
-		}
-		var id hash.Hash
-		copy(id[:], data[off:off+hash.Size])
-		plen := int64(int32(binary.LittleEndian.Uint32(data[off+hash.Size : off+hash.Size+4])))
-		typ := chunk.Type(data[off+hash.Size+4])
-		rec := int64(recordHeader) + plen
-		if plen < 0 || !typ.Valid() || off+rec > int64(len(data)) {
-			st.Torn++
-			return true
-		}
-		if chunk.New(typ, data[off+recordHeader:off+rec]).ID() != id {
+	end := scanRecords(data, func(_ int64, id hash.Hash, typ chunk.Type, payload []byte) {
+		if chunk.New(typ, payload).ID() != id {
 			st.Corrupt++
 			bad = true
 		} else {
 			st.Ok++
 		}
-		off += rec
+	})
+	if end < int64(len(data)) {
+		st.Torn++
+		return true
 	}
 	return bad
 }
@@ -147,67 +115,36 @@ func (f *FileStore) quarantine(seg int, st *ScrubStats) error {
 			return err
 		}
 	}
-	data, release, err := f.segmentData(seg)
+	data, release, err := f.segmentBytes(seg)
 	if err != nil {
 		data, release = nil, func() {} // unreadable: nothing to rescue
 	}
 
 	// Index-driven rescue: re-verify every record the index places in this
 	// segment at its exact offset — parsing damage elsewhere in the segment
-	// cannot hide an intact record — and rewrite the good ones into the tail.
-	type entry struct {
-		id  hash.Hash
-		loc recordLoc
-	}
-	var entries []entry
-	for i := range f.shards {
-		sh := &f.shards[i]
-		sh.mu.RLock()
-		for id, loc := range sh.m {
-			if loc.segment == seg {
-				entries = append(entries, entry{id, loc})
-			}
-		}
-		sh.mu.RUnlock()
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].loc.offset < entries[j].loc.offset })
-	for _, e := range entries {
+	// cannot hide an intact record.  The intact ones are rewritten into the
+	// tail; the rest leave the index and are reported lost.
+	var intact []segEntry
+	for _, e := range f.gather(seg) {
 		end := e.loc.offset + e.loc.diskBytes()
-		good := data != nil && end <= int64(len(data))
-		if good {
-			payload := data[e.loc.offset+recordHeader : end]
-			good = chunk.New(e.loc.typ, payload).ID() == e.id
-		}
-		sh := f.shard(e.id)
-		if !good {
-			sh.mu.Lock()
-			delete(sh.m, e.id)
-			sh.mu.Unlock()
-			f.stats.UniqueChunks--
-			f.stats.PhysicalBytes -= int64(1 + e.loc.length)
-			st.Lost = append(st.Lost, e.id)
+		if end <= int64(len(data)) && chunk.New(e.loc.typ, data[e.loc.offset+recordHeader:end]).ID() == e.id {
+			intact = append(intact, e)
 			continue
 		}
-		if f.actSize >= f.maxSegment {
-			if err := f.rotate(); err != nil {
-				release()
-				return err
-			}
-		}
-		if _, err := f.actBuf.Write(data[e.loc.offset:end]); err != nil {
-			release()
-			return fmt.Errorf("filestore: %w", err)
-		}
-		dst := int(f.actSeg.Load())
-		newLoc := recordLoc{segment: dst, offset: f.actSize, length: e.loc.length, typ: e.loc.typ}
+		sh := f.shard(e.id)
 		sh.mu.Lock()
-		sh.m[e.id] = newLoc
+		delete(sh.m, e.id)
 		sh.mu.Unlock()
-		f.actSize += newLoc.diskBytes()
-		f.useOf(dst).total = f.actSize
-		st.Rescued++
+		f.stats.UniqueChunks--
+		f.stats.PhysicalBytes -= int64(1 + e.loc.length)
+		st.Lost = append(st.Lost, e.id)
 	}
+	err = f.relocateLocked(data, intact)
 	release()
+	if err != nil {
+		return err
+	}
+	st.Rescued += len(intact)
 
 	// Durability barrier: every rescued record is on disk before the only
 	// other copy is set aside.
@@ -232,6 +169,9 @@ func (f *FileStore) quarantine(seg int, st *ScrubStats) error {
 	}
 	f.segMu.Unlock()
 	delete(f.segUse, seg)
+	f.scrubMu.Lock()
+	delete(f.damaged, seg)
+	f.scrubMu.Unlock()
 	st.QuarantinedSegments++
 	return nil
 }
@@ -267,6 +207,9 @@ func (f *FileStore) Health() error {
 	}
 	if n := len(f.lost); n > 0 {
 		return fmt.Errorf("filestore: %d chunk(s) lost to corruption await repair: %w", n, ErrCorrupt)
+	}
+	if n := len(f.damaged); n > 0 {
+		return fmt.Errorf("filestore: %d sealed segment(s) unparseable past a damaged record await scrub: %w", n, ErrCorrupt)
 	}
 	return nil
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"forkbase/internal/chunk"
+	"forkbase/internal/hash"
 )
 
 // flipPayloadByte XORs one byte of the first record's payload in a segment
@@ -250,6 +251,84 @@ func TestRecoverySeedsHealth(t *testing.T) {
 	}
 	if alive != len(ids)-1 {
 		t.Fatalf("alive=%d want %d", alive, len(ids)-1)
+	}
+}
+
+// TestRecoveryKeepsDamagedSealedSegment: a rotted length field mid-way
+// through a sealed segment stops recovery's scan of that segment, but never
+// cuts the file.  The records before the damage are served, health reports
+// the damage, compaction leaves the segment alone, and a scrub sets the
+// untouched bytes aside as seg-N.quarantine.
+func TestRecoveryKeepsDamagedSealedSegment(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenFileStoreSegmented(dir, 2048)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillSegments(t, s, 60)
+	entries := s.gather(1) // seg 1's records, in offset order
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) < 3 {
+		t.Fatalf("seg 1 holds %d records, want a middle one", len(entries))
+	}
+	k := len(entries) / 2
+	path := s.segmentPath(1)
+	damaged, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(0); i < 4; i++ {
+		damaged[entries[k].loc.offset+hash.Size+i] ^= 0xFF
+	}
+	if err := os.WriteFile(path, damaged, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := OpenFileStoreSegmented(dir, 2048)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, damaged) {
+		t.Fatalf("recovery changed the sealed segment: %d bytes (err %v), had %d", len(got), err, len(damaged))
+	}
+	if st, _, _ := s2.LastScrub(); st.Torn != 1 {
+		t.Fatalf("recovery torn=%d, want 1", st.Torn)
+	}
+	if err := s2.Health(); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("health = %v, want ErrCorrupt", err)
+	}
+	for i, e := range entries {
+		if _, err := s2.Get(e.id); (i < k) != (err == nil) {
+			t.Fatalf("record %d of %d (damage at %d): get err %v", i, len(entries), k, err)
+		}
+	}
+	if _, err := s2.Sweep(func(hash.Hash) bool { return true }, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(path); err != nil {
+		t.Fatalf("compaction took the damaged segment: %v", err)
+	}
+
+	st, err := s2.Scrub()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.QuarantinedSegments != 1 || st.Rescued != k || len(st.Lost) != 0 {
+		t.Fatalf("scrub quarantined=%d rescued=%d lost=%d, want 1/%d/0", st.QuarantinedSegments, st.Rescued, len(st.Lost), k)
+	}
+	if got, err := os.ReadFile(s2.quarantinePath(1)); err != nil || !bytes.Equal(got, damaged) {
+		t.Fatalf("quarantine does not hold the original bytes (err %v)", err)
+	}
+	if err := s2.Health(); err != nil {
+		t.Fatalf("health after quarantine = %v, want nil", err)
+	}
+	for _, e := range entries[:k] {
+		if _, err := s2.Get(e.id); err != nil {
+			t.Fatalf("rescued record unreadable: %v", err)
+		}
 	}
 }
 
