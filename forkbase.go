@@ -242,12 +242,15 @@ func WithStore(st store.Store) Option { return func(o *options) { o.st = st } }
 // WithNodeCache enables the decoded-node cache on the read path with the
 // given byte budget (<= 0 selects a 32 MiB default).
 //
-// The cache holds *decoded* POS-Tree nodes keyed by chunk id, so hot
-// traversals skip both the store fetch and the decode.  Immutability makes
-// it trivially coherent: a content address can only ever denote one payload,
+// The cache holds *decoded* index nodes (POS-Tree and MPT) and version
+// objects (FNodes) keyed by chunk id, so hot traversals and version reads
+// skip both the store fetch and the decode; over Remote, reading a head
+// this client committed costs only the head lookup.  Immutability makes it
+// trivially coherent: a content address can only ever denote one payload,
 // so entries never go stale — eviction (LRU per shard, byte-budgeted) is the
 // only way anything leaves.  The cache sits above chunk verification, so a
-// malicious store can never populate it with forged data.
+// malicious store can never populate it with forged data, and deep
+// verification reads the stored bytes rather than the cache.
 func WithNodeCache(bytes int64) Option {
 	return func(o *options) {
 		if bytes <= 0 {

@@ -94,6 +94,22 @@ func TestSourceGuards(t *testing.T) {
 		pattern: `^\s*go `,
 		paths:   []string{"internal/store/file.go", "internal/store/scrub.go"},
 		want:    0,
+	}, {
+		// POS nodes, MPT nodes and FNodes share the engine's one byte budget
+		// (core.Options.NodeCacheBytes, built in core/db.go); a second cache
+		// is a second budget and a second set of ids GC must purge.
+		name:    "one decoded-node cache",
+		pattern: `nodecache\.New\(`,
+		paths:   []string{"internal"},
+		want:    1,
+	}, {
+		// Deep verify, GC mark and heal read each version object's bytes
+		// through fnode.Walk; fnode.Load may answer from the decoded-node
+		// cache, which vouches for nothing about what the store holds now.
+		name:    "verify reads bytes",
+		pattern: `fnode\.Load\(`,
+		paths:   []string{"internal/core/verify.go", "internal/core/gc.go", "internal/core/heal.go"},
+		want:    0,
 	}} {
 		re := regexp.MustCompile(g.pattern)
 		var hits []string

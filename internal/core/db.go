@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"maps"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -85,10 +86,14 @@ type Options struct {
 	// open data written under either setting.
 	Index index.Kind
 	// NodeCacheBytes enables a decoded-node cache with the given byte
-	// budget on the read path (0 = disabled).  Because chunks are immutable
-	// and content-addressed the cache needs no invalidation; GC purges the
-	// ids it sweeps.  The cache is layered *above* the verifying store, so
-	// only nodes that passed tamper verification are ever cached.
+	// budget on the read path (0 = disabled).  POS and MPT index nodes and
+	// the FNodes behind version reads share it, so a version this engine
+	// saved or has read once is read again without touching the store.
+	// Because chunks are immutable and content-addressed the cache needs no
+	// invalidation; GC purges the ids it sweeps.  The cache is layered
+	// *above* the verifying store, so only nodes that passed tamper
+	// verification, or that this engine encoded itself, are ever cached;
+	// deep verification reads bytes and never consults it.
 	NodeCacheBytes int64
 	// CompactEvery, when positive, starts a background compactor: every
 	// interval the DB runs a mark-and-sweep pass whose segment rewriting is
@@ -580,7 +585,8 @@ func (db *DB) writeBatch(ops []WriteOp) ([]Version, error) {
 			errs = append(errs, fmt.Errorf("op %d: %w: %s@%s", i, ErrStaleHead, op.Key, s.branch))
 			continue
 		}
-		out[i] = Version{UID: uid, Seq: s.seq, Bases: s.f.Bases, Value: op.Value, Meta: op.Meta, Key: op.Key, Index: s.f.Index}
+		bases := append([]hash.Hash(nil), s.f.Bases...) // s.f is frozen: SaveAll cached it
+		out[i] = Version{UID: uid, Seq: s.seq, Bases: bases, Value: op.Value, Meta: op.Meta, Key: op.Key, Index: s.f.Index}
 	}
 	return out, errors.Join(errs...)
 }
@@ -611,7 +617,9 @@ func (db *DB) GetVersion(key string, uid hash.Hash) (Version, error) {
 }
 
 // versionOf builds the Version of key that FNode f, loaded and verified
-// under uid, describes — rejecting an FNode of another key.
+// under uid, describes — rejecting an FNode of another key.  f may be the
+// decoded-node cache's shared copy, so the Version gets its own Bases and
+// Meta: a caller mutating them cannot change what the next read returns.
 func versionOf(key string, uid hash.Hash, f *fnode.FNode) (Version, error) {
 	if string(f.Key) != key {
 		return Version{}, fmt.Errorf("core: version %s belongs to key %q, not %q", uid.Short(), f.Key, key)
@@ -624,7 +632,8 @@ func versionOf(key string, uid hash.Hash, f *fnode.FNode) (Version, error) {
 	// loads of empty values (no root chunk to sniff) then keep the
 	// branch's structure instead of falling back to the engine default.
 	v = v.WithIndexKind(f.Index)
-	return Version{UID: uid, Seq: f.Seq, Bases: f.Bases, Value: v, Meta: f.Meta, Key: key, Index: f.Index}, nil
+	bases := append([]hash.Hash(nil), f.Bases...)
+	return Version{UID: uid, Seq: f.Seq, Bases: bases, Value: v, Meta: maps.Clone(f.Meta), Key: key, Index: f.Index}, nil
 }
 
 // Head returns the head uid of key@branch.

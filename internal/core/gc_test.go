@@ -247,6 +247,9 @@ func TestGCPurgesNodeCacheFileBacked(t *testing.T) {
 	if _, err := tree.Get([]byte("row-00000")); err == nil {
 		t.Fatal("read of collected data succeeded via cache")
 	}
+	if _, err := db.GetVersion("data", v.UID); !errors.Is(err, store.ErrNotFound) {
+		t.Fatalf("GetVersion of the swept version = %v, want ErrNotFound", err)
+	}
 }
 
 // TestBackgroundCompactor pins Options.CompactEvery: churned garbage is
@@ -438,6 +441,9 @@ func TestGCPurgesInjectedNodeCache(t *testing.T) {
 	}
 	if _, err := tree.Get([]byte("row-00000")); err == nil {
 		t.Fatal("read of collected data succeeded via cache")
+	}
+	if _, err := db.GetVersion("data", v.UID); !errors.Is(err, store.ErrNotFound) {
+		t.Fatalf("GetVersion of the swept version = %v, want ErrNotFound", err)
 	}
 }
 

@@ -175,31 +175,89 @@ func TestUIDCoversValueAndHistory(t *testing.T) {
 // malicious store and confirms the layering invariant: the cache sits above
 // chunk verification, so a forged chunk is rejected before it can ever be
 // cached, and repeated reads keep failing rather than "warming up" on
-// corrupt data.
+// corrupt data.  The rows are the two kinds of cached decode: index nodes,
+// and the FNode a version read starts from.
 func TestNodeCacheCannotMaskTampering(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		targets func(db *DB, v Version) ([]hash.Hash, error)
+		read    func(db *DB, v Version) error
+	}{{
+		name: "index nodes",
+		targets: func(db *DB, v Version) ([]hash.Hash, error) {
+			return v.Value.ChunkIDs(db.RawStore(), db.Chunking())
+		},
+		read: func(db *DB, v Version) error {
+			_, err := pos.LoadTree(db.Store(), db.Chunking(), v.Value.Root())
+			return err
+		},
+	}, {
+		name:    "FNode",
+		targets: func(_ *DB, v Version) ([]hash.Hash, error) { return []hash.Hash{v.UID}, nil },
+		read: func(db *DB, v Version) error {
+			_, err := db.GetVersion("data", v.UID)
+			return err
+		},
+	}} {
+		t.Run(tc.name, func(t *testing.T) {
+			mal := store.NewMaliciousStore(store.NewMemStore())
+			db := Open(Options{Store: mal, Chunking: chunker.SmallConfig(), NodeCacheBytes: 16 << 20})
+			v, err := db.Put("data", "", bigMapValue(t, db, 2000, "v1"), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids, err := tc.targets(db, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Evict anything decoded during the build/put phase so the
+			// attacked chunk must be re-read through the verifying layer.
+			db.NodeCache().Purge()
+			for _, id := range ids {
+				if ok, err := mal.CorruptFlip(id, 7, 2); err != nil || !ok {
+					t.Fatalf("corrupt %s: %v", id.Short(), err)
+				}
+			}
+			for i := 0; i < 2; i++ {
+				if err := tc.read(db, v); err == nil {
+					t.Fatalf("read %d of corrupted chunks succeeded", i+1)
+				}
+			}
+			if st := db.NodeCacheStats(); st.Entries != 0 {
+				t.Fatalf("forged chunks entered the cache: %+v", st)
+			}
+		})
+	}
+}
+
+// TestVerifyReadsBytesUnderCachedFNode: a cached FNode decode serves reads,
+// but deep verification reads the stored bytes, so tampering with a version
+// object whose decode is cached is still reported — naming that object.
+func TestVerifyReadsBytesUnderCachedFNode(t *testing.T) {
 	mal := store.NewMaliciousStore(store.NewMemStore())
 	db := Open(Options{Store: mal, Chunking: chunker.SmallConfig(), NodeCacheBytes: 16 << 20})
-	v, err := db.Put("data", "", bigMapValue(t, db, 2000, "v1"), nil)
+	v1, err := db.Put("doc", "", value.String("first"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids, err := v.Value.ChunkIDs(db.RawStore(), db.Chunking())
+	v2, err := db.Put("doc", "", value.String("second"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Evict anything decoded during the build/put phase so the attacked
-	// chunk must be re-read through the verifying layer.
-	db.NodeCache().Purge()
-	for _, id := range ids {
-		if ok, err := mal.CorruptFlip(id, 7, 2); err != nil || !ok {
-			t.Fatalf("corrupt %s: %v", id.Short(), err)
+	if ok, err := mal.CorruptFlip(v1.UID, 1, 1); err != nil || !ok {
+		t.Fatalf("inject: %v %v", ok, err)
+	}
+	if _, err := db.GetVersion("doc", v1.UID); err != nil {
+		t.Fatalf("the cached decode should serve the read: %v", err)
+	}
+	for _, tc := range []struct {
+		uid  hash.Hash
+		deep bool
+	}{{v2.UID, true}, {v1.UID, false}, {v1.UID, true}} {
+		rep, err := db.VerifyVersion("doc", tc.uid, tc.deep)
+		if !errors.Is(err, ErrTampered) || len(rep.Failures) != 1 || rep.Failures[0].ChunkID != v1.UID {
+			t.Fatalf("verify %s deep=%v over a cached, tampered FNode: err=%v report=%+v", tc.uid.Short(), tc.deep, err, rep)
 		}
-	}
-	if _, err := pos.LoadTree(db.Store(), db.Chunking(), v.Value.Root()); err == nil {
-		t.Fatal("loading a fully corrupted tree succeeded")
-	}
-	if st := db.NodeCacheStats(); st.Entries != 0 {
-		t.Fatalf("forged chunks entered the cache: %+v", st)
 	}
 }
 

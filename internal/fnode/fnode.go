@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 
@@ -52,15 +53,19 @@ type FNode struct {
 // ErrNotFNode is returned when a uid resolves to a non-FNode chunk.
 var ErrNotFNode = errors.New("fnode: chunk is not an FNode")
 
-// New assembles an FNode for a fresh value deriving from bases.
+// New assembles an FNode for a fresh value deriving from bases.  It copies
+// key, bases and meta, so a saved FNode shares nothing with its caller.
 func New(key []byte, val value.Value, bases []hash.Hash, seq uint64, meta map[string]string) *FNode {
-	return &FNode{
+	f := &FNode{
 		Key:   append([]byte(nil), key...),
 		Seq:   seq,
 		Bases: append([]hash.Hash(nil), bases...),
 		Value: val.Encode(),
-		Meta:  meta,
 	}
+	if len(meta) > 0 {
+		f.Meta = maps.Clone(meta)
+	}
+	return f
 }
 
 // DecodedValue parses the embedded value descriptor.
@@ -190,12 +195,25 @@ func readBytes(p []byte) ([]byte, []byte, error) {
 	return append([]byte(nil), rest[:l]...), rest[l:], nil
 }
 
-// Save stores the FNode and returns its uid.
+// cacheCost approximates the memory a decoded FNode holds, for the
+// decoded-node cache's budget: Decode copies every field out of the c.Size()
+// encoded bytes, and each Meta entry adds its map slot.
+func (f *FNode) cacheCost(c *chunk.Chunk) int { return c.Size() + 48*len(f.Meta) }
+
+// Save stores the FNode and returns its uid.  Over a store with a
+// decoded-node cache (store.NodeCacheOf) it also caches f itself, so the
+// next Load of the uid touches no store: from here on f is frozen — shared
+// with every later Load, never to be mutated.  The insert is not revalidated
+// the way Load's is, because every engine write (core's putOnto, writeBatch
+// and mergeCommit) saves under the GC write fence: no sweep can run between
+// the Put and the insert, and a later sweep of an unpublished FNode purges
+// it from the cache with every other swept id.
 func (f *FNode) Save(st store.Store) (hash.Hash, error) {
 	c := chunk.New(chunk.TypeFNode, f.Encode())
 	if _, err := st.Put(c); err != nil {
 		return hash.Hash{}, fmt.Errorf("fnode: save: %w", err)
 	}
+	store.NodeCacheOf(st).Put(c.ID(), f, f.cacheCost(c))
 	return c.ID(), nil
 }
 
@@ -203,6 +221,8 @@ func (f *FNode) Save(st store.Store) (hash.Hash, error) {
 // uids in order.  Multi-key ingest (core.DB.WriteBatch) commits all its
 // version objects with a single lock acquisition — and, on a FileStore, a
 // single group-commit flush — instead of one synchronous Put per version.
+// Like Save it caches each FNode, which is frozen from then on, without
+// revalidation: its callers hold the GC write fence.
 func SaveAll(st store.Store, fs []*FNode) ([]hash.Hash, error) {
 	cs := make([]*chunk.Chunk, len(fs))
 	uids := make([]hash.Hash, len(fs))
@@ -213,6 +233,10 @@ func SaveAll(st store.Store, fs []*FNode) ([]hash.Hash, error) {
 	if _, err := st.PutBatch(cs); err != nil {
 		return nil, fmt.Errorf("fnode: save batch: %w", err)
 	}
+	cache := store.NodeCacheOf(st)
+	for i, f := range fs {
+		cache.Put(uids[i], f, f.cacheCost(cs[i]))
+	}
 	return uids, nil
 }
 
@@ -221,8 +245,24 @@ func (f *FNode) UID() hash.Hash {
 	return chunk.New(chunk.TypeFNode, f.Encode()).ID()
 }
 
-// Load fetches and decodes the FNode identified by uid.
+// Load fetches and decodes the FNode identified by uid.  Over a store with a
+// decoded-node cache (store.NodeCacheOf, shared with POS and MPT nodes) a hit
+// returns the cached FNode without touching the store; an FNode is immutable
+// and content-addressed, so a cached decode cannot go stale.  The result is
+// shared and read-only: callers copy what they hand on (core's versionOf
+// does).  A miss reads, verifies and decodes the chunk, then caches the
+// decode and revalidates it with one Has, exactly as the index node sources
+// do, so a GC sweep racing the read cannot leave the swept id resident.
+// Reads whose point is the bytes — deep verify, GC mark, heal — go through
+// Walk instead and never consult the cache.
 func Load(st store.Store, uid hash.Hash) (*FNode, error) {
+	cache := store.NodeCacheOf(st)
+	if v, ok := cache.Get(uid); ok {
+		if f, ok := v.(*FNode); ok {
+			return f, nil
+		}
+		// Another kind of node: the store path below reports the mismatch.
+	}
 	c, err := st.Get(uid)
 	if err != nil {
 		return nil, fmt.Errorf("fnode: load %s: %w", uid.Short(), err)
@@ -233,7 +273,17 @@ func Load(st store.Store, uid hash.Hash) (*FNode, error) {
 	if err := c.Verify(uid); err != nil {
 		return nil, err
 	}
-	return Decode(c.Data())
+	f, err := Decode(c.Data())
+	if err != nil {
+		return nil, err
+	}
+	if cache != nil {
+		cache.Put(uid, f, f.cacheCost(c))
+		if ok, herr := st.Has(uid); herr != nil || !ok {
+			cache.Remove(uid)
+		}
+	}
+	return f, nil
 }
 
 // HistoryNodes walks the first-parent chain from uid, returning up to limit

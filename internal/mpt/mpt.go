@@ -291,7 +291,8 @@ func Children(c *chunk.Chunk) ([]hash.Hash, error) {
 
 // source is the gateway through which traversals obtain decoded nodes,
 // coupling the chunk store with the shared decoded-node cache exactly like
-// the POS-Tree's nodeSource.
+// the POS-Tree's nodeSource: a hit of another kind (a POS node or an FNode
+// under the id) falls through to the store path, which reports it.
 type source struct {
 	st    store.Store
 	cache *nodecache.Cache

@@ -1,6 +1,7 @@
 // Package nodecache provides a sharded, byte-budgeted LRU cache for decoded
-// POS-Tree nodes (and any other immutable decoded structure keyed by content
-// hash).
+// immutable objects keyed by content hash: POS-Tree and MPT nodes and
+// FNodes share one.  Values are untyped, so a reader checks the type of
+// each hit.
 //
 // ForkBase chunks are immutable and content-addressed: the bytes behind a
 // hash.Hash can never change, so a cache of *decoded* nodes is trivially

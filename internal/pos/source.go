@@ -108,11 +108,15 @@ func sourceFor(st store.Store) nodeSource {
 }
 
 // load returns the decoded node identified by id, consulting the cache
-// first.
+// first.  The cache is shared with MPT nodes and FNodes, so a hit of another
+// kind (a ref naming a foreign object) falls through to the store, whose
+// chunk type the caller then rejects.
 func (ns nodeSource) load(id hash.Hash) (*node, error) {
 	if ns.cache != nil {
 		if v, ok := ns.cache.Get(id); ok {
-			return v.(*node), nil
+			if n, ok := v.(*node); ok {
+				return n, nil
+			}
 		}
 	}
 	c, err := ns.st.Get(id)

@@ -1,10 +1,13 @@
 package server
 
 import (
+	"fmt"
 	"testing"
 
 	"forkbase/internal/chunk"
+	"forkbase/internal/chunker"
 	"forkbase/internal/core"
+	"forkbase/internal/index"
 	"forkbase/internal/obs"
 	"forkbase/internal/store"
 )
@@ -61,5 +64,83 @@ func TestServerOpcodeMetrics(t *testing.T) {
 	// The per-opcode latency histogram recorded every request.
 	if got, _ := reg.Value("forkbase_server_request_seconds", "GetChunk"); got != 3 {
 		t.Errorf("server_request_seconds{GetChunk} count = %v, want 3", got)
+	}
+}
+
+// TestRemoteEngineFetchesNoFNodeItWrote counts requests by opcode: a client
+// engine with a node cache caches every FNode it saves, so reading back a
+// head it committed is one Head round trip, and an edit on that head fetches
+// no chunk for its version object.
+func TestRemoteEngineFetchesNoFNodeItWrote(t *testing.T) {
+	reg := obs.NewRegistry()
+	srv := New(store.NewMemStore(), core.NewMemBranchTable(), nil)
+	srv.SetMetrics(reg)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cl, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	db := core.Open(core.Options{
+		Store:          NewRemoteStore(cl),
+		Branches:       NewRemoteBranchTable(cl),
+		Chunking:       chunker.SmallConfig(),
+		NodeCacheBytes: 16 << 20,
+		Metrics:        obs.Discard,
+	})
+
+	// requests returns the requests served since the last call, by opcode.
+	last := map[string]float64{}
+	requests := func() map[string]float64 {
+		d := map[string]float64{}
+		for _, name := range opNames {
+			n, _ := reg.Value("forkbase_server_requests_total", name)
+			if n != last[name] {
+				d[name] = n - last[name]
+			}
+			last[name] = n
+		}
+		return d
+	}
+	entries := make([]index.Entry, 2000)
+	for i := range entries {
+		entries[i] = index.Entry{Key: []byte(fmt.Sprintf("row-%05d", i)), Val: []byte("v")}
+	}
+	v, err := db.NewMapValue(entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	put, err := db.Put("t", "", v, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	requests()
+	got, err := db.Get("t", "")
+	if err != nil || got.UID != put.UID {
+		t.Fatalf("Get = %s, %v; want %s", got.UID.Short(), err, put.UID.Short())
+	}
+	if d := requests(); len(d) != 1 || d["Head"] != 1 {
+		t.Fatalf("Get of a head this client committed: requests %v, want exactly one Head", d)
+	}
+
+	// The first edit reads the path to row 42 and writes its replacement
+	// through to the cache; the second edits the same row, so every index
+	// node it reads is cached and any chunk it fetched would be an FNode.
+	edit := func(val string) {
+		t.Helper()
+		if _, err := db.EditMap("t", "", []index.Entry{{Key: []byte("row-00042"), Val: []byte(val)}}, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	edit("first")
+	requests()
+	edit("second")
+	if d := requests(); d["GetChunk"] != 0 || d["GetChunks"] != 0 {
+		t.Fatalf("EditMap on a head this client wrote fetched chunks: requests %v", d)
 	}
 }

@@ -3,15 +3,18 @@ package store
 import "forkbase/internal/nodecache"
 
 // NodeCacheProvider is the optional capability by which a store advertises a
-// decoded-node cache to higher layers (package pos).  The cache is keyed by
-// chunk id, and because chunks are immutable and content-addressed the cache
-// never needs invalidation — only GC deletion needs to call Remove.
+// decoded-node cache to higher layers: packages pos and mpt cache their index
+// nodes in it and package fnode its version objects (FNodes).  The cache is
+// keyed by chunk id, and because chunks are immutable and content-addressed
+// the cache never needs invalidation — only GC deletion needs to call Remove.
+// One id space holds every kind, so a reader checks the type of each hit and
+// treats a hit of another kind as a miss.
 //
 // Attaching the cache to the store handle (rather than threading it through
-// every tree constructor) means every POS-Tree, sequence and blob opened
-// over the same store shares one cache, which is exactly the sharing the
-// paper's structural invariance promises: hot nodes common to many versions
-// and branches are decoded once.
+// every tree constructor) means every POS-Tree, trie, sequence, blob and
+// version read over the same store shares one cache and one byte budget,
+// which is exactly the sharing the paper's structural invariance promises:
+// hot nodes common to many versions and branches are decoded once.
 type NodeCacheProvider interface {
 	NodeCache() *nodecache.Cache
 }
