@@ -38,14 +38,14 @@ func TestSourceGuards(t *testing.T) {
 		paths:   []string{"internal"},
 		want:    1,
 	}, {
-		// A sink hashes on its producer's goroutine; a build uses more cores
-		// by forking producers in pos/parbuild.go (deliberately not listed),
-		// never by starting goroutines on the write path below one.
+		// A sink hashes on its producer's goroutine, and every build, edit,
+		// diff and merge runs on its caller's: a server uses more cores by
+		// serving more requests, never by a pool below one, and nothing in
+		// the index layer changes course on GOMAXPROCS.
 		name:    "one producer, no pool beneath it",
-		pattern: `^\s*go (func|s\.)`,
-		paths: []string{"internal/store/sink.go", "internal/pos/builder.go", "internal/pos/blob.go",
-			"internal/pos/splice.go", "internal/mpt/edit.go"},
-		want: 0,
+		pattern: `^\s*go |runtime\.GOMAXPROCS`,
+		paths:   []string{"internal/store/sink.go", "internal/pos", "internal/mpt", "internal/index"},
+		want:    0,
 	}, {
 		// Chunk boundaries are the cyclic-polynomial rolling hash of package
 		// rolling and nothing else: a second hash, or a setting that picks
@@ -55,9 +55,8 @@ func TestSourceGuards(t *testing.T) {
 		paths:   []string{"internal"},
 		want:    0,
 	}, {
-		// Map, list and blob leaves and the parallel pre-scan get their
-		// scanner and its skip constants from pos.newLeafScan, so they cannot
-		// cut differently.
+		// Map, list and blob leaves get their scanner and its skip constants
+		// from pos.newLeafScan, so they cannot cut differently.
 		name:    "one leaf-scan constructor",
 		pattern: `rolling\.NewScan\(`,
 		paths:   []string{"internal"},

@@ -21,8 +21,8 @@ import (
 //
 // Concurrency: every knob, the rng and both counters (ops, failures) are
 // read and written only under one mutex in enter(), so the fault schedule
-// and its accounting stay consistent when parallel build or compaction
-// workers drive the store from many goroutines.
+// and its accounting stay consistent when concurrent requests, replica
+// syncs or GC drive the store from many goroutines.
 type FlakyStore struct {
 	Inner store.Store
 

@@ -206,6 +206,14 @@ func differentialOpStream(t *testing.T, s opStream) {
 			t.Fatalf("%s: mpt diff: %v", ctx, err)
 		}
 		assertSameDeltas(t, dPOS, dMPT, ctx)
+		// The iterator merge is the reference both pruning walks answer to.
+		for k, got := range map[index.Kind][]index.Delta{index.KindPOS: dPOS, index.KindMPT: dMPT} {
+			want, _, err := index.GenericDiff(prev[k], cur[k])
+			if err != nil {
+				t.Fatalf("%s: %s generic diff: %v", ctx, k, err)
+			}
+			assertSameDeltas(t, got, want, fmt.Sprintf("%s: %s structural vs generic", ctx, k))
+		}
 		pruned[index.KindPOS] += sPOS.PrunedRefs
 		pruned[index.KindMPT] += sMPT.PrunedRefs
 		for _, k := range kinds {

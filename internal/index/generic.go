@@ -3,7 +3,6 @@ package index
 import (
 	"bytes"
 	"sort"
-	"sync"
 )
 
 // GenericDiff computes key-level deltas from a (old) to b (new) by merging
@@ -91,27 +90,15 @@ func Merge3(base, a, b VersionedIndex, resolve Resolver) (VersionedIndex, MergeS
 		return a, stats, nil
 	}
 
-	// The two side diffs are independent read-only walks over shared
-	// immutable chunks, so they run concurrently — the diff phase costs
-	// max(Δa, Δb) wall-clock instead of the sum.  Ordering (and therefore
-	// the merged result) is unaffected: ops are derived from Δb alone.
-	var (
-		da, db []Delta
-		errB   error
-		wg     sync.WaitGroup
-	)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		db, _, errB = base.DiffWith(b)
-	}()
+	// The two side diffs run one after the other on the caller's goroutine;
+	// with hash pruning each costs what its side changed.
 	da, _, err := base.DiffWith(a)
-	wg.Wait()
 	if err != nil {
 		return nil, stats, err
 	}
-	if errB != nil {
-		return nil, stats, errB
+	db, _, err := base.DiffWith(b)
+	if err != nil {
+		return nil, stats, err
 	}
 	stats.DeltasA, stats.DeltasB = len(da), len(db)
 

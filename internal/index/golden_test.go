@@ -2,8 +2,7 @@
 // their self-consistency.  A root hash commits to every node encoding and
 // every chunk boundary beneath it, so one table of hex roots states "no
 // stored byte changed" for map, trie, list and blob builds and for an
-// incremental edit, at the default chunking.  The scale-matrix CI job
-// runs it at GOMAXPROCS=8 too, where BuildMap takes the boundary-split path.
+// incremental edit, at the default chunking.
 // The hex values were generated at the commit before the sink stopped
 // hashing on a worker pool; a change that moves one changes the format.
 package index_test

@@ -16,8 +16,8 @@ import (
 )
 
 // goroutineProbe records the most goroutines alive at any store call: a
-// helper a write path started and joined before returning is still running
-// when its chunks reach Has and PutBatch.
+// helper an operation started and joined before returning is still running
+// when it reads nodes (Get) or lands chunks (Has, PutBatch).
 type goroutineProbe struct {
 	store.Store
 	peak atomic.Int64
@@ -32,16 +32,18 @@ func (p *goroutineProbe) sample() {
 	}
 }
 
-func (p *goroutineProbe) Has(id hash.Hash) (bool, error) { p.sample(); return p.Store.Has(id) }
+func (p *goroutineProbe) Get(id hash.Hash) (*chunk.Chunk, error) { p.sample(); return p.Store.Get(id) }
+func (p *goroutineProbe) Has(id hash.Hash) (bool, error)         { p.sample(); return p.Store.Has(id) }
 func (p *goroutineProbe) PutBatch(cs []*chunk.Chunk) ([]bool, error) {
 	p.sample()
 	return p.Store.PutBatch(cs)
 }
 
-// TestCommitStartsNoGoroutine: with cores to spare, an incremental commit on
-// any structure runs on the caller's goroutine from first read to last batch
-// — a second core is used by running a second producer, never by a pool
-// under one.
+// TestCommitStartsNoGoroutine: with cores to spare, a bulk build, an
+// incremental commit on any structure, a structural diff on either
+// structure, a cross-structure diff and a three-way merge each run on the
+// caller's goroutine from first read to last batch — a second core is used
+// by serving a second request, never by a pool under one.
 func TestCommitStartsNoGoroutine(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	cfg := chunker.DefaultConfig()
@@ -52,8 +54,6 @@ func TestCommitStartsNoGoroutine(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	tree, err := pos.BuildMap(probe, cfg, goldenRows(10000))
-	must(err)
 	trie, err := mpt.Build(probe, cfg, goldenRows(2000))
 	must(err)
 	seq, err := pos.BuildSeq(probe, cfg, goldenItems(20000))
@@ -63,23 +63,57 @@ func TestCommitStartsNoGoroutine(t *testing.T) {
 	must(err)
 
 	base := int64(runtime.NumGoroutine())
-	probe.peak.Store(0)
+	check := func(op string, run func()) {
+		t.Helper()
+		probe.peak.Store(0)
+		run()
+		if peak := probe.peak.Load(); peak == 0 || peak > base {
+			t.Errorf("%s: %d goroutines alive inside its store calls, %d before it (0 = probe never reached)", op, peak, base)
+		}
+	}
+
+	var tree *pos.Tree
+	check("BuildMap", func() {
+		tree, err = pos.BuildMap(probe, cfg, goldenRows(10000))
+		must(err)
+	})
+	// The edits below are spread over the whole key space, so the diffs
+	// leave many divergent spans and branch children behind their pruning.
+	tree0, trie0 := tree, trie
 	var ix index.VersionedIndex = trie
-	for i := 0; i < 20; i++ {
-		key := []byte(fmt.Sprintf("row-%08d", (i*997)%10000))
-		tree, err = tree.Insert(key, s.bytes(32))
+	var other index.VersionedIndex = tree0
+	check("commits", func() {
+		for i := 0; i < 20; i++ {
+			key := []byte(fmt.Sprintf("row-%08d", (i*997)%10000))
+			tree, err = tree.Insert(key, s.bytes(32))
+			must(err)
+			ix, err = ix.Apply([]index.Op{index.Put(key, s.bytes(32))})
+			must(err)
+			seq, err = seq.Splice(uint64(i*911), 1, [][]byte{s.bytes(16)})
+			must(err)
+			blob, err = blob.Splice(uint64(i*12007), 8, s.bytes(24))
+			must(err)
+			other, err = other.Apply([]index.Op{index.Put([]byte(fmt.Sprintf("row-%08d", (i*991+500)%10000)), s.bytes(32))})
+			must(err)
+		}
+	})
+	check("pos Diff", func() {
+		_, _, err := tree0.Diff(tree)
 		must(err)
-		ix, err = ix.Apply([]index.Op{index.Put(key, s.bytes(32))})
+	})
+	check("mpt Diff", func() {
+		_, _, err := trie0.Diff(ix.(*mpt.Trie))
 		must(err)
-		seq, err = seq.Splice(uint64(i*911), 1, [][]byte{s.bytes(16)})
+	})
+	check("pos-mpt DiffWith", func() {
+		_, _, err := tree0.DiffWith(ix)
 		must(err)
-		blob, err = blob.Splice(uint64(i*12007), 8, s.bytes(24))
+	})
+	check("Merge3", func() {
+		_, _, err := index.Merge3(tree0, tree, other, index.ResolveOurs)
 		must(err)
-	}
-	if peak := probe.peak.Load(); peak == 0 || peak > base {
-		t.Errorf("%d goroutines alive inside a commit's store calls, %d before it (0 = probe never reached)", peak, base)
-	}
+	})
 	if after := int64(runtime.NumGoroutine()); after > base {
-		t.Errorf("%d goroutines after the commits, %d before", after, base)
+		t.Errorf("%d goroutines after the operations, %d before", after, base)
 	}
 }

@@ -37,27 +37,20 @@ type differ struct {
 }
 
 // DiffWith diffs against another index: the structural, pruning diff when o
-// is also a trie over a readable store, the (range-partitioned) generic
-// iterator diff for other structures.
+// is also a trie over a readable store, the generic iterator diff for other
+// structures.
 func (t *Trie) DiffWith(o index.VersionedIndex) ([]index.Delta, index.DiffStats, error) {
 	ot, ok := o.(*Trie)
 	if !ok {
-		return index.GenericDiffParallel(t, o, index.DefaultWorkers())
+		return index.GenericDiff(t, o)
 	}
 	return t.Diff(ot)
 }
 
-// Diff computes the key-level differences from t (old) to o (new).  The
-// lockstep walk prunes shared subtrees; the divergent branch children it
-// leaves behind are diffed on a bounded worker pool (see pardiff.go), with
-// results identical to DiffSerial.
+// Diff computes the key-level differences from t (old) to o (new), in key
+// order.  The lockstep walk prunes shared subtrees and runs on the caller's
+// goroutine.
 func (t *Trie) Diff(o *Trie) ([]index.Delta, index.DiffStats, error) {
-	return t.DiffParallel(o, index.DefaultWorkers())
-}
-
-// DiffSerial is the single-goroutine structural diff — the differential
-// oracle DiffParallel is measured against.
-func (t *Trie) DiffSerial(o *Trie) ([]index.Delta, index.DiffStats, error) {
 	if t.root == o.root {
 		return nil, index.DiffStats{}, nil
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -380,6 +381,59 @@ func TestDiffRandomOracle(t *testing.T) {
 			}
 		}
 	}
+
+	// Edge shapes, checked delta for delta against the iterator merge.
+	st := store.NewMemStore()
+	base := buildT(t, st, randEntries(rng, 4000))
+	empty := buildT(t, st, nil)
+	for _, edits := range []int{1, 60, 1500} {
+		other := editT(t, base, rng, edits)
+		for _, tc := range []struct {
+			name     string
+			old, new *Trie
+		}{
+			{"fwd", base, other},
+			{"rev", other, base},
+			{"self", base, base},
+			{"from-empty", empty, other},
+			{"to-empty", other, empty},
+		} {
+			got, stats, err := tc.old.Diff(tc.new)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _, err := index.GenericDiff(tc.old, tc.new)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) || stats.Deltas != len(got) {
+				t.Fatalf("%s edits=%d: %d deltas (stats %d), generic diff %d",
+					tc.name, edits, len(got), stats.Deltas, len(want))
+			}
+		}
+	}
+}
+
+// editT applies edits random puts and deletes over randEntries' key space.
+func editT(t *testing.T, tr *Trie, rng *rand.Rand, edits int) *Trie {
+	t.Helper()
+	ops := make([]index.Op, 0, edits)
+	for i := 0; i < edits; i++ {
+		key := make([]byte, rng.Intn(6))
+		for j := range key {
+			key[j] = byte(rng.Intn(4))
+		}
+		if rng.Intn(5) == 0 {
+			ops = append(ops, index.Del(key))
+		} else {
+			ops = append(ops, index.Put(key, []byte(fmt.Sprintf("e%d", i))))
+		}
+	}
+	ni, err := tr.Apply(ops)
+	if err != nil {
+		t.Fatalf("Apply: %v", err)
+	}
+	return ni.(*Trie)
 }
 
 func TestApplyRandomOpsOracle(t *testing.T) {

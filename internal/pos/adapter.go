@@ -50,13 +50,12 @@ func (t *Tree) IterateFrom(key []byte) (index.Iterator, error) {
 }
 
 // DiffWith diffs against another index: the structural, subtree-pruning
-// diff when o is also a POS-Tree, the (range-partitioned) generic iterator
-// diff otherwise.
+// diff when o is also a POS-Tree, the generic iterator diff otherwise.
 func (t *Tree) DiffWith(o index.VersionedIndex) ([]index.Delta, index.DiffStats, error) {
 	if ot, ok := o.(*Tree); ok {
 		return t.Diff(ot)
 	}
-	return index.GenericDiffParallel(t, o, index.DefaultWorkers())
+	return index.GenericDiff(t, o)
 }
 
 var _ index.VersionedIndex = (*Tree)(nil)

@@ -53,8 +53,8 @@ type levelBuilder struct {
 
 // newLeafScan returns the leaf boundary scanner for a normalized config and
 // its constants: the index hashing starts at (the min-size skip) and the
-// first index a pattern may fire at.  Map and list leaves, blob leaves and
-// the parallel build's pre-scan all cut with it, so they cannot disagree.
+// first index a pattern may fire at.  Map and list leaves and blob leaves
+// all cut with it, so they cannot disagree.
 func newLeafScan(cfg chunker.Config) (scan *rolling.Scan, begin, check int) {
 	scan = rolling.NewScan(cfg.Q, cfg.Window)
 	return scan, scan.SkipStart(cfg.MinSize), cfg.MinSize - 1
@@ -235,32 +235,13 @@ func editSink(st store.Store) *store.ChunkSink {
 // pure function of the final record set — the SIRI structural-invariance
 // property — because node boundaries depend only on the sorted entry stream.
 // Nodes flow to the store through a batched sink; the tree is fully landed
-// when BuildMap returns.
-//
-// Bulk builds fan the leaf level out across GOMAXPROCS-bounded workers (see
-// parbuild.go); structural invariance guarantees — and the differential
-// tests pin — that the root is byte-identical to the serial builder's.
+// when BuildMap returns.  One level builder feeds one sink, on the caller's
+// goroutine.
 func BuildMap(st store.Store, cfg chunker.Config, entries []Entry) (*Tree, error) {
-	if w := buildWorkers(len(entries)); w > 1 {
-		return BuildMapParallel(st, cfg, entries, w)
-	}
-	return BuildMapSerial(st, cfg, entries)
-}
-
-// BuildMapSerial is the single-goroutine builder: one level builder feeding
-// one sink.  BuildMap delegates here below the parallel threshold; the
-// differential oracle measures parallel builds against it.
-func BuildMapSerial(st store.Store, cfg chunker.Config, entries []Entry) (*Tree, error) {
-	return buildMapSorted(st, cfg, normalizeEntries(entries))
-}
-
-// buildMapSorted builds over an already-normalized (sorted, deduplicated)
-// entry slice.
-func buildMapSorted(st store.Store, cfg chunker.Config, sorted []Entry) (*Tree, error) {
 	sink := buildSink(st)
 	defer sink.Close()
 	lb := newLevelBuilder(sink, cfg, 0, true)
-	for _, e := range sorted {
+	for _, e := range normalizeEntries(entries) {
 		if err := lb.addEntry(e); err != nil {
 			return nil, err
 		}

@@ -34,22 +34,14 @@ const (
 // Sub-trees with identical root hashes are pruned without being read —
 // possible only because POS-Trees are structurally invariant, so equal
 // content implies equal hash at every level.  The complexity is
-// O(D·log N) node reads for D differing leaves (paper §II-B).  The
-// misaligned spans the pruning walk leaves behind are diffed on a bounded
-// worker pool (see pardiff.go); results are identical to DiffSerial.
+// O(D·log N) node reads for D differing leaves (paper §II-B), walked on
+// the caller's goroutine.
 func (t *Tree) Diff(o *Tree) ([]Delta, DiffStats, error) {
-	return t.DiffParallel(o, diffWorkers())
-}
-
-// DiffSerial is the single-goroutine structural diff — the differential
-// oracle DiffParallel is measured against.
-func (t *Tree) DiffSerial(o *Tree) ([]Delta, DiffStats, error) {
-	d := &differ{old: t, new: o}
 	if t.root == o.root {
 		return nil, DiffStats{}, nil
 	}
-	oldRoots, newRoots := rootSpan(t), rootSpan(o)
-	if err := d.diffSpans(oldRoots, newRoots); err != nil {
+	d := &differ{old: t, new: o}
+	if err := d.diffSpans(rootSpan(t), rootSpan(o)); err != nil {
 		return nil, DiffStats{}, err
 	}
 	d.stats.Deltas = len(d.out)

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
+	"forkbase/internal/index"
 	"forkbase/internal/store"
 )
 
@@ -223,6 +225,56 @@ func TestDiffOracleRandomized(t *testing.T) {
 			}
 		}
 	}
+
+	// Edge shapes, checked delta for delta against the iterator merge.
+	empty := NewEmptyTree(st, testCfg())
+	for _, edits := range []int{1, 60, 1500} {
+		b := editedTree(t, a, rng, edits)
+		for _, tc := range []struct {
+			name     string
+			old, new *Tree
+		}{
+			{"fwd", a, b},
+			{"rev", b, a},
+			{"self", a, a},
+			{"from-empty", empty, b},
+			{"to-empty", b, empty},
+		} {
+			got, stats, err := tc.old.Diff(tc.new)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _, err := index.GenericDiff(tc.old, tc.new)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) || stats.Deltas != len(got) {
+				t.Fatalf("%s edits=%d: %d deltas (stats %d), generic diff %d",
+					tc.name, edits, len(got), stats.Deltas, len(want))
+			}
+		}
+	}
+}
+
+// editedTree applies edits random puts and deletes to base, over its keys
+// and as many beyond them.
+func editedTree(t *testing.T, base *Tree, rng *rand.Rand, edits int) *Tree {
+	t.Helper()
+	ops := make([]Op, 0, edits)
+	n := 2 * int(base.Len())
+	for i := 0; i < edits; i++ {
+		k := []byte(fmt.Sprintf("key-%08d", rng.Intn(n)))
+		if rng.Intn(5) == 0 {
+			ops = append(ops, Del(k))
+		} else {
+			ops = append(ops, Put(k, []byte(fmt.Sprintf("edit-%d", i))))
+		}
+	}
+	nt, err := base.Edit(ops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return nt
 }
 
 func entryMap(t *testing.T, tr *Tree) map[string]string {
@@ -381,5 +433,28 @@ func TestMergeTrivialFastPaths(t *testing.T) {
 	m, _, err = Merge3(base, changed, changed, nil)
 	if err != nil || m.Root() != changed.Root() {
 		t.Fatalf("identical-sides fast path: %v", err)
+	}
+}
+
+// TestMerge3MatchesRebuild: a merge of two sides with hundreds of
+// overlapping edits lands the same root as building the merged record set
+// from scratch (byte identity via structural invariance).
+func TestMerge3MatchesRebuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	st := store.NewMemStore()
+	base := mustBuild(t, st, genEntries(6000, 14))
+	a := editedTree(t, base, rng, 400)
+	b := editedTree(t, base, rng, 400)
+	merged, _, err := Merge3(base, a, b, ResolveOurs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, err := merged.Entries()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rebuilt := mustBuild(t, store.NewMemStore(), entries)
+	if rebuilt.Root() != merged.Root() {
+		t.Fatalf("merged root %s != rebuilt root %s", merged.Root().Short(), rebuilt.Root().Short())
 	}
 }

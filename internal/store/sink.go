@@ -19,9 +19,9 @@ import (
 // subtrees (edits, merges, rebuilds) costs read-locked index lookups, not
 // writes.
 //
-// A sink belongs to one producer goroutine and starts none of its own: a
-// build that wants more cores runs more producers, each with its own sink
-// (pos.BuildMapParallel), rather than a hashing pool under one.  Errors are
+// A sink belongs to one producer goroutine and starts none of its own; a
+// process uses more cores by running more producers (concurrent commits,
+// each with its own sink), never a hashing pool under one.  Errors are
 // sticky: after a store failure every subsequent call reports it.
 type ChunkSink struct {
 	st    Store

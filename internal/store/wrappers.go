@@ -17,7 +17,7 @@ import (
 //
 // Concurrency: the wrapper itself holds no per-op state — every Store call
 // is the embedded inner store's — and Mark/Increments guard the snapshot
-// slices with one mutex, so concurrent builder workers can write through a
+// slices with one mutex, so concurrent writers can go through a
 // CountingStore while an experiment thread marks phases.
 type CountingStore struct {
 	Store
