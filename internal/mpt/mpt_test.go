@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
 
 	"forkbase/internal/chunker"
@@ -381,8 +382,15 @@ func TestDiffRandomOracle(t *testing.T) {
 			}
 		}
 	}
+}
 
-	// Edge shapes, checked delta for delta against the iterator merge.
+// TestDiffParallelMatchesSerial runs each edge shape as several concurrent
+// Diff calls over one shared trie and store, the way a server's concurrent
+// requests do, and checks every caller's deltas delta for delta against the
+// serial iterator merge, and every caller's stats against each other's.
+func TestDiffParallelMatchesSerial(t *testing.T) {
+	const callers = 4
+	rng := rand.New(rand.NewSource(21))
 	st := store.NewMemStore()
 	base := buildT(t, st, randEntries(rng, 4000))
 	empty := buildT(t, st, nil)
@@ -398,17 +406,34 @@ func TestDiffRandomOracle(t *testing.T) {
 			{"from-empty", empty, other},
 			{"to-empty", other, empty},
 		} {
-			got, stats, err := tc.old.Diff(tc.new)
-			if err != nil {
-				t.Fatal(err)
-			}
 			want, _, err := index.GenericDiff(tc.old, tc.new)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(got, want) || stats.Deltas != len(got) {
-				t.Fatalf("%s edits=%d: %d deltas (stats %d), generic diff %d",
-					tc.name, edits, len(got), stats.Deltas, len(want))
+			var wg sync.WaitGroup
+			got := make([][]index.Delta, callers)
+			stats := make([]index.DiffStats, callers)
+			errs := make([]error, callers)
+			for i := 0; i < callers; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					got[i], stats[i], errs[i] = tc.old.Diff(tc.new)
+				}(i)
+			}
+			wg.Wait()
+			for i := 0; i < callers; i++ {
+				if errs[i] != nil {
+					t.Fatalf("%s edits=%d caller %d: %v", tc.name, edits, i, errs[i])
+				}
+				if !reflect.DeepEqual(got[i], want) || stats[i].Deltas != len(got[i]) {
+					t.Fatalf("%s edits=%d caller %d: %d deltas (stats %d), generic diff %d",
+						tc.name, edits, i, len(got[i]), stats[i].Deltas, len(want))
+				}
+				if stats[i] != stats[0] {
+					t.Fatalf("%s edits=%d caller %d: stats %+v != %+v",
+						tc.name, edits, i, stats[i], stats[0])
+				}
 			}
 		}
 	}
