@@ -187,8 +187,6 @@ type options struct {
 	st             store.Store
 	branches       core.BranchTable
 	nodeCacheBytes int64
-	compactEvery   time.Duration
-	compactRatio   float64
 	metrics        *obs.Registry
 	logger         *slog.Logger
 	slowOp         time.Duration
@@ -260,29 +258,6 @@ func WithNodeCache(bytes int64) Option {
 	}
 }
 
-// WithAutoCompact starts a background compactor: every interval the engine
-// runs a garbage-collection pass whose log-segment rewriting is gated by a
-// dead-byte ratio (core.DefaultCompactRatio unless WithCompactRatio says
-// otherwise), so long-running servers reclaim churned space without anyone
-// calling GC.  Stop it with Close.
-//
-// Every write path in this package builds values under the engine's GC
-// write fence, so a background pass can never collect a version mid-commit.
-// On file-backed stores, online passes additionally never collect chunks
-// written since the previous pass (generational grace), covering values
-// staged out-of-band (BuildMapValue + Session.Put) for up to one interval.
-// In-memory stores have no grace: out-of-band staging combined with
-// WithAutoCompact must commit before the next tick.
-func WithAutoCompact(every time.Duration) Option {
-	return func(o *options) { o.compactEvery = every }
-}
-
-// WithCompactRatio overrides the dead-byte fraction a log segment needs
-// before a Compact pass (background or explicit) rewrites it.
-func WithCompactRatio(ratio float64) Option {
-	return func(o *options) { o.compactRatio = ratio }
-}
-
 // WithMetrics selects the registry this instance reports into: engine and
 // store operation counts/latencies, cache and dedup gauges, GC/scrub/heal
 // accounting.  The default is obs.Default() (the process-wide registry);
@@ -346,22 +321,12 @@ func Open(opts ...Option) (*DB, error) {
 		o.st = fs
 		o.branches = bt
 	}
-	compactEvery := o.compactEvery
-	if o.followAddr != "" {
-		// A replica's store is written only by the follower, which does not
-		// run under the engine's GC write fence — background compaction
-		// could sweep chunks landed for a head not yet published.  Replicas
-		// therefore never self-compact.
-		compactEvery = 0
-	}
 	db.eng = core.Open(core.Options{
 		Store:          o.st,
 		Branches:       o.branches,
 		Chunking:       o.chunking,
 		Index:          o.idxKind,
 		NodeCacheBytes: o.nodeCacheBytes,
-		CompactEvery:   compactEvery,
-		CompactRatio:   o.compactRatio,
 		Metrics:        o.metrics,
 		Logger:         o.logger,
 		SlowOp:         o.slowOp,
@@ -395,7 +360,7 @@ func MustOpen(opts ...Option) *DB {
 	return db
 }
 
-// Close stops the background compactor, releases file handles and network
+// Close stops the replication follower, releases file handles and network
 // connections, and purges the decoded-node cache so post-close reads fail at
 // the store uniformly instead of succeeding whenever a node happens to be
 // cached.  For file-backed instances, closing also invalidates the zero-copy
@@ -408,7 +373,6 @@ func (db *DB) Close() error {
 	if db.followCli != nil {
 		_ = db.followCli.Close()
 	}
-	_ = db.eng.Close()         // stop the compactor before the store goes away
 	db.eng.NodeCache().Purge() // nil-safe; covers injected caches too
 	if db.fileStore != nil {
 		return errors.Join(db.fileHeads.Close(), db.fileStore.Close())
@@ -504,8 +468,7 @@ func (db *DB) PutList(key, branch string, items [][]byte, meta map[string]string
 // BuildMapValue constructs a map value in db's store without committing a
 // version; pair it with Session.Put when access control must gate the write.
 // A value staged this way is unreachable until its Put: commit it promptly —
-// a full GC() running in between may collect it (online compaction passes
-// grant staged chunks a one-pass grace on file-backed stores).
+// a GC running in between collects it.
 func BuildMapValue(db *DB, entries []Entry) (Value, error) {
 	return db.eng.NewMapValue(entries)
 }
@@ -628,20 +591,13 @@ func (db *DB) SpliceBlob(key, branch string, at, del uint64, ins []byte, meta ma
 
 // GC removes chunks unreachable from any branch head and reclaims their
 // storage.  In-memory stores free the swept chunks directly; file-backed
-// stores compact their log — live records of garbage-heavy segments are
-// rewritten into fresh segments and the old files unlinked, so the on-disk
-// footprint shrinks to the live set.  Only injected stores with no reachable
+// stores compact their log — live records of every segment holding garbage
+// are rewritten into fresh segments and the old files unlinked, so the
+// on-disk footprint shrinks to the live set.  Writers wait from mark to
+// sweep; readers do not.  Only injected stores with no reachable
 // store.Collector return core.ErrNotCollectable.
 func (db *DB) GC() (GCStats, error) {
 	return db.eng.GC()
-}
-
-// Compact is the online variant of GC: identical mark and sweep, but only
-// segments whose dead-byte ratio reaches the compaction threshold are
-// rewritten, bounding write amplification.  This is what the background
-// compactor (WithAutoCompact) runs.
-func (db *DB) Compact() (GCStats, error) {
-	return db.eng.Compact()
 }
 
 // Scrub rehashes every chunk record on disk against its content address,

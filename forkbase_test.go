@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"log/slog"
 	"strings"
 	"testing"
+	"time"
 
 	"forkbase"
 	"forkbase/internal/access"
+	"forkbase/internal/obs"
 )
 
 func TestPublicRoundTrip(t *testing.T) {
@@ -235,6 +238,29 @@ func TestPublicNodeCache(t *testing.T) {
 	defer plain.Close()
 	if st := plain.CacheStats(); st != (forkbase.NodeCacheStats{}) {
 		t.Fatalf("cache stats on uncached DB: %+v", st)
+	}
+}
+
+// TestPublicObservabilityOptions: WithMetrics, WithLogger and
+// WithSlowOpThreshold reach the engine — a Put counts in the given registry,
+// and with a 1 ns threshold it is reported through the given logger.
+func TestPublicObservabilityOptions(t *testing.T) {
+	reg := obs.NewRegistry()
+	var logs bytes.Buffer
+	db := forkbase.MustOpen(forkbase.InMemory(),
+		forkbase.WithMetrics(reg),
+		forkbase.WithLogger(slog.New(slog.NewTextHandler(&logs, nil))),
+		forkbase.WithSlowOpThreshold(time.Nanosecond))
+	defer db.Close()
+	before := reg.Sum("forkbase_engine_ops_total")
+	if _, err := db.PutString("k", "", "v", nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Sum("forkbase_engine_ops_total") - before; got != 1 {
+		t.Fatalf("engine ops counted in the registry = %v, want 1", got)
+	}
+	if out := logs.String(); !strings.Contains(out, `msg="slow op"`) || !strings.Contains(out, "op=put") {
+		t.Fatalf("no slow-op record for the put reached the logger:\n%s", out)
 	}
 }
 

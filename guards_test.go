@@ -109,6 +109,23 @@ func TestSourceGuards(t *testing.T) {
 		pattern: `fnode\.Load\(`,
 		paths:   []string{"internal/core/verify.go", "internal/core/gc.go", "internal/core/heal.go"},
 		want:    0,
+	}, {
+		// GC is the one collection: one mark and sweep, fenced against
+		// writers from mark to sweep, rewriting every sealed segment holding
+		// garbage.  A ratio-gated pass, an unfenced mark or a sweep grace for
+		// young chunks is a second collection with its own safety argument.
+		name:    "one collection mode",
+		pattern: `CompactEvery|CompactRatio|GenerationalCollector|GraceGenerations|minDeadRatio|graceSeg|WithAutoCompact|\.Compact\(\)`,
+		paths:   []string{"internal", "cmd", "forkbase.go"},
+		want:    0,
+	}, {
+		// Every engine operation, GC included, runs on its caller's
+		// goroutine: the engine has no background schedule of its own, so
+		// Close has nothing to stop.
+		name:    "the engine starts no goroutine",
+		pattern: `^\s*go `,
+		paths:   []string{"internal/core"},
+		want:    0,
 	}} {
 		re := regexp.MustCompile(g.pattern)
 		var hits []string

@@ -322,7 +322,7 @@ func soakCrashPoints(t *testing.T) {
 	}
 	re.SetCrashHook(chaos.PanicAt(store.CrashCompactBeforeUnlink, 1))
 	if !crashes(func() {
-		_, _ = re.Sweep(func(id hash.Hash) bool { return keep[id] }, 0)
+		_, _ = re.Sweep(func(id hash.Hash) bool { return keep[id] })
 	}) {
 		t.Error("sweep never reached the compaction crash point")
 	}

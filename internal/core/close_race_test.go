@@ -5,53 +5,9 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
-	"forkbase/internal/store"
 	"forkbase/internal/value"
 )
-
-// TestCloseIdempotentWithCompactor: double-close and close-during-compaction
-// must neither panic nor deadlock.
-func TestCloseIdempotentWithCompactor(t *testing.T) {
-	fs, err := store.OpenFileStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	db := Open(Options{Store: fs, CompactEvery: time.Millisecond})
-	// Generate churn so compactor passes do real work.
-	for i := 0; i < 20; i++ {
-		if _, err := db.Put("k", "temp", value.String(fmt.Sprintf("v%d", i)), nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := db.DeleteBranch("k", "temp"); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(5 * time.Millisecond) // let the compactor be mid-flight
-
-	// Concurrent closes race the background pass and each other.
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := db.Close(); err != nil {
-				t.Errorf("close: %v", err)
-			}
-		}()
-	}
-	wg.Wait()
-	if err := db.Close(); err != nil { // and once more, sequentially
-		t.Fatal(err)
-	}
-	if err := fs.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Close(); err != nil { // FileStore.Close is idempotent too
-		t.Fatal(err)
-	}
-}
 
 // TestBranchLifecycleRaces hammers RenameBranch/DeleteBranch against Put on
 // the same key: whatever interleaving wins, no branch head may be orphaned —

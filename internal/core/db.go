@@ -51,12 +51,7 @@ type DB struct {
 	feed    *Feed
 	noCopy  noCopy
 
-	compactRatio  float64
-	stopCompactor chan struct{}
-	compactorWG   sync.WaitGroup
-	closeOnce     sync.Once
-	compactPasses atomic.Int64
-	readOnly      atomic.Bool
+	readOnly atomic.Bool
 
 	// writeMu fences garbage collection against in-flight engine writes:
 	// every operation that stores chunks and then publishes them via a head
@@ -95,17 +90,6 @@ type Options struct {
 	// verification, or that this engine encoded itself, are ever cached;
 	// deep verification reads bytes and never consults it.
 	NodeCacheBytes int64
-	// CompactEvery, when positive, starts a background compactor: every
-	// interval the DB runs a mark-and-sweep pass whose segment rewriting is
-	// gated by CompactRatio, so long-running servers reclaim churned space
-	// without anyone calling GC.  Stop it with Close.  A DB whose store is
-	// not collectable quietly never compacts.
-	CompactEvery time.Duration
-	// CompactRatio is the minimum dead-byte fraction a sealed log segment
-	// needs before the background compactor (or an explicit Compact call)
-	// rewrites it; 0 selects DefaultCompactRatio.  Explicit GC always uses
-	// ratio 0 — it reclaims everything.
-	CompactRatio float64
 	// Metrics selects the registry this engine reports into: engine
 	// operation counts/latencies, store-level per-backend instrumentation,
 	// cache and dedup gauges, GC/heal/scrub accounting.  nil selects
@@ -121,12 +105,6 @@ type Options struct {
 	// PutBatch across layers.  0 disables slow-op logging.
 	SlowOp time.Duration
 }
-
-// DefaultCompactRatio is the background compactor's segment-rewrite
-// threshold: a sealed segment is rewritten once a quarter of its bytes are
-// garbage.  Low enough to keep disk amplification near 1.33x, high enough
-// that a segment is not rewritten over trace amounts of churn.
-const DefaultCompactRatio = 0.25
 
 // Open assembles a DB from options.
 func Open(opts Options) *DB {
@@ -165,15 +143,6 @@ func Open(opts Options) *DB {
 	db.heads = ft
 	db.feed = ft.Feed()
 	db.registerGauges()
-	db.compactRatio = opts.CompactRatio
-	if db.compactRatio <= 0 {
-		db.compactRatio = DefaultCompactRatio
-	}
-	if opts.CompactEvery > 0 {
-		db.stopCompactor = make(chan struct{})
-		db.compactorWG.Add(1)
-		go db.compactLoop(opts.CompactEvery)
-	}
 	return db
 }
 
@@ -203,41 +172,10 @@ func assembleStore(opts Options) (top, raw store.Store, verifier *store.Verifyin
 	return top, raw, verifier, cache
 }
 
-// compactLoop is the background compactor: a ratio-gated GC pass per tick.
-func (db *DB) compactLoop(every time.Duration) {
-	defer db.compactorWG.Done()
-	ticker := time.NewTicker(every)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-db.stopCompactor:
-			return
-		case <-ticker.C:
-			if _, err := db.Compact(); err != nil {
-				if errors.Is(err, ErrNotCollectable) {
-					return // store will never become collectable; stop ticking
-				}
-				// Transient (e.g. store closed mid-shutdown): keep trying;
-				// the loop exits via stopCompactor.
-			}
-			db.compactPasses.Add(1)
-		}
-	}
-}
-
-// Close stops the background compactor (if any) and waits for an in-flight
-// pass to finish.  The store and branch table are owned by the caller and
-// are not closed here.  Close is idempotent and safe on a DB opened without
-// a compactor.
-func (db *DB) Close() error {
-	db.closeOnce.Do(func() {
-		if db.stopCompactor != nil {
-			close(db.stopCompactor)
-			db.compactorWG.Wait()
-		}
-	})
-	return nil
-}
+// Close releases nothing and returns nil: the engine starts no goroutine of
+// its own, and the store and branch table are owned by the caller.  It is
+// kept so callers can treat a DB like any other closable handle.
+func (db *DB) Close() error { return nil }
 
 // Store returns the verifying chunk store (reads are tamper-checked).
 func (db *DB) Store() store.Store { return db.st }

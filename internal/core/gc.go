@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -48,24 +49,17 @@ var ErrNotCollectable = fmt.Errorf("core: store does not support garbage collect
 // never permanently resurrect swept data through the decoded-node cache —
 // the cache purge below follows the store sweep, and the read path
 // revalidates cache inserts against the store (nodeSource.load).
-func (db *DB) GC() (GCStats, error) { return db.gc(0) }
-
-// Compact is the online variant of GC: the same mark and sweep, but segment
-// rewriting is gated by the configured compaction ratio (CompactRatio), so
-// lightly-fragmented segments are left alone.  The background compactor
-// (Options.CompactEvery) runs exactly this.
-func (db *DB) Compact() (GCStats, error) { return db.gc(db.compactRatio) }
-
-// gc wraps gcInner with run accounting: completed passes, durations, and
-// swept/reclaimed totals land in the metrics registry.
-func (db *DB) gc(minDeadRatio float64) (GCStats, error) {
+//
+// Completed passes, durations and swept/reclaimed totals land in the metrics
+// registry.
+func (db *DB) GC() (GCStats, error) {
 	start := time.Now()
-	gs, err := db.gcInner(minDeadRatio)
+	gs, err := db.gcInner()
 	db.met.gcDone(start, gs, err)
 	return gs, err
 }
 
-func (db *DB) gcInner(minDeadRatio float64) (GCStats, error) {
+func (db *DB) gcInner() (GCStats, error) {
 	if err := db.writeGuard(); err != nil {
 		return GCStats{}, err
 	}
@@ -73,32 +67,18 @@ func (db *DB) gcInner(minDeadRatio float64) (GCStats, error) {
 	if !ok {
 		return GCStats{}, ErrNotCollectable
 	}
-	// Writers must be fenced so a version mid-commit (chunks stored, head
-	// not yet advanced) can never be collected; readers proceed throughout.
-	// An online pass (ratio > 0) on a store with generational grace can
-	// mark *without* the fence — anything staged while the mark runs is
-	// younger than the previous sweep and therefore exempt — and exclude
-	// writers only for the sweep itself.  A full pass (explicit GC, or a
-	// store without grace) fences mark and sweep both.  Chunks staged
-	// outside the engine's fenced operations (a value built now, Put much
-	// later) are likewise protected only by grace: commit staged values
-	// promptly (or use the BuildAnd* helpers), and run full GC at quiesced
-	// moments.
-	_, hasGrace := col.(store.GenerationalCollector)
-	fenceMark := !(minDeadRatio > 0 && hasGrace)
-	if fenceMark {
-		db.writeMu.Lock()
-		defer db.writeMu.Unlock()
-	}
+	// Writers are fenced from mark to sweep so a version mid-commit (chunks
+	// stored, head not yet advanced) can never be collected; readers proceed
+	// throughout.  Chunks staged outside the engine's fenced operations (a
+	// value built now, Put much later) are not protected: commit staged
+	// values promptly, or use the BuildAnd* helpers.
+	db.writeMu.Lock()
+	defer db.writeMu.Unlock()
 	live, err := db.mark()
 	if err != nil {
 		return GCStats{}, err
 	}
-	if !fenceMark {
-		db.writeMu.Lock()
-		defer db.writeMu.Unlock()
-	}
-	res, err := col.Sweep(func(id hash.Hash) bool { return live[id] }, minDeadRatio)
+	res, err := col.Sweep(func(id hash.Hash) bool { return live[id] })
 	if err != nil {
 		return GCStats{}, err
 	}
@@ -138,8 +118,7 @@ func (db *DB) mark() (map[hash.Hash]bool, error) {
 		return nil, err
 	}
 	// Feed pins: heads replicas are actively pulling stay fully reachable,
-	// so a concurrent collection can never break an in-flight sync — the
-	// replication analogue of the segment-generation sweep grace.  Pinned
+	// so a concurrent collection can never break an in-flight sync.  Pinned
 	// roots may legitimately be gone already (a replica pinned a head it
 	// learned just before the branch was deleted and an earlier pass
 	// collected it between lease refreshes), so under a pin a missing chunk
@@ -164,17 +143,18 @@ func (db *DB) mark() (map[hash.Hash]bool, error) {
 	if err := fnode.Walk(heads, live, fetch); err != nil {
 		return nil, err
 	}
-	if db.feed != nil {
-		pinned = true
-		if err := fnode.Walk(db.feed.PinnedHeads(), live, fetch); err != nil {
-			return nil, err
-		}
+	pinned = true
+	if err := fnode.Walk(db.feed.PinnedHeads(), live, fetch); err != nil {
+		return nil, err
 	}
 	return live, nil
 }
 
 // branchHeads returns the head of every branch of every key: the roots of
-// everything the store must keep.
+// everything the store must keep.  A key whose last branch is deleted
+// between the key listing and its branch lookup has no heads left and is
+// skipped: DeleteBranch does not take the write fence, and the TCP server
+// and the replication follower move heads without the engine at all.
 func (db *DB) branchHeads() ([]hash.Hash, error) {
 	keys, err := db.heads.Keys()
 	if err != nil {
@@ -183,6 +163,9 @@ func (db *DB) branchHeads() ([]hash.Hash, error) {
 	var heads []hash.Hash
 	for _, key := range keys {
 		branches, err := db.heads.Branches(key)
+		if errors.Is(err, ErrKeyNotFound) {
+			continue
+		}
 		if err != nil {
 			return nil, err
 		}

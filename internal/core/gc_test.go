@@ -252,51 +252,136 @@ func TestGCPurgesNodeCacheFileBacked(t *testing.T) {
 	}
 }
 
-// TestBackgroundCompactor pins Options.CompactEvery: churned garbage is
-// reclaimed without anyone calling GC, and Close stops the loop.
-func TestBackgroundCompactor(t *testing.T) {
-	fs, err := store.OpenFileStoreSegmented(t.TempDir(), 8<<10)
+// TestGCRacingLastBranchDelete: a key whose last branch is deleted while GC
+// lists heads must not fail the pass.  DeleteBranch takes no write fence, so
+// a key can vanish between the key listing and its branch lookup.
+func TestGCRacingLastBranchDelete(t *testing.T) {
+	db := newTestDB()
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	keys := make([]string, 50)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("ephemeral-%02d", i)
+	}
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for _, key := range keys {
+				if _, err := db.Put(key, "", value.String("v"), nil); err != nil {
+					t.Errorf("put %s: %v", key, err)
+					return
+				}
+			}
+			for _, key := range keys {
+				if err := db.DeleteBranch(key, DefaultBranch); err != nil {
+					t.Errorf("delete %s: %v", key, err)
+					return
+				}
+			}
+		}
+	}()
+	defer func() { close(stop); <-done }()
+	passes := 0
+	for deadline := time.Now().Add(time.Second); time.Now().Before(deadline); passes++ {
+		if _, err := db.GC(); err != nil {
+			t.Fatalf("GC pass %d: %v", passes, err)
+		}
+	}
+	t.Logf("%d GC passes", passes)
+}
+
+// TestGCRacingWriters races GC against committing writers on a compacting
+// file store.  GC holds the write fence from mark to sweep, so no writer's
+// chunks can be swept between landing and the head CAS that publishes them:
+// every head must still verify deep once the dust settles.
+func TestGCRacingWriters(t *testing.T) {
+	fs, err := store.OpenFileStoreSegmented(t.TempDir(), 16<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fs.Close()
-	db := Open(Options{
-		Store:        fs,
-		Chunking:     chunker.SmallConfig(),
-		CompactEvery: 2 * time.Millisecond,
-		CompactRatio: 0.01,
-	})
-	defer db.Close()
-	db.Put("keep", "", bigMap(t, db, 400, "keep"), nil)
-	if _, err := db.Put("churn", "tmp", bigMap(t, db, 800, "tmp"), nil); err != nil {
-		t.Fatal(err)
-	}
-	chunksBefore := db.Stats().UniqueChunks
-	if err := db.DeleteBranch("churn", "tmp"); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for db.Stats().UniqueChunks >= chunksBefore {
-		if time.Now().After(deadline) {
-			t.Fatalf("background compactor never swept (chunks=%d)", db.Stats().UniqueChunks)
+	db := Open(Options{Store: fs, Chunking: chunker.SmallConfig()})
+	const writers = 4
+	for w := 0; w < writers; w++ {
+		if _, err := db.Put(fmt.Sprintf("w%d", w), "", bigMapValue(t, db, 400, "seed"), nil); err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
-	if _, err := db.Get("keep", "master"); err != nil {
-		t.Fatalf("live data harmed by background compactor: %v", err)
+	edit := func(key, branch string, n int) error {
+		puts := make([]pos.Entry, 8)
+		for i := range puts {
+			puts[i] = pos.Entry{
+				Key: []byte(fmt.Sprintf("row-%05d", (n*37+i*50)%400)),
+				Val: []byte(fmt.Sprintf("%s-%d-%d", branch, n, i)),
+			}
+		}
+		_, err := db.EditMap(key, branch, puts, nil, nil)
+		return err
 	}
-	passes := db.compactPasses.Load()
-	if err := db.Close(); err != nil {
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(key string) {
+			defer wg.Done()
+			for n := 0; ; n++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := edit(key, DefaultBranch, n); err != nil {
+					t.Errorf("edit %s: %v", key, err)
+					return
+				}
+				if n%5 != 4 {
+					continue
+				}
+				// A side branch edited once and deleted leaves garbage for
+				// the next pass to sweep.
+				err := db.Branch(key, "side", DefaultBranch)
+				if err == nil {
+					err = edit(key, "side", n)
+				}
+				if err == nil {
+					err = db.DeleteBranch(key, "side")
+				}
+				if err != nil {
+					t.Errorf("side branch of %s: %v", key, err)
+					return
+				}
+			}
+		}(fmt.Sprintf("w%d", w))
+	}
+	passes := 0
+	for deadline := time.Now().Add(1500 * time.Millisecond); time.Now().Before(deadline); passes++ {
+		if _, err := db.GC(); err != nil {
+			t.Errorf("GC pass %d: %v", passes, err)
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
+	t.Logf("%d GC passes", passes)
+	keys, err := db.ListKeys()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if passes == 0 {
-		t.Fatal("compactor ran but recorded no passes")
-	}
-	// After Close the loop must be gone: no further passes accumulate.
-	settled := db.compactPasses.Load()
-	time.Sleep(20 * time.Millisecond)
-	if got := db.compactPasses.Load(); got != settled {
-		t.Fatalf("compactor still running after Close: %d -> %d", settled, got)
+	for _, key := range keys {
+		branches, err := db.BranchTable().Branches(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for br, head := range branches {
+			if _, err := db.VerifyVersion(key, head, true); err != nil {
+				t.Errorf("head of %s@%s after racing GC: %v", key, br, err)
+			}
+		}
 	}
 }
 

@@ -52,7 +52,7 @@ type HealStats struct {
 // heal itself from its primary, and a primary from any caught-up follower.
 // Concurrent engine writes are safe (new heads reference new chunks; the
 // walk reads a consistent set from its snapshot of the branch table), but
-// the pass holds the GC fence shared, so a full collection cannot sweep
+// the pass holds the GC fence shared, so a collection cannot sweep
 // chunks out from under it.
 func (db *DB) Heal(src ChunkSource) (HealStats, error) {
 	start := time.Now()

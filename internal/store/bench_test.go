@@ -234,7 +234,7 @@ func BenchmarkFileStoreSweep(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		if _, err := fs.Sweep(func(id hash.Hash) bool { return keep[id] }, 0); err != nil {
+		if _, err := fs.Sweep(func(id hash.Hash) bool { return keep[id] }); err != nil {
 			b.Fatal(err)
 		}
 		b.StopTimer()

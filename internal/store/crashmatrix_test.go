@@ -89,7 +89,7 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 					}
 				})
 				crash(func() {
-					if _, err := s.Sweep(func(id hash.Hash) bool { return keep[id] }, 0); err != nil {
+					if _, err := s.Sweep(func(id hash.Hash) bool { return keep[id] }); err != nil {
 						t.Fatal(err)
 					}
 				})

@@ -74,7 +74,6 @@ type FileStore struct {
 	actFlushed int64 // bytes of the active segment known to be on disk
 	stats      Stats // Gets excluded; tracked in gets
 	segUse     map[int]*segUsage
-	graceSeg   int // first segment of the young generation (see Sweep)
 	closed     bool
 
 	actSeg atomic.Int64 // current active segment number (lock-free read path)
@@ -208,8 +207,8 @@ func (m *mseg) release() {
 const maxReadHandles = 64
 
 // maxRetiredMaps bounds the parked mappings of compacted segments so a
-// long-running store with a background compactor does not accumulate
-// address space without bound: the most recent retirements stay mapped
+// long-running store collected many times does not accumulate address
+// space without bound: the most recent retirements stay mapped
 // (keeping recently handed-out zero-copy slices valid), and older ones are
 // released — by then their relocated chunks have long been re-served from
 // their new homes and their cache entries purged.  Callers holding
@@ -327,13 +326,9 @@ func (g *groupSyncer) sync(do func() error) error {
 }
 
 var (
-	_ Store                 = (*FileStore)(nil)
-	_ GenerationalCollector = (*FileStore)(nil)
+	_ Store     = (*FileStore)(nil)
+	_ Collector = (*FileStore)(nil)
 )
-
-// GraceGenerations marks the online-sweep grace capability (see
-// store.GenerationalCollector); Sweep documents the semantics.
-func (f *FileStore) GraceGenerations() {}
 
 // VerifyCacheTrusted implements VerifyCacheTruster: the store owns its local
 // disk, so a verification performed here stays valid until the placement
@@ -383,9 +378,6 @@ func OpenFileStoreWith(dir string, opts FileStoreOptions) (*FileStore, error) {
 	if err := fs.openActive(); err != nil {
 		return nil, err
 	}
-	// Everything sealed before this open is old; the resumed tail is of
-	// unknown age and stays in the young generation until the first sweep.
-	fs.graceSeg = int(fs.actSeg.Load())
 	return fs, nil
 }
 
@@ -1074,18 +1066,11 @@ func (f *FileStore) DiskBytes() int64 {
 }
 
 // Sweep implements Collector: it removes every chunk for which keep returns
-// false from the index, then compacts sealed segments whose dead-byte ratio
-// reaches minDeadRatio (0 = any garbage) by rewriting their live records
-// into the active tail and unlinking the victims.  A segment recovery found
-// damaged is never a victim: it waits, whole, for Scrub to quarantine it.
-//
-// Generational grace: an *online* sweep (minDeadRatio > 0, the mode the
-// background compactor uses) never removes records written since the
-// previous sweep — the caller's reachability view necessarily predates
-// those writes, so freshly staged chunks whose references have not been
-// published yet are exempt until the next pass.  A full sweep (ratio 0)
-// collects everything the caller rejects; run it when writers are fenced
-// or quiesced.
+// false from the index, then compacts every sealed segment holding garbage
+// by rewriting its live records into the active tail and unlinking it.  A
+// segment recovery found damaged is never a victim: it waits, whole, for
+// Scrub to quarantine it.  Nothing keep rejects is exempt, so the caller
+// computes keep with writers fenced or quiesced.
 //
 // Crash safety: victims are unlinked only after every rewritten record is
 // flushed and fsynced (sealed segments are fsynced at rotation; the active
@@ -1098,7 +1083,7 @@ func (f *FileStore) DiskBytes() int64 {
 // proceed throughout, and zero-copy slices already handed out stay valid —
 // retired mappings are parked until Close (the oldest are released once
 // more than maxRetiredMaps accumulate).
-func (f *FileStore) Sweep(keep func(hash.Hash) bool, minDeadRatio float64) (SweepStats, error) {
+func (f *FileStore) Sweep(keep func(hash.Hash) bool) (SweepStats, error) {
 	var res SweepStats
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -1116,19 +1101,12 @@ func (f *FileStore) Sweep(keep func(hash.Hash) bool, minDeadRatio float64) (Swee
 		f.retired = f.retired[1:]
 	}
 	f.segMu.Unlock()
-	young := -1 // full sweep: no generation is exempt
-	if minDeadRatio > 0 {
-		young = f.graceSeg
-	}
 	for i := range f.shards {
 		sh := &f.shards[i]
 		sh.mu.Lock()
 		for id, loc := range sh.m {
 			if keep(id) {
 				continue
-			}
-			if young >= 0 && loc.segment >= young {
-				continue // grace: written since the previous sweep
 			}
 			delete(sh.m, id)
 			res.Swept++
@@ -1140,20 +1118,15 @@ func (f *FileStore) Sweep(keep func(hash.Hash) bool, minDeadRatio float64) (Swee
 		}
 		sh.mu.Unlock()
 	}
-	if err := f.compactLocked(minDeadRatio, &res); err != nil {
-		return res, err
-	}
-	// Everything on disk now predates this sweep; the generation boundary
-	// moves to the (possibly fresh) tail.
-	f.graceSeg = int(f.actSeg.Load())
-	return res, nil
+	err := f.compactLocked(&res)
+	return res, err
 }
 
-// compactLocked rewrites the live records of garbage-heavy segments into the
-// active tail and unlinks the victims.  Callers hold f.mu.
-func (f *FileStore) compactLocked(minDeadRatio float64, res *SweepStats) error {
+// compactLocked rewrites the live records of every sealed segment holding
+// garbage into the active tail and unlinks the victims.  Callers hold f.mu.
+func (f *FileStore) compactLocked(res *SweepStats) error {
 	// Garbage in the active tail can only be reclaimed once the tail seals;
-	// rotate it out of the way so a full sweep really returns the space.
+	// rotate it out of the way so the sweep really returns the space.
 	act := int(f.actSeg.Load())
 	if u := f.segUse[act]; u != nil && u.dead > 0 && f.actSize > 0 {
 		if err := f.actBuf.Flush(); err != nil {
@@ -1167,12 +1140,10 @@ func (f *FileStore) compactLocked(minDeadRatio float64, res *SweepStats) error {
 	var victims []int
 	f.scrubMu.Lock()
 	for seg, u := range f.segUse {
-		if _, bad := f.damaged[seg]; bad || seg == int(f.actSeg.Load()) || u.dead == 0 || u.total == 0 {
+		if _, bad := f.damaged[seg]; bad || seg == int(f.actSeg.Load()) || u.dead == 0 {
 			continue // a damaged segment is evidence: only quarantine moves it
 		}
-		if float64(u.dead)/float64(u.total) >= minDeadRatio {
-			victims = append(victims, seg)
-		}
+		victims = append(victims, seg)
 	}
 	f.scrubMu.Unlock()
 	if len(victims) == 0 {

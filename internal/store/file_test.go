@@ -82,7 +82,7 @@ func TestFileStoreSweepCompacts(t *testing.T) {
 			keep[id] = true
 		}
 	}
-	res, err := s.Sweep(sweepKeep(keep), 0)
+	res, err := s.Sweep(sweepKeep(keep))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,85 +133,31 @@ func TestFileStoreSweepCompacts(t *testing.T) {
 	}
 }
 
-// TestFileStoreSweepRatioGate pins the size-ratio trigger: a segment whose
-// dead fraction is below the threshold is index-swept but not rewritten,
-// and a later full-reclaim sweep (ratio 0) compacts it.
-func TestFileStoreSweepRatioGate(t *testing.T) {
-	dir := t.TempDir()
-	s, err := OpenFileStoreSegmented(dir, 2048)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids := fillSegments(t, s, 100)
-	s.Close()
-	// Reopen so every sealed record predates the generation boundary (an
-	// online sweep exempts only records younger than the last pass).
-	s, err = OpenFileStoreSegmented(dir, 2048)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	keep := map[hash.Hash]bool{}
-	for _, id := range ids[5:] { // ~5% garbage, concentrated in segment 0
-		keep[id] = true
-	}
-	res, err := s.Sweep(sweepKeep(keep), 0.99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Swept != 5 {
-		t.Fatalf("swept %d, want 5", res.Swept)
-	}
-	if res.CompactedSegments != 0 {
-		t.Fatalf("ratio gate ignored: %+v", res)
-	}
-	res, err = s.Sweep(sweepKeep(keep), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.CompactedSegments == 0 {
-		t.Fatalf("full sweep did not compact: %+v", res)
-	}
-	for _, id := range ids[5:] {
-		if _, err := s.Get(id); err != nil {
-			t.Fatalf("live chunk lost: %v", err)
-		}
-	}
-}
-
-// TestFileStoreOnlineSweepGrace pins the generational grace of online
-// sweeps: records written since the previous pass are exempt even when the
-// caller rejects them, so a reachability view computed before those writes
-// cannot collect freshly staged chunks.  Full sweeps have no grace.
-func TestFileStoreOnlineSweepGrace(t *testing.T) {
+// TestFileStoreSweepCompactsLightGarbage: a sealed segment holding only a
+// little garbage is rewritten by the sweep all the same — there is no
+// dead-byte threshold — and every live chunk survives the move.
+func TestFileStoreSweepCompactsLightGarbage(t *testing.T) {
 	s, err := OpenFileStoreSegmented(t.TempDir(), 2048)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	fillSegments(t, s, 100)
-	keepNone := func(hash.Hash) bool { return false }
-	res, err := s.Sweep(keepNone, 0.01)
+	ids := fillSegments(t, s, 100)
+	keep := map[hash.Hash]bool{}
+	for _, id := range ids[5:] { // ~5% garbage, concentrated in segment 0
+		keep[id] = true
+	}
+	res, err := s.Sweep(sweepKeep(keep))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Swept != 0 {
-		t.Fatalf("online sweep collected %d chunks of the young generation", res.Swept)
+	if res.Swept != 5 || res.CompactedSegments == 0 {
+		t.Fatalf("sweep of 5%% garbage: %+v, want 5 swept and a segment compacted", res)
 	}
-	// The boundary advanced: sealed pre-pass records are now collectable.
-	res, err = s.Sweep(keepNone, 0.01)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Swept == 0 {
-		t.Fatal("second online sweep collected nothing")
-	}
-	// A full sweep finishes whatever still hides in the tail.
-	if _, err := s.Sweep(keepNone, 0); err != nil {
-		t.Fatal(err)
-	}
-	if n := s.Len(); n != 0 {
-		t.Fatalf("%d chunks survived a full sweep rejecting everything", n)
+	for _, id := range ids[5:] {
+		if _, err := s.Get(id); err != nil {
+			t.Fatalf("live chunk lost: %v", err)
+		}
 	}
 }
 
@@ -233,7 +179,7 @@ func TestFileStoreZeroCopySurvivesCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	keep := map[hash.Hash]bool{ids[0]: true} // everything else dies
-	res, err := s.Sweep(sweepKeep(keep), 0)
+	res, err := s.Sweep(sweepKeep(keep))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +244,7 @@ func TestFileStoreCrashMidCompaction(t *testing.T) {
 			snapped = true
 		}
 	})
-	if _, err := s.Sweep(sweepKeep(keep), 0); err != nil {
+	if _, err := s.Sweep(sweepKeep(keep)); err != nil {
 		t.Fatal(err)
 	}
 	if !snapped {
@@ -326,7 +272,7 @@ func TestFileStoreCrashMidCompaction(t *testing.T) {
 		}
 	}
 	// A re-run of the sweep finishes the job on the recovered store.
-	if _, err := re.Sweep(sweepKeep(keep), 0); err != nil {
+	if _, err := re.Sweep(sweepKeep(keep)); err != nil {
 		t.Fatal(err)
 	}
 	if n := re.Len(); n != 100 {
@@ -356,7 +302,7 @@ func TestFileStoreRecoverSegmentGaps(t *testing.T) {
 	for _, id := range ids[50:] {
 		keep[id] = true
 	}
-	if _, err := s.Sweep(sweepKeep(keep), 0); err != nil {
+	if _, err := s.Sweep(sweepKeep(keep)); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
@@ -415,7 +361,7 @@ func TestFileStoreNoMmapParity(t *testing.T) {
 	for _, id := range ids[:50] {
 		keep[id] = true
 	}
-	res, err := s.Sweep(sweepKeep(keep), 0)
+	res, err := s.Sweep(sweepKeep(keep))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -487,7 +433,7 @@ func testConcurrentSweep(t *testing.T, noMmap bool) {
 		// garbage half of the original set goes.
 		if _, err := s.Sweep(func(id hash.Hash) bool {
 			return keep[id] || !original[id]
-		}, 0); err != nil {
+		}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -144,12 +144,10 @@ func (m *MemStore) IDs() []hash.Hash {
 }
 
 // Sweep implements Collector: every chunk keep rejects is removed under a
-// single lock round.  The ratio is meaningless for a map-backed store and is
-// ignored; reclaimed bytes equal swept bytes.  MemStore has no generational
-// grace (it is not a GenerationalCollector): callers must compute keep with
-// writers fenced — core.DB.GC does — and chunks staged outside fenced
-// engine operations are collectable until their head publishes them.
-func (m *MemStore) Sweep(keep func(hash.Hash) bool, _ float64) (SweepStats, error) {
+// single lock round; reclaimed bytes equal swept bytes.  Chunks staged
+// outside fenced engine operations are collectable until their head
+// publishes them.
+func (m *MemStore) Sweep(keep func(hash.Hash) bool) (SweepStats, error) {
 	var res SweepStats
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -120,7 +120,7 @@ func TestSweepMovedAccounting(t *testing.T) {
 			keep[id] = true
 		}
 	}
-	res, err := s.Sweep(sweepKeep(keep), 0)
+	res, err := s.Sweep(sweepKeep(keep))
 	if err != nil {
 		t.Fatal(err)
 	}

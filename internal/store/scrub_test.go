@@ -305,7 +305,7 @@ func TestRecoveryKeepsDamagedSealedSegment(t *testing.T) {
 			t.Fatalf("record %d of %d (damage at %d): get err %v", i, len(entries), k, err)
 		}
 	}
-	if _, err := s2.Sweep(func(hash.Hash) bool { return true }, 0); err != nil {
+	if _, err := s2.Sweep(func(hash.Hash) bool { return true }); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(path); err != nil {

@@ -198,27 +198,16 @@ type SweepStats struct {
 // Collector is the optional capability garbage collection needs: a bulk
 // sweep that removes every chunk the caller does not keep and reclaims the
 // underlying storage.  Both built-in stores implement it — MemStore deletes
-// map entries under one lock round; FileStore additionally compacts log
-// segments whose dead-byte ratio reaches minDeadRatio (0 compacts any
-// garbage; memory stores ignore the ratio).
+// map entries under one lock round; FileStore additionally rewrites every
+// sealed log segment holding garbage.
 //
 // keep may be called with internal locks held and must not call back into
-// the store.  Stores without this capability are not collectable:
-// core.DB.GC returns ErrNotCollectable for them.
+// the store.  The caller computes keep with writers fenced (core.DB.GC
+// does): a sweep exempts nothing it rejects.  Stores without this
+// capability are not collectable: core.DB.GC returns ErrNotCollectable for
+// them.
 type Collector interface {
-	Sweep(keep func(hash.Hash) bool, minDeadRatio float64) (SweepStats, error)
-}
-
-// GenerationalCollector marks a Collector whose *online* sweeps
-// (minDeadRatio > 0) exempt every chunk written since the previous sweep.
-// With that guarantee a garbage collector may compute its reachability view
-// concurrently with writers — anything staged during the (unfenced) mark is
-// too young to collect — and needs to exclude writers only for the sweep
-// itself.  FileStore implements it via its segment-generation watermark.
-type GenerationalCollector interface {
-	Collector
-	// GraceGenerations is a marker; it performs no work.
-	GraceGenerations()
+	Sweep(keep func(hash.Hash) bool) (SweepStats, error)
 }
 
 // Scrubber is the optional capability of stores that can audit their own

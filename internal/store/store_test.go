@@ -660,4 +660,7 @@ func TestFileStoreReadHandleBoundAndClose(t *testing.T) {
 	if s.readers != nil {
 		t.Fatal("Close left read handles behind")
 	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
 }

@@ -263,7 +263,7 @@ func TestCompactionInvalidatesVerifyCache(t *testing.T) {
 		t.Fatalf("warm read before sweep paid %d digests", got)
 	}
 
-	res, err := fs.Sweep(func(id hash.Hash) bool { return id == keep }, 0)
+	res, err := fs.Sweep(func(id hash.Hash) bool { return id == keep })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -110,7 +110,6 @@ func TestOpenReplicaFollowsPrimary(t *testing.T) {
 		"RenameBranch":      replica.RenameBranch("obj", "master", "m2"),
 		"Merge":             errOf2(replica.Merge("obj", "a", "b", nil, nil)),
 		"GC":                errOf2(replica.GC()),
-		"Compact":           errOf2(replica.Compact()),
 		"WriteBatch":        errOf2(replica.WriteBatch([]WriteOp{{Key: "x", Value: NewString("y")}})),
 		"CreateDataset":     errOf2(replica.CreateDataset("ds", "master", schema, []Row{{"1", "ada"}}, nil)),
 		"LoadCSVDataset":    errOf2(replica.LoadCSVDataset("csv", "master", "id", strings.NewReader("id,name\n1,ada\n"), nil)),
