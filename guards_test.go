@@ -126,6 +126,23 @@ func TestSourceGuards(t *testing.T) {
 		pattern: `^\s*go `,
 		paths:   []string{"internal/core"},
 		want:    0,
+	}, {
+		// A commit's chunks reach the store in one PutBatch, and the put is
+		// the only dedup and the only revalidation of an edit's cache fill: a
+		// presence check before or after it is a round trip per batch over
+		// the wire.  The one call left is nodeSource.load's revalidation of a
+		// node it fetched on a cache miss.
+		name:    "one dedup, in the store's put",
+		pattern: `\.Has(Batch)?\(`,
+		paths:   []string{"internal/store/sink.go", "internal/pos/source.go"},
+		want:    1,
+	}, {
+		// Dedup is the store's job; a setting that dedups above it is a second
+		// answer to "is this chunk stored?".
+		name:    "no dedup setting above the store",
+		pattern: `Dedup\s+bool|\bDeduped\b|Dedup:\s*true`,
+		paths:   []string{"internal"},
+		want:    0,
 	}} {
 		re := regexp.MustCompile(g.pattern)
 		var hits []string

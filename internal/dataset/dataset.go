@@ -281,8 +281,8 @@ func (d *Dataset) UpdateRows(upserts []Row, deleteKeys []string, meta map[string
 // matching the dataset schema) as one new version — the incremental
 // counterpart of CreateFromCSV for ongoing ingest.  Only the affected
 // POS-Tree region is re-chunked, and the write flows through the batched
-// sink with its dedup pre-check, so appending a delta to a large dataset
-// costs O(delta · log N) index lookups and writes.
+// sink, so appending a delta to a large dataset costs O(delta · log N) node
+// reads and writes.
 func (d *Dataset) AppendCSV(r io.Reader, meta map[string]string) (*Dataset, error) {
 	cr := csv.NewReader(r)
 	header, err := cr.Read()

@@ -326,12 +326,6 @@ func (e *editor) commit(r *mref, sink *store.ChunkSink, scratch []byte) (hash.Ha
 	return r.id, total, scratch, nil
 }
 
-// editSink returns the write sink for trie mutations: the dedup pre-check is
-// on, so re-created shared nodes cost index lookups, not writes.
-func editSink(st store.Store) *store.ChunkSink {
-	return store.NewChunkSink(st, store.SinkOptions{Dedup: true})
-}
-
 // Apply applies a batch of puts and deletes and returns the resulting trie.
 // Later ops win over earlier ops on the same key, matching pos.Tree.Edit.
 func (t *Trie) Apply(ops []index.Op) (index.VersionedIndex, error) {
@@ -369,7 +363,7 @@ func (t *Trie) Apply(ops []index.Op) (index.VersionedIndex, error) {
 	if root == nil {
 		return New(t.src.st, t.cfg), nil
 	}
-	sink := editSink(t.src.st)
+	sink := store.NewChunkSink(t.src.st, store.SinkOptions{})
 	defer sink.Close()
 	id, total, _, err := e.commit(root, sink, make([]byte, 0, 1024))
 	if err != nil {

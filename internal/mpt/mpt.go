@@ -21,9 +21,9 @@
 // the structure — and therefore the root hash — independent of operation
 // history, which the cross-structure differential oracle enforces.
 //
-// Writes land through the batched store.ChunkSink with the dedup pre-check
-// on, so edits that recreate shared subtrees cost index lookups, not
-// writes.  The trie registers itself with the index layer: reachability
+// Writes land through the batched store.ChunkSink, one PutBatch per commit;
+// the store's put turns away a recreated shared node as a dedup hit.  The
+// trie registers itself with the index layer: reachability
 // walks (fnode.Walk: GC, verify, heal, replication pruning) decode its
 // children through index.Children, and index.Load sniffs TypeMPTNode roots
 // back to this package.

@@ -114,6 +114,19 @@ func (c *Cache) Get(key hash.Hash) (any, bool) {
 	return e.val, true
 }
 
+// Contains reports whether key is resident, without counting a lookup or
+// refreshing its recency.
+func (c *Cache) Contains(key hash.Hash) bool {
+	if c == nil {
+		return false
+	}
+	s := c.shardFor(key)
+	s.mu.Lock()
+	_, ok := s.items[key]
+	s.mu.Unlock()
+	return ok
+}
+
 // Put inserts (or refreshes) key with the given decoded value and
 // approximate payload size in bytes, evicting least-recently-used entries
 // as needed to respect the shard budget.

@@ -74,6 +74,26 @@ func TestEvictionOrderLRU(t *testing.T) {
 	}
 }
 
+// TestContainsIsNotALookup: Contains answers residency without counting a
+// hit or a miss and without saving its key from eviction.
+func TestContainsIsNotALookup(t *testing.T) {
+	per := int64(2 * (100 + entryOverhead))
+	c := New(per * numShards)
+	a, b, d := sameShardHash(1), sameShardHash(2), sameShardHash(3)
+	c.Put(a, "a", 100)
+	c.Put(b, "b", 100)
+	if !c.Contains(a) || !c.Contains(b) || c.Contains(d) {
+		t.Fatal("Contains disagrees with what was put")
+	}
+	c.Put(d, "d", 100) // a stays least recently used despite Contains(a)
+	if c.Contains(a) {
+		t.Fatal("Contains refreshed a's recency")
+	}
+	if st := c.Stats(); st.Hits != 0 || st.Misses != 0 {
+		t.Fatalf("Contains counted lookups: %+v", st)
+	}
+}
+
 func TestByteBudgetAccounting(t *testing.T) {
 	budget := int64(64 << 10)
 	c := New(budget)
@@ -128,6 +148,9 @@ func TestNilCacheSafe(t *testing.T) {
 		t.Fatal("nil cache hit")
 	}
 	c.Put(sameShardHash(1), 1, 1)
+	if c.Contains(sameShardHash(1)) {
+		t.Fatal("nil cache contains a key")
+	}
 	c.Remove(sameShardHash(1))
 	c.Purge()
 	if c.Len() != 0 {
@@ -152,7 +175,7 @@ func TestConcurrentGetPut(t *testing.T) {
 						t.Errorf("cache returned wrong value")
 						return
 					}
-				} else {
+				} else if !c.Contains(k) {
 					c.Put(k, int(k[1]), 256)
 				}
 				if i%97 == 0 {

@@ -219,15 +219,15 @@ func buildSink(st store.Store) *store.ChunkSink {
 	return store.NewChunkSink(st, store.SinkOptions{})
 }
 
-// editSink returns the write sink for incremental edits and merges: the
-// dedup pre-check is on, so re-emitting shared subtrees costs read-locked
-// index lookups instead of writes, and on a store with a decoded-node cache
-// the nodes the edit lands enter the cache as they are stored (cacheFill).
+// editSink returns the write sink for incremental edits and merges: on a
+// store with a decoded-node cache the nodes the edit lands enter the cache as
+// they are stored (cacheFill).  Re-emitted shared subtrees go to the store
+// like new nodes; its put turns them away as dedup hits.
 func editSink(st store.Store) *store.ChunkSink {
 	if cache := store.NodeCacheOf(st); cache != nil {
 		st = cacheFill{Store: st, cache: cache}
 	}
-	return store.NewChunkSink(st, store.SinkOptions{Dedup: true})
+	return buildSink(st)
 }
 
 // BuildMap constructs a map POS-Tree over entries (which need not be sorted;

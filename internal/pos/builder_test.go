@@ -90,7 +90,8 @@ func TestBuildMapPresortedFastPath(t *testing.T) {
 // TestEditMatchesRebuildAfterSinkRefactor re-pins the incremental-edit
 // oracle through the sink path with randomized ops (the property suite in
 // quick_test.go covers more shapes; this anchors the builder refactor
-// specifically, including the dedup pre-check sinks).
+// specifically, including the edit sinks, whose re-emitted nodes land as the
+// store's dedup hits).
 func TestEditMatchesRebuildAfterSinkRefactor(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	ms := store.NewMemStore()

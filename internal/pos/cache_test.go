@@ -1,11 +1,14 @@
 package pos
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
 
+	"forkbase/internal/chunk"
 	"forkbase/internal/chunker"
+	"forkbase/internal/hash"
 	"forkbase/internal/nodecache"
 	"forkbase/internal/store"
 )
@@ -272,5 +275,79 @@ func TestCacheEvictionKeepsCorrectness(t *testing.T) {
 	}
 	if cache.Stats().Evictions == 0 {
 		t.Fatal("expected evictions under a tiny budget")
+	}
+}
+
+// batchProbe sits under the decoded-node cache and hands every batch an edit
+// lands to put, which stands in for the store's PutBatch.
+type batchProbe struct {
+	*store.MemStore
+	put func(cs []*chunk.Chunk) ([]bool, error)
+	ids []hash.Hash
+}
+
+func (p *batchProbe) PutBatch(cs []*chunk.Chunk) ([]bool, error) {
+	for _, c := range cs {
+		p.ids = append(p.ids, c.ID())
+	}
+	if p.put == nil {
+		return p.MemStore.PutBatch(cs)
+	}
+	return p.put(cs)
+}
+
+// TestCacheFillRevalidatesThroughPut: an edit inserts its nodes into the
+// cache before the put, so the put is what vouches for them.  A landed batch
+// stays resident; a failed put leaves none of its nodes behind; and a GC sweep
+// that deletes the batch (store first, cache purge second) while the put is
+// in flight leaves no swept node resident.
+func TestCacheFillRevalidatesThroughPut(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		put      func(p *batchProbe, cache *nodecache.Cache, cs []*chunk.Chunk) ([]bool, error)
+		wantErr  bool
+		resident bool
+	}{
+		{name: "landed", resident: true, put: func(p *batchProbe, _ *nodecache.Cache, cs []*chunk.Chunk) ([]bool, error) {
+			return p.MemStore.PutBatch(cs)
+		}},
+		{name: "failed put", wantErr: true, put: func(*batchProbe, *nodecache.Cache, []*chunk.Chunk) ([]bool, error) {
+			return nil, errors.New("disk full")
+		}},
+		{name: "swept during put", put: func(p *batchProbe, cache *nodecache.Cache, cs []*chunk.Chunk) ([]bool, error) {
+			fresh, err := p.MemStore.PutBatch(cs)
+			for _, c := range cs {
+				p.MemStore.Delete(c.ID())
+				cache.Remove(c.ID())
+			}
+			return fresh, err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			probe := &batchProbe{MemStore: store.NewMemStore()}
+			cache := nodecache.New(64 << 20)
+			entries := make([]Entry, 5000)
+			for i := range entries {
+				entries[i] = Entry{Key: []byte(fmt.Sprintf("key-%010d", i)), Val: []byte("v")}
+			}
+			tree, err := BuildMap(store.WithNodeCache(probe, cache), chunker.DefaultConfig(), entries)
+			if err != nil {
+				t.Fatal(err)
+			}
+			probe.ids = nil
+			probe.put = func(cs []*chunk.Chunk) ([]bool, error) { return tc.put(probe, cache, cs) }
+			_, err = tree.Edit([]Op{Put([]byte("key-0000001234"), []byte("edited"))})
+			if (err != nil) != tc.wantErr {
+				t.Fatalf("Edit error = %v, want error %v", err, tc.wantErr)
+			}
+			if len(probe.ids) == 0 {
+				t.Fatal("the edit put no batch")
+			}
+			for _, id := range probe.ids {
+				if _, ok := cache.Get(id); ok != tc.resident {
+					t.Fatalf("node %s resident = %v, want %v", id.Short(), ok, tc.resident)
+				}
+			}
+		})
 	}
 }

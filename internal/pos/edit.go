@@ -70,10 +70,10 @@ func (t *Tree) Edit(ops []Op) (*Tree, error) {
 		return BuildMap(t.src.st, t.cfg, entries)
 	}
 
-	// Edits write through a dedup-checking sink: nodes whose bytes already
-	// exist (identity rewrites, shared subtrees) cost an index lookup, not a
-	// write.  The deferred Close lands stray emissions on the no-new-tree
-	// return paths; the path that returns a new tree flushes explicitly.
+	// Nodes whose bytes already exist (identity rewrites, shared subtrees)
+	// ride in the sink's batch and the store's put turns them away.  The
+	// deferred Close lands stray emissions on the no-new-tree return paths;
+	// the path that returns a new tree flushes explicitly.
 	sink := editSink(t.src.st)
 	defer sink.Close()
 	e, err := newLevelEditor(t.src, t.cfg, sink, true, childRef{id: t.root, count: t.count})
@@ -179,8 +179,8 @@ func (t *Tree) EditRebuild(ops []Op) (*Tree, error) {
 		return t, nil
 	}
 	// The rebuild re-emits the entire record set, almost all of which chunks
-	// identically to the existing tree — exactly the case the sink's dedup
-	// pre-check turns into index lookups instead of writes.
+	// identically to the existing tree; the store's put lands those as dedup
+	// hits.
 	sink := editSink(t.src.st)
 	defer sink.Close()
 	lb := newLevelBuilder(sink, t.cfg, 0, true)

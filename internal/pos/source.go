@@ -147,8 +147,10 @@ func (ns nodeSource) load(id hash.Hash) (*node, error) {
 // first read — the next commit's descent from the new root, a diff against
 // the new version — and that read would fetch (on a remote store: a round
 // trip) and decode bytes this process produced a moment ago.  Every batch
-// that lands is therefore decoded into the cache, revalidated against the
-// store exactly as nodeSource.load revalidates its own inserts.
+// is therefore decoded into the cache *before* it is put, so the put itself
+// revalidates the inserts: once it succeeds the store held each chunk after
+// its insert, and a GC sweep deleting one later purges it after the delete.
+// A failed put evicts the whole batch.
 type cacheFill struct {
 	store.Store
 	cache *nodecache.Cache
@@ -157,22 +159,19 @@ type cacheFill struct {
 func (f cacheFill) Unwrap() store.Store { return f.Store }
 
 func (f cacheFill) PutBatch(cs []*chunk.Chunk) ([]bool, error) {
-	fresh, err := f.Store.PutBatch(cs)
-	if err != nil {
-		return fresh, err
-	}
-	ids := make([]hash.Hash, 0, len(cs))
 	for _, c := range cs {
+		if f.cache.Contains(c.ID()) {
+			continue // a re-emitted node: its decode is already resident
+		}
 		if n, err := decodeNode(c); err == nil && n.cacheable() {
 			f.cache.Put(c.ID(), n, n.memSize)
-			ids = append(ids, c.ID())
 		}
 	}
-	present, err := f.Store.HasBatch(ids)
-	for i, id := range ids {
-		if err != nil || !present[i] {
-			f.cache.Remove(id) // swept by a racing GC, whose purge may have preceded the insert
+	fresh, err := f.Store.PutBatch(cs)
+	if err != nil {
+		for _, c := range cs {
+			f.cache.Remove(c.ID())
 		}
 	}
-	return fresh, nil
+	return fresh, err
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"maps"
 	"testing"
 
 	"forkbase/internal/chunk"
@@ -69,9 +70,17 @@ func TestServerOpcodeMetrics(t *testing.T) {
 
 // TestRemoteEngineFetchesNoFNodeItWrote counts requests by opcode: a client
 // engine with a node cache caches every FNode it saves, so reading back a
-// head it committed is one Head round trip, and an edit on that head fetches
-// no chunk for its version object.
+// head it committed is one Head round trip, and a warm edit on that head is
+// exactly four requests — the Head, one PutChunks carrying the new index
+// nodes, the FNode's PutChunk and the CAS.  The store's put is the only
+// dedup, so no HasChunk or HasChunks rides along, on either index structure.
 func TestRemoteEngineFetchesNoFNodeItWrote(t *testing.T) {
+	for _, kind := range []index.Kind{index.KindPOS, index.KindMPT} {
+		t.Run(kind.String(), func(t *testing.T) { remoteWarmEdit(t, kind) })
+	}
+}
+
+func remoteWarmEdit(t *testing.T, kind index.Kind) {
 	reg := obs.NewRegistry()
 	srv := New(store.NewMemStore(), core.NewMemBranchTable(), nil)
 	srv.SetMetrics(reg)
@@ -89,6 +98,7 @@ func TestRemoteEngineFetchesNoFNodeItWrote(t *testing.T) {
 		Store:          NewRemoteStore(cl),
 		Branches:       NewRemoteBranchTable(cl),
 		Chunking:       chunker.SmallConfig(),
+		Index:          kind,
 		NodeCacheBytes: 16 << 20,
 		Metrics:        obs.Discard,
 	})
@@ -128,19 +138,33 @@ func TestRemoteEngineFetchesNoFNodeItWrote(t *testing.T) {
 		t.Fatalf("Get of a head this client committed: requests %v, want exactly one Head", d)
 	}
 
-	// The first edit reads the path to row 42 and writes its replacement
-	// through to the cache; the second edits the same row, so every index
-	// node it reads is cached and any chunk it fetched would be an FNode.
-	edit := func(val string) {
+	// The first edit reads the path to row 42 and replaces it; the second
+	// edits the same row, so every node it reads is cached.  A POS edit
+	// writes its nodes through to the cache (cacheFill); a trie's new path
+	// is cached by reading the row back.
+	edit := func(val string) core.Version {
 		t.Helper()
-		if _, err := db.EditMap("t", "", []index.Entry{{Key: []byte("row-00042"), Val: []byte(val)}}, nil, nil); err != nil {
+		ver, err := db.EditMap("t", "", []index.Entry{{Key: []byte("row-00042"), Val: []byte(val)}}, nil, nil)
+		if err != nil {
 			t.Fatal(err)
 		}
+		return ver
 	}
-	edit("first")
+	first := edit("first")
+	ix, err := db.IndexOf(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ix.Kind() != kind {
+		t.Fatalf("edited index is %s, want %s", ix.Kind(), kind)
+	}
+	if val, err := ix.Get([]byte("row-00042")); err != nil || string(val) != "first" {
+		t.Fatalf("row-00042 = %q, %v", val, err)
+	}
 	requests()
 	edit("second")
-	if d := requests(); d["GetChunk"] != 0 || d["GetChunks"] != 0 {
-		t.Fatalf("EditMap on a head this client wrote fetched chunks: requests %v", d)
+	want := map[string]float64{"Head": 1, "PutChunks": 1, "PutChunk": 1, "CAS": 1}
+	if d := requests(); !maps.Equal(d, want) {
+		t.Fatalf("warm EditMap on a head this client wrote: requests %v, want %v", d, want)
 	}
 }

@@ -16,9 +16,21 @@ func sinkEnc(t chunk.Type, payload []byte) []byte {
 	return append(enc, payload...)
 }
 
+// batchCounter counts the PutBatch calls that reach the store.
+type batchCounter struct {
+	Store
+	batches int
+}
+
+func (b *batchCounter) PutBatch(cs []*chunk.Chunk) ([]bool, error) {
+	b.batches++
+	return b.Store.PutBatch(cs)
+}
+
 func TestChunkSinkRoundTrip(t *testing.T) {
 	ms := NewMemStore()
-	sink := NewChunkSink(ms, SinkOptions{BatchSize: 7})
+	bc := &batchCounter{Store: ms}
+	sink := NewChunkSink(bc, SinkOptions{BatchSize: 7})
 	defer sink.Close()
 
 	var ids []hash.Hash
@@ -45,8 +57,8 @@ func TestChunkSinkRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if st := sink.Stats(); st.Emitted != 300 || st.Batches != 43 {
-		t.Fatalf("sink stats = %+v, want 300 chunks in 43 batches of 7", st)
+	if n := ms.Stats().UniqueChunks; n != 300 || bc.batches != 43 {
+		t.Fatalf("%d chunks in %d batches, want 300 in 43 batches of 7", n, bc.batches)
 	}
 }
 
@@ -107,41 +119,59 @@ func TestChunkSinkBorrowsScratch(t *testing.T) {
 	}
 }
 
-// TestChunkSinkDedup checks the Has pre-check short-circuits chunks that are
-// already present — they never reach the store as writes.
+// TestChunkSinkDedup: the store's put is the only dedup.  A re-emitted chunk
+// reaches PutBatch like any other and lands once — no second copy, one more
+// dedup hit, and its size in the logical (pre-dedup) byte count.
 func TestChunkSinkDedup(t *testing.T) {
-	ms := NewMemStore()
-	pre := chunk.New(chunk.TypeBlobLeaf, []byte("already here"))
-	ms.Put(pre)
-	logicalBefore := ms.Stats().LogicalBytes
+	for _, tc := range []struct {
+		name string
+		open func(t *testing.T) Store
+	}{
+		{"mem", func(*testing.T) Store { return NewMemStore() }},
+		{"file", func(t *testing.T) Store {
+			fs, err := OpenFileStore(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { fs.Close() })
+			return fs
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := tc.open(t)
+			pre := chunk.New(chunk.TypeBlobLeaf, []byte("already here"))
+			if _, err := st.Put(pre); err != nil {
+				t.Fatal(err)
+			}
+			before := st.Stats()
 
-	sink := NewChunkSink(ms, SinkOptions{Dedup: true})
-	defer sink.Close()
-	idp, err := sink.Emit(chunk.TypeBlobLeaf, sinkEnc(chunk.TypeBlobLeaf, []byte("already here")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := sink.Emit(chunk.TypeBlobLeaf, sinkEnc(chunk.TypeBlobLeaf, []byte("brand new")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sink.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if idp != pre.ID() {
-		t.Fatalf("dedup id mismatch: %s vs %s", idp.Short(), pre.ID().Short())
-	}
-	st := sink.Stats()
-	if st.Deduped != 1 {
-		t.Fatalf("deduped = %d, want 1", st.Deduped)
-	}
-	// The deduped chunk was dropped before the store: LogicalBytes unchanged
-	// by it, only the fresh chunk accounted.
-	if got := ms.Stats().LogicalBytes - logicalBefore; got != int64(1+len("brand new")) {
-		t.Fatalf("logical delta = %d", got)
-	}
-	if _, err := ms.Get(fresh); err != nil {
-		t.Fatalf("fresh chunk missing: %v", err)
+			bc := &batchCounter{Store: st}
+			sink := NewChunkSink(bc, SinkOptions{})
+			defer sink.Close()
+			id, err := sink.Emit(chunk.TypeBlobLeaf, sinkEnc(chunk.TypeBlobLeaf, []byte("already here")))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sink.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if id != pre.ID() {
+				t.Fatalf("re-emitted id %s, want %s", id.Short(), pre.ID().Short())
+			}
+			if bc.batches != 1 {
+				t.Fatalf("%d batches reached the store, want the re-emitted chunk in one", bc.batches)
+			}
+			after := st.Stats()
+			if after.UniqueChunks != before.UniqueChunks || after.PhysicalBytes != before.PhysicalBytes {
+				t.Fatalf("re-emitted chunk stored twice: %v -> %v", before, after)
+			}
+			if after.DedupHits != before.DedupHits+1 {
+				t.Fatalf("dedup hits %d -> %d, want +1", before.DedupHits, after.DedupHits)
+			}
+			if got := after.LogicalBytes - before.LogicalBytes; got != int64(pre.Size()) {
+				t.Fatalf("logical bytes +%d, want +%d", got, pre.Size())
+			}
+		})
 	}
 }
 
