@@ -128,14 +128,30 @@ func TestSourceGuards(t *testing.T) {
 		want:    0,
 	}, {
 		// A commit's chunks reach the store in one PutBatch, and the put is
-		// the only dedup and the only revalidation of an edit's cache fill: a
+		// the only dedup and the only revalidation of a write's cache fill: a
 		// presence check before or after it is a round trip per batch over
-		// the wire.  The one call left is nodeSource.load's revalidation of a
-		// node it fetched on a cache miss.
+		// the wire.  The one call left is store.Nodes.Load's revalidation of
+		// a node it fetched on a cache miss.
 		name:    "one dedup, in the store's put",
 		pattern: `\.Has(Batch)?\(`,
-		paths:   []string{"internal/store/sink.go", "internal/pos/source.go"},
+		paths:   []string{"internal/store/sink.go", "internal/store/nodecache.go"},
 		want:    1,
+	}, {
+		// POS nodes, MPT nodes and FNodes are read and written through one
+		// gateway, store.Nodes, so the rules that keep the decoded-node cache
+		// coherent with GC are written once; a package reaching the cache
+		// itself is a second copy of them.
+		name:    "one node-cache protocol",
+		pattern: `nodecache\.|NodeCacheOf\(`,
+		paths:   []string{"internal/pos", "internal/mpt", "internal/fnode"},
+		want:    0,
+	}, {
+		// An index's structure is recorded on its FNode or known to whoever
+		// built the value; nothing reads a root chunk to guess it.
+		name:    "no root sniff",
+		pattern: `KindOfRoot|RegisterRoot`,
+		paths:   []string{"internal"},
+		want:    0,
 	}, {
 		// Dedup is the store's job; a setting that dedups above it is a second
 		// answer to "is this chunk stored?".

@@ -20,8 +20,8 @@ import (
 	"forkbase/internal/store"
 	"forkbase/internal/value"
 
-	// Link in both first-class index structures so their factories, root
-	// sniffers and Children decoders are registered: the engine dispatches
+	// Link in both first-class index structures so their factories and
+	// Children decoders are registered: the engine dispatches
 	// every structure-dependent operation through the index registry.
 	_ "forkbase/internal/mpt"
 	_ "forkbase/internal/pos"
@@ -210,22 +210,18 @@ func (db *DB) IndexOf(v Version) (index.VersionedIndex, error) {
 }
 
 // kindOf resolves which index structure backs a value: known directly for
-// values built through the constructors (no store round trip), sniffed
-// from the root chunk for descriptors decoded from storage, the engine
-// default for empty ones, and the POS zero value for kinds that have no
-// key index at all (primitives, blobs, lists) so their FNode encodings
-// stay byte-identical with pre-index-layer versions.
-func (db *DB) kindOf(v value.Value) (index.Kind, error) {
+// values built through the constructors or read through the engine, the
+// engine default for bare descriptors, and the POS zero value for kinds that
+// have no key index at all (primitives, blobs, lists) so their FNode
+// encodings stay byte-identical with pre-index-layer versions.
+func (db *DB) kindOf(v value.Value) index.Kind {
 	if v.Kind() != value.KindMap && v.Kind() != value.KindSet {
-		return index.KindPOS, nil
+		return index.KindPOS
 	}
 	if k, ok := v.IndexKind(); ok {
-		return k, nil
+		return k
 	}
-	if v.Root().IsZero() {
-		return db.idxKind, nil
-	}
-	return index.KindOfRoot(db.st, v.Root())
+	return db.idxKind
 }
 
 // NodeCache returns the decoded-node cache the read path uses (core's own or
@@ -325,12 +321,8 @@ func (db *DB) putOnto(key, branch string, parent hash.Hash, v value.Value, meta 
 		bases = []hash.Hash{parent}
 		seq = p.Seq + 1
 	}
-	kind, err := db.kindOf(v)
-	if err != nil {
-		return Version{}, err
-	}
 	f := fnode.New([]byte(key), v, bases, seq, meta)
-	f.Index = kind
+	f.Index = db.kindOf(v)
 	uid, err := f.Save(db.st)
 	if err != nil {
 		return Version{}, err
@@ -342,7 +334,7 @@ func (db *DB) putOnto(key, branch string, parent hash.Hash, v value.Value, meta 
 	if !okCAS {
 		return Version{}, fmt.Errorf("%w: %s@%s", ErrStaleHead, key, branch)
 	}
-	return Version{UID: uid, Seq: seq, Bases: bases, Value: v, Meta: meta, Key: key, Index: kind}, nil
+	return Version{UID: uid, Seq: seq, Bases: bases, Value: v, Meta: meta, Key: key, Index: f.Index}, nil
 }
 
 // WriteOp is one object write of a WriteBatch.
@@ -462,11 +454,7 @@ func (db *DB) writeBatch(ops []WriteOp) ([]Version, error) {
 			s.branch = DefaultBranch
 		}
 		ref := op.Key + "\x00" + s.branch
-		kind, err := db.kindOf(op.Value)
-		if err != nil {
-			s.err = err
-			continue
-		}
+		kind := db.kindOf(op.Value)
 		if prev, ok := pending[ref]; ok {
 			s.head = prev.f.UID()
 			s.seq = prev.seq + 1
@@ -566,9 +554,9 @@ func versionOf(key string, uid hash.Hash, f *fnode.FNode) (Version, error) {
 	if err != nil {
 		return Version{}, err
 	}
-	// Stamp the FNode's recorded structure onto the decoded descriptor:
-	// loads of empty values (no root chunk to sniff) then keep the
-	// branch's structure instead of falling back to the engine default.
+	// Stamp the FNode's recorded structure onto the decoded descriptor, so
+	// its loads — empty values included — keep the branch's structure
+	// instead of falling back to the engine default.
 	v = v.WithIndexKind(f.Index)
 	bases := append([]hash.Hash(nil), f.Bases...)
 	return Version{UID: uid, Seq: f.Seq, Bases: bases, Value: v, Meta: maps.Clone(f.Meta), Key: key, Index: f.Index}, nil
@@ -732,7 +720,7 @@ func (db *DB) DiffBranches(key, fromBranch, toBranch string) ([]index.Delta, ind
 
 // DiffValues diffs two map/set values directly.  Each side loads through
 // the index registry under the structure its value carries (value.Index;
-// only a bare decoded descriptor is sniffed from its root chunk), so
+// a bare decoded descriptor loads as the engine default), so
 // same-structure diffs prune shared subtrees — whatever the structure —
 // and cross-structure diffs fall back to the generic iterator merge.
 func (db *DB) DiffValues(a, b value.Value) ([]index.Delta, index.DiffStats, error) {
@@ -857,10 +845,7 @@ func (db *DB) mergeCommit(key string, dv, sv Version, anc fnode.Ancestry, resolv
 	if err != nil {
 		return MergeResult{}, err
 	}
-	kind, err := db.kindOf(mergedVal)
-	if err != nil {
-		return MergeResult{}, err
-	}
+	kind := db.kindOf(mergedVal)
 	bases, seq := []hash.Hash{dv.UID, sv.UID}, max(dv.Seq, sv.Seq)+1
 	f := fnode.New([]byte(key), mergedVal, bases, seq, meta)
 	f.Index = kind

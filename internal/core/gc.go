@@ -47,9 +47,9 @@ var ErrNotCollectable = fmt.Errorf("core: store does not support garbage collect
 // Readers concurrent with GC that hold roots of *collected* objects may
 // observe ErrNotFound mid-traversal (as before this cache existed); they can
 // never permanently resurrect swept data through the decoded-node cache —
-// the cache purge below follows the store sweep, the read path revalidates
-// its cache inserts against the store (nodeSource.load), and an edit inserts
-// its nodes before the put that lands them (pos.cacheFill).
+// the cache purge below follows the store sweep, and store.Nodes, the one
+// gateway to the cache, revalidates a read's insert against the store and
+// inserts a write's nodes before the put that lands them.
 //
 // Completed passes, durations and swept/reclaimed totals land in the metrics
 // registry.

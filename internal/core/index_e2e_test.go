@@ -255,7 +255,7 @@ func TestMPTVerifyDetectsTampering(t *testing.T) {
 }
 
 // TestMixedStructuresInOneDB: a single store holds POS- and MPT-rooted
-// objects side by side; loads sniff the right structure, diffs fall back
+// objects side by side; each version records its structure, diffs fall back
 // generically across them, and GC keeps both alive.
 func TestMixedStructuresInOneDB(t *testing.T) {
 	db := Open(Options{Chunking: chunker.SmallConfig()}) // POS default
@@ -275,7 +275,7 @@ func TestMixedStructuresInOneDB(t *testing.T) {
 		t.Fatal(err)
 	}
 	if mptVer.Index != index.KindMPT {
-		t.Fatalf("sniffed kind = %s, want mpt (detection from root chunk)", mptVer.Index)
+		t.Fatalf("recorded kind = %s, want mpt (the kind the value was built with)", mptVer.Index)
 	}
 	posVer, err := db.Get("posObj", "")
 	if err != nil {
@@ -312,7 +312,7 @@ func TestMixedStructuresInOneDB(t *testing.T) {
 }
 
 // TestEmptyHeadKeepsStructure is the regression for a review-confirmed
-// bug: a branch whose head emptied (zero root — nothing to sniff) must
+// bug: a branch whose head emptied (zero root — no root chunk) must
 // keep its recorded structure through diffs and merges even when the
 // engine reopens with a different default index kind.  Before the fix,
 // mergeValues hinted empty values with the *engine* default, so merging

@@ -200,20 +200,31 @@ func readBytes(p []byte) ([]byte, []byte, error) {
 // encoded bytes, and each Meta entry adds its map slot.
 func (f *FNode) cacheCost(c *chunk.Chunk) int { return c.Size() + 48*len(f.Meta) }
 
-// Save stores the FNode and returns its uid.  Over a store with a
-// decoded-node cache (store.NodeCacheOf) it also caches f itself, so the
-// next Load of the uid touches no store: from here on f is frozen — shared
-// with every later Load, never to be mutated.  The insert is not revalidated
-// the way Load's is, because every engine write (core's putOnto, writeBatch
-// and mergeCommit) saves under the GC write fence: no sweep can run between
-// the Put and the insert, and a later sweep of an unpublished FNode purges
-// it from the cache with every other swept id.
+// nodesOf is the decoded-node gateway for FNodes over st, the store.Nodes the
+// POS-Tree and MPT nodes share a cache through.
+func nodesOf(st store.Store) store.Nodes[*FNode] {
+	return store.NodesOf(st, func(c *chunk.Chunk) (*FNode, int, error) {
+		if c.Type() != chunk.TypeFNode {
+			return nil, 0, fmt.Errorf("%w (a %s)", ErrNotFNode, c.Type())
+		}
+		f, err := Decode(c.Data())
+		if err != nil {
+			return nil, 0, err
+		}
+		return f, f.cacheCost(c), nil
+	})
+}
+
+// Save stores the FNode with one Put and returns its uid.  Over a store with
+// a decoded-node cache it also caches f itself, under the gateway's write
+// rule (resident before the put, evicted if the put fails), so the next Load
+// of the uid touches no store: from here on f is frozen — shared with every
+// later Load, never to be mutated.
 func (f *FNode) Save(st store.Store) (hash.Hash, error) {
 	c := chunk.New(chunk.TypeFNode, f.Encode())
-	if _, err := st.Put(c); err != nil {
+	if err := nodesOf(st).Put(c, f, f.cacheCost(c)); err != nil {
 		return hash.Hash{}, fmt.Errorf("fnode: save: %w", err)
 	}
-	store.NodeCacheOf(st).Put(c.ID(), f, f.cacheCost(c))
 	return c.ID(), nil
 }
 
@@ -221,8 +232,7 @@ func (f *FNode) Save(st store.Store) (hash.Hash, error) {
 // uids in order.  Multi-key ingest (core.DB.WriteBatch) commits all its
 // version objects with a single lock acquisition — and, on a FileStore, a
 // single group-commit flush — instead of one synchronous Put per version.
-// Like Save it caches each FNode, which is frozen from then on, without
-// revalidation: its callers hold the GC write fence.
+// Like Save it caches each FNode, which is frozen from then on.
 func SaveAll(st store.Store, fs []*FNode) ([]hash.Hash, error) {
 	cs := make([]*chunk.Chunk, len(fs))
 	uids := make([]hash.Hash, len(fs))
@@ -230,12 +240,9 @@ func SaveAll(st store.Store, fs []*FNode) ([]hash.Hash, error) {
 		cs[i] = chunk.New(chunk.TypeFNode, f.Encode())
 		uids[i] = cs[i].ID()
 	}
-	if _, err := st.PutBatch(cs); err != nil {
+	decoded := func(i int) (*FNode, int) { return fs[i], fs[i].cacheCost(cs[i]) }
+	if _, err := nodesOf(st).PutBatch(cs, decoded); err != nil {
 		return nil, fmt.Errorf("fnode: save batch: %w", err)
-	}
-	cache := store.NodeCacheOf(st)
-	for i, f := range fs {
-		cache.Put(uids[i], f, f.cacheCost(cs[i]))
 	}
 	return uids, nil
 }
@@ -245,43 +252,16 @@ func (f *FNode) UID() hash.Hash {
 	return chunk.New(chunk.TypeFNode, f.Encode()).ID()
 }
 
-// Load fetches and decodes the FNode identified by uid.  Over a store with a
-// decoded-node cache (store.NodeCacheOf, shared with POS and MPT nodes) a hit
-// returns the cached FNode without touching the store; an FNode is immutable
-// and content-addressed, so a cached decode cannot go stale.  The result is
-// shared and read-only: callers copy what they hand on (core's versionOf
-// does).  A miss reads, verifies and decodes the chunk, then caches the
-// decode and revalidates it with one Has, exactly as the index node sources
-// do, so a GC sweep racing the read cannot leave the swept id resident.
+// Load fetches and decodes the FNode identified by uid through the
+// decoded-node gateway: a cached FNode serves it without touching the store,
+// and a miss reads, verifies, decodes and caches it.  The result is shared
+// and read-only: callers copy what they hand on (core's versionOf does).
 // Reads whose point is the bytes — deep verify, GC mark, heal — go through
 // Walk instead and never consult the cache.
 func Load(st store.Store, uid hash.Hash) (*FNode, error) {
-	cache := store.NodeCacheOf(st)
-	if v, ok := cache.Get(uid); ok {
-		if f, ok := v.(*FNode); ok {
-			return f, nil
-		}
-		// Another kind of node: the store path below reports the mismatch.
-	}
-	c, err := st.Get(uid)
+	f, err := nodesOf(st).Load(uid)
 	if err != nil {
 		return nil, fmt.Errorf("fnode: load %s: %w", uid.Short(), err)
-	}
-	if c.Type() != chunk.TypeFNode {
-		return nil, fmt.Errorf("%w: %s is a %s", ErrNotFNode, uid.Short(), c.Type())
-	}
-	if err := c.Verify(uid); err != nil {
-		return nil, err
-	}
-	f, err := Decode(c.Data())
-	if err != nil {
-		return nil, err
-	}
-	if cache != nil {
-		cache.Put(uid, f, f.cacheCost(c))
-		if ok, herr := st.Has(uid); herr != nil || !ok {
-			cache.Remove(uid)
-		}
 	}
 	return f, nil
 }

@@ -394,7 +394,7 @@ func TestCrossStructureDiff(t *testing.T) {
 }
 
 // TestLoadKindRefusesARootOfAnotherFamily: LoadKind trusts the caller's kind
-// enough to skip the sniff, not enough to mis-decode — each structure's own
+// enough to load by it, not enough to mis-decode — each structure's own
 // root load rejects the other's root, and the right kind still loads.
 func TestLoadKindRefusesARootOfAnotherFamily(t *testing.T) {
 	cfg := chunker.SmallConfig()

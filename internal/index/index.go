@@ -15,9 +15,8 @@
 //     chunks with the old one.
 //   - Factory builds, loads and empties indexes of one Kind; factories
 //     self-register (Register) from their package's init, and callers reach
-//     them through For or, when only a root hash is known, through Load,
-//     which sniffs the root chunk's type to pick the structure — stored
-//     data is self-describing.
+//     them through For or LoadKind.  The kind of a stored index is recorded
+//     on the FNode that names it, never guessed from its root chunk.
 //   - Children is the node-type-keyed decoding registry: reachability walks
 //     (GC mark, verify, the replication Merkle prune) ask it for a chunk's
 //     child hashes and never import a concrete index package.

@@ -34,7 +34,6 @@ var registry struct {
 	mu       sync.RWMutex
 	kinds    map[Kind]Factory
 	children map[chunk.Type]ChildrenFunc
-	roots    map[chunk.Type]Kind
 }
 
 // Register installs a structure's factory; called from the implementing
@@ -65,20 +64,6 @@ func RegisterChildren(t chunk.Type, fn ChildrenFunc) {
 		panic(fmt.Sprintf("index: children decoder for chunk type %s registered twice", t))
 	}
 	registry.children[t] = fn
-}
-
-// RegisterRoot declares that a chunk of type t can be the root of a Kind k
-// index, letting Load sniff the structure from stored data.
-func RegisterRoot(t chunk.Type, k Kind) {
-	registry.mu.Lock()
-	defer registry.mu.Unlock()
-	if registry.roots == nil {
-		registry.roots = map[chunk.Type]Kind{}
-	}
-	if prev, dup := registry.roots[t]; dup && prev != k {
-		panic(fmt.Sprintf("index: root chunk type %s claimed by kinds %s and %s", t, prev, k))
-	}
-	registry.roots[t] = k
 }
 
 // For returns the factory for kind k, or an error when no package
@@ -116,45 +101,12 @@ func Children(c *chunk.Chunk) ([]hash.Hash, error) {
 	return fn(c)
 }
 
-// KindOfRoot identifies the index structure rooted at root by reading the
-// root chunk's type tag — stored data is self-describing, so a descriptor
-// with no recorded kind needs no out-of-band metadata.  The sniff is a full
-// st.Get of the root chunk (fetched and verified, not served by a decoded-
-// node cache), so callers that already know the kind must not come here.
-func KindOfRoot(st store.Store, root hash.Hash) (Kind, error) {
-	c, err := st.Get(root)
-	if err != nil {
-		return 0, fmt.Errorf("index: sniffing root %s: %w", root.Short(), err)
-	}
-	registry.mu.RLock()
-	k, ok := registry.roots[c.Type()]
-	registry.mu.RUnlock()
-	if !ok {
-		return 0, fmt.Errorf("index: chunk %s (type %s) is not a known index root", root.Short(), c.Type())
-	}
-	return k, nil
-}
-
-// Load attaches to the index rooted at root, sniffing the structure from
-// the root chunk.  A zero root loads as the empty index of hint's kind (an
-// empty index has no chunk to sniff).  A caller that holds an authoritative
-// kind uses LoadKind and saves the sniff.
-func Load(st store.Store, cfg chunker.Config, root hash.Hash, hint Kind) (VersionedIndex, error) {
-	k := hint
-	if !root.IsZero() {
-		var err error
-		if k, err = KindOfRoot(st, root); err != nil {
-			return nil, err
-		}
-	}
-	return LoadKind(st, cfg, root, k)
-}
-
-// LoadKind attaches to the index rooted at root, of a structure the caller
-// knows authoritatively — recorded on the hashed FNode, or by the
-// constructor that built the value.  It does not touch the store itself: the
-// factory's root load goes through the node cache, and fails with a typed
-// error on a root of another family.
+// LoadKind attaches to the index of kind k rooted at root (a zero root is the
+// empty index).  Stored data is not sniffed: the kind is recorded on the
+// hashed FNode, known to the constructor that built the value, or else the
+// caller's default.  It does not touch the store itself: the factory's root
+// load goes through the node cache, and fails with a typed error on a root of
+// another family.
 func LoadKind(st store.Store, cfg chunker.Config, root hash.Hash, k Kind) (VersionedIndex, error) {
 	f, err := For(k)
 	if err != nil {

@@ -72,7 +72,7 @@ func rootRef(t *Trie) *dref {
 // load materialises a ref's node through the owning trie's source.
 func (d *differ) load(t *Trie, r *dref) (*node, error) {
 	if r.n == nil {
-		n, err := t.src.load(r.id)
+		n, err := t.src.Load(r.id)
 		if err != nil {
 			return nil, fmt.Errorf("mpt: diff: %w", err)
 		}

@@ -46,7 +46,7 @@ func (e *editor) expand(r *mref) (*mnode, error) {
 	if r.mem != nil {
 		return r.mem, nil
 	}
-	n, err := e.src.load(r.id)
+	n, err := e.src.Load(r.id)
 	if err != nil {
 		return nil, err
 	}
@@ -361,9 +361,9 @@ func (t *Trie) Apply(ops []index.Op) (index.VersionedIndex, error) {
 		}
 	}
 	if root == nil {
-		return New(t.src.st, t.cfg), nil
+		return New(t.src.Store(), t.cfg), nil
 	}
-	sink := store.NewChunkSink(t.src.st, store.SinkOptions{})
+	sink := store.NewChunkSink(t.src.Store())
 	defer sink.Close()
 	id, total, _, err := e.commit(root, sink, make([]byte, 0, 1024))
 	if err != nil {

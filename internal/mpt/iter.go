@@ -65,7 +65,7 @@ func (it *Iter) Next() bool {
 				continue
 			}
 			top.visited = true
-			child, err := it.t.src.load(top.n.childID)
+			child, err := it.t.src.Load(top.n.childID)
 			if err != nil {
 				it.err = fmt.Errorf("mpt: iter: %w", err)
 				return false
@@ -89,7 +89,7 @@ func (it *Iter) Next() bool {
 			}
 			i := top.slot
 			top.slot++
-			child, err := it.t.src.load(top.n.childIDs[i])
+			child, err := it.t.src.Load(top.n.childIDs[i])
 			if err != nil {
 				it.err = fmt.Errorf("mpt: iter: %w", err)
 				return false
@@ -118,7 +118,7 @@ func (t *Trie) Iterate() (index.Iterator, error) {
 		it.done = true
 		return it, nil
 	}
-	n, err := t.src.load(t.root)
+	n, err := t.src.Load(t.root)
 	if err != nil {
 		return nil, fmt.Errorf("mpt: iter: %w", err)
 	}
@@ -158,7 +158,7 @@ func (t *Trie) IterateFrom(key []byte) (index.Iterator, error) {
 		it.done = true
 		return it, nil
 	}
-	n, err := t.src.load(t.root)
+	n, err := t.src.Load(t.root)
 	if err != nil {
 		return nil, fmt.Errorf("mpt: iter: %w", err)
 	}
@@ -190,7 +190,7 @@ func (it *Iter) seek(n *node, rem []byte) error {
 			plen := len(it.prefix)
 			it.stack = append(it.stack, iterFrame{n: n, plen: plen, visited: true})
 			it.prefix = append(it.prefix, n.path...)
-			child, err := it.t.src.load(n.childID)
+			child, err := it.t.src.Load(n.childID)
 			if err != nil {
 				return fmt.Errorf("mpt: iter: %w", err)
 			}
@@ -215,7 +215,7 @@ func (it *Iter) seek(n *node, rem []byte) error {
 			return nil
 		}
 		it.prefix = append(it.prefix, i)
-		child, err := it.t.src.load(n.childIDs[i])
+		child, err := it.t.src.Load(n.childIDs[i])
 		if err != nil {
 			return fmt.Errorf("mpt: iter: %w", err)
 		}
@@ -257,7 +257,7 @@ func (t *Trie) At(i uint64) (index.Entry, error) {
 	var prefix []byte
 	id := t.root
 	for {
-		n, err := t.src.load(id)
+		n, err := t.src.Load(id)
 		if err != nil {
 			return index.Entry{}, fmt.Errorf("mpt: at: %w", err)
 		}
@@ -309,7 +309,7 @@ func (t *Trie) Rank(key []byte) (uint64, error) {
 	var rank uint64
 	id := t.root
 	for {
-		n, err := t.src.load(id)
+		n, err := t.src.Load(id)
 		if err != nil {
 			return 0, fmt.Errorf("mpt: rank: %w", err)
 		}

@@ -23,10 +23,9 @@
 //
 // Writes land through the batched store.ChunkSink, one PutBatch per commit;
 // the store's put turns away a recreated shared node as a dedup hit.  The
-// trie registers itself with the index layer: reachability
-// walks (fnode.Walk: GC, verify, heal, replication pruning) decode its
-// children through index.Children, and index.Load sniffs TypeMPTNode roots
-// back to this package.
+// trie registers itself with the index layer: reachability walks (fnode.Walk:
+// GC, verify, heal, replication pruning) decode its children through
+// index.Children.
 package mpt
 
 import (
@@ -38,7 +37,6 @@ import (
 	"forkbase/internal/chunker"
 	"forkbase/internal/hash"
 	"forkbase/internal/index"
-	"forkbase/internal/nodecache"
 	"forkbase/internal/store"
 )
 
@@ -289,48 +287,26 @@ func Children(c *chunk.Chunk) ([]hash.Hash, error) {
 	}
 }
 
-// source is the gateway through which traversals obtain decoded nodes,
-// coupling the chunk store with the shared decoded-node cache exactly like
-// the POS-Tree's nodeSource: a hit of another kind (a POS node or an FNode
-// under the id) falls through to the store path, which reports it.
-type source struct {
-	st    store.Store
-	cache *nodecache.Cache
-}
+// source is the gateway through which traversals obtain decoded nodes, the
+// same store.Nodes the POS-Tree reads through: a hit of another kind (a POS
+// node or an FNode under the id) falls through to the store, and
+// decodeSourced reports it.
+type source = store.Nodes[*node]
 
 func sourceFor(st store.Store) source {
-	return source{st: st, cache: store.NodeCacheOf(st)}
+	return store.NodesOf(st, decodeSourced)
 }
 
-func (s source) load(id hash.Hash) (*node, error) {
-	if s.cache != nil {
-		if v, ok := s.cache.Get(id); ok {
-			if n, ok := v.(*node); ok {
-				return n, nil
-			}
-		}
-	}
-	c, err := s.st.Get(id)
-	if err != nil {
-		return nil, err
-	}
+// decodeSourced decodes a chunk a trie ref names, which must be an MPT node.
+func decodeSourced(c *chunk.Chunk) (*node, int, error) {
 	if c.Type() != chunk.TypeMPTNode {
-		return nil, fmt.Errorf("mpt: chunk %s is a %s, not an mpt node", id.Short(), c.Type())
+		return nil, 0, fmt.Errorf("mpt: chunk %s is a %s, not an mpt node", c.ID().Short(), c.Type())
 	}
 	n, err := decodeNode(c)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	if s.cache != nil {
-		s.cache.Put(id, n, n.memSize)
-		// Close the GC purge race exactly like pos.nodeSource: the sweep's
-		// cache purge strictly follows its store delete, so re-checking the
-		// store after our insert means a swept node cannot stay resident.
-		if ok, herr := s.st.Has(id); herr != nil || !ok {
-			s.cache.Remove(id)
-		}
-	}
-	return n, nil
+	return n, n.memSize, nil
 }
 
 // Trie is an immutable Merkle Patricia Trie rooted at a chunk hash.  Like
@@ -355,7 +331,7 @@ func Load(st store.Store, cfg chunker.Config, root hash.Hash) (*Trie, error) {
 	if root.IsZero() {
 		return t, nil
 	}
-	n, err := t.src.load(root)
+	n, err := t.src.Load(root)
 	if err != nil {
 		return nil, fmt.Errorf("mpt: loading root: %w", err)
 	}
@@ -373,7 +349,7 @@ func (t *Trie) Root() hash.Hash { return t.root }
 func (t *Trie) Len() uint64 { return t.count }
 
 // Store returns the backing chunk store.
-func (t *Trie) Store() store.Store { return t.src.st }
+func (t *Trie) Store() store.Store { return t.src.Store() }
 
 // Config returns the chunking configuration (carried for interface parity;
 // trie node boundaries follow key structure, not content-defined chunking).
@@ -422,7 +398,7 @@ func (t *Trie) Get(key []byte) ([]byte, error) {
 	rem := keyNibbles(key)
 	id := t.root
 	for {
-		n, err := t.src.load(id)
+		n, err := t.src.Load(id)
 		if err != nil {
 			return nil, fmt.Errorf("mpt: get: %w", err)
 		}
@@ -476,7 +452,7 @@ func (t *Trie) ChunkIDs() ([]hash.Hash, error) {
 	var walk func(id hash.Hash) error
 	walk = func(id hash.Hash) error {
 		out = append(out, id)
-		n, err := t.src.load(id)
+		n, err := t.src.Load(id)
 		if err != nil {
 			return err
 		}
@@ -512,7 +488,7 @@ func (t *Trie) ComputeStats() (index.Stats, error) {
 	}
 	var walk func(id hash.Hash, depth int) error
 	walk = func(id hash.Hash, depth int) error {
-		n, err := t.src.load(id)
+		n, err := t.src.Load(id)
 		if err != nil {
 			return err
 		}
@@ -581,7 +557,6 @@ func (factory) Build(st store.Store, cfg chunker.Config, entries []index.Entry) 
 
 func init() {
 	index.Register(factory{})
-	index.RegisterRoot(chunk.TypeMPTNode, index.KindMPT)
 	index.RegisterChildren(chunk.TypeMPTNode, Children)
 }
 

@@ -13,10 +13,10 @@ import (
 // interface directly (Get, Has, At, Rank, Root, Len, ChunkIDs,
 // ComputeStats, Store, Config); the methods below bridge the tree-typed
 // signatures (Edit, Iter, Diff) to the interface-typed ones, and the init
-// hook registers the factory, the root chunk types and the child-hash
-// decoders the reachability walks (GC mark, verify, replication prune)
-// dispatch through.  Chunk encodings are untouched by this port: a DB
-// written before the index layer existed reopens with byte-identical roots.
+// hook registers the factory and the child-hash decoders the reachability
+// walks (GC mark, verify, replication prune) dispatch through.  Chunk
+// encodings are untouched by this port: a DB written before the index layer
+// existed reopens with byte-identical roots.
 
 // Kind identifies the structure (index.KindPOS).
 func (t *Tree) Kind() index.Kind { return index.KindPOS }
@@ -88,10 +88,6 @@ func (factory) Build(st store.Store, cfg chunker.Config, entries []index.Entry) 
 
 func init() {
 	index.Register(factory{})
-	// Both map node types can root a tree (single-leaf trees root at a
-	// leaf), so Load can sniff the structure from stored data.
-	index.RegisterRoot(chunk.TypeMapLeaf, index.KindPOS)
-	index.RegisterRoot(chunk.TypeMapIndex, index.KindPOS)
 	// Child-hash decoders for every POS node type: reachability walks feed
 	// arbitrary chunks through index.Children instead of importing pos.
 	// IndexChildren answers for map and seq index nodes alike (and returns

@@ -33,7 +33,7 @@ func LoadBlob(st store.Store, cfg chunker.Config, root hash.Hash) (*Blob, error)
 	if root.IsZero() {
 		return b, nil
 	}
-	n, err := b.src.load(root)
+	n, err := b.src.Load(root)
 	if err != nil {
 		return nil, fmt.Errorf("pos: loading blob root: %w", err)
 	}
@@ -155,7 +155,7 @@ func (b *blobBuilder) finish() ([]childRef, error) {
 
 // BuildBlob constructs a blob over data.
 func BuildBlob(st store.Store, cfg chunker.Config, data []byte) (*Blob, error) {
-	sink := buildSink(st)
+	sink := store.NewChunkSink(st)
 	defer sink.Close()
 	bb := newBlobBuilder(sink, cfg)
 	if err := bb.addAll(data); err != nil {
@@ -189,7 +189,7 @@ func (b *Blob) Bytes() ([]byte, error) {
 	}
 	var walk func(id hash.Hash) error
 	walk = func(id hash.Hash) error {
-		n, err := b.src.load(id)
+		n, err := b.src.Load(id)
 		if err != nil {
 			return err
 		}
@@ -226,7 +226,7 @@ func (b *Blob) ReadAt(p []byte, off uint64) (int, error) {
 		if n >= len(p) {
 			return nil
 		}
-		nd, err := b.src.load(id)
+		nd, err := b.src.Load(id)
 		if err != nil {
 			return err
 		}
@@ -276,9 +276,9 @@ func (b *Blob) Splice(at, del uint64, ins []byte) (*Blob, error) {
 		return b, nil
 	}
 	if b.root.IsZero() {
-		return BuildBlob(b.src.st, b.cfg, ins)
+		return BuildBlob(b.src.Store(), b.cfg, ins)
 	}
-	sink := editSink(b.src.st)
+	sink := editSink(b.src)
 	defer sink.Close()
 	bb := newBlobBuilder(sink, b.cfg)
 	feed := func(leaf *node, lo, hi uint64, insert bool) error {

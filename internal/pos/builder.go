@@ -214,20 +214,13 @@ func buildLevels(sink *store.ChunkSink, cfg chunker.Config, refs []childRef, lev
 	return refs[0], nil
 }
 
-// buildSink returns the write sink for a from-scratch build over st.
-func buildSink(st store.Store) *store.ChunkSink {
-	return store.NewChunkSink(st, store.SinkOptions{})
-}
-
 // editSink returns the write sink for incremental edits and merges: on a
-// store with a decoded-node cache the nodes the edit lands enter the cache as
-// they are stored (cacheFill).  Re-emitted shared subtrees go to the store
-// like new nodes; its put turns them away as dedup hits.
-func editSink(st store.Store) *store.ChunkSink {
-	if cache := store.NodeCacheOf(st); cache != nil {
-		st = cacheFill{Store: st, cache: cache}
-	}
-	return buildSink(st)
+// store with a decoded-node cache the nodes the edit lands enter the cache
+// under the gateway's write rule (store.Nodes.WriteThrough).  Re-emitted
+// shared subtrees go to the store like new nodes; its put turns them away as
+// dedup hits.
+func editSink(src nodeSource) *store.ChunkSink {
+	return store.NewChunkSink(src.WriteThrough())
 }
 
 // BuildMap constructs a map POS-Tree over entries (which need not be sorted;
@@ -238,7 +231,7 @@ func editSink(st store.Store) *store.ChunkSink {
 // when BuildMap returns.  One level builder feeds one sink, on the caller's
 // goroutine.
 func BuildMap(st store.Store, cfg chunker.Config, entries []Entry) (*Tree, error) {
-	sink := buildSink(st)
+	sink := store.NewChunkSink(st)
 	defer sink.Close()
 	lb := newLevelBuilder(sink, cfg, 0, true)
 	for _, e := range normalizeEntries(entries) {

@@ -65,7 +65,7 @@ type differ struct {
 // included in TouchedChunks: the count is "nodes visited", the O(D·log N)
 // quantity, regardless of where the bytes came from).
 func (d *differ) load(t *Tree, id hash.Hash) (*node, error) {
-	n, err := t.src.load(id)
+	n, err := t.src.Load(id)
 	if err != nil {
 		return nil, fmt.Errorf("pos: diff: %w", err)
 	}
@@ -83,7 +83,7 @@ func (d *differ) spanLevel(t *Tree, refs []childRef) (uint8, error) {
 	if len(refs) == 0 {
 		return 0, nil
 	}
-	n, err := t.src.load(refs[0].id)
+	n, err := t.src.Load(refs[0].id)
 	if err != nil {
 		return 0, fmt.Errorf("pos: diff: %w", err)
 	}

@@ -67,14 +67,14 @@ func (t *Tree) Edit(ops []Op) (*Tree, error) {
 				entries = append(entries, Entry{Key: o.Key, Val: o.Val})
 			}
 		}
-		return BuildMap(t.src.st, t.cfg, entries)
+		return BuildMap(t.src.Store(), t.cfg, entries)
 	}
 
 	// Nodes whose bytes already exist (identity rewrites, shared subtrees)
 	// ride in the sink's batch and the store's put turns them away.  The
 	// deferred Close lands stray emissions on the no-new-tree return paths;
 	// the path that returns a new tree flushes explicitly.
-	sink := editSink(t.src.st)
+	sink := editSink(t.src)
 	defer sink.Close()
 	e, err := newLevelEditor(t.src, t.cfg, sink, true, childRef{id: t.root, count: t.count})
 	if err != nil {
@@ -181,7 +181,7 @@ func (t *Tree) EditRebuild(ops []Op) (*Tree, error) {
 	// The rebuild re-emits the entire record set, almost all of which chunks
 	// identically to the existing tree; the store's put lands those as dedup
 	// hits.
-	sink := editSink(t.src.st)
+	sink := editSink(t.src)
 	defer sink.Close()
 	lb := newLevelBuilder(sink, t.cfg, 0, true)
 	feed := func(e Entry) error {

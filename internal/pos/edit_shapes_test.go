@@ -18,7 +18,7 @@ func leafLayout(tr *Tree) ([][][]Entry, error) {
 	var out [][][]Entry
 	var walk func(id hash.Hash) error
 	walk = func(id hash.Hash) error {
-		n, err := tr.src.load(id)
+		n, err := tr.src.Load(id)
 		if err != nil {
 			return err
 		}
@@ -36,7 +36,7 @@ func leafLayout(tr *Tree) ([][][]Entry, error) {
 		}
 		var group [][]Entry
 		for _, r := range n.refs {
-			leaf, err := tr.src.load(r.id)
+			leaf, err := tr.src.Load(r.id)
 			if err != nil {
 				return err
 			}
@@ -383,7 +383,7 @@ func TestEditReadBound(t *testing.T) {
 func TestAppendReadBound(t *testing.T) {
 	cfg := chunker.SmallConfig()
 	height := func(st store.Store, root hash.Hash) int {
-		n, err := sourceFor(st).load(root)
+		n, err := sourceFor(st).Load(root)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -54,7 +54,7 @@ func (t *Tree) IterFrom(key []byte) (*Iter, error) {
 	}
 	id := t.root
 	for {
-		n, err := t.src.load(id)
+		n, err := t.src.Load(id)
 		if err != nil {
 			return nil, fmt.Errorf("pos: iter: %w", err)
 		}
@@ -89,7 +89,7 @@ func (t *Tree) IterFrom(key []byte) (*Iter, error) {
 // descend loads the leftmost leaf under id, pushing index frames.
 func (it *Iter) descend(id hash.Hash) error {
 	for {
-		n, err := it.t.src.load(id)
+		n, err := it.t.src.Load(id)
 		if err != nil {
 			return fmt.Errorf("pos: iter: %w", err)
 		}

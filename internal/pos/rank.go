@@ -18,7 +18,7 @@ func (t *Tree) At(i uint64) (Entry, error) {
 	}
 	id := t.root
 	for {
-		n, err := t.src.load(id)
+		n, err := t.src.Load(id)
 		if err != nil {
 			return Entry{}, fmt.Errorf("pos: at: %w", err)
 		}
@@ -58,7 +58,7 @@ func (t *Tree) Rank(key []byte) (uint64, error) {
 	var rank uint64
 	id := t.root
 	for {
-		n, err := t.src.load(id)
+		n, err := t.src.Load(id)
 		if err != nil {
 			return 0, fmt.Errorf("pos: rank: %w", err)
 		}

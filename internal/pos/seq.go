@@ -36,7 +36,7 @@ func LoadSeq(st store.Store, cfg chunker.Config, root hash.Hash) (*Seq, error) {
 	if root.IsZero() {
 		return s, nil
 	}
-	n, err := s.src.load(root)
+	n, err := s.src.Load(root)
 	if err != nil {
 		return nil, fmt.Errorf("pos: loading seq root: %w", err)
 	}
@@ -55,7 +55,7 @@ func LoadSeq(st store.Store, cfg chunker.Config, root hash.Hash) (*Seq, error) {
 
 // BuildSeq constructs a sequence over items.
 func BuildSeq(st store.Store, cfg chunker.Config, items [][]byte) (*Seq, error) {
-	sink := buildSink(st)
+	sink := store.NewChunkSink(st)
 	defer sink.Close()
 	lb := newLevelBuilder(sink, cfg, 0, false)
 	for _, it := range items {
@@ -91,7 +91,7 @@ func (s *Seq) Get(i uint64) ([]byte, error) {
 	}
 	id := s.root
 	for {
-		n, err := s.src.load(id)
+		n, err := s.src.Load(id)
 		if err != nil {
 			return nil, fmt.Errorf("pos: seq get: %w", err)
 		}
@@ -137,7 +137,7 @@ func (s *Seq) walkLeaves(fn func(items [][]byte)) error {
 	}
 	var walk func(id hash.Hash) error
 	walk = func(id hash.Hash) error {
-		n, err := s.src.load(id)
+		n, err := s.src.Load(id)
 		if err != nil {
 			return err
 		}
@@ -176,9 +176,9 @@ func (s *Seq) Splice(at, del uint64, ins [][]byte) (*Seq, error) {
 		return s, nil
 	}
 	if s.root.IsZero() {
-		return BuildSeq(s.src.st, s.cfg, ins)
+		return BuildSeq(s.src.Store(), s.cfg, ins)
 	}
-	sink := editSink(s.src.st)
+	sink := editSink(s.src)
 	defer sink.Close()
 	lb := newLevelBuilder(sink, s.cfg, 0, false)
 	feed := func(leaf *node, a, b uint64, insert bool) error {

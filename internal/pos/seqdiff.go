@@ -60,7 +60,7 @@ func flattenSeqLeaves(src nodeSource, root hash.Hash) ([]childRef, error) {
 	var out []childRef
 	var walk func(id hash.Hash, count uint64) error
 	walk = func(id hash.Hash, count uint64) error {
-		n, err := src.load(id)
+		n, err := src.Load(id)
 		if err != nil {
 			return err
 		}
@@ -81,7 +81,7 @@ func flattenSeqLeaves(src nodeSource, root hash.Hash) ([]childRef, error) {
 	}
 	// Root count is unknown here; recompute from node if needed.  For the
 	// leaf case the count argument is only used for positions, so load it.
-	n, err := src.load(root)
+	n, err := src.Load(root)
 	if err != nil {
 		return nil, err
 	}

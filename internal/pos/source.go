@@ -2,8 +2,6 @@ package pos
 
 import (
 	"forkbase/internal/chunk"
-	"forkbase/internal/hash"
-	"forkbase/internal/nodecache"
 	"forkbase/internal/store"
 )
 
@@ -21,7 +19,6 @@ type node struct {
 	refs    []childRef // TypeMapIndex / TypeSeqIndex
 
 	encSize int // encoded chunk size (header + payload), for tree stats
-	memSize int // approximate decoded footprint, for cache accounting
 }
 
 // isLeaf reports whether the node sits at level 0 of its tree.
@@ -33,145 +30,62 @@ func (n *node) isLeaf() bool {
 	return false
 }
 
-// cacheable reports whether the node type belongs in the decoded-node cache.
-func (n *node) cacheable() bool {
-	switch n.typ {
-	case chunk.TypeMapLeaf, chunk.TypeMapIndex, chunk.TypeSeqLeaf,
-		chunk.TypeSeqIndex, chunk.TypeBlobLeaf:
-		return true
-	}
-	return false
-}
-
-// decodeNode parses a chunk into its decoded node form.  Non-tree chunk
-// types yield a bare node carrying only the type tag, so call sites keep
-// producing their contextual "unexpected chunk" errors.
-func decodeNode(c *chunk.Chunk) (*node, error) {
+// decodeNode parses a chunk into its decoded node form and the approximate
+// footprint the decoded-node cache charges for it.  Non-tree chunk types
+// yield a bare node carrying only the type tag and a negative size (not
+// cached), so call sites keep producing their contextual "unexpected chunk"
+// errors.
+func decodeNode(c *chunk.Chunk) (*node, int, error) {
 	n := &node{typ: c.Type(), encSize: c.Size()}
 	switch c.Type() {
 	case chunk.TypeMapLeaf:
 		entries, err := decodeMapLeaf(c.Data())
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		n.entries = entries
 		// Entries alias the payload, so the marginal footprint is the
 		// payload plus per-entry slice headers.
-		n.memSize = c.Size() + len(entries)*48
+		return n, c.Size() + len(entries)*48, nil
 	case chunk.TypeMapIndex:
 		level, refs, err := decodeMapIndex(c.Data())
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		n.level = level
 		n.refs = refs
-		n.memSize = c.Size() + len(refs)*72
+		return n, c.Size() + len(refs)*72, nil
 	case chunk.TypeSeqLeaf:
 		items, err := decodeSeqLeaf(c.Data())
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		n.items = items
-		n.memSize = c.Size() + len(items)*24
+		return n, c.Size() + len(items)*24, nil
 	case chunk.TypeSeqIndex:
 		level, refs, err := decodeSeqIndex(c.Data())
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		n.level = level
 		n.refs = refs
-		n.memSize = c.Size() + len(refs)*72
+		return n, c.Size() + len(refs)*72, nil
 	case chunk.TypeBlobLeaf:
 		n.blob = c.Data()
-		n.memSize = c.Size()
-	default:
-		n.memSize = c.Size()
+		return n, c.Size(), nil
 	}
-	return n, nil
+	return n, -1, nil
 }
 
 // nodeSource is the single gateway through which all POS-Tree traversal code
-// obtains decoded nodes.  It couples a chunk store with an optional decoded-
-// node cache: on a hit the store is not touched at all, and a node is
-// decoded at most once per cache residency.  Correctness rests on chunk
-// immutability — a hash.Hash can only ever denote one payload, so a cached
-// decode can never be stale.
-type nodeSource struct {
-	st    store.Store
-	cache *nodecache.Cache
-}
+// obtains decoded nodes: on a cache hit the store is not touched at all, and
+// a node is decoded at most once per cache residency.  Correctness rests on
+// chunk immutability — a hash.Hash can only ever denote one payload, so a
+// cached decode can never be stale.
+type nodeSource = store.Nodes[*node]
 
 // sourceFor builds a nodeSource over st, discovering a decoded-node cache
 // if the store carries one (store.WithNodeCache / core.Options).
 func sourceFor(st store.Store) nodeSource {
-	return nodeSource{st: st, cache: store.NodeCacheOf(st)}
-}
-
-// load returns the decoded node identified by id, consulting the cache
-// first.  The cache is shared with MPT nodes and FNodes, so a hit of another
-// kind (a ref naming a foreign object) falls through to the store, whose
-// chunk type the caller then rejects.
-func (ns nodeSource) load(id hash.Hash) (*node, error) {
-	if ns.cache != nil {
-		if v, ok := ns.cache.Get(id); ok {
-			if n, ok := v.(*node); ok {
-				return n, nil
-			}
-		}
-	}
-	c, err := ns.st.Get(id)
-	if err != nil {
-		return nil, err
-	}
-	n, err := decodeNode(c)
-	if err != nil {
-		return nil, err
-	}
-	if ns.cache != nil && n.cacheable() {
-		ns.cache.Put(id, n, n.memSize)
-		// GC may have deleted the chunk (and purged the cache) between our
-		// store Get and the Put above, which would leave a swept node
-		// resident forever.  The GC purge strictly follows its store
-		// delete, so re-checking the store after our insert closes the
-		// window: if the chunk is gone now, our entry is the stale one.
-		if ok, herr := ns.st.Has(id); herr != nil || !ok {
-			ns.cache.Remove(id)
-		}
-	}
-	return n, nil
-}
-
-// cacheFill is the store an edit writes through when its source has a
-// decoded-node cache.  An edit reads only the paths it touches, so nothing
-// else would bring the nodes it has just built into the cache before their
-// first read — the next commit's descent from the new root, a diff against
-// the new version — and that read would fetch (on a remote store: a round
-// trip) and decode bytes this process produced a moment ago.  Every batch
-// is therefore decoded into the cache *before* it is put, so the put itself
-// revalidates the inserts: once it succeeds the store held each chunk after
-// its insert, and a GC sweep deleting one later purges it after the delete.
-// A failed put evicts the whole batch.
-type cacheFill struct {
-	store.Store
-	cache *nodecache.Cache
-}
-
-func (f cacheFill) Unwrap() store.Store { return f.Store }
-
-func (f cacheFill) PutBatch(cs []*chunk.Chunk) ([]bool, error) {
-	for _, c := range cs {
-		if f.cache.Contains(c.ID()) {
-			continue // a re-emitted node: its decode is already resident
-		}
-		if n, err := decodeNode(c); err == nil && n.cacheable() {
-			f.cache.Put(c.ID(), n, n.memSize)
-		}
-	}
-	fresh, err := f.Store.PutBatch(cs)
-	if err != nil {
-		for _, c := range cs {
-			f.cache.Remove(c.ID())
-		}
-	}
-	return fresh, err
+	return store.NodesOf(st, decodeNode)
 }

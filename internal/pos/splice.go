@@ -160,7 +160,7 @@ type levelEditor struct {
 }
 
 func newLevelEditor(src nodeSource, cfg chunker.Config, sink *store.ChunkSink, isMap bool, root childRef) (*levelEditor, error) {
-	n, err := src.load(root.id)
+	n, err := src.Load(root.id)
 	if err != nil {
 		return nil, fmt.Errorf("pos: edit: %w", err)
 	}
@@ -183,7 +183,7 @@ func (e *levelEditor) load(r childRef) (*node, error) {
 	if r.id == e.root.id {
 		return e.rootNode, nil
 	}
-	n, err := e.src.load(r.id)
+	n, err := e.src.Load(r.id)
 	if err != nil {
 		return nil, fmt.Errorf("pos: edit: %w", err)
 	}

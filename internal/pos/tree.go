@@ -43,7 +43,7 @@ func LoadTree(st store.Store, cfg chunker.Config, root hash.Hash) (*Tree, error)
 	if root.IsZero() {
 		return t, nil
 	}
-	n, err := t.src.load(root)
+	n, err := t.src.Load(root)
 	if err != nil {
 		return nil, fmt.Errorf("pos: loading root: %w", err)
 	}
@@ -70,7 +70,7 @@ func (t *Tree) Root() hash.Hash { return t.root }
 func (t *Tree) Len() uint64 { return t.count }
 
 // Store returns the backing chunk store.
-func (t *Tree) Store() store.Store { return t.src.st }
+func (t *Tree) Store() store.Store { return t.src.Store() }
 
 // Config returns the chunking configuration.
 func (t *Tree) Config() chunker.Config { return t.cfg }
@@ -86,7 +86,7 @@ func (t *Tree) Get(key []byte) ([]byte, error) {
 	}
 	id := t.root
 	for {
-		n, err := t.src.load(id)
+		n, err := t.src.Load(id)
 		if err != nil {
 			return nil, fmt.Errorf("pos: get: %w", err)
 		}
@@ -161,7 +161,7 @@ func (t *Tree) ComputeStats() (Stats, error) {
 	}
 	var walk func(id hash.Hash, depth int) error
 	walk = func(id hash.Hash, depth int) error {
-		n, err := t.src.load(id)
+		n, err := t.src.Load(id)
 		if err != nil {
 			return err
 		}
@@ -211,7 +211,7 @@ func chunkIDs(src nodeSource, root hash.Hash) ([]hash.Hash, error) {
 	out := []hash.Hash{root}
 	var walk func(id hash.Hash) error
 	walk = func(id hash.Hash) error {
-		n, err := src.load(id)
+		n, err := src.Load(id)
 		if err != nil {
 			return err
 		}

@@ -140,8 +140,8 @@ func remoteWarmEdit(t *testing.T, kind index.Kind) {
 
 	// The first edit reads the path to row 42 and replaces it; the second
 	// edits the same row, so every node it reads is cached.  A POS edit
-	// writes its nodes through to the cache (cacheFill); a trie's new path
-	// is cached by reading the row back.
+	// writes its nodes through to the cache (store.Nodes.WriteThrough); a
+	// trie's new path is cached by reading the row back.
 	edit := func(val string) core.Version {
 		t.Helper()
 		ver, err := db.EditMap("t", "", []index.Entry{{Key: []byte("row-00042"), Val: []byte(val)}}, nil, nil)

@@ -140,7 +140,7 @@ func BenchmarkChunkSink(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ms := NewMemStore()
-		sink := NewChunkSink(ms, SinkOptions{})
+		sink := NewChunkSink(ms)
 		for _, p := range payloads {
 			if _, err := sink.Emit(chunk.TypeBlobLeaf, p); err != nil {
 				b.Fatal(err)

@@ -26,29 +26,20 @@ import (
 // sticky: after a store failure every subsequent call reports it.
 type ChunkSink struct {
 	st    Store
-	opt   SinkOptions
+	size  int // chunks per PutBatch: DefaultSinkBatch outside tests
 	batch []*chunk.Chunk
 	err   error
 }
 
-// SinkOptions tune a ChunkSink.
-type SinkOptions struct {
-	// BatchSize is the number of chunks per PutBatch (default 128).
-	BatchSize int
-}
-
-// DefaultSinkBatch is the default chunks-per-batch.
+// DefaultSinkBatch is the number of chunks a sink lands per PutBatch.
 const DefaultSinkBatch = 128
 
 // errSinkClosed reports use after Close.
 var errSinkClosed = errors.New("store: chunk sink closed")
 
 // NewChunkSink builds a sink over st.
-func NewChunkSink(st Store, opt SinkOptions) *ChunkSink {
-	if opt.BatchSize <= 0 {
-		opt.BatchSize = DefaultSinkBatch
-	}
-	return &ChunkSink{st: st, opt: opt, batch: make([]*chunk.Chunk, 0, opt.BatchSize)}
+func NewChunkSink(st Store) *ChunkSink {
+	return &ChunkSink{st: st, size: DefaultSinkBatch, batch: make([]*chunk.Chunk, 0, DefaultSinkBatch)}
 }
 
 // Emit hashes one chunk and queues it for the store: enc is the contiguous
@@ -71,7 +62,7 @@ func (s *ChunkSink) Emit(t chunk.Type, enc []byte) (hash.Hash, error) {
 	prov := chunk.HashEncoding(&id, enc)
 	payload := append(make([]byte, 0, len(enc)-1), enc[1:]...)
 	s.batch = append(s.batch, chunk.NewPrehashed(t, payload, id, prov))
-	if len(s.batch) == s.opt.BatchSize {
+	if len(s.batch) == s.size {
 		if err := s.Flush(); err != nil {
 			return hash.Hash{}, err
 		}
@@ -88,7 +79,7 @@ func (s *ChunkSink) Flush() error {
 	// the unused tail (a short final flush allocates nothing) or a new slice.
 	full := s.batch
 	if s.batch = s.batch[len(full):]; cap(s.batch) == 0 {
-		s.batch = make([]*chunk.Chunk, 0, s.opt.BatchSize)
+		s.batch = make([]*chunk.Chunk, 0, s.size)
 	}
 	if _, err := s.st.PutBatch(full); err != nil {
 		s.err = err

@@ -30,7 +30,8 @@ func (b *batchCounter) PutBatch(cs []*chunk.Chunk) ([]bool, error) {
 func TestChunkSinkRoundTrip(t *testing.T) {
 	ms := NewMemStore()
 	bc := &batchCounter{Store: ms}
-	sink := NewChunkSink(bc, SinkOptions{BatchSize: 7})
+	sink := NewChunkSink(bc)
+	sink.size = 7
 	defer sink.Close()
 
 	var ids []hash.Hash
@@ -67,7 +68,7 @@ func TestChunkSinkRoundTrip(t *testing.T) {
 // itself may still sit in the open batch.
 func TestChunkSinkEmitReturnsFinalID(t *testing.T) {
 	ms := NewMemStore()
-	sink := NewChunkSink(ms, SinkOptions{})
+	sink := NewChunkSink(ms)
 	defer sink.Close()
 	payload := []byte("not flushed yet")
 	id, err := sink.Emit(chunk.TypeMapLeaf, sinkEnc(chunk.TypeMapLeaf, payload))
@@ -92,7 +93,8 @@ func TestChunkSinkEmitReturnsFinalID(t *testing.T) {
 // reuses (and clobbers) one buffer for every emission.
 func TestChunkSinkBorrowsScratch(t *testing.T) {
 	ms := NewMemStore()
-	sink := NewChunkSink(ms, SinkOptions{BatchSize: 4})
+	sink := NewChunkSink(ms)
+	sink.size = 4
 	defer sink.Close()
 	scratch := make([]byte, 0, 64)
 	var want []hash.Hash
@@ -146,7 +148,7 @@ func TestChunkSinkDedup(t *testing.T) {
 			before := st.Stats()
 
 			bc := &batchCounter{Store: st}
-			sink := NewChunkSink(bc, SinkOptions{})
+			sink := NewChunkSink(bc)
 			defer sink.Close()
 			id, err := sink.Emit(chunk.TypeBlobLeaf, sinkEnc(chunk.TypeBlobLeaf, []byte("already here")))
 			if err != nil {
@@ -206,7 +208,8 @@ func (f *failingStore) PutBatch(cs []*chunk.Chunk) ([]bool, error) {
 
 func TestChunkSinkStickyError(t *testing.T) {
 	fs := &failingStore{MemStore: NewMemStore(), failAfter: 2}
-	sink := NewChunkSink(fs, SinkOptions{BatchSize: 1})
+	sink := NewChunkSink(fs)
+	sink.size = 1
 	defer sink.Close()
 	for i := 0; i < 5; i++ {
 		sink.Emit(chunk.TypeBlobLeaf, sinkEnc(chunk.TypeBlobLeaf, []byte(fmt.Sprintf("c%d", i))))
@@ -225,7 +228,7 @@ func TestChunkSinkStickyError(t *testing.T) {
 func TestChunkSinkThroughVerifyingLayer(t *testing.T) {
 	inner := NewMemStore()
 	v := NewVerifyingStore(inner)
-	sink := NewChunkSink(v, SinkOptions{})
+	sink := NewChunkSink(v)
 	defer sink.Close()
 	idp, err := sink.Emit(chunk.TypeBlobLeaf, sinkEnc(chunk.TypeBlobLeaf, []byte("honest")))
 	if err != nil {

@@ -341,7 +341,8 @@ func TestScrubBypassesVerifyCache(t *testing.T) {
 // lets the verifying write path skip its recheck.
 func TestSinkIngestOneHashPerChunk(t *testing.T) {
 	v := NewVerifyingStore(NewMemStore())
-	sink := NewChunkSink(v, SinkOptions{BatchSize: 8})
+	sink := NewChunkSink(v)
+	sink.size = 8
 	defer sink.Close()
 
 	const n = 200

@@ -74,8 +74,9 @@ type Value struct {
 	// idx/idxKnown carry the index structure of a map/set value *in
 	// memory only* (the encoding stays untouched; persistence records the
 	// kind on the FNode).  Values built through constructors know their
-	// structure, so write paths need not re-read the root chunk to learn
-	// it; values decoded from stored descriptors sniff on demand.
+	// structure; the engine stamps the FNode's recorded kind onto the
+	// values it decodes, and a bare decoded descriptor loads as the
+	// caller's hint.
 	idx      index.Kind
 	idxKnown bool
 }
@@ -289,14 +290,14 @@ func FromIndex(kind Kind, ix index.VersionedIndex) Value {
 }
 
 // IndexKind reports the structure backing a map/set value, when the value
-// was built in this process (constructors know it); ok is false for
-// decoded descriptors, whose structure is sniffed from the root chunk.
+// was built in this process (constructors know it) or stamped with
+// WithIndexKind; ok is false for bare decoded descriptors.
 func (v Value) IndexKind() (index.Kind, bool) { return v.idx, v.idxKnown }
 
 // WithIndexKind returns the value stamped with its known index structure —
 // how the engine propagates an FNode's recorded kind onto the descriptor
-// it decoded, so empty values (no root chunk to sniff) keep their branch's
-// structure.  A no-op for non-map/set kinds.
+// it decoded, so empty values keep their branch's structure.  A no-op for
+// non-map/set kinds.
 func (v Value) WithIndexKind(k index.Kind) Value {
 	if v.kind == KindMap || v.kind == KindSet {
 		v.idx, v.idxKnown = k, true
@@ -306,18 +307,18 @@ func (v Value) WithIndexKind(k index.Kind) Value {
 
 // Index loads the versioned index backing a map or set value.  A value that
 // carries its structure (constructors, FromIndex, WithIndexKind — so
-// everything the engine's GetVersion returns) loads it directly, with no
-// store read of its own and regardless of hint; that also keeps a branch
-// whose head emptied on its structure.  Only a bare decoded descriptor is
-// sniffed from its root chunk, with hint as the kind of an empty one.
+// everything the engine's GetVersion returns) loads it regardless of hint;
+// that also keeps a branch whose head emptied on its structure.  A bare
+// decoded descriptor loads as hint's kind, and a root of another structure
+// fails the load.  Either way the factory's root read is the only store read.
 func (v Value) Index(st store.Store, cfg chunker.Config, hint index.Kind) (index.VersionedIndex, error) {
 	if v.kind != KindMap && v.kind != KindSet {
 		return nil, fmt.Errorf("%w: have %s want map or set", ErrWrongKind, v.kind)
 	}
 	if v.idxKnown {
-		return index.LoadKind(st, cfg, v.root, v.idx)
+		hint = v.idx
 	}
-	return index.Load(st, cfg, v.root, hint)
+	return index.LoadKind(st, cfg, v.root, hint)
 }
 
 // FromMapTree wraps an existing map tree as a value.

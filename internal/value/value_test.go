@@ -9,6 +9,7 @@ import (
 
 	"forkbase/internal/chunker"
 	"forkbase/internal/index"
+	_ "forkbase/internal/mpt"
 	"forkbase/internal/pos"
 	"forkbase/internal/store"
 )
@@ -281,35 +282,44 @@ func TestKindStrings(t *testing.T) {
 	}
 }
 
-// TestIndexWithAKnownKindSkipsTheSniff: a value that carries its structure
-// loads its index with the factory's one root read; only a bare decoded
-// descriptor pays the extra sniffing Get.
-func TestIndexWithAKnownKindSkipsTheSniff(t *testing.T) {
+// TestBareDescriptorLoadsUnderItsHint: a bare decoded descriptor loads its
+// index as hint's kind with exactly the store reads of a value that carries
+// its kind — there is no sniff — and a root of the other structure, loaded
+// under the wrong hint, fails the load instead of yielding rows.
+func TestBareDescriptorLoadsUnderItsHint(t *testing.T) {
 	st := store.NewMemStore()
-	v, err := NewMap(st, cfg(), []pos.Entry{{Key: []byte("a"), Val: []byte("1")}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bare, err := Decode(v.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, known := bare.IndexKind(); known {
-		t.Fatal("a decoded descriptor claims to know its structure")
-	}
-	gets := func(v Value) int64 {
-		before := st.Stats().Gets
-		ix, err := v.Index(st, cfg(), index.KindPOS)
+	entries := []pos.Entry{{Key: []byte("a"), Val: []byte("1")}, {Key: []byte("b"), Val: []byte("2")}}
+	for _, tc := range []struct{ kind, other index.Kind }{
+		{index.KindPOS, index.KindMPT},
+		{index.KindMPT, index.KindPOS},
+	} {
+		v, err := NewMapWith(st, cfg(), tc.kind, entries)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, err := ix.Get([]byte("a")); err != nil || string(got) != "1" {
-			t.Fatalf("%q %v", got, err)
+		bare, err := Decode(v.Encode())
+		if err != nil {
+			t.Fatal(err)
 		}
-		return st.Stats().Gets - before
-	}
-	known, sniffed := gets(v), gets(bare)
-	if sniffed != known+1 {
-		t.Fatalf("store reads: %d with the kind known, %d sniffing; want exactly one more", known, sniffed)
+		if _, known := bare.IndexKind(); known {
+			t.Fatal("a decoded descriptor claims to know its structure")
+		}
+		gets := func(v Value) int64 {
+			before := st.Stats().Gets
+			ix, err := v.Index(st, cfg(), tc.kind)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err := ix.Get([]byte("a")); err != nil || string(got) != "1" {
+				t.Fatalf("%s: %q %v", tc.kind, got, err)
+			}
+			return st.Stats().Gets - before
+		}
+		if known, bareGets := gets(v), gets(bare); bareGets != known {
+			t.Fatalf("%s: store reads: %d with the kind known, %d bare; want the same", tc.kind, known, bareGets)
+		}
+		if ix, err := bare.Index(st, cfg(), tc.other); err == nil {
+			t.Fatalf("a %s root loaded under a %s hint = a %s index of %d rows, want an error", tc.kind, tc.other, ix.Kind(), ix.Len())
+		}
 	}
 }
