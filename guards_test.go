@@ -55,10 +55,18 @@ func TestSourceGuards(t *testing.T) {
 		paths:   []string{"internal"},
 		want:    0,
 	}, {
-		// Map, list and blob leaves get their scanner and its skip constants
-		// from pos.newLeafScan, so they cannot cut differently.
-		name:    "one leaf-scan constructor",
+		// Map, list and blob leaves and every index level get their scanner
+		// and its constants from pos.newLevelScan, so they cannot cut
+		// differently.
+		name:    "one scan constructor",
 		pattern: `rolling\.NewScan\(`,
+		paths:   []string{"internal"},
+		want:    1,
+	}, {
+		// The byte-wise hasher backs only chunker.ByteChunker, the reference
+		// form of the leaf cut; a product caller beside it is a second cutter.
+		name:    "one cutter in the product",
+		pattern: `rolling\.New\(`,
 		paths:   []string{"internal"},
 		want:    1,
 	}, {

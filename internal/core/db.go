@@ -72,7 +72,9 @@ type Options struct {
 	Store store.Store
 	// Branches is the branch table; defaults to a fresh MemBranchTable.
 	Branches BranchTable
-	// Chunking overrides the chunker configuration (zero = DefaultConfig).
+	// Chunking overrides the chunker configuration (zero Q = DefaultConfig).
+	// Open panics if the config, with its other zero fields defaulted, fails
+	// chunker.Config.Validate.
 	Chunking chunker.Config
 	// Index selects the structure backing new composite (map/set) values:
 	// index.KindPOS (default) or index.KindMPT.  Reading is always
@@ -116,6 +118,9 @@ func Open(opts Options) *DB {
 	}
 	if opts.Chunking.Q == 0 {
 		opts.Chunking = chunker.DefaultConfig()
+	}
+	if err := opts.Chunking.Normalized().Validate(); err != nil {
+		panic(err)
 	}
 	if !index.Registered(opts.Index) {
 		panic(fmt.Sprintf("core: index kind %s has no linked-in implementation", opts.Index))

@@ -16,6 +16,28 @@ func newTestDB() *DB {
 	return Open(Options{Chunking: chunker.SmallConfig()})
 }
 
+// TestOpenRejectsInvalidChunking: a chunking config Validate refuses (a Q
+// past the scanner's tables, an empty size range) panics at Open with
+// Validate's error instead of failing inside the first build; a partial
+// config that defaults into a valid one opens.
+func TestOpenRejectsInvalidChunking(t *testing.T) {
+	for _, cfg := range []chunker.Config{
+		{Q: 40, Window: 48, MinSize: 1, MaxSize: 2},
+		{Q: 12, Window: 48, MinSize: 64, MaxSize: 64},
+	} {
+		want := cfg.Validate()
+		func() {
+			defer func() {
+				if err, _ := recover().(error); err == nil || err.Error() != want.Error() {
+					t.Errorf("Open(%+v) panicked with %v, want %v", cfg, err, want)
+				}
+			}()
+			Open(Options{Chunking: cfg})
+		}()
+	}
+	Open(Options{Chunking: chunker.Config{Q: 12}})
+}
+
 func TestPutGetString(t *testing.T) {
 	db := newTestDB()
 	v1, err := db.Put("greeting", "", value.String("hello"), map[string]string{"author": "alice"})

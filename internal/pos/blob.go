@@ -6,7 +6,6 @@ import (
 	"forkbase/internal/chunk"
 	"forkbase/internal/chunker"
 	"forkbase/internal/hash"
-	"forkbase/internal/rolling"
 	"forkbase/internal/store"
 )
 
@@ -55,16 +54,13 @@ func LoadBlob(st store.Store, cfg chunker.Config, root hash.Hash) (*Blob, error)
 // (the byte-granular semantics of chunker.ByteChunker, without per-byte
 // calls); finished leaves are emitted into the write sink.
 type blobBuilder struct {
-	sink         *store.ChunkSink
-	cfg          chunker.Config
-	scan         *rolling.Scan
-	begin, check int
+	sink *store.ChunkSink
+	cfg  chunker.Config
+	levelScan
 
 	// buf is the builder's single scratch buffer, [1B chunk type][bytes...];
 	// Emit borrows it per call, so it is reused across leaves.
 	buf      []byte
-	scanPos  int
-	scanHash uint64
 	emitted  []childRef
 	boundary bool
 	one      [1]byte // scratch for single-byte adds
@@ -72,8 +68,7 @@ type blobBuilder struct {
 
 func newBlobBuilder(sink *store.ChunkSink, cfg chunker.Config) *blobBuilder {
 	cfg = cfg.Normalized()
-	b := &blobBuilder{sink: sink, cfg: cfg, boundary: true}
-	b.scan, b.begin, b.check = newLeafScan(cfg)
+	b := &blobBuilder{sink: sink, cfg: cfg, levelScan: newLevelScan(cfg, 0), boundary: true}
 	est := 2 << cfg.Q
 	if est > cfg.MaxSize {
 		est = cfg.MaxSize
@@ -106,14 +101,12 @@ func (b *blobBuilder) addAll(p []byte) error {
 			return nil
 		}
 		b.boundary = false
-		hit, h := b.scan.Find(node, b.scanPos, b.scanHash, b.begin, b.check)
-		if hit >= 0 {
+		if hit, _ := b.find(node); hit >= 0 {
 			if err := b.closeLeafAt(hit + 1); err != nil {
 				return err
 			}
 			continue
 		}
-		b.scanHash, b.scanPos = h, len(node)
 		if len(node) >= b.cfg.MaxSize {
 			if err := b.closeLeafAt(len(node)); err != nil {
 				return err
@@ -139,7 +132,7 @@ func (b *blobBuilder) closeLeafAt(cut int) error {
 	b.emitted = append(b.emitted, childRef{id: id, count: uint64(cut)})
 	rem := copy(b.buf[1:], b.buf[1+cut:])
 	b.buf = b.buf[:1+rem]
-	b.scanPos, b.scanHash = 0, 0
+	b.restart()
 	b.boundary = rem == 0
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"slices"
 
 	"forkbase/internal/chunk"
@@ -29,16 +30,9 @@ type levelBuilder struct {
 	level uint8
 	isMap bool
 
-	// Leaf levels (0) detect boundaries with a contiguous bulk scan over the
-	// node buffer — the same byte-granular pattern as chunker.EntryChunker,
-	// minus the per-byte call and ring-buffer bookkeeping, plus the min-size
-	// skip (bytes that no checkable window can reach are never hashed).
-	// Index levels keep the entry-granular IndexChunker.
-	scan         *rolling.Scan
-	begin, check int // scan constants: hash start index, first checkable index
-	scanPos      int
-	scanHash     uint64
-	idx          *chunker.IndexChunker
+	// Every level detects boundaries with one contiguous bulk scan over the
+	// node buffer; see levelScan for the leaf and index rules.
+	levelScan
 
 	// buf is the builder's single scratch buffer, [nodeHeadroom][entries...].
 	// Emit borrows it only for the duration of the call (the sink copies the
@@ -51,28 +45,73 @@ type levelBuilder struct {
 	boundary bool // true when positioned exactly at a node boundary
 }
 
-// newLeafScan returns the leaf boundary scanner for a normalized config and
-// its constants: the index hashing starts at (the min-size skip) and the
-// first index a pattern may fire at.  Map and list leaves and blob leaves
-// all cut with it, so they cannot disagree.
-func newLeafScan(cfg chunker.Config) (scan *rolling.Scan, begin, check int) {
-	scan = rolling.NewScan(cfg.Q, cfg.Window)
-	return scan, scan.SkipStart(cfg.MinSize), cfg.MinSize - 1
+// indexMaxEntries bounds index-node width regardless of pattern luck.
+const indexMaxEntries = 1 << 10
+
+// levelScan is a level's boundary rule: the rolling-hash scanner, its
+// constants (the index hashing starts at, i.e. the min-size skip, and the
+// first index a pattern may fire at) and its state over the open node.  Map,
+// list and blob leaves and every index level get it from newLevelScan, so
+// they cannot disagree.
+//
+// A leaf cuts byte-granularly: a pattern anywhere in an entry, at or past
+// MinSize, closes the node at that entry's end (the paper's "extend the
+// boundary to cover the whole entry"), and so does reaching MaxSize.  An
+// index level cuts entry-granularly: after each entry the low fanout bits of
+// the rolling hash decide, so the cut probability does not depend on entry
+// size, and with a two-entry minimum every index level at least halves the
+// node count — byte-granular patterns cannot promise that when entries are
+// longer than the pattern distance.  Its scan has no checkable index; Find
+// only advances the hash to the end of the entry.
+type levelScan struct {
+	scan         rolling.Scan
+	begin, check int
+	fanout       uint64 // index levels: the hash bits that must be zero
+	pos          int    // bytes of the open node scanned so far
+	h            uint64 // the hash state after them
+}
+
+// find resumes the scan over node, the open node's bytes, and returns Find's
+// hit and hash state.
+func (ls *levelScan) find(node []byte) (int, uint64) {
+	hit, h := ls.scan.Find(node, ls.pos, ls.h, ls.begin, ls.check)
+	ls.pos, ls.h = len(node), h
+	return hit, h
+}
+
+// restart resets the scan state at a node boundary.
+func (ls *levelScan) restart() { ls.pos, ls.h = 0, 0 }
+
+func newLevelScan(cfg chunker.Config, level uint8) levelScan {
+	ls := levelScan{scan: rolling.NewScan(cfg.Q, cfg.Window)}
+	if level == 0 {
+		ls.begin, ls.check = ls.scan.SkipStart(cfg.MinSize), cfg.MinSize-1
+	} else {
+		ls.check = math.MaxInt
+		ls.fanout = uint64(1)<<indexFanoutBits(cfg.Q) - 1
+	}
+	return ls
+}
+
+// indexFanoutBits chooses the expected children per index node (2^bits) so
+// that index nodes stay size-proportionate to leaves: an index entry is
+// ~48 bytes (split key + 32-byte hash + count), so matching the 2^Q leaf
+// target gives bits ≈ Q-6, clamped to [2, 8] so reduction stays geometric
+// (≥4× per level) and nodes stay bounded (≤256 children on average), and
+// never more bits than the hash has.
+func indexFanoutBits(q uint) uint {
+	return min(max(q, 8)-6, 8, q)
 }
 
 func newLevelBuilder(sink *store.ChunkSink, cfg chunker.Config, level uint8, isMap bool) *levelBuilder {
 	cfg = cfg.Normalized()
 	b := &levelBuilder{
-		sink:     sink,
-		cfg:      cfg,
-		level:    level,
-		isMap:    isMap,
-		boundary: true,
-	}
-	if level == 0 {
-		b.scan, b.begin, b.check = newLeafScan(cfg)
-	} else {
-		b.idx = chunker.NewIndexChunker(cfg)
+		sink:      sink,
+		cfg:       cfg,
+		level:     level,
+		isMap:     isMap,
+		boundary:  true,
+		levelScan: newLevelScan(cfg, level),
 	}
 	est := 2 << cfg.Q
 	if est > cfg.MaxSize {
@@ -82,24 +121,22 @@ func newLevelBuilder(sink *store.ChunkSink, cfg chunker.Config, level uint8, isM
 	return b
 }
 
-// afterAppend runs the boundary decision for the entry just encoded at
-// b.buf[encStart:].
-func (b *levelBuilder) afterAppend(encStart int, key []byte, below uint64) error {
+// afterAppend runs the boundary decision for the entry just encoded at the
+// end of the open node.
+func (b *levelBuilder) afterAppend(key []byte, below uint64) error {
 	b.n++
 	b.lastKey = key
 	b.count += below
 	b.boundary = false
+	node := b.buf[nodeHeadroom:]
+	hit, h := b.find(node)
+	var cut bool
 	if b.level == 0 {
-		node := b.buf[nodeHeadroom:]
-		hit, h := b.scan.Find(node, b.scanPos, b.scanHash, b.begin, b.check)
-		b.scanHash = h
-		b.scanPos = len(node)
-		if hit >= 0 || len(node) >= b.cfg.MaxSize {
-			return b.closeNode()
-		}
-		return nil
+		cut = hit >= 0 || len(node) >= b.cfg.MaxSize
+	} else {
+		cut = b.n >= 2 && h&b.fanout == 0 || b.n >= indexMaxEntries
 	}
-	if b.idx.Add(b.buf[encStart:]) {
+	if cut {
 		return b.closeNode()
 	}
 	return nil
@@ -107,27 +144,24 @@ func (b *levelBuilder) afterAppend(encStart int, key []byte, below uint64) error
 
 // addEntry feeds one map entry (leaf level of the map variant).
 func (b *levelBuilder) addEntry(e Entry) error {
-	s := len(b.buf)
 	b.buf = encodeEntry(b.buf, e)
-	return b.afterAppend(s, e.Key, 1)
+	return b.afterAppend(e.Key, 1)
 }
 
 // addItem feeds one sequence item (leaf level of the seq variant).
 func (b *levelBuilder) addItem(item []byte) error {
-	s := len(b.buf)
 	b.buf = encodeSeqItem(b.buf, item)
-	return b.afterAppend(s, nil, 1)
+	return b.afterAppend(nil, 1)
 }
 
 // addRef feeds one child reference (index levels).
 func (b *levelBuilder) addRef(r childRef) error {
-	s := len(b.buf)
 	if b.isMap {
 		b.buf = encodeChildRef(b.buf, r)
 	} else {
 		b.buf = encodeSeqChildRef(b.buf, r)
 	}
-	return b.afterAppend(s, r.splitKey, r.count)
+	return b.afterAppend(r.splitKey, r.count)
 }
 
 // atBoundary reports whether the builder sits exactly at a node boundary
@@ -173,10 +207,7 @@ func (b *levelBuilder) closeNode() error {
 	b.n = 0
 	b.lastKey = nil
 	b.count = 0
-	b.scanPos, b.scanHash = 0, 0
-	if b.idx != nil {
-		b.idx.Reset()
-	}
+	b.restart()
 	b.boundary = true
 	return nil
 }

@@ -6,24 +6,81 @@ import (
 
 	"forkbase/internal/chunk"
 	"forkbase/internal/chunker"
+	"forkbase/internal/rolling"
 	"forkbase/internal/store"
 )
 
 // This file preserves the pre-sink write path — one chunk.New and one
 // synchronous store.Put per node, boundary detection through the byte-wise
-// chunker — verbatim, as the oracle for the batched sink path: the two must
-// produce byte-identical trees, and the differential tests in builder_test.go
-// compare roots against this implementation over randomized inputs.
+// chunker and rolling.Hasher — as the oracle for the batched sink path: the
+// two must produce byte-identical trees, and the differential tests in
+// builder_test.go compare roots against this implementation over randomized
+// inputs.
 //
 // It intentionally mirrors builder.go's structure; do not "fix" it to share
 // code with the new path, or the comparison stops checking anything.
+
+// boundary is the legacy path's cut decision: Add feeds one encoded entry
+// and reports whether the node closes after it; Reset restarts at a boundary.
+type boundary interface {
+	Add(encoded []byte) bool
+	Reset()
+}
+
+// leafChunker cuts leaves through the byte-wise chunker: a pattern at or
+// past MinSize, or reaching MaxSize, anywhere inside an entry closes the node
+// at the entry's end.
+type leafChunker struct{ c *chunker.ByteChunker }
+
+func (l leafChunker) Add(encoded []byte) bool {
+	if len(l.c.Write(encoded)) == 0 {
+		return false
+	}
+	l.c.Reset()
+	return true
+}
+
+func (l leafChunker) Reset() { l.c.Reset() }
+
+// indexChunker cuts index levels through the byte-wise rolling.Hasher: after
+// each entry the low fanout bits of the hash decide, with a two-entry minimum
+// and an indexMaxEntries cap.  It is the oracle for levelBuilder's index
+// rule, which makes the same decision from the bulk scan's state.
+type indexChunker struct {
+	h       *rolling.Hasher
+	mask    uint64
+	entries int
+}
+
+func newIndexChunker(cfg chunker.Config) *indexChunker {
+	cfg = cfg.Normalized()
+	return &indexChunker{
+		h:    rolling.New(cfg.Q, cfg.Window),
+		mask: uint64(1)<<indexFanoutBits(cfg.Q) - 1,
+	}
+}
+
+func (c *indexChunker) Add(encoded []byte) bool {
+	c.h.Write(encoded)
+	c.entries++
+	hit := c.entries >= 2 && c.h.Sum64()&c.mask == 0 || c.entries >= indexMaxEntries
+	if hit {
+		c.Reset()
+	}
+	return hit
+}
+
+func (c *indexChunker) Reset() {
+	c.h.Reset()
+	c.entries = 0
+}
 
 // legacyLevelBuilder assembles one level of a POS-Tree with a synchronous
 // Put per finished node.
 type legacyLevelBuilder struct {
 	st    store.Store
 	cfg   chunker.Config
-	chk   chunker.Boundary
+	chk   boundary
 	level uint8
 	isMap bool
 
@@ -36,11 +93,11 @@ type legacyLevelBuilder struct {
 }
 
 func newLegacyLevelBuilder(st store.Store, cfg chunker.Config, level uint8, isMap bool) *legacyLevelBuilder {
-	var chk chunker.Boundary
+	var chk boundary
 	if level == 0 {
-		chk = chunker.NewEntryChunker(cfg)
+		chk = leafChunker{chunker.NewByteChunker(cfg)}
 	} else {
-		chk = chunker.NewIndexChunker(cfg)
+		chk = newIndexChunker(cfg)
 	}
 	return &legacyLevelBuilder{
 		st:       st,

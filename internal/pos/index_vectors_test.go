@@ -1,0 +1,140 @@
+package pos
+
+import (
+	"encoding/binary"
+	"fmt"
+	"testing"
+
+	"forkbase/internal/chunker"
+	"forkbase/internal/hash"
+	"forkbase/internal/store"
+)
+
+// Pinned vectors for the index-level cut, in the style of the chunker's
+// rolling vectors: a fixed SplitMix64 stream of child refs must always close
+// index nodes after exactly these entries.  A change to the fanout rule, the
+// two-entry minimum or the index hash state shows up here as a diff of
+// literal integers rather than a silent reshape of every index level.
+
+// vecRefs deterministically expands a seed into n child refs: ascending split
+// keys with a random suffix (map refs only), random ids and random counts.
+func vecRefs(seed uint64, n int, isMap bool) []childRef {
+	x := seed
+	next := func() uint64 {
+		x += 0x9E3779B97F4A7C15
+		z := x
+		z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+		z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+		return z ^ (z >> 31)
+	}
+	refs := make([]childRef, n)
+	for i := range refs {
+		var id hash.Hash
+		for j := 0; j < len(id); j += 8 {
+			binary.LittleEndian.PutUint64(id[j:], next())
+		}
+		refs[i] = childRef{id: id, count: 1 + next()%5000}
+		if isMap {
+			shift := next() % 64 // a suffix of 1 to 16 hex digits
+			refs[i].splitKey = fmt.Appendf(nil, "key-%06d-%x", i, next()>>shift)
+		}
+	}
+	return refs
+}
+
+var indexVectors = []struct {
+	name  string
+	seed  uint64
+	n     int
+	isMap bool
+	cfg   chunker.Config
+	cuts  []int // entries in the level so far at every node close, in order
+}{
+	{
+		name:  "default-map",
+		seed:  1,
+		n:     2000,
+		isMap: true,
+		cfg:   chunker.DefaultConfig(),
+		cuts: []int{
+			7, 11, 50, 122, 244, 407, 424, 492, 506, 531,
+			535, 546, 554, 560, 732, 744, 853, 971, 989, 991,
+			996, 1039, 1107, 1194, 1401, 1416, 1434, 1704, 1721, 1735,
+			1747, 1880, 1905, 1940, 1987,
+		},
+	},
+	{
+		name:  "small-map",
+		seed:  2,
+		n:     200,
+		isMap: true,
+		cfg:   chunker.SmallConfig(),
+		cuts: []int{
+			3, 10, 22, 25, 33, 39, 41, 48, 56, 61,
+			66, 70, 75, 78, 82, 102, 105, 110, 112, 114,
+			119, 123, 125, 129, 134, 136, 138, 147, 152, 154,
+			158, 164, 171, 173, 175, 180, 183, 187, 194,
+		},
+	},
+	{
+		name: "small-seq",
+		seed: 3,
+		n:    200,
+		cfg:  chunker.SmallConfig(),
+		cuts: []int{
+			7, 20, 30, 36, 41, 45, 48, 54, 58, 60,
+			62, 69, 75, 79, 82, 85, 90, 96, 99, 103,
+			106, 110, 113, 122, 126, 128, 134, 136, 141, 144,
+			148, 150, 154, 161, 165, 168, 176, 179, 185, 188,
+			192, 194,
+		},
+	},
+}
+
+// TestIndexGoldenCuts feeds each ref stream through a levelBuilder index
+// level (the bulk scan over the node buffer) and through the byte-wise
+// indexChunker oracle; both must cut after exactly the pinned entries.
+func TestIndexGoldenCuts(t *testing.T) {
+	for _, tc := range indexVectors {
+		t.Run(tc.name, func(t *testing.T) {
+			refs := vecRefs(tc.seed, tc.n, tc.isMap)
+
+			sink := store.NewChunkSink(store.NewMemStore())
+			lb := newLevelBuilder(sink, tc.cfg, 1, tc.isMap)
+			var cuts []int
+			for i, r := range refs {
+				before := len(lb.emitted)
+				if err := lb.addRef(r); err != nil {
+					t.Fatal(err)
+				}
+				if len(lb.emitted) > before {
+					cuts = append(cuts, i+1)
+				}
+			}
+			sameEntryCuts(t, "levelBuilder", cuts, tc.cuts)
+
+			oracle := newIndexChunker(tc.cfg)
+			cuts = nil
+			var enc []byte
+			for i, r := range refs {
+				if tc.isMap {
+					enc = encodeChildRef(enc[:0], r)
+				} else {
+					enc = encodeSeqChildRef(enc[:0], r)
+				}
+				if oracle.Add(enc) {
+					cuts = append(cuts, i+1)
+				}
+			}
+			sameEntryCuts(t, "indexChunker", cuts, tc.cuts)
+		})
+	}
+}
+
+// sameEntryCuts fails t unless got equals want.
+func sameEntryCuts(t *testing.T, how string, got, want []int) {
+	t.Helper()
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("%s cuts after entries\n%#v\nwant\n%#v", how, got, want)
+	}
+}

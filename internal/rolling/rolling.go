@@ -16,6 +16,8 @@
 // the average chunk size.
 package rolling
 
+import "sync"
+
 // DefaultWindow is the number of bytes over which the hash is computed.
 // 48 bytes is large enough for good boundary stability under local edits and
 // small enough to re-synchronise quickly.
@@ -112,42 +114,81 @@ func (h *Hasher) OnPattern() bool {
 	return h.n == h.window && h.hash&h.mask == 0
 }
 
-// Scan finds split patterns over a *contiguous* chunk buffer, computing the
-// exact same per-byte hash values as feeding the buffer through Hasher.Roll —
-// the bulk-ingest property tests enforce the equivalence — but without any
-// ring-buffer bookkeeping: in steady state the byte leaving the window is
-// read straight from the buffer at index i-window.  POS-Tree builders hold
-// each open node's encoded bytes contiguously anyway, which makes this the
-// natural fit for the write path: no per-byte function call, no ring stores,
-// and the state carried between calls is just (position, hash).
+// maxScanQ is the widest pattern NewScan accepts: its tables hold q-bit
+// values in uint32.
+const maxScanQ = 30
+
+// Scan finds split patterns over a *contiguous* chunk buffer, making the
+// exact boundary decisions — and returning the exact hash — of feeding the
+// buffer through Hasher.Roll, without a ring buffer: the byte leaving the
+// window is read straight from the buffer at index i-window.  POS-Tree
+// builders hold each open node's encoded bytes contiguously anyway, so every
+// level, leaf or index, cuts with it; the state carried between calls is
+// just (position, hash).
 //
-// Scan is immutable after New and therefore safe to share between goroutines.
+// The kernel runs in de-rotated form.  Rather than h_i, the hash after byte
+// i, it keeps g_i = δ^{-(i+1)}(h_i).  A byte then adds the same term to g
+// when it enters the window and when it leaves it, and the update is two
+// table lookups and XORs with no rotate:
+//
+//	g_i = g_{i-1} ⊕ D[i][b_i] ⊕ D[i-w][b_{i-w}],  D[j][b] = δ^{-(j+1)}(Γ(b))
+//
+// D depends only on j mod q.  δ is a bijection on q bits, so h_i is zero —
+// the split pattern — exactly when g_i is.
+//
+// Scan is a small immutable value over a table shared by every scanner of
+// the same q, and therefore safe to share between goroutines.
 type Scan struct {
-	q      uint
-	mask   uint64
-	window int
-	table  [256]uint64
-	shiftK [256]uint64
+	q, window int
+	step      int // 4 mod q: the row advance of one unrolled step
+	// in[r] and out[r] are the four rows an unrolled step reads for the
+	// bytes entering and leaving the window when the first entering byte's
+	// index is r mod q: two views of one shared list, out lagging in by
+	// window mod q rows.
+	in, out []*[4]row
+}
+
+// row is one rotation of Γ, a row of D.
+type row = [256]uint32
+
+// tables holds, per q, D's four-row windows quads[j] = D[j..j+3] for
+// j < 2q, built on first use.  D is periodic in j, so both views, started
+// at any offset below q, read four consecutive rows without wrapping.
+var tables [maxScanQ + 1]struct {
+	once  sync.Once
+	quads []*[4]row
+}
+
+func derotated(q uint) []*[4]row {
+	t := &tables[q]
+	t.once.Do(func() {
+		g := gamma(q)
+		d := make([]row, 2*q+3)
+		for j := range d {
+			for b, v := range g {
+				d[j][b] = uint32(rotQ(v, q-uint(j+1)%q, q))
+			}
+		}
+		t.quads = make([]*[4]row, 2*q)
+		for j := range t.quads {
+			t.quads[j] = (*[4]row)(d[j : j+4])
+		}
+	})
+	return t.quads
 }
 
 // NewScan returns a scanner with the same pattern semantics as New(q, window).
-func NewScan(q uint, window int) *Scan {
-	if q < 1 || q > 63 {
-		panic("rolling: q out of range [1,63]")
+// q must be in [1, maxScanQ]; window must be positive.
+func NewScan(q uint, window int) Scan {
+	if q < 1 || q > maxScanQ {
+		panic("rolling: q out of range [1,30]")
 	}
 	if window <= 0 {
 		panic("rolling: window must be positive")
 	}
-	s := &Scan{q: q, mask: (uint64(1) << q) - 1, window: window}
-	s.table = gamma(q)
-	for b := 0; b < 256; b++ {
-		s.shiftK[b] = rotQ(s.table[b], uint(window%int(q)), q)
-	}
-	return s
+	quads, lag := derotated(q), int(q)-window%int(q)
+	return Scan{q: int(q), window: window, step: 4 % int(q), in: quads[:q], out: quads[lag : lag+int(q)]}
 }
-
-// Window returns the window size in bytes.
-func (s *Scan) Window() int { return s.window }
 
 // Find resumes scanning node[pos:] for the first split pattern, where node is
 // the full byte run of the open chunk.  Hashing started at index begin
@@ -155,62 +196,71 @@ func (s *Scan) Window() int { return s.window }
 // the window no longer overlaps them); a pattern only counts at indexes
 // >= check (the min-size rule, 0-based: byte i is the (i+1)-th byte of the
 // chunk).  It returns the index of the first boundary byte or -1, plus the
-// hash state to pass back in when more bytes arrive.
+// hash state to pass back in when more bytes arrive.  A check past the end
+// of node never fires, so Find then just advances the state to len(node).
 //
 // Callers must keep begin <= check-window+1 so that every checkable index
 // has a full window of hashed bytes behind it; begin = max(0, minSize-window)
 // with check = minSize-1 satisfies this exactly.
 func (s *Scan) Find(node []byte, pos int, h uint64, begin, check int) (int, uint64) {
-	n := len(node)
-	i := pos
-	if i < begin {
-		i = begin
-	}
-	qmask := s.mask
-	q := s.q
-	// Fill phase: the window is not yet full, so no byte leaves it.  At most
-	// `window` bytes per chunk run here; pattern checks are possible only on
-	// the byte that completes the window.
-	fillEnd := begin + s.window
-	if fillEnd > n {
-		fillEnd = n
-	}
-	for ; i < fillEnd; i++ {
-		v := h << 1
-		v |= (v >> q) & 1
-		h = (v & qmask) ^ s.table[node[i]]
-		if h&qmask == 0 && i >= check && i-begin+1 >= s.window {
-			return i, h
-		}
-	}
-	// Steady state: no ring buffer — the departing byte is node[i-window].
-	// Indexes below check cannot fire, so they roll without the pattern
-	// test; from check on, lead/trail subslices of equal length let the
-	// compiler drop both bounds checks in the hot loop.
-	w := s.window
-	stopA := check
-	if stopA > n {
-		stopA = n
-	}
-	for ; i < stopA; i++ {
-		v := h << 1
-		v |= (v >> q) & 1
-		h = (v & qmask) ^ s.shiftK[node[i-w]] ^ s.table[node[i]]
-	}
+	n, q, w, in, out := len(node), s.q, s.window, s.in, s.out
+	i := max(pos, begin)
 	if i >= n {
 		return -1, h
 	}
-	lead := node[i:n]
-	trail := node[i-w : n-w]
-	for k := range lead {
-		v := h << 1
-		v |= (v >> q) & 1
-		h = (v & qmask) ^ s.shiftK[trail[k]] ^ s.table[lead[k]]
-		if h&qmask == 0 {
-			return i + k, h
+	// r tracks i mod q; h, the hash after byte i-1, enters as δ^{-i}(h).
+	r := i % q
+	g := rotl(uint32(h), uint(q-r), uint(q))
+	// Fill phase: the window is not yet full, so no byte leaves it.  At most
+	// `window` bytes per chunk run here; pattern checks are possible only on
+	// the byte that completes the window.
+	for fillEnd := min(begin+w, n); i < fillEnd; i++ {
+		g ^= in[r][0][node[i]]
+		if r++; r == q {
+			r = 0
+		}
+		if g == 0 && i >= check && i-begin+1 >= w {
+			return i, 0
 		}
 	}
-	return -1, h
+	// Steady state: lead[k] enters the window as trail[k] leaves it.
+	if i < n {
+		lead := node[i:]
+		trail := node[i-w:][:len(lead)]
+		// Four bytes a step: x_j is what the step's first j+1 bytes XOR into
+		// g, so its byte j hits exactly when g == x_j, and the only
+		// loop-carried work is the final XOR.
+		for len(lead) >= 4 {
+			a, b := lead[:4], trail[:4]
+			l, t := in[r], out[r]
+			x0 := l[0][a[0]] ^ t[0][b[0]]
+			x1 := x0 ^ l[1][a[1]] ^ t[1][b[1]]
+			x2 := x1 ^ l[2][a[2]] ^ t[2][b[2]]
+			x3 := x2 ^ l[3][a[3]] ^ t[3][b[3]]
+			if g == x0 || g == x1 || g == x2 || g == x3 {
+				for j, x := range [4]uint32{x0, x1, x2, x3} {
+					if at := n - len(lead) + j; g == x && at >= check {
+						return at, 0
+					}
+				}
+			}
+			g ^= x3
+			if r += s.step; r >= q {
+				r -= q
+			}
+			lead, trail = lead[4:], trail[4:]
+		}
+		for ; len(lead) > 0; lead, trail = lead[1:], trail[1:] {
+			g ^= in[r][0][lead[0]] ^ out[r][0][trail[0]]
+			if r++; r == q {
+				r = 0
+			}
+			if at := n - len(lead); g == 0 && at >= check {
+				return at, 0
+			}
+		}
+	}
+	return -1, uint64(rotl(g, uint(r), uint(q))) // r == n mod q
 }
 
 // SkipStart returns the index at which hashing may begin for a chunk whose
@@ -229,6 +279,11 @@ func rot1(v uint64, q uint) uint64 {
 	v <<= 1
 	v |= (v >> q) & 1
 	return v & ((uint64(1) << q) - 1)
+}
+
+// rotl rotates the q-bit value v left by n ≤ q bits: δ^n without a division.
+func rotl(v uint32, n, q uint) uint32 {
+	return (v<<n | v>>(q-n)) & (1<<q - 1)
 }
 
 // rotQ applies rot1 n times.

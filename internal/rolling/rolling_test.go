@@ -2,6 +2,7 @@ package rolling
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -123,17 +124,28 @@ func TestRotQComposition(t *testing.T) {
 }
 
 func TestNewPanicsOnBadArgs(t *testing.T) {
+	newHasher := func(q uint, w int) { New(q, w) }
+	newScan := func(q uint, w int) { NewScan(q, w) }
 	for _, tc := range []struct {
-		q uint
-		w int
-	}{{0, 8}, {64, 8}, {8, 0}} {
+		name string
+		new  func(uint, int)
+		q    uint
+		w    int
+	}{
+		{"New", newHasher, 0, 8},
+		{"New", newHasher, 64, 8},
+		{"New", newHasher, 8, 0},
+		{"NewScan", newScan, 0, 8},
+		{"NewScan", newScan, maxScanQ + 1, 8}, // its tables are uint32
+		{"NewScan", newScan, 8, 0},
+	} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("New(%d,%d) did not panic", tc.q, tc.w)
+					t.Errorf("%s(%d,%d) did not panic", tc.name, tc.q, tc.w)
 				}
 			}()
-			New(tc.q, tc.w)
+			tc.new(tc.q, tc.w)
 		}()
 	}
 }
@@ -162,64 +174,127 @@ func BenchmarkRoll(b *testing.B) {
 	}
 }
 
-// TestScanMatchesHasher proves the bulk scanner computes the exact boundary
-// decisions of the byte-wise Hasher over contiguous chunk runs: for every
-// (minSize, chunk split) the first pattern index at or past the min-size
-// check must agree, including across incremental Find resumptions and the
-// min-size hash skip.
+// sameAsHasher drives Find the way the leaf builders do — the open chunk
+// grows by appends of step() bytes (possibly none), Find resumes from the
+// last position and state, and a hit restarts the chunk after it with fresh
+// state, carrying the bytes already appended — and fails unless every call
+// returns the hit and the state of a byte-wise Hasher fed the same chunk from
+// the skip point.
+func sameAsHasher(tb testing.TB, data []byte, q uint, window, minSize int, step func() int) {
+	tb.Helper()
+	s := NewScan(q, window)
+	begin, check := s.SkipStart(minSize), minSize-1
+	ref := New(q, window)
+	start, end, pos, h := 0, 0, 0, uint64(0)
+	for start < len(data) {
+		end = min(end+step(), len(data))
+		node := data[start:end]
+		hit, got := s.Find(node, pos, h, begin, check)
+		want := -1
+		for ; pos < len(node); pos++ {
+			if pos < begin {
+				continue
+			}
+			ref.Roll(node[pos])
+			if pos >= check && ref.OnPattern() {
+				want = pos
+				break
+			}
+		}
+		if hit != want || got != ref.Sum64() {
+			tb.Fatalf("q=%d w=%d min=%d, chunk at %d of %d bytes: Find = (%d, %#x), Hasher = (%d, %#x)",
+				q, window, minSize, start, len(node), hit, got, want, ref.Sum64())
+		}
+		switch {
+		case hit >= 0:
+			start += hit + 1
+			pos, h = 0, 0
+			ref.Reset()
+		case end == len(data):
+			return
+		default:
+			h = got
+		}
+	}
+}
+
+// TestScanMatchesHasher proves the de-rotated scanner makes the exact
+// boundary decisions, and returns the exact state, of the byte-wise Hasher
+// across every pattern width (q < 4 wraps the row offset more than once per
+// step), windows that are multiples of q or shorter than it, min-sizes below,
+// at and above the window, and resumption at random splits.
 func TestScanMatchesHasher(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	for _, cfg := range []struct {
-		q       uint
-		window  int
-		minSize int
-	}{
-		{12, 48, 512}, // default config shape: minSize > window, skip active
-		{8, 48, 32},   // small config shape: minSize < window, no skip
-		{10, 16, 16},  // minSize == window
-	} {
-		scan := NewScan(cfg.q, cfg.window)
-		begin := scan.SkipStart(cfg.minSize)
-		check := cfg.minSize - 1
-
-		for trial := 0; trial < 30; trial++ {
-			n := 200 + rng.Intn(8000)
-			data := make([]byte, n)
-			rng.Read(data)
-
-			// Reference: byte-wise Hasher, fresh from a boundary.
-			h := New(cfg.q, cfg.window)
-			wantHit := -1
-			for i, b := range data {
-				h.Roll(b)
-				if i+1 >= cfg.minSize && h.OnPattern() {
-					wantHit = i
-					break
-				}
-			}
-
-			// Bulk: resume Find across random slice steps, like a builder
-			// appending entries.
-			gotHit := -1
-			pos, hash := 0, uint64(0)
-			for end := 0; end < n && gotHit < 0; {
-				end += 1 + rng.Intn(97)
-				if end > n {
-					end = n
-				}
-				var hit int
-				hit, hash = scan.Find(data[:end], pos, hash, begin, check)
-				pos = end
-				if hit >= 0 {
-					gotHit = hit
-				}
-			}
-			if gotHit != wantHit {
-				t.Fatalf("q=%d w=%d min=%d trial %d: scan hit %d, hasher hit %d",
-					cfg.q, cfg.window, cfg.minSize, trial, gotHit, wantHit)
+	data := make([]byte, 3000)
+	for q := uint(1); q <= maxScanQ; q++ {
+		for _, w := range []int{1, 3, 16, 48, 64} {
+			for _, minSize := range []int{max(1, w/2), w, 2*w + 5} {
+				rng.Read(data)
+				sameAsHasher(t, data, q, w, minSize, func() int { return rng.Intn(100) })
 			}
 		}
 	}
+}
+
+// TestScanTablesShared: scanners built at once on several goroutines share
+// one table per q (built once, read-only after) and cut identically.
+func TestScanTablesShared(t *testing.T) {
+	data := vecInput(7, 64<<10)
+	hits := make([]int, 4)
+	var wg sync.WaitGroup
+	for k := range hits {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			s := NewScan(uint(9+k%2), DefaultWindow)
+			hits[k], _ = s.Find(data, 0, 0, 0, 500)
+		}(k)
+	}
+	wg.Wait()
+	for k := 2; k < len(hits); k++ {
+		if hits[k] != hits[k%2] {
+			t.Fatalf("scanner %d cut at %d, scanner %d at %d", k, hits[k], k%2, hits[k%2])
+		}
+	}
+	if a, b := NewScan(9, 48), NewScan(9, 16); &a.in[0][0] != &b.in[0][0] {
+		t.Fatal("two scanners of the same q built two tables")
+	}
+}
+
+// FuzzScan checks Find against the byte-wise Hasher on arbitrary bytes and
+// geometries.  The input is a SplitMix64 stream (vecInput) followed by raw
+// bytes, so the corpus stays small while the seeds are the chunker's three
+// golden-vector inputs at their own geometries.
+func FuzzScan(f *testing.F) {
+	f.Add(uint64(1), uint32(128<<10), []byte(nil), uint16(12), uint16(48), uint16(512), uint16(777)) // DefaultConfig
+	f.Add(uint64(2), uint32(16<<10), []byte(nil), uint16(8), uint16(48), uint16(32), uint16(301))    // SmallConfig
+	f.Add(uint64(3), uint32(16<<10), []byte(nil), uint16(8), uint16(16), uint16(32), uint16(97))     // window 16
+	f.Fuzz(func(t *testing.T, seed uint64, n uint32, tail []byte, q, w, minSize, stride uint16) {
+		data := append(vecInput(seed, int(n%(256<<10))), tail...)
+		k := 0
+		sameAsHasher(t, data, uint(q%maxScanQ)+1, int(w%256)+1, int(minSize%1024)+1, func() int {
+			k++
+			return 1 + (k*int(stride))%1000
+		})
+	})
+}
+
+// vecInput deterministically expands a seed into n bytes with SplitMix64,
+// the generator of the chunker's golden vectors.
+func vecInput(seed uint64, n int) []byte {
+	out := make([]byte, n)
+	x := seed
+	for i := 0; i < n; i += 8 {
+		x += 0x9E3779B97F4A7C15
+		z := x
+		z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+		z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+		z ^= z >> 31
+		for j := 0; j < 8 && i+j < n; j++ {
+			out[i+j] = byte(z >> (8 * j))
+		}
+	}
+	return out
 }
 
 // TestScanSkipStart pins the min-size skip arithmetic.
