@@ -102,6 +102,15 @@ func TestSourceGuards(t *testing.T) {
 		paths:   []string{"internal/store/file.go", "internal/store/scrub.go"},
 		want:    0,
 	}, {
+		// An acknowledged segment write is in the OS, and every segment is
+		// read through its mapping: an append buffer is a second, private
+		// state a killed process loses, and a second read path for the
+		// records still in it.
+		name:    "one state for an acked write",
+		pattern: `actBuf|actFlushed|getActive|bufio\.`,
+		paths:   []string{"internal/store/file.go", "internal/store/scrub.go"},
+		want:    0,
+	}, {
 		// POS nodes, MPT nodes and FNodes share the engine's one byte budget
 		// (core.Options.NodeCacheBytes, built in core/db.go); a second cache
 		// is a second budget and a second set of ids GC must purge.

@@ -128,9 +128,6 @@ func TestCorruptSegmentNeedsSealed(t *testing.T) {
 	if _, err := s.Put(chunk.New(chunk.TypeBlobLeaf, []byte("only one segment"))); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := chaos.CorruptSegment(dir, 1, 1); err == nil {
 		t.Fatal("expected an error with no sealed segments")
 	}

@@ -352,7 +352,7 @@ type WriteOp struct {
 
 // WriteBatch writes a new version of every op's object in one batched round:
 // heads are read first, all FNodes are stored with a single fnode.SaveAll
-// (one store lock acquisition and, on a FileStore, one group-commit flush),
+// (one store lock acquisition and, on a FileStore, one group-commit write),
 // and only then are the branch heads advanced.  Later ops targeting the same
 // key@branch derive from earlier ops in the batch, so a batch behaves like
 // the equivalent Put sequence.

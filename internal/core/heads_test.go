@@ -394,41 +394,16 @@ func TestHeadsSurviveKill(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			dir := t.TempDir()
-			cmd := exec.Command(os.Args[0], "-test.run=^TestHeadsSurviveKill$")
-			cmd.Env = append(os.Environ(), killDirEnv+"="+dir, killSeedEnv+"="+strconv.Itoa(seed))
-			var stderr bytes.Buffer
-			cmd.Stderr = &stderr
-			out, err := cmd.StdoutPipe()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := cmd.Start(); err != nil {
-				t.Fatal(err)
-			}
 			acked := map[string]hash.Hash{}
-			sc := bufio.NewScanner(out)
-			readLine := func() bool {
-				if !sc.Scan() {
-					return false
-				}
-				key, uid, ok := strings.Cut(sc.Text(), " ")
+			killAfter := 180 + rand.New(rand.NewSource(int64(seed))).Intn(40)
+			killMidStream(t, "TestHeadsSurviveKill", dir, seed, func(line string) bool {
+				key, uid, ok := strings.Cut(line, " ")
 				if !ok || uid != killChildUID(seed, key).String() {
-					t.Errorf("child printed %q", sc.Text())
+					t.Errorf("child printed %q", line)
 				}
 				acked[key] = killChildUID(seed, key)
-				return true
-			}
-			killAfter := 180 + rand.New(rand.NewSource(int64(seed))).Intn(40)
-			for len(acked) < killAfter && readLine() {
-			}
-			if err := cmd.Process.Kill(); err != nil {
-				t.Fatal(err)
-			}
-			for readLine() { // what the child printed before it died
-			}
-			if err := cmd.Wait(); err == nil || len(acked) < killAfter {
-				t.Fatalf("child exited with %v after %d heads; stderr:\n%s", err, len(acked), stderr.Bytes())
-			}
+				return len(acked) < killAfter
+			})
 
 			got := allHeadsOf(t, openHeads(t, dir))
 			extra := 0
@@ -447,6 +422,40 @@ func TestHeadsSurviveKill(t *testing.T) {
 			}
 			t.Logf("killed after %d acked heads (%d unprinted survivors)", len(acked), extra)
 		})
+	}
+}
+
+// killMidStream is the kill tests' harness.  It re-executes this test binary
+// as a child running only test name, with dir and seed in its environment,
+// and hands line each line the child prints until line returns false.  Then
+// it SIGKILLs the child, hands line what the child printed before it died,
+// and fails t unless the kill is what ended the child.
+func killMidStream(t *testing.T, name, dir string, seed int, line func(string) bool) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], "-test.run=^"+name+"$")
+	cmd.Env = append(os.Environ(), killDirEnv+"="+dir, killSeedEnv+"="+strconv.Itoa(seed))
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	sc := bufio.NewScanner(out)
+	enough := false
+	for !enough && sc.Scan() {
+		enough = !line(sc.Text())
+	}
+	if err := cmd.Process.Kill(); err != nil {
+		t.Fatal(err)
+	}
+	for sc.Scan() {
+		line(sc.Text())
+	}
+	if err := cmd.Wait(); err == nil || !enough {
+		t.Fatalf("child exited with %v before it was killed; stderr:\n%s", err, stderr.Bytes())
 	}
 }
 

@@ -87,9 +87,6 @@ func seedHealDB(t *testing.T, db *DB, fs *store.FileStore) {
 	if _, err := db.Put("b", "", bigMap(t, db, 200, "b1"), nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.Flush(); err != nil {
-		t.Fatal(err)
-	}
 	if fs.DiskBytes() < 3*4096 {
 		t.Fatal("seed too small to span several segments")
 	}

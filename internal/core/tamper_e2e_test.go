@@ -4,6 +4,9 @@ import (
 	"errors"
 	"testing"
 
+	"forkbase/internal/chunk"
+	"forkbase/internal/chunker"
+	"forkbase/internal/hash"
 	"forkbase/internal/store"
 )
 
@@ -20,15 +23,25 @@ func TestTamperAfterVerifyScrubHealRecovers(t *testing.T) {
 	seedHealDB(t, db, fs)
 	replica := mirrorStore(t, fs)
 
-	// Phase 1 — verified read: deep-verify every branch, which walks every
-	// reachable chunk through the verifying store; what it reads is stamped.
+	// Phase 1 — verified read: deep-verify every branch, which rehashes every
+	// reachable chunk through the verifying store and stamps what it read, so
+	// a plain read of any of them is then served on the stamp.
 	verifyAllBranches(t, db)
 	vst := db.VerifyStats()
 	if !vst.Enabled {
 		t.Fatal("verified stamp off over a plain file store")
 	}
-	if vst.Hits == 0 {
-		t.Fatalf("deep verify was served by no stamp: %+v", vst)
+	if vst.Misses == 0 {
+		t.Fatalf("deep verify paid no rehash: %+v", vst)
+	}
+	ids := fs.IDs()
+	for _, id := range ids {
+		if _, err := db.Store().Get(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := db.VerifyStats().Hits - vst.Hits; got != int64(len(ids)) {
+		t.Fatalf("%d of %d reads after deep verify were served on a stamp", got, len(ids))
 	}
 
 	// Phase 2 — tamper after the verified read.
@@ -36,6 +49,7 @@ func TestTamperAfterVerifyScrubHealRecovers(t *testing.T) {
 
 	// Phase 3 — scrub classifies despite the warm cache (scrub reads the
 	// segment bytes directly; a verified stamp is never an oracle for it).
+	invalidated := db.VerifyStats().Invalidations
 	ss, err := db.Scrub()
 	if err != nil {
 		t.Fatal(err)
@@ -46,7 +60,7 @@ func TestTamperAfterVerifyScrubHealRecovers(t *testing.T) {
 	if err := fs.Health(); !errors.Is(err, store.ErrCorrupt) {
 		t.Fatalf("health = %v, want ErrCorrupt", err)
 	}
-	if got := db.VerifyStats().Invalidations; got == 0 {
+	if db.VerifyStats().Invalidations == invalidated {
 		t.Fatal("scrub findings invalidated no verified stamp")
 	}
 	// The lost chunk must not be served from any cache layer.
@@ -69,4 +83,46 @@ func TestTamperAfterVerifyScrubHealRecovers(t *testing.T) {
 
 	// Phase 5 — the store deep-verifies clean again, end to end.
 	verifyAllBranches(t, db)
+}
+
+// TestVerifyRehashesStampedChunks: a chunk the engine just wrote carries the
+// store's verified stamp, and the active segment is read through its mapping,
+// so a plain read of it pays no hash.  Validation must not lean on that
+// stamp: bytes changed on disk after the write are reported, shallow and
+// deep, and a read after that pays the rehash too.
+func TestVerifyRehashesStampedChunks(t *testing.T) {
+	dir := t.TempDir()
+	fs, err := store.OpenFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	db := Open(Options{Store: fs, Branches: NewMemBranchTable(), Chunking: chunker.SmallConfig()})
+	v, err := db.Put("k", "", bigMap(t, db, 400, "v1"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := fs.IDs()
+	hits := db.VerifyStats().Hits
+	for _, id := range ids {
+		if _, err := db.Store().Get(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := db.VerifyStats().Hits - hits; got != int64(len(ids)) {
+		t.Fatalf("%d of %d reads of fresh writes were served on their stamp", got, len(ids))
+	}
+
+	rotSegment(t, dir, 0) // the active segment: the first chunk the Put wrote
+	var rotted hash.Hash
+	for _, deep := range []bool{false, true} {
+		rep, err := db.VerifyVersion("k", v.UID, deep)
+		if !errors.Is(err, ErrTampered) || len(rep.Failures) != 1 || rep.Failures[0].ChunkID == v.UID {
+			t.Fatalf("deep=%v: verify of bytes changed behind a stamp: err=%v report=%+v", deep, err, rep)
+		}
+		rotted = rep.Failures[0].ChunkID
+	}
+	if _, err := db.Store().Get(rotted); !errors.Is(err, chunk.ErrCorrupt) {
+		t.Fatalf("read after a failed validation = %v, want ErrCorrupt", err)
+	}
 }

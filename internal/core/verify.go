@@ -46,7 +46,9 @@ var ErrTampered = errors.New("core: tamper detected")
 // whose Seq is not above a base's, which no hash catches and which would
 // mislead Merge's Seq-ordered base walk.  Reads go through the verifying
 // store, so corruption surfaces as chunk.ErrCorrupt; a chunk that fails is
-// reported and not descended into — its pointers are not trustworthy.
+// reported and not descended into — its pointers are not trustworthy.  As
+// in Heal, every read pays the rehash: a verified stamp says what the bytes
+// were when written or last read, and validation reports what they are now.
 func (db *DB) VerifyVersion(key string, uid hash.Hash, deep bool) (VerifyReport, error) {
 	rep := VerifyReport{UID: uid, OK: true}
 	fail := func(id hash.Hash, context string, err error) {
@@ -62,6 +64,7 @@ func (db *DB) VerifyVersion(key string, uid hash.Hash, deep bool) (VerifyReport,
 	err := fnode.Walk([]hash.Hash{uid}, seen, func(ids []hash.Hash) ([]*chunk.Chunk, error) {
 		out := make([]*chunk.Chunk, len(ids))
 		for i, id := range ids {
+			db.verifier.Invalidate(id) // the read stamps afresh on success
 			c, err := db.st.Get(id)
 			if err != nil {
 				context := "chunk reachable from " + uid.Short()

@@ -231,7 +231,7 @@ func (f *FNode) Save(st store.Store) (hash.Hash, error) {
 // SaveAll stores many FNodes in one batched store round and returns their
 // uids in order.  Multi-key ingest (core.DB.WriteBatch) commits all its
 // version objects with a single lock acquisition — and, on a FileStore, a
-// single group-commit flush — instead of one synchronous Put per version.
+// single group-commit write — instead of one synchronous Put per version.
 // Like Save it caches each FNode, which is frozen from then on.
 func SaveAll(st store.Store, fs []*FNode) ([]hash.Hash, error) {
 	cs := make([]*chunk.Chunk, len(fs))

@@ -102,9 +102,6 @@ func BenchmarkBuildMapFileStore(b *testing.B) {
 		if _, err := BuildMap(fs, chunker.DefaultConfig(), entries); err != nil {
 			b.Fatal(err)
 		}
-		if err := fs.Flush(); err != nil {
-			b.Fatal(err)
-		}
 		b.StopTimer()
 		fs.Close()
 		b.StartTimer()

@@ -55,9 +55,6 @@ func BenchmarkFileStoreIngest(b *testing.B) {
 							b.Fatal(err)
 						}
 					}
-					if err := fs.Flush(); err != nil {
-						b.Fatal(err)
-					}
 				}
 				b.StopTimer()
 				fs.Close()
@@ -152,32 +149,31 @@ func BenchmarkChunkSink(b *testing.B) {
 	}
 }
 
-// coldStore builds a multi-segment store on the given read path, returning
-// the store and its chunks.
-func coldStore(b *testing.B, noMmap bool) (*FileStore, []*chunk.Chunk) {
+// coldStore builds a store of 8 MiB in segSize segments on the given read
+// path, returning the store and its chunks.
+func coldStore(b *testing.B, segSize int64, noMmap bool) (*FileStore, []*chunk.Chunk) {
 	b.Helper()
 	cs := benchChunks(2000, 4096)
-	fs := openFileStoreMode(b, b.TempDir(), FileStoreOptions{SegmentSize: 256 << 10}, noMmap)
+	fs := openFileStoreMode(b, b.TempDir(), FileStoreOptions{SegmentSize: segSize}, noMmap)
 	b.Cleanup(func() { fs.Close() })
 	if _, err := fs.PutBatch(cs); err != nil {
-		b.Fatal(err)
-	}
-	if err := fs.Flush(); err != nil {
 		b.Fatal(err)
 	}
 	return fs, cs
 }
 
-// BenchmarkFileStoreGetCold measures uncached point gets on sealed
-// segments: the mmap path (zero-copy, claimed ids) against the positioned-
-// read baseline (syscall + copy + hash per get).
+// BenchmarkFileStoreGetCold measures uncached point gets: the mmap path
+// (zero-copy, claimed ids) on sealed segments and on the one active segment
+// of a store below SegmentSize, against the positioned-read baseline
+// (syscall + copy + hash per get).
 func BenchmarkFileStoreGetCold(b *testing.B) {
 	for _, mode := range []struct {
-		name   string
-		noMmap bool
-	}{{"mmap", false}, {"pread", true}} {
+		name    string
+		segSize int64
+		noMmap  bool
+	}{{"mmap", 256 << 10, false}, {"active", DefaultSegmentSize, false}, {"pread", 256 << 10, true}} {
 		b.Run(mode.name, func(b *testing.B) {
-			fs, cs := coldStore(b, mode.noMmap)
+			fs, cs := coldStore(b, mode.segSize, mode.noMmap)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -195,7 +191,7 @@ func BenchmarkFileStoreGetCold(b *testing.B) {
 func BenchmarkFileStoreGetColdParallel(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("goroutines-%d", workers), func(b *testing.B) {
-			fs, cs := coldStore(b, false)
+			fs, cs := coldStore(b, 256<<10, false)
 			b.SetParallelism(workers)
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -1,11 +1,11 @@
 package store
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -28,32 +28,39 @@ import (
 // in the index (compaction may briefly leave a duplicate copy on disk after
 // a crash; recovery collapses it).  The store is safe for concurrent use.
 //
+// The log is write-through: Put writes its record, and PutBatch each run of
+// records, with one write(2) before it returns, and a record's index entry is
+// published only once its bytes are in the file.  An acknowledged write is
+// therefore in the OS — it survives the death of the process, though not of
+// the machine, unless SyncAlways fsynced it too.
+//
 // Segment lifecycle:
 //
-//	active  — the tail segment; appends go through a buffered writer, reads
-//	          take the write lock just long enough to flush the buffer.
-//	sealed  — a segment the tail rotated past (or found on open).  Sealed
-//	          segments are immutable, fsynced, and memory-mapped: Get serves
-//	          a zero-copy slice of the mapping without a syscall, a copy, or
-//	          a hash (the id comes from the index; the chunk is marked
-//	          *claimed* so the engine's verifying layer rehashes it).
+//	active  — the tail segment.  Appends write through to its file; it is
+//	          mapped read-only at open at max(SegmentSize, its size), and a
+//	          record that would cross SegmentSize starts the next segment
+//	          first, so no index entry points past the mapping.
+//	sealed  — a segment the tail rotated past (or found on open): immutable,
+//	          fsynced, and still read through the mapping it had as active.
 //	retired — a sealed segment rewritten by compaction.  Its file is
 //	          unlinked, but the mapping is parked so zero-copy slices
 //	          handed out earlier stay valid: at least until the *next*
 //	          sweep, and until Close while at most maxRetiredMaps retired
 //	          mappings exist (older ones are released at sweep starts).
 //
-// The index is sharded indexShards ways, so concurrent readers of different
-// chunks never contend on one mutex; only the active tail keeps a single
-// write lock.
+// Active and sealed segments are read alike: Get serves a zero-copy slice of
+// the mapping without a syscall, a copy, a lock shared with the writer, or a
+// hash (the id comes from the index; the chunk is marked *claimed* so the
+// engine's verifying layer rehashes it unless the index entry carries its
+// stamp).  The index is sharded indexShards ways, so concurrent readers of
+// different chunks never contend on one mutex.
 //
-// Zero-copy contract: payloads returned by Get for sealed segments alias
-// the segment mapping.  They are valid until Close, except that data whose
-// segment was compacted away is only guaranteed through the sweep *after*
-// the one that retired it — callers holding chunk data across multiple GC
-// cycles (or past Close) must copy.  On platforms without mmap every read
-// falls back to positioned reads through persistent per-segment handles,
-// which copy and verify; the active tail is always read that way.
+// Zero-copy contract: payloads returned by Get alias the segment mapping.
+// They are valid until Close, except that data whose segment was compacted
+// away is only guaranteed through the sweep *after* the one that retired it —
+// callers holding chunk data across multiple GC cycles (or past Close) must
+// copy.  On platforms without mmap every read falls back to positioned reads
+// through persistent per-segment handles, which copy and verify.
 type FileStore struct {
 	dir        string
 	maxSegment int64
@@ -66,15 +73,15 @@ type FileStore struct {
 	shards [indexShards]indexShard
 
 	// mu guards the write path: the active segment, stats, per-segment disk
-	// accounting, and compaction.  Reads of sealed segments never take it.
-	mu         sync.Mutex
-	active     *os.File
-	actBuf     *bufio.Writer
-	actSize    int64
-	actFlushed int64 // bytes of the active segment known to be on disk
-	stats      Stats // Gets excluded; tracked in gets
-	segUse     map[int]*segUsage
-	closed     bool
+	// accounting, and compaction.  Reads never take it.
+	mu      sync.Mutex
+	active  *os.File
+	actSize int64  // bytes of the active segment in its file
+	buf     []byte // records staged for the next write (see stage)
+	err     error  // set when a failed append could not be cut off again
+	stats   Stats  // Gets excluded; tracked in gets
+	segUse  map[int]*segUsage
+	closed  bool
 
 	actSeg atomic.Int64 // current active segment number (lock-free read path)
 
@@ -85,9 +92,10 @@ type FileStore struct {
 	// changes how bytes are served, not which bytes an id resolves to.
 	placeEpoch atomic.Uint64
 
-	// segMu guards the sealed-segment table and the retired list.
+	// segMu guards the mapping table (active and sealed segments) and the
+	// retired list.
 	segMu   sync.RWMutex
-	sealed  map[int]*mseg
+	maps    map[int]*mseg
 	retired []*mseg // parked mappings of compacted segments (munmap at Close)
 
 	gets atomic.Int64
@@ -97,10 +105,10 @@ type FileStore struct {
 	// told it can skip the rehash.
 	verifiedServes atomic.Int64
 
-	// readersMu guards the read-handle table used by the active tail and the
-	// no-mmap fallback.  Positioned reads hold it shared for the duration of
-	// the ReadAt, so Close (which takes it exclusively) can never close a
-	// handle out from under a reader.
+	// readersMu guards the read-handle table of the no-mmap fallback.
+	// Positioned reads hold it shared for the duration of the ReadAt, so
+	// Close (which takes it exclusively) can never close a handle out from
+	// under a reader.
 	readersMu     sync.RWMutex
 	readers       map[int]*os.File
 	readersClosed bool
@@ -129,14 +137,14 @@ type FileStore struct {
 // segment number while the store's invariants are at their most fragile:
 // recovery must succeed from a crash at any of them.
 const (
-	// CrashRotateBeforeSeal: the active segment is flushed, fsynced and
-	// closed, but not yet renamed/sealed.
+	// CrashRotateBeforeSeal: the active segment is fsynced and closed, but
+	// not yet sealed.
 	CrashRotateBeforeSeal = "rotate.before-seal"
 	// CrashRotateAfterSeal: the segment is sealed but the next active
 	// segment does not exist yet.
 	CrashRotateAfterSeal = "rotate.after-seal"
 	// CrashCompactAfterRewrite: every victim's live records are rewritten
-	// into the tail but the durability barrier (flush+fsync) has not run.
+	// into the tail but the durability barrier (fsync) has not run.
 	CrashCompactAfterRewrite = "compact.after-rewrite"
 	// CrashCompactBeforeUnlink: the durability barrier has run and the
 	// victim segment is about to be unlinked.
@@ -171,8 +179,8 @@ type segUsage struct {
 	dead  int64 // bytes of records no longer referenced by the index
 }
 
-// mseg is a sealed segment's memory mapping.  refs starts at 1 (the store's
-// own reference); Get acquires it around each zero-copy read, and Close
+// mseg is a segment's memory mapping.  refs starts at 1 (the store's own
+// reference); Get acquires it around each zero-copy read, and Close
 // drops the store reference — the mapping is released when the count drains,
 // so an in-flight read can never fault.  Compacted segments keep the store
 // reference until Close (their file is already unlinked), which is what
@@ -266,12 +274,13 @@ const DefaultSegmentSize = 64 << 20
 type SyncPolicy int
 
 const (
-	// SyncNone leaves tail durability to segment rotation and explicit Sync
-	// calls — the historical behavior and the default.  Sealed segments are
-	// always fsynced regardless of policy.
+	// SyncNone acknowledges a write once it is in the OS, so a process
+	// death loses nothing acknowledged; surviving a machine crash is left
+	// to segment rotation and explicit Sync calls.  The default.  Sealed
+	// segments are always fsynced regardless of policy.
 	SyncNone SyncPolicy = iota
 	// SyncAlways makes every acknowledged Put and PutBatch durable: the
-	// committer flushes and fsyncs the tail before returning.  Committers
+	// committer fsyncs the tail before returning.  Committers
 	// arriving while an fsync is in flight share the next one (groupSyncer),
 	// so a lone writer pays one fsync per commit and W concurrent writers
 	// tend toward one per W commits.
@@ -365,7 +374,7 @@ func OpenFileStoreWith(dir string, opts FileStoreOptions) (*FileStore, error) {
 		noMmap:     !mmapSupported,
 		syncPolicy: opts.SyncPolicy,
 		segUse:     make(map[int]*segUsage),
-		sealed:     make(map[int]*mseg),
+		maps:       make(map[int]*mseg),
 		readers:    make(map[int]*os.File),
 		damaged:    make(map[int]struct{}),
 	}
@@ -429,10 +438,10 @@ func (f *FileStore) listSegments() ([]int, error) {
 	return segs, nil
 }
 
-// recover seals every existing segment except the highest-numbered, then
-// scans all of them in ascending order and rebuilds the index (first
-// occurrence of an id wins, which collapses the duplicate a crash
-// mid-compaction can leave).
+// recover scans every existing segment in ascending order, rebuilding the
+// index (first occurrence of an id wins, which collapses the duplicate a
+// crash mid-compaction can leave), and maps each one but the highest-numbered
+// as sealed.
 //
 // The scan doubles as the scrubber's classifier (ok / corrupt / torn): the
 // resulting ScrubStats seed the store's health state, so a store that comes
@@ -450,17 +459,17 @@ func (f *FileStore) recover() error {
 	act := 0
 	if len(segs) > 0 {
 		act = segs[len(segs)-1]
-		for _, seg := range segs[:len(segs)-1] {
-			if err := f.seal(seg); err != nil {
-				return err
-			}
-		}
 	}
 	var st ScrubStats
 	var claimed []hash.Hash // claimed ids of corrupt records
 	for _, seg := range segs {
 		if err := f.scanSegment(seg, seg == act, &st, &claimed); err != nil {
 			return err
+		}
+		if seg != act {
+			if err := f.mapIn(seg, 0); err != nil {
+				return err
+			}
 		}
 	}
 	f.actSeg.Store(int64(act))
@@ -534,30 +543,33 @@ func (f *FileStore) scanSegment(seg int, last bool, st *ScrubStats, claimed *[]h
 }
 
 // segmentBytes returns a segment's bytes and a func that releases them: the
-// sealed mapping when there is one (refcounted, so quarantine's rename or a
-// retire cannot unmap it mid-use), otherwise a private read-only mapping of
-// the file, and a copy read into memory only where nothing is mapped.
-// Callers hold f.mu (or are recovering), so no append races the read.
+// table's mapping when there is one (refcounted, so quarantine's rename or a
+// retire cannot unmap it mid-use), cut at the segment's size because an
+// active segment's mapping reaches past its file; otherwise a private
+// read-only mapping of the file, and a copy read into memory only where
+// nothing is mapped.  Callers hold f.mu (or are recovering), so no append
+// races the read.
 func (f *FileStore) segmentBytes(seg int) ([]byte, func(), error) {
 	if f.noMmap {
 		b, err := os.ReadFile(f.segmentPath(seg))
 		return b, func() {}, err
 	}
 	f.segMu.RLock()
-	m := f.sealed[seg]
+	m := f.maps[seg]
 	f.segMu.RUnlock()
 	if m != nil && m.acquire() {
-		return m.data, m.release, nil
+		return m.data[:f.useOf(seg).total], m.release, nil
 	}
-	data, err := f.mapSegment(seg)
+	data, err := f.mapSegment(seg, 0)
 	if err != nil {
 		return nil, nil, err
 	}
 	return data, func() { _ = munmapFile(data) }, nil
 }
 
-// mapSegment maps a segment file read-only, as it is on disk now.
-func (f *FileStore) mapSegment(seg int) ([]byte, error) {
+// mapSegment maps a segment file read-only and shared, at size bytes or at
+// its size on disk now if that is more.
+func (f *FileStore) mapSegment(seg int, size int64) ([]byte, error) {
 	file, err := os.Open(f.segmentPath(seg))
 	if err != nil {
 		return nil, err
@@ -567,7 +579,7 @@ func (f *FileStore) mapSegment(seg int) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return mmapFile(file, fi.Size())
+	return mmapFile(file, max(size, fi.Size()))
 }
 
 // useOf returns (creating if needed) the disk accounting of a segment.
@@ -581,28 +593,35 @@ func (f *FileStore) useOf(seg int) *segUsage {
 	return u
 }
 
-// seal registers a finished segment for the mmap read path.  In no-mmap
-// mode sealing is a no-op: reads keep going through positioned handles.
-func (f *FileStore) seal(seg int) error {
+// mapIn maps a segment read-only and shared, at size bytes or its file's
+// size if that is more, into the table Get reads from.  A mapping it replaces
+// is released: that is only ever an empty active segment's, which no index
+// entry points into.  In no-mmap mode it maps nothing.
+func (f *FileStore) mapIn(seg int, size int64) error {
 	if f.noMmap {
 		return nil
 	}
-	data, err := f.mapSegment(seg)
+	data, err := f.mapSegment(seg, size)
 	if err != nil {
 		return fmt.Errorf("filestore: mmap seg %d: %w", seg, err)
 	}
 	m := &mseg{seg: seg, data: data}
 	m.refs.Store(1)
 	f.segMu.Lock()
-	f.sealed[seg] = m
+	old := f.maps[seg]
+	f.maps[seg] = m
 	f.segMu.Unlock()
+	if old != nil {
+		old.release()
+	}
 	return nil
 }
 
+// openActive opens the active segment for appending and maps it at
+// max(SegmentSize, its size): it grows inside that mapping until it seals.
 func (f *FileStore) openActive() error {
 	seg := int(f.actSeg.Load())
-	path := f.segmentPath(seg)
-	file, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	file, err := os.OpenFile(f.segmentPath(seg), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("filestore: %w", err)
 	}
@@ -611,134 +630,156 @@ func (f *FileStore) openActive() error {
 		file.Close()
 		return fmt.Errorf("filestore: %w", err)
 	}
-	f.active = file
-	if f.actBuf == nil {
-		f.actBuf = bufio.NewWriterSize(file, 1<<20)
-	} else {
-		f.actBuf.Reset(file) // rotation: the old tail was flushed; keep its buffer
-	}
-	f.actSize = fi.Size()
-	f.actFlushed = fi.Size() // everything already on disk is flushed
+	f.active, f.actSize = file, fi.Size()
 	f.useOf(seg).total = fi.Size()
-	return nil
+	return f.mapIn(seg, f.maxSegment)
 }
 
-// Put implements Store.
+// writable reports why the log takes no append, if it takes none.  Callers
+// hold f.mu.
+func (f *FileStore) writable() error {
+	if f.closed {
+		return fmt.Errorf("filestore: closed")
+	}
+	return f.err
+}
+
+// Put implements Store: a PutBatch of one.
 func (f *FileStore) Put(c *chunk.Chunk) (bool, error) {
+	fresh, err := f.PutBatch([]*chunk.Chunk{c})
+	return fresh[0], err
+}
+
+// PutBatch implements Store with group commit: one write-lock acquisition,
+// one dedup index pass and one write for the whole batch (one per segment
+// when it spans a rotation), so every record of the batch is in the OS when
+// PutBatch returns.  Records are laid out exactly as per-chunk Puts would lay
+// them out, so recovery after a crash mid-batch truncates at the first torn
+// record and keeps every fully-written one.  Duplicate ids inside one batch
+// dedup against each other.
+func (f *FileStore) PutBatch(cs []*chunk.Chunk) ([]bool, error) {
+	fresh := make([]bool, len(cs))
 	// The locked section sits in a closure so the deferred unlock also
 	// covers simulated crashes (panics from injected crash hooks); the
 	// fsync policy runs after the lock is released so SyncAlways cohorts
 	// can coalesce behind one leader.
-	fresh, err := func() (bool, error) {
+	err := func() error {
 		f.mu.Lock()
 		defer f.mu.Unlock()
-		if f.closed {
-			return false, fmt.Errorf("filestore: closed")
+		if err := f.writable(); err != nil {
+			return err
 		}
-		return f.appendLocked(c)
+		return f.appendLocked(cs, fresh)
 	}()
-	if err != nil || !fresh {
-		return fresh, err
+	if err == nil && slices.Contains(fresh, true) {
+		err = f.afterCommit()
 	}
-	if err := f.afterCommit(); err != nil {
-		return fresh, err
-	}
-	return fresh, nil
+	return fresh, err
 }
 
-// appendLocked performs the dedup check and buffered append of one chunk.
-// Callers hold f.mu.
-func (f *FileStore) appendLocked(c *chunk.Chunk) (bool, error) {
-	f.stats.LogicalBytes += int64(c.Size())
-	id := c.ID()
-	sh := f.shard(id)
-	sh.mu.RLock()
-	_, dup := sh.m[id]
-	sh.mu.RUnlock()
-	if dup {
-		f.stats.DedupHits++
-		return false, nil
-	}
-	if f.actSize >= f.maxSegment {
-		if err := f.rotate(); err != nil {
-			return false, err
+// appendLocked appends a record for every chunk of cs the index does not
+// hold yet, a duplicate inside cs included, and marks it in fresh.  Callers
+// hold f.mu.
+func (f *FileStore) appendLocked(cs []*chunk.Chunk, fresh []bool) error {
+	run := make([]segEntry, 0, len(cs))
+	var err error
+	for i, c := range cs {
+		f.stats.LogicalBytes += int64(c.Size())
+		id := c.ID()
+		if _, dup := f.lookup(id); dup || slices.ContainsFunc(run, func(e segEntry) bool { return e.id == id }) {
+			f.stats.DedupHits++
+			continue
 		}
+		if run, err = f.stage(run, true, id, c.Type(), c.Data()); err != nil {
+			return err
+		}
+		fresh[i] = true
 	}
-	var hdr [recordHeader]byte
-	copy(hdr[:hash.Size], id[:])
-	binary.LittleEndian.PutUint32(hdr[hash.Size:hash.Size+4], uint32(len(c.Data())))
-	hdr[hash.Size+4] = byte(c.Type())
-	if _, err := f.actBuf.Write(hdr[:]); err != nil {
-		return false, fmt.Errorf("filestore: %w", err)
-	}
-	if _, err := f.actBuf.Write(c.Data()); err != nil {
-		return false, fmt.Errorf("filestore: %w", err)
-	}
-	seg := int(f.actSeg.Load())
-	loc := recordLoc{segment: seg, offset: f.actSize, length: int32(len(c.Data())), typ: c.Type()}
-	sh.mu.Lock()
-	sh.m[id] = loc
-	sh.mu.Unlock()
-	f.actSize += loc.diskBytes()
-	f.useOf(seg).total = f.actSize
-	f.stats.UniqueChunks++
-	f.stats.PhysicalBytes += int64(c.Size())
-	return true, nil
+	return f.writeStaged(run, true)
 }
 
-// PutBatch implements Store with group commit: one write-lock
-// acquisition, one dedup index pass and one buffered-write sequence for the
-// whole batch, closed by a single Flush so every record of the batch is on
-// disk (modulo OS caching) when PutBatch returns.  Records are laid out
-// exactly as per-chunk Puts would lay them out, so recovery after a crash
-// mid-batch truncates at the first torn record and keeps every fully-written
-// one.  Duplicate ids inside one batch dedup against each other.
-func (f *FileStore) PutBatch(cs []*chunk.Chunk) ([]bool, error) {
-	fresh := make([]bool, len(cs))
-	// Locked section in a closure for panic-safe unlock (crash hooks);
-	// the fsync policy runs unlocked, as in Put.
-	wrote, err := func() (bool, error) {
-		f.mu.Lock()
-		defer f.mu.Unlock()
-		if f.closed {
-			return false, fmt.Errorf("filestore: closed")
+// maxStaged bounds the staging buffer: staged records are written out once
+// they fill it, so relocating a whole segment holds no more than this.
+const maxStaged = 1 << 20
+
+// stage encodes the record of (id, typ, payload) at the end of the staging
+// buffer and adds its index entry to run, the entries of the staged records;
+// writeStaged writes them with one write and only then publishes the entries
+// (as new chunks when newChunks is set, as moved ones otherwise).  What is
+// staged is written out first when the buffer is full, and when this record
+// would carry a non-empty active segment past SegmentSize, which then
+// rotates — so a segment never outgrows its mapping, and a record larger
+// than a segment gets an empty one to itself, remapped at its size.  Callers
+// hold f.mu.
+func (f *FileStore) stage(run []segEntry, newChunks bool, id hash.Hash, typ chunk.Type, payload []byte) ([]segEntry, error) {
+	n := int64(recordHeader + len(payload))
+	at := f.actSize + int64(len(f.buf))
+	if cross := at > 0 && at+n > f.maxSegment; cross || len(f.buf) >= maxStaged {
+		if err := f.writeStaged(run, newChunks); err != nil {
+			return run, err
 		}
-		wrote := false
-		for i, c := range cs {
-			fr, err := f.appendLocked(c)
-			if err != nil {
-				return wrote, err
+		run = run[:0]
+		if cross {
+			if err := f.rotate(); err != nil {
+				return run, err
 			}
-			fresh[i] = fr
-			wrote = wrote || fr
 		}
-		// Group commit: one flush per batch instead of relying on lazy
-		// flushes.
-		if err := f.actBuf.Flush(); err != nil {
-			return wrote, fmt.Errorf("filestore: %w", err)
+	}
+	if n > f.maxSegment { // the active segment is empty here
+		if err := f.mapIn(int(f.actSeg.Load()), n); err != nil {
+			return run, err
 		}
-		f.actFlushed = f.actSize
-		return wrote, nil
-	}()
+	}
+	off := f.actSize + int64(len(f.buf))
+	f.buf = append(f.buf, id[:]...)
+	f.buf = binary.LittleEndian.AppendUint32(f.buf, uint32(len(payload)))
+	f.buf = append(append(f.buf, byte(typ)), payload...)
+	loc := recordLoc{segment: int(f.actSeg.Load()), offset: off, length: int32(len(payload)), typ: typ}
+	return append(run, segEntry{id, loc}), nil
+}
+
+// writeStaged writes the staged records to the active segment with one
+// write, then publishes run, their index entries: no entry points at bytes
+// that are not in the file.  A failed or short write is cut back off the
+// file, because a partial record left in place would be read as a torn tail
+// in front of the next one; if even that fails, the log takes no more
+// appends.  Callers hold f.mu.
+func (f *FileStore) writeStaged(run []segEntry, newChunks bool) error {
+	if len(f.buf) == 0 {
+		return nil
+	}
+	_, err := f.active.Write(f.buf)
+	written := int64(len(f.buf))
+	f.buf = f.buf[:0]
+	if cap(f.buf) > 2*maxStaged {
+		f.buf = nil // staged a record larger than the bound: keep no copy of it
+	}
 	if err != nil {
-		return fresh, err
+		if terr := f.active.Truncate(f.actSize); terr != nil {
+			f.err = fmt.Errorf("filestore: segment log unusable after a failed append: %w", terr)
+		}
+		return fmt.Errorf("filestore: %w", err)
 	}
-	if wrote {
-		if err := f.afterCommit(); err != nil {
-			return fresh, err
+	f.actSize += written
+	f.useOf(int(f.actSeg.Load())).total = f.actSize
+	for _, e := range run {
+		sh := f.shard(e.id)
+		sh.mu.Lock()
+		sh.m[e.id] = e.loc
+		sh.mu.Unlock()
+		if newChunks {
+			f.stats.UniqueChunks++
+			f.stats.PhysicalBytes += int64(1 + e.loc.length)
 		}
 	}
-	return fresh, nil
+	return nil
 }
 
 // rotate seals the active segment and starts the next one.  The sealed
-// segment is flushed and fsynced first — sealed segments are always durable,
-// which is what lets compaction unlink a victim as soon as its live records
-// land in (or beyond) the new active segment.
+// segment is fsynced first — sealed segments are always durable, which is
+// what lets compaction unlink a victim as soon as its live records land in
+// (or beyond) the new active segment.
 func (f *FileStore) rotate() error {
-	if err := f.actBuf.Flush(); err != nil {
-		return fmt.Errorf("filestore: %w", err)
-	}
 	if err := f.active.Sync(); err != nil {
 		return fmt.Errorf("filestore: %w", err)
 	}
@@ -747,9 +788,8 @@ func (f *FileStore) rotate() error {
 	}
 	seg := int(f.actSeg.Load())
 	f.at(CrashRotateBeforeSeal, seg)
-	if err := f.seal(seg); err != nil {
-		return err
-	}
+	// Sealing maps nothing: the segment keeps the mapping it was read
+	// through while active.
 	f.at(CrashRotateAfterSeal, seg)
 	f.actSeg.Store(int64(seg + 1))
 	return f.openActive()
@@ -757,17 +797,14 @@ func (f *FileStore) rotate() error {
 
 // Get implements Store.
 //
-// Sealed segments (the common case for any store bigger than one segment)
-// are served from their memory mapping: no syscall, no copy, no lock shared
-// with other chunks — just a sharded index lookup and a refcount bump.  The
-// returned chunk's payload aliases the mapping (valid until Close) and its
-// id is *claimed* from the index rather than recomputed; the engine always
-// reads through a VerifyingStore, which rehashes claimed chunks, so
-// end-to-end tamper evidence is unchanged.  Raw callers that need integrity
-// without the verifying layer can call Recheck themselves.
-//
-// Records still in the active tail take the write lock just long enough to
-// flush the append buffer, then are read, copied and verified as before.
+// Every segment, active or sealed, is served from its memory mapping: no
+// syscall, no copy, no lock shared with the writer or with other chunks —
+// just a sharded index lookup and a refcount bump.  The returned chunk's
+// payload aliases the mapping (valid until Close) and its id is *claimed*
+// from the index rather than recomputed; the engine always reads through a
+// VerifyingStore, which rehashes claimed chunks, so end-to-end tamper
+// evidence is unchanged.  Raw callers that need integrity without the
+// verifying layer can call Recheck themselves.
 func (f *FileStore) Get(id hash.Hash) (*chunk.Chunk, error) {
 	c, _, err := f.get(id, false)
 	return c, err
@@ -785,27 +822,20 @@ func (f *FileStore) GetVerified(id hash.Hash) (c *chunk.Chunk, verified bool, er
 
 func (f *FileStore) get(id hash.Hash, wantVerdict bool) (*chunk.Chunk, bool, error) {
 	f.gets.Add(1)
-	// Rotation or compaction can move a record between the index lookup and
-	// the segment access; re-looking up and retrying converges because moves
-	// are rare and forward-only.
+	// Compaction can move a record between the index lookup and the segment
+	// access; re-looking up and retrying converges because moves are rare
+	// and forward-only.
 	for attempt := 0; attempt < 8; attempt++ {
 		loc, ok := f.lookup(id)
 		if !ok {
 			return nil, false, ErrNotFound
 		}
-		if int64(loc.segment) == f.actSeg.Load() {
-			c, retry, err := f.getActive(id)
-			if retry {
-				continue
-			}
-			return c, false, err
-		}
 		if !f.noMmap {
 			f.segMu.RLock()
-			m := f.sealed[loc.segment]
+			m := f.maps[loc.segment]
 			f.segMu.RUnlock()
 			if m == nil || !m.acquire() {
-				continue // sealing in progress, retired, or closing: retry
+				continue // retired or closing: retry
 			}
 			start := loc.offset + recordHeader
 			end := start + int64(loc.length)
@@ -882,47 +912,8 @@ func (f *FileStore) UnmarkAllVerified() { f.placeEpoch.Add(1) }
 // stamp since open.
 func (f *FileStore) VerifiedServes() int64 { return f.verifiedServes.Load() }
 
-// getActive reads a record that the index places in the active tail.  retry
-// is true when the record moved (rotation/compaction) before the lock was
-// acquired.
-func (f *FileStore) getActive(id hash.Hash) (*chunk.Chunk, bool, error) {
-	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
-		return nil, false, fmt.Errorf("filestore: closed")
-	}
-	loc, ok := f.lookup(id) // re-read under mu: compaction cannot run here
-	if !ok {
-		f.mu.Unlock()
-		return nil, false, ErrNotFound
-	}
-	if int64(loc.segment) != f.actSeg.Load() {
-		f.mu.Unlock()
-		return nil, true, nil
-	}
-	if loc.offset+loc.diskBytes() > f.actFlushed {
-		if err := f.actBuf.Flush(); err != nil {
-			f.mu.Unlock()
-			return nil, false, fmt.Errorf("filestore: %w", err)
-		}
-		f.actFlushed = f.actSize
-	}
-	f.mu.Unlock()
-	c, err := f.getPread(id, loc)
-	if err != nil {
-		// The tail may have sealed and been compacted away between the
-		// unlock and the read; if the record moved (or vanished), have the
-		// caller re-resolve rather than surfacing a spurious error.
-		if cur, ok := f.lookup(id); !ok || cur != loc {
-			return nil, true, nil
-		}
-	}
-	return c, false, err
-}
-
-// getPread is the copying read path: positioned read through a persistent
-// handle, then hash verification — the pre-mmap behavior, used for the
-// active tail and in no-mmap mode.
+// getPread is the copying read path of no-mmap mode: positioned read through
+// a persistent handle, then hash verification.
 func (f *FileStore) getPread(id hash.Hash, loc recordLoc) (*chunk.Chunk, error) {
 	payload := make([]byte, loc.length)
 	if err := f.readRecord(loc.segment, loc.offset+recordHeader, payload); err != nil {
@@ -1087,8 +1078,8 @@ func (f *FileStore) Sweep(keep func(hash.Hash) bool) (SweepStats, error) {
 	var res SweepStats
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.closed {
-		return res, fmt.Errorf("filestore: closed")
+	if err := f.writable(); err != nil {
+		return res, err
 	}
 	// Age out mappings parked by *previous* sweeps beyond the retention
 	// window.  Doing this at the start of a pass (rather than when a
@@ -1129,10 +1120,6 @@ func (f *FileStore) compactLocked(res *SweepStats) error {
 	// rotate it out of the way so the sweep really returns the space.
 	act := int(f.actSeg.Load())
 	if u := f.segUse[act]; u != nil && u.dead > 0 && f.actSize > 0 {
-		if err := f.actBuf.Flush(); err != nil {
-			return fmt.Errorf("filestore: %w", err)
-		}
-		f.actFlushed = f.actSize
 		if err := f.rotate(); err != nil {
 			return err
 		}
@@ -1181,10 +1168,6 @@ func (f *FileStore) compactLocked(res *SweepStats) error {
 	// Durability barrier: every rewritten record is on disk before any
 	// victim disappears.  Records that landed in segments sealed during the
 	// rewrite were fsynced by rotate; the tail needs an explicit sync.
-	if err := f.actBuf.Flush(); err != nil {
-		return fmt.Errorf("filestore: %w", err)
-	}
-	f.actFlushed = f.actSize
 	if err := f.active.Sync(); err != nil {
 		return fmt.Errorf("filestore: %w", err)
 	}
@@ -1197,8 +1180,8 @@ func (f *FileStore) compactLocked(res *SweepStats) error {
 		delete(f.segUse, seg)
 		f.dropReader(seg)
 		f.segMu.Lock()
-		if m := f.sealed[seg]; m != nil {
-			delete(f.sealed, seg)
+		if m := f.maps[seg]; m != nil {
+			delete(f.maps, seg)
 			// Park the mapping: zero-copy slices alias it until Close or
 			// until it ages out of the retention window at a *later* sweep
 			// (never this one — see the trim in Sweep).
@@ -1208,14 +1191,6 @@ func (f *FileStore) compactLocked(res *SweepStats) error {
 		res.CompactedSegments++
 	}
 	res.ReclaimedBytes -= res.MovedBytes
-	// Relocated records sit in the tail, where reads pay the locked
-	// positioned-read path; seal it so they are served from a mapping like
-	// the sealed data they replaced.
-	if res.MovedBytes > 0 && f.actSize > 0 {
-		if err := f.rotate(); err != nil {
-			return err
-		}
-	}
 	f.syncDir()
 	return nil
 }
@@ -1252,33 +1227,24 @@ func (f *FileStore) gather(segs ...int) []segEntry {
 	return out
 }
 
-// relocateLocked copies each entry's record verbatim out of data (the bytes
-// of the segment the entries live in) onto the tail, in entry order, and
-// repoints the index at the copy.  The fresh recordLoc carries no verified
-// stamp.  Callers hold f.mu.
+// relocateLocked copies each entry's record out of data (the bytes of the
+// segment the entries live in) onto the tail, in entry order, and repoints
+// the index at the copy.  The fresh recordLoc carries no verified stamp.
+// Callers hold f.mu.
 func (f *FileStore) relocateLocked(data []byte, entries []segEntry) error {
+	run := make([]segEntry, 0, len(entries))
+	var err error
 	for _, e := range entries {
 		end := e.loc.offset + e.loc.diskBytes()
 		if end > int64(len(data)) {
+			f.buf = f.buf[:0] // abandon what is staged, with its entries
 			return fmt.Errorf("filestore: index points past the end of seg %d", e.loc.segment)
 		}
-		if f.actSize >= f.maxSegment {
-			if err := f.rotate(); err != nil {
-				return err
-			}
+		if run, err = f.stage(run, false, e.id, e.loc.typ, data[e.loc.offset+recordHeader:end]); err != nil {
+			return err
 		}
-		if _, err := f.actBuf.Write(data[e.loc.offset:end]); err != nil {
-			return fmt.Errorf("filestore: %w", err)
-		}
-		dst := int(f.actSeg.Load())
-		sh := f.shard(e.id)
-		sh.mu.Lock()
-		sh.m[e.id] = recordLoc{segment: dst, offset: f.actSize, length: e.loc.length, typ: e.loc.typ}
-		sh.mu.Unlock()
-		f.actSize += e.loc.diskBytes()
-		f.useOf(dst).total = f.actSize
 	}
-	return nil
+	return f.writeStaged(run, false)
 }
 
 // syncDir fsyncs the store directory so unlinks and creates survive a crash
@@ -1290,34 +1256,23 @@ func (f *FileStore) syncDir() {
 	}
 }
 
-// Flush forces buffered appends to the OS.
-func (f *FileStore) Flush() error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if err := f.actBuf.Flush(); err != nil {
-		return err
-	}
-	f.actFlushed = f.actSize
-	return nil
-}
+// Flush does nothing and returns nil: every acknowledged append is already
+// in the OS.  It stays for callers written against the buffered log.
+func (f *FileStore) Flush() error { return nil }
 
-// Sync flushes and fsyncs the active segment.
+// Sync fsyncs the active segment.
 func (f *FileStore) Sync() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.closed {
-		// A SyncAlways commit racing Close is benign: Close flushed and
-		// closed the tail already.
+		// A SyncAlways commit racing Close is benign: its write is in the
+		// OS, and Close closed the tail already.
 		return nil
 	}
-	if err := f.actBuf.Flush(); err != nil {
-		return err
-	}
-	f.actFlushed = f.actSize
 	return f.active.Sync()
 }
 
-// Close flushes and closes the store.  Further operations fail, and
+// Close closes the store.  Further operations fail, and
 // zero-copy payloads returned by Get become invalid: each segment mapping is
 // released once its in-flight readers drain.
 func (f *FileStore) Close() error {
@@ -1335,17 +1290,14 @@ func (f *FileStore) Close() error {
 	f.readers = nil
 	f.readersMu.Unlock()
 	f.segMu.Lock()
-	for _, m := range f.sealed {
+	for _, m := range f.maps {
 		m.release() // drop the store reference; munmap when readers drain
 	}
-	f.sealed = map[int]*mseg{}
+	f.maps = map[int]*mseg{}
 	for _, m := range f.retired {
 		m.release()
 	}
 	f.retired = nil
 	f.segMu.Unlock()
-	if err := f.actBuf.Flush(); err != nil {
-		return err
-	}
 	return f.active.Close()
 }

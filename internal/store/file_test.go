@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -27,9 +28,6 @@ func fillSegments(t *testing.T, s *FileStore, n int) []hash.Hash {
 			t.Fatal(err)
 		}
 		ids[i] = c.ID()
-	}
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
 	}
 	return ids
 }
@@ -326,20 +324,185 @@ func TestFileStoreRecoverSegmentGaps(t *testing.T) {
 }
 
 // openFileStoreMode opens a store over an empty dir on the chosen read path.
-// Outside tests the pread path serves sealed segments only where mmap is
-// unsupported; flipping the field right after open — nothing is sealed yet —
-// runs it on every platform.
+// Outside tests the pread path serves segments only where mmap is
+// unsupported; dropping the empty active segment's mapping and flipping the
+// field right after open runs it on every platform.
 func openFileStoreMode(tb testing.TB, dir string, opts FileStoreOptions, noMmap bool) *FileStore {
 	tb.Helper()
 	s, err := OpenFileStoreWith(dir, opts)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if len(s.sealed) != 0 {
+	if s.Len() != 0 || s.actSeg.Load() != 0 {
 		tb.Fatal("openFileStoreMode needs an empty directory: recovery already mapped segments")
 	}
-	s.noMmap = s.noMmap || noMmap
+	if noMmap {
+		for seg, m := range s.maps {
+			m.release()
+			delete(s.maps, seg)
+		}
+		s.noMmap = true
+	}
 	return s
+}
+
+// readModes are the two read paths, by name.
+var readModes = []struct {
+	name   string
+	noMmap bool
+}{{"mmap", false}, {"pread", true}}
+
+// TestActiveSegmentReadsLikeSealed pins the one read path: a chunk written
+// this session and read back through the verifying store from the active
+// segment costs no digest in mmap mode — it is a claimed chunk of the
+// segment's mapping, and the write stamped it — while pread mode still
+// verifies every read with a hash of its own.
+func TestActiveSegmentReadsLikeSealed(t *testing.T) {
+	for _, mode := range readModes {
+		t.Run(mode.name, func(t *testing.T) {
+			if !mode.noMmap && !mmapSupported {
+				t.Skip("no mmap on this platform")
+			}
+			fs := openFileStoreMode(t, t.TempDir(), FileStoreOptions{}, mode.noMmap)
+			defer fs.Close()
+			v := NewVerifyingStore(fs)
+			c := mkChunk(5)
+			if _, err := v.Put(c); err != nil {
+				t.Fatal(err)
+			}
+			if fs.actSeg.Load() != 0 {
+				t.Fatal("the store rotated; the chunk under test is not in the active segment")
+			}
+			want := int64(0)
+			if mode.noMmap {
+				want = 1
+			}
+			for i := 0; i < 3; i++ {
+				before := hash.Digests()
+				got, err := v.Get(c.ID())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n := hash.Digests() - before; n != want {
+					t.Fatalf("read %d from the active segment paid %d digests, want %d", i, n, want)
+				}
+				if !bytes.Equal(got.Data(), c.Data()) || got.Claimed() == mode.noMmap {
+					t.Fatalf("read %d: claimed=%v, payload equal=%v", i, got.Claimed(), bytes.Equal(got.Data(), c.Data()))
+				}
+			}
+		})
+	}
+}
+
+// TestFileStoreRotatesBeforeCrossing pins how an index entry stays inside
+// its segment's mapping: a record that would carry a non-empty active
+// segment past SegmentSize starts the next segment first, and a record
+// larger than a whole segment gets an empty one to itself (mapped at its
+// size).  Both, and a PutBatch spanning rotations, read back before and
+// after reopen, on both read paths.
+func TestFileStoreRotatesBeforeCrossing(t *testing.T) {
+	const segSize = 4096
+	for _, mode := range readModes {
+		t.Run(mode.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s := openFileStoreMode(t, dir, FileStoreOptions{SegmentSize: segSize}, mode.noMmap)
+			defer s.Close()
+			small := fileChunk(1)
+			big := chunk.New(chunk.TypeBlobLeaf, bytes.Repeat([]byte("big!"), segSize))
+			batch := make([]*chunk.Chunk, 40) // ~9.5 KiB of records
+			for i := range batch {
+				batch[i] = fileChunk(100 + i)
+			}
+			all := append([]*chunk.Chunk{small, big}, batch...)
+			if _, err := s.Put(small); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Put(big); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.PutBatch(batch); err != nil {
+				t.Fatal(err)
+			}
+			for c, want := range map[*chunk.Chunk]recordLoc{small: {segment: 0}, big: {segment: 1}, batch[0]: {segment: 2}} {
+				if loc, _ := s.lookup(c.ID()); loc.segment != want.segment || loc.offset != 0 {
+					t.Fatalf("record at seg %d offset %d, want seg %d offset 0", loc.segment, loc.offset, want.segment)
+				}
+			}
+			for seg, u := range s.segUse {
+				if seg != 1 && u.total > segSize || u.total == 0 {
+					t.Fatalf("seg %d holds %d bytes; SegmentSize is %d", seg, u.total, segSize)
+				}
+			}
+			if s.actSeg.Load() < 4 {
+				t.Fatalf("the batch ended in seg %d; it should span rotations", s.actSeg.Load())
+			}
+			readAll := func(st Store) {
+				t.Helper()
+				v := NewVerifyingStore(st)
+				for i, c := range all {
+					got, err := v.Get(c.ID())
+					if err != nil {
+						t.Fatalf("chunk %d: %v", i, err)
+					}
+					if !bytes.Equal(got.Data(), c.Data()) {
+						t.Fatalf("chunk %d: payload differs", i)
+					}
+				}
+			}
+			readAll(s)
+			s.Close()
+			re, err := OpenFileStoreSegmented(dir, segSize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re.Close()
+			readAll(re)
+		})
+	}
+}
+
+// TestFileStoreFailedAppendStopsAppends pins the failed-append rule: an
+// append whose write fails, and whose cut back to the last good size fails
+// too, leaves the log refusing every later append, while what was written
+// before stays readable, also after a reopen.
+func TestFileStoreFailedAppendStopsAppends(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	good := mkChunk(1)
+	if _, err := s.Put(good); err != nil {
+		t.Fatal(err)
+	}
+	// A read-only handle fails both the write and the truncate.
+	ro, err := os.Open(s.segmentPath(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.active.Close()
+	s.active = ro
+	if _, err := s.Put(mkChunk(2)); err == nil {
+		t.Fatal("an append over a failing write succeeded")
+	}
+	if _, err := s.Put(mkChunk(3)); err == nil || !strings.Contains(err.Error(), "unusable") {
+		t.Fatalf("append after a failed cut = %v, want the log refusing appends", err)
+	}
+	if _, err := s.Get(mkChunk(2).ID()); err != ErrNotFound {
+		t.Fatalf("Get of the failed append = %v, want ErrNotFound", err)
+	}
+	if _, err := s.Get(good.ID()); err != nil {
+		t.Fatal(err)
+	}
+	re, err := OpenFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if _, err := re.Get(good.ID()); err != nil || re.Len() != 1 {
+		t.Fatalf("reopen: %v, %d chunks", err, re.Len())
+	}
 }
 
 // TestFileStoreNoMmapParity runs the full lifecycle on the positioned-read

@@ -41,23 +41,17 @@ func (f *FileStore) quarantinePath(n int) string {
 // Scrub audits every segment (sealed and active tail alike), quarantines the
 // damaged ones, and records the pass in the store's health state.  It is a
 // maintenance operation: writers and compaction are excluded for the
-// duration (readers of sealed segments proceed, and zero-copy slices already
-// handed out of a quarantined segment stay valid — its mapping is parked,
-// exactly as compaction parks victims).
+// duration (readers proceed, and zero-copy slices already handed out of a
+// quarantined segment stay valid — its mapping is parked, exactly as
+// compaction parks victims).
 func (f *FileStore) Scrub() (ScrubStats, error) {
 	start := time.Now()
 	var st ScrubStats
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.closed {
-		return st, fmt.Errorf("filestore: closed")
+	if err := f.writable(); err != nil {
+		return st, err
 	}
-	// The scan reads segment files directly; flush so every acknowledged
-	// append is visible to it.
-	if err := f.actBuf.Flush(); err != nil {
-		return st, fmt.Errorf("filestore: %w", err)
-	}
-	f.actFlushed = f.actSize
 	segs, err := f.listSegments()
 	if err != nil {
 		return st, err
@@ -148,10 +142,6 @@ func (f *FileStore) quarantine(seg int, st *ScrubStats) error {
 
 	// Durability barrier: every rescued record is on disk before the only
 	// other copy is set aside.
-	if err := f.actBuf.Flush(); err != nil {
-		return fmt.Errorf("filestore: %w", err)
-	}
-	f.actFlushed = f.actSize
 	if err := f.active.Sync(); err != nil {
 		return fmt.Errorf("filestore: %w", err)
 	}
@@ -161,8 +151,8 @@ func (f *FileStore) quarantine(seg int, st *ScrubStats) error {
 	f.syncDir()
 	f.dropReader(seg)
 	f.segMu.Lock()
-	if m := f.sealed[seg]; m != nil {
-		delete(f.sealed, seg)
+	if m := f.maps[seg]; m != nil {
+		delete(f.maps, seg)
 		// Park the mapping so zero-copy slices handed out earlier stay valid
 		// (the rename does not invalidate an established mapping).
 		f.retired = append(f.retired, m)
@@ -236,8 +226,8 @@ func (f *FileStore) Repair(c *chunk.Chunk) error {
 	err := func() error {
 		f.mu.Lock()
 		defer f.mu.Unlock()
-		if f.closed {
-			return fmt.Errorf("filestore: closed")
+		if err := f.writable(); err != nil {
+			return err
 		}
 		id := c.ID()
 		if loc, ok := f.lookup(id); ok {
@@ -251,16 +241,7 @@ func (f *FileStore) Repair(c *chunk.Chunk) error {
 				u.dead += loc.diskBytes()
 			}
 		}
-		if _, err := f.appendLocked(c); err != nil {
-			return err
-		}
-		// A repaired chunk must not be lost to a second fault before the
-		// tail rotates; flush it through to the OS immediately.
-		if err := f.actBuf.Flush(); err != nil {
-			return fmt.Errorf("filestore: %w", err)
-		}
-		f.actFlushed = f.actSize
-		return nil
+		return f.appendLocked([]*chunk.Chunk{c}, make([]bool, 1))
 	}()
 	if err != nil {
 		return err

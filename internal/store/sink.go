@@ -14,7 +14,7 @@ import (
 // and gets the chunk id back.  The sink hashes each encoding where it stands,
 // on the producer's goroutine, assembles chunks into batches, and lands each
 // batch with one PutBatch — one store lock round and, for FileStore, one
-// group-commit flush — instead of one synchronous Put per chunk.  The store's
+// group-commit write — instead of one synchronous Put per chunk.  The store's
 // put is the only dedup: a re-emitted chunk (a shared subtree an edit or merge
 // rebuilt) joins the batch like any other, and PutBatch reports it fresh=false
 // without writing it, so a batch costs one store call — one round trip over

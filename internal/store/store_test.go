@@ -227,7 +227,6 @@ func TestFileStoreTornTailRecovery(t *testing.T) {
 	}
 	good := mkChunk(1)
 	s.Put(good)
-	s.Flush()
 	s.Close()
 
 	// Simulate a crash mid-append: append garbage half-record.

@@ -367,34 +367,33 @@ func TestSinkIngestOneHashPerChunk(t *testing.T) {
 
 // TestPutSeedsVerifyCache pins that a verified write stamps the id: bytes
 // the writer just hashed (or recheck just confirmed) need no rehash on the
-// first read back — as long as the read returns a claimed chunk.
+// first read back, from the active segment they were written to and from
+// the same segment once it has sealed.
 func TestPutSeedsVerifyCache(t *testing.T) {
-	fs, v, _ := warmFileStack(t)
-	c := mkChunk(4242)
-	if _, err := v.Put(c); err != nil {
-		t.Fatal(err)
-	}
-	// Force the tail (holding c) to seal so the read back is a claimed mmap
-	// chunk; a pread from the active tail is verified by construction and
-	// never consults the stamp.
-	sealedBefore := fs.actSeg.Load()
-	for i := 0; i < 30; i++ {
-		if _, err := fs.Put(fileChunk(10_000 + i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := fs.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if fs.actSeg.Load() == sealedBefore {
-		t.Fatal("tail never rotated; chunk under test still unsealed")
-	}
-	before := hash.Digests()
-	if _, err := v.Get(c.ID()); err != nil {
-		t.Fatal(err)
-	}
-	if got := hash.Digests() - before; got != 0 {
-		t.Fatalf("first read of a just-written chunk paid %d digests, want 0", got)
+	for _, seal := range []bool{false, true} {
+		t.Run(map[bool]string{false: "active", true: "sealed"}[seal], func(t *testing.T) {
+			fs, v, _ := warmFileStack(t)
+			c := mkChunk(4242)
+			if _, err := v.Put(c); err != nil {
+				t.Fatal(err)
+			}
+			seg := fs.actSeg.Load()
+			if loc, _ := fs.lookup(c.ID()); int64(loc.segment) != seg {
+				t.Fatalf("chunk under test landed in seg %d, not the active seg %d", loc.segment, seg)
+			}
+			for i := 0; seal && fs.actSeg.Load() == seg; i++ {
+				if _, err := fs.Put(fileChunk(10_000 + i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := hash.Digests()
+			if _, err := v.Get(c.ID()); err != nil {
+				t.Fatal(err)
+			}
+			if got := hash.Digests() - before; got != 0 {
+				t.Fatalf("first read of a just-written chunk paid %d digests, want 0", got)
+			}
+		})
 	}
 }
 
