@@ -113,7 +113,7 @@ func main() {
 	}
 
 	// One feed serves every write path on this node: head moves through the
-	// TCP service (client CAS), through the REST engine, and — on replicas —
+	// TCP service (client Apply), through the REST engine, and — on replicas —
 	// through the follower all land in the same sequence, so downstream
 	// replicas can follow this node no matter how it is written to.
 	feed := core.NewFeed(0)

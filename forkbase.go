@@ -422,8 +422,8 @@ type WriteOp = core.WriteOp
 // WriteBatch writes new versions of many objects in one batched store round:
 // all version chunks land with a single lock acquisition (and one
 // group-commit write on file-backed stores, one round trip per node on
-// clusters).  Ops on the same key@branch chain like sequential Puts.  See
-// core.DB.WriteBatch for the per-op failure contract.
+// clusters).  Ops on the same key@branch chain like sequential Puts, and the
+// batch commits all or nothing (core.DB.WriteBatch).
 func (db *DB) WriteBatch(ops []WriteOp) ([]Version, error) {
 	return db.eng.WriteBatch(ops)
 }

@@ -176,6 +176,14 @@ func TestSourceGuards(t *testing.T) {
 		pattern: `Dedup\s+bool|\bDeduped\b|Dedup:\s*true`,
 		paths:   []string{"internal"},
 		want:    0,
+	}, {
+		// Heads move only through BranchTable.Apply: no per-op mutators on
+		// the wire, no follower loop forcing heads one at a time, no REST
+		// explanation of a partly committed batch.
+		name:    "one head mutation",
+		pattern: `forceSetHead|allStaleHead|OpCAS|OpDeleteBranch|OpRenameBranch`,
+		paths:   []string{"internal"},
+		want:    0,
 	}} {
 		re := regexp.MustCompile(g.pattern)
 		var hits []string

@@ -146,6 +146,25 @@ func TestCASLostReplyRecoversViaProbe(t *testing.T) {
 	}
 }
 
+// TestApplyLostReplyRecoversViaProbe: the same for a multi-op Apply — a
+// rename whose reply is torn off — the probe checks every head it moved.
+func TestApplyLostReplyRecoversViaProbe(t *testing.T) {
+	p, cl := startProxied(t)
+	bt := server.NewRemoteBranchTable(cl)
+	uid := hash.Of([]byte("v1"))
+	if ok, err := bt.CompareAndSet("k", "master", hash.Hash{}, uid); err != nil || !ok {
+		t.Fatalf("create: ok=%v err=%v", ok, err)
+	}
+	p.CutNext(chaos.ToClient, 2)
+	rename := []core.HeadOp{{Key: "k", Branch: "master", Expect: uid}, {Key: "k", Branch: "main", Set: uid}}
+	if ok, err := bt.Apply(rename); err != nil || !ok {
+		t.Fatalf("rename with lost reply: ok=%v err=%v", ok, err)
+	}
+	if branches, err := bt.Branches("k"); err != nil || len(branches) != 1 || branches["main"] != uid {
+		t.Fatalf("branches after ambiguous rename: %v %v", branches, err)
+	}
+}
+
 // TestPutAmbiguousIsNotResent pins the idempotency gate for mutations with
 // no probe: a torn PutChunk reply surfaces ErrAmbiguous instead of being
 // silently re-sent.

@@ -22,24 +22,33 @@ import (
 // BranchTable tracks the head uid of every (key, branch).  In the paper's
 // threat model the storage provider is untrusted but "the users keep track
 // of the latest uid of every branch" — the branch table is that trusted
-// client-side state, which is why it lives outside the chunk store.
-//
-// Implementations must be safe for concurrent use.
+// client-side state, which is why it lives outside the chunk store.  Heads
+// move only through Apply.  Implementations must be safe for concurrent use.
 type BranchTable interface {
 	// Head returns the branch head; ok=false if the branch does not exist.
 	Head(key, branch string) (uid hash.Hash, ok bool, err error)
-	// CompareAndSet atomically updates a head: old must match the current
-	// head (zero hash means "branch must not exist").  It returns false
-	// without changing anything on mismatch.
+	// Apply checks ops in order, each against the heads the earlier ones
+	// leave, and makes all of them or none: it returns false, changing
+	// nothing, when an expectation fails.
+	Apply(ops []HeadOp) (bool, error)
+	// CompareAndSet is the one-op Apply: old must be the current head (zero:
+	// the branch must not exist), and a zero new deletes the branch.
 	CompareAndSet(key, branch string, old, new hash.Hash) (bool, error)
-	// Delete removes a branch.
-	Delete(key, branch string) error
-	// Rename moves a branch head to a new name atomically.
-	Rename(key, from, to string) error
 	// Branches lists branch→head for a key.
 	Branches(key string) (map[string]hash.Hash, error)
 	// Keys lists all keys with at least one branch, sorted.
 	Keys() ([]string, error)
+}
+
+// HeadOp is one head movement of an Apply.
+type HeadOp struct {
+	Key, Branch string
+	// Expect is the head the branch must have when the op runs; zero means
+	// the branch must not exist.  Any skips the check.
+	Expect hash.Hash
+	Any    bool
+	// Set is the head the op leaves; zero deletes the branch.
+	Set hash.Hash
 }
 
 // Branch-table errors.
@@ -53,6 +62,56 @@ var (
 	// file as it found it.
 	ErrHeadsCorrupt = errors.New("core: heads journal corrupt")
 )
+
+// checkOps is the validation every table runs before an Apply: the ops must
+// fit one journal record, so no table takes a head a file-backed follower
+// could not journal.
+func checkOps(ops []HeadOp) error {
+	size := 1 // a batch record's op byte
+	for _, op := range ops {
+		if op.Key == "" || len(op.Key) > maxName || len(op.Branch) > maxName {
+			return fmt.Errorf("core: head %.32q@%.32q: a key must be 1 to %d bytes and a branch name at most %d",
+				op.Key, op.Branch, maxName, maxName)
+		}
+		size += 1 + 2 + len(op.Key) + 2 + len(op.Branch) + hash.Size
+	}
+	if size > maxPayload {
+		return fmt.Errorf("core: an Apply of %d heads needs a %d-byte journal record, more than the %d one holds",
+			len(ops), size, maxPayload)
+	}
+	return nil
+}
+
+// plan checks ops as Apply does against the heads look reports (zero:
+// absent) and returns a set or delete record per head they change, in the
+// order the ops first name them; false, and no records, when one fails.
+func plan(ops []HeadOp, look func(key, branch string) hash.Hash) ([]headRecord, bool) {
+	type ref struct{ key, branch string }
+	after := make(map[ref]hash.Hash, len(ops))
+	var order []ref
+	for _, op := range ops {
+		r := ref{op.Key, op.Branch}
+		cur, seen := after[r]
+		if !seen {
+			cur, order = look(op.Key, op.Branch), append(order, r)
+		}
+		if !op.Any && cur != op.Expect {
+			return nil, false
+		}
+		after[r] = op.Set
+	}
+	var changes []headRecord
+	for _, r := range order {
+		if set := after[r]; set != look(r.key, r.branch) {
+			rec := headRecord{op: opSet, key: r.key, branch: r.branch, uid: set}
+			if set.IsZero() {
+				rec.op = opDelete
+			}
+			changes = append(changes, rec)
+		}
+	}
+	return changes, true
+}
 
 // MemBranchTable is the in-memory branch table.
 type MemBranchTable struct {
@@ -75,48 +134,57 @@ func (m *MemBranchTable) Head(key, branch string) (hash.Hash, bool, error) {
 	return uid, ok, nil
 }
 
+// Apply implements BranchTable.
+func (m *MemBranchTable) Apply(ops []HeadOp) (bool, error) {
+	if err := checkOps(ops); err != nil {
+		return false, err
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	changes, ok := plan(ops, func(k, b string) hash.Hash { return m.heads[k][b] })
+	_ = m.applyLocked(headRecord{op: opBatch, batch: changes}) // plan's records apply
+	return ok, nil
+}
+
 // CompareAndSet implements BranchTable.
 func (m *MemBranchTable) CompareAndSet(key, branch string, old, new hash.Hash) (bool, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	cur := m.heads[key][branch]
-	if cur != old {
-		return false, nil
-	}
-	if m.heads[key] == nil {
-		m.heads[key] = make(map[string]hash.Hash)
-	}
-	m.heads[key][branch] = new
-	return true, nil
+	return m.Apply([]HeadOp{{Key: key, Branch: branch, Expect: old, Set: new}})
 }
 
-// Delete implements BranchTable.
-func (m *MemBranchTable) Delete(key, branch string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, ok := m.heads[key][branch]; !ok {
-		return fmt.Errorf("%w: %s@%s", ErrBranchNotFound, key, branch)
+// applyLocked applies journal record r; the caller holds m.mu.  A delete
+// or rename of a missing branch, or a rename onto an existing one, fails.
+func (m *MemBranchTable) applyLocked(r headRecord) error {
+	switch r.op {
+	case opSet:
+		if m.heads[r.key] == nil {
+			m.heads[r.key] = make(map[string]hash.Hash)
+		}
+		m.heads[r.key][r.branch] = r.uid
+	case opDelete:
+		if _, ok := m.heads[r.key][r.branch]; !ok {
+			return fmt.Errorf("%w: %s@%s", ErrBranchNotFound, r.key, r.branch)
+		}
+		delete(m.heads[r.key], r.branch)
+		if len(m.heads[r.key]) == 0 {
+			delete(m.heads, r.key)
+		}
+	case opRename:
+		uid, ok := m.heads[r.key][r.branch]
+		if !ok {
+			return fmt.Errorf("%w: %s@%s", ErrBranchNotFound, r.key, r.branch)
+		}
+		if _, exists := m.heads[r.key][r.to]; exists {
+			return fmt.Errorf("%w: %s@%s", ErrBranchExists, r.key, r.to)
+		}
+		m.heads[r.key][r.to] = uid
+		delete(m.heads[r.key], r.branch)
+	case opBatch:
+		for _, s := range r.batch {
+			if err := m.applyLocked(s); err != nil {
+				return err
+			}
+		}
 	}
-	delete(m.heads[key], branch)
-	if len(m.heads[key]) == 0 {
-		delete(m.heads, key)
-	}
-	return nil
-}
-
-// Rename implements BranchTable.
-func (m *MemBranchTable) Rename(key, from, to string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	uid, ok := m.heads[key][from]
-	if !ok {
-		return fmt.Errorf("%w: %s@%s", ErrBranchNotFound, key, from)
-	}
-	if _, exists := m.heads[key][to]; exists {
-		return fmt.Errorf("%w: %s@%s", ErrBranchExists, key, to)
-	}
-	m.heads[key][to] = uid
-	delete(m.heads[key], from)
 	return nil
 }
 
@@ -149,11 +217,11 @@ func (m *MemBranchTable) Keys() ([]string, error) {
 
 // FileBranchTable persists heads in heads.log, an append-only journal next
 // to the chunk log, so a file-backed ForkBase instance recovers its branches
-// on reopen.  A mutation is one record appended with one write before it
-// returns, so its cost does not depend on how many heads exist; the journal
-// is rewritten as a snapshot of the live heads only once it has outgrown
-// them (README, "Heads journal").  An append reaches the page cache, not the
-// disk: the durability of the file store's default SyncNone.
+// on reopen.  An Apply is one record appended with one write before it
+// returns — its cost independent of how many heads exist, and a torn append
+// loses the whole Apply — and the journal is rewritten as a snapshot once it
+// has outgrown the live heads (README, "Heads journal").  An append reaches
+// the page cache, not the disk: the durability of the store's SyncNone.
 type FileBranchTable struct {
 	mem  *MemBranchTable
 	path string
@@ -169,24 +237,30 @@ type FileBranchTable struct {
 var _ BranchTable = (*FileBranchTable)(nil)
 
 // The journal is an 8-byte header — magic, format version — and records
-// framed [u32 len][u32 crc32c][payload], little-endian.  A payload is op,
-// u16 keylen, key, u16 brlen, branch, then by op: the 32-byte uid (set),
-// nothing (delete), or u16 tolen, new branch name (rename).
+// framed [u32 len][u32 crc32c][payload], little-endian.  A payload is one
+// head: op, u16 keylen, key, u16 brlen, branch, then the 32-byte uid (set)
+// or nothing (delete); or, for an Apply that moves several heads, opBatch
+// followed by two or more of those.  Version 1 had no batch but a rename:
+// op 3, the names, u16 tolen, the new branch name.  Open reads both and
+// rewrites a version 1 journal as version 2 before it appends.
 const (
 	headsFile    = "heads.log"
 	legacyHeads  = "branches.json" // the whole-table JSON file older stores kept
 	headsMagic   = "FBHEADS"
-	headsVersion = 1
+	headsVersion = 2
 	headerLen    = len(headsMagic) + 1
 	frameLen     = 8
 
 	opSet    = 1
 	opDelete = 2
-	opRename = 3
+	opRename = 3 // version 1 only
+	opBatch  = 4 // version 2 only
 
 	maxName    = 1<<16 - 1
-	minPayload = 1 + 2 + 1 + 2     // delete: a one-byte key, an empty branch name
-	maxPayload = 1 + 3*(2+maxName) // rename: three names of maxName bytes
+	minPayload = 1 + 2 + 1 + 2 // delete: a one-byte key, an empty branch name
+	// maxPayload bounds one record, and so the heads one Apply moves:
+	// millions of short names.  A longer length is damage, not a torn tail.
+	maxPayload = 1 << 30
 
 	// The journal is compacted once it is compactRatio times a snapshot of
 	// the live heads and at least compactFloor, so one rewrite is paid for by
@@ -203,25 +277,35 @@ var errHeadsClosed = errors.New("core: branch table closed")
 type headRecord struct {
 	op          byte
 	key, branch string
-	uid         hash.Hash // opSet: the new head
-	to          string    // opRename: the new branch name
+	uid         hash.Hash    // opSet: the new head
+	to          string       // opRename: the new branch name
+	batch       []headRecord // opBatch: its sets and deletes, in order
 }
 
 func appendRecord(b []byte, r headRecord) []byte {
 	start := len(b)
-	b = append(b, make([]byte, frameLen)...)
-	b = append(b, r.op)
-	b = appendName(b, r.key)
-	b = appendName(b, r.branch)
+	b = appendPayload(append(b, make([]byte, frameLen)...), r)
+	p := b[start+frameLen:]
+	binary.LittleEndian.PutUint32(b[start:], uint32(len(p)))
+	binary.LittleEndian.PutUint32(b[start+4:], crc32.Checksum(p, castagnoli))
+	return b
+}
+
+func appendPayload(b []byte, r headRecord) []byte {
+	if r.op == opBatch {
+		b = append(b, opBatch)
+		for _, s := range r.batch {
+			b = appendPayload(b, s)
+		}
+		return b
+	}
+	b = appendName(appendName(append(b, r.op), r.key), r.branch)
 	switch r.op {
 	case opSet:
 		b = append(b, r.uid[:]...)
 	case opRename:
 		b = appendName(b, r.to)
 	}
-	p := b[start+frameLen:]
-	binary.LittleEndian.PutUint32(b[start:], uint32(len(p)))
-	binary.LittleEndian.PutUint32(b[start+4:], crc32.Checksum(p, castagnoli))
 	return b
 }
 
@@ -269,8 +353,9 @@ func scanJournal(b []byte, apply func(headRecord) error) (int, error) {
 	if len(b) < headerLen || string(b[:len(headsMagic)]) != headsMagic {
 		return 0, fmt.Errorf("%w: no heads journal header", ErrHeadsCorrupt)
 	}
-	if v := b[len(headsMagic)]; v != headsVersion {
-		return 0, fmt.Errorf("%w: format version %d, want %d", ErrHeadsCorrupt, v, headsVersion)
+	version := b[len(headsMagic)]
+	if version != 1 && version != headsVersion {
+		return 0, fmt.Errorf("%w: format version %d, want 1 or %d", ErrHeadsCorrupt, version, headsVersion)
 	}
 	off := headerLen
 	for off < len(b) {
@@ -292,7 +377,7 @@ func scanJournal(b []byte, apply func(headRecord) error) (int, error) {
 			}
 			return off, fmt.Errorf("%w: record at offset %d fails its checksum", ErrHeadsCorrupt, off)
 		}
-		r, err := decodeRecord(p)
+		r, err := decodeRecord(p, version)
 		if err == nil {
 			err = apply(r)
 		}
@@ -304,35 +389,57 @@ func scanJournal(b []byte, apply func(headRecord) error) (int, error) {
 	return off, nil
 }
 
-// decodeRecord parses a checksummed payload of at least minPayload bytes.
-// The encoding is canonical: what decodes re-encodes to the same bytes.
-func decodeRecord(p []byte) (headRecord, error) {
+// decodeRecord parses a checksummed payload of at least minPayload bytes
+// from a journal of the given format version.  The encoding is canonical:
+// what decodes re-encodes to the same bytes.
+func decodeRecord(p []byte, version byte) (headRecord, error) {
+	if p[0] != opBatch || version == 1 {
+		r, rest, err := takeHead(p, version == 1)
+		if err == nil && len(rest) != 0 {
+			err = fmt.Errorf("%d trailing bytes", len(rest))
+		}
+		return r, err
+	}
+	r := headRecord{op: opBatch}
+	for p = p[1:]; len(p) > 0; {
+		s, rest, err := takeHead(p, false)
+		if err != nil {
+			return r, err
+		}
+		r.batch, p = append(r.batch, s), rest
+	}
+	if len(r.batch) < 2 {
+		return r, errors.New("a batch of fewer than two heads")
+	}
+	return r, nil
+}
+
+// takeHead parses one set or delete — or rename, when renames are allowed —
+// from the front of p and returns the bytes after it.
+func takeHead(p []byte, renames bool) (headRecord, []byte, error) {
 	r := headRecord{op: p[0]}
-	if r.op < opSet || r.op > opRename {
-		return r, fmt.Errorf("unknown op %d", r.op)
+	if r.op != opSet && r.op != opDelete && (r.op != opRename || !renames) {
+		return r, p, fmt.Errorf("unknown op %d", r.op)
 	}
 	var ok bool
 	if r.key, p, ok = takeName(p[1:]); !ok || r.key == "" {
-		return r, errors.New("bad key")
+		return r, p, errors.New("bad key")
 	}
 	if r.branch, p, ok = takeName(p); !ok {
-		return r, errors.New("bad branch name")
+		return r, p, errors.New("bad branch name")
 	}
 	switch r.op {
 	case opSet:
 		if len(p) < hash.Size {
-			return r, errors.New("short uid")
+			return r, p, errors.New("short uid")
 		}
 		r.uid, p = hash.Hash(p[:hash.Size]), p[hash.Size:]
 	case opRename:
 		if r.to, p, ok = takeName(p); !ok {
-			return r, errors.New("bad new branch name")
+			return r, p, errors.New("bad new branch name")
 		}
 	}
-	if len(p) != 0 {
-		return r, fmt.Errorf("%d trailing bytes", len(p))
-	}
-	return r, nil
+	return r, p, nil
 }
 
 func takeName(p []byte) (string, []byte, bool) {
@@ -346,28 +453,12 @@ func takeName(p []byte) (string, []byte, bool) {
 	return string(p[2 : 2+n]), p[2+n:], true
 }
 
-// applyTo applies r to m: a record replayed, or the in-memory half of a
-// mutation whose record is in the journal.
+// applyTo applies r to m: a record replayed, or the in-memory half of an
+// Apply whose record is in the journal.
 func (r headRecord) applyTo(m *MemBranchTable) error {
-	switch r.op {
-	case opSet:
-		cur, _, _ := m.Head(r.key, r.branch)
-		_, err := m.CompareAndSet(r.key, r.branch, cur, r.uid)
-		return err
-	case opDelete:
-		return m.Delete(r.key, r.branch)
-	default:
-		return m.Rename(r.key, r.branch, r.to)
-	}
-}
-
-// checkNames rejects the names a journal record cannot hold.
-func checkNames(key, branch string) error {
-	if key == "" || len(key) > maxName || len(branch) > maxName {
-		return fmt.Errorf("core: head %.32q@%.32q: a key must be 1 to %d bytes and a branch name at most %d",
-			key, branch, maxName, maxName)
-	}
-	return nil
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.applyLocked(r)
 }
 
 // OpenFileBranchTable opens the heads journal in dir, creating it — from the
@@ -400,11 +491,16 @@ func OpenFileBranchTable(dir string) (*FileBranchTable, error) {
 
 // replay rebuilds the table from the journal's bytes and opens the journal
 // for appending, first cutting off a torn tail — nothing can follow one, so
-// no other head is lost with it.
+// no other head is lost with it.  A version 1 journal is rewritten as a
+// version 2 snapshot instead, so no version 2 record follows a version 1
+// header.
 func (f *FileBranchTable) replay(data []byte) error {
 	intact, err := scanJournal(data, func(r headRecord) error { return r.applyTo(f.mem) })
 	if err != nil {
 		return fmt.Errorf("%w (%s)", err, f.path)
+	}
+	if data[len(headsMagic)] != headsVersion {
+		return f.compact()
 	}
 	file, err := os.OpenFile(f.path, os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
@@ -438,17 +534,18 @@ func (f *FileBranchTable) convert(legacy string) error {
 	if err := json.Unmarshal(data, &raw); err != nil {
 		return fmt.Errorf("core: %s: %w", legacy, err)
 	}
+	var ops []HeadOp
 	for key, branches := range raw {
 		for br, s := range branches {
 			uid, err := hash.Parse(s)
-			if err == nil {
-				err = checkNames(key, br)
-			}
 			if err != nil {
 				return fmt.Errorf("core: %s: %w", legacy, err)
 			}
-			_ = headRecord{op: opSet, key: key, branch: br, uid: uid}.applyTo(f.mem) // a set always applies
+			ops = append(ops, HeadOp{Key: key, Branch: br, Any: true, Set: uid})
 		}
+	}
+	if _, err := f.mem.Apply(ops); err != nil {
+		return fmt.Errorf("core: %s: %w", legacy, err)
 	}
 	return f.compact()
 }
@@ -486,18 +583,36 @@ func (f *FileBranchTable) compact() error {
 	return nil
 }
 
-// writable reports why the journal cannot take a record, if it cannot.  The
-// caller holds f.mu.
-func (f *FileBranchTable) writable() error {
-	if f.file == nil {
-		return errHeadsClosed
-	}
-	return f.err
+// Head implements BranchTable.
+func (f *FileBranchTable) Head(key, branch string) (hash.Hash, bool, error) {
+	return f.mem.Head(key, branch)
 }
 
-// commit appends r to the journal, then applies it to the table.  The
-// caller holds f.mu and has checked, under it, that r applies.
-func (f *FileBranchTable) commit(r headRecord) error {
+// Apply implements BranchTable: the heads it changes go to the journal as
+// one record — a set or delete for one head, a batch for several — and then
+// to the table.  An Apply that changes nothing writes nothing.
+func (f *FileBranchTable) Apply(ops []HeadOp) (bool, error) {
+	if err := checkOps(ops); err != nil {
+		return false, err
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	err := f.err
+	if f.file == nil {
+		err = errHeadsClosed
+	}
+	if err != nil {
+		return false, err
+	}
+	// Only f.mu's holder writes f.mem, so reading it needs no other lock.
+	changes, ok := plan(ops, func(k, b string) hash.Hash { return f.mem.heads[k][b] })
+	if len(changes) == 0 {
+		return ok, nil
+	}
+	r := changes[0]
+	if len(changes) > 1 {
+		r = headRecord{op: opBatch, batch: changes}
+	}
 	f.buf = appendRecord(f.buf[:0], r)
 	if _, err := f.file.Write(f.buf); err != nil {
 		// A partial record left in place would sit in front of the next one
@@ -506,70 +621,19 @@ func (f *FileBranchTable) commit(r headRecord) error {
 		if terr := f.file.Truncate(f.size); terr != nil {
 			f.err = fmt.Errorf("core: heads journal unusable after a failed append: %w", terr)
 		}
-		return fmt.Errorf("core: heads journal append: %w", err)
+		return false, fmt.Errorf("core: heads journal append: %w", err)
 	}
 	f.size += int64(len(f.buf))
-	_ = r.applyTo(f.mem) // checked by the caller
+	_ = r.applyTo(f.mem) // plan's records apply
 	if f.size > f.compactAt {
 		_ = f.compact() // on failure the journal is still complete; the next append retries
 	}
-	return nil
+	return true, nil
 }
 
-// Head implements BranchTable.
-func (f *FileBranchTable) Head(key, branch string) (hash.Hash, bool, error) {
-	return f.mem.Head(key, branch)
-}
-
-// CompareAndSet implements BranchTable.  It rejects an empty key and a key
-// or branch name longer than 65,535 bytes, which a record cannot hold.
+// CompareAndSet implements BranchTable.
 func (f *FileBranchTable) CompareAndSet(key, branch string, old, new hash.Hash) (bool, error) {
-	if err := checkNames(key, branch); err != nil {
-		return false, err
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if err := f.writable(); err != nil {
-		return false, err
-	}
-	if cur, _, _ := f.mem.Head(key, branch); cur != old {
-		return false, nil
-	}
-	err := f.commit(headRecord{op: opSet, key: key, branch: branch, uid: new})
-	return err == nil, err
-}
-
-// Delete implements BranchTable.
-func (f *FileBranchTable) Delete(key, branch string) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if err := f.writable(); err != nil {
-		return err
-	}
-	if _, ok, _ := f.mem.Head(key, branch); !ok {
-		return fmt.Errorf("%w: %s@%s", ErrBranchNotFound, key, branch)
-	}
-	return f.commit(headRecord{op: opDelete, key: key, branch: branch})
-}
-
-// Rename implements BranchTable.  One record carries it, so a torn append
-// cannot leave the head under both names.
-func (f *FileBranchTable) Rename(key, from, to string) error {
-	if err := checkNames(key, to); err != nil {
-		return err
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if err := f.writable(); err != nil {
-		return err
-	}
-	if _, ok, _ := f.mem.Head(key, from); !ok {
-		return fmt.Errorf("%w: %s@%s", ErrBranchNotFound, key, from)
-	}
-	if _, exists, _ := f.mem.Head(key, to); exists {
-		return fmt.Errorf("%w: %s@%s", ErrBranchExists, key, to)
-	}
-	return f.commit(headRecord{op: opRename, key: key, branch: from, to: to})
+	return f.Apply([]HeadOp{{Key: key, Branch: branch, Expect: old, Set: new}})
 }
 
 // Branches implements BranchTable.

@@ -332,14 +332,23 @@ func (db *DB) putOnto(key, branch string, parent hash.Hash, v value.Value, meta 
 	if err != nil {
 		return Version{}, err
 	}
-	okCAS, err := db.heads.CompareAndSet(key, branch, parent, uid)
-	if err != nil {
+	if err := db.apply(ErrStaleHead, HeadOp{Key: key, Branch: branch, Expect: parent, Set: uid}); err != nil {
 		return Version{}, err
 	}
-	if !okCAS {
-		return Version{}, fmt.Errorf("%w: %s@%s", ErrStaleHead, key, branch)
-	}
 	return Version{UID: uid, Seq: seq, Bases: bases, Value: v, Meta: meta, Key: key, Index: f.Index}, nil
+}
+
+// apply moves heads with one BranchTable.Apply, and fails with refused
+// when an op's expectation does not hold.
+func (db *DB) apply(refused error, ops ...HeadOp) error {
+	ok, err := db.heads.Apply(ops)
+	switch {
+	case err != nil || ok:
+		return err
+	case len(ops) == 1:
+		return fmt.Errorf("%w: %s@%s", refused, ops[0].Key, ops[0].Branch)
+	}
+	return fmt.Errorf("%w: a head of the %d-op batch moved; nothing committed", refused, len(ops))
 }
 
 // WriteOp is one object write of a WriteBatch.
@@ -353,23 +362,13 @@ type WriteOp struct {
 // WriteBatch writes a new version of every op's object in one batched round:
 // heads are read first, all FNodes are stored with a single fnode.SaveAll
 // (one store lock acquisition and, on a FileStore, one group-commit write),
-// and only then are the branch heads advanced.  Later ops targeting the same
-// key@branch derive from earlier ops in the batch, so a batch behaves like
-// the equivalent Put sequence.
-//
-// Head advances use the same no-retry contract as Put: a concurrent head
-// move fails that op with ErrStaleHead.  Versions are returned positionally;
-// a failed op leaves a zero Version at its slot and its error joined into
-// the returned error.  Ops after a failed op still commit — chunks are
-// content-addressed and heads are independent, so there is nothing to roll
-// back.
+// and then every branch head moves in one BranchTable.Apply.  Later ops
+// targeting the same key@branch derive from earlier ops in the batch, so a
+// batch behaves like the equivalent Put sequence.  The batch commits all or
+// nothing, under Put's no-retry contract: if a head it derives from moved
+// concurrently, no head moves and WriteBatch returns ErrStaleHead.
 func (db *DB) WriteBatch(ops []WriteOp) ([]Version, error) {
-	return db.WriteBatchCtx(context.Background(), ops)
-}
-
-// WriteBatchCtx is WriteBatch carrying a request context (see PutCtx).
-func (db *DB) WriteBatchCtx(ctx context.Context, ops []WriteOp) ([]Version, error) {
-	return db.BuildAndWriteBatchCtx(ctx, func() ([]WriteOp, error) { return ops, nil })
+	return db.BuildAndWriteBatchCtx(context.Background(), func() ([]WriteOp, error) { return ops, nil })
 }
 
 // BuildAndPut runs build — which typically stores chunks, e.g. the value
@@ -407,14 +406,8 @@ func (db *DB) BuildAndPutCtx(ctx context.Context, key, branch string, meta map[s
 	return db.put(key, branch, v, meta)
 }
 
-// BuildAndWriteBatch is BuildAndPut for batched writes: build assembles the
-// ops (storing their values' chunks) inside the fence.
-func (db *DB) BuildAndWriteBatch(build func() ([]WriteOp, error)) ([]Version, error) {
-	return db.BuildAndWriteBatchCtx(context.Background(), build)
-}
-
-// BuildAndWriteBatchCtx is BuildAndWriteBatch carrying a request context
-// (see BuildAndPutCtx for the phase split in slow-op records).
+// BuildAndWriteBatchCtx is BuildAndPutCtx for batched writes: build
+// assembles the ops (storing their values' chunks) inside the fence.
 func (db *DB) BuildAndWriteBatchCtx(ctx context.Context, build func() ([]WriteOp, error)) (_ []Version, err error) {
 	if gerr := db.writeGuard(); gerr != nil {
 		return nil, gerr
@@ -441,85 +434,57 @@ func (db *DB) BuildAndWriteBatchCtx(ctx context.Context, build func() ([]WriteOp
 // writeBatch is WriteBatch without the GC write fence, for callers that
 // already hold it.
 func (db *DB) writeBatch(ops []WriteOp) ([]Version, error) {
-	type slot struct {
-		branch string
-		head   hash.Hash // expected old head for the CAS
-		seq    uint64
-		f      *fnode.FNode
-		err    error
-	}
-	slots := make([]slot, len(ops))
-	// Phase 1: resolve parents, chaining ops on the same key@branch.
-	pending := make(map[string]*slot, len(ops))
-	fnodes := make([]*fnode.FNode, 0, len(ops))
+	// Resolve parents, chaining ops on the same key@branch.
+	heads := make([]HeadOp, len(ops))
+	fnodes := make([]*fnode.FNode, len(ops))
+	last := make(map[string]int, len(ops)) // key@branch → its latest op
 	for i, op := range ops {
-		s := &slots[i]
-		s.branch = op.Branch
-		if s.branch == "" {
-			s.branch = DefaultBranch
+		branch := op.Branch
+		if branch == "" {
+			branch = DefaultBranch
 		}
-		ref := op.Key + "\x00" + s.branch
-		kind := db.kindOf(op.Value)
-		if prev, ok := pending[ref]; ok {
-			s.head = prev.f.UID()
-			s.seq = prev.seq + 1
-			s.f = fnode.New([]byte(op.Key), op.Value, []hash.Hash{s.head}, s.seq, op.Meta)
-			s.f.Index = kind
+		var bases []hash.Hash
+		seq := uint64(1)
+		ref := op.Key + "\x00" + branch
+		if prev, ok := last[ref]; ok {
+			bases, seq = []hash.Hash{heads[prev].Set}, fnodes[prev].Seq+1
 		} else {
-			head, ok, err := db.heads.Head(op.Key, s.branch)
+			head, ok, err := db.heads.Head(op.Key, branch)
 			if err != nil {
-				s.err = err
-				continue
+				return nil, fmt.Errorf("op %d (%s@%s): %w", i, op.Key, branch, err)
 			}
-			var bases []hash.Hash
-			s.seq = 1
 			if ok {
 				parent, err := fnode.Load(db.st, head)
 				if err != nil {
-					s.err = fmt.Errorf("core: loading head of %s@%s: %w", op.Key, s.branch, err)
-					continue
+					return nil, fmt.Errorf("core: loading head of %s@%s: %w", op.Key, branch, err)
 				}
-				s.head = head
-				s.seq = parent.Seq + 1
-				bases = []hash.Hash{head}
+				bases, seq = []hash.Hash{head}, parent.Seq+1
 			}
-			s.f = fnode.New([]byte(op.Key), op.Value, bases, s.seq, op.Meta)
-			s.f.Index = kind
 		}
-		pending[ref] = s
-		fnodes = append(fnodes, s.f)
+		f := fnode.New([]byte(op.Key), op.Value, bases, seq, op.Meta)
+		f.Index = db.kindOf(op.Value)
+		fnodes[i], last[ref] = f, i
+		heads[i] = HeadOp{Key: op.Key, Branch: branch, Set: f.UID()}
+		if len(bases) > 0 {
+			heads[i].Expect = bases[0]
+		}
 	}
-	// Phase 2: one batched write for every version object.
+	// One batched write for every version object, one Apply for every head.
 	if len(fnodes) > 0 {
 		if _, err := fnode.SaveAll(db.st, fnodes); err != nil {
-			return make([]Version, len(ops)), err
+			return nil, err
 		}
 	}
-	// Phase 3: advance heads in op order.  An op chained behind a failed op
-	// of the same key@branch fails its CAS naturally (the expected head was
-	// never installed).
+	if err := db.apply(ErrStaleHead, heads...); err != nil {
+		return nil, err
+	}
 	out := make([]Version, len(ops))
-	var errs []error
 	for i, op := range ops {
-		s := &slots[i]
-		if s.err != nil {
-			errs = append(errs, fmt.Errorf("op %d (%s@%s): %w", i, op.Key, s.branch, s.err))
-			continue
-		}
-		uid := s.f.UID()
-		okCAS, err := db.heads.CompareAndSet(op.Key, s.branch, s.head, uid)
-		if err != nil {
-			errs = append(errs, fmt.Errorf("op %d (%s@%s): %w", i, op.Key, s.branch, err))
-			continue
-		}
-		if !okCAS {
-			errs = append(errs, fmt.Errorf("op %d: %w: %s@%s", i, ErrStaleHead, op.Key, s.branch))
-			continue
-		}
-		bases := append([]hash.Hash(nil), s.f.Bases...) // s.f is frozen: SaveAll cached it
-		out[i] = Version{UID: uid, Seq: s.seq, Bases: bases, Value: op.Value, Meta: op.Meta, Key: op.Key, Index: s.f.Index}
+		f := fnodes[i]
+		bases := append([]hash.Hash(nil), f.Bases...) // f is frozen: SaveAll cached it
+		out[i] = Version{UID: heads[i].Set, Seq: f.Seq, Bases: bases, Value: op.Value, Meta: op.Meta, Key: op.Key, Index: f.Index}
 	}
-	return out, errors.Join(errs...)
+	return out, nil
 }
 
 // Get returns the current value of key on branch.
@@ -572,6 +537,11 @@ func (db *DB) Head(key, branch string) (hash.Hash, error) {
 	if branch == "" {
 		branch = DefaultBranch
 	}
+	return db.head(key, branch)
+}
+
+// head is Head of the branch named exactly branch.
+func (db *DB) head(key, branch string) (hash.Hash, error) {
 	uid, ok, err := db.heads.Head(key, branch)
 	if err != nil {
 		return hash.Hash{}, err
@@ -615,7 +585,7 @@ func (db *DB) Branch(key, newBranch, fromBranch string) error {
 	if err != nil {
 		return err
 	}
-	return db.branchAt(key, newBranch, head)
+	return db.apply(ErrBranchExists, HeadOp{Key: key, Branch: newBranch, Set: head})
 }
 
 // BranchFromVersion forks a new branch from an arbitrary historical version.
@@ -626,34 +596,40 @@ func (db *DB) BranchFromVersion(key, newBranch string, uid hash.Hash) error {
 	if _, err := db.GetVersion(key, uid); err != nil {
 		return err
 	}
-	return db.branchAt(key, newBranch, uid)
-}
-
-func (db *DB) branchAt(key, newBranch string, uid hash.Hash) error {
-	ok, err := db.heads.CompareAndSet(key, newBranch, hash.Hash{}, uid)
-	if err != nil {
-		return err
-	}
-	if !ok {
-		return fmt.Errorf("%w: %s@%s", ErrBranchExists, key, newBranch)
-	}
-	return nil
+	return db.apply(ErrBranchExists, HeadOp{Key: key, Branch: newBranch, Set: uid})
 }
 
 // DeleteBranch removes a branch head (chunks remain; they may be shared).
+// It fails with ErrBranchNotFound, or ErrStaleHead if a commit moves it.
 func (db *DB) DeleteBranch(key, branch string) error {
 	if err := db.writeGuard(); err != nil {
 		return err
 	}
-	return db.heads.Delete(key, branch)
+	uid, err := db.head(key, branch)
+	if err != nil {
+		return err
+	}
+	return db.apply(ErrStaleHead, HeadOp{Key: key, Branch: branch, Expect: uid})
 }
 
-// RenameBranch renames a branch.
+// RenameBranch renames a branch: one Apply deletes from and creates to at
+// its head.  It fails with ErrBranchNotFound when from does not exist,
+// ErrBranchExists when to does, and ErrStaleHead if a commit moves either.
 func (db *DB) RenameBranch(key, from, to string) error {
 	if err := db.writeGuard(); err != nil {
 		return err
 	}
-	return db.heads.Rename(key, from, to)
+	uid, err := db.head(key, from)
+	if err != nil {
+		return err
+	}
+	if _, exists, err := db.heads.Head(key, to); err != nil || exists {
+		if err == nil {
+			err = fmt.Errorf("%w: %s@%s", ErrBranchExists, key, to)
+		}
+		return err
+	}
+	return db.apply(ErrStaleHead, HeadOp{Key: key, Branch: from, Expect: uid}, HeadOp{Key: key, Branch: to, Set: uid})
 }
 
 // ListBranches returns the branch names of key, sorted.
@@ -825,12 +801,8 @@ func (db *DB) MergeCtx(ctx context.Context, key, dst, src string, resolve index.
 			return MergeResult{}, err
 		}
 	}
-	ok, err := db.heads.CompareAndSet(key, dst, dstHead, res.Version.UID)
-	if err != nil {
+	if err := db.apply(ErrStaleHead, HeadOp{Key: key, Branch: dst, Expect: dstHead, Set: res.Version.UID}); err != nil {
 		return MergeResult{}, err
-	}
-	if !ok {
-		return MergeResult{}, fmt.Errorf("%w: %s@%s", ErrStaleHead, key, dst)
 	}
 	return res, nil
 }

@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
 	"forkbase/internal/chunker"
@@ -546,19 +548,59 @@ func TestFileBranchTablePersistence(t *testing.T) {
 
 func TestBranchTableRenameDeleteErrors(t *testing.T) {
 	bt := NewMemBranchTable()
-	if err := bt.Delete("k", "b"); !errors.Is(err, ErrBranchNotFound) {
+	db := Open(Options{Branches: bt})
+	if err := db.DeleteBranch("k", "b"); !errors.Is(err, ErrBranchNotFound) {
 		t.Fatalf("delete missing: %v", err)
 	}
-	if err := bt.Rename("k", "a", "b"); !errors.Is(err, ErrBranchNotFound) {
+	if err := db.RenameBranch("k", "a", "b"); !errors.Is(err, ErrBranchNotFound) {
 		t.Fatalf("rename missing: %v", err)
 	}
 	bt.CompareAndSet("k", "a", hash.Hash{}, hash.Of([]byte("1")))
 	bt.CompareAndSet("k", "b", hash.Hash{}, hash.Of([]byte("2")))
-	if err := bt.Rename("k", "a", "b"); !errors.Is(err, ErrBranchExists) {
-		t.Fatalf("rename onto existing: %v", err)
+	for _, to := range []string{"b", "a"} {
+		if err := db.RenameBranch("k", "a", to); !errors.Is(err, ErrBranchExists) {
+			t.Fatalf("rename onto existing %s: %v", to, err)
+		}
 	}
 	if _, err := bt.Branches("ghost"); !errors.Is(err, ErrKeyNotFound) {
 		t.Fatalf("branches of missing key: %v", err)
+	}
+	// A table refuses an Apply whose expectation fails, and changes nothing:
+	// not even the ops before the failing one.
+	before := allHeadsOf(t, bt)
+	ok, err := bt.Apply([]HeadOp{
+		{Key: "k", Branch: "a", Expect: hash.Of([]byte("1"))},
+		{Key: "k", Branch: "c", Set: hash.Of([]byte("1"))},
+		{Key: "k", Branch: "b", Expect: hash.Of([]byte("stale")), Set: hash.Of([]byte("3"))},
+	})
+	if ok || err != nil || !reflect.DeepEqual(allHeadsOf(t, bt), before) {
+		t.Fatalf("Apply with a stale op: ok=%v err=%v, heads %v, want %v", ok, err, allHeadsOf(t, bt), before)
+	}
+}
+
+// TestTablesRefuseUnjournalableNames: every table refuses the names a heads
+// journal record cannot hold, with the file table's error — so an
+// in-memory primary cannot publish a head a file-backed follower could not
+// journal.
+func TestTablesRefuseUnjournalableNames(t *testing.T) {
+	long := strings.Repeat("x", maxName+1)
+	file, err := OpenFileBranchTable(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer file.Close()
+	for _, c := range [][2]string{{"", "master"}, {long, "master"}, {"k", long}} {
+		_, want := file.CompareAndSet(c[0], c[1], hash.Hash{}, hash.Of([]byte("v")))
+		if want == nil {
+			t.Fatalf("file table accepted a %d-byte key and %d-byte branch", len(c[0]), len(c[1]))
+		}
+		db := Open(Options{})
+		if _, err := db.Put(c[0], c[1], value.String("v"), nil); err == nil || err.Error() != want.Error() {
+			t.Fatalf("in-memory Put of a %d-byte key and %d-byte branch: %v, want %v", len(c[0]), len(c[1]), err, want)
+		}
+		if keys, _ := db.ListKeys(); len(keys) != 0 {
+			t.Fatalf("refused Put left keys %v", keys)
+		}
 	}
 }
 
@@ -625,39 +667,45 @@ func TestWriteBatchChainsSameKey(t *testing.T) {
 	}
 }
 
-// racingBranchTable moves a head between WriteBatch's read and CAS phases.
+// racingBranchTable moves the victim's head between WriteBatch's read and
+// Apply phases.
 type racingBranchTable struct {
 	BranchTable
 	moved bool
 }
 
-func (r *racingBranchTable) CompareAndSet(key, branch string, old, new hash.Hash) (bool, error) {
-	if !r.moved && key == "victim" {
-		r.moved = true
-		// Simulate a concurrent writer: advance the head underneath.
-		r.BranchTable.CompareAndSet(key, branch, old, hash.Of([]byte("interloper")))
+func (r *racingBranchTable) Apply(ops []HeadOp) (bool, error) {
+	for _, op := range ops {
+		if !r.moved && op.Key == "victim" {
+			r.moved = true
+			// Simulate a concurrent writer: advance the head underneath.
+			r.BranchTable.CompareAndSet(op.Key, op.Branch, op.Expect, hash.Of([]byte("interloper")))
+		}
 	}
-	return r.BranchTable.CompareAndSet(key, branch, old, new)
+	return r.BranchTable.Apply(ops)
 }
 
+// TestWriteBatchPartialFailure: a batch commits all or nothing.  A raced op
+// fails the whole batch with ErrStaleHead, and no op of it commits — not the
+// ones before the raced op, not the ones after.
 func TestWriteBatchPartialFailure(t *testing.T) {
 	inner := NewMemBranchTable()
 	db := Open(Options{Branches: &racingBranchTable{BranchTable: inner}, Chunking: chunker.SmallConfig()})
 	vers, err := db.WriteBatch([]WriteOp{
+		{Key: "before", Value: value.String("fine")},
 		{Key: "victim", Value: value.String("lost race")},
-		{Key: "ok", Value: value.String("fine")},
+		{Key: "after", Value: value.String("fine")},
 	})
-	if !errors.Is(err, ErrStaleHead) {
-		t.Fatalf("err = %v, want ErrStaleHead", err)
+	if !errors.Is(err, ErrStaleHead) || vers != nil {
+		t.Fatalf("vers=%v err=%v, want no versions and ErrStaleHead", vers, err)
 	}
-	if vers[0].Seq != 0 {
-		t.Fatal("raced op reported success")
+	for _, key := range []string{"before", "after"} {
+		if _, err := db.Get(key, ""); !errors.Is(err, ErrBranchNotFound) {
+			t.Fatalf("%s after a failed batch: %v, want ErrBranchNotFound", key, err)
+		}
 	}
-	if vers[1].Seq != 1 {
-		t.Fatalf("independent op did not commit: %+v", vers[1])
-	}
-	if _, err := db.Get("ok", ""); err != nil {
-		t.Fatal(err)
+	if head, _, _ := inner.Head("victim", DefaultBranch); head != hash.Of([]byte("interloper")) {
+		t.Fatalf("victim head %s, want the interloper's", head.Short())
 	}
 }
 

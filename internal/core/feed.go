@@ -26,9 +26,6 @@ type FeedEntry struct {
 	New hash.Hash
 }
 
-// IsDelete reports whether the entry records a branch deletion.
-func (e FeedEntry) IsDelete() bool { return e.New.IsZero() }
-
 // DefaultFeedCapacity is the number of head movements the feed retains —
 // the replay window for replica cursors (a cursor older than the window
 // forces a snapshot catch-up).
@@ -46,6 +43,7 @@ type Feed struct {
 	epoch   uint64 // identifies this feed incarnation; see Epoch
 	mu      sync.Mutex
 	entries []FeedEntry // ring contents, entries[0].Seq == start
+	ends    []bool      // ends[i]: entries[i] is the last of its Append
 	start   uint64      // seq of the oldest retained entry (0 when empty)
 	next    uint64      // seq the next Append will assign
 	cap     int
@@ -90,20 +88,26 @@ func NewFeed(capacity int) *Feed {
 // different across restarts with overwhelming probability).
 func (f *Feed) Epoch() uint64 { return f.epoch }
 
-// Append records a head movement and returns its sequence number.
-func (f *Feed) Append(key, branch string, old, new hash.Hash) uint64 {
+// Append records a group of head movements — one Apply's — under
+// consecutive sequence numbers (their Seq fields are ignored) and returns
+// the last one.  Since never splits a group.
+func (f *Feed) Append(group ...FeedEntry) uint64 {
 	f.mu.Lock()
-	seq := f.next
-	f.next++
 	if len(f.entries) == 0 {
-		f.start = seq
+		f.start = f.next
 	}
-	f.entries = append(f.entries, FeedEntry{Seq: seq, Key: key, Branch: branch, Old: old, New: new})
-	if len(f.entries) > f.cap {
-		drop := len(f.entries) - f.cap
+	for i, e := range group {
+		e.Seq = f.next
+		f.next++
+		f.entries = append(f.entries, e)
+		f.ends = append(f.ends, i == len(group)-1)
+	}
+	if drop := len(f.entries) - f.cap; drop > 0 {
 		f.entries = append(f.entries[:0], f.entries[drop:]...)
+		f.ends = append(f.ends[:0], f.ends[drop:]...)
 		f.start += uint64(drop)
 	}
+	seq := f.next - 1
 	wake := f.wake
 	f.wake = make(chan struct{})
 	f.mu.Unlock()
@@ -120,10 +124,12 @@ func (f *Feed) Seq() uint64 {
 }
 
 // Since returns up to limit entries with Seq > cursor (limit <= 0 means all
-// retained), plus the cursor the caller should resume from.  truncated
-// reports that entries between cursor and the returned batch have been
-// evicted from the ring: the caller's incremental view has a hole and it
-// must fall back to a snapshot catch-up.
+// retained), plus the cursor the caller should resume from.  A page ends
+// where an Append's group ends: it stops short of limit rather than split
+// one, and runs past limit only when its first group alone is longer.
+// truncated reports that entries between cursor and the returned batch have
+// been evicted from the ring: the caller's incremental view has a hole and
+// it must fall back to a snapshot catch-up.
 func (f *Feed) Since(cursor uint64, limit int) (entries []FeedEntry, next uint64, truncated bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -140,11 +146,17 @@ func (f *Feed) Since(cursor uint64, limit int) (entries []FeedEntry, next uint64
 	if first >= len(f.entries) {
 		return nil, cursor, cursor > f.next-1
 	}
-	batch := f.entries[first:]
-	if limit > 0 && len(batch) > limit {
-		batch = batch[:limit]
+	n := len(f.entries) - first
+	if limit > 0 && n > limit {
+		n = limit
+		for n > 0 && !f.ends[first+n-1] {
+			n--
+		}
+		for n == 0 || !f.ends[first+n-1] { // the newest entry ends a group
+			n++
+		}
 	}
-	entries = append([]FeedEntry(nil), batch...)
+	entries = append([]FeedEntry(nil), f.entries[first:first+n]...)
 	return entries, entries[len(entries)-1].Seq, false
 }
 
@@ -234,20 +246,18 @@ func (f *Feed) PinnedHeads() []hash.Hash {
 	return out
 }
 
-// FeedTable wraps a BranchTable and journals every successful head movement
-// into a Feed.  The wrap happens once, at the point writes enter the system:
-// core.Open wraps its branch table automatically, and a network primary
-// (cmd/forkbased) wraps before handing the table to both the TCP server and
-// the REST engine, so local commits and remote CAS calls share one sequence.
+// FeedTable wraps a BranchTable and journals every successful Apply into a
+// Feed, as one group.  The wrap happens once, at the point writes enter the
+// system: core.Open wraps its branch table automatically, and a network
+// primary (cmd/forkbased) wraps before handing the table to both the TCP
+// server and the REST engine, so every write shares one sequence.
 //
-// Every mutation holds mu across the table operation AND its journal
-// append.  This is load-bearing: replicas converge by applying the *last*
-// feed entry per branch, so feed order must equal mutation order — two
-// concurrent CAS wins appended in the opposite order would permanently
-// park replicas on the older head.  The same lock makes Rename's
-// read-head→rename→journal sequence atomic.  Branch-table mutations are
-// tiny metadata operations (the file-backed table already serializes on a
-// persist lock), so the serialization is not a throughput concern.
+// Every Apply holds mu across the table operation AND its journal append.
+// This is load-bearing: replicas converge by applying the *last* feed entry
+// per branch, so feed order must equal mutation order — two concurrent wins
+// appended in the opposite order would permanently park replicas on the
+// older head.  Branch-table mutations are tiny metadata operations, so the
+// serialization is not a throughput concern.
 type FeedTable struct {
 	inner BranchTable
 	feed  *Feed
@@ -277,46 +287,36 @@ func (t *FeedTable) Head(key, branch string) (hash.Hash, bool, error) {
 	return t.inner.Head(key, branch)
 }
 
-// CompareAndSet implements BranchTable; a successful swap is journaled,
-// atomically with the swap (see the type comment).
-func (t *FeedTable) CompareAndSet(key, branch string, old, new hash.Hash) (bool, error) {
+// Apply implements BranchTable: an Apply that succeeds is journaled, in the
+// same critical section, as one group of an entry per op that moves a head.
+// An op's Old is the head it expected, so only an op with Any costs a head
+// read (of the head before the Apply).
+func (t *FeedTable) Apply(ops []HeadOp) (bool, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	ok, err := t.inner.CompareAndSet(key, branch, old, new)
-	if ok && err == nil {
-		t.feed.Append(key, branch, old, new)
+	group := make([]FeedEntry, 0, len(ops))
+	for _, op := range ops {
+		old := op.Expect
+		if op.Any {
+			var err error
+			if old, _, err = t.inner.Head(op.Key, op.Branch); err != nil {
+				return false, err
+			}
+		}
+		if old != op.Set {
+			group = append(group, FeedEntry{Key: op.Key, Branch: op.Branch, Old: old, New: op.Set})
+		}
+	}
+	ok, err := t.inner.Apply(ops)
+	if ok && err == nil && len(group) > 0 {
+		t.feed.Append(group...)
 	}
 	return ok, err
 }
 
-// Delete implements BranchTable; a successful delete is journaled with a
-// zero New, atomically with the delete.
-func (t *FeedTable) Delete(key, branch string) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	old, _, _ := t.inner.Head(key, branch)
-	if err := t.inner.Delete(key, branch); err != nil {
-		return err
-	}
-	t.feed.Append(key, branch, old, hash.Hash{})
-	return nil
-}
-
-// Rename implements BranchTable; a successful rename journals as a deletion
-// of the old name followed by a creation of the new one, so replicas that
-// know nothing of renames still converge.  The head read, the rename, and
-// both journal entries share one critical section: journaling a stale uid
-// as the new branch's creation would park replicas on it permanently.
-func (t *FeedTable) Rename(key, from, to string) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	uid, _, _ := t.inner.Head(key, from)
-	if err := t.inner.Rename(key, from, to); err != nil {
-		return err
-	}
-	t.feed.Append(key, from, uid, hash.Hash{})
-	t.feed.Append(key, to, hash.Hash{}, uid)
-	return nil
+// CompareAndSet implements BranchTable.
+func (t *FeedTable) CompareAndSet(key, branch string, old, new hash.Hash) (bool, error) {
+	return t.Apply([]HeadOp{{Key: key, Branch: branch, Expect: old, Set: new}})
 }
 
 // Branches implements BranchTable.

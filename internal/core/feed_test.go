@@ -22,7 +22,7 @@ func TestFeedAppendSince(t *testing.T) {
 		t.Fatalf("empty feed seq = %d, want 0", got)
 	}
 	for i := 1; i <= 5; i++ {
-		seq := f.Append("k", "master", h(byte(i-1)), h(byte(i)))
+		seq := f.Append(FeedEntry{Key: "k", Branch: "master", Old: h(byte(i - 1)), New: h(byte(i))})
 		if seq != uint64(i) {
 			t.Fatalf("append %d assigned seq %d", i, seq)
 		}
@@ -49,7 +49,7 @@ func TestFeedAppendSince(t *testing.T) {
 func TestFeedTruncation(t *testing.T) {
 	f := NewFeed(4)
 	for i := 1; i <= 10; i++ {
-		f.Append("k", "master", hash.Hash{}, h(byte(i)))
+		f.Append(FeedEntry{Key: "k", Branch: "master", New: h(byte(i))})
 	}
 	// Entries 1..6 have been evicted; a cursor inside the hole truncates.
 	if _, _, truncated := f.Since(2, 0); !truncated {
@@ -75,7 +75,7 @@ func TestFeedWait(t *testing.T) {
 	done := make(chan bool, 1)
 	go func() { done <- f.Wait(0, 2*time.Second) }()
 	time.Sleep(5 * time.Millisecond)
-	f.Append("k", "master", hash.Hash{}, h(1))
+	f.Append(FeedEntry{Key: "k", Branch: "master", New: h(1)})
 	select {
 	case ok := <-done:
 		if !ok {
@@ -155,13 +155,13 @@ func TestFeedTableJournalsEngineWrites(t *testing.T) {
 	if entries[2].Branch != "dev" || entries[2].New != v2.UID {
 		t.Fatalf("entry 2 = %+v, want dev created at %s", entries[2], v2.UID.Short())
 	}
-	if !entries[3].IsDelete() || entries[3].Branch != "dev" {
+	if !entries[3].New.IsZero() || entries[3].Branch != "dev" {
 		t.Fatalf("entry 3 = %+v, want delete of dev", entries[3])
 	}
 	if entries[4].Branch != "dev2" || entries[4].New != v2.UID {
 		t.Fatalf("entry 4 = %+v, want dev2 created at %s", entries[4], v2.UID.Short())
 	}
-	if !entries[5].IsDelete() || entries[5].Branch != "dev2" {
+	if !entries[5].New.IsZero() || entries[5].Branch != "dev2" {
 		t.Fatalf("entry 5 = %+v, want delete of dev2", entries[5])
 	}
 }
@@ -250,8 +250,12 @@ func TestFeedReplayMatchesTable(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 50; i++ {
 			tmp := fmt.Sprintf("own-0-moved-%d", i)
-			if err := table.Rename("k", "own-0", tmp); err == nil {
-				_ = table.Rename("k", tmp, "own-0")
+			uid, ok, _ := table.Head("k", "own-0")
+			if !ok {
+				continue
+			}
+			if ok, _ := table.Apply(renameOps("k", "own-0", tmp, uid)); ok {
+				table.Apply(renameOps("k", tmp, "own-0", uid))
 			}
 		}
 	}()
@@ -267,7 +271,7 @@ func TestFeedReplayMatchesTable(t *testing.T) {
 		if e.Key != "k" {
 			t.Fatalf("unexpected key %q", e.Key)
 		}
-		if e.IsDelete() {
+		if e.New.IsZero() {
 			delete(replayed, e.Branch)
 		} else {
 			replayed[e.Branch] = e.New
@@ -287,6 +291,55 @@ func TestFeedReplayMatchesTable(t *testing.T) {
 	}
 }
 
+// renameOps moves key@from, at head uid, to key@to.
+func renameOps(key, from, to string, uid hash.Hash) []HeadOp {
+	return []HeadOp{{Key: key, Branch: from, Expect: uid}, {Key: key, Branch: to, Set: uid}}
+}
+
+// TestFeedNeverSplitsAnApply: an Apply is one group of feed entries, and a
+// page ends at a group's end — short of the limit rather than inside a
+// group, past it only for a first group longer than the limit.
+func TestFeedNeverSplitsAnApply(t *testing.T) {
+	feed := NewFeed(64)
+	table := WithFeed(NewMemBranchTable(), feed)
+	apply := func(ops ...HeadOp) {
+		t.Helper()
+		if ok, err := table.Apply(ops); !ok || err != nil {
+			t.Fatalf("Apply: ok=%v err=%v", ok, err)
+		}
+	}
+	set := func(branch string, b byte) HeadOp { return HeadOp{Key: "k", Branch: branch, Set: h(b)} }
+	apply(set("a", 1), set("b", 1), set("c", 1))                  // seq 1–3
+	apply(set("d", 1))                                            // seq 4
+	apply(renameOps("k", "a", "e", h(1))...)                      // seq 5–6
+	apply(HeadOp{Key: "k", Branch: "b", Expect: h(1), Set: h(1)}) // moves nothing: no entry
+	if got := feed.Seq(); got != 6 {
+		t.Fatalf("feed at %d, want 6", got)
+	}
+	for _, tc := range []struct {
+		cursor     uint64
+		limit      int
+		want, next uint64
+	}{
+		{0, 2, 3, 3}, // the first group is longer than the limit: whole
+		{0, 4, 4, 4}, // two groups fit exactly
+		{0, 5, 4, 4}, // the third group would be split: stop short
+		{3, 2, 1, 4}, // one group fits, the next would be split
+		{4, 1, 2, 6}, // a rename travels whole
+		{0, 0, 6, 6}, // no limit
+	} {
+		entries, next, truncated := feed.Since(tc.cursor, tc.limit)
+		if truncated || uint64(len(entries)) != tc.want || next != tc.next {
+			t.Errorf("Since(%d, %d) = %d entries, next %d, truncated %v; want %d, next %d",
+				tc.cursor, tc.limit, len(entries), next, truncated, tc.want, tc.next)
+		}
+	}
+	entries, _, _ := feed.Since(4, 0)
+	if !entries[0].New.IsZero() || entries[0].Branch != "a" || entries[1].Branch != "e" || entries[1].New != h(1) {
+		t.Fatalf("rename journaled as %+v", entries)
+	}
+}
+
 func TestFeedConcurrentAppendSince(t *testing.T) {
 	f := NewFeed(128)
 	var wg sync.WaitGroup
@@ -296,7 +349,7 @@ func TestFeedConcurrentAppendSince(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				f.Append(fmt.Sprintf("k%d", w), "master", hash.Hash{}, h(byte(i)))
+				f.Append(FeedEntry{Key: fmt.Sprintf("k%d", w), Branch: "master", New: h(byte(i))})
 			}
 		}(w)
 	}

@@ -85,12 +85,24 @@ func opSetHead(key, branch string, old, new hash.Hash) journalOp {
 	}
 }
 
+func opApply(ops ...HeadOp) journalOp {
+	return func(f *FileBranchTable) error {
+		if ok, err := f.Apply(ops); !ok || err != nil {
+			return fmt.Errorf("Apply %v: ok=%v err=%v", ops, ok, err)
+		}
+		return nil
+	}
+}
+
 func opDeleteHead(key, branch string) journalOp {
-	return func(f *FileBranchTable) error { return f.Delete(key, branch) }
+	return opApply(HeadOp{Key: key, Branch: branch, Any: true})
 }
 
 func opRenameHead(key, from, to string) journalOp {
-	return func(f *FileBranchTable) error { return f.Rename(key, from, to) }
+	return func(f *FileBranchTable) error {
+		uid, _, _ := f.Head(key, from)
+		return opApply(renameOps(key, from, to, uid)...)(f)
+	}
 }
 
 func opCompact(f *FileBranchTable) error {
@@ -109,12 +121,12 @@ var goldenJournals = []struct {
 }{
 	{
 		name:    "header",
-		wantHex: "4642484541445301",
+		wantHex: "4642484541445302",
 	},
 	{
 		name: "set",
 		ops:  []journalOp{opSetHead("k", "master", hash.Hash{}, fill(0x11))},
-		wantHex: "4642484541445301" +
+		wantHex: "4642484541445302" +
 			"2c000000" + "f74f5edf" + "01" + "0100" + "6b" + "0600" + "6d6173746572" + strings.Repeat("11", 32),
 	},
 	{
@@ -123,19 +135,47 @@ var goldenJournals = []struct {
 			opSetHead("k", "master", hash.Hash{}, fill(0x11)),
 			opDeleteHead("k", "master"),
 		},
-		wantHex: "4642484541445301" +
+		wantHex: "4642484541445302" +
 			"2c000000" + "f74f5edf" + "01" + "0100" + "6b" + "0600" + "6d6173746572" + strings.Repeat("11", 32) +
 			"0c000000" + "72e2ca27" + "02" + "0100" + "6b" + "0600" + "6d6173746572",
 	},
 	{
+		// A rename is one Apply, a delete and a create: one batch record.
 		name: "rename",
 		ops: []journalOp{
 			opSetHead("k", "master", hash.Hash{}, fill(0x11)),
 			opRenameHead("k", "master", "main"),
 		},
-		wantHex: "4642484541445301" +
+		wantHex: "4642484541445302" +
 			"2c000000" + "f74f5edf" + "01" + "0100" + "6b" + "0600" + "6d6173746572" + strings.Repeat("11", 32) +
-			"12000000" + "8c007a01" + "03" + "0100" + "6b" + "0600" + "6d6173746572" + "0400" + "6d61696e",
+			"37000000" + "a098ed54" + "04" +
+			"02" + "0100" + "6b" + "0600" + "6d6173746572" +
+			"01" + "0100" + "6b" + "0400" + "6d61696e" + strings.Repeat("11", 32),
+	},
+	{
+		// An Apply over several keys: one batch record holding each head's
+		// final value, in the order the ops first name them.
+		name: "batch",
+		ops: []journalOp{opApply(
+			HeadOp{Key: "a", Branch: "master", Set: fill(0x11)},
+			HeadOp{Key: "k", Branch: "master", Set: fill(0x22)},
+			HeadOp{Key: "k", Branch: "master", Expect: fill(0x22), Set: fill(0x33)},
+		)},
+		wantHex: "4642484541445302" +
+			"59000000" + "91ee78ff" + "04" +
+			"01" + "0100" + "61" + "0600" + "6d6173746572" + strings.Repeat("11", 32) +
+			"01" + "0100" + "6b" + "0600" + "6d6173746572" + strings.Repeat("33", 32),
+	},
+	{
+		// An Apply that leaves one head changed writes a plain set record.
+		name: "batch moving one head",
+		ops: []journalOp{opApply(
+			HeadOp{Key: "k", Branch: "master", Set: fill(0x11)},
+			HeadOp{Key: "k", Branch: "dev", Set: fill(0x22)},
+			HeadOp{Key: "k", Branch: "dev", Expect: fill(0x22)},
+		)},
+		wantHex: "4642484541445302" +
+			"2c000000" + "f74f5edf" + "01" + "0100" + "6b" + "0600" + "6d6173746572" + strings.Repeat("11", 32),
 	},
 	{
 		name: "compacted snapshot",
@@ -148,10 +188,39 @@ var goldenJournals = []struct {
 			opSetHead("k", "master", fill(0x11), fill(0x44)),
 			opCompact,
 		},
-		wantHex: "4642484541445301" +
+		wantHex: "4642484541445302" +
 			"2a000000" + "78521aa8" + "01" + "0100" + "61" + "0400" + "6d61696e" + strings.Repeat("33", 32) +
 			"2c000000" + "503b4987" + "01" + "0100" + "6b" + "0600" + "6d6173746572" + strings.Repeat("44", 32),
 	},
+}
+
+// goldenV1Journals are journals a version 1 writer left — its set, delete
+// and rename records — and the heads each holds.
+var goldenV1Journals = []struct {
+	name string
+	hex  string
+	want map[string]map[string]hash.Hash
+}{
+	{"header", "4642484541445301", map[string]map[string]hash.Hash{}},
+	{"set",
+		"4642484541445301" +
+			"2c000000" + "f74f5edf" + "01" + "0100" + "6b" + "0600" + "6d6173746572" + strings.Repeat("11", 32),
+		map[string]map[string]hash.Hash{"k": {"master": fill(0x11)}}},
+	{"delete",
+		"4642484541445301" +
+			"2c000000" + "f74f5edf" + "01" + "0100" + "6b" + "0600" + "6d6173746572" + strings.Repeat("11", 32) +
+			"0c000000" + "72e2ca27" + "02" + "0100" + "6b" + "0600" + "6d6173746572",
+		map[string]map[string]hash.Hash{}},
+	{"rename",
+		"4642484541445301" +
+			"2c000000" + "f74f5edf" + "01" + "0100" + "6b" + "0600" + "6d6173746572" + strings.Repeat("11", 32) +
+			"12000000" + "8c007a01" + "03" + "0100" + "6b" + "0600" + "6d6173746572" + "0400" + "6d61696e",
+		map[string]map[string]hash.Hash{"k": {"main": fill(0x11)}}},
+	{"compacted snapshot",
+		"4642484541445301" +
+			"2a000000" + "78521aa8" + "01" + "0100" + "61" + "0400" + "6d61696e" + strings.Repeat("33", 32) +
+			"2c000000" + "503b4987" + "01" + "0100" + "6b" + "0600" + "6d6173746572" + strings.Repeat("44", 32),
+		map[string]map[string]hash.Hash{"a": {"main": fill(0x33)}, "k": {"master": fill(0x44)}}},
 }
 
 func TestHeadsJournalGoldenVectors(t *testing.T) {
@@ -172,6 +241,37 @@ func TestHeadsJournalGoldenVectors(t *testing.T) {
 			f.Close()
 			if got := allHeadsOf(t, openHeads(t, dir)); !reflect.DeepEqual(got, want) {
 				t.Fatalf("reopened %v, want %v", got, want)
+			}
+		})
+	}
+}
+
+// TestHeadsJournalReadsVersion1: a version 1 journal opens to the heads it
+// holds and is rewritten, before anything is appended, as a version 2
+// snapshot of them; the next append follows that snapshot.
+func TestHeadsJournalReadsVersion1(t *testing.T) {
+	for _, tc := range goldenV1Journals {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			b, err := hex.DecodeString(tc.hex)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, headsFile), b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			f := openHeads(t, dir)
+			if got := allHeadsOf(t, f); !reflect.DeepEqual(got, tc.want) {
+				t.Fatalf("opened %v, want %v", got, tc.want)
+			}
+			snap := appendSnapshot(nil, f.mem)
+			if got := journalOf(t, dir); !bytes.Equal(got, snap) || got[len(headsMagic)] != headsVersion {
+				t.Fatalf("journal after open\n got %x\nwant %x", got, snap)
+			}
+			mustCAS(t, f, "z", "master", hash.Hash{}, fill(0x55))
+			rec := appendRecord(nil, headRecord{op: opSet, key: "z", branch: "master", uid: fill(0x55)})
+			if got := journalOf(t, dir); !bytes.Equal(got, cat(snap, rec)) {
+				t.Fatalf("append after the rewrite left %x", got)
 			}
 		})
 	}
@@ -201,7 +301,8 @@ func hostileJournals() []struct {
 	journal []byte
 	corrupt bool
 } {
-	hdr := []byte(headsMagic + "\x01")
+	hdr := []byte(headsMagic + "\x02")
+	hdrV1 := []byte(headsMagic + "\x01")
 	recA := appendRecord(nil, headRecord{op: opSet, key: "a", branch: "master", uid: fill(0x11)})
 	recB := appendRecord(nil, headRecord{op: opSet, key: "b", branch: "master", uid: fill(0x22)})
 	withA := func(tail ...[]byte) []byte { return cat(append([][]byte{hdr, recA}, tail...)...) }
@@ -216,6 +317,7 @@ func hostileJournals() []struct {
 		return rec
 	}
 	setPayload := recB[frameLen:]
+	deletePayload := []byte{opDelete, 1, 0, 'a', 0, 0}
 	return []struct {
 		name    string
 		journal []byte
@@ -232,11 +334,19 @@ func hostileJournals() []struct {
 		{"short uid", withA(frameOf(setPayload[:len(setPayload)-1])), true},
 		{"trailing bytes", withA(frameOf(cat(setPayload, []byte{0}))), true},
 		{"delete of a branch that is not there", withA(appendRecord(nil, headRecord{op: opDelete, key: "b", branch: "master"})), true},
-		{"rename onto a branch that is there", withA(appendRecord(nil, headRecord{op: opRename, key: "a", branch: "master", to: "master"})), true},
+		{"rename onto a branch that is there", cat(hdrV1, recA, appendRecord(nil, headRecord{op: opRename, key: "a", branch: "master", to: "master"})), true},
 		{"wrong magic", cat([]byte("FBHEADX\x01"), recA), true},
-		{"wrong version", cat([]byte(headsMagic+"\x02"), recA), true},
+		{"wrong version", cat([]byte(headsMagic+"\x03"), recA), true},
 		{"header cut short", hdr[:5], true},
 		{"empty file", nil, true},
+		{"length at the record cap, past EOF", withA(lenAs(recB, maxPayload)), false},
+		{"length one past the record cap", withA(lenAs(recB, maxPayload+1)), true},
+		{"batch of one head", withA(frameOf(cat([]byte{opBatch}, setPayload))), true},
+		{"batch inside a batch", withA(frameOf(cat([]byte{opBatch, opBatch}, setPayload, setPayload))), true},
+		{"batch with a torn head", withA(frameOf(cat([]byte{opBatch}, setPayload, deletePayload[:4]))), true},
+		{"batch that deletes a branch that is not there", withA(frameOf(cat([]byte{opBatch}, setPayload, []byte{opDelete, 1, 0, 'c', 0, 0}))), true},
+		{"batch in a version 1 journal", cat(hdrV1, recA, frameOf(cat([]byte{opBatch}, setPayload, deletePayload))), true},
+		{"rename in a version 2 journal", withA(appendRecord(nil, headRecord{op: opRename, key: "a", branch: "master", to: "main"})), true},
 	}
 }
 
@@ -250,7 +360,15 @@ func TestHeadsJournalHostile(t *testing.T) {
 			if err := os.WriteFile(path, tc.journal, 0o644); err != nil {
 				t.Fatal(err)
 			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
 			f, err := OpenFileBranchTable(dir)
+			runtime.ReadMemStats(&after)
+			// A length field sizes nothing: the open allocates by the bytes
+			// that are there.
+			if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+				t.Fatalf("opening a %d-byte journal allocated %d bytes", len(tc.journal), got)
+			}
 			if tc.corrupt {
 				if !errors.Is(err, ErrHeadsCorrupt) {
 					t.Fatalf("opened with err %v, want ErrHeadsCorrupt", err)
@@ -283,12 +401,12 @@ func TestHeadsJournalTornTail(t *testing.T) {
 	mustCAS(t, f, "a", "master", hash.Hash{}, fill(0x11))
 	mustCAS(t, f, "a", "dev", hash.Hash{}, fill(0x22))
 	before := allHeadsOf(t, f)
-	if err := f.Rename("a", "dev", "feature"); err != nil {
+	last := len(journalOf(t, src))
+	if err := opRenameHead("a", "dev", "feature")(f); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
 	full := journalOf(t, src)
-	last := len(full) - len(appendRecord(nil, headRecord{op: opRename, key: "a", branch: "dev", to: "feature"}))
 	for cut := last + 1; cut < len(full); cut++ {
 		dir := t.TempDir()
 		if err := os.WriteFile(filepath.Join(dir, headsFile), full[:cut], 0o644); err != nil {
@@ -325,6 +443,13 @@ func FuzzHeadsJournal(f *testing.F) {
 		}
 		f.Add(b)
 	}
+	for _, tc := range goldenV1Journals {
+		b, err := hex.DecodeString(tc.hex)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
 	for _, tc := range hostileJournals() {
 		f.Add(tc.journal)
 	}
@@ -350,7 +475,7 @@ func FuzzHeadsJournal(f *testing.F) {
 		if intact == 0 {
 			return // the header was refused
 		}
-		enc := []byte(headsMagic + "\x01")
+		enc := []byte(headsMagic + string(b[len(headsMagic)]))
 		for _, r := range recs {
 			enc = appendRecord(enc, r)
 		}
@@ -378,12 +503,41 @@ func killChildUID(seed int, key string) hash.Hash {
 	return hash.Of([]byte(strconv.Itoa(seed) + "/" + key))
 }
 
+// killStep is the kill test's Apply number i under seed.  An even step sets
+// one new key; an odd step is a batch over four keys: three new ones, and a
+// rename of the key the step before set.
+func killStep(seed, i int) []HeadOp {
+	key := fmt.Sprintf("k%06d", i)
+	if i%2 == 0 {
+		return []HeadOp{{Key: key, Branch: "master", Set: killChildUID(seed, key)}}
+	}
+	var ops []HeadOp
+	for j := 0; j < 3; j++ {
+		k := fmt.Sprintf("%s.%d", key, j)
+		ops = append(ops, HeadOp{Key: k, Branch: "master", Set: killChildUID(seed, k)})
+	}
+	prev := fmt.Sprintf("k%06d", i-1)
+	return append(ops, renameOps(prev, "master", "moved", killChildUID(seed, prev))...)
+}
+
+// killHeads is the table the kill test's first n steps leave.
+func killHeads(t testing.TB, seed, n int) map[string]map[string]hash.Hash {
+	m := NewMemBranchTable()
+	for i := 0; i < n; i++ {
+		if ok, err := m.Apply(killStep(seed, i)); !ok || err != nil {
+			t.Fatalf("step %d: ok=%v err=%v", i, ok, err)
+		}
+	}
+	return allHeadsOf(t, m)
+}
+
 // TestHeadsSurviveKill kills a writer with SIGKILL mid-stream, not with a
-// panic hook: a child process (this test binary, re-executed) sets heads on
-// distinct keys and prints each one once CompareAndSet has returned; the
-// parent kills it after about 200 lines and reopens the journal.  Every
-// printed head must be there, and at most one head the child set but had
-// not printed yet.
+// panic hook: a child process (this test binary, re-executed) runs killStep's
+// Applies — single heads, and four-key batches with a rename in them — and
+// prints each step's number once Apply has returned; the parent kills it
+// after about 200 lines and reopens the journal.  The heads must be exactly
+// those of the printed steps, or of those and the one step after: every
+// acknowledged Apply is there, and every Apply is there whole or not at all.
 func TestHeadsSurviveKill(t *testing.T) {
 	if dir := os.Getenv(killDirEnv); dir != "" {
 		seed, _ := strconv.Atoi(os.Getenv(killSeedEnv))
@@ -394,33 +548,25 @@ func TestHeadsSurviveKill(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			dir := t.TempDir()
-			acked := map[string]hash.Hash{}
+			acked := 0
 			killAfter := 180 + rand.New(rand.NewSource(int64(seed))).Intn(40)
 			killMidStream(t, "TestHeadsSurviveKill", dir, seed, func(line string) bool {
-				key, uid, ok := strings.Cut(line, " ")
-				if !ok || uid != killChildUID(seed, key).String() {
-					t.Errorf("child printed %q", line)
+				if line != strconv.Itoa(acked) {
+					t.Errorf("child printed %q after %d steps", line, acked)
 				}
-				acked[key] = killChildUID(seed, key)
-				return len(acked) < killAfter
+				acked++
+				return acked < killAfter
 			})
 
 			got := allHeadsOf(t, openHeads(t, dir))
-			extra := 0
-			for key, branches := range got {
-				uid, printed := acked[key]
-				if !printed {
-					uid = killChildUID(seed, key)
-					extra++
-				}
-				if len(branches) != 1 || branches["master"] != uid {
-					t.Fatalf("%s reopened as %v, want master=%s", key, branches, uid.Short())
-				}
+			switch {
+			case reflect.DeepEqual(got, killHeads(t, seed, acked)):
+				t.Logf("killed after %d acked steps", acked)
+			case reflect.DeepEqual(got, killHeads(t, seed, acked+1)):
+				t.Logf("killed after %d acked steps and one unprinted", acked)
+			default:
+				t.Fatalf("reopened %d keys, which are not the heads of the %d acked steps, nor of one more", len(got), acked)
 			}
-			if len(got)-extra != len(acked) || extra > 1 {
-				t.Fatalf("reopened %d heads, %d printed of which %d survived, %d unprinted", len(got), len(acked), len(got)-extra, extra)
-			}
-			t.Logf("killed after %d acked heads (%d unprinted survivors)", len(acked), extra)
 		})
 	}
 }
@@ -459,7 +605,8 @@ func killMidStream(t *testing.T, name, dir string, seed int, line func(string) b
 	}
 }
 
-// headsKillChild is the kill test's child: it sets heads until it is killed.
+// headsKillChild is the kill test's child: it applies steps until it is
+// killed.
 func headsKillChild(dir string, seed int) {
 	f, err := OpenFileBranchTable(dir)
 	if err != nil {
@@ -467,15 +614,41 @@ func headsKillChild(dir string, seed int) {
 		os.Exit(2)
 	}
 	for i := 0; i < 100000; i++ {
-		key := fmt.Sprintf("k%06d", i)
-		uid := killChildUID(seed, key)
-		if ok, err := f.CompareAndSet(key, "master", hash.Hash{}, uid); !ok || err != nil {
-			fmt.Fprintln(os.Stderr, "CAS:", ok, err)
+		if ok, err := f.Apply(killStep(seed, i)); !ok || err != nil {
+			fmt.Fprintln(os.Stderr, "Apply:", ok, err)
 			os.Exit(2)
 		}
-		fmt.Printf("%s %s\n", key, uid)
+		fmt.Println(i)
 	}
 	os.Exit(3) // not killed in time
+}
+
+// TestHeadsBigApply: a 10,000-op Apply commits as one record and replays
+// after a reopen.
+func TestHeadsBigApply(t *testing.T) {
+	dir := t.TempDir()
+	f := openHeads(t, dir)
+	ops := make([]HeadOp, 10000)
+	for i := range ops {
+		ops[i] = HeadOp{Key: fmt.Sprintf("k%05d", i), Branch: "master", Set: hash.Of([]byte(strconv.Itoa(i)))}
+	}
+	before := len(journalOf(t, dir))
+	if ok, err := f.Apply(ops); !ok || err != nil {
+		t.Fatalf("Apply: ok=%v err=%v", ok, err)
+	}
+	journal := journalOf(t, dir)
+	var recs []headRecord
+	if _, err := scanJournal(cat(journal[:headerLen], journal[before:]), func(r headRecord) error {
+		recs = append(recs, r)
+		return nil
+	}); err != nil || len(recs) != 1 || len(recs[0].batch) != len(ops) {
+		t.Fatalf("the Apply wrote %d records (err %v), want one batch of %d", len(recs), err, len(ops))
+	}
+	want := allHeadsOf(t, f)
+	f.Close()
+	if got := allHeadsOf(t, openHeads(t, dir)); len(got) != len(ops) || !reflect.DeepEqual(got, want) {
+		t.Fatalf("reopened %d keys, want %d", len(got), len(ops))
+	}
 }
 
 // TestHeadsBytesPerCASIndependentOfKeys: moving one head appends one record,
@@ -533,7 +706,7 @@ func TestHeadsJournalCompacts(t *testing.T) {
 	f := openHeads(t, dir)
 	mustCAS(t, f, "keep", "master", hash.Hash{}, fill(0x11))
 	mustCAS(t, f, "gone", "master", hash.Hash{}, fill(0x22))
-	if err := f.Delete("gone", "master"); err != nil {
+	if err := opDeleteHead("gone", "master")(f); err != nil {
 		t.Fatal(err)
 	}
 	rec := int64(len(appendRecord(nil, headRecord{op: opSet, key: "hot", branch: "master"})))
@@ -546,7 +719,7 @@ func TestHeadsJournalCompacts(t *testing.T) {
 			t.Fatalf("journal at %d bytes after %d moves, compaction floor %d", f.size, i+1, compactFloor)
 		}
 	}
-	if err := f.Rename("keep", "master", "main"); err != nil {
+	if err := opRenameHead("keep", "master", "main")(f); err != nil {
 		t.Fatal(err)
 	}
 	want := allHeadsOf(t, f)
@@ -591,6 +764,9 @@ func TestHeadsConvertBranchesJSON(t *testing.T) {
 		t.Fatalf("branches.json still there after conversion: %v", err)
 	}
 	journal := journalOf(t, dir)
+	if journal[len(headsMagic)] != headsVersion {
+		t.Fatalf("converted into a version %d journal, want %d", journal[len(headsMagic)], headsVersion)
+	}
 	if got := allHeadsOf(t, openHeads(t, dir)); !reflect.DeepEqual(got, want) || !bytes.Equal(journalOf(t, dir), journal) {
 		t.Fatalf("reopened %v, want %v, journal unchanged", got, want)
 	}
@@ -621,11 +797,11 @@ func TestFileBranchTableClose(t *testing.T) {
 	if ok, err := f.CompareAndSet("k", "master", fill(0x11), fill(0x22)); ok || !errors.Is(err, errHeadsClosed) {
 		t.Fatalf("CAS after Close: ok=%v err=%v", ok, err)
 	}
-	if err := f.Delete("k", "master"); !errors.Is(err, errHeadsClosed) {
-		t.Fatalf("Delete after Close: %v", err)
+	if ok, err := f.Apply(renameOps("k", "master", "main", fill(0x11))); ok || !errors.Is(err, errHeadsClosed) {
+		t.Fatalf("rename after Close: ok=%v err=%v", ok, err)
 	}
-	if err := f.Rename("k", "master", "main"); !errors.Is(err, errHeadsClosed) {
-		t.Fatalf("Rename after Close: %v", err)
+	if ok, err := f.Apply([]HeadOp{{Key: "k", Branch: "master", Any: true}}); ok || !errors.Is(err, errHeadsClosed) {
+		t.Fatalf("delete after Close: ok=%v err=%v", ok, err)
 	}
 	if uid, ok, err := f.Head("k", "master"); !ok || err != nil || uid != fill(0x11) {
 		t.Fatalf("Head after Close: %s %v %v", uid.Short(), ok, err)
@@ -657,17 +833,26 @@ func TestHeadsRefusalsWriteNothing(t *testing.T) {
 	if ok, err := f.CompareAndSet("k", "dev", fill(0x11), fill(0x33)); ok || err != nil {
 		t.Fatalf("stale CAS: ok=%v err=%v", ok, err)
 	}
-	if err := f.Rename("k", "", long); err == nil {
-		t.Fatal("rename to an over-long name accepted")
+	for name, ops := range map[string][]HeadOp{
+		"rename to an over-long name":     renameOps("k", "", long, fill(0x11)),
+		"rename onto an existing branch":  renameOps("k", "", "dev", fill(0x11)),
+		"rename of a missing branch":      renameOps("k", "nope", "new", fill(0x11)),
+		"delete of a missing branch":      {{Key: "k", Branch: "nope", Expect: fill(0x11)}},
+		"delete of a missing branch, any": {{Key: "k", Branch: "nope", Any: true}},
+		"a head set to itself":            {{Key: "k", Branch: "dev", Expect: fill(0x22), Set: fill(0x22)}},
+		"a create then its delete":        {{Key: "k", Branch: "tmp", Set: fill(0x33)}, {Key: "k", Branch: "tmp", Expect: fill(0x33)}},
+		"a batch whose last op is stale": {
+			{Key: "k", Branch: "", Expect: fill(0x11), Set: fill(0x44)},
+			{Key: "k", Branch: "dev", Expect: fill(0x11), Set: fill(0x44)},
+		},
+	} {
+		f.Apply(ops)
+		if !bytes.Equal(journalOf(t, dir), journal) {
+			t.Fatalf("%s reached the journal", name)
+		}
 	}
-	if err := f.Rename("k", "", "dev"); !errors.Is(err, ErrBranchExists) {
-		t.Fatalf("rename onto an existing branch: %v", err)
-	}
-	if err := f.Rename("k", "nope", "new"); !errors.Is(err, ErrBranchNotFound) {
-		t.Fatalf("rename of a missing branch: %v", err)
-	}
-	if err := f.Delete("k", "nope"); !errors.Is(err, ErrBranchNotFound) {
-		t.Fatalf("delete of a missing branch: %v", err)
+	if got := allHeadsOf(t, f); !reflect.DeepEqual(got["k"], map[string]hash.Hash{"": fill(0x11), "dev": fill(0x22)}) {
+		t.Fatalf("heads of k after refusals: %v", got["k"])
 	}
 	if !bytes.Equal(journalOf(t, dir), journal) {
 		t.Fatal("a refused mutation reached the journal")

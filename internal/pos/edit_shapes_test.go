@@ -203,9 +203,10 @@ func checkEditEquivalence(st *store.MemStore, tree *Tree, base []Entry, ops []Op
 }
 
 // shapeConfigs are the chunkings the adversarial shapes run under: the tiny
-// test pages and the default 4 KiB pages.  The tables are sized so that every
-// tree has at least four levels — on the 4 KiB pages that is a matter of
-// where the second index level happens to split, hence the odd row count.
+// test pages, and the default geometry (window, page bounds) at 1 KiB pages.
+// The tables are sized so that every tree has at least four levels — a
+// matter of where the second index level happens to split, hence the odd
+// row count.
 func shapeConfigs() []struct {
 	name string
 	cfg  chunker.Config
@@ -217,7 +218,8 @@ func shapeConfigs() []struct {
 		rows int
 	}{
 		{"test/rolling", testCfg(), 800},
-		{"default/rolling", chunker.DefaultConfig(), 100003},
+		// Q 10 reaches four levels at a sixteenth of the rows Q 12 needs.
+		{"default/rolling", func() chunker.Config { c := chunker.DefaultConfig(); c.Q = 10; return c }(), 6007},
 	}
 }
 
@@ -262,11 +264,13 @@ func testEditShapes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, sh := range adversarialShapes(layout) {
+			shapes := adversarialShapes(layout)
+			for _, sh := range shapes {
 				if err := checkEditEquivalence(st, tree, base, sh.ops); err != nil {
 					t.Errorf("%s (%d ops): %v", sh.name, len(sh.ops), err)
 				}
 			}
+			t.Logf("%d shapes over a %d-level tree of %d rows, %d leaves", len(shapes), stats.Height, sc.rows, stats.LeafNodes)
 		})
 	}
 }

@@ -331,10 +331,10 @@ func (f *Follower) Ready(maxLag uint64) bool {
 }
 
 // snapshot performs a full catch-up: anchor a cursor, mirror every primary
-// head, and drop local branches the primary no longer has.  It returns the
-// anchored cursor; entries after it will be replayed by the tail, which is
-// idempotent (re-syncing a present head prunes immediately; re-applying a
-// head swap is a no-op).
+// head, and drop local branches the primary no longer has — all in one
+// Apply.  It returns the anchored cursor; entries after it will be replayed
+// by the tail, which is idempotent (re-syncing a present head prunes
+// immediately; re-applying a head is a no-op).
 func (f *Follower) snapshot() (core.FeedCursor, error) {
 	f.bump(func(s *Stats) { s.Snapshots++; s.Rounds++ })
 	cursor, err := f.src.Seq()
@@ -345,17 +345,10 @@ func (f *Follower) snapshot() (core.FeedCursor, error) {
 	if err != nil {
 		return cursor, err
 	}
+	var ops []core.HeadOp
 	for key, branches := range heads {
 		for branch, uid := range branches {
-			select {
-			case <-f.stop:
-				return cursor, errors.New("repl: follower closed mid-snapshot")
-			default:
-			}
-			if err := f.sync.syncHead(f.heads, key, branch, uid); err != nil {
-				return cursor, err
-			}
-			f.bump(func(s *Stats) { s.HeadsApplied++ })
+			ops = append(ops, core.HeadOp{Key: key, Branch: branch, Any: true, Set: uid})
 		}
 	}
 	// Remove local branches that no longer exist on the primary (deletions
@@ -365,26 +358,19 @@ func (f *Follower) snapshot() (core.FeedCursor, error) {
 		return cursor, err
 	}
 	for _, key := range localKeys {
-		branches, err := f.heads.Branches(key)
-		if err != nil {
-			continue
-		}
+		branches, _ := f.heads.Branches(key) // none, if the key went meanwhile
 		for branch := range branches {
-			if _, ok := heads[key][branch]; ok {
-				continue
+			if _, ok := heads[key][branch]; !ok {
+				ops = append(ops, core.HeadOp{Key: key, Branch: branch, Any: true})
 			}
-			if err := f.heads.Delete(key, branch); err != nil && !errors.Is(err, core.ErrBranchNotFound) {
-				return cursor, err
-			}
-			f.bump(func(s *Stats) { s.BranchesDeleted++ })
 		}
 	}
-	return cursor, nil
+	return cursor, f.publish(ops)
 }
 
-// tailOnce reads one batch of feed entries and applies them.  Within a
-// batch only the last entry per branch is applied — intermediate versions
-// are skipped exactly as a briefly-lagging replica would skip them; their
+// tailOnce reads one page of feed entries and applies it.  Within a page
+// only the last entry per branch is applied — intermediate versions are
+// skipped exactly as a briefly-lagging replica would skip them; their
 // history chunks still arrive via the final head's base links.
 func (f *Follower) tailOnce(cursor core.FeedCursor) (core.FeedCursor, bool, error) {
 	entries, next, truncated, err := f.src.FeedSince(cursor, f.opts.BatchLimit, f.opts.Poll)
@@ -399,30 +385,53 @@ func (f *Follower) tailOnce(cursor core.FeedCursor) (core.FeedCursor, bool, erro
 	}
 	f.bump(func(s *Stats) { s.Rounds++ })
 	type ref struct{ key, branch string }
-	last := make(map[ref]int, len(entries))
-	for i, e := range entries {
-		last[ref{e.Key, e.Branch}] = i
+	seen := make(map[ref]bool, len(entries))
+	var ops []core.HeadOp
+	for i := len(entries) - 1; i >= 0; i-- { // newest first: skip what a later entry supersedes
+		if e := entries[i]; !seen[ref{e.Key, e.Branch}] {
+			seen[ref{e.Key, e.Branch}] = true
+			ops = append(ops, core.HeadOp{Key: e.Key, Branch: e.Branch, Any: true, Set: e.New})
+		}
 	}
-	for i, e := range entries {
-		if last[ref{e.Key, e.Branch}] != i {
-			continue // superseded later in this batch
-		}
-		select {
-		case <-f.stop:
-			return cursor, false, errors.New("repl: follower closed mid-batch")
-		default:
-		}
-		if e.IsDelete() {
-			if err := f.heads.Delete(e.Key, e.Branch); err != nil && !errors.Is(err, core.ErrBranchNotFound) {
-				return cursor, false, err
-			}
-			f.bump(func(s *Stats) { s.BranchesDeleted++ })
-			continue
-		}
-		if err := f.sync.syncHead(f.heads, e.Key, e.Branch, e.New); err != nil {
-			return cursor, false, err
-		}
-		f.bump(func(s *Stats) { s.HeadsApplied++ })
+	if err := f.publish(ops); err != nil {
+		return cursor, false, err
 	}
 	return next, false, nil
+}
+
+// publish pulls the graph of every head ops set — pinned on the source
+// for the walk, so a primary-side collection cannot sweep it — then makes
+// all of ops local heads with one Apply: a replica shows a feed page, or a
+// snapshot, whole or not at all — never part of a primary's batch.
+func (f *Follower) publish(ops []core.HeadOp) error {
+	var sets, deletes uint64
+	for _, op := range ops {
+		select {
+		case <-f.stop:
+			return errors.New("repl: follower closed mid-batch")
+		default:
+		}
+		if op.Set.IsZero() {
+			deletes++
+			continue
+		}
+		if err := f.src.Pin(op.Set); err != nil {
+			return err
+		}
+		err := f.sync.syncRoot(op.Set)
+		_ = f.src.Unpin(op.Set)
+		if err != nil {
+			return err
+		}
+		sets++
+	}
+	ok, err := f.heads.Apply(ops)
+	if err == nil && !ok {
+		err = errors.New("repl: the local branch table refused an Apply that expects any head")
+	}
+	if err != nil {
+		return err
+	}
+	f.bump(func(s *Stats) { s.HeadsApplied += sets; s.BranchesDeleted += deletes })
+	return nil
 }

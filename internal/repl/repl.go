@@ -14,9 +14,9 @@
 //
 // Consistency model: per-branch prefix consistency.  A replica's head for
 // key@branch is always some committed version of that branch on the
-// primary, and it converges to the primary's latest as the feed drains;
-// cross-branch points-in-time are not atomic, and during a snapshot
-// catch-up a branch may transiently step back before converging forward.
+// primary, and it converges to the primary's latest as the feed drains; a
+// primary's batch appears whole (a feed page is one Apply), and during a
+// snapshot catch-up a branch may transiently step back before converging.
 // Reads are served throughout — chunk immutability means a version, once
 // its head is published locally, is complete and tamper-verified.
 package repl

@@ -123,46 +123,3 @@ func (s *syncer) syncRoot(root hash.Hash) error {
 	}
 	return nil
 }
-
-// syncHead pulls root (pinned on the source for the duration) and then
-// publishes it as the local head of key@branch.  Publication is a plain
-// head swap: the follower is the only writer of a replica's branch table.
-func (s *syncer) syncHead(heads branchTable, key, branch string, root hash.Hash) error {
-	if err := s.src.Pin(root); err != nil {
-		return err
-	}
-	defer func() { _ = s.src.Unpin(root) }()
-	if err := s.syncRoot(root); err != nil {
-		return err
-	}
-	return forceSetHead(heads, key, branch, root)
-}
-
-// branchTable is the subset of core.BranchTable the follower writes.
-type branchTable interface {
-	Head(key, branch string) (hash.Hash, bool, error)
-	CompareAndSet(key, branch string, old, new hash.Hash) (bool, error)
-	Delete(key, branch string) error
-}
-
-// forceSetHead moves key@branch to uid regardless of its current value
-// (feed order is the primary's commit order; last writer wins).
-func forceSetHead(heads branchTable, key, branch string, uid hash.Hash) error {
-	for i := 0; i < 16; i++ {
-		cur, _, err := heads.Head(key, branch)
-		if err != nil {
-			return err
-		}
-		if cur == uid {
-			return nil
-		}
-		ok, err := heads.CompareAndSet(key, branch, cur, uid)
-		if err != nil {
-			return err
-		}
-		if ok {
-			return nil
-		}
-	}
-	return fmt.Errorf("repl: local head of %s@%s would not settle", key, branch)
-}

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"forkbase/internal/core"
-	"forkbase/internal/hash"
 	"forkbase/internal/pos"
 	"forkbase/internal/repl"
 	"forkbase/internal/store"
@@ -162,7 +161,7 @@ func TestReadOnlyHandlerRejectsWrites(t *testing.T) {
 func TestStaleHeadIs409(t *testing.T) {
 	// raceTable wraps the branch table so the head moves between the
 	// handler's read and its CAS, every time.
-	db := core.Open(core.Options{Branches: &raceTable{inner: core.NewMemBranchTable()}})
+	db := core.Open(core.Options{Branches: &raceTable{core.NewMemBranchTable()}})
 	srv := httptest.NewServer(New(db))
 	defer srv.Close()
 	code, body := doJSON(t, http.MethodPut, srv.URL+"/v1/obj/k", map[string]any{"kind": "string", "value": "x"})
@@ -171,20 +170,11 @@ func TestStaleHeadIs409(t *testing.T) {
 	}
 }
 
-// raceTable loses every CAS, simulating a permanently contended head.
+// raceTable loses every Apply, simulating a permanently contended head.
 type raceTable struct {
-	inner core.BranchTable
+	core.BranchTable
 }
 
-func (r *raceTable) Head(key, branch string) (h hash.Hash, ok bool, err error) {
-	return r.inner.Head(key, branch)
-}
-func (r *raceTable) CompareAndSet(key, branch string, old, new hash.Hash) (bool, error) {
+func (r *raceTable) Apply([]core.HeadOp) (bool, error) {
 	return false, nil // someone always won the race first
 }
-func (r *raceTable) Delete(key, branch string) error   { return r.inner.Delete(key, branch) }
-func (r *raceTable) Rename(key, from, to string) error { return r.inner.Rename(key, from, to) }
-func (r *raceTable) Branches(key string) (map[string]hash.Hash, error) {
-	return r.inner.Branches(key)
-}
-func (r *raceTable) Keys() ([]string, error) { return r.inner.Keys() }

@@ -362,10 +362,12 @@ func (h *Handler) object(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func branchParam(r *http.Request) string {
-	b := r.URL.Query().Get("branch")
+func branchParam(r *http.Request) string { return branchOrDefault(r.URL.Query().Get("branch")) }
+
+// branchOrDefault is the branch a write that names none goes to.
+func branchOrDefault(b string) string {
 	if b == "" {
-		b = core.DefaultBranch
+		return core.DefaultBranch
 	}
 	return b
 }
@@ -490,8 +492,11 @@ type batchOpBody struct {
 }
 
 // batch handles POST /v1/batch: the ops' version objects are committed
-// through the engine's batched write path (one store round for all FNodes),
-// the bulk-ingest entry point for REST clients.
+// through the engine's batched write path (one store round for all FNodes,
+// one Apply for all heads), the bulk-ingest entry point for REST clients.
+// The batch commits all or nothing: 201 with a version per op, in op order,
+// or an error — 409 when a head it derives from moved — and no op
+// committed.
 func (h *Handler) batch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "POST only"})
@@ -528,7 +533,7 @@ func (h *Handler) batch(w http.ResponseWriter, r *http.Request) {
 				badReq = fmt.Errorf("op %d: %w", i, err)
 				return nil, badReq
 			}
-			ops[i] = core.WriteOp{Key: op.Key, Branch: op.Branch, Value: v, Meta: op.Meta}
+			ops[i] = core.WriteOp{Key: op.Key, Branch: branchOrDefault(op.Branch), Value: v, Meta: op.Meta}
 		}
 		return ops, nil
 	})
@@ -536,43 +541,15 @@ func (h *Handler) batch(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: badReq.Error()})
 		return
 	}
-	out := make([]any, len(vers))
-	for i, v := range vers {
-		if v.UID.IsZero() {
-			out[i] = nil
-			continue
-		}
-		out[i] = renderVersion(v, ops[i].Branch)
-	}
-	resp := map[string]any{"versions": out}
 	if err != nil {
-		// Per-op failures: the versions array always ships, so clients can
-		// see which ops committed and retry only the rest.  A batch whose
-		// only failures are lost head races is the caller's retry contract
-		// (409); any other failure is a server-side fault (500).
-		resp["error"] = err.Error()
-		code := http.StatusInternalServerError
-		if allStaleHead(err) {
-			code = http.StatusConflict
-		}
-		writeJSON(w, code, resp)
+		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, resp)
-}
-
-// allStaleHead reports whether every leaf of a (possibly joined) WriteBatch
-// error is a stale-head CAS failure.
-func allStaleHead(err error) bool {
-	if joined, ok := err.(interface{ Unwrap() []error }); ok {
-		for _, e := range joined.Unwrap() {
-			if !allStaleHead(e) {
-				return false
-			}
-		}
-		return true
+	out := make([]versionBody, len(vers))
+	for i, v := range vers {
+		out[i] = renderVersion(v, ops[i].Branch)
 	}
-	return errors.Is(err, core.ErrStaleHead)
+	writeJSON(w, http.StatusCreated, map[string]any{"versions": out})
 }
 
 // gc handles POST /v1/gc: a full mark-and-sweep over the engine's store,

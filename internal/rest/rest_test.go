@@ -12,6 +12,7 @@ import (
 	"forkbase/internal/chaos"
 	"forkbase/internal/chunker"
 	"forkbase/internal/core"
+	"forkbase/internal/hash"
 	"forkbase/internal/store"
 )
 
@@ -297,6 +298,13 @@ func TestBatchWriteREST(t *testing.T) {
 	if !ok || len(vers) != 3 {
 		t.Fatalf("versions = %v", body["versions"])
 	}
+	// Each version names the branch its op committed to, the default
+	// included.
+	for i, want := range []string{"master", "dev", "master"} {
+		if v, _ := vers[i].(map[string]any); v["branch"] != want {
+			t.Fatalf("version %d = %v, want branch %q", i, vers[i], want)
+		}
+	}
 	got, err := db.Get("a", "")
 	if err != nil {
 		t.Fatal(err)
@@ -323,6 +331,47 @@ func TestBatchWriteREST(t *testing.T) {
 	if code, _ := doJSON(t, "GET", srv.URL+"/v1/batch", nil); code != http.StatusMethodNotAllowed {
 		t.Fatalf("GET code = %d", code)
 	}
+}
+
+// TestBatchWriteRESTAllOrNothing: a batch one of whose heads moves under it
+// answers 409 and commits none of its ops.
+func TestBatchWriteRESTAllOrNothing(t *testing.T) {
+	db := core.Open(core.Options{Branches: &movingTable{BranchTable: core.NewMemBranchTable(), key: "victim"}})
+	srv := httptest.NewServer(New(db))
+	defer srv.Close()
+	code, body := doJSON(t, "POST", srv.URL+"/v1/batch", map[string]any{
+		"ops": []map[string]any{
+			{"key": "a", "kind": "string", "value": "va"},
+			{"key": "victim", "kind": "string", "value": "lost race"},
+			{"key": "b", "kind": "string", "value": "vb"},
+		},
+	})
+	if code != http.StatusConflict || body["versions"] != nil {
+		t.Fatalf("raced batch = %d %v, want 409 and no versions", code, body)
+	}
+	for _, key := range []string{"a", "b"} {
+		if code, _ := doJSON(t, "GET", srv.URL+"/v1/obj/"+key, nil); code != http.StatusNotFound {
+			t.Fatalf("GET %s after a refused batch = %d, want 404", key, code)
+		}
+	}
+}
+
+// movingTable moves key's master head, once, just before an Apply that
+// would move it — a concurrent writer winning the race.
+type movingTable struct {
+	core.BranchTable
+	key   string
+	moved bool
+}
+
+func (m *movingTable) Apply(ops []core.HeadOp) (bool, error) {
+	for _, op := range ops {
+		if op.Key == m.key && !m.moved {
+			m.moved = true
+			m.BranchTable.CompareAndSet(op.Key, op.Branch, op.Expect, hash.Of([]byte("rival")))
+		}
+	}
+	return m.BranchTable.Apply(ops)
 }
 
 // TestGCEndpoint drives POST /v1/gc against a file-backed engine: churned

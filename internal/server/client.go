@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -67,11 +68,11 @@ func (o *ClientOptions) fill() {
 // backoff under the client's retry policy.
 //
 // Idempotency contract: reads (Get/Has/GetBatch/feed/pin) are retried
-// freely.  Mutations (CAS, chunk puts, branch delete/rename) are re-sent
-// only when the failed attempt's one Write provably put zero bytes of the
-// request frame on the wire — otherwise the server may have executed it, and
-// the ambiguous error is surfaced to the caller (who owns the op-level
-// recovery; see RemoteBranchTable.CompareAndSet for the CAS probe).
+// freely.  Mutations (head Applies, chunk puts) are re-sent only when the
+// failed attempt's one Write provably put zero bytes of the request frame on
+// the wire — otherwise the server may have executed it, and the ambiguous
+// error is surfaced to the caller (who owns the op-level recovery; see
+// RemoteBranchTable.Apply for the head probe).
 type Client struct {
 	addr string
 	opts ClientOptions
@@ -137,7 +138,7 @@ func (c *Client) teardownLocked() {
 // idempotent.
 func mutates(op Op) bool {
 	switch op {
-	case OpCAS, OpDeleteBranch, OpRenameBranch, OpPutChunk, OpPutChunks:
+	case OpApply, OpPutChunk, OpPutChunks:
 		return true
 	}
 	return false
@@ -146,7 +147,7 @@ func mutates(op Op) bool {
 // ErrAmbiguous marks a transport failure after part of a non-idempotent
 // request may have reached the server: the op may or may not have executed.
 // Callers that can probe (re-read the head, re-check presence) should; see
-// RemoteBranchTable.CompareAndSet.
+// RemoteBranchTable.Apply.
 var ErrAmbiguous = errors.New("client: request outcome unknown")
 
 // call performs one request-response exchange under the retry policy.
@@ -437,15 +438,10 @@ type RemoteBranchTable struct {
 // NewRemoteBranchTable wraps a client as a branch table.
 func NewRemoteBranchTable(c *Client) *RemoteBranchTable { return &RemoteBranchTable{c: c} }
 
-// branchOp sends one tuple-shaped branch request.
-func (r *RemoteBranchTable) branchOp(op Op, t tuple, read func(*dec)) error {
-	return r.c.call(op, 0, func(b []byte) []byte { return appendTuple(b, t) }, read)
-}
-
 // Head implements core.BranchTable.
 func (r *RemoteBranchTable) Head(key, branch string) (hash.Hash, bool, error) {
 	var heads []hash.Hash
-	err := r.branchOp(OpHead, tuple{key: key, branch: branch}, func(d *dec) {
+	err := r.c.call(OpHead, 0, func(b []byte) []byte { return appendRef(b, key, branch) }, func(d *dec) {
 		heads = d.ids()
 		d.bad = d.bad || len(heads) > 1
 	})
@@ -455,38 +451,44 @@ func (r *RemoteBranchTable) Head(key, branch string) (hash.Hash, bool, error) {
 	return heads[0], true, nil
 }
 
-// CompareAndSet implements core.BranchTable.  An ambiguous transport
-// failure (the CAS may or may not have executed on the server) is resolved
-// by probing the head: if it now equals new, the CAS landed — uids are
-// content-addressed, so "head == new" is exactly the postcondition the
-// caller asked for regardless of which attempt (or writer) established it.
-func (r *RemoteBranchTable) CompareAndSet(key, branch string, old, new hash.Hash) (bool, error) {
-	var swapped []bool
-	err := r.branchOp(OpCAS, tuple{key: key, branch: branch, old: old, new: new},
-		func(d *dec) { swapped = d.bools(1) })
-	if errors.Is(err, ErrAmbiguous) {
-		if cur, found, herr := r.Head(key, branch); herr == nil && found && cur == new {
-			return true, nil
+// Apply implements core.BranchTable in one round trip.  An ambiguous
+// transport failure is resolved by probing the heads: if each holds what
+// the ops leave it at, the Apply landed — uids are content-addressed, so
+// that is the caller's postcondition, whichever attempt established it.
+func (r *RemoteBranchTable) Apply(ops []core.HeadOp) (bool, error) {
+	var applied []bool
+	err := r.c.call(OpApply, 0, func(b []byte) []byte { return appendHeadOps(b, ops) },
+		func(d *dec) { applied = d.bools(1) })
+	if errors.Is(err, ErrAmbiguous) && r.landed(ops) {
+		return true, nil
+	}
+	return err == nil && applied[0], err
+}
+
+// landed reports whether every head ops touch holds the value the last op
+// on it sets (zero: the branch is gone).
+func (r *RemoteBranchTable) landed(ops []core.HeadOp) bool {
+	for i, op := range ops {
+		if slices.ContainsFunc(ops[i+1:], func(o core.HeadOp) bool { return o.Key == op.Key && o.Branch == op.Branch }) {
+			continue // a later op decides this head
+		}
+		if cur, _, err := r.Head(op.Key, op.Branch); err != nil || cur != op.Set {
+			return false
 		}
 	}
-	return err == nil && swapped[0], err
+	return true
 }
 
-// Delete implements core.BranchTable.
-func (r *RemoteBranchTable) Delete(key, branch string) error {
-	return r.branchOp(OpDeleteBranch, tuple{key: key, branch: branch}, nil)
-}
-
-// Rename implements core.BranchTable.
-func (r *RemoteBranchTable) Rename(key, from, to string) error {
-	return r.branchOp(OpRenameBranch, tuple{key: key, branch: from, to: to}, nil)
+// CompareAndSet implements core.BranchTable.
+func (r *RemoteBranchTable) CompareAndSet(key, branch string, old, new hash.Hash) (bool, error) {
+	return r.Apply([]core.HeadOp{{Key: key, Branch: branch, Expect: old, Set: new}})
 }
 
 // Branches implements core.BranchTable.
 func (r *RemoteBranchTable) Branches(key string) (map[string]hash.Hash, error) {
 	var names []string
 	var heads []hash.Hash
-	err := r.branchOp(OpBranches, tuple{key: key}, func(d *dec) {
+	err := r.c.call(OpBranches, 0, func(b []byte) []byte { return appendRef(b, key, "") }, func(d *dec) {
 		names, heads = d.strs(), d.ids()
 		d.bad = d.bad || len(names) != len(heads)
 	})

@@ -163,7 +163,7 @@ func remoteWarmEdit(t *testing.T, kind index.Kind) {
 	}
 	requests()
 	edit("second")
-	want := map[string]float64{"Head": 1, "PutChunks": 1, "PutChunk": 1, "CAS": 1}
+	want := map[string]float64{"Head": 1, "PutChunks": 1, "PutChunk": 1, "Apply": 1}
 	if d := requests(); !maps.Equal(d, want) {
 		t.Fatalf("warm EditMap on a head this client wrote: requests %v, want %v", d, want)
 	}

@@ -10,7 +10,7 @@
 //
 //	offset size field
 //	0      1    magic 0xFB
-//	1      1    protocol version (1)
+//	1      1    protocol version (2)
 //	2      1    op
 //	3      1    flags: bit 0 = error reply (the payload is the message
 //	            text); every other bit must be zero
@@ -18,13 +18,14 @@
 //	8      8    request_id, big-endian, echoed by the reply
 //
 // A payload is a sequence of a few shared shapes — id list, chunk list
-// (type, length, bytes; the ids travel separately), flag list, branch tuple
-// (key, branch, to, old, new), string list, stats, feed request, feed page —
-// with unsigned-varint counts and lengths and raw 32-byte ids.  The
-// single-chunk ops are the n = 1 case of the batch ops.  A GetChunks reply
-// answers by position: one status byte per requested id, then the present
-// chunks; "deferred" marks the tail that would have pushed the frame past
-// MaxPayload, for the client to ask for again.
+// (type, length, bytes; the ids travel separately), flag list, head ref
+// (key, branch), head ops (per op: key, branch, any, expect, set), string
+// list, stats, feed request, feed page — with unsigned-varint counts and
+// lengths and raw 32-byte ids.  The single-chunk ops are the n = 1 case of
+// the batch ops.  A GetChunks reply answers by position: one status byte per
+// requested id, then the present chunks; "deferred" marks the tail that
+// would have pushed the frame past MaxPayload, for the client to ask for
+// again.
 //
 // Bounds: a header with the wrong magic or version, an unknown flag or a
 // payload_len above MaxPayload ends the connection before anything is
@@ -61,9 +62,11 @@ const (
 	OpHasChunk
 	OpStats
 	OpHead
-	OpCAS
-	OpDeleteBranch
-	OpRenameBranch
+	// OpApply is one core.BranchTable.Apply.  It has version 1's CAS byte;
+	// the branch delete and rename bytes (7, 8) are retired.
+	OpApply
+	_
+	_
 	OpBranches
 	OpKeys
 	OpPing
@@ -89,23 +92,21 @@ const (
 )
 
 var opNames = map[Op]string{
-	OpPutChunk:     "PutChunk",
-	OpGetChunk:     "GetChunk",
-	OpHasChunk:     "HasChunk",
-	OpStats:        "Stats",
-	OpHead:         "Head",
-	OpCAS:          "CAS",
-	OpDeleteBranch: "DeleteBranch",
-	OpRenameBranch: "RenameBranch",
-	OpBranches:     "Branches",
-	OpKeys:         "Keys",
-	OpPing:         "Ping",
-	OpPutChunks:    "PutChunks",
-	OpGetChunks:    "GetChunks",
-	OpHasChunks:    "HasChunks",
-	OpFeedSince:    "FeedSince",
-	OpPinHead:      "PinHead",
-	OpUnpinHead:    "UnpinHead",
+	OpPutChunk:  "PutChunk",
+	OpGetChunk:  "GetChunk",
+	OpHasChunk:  "HasChunk",
+	OpStats:     "Stats",
+	OpHead:      "Head",
+	OpApply:     "Apply",
+	OpBranches:  "Branches",
+	OpKeys:      "Keys",
+	OpPing:      "Ping",
+	OpPutChunks: "PutChunks",
+	OpGetChunks: "GetChunks",
+	OpHasChunks: "HasChunks",
+	OpFeedSince: "FeedSince",
+	OpPinHead:   "PinHead",
+	OpUnpinHead: "UnpinHead",
 }
 
 func (o Op) String() string {
@@ -117,7 +118,7 @@ func (o Op) String() string {
 
 const (
 	frameMagic   = 0xFB
-	frameVersion = 1
+	frameVersion = 2
 	headerLen    = 16
 	flagError    = 1 // reply flag: the payload is an error message
 
@@ -248,15 +249,20 @@ func appendFlags(b []byte, flags ...bool) []byte {
 	return b
 }
 
-// tuple is the branch-operation shape; ops ignore the fields they do not use.
-type tuple struct {
-	key, branch, to string
-	old, new        hash.Hash
+// appendRef is the head ref shape: a key and a branch name.
+func appendRef(b []byte, key, branch string) []byte {
+	return appendStr(appendStr(b, key), branch)
 }
 
-func appendTuple(b []byte, t tuple) []byte {
-	b = appendStr(appendStr(appendStr(b, t.key), t.branch), t.to)
-	return append(append(b, t.old[:]...), t.new[:]...)
+// appendHeadOps is the head ops shape: a count, then per op its ref, a byte
+// that is 1 when the op expects any head, and its expect and set ids.
+func appendHeadOps(b []byte, ops []core.HeadOp) []byte {
+	b = appendUvarint(b, uint64(len(ops)))
+	for _, op := range ops {
+		b = appendBool(appendRef(b, op.Key, op.Branch), op.Any)
+		b = append(append(b, op.Expect[:]...), op.Set[:]...)
+	}
+	return b
 }
 
 func appendStrs(b []byte, ss []string) []byte {
@@ -288,7 +294,8 @@ func appendFeedPage(b []byte, cursor core.FeedCursor, truncated bool, entries []
 	b = appendUvarint(appendUvarint(b, cursor.Seq), cursor.Epoch)
 	b = appendUvarint(appendBool(b, truncated), uint64(len(entries)))
 	for _, e := range entries {
-		b = appendTuple(appendUvarint(b, e.Seq), tuple{key: e.Key, branch: e.Branch, old: e.Old, new: e.New})
+		b = appendRef(appendUvarint(b, e.Seq), e.Key, e.Branch)
+		b = append(append(b, e.Old[:]...), e.New[:]...)
 	}
 	return b
 }
@@ -433,8 +440,18 @@ func (d *dec) bools(n int) []bool {
 	return out
 }
 
-func (d *dec) tuple() tuple {
-	return tuple{key: d.str(), branch: d.str(), to: d.str(), old: d.id(), new: d.id()}
+func (d *dec) ref() (key, branch string) { return d.str(), d.str() }
+
+func (d *dec) headOps() []core.HeadOp {
+	const opMin = 2 + 1 + 2*hash.Size // two empty names, the any byte, two ids
+	out := make([]core.HeadOp, d.count(opMin, -1))
+	for i := range out {
+		key, branch := d.ref()
+		anyHead := d.byte()
+		d.bad = d.bad || anyHead > 1
+		out[i] = core.HeadOp{Key: key, Branch: branch, Any: anyHead == 1, Expect: d.id(), Set: d.id()}
+	}
+	return out
 }
 
 func (d *dec) strs() []string {
@@ -455,11 +472,12 @@ func (d *dec) feedReq() (cursor core.FeedCursor, limit int, waitMillis uint64) {
 
 func (d *dec) feedPage() (cursor core.FeedCursor, truncated bool, entries []core.FeedEntry) {
 	cursor, truncated = core.FeedCursor{Seq: d.uvarint(), Epoch: d.uvarint()}, d.byte() != 0
-	const entryMin = 1 + 3 + 2*hash.Size // a seq, three empty strings, two ids
+	const entryMin = 1 + 2 + 2*hash.Size // a seq, two empty strings, two ids
 	entries = make([]core.FeedEntry, d.count(entryMin, -1))
 	for i := range entries {
-		seq, t := d.uvarint(), d.tuple()
-		entries[i] = core.FeedEntry{Seq: seq, Key: t.key, Branch: t.branch, Old: t.old, New: t.new}
+		seq := d.uvarint()
+		key, branch := d.ref()
+		entries[i] = core.FeedEntry{Seq: seq, Key: key, Branch: branch, Old: d.id(), New: d.id()}
 	}
 	return cursor, truncated, entries
 }

@@ -143,7 +143,7 @@ func TestFeedSinceOverWire(t *testing.T) {
 	// Long poll: an entry arriving mid-wait wakes the reader.
 	go func() {
 		time.Sleep(20 * time.Millisecond)
-		feed.Append("k", "master", u2, hash.Of([]byte("v3")))
+		feed.Append(core.FeedEntry{Key: "k", Branch: "master", Old: u2, New: hash.Of([]byte("v3"))})
 	}()
 	start := time.Now()
 	entries, next, _, err = cl.FeedSince(core.FeedCursor{Epoch: feed.Epoch(), Seq: 2}, 0, 2*time.Second)
@@ -209,11 +209,8 @@ func TestReadOnlyServerRejectsWrites(t *testing.T) {
 	if _, err := rbt.CompareAndSet("k", "master", hash.Hash{}, c.ID()); err == nil {
 		t.Fatal("read-only server accepted a CAS")
 	}
-	if err := rbt.Delete("k", "master"); err == nil {
+	if _, err := rbt.Apply([]core.HeadOp{{Key: "k", Branch: "master", Any: true}}); err == nil {
 		t.Fatal("read-only server accepted a delete")
-	}
-	if err := rbt.Rename("k", "a", "b"); err == nil {
-		t.Fatal("read-only server accepted a rename")
 	}
 
 	// Reads still work: seed the store directly and fetch over the wire.

@@ -152,11 +152,11 @@ func New(st store.Store, heads core.BranchTable, logger *slog.Logger) *Server {
 // AttachFeed publishes feed over OpFeedSince (and enables head pinning).
 // Call before Listen.  A primary shares the same feed with its local engine
 // (core.Open adopts a feed-wrapped branch table), so commits made through
-// any path — TCP CAS, REST, embedded — appear in one sequence.
+// any path — TCP Apply, REST, embedded — appear in one sequence.
 func (s *Server) AttachFeed(f *core.Feed) { s.feed = f }
 
-// SetReadOnly makes the server reject every mutating op (chunk puts, head
-// CAS, branch delete/rename).  Replicas serve reads this way: their state
+// SetReadOnly makes the server reject every mutating op (chunk puts and
+// head Applies).  Replicas serve reads this way: their state
 // moves only through replication, never through client writes.
 func (s *Server) SetReadOnly(ro bool) { s.readOnly = ro }
 
@@ -322,27 +322,26 @@ func (s *Server) handle(h header, p, out []byte) ([]byte, error) {
 		}
 		entries, next, truncated := s.feed.Since(cursor.Seq, limit)
 		return appendFeedPage(out, core.FeedCursor{Epoch: epoch, Seq: next}, truncated, entries), nil
-	case OpHead, OpCAS, OpDeleteBranch, OpRenameBranch, OpBranches:
-		t := d.tuple()
+	case OpApply:
+		ops := d.headOps()
 		if err := d.done(); err != nil {
 			return nil, err
 		}
-		switch op {
-		case OpHead:
-			uid, ok, err := s.heads.Head(t.key, t.branch)
+		ok, err := s.heads.Apply(ops)
+		return appendFlags(out, ok), err
+	case OpHead, OpBranches:
+		key, branch := d.ref()
+		if err := d.done(); err != nil {
+			return nil, err
+		}
+		if op == OpHead {
+			uid, ok, err := s.heads.Head(key, branch)
 			if !ok {
 				return appendIDs(out), err
 			}
 			return appendIDs(out, uid), err
-		case OpCAS:
-			ok, err := s.heads.CompareAndSet(t.key, t.branch, t.old, t.new)
-			return appendFlags(out, ok), err
-		case OpDeleteBranch:
-			return out, s.heads.Delete(t.key, t.branch)
-		case OpRenameBranch:
-			return out, s.heads.Rename(t.key, t.branch, t.to)
 		}
-		branches, err := s.heads.Branches(t.key)
+		branches, err := s.heads.Branches(key)
 		names := make([]string, 0, len(branches))
 		for b := range branches {
 			names = append(names, b)

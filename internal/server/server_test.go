@@ -101,9 +101,10 @@ func TestRemoteBranchTable(t *testing.T) {
 	if err != nil || ok {
 		t.Fatalf("stale CAS: %v %v", ok, err)
 	}
-	// Rename, list, delete.
-	if err := bt.Rename("k", "master", "main"); err != nil {
-		t.Fatal(err)
+	// Rename (one Apply), list, delete.
+	rename := []core.HeadOp{{Key: "k", Branch: "master", Expect: uid1}, {Key: "k", Branch: "main", Set: uid1}}
+	if ok, err := bt.Apply(rename); err != nil || !ok {
+		t.Fatalf("rename: %v %v", ok, err)
 	}
 	branches, err := bt.Branches("k")
 	if err != nil || len(branches) != 1 || branches["main"] != uid1 {
@@ -113,16 +114,24 @@ func TestRemoteBranchTable(t *testing.T) {
 	if err != nil || len(keys) != 1 || keys[0] != "k" {
 		t.Fatalf("keys: %v %v", keys, err)
 	}
-	if err := bt.Delete("k", "main"); err != nil {
-		t.Fatal(err)
+	if ok, err := bt.CompareAndSet("k", "main", uid1, hash.Hash{}); err != nil || !ok {
+		t.Fatalf("delete: %v %v", ok, err)
 	}
 	_, found, err = bt.Head("k", "main")
 	if err != nil || found {
 		t.Fatalf("deleted branch found: %v %v", found, err)
 	}
-	// Deleting again errors (propagated through the wire).
-	if err := bt.Delete("k", "main"); err == nil {
-		t.Fatal("double delete succeeded")
+	// The rename again is refused, and refuses whole: master is not
+	// recreated.
+	if ok, err := bt.Apply(rename); err != nil || ok {
+		t.Fatalf("rename of a deleted branch: %v %v", ok, err)
+	}
+	if keys, err := bt.Keys(); err != nil || len(keys) != 0 {
+		t.Fatalf("keys after a refused Apply: %v %v", keys, err)
+	}
+	// A name no journal record can hold is an error, through the wire.
+	if _, err := bt.CompareAndSet("", "master", hash.Hash{}, uid1); err == nil {
+		t.Fatal("empty key accepted")
 	}
 }
 

@@ -137,15 +137,18 @@ func wireFrames(t testing.TB) []namedFrame {
 	record("HasChunk", false, func() error { _, err := rs.Has(a.ID()); return err })
 	record("HasChunks", false, func() error { _, err := rs.HasBatch([]hash.Hash{gone, b.ID()}); return err })
 	record("Stats", false, func() error { rs.Stats(); return nil })
-	record("CAS", false, func() error { _, err := bt.CompareAndSet("k", "master", hash.Hash{}, v1); return err })
-	record("CAS-stale", false, func() error { _, err := bt.CompareAndSet("k", "master", hash.Hash{}, v2); return err })
+	apply := func(ops ...core.HeadOp) func() error {
+		return func() error { _, err := bt.Apply(ops); return err }
+	}
+	record("Apply", false, apply(core.HeadOp{Key: "k", Branch: "master", Set: v1}))
+	record("Apply-stale", false, apply(core.HeadOp{Key: "k", Branch: "master", Set: v2}))
 	record("Head", false, func() error { _, _, err := bt.Head("k", "master"); return err })
 	record("Head-absent", false, func() error { _, _, err := bt.Head("k", "nope"); return err })
-	record("RenameBranch", false, func() error { return bt.Rename("k", "master", "main") })
+	record("Apply-rename", false, apply(core.HeadOp{Key: "k", Branch: "master", Expect: v1}, core.HeadOp{Key: "k", Branch: "main", Set: v1}))
 	record("Branches", false, func() error { _, err := bt.Branches("k"); return err })
 	record("Keys", false, func() error { _, err := bt.Keys(); return err })
-	record("DeleteBranch", false, func() error { return bt.Delete("k", "main") })
-	record("DeleteBranch-error", true, func() error { return bt.Delete("k", "main") })
+	record("Apply-delete", false, apply(core.HeadOp{Key: "k", Branch: "main", Any: true}))
+	record("Apply-error", true, apply(core.HeadOp{Branch: "main", Set: v1}))
 	record("PinHead", false, func() error { return cl.PinHead(v1) })
 	record("UnpinHead", false, func() error { return cl.UnpinHead(v1) })
 	// A feed's epoch is its start time, so only the request is recorded and
@@ -218,9 +221,13 @@ func fuzzReplyDecoders(t *testing.T, p []byte) {
 		return int(min(n, uint64(len(d.b))))
 	}
 	shapes := map[string]func(d *dec) []byte{
-		"ids":      func(d *dec) []byte { return appendIDs(nil, d.ids()...) },
-		"flags":    func(d *dec) []byte { return appendFlags(nil, d.bools(asked(d))...) },
-		"tuple":    func(d *dec) []byte { return appendTuple(nil, d.tuple()) },
+		"ids":   func(d *dec) []byte { return appendIDs(nil, d.ids()...) },
+		"flags": func(d *dec) []byte { return appendFlags(nil, d.bools(asked(d))...) },
+		"ref": func(d *dec) []byte {
+			key, branch := d.ref()
+			return appendRef(nil, key, branch)
+		},
+		"headops":  func(d *dec) []byte { return appendHeadOps(nil, d.headOps()) },
 		"strs":     func(d *dec) []byte { return appendStrs(nil, d.strs()) },
 		"branches": func(d *dec) []byte { return appendIDs(appendStrs(nil, d.strs()), d.ids()...) },
 		"stats":    func(d *dec) []byte { return appendStats(nil, d.stats()) },
@@ -502,49 +509,49 @@ func TestStalledReaderIsShed(t *testing.T) {
 
 // goldenFrames is the pinned output of wireFrames, in order.
 var goldenFrames = []struct{ name, wantHex string }{
-	{"Ping/request", "fb010b00000000000000000000000001"},
-	{"Ping/reply", "fb010b00000000000000000000000001"},
-	{"PutChunk/request", "fb01010000000025000000000000000201e3254ea61c09ead5a01d3bf07e946a561c6c2cd1c46b8ca1bfa8729d26a7d09f01010161"},
-	{"PutChunk/reply", "fb0101000000000200000000000000020101"},
-	{"PutChunks/request", "fb010c0000000049000000000000000302e3254ea61c09ead5a01d3bf07e946a561c6c2cd1c46b8ca1bfa8729d26a7d09f074a381eefaafb3c9d63676d586dd16d9c9aae2f563894e9074a58820724213b0201016102026262"},
-	{"PutChunks/reply", "fb010c00000000030000000000000003020001"},
-	{"PutChunks-empty/request", "fb010c000000000200000000000000040000"},
-	{"PutChunks-empty/reply", "fb010c0000000001000000000000000400"},
-	{"GetChunk/request", "fb01020000000021000000000000000501e3254ea61c09ead5a01d3bf07e946a561c6c2cd1c46b8ca1bfa8729d26a7d09f"},
-	{"GetChunk/reply", "fb010200000000060000000000000005010101010161"},
-	{"GetChunk-absent/request", "fb01020000000021000000000000000601283bb9deef02e6843abfb538efa1eca70801bd8a701c3f98191e123496339247"},
-	{"GetChunk-absent/reply", "fb010200000000030000000000000006010000"},
-	{"GetChunks/request", "fb010d0000000061000000000000000703074a381eefaafb3c9d63676d586dd16d9c9aae2f563894e9074a58820724213b283bb9deef02e6843abfb538efa1eca70801bd8a701c3f98191e123496339247e3254ea61c09ead5a01d3bf07e946a561c6c2cd1c46b8ca1bfa8729d26a7d09f"},
-	{"GetChunks/reply", "fb010d000000000c0000000000000007030100010202026262010161"},
-	{"HasChunk/request", "fb01030000000021000000000000000801e3254ea61c09ead5a01d3bf07e946a561c6c2cd1c46b8ca1bfa8729d26a7d09f"},
-	{"HasChunk/reply", "fb0103000000000200000000000000080101"},
-	{"HasChunks/request", "fb010e0000000041000000000000000902283bb9deef02e6843abfb538efa1eca70801bd8a701c3f98191e123496339247074a381eefaafb3c9d63676d586dd16d9c9aae2f563894e9074a58820724213b"},
-	{"HasChunks/reply", "fb010e00000000030000000000000009020001"},
-	{"Stats/request", "fb01040000000000000000000000000a"},
-	{"Stats/reply", "fb01040000000005000000000000000a040a0e020a"},
-	{"CAS/request", "fb0106000000004a000000000000000b016b066d61737465720000000000000000000000000000000000000000000000000000000000000000003bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe"},
-	{"CAS/reply", "fb01060000000002000000000000000b0101"},
-	{"CAS-stale/request", "fb0106000000004a000000000000000c016b066d6173746572000000000000000000000000000000000000000000000000000000000000000000fb04dcb6970e4c3d1873de51fd5a50d7bb46b3383113602665c350ec40b5f990"},
-	{"CAS-stale/reply", "fb01060000000002000000000000000c0100"},
-	{"Head/request", "fb0105000000004a000000000000000d016b066d61737465720000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000"},
-	{"Head/reply", "fb01050000000021000000000000000d013bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe"},
-	{"Head-absent/request", "fb01050000000048000000000000000e016b046e6f70650000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000"},
-	{"Head-absent/reply", "fb01050000000001000000000000000e00"},
-	{"RenameBranch/request", "fb0108000000004e000000000000000f016b066d6173746572046d61696e00000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000"},
-	{"RenameBranch/reply", "fb01080000000000000000000000000f"},
-	{"Branches/request", "fb010900000000440000000000000010016b000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000"},
-	{"Branches/reply", "fb01090000000027000000000000001001046d61696e013bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe"},
-	{"Keys/request", "fb010a00000000000000000000000011"},
-	{"Keys/reply", "fb010a0000000003000000000000001101016b"},
-	{"DeleteBranch/request", "fb010700000000480000000000000012016b046d61696e0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000"},
-	{"DeleteBranch/reply", "fb010700000000000000000000000012"},
-	{"DeleteBranch-error/request", "fb010700000000480000000000000013016b046d61696e0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000"},
-	{"DeleteBranch-error/reply", "fb0107010000001e0000000000000013636f72653a206272616e6368206e6f7420666f756e643a206b406d61696e"},
-	{"PinHead/request", "fb011000000000210000000000000014013bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe"},
-	{"PinHead/reply", "fb011000000000000000000000000014"},
-	{"UnpinHead/request", "fb011100000000210000000000000015013bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe"},
-	{"UnpinHead/reply", "fb011100000000000000000000000015"},
-	{"FeedSince/request", "fb010f0000000004000000000000001603072001"},
-	{"FeedSince/reply", "fb010f000000004d00000000000000160507010105016b046d61696e003bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fefb04dcb6970e4c3d1873de51fd5a50d7bb46b3383113602665c350ec40b5f990"},
-	{"GetChunks-deferred/reply", "fb010d00000000090000000000000017040100020201010161"},
+	{"Ping/request", "fb020b00000000000000000000000001"},
+	{"Ping/reply", "fb020b00000000000000000000000001"},
+	{"PutChunk/request", "fb02010000000025000000000000000201e3254ea61c09ead5a01d3bf07e946a561c6c2cd1c46b8ca1bfa8729d26a7d09f01010161"},
+	{"PutChunk/reply", "fb0201000000000200000000000000020101"},
+	{"PutChunks/request", "fb020c0000000049000000000000000302e3254ea61c09ead5a01d3bf07e946a561c6c2cd1c46b8ca1bfa8729d26a7d09f074a381eefaafb3c9d63676d586dd16d9c9aae2f563894e9074a58820724213b0201016102026262"},
+	{"PutChunks/reply", "fb020c00000000030000000000000003020001"},
+	{"PutChunks-empty/request", "fb020c000000000200000000000000040000"},
+	{"PutChunks-empty/reply", "fb020c0000000001000000000000000400"},
+	{"GetChunk/request", "fb02020000000021000000000000000501e3254ea61c09ead5a01d3bf07e946a561c6c2cd1c46b8ca1bfa8729d26a7d09f"},
+	{"GetChunk/reply", "fb020200000000060000000000000005010101010161"},
+	{"GetChunk-absent/request", "fb02020000000021000000000000000601283bb9deef02e6843abfb538efa1eca70801bd8a701c3f98191e123496339247"},
+	{"GetChunk-absent/reply", "fb020200000000030000000000000006010000"},
+	{"GetChunks/request", "fb020d0000000061000000000000000703074a381eefaafb3c9d63676d586dd16d9c9aae2f563894e9074a58820724213b283bb9deef02e6843abfb538efa1eca70801bd8a701c3f98191e123496339247e3254ea61c09ead5a01d3bf07e946a561c6c2cd1c46b8ca1bfa8729d26a7d09f"},
+	{"GetChunks/reply", "fb020d000000000c0000000000000007030100010202026262010161"},
+	{"HasChunk/request", "fb02030000000021000000000000000801e3254ea61c09ead5a01d3bf07e946a561c6c2cd1c46b8ca1bfa8729d26a7d09f"},
+	{"HasChunk/reply", "fb0203000000000200000000000000080101"},
+	{"HasChunks/request", "fb020e0000000041000000000000000902283bb9deef02e6843abfb538efa1eca70801bd8a701c3f98191e123496339247074a381eefaafb3c9d63676d586dd16d9c9aae2f563894e9074a58820724213b"},
+	{"HasChunks/reply", "fb020e00000000030000000000000009020001"},
+	{"Stats/request", "fb02040000000000000000000000000a"},
+	{"Stats/reply", "fb02040000000005000000000000000a040a0e020a"},
+	{"Apply/request", "fb0206000000004b000000000000000b01016b066d61737465720000000000000000000000000000000000000000000000000000000000000000003bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe"},
+	{"Apply/reply", "fb02060000000002000000000000000b0101"},
+	{"Apply-stale/request", "fb0206000000004b000000000000000c01016b066d6173746572000000000000000000000000000000000000000000000000000000000000000000fb04dcb6970e4c3d1873de51fd5a50d7bb46b3383113602665c350ec40b5f990"},
+	{"Apply-stale/reply", "fb02060000000002000000000000000c0100"},
+	{"Head/request", "fb02050000000009000000000000000d016b066d6173746572"},
+	{"Head/reply", "fb02050000000021000000000000000d013bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe"},
+	{"Head-absent/request", "fb02050000000007000000000000000e016b046e6f7065"},
+	{"Head-absent/reply", "fb02050000000001000000000000000e00"},
+	{"Apply-rename/request", "fb02060000000093000000000000000f02016b066d6173746572003bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe0000000000000000000000000000000000000000000000000000000000000000016b046d61696e0000000000000000000000000000000000000000000000000000000000000000003bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe"},
+	{"Apply-rename/reply", "fb02060000000002000000000000000f0101"},
+	{"Branches/request", "fb020900000000030000000000000010016b00"},
+	{"Branches/reply", "fb02090000000027000000000000001001046d61696e013bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe"},
+	{"Keys/request", "fb020a00000000000000000000000011"},
+	{"Keys/reply", "fb020a0000000003000000000000001101016b"},
+	{"Apply-delete/request", "fb02060000000049000000000000001201016b046d61696e0100000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000"},
+	{"Apply-delete/reply", "fb0206000000000200000000000000120101"},
+	{"Apply-error/request", "fb0206000000004800000000000000130100046d61696e0000000000000000000000000000000000000000000000000000000000000000003bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe"},
+	{"Apply-error/reply", "fb020601000000540000000000000013636f72653a206865616420222240226d61696e223a2061206b6579206d757374206265203120746f20363535333520627974657320616e642061206272616e6368206e616d65206174206d6f7374203635353335"},
+	{"PinHead/request", "fb021000000000210000000000000014013bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe"},
+	{"PinHead/reply", "fb021000000000000000000000000014"},
+	{"UnpinHead/request", "fb021100000000210000000000000015013bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe"},
+	{"UnpinHead/reply", "fb021100000000000000000000000015"},
+	{"FeedSince/request", "fb020f0000000004000000000000001603072001"},
+	{"FeedSince/reply", "fb020f000000004c00000000000000160507010105016b046d61696e3bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fefb04dcb6970e4c3d1873de51fd5a50d7bb46b3383113602665c350ec40b5f990"},
+	{"GetChunks-deferred/reply", "fb020d00000000090000000000000017040100020201010161"},
 }
