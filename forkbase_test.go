@@ -264,6 +264,32 @@ func TestPublicObservabilityOptions(t *testing.T) {
 	}
 }
 
+// TestPublicEditObservability: an edit is an engine operation of its own,
+// "edit" — counted once in the registry and, past the slow-op threshold,
+// logged with its key and branch.
+func TestPublicEditObservability(t *testing.T) {
+	reg := obs.NewRegistry()
+	var logs bytes.Buffer
+	db := forkbase.MustOpen(forkbase.InMemory(),
+		forkbase.WithMetrics(reg),
+		forkbase.WithLogger(slog.New(slog.NewTextHandler(&logs, nil))),
+		forkbase.WithSlowOpThreshold(time.Nanosecond))
+	defer db.Close()
+	if _, err := db.PutMap("m", "", []forkbase.Entry{{Key: []byte("a"), Val: []byte("1")}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	logs.Reset()
+	if _, err := db.EditMap("m", "", []forkbase.Entry{{Key: []byte("b"), Val: []byte("2")}}, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := reg.Value("forkbase_engine_ops_total", "edit"); n != 1 {
+		t.Fatalf("edits counted in the registry = %v, want 1", n)
+	}
+	if out := logs.String(); !strings.Contains(out, "op=edit") || !strings.Contains(out, "key=m branch=master") {
+		t.Fatalf("no slow-op record for the edit reached the logger:\n%s", out)
+	}
+}
+
 func TestWriteBatchPublicAPI(t *testing.T) {
 	db := forkbase.MustOpen(forkbase.InMemory())
 	defer db.Close()

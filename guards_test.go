@@ -184,6 +184,26 @@ func TestSourceGuards(t *testing.T) {
 		pattern: `forceSetHead|allStaleHead|OpCAS|OpDeleteBranch|OpRenameBranch`,
 		paths:   []string{"internal"},
 		want:    0,
+	}, {
+		// One write frame: every engine write runs in core's DB.write, which
+		// holds the GC fence's read side (heal, not a write, holds it too) …
+		name:    "one write frame: the fence",
+		pattern: `writeMu\.RLock\(`,
+		paths:   []string{"internal/core"},
+		want:    2,
+	}, {
+		// … derives its version objects in one successor rule (a merge's
+		// two-base FNode aside) …
+		name:    "one write frame: the successor",
+		pattern: `fnode\.New\(`,
+		paths:   []string{"internal/core"},
+		want:    2,
+	}, {
+		// … and publishes them with one Apply.
+		name:    "one write frame: the publish",
+		pattern: `heads\.Apply\(`,
+		paths:   []string{"internal/core"},
+		want:    1,
 	}} {
 		re := regexp.MustCompile(g.pattern)
 		var hits []string

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"log/slog"
 	"maps"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -54,10 +55,10 @@ type DB struct {
 	readOnly atomic.Bool
 
 	// writeMu fences garbage collection against in-flight engine writes:
-	// every operation that stores chunks and then publishes them via a head
-	// CAS holds the read side across that window, and gc holds the write
-	// side across mark and sweep — so a version can never be swept between
-	// its chunks landing and its head advancing.  Readers are unaffected.
+	// every mutating method runs in write, which holds the read side from
+	// its first read to its head Apply, and gc holds the write side across
+	// mark and sweep — so a version can never be swept between its chunks
+	// landing and its head advancing.  Readers are unaffected.
 	writeMu sync.RWMutex
 }
 
@@ -296,59 +297,81 @@ func (db *DB) PutCtx(ctx context.Context, key, branch string, v value.Value, met
 	return db.BuildAndPutCtx(ctx, key, branch, meta, func() (value.Value, error) { return v, nil })
 }
 
-// put is Put without the GC write fence, for compound write operations that
-// already hold it (the fence is not reentrant).
-func (db *DB) put(key, branch string, v value.Value, meta map[string]string) (Version, error) {
-	if branch == "" {
-		branch = DefaultBranch
+// write is the one frame every mutating engine method runs in: the write
+// guard, op's metrics (nil: unmetered; logKV, called after build, names the
+// slow-op record's fields), and the GC fence's read side across build and
+// publish, so a collection cannot sweep a version between its chunks landing
+// and its head moving.  build reads heads, stores a value's chunks and
+// returns the FNodes versioning it and the head moves publishing them, the
+// first len(fnodes) of which set their heads to those FNodes.  The publish
+// is one fnode.SaveAll and one BranchTable.Apply, all or nothing, failing
+// with refused when an expectation no longer holds.  An empty result stores
+// and moves nothing.
+func (db *DB) write(ctx context.Context, op *engineOp, refused error, logKV func() []any,
+	build func() ([]*fnode.FNode, []HeadOp, error)) (uids []hash.Hash, err error) {
+	if err := db.writeGuard(); err != nil {
+		return nil, err
 	}
-	head, _, err := db.heads.Head(key, branch) // zero when the branch does not exist yet
+	var start time.Time
+	var buildDur time.Duration
+	if op != nil {
+		start = db.met.begin()
+		defer func() { db.met.finish(ctx, op, start, &err, append(logKV(), "build", buildDur)...) }()
+	}
+	db.writeMu.RLock()
+	defer db.writeMu.RUnlock()
+	fnodes, heads, err := build()
+	if !start.IsZero() {
+		buildDur = time.Since(start)
+	}
 	if err != nil {
-		return Version{}, err
+		return nil, err
 	}
-	return db.putOnto(key, branch, head, v, meta)
+	if len(fnodes) > 0 {
+		if uids, err = fnode.SaveAll(db.st, fnodes); err != nil {
+			return nil, err
+		}
+		for i, uid := range uids {
+			heads[i].Set = uid
+		}
+	}
+	if len(heads) == 0 {
+		return uids, nil
+	}
+	if ok, err := db.heads.Apply(heads); err != nil || ok {
+		return uids, err
+	}
+	if len(heads) == 1 {
+		return nil, fmt.Errorf("%w: %s@%s", refused, heads[0].Key, heads[0].Branch)
+	}
+	return nil, fmt.Errorf("%w: a head of the %d-op batch moved; nothing committed", refused, len(heads))
 }
 
-// putOnto publishes v as the successor of version parent (zero: the branch's
-// first version) with a head CAS against parent.  A caller that derived v
-// from a version it read earlier passes that version here rather than
-// letting put re-read the head: a writer that moved the head in between then
-// costs this one ErrStaleHead, instead of having its change silently dropped
-// from a history that claims to descend from it.
-func (db *DB) putOnto(key, branch string, parent hash.Hash, v value.Value, meta map[string]string) (Version, error) {
+// successor derives the FNode recording v as the version of key after
+// parent (zero: a first version).  p is the parent's FNode when the caller
+// holds it, one a batch derived and has not stored yet; nil loads it.
+func (db *DB) successor(key string, parent hash.Hash, p *fnode.FNode, v value.Value, meta map[string]string) (*fnode.FNode, error) {
 	var bases []hash.Hash
 	seq := uint64(1)
 	if !parent.IsZero() {
-		p, err := fnode.Load(db.st, parent)
-		if err != nil {
-			return Version{}, fmt.Errorf("core: loading head of %s@%s: %w", key, branch, err)
+		if p == nil {
+			var err error
+			if p, err = fnode.Load(db.st, parent); err != nil {
+				return nil, fmt.Errorf("core: loading parent %s of %s: %w", parent.Short(), key, err)
+			}
 		}
-		bases = []hash.Hash{parent}
-		seq = p.Seq + 1
+		bases, seq = []hash.Hash{parent}, p.Seq+1
 	}
 	f := fnode.New([]byte(key), v, bases, seq, meta)
 	f.Index = db.kindOf(v)
-	uid, err := f.Save(db.st)
-	if err != nil {
-		return Version{}, err
-	}
-	if err := db.apply(ErrStaleHead, HeadOp{Key: key, Branch: branch, Expect: parent, Set: uid}); err != nil {
-		return Version{}, err
-	}
-	return Version{UID: uid, Seq: seq, Bases: bases, Value: v, Meta: meta, Key: key, Index: f.Index}, nil
+	return f, nil
 }
 
-// apply moves heads with one BranchTable.Apply, and fails with refused
-// when an op's expectation does not hold.
-func (db *DB) apply(refused error, ops ...HeadOp) error {
-	ok, err := db.heads.Apply(ops)
-	switch {
-	case err != nil || ok:
-		return err
-	case len(ops) == 1:
-		return fmt.Errorf("%w: %s@%s", refused, ops[0].Key, ops[0].Branch)
-	}
-	return fmt.Errorf("%w: a head of the %d-op batch moved; nothing committed", refused, len(ops))
+// saved is the Version a write returns for FNode f, stored as uid, which it
+// built from v and meta.  f is frozen once saved, so the Version gets its
+// own Bases.
+func saved(key string, uid hash.Hash, f *fnode.FNode, v value.Value, meta map[string]string) Version {
+	return Version{UID: uid, Seq: f.Seq, Bases: slices.Clone(f.Bases), Value: v, Meta: meta, Key: key, Index: f.Index}
 }
 
 // WriteOp is one object write of a WriteBatch.
@@ -357,6 +380,10 @@ type WriteOp struct {
 	Branch string // "" = DefaultBranch
 	Value  value.Value
 	Meta   map[string]string
+	// parent is the version an edit derived Value from, which the op is
+	// published against (zero: the head), so a writer that moved the head
+	// since costs the edit ErrStaleHead instead of silently losing it.
+	parent hash.Hash
 }
 
 // WriteBatch writes a new version of every op's object in one batched round:
@@ -381,110 +408,80 @@ func (db *DB) BuildAndPut(key, branch string, meta map[string]string, build func
 }
 
 // BuildAndPutCtx is BuildAndPut carrying a request context.  The slow-op
-// record splits the build phase (chunking + store writes) from the whole
-// operation, so a slow commit shows whether the time went to building the
-// value or to publishing it.
-func (db *DB) BuildAndPutCtx(ctx context.Context, key, branch string, meta map[string]string, build func() (value.Value, error)) (_ Version, err error) {
-	if gerr := db.writeGuard(); gerr != nil {
-		return Version{}, gerr
-	}
-	var buildDur time.Duration
-	start := db.met.begin()
-	defer func() {
-		db.met.finish(ctx, db.met.opPut, start, &err, "key", key, "branch", branch, "build", buildDur)
-	}()
-	db.writeMu.RLock()
-	defer db.writeMu.RUnlock()
-	v, berr := build()
-	if !start.IsZero() {
-		buildDur = time.Since(start)
-	}
-	if berr != nil {
-		err = berr
-		return Version{}, err
-	}
-	return db.put(key, branch, v, meta)
+// record splits the build phase (chunking, store writes and deriving the
+// version object) from the whole operation, so a slow commit shows whether
+// the time went to building the value or to publishing it.
+func (db *DB) BuildAndPutCtx(ctx context.Context, key, branch string, meta map[string]string, build func() (value.Value, error)) (Version, error) {
+	return first(db.commit(ctx, db.met.opPut, func() ([]WriteOp, error) {
+		v, err := build()
+		return []WriteOp{{Key: key, Branch: branch, Value: v, Meta: meta}}, err
+	}))
 }
 
 // BuildAndWriteBatchCtx is BuildAndPutCtx for batched writes: build
 // assembles the ops (storing their values' chunks) inside the fence.
-func (db *DB) BuildAndWriteBatchCtx(ctx context.Context, build func() ([]WriteOp, error)) (_ []Version, err error) {
-	if gerr := db.writeGuard(); gerr != nil {
-		return nil, gerr
-	}
-	var buildDur time.Duration
-	var ops []WriteOp
-	start := db.met.begin()
-	defer func() {
-		db.met.finish(ctx, db.met.opWriteBatch, start, &err, "ops", len(ops), "build", buildDur)
-	}()
-	db.writeMu.RLock()
-	defer db.writeMu.RUnlock()
-	ops, berr := build()
-	if !start.IsZero() {
-		buildDur = time.Since(start)
-	}
-	if berr != nil {
-		err = berr
-		return nil, err
-	}
-	return db.writeBatch(ops)
+func (db *DB) BuildAndWriteBatchCtx(ctx context.Context, build func() ([]WriteOp, error)) ([]Version, error) {
+	return db.commit(ctx, db.met.opWriteBatch, build)
 }
 
-// writeBatch is WriteBatch without the GC write fence, for callers that
-// already hold it.
-func (db *DB) writeBatch(ops []WriteOp) ([]Version, error) {
-	// Resolve parents, chaining ops on the same key@branch.
-	heads := make([]HeadOp, len(ops))
-	fnodes := make([]*fnode.FNode, len(ops))
-	last := make(map[string]int, len(ops)) // key@branch → its latest op
-	for i, op := range ops {
-		branch := op.Branch
-		if branch == "" {
-			branch = DefaultBranch
+// commit is the write of Put, the edits and WriteBatch: each op build
+// returns is stored as the successor of its parent — the version an edit
+// derived it from, an earlier op on the same key@branch, else the branch's
+// head — and published with a head CAS against it.  A one-op commit is
+// logged under its key and branch, a batch by its size.
+func (db *DB) commit(ctx context.Context, op *engineOp, build func() ([]WriteOp, error)) ([]Version, error) {
+	var ops []WriteOp
+	var fnodes []*fnode.FNode
+	logKV := func() []any {
+		if len(ops) == 1 {
+			return []any{"key", ops[0].Key, "branch", orDefault(ops[0].Branch)}
 		}
-		var bases []hash.Hash
-		seq := uint64(1)
-		ref := op.Key + "\x00" + branch
-		if prev, ok := last[ref]; ok {
-			bases, seq = []hash.Hash{heads[prev].Set}, fnodes[prev].Seq+1
-		} else {
-			head, ok, err := db.heads.Head(op.Key, branch)
-			if err != nil {
-				return nil, fmt.Errorf("op %d (%s@%s): %w", i, op.Key, branch, err)
-			}
-			if ok {
-				parent, err := fnode.Load(db.st, head)
-				if err != nil {
-					return nil, fmt.Errorf("core: loading head of %s@%s: %w", op.Key, branch, err)
+		return []any{"ops", len(ops)}
+	}
+	uids, err := db.write(ctx, op, ErrStaleHead, logKV, func() ([]*fnode.FNode, []HeadOp, error) {
+		var err error
+		if ops, err = build(); err != nil {
+			return nil, nil, err
+		}
+		heads := make([]HeadOp, len(ops))
+		fnodes = make([]*fnode.FNode, len(ops))
+		last := make(map[string]int, len(ops)) // key@branch → its latest op
+		for i, w := range ops {
+			branch := orDefault(w.Branch)
+			ref := w.Key + "\x00" + branch
+			parent, p := w.parent, (*fnode.FNode)(nil)
+			if prev, ok := last[ref]; ok {
+				p = fnodes[prev]
+				parent = p.UID()
+			} else if parent.IsZero() {
+				if parent, _, err = db.heads.Head(w.Key, branch); err != nil {
+					return nil, nil, fmt.Errorf("op %d (%s@%s): %w", i, w.Key, branch, err)
 				}
-				bases, seq = []hash.Hash{head}, parent.Seq+1
 			}
+			if fnodes[i], err = db.successor(w.Key, parent, p, w.Value, w.Meta); err != nil {
+				return nil, nil, err
+			}
+			last[ref] = i
+			heads[i] = HeadOp{Key: w.Key, Branch: branch, Expect: parent}
 		}
-		f := fnode.New([]byte(op.Key), op.Value, bases, seq, op.Meta)
-		f.Index = db.kindOf(op.Value)
-		fnodes[i], last[ref] = f, i
-		heads[i] = HeadOp{Key: op.Key, Branch: branch, Set: f.UID()}
-		if len(bases) > 0 {
-			heads[i].Expect = bases[0]
-		}
-	}
-	// One batched write for every version object, one Apply for every head.
-	if len(fnodes) > 0 {
-		if _, err := fnode.SaveAll(db.st, fnodes); err != nil {
-			return nil, err
-		}
-	}
-	if err := db.apply(ErrStaleHead, heads...); err != nil {
+		return fnodes, heads, nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	out := make([]Version, len(ops))
-	for i, op := range ops {
-		f := fnodes[i]
-		bases := append([]hash.Hash(nil), f.Bases...) // f is frozen: SaveAll cached it
-		out[i] = Version{UID: heads[i].Set, Seq: f.Seq, Bases: bases, Value: op.Value, Meta: op.Meta, Key: op.Key, Index: f.Index}
+	for i, w := range ops {
+		out[i] = saved(w.Key, uids[i], fnodes[i], w.Value, w.Meta)
 	}
 	return out, nil
+}
+
+// first is the Version of a one-op commit.
+func first(vers []Version, err error) (Version, error) {
+	if err != nil {
+		return Version{}, err
+	}
+	return vers[0], nil
 }
 
 // Get returns the current value of key on branch.
@@ -528,16 +525,20 @@ func versionOf(key string, uid hash.Hash, f *fnode.FNode) (Version, error) {
 	// its loads — empty values included — keep the branch's structure
 	// instead of falling back to the engine default.
 	v = v.WithIndexKind(f.Index)
-	bases := append([]hash.Hash(nil), f.Bases...)
-	return Version{UID: uid, Seq: f.Seq, Bases: bases, Value: v, Meta: maps.Clone(f.Meta), Key: key, Index: f.Index}, nil
+	return Version{UID: uid, Seq: f.Seq, Bases: slices.Clone(f.Bases), Value: v, Meta: maps.Clone(f.Meta), Key: key, Index: f.Index}, nil
 }
 
 // Head returns the head uid of key@branch.
 func (db *DB) Head(key, branch string) (hash.Hash, error) {
+	return db.head(key, orDefault(branch))
+}
+
+// orDefault is the branch a name targets: "" means DefaultBranch.
+func orDefault(branch string) string {
 	if branch == "" {
-		branch = DefaultBranch
+		return DefaultBranch
 	}
-	return db.head(key, branch)
+	return branch
 }
 
 // head is Head of the branch named exactly branch.
@@ -578,58 +579,53 @@ func (db *DB) Latest(key string) (string, Version, error) {
 // metadata operation: no data is copied, the new branch simply shares every
 // chunk with its origin.
 func (db *DB) Branch(key, newBranch, fromBranch string) error {
-	if err := db.writeGuard(); err != nil {
-		return err
-	}
-	head, err := db.Head(key, fromBranch)
-	if err != nil {
-		return err
-	}
-	return db.apply(ErrBranchExists, HeadOp{Key: key, Branch: newBranch, Set: head})
+	_, err := db.write(context.Background(), nil, ErrBranchExists, nil, func() ([]*fnode.FNode, []HeadOp, error) {
+		head, err := db.Head(key, fromBranch)
+		return nil, []HeadOp{{Key: key, Branch: newBranch, Set: head}}, err
+	})
+	return err
 }
 
 // BranchFromVersion forks a new branch from an arbitrary historical version.
+// The version is read and the branch published under the GC fence, so a
+// version no head references (a deleted branch's) cannot be collected in
+// between.
 func (db *DB) BranchFromVersion(key, newBranch string, uid hash.Hash) error {
-	if err := db.writeGuard(); err != nil {
-		return err
-	}
-	if _, err := db.GetVersion(key, uid); err != nil {
-		return err
-	}
-	return db.apply(ErrBranchExists, HeadOp{Key: key, Branch: newBranch, Set: uid})
+	_, err := db.write(context.Background(), nil, ErrBranchExists, nil, func() ([]*fnode.FNode, []HeadOp, error) {
+		_, err := db.GetVersion(key, uid)
+		return nil, []HeadOp{{Key: key, Branch: newBranch, Set: uid}}, err
+	})
+	return err
 }
 
 // DeleteBranch removes a branch head (chunks remain; they may be shared).
 // It fails with ErrBranchNotFound, or ErrStaleHead if a commit moves it.
 func (db *DB) DeleteBranch(key, branch string) error {
-	if err := db.writeGuard(); err != nil {
-		return err
-	}
-	uid, err := db.head(key, branch)
-	if err != nil {
-		return err
-	}
-	return db.apply(ErrStaleHead, HeadOp{Key: key, Branch: branch, Expect: uid})
+	_, err := db.write(context.Background(), nil, ErrStaleHead, nil, func() ([]*fnode.FNode, []HeadOp, error) {
+		uid, err := db.head(key, branch)
+		return nil, []HeadOp{{Key: key, Branch: branch, Expect: uid}}, err
+	})
+	return err
 }
 
 // RenameBranch renames a branch: one Apply deletes from and creates to at
 // its head.  It fails with ErrBranchNotFound when from does not exist,
 // ErrBranchExists when to does, and ErrStaleHead if a commit moves either.
 func (db *DB) RenameBranch(key, from, to string) error {
-	if err := db.writeGuard(); err != nil {
-		return err
-	}
-	uid, err := db.head(key, from)
-	if err != nil {
-		return err
-	}
-	if _, exists, err := db.heads.Head(key, to); err != nil || exists {
-		if err == nil {
-			err = fmt.Errorf("%w: %s@%s", ErrBranchExists, key, to)
+	_, err := db.write(context.Background(), nil, ErrStaleHead, nil, func() ([]*fnode.FNode, []HeadOp, error) {
+		uid, err := db.head(key, from)
+		if err != nil {
+			return nil, nil, err
 		}
-		return err
-	}
-	return db.apply(ErrStaleHead, HeadOp{Key: key, Branch: from, Expect: uid}, HeadOp{Key: key, Branch: to, Set: uid})
+		if _, exists, err := db.heads.Head(key, to); err != nil || exists {
+			if err == nil {
+				err = fmt.Errorf("%w: %s@%s", ErrBranchExists, key, to)
+			}
+			return nil, nil, err
+		}
+		return nil, []HeadOp{{Key: key, Branch: from, Expect: uid}, {Key: key, Branch: to, Set: uid}}, nil
+	})
+	return err
 }
 
 // ListBranches returns the branch names of key, sorted.
@@ -747,90 +743,73 @@ func (db *DB) Merge(key, dst, src string, resolve index.Resolver, meta map[strin
 
 // MergeCtx is Merge carrying a request context (see PutCtx).  The slow-op
 // record carries ancestry_nodes, the FNodes the base walk loaded.
-func (db *DB) MergeCtx(ctx context.Context, key, dst, src string, resolve index.Resolver, meta map[string]string) (_ MergeResult, err error) {
-	if gerr := db.writeGuard(); gerr != nil {
-		return MergeResult{}, gerr
-	}
-	var anc fnode.Ancestry
-	start := db.met.begin()
-	defer func() {
-		db.met.finish(ctx, db.met.opMerge, start, &err, "key", key, "dst", dst, "src", src, "ancestry_nodes", anc.Loaded)
-	}()
+func (db *DB) MergeCtx(ctx context.Context, key, dst, src string, resolve index.Resolver, meta map[string]string) (MergeResult, error) {
 	// Default the names up front: Head defaults them on the read side, and
-	// the CAS below must target the branch whose head it read.
-	if dst == "" {
-		dst = DefaultBranch
-	}
-	if src == "" {
-		src = DefaultBranch
-	}
-	// Fence the whole merge: the merged value's chunks are written well
-	// before the head CAS publishes them.
-	db.writeMu.RLock()
-	defer db.writeMu.RUnlock()
-	dstHead, err := db.Head(key, dst)
-	if err != nil {
-		return MergeResult{}, err
-	}
-	srcHead, err := db.Head(key, src)
-	if err != nil {
-		return MergeResult{}, err
-	}
-	anc, err = fnode.MergeBase(db.st, dstHead, srcHead)
-	db.met.mergeAncestry.Add(int64(anc.Loaded))
-	if err != nil {
-		if errors.Is(err, fnode.ErrSeqOrder) {
-			err = fmt.Errorf("%w: %w", ErrTampered, err)
+	// the CAS must target the branch whose head it read.
+	dst, src = orDefault(dst), orDefault(src)
+	var anc fnode.Ancestry
+	var res MergeResult
+	var merged *fnode.FNode
+	logKV := func() []any { return []any{"key", key, "dst", dst, "src", src, "ancestry_nodes", anc.Loaded} }
+	uids, err := db.write(ctx, db.met.opMerge, ErrStaleHead, logKV, func() ([]*fnode.FNode, []HeadOp, error) {
+		dstHead, err := db.head(key, dst)
+		if err != nil {
+			return nil, nil, err
 		}
-		return MergeResult{}, err
-	}
-	dv, err := versionOf(key, dstHead, anc.A)
-	if err != nil {
-		return MergeResult{}, err
-	}
-	sv, err := versionOf(key, srcHead, anc.B)
-	if err != nil {
-		return MergeResult{}, err
-	}
-	if anc.Base == srcHead { // already merged: dst contains src (or is src)
-		return MergeResult{Version: dv, FastForward: true}, nil
-	}
-	res := MergeResult{Version: sv, FastForward: true} // src descends from dst
-	if anc.Base != dstHead {
-		if res, err = db.mergeCommit(key, dv, sv, anc, resolve, meta); err != nil {
-			return MergeResult{}, err
+		srcHead, err := db.head(key, src)
+		if err != nil {
+			return nil, nil, err
 		}
-	}
-	if err := db.apply(ErrStaleHead, HeadOp{Key: key, Branch: dst, Expect: dstHead, Set: res.Version.UID}); err != nil {
+		anc, err = fnode.MergeBase(db.st, dstHead, srcHead)
+		db.met.mergeAncestry.Add(int64(anc.Loaded))
+		if err != nil {
+			if errors.Is(err, fnode.ErrSeqOrder) {
+				err = fmt.Errorf("%w: %w", ErrTampered, err)
+			}
+			return nil, nil, err
+		}
+		dv, err := versionOf(key, dstHead, anc.A)
+		if err != nil {
+			return nil, nil, err
+		}
+		sv, err := versionOf(key, srcHead, anc.B)
+		if err != nil {
+			return nil, nil, err
+		}
+		move := []HeadOp{{Key: key, Branch: dst, Expect: dstHead, Set: srcHead}}
+		switch anc.Base {
+		case srcHead: // already merged: dst contains src (or is src)
+			res = MergeResult{Version: dv, FastForward: true}
+			return nil, nil, nil
+		case dstHead: // src descends from dst
+			res = MergeResult{Version: sv, FastForward: true}
+			return nil, move, nil
+		}
+		var base value.Value // unrelated histories merge against an empty base
+		if !anc.Base.IsZero() {
+			bv, err := versionOf(key, anc.Base, anc.BaseNode)
+			if err != nil {
+				return nil, nil, err
+			}
+			base = bv.Value
+		}
+		v, stats, err := db.mergeValues(base, dv.Value, sv.Value, resolve)
+		if err != nil {
+			return nil, nil, err
+		}
+		// The merged version derives from both heads.
+		merged = fnode.New([]byte(key), v, []hash.Hash{dstHead, srcHead}, max(dv.Seq, sv.Seq)+1, meta)
+		merged.Index = db.kindOf(v)
+		res = MergeResult{Version: Version{Value: v}, Stats: stats}
+		return []*fnode.FNode{merged}, move, nil
+	})
+	if err != nil {
 		return MergeResult{}, err
+	}
+	if merged != nil {
+		res.Version = saved(key, uids[0], merged, res.Version.Value, meta)
 	}
 	return res, nil
-}
-
-// mergeCommit stores the three-way merge of heads dv and sv over their base
-// as a version deriving from both, for Merge to publish.
-func (db *DB) mergeCommit(key string, dv, sv Version, anc fnode.Ancestry, resolve index.Resolver, meta map[string]string) (MergeResult, error) {
-	var base value.Value // unrelated histories merge against an empty base
-	if !anc.Base.IsZero() {
-		bv, err := versionOf(key, anc.Base, anc.BaseNode)
-		if err != nil {
-			return MergeResult{}, err
-		}
-		base = bv.Value
-	}
-	mergedVal, stats, err := db.mergeValues(base, dv.Value, sv.Value, resolve)
-	if err != nil {
-		return MergeResult{}, err
-	}
-	kind := db.kindOf(mergedVal)
-	bases, seq := []hash.Hash{dv.UID, sv.UID}, max(dv.Seq, sv.Seq)+1
-	f := fnode.New([]byte(key), mergedVal, bases, seq, meta)
-	f.Index = kind
-	uid, err := f.Save(db.st)
-	if err != nil {
-		return MergeResult{}, err
-	}
-	return MergeResult{Version: Version{UID: uid, Seq: seq, Bases: bases, Value: mergedVal, Meta: meta, Key: key, Index: kind}, Stats: stats}, nil
 }
 
 func (db *DB) mergeValues(baseVal, a, b value.Value, resolve index.Resolver) (value.Value, index.MergeStats, error) {

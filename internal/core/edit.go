@@ -1,35 +1,32 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"forkbase/internal/index"
 	"forkbase/internal/value"
 )
 
-// editHead is the frame of the three edit methods: under the GC fence it
-// reads the head of key@branch, derives a new value from it with edit, and
-// publishes that value by a CAS against the head it was derived from.  Like
-// Put it does not retry: a concurrent writer costs ErrStaleHead and the
-// caller reloads.
+// editHead is the write of the three edit methods: it reads the head of
+// key@branch, derives a new value from it with edit, and commits that value
+// against the head it was derived from.  Like Put it does not retry: a
+// concurrent writer costs ErrStaleHead and the caller reloads.
 func (db *DB) editHead(key, branch string, meta map[string]string, edit func(cur Version) (value.Value, error)) (Version, error) {
-	if err := db.writeGuard(); err != nil {
-		return Version{}, err
-	}
-	if branch == "" {
-		branch = DefaultBranch
-	}
-	db.writeMu.RLock()
-	defer db.writeMu.RUnlock()
-	cur, err := db.Get(key, branch)
-	if err != nil {
-		return Version{}, err
-	}
-	v, err := edit(cur)
-	if err != nil {
-		return Version{}, err
-	}
-	return db.putOnto(key, branch, cur.UID, v, meta)
+	return first(db.commit(context.Background(), db.met.opEdit, func() ([]WriteOp, error) {
+		w := []WriteOp{{Key: key, Branch: branch, Meta: meta}}
+		head, err := db.Head(key, branch)
+		if err != nil {
+			return w, err
+		}
+		cur, err := db.GetVersion(key, head)
+		if err != nil {
+			return w, err
+		}
+		w[0].Value, err = edit(cur)
+		w[0].parent = cur.UID
+		return w, err
+	}))
 }
 
 // EditMap writes a new version of a map- or set-valued object by applying

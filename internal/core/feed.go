@@ -160,6 +160,39 @@ func (f *Feed) Since(cursor uint64, limit int) (entries []FeedEntry, next uint64
 	return entries, entries[len(entries)-1].Seq, false
 }
 
+// A feed read returns at most feedDefaultLimit entries — a replica streams
+// the window in pages — and long-polls at most feedMaxWait, so an idle
+// reader never parks a serving goroutine for long.
+const (
+	feedDefaultLimit = 512
+	feedMaxWait      = 30 * time.Second
+)
+
+// Read is the one feed-read rule every replication source serves.  A
+// negative limit probes: no entries, and the cursor of the feed's tip.  A
+// cursor of another incarnation (a nonzero epoch that is not this feed's)
+// comes back truncated, exactly like one that fell out of the ring: the
+// reader must snapshot.  Otherwise it long-polls up to wait (at most
+// feedMaxWait) while nothing follows cursor, and returns Since's page of at
+// most limit entries (0, or more than feedDefaultLimit, means
+// feedDefaultLimit) and the cursor to resume from.
+func (f *Feed) Read(cursor FeedCursor, limit int, wait time.Duration) ([]FeedEntry, FeedCursor, bool) {
+	if limit < 0 {
+		return nil, FeedCursor{Epoch: f.epoch, Seq: f.Seq()}, false
+	}
+	if cursor.Epoch != 0 && cursor.Epoch != f.epoch {
+		return nil, FeedCursor{Epoch: f.epoch, Seq: cursor.Seq}, true
+	}
+	if limit == 0 || limit > feedDefaultLimit {
+		limit = feedDefaultLimit
+	}
+	if wait > 0 {
+		f.Wait(cursor.Seq, min(wait, feedMaxWait))
+	}
+	entries, next, truncated := f.Since(cursor.Seq, limit)
+	return entries, FeedCursor{Epoch: f.epoch, Seq: next}, truncated
+}
+
 // Wait blocks until the feed's newest sequence exceeds cursor or the timeout
 // elapses, and reports whether new entries are available.  A zero or
 // negative timeout polls without blocking.

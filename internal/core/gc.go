@@ -154,7 +154,7 @@ func (db *DB) mark() (map[hash.Hash]bool, error) {
 // branchHeads returns the head of every branch of every key: the roots of
 // everything the store must keep.  A key whose last branch is deleted
 // between the key listing and its branch lookup has no heads left and is
-// skipped: DeleteBranch does not take the write fence, and the TCP server
+// skipped: every engine write holds the fence GC holds, but the TCP server
 // and the replication follower move heads without the engine at all.
 func (db *DB) branchHeads() ([]hash.Hash, error) {
 	keys, err := db.heads.Keys()

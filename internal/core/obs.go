@@ -33,8 +33,8 @@ type dbObs struct {
 	on     bool // false for obs.Discard: every hook short-circuits
 	sample atomic.Uint64
 
-	opPut, opWriteBatch, opGet, opMerge *engineOp
-	mergeAncestry                       *obs.Counter
+	opPut, opWriteBatch, opEdit, opGet, opMerge *engineOp
+	mergeAncestry                               *obs.Counter
 
 	gcRuns, gcErrors, gcSwept, gcReclaimed, gcCompacted *obs.Counter
 	gcSeconds                                           *obs.Histogram
@@ -65,8 +65,8 @@ func newDBObs(reg *obs.Registry, logger *slog.Logger, slowOp time.Duration) *dbO
 	mk := func(op string) *engineOp {
 		return &engineOp{name: op, total: total.With(op), errs: errsV.With(op), lat: lat.With(op)}
 	}
-	o.opPut, o.opWriteBatch, o.opGet, o.opMerge =
-		mk("put"), mk("write_batch"), mk("get"), mk("merge")
+	o.opPut, o.opWriteBatch, o.opEdit, o.opGet, o.opMerge =
+		mk("put"), mk("write_batch"), mk("edit"), mk("get"), mk("merge")
 	o.mergeAncestry = reg.Counter("forkbase_engine_merge_ancestry_nodes_total",
 		"FNodes loaded by merges' base-finding walks.")
 	o.gcRuns = reg.Counter("forkbase_gc_runs_total", "Completed GC/compaction passes.")

@@ -215,24 +215,22 @@ func nodesOf(st store.Store) store.Nodes[*FNode] {
 	})
 }
 
-// Save stores the FNode with one Put and returns its uid.  Over a store with
-// a decoded-node cache it also caches f itself, under the gateway's write
-// rule (resident before the put, evicted if the put fails), so the next Load
-// of the uid touches no store: from here on f is frozen — shared with every
-// later Load, never to be mutated.
+// Save is SaveAll of f alone: it returns f's uid, and f is frozen from then
+// on.
 func (f *FNode) Save(st store.Store) (hash.Hash, error) {
-	c := chunk.New(chunk.TypeFNode, f.Encode())
-	if err := nodesOf(st).Put(c, f, f.cacheCost(c)); err != nil {
-		return hash.Hash{}, fmt.Errorf("fnode: save: %w", err)
+	uids, err := SaveAll(st, []*FNode{f})
+	if err != nil {
+		return hash.Hash{}, err
 	}
-	return c.ID(), nil
+	return uids[0], nil
 }
 
-// SaveAll stores many FNodes in one batched store round and returns their
-// uids in order.  Multi-key ingest (core.DB.WriteBatch) commits all its
-// version objects with a single lock acquisition — and, on a FileStore, a
-// single group-commit write — instead of one synchronous Put per version.
-// Like Save it caches each FNode, which is frozen from then on.
+// SaveAll stores FNodes in one batched store round and returns their uids in
+// order: every write of a version object, one or many, is one PutBatch.
+// Over a store with a decoded-node cache it also caches each FNode itself,
+// under the gateway's write rule (resident before the put, evicted if the
+// put fails), so the next Load of its uid touches no store: from here on
+// each FNode is frozen — shared with every later Load, never to be mutated.
 func SaveAll(st store.Store, fs []*FNode) ([]hash.Hash, error) {
 	cs := make([]*chunk.Chunk, len(fs))
 	uids := make([]hash.Hash, len(fs))
@@ -242,7 +240,7 @@ func SaveAll(st store.Store, fs []*FNode) ([]hash.Hash, error) {
 	}
 	decoded := func(i int) (*FNode, int) { return fs[i], fs[i].cacheCost(cs[i]) }
 	if _, err := nodesOf(st).PutBatch(cs, decoded); err != nil {
-		return nil, fmt.Errorf("fnode: save batch: %w", err)
+		return nil, fmt.Errorf("fnode: save: %w", err)
 	}
 	return uids, nil
 }

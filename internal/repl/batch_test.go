@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"forkbase/internal/core"
+	"forkbase/internal/hash"
 	"forkbase/internal/store"
 	"forkbase/internal/value"
 )
@@ -16,7 +17,8 @@ import (
 // Polled between rounds, and before every Apply that reaches the replica's
 // table, the replica shows every batch whole or not at all — each of the
 // keys at the same batch, or none of them yet — over an in-memory and a
-// file-backed replica table.
+// file-backed replica table.  A snapshot, which lists the primary's heads
+// key by key, shows a batch that lands between two keys' listings whole.
 func TestFollowerNeverShowsPartOfABatch(t *testing.T) {
 	tables := map[string]func(t *testing.T) core.BranchTable{
 		"mem": func(*testing.T) core.BranchTable { return core.NewMemBranchTable() },
@@ -98,6 +100,39 @@ func TestFollowerNeverShowsPartOfABatch(t *testing.T) {
 			t.Logf("%d rounds", rounds)
 		})
 	}
+	t.Run("snapshot", func(t *testing.T) {
+		table := &listingTable{BranchTable: core.NewMemBranchTable()}
+		primary := core.Open(core.Options{Branches: table})
+		batch := func(v string) error {
+			_, err := primary.WriteBatch([]core.WriteOp{{Key: "a", Value: value.String(v)}, {Key: "b", Value: value.String(v)}})
+			return err
+		}
+		if err := batch("old"); err != nil {
+			t.Fatal(err)
+		}
+		table.listed = func(key string) { // a's old head is listed; b's is not yet
+			if key == "a" {
+				table.listed = nil
+				if err := batch("new"); err != nil {
+					t.Error(err)
+				}
+			}
+		}
+		replica := core.Open(core.Options{})
+		f := NewFollower(NewLocalSource(primary), replica.Store(), replica.BranchTable(), Options{})
+		cursor, err := f.snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, key := range []string{"a", "b"} {
+			if v, err := replica.Get(key, ""); err != nil || v.Value.Display() != "new" {
+				t.Fatalf("replica %s = %s (%v) after a snapshot the batch landed in, want both keys at the batch", key, v.Value.Display(), err)
+			}
+		}
+		if tip := primary.Feed().Seq(); cursor.Seq != tip {
+			t.Fatalf("snapshot anchored at %d, want the tip %d", cursor.Seq, tip)
+		}
+	})
 }
 
 // checkedTable runs check, when set, before every Apply reaches the table.
@@ -111,4 +146,18 @@ func (c *checkedTable) Apply(ops []core.HeadOp) (bool, error) {
 		c.check()
 	}
 	return c.BranchTable.Apply(ops)
+}
+
+// listingTable runs listed, when set, after each Branches answer.
+type listingTable struct {
+	core.BranchTable
+	listed func(key string)
+}
+
+func (l *listingTable) Branches(key string) (map[string]hash.Hash, error) {
+	m, err := l.BranchTable.Branches(key)
+	if l.listed != nil {
+		l.listed(key)
+	}
+	return m, err
 }

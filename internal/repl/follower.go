@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"forkbase/internal/core"
+	"forkbase/internal/hash"
 	"forkbase/internal/obs"
 	"forkbase/internal/retry"
 	"forkbase/internal/store"
@@ -69,7 +70,7 @@ func (o *Options) backoffPolicy() retry.Policy {
 //	         ┌──────────────┐ truncated / vanished-head loop ┌───────────┐
 //	start ──▶│ snapshot     │◀────────────────────────────── │ tail      │
 //	         │ (pin, walk,  │ ──────────────────────────────▶│ (feed →   │
-//	         │  all heads)  │  cursor anchored pre-snapshot  │  deltas)  │
+//	         │  all heads)  │   cursor anchored at the tip   │  deltas)  │
 //	         └──────────────┘                                └───────────┘
 type Follower struct {
 	src   Source
@@ -332,16 +333,20 @@ func (f *Follower) Ready(maxLag uint64) bool {
 
 // snapshot performs a full catch-up: anchor a cursor, mirror every primary
 // head, and drop local branches the primary no longer has — all in one
-// Apply.  It returns the anchored cursor; entries after it will be replayed
-// by the tail, which is idempotent (re-syncing a present head prunes
-// immediately; re-applying a head is a no-op).
+// Apply.  The primary lists its heads key by key, so a batch landing
+// mid-listing would show new heads for some keys and old ones for others:
+// the feed entries from the anchor to the tip are overlaid on the listing,
+// which makes it the primary's state at the last page read, and the cursor
+// is anchored there.  A truncated overlay starts the snapshot over.  It
+// returns the anchored cursor; entries after it will be replayed by the
+// tail, which is idempotent (re-syncing a present head prunes immediately;
+// re-applying a head is a no-op).
 func (f *Follower) snapshot() (core.FeedCursor, error) {
 	f.bump(func(s *Stats) { s.Snapshots++; s.Rounds++ })
-	cursor, err := f.src.Seq()
-	if err != nil {
-		return cursor, err
+	cursor, heads, truncated, err := f.listHeads()
+	for err == nil && truncated {
+		cursor, heads, truncated, err = f.listHeads()
 	}
-	heads, err := f.src.Heads()
 	if err != nil {
 		return cursor, err
 	}
@@ -366,6 +371,38 @@ func (f *Follower) snapshot() (core.FeedCursor, error) {
 		}
 	}
 	return cursor, f.publish(ops)
+}
+
+// listHeads lists the primary's heads as of one feed cursor: the listing,
+// overlaid with the feed entries from the cursor taken before it to the tip
+// (later entries win; a zero New deletes).  truncated reports that the feed
+// no longer holds the entries from that cursor on.
+func (f *Follower) listHeads() (core.FeedCursor, map[string]map[string]hash.Hash, bool, error) {
+	cursor, err := f.src.Seq()
+	if err != nil {
+		return cursor, nil, false, err
+	}
+	heads, err := f.src.Heads()
+	if err != nil {
+		return cursor, nil, false, err
+	}
+	for {
+		entries, next, truncated, err := f.src.FeedSince(cursor, f.opts.BatchLimit, 0)
+		if err != nil || truncated || len(entries) == 0 {
+			return cursor, heads, truncated, err
+		}
+		for _, e := range entries {
+			if e.New.IsZero() {
+				delete(heads[e.Key], e.Branch)
+				continue
+			}
+			if heads[e.Key] == nil {
+				heads[e.Key] = make(map[string]hash.Hash)
+			}
+			heads[e.Key][e.Branch] = e.New
+		}
+		cursor = next
+	}
 }
 
 // tailOnce reads one page of feed entries and applies it.  Within a page

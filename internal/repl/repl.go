@@ -93,21 +93,14 @@ func NewLocalSource(db *core.DB) *LocalSource { return &LocalSource{db: db} }
 
 // Seq implements Source.
 func (s *LocalSource) Seq() (core.FeedCursor, error) {
-	f := s.db.Feed()
-	return core.FeedCursor{Epoch: f.Epoch(), Seq: f.Seq()}, nil
+	_, tip, _ := s.db.Feed().Read(core.FeedCursor{}, -1, 0)
+	return tip, nil
 }
 
 // FeedSince implements Source.
 func (s *LocalSource) FeedSince(cursor core.FeedCursor, limit int, wait time.Duration) ([]core.FeedEntry, core.FeedCursor, bool, error) {
-	f := s.db.Feed()
-	if cursor.Epoch != 0 && cursor.Epoch != f.Epoch() {
-		return nil, cursor, true, nil
-	}
-	if wait > 0 {
-		f.Wait(cursor.Seq, wait)
-	}
-	entries, next, truncated := f.Since(cursor.Seq, limit)
-	return entries, core.FeedCursor{Epoch: f.Epoch(), Seq: next}, truncated, nil
+	entries, next, truncated := s.db.Feed().Read(cursor, limit, wait)
+	return entries, next, truncated, nil
 }
 
 // Heads implements Source.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net"
 	"sort"
 	"sync"
@@ -130,14 +131,6 @@ func (s *Server) Refused() uint64 {
 	defer s.mu.Unlock()
 	return s.refused
 }
-
-// Feed-serving limits: a single OpFeedSince answer is bounded so a lagging
-// replica streams the window in pages, and the long-poll budget is clamped
-// so an idle connection never parks a server goroutine for long.
-const (
-	feedDefaultLimit = 512
-	feedMaxWait      = 30 * time.Second
-)
 
 // New creates a server over the given store and branch table.  A nil
 // logger selects slog.Default(); routine transport noise (peer hangups,
@@ -301,27 +294,11 @@ func (s *Server) handle(h header, p, out []byte) ([]byte, error) {
 		if s.feed == nil {
 			return nil, errNoFeed
 		}
-		epoch := s.feed.Epoch()
-		if limit < 0 {
-			// Sequence probe: report the feed tip without shipping entries.
-			// Replicas take a cursor this way before a snapshot catch-up.
-			return appendFeedPage(out, core.FeedCursor{Epoch: epoch, Seq: s.feed.Seq()}, false, nil), nil
-		}
-		if cursor.Epoch != 0 && cursor.Epoch != epoch {
-			// The cursor belongs to a previous feed incarnation (primary
-			// restart): every retained entry may already be stale relative
-			// to it, so force a snapshot exactly like ring truncation.
-			return appendFeedPage(out, core.FeedCursor{Epoch: epoch, Seq: cursor.Seq}, true, nil), nil
-		}
-		if limit == 0 || limit > feedDefaultLimit {
-			limit = feedDefaultLimit
-		}
-		if waitMillis > 0 {
-			wait := time.Duration(min(waitMillis, uint64(feedMaxWait/time.Millisecond))) * time.Millisecond
-			s.feed.Wait(cursor.Seq, wait)
-		}
-		entries, next, truncated := s.feed.Since(cursor.Seq, limit)
-		return appendFeedPage(out, core.FeedCursor{Epoch: epoch, Seq: next}, truncated, entries), nil
+		// Feed.Read clamps the wait; this bound only keeps the conversion
+		// from overflowing.
+		wait := time.Duration(min(waitMillis, math.MaxInt64/uint64(time.Millisecond))) * time.Millisecond
+		entries, next, truncated := s.feed.Read(cursor, limit, wait)
+		return appendFeedPage(out, next, truncated, entries), nil
 	case OpApply:
 		ops := d.headOps()
 		if err := d.done(); err != nil {

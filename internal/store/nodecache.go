@@ -117,19 +117,9 @@ func (ns Nodes[T]) Load(id hash.Hash) (T, error) {
 	return n, nil
 }
 
-// Put stores c with one Put under the write rule; n is the caller's own
-// decode of c costing size, so a node just encoded is not decoded again.
-func (ns Nodes[T]) Put(c *chunk.Chunk, n T, size int) error {
-	ns.cache.Put(c.ID(), n, size)
-	if _, err := ns.st.Put(c); err != nil {
-		ns.cache.Remove(c.ID())
-		return err
-	}
-	return nil
-}
-
 // PutBatch stores cs with one PutBatch under the write rule.  decoded(i) is
-// the caller's own decode of cs[i] and its size; with decoded nil, each chunk
+// the caller's own decode of cs[i] and its size, so a node just encoded is not
+// decoded again; with decoded nil, each chunk
 // not yet resident (a re-emitted node's decode usually is) is decoded here,
 // and one that fails to decode goes uncached.
 func (ns Nodes[T]) PutBatch(cs []*chunk.Chunk, decoded func(i int) (T, int)) ([]bool, error) {

@@ -120,7 +120,8 @@ var fnodeKind = nodeKind{
 		_, err := fnode.Load(st, uid)
 		return err
 	},
-	// Save's one Put and SaveAll's one PutBatch, both held to the write rule.
+	// Save (a one-FNode SaveAll) and a two-FNode SaveAll, both held to the
+	// write rule.
 	write: func(st store.Store, base hash.Hash) error {
 		_, saveErr := fnode.New([]byte("k"), value.String("v2"), []hash.Hash{base}, 2, nil).Save(st)
 		_, batchErr := fnode.SaveAll(st, []*fnode.FNode{
