@@ -204,6 +204,19 @@ func TestSourceGuards(t *testing.T) {
 		pattern: `heads\.Apply\(`,
 		paths:   []string{"internal/core"},
 		want:    1,
+	}, {
+		// One POS node form: a decoded node is its payload plus a span table,
+		// so the decode path builds no per-entry, per-ref or per-item structs …
+		name:    "one POS node form: no per-element structs",
+		pattern: `make\(\[\](childRef|Entry|\[\]byte)`,
+		paths:   []string{"internal/pos/source.go", "internal/pos/encoding.go"},
+		want:    0,
+	}, {
+		// … and the four per-type decoders that built them are test oracles.
+		name:    "one POS node form: one decoder",
+		pattern: `decodeMapLeaf|decodeMapIndex|decodeSeqLeaf|decodeSeqIndex`,
+		paths:   []string{"internal/pos"},
+		want:    0,
 	}} {
 		re := regexp.MustCompile(g.pattern)
 		var hits []string

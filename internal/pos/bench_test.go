@@ -2,9 +2,11 @@ package pos
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
+	"forkbase/internal/chunk"
 	"forkbase/internal/chunker"
 	"forkbase/internal/nodecache"
 	"forkbase/internal/store"
@@ -412,5 +414,66 @@ func BenchmarkSeqSplice(b *testing.B) {
 		if _, err := seq.Splice(uint64(i%50000), 1, [][]byte{[]byte("spliced")}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkDecodeNode times one cold decode per POS node type — what every
+// read that misses the decoded-node cache pays per node — over a 100k-row
+// map and a 100k-item list of distinct 96-byte values: the node of median
+// size of each type.
+func BenchmarkDecodeNode(b *testing.B) {
+	ms := store.NewMemStore()
+	val := make([]byte, 96)
+	entries := make([]Entry, 100000)
+	items := make([][]byte, len(entries))
+	for i := range entries {
+		entries[i] = Entry{Key: []byte(fmt.Sprintf("key-%010d", i)), Val: val}
+		items[i] = append([]byte(fmt.Sprintf("item-%010d", i)), val[15:]...)
+	}
+	tree, err := BuildMap(ms, chunker.DefaultConfig(), entries)
+	if err != nil {
+		b.Fatal(err)
+	}
+	seq, err := BuildSeq(ms, chunker.DefaultConfig(), items)
+	if err != nil {
+		b.Fatal(err)
+	}
+	mapIDs, err := tree.ChunkIDs()
+	if err != nil {
+		b.Fatal(err)
+	}
+	seqIDs, err := seq.ChunkIDs()
+	if err != nil {
+		b.Fatal(err)
+	}
+	byType := map[chunk.Type][]*chunk.Chunk{}
+	for _, id := range append(mapIDs, seqIDs...) {
+		c, err := ms.Get(id)
+		if err != nil {
+			b.Fatal(err)
+		}
+		byType[c.Type()] = append(byType[c.Type()], c)
+	}
+	for _, tc := range []struct {
+		name string
+		typ  chunk.Type
+	}{
+		{"map-leaf", chunk.TypeMapLeaf},
+		{"map-index", chunk.TypeMapIndex},
+		{"seq-leaf", chunk.TypeSeqLeaf},
+		{"seq-index", chunk.TypeSeqIndex},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			cs := byType[tc.typ]
+			slices.SortFunc(cs, func(x, y *chunk.Chunk) int { return x.Size() - y.Size() })
+			c := cs[len(cs)/2]
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := decodeNode(c); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

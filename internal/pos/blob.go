@@ -38,10 +38,10 @@ func LoadBlob(st store.Store, cfg chunker.Config, root hash.Hash) (*Blob, error)
 	}
 	switch n.typ {
 	case chunk.TypeBlobLeaf:
-		b.size = uint64(len(n.blob))
+		b.size = uint64(len(n.data))
 	case chunk.TypeSeqIndex:
-		for _, r := range n.refs {
-			b.size += r.count
+		for i := 0; i < n.len(); i++ {
+			b.size += n.count(i)
 		}
 	default:
 		return nil, fmt.Errorf("pos: blob root %s is a %s", root.Short(), n.typ)
@@ -188,11 +188,11 @@ func (b *Blob) Bytes() ([]byte, error) {
 		}
 		switch n.typ {
 		case chunk.TypeBlobLeaf:
-			out = append(out, n.blob...)
+			out = append(out, n.data...)
 			return nil
 		case chunk.TypeSeqIndex:
-			for _, r := range n.refs {
-				if err := walk(r.id); err != nil {
+			for i := 0; i < n.len(); i++ {
+				if err := walk(n.ref(i).id); err != nil {
 					return err
 				}
 			}
@@ -225,18 +225,18 @@ func (b *Blob) ReadAt(p []byte, off uint64) (int, error) {
 		}
 		switch nd.typ {
 		case chunk.TypeBlobLeaf:
-			data := nd.blob
+			data := nd.data
 			if skip < uint64(len(data)) {
 				n += copy(p[n:], data[skip:])
 			}
 			return nil
 		case chunk.TypeSeqIndex:
-			for _, r := range nd.refs {
-				if skip >= r.count {
-					skip -= r.count
+			for i := 0; i < nd.len(); i++ {
+				if c := nd.count(i); skip >= c {
+					skip -= c
 					continue
 				}
-				if err := walk(r.id, skip); err != nil {
+				if err := walk(nd.ref(i).id, skip); err != nil {
 					return err
 				}
 				skip = 0
@@ -275,10 +275,10 @@ func (b *Blob) Splice(at, del uint64, ins []byte) (*Blob, error) {
 	defer sink.Close()
 	bb := newBlobBuilder(sink, b.cfg)
 	feed := func(leaf *node, lo, hi uint64, insert bool) error {
-		if leaf.typ != chunk.TypeBlobLeaf || hi > uint64(len(leaf.blob)) {
-			return fmt.Errorf("pos: blob splice: %s of %d bytes where a leaf of at least %d was expected", leaf.typ, len(leaf.blob), hi)
+		if leaf.typ != chunk.TypeBlobLeaf || hi > uint64(len(leaf.data)) {
+			return fmt.Errorf("pos: blob splice: %s of %d bytes where a leaf of at least %d was expected", leaf.typ, len(leaf.data), hi)
 		}
-		runs := [3][]byte{leaf.blob[:lo], nil, leaf.blob[hi:]}
+		runs := [3][]byte{leaf.data[:lo], nil, leaf.data[hi:]}
 		if insert {
 			runs[1] = ins
 		}

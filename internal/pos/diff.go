@@ -3,6 +3,7 @@ package pos
 import (
 	"bytes"
 	"fmt"
+	"slices"
 
 	"forkbase/internal/chunk"
 	"forkbase/internal/hash"
@@ -48,11 +49,20 @@ func (t *Tree) Diff(o *Tree) ([]Delta, DiffStats, error) {
 	return d.out, d.stats, nil
 }
 
-func rootSpan(t *Tree) []childRef {
+// slot is child i of index node n.  A diff span is a run of slots, so
+// descending a level copies no ref out of its node.
+type slot struct {
+	n *node
+	i int
+}
+
+func (s slot) id() hash.Hash { return s.n.ref(s.i).id }
+
+func rootSpan(t *Tree) []slot {
 	if t.root.IsZero() {
 		return nil
 	}
-	return []childRef{{id: t.root, count: t.count}}
+	return []slot{{n: refNode(childRef{id: t.root, count: t.count}, chunk.TypeMapIndex)}}
 }
 
 type differ struct {
@@ -65,7 +75,7 @@ type differ struct {
 // included in TouchedChunks: the count is "nodes visited", the O(D·log N)
 // quantity, regardless of where the bytes came from).
 func (d *differ) load(t *Tree, id hash.Hash) (*node, error) {
-	n, err := t.src.Load(id)
+	n, err := t.load(id)
 	if err != nil {
 		return nil, fmt.Errorf("pos: diff: %w", err)
 	}
@@ -79,11 +89,11 @@ func (d *differ) load(t *Tree, id hash.Hash) (*node, error) {
 }
 
 // spanLevel peeks the level of the first node in a span.
-func (d *differ) spanLevel(t *Tree, refs []childRef) (uint8, error) {
+func (d *differ) spanLevel(t *Tree, refs []slot) (uint8, error) {
 	if len(refs) == 0 {
 		return 0, nil
 	}
-	n, err := t.src.Load(refs[0].id)
+	n, err := t.load(refs[0].id())
 	if err != nil {
 		return 0, fmt.Errorf("pos: diff: %w", err)
 	}
@@ -92,43 +102,42 @@ func (d *differ) spanLevel(t *Tree, refs []childRef) (uint8, error) {
 
 // expand replaces a span of index refs by the concatenation of their
 // children (one level down).
-func (d *differ) expand(t *Tree, refs []childRef) ([]childRef, error) {
-	var out []childRef
+func (d *differ) expand(t *Tree, refs []slot) ([]slot, error) {
+	var out []slot
 	for _, r := range refs {
-		n, err := d.load(t, r.id)
+		n, err := d.load(t, r.id())
 		if err != nil {
 			return nil, err
 		}
 		if n.level == 0 {
-			return nil, fmt.Errorf("pos: diff: expand reached leaf %s", r.id.Short())
+			return nil, fmt.Errorf("pos: diff: expand reached leaf %s", r.id().Short())
 		}
-		out = append(out, n.refs...)
+		out = slices.Grow(out, n.len())
+		for i := 0; i < n.len(); i++ {
+			out = append(out, slot{n, i})
+		}
 	}
 	return out, nil
 }
 
-// entriesOf flattens a span of same-level refs into its leaf entries.
-func (d *differ) entriesOf(t *Tree, refs []childRef, level uint8) ([]Entry, error) {
-	if level == 0 {
-		var out []Entry
-		for _, r := range refs {
-			n, err := d.load(t, r.id)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, n.entries...)
+// leavesOf loads a span of leaf refs.
+func (d *differ) leavesOf(t *Tree, refs []slot) ([]*node, error) {
+	out := make([]*node, len(refs))
+	for i, r := range refs {
+		n, err := d.load(t, r.id())
+		if err != nil {
+			return nil, err
 		}
-		return out, nil
+		if n.level != 0 {
+			return nil, fmt.Errorf("pos: diff: index node %s among leaves", r.id().Short())
+		}
+		out[i] = n
 	}
-	lower, err := d.expand(t, refs)
-	if err != nil {
-		return nil, err
-	}
-	return d.entriesOf(t, lower, level-1)
+	return out, nil
 }
 
 // diffSpans compares two spans of subtrees covering the same key ranges.
-func (d *differ) diffSpans(aRefs, bRefs []childRef) error {
+func (d *differ) diffSpans(aRefs, bRefs []slot) error {
 	// Align levels: expand the taller side until both spans sit at the same
 	// height above the leaves.
 	la, err := d.spanLevel(d.old, aRefs)
@@ -158,7 +167,7 @@ func (d *differ) diffSpans(aRefs, bRefs []childRef) error {
 	ia, ib := 0, 0
 	for ia < len(aRefs) || ib < len(bRefs) {
 		if ia < len(aRefs) && ib < len(bRefs) &&
-			aRefs[ia].id == bRefs[ib].id {
+			aRefs[ia].id() == bRefs[ib].id() {
 			d.stats.PrunedRefs++
 			ia++
 			ib++
@@ -172,14 +181,15 @@ func (d *differ) diffSpans(aRefs, bRefs []childRef) error {
 				ja, jb = len(aRefs), len(bRefs)
 				break
 			}
-			cmp := bytes.Compare(aRefs[ja].splitKey, bRefs[jb].splitKey)
+			a, b := aRefs[ja], bRefs[jb]
+			cmp := bytes.Compare(a.n.key(a.i), b.n.key(b.i))
 			switch {
 			case cmp < 0:
 				ja++
 			case cmp > 0:
 				jb++
 			default:
-				if aRefs[ja].id == bRefs[jb].id {
+				if a.id() == b.id() {
 					goto spanDone
 				}
 				ja++
@@ -189,15 +199,15 @@ func (d *differ) diffSpans(aRefs, bRefs []childRef) error {
 	spanDone:
 		if la == 0 {
 			// Leaf spans: load only the mismatched leaves.
-			ae, err := d.entriesOf(d.old, aRefs[ia:ja], 0)
+			al, err := d.leavesOf(d.old, aRefs[ia:ja])
 			if err != nil {
 				return err
 			}
-			be, err := d.entriesOf(d.new, bRefs[ib:jb], 0)
+			bl, err := d.leavesOf(d.new, bRefs[ib:jb])
 			if err != nil {
 				return err
 			}
-			d.diffEntries(ae, be)
+			d.diffLeaves(al, bl)
 		} else {
 			// Descend one level into the misaligned spans before
 			// recursing; recursing at the same level would loop forever.
@@ -218,35 +228,52 @@ func (d *differ) diffSpans(aRefs, bRefs []childRef) error {
 	return nil
 }
 
-// diffEntries merges two sorted entry lists and emits deltas.
-func (d *differ) diffEntries(a, b []Entry) {
-	i, j := 0, 0
-	for i < len(a) || j < len(b) {
+// diffLeaves merges the entries of two runs of leaves, each in key order,
+// and emits deltas.
+func (d *differ) diffLeaves(a, b []*node) {
+	ca, cb := leafCursor{leaves: a}, leafCursor{leaves: b}
+	ea, okA := ca.next()
+	eb, okB := cb.next()
+	for okA || okB {
+		cmp := 1
 		switch {
-		case i >= len(a):
-			d.out = append(d.out, Delta{Key: cp(b[j].Key), To: cp(b[j].Val)})
-			j++
-		case j >= len(b):
-			d.out = append(d.out, Delta{Key: cp(a[i].Key), From: cp(a[i].Val)})
-			i++
+		case !okB:
+			cmp = -1
+		case okA:
+			cmp = bytes.Compare(ea.Key, eb.Key)
+		}
+		switch {
+		case cmp < 0:
+			d.out = append(d.out, Delta{Key: cp(ea.Key), From: cp(ea.Val)})
+			ea, okA = ca.next()
+		case cmp > 0:
+			d.out = append(d.out, Delta{Key: cp(eb.Key), To: cp(eb.Val)})
+			eb, okB = cb.next()
 		default:
-			cmp := bytes.Compare(a[i].Key, b[j].Key)
-			switch {
-			case cmp < 0:
-				d.out = append(d.out, Delta{Key: cp(a[i].Key), From: cp(a[i].Val)})
-				i++
-			case cmp > 0:
-				d.out = append(d.out, Delta{Key: cp(b[j].Key), To: cp(b[j].Val)})
-				j++
-			default:
-				if !bytes.Equal(a[i].Val, b[j].Val) {
-					d.out = append(d.out, Delta{Key: cp(a[i].Key), From: cp(a[i].Val), To: cp(b[j].Val)})
-				}
-				i++
-				j++
+			if !bytes.Equal(ea.Val, eb.Val) {
+				d.out = append(d.out, Delta{Key: cp(ea.Key), From: cp(ea.Val), To: cp(eb.Val)})
 			}
+			ea, okA = ca.next()
+			eb, okB = cb.next()
 		}
 	}
+}
+
+// leafCursor walks the entries of a run of leaves in order.
+type leafCursor struct {
+	leaves []*node
+	i      int // the next entry of leaves[0]
+}
+
+func (c *leafCursor) next() (Entry, bool) {
+	for len(c.leaves) > 0 {
+		if n := c.leaves[0]; c.i < n.len() {
+			c.i++
+			return n.entry(c.i - 1), true
+		}
+		c.leaves, c.i = c.leaves[1:], 0
+	}
+	return Entry{}, false
 }
 
 // cp copies b, always returning a non-nil slice: present-but-empty values

@@ -76,7 +76,7 @@ func (t *Tree) Edit(ops []Op) (*Tree, error) {
 	// the path that returns a new tree flushes explicitly.
 	sink := editSink(t.src)
 	defer sink.Close()
-	e, err := newLevelEditor(t.src, t.cfg, sink, true, childRef{id: t.root, count: t.count})
+	e, err := newLevelEditor(t.src, t.cfg, sink, true, childRef{id: t.root, count: t.count}, t.top)
 	if err != nil {
 		return nil, err
 	}
@@ -92,12 +92,8 @@ func (t *Tree) Edit(ops []Op) (*Tree, error) {
 	var replaced [][]hash.Hash // replaced[k]: ids of the old leaves spl[k] covers
 	for i := 0; i < len(ops); {
 		key := ops[i].Key
-		c, err := e.seek(e.height, func(refs []childRef) int {
-			j := sort.Search(len(refs), func(j int) bool { return bytes.Compare(refs[j].splitKey, key) >= 0 })
-			if j == len(refs) {
-				j-- // beyond the greatest key: the op lands in the last leaf
-			}
-			return j
+		c, err := e.seek(e.height, func(n *node) int {
+			return min(n.search(key), n.len()-1) // beyond the greatest key: the op lands in the last leaf
 		})
 		if err != nil {
 			return nil, err
@@ -117,7 +113,8 @@ func (t *Tree) Edit(ops []Op) (*Tree, error) {
 				return nil, fmt.Errorf("pos: expected map leaf, got %s", n.typ)
 			}
 			ids = append(ids, ref.id)
-			for _, old := range n.entries {
+			for j := 0; j < n.len(); j++ {
+				old := n.entry(j)
 				for ; i < len(ops) && bytes.Compare(ops[i].Key, old.Key) < 0; i++ {
 					if err := put(ops[i]); err != nil {
 						return nil, err

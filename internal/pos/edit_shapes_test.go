@@ -23,24 +23,24 @@ func leafLayout(tr *Tree) ([][][]Entry, error) {
 			return err
 		}
 		if n.isLeaf() {
-			out = append(out, [][]Entry{n.entries})
+			out = append(out, [][]Entry{leafEntries(n)})
 			return nil
 		}
 		if n.level > 1 {
-			for _, r := range n.refs {
-				if err := walk(r.id); err != nil {
+			for i := 0; i < n.len(); i++ {
+				if err := walk(n.ref(i).id); err != nil {
 					return err
 				}
 			}
 			return nil
 		}
 		var group [][]Entry
-		for _, r := range n.refs {
-			leaf, err := tr.src.Load(r.id)
+		for i := 0; i < n.len(); i++ {
+			leaf, err := tr.src.Load(n.ref(i).id)
 			if err != nil {
 				return err
 			}
-			group = append(group, leaf.entries)
+			group = append(group, leafEntries(leaf))
 		}
 		out = append(out, group)
 		return nil

@@ -94,7 +94,8 @@ func encodeSeqChildRef(dst []byte, r childRef) []byte {
 // level 0 = leaf; ≥1 = index.  The level byte lets Diff align subtrees of
 // trees with different heights without external metadata.  The sink builder
 // assembles the layout in place inside its node buffer (the test oracle in
-// builder_legacy_test.go materialises it with encodeNodePayload).
+// builder_legacy_test.go materialises it with encodeNodePayload); decodeNode
+// (source.go) is its one reader.
 
 func errTrunc(what string) error { return fmt.Errorf("pos: truncated %s payload", what) }
 
@@ -112,152 +113,18 @@ func capHint(n uint64, avail, minSize int) int {
 	return int(n)
 }
 
-// decodeMapLeaf parses a TypeMapLeaf payload.
-func decodeMapLeaf(data []byte) ([]Entry, error) {
-	if len(data) < 1 {
-		return nil, errTrunc("map leaf")
+// uvarint reads a minimal unsigned varint, the only form the writer emits:
+// sz <= 0 when p holds a truncated, overflowing or zero-padded one, so an
+// accepted node payload has exactly one encoding.
+func uvarint(p []byte) (x uint64, sz int) {
+	if len(p) > 0 && p[0] < 0x80 {
+		return uint64(p[0]), 1
 	}
-	if data[0] != 0 {
-		return nil, fmt.Errorf("pos: map leaf with level %d", data[0])
+	x, sz = binary.Uvarint(p)
+	if sz > 1 && p[sz-1] == 0 {
+		return 0, -sz
 	}
-	p := data[1:]
-	n, sz := binary.Uvarint(p)
-	if sz <= 0 {
-		return nil, errTrunc("map leaf")
-	}
-	p = p[sz:]
-	entries := make([]Entry, 0, capHint(n, len(p), 2))
-	for i := uint64(0); i < n; i++ {
-		kl, sz := binary.Uvarint(p)
-		if sz <= 0 || uint64(len(p[sz:])) < kl {
-			return nil, errTrunc("map leaf entry key")
-		}
-		p = p[sz:]
-		k := p[:kl:kl]
-		p = p[kl:]
-		vl, sz := binary.Uvarint(p)
-		if sz <= 0 || uint64(len(p[sz:])) < vl {
-			return nil, errTrunc("map leaf entry value")
-		}
-		p = p[sz:]
-		v := p[:vl:vl]
-		p = p[vl:]
-		entries = append(entries, Entry{Key: k, Val: v})
-	}
-	if len(p) != 0 {
-		return nil, fmt.Errorf("pos: %d trailing bytes in map leaf", len(p))
-	}
-	return entries, nil
-}
-
-// decodeMapIndex parses a TypeMapIndex payload, returning its level and
-// child references.
-func decodeMapIndex(data []byte) (uint8, []childRef, error) {
-	if len(data) < 1 {
-		return 0, nil, errTrunc("map index")
-	}
-	level := data[0]
-	if level == 0 {
-		return 0, nil, fmt.Errorf("pos: map index with level 0")
-	}
-	p := data[1:]
-	n, sz := binary.Uvarint(p)
-	if sz <= 0 {
-		return 0, nil, errTrunc("map index")
-	}
-	p = p[sz:]
-	refs := make([]childRef, 0, capHint(n, len(p), hash.Size+2))
-	for i := uint64(0); i < n; i++ {
-		kl, sz := binary.Uvarint(p)
-		if sz <= 0 || uint64(len(p[sz:])) < kl {
-			return 0, nil, errTrunc("map index split key")
-		}
-		p = p[sz:]
-		k := p[:kl:kl]
-		p = p[kl:]
-		if len(p) < hash.Size {
-			return 0, nil, errTrunc("map index child hash")
-		}
-		var id hash.Hash
-		copy(id[:], p[:hash.Size])
-		p = p[hash.Size:]
-		cnt, sz := binary.Uvarint(p)
-		if sz <= 0 {
-			return 0, nil, errTrunc("map index count")
-		}
-		p = p[sz:]
-		refs = append(refs, childRef{splitKey: k, id: id, count: cnt})
-	}
-	if len(p) != 0 {
-		return 0, nil, fmt.Errorf("pos: %d trailing bytes in map index", len(p))
-	}
-	return level, refs, nil
-}
-
-// decodeSeqLeaf parses a TypeSeqLeaf payload into its items.
-func decodeSeqLeaf(data []byte) ([][]byte, error) {
-	if len(data) < 1 {
-		return nil, errTrunc("seq leaf")
-	}
-	if data[0] != 0 {
-		return nil, fmt.Errorf("pos: seq leaf with level %d", data[0])
-	}
-	p := data[1:]
-	n, sz := binary.Uvarint(p)
-	if sz <= 0 {
-		return nil, errTrunc("seq leaf")
-	}
-	p = p[sz:]
-	items := make([][]byte, 0, capHint(n, len(p), 1))
-	for i := uint64(0); i < n; i++ {
-		il, sz := binary.Uvarint(p)
-		if sz <= 0 || uint64(len(p[sz:])) < il {
-			return nil, errTrunc("seq leaf item")
-		}
-		p = p[sz:]
-		items = append(items, p[:il:il])
-		p = p[il:]
-	}
-	if len(p) != 0 {
-		return nil, fmt.Errorf("pos: %d trailing bytes in seq leaf", len(p))
-	}
-	return items, nil
-}
-
-// decodeSeqIndex parses a TypeSeqIndex payload.
-func decodeSeqIndex(data []byte) (uint8, []childRef, error) {
-	if len(data) < 1 {
-		return 0, nil, errTrunc("seq index")
-	}
-	level := data[0]
-	if level == 0 {
-		return 0, nil, fmt.Errorf("pos: seq index with level 0")
-	}
-	p := data[1:]
-	n, sz := binary.Uvarint(p)
-	if sz <= 0 {
-		return 0, nil, errTrunc("seq index")
-	}
-	p = p[sz:]
-	refs := make([]childRef, 0, capHint(n, len(p), hash.Size+1))
-	for i := uint64(0); i < n; i++ {
-		if len(p) < hash.Size {
-			return 0, nil, errTrunc("seq index child hash")
-		}
-		var id hash.Hash
-		copy(id[:], p[:hash.Size])
-		p = p[hash.Size:]
-		cnt, sz := binary.Uvarint(p)
-		if sz <= 0 {
-			return 0, nil, errTrunc("seq index count")
-		}
-		p = p[sz:]
-		refs = append(refs, childRef{id: id, count: cnt})
-	}
-	if len(p) != 0 {
-		return 0, nil, fmt.Errorf("pos: %d trailing bytes in seq index", len(p))
-	}
-	return level, refs, nil
+	return x, sz
 }
 
 // IndexChildren returns the child hashes of a POS-Tree index node chunk, or
@@ -265,24 +132,14 @@ func decodeSeqIndex(data []byte) (uint8, []childRef, error) {
 // dispatches to.
 func IndexChildren(c *chunk.Chunk) ([]hash.Hash, error) {
 	switch c.Type() {
-	case chunk.TypeMapIndex:
-		_, refs, err := decodeMapIndex(c.Data())
+	case chunk.TypeMapIndex, chunk.TypeSeqIndex:
+		n, _, err := decodeNode(c)
 		if err != nil {
 			return nil, err
 		}
-		out := make([]hash.Hash, len(refs))
-		for i, r := range refs {
-			out[i] = r.id
-		}
-		return out, nil
-	case chunk.TypeSeqIndex:
-		_, refs, err := decodeSeqIndex(c.Data())
-		if err != nil {
-			return nil, err
-		}
-		out := make([]hash.Hash, len(refs))
-		for i, r := range refs {
-			out[i] = r.id
+		out := make([]hash.Hash, n.len())
+		for i := range out {
+			out[i] = n.ref(i).id
 		}
 		return out, nil
 	default:

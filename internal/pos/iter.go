@@ -1,9 +1,7 @@
 package pos
 
 import (
-	"bytes"
 	"fmt"
-	"sort"
 
 	"forkbase/internal/chunk"
 	"forkbase/internal/hash"
@@ -17,32 +15,24 @@ import (
 //	}
 //	if err := it.Err(); err != nil { ... }
 type Iter struct {
-	t       *Tree
-	stack   []iterFrame
-	entries []Entry
-	pos     int // position within entries; -1 before first Next
-	err     error
-	done    bool
+	t     *Tree
+	stack []iterFrame
+	leaf  *node
+	pos   int // entry position within leaf; -1 before first Next
+	end   int // leaf.len(), kept here so Next reads no node
+	err   error
+	done  bool
 }
 
+// iterFrame is one index node on a path from the root and the child slot
+// the path takes.
 type iterFrame struct {
-	refs []childRef
-	idx  int
+	n   *node
+	idx int
 }
 
 // Iter returns an iterator positioned before the first entry.
-func (t *Tree) Iter() (*Iter, error) {
-	it := &Iter{t: t, pos: -1}
-	if t.root.IsZero() {
-		it.done = true
-		return it, nil
-	}
-	if err := it.descend(t.root); err != nil {
-		return nil, err
-	}
-	it.pos = -1
-	return it, nil
-}
+func (t *Tree) Iter() (*Iter, error) { return t.IterFrom(nil) }
 
 // IterFrom returns an iterator positioned before the first entry whose key
 // is >= key.
@@ -52,61 +42,36 @@ func (t *Tree) IterFrom(key []byte) (*Iter, error) {
 		it.done = true
 		return it, nil
 	}
-	id := t.root
-	for {
-		n, err := t.src.Load(id)
-		if err != nil {
-			return nil, fmt.Errorf("pos: iter: %w", err)
-		}
-		if n.typ == chunk.TypeMapLeaf {
-			entries := n.entries
-			it.entries = entries
-			i := sort.Search(len(entries), func(i int) bool {
-				return bytes.Compare(entries[i].Key, key) >= 0
-			})
-			it.pos = i - 1
-			if i == len(entries) {
-				// Key is beyond this leaf; the next Next() will pop upward.
-				it.pos = len(entries) - 1
-			}
-			return it, nil
-		}
-		if n.typ != chunk.TypeMapIndex {
-			return nil, fmt.Errorf("pos: unexpected chunk type %s in map tree", n.typ)
-		}
-		refs := n.refs
-		i := sort.Search(len(refs), func(i int) bool {
-			return bytes.Compare(refs[i].splitKey, key) >= 0
-		})
-		if i == len(refs) {
-			i = len(refs) - 1 // descend rightmost; iterator will exhaust
-		}
-		it.stack = append(it.stack, iterFrame{refs: refs, idx: i})
-		id = refs[i].id
+	if err := it.descend(t.root, key); err != nil {
+		return nil, err
 	}
+	return it, nil
 }
 
-// descend loads the leftmost leaf under id, pushing index frames.
-func (it *Iter) descend(id hash.Hash) error {
+// descend walks from id down to the leaf that would hold key, pushing index
+// frames, and positions before the first entry >= key; past a node's last
+// split key it takes the last child, so the next Next() pops upward.  A nil
+// key takes the leftmost path without searching.
+func (it *Iter) descend(id hash.Hash, key []byte) error {
 	for {
-		n, err := it.t.src.Load(id)
+		n, err := it.t.load(id)
 		if err != nil {
 			return fmt.Errorf("pos: iter: %w", err)
 		}
-		if n.typ == chunk.TypeMapLeaf {
-			it.entries = n.entries
-			it.pos = -1
-			return nil
-		}
-		if n.typ != chunk.TypeMapIndex {
+		if n.typ != chunk.TypeMapLeaf && n.typ != chunk.TypeMapIndex {
 			return fmt.Errorf("pos: unexpected chunk type %s in map tree", n.typ)
 		}
-		refs := n.refs
-		if len(refs) == 0 {
-			return fmt.Errorf("pos: empty index node %s", id.Short())
+		i := 0
+		if key != nil {
+			i = n.search(key)
 		}
-		it.stack = append(it.stack, iterFrame{refs: refs})
-		id = refs[0].id
+		if n.typ == chunk.TypeMapLeaf {
+			it.leaf, it.pos, it.end = n, i-1, n.len()
+			return nil
+		}
+		i = min(i, n.len()-1)
+		it.stack = append(it.stack, iterFrame{n: n, idx: i})
+		id = n.ref(i).id
 	}
 }
 
@@ -116,20 +81,20 @@ func (it *Iter) Next() bool {
 		return false
 	}
 	it.pos++
-	if it.pos < len(it.entries) {
+	if it.pos < it.end {
 		return true
 	}
 	// Current leaf exhausted: pop to the nearest ancestor with a next child.
 	for len(it.stack) > 0 {
 		top := &it.stack[len(it.stack)-1]
 		top.idx++
-		if top.idx < len(top.refs) {
-			if err := it.descend(top.refs[top.idx].id); err != nil {
+		if top.idx < top.n.len() {
+			if err := it.descend(top.n.ref(top.idx).id, nil); err != nil {
 				it.err = err
 				return false
 			}
 			it.pos = 0
-			return len(it.entries) > 0
+			return true // a leaf has at least one entry
 		}
 		it.stack = it.stack[:len(it.stack)-1]
 	}
@@ -139,7 +104,7 @@ func (it *Iter) Next() bool {
 
 // Entry returns the current entry.  Valid only after a true Next.  The
 // returned slices alias decoded chunk data; copy before holding long-term.
-func (it *Iter) Entry() Entry { return it.entries[it.pos] }
+func (it *Iter) Entry() Entry { return it.leaf.entry(it.pos) }
 
 // Err returns the first error encountered during iteration.
 func (it *Iter) Err() error { return it.err }

@@ -3,7 +3,6 @@ package pos
 import (
 	"bytes"
 	"fmt"
-	"sort"
 
 	"forkbase/internal/chunk"
 )
@@ -16,35 +15,28 @@ func (t *Tree) At(i uint64) (Entry, error) {
 	if i >= t.count {
 		return Entry{}, ErrOutOfRange
 	}
-	id := t.root
-	for {
-		n, err := t.src.Load(id)
-		if err != nil {
-			return Entry{}, fmt.Errorf("pos: at: %w", err)
-		}
+	n, err := t.load(t.root)
+	for err == nil {
 		switch n.typ {
 		case chunk.TypeMapLeaf:
-			if i >= uint64(len(n.entries)) {
+			if i >= uint64(n.len()) {
 				return Entry{}, ErrOutOfRange
 			}
-			return n.entries[i], nil
+			return n.entry(int(i)), nil
 		case chunk.TypeMapIndex:
-			found := false
-			for _, r := range n.refs {
-				if i < r.count {
-					id = r.id
-					found = true
-					break
-				}
-				i -= r.count
+			j := 0
+			for ; j < n.len() && i >= n.count(j); j++ {
+				i -= n.count(j)
 			}
-			if !found {
+			if j == n.len() {
 				return Entry{}, ErrOutOfRange
 			}
+			n, err = t.src.Load(n.ref(j).id)
 		default:
 			return Entry{}, fmt.Errorf("pos: unexpected chunk %s in map tree", n.typ)
 		}
 	}
+	return Entry{}, fmt.Errorf("pos: at: %w", err)
 }
 
 // Rank returns the number of entries with key strictly less than key —
@@ -56,35 +48,25 @@ func (t *Tree) Rank(key []byte) (uint64, error) {
 		return 0, nil
 	}
 	var rank uint64
-	id := t.root
-	for {
-		n, err := t.src.Load(id)
-		if err != nil {
-			return 0, fmt.Errorf("pos: rank: %w", err)
-		}
+	n, err := t.load(t.root)
+	for err == nil {
 		switch n.typ {
 		case chunk.TypeMapLeaf:
-			entries := n.entries
-			i := sort.Search(len(entries), func(i int) bool {
-				return bytes.Compare(entries[i].Key, key) >= 0
-			})
-			return rank + uint64(i), nil
+			return rank + uint64(n.search(key)), nil
 		case chunk.TypeMapIndex:
-			refs := n.refs
-			i := sort.Search(len(refs), func(i int) bool {
-				return bytes.Compare(refs[i].splitKey, key) >= 0
-			})
+			i := n.search(key)
 			for j := 0; j < i; j++ {
-				rank += refs[j].count
+				rank += n.count(j)
 			}
-			if i == len(refs) {
+			if i == n.len() {
 				return rank, nil // key beyond the maximum
 			}
-			id = refs[i].id
+			n, err = t.src.Load(n.ref(i).id)
 		default:
 			return 0, fmt.Errorf("pos: unexpected chunk %s in map tree", n.typ)
 		}
 	}
+	return 0, fmt.Errorf("pos: rank: %w", err)
 }
 
 // RangeCount returns the number of entries with lo <= key < hi in

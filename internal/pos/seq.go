@@ -42,10 +42,10 @@ func LoadSeq(st store.Store, cfg chunker.Config, root hash.Hash) (*Seq, error) {
 	}
 	switch n.typ {
 	case chunk.TypeSeqLeaf:
-		s.count = uint64(len(n.items))
+		s.count = uint64(n.len())
 	case chunk.TypeSeqIndex:
-		for _, r := range n.refs {
-			s.count += r.count
+		for i := 0; i < n.len(); i++ {
+			s.count += n.count(i)
 		}
 	default:
 		return nil, fmt.Errorf("pos: seq root %s is a %s", root.Short(), n.typ)
@@ -97,19 +97,19 @@ func (s *Seq) Get(i uint64) ([]byte, error) {
 		}
 		switch n.typ {
 		case chunk.TypeSeqLeaf:
-			if i >= uint64(len(n.items)) {
+			if i >= uint64(n.len()) {
 				return nil, ErrOutOfRange
 			}
-			return n.items[i], nil
+			return n.item(int(i)), nil
 		case chunk.TypeSeqIndex:
 			found := false
-			for _, r := range n.refs {
-				if i < r.count {
-					id = r.id
+			for j := 0; j < n.len(); j++ {
+				if i < n.count(j) {
+					id = n.ref(j).id
 					found = true
 					break
 				}
-				i -= r.count
+				i -= n.count(j)
 			}
 			if !found {
 				return nil, ErrOutOfRange
@@ -123,15 +123,15 @@ func (s *Seq) Get(i uint64) ([]byte, error) {
 // Items materialises all items in order.
 func (s *Seq) Items() ([][]byte, error) {
 	out := make([][]byte, 0, s.count)
-	err := s.walkLeaves(func(items [][]byte) {
-		for _, it := range items {
-			out = append(out, append([]byte(nil), it...))
+	err := s.walkLeaves(func(leaf *node) {
+		for i := 0; i < leaf.len(); i++ {
+			out = append(out, append([]byte(nil), leaf.item(i)...))
 		}
 	})
 	return out, err
 }
 
-func (s *Seq) walkLeaves(fn func(items [][]byte)) error {
+func (s *Seq) walkLeaves(fn func(leaf *node)) error {
 	if s.root.IsZero() {
 		return nil
 	}
@@ -143,11 +143,11 @@ func (s *Seq) walkLeaves(fn func(items [][]byte)) error {
 		}
 		switch n.typ {
 		case chunk.TypeSeqLeaf:
-			fn(n.items)
+			fn(n)
 			return nil
 		case chunk.TypeSeqIndex:
-			for _, r := range n.refs {
-				if err := walk(r.id); err != nil {
+			for i := 0; i < n.len(); i++ {
+				if err := walk(n.ref(i).id); err != nil {
 					return err
 				}
 			}
@@ -182,21 +182,26 @@ func (s *Seq) Splice(at, del uint64, ins [][]byte) (*Seq, error) {
 	defer sink.Close()
 	lb := newLevelBuilder(sink, s.cfg, 0, false)
 	feed := func(leaf *node, a, b uint64, insert bool) error {
-		if leaf.typ != chunk.TypeSeqLeaf || b > uint64(len(leaf.items)) {
-			return fmt.Errorf("pos: seq splice: %s with %d items where a leaf of at least %d was expected", leaf.typ, len(leaf.items), b)
+		if leaf.typ != chunk.TypeSeqLeaf || b > uint64(leaf.len()) {
+			return fmt.Errorf("pos: seq splice: %s with %d items where a leaf of at least %d was expected", leaf.typ, leaf.len(), b)
 		}
-		runs := [3][][]byte{leaf.items[:a], nil, leaf.items[b:]}
-		if insert {
-			runs[1] = ins
-		}
-		for _, run := range runs {
-			for _, item := range run {
-				if err := lb.addItem(item); err != nil {
+		keep := func(lo, hi int) error {
+			for i := lo; i < hi; i++ {
+				if err := lb.addItem(leaf.item(i)); err != nil {
 					return err
 				}
 			}
+			return nil
 		}
-		return nil
+		if err := keep(0, int(a)); err != nil {
+			return err
+		}
+		for i := 0; insert && i < len(ins); i++ {
+			if err := lb.addItem(ins[i]); err != nil {
+				return err
+			}
+		}
+		return keep(int(b), leaf.len())
 	}
 	root, err := splicePositions(s.src, s.cfg, sink, childRef{id: s.root, count: s.count}, at, del, lb.atBoundary, feed, lb.finish)
 	if err != nil {

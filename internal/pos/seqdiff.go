@@ -53,49 +53,44 @@ func DiffBlob(a, b *Blob) ([]SeqRange, error) {
 }
 
 // flattenSeqLeaves lists the leaf refs of a sequence/blob tree in order.
+// Only index nodes are read: a level-1 node's refs already are its leaves.
 func flattenSeqLeaves(src nodeSource, root hash.Hash) ([]childRef, error) {
 	if root.IsZero() {
 		return nil, nil
 	}
-	var out []childRef
-	var walk func(id hash.Hash, count uint64) error
-	walk = func(id hash.Hash, count uint64) error {
-		n, err := src.Load(id)
-		if err != nil {
-			return err
-		}
-		switch n.typ {
-		case chunk.TypeSeqLeaf, chunk.TypeBlobLeaf:
-			out = append(out, childRef{id: id, count: count})
-			return nil
-		case chunk.TypeSeqIndex:
-			for _, r := range n.refs {
-				if err := walk(r.id, r.count); err != nil {
-					return err
-				}
-			}
-			return nil
-		default:
-			return errTrunc("sequence node")
-		}
-	}
-	// Root count is unknown here; recompute from node if needed.  For the
-	// leaf case the count argument is only used for positions, so load it.
 	n, err := src.Load(root)
 	if err != nil {
 		return nil, err
 	}
 	switch n.typ {
 	case chunk.TypeSeqLeaf:
-		return []childRef{{id: root, count: uint64(len(n.items))}}, nil
+		return []childRef{{id: root, count: uint64(n.len())}}, nil
 	case chunk.TypeBlobLeaf:
-		return []childRef{{id: root, count: uint64(len(n.blob))}}, nil
-	default:
-		if err := walk(root, 0); err != nil {
-			return nil, err
-		}
-		return out, nil
+		return []childRef{{id: root, count: uint64(len(n.data))}}, nil
 	}
+	var out []childRef
+	var walk func(n *node) error
+	walk = func(n *node) error {
+		if n.typ != chunk.TypeSeqIndex {
+			return errTrunc("sequence node")
+		}
+		for i := 0; i < n.len(); i++ {
+			if n.level == 1 {
+				out = append(out, n.ref(i))
+				continue
+			}
+			c, err := src.Load(n.ref(i).id)
+			if err != nil {
+				return err
+			}
+			if err := walk(c); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	err = walk(n)
+	return out, err
 }
 
 // diffLeafRuns prunes the common prefix and suffix of two leaf runs by

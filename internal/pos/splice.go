@@ -19,7 +19,7 @@ import (
 // or re-hashed, so the cost is O(clusters · height), not O(table).
 
 // cursor addresses one node of an old tree level by its path from the root:
-// frames[0] is a virtual frame holding only the root ref, frames[k] the index
+// frames[0] is a virtual frame over the root ref alone, frames[k] the index
 // node at depth k with the child slot the path takes.  A cursor of depth d
 // (= len(frames)) therefore addresses a node height-d levels above the
 // leaves.  The zero frames slice is the position past the level's last node.
@@ -33,7 +33,7 @@ func (c cursor) end() bool { return c.frames == nil }
 // ref returns the addressed node's ref in its parent.
 func (c cursor) ref() childRef {
 	f := c.frames[len(c.frames)-1]
-	return f.refs[f.idx]
+	return f.n.ref(f.idx)
 }
 
 func (c cursor) clone() cursor {
@@ -61,7 +61,7 @@ func (c cursor) isFirst() bool {
 
 func (c cursor) isLast() bool {
 	for _, f := range c.frames {
-		if f.idx != len(f.refs)-1 {
+		if f.idx != f.n.len()-1 {
 			return false
 		}
 	}
@@ -86,22 +86,22 @@ func (c cursor) equal(o cursor) bool {
 func (c cursor) sameParent(o cursor) bool { return c.samePath(o, len(c.frames)-1) }
 
 // descend pushes the frame of the index node c addresses, taking child slot
-// pick(refs).
-func (c *cursor) descend(pick func(refs []childRef) int) error {
+// pick(n).
+func (c *cursor) descend(pick func(n *node) int) error {
 	e := c.ed
 	n, err := e.load(c.ref())
 	if err != nil {
 		return err
 	}
-	if n.typ != e.indexType() || len(n.refs) == 0 || int(n.level) != e.height-len(c.frames) {
+	if n.typ != e.indexType() || int(n.level) != e.height-len(c.frames) {
 		return fmt.Errorf("pos: edit: unexpected %s (level %d, %d refs) at depth %d of a height-%d tree",
-			n.typ, n.level, len(n.refs), len(c.frames), e.height)
+			n.typ, n.level, n.len(), len(c.frames), e.height)
 	}
-	c.frames = append(c.frames, iterFrame{refs: n.refs, idx: pick(n.refs)})
+	c.frames = append(c.frames, iterFrame{n: n, idx: pick(n)})
 	return nil
 }
 
-func firstChild([]childRef) int { return 0 }
+func firstChild(*node) int { return 0 }
 
 // next moves to the following node of the same level, crossing into the
 // next parent (loading it) when the current one is exhausted.
@@ -109,7 +109,7 @@ func (c *cursor) next() error {
 	depth := len(c.frames)
 	k := depth - 1
 	for ; k >= 0; k-- {
-		if c.frames[k].idx++; c.frames[k].idx < len(c.frames[k].refs) {
+		if c.frames[k].idx++; c.frames[k].idx < c.frames[k].n.len() {
 			break
 		}
 	}
@@ -156,18 +156,25 @@ type levelEditor struct {
 	isMap    bool
 	root     childRef
 	rootNode *node
+	above    *node // the virtual node above the root: root is its one ref
 	height   int
 }
 
-func newLevelEditor(src nodeSource, cfg chunker.Config, sink *store.ChunkSink, isMap bool, root childRef) (*levelEditor, error) {
-	n, err := src.Load(root.id)
-	if err != nil {
-		return nil, fmt.Errorf("pos: edit: %w", err)
+// newLevelEditor starts an update of the tree rooted at root; rootNode is
+// its decoded root, or nil to load it.
+func newLevelEditor(src nodeSource, cfg chunker.Config, sink *store.ChunkSink, isMap bool, root childRef, rootNode *node) (*levelEditor, error) {
+	if rootNode == nil {
+		n, err := src.Load(root.id)
+		if err != nil {
+			return nil, fmt.Errorf("pos: edit: %w", err)
+		}
+		rootNode = n
 	}
-	e := &levelEditor{src: src, cfg: cfg, sink: sink, isMap: isMap, root: root, rootNode: n, height: int(n.level) + 1}
-	if !n.isLeaf() && n.typ != e.indexType() {
-		return nil, fmt.Errorf("pos: edit: unexpected root chunk type %s", n.typ)
+	e := &levelEditor{src: src, cfg: cfg, sink: sink, isMap: isMap, root: root, rootNode: rootNode, height: int(rootNode.level) + 1}
+	if !rootNode.isLeaf() && rootNode.typ != e.indexType() {
+		return nil, fmt.Errorf("pos: edit: unexpected root chunk type %s", rootNode.typ)
 	}
+	e.above = refNode(root, e.indexType())
 	return e, nil
 }
 
@@ -190,11 +197,11 @@ func (e *levelEditor) load(r childRef) (*node, error) {
 	return n, nil
 }
 
-// seek returns a cursor of the given depth whose path takes slot pick(refs)
-// at every index node; depth == height addresses a leaf without loading it.
-func (e *levelEditor) seek(depth int, pick func(refs []childRef) int) (cursor, error) {
+// seek returns a cursor of the given depth whose path takes slot pick(n) at
+// every index node n; depth == height addresses a leaf without loading it.
+func (e *levelEditor) seek(depth int, pick func(n *node) int) (cursor, error) {
 	c := cursor{ed: e, frames: make([]iterFrame, 1, depth)}
-	c.frames[0] = iterFrame{refs: []childRef{e.root}}
+	c.frames[0] = iterFrame{n: e.above}
 	for len(c.frames) < depth {
 		if err := c.descend(pick); err != nil {
 			return cursor{}, err
@@ -313,15 +320,15 @@ func (e *levelEditor) lift(lower []splice, level uint8) ([]splice, error) {
 // is raised to a root and the sink flushed.
 func splicePositions(src nodeSource, cfg chunker.Config, sink *store.ChunkSink, root childRef, at, del uint64,
 	atBoundary func() bool, feed func(leaf *node, a, b uint64, insert bool) error, finish func() ([]childRef, error)) (childRef, error) {
-	e, err := newLevelEditor(src, cfg, sink, false, root)
+	e, err := newLevelEditor(src, cfg, sink, false, root, nil)
 	if err != nil {
 		return childRef{}, err
 	}
 	rest := at
-	c, err := e.seek(e.height, func(refs []childRef) int {
+	c, err := e.seek(e.height, func(n *node) int {
 		j := 0
-		for ; j < len(refs)-1 && rest >= refs[j].count; j++ { // an append lands in the last leaf
-			rest -= refs[j].count
+		for ; j < n.len()-1 && rest >= n.count(j); j++ { // an append lands in the last leaf
+			rest -= n.count(j)
 		}
 		return j
 	})

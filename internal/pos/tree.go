@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"sort"
 
 	"forkbase/internal/chunk"
 	"forkbase/internal/chunker"
@@ -19,11 +18,14 @@ import (
 // count); all operations that "modify" the tree return a new Tree sharing
 // unchanged chunks with the old one.  All reads go through the tree's
 // nodeSource, so a store with an attached decoded-node cache serves hot
-// nodes without re-fetching or re-decoding them.
+// nodes without re-fetching or re-decoding them.  A handle from LoadTree
+// also keeps the root node it read for the count, and every read starts
+// from it.
 type Tree struct {
 	src   nodeSource
 	cfg   chunker.Config
 	root  hash.Hash
+	top   *node // the decoded root, when LoadTree read it
 	count uint64
 }
 
@@ -37,7 +39,7 @@ func NewEmptyTree(st store.Store, cfg chunker.Config) *Tree {
 }
 
 // LoadTree attaches to an existing tree by root hash.  A zero root is the
-// empty tree.  The root node is read to recover the entry count.
+// empty tree.  The root node is read to recover the entry count, and kept.
 func LoadTree(st store.Store, cfg chunker.Config, root hash.Hash) (*Tree, error) {
 	t := &Tree{src: sourceFor(st), cfg: cfg, root: root}
 	if root.IsZero() {
@@ -49,15 +51,24 @@ func LoadTree(st store.Store, cfg chunker.Config, root hash.Hash) (*Tree, error)
 	}
 	switch n.typ {
 	case chunk.TypeMapLeaf:
-		t.count = uint64(len(n.entries))
+		t.count = uint64(n.len())
 	case chunk.TypeMapIndex:
-		for _, r := range n.refs {
-			t.count += r.count
+		for i := 0; i < n.len(); i++ {
+			t.count += n.count(i)
 		}
 	default:
 		return nil, fmt.Errorf("pos: root %s is a %s, not a map node", root.Short(), n.typ)
 	}
+	t.top = n
 	return t, nil
+}
+
+// load returns the node id names, the kept root without a store read.
+func (t *Tree) load(id hash.Hash) (*node, error) {
+	if t.top != nil && id == t.root {
+		return t.top, nil
+	}
+	return t.src.Load(id)
 }
 
 // Root returns the root hash; zero for the empty tree.  Because of SIRI
@@ -84,37 +95,29 @@ func (t *Tree) Get(key []byte) ([]byte, error) {
 	if t.root.IsZero() {
 		return nil, ErrKeyNotFound
 	}
-	id := t.root
-	for {
-		n, err := t.src.Load(id)
-		if err != nil {
-			return nil, fmt.Errorf("pos: get: %w", err)
-		}
+	n, err := t.load(t.root)
+	for err == nil {
 		switch n.typ {
 		case chunk.TypeMapLeaf:
-			entries := n.entries
-			i := sort.Search(len(entries), func(i int) bool {
-				return bytes.Compare(entries[i].Key, key) >= 0
-			})
-			if i < len(entries) && bytes.Equal(entries[i].Key, key) {
-				return entries[i].Val, nil
+			if i := n.search(key); i < n.len() {
+				if e := n.entry(i); bytes.Equal(e.Key, key) {
+					return e.Val, nil
+				}
 			}
 			return nil, ErrKeyNotFound
 		case chunk.TypeMapIndex:
-			refs := n.refs
 			// Descend into the first child whose split key (greatest key in
 			// subtree) is >= key — the B+-tree routing rule from the paper.
-			i := sort.Search(len(refs), func(i int) bool {
-				return bytes.Compare(refs[i].splitKey, key) >= 0
-			})
-			if i == len(refs) {
+			i := n.search(key)
+			if i == n.len() {
 				return nil, ErrKeyNotFound
 			}
-			id = refs[i].id
+			n, err = t.src.Load(n.ref(i).id)
 		default:
 			return nil, fmt.Errorf("pos: unexpected chunk type %s in map tree", n.typ)
 		}
 	}
+	return nil, fmt.Errorf("pos: get: %w", err)
 }
 
 // Has reports whether key is present.
@@ -183,8 +186,8 @@ func (t *Tree) ComputeStats() (Stats, error) {
 			return nil
 		}
 		st.IndexNodes++
-		for _, r := range n.refs {
-			if err := walk(r.id, depth+1); err != nil {
+		for i := 0; i < n.len(); i++ {
+			if err := walk(n.ref(i).id, depth+1); err != nil {
 				return err
 			}
 		}
@@ -215,10 +218,14 @@ func chunkIDs(src nodeSource, root hash.Hash) ([]hash.Hash, error) {
 		if err != nil {
 			return err
 		}
-		for _, r := range n.refs { // leaves carry no refs
-			out = append(out, r.id)
+		if n.isLeaf() {
+			return nil
+		}
+		for i := 0; i < n.len(); i++ {
+			id := n.ref(i).id
+			out = append(out, id)
 			if n.level > 1 {
-				if err := walk(r.id); err != nil {
+				if err := walk(id); err != nil {
 					return err
 				}
 			}
