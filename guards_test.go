@@ -38,6 +38,14 @@ func TestSourceGuards(t *testing.T) {
 		paths:   []string{"internal"},
 		want:    1,
 	}, {
+		// A publish pulls every head it sets in one post-order walk; a
+		// per-head pull would bring back one fetch round per level per head
+		// and the landing order that left holes under mixed-depth paths.
+		name:    "one walk per publish",
+		pattern: `\bsyncRoot\(`,
+		paths:   []string{"internal"},
+		want:    0,
+	}, {
 		// A sink hashes on its producer's goroutine, and every build, edit,
 		// diff and merge runs on its caller's: a server uses more cores by
 		// serving more requests, never by a pool below one, and nothing in

@@ -141,11 +141,11 @@ func (db *DB) mark() (map[hash.Hash]bool, error) {
 		}
 		return chunks, nil
 	}
-	if err := fnode.Walk(heads, live, fetch); err != nil {
+	if err := fnode.Walk(heads, live, fetch, nil); err != nil {
 		return nil, err
 	}
 	pinned = true
-	if err := fnode.Walk(db.feed.PinnedHeads(), live, fetch); err != nil {
+	if err := fnode.Walk(db.feed.PinnedHeads(), live, fetch, nil); err != nil {
 		return nil, err
 	}
 	return live, nil

@@ -78,8 +78,7 @@ func (db *DB) healInner(src ChunkSource) (HealStats, error) {
 
 	err = fnode.Walk(heads, map[hash.Hash]bool{}, func(ids []hash.Hash) ([]*chunk.Chunk, error) {
 		out := make([]*chunk.Chunk, len(ids))
-		var damaged []hash.Hash
-		var slot []int // damaged[j] is ids[slot[j]]
+		have := make([]bool, len(ids))
 		for i, id := range ids {
 			hs.Checked++
 			// Heal's contract is to re-verify what is actually on disk, so
@@ -89,8 +88,7 @@ func (db *DB) healInner(src ChunkSource) (HealStats, error) {
 			c, err := db.st.Get(id)
 			switch {
 			case err == nil:
-				out[i] = c
-				continue
+				out[i], have[i] = c, true
 			case errors.Is(err, store.ErrNotFound):
 				hs.Missing++
 			case errors.Is(err, chunk.ErrCorrupt):
@@ -98,20 +96,17 @@ func (db *DB) healInner(src ChunkSource) (HealStats, error) {
 			default:
 				return nil, fmt.Errorf("core: heal read %s: %w", id.Short(), err)
 			}
-			damaged, slot = append(damaged, id), append(slot, i)
 		}
-		if len(damaged) == 0 {
-			return out, nil
-		}
-		got, err := src.GetChunks(damaged)
+		out, err := fnode.FetchMissing(ids, have, out, src.GetChunks)
 		if err != nil {
 			return nil, fmt.Errorf("core: heal fetch: %w", err)
 		}
-		if len(got) != len(damaged) {
-			return nil, fmt.Errorf("core: heal fetch: source returned %d chunks for %d ids", len(got), len(damaged))
-		}
-		for j, c := range got {
-			want := damaged[j]
+		for i, c := range out {
+			if have[i] {
+				continue
+			}
+			want := ids[i]
+			out[i] = nil // an id left unrepaired prunes the walk
 			// The source is untrusted: rehash the bytes, and pin them to
 			// the id *requested* — a self-consistent chunk under the
 			// wrong id must not land either.
@@ -142,10 +137,10 @@ func (db *DB) healInner(src ChunkSource) (HealStats, error) {
 			hs.Repaired++
 			hs.BytesFetched += int64(c.Size())
 			// The repaired chunk's children rejoin the walk.
-			out[slot[j]] = c
+			out[i] = c
 		}
 		return out, nil
-	})
+	}, nil)
 	if err != nil {
 		return hs, err
 	}

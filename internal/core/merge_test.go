@@ -164,7 +164,7 @@ func TestMergeRejectsSeqDisorder(t *testing.T) {
 
 // TestVerifyDeepChecksSeqOrder: a deep verify reports a version whose Seq
 // is not above its base's as one failure, whichever end of the edge the
-// level-order walk reaches first; a shallow verify does not look.
+// walk reaches first; a shallow verify does not look.
 func TestVerifyDeepChecksSeqOrder(t *testing.T) {
 	db := newTestDB()
 	v1, err := db.Put("k", "", value.String("one"), nil)

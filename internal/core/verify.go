@@ -105,7 +105,7 @@ func (db *DB) VerifyVersion(key string, uid hash.Hash, deep bool) (VerifyReport,
 			out[i] = c
 		}
 		return out, nil
-	})
+	}, nil)
 	if err != nil {
 		// A chunk that hashes to its id but does not decode as its type was
 		// written malformed; the walk cannot continue past it.

@@ -2,6 +2,7 @@ package fnode
 
 import (
 	"fmt"
+	"slices"
 
 	"forkbase/internal/chunk"
 	"forkbase/internal/hash"
@@ -43,48 +44,165 @@ func Refs(c *chunk.Chunk) ([]hash.Hash, error) {
 	return refs, nil
 }
 
-// Walk visits the graph under roots level by level.  Ids already in seen are
-// skipped and every id handed to fetch is added to it first, so after a
-// complete walk seen holds roots' closure; a caller that shares one seen
-// across calls visits shared subgraphs once.  fetch receives at most
-// WalkBatch ids and returns one slot per id: a chunk, whose Refs form the
-// next level, or nil, which prunes the walk below that id.  Walk keeps ids,
-// never chunks, past the call that returned them.
-func Walk(roots []hash.Hash, seen map[hash.Hash]bool, fetch func(ids []hash.Hash) ([]*chunk.Chunk, error)) error {
-	var next []hash.Hash
-	enqueue := func(ids []hash.Hash) {
-		for _, id := range ids {
-			if !id.IsZero() && !seen[id] {
-				seen[id] = true
-				next = append(next, id)
+// Walk visits the graph under roots depth-first and post-order: done (nil
+// for none) gets a chunk once everything it points at is done, so children
+// come strictly before parents on every path.  The ids to fetch form one
+// stack; fetch gets the top WalkBatch of them, whatever their depth, and
+// returns one slot per id: a chunk, whose refs go on top, or nil, which
+// prunes the walk there.  So fetch rounds follow the graph's depth, a walk
+// holds about depth × WalkBatch chunks (none past its batch without done),
+// not the closure, and Refs runs once per chunk.  An id handed to fetch is
+// added to seen, which callers may share across walks, and not fetched
+// again; with done, it is false there while in flight and true once done.
+func Walk(roots []hash.Hash, seen map[hash.Hash]bool, fetch func(ids []hash.Hash) ([]*chunk.Chunk, error), done func(*chunk.Chunk) error) error {
+	w := walker{seen: seen, done: done}
+	w.push(-1, roots)
+	for len(w.ids) > 0 {
+		at := max(0, len(w.ids)-WalkBatch)
+		ids, parents := slices.Clone(w.ids[at:]), slices.Clone(w.parents[at:])
+		w.ids, w.parents = w.ids[:at], w.parents[:at]
+		chunks, err := fetch(ids)
+		if err == nil && len(chunks) != len(ids) {
+			err = fmt.Errorf("fnode: walk fetched %d chunks for %d ids", len(chunks), len(ids))
+		}
+		for i := 0; err == nil && i < len(ids); i++ {
+			if chunks[i] == nil {
+				if w.done != nil {
+					seen[ids[i]] = true
+					err = w.settle(parents[i], 1)
+				}
+			} else {
+				err = w.expand(chunks[i], parents[i])
 			}
+		}
+		for held := -1; err == nil && held != w.held; { // settle parked slots until a pass frees none
+			held = w.held
+			parked := w.blocked
+			w.blocked = nil
+			for _, s := range parked {
+				if err == nil {
+					err = w.settle(s, 0)
+				}
+			}
+		}
+		if err != nil {
+			return err
 		}
 	}
-	enqueue(roots)
-	for len(next) > 0 {
-		level := next
-		next = nil
-		for len(level) > 0 {
-			batch := level[:min(len(level), WalkBatch)]
-			level = level[len(batch):]
-			chunks, err := fetch(batch)
-			if err != nil {
-				return err
-			}
-			if len(chunks) != len(batch) {
-				return fmt.Errorf("fnode: walk fetched %d chunks for %d ids", len(chunks), len(batch))
-			}
-			for _, c := range chunks {
-				if c == nil {
-					continue
-				}
-				refs, err := Refs(c)
-				if err != nil {
-					return err
-				}
-				enqueue(refs)
-			}
-		}
+	if w.held > 0 {
+		return fmt.Errorf("fnode: walk ended with %d chunks waiting on each other", w.held)
 	}
 	return nil
+}
+
+// walker is Walk's state besides seen: the stack (ids, each with the slot
+// of the chunk that pushed it), a slot per chunk fetched but not done, and
+// the slots whose only refs left are in flight elsewhere.
+type walker struct {
+	seen          map[hash.Hash]bool
+	done          func(*chunk.Chunk) error
+	ids           []hash.Hash
+	parents       []int32
+	slots         []slot
+	free, blocked []int32
+	held          int
+}
+
+// slot is a fetched chunk: pending counts the refs it pushed that are not
+// done, and waits lists those it found in flight, polled in seen.
+type slot struct {
+	c       *chunk.Chunk
+	parent  int32
+	pending int32
+	waits   []hash.Hash
+}
+
+// push puts the ids not yet seen on the stack for slot parent and returns
+// how many; of the others, those still in flight are added to its waits.
+func (w *walker) push(parent int32, ids []hash.Hash) (n int32) {
+	for _, id := range ids {
+		switch d, ok := w.seen[id]; {
+		case id.IsZero() || d:
+		case !ok:
+			w.seen[id] = w.done == nil // without done nothing waits on it
+			w.ids, w.parents = append(w.ids, id), append(w.parents, parent)
+			n++
+		case parent >= 0:
+			w.slots[parent].waits = append(w.slots[parent].waits, id)
+		}
+	}
+	return n
+}
+
+// expand gives c a slot and pushes its refs; without done it only pushes
+// them, as no one waits for c to be done.
+func (w *walker) expand(c *chunk.Chunk, parent int32) error {
+	refs, err := Refs(c)
+	if err != nil || w.done == nil {
+		w.push(-1, refs)
+		return err
+	}
+	s := int32(len(w.slots))
+	if n := len(w.free); n > 0 {
+		s, w.free = w.free[n-1], w.free[:n-1]
+	} else {
+		w.slots = append(w.slots, slot{})
+	}
+	w.slots[s], w.held = slot{c: c, parent: parent}, w.held+1
+	w.slots[s].pending = w.push(s, refs)
+	return w.settle(s, 0)
+}
+
+// settle takes release refs off slot s's pending count, and if nothing it
+// points at is in flight any more hands its chunk to done and settles its
+// parent; a slot left waiting only on ids in flight elsewhere is parked.
+func (w *walker) settle(s int32, release int32) error {
+	for ; s >= 0; s, release = w.slots[s].parent, 1 {
+		sl := &w.slots[s]
+		if sl.pending -= release; sl.pending > 0 {
+			return nil
+		}
+		for len(sl.waits) > 0 && w.seen[sl.waits[len(sl.waits)-1]] {
+			sl.waits = sl.waits[:len(sl.waits)-1]
+		}
+		if len(sl.waits) > 0 {
+			w.blocked = append(w.blocked, s)
+			return nil
+		}
+		w.seen[sl.c.ID()] = true
+		if err := w.done(sl.c); err != nil {
+			return err
+		}
+		sl.c = nil
+		w.free, w.held = append(w.free, s), w.held-1
+	}
+	return nil
+}
+
+// FetchMissing completes a fetch step that answered ids locally where it
+// could — out holds one slot per id and have marks the ids answered — by
+// asking remote for the rest in one call.  Heal and replica sync share it.
+func FetchMissing(ids []hash.Hash, have []bool, out []*chunk.Chunk, remote func(missing []hash.Hash) ([]*chunk.Chunk, error)) ([]*chunk.Chunk, error) {
+	var missing []hash.Hash
+	for i, id := range ids {
+		if !have[i] {
+			missing = append(missing, id)
+		}
+	}
+	if len(missing) == 0 {
+		return out, nil
+	}
+	got, err := remote(missing)
+	if err == nil && len(got) != len(missing) {
+		err = fmt.Errorf("fnode: source returned %d chunks for %d ids", len(got), len(missing))
+	}
+	if err != nil {
+		return nil, err
+	}
+	for i := range out {
+		if !have[i] {
+			out[i], got = got[0], got[1:]
+		}
+	}
+	return out, nil
 }

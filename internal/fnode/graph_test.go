@@ -209,7 +209,7 @@ func TestWalk(t *testing.T) {
 	}
 	seen := map[hash.Hash]bool{}
 	// Zero and repeated roots are dropped.
-	if err := Walk([]hash.Hash{root, {}, root}, seen, fetch); err != nil {
+	if err := Walk([]hash.Hash{root, {}, root}, seen, fetch, nil); err != nil {
 		t.Fatal(err)
 	}
 	if want := []int{1, WalkBatch, WalkBatch, 1500 - 2*WalkBatch}; fmt.Sprint(calls) != fmt.Sprint(want) {
@@ -226,7 +226,7 @@ func TestWalk(t *testing.T) {
 
 	// A shared seen set makes a second walk a no-op.
 	calls = nil
-	if err := Walk([]hash.Hash{root}, seen, fetch); err != nil || len(calls) != 0 {
+	if err := Walk([]hash.Hash{root}, seen, fetch, nil); err != nil || len(calls) != 0 {
 		t.Fatalf("second walk over the same seen set: %v, fetches %v", err, calls)
 	}
 
@@ -235,18 +235,18 @@ func TestWalk(t *testing.T) {
 	err = Walk([]hash.Hash{root}, map[hash.Hash]bool{}, func(ids []hash.Hash) ([]*chunk.Chunk, error) {
 		calls = append(calls, len(ids))
 		return make([]*chunk.Chunk, len(ids)), nil
-	})
+	}, nil)
 	if err != nil || fmt.Sprint(calls) != "[1]" {
 		t.Fatalf("pruned walk: %v, fetches %v", err, calls)
 	}
 
 	// A fetch that answers for the wrong number of ids, or a chunk that
 	// does not decode, ends the walk with an error.
-	if err := Walk([]hash.Hash{root}, map[hash.Hash]bool{}, func([]hash.Hash) ([]*chunk.Chunk, error) { return nil, nil }); err == nil {
+	if err := Walk([]hash.Hash{root}, map[hash.Hash]bool{}, func([]hash.Hash) ([]*chunk.Chunk, error) { return nil, nil }, nil); err == nil {
 		t.Fatal("short fetch accepted")
 	}
 	bad := chunk.New(chunk.TypeFNode, []byte{0xFF})
-	if err := Walk([]hash.Hash{bad.ID()}, map[hash.Hash]bool{}, func([]hash.Hash) ([]*chunk.Chunk, error) { return []*chunk.Chunk{bad}, nil }); err == nil {
+	if err := Walk([]hash.Hash{bad.ID()}, map[hash.Hash]bool{}, func([]hash.Hash) ([]*chunk.Chunk, error) { return []*chunk.Chunk{bad}, nil }, nil); err == nil {
 		t.Fatal("undecodable chunk accepted")
 	}
 }

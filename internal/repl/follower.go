@@ -436,31 +436,18 @@ func (f *Follower) tailOnce(cursor core.FeedCursor) (core.FeedCursor, bool, erro
 	return next, false, nil
 }
 
-// publish pulls the graph of every head ops set — pinned on the source
-// for the walk, so a primary-side collection cannot sweep it — then makes
-// all of ops local heads with one Apply: a replica shows a feed page, or a
+// publish pulls the graph of every head ops sets in one walk, then makes all
+// of ops local heads with one Apply: a replica shows a feed page, or a
 // snapshot, whole or not at all — never part of a primary's batch.
 func (f *Follower) publish(ops []core.HeadOp) error {
-	var sets, deletes uint64
+	var roots []hash.Hash
 	for _, op := range ops {
-		select {
-		case <-f.stop:
-			return errors.New("repl: follower closed mid-batch")
-		default:
+		if !op.Set.IsZero() {
+			roots = append(roots, op.Set)
 		}
-		if op.Set.IsZero() {
-			deletes++
-			continue
-		}
-		if err := f.src.Pin(op.Set); err != nil {
-			return err
-		}
-		err := f.sync.syncRoot(op.Set)
-		_ = f.src.Unpin(op.Set)
-		if err != nil {
-			return err
-		}
-		sets++
+	}
+	if err := f.sync.pull(roots); err != nil {
+		return err
 	}
 	ok, err := f.heads.Apply(ops)
 	if err == nil && !ok {
@@ -469,6 +456,9 @@ func (f *Follower) publish(ops []core.HeadOp) error {
 	if err != nil {
 		return err
 	}
-	f.bump(func(s *Stats) { s.HeadsApplied += sets; s.BranchesDeleted += deletes })
+	f.bump(func(s *Stats) {
+		s.HeadsApplied += uint64(len(roots))
+		s.BranchesDeleted += uint64(len(ops) - len(roots))
+	})
 	return nil
 }

@@ -7,8 +7,8 @@
 // shipping problem: to mirror a head, a replica walks the head's chunk graph
 // top-down, asks its *local* store which subtree roots it already has
 // (anything shared with a previous version, a sibling branch, or any other
-// object is pruned wholesale), and fetches only the missing chunks, batched
-// level-by-level over the new read RPCs.  A 1% edit to a 100k-entry map
+// object is pruned wholesale), and fetches only the missing chunks, in
+// batches shared by every head of a publish.  A 1% edit to a 100k-entry map
 // ships kilobytes — the O(D log N) deltas of the paper's diffs, applied to
 // transfer.
 //
@@ -32,7 +32,7 @@ import (
 
 // Source is the replica's view of a primary: a sequenced change feed, a
 // branch-head snapshot, batched chunk reads, and GC pins bracketing each
-// head pull.  Two implementations ship: LocalSource (in-process, for
+// publish's pull.  Two implementations ship: LocalSource (in-process, for
 // embedded replicas and tests) and RemoteSource (over the TCP
 // protocol's OpFeedSince/OpGetChunks/OpPinHead).
 type Source interface {
@@ -49,8 +49,9 @@ type Source interface {
 	// GetChunks fetches chunks by id; out[i] is nil when ids[i] is absent.
 	// Returned chunks are verified against the requested ids before use.
 	GetChunks(ids []hash.Hash) ([]*chunk.Chunk, error)
-	// Pin and Unpin bracket a head pull: a pinned head survives primary-side
-	// garbage collection (lease-bounded) until released.
+	// Pin and Unpin bracket a pull, one call per head: a pinned head
+	// survives primary-side garbage collection (lease-bounded) until
+	// released.
 	Pin(root hash.Hash) error
 	Unpin(root hash.Hash) error
 }
@@ -72,7 +73,9 @@ type Stats struct {
 	ChunksFetched uint64
 	BytesFetched  uint64
 	// ChunksSkipped counts frontier nodes pruned because the local store
-	// already held them — the Merkle-delta savings.
+	// already held them — the Merkle-delta savings.  It counts local
+	// HasBatch hits only: a chunk a pull reaches twice is deduplicated by
+	// the walk before that check.
 	ChunksSkipped uint64
 	// Errors counts failed rounds (each is retried with backoff).
 	Errors uint64

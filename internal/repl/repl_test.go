@@ -404,7 +404,7 @@ func TestFeedTruncationForcesSnapshot(t *testing.T) {
 	}
 }
 
-func TestSyncRootResumesFromTornState(t *testing.T) {
+func TestPullResumesFromTornState(t *testing.T) {
 	// Children land before parents, so the only torn state a died sync can
 	// leave is "descendants present, ancestors missing".  Re-running from
 	// that state must fetch exactly the missing ancestors and converge —
@@ -421,7 +421,7 @@ func TestSyncRootResumesFromTornState(t *testing.T) {
 	pull := func() uint64 {
 		t.Helper()
 		before := s.chunksFetched.Load()
-		if err := s.syncRoot(head); err != nil {
+		if err := s.pull([]hash.Hash{head}); err != nil {
 			t.Fatal(err)
 		}
 		return s.chunksFetched.Load() - before

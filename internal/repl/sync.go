@@ -4,8 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"sync/atomic"
+	"time"
 
 	"forkbase/internal/chunk"
+	"forkbase/internal/core"
 	"forkbase/internal/fnode"
 	"forkbase/internal/hash"
 	"forkbase/internal/retry"
@@ -19,9 +21,15 @@ import (
 // where a newer entry for the branch supersedes the vanished head.
 var ErrChunkVanished = errors.New("repl: chunk vanished from source mid-sync")
 
+// errClosed ends a pull that Close interrupted.
+var errClosed = errors.New("repl: follower closed mid-sync")
+
+// repinAfter is how long a pull runs before it refreshes its roots' pins.
+var repinAfter = core.DefaultPinLease / 2
+
 // syncer pulls Merkle graphs from a Source into a local store.  It is the
-// mechanism under both catch-up modes: snapshot (walk every head) and
-// incremental (walk one new head, pruning everything shared).
+// mechanism under both catch-up modes: snapshot (every head) and
+// incremental (the heads of one feed page, pruning everything shared).
 type syncer struct {
 	src   Source
 	local store.Store // replica store (verifying wrapper: claimed chunks recheck on Put)
@@ -29,7 +37,7 @@ type syncer struct {
 	// retry wraps each remote fetch batch, making the walk resumable at
 	// batch granularity: a transient source failure re-fetches one batch
 	// instead of abandoning (and later restarting) the whole graph walk.
-	// stop aborts in-flight backoffs on follower shutdown.
+	// stop aborts in-flight backoffs and the walk on follower shutdown.
 	retry retry.Policy
 	stop  <-chan struct{}
 
@@ -59,67 +67,81 @@ func (s *syncer) fetch(ids []hash.Hash) ([]*chunk.Chunk, error) {
 		out = part
 		return nil
 	})
+	var bytes uint64
+	for _, c := range out {
+		bytes += uint64(c.Size())
+	}
+	s.chunksFetched.Add(uint64(len(out)))
+	s.bytesFetched.Add(bytes)
 	return out, err
 }
 
-// syncRoot makes every chunk reachable from root present in the local
-// store, fetching only what is missing.
-//
-// The walk (fnode.Walk) is top-down and level-batched: each batch of ids is
-// first pruned against the local store with one HasBatch (a present chunk
-// implies its whole subtree is present — the Merkle prune invariant), then
-// the missing chunks are fetched with one GetChunks and their children join
-// the next level.  Chunks land in reverse fetch order (children before
-// parents), which is what *maintains* the prune invariant across crashes: a
-// torn sync can leave orphaned subtrees (harmless; unreferenced) but never a
-// parent whose descendants are absent.
-//
-// Memory holds the missing byte volume of one root until the landing pass —
-// small for incremental syncs (the delta), but a cold snapshot of a huge
-// object buffers that object's full graph.  Streaming this (e.g. a batched
-// post-order walk landing subtrees as they complete) is future work; the
-// buffering is the price of the child-first landing order that keeps
-// pruning safe across torn syncs.
-func (s *syncer) syncRoot(root hash.Hash) error {
-	var fetched [][]*chunk.Chunk
-	err := fnode.Walk([]hash.Hash{root}, map[hash.Hash]bool{}, func(ids []hash.Hash) ([]*chunk.Chunk, error) {
+// pull makes every chunk reachable from roots present in the local store,
+// fetching only what is missing, in one fnode.Walk over all of them.  Each
+// batch is pruned against the local store with one HasBatch (a present chunk
+// implies its whole subgraph is present — the Merkle prune invariant), the
+// rest is fetched with one GetChunks, and chunks land in the order the walk
+// finishes them, one PutBatch a batch: children strictly before parents, so
+// a torn pull leaves orphans (harmless) but never a chunk whose descendants
+// are absent.  The roots stay pinned on the source for the whole walk, the
+// pins refreshed every repinAfter.
+func (s *syncer) pull(roots []hash.Hash) error {
+	var pinned []hash.Hash
+	defer func() {
+		for _, r := range pinned {
+			_ = s.src.Unpin(r)
+		}
+	}()
+	for _, r := range roots {
+		if err := s.src.Pin(r); err != nil {
+			return err
+		}
+		pinned = append(pinned, r)
+	}
+	leased := time.Now()
+	var run []*chunk.Chunk // finished by the walk, not landed yet
+	land := func() (err error) {
+		if len(run) > 0 {
+			_, err = s.local.PutBatch(run)
+			run = nil
+		}
+		return err
+	}
+	err := fnode.Walk(roots, map[hash.Hash]bool{}, func(ids []hash.Hash) ([]*chunk.Chunk, error) {
+		select {
+		case <-s.stop:
+			return nil, errClosed
+		default:
+		}
+		if time.Since(leased) > repinAfter {
+			leased = time.Now()
+			for _, r := range pinned { // the count stays, the deadline moves
+				if s.src.Pin(r) == nil {
+					_ = s.src.Unpin(r)
+				}
+			}
+		}
+		// Land what the last batch finished before fetching the next: the
+		// walk decodes a batch's refs while its bytes are still in cache.
+		if err := land(); err != nil {
+			return nil, err
+		}
 		present, err := s.local.HasBatch(ids)
 		if err != nil {
 			return nil, err
 		}
-		out := make([]*chunk.Chunk, len(ids))
-		var missing []hash.Hash
-		var slot []int // missing[j] is ids[slot[j]]
-		for i, id := range ids {
-			if present[i] {
+		for _, p := range present {
+			if p {
 				s.chunksSkipped.Add(1)
-			} else {
-				missing, slot = append(missing, id), append(slot, i)
 			}
 		}
-		if len(missing) == 0 {
-			return out, nil
-		}
-		part, err := s.fetch(missing)
-		if err != nil {
-			return nil, err
-		}
-		fetched = append(fetched, part)
-		for j, c := range part {
-			out[slot[j]] = c
-			s.chunksFetched.Add(1)
-			s.bytesFetched.Add(uint64(c.Size()))
-		}
-		return out, nil
+		return fnode.FetchMissing(ids, present, make([]*chunk.Chunk, len(ids)), s.fetch)
+	}, func(c *chunk.Chunk) error {
+		run = append(run, c)
+		return nil
 	})
-	if err != nil {
-		return err
+	if err == nil {
+		err = land()
 	}
-	// Land children before parents.
-	for i := len(fetched) - 1; i >= 0; i-- {
-		if _, err := s.local.PutBatch(fetched[i]); err != nil {
-			return err
-		}
-	}
-	return nil
+	return err
 }

@@ -1,6 +1,7 @@
 package repl
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -13,6 +14,7 @@ import (
 	"forkbase/internal/index"
 	"forkbase/internal/mpt"
 	"forkbase/internal/pos"
+	"forkbase/internal/retry"
 	"forkbase/internal/store"
 	"forkbase/internal/value"
 )
@@ -186,6 +188,66 @@ func TestWalkersAgree(t *testing.T) {
 		})
 	}
 
+	t.Run("torn landing under a chunk at two depths", func(t *testing.T) {
+		db := core.Open(core.Options{Chunking: chunker.SmallConfig()})
+		c := walkerCases[0]
+		put := func(branch string, gen int) core.Version {
+			t.Helper()
+			v, err := db.BuildAndPut("obj", branch, map[string]string{"on": branch}, func() (value.Value, error) { return c.mk(db, gen) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			return v
+		}
+		// The merge's bases are one commit above the root on master's side
+		// and two on dev's, so the root version — and every subtree its
+		// value shares with the newer ones — sits at two depths.
+		v0 := put("master", 0)
+		if err := db.Branch("obj", "dev", "master"); err != nil {
+			t.Fatal(err)
+		}
+		m1 := put("master", 1)
+		d1 := put("dev", 1)
+		d2 := put("dev", 2)
+		m, err := db.Merge("obj", "master", "dev", nil, nil)
+		if err != nil || len(m.Version.Bases) != 2 {
+			t.Fatalf("merge: %+v %v", m, err)
+		}
+		// A sibling head above each version the merge reaches, whose own
+		// value is a primitive: below it, the sibling reaches only what the
+		// merge does.
+		var sibs []hash.Hash
+		for i, base := range []core.Version{v0, m1, d1, d2} {
+			branch := fmt.Sprintf("sib%d", i)
+			if err := db.BranchFromVersion("obj", branch, base.UID); err != nil {
+				t.Fatal(err)
+			}
+			sib, err := db.Put("obj", branch, value.String(branch), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sibs = append(sibs, sib.UID)
+		}
+		total := len(closure(t, db, m.Version.UID))
+		for landed := 0; landed < total; landed++ {
+			for _, sib := range sibs {
+				raw := store.NewMemStore()
+				s := &syncer{src: NewLocalSource(db), local: &tornStore{Store: raw, budget: landed}, retry: retry.Policy{Attempts: -1}}
+				if err := s.pull([]hash.Hash{m.Version.UID}); err == nil {
+					t.Fatalf("a pull of %d chunks landed with room for %d", total, landed)
+				}
+				s.local = raw
+				if err := s.pull([]hash.Hash{sib}); err != nil {
+					t.Fatal(err)
+				}
+				replica := core.Open(core.Options{Store: raw, Chunking: chunker.SmallConfig()})
+				if rep, err := replica.VerifyVersion("obj", sib, true); err != nil {
+					t.Fatalf("torn after %d of %d landings, then a sibling pulled: %v (first: %v)", landed, total, err, rep.Failures[0].Err)
+				}
+			}
+		}
+	})
+
 	t.Run("pin over a missing chunk prunes", func(t *testing.T) {
 		mem := store.NewMemStore()
 		db := core.Open(core.Options{Store: mem, Chunking: chunker.SmallConfig()})
@@ -257,4 +319,27 @@ func TestWalkersAgree(t *testing.T) {
 			t.Fatalf("checked %d chunks in %d reads; %d are reachable without entering the corrupt node", rep.ChunksChecked, reads, len(pruned))
 		}
 	})
+}
+
+// tornStore lands chunks one at a time until its budget runs out, then fails
+// every put: the state a crash between two landings leaves.
+type tornStore struct {
+	store.Store
+	budget int
+}
+
+func (s *tornStore) PutBatch(cs []*chunk.Chunk) ([]bool, error) {
+	fresh := make([]bool, len(cs))
+	for i, c := range cs {
+		if s.budget == 0 {
+			return fresh, errors.New("torn landing")
+		}
+		s.budget--
+		ok, err := s.Store.Put(c)
+		if err != nil {
+			return fresh, err
+		}
+		fresh[i] = ok
+	}
+	return fresh, nil
 }
