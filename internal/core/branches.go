@@ -40,6 +40,31 @@ type BranchTable interface {
 	Keys() ([]string, error)
 }
 
+// ListHeads lists every head in bt: key → branch → uid.  A key whose last
+// branch is deleted between the key listing and its branch lookup has no
+// heads left and is skipped — every engine write holds the fence GC holds,
+// but the TCP server and the replication follower move heads without the
+// engine.  Any other error fails the listing: a partial one would read as
+// branches gone.
+func ListHeads(bt BranchTable) (map[string]map[string]hash.Hash, error) {
+	keys, err := bt.Keys()
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[string]map[string]hash.Hash, len(keys))
+	for _, key := range keys {
+		branches, err := bt.Branches(key)
+		if errors.Is(err, ErrKeyNotFound) {
+			continue
+		}
+		if err != nil {
+			return nil, err
+		}
+		out[key] = branches
+	}
+	return out, nil
+}
+
 // HeadOp is one head movement of an Apply.
 type HeadOp struct {
 	Key, Branch string

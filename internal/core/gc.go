@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -152,27 +151,14 @@ func (db *DB) mark() (map[hash.Hash]bool, error) {
 }
 
 // branchHeads returns the head of every branch of every key: the roots of
-// everything the store must keep.  A key whose last branch is deleted
-// between the key listing and its branch lookup has no heads left and is
-// skipped: every engine write holds the fence GC holds, but the TCP server
-// and the replication follower move heads without the engine at all.
+// everything the store must keep.
 func (db *DB) branchHeads() ([]hash.Hash, error) {
-	keys, err := db.heads.Keys()
-	if err != nil {
-		return nil, err
-	}
+	all, err := ListHeads(db.heads)
 	var heads []hash.Hash
-	for _, key := range keys {
-		branches, err := db.heads.Branches(key)
-		if errors.Is(err, ErrKeyNotFound) {
-			continue
-		}
-		if err != nil {
-			return nil, err
-		}
+	for _, branches := range all {
 		for _, head := range branches {
 			heads = append(heads, head)
 		}
 	}
-	return heads, nil
+	return heads, err
 }

@@ -66,23 +66,11 @@ func Walk(roots []hash.Hash, seen map[hash.Hash]bool, fetch func(ids []hash.Hash
 			err = fmt.Errorf("fnode: walk fetched %d chunks for %d ids", len(chunks), len(ids))
 		}
 		for i := 0; err == nil && i < len(ids); i++ {
-			if chunks[i] == nil {
-				if w.done != nil {
-					seen[ids[i]] = true
-					err = w.settle(parents[i], 1)
-				}
-			} else {
+			if chunks[i] != nil {
 				err = w.expand(chunks[i], parents[i])
-			}
-		}
-		for held := -1; err == nil && held != w.held; { // settle parked slots until a pass frees none
-			held = w.held
-			parked := w.blocked
-			w.blocked = nil
-			for _, s := range parked {
-				if err == nil {
-					err = w.settle(s, 0)
-				}
+			} else if w.done != nil {
+				w.finish(ids[i], parents[i])
+				err = w.release()
 			}
 		}
 		if err != nil {
@@ -96,40 +84,45 @@ func Walk(roots []hash.Hash, seen map[hash.Hash]bool, fetch func(ids []hash.Hash
 }
 
 // walker is Walk's state besides seen: the stack (ids, each with the slot
-// of the chunk that pushed it), a slot per chunk fetched but not done, and
-// the slots whose only refs left are in flight elsewhere.
+// of the chunk that pushed it), a slot per chunk fetched but not done, the
+// slots waiting on each id in flight that another slot pushed (allocated
+// when the first is found), and the slots with a ref just done.
 type walker struct {
-	seen          map[hash.Hash]bool
-	done          func(*chunk.Chunk) error
-	ids           []hash.Hash
-	parents       []int32
-	slots         []slot
-	free, blocked []int32
-	held          int
+	seen        map[hash.Hash]bool
+	done        func(*chunk.Chunk) error
+	ids         []hash.Hash
+	parents     []int32
+	slots       []slot
+	free, ready []int32
+	waiting     map[hash.Hash][]int32
+	held        int
 }
 
-// slot is a fetched chunk: pending counts the refs it pushed that are not
-// done, and waits lists those it found in flight, polled in seen.
+// slot is a fetched chunk: pending counts its refs not done yet.
 type slot struct {
 	c       *chunk.Chunk
 	parent  int32
 	pending int32
-	waits   []hash.Hash
 }
 
-// push puts the ids not yet seen on the stack for slot parent and returns
-// how many; of the others, those still in flight are added to its waits.
+// push puts the ids not yet seen on the stack for slot parent, records it
+// as waiting on those in flight, and returns how many refs it now awaits.
 func (w *walker) push(parent int32, ids []hash.Hash) (n int32) {
 	for _, id := range ids {
 		switch d, ok := w.seen[id]; {
 		case id.IsZero() || d:
+			continue
 		case !ok:
 			w.seen[id] = w.done == nil // without done nothing waits on it
 			w.ids, w.parents = append(w.ids, id), append(w.parents, parent)
-			n++
-		case parent >= 0:
-			w.slots[parent].waits = append(w.slots[parent].waits, id)
+		case parent < 0:
+			continue
+		case w.waiting == nil:
+			w.waiting = map[hash.Hash][]int32{id: {parent}}
+		default:
+			w.waiting[id] = append(w.waiting[id], parent)
 		}
+		n++
 	}
 	return n
 }
@@ -149,30 +142,39 @@ func (w *walker) expand(c *chunk.Chunk, parent int32) error {
 		w.slots = append(w.slots, slot{})
 	}
 	w.slots[s], w.held = slot{c: c, parent: parent}, w.held+1
-	w.slots[s].pending = w.push(s, refs)
-	return w.settle(s, 0)
+	w.slots[s].pending = w.push(s, refs) + 1 // one for itself, released now
+	w.ready = append(w.ready, s)
+	return w.release()
 }
 
-// settle takes release refs off slot s's pending count, and if nothing it
-// points at is in flight any more hands its chunk to done and settles its
-// parent; a slot left waiting only on ids in flight elsewhere is parked.
-func (w *walker) settle(s int32, release int32) error {
-	for ; s >= 0; s, release = w.slots[s].parent, 1 {
+// finish marks id done and queues a release for the slot that pushed it and
+// each slot waiting on it.
+func (w *walker) finish(id hash.Hash, parent int32) {
+	w.seen[id] = true
+	if parent >= 0 {
+		w.ready = append(w.ready, parent)
+	}
+	if len(w.waiting) > 0 {
+		w.ready = append(w.ready, w.waiting[id]...)
+		delete(w.waiting, id)
+	}
+}
+
+// release takes one pending ref off each queued slot; a slot left with none
+// goes to done and finishes, queueing its own releases — a work list, so a
+// deep history does not recurse.
+func (w *walker) release() error {
+	for n := len(w.ready); n > 0; n = len(w.ready) {
+		s := w.ready[n-1]
+		w.ready = w.ready[:n-1]
 		sl := &w.slots[s]
-		if sl.pending -= release; sl.pending > 0 {
-			return nil
+		if sl.pending--; sl.pending > 0 {
+			continue
 		}
-		for len(sl.waits) > 0 && w.seen[sl.waits[len(sl.waits)-1]] {
-			sl.waits = sl.waits[:len(sl.waits)-1]
-		}
-		if len(sl.waits) > 0 {
-			w.blocked = append(w.blocked, s)
-			return nil
-		}
-		w.seen[sl.c.ID()] = true
 		if err := w.done(sl.c); err != nil {
 			return err
 		}
+		w.finish(sl.c.ID(), sl.parent)
 		sl.c = nil
 		w.free, w.held = append(w.free, s), w.held-1
 	}

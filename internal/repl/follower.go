@@ -22,14 +22,12 @@ type Options struct {
 	// BatchLimit bounds feed entries applied per round (default 256).
 	BatchLimit int
 	// RetryMin / RetryMax bound the jittered exponential backoff after a
-	// failed round (defaults 100ms / 5s).
+	// failed round (defaults 100ms / 5s).  A round is not retried inside:
+	// any failure — a feed read, a fetch batch, a local write — ends it, and
+	// the next round's pull prunes every chunk the failed one landed, so it
+	// resumes where that one stopped.  Transport failures are retried one
+	// layer down, per round trip, by server.Client.
 	RetryMin, RetryMax time.Duration
-	// FetchRetry is the per-batch retry policy inside the Merkle walk:
-	// a transient GetChunks failure re-fetches that one batch, resuming the
-	// walk where it stood, instead of failing the round and restarting the
-	// whole graph after the round backoff.  Zero value: 3 attempts bounded
-	// by RetryMin/RetryMax.
-	FetchRetry retry.Policy
 }
 
 func (o *Options) fill() {
@@ -44,15 +42,6 @@ func (o *Options) fill() {
 	}
 	if o.RetryMax <= 0 {
 		o.RetryMax = 5 * time.Second
-	}
-	if o.FetchRetry.Attempts == 0 {
-		o.FetchRetry.Attempts = 3
-	}
-	if o.FetchRetry.Base <= 0 {
-		o.FetchRetry.Base = o.RetryMin
-	}
-	if o.FetchRetry.Max <= 0 {
-		o.FetchRetry.Max = o.RetryMax
 	}
 }
 
@@ -98,7 +87,7 @@ func NewFollower(src Source, local store.Store, heads core.BranchTable, opts Opt
 	stop := make(chan struct{})
 	f := &Follower{
 		src:   src,
-		sync:  &syncer{src: src, local: local, retry: opts.FetchRetry, stop: stop},
+		sync:  &syncer{src: src, local: local, stop: stop},
 		heads: heads,
 		opts:  opts,
 		stop:  stop,
@@ -358,12 +347,11 @@ func (f *Follower) snapshot() (core.FeedCursor, error) {
 	}
 	// Remove local branches that no longer exist on the primary (deletions
 	// that happened beyond the truncated feed window).
-	localKeys, err := f.heads.Keys()
+	local, err := core.ListHeads(f.heads)
 	if err != nil {
 		return cursor, err
 	}
-	for _, key := range localKeys {
-		branches, _ := f.heads.Branches(key) // none, if the key went meanwhile
+	for key, branches := range local {
 		for branch := range branches {
 			if _, ok := heads[key][branch]; !ok {
 				ops = append(ops, core.HeadOp{Key: key, Branch: branch, Any: true})

@@ -1,6 +1,7 @@
 package repl
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync/atomic"
@@ -23,6 +24,7 @@ import (
 type countingSource struct {
 	Source
 	delay          time.Duration
+	failAt         int64 // the fetch round that fails, once (0: none)
 	fetches        atomic.Int64
 	pins, unpins   atomic.Int64
 	fetched, most  atomic.Int64
@@ -31,14 +33,18 @@ type countingSource struct {
 }
 
 func (s *countingSource) GetChunks(ids []hash.Hash) ([]*chunk.Chunk, error) {
-	if s.fetches.Add(1) == 1 && s.firstFetchDone != nil {
+	n := s.fetches.Add(1)
+	if n == 1 && s.firstFetchDone != nil {
 		close(s.firstFetchDone)
+	}
+	if n == s.failAt {
+		return nil, errors.New("source unavailable")
 	}
 	time.Sleep(s.delay)
 	out, err := s.Source.GetChunks(ids)
-	n := s.fetched.Add(int64(len(out)))
+	got := s.fetched.Add(int64(len(out)))
 	if s.landed != nil {
-		if held := n - s.landed.Load(); held > s.most.Load() {
+		if held := got - s.landed.Load(); held > s.most.Load() {
 			s.most.Store(held)
 		}
 	}
@@ -202,6 +208,42 @@ func TestPullHoldsBoundedChunks(t *testing.T) {
 	requireConverged(t, primary, eng)
 	if most, bound := src.most.Load(), int64(deepest*fnode.WalkBatch); most > bound || 4*most > int64(closed) {
 		t.Fatalf("held up to %d chunks at once of a %d-chunk closure %d deep; want at most %d", most, closed, deepest, bound)
+	}
+}
+
+// TestFailedRoundResumesFromWhatLanded: a fetch that fails mid-walk fails
+// the round; the round backoff retries it, and the next pull prunes what the
+// failed one landed, so it refetches at most what that walk held — not the
+// half of the closure it had already pulled.
+func TestFailedRoundResumesFromWhatLanded(t *testing.T) {
+	primary := core.Open(core.Options{Chunking: chunker.SmallConfig()})
+	entries := mapEntries(20000, 0)
+	for i := range entries {
+		entries[i].Val = append(entries[i].Val, make([]byte, 96)...)
+	}
+	if _, err := primary.BuildAndPut("obj", "master", nil, func() (value.Value, error) {
+		return value.NewMap(primary.Store(), primary.Chunking(), entries)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := primary.EditMap("obj", "master", mapEntries(8, 1), nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	_, closed, deepest := heads(t, primary)
+	src := &countingSource{Source: NewLocalSource(primary), failAt: int64(max(2, closed/fnode.WalkBatch/2))}
+	eng, st, bt := mkReplica()
+	f := NewFollower(src, st, bt, Options{Poll: 10 * time.Millisecond, RetryMin: time.Millisecond, RetryMax: 10 * time.Millisecond})
+	f.Start()
+	defer f.Close()
+	if err := f.WaitCaughtUp(time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	requireConverged(t, primary, eng)
+	if n := f.Stats().Errors; n != 1 {
+		t.Fatalf("%d failed rounds, want the one failed fetch's", n)
+	}
+	if got, bound := f.Stats().ChunksFetched, uint64(closed+deepest*fnode.WalkBatch); got > bound {
+		t.Fatalf("fetched %d chunks for a %d-chunk closure %d deep; want at most %d", got, closed, deepest, bound)
 	}
 }
 

@@ -1,8 +1,6 @@
 package repl
 
 import (
-	"fmt"
-	"strings"
 	"time"
 
 	"forkbase/internal/chunk"
@@ -30,31 +28,9 @@ func (s *RemoteSource) FeedSince(cursor core.FeedCursor, limit int, wait time.Du
 	return s.c.FeedSince(cursor, limit, wait)
 }
 
-// Heads implements Source.  Only a genuinely-vanished key (deleted between
-// Keys and Branches) is skipped; every other failure aborts the snapshot —
-// a transport error mid-listing must NOT yield a truncated head map, or the
-// snapshot's cleanup phase would wrongly delete replica branches as "gone
-// from the primary".
+// Heads implements Source.
 func (s *RemoteSource) Heads() (map[string]map[string]hash.Hash, error) {
-	bt := server.NewRemoteBranchTable(s.c)
-	keys, err := bt.Keys()
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]map[string]hash.Hash, len(keys))
-	for _, k := range keys {
-		branches, err := bt.Branches(k)
-		if err != nil {
-			// Errors cross the wire as strings; match the engine's
-			// key-not-found text rather than losing the distinction.
-			if strings.Contains(err.Error(), core.ErrKeyNotFound.Error()) {
-				continue
-			}
-			return nil, fmt.Errorf("repl: listing branches of %q: %w", k, err)
-		}
-		out[k] = branches
-	}
-	return out, nil
+	return core.ListHeads(server.NewRemoteBranchTable(s.c))
 }
 
 // GetChunks implements Source; the client verifies every chunk against its

@@ -22,7 +22,6 @@
 package repl
 
 import (
-	"errors"
 	"time"
 
 	"forkbase/internal/chunk"
@@ -108,23 +107,7 @@ func (s *LocalSource) FeedSince(cursor core.FeedCursor, limit int, wait time.Dur
 
 // Heads implements Source.
 func (s *LocalSource) Heads() (map[string]map[string]hash.Hash, error) {
-	bt := s.db.BranchTable()
-	keys, err := bt.Keys()
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]map[string]hash.Hash, len(keys))
-	for _, k := range keys {
-		branches, err := bt.Branches(k)
-		if err != nil {
-			if errors.Is(err, core.ErrKeyNotFound) {
-				continue // deleted between Keys and Branches
-			}
-			return nil, err
-		}
-		out[k] = branches
-	}
-	return out, nil
+	return core.ListHeads(s.db.BranchTable())
 }
 
 // GetChunks implements Source; chunks come through the primary's verifying

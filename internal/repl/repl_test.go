@@ -10,7 +10,6 @@ import (
 	"forkbase/internal/core"
 	"forkbase/internal/hash"
 	"forkbase/internal/pos"
-	"forkbase/internal/retry"
 	"forkbase/internal/store"
 	"forkbase/internal/value"
 )
@@ -415,9 +414,7 @@ func TestPullResumesFromTornState(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw := store.NewMemStore()
-	// Single-attempt policy: a failure is reported, not retried into the
-	// fetch counts.
-	s := &syncer{src: NewLocalSource(primary), local: store.NewVerifyingStore(raw), retry: retry.Policy{Attempts: -1}}
+	s := &syncer{src: NewLocalSource(primary), local: store.NewVerifyingStore(raw)}
 	pull := func() uint64 {
 		t.Helper()
 		before := s.chunksFetched.Load()

@@ -10,7 +10,6 @@ import (
 	"forkbase/internal/core"
 	"forkbase/internal/fnode"
 	"forkbase/internal/hash"
-	"forkbase/internal/retry"
 	"forkbase/internal/store"
 )
 
@@ -32,48 +31,36 @@ var repinAfter = core.DefaultPinLease / 2
 // incremental (the heads of one feed page, pruning everything shared).
 type syncer struct {
 	src   Source
-	local store.Store // replica store (verifying wrapper: claimed chunks recheck on Put)
-
-	// retry wraps each remote fetch batch, making the walk resumable at
-	// batch granularity: a transient source failure re-fetches one batch
-	// instead of abandoning (and later restarting) the whole graph walk.
-	// stop aborts in-flight backoffs and the walk on follower shutdown.
-	retry retry.Policy
-	stop  <-chan struct{}
+	local store.Store     // replica store (verifying wrapper: claimed chunks recheck on Put)
+	stop  <-chan struct{} // closed by Close: the walk stops between batches
 
 	chunksFetched atomic.Uint64
 	bytesFetched  atomic.Uint64
 	chunksSkipped atomic.Uint64
 }
 
-// fetch pulls one batch of ids from the source under the retry policy.  A
-// vanished chunk (nil slot) is permanent at this layer — only a newer feed
-// entry or a snapshot resolves it, not a re-fetch.
+// fetch pulls one batch of ids from the source.  It does not retry: a failed
+// fetch fails the round, the follower backs off, and the next pull prunes
+// everything this one landed.  A vanished chunk (nil slot) is resolved only
+// by a newer feed entry or a snapshot, not by a re-fetch.
 func (s *syncer) fetch(ids []hash.Hash) ([]*chunk.Chunk, error) {
-	var out []*chunk.Chunk
-	err := s.retry.Do(s.stop, func(retry.Attempt) error {
-		part, err := s.src.GetChunks(ids)
-		if err != nil {
-			return err
-		}
-		if len(part) != len(ids) {
-			return retry.Permanent(fmt.Errorf("repl: source returned %d chunks for %d ids", len(part), len(ids)))
-		}
-		for j, c := range part {
-			if c == nil {
-				return retry.Permanent(fmt.Errorf("%w: %s", ErrChunkVanished, ids[j].Short()))
-			}
-		}
-		out = part
-		return nil
-	})
+	out, err := s.src.GetChunks(ids)
+	if err == nil && len(out) != len(ids) {
+		err = fmt.Errorf("repl: source returned %d chunks for %d ids", len(out), len(ids))
+	}
+	if err != nil {
+		return nil, err
+	}
 	var bytes uint64
-	for _, c := range out {
+	for j, c := range out {
+		if c == nil {
+			return nil, fmt.Errorf("%w: %s", ErrChunkVanished, ids[j].Short())
+		}
 		bytes += uint64(c.Size())
 	}
 	s.chunksFetched.Add(uint64(len(out)))
 	s.bytesFetched.Add(bytes)
-	return out, err
+	return out, nil
 }
 
 // pull makes every chunk reachable from roots present in the local store,

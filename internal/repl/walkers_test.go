@@ -14,7 +14,6 @@ import (
 	"forkbase/internal/index"
 	"forkbase/internal/mpt"
 	"forkbase/internal/pos"
-	"forkbase/internal/retry"
 	"forkbase/internal/store"
 	"forkbase/internal/value"
 )
@@ -232,7 +231,7 @@ func TestWalkersAgree(t *testing.T) {
 		for landed := 0; landed < total; landed++ {
 			for _, sib := range sibs {
 				raw := store.NewMemStore()
-				s := &syncer{src: NewLocalSource(db), local: &tornStore{Store: raw, budget: landed}, retry: retry.Policy{Attempts: -1}}
+				s := &syncer{src: NewLocalSource(db), local: &tornStore{Store: raw, budget: landed}}
 				if err := s.pull([]hash.Hash{m.Version.UID}); err == nil {
 					t.Fatalf("a pull of %d chunks landed with room for %d", total, landed)
 				}

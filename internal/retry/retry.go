@@ -1,26 +1,28 @@
-// Package retry is ForkBase's one retry policy: exponential backoff with
-// jitter, a per-attempt timeout, an overall wall-clock budget, and explicit
+// Package retry is ForkBase's one retry policy: a bounded number of
+// attempts, exponential backoff with jitter between them, and explicit
 // retryable-vs-permanent error classification.
 //
-// Every network path in the system (server.Client round trips, cluster
-// scatter/gather, the replication follower) retries through this package, so
-// "how long can this call block?" has a single answer per call site:
+// Two loops use it: server.Client retries each round trip through Do, and
+// the replication follower backs off between failed sync rounds with
+// Backoff.  A network call therefore has one retry layer per hop, and "how
+// long can this call block?" one answer, MaxElapsed:
 //
-//	budget >= attempts x (per-attempt timeout) + backoff sleeps
+//	attempts x (per-attempt timeout) + backoff sleeps
 //
-// Classification is two-layered.  A *permanent* error (wrapped with
-// Permanent, or matching a caller-supplied classifier) is returned
-// immediately: the remote executed the request and said no — stale CAS,
-// not-found, read-only replica.  Everything else (dial failures, deadline
-// timeouts, resets, torn frames) is presumed transient and retried while
-// attempts and budget last.
+// The policy hands the operation nothing: a per-attempt timeout is the
+// operation's own to enforce (server.Client sets socket deadlines), and
+// Policy.Timeout only feeds MaxElapsed.
+//
+// A *permanent* error (wrapped with Permanent) is returned immediately: the
+// remote executed the request and said no — stale CAS, not-found, read-only
+// replica.  Everything else (dial failures, deadline timeouts, resets, torn
+// frames) is presumed transient and retried while attempts last.
 //
 // Idempotency is the caller's half of the contract: a transport error after
 // a request may have reached the wire leaves the remote's state unknown, so
 // non-idempotent operations (CAS, batched puts of fresh data) must only be
-// resent when the failed attempt provably never wrote a byte.  Policy.Do
-// exposes that decision via the Attempt's Sent flag; see server.Client for
-// the canonical use.
+// resent when the failed attempt provably never wrote a byte, and are
+// otherwise returned as Permanent; see server.Client for the canonical use.
 package retry
 
 import (
@@ -33,8 +35,7 @@ import (
 )
 
 // Process-wide retry accounting, registered on the default registry:
-// every Do loop in the system (client round trips, cluster scatter/gather,
-// the replication follower) reports here, so "is anything retrying?" is
+// every Do loop in the system reports here, so "is anything retrying?" is
 // one scrape.
 var (
 	attemptsTotal = obs.Default().Counter("forkbase_retry_attempts_total",
@@ -42,7 +43,7 @@ var (
 	retriesTotal = obs.Default().Counter("forkbase_retry_retries_total",
 		"Re-attempts after a transient failure.")
 	gaveupTotal = obs.Default().Counter("forkbase_retry_gaveup_total",
-		"Do calls that exhausted their attempts or wall-clock budget.")
+		"Do calls that exhausted their attempts.")
 	permanentTotal = obs.Default().Counter("forkbase_retry_permanent_total",
 		"Do calls stopped by a permanent (non-retryable) error.")
 )
@@ -56,7 +57,7 @@ const (
 )
 
 // Policy describes how to retry an operation.  The zero value is usable and
-// selects the defaults above with no overall budget.
+// selects the defaults above.
 type Policy struct {
 	// Attempts is the maximum number of tries (0 = DefaultAttempts;
 	// negative = exactly one attempt, i.e. no retry).
@@ -68,21 +69,9 @@ type Policy struct {
 	// negative = none).  Jitter decorrelates retry storms: a hundred clients
 	// that failed together must not reconnect together.
 	Jitter float64
-	// Timeout bounds one attempt.  The policy does not enforce it — I/O
-	// must be cancelled at the syscall layer — it is delivered to the
-	// operation via Attempt.Timeout for use in SetDeadline.  0 means the
-	// operation's own default.
-	Timeout time.Duration
-	// Budget bounds the whole Do call, sleeps included.  Once spent, the
-	// last error is returned without further attempts (0 = no budget).
-	Budget time.Duration
-}
-
-// Attempt carries per-try context into the operation.
-type Attempt struct {
-	// N is the attempt number, starting at 0.
-	N int
-	// Timeout is the per-attempt deadline budget (Policy.Timeout).
+	// Timeout is how long one attempt can take, for MaxElapsed.  The
+	// policy does not enforce it: I/O must be cancelled at the syscall
+	// layer, by the operation.
 	Timeout time.Duration
 }
 
@@ -108,8 +97,8 @@ func IsPermanent(err error) bool {
 	return errors.As(err, &p)
 }
 
-// BudgetError reports that a Do call stopped retrying — attempts or budget
-// exhausted — and carries the last attempt's error.
+// BudgetError reports that a Do call stopped retrying — attempts exhausted,
+// or stopped — and carries the last attempt's error.
 type BudgetError struct {
 	Attempts int
 	Elapsed  time.Duration
@@ -188,11 +177,6 @@ func (p Policy) MaxElapsed() time.Duration {
 		}
 		total += time.Duration(float64(d) * (1 + p.jitter()))
 	}
-	if p.Budget > 0 && total > p.Budget+p.Timeout {
-		// A budget cuts the loop short; one attempt may already be in
-		// flight when it expires.
-		total = p.Budget + p.Timeout
-	}
 	return total
 }
 
@@ -201,34 +185,23 @@ func (p Policy) MaxElapsed() time.Duration {
 // channel so shutdown never waits out a backoff.
 //
 // op's error is classified by Permanent marking only; callers needing
-// domain-specific classification wrap before returning.  When attempts or
-// budget run out the last error is wrapped in *BudgetError (errors.Is /
-// errors.As reach through it).
-func (p Policy) Do(stop <-chan struct{}, op func(a Attempt) error) error {
+// domain-specific classification wrap before returning.  When attempts run
+// out the last error is wrapped in *BudgetError (errors.Is / errors.As reach
+// through it).
+func (p Policy) Do(stop <-chan struct{}, op func() error) error {
 	start := time.Now()
 	var last error
 	for n := 0; n < p.attempts(); n++ {
 		if n > 0 {
-			d := p.Backoff(n - 1)
-			if p.Budget > 0 {
-				left := p.Budget - time.Since(start)
-				if left <= 0 {
-					gaveupTotal.Inc()
-					return &BudgetError{Attempts: n, Elapsed: time.Since(start), Last: last}
-				}
-				if d > left {
-					d = left
-				}
-			}
 			select {
 			case <-stop:
 				return &BudgetError{Attempts: n, Elapsed: time.Since(start), Last: errors.Join(errStopped, last)}
-			case <-time.After(d):
+			case <-time.After(p.Backoff(n - 1)):
 			}
 			retriesTotal.Inc()
 		}
 		attemptsTotal.Inc()
-		err := op(Attempt{N: n, Timeout: p.Timeout})
+		err := op()
 		if err == nil {
 			return nil
 		}
@@ -237,10 +210,6 @@ func (p Policy) Do(stop <-chan struct{}, op func(a Attempt) error) error {
 			return err
 		}
 		last = err
-		if p.Budget > 0 && time.Since(start) >= p.Budget {
-			gaveupTotal.Inc()
-			return &BudgetError{Attempts: n + 1, Elapsed: time.Since(start), Last: last}
-		}
 	}
 	gaveupTotal.Inc()
 	return &BudgetError{Attempts: p.attempts(), Elapsed: time.Since(start), Last: last}

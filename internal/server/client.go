@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net"
 	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -59,7 +60,6 @@ func (o *ClientOptions) fill() {
 	if o.Retry.Max <= 0 {
 		o.Retry.Max = time.Second
 	}
-	o.Retry.Timeout = o.OpTimeout
 }
 
 // Client is a connection to one ForkBase server.  Requests are serialised
@@ -158,9 +158,7 @@ var ErrAmbiguous = errors.New("client: request outcome unknown")
 // extraRead widens the read deadline for an op that legitimately idles on
 // the server (a long-poll feed read).
 func (c *Client) call(op Op, extraRead time.Duration, build func([]byte) []byte, read func(*dec)) error {
-	return c.opts.Retry.Do(c.stop, func(retry.Attempt) error {
-		return c.attempt(op, extraRead, build, read)
-	})
+	return c.opts.Retry.Do(c.stop, func() error { return c.attempt(op, extraRead, build, read) })
 }
 
 // attempt is one full exchange: (re)connect, send the request frame with
@@ -484,7 +482,8 @@ func (r *RemoteBranchTable) CompareAndSet(key, branch string, old, new hash.Hash
 	return r.Apply([]core.HeadOp{{Key: key, Branch: branch, Expect: old, Set: new}})
 }
 
-// Branches implements core.BranchTable.
+// Branches implements core.BranchTable.  An absent key is core.ErrKeyNotFound
+// here as in the engine: the server's refusal crosses the wire as text.
 func (r *RemoteBranchTable) Branches(key string) (map[string]hash.Hash, error) {
 	var names []string
 	var heads []hash.Hash
@@ -492,6 +491,9 @@ func (r *RemoteBranchTable) Branches(key string) (map[string]hash.Hash, error) {
 		names, heads = d.strs(), d.ids()
 		d.bad = d.bad || len(names) != len(heads)
 	})
+	if err != nil && retry.IsPermanent(err) && strings.HasPrefix(err.Error(), core.ErrKeyNotFound.Error()) {
+		return nil, fmt.Errorf("%w: %s", core.ErrKeyNotFound, key)
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -78,6 +78,45 @@ func TestServerRejectsMislabelledChunk(t *testing.T) {
 	}
 }
 
+// TestRemoteBranchesKeyNotFound: an absent key is core.ErrKeyNotFound over
+// the wire as it is in the engine, so a listing racing a delete skips the
+// key instead of failing, whichever table it runs over.
+func TestRemoteBranchesKeyNotFound(t *testing.T) {
+	_, addr := startServer(t)
+	cl, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	bt := NewRemoteBranchTable(cl)
+	if _, err := bt.Branches("missing"); !errors.Is(err, core.ErrKeyNotFound) {
+		t.Fatalf("branches of a missing key: %v, want core.ErrKeyNotFound", err)
+	}
+	uid := hash.Of([]byte("v1"))
+	if ok, err := bt.CompareAndSet("k", "master", hash.Hash{}, uid); err != nil || !ok {
+		t.Fatalf("CAS create: %v %v", ok, err)
+	}
+	racing := &deletingTable{BranchTable: bt, gone: "k"}
+	if heads, err := core.ListHeads(racing); err != nil || len(heads) != 0 {
+		t.Fatalf("a key deleted mid-listing: heads %v, err %v", heads, err)
+	}
+}
+
+// deletingTable deletes key gone's branch just before listing its branches.
+type deletingTable struct {
+	core.BranchTable
+	gone string
+}
+
+func (d *deletingTable) Branches(key string) (map[string]hash.Hash, error) {
+	if key == d.gone {
+		if _, err := d.Apply([]core.HeadOp{{Key: key, Branch: "master", Any: true}}); err != nil {
+			return nil, err
+		}
+	}
+	return d.BranchTable.Branches(key)
+}
+
 func TestRemoteBranchTable(t *testing.T) {
 	_, addr := startServer(t)
 	cl, err := Dial(addr)

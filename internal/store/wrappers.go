@@ -3,7 +3,6 @@ package store
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -265,9 +264,6 @@ func NewVerifyingStore(inner Store) *VerifyingStore {
 // Unwrap exposes the inner store to As.
 func (v *VerifyingStore) Unwrap() Store { return v.Store }
 
-// verifyWorkers is the recheck pool width for one batch.
-func verifyWorkers() int { return min(runtime.GOMAXPROCS(0), 4) }
-
 func (v *VerifyingStore) epochNow() uint64 {
 	if v.epoch == nil {
 		return 0
@@ -304,10 +300,9 @@ func (v *VerifyingStore) Put(ch *chunk.Chunk) (bool, error) {
 	return fresh, err
 }
 
-// PutBatch implements Store.  Every claimed chunk in the batch is
-// rehashed — fanned out across the recheck pool — before anything is
-// written: a single forged chunk rejects the whole batch, keeping batched
-// ingest exactly as tamper-evident as the per-chunk path.
+// PutBatch implements Store.  Every claimed chunk in the batch is rehashed
+// before anything is written: a single forged chunk rejects the whole batch,
+// keeping batched ingest exactly as tamper-evident as the per-chunk path.
 func (v *VerifyingStore) PutBatch(cs []*chunk.Chunk) ([]bool, error) {
 	var work []int
 	for i, ch := range cs {
@@ -317,7 +312,7 @@ func (v *VerifyingStore) PutBatch(cs []*chunk.Chunk) ([]bool, error) {
 		}
 		work = append(work, i)
 	}
-	if err := recheckIndexes(cs, work, verifyWorkers()); err != nil {
+	if err := recheckIndexes(cs, work); err != nil {
 		return make([]bool, len(cs)), err
 	}
 	fresh, err := v.Store.PutBatch(cs)
@@ -333,10 +328,9 @@ func (v *VerifyingStore) PutBatch(cs []*chunk.Chunk) ([]bool, error) {
 }
 
 // GetBatch implements Store: every returned chunk passes the same
-// recheck-and-verify gauntlet as a point Get, with the rehashes fanned out
-// across the recheck pool so repl catch-up and heal scale with cores.  Over
-// a witness each id is read through the stamp exactly as Get reads it
-// (FileStore's own GetBatch is a per-id loop, so no batch round is lost).
+// recheck-and-verify gauntlet as a point Get.  Over a witness each id is
+// read through the stamp exactly as Get reads it (FileStore's own GetBatch
+// is a per-id loop, so no batch round is lost).
 func (v *VerifyingStore) GetBatch(ids []hash.Hash) ([]*chunk.Chunk, error) {
 	var (
 		out     []*chunk.Chunk
@@ -373,59 +367,22 @@ func (v *VerifyingStore) GetBatch(ids []hash.Hash) ([]*chunk.Chunk, error) {
 		}
 	}
 	ep := v.epochNow()
-	err = recheckIndexes(out, work, verifyWorkers())
+	err = recheckIndexes(out, work)
 	for _, i := range work {
 		v.settle(ids[i], ep, err)
 	}
 	return out, err
 }
 
-// recheckIndexes rehashes cs[i] for each i in idx, fanning out across up to
-// `workers` goroutines when the batch is large enough to amortize the
-// handoff.  First error wins; remaining work is still drained (rechecks are
-// independent and promotion is useful even on a failing batch's survivors).
-func recheckIndexes(cs []*chunk.Chunk, idx []int, workers int) error {
-	// Below ~8 chunks per worker the goroutine handoff costs more than the
-	// overlap buys; clamp the pool to keep every worker usefully busy.
-	const minPerWorker = 8
-	if workers > len(idx)/minPerWorker {
-		workers = len(idx) / minPerWorker
-	}
-	if workers < 2 {
-		for _, i := range idx {
-			if err := cs[i].Recheck(); err != nil {
-				return fmt.Errorf("batch chunk %d: %w", i, err)
-			}
+// recheckIndexes rehashes cs[i] for each i in idx, in order, on the
+// caller's goroutine, and returns the first failure, naming the element.
+func recheckIndexes(cs []*chunk.Chunk, idx []int) error {
+	for _, i := range idx {
+		if err := cs[i].Recheck(); err != nil {
+			return fmt.Errorf("batch chunk %d: %w", i, err)
 		}
-		return nil
 	}
-	var (
-		next     atomic.Int64
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				n := int(next.Add(1)) - 1
-				if n >= len(idx) {
-					return
-				}
-				if err := cs[idx[n]].Recheck(); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = fmt.Errorf("batch chunk %d: %w", idx[n], err)
-					}
-					mu.Unlock()
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return firstErr
+	return nil
 }
 
 // Get implements Store, verifying content against id.  Chunks whose id was
