@@ -209,27 +209,30 @@ func TestVerifyCacheParallelBatchRecheck(t *testing.T) {
 		}
 		return cs, idx
 	}
-	cs, idx := claimedBatch()
-	// A clean prefix passes and promotes every chunk it covers.
-	if err := recheckIndexes(cs, idx[:40]); err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range cs[:40] {
-		if c.Claimed() {
-			t.Fatal("a rechecked chunk is still only claimed")
+	// The recheck runs on the caller's goroutine: one worker.
+	t.Run("workers-1", func(t *testing.T) {
+		cs, idx := claimedBatch()
+		// A clean prefix passes and promotes every chunk it covers.
+		if err := recheckIndexes(cs, idx[:40]); err != nil {
+			t.Fatal(err)
 		}
-	}
-	// The tampered element fails the batch.
-	if err := recheckIndexes(cs, idx); err == nil {
-		t.Fatal("recheck accepted a tampered claimed chunk")
-	} else if !strings.Contains(err.Error(), "batch chunk 43") {
-		t.Fatalf("error does not name the tampered element: %v", err)
-	}
+		for _, c := range cs[:40] {
+			if c.Claimed() {
+				t.Fatal("a rechecked chunk is still only claimed")
+			}
+		}
+		// The tampered element fails the batch.
+		if err := recheckIndexes(cs, idx); err == nil {
+			t.Fatal("recheck accepted a tampered claimed chunk")
+		} else if !strings.Contains(err.Error(), "batch chunk 43") {
+			t.Fatalf("error does not name the tampered element: %v", err)
+		}
+	})
 	_, v, ids := warmFileStack(t)
 	if _, err := v.GetBatch(ids); err != nil {
 		t.Fatal(err)
 	}
-	cs, _ = claimedBatch()
+	cs, _ := claimedBatch()
 	if _, err := v.PutBatch(cs); err == nil {
 		t.Fatal("PutBatch accepted a tampered claimed chunk")
 	} else if !strings.Contains(err.Error(), "batch chunk 43") {
