@@ -294,8 +294,8 @@ func Open(opts ...Option) (*DB, error) {
 			return nil, err
 		}
 	}
-	if !index.Registered(o.idxKind) {
-		return nil, errors.New("forkbase: index kind " + o.idxKind.String() + " is not available")
+	if !o.idxKind.Known() {
+		return nil, errors.New("forkbase: unknown index kind " + o.idxKind.String())
 	}
 	db := &DB{acl: access.NewController()}
 	switch {
@@ -603,24 +603,23 @@ func (db *DB) GC() (GCStats, error) {
 // Scrub rehashes every chunk record on disk against its content address,
 // quarantines damaged segments (renamed aside, never unlinked), rescues
 // every intact record out of them, and records the store's health state.
-// Only file-backed instances have disk to scrub.
+// The engine finds the file store anywhere in its stack — FileBacked or an
+// injected WithStore — and an instance without one gets
+// core.ErrNotScrubbable.  Pass durations and quarantine/loss totals land in
+// the metrics registry.
 func (db *DB) Scrub() (ScrubStats, error) {
-	if db.fileStore == nil {
-		return ScrubStats{}, errors.New("forkbase: scrub requires a file-backed store")
-	}
-	// Route through the engine so pass durations and quarantine/loss
-	// totals land in the metrics registry.
 	return db.eng.Scrub()
 }
 
 // LastScrub reports the most recent scrub (or open-time recovery)
-// classification; ok is false when none has run or the store is not
-// file-backed.
+// classification; ok is false when none has run or no file store is in the
+// engine's stack.
 func (db *DB) LastScrub() (ScrubStats, time.Time, bool) {
-	if db.fileStore == nil {
+	fs, ok := store.As[*store.FileStore](db.eng.RawStore())
+	if !ok {
 		return ScrubStats{}, time.Time{}, false
 	}
-	return db.fileStore.LastScrub()
+	return fs.LastScrub()
 }
 
 // StoreHealth is nil while every chunk the store has acknowledged is

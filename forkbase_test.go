@@ -11,7 +11,9 @@ import (
 
 	"forkbase"
 	"forkbase/internal/access"
+	"forkbase/internal/core"
 	"forkbase/internal/obs"
+	"forkbase/internal/store"
 )
 
 func TestPublicRoundTrip(t *testing.T) {
@@ -140,6 +142,37 @@ func TestPublicFileBacked(t *testing.T) {
 	got, err := db2.Get("persist", "")
 	if err != nil || got.UID != want.UID {
 		t.Fatalf("reopen: %v", err)
+	}
+}
+
+// TestPublicScrubFindsInjectedFileStore: Scrub and LastScrub find the file
+// store through the engine's stack, so a WithStore file store scrubs like a
+// FileBacked one, and an in-memory instance is refused by the engine.
+func TestPublicScrubFindsInjectedFileStore(t *testing.T) {
+	fs, err := store.OpenFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	db := forkbase.MustOpen(forkbase.WithStore(fs))
+	if _, err := db.PutString("k", "", "v", nil); err != nil {
+		t.Fatal(err)
+	}
+	st, err := db.Scrub()
+	if err != nil || st.Ok == 0 {
+		t.Fatalf("Scrub over an injected file store = %+v, %v", st, err)
+	}
+	if last, _, ok := db.LastScrub(); !ok || last.Ok != st.Ok {
+		t.Fatalf("LastScrub = %+v, %v; want the pass just run", last, ok)
+	}
+
+	mem := forkbase.MustOpen()
+	defer mem.Close()
+	if _, err := mem.Scrub(); !errors.Is(err, core.ErrNotScrubbable) {
+		t.Fatalf("in-memory Scrub = %v, want core.ErrNotScrubbable", err)
+	}
+	if _, _, ok := mem.LastScrub(); ok {
+		t.Fatal("in-memory LastScrub reported a pass")
 	}
 }
 
@@ -369,6 +402,22 @@ func TestPublicOpenRejectsBadChunking(t *testing.T) {
 		t.Fatalf("valid config rejected: %v", err)
 	}
 	db.Close()
+}
+
+// TestOpenRefusesUnknownIndexKind: an index kind that names neither
+// structure is refused where an engine is opened — an error from
+// forkbase.Open, a panic from core.Open — instead of at the first map write.
+func TestOpenRefusesUnknownIndexKind(t *testing.T) {
+	if db, err := forkbase.Open(forkbase.WithIndex(forkbase.IndexKind(7))); err == nil {
+		db.Close()
+		t.Fatal("Open accepted index kind 7")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("core.Open accepted index kind 7")
+		}
+	}()
+	core.Open(core.Options{Index: forkbase.IndexKind(7)})
 }
 
 func TestPublicWithIndexMPT(t *testing.T) {

@@ -31,12 +31,20 @@ func TestSourceGuards(t *testing.T) {
 	}, {
 		// GC mark, verify, heal and replica sync are fetch functions under
 		// fnode.Walk, whose edge rule (fnode.Refs) is the only caller of the
-		// index layer's child decoder; a second call site is a second
-		// definition of what a version keeps reachable.
+		// two structures' child decoders, one arm each; a second call site is
+		// a second definition of what a version keeps reachable.
 		name:    "one object-graph walk",
-		pattern: `index\.Children\(`,
+		pattern: `pos\.IndexChildren\(|mpt\.Children\(`,
 		paths:   []string{"internal"},
-		want:    1,
+		want:    2,
+	}, {
+		// The two index structures are a closed set picked in one switch
+		// (value's build/load, fnode.Refs's edge rule): nothing registers
+		// itself at init, so no import is made for its side effect.
+		name:    "no init-time registration",
+		pattern: `^func init\(|_ "forkbase/internal/`,
+		paths:   []string{"."},
+		want:    0,
 	}, {
 		// A publish pulls every head it sets in one post-order walk; a
 		// per-head pull would bring back one fetch round per level per head

@@ -20,12 +20,6 @@ import (
 	"forkbase/internal/obs"
 	"forkbase/internal/store"
 	"forkbase/internal/value"
-
-	// Link in both first-class index structures so their factories and
-	// Children decoders are registered: the engine dispatches
-	// every structure-dependent operation through the index registry.
-	_ "forkbase/internal/mpt"
-	_ "forkbase/internal/pos"
 )
 
 // DefaultBranch is the branch Put targets when none is named, mirroring the
@@ -78,10 +72,11 @@ type Options struct {
 	// chunker.Config.Validate.
 	Chunking chunker.Config
 	// Index selects the structure backing new composite (map/set) values:
-	// index.KindPOS (default) or index.KindMPT.  Reading is always
-	// self-describing — every FNode records the kind of the value it
-	// versions and loads go by that record (index.LoadKind) — so a DB can
-	// open data written under either setting.
+	// index.KindPOS (default) or index.KindMPT; Open panics on any other
+	// kind (index.Kind.Known).  Reading is always self-describing — every
+	// FNode records the kind of the value it versions and loads go by that
+	// record (value.LoadIndex) — so a DB can open data written under either
+	// setting.
 	Index index.Kind
 	// NodeCacheBytes enables a decoded-node cache with the given byte
 	// budget on the read path (0 = disabled).  POS and MPT index nodes and
@@ -123,8 +118,8 @@ func Open(opts Options) *DB {
 	if err := opts.Chunking.Normalized().Validate(); err != nil {
 		panic(err)
 	}
-	if !index.Registered(opts.Index) {
-		panic(fmt.Sprintf("core: index kind %s has no linked-in implementation", opts.Index))
+	if !opts.Index.Known() {
+		panic(fmt.Sprintf("core: unknown index kind %s", opts.Index))
 	}
 	if opts.Metrics == nil {
 		opts.Metrics = obs.Default()
@@ -695,11 +690,11 @@ func (db *DB) DiffBranches(key, fromBranch, toBranch string) ([]index.Delta, ind
 	return db.Diff(key, from, to)
 }
 
-// DiffValues diffs two map/set values directly.  Each side loads through
-// the index registry under the structure its value carries (value.Index;
-// a bare decoded descriptor loads as the engine default), so
-// same-structure diffs prune shared subtrees — whatever the structure —
-// and cross-structure diffs fall back to the generic iterator merge.
+// DiffValues diffs two map/set values directly.  Each side loads under the
+// structure its value carries (value.Index; a bare decoded descriptor loads
+// as the engine default), so same-structure diffs prune shared subtrees —
+// whatever the structure — and cross-structure diffs fall back to the
+// generic iterator merge.
 func (db *DB) DiffValues(a, b value.Value) ([]index.Delta, index.DiffStats, error) {
 	if a.Kind() != b.Kind() {
 		return nil, index.DiffStats{}, fmt.Errorf("core: cannot diff %s against %s", a.Kind(), b.Kind())
@@ -833,11 +828,7 @@ func (db *DB) mergeValues(baseVal, a, b value.Value, resolve index.Resolver) (va
 	}
 	loadIdx := func(v value.Value) (index.VersionedIndex, error) {
 		if v.Kind() == value.KindInvalid || v.Root().IsZero() && !v.Kind().Composite() {
-			f, err := index.For(at.Kind())
-			if err != nil {
-				return nil, err
-			}
-			return f.Empty(db.st, db.cfg), nil
+			return value.LoadIndex(db.st, db.cfg, hash.Hash{}, at.Kind())
 		}
 		return v.Index(db.st, db.cfg, at.Kind())
 	}

@@ -33,8 +33,9 @@ func (db *DB) editHead(key, branch string, meta map[string]string, edit func(cur
 // puts and deletes to the current branch head *incrementally*: only the
 // affected index region is rewritten, so the cost is O(changes · log N)
 // rather than O(N), and all untouched nodes are shared with the previous
-// version.  The edit goes through the index registry, so a branch keeps
-// whatever structure (POS-Tree, MPT, ...) its head was written with.
+// version.  The edit loads the head's index by the kind its value carries, so
+// a branch keeps whichever structure (POS-Tree or MPT) its head was written
+// with.
 func (db *DB) EditMap(key, branch string, puts []index.Entry, deletes [][]byte, meta map[string]string) (Version, error) {
 	return db.editHead(key, branch, meta, func(cur Version) (value.Value, error) {
 		switch cur.Value.Kind() {

@@ -15,8 +15,8 @@ import (
 
 // End-to-end coverage for MPT-rooted objects through every engine
 // subsystem that walks value graphs: the write paths, diff, merge,
-// garbage collection and tamper verification — all dispatching through
-// the index registry, never through pos-specific calls.
+// garbage collection and tamper verification — all dispatching on the
+// index kind, never through pos-specific calls.
 
 func mptDB() *DB {
 	return Open(Options{Chunking: chunker.SmallConfig(), Index: index.KindMPT})
@@ -156,8 +156,8 @@ func TestMPTEngineMerge(t *testing.T) {
 	}
 }
 
-// TestMPTGarbageCollection: MPT chunks are marked through the Children
-// registry — live data survives a full GC, deleted branches are swept.
+// TestMPTGarbageCollection: MPT chunks are marked through fnode.Refs's MPT
+// arm — live data survives a full GC, deleted branches are swept.
 func TestMPTGarbageCollection(t *testing.T) {
 	db := mptDB()
 	v, err := db.NewMapValue(mptEntries(1000, 0))
@@ -222,7 +222,7 @@ func TestMPTGarbageCollection(t *testing.T) {
 }
 
 // TestMPTVerifyDetectsTampering: flipping a bit in an MPT node chunk is
-// caught by VerifyVersion walking through the Children registry.
+// caught by VerifyVersion walking through fnode.Refs's MPT arm.
 func TestMPTVerifyDetectsTampering(t *testing.T) {
 	mal := store.NewMaliciousStore(store.NewMemStore())
 	db := Open(Options{Store: mal, Chunking: chunker.SmallConfig(), Index: index.KindMPT})

@@ -6,7 +6,8 @@ import (
 
 	"forkbase/internal/chunk"
 	"forkbase/internal/hash"
-	"forkbase/internal/index"
+	"forkbase/internal/mpt"
+	"forkbase/internal/pos"
 )
 
 // This file is the only definition of the object graph a uid is the Merkle
@@ -21,13 +22,17 @@ import (
 const WalkBatch = 512
 
 // Refs returns the ids c points at: an FNode links its base versions and the
-// root of a composite value; an index node — of whatever structure, through
-// the index layer's node-type registry — links its children; a leaf links
-// nothing.  Heal and replica sync call it on bytes that have not been
-// hash-checked yet, so it must reject, never trust, a malformed payload.
+// root of a composite value; an index node — of either structure, told apart
+// by its chunk type — links its children; a leaf links nothing.  Heal and
+// replica sync call it on bytes that have not been hash-checked yet, so it
+// must reject, never trust, a malformed payload.
 func Refs(c *chunk.Chunk) ([]hash.Hash, error) {
-	if c.Type() != chunk.TypeFNode {
-		return index.Children(c)
+	switch c.Type() {
+	case chunk.TypeFNode: // decoded below
+	case chunk.TypeMPTNode:
+		return mpt.Children(c)
+	default:
+		return pos.IndexChildren(c)
 	}
 	f, err := Decode(c.Data())
 	if err != nil {

@@ -13,7 +13,6 @@ import (
 	"forkbase/internal/chunker"
 	"forkbase/internal/hash"
 	"forkbase/internal/index"
-	_ "forkbase/internal/mpt" // registers the MPT node decoder
 	"forkbase/internal/pos"
 	"forkbase/internal/store"
 	"forkbase/internal/value"

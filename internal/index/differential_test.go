@@ -14,22 +14,21 @@ import (
 	"testing"
 
 	"forkbase/internal/chunker"
+	"forkbase/internal/hash"
 	"forkbase/internal/index"
 	"forkbase/internal/store"
-
-	_ "forkbase/internal/mpt"
-	_ "forkbase/internal/pos"
+	"forkbase/internal/value"
 )
 
 var kinds = []index.Kind{index.KindPOS, index.KindMPT}
 
 func emptyOf(t *testing.T, k index.Kind, st store.Store) index.VersionedIndex {
 	t.Helper()
-	f, err := index.For(k)
+	ix, err := value.LoadIndex(st, chunker.SmallConfig(), hash.Hash{}, k)
 	if err != nil {
-		t.Fatalf("For(%s): %v", k, err)
+		t.Fatalf("LoadIndex(%s): %v", k, err)
 	}
-	return f.Empty(st, chunker.SmallConfig())
+	return ix
 }
 
 func randKey(rng *rand.Rand) []byte {
@@ -393,9 +392,10 @@ func TestCrossStructureDiff(t *testing.T) {
 	assertSameDeltas(t, dCross, dSame, "cross vs structural")
 }
 
-// TestLoadKindRefusesARootOfAnotherFamily: LoadKind trusts the caller's kind
-// enough to load by it, not enough to mis-decode — each structure's own
-// root load rejects the other's root, and the right kind still loads.
+// TestLoadKindRefusesARootOfAnotherFamily: value.LoadIndex trusts the
+// caller's kind enough to load by it, not enough to mis-decode — each
+// structure's own root load rejects the other's root, and the right kind
+// still loads.
 func TestLoadKindRefusesARootOfAnotherFamily(t *testing.T) {
 	cfg := chunker.SmallConfig()
 	ops := randOps(rand.New(rand.NewSource(5)), 40, 0)
@@ -406,7 +406,7 @@ func TestLoadKindRefusesARootOfAnotherFamily(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, as := range kinds {
-			got, err := index.LoadKind(st, cfg, ix.Root(), as)
+			got, err := value.LoadIndex(st, cfg, ix.Root(), as)
 			if as == k {
 				if err != nil || got.Len() != ix.Len() {
 					t.Errorf("%s root as %s: %v", k, as, err)

@@ -1,25 +1,21 @@
 // Package index defines the structure-agnostic versioned-index layer of
 // ForkBase: the contract every Structurally-Invariant Reusable Index (SIRI)
-// implements, plus the registries through which the rest of the system —
-// garbage collection, tamper verification, replication, the value layer —
-// dispatches on index structure without naming one.
+// implements, and the kinds that name the two structures implementing it.
 //
 // The source paper compares POS-Trees against other SIRIs (notably the
 // Merkle Patricia Trie) on deduplication, lookup latency and tamper
-// evidence.  This package is what makes that comparison — and any future
-// index structure — a one-package addition:
+// evidence.  This package is what lets the engine run that comparison
+// without naming a structure above the value layer:
 //
 //   - VersionedIndex is the operation surface (get/put/del/iter/rank/diff/
 //     merge/stats).  An index is an immutable value rooted at a chunk hash
 //     over a store.Store; "mutations" return a new index sharing unchanged
 //     chunks with the old one.
-//   - Factory builds, loads and empties indexes of one Kind; factories
-//     self-register (Register) from their package's init, and callers reach
-//     them through For or LoadKind.  The kind of a stored index is recorded
-//     on the FNode that names it, never guessed from its root chunk.
-//   - Children is the node-type-keyed decoding registry: reachability walks
-//     (GC mark, verify, the replication Merkle prune) ask it for a chunk's
-//     child hashes and never import a concrete index package.
+//   - Kind names a structure: KindPOS (package pos) or KindMPT (package
+//     mpt).  The set is closed: value.LoadIndex and the value constructors
+//     pick the structure in one switch, and fnode.Refs picks the child
+//     decoder by chunk type.  The kind of a stored index is recorded on the
+//     FNode that names it, never guessed from its root chunk.
 //
 // A SIRI implementation must guarantee structural invariance: the chunk
 // graph (and therefore the root hash) is a pure function of the logical
@@ -39,7 +35,7 @@ import (
 // Kind identifies an index structure.
 type Kind uint8
 
-// Registered index kinds.  KindPOS is the zero value: FNodes written before
+// Index kinds.  KindPOS is the zero value: FNodes written before
 // the index layer existed carry no kind byte and decode as POS-backed.
 const (
 	// KindPOS is the Pattern-Oriented-Split Tree (package pos), the paper's
@@ -64,8 +60,9 @@ func (k Kind) String() string {
 	}
 }
 
-// Known reports whether k names a defined structure (registered or not);
-// decoders use it to reject corrupt kind bytes.
+// Known reports whether k names one of the two structures; decoders use it to
+// reject corrupt kind bytes, and core.Open and forkbase.Open to refuse an
+// unknown kind.
 func (k Kind) Known() bool { return k == KindPOS || k == KindMPT }
 
 // ParseKind parses a kind name ("pos", "mpt").

@@ -22,10 +22,10 @@
 // history, which the cross-structure differential oracle enforces.
 //
 // Writes land through the batched store.ChunkSink, one PutBatch per commit;
-// the store's put turns away a recreated shared node as a dedup hit.  The
-// trie registers itself with the index layer: reachability walks (fnode.Walk:
-// GC, verify, heal, replication pruning) decode its children through
-// index.Children.
+// the store's put turns away a recreated shared node as a dedup hit.
+// Reachability walks (fnode.Walk: GC, verify, heal, replication pruning)
+// decode its children through Children, which fnode.Refs calls for every
+// TypeMPTNode chunk.
 package mpt
 
 import (
@@ -261,8 +261,8 @@ func decodeNode(c *chunk.Chunk) (*node, error) {
 	return n, nil
 }
 
-// Children returns the child chunk hashes of an MPT node chunk — the hook
-// the index layer's reachability registry dispatches to.
+// Children returns the child chunk hashes of an MPT node chunk — the edge
+// rule fnode.Refs applies to a TypeMPTNode chunk.
 func Children(c *chunk.Chunk) ([]hash.Hash, error) {
 	if c.Type() != chunk.TypeMPTNode {
 		return nil, nil
@@ -528,36 +528,6 @@ func (t *Trie) ComputeStats() (index.Stats, error) {
 		return index.Stats{}, err
 	}
 	return st, nil
-}
-
-// factory builds, loads and empties tries for the index registry.
-type factory struct{}
-
-func (factory) Kind() index.Kind { return index.KindMPT }
-
-func (factory) Empty(st store.Store, cfg chunker.Config) index.VersionedIndex {
-	return New(st, cfg)
-}
-
-func (factory) Load(st store.Store, cfg chunker.Config, root hash.Hash) (index.VersionedIndex, error) {
-	t, err := Load(st, cfg, root)
-	if err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-func (factory) Build(st store.Store, cfg chunker.Config, entries []index.Entry) (index.VersionedIndex, error) {
-	t, err := Build(st, cfg, entries)
-	if err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-func init() {
-	index.Register(factory{})
-	index.RegisterChildren(chunk.TypeMPTNode, Children)
 }
 
 var _ index.VersionedIndex = (*Trie)(nil)

@@ -525,8 +525,7 @@ func TestChunkIDsAndChildrenCover(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ChunkIDs: %v", err)
 	}
-	// Reachability through the registry's Children must cover exactly the
-	// same set — this is what GC marking and replication pruning rely on.
+	// Reachability through Children must cover exactly the same set — this is what GC marking and replication pruning rely on.
 	seen := map[string]bool{}
 	var walk func(idBytes [32]byte) error
 	walk = func(id [32]byte) error {
@@ -538,7 +537,7 @@ func TestChunkIDsAndChildrenCover(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		kids, err := index.Children(c)
+		kids, err := Children(c)
 		if err != nil {
 			return err
 		}

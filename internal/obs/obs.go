@@ -244,25 +244,6 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	return r.family(name, help, kindGauge, nil).instance(nil).gauge
 }
 
-// GaugeVec is a family of gauges sharing a name and label schema.
-type GaugeVec struct{ fam *family }
-
-// GaugeVec registers (or finds) a labeled gauge family.
-func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	if r == nil || r.inert {
-		return nil
-	}
-	return &GaugeVec{fam: r.family(name, help, kindGauge, labels)}
-}
-
-// With resolves the gauge for the given label values.
-func (v *GaugeVec) With(values ...string) *Gauge {
-	if v == nil {
-		return nil
-	}
-	return v.fam.instance(values).gauge
-}
-
 // GaugeFunc registers a gauge whose value is computed at scrape time.
 // Re-registering the same name replaces the callback — the latest engine
 // wins, which is what a test process that opens engines serially wants.

@@ -1,22 +1,16 @@
 package pos
 
-import (
-	"forkbase/internal/chunk"
-	"forkbase/internal/chunker"
-	"forkbase/internal/hash"
-	"forkbase/internal/index"
-	"forkbase/internal/store"
-)
+import "forkbase/internal/index"
 
 // This file ports the map POS-Tree behind the structure-agnostic
 // index.VersionedIndex contract.  Tree already satisfies most of the
 // interface directly (Get, Has, At, Rank, Root, Len, ChunkIDs,
 // ComputeStats, Store, Config); the methods below bridge the tree-typed
-// signatures (Edit, Iter, Diff) to the interface-typed ones, and the init
-// hook registers the factory and the child-hash decoders the reachability
-// walks (GC mark, verify, replication prune) dispatch through.  Chunk
-// encodings are untouched by this port: a DB written before the index layer
-// existed reopens with byte-identical roots.
+// signatures (Edit, Iter, Diff) to the interface-typed ones.  The value
+// layer builds and loads trees by kind (value.LoadIndex), and the
+// reachability walks (GC mark, verify, replication prune) reach IndexChildren
+// through fnode.Refs.  Chunk encodings are untouched by this port: a DB
+// written before the index layer existed reopens with byte-identical roots.
 
 // Kind identifies the structure (index.KindPOS).
 func (t *Tree) Kind() index.Kind { return index.KindPOS }
@@ -60,38 +54,3 @@ func (t *Tree) DiffWith(o index.VersionedIndex) ([]index.Delta, index.DiffStats,
 
 var _ index.VersionedIndex = (*Tree)(nil)
 var _ index.Iterator = (*Iter)(nil)
-
-// factory builds, loads and empties map POS-Trees for the index registry.
-type factory struct{}
-
-func (factory) Kind() index.Kind { return index.KindPOS }
-
-func (factory) Empty(st store.Store, cfg chunker.Config) index.VersionedIndex {
-	return NewEmptyTree(st, cfg)
-}
-
-func (factory) Load(st store.Store, cfg chunker.Config, root hash.Hash) (index.VersionedIndex, error) {
-	t, err := LoadTree(st, cfg, root)
-	if err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-func (factory) Build(st store.Store, cfg chunker.Config, entries []index.Entry) (index.VersionedIndex, error) {
-	t, err := BuildMap(st, cfg, entries)
-	if err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-func init() {
-	index.Register(factory{})
-	// Child-hash decoders for every POS node type: reachability walks feed
-	// arbitrary chunks through index.Children instead of importing pos.
-	// IndexChildren answers for map and seq index nodes alike (and returns
-	// nil for leaves, which need no registration).
-	index.RegisterChildren(chunk.TypeMapIndex, IndexChildren)
-	index.RegisterChildren(chunk.TypeSeqIndex, IndexChildren)
-}

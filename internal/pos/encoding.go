@@ -128,8 +128,8 @@ func uvarint(p []byte) (x uint64, sz int) {
 }
 
 // IndexChildren returns the child hashes of a POS-Tree index node chunk, or
-// nil for leaf chunks — the hook the index layer's reachability registry
-// dispatches to.
+// nil for leaf chunks — the edge rule fnode.Refs applies to every chunk that
+// is neither an FNode nor an MPT node.
 func IndexChildren(c *chunk.Chunk) ([]hash.Hash, error) {
 	switch c.Type() {
 	case chunk.TypeMapIndex, chunk.TypeSeqIndex:

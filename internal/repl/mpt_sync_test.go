@@ -12,8 +12,8 @@ import (
 )
 
 // TestFollowerSyncsMPTPrimary pins the acceptance criterion that the
-// replication Merkle prune walks MPT value graphs through the index
-// layer's Children registry: a replica of an MPT-rooted primary converges
+// replication Merkle prune walks MPT value graphs through fnode.Refs's MPT
+// arm: a replica of an MPT-rooted primary converges
 // byte-identically, and an incremental update transfers only the delta
 // subgraph (the prune actually prunes).
 func TestFollowerSyncsMPTPrimary(t *testing.T) {

@@ -20,7 +20,7 @@ import (
 
 // reach is the brute-force oracle the walkers are held to: a recursive walk
 // that spells the edge rule out per chunk type with each structure's own
-// decoder — no fnode.Refs, no fnode.Walk, no registry.  It adds the closure
+// decoder — no fnode.Refs, no fnode.Walk.  It adds the closure
 // of id to out, not entering stop.
 func reach(t *testing.T, st store.Store, id, stop hash.Hash, out map[hash.Hash]bool) {
 	t.Helper()

@@ -10,9 +10,7 @@ import (
 	"forkbase/internal/fnode"
 	"forkbase/internal/hash"
 	"forkbase/internal/index"
-	_ "forkbase/internal/mpt"
 	"forkbase/internal/nodecache"
-	_ "forkbase/internal/pos"
 	"forkbase/internal/store"
 	"forkbase/internal/value"
 )
@@ -78,22 +76,18 @@ func indexKind(k index.Kind) nodeKind {
 	return nodeKind{
 		name: k.String(),
 		seed: func(st store.Store) (hash.Hash, error) {
-			f, err := index.For(k)
-			if err != nil {
-				return hash.Hash{}, err
-			}
 			entries := make([]index.Entry, 2000)
 			for i := range entries {
 				entries[i] = index.Entry{Key: []byte(fmt.Sprintf("key-%010d", i)), Val: []byte("v")}
 			}
-			ix, err := f.Build(st, cfg, entries)
+			v, err := value.NewMapWith(st, cfg, k, entries)
 			if err != nil {
 				return hash.Hash{}, err
 			}
-			return ix.Root(), nil
+			return v.Root(), nil
 		},
 		read: func(st store.Store, root hash.Hash) error {
-			ix, err := index.LoadKind(st, cfg, root, k)
+			ix, err := value.LoadIndex(st, cfg, root, k)
 			if err != nil {
 				return err
 			}
@@ -101,7 +95,7 @@ func indexKind(k index.Kind) nodeKind {
 			return err
 		},
 		write: func(st store.Store, root hash.Hash) error {
-			ix, err := index.LoadKind(st, cfg, root, k)
+			ix, err := value.LoadIndex(st, cfg, root, k)
 			if err != nil {
 				return err
 			}

@@ -18,6 +18,7 @@ import (
 	"forkbase/internal/chunker"
 	"forkbase/internal/hash"
 	"forkbase/internal/index"
+	"forkbase/internal/mpt"
 	"forkbase/internal/pos"
 	"forkbase/internal/store"
 )
@@ -249,19 +250,9 @@ func NewMap(st store.Store, cfg chunker.Config, entries []pos.Entry) (Value, err
 	return NewMapWith(st, cfg, index.KindPOS, entries)
 }
 
-// NewMapWith builds a map value whose entries are indexed by the given
-// structure (POS-Tree, Merkle Patricia Trie, ...), dispatching through the
-// index registry.
+// NewMapWith builds a map value whose entries are indexed by structure k.
 func NewMapWith(st store.Store, cfg chunker.Config, k index.Kind, entries []pos.Entry) (Value, error) {
-	f, err := index.For(k)
-	if err != nil {
-		return Value{}, err
-	}
-	ix, err := f.Build(st, cfg, entries)
-	if err != nil {
-		return Value{}, err
-	}
-	return FromIndex(KindMap, ix), nil
+	return newIndexed(st, cfg, KindMap, k, entries)
 }
 
 // NewSetWith builds a set value over the given index structure.
@@ -270,15 +261,54 @@ func NewSetWith(st store.Store, cfg chunker.Config, k index.Kind, elems [][]byte
 	for i, e := range elems {
 		entries[i] = pos.Entry{Key: e, Val: nil}
 	}
-	f, err := index.For(k)
+	return newIndexed(st, cfg, KindSet, k, entries)
+}
+
+// newIndexed builds a map or set value over structure k: with LoadIndex, the
+// one place a structure is picked by kind.
+func newIndexed(st store.Store, cfg chunker.Config, kind Kind, k index.Kind, entries []pos.Entry) (Value, error) {
+	var ix index.VersionedIndex
+	var err error
+	switch k {
+	case index.KindPOS:
+		ix, err = asIndex(pos.BuildMap(st, cfg, entries))
+	case index.KindMPT:
+		ix, err = asIndex(mpt.Build(st, cfg, entries))
+	default:
+		err = unknownKind(k)
+	}
 	if err != nil {
 		return Value{}, err
 	}
-	ix, err := f.Build(st, cfg, entries)
-	if err != nil {
-		return Value{}, err
+	return FromIndex(kind, ix), nil
+}
+
+// LoadIndex attaches to the index of structure k rooted at root; a zero root
+// is the empty index.  Stored data is not sniffed: the kind is recorded on the
+// hashed FNode, known to the constructor that built the value, or else the
+// caller's default.  The root read goes through the node cache and fails with
+// a typed error on a root of the other structure.
+func LoadIndex(st store.Store, cfg chunker.Config, root hash.Hash, k index.Kind) (index.VersionedIndex, error) {
+	switch k {
+	case index.KindPOS:
+		return asIndex(pos.LoadTree(st, cfg, root))
+	case index.KindMPT:
+		return asIndex(mpt.Load(st, cfg, root))
 	}
-	return FromIndex(KindSet, ix), nil
+	return nil, unknownKind(k)
+}
+
+// asIndex drops a structure's concrete pointer type, so a failed build or
+// load yields a nil interface rather than a typed nil.
+func asIndex[T index.VersionedIndex](ix T, err error) (index.VersionedIndex, error) {
+	if err != nil {
+		return nil, err
+	}
+	return ix, nil
+}
+
+func unknownKind(k index.Kind) error {
+	return fmt.Errorf("value: unknown index kind %s", k)
 }
 
 // FromIndex wraps an existing versioned index as a map or set value.
@@ -310,7 +340,7 @@ func (v Value) WithIndexKind(k index.Kind) Value {
 // everything the engine's GetVersion returns) loads it regardless of hint;
 // that also keeps a branch whose head emptied on its structure.  A bare
 // decoded descriptor loads as hint's kind, and a root of another structure
-// fails the load.  Either way the factory's root read is the only store read.
+// fails the load.  Either way LoadIndex's root read is the only store read.
 func (v Value) Index(st store.Store, cfg chunker.Config, hint index.Kind) (index.VersionedIndex, error) {
 	if v.kind != KindMap && v.kind != KindSet {
 		return nil, fmt.Errorf("%w: have %s want map or set", ErrWrongKind, v.kind)
@@ -318,30 +348,12 @@ func (v Value) Index(st store.Store, cfg chunker.Config, hint index.Kind) (index
 	if v.idxKnown {
 		hint = v.idx
 	}
-	return index.LoadKind(st, cfg, v.root, hint)
+	return LoadIndex(st, cfg, v.root, hint)
 }
 
-// FromMapTree wraps an existing map tree as a value.
-func FromMapTree(t *pos.Tree) Value {
-	return Value{kind: KindMap, root: t.Root(), count: t.Len(), idx: index.KindPOS, idxKnown: true}
-}
-
-// NewSet builds a set value from elements.
+// NewSet builds a set value from elements using the default POS-Tree.
 func NewSet(st store.Store, cfg chunker.Config, elems [][]byte) (Value, error) {
-	entries := make([]pos.Entry, len(elems))
-	for i, e := range elems {
-		entries[i] = pos.Entry{Key: e, Val: nil}
-	}
-	t, err := pos.BuildMap(st, cfg, entries)
-	if err != nil {
-		return Value{}, err
-	}
-	return FromSetTree(t), nil
-}
-
-// FromSetTree wraps an existing set-shaped tree as a value.
-func FromSetTree(t *pos.Tree) Value {
-	return Value{kind: KindSet, root: t.Root(), count: t.Len(), idx: index.KindPOS, idxKnown: true}
+	return NewSetWith(st, cfg, index.KindPOS, elems)
 }
 
 // NewList builds a list value from items.
@@ -409,8 +421,8 @@ func (v Value) Blob(st store.Store, cfg chunker.Config) (*pos.Blob, error) {
 // ChunkIDs returns every chunk id reachable from a value (empty for
 // primitives); used by the paper experiments' accounting and by tests
 // picking chunks to corrupt — verification and GC walk with fnode.Walk.
-// Map and set values dispatch through the index registry, so the
-// enumeration works for every registered structure.
+// Map and set values load through LoadIndex, so the enumeration works for
+// both structures.
 func (v Value) ChunkIDs(st store.Store, cfg chunker.Config) ([]hash.Hash, error) {
 	if !v.kind.Composite() || v.root.IsZero() {
 		return nil, nil

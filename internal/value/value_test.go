@@ -8,8 +8,8 @@ import (
 	"testing/quick"
 
 	"forkbase/internal/chunker"
+	"forkbase/internal/hash"
 	"forkbase/internal/index"
-	_ "forkbase/internal/mpt"
 	"forkbase/internal/pos"
 	"forkbase/internal/store"
 )
@@ -320,6 +320,32 @@ func TestBareDescriptorLoadsUnderItsHint(t *testing.T) {
 		}
 		if ix, err := bare.Index(st, cfg(), tc.other); err == nil {
 			t.Fatalf("a %s root loaded under a %s hint = a %s index of %d rows, want an error", tc.kind, tc.other, ix.Kind(), ix.Len())
+		}
+	}
+}
+
+// TestUnknownIndexKindIsAnError: the build/load switch knows two structures;
+// every other kind byte is an error from each entry point, never a panic or a
+// nil index.
+func TestUnknownIndexKindIsAnError(t *testing.T) {
+	st := store.NewMemStore()
+	entries := []pos.Entry{{Key: []byte("a"), Val: []byte("1")}}
+	v, err := NewMap(st, cfg(), entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for b := 2; b <= 255; b++ {
+		k := index.Kind(b)
+		if _, err := NewMapWith(st, cfg(), k, entries); err == nil {
+			t.Errorf("NewMapWith(%s) built a map", k)
+		}
+		if _, err := NewSetWith(st, cfg(), k, [][]byte{[]byte("a")}); err == nil {
+			t.Errorf("NewSetWith(%s) built a set", k)
+		}
+		for _, root := range []hash.Hash{{}, v.Root()} {
+			if ix, err := LoadIndex(st, cfg(), root, k); err == nil || ix != nil {
+				t.Errorf("LoadIndex(%s, %s) = %v, %v; want a nil index and an error", root.Short(), k, ix, err)
+			}
 		}
 	}
 }
