@@ -2,6 +2,7 @@ package pos
 
 import (
 	"fmt"
+	"math/rand"
 	"slices"
 	"sync"
 	"testing"
@@ -343,6 +344,11 @@ func BenchmarkTreeIterate(b *testing.B) {
 	}
 }
 
+// BenchmarkTreeDiff diffs two uncached trees differing in D keys.  Its
+// scatter case has the shape of a scattered-commit table: 100k rows of
+// 16-byte keys and 96-byte random values, diffed against the same table
+// eight commits of eight random same-length puts later, so about 36 entries
+// share a leaf rather than the D cases' 150.
 func BenchmarkTreeDiff(b *testing.B) {
 	for _, d := range []int{1, 10, 100} {
 		b.Run(fmt.Sprintf("D=%d", d), func(b *testing.B) {
@@ -364,6 +370,45 @@ func BenchmarkTreeDiff(b *testing.B) {
 			}
 		})
 	}
+	b.Run("scatter", func(b *testing.B) {
+		const rows, commits, batch, valLen = 100000, 8, 8, 96
+		rng := rand.New(rand.NewSource(1))
+		val := func() []byte {
+			v := make([]byte, valLen)
+			rng.Read(v)
+			return v
+		}
+		key := func(i int) []byte { return []byte(fmt.Sprintf("row%013d", i)) }
+		entries := make([]Entry, rows)
+		for i := range entries {
+			entries[i] = Entry{Key: key(i), Val: val()}
+		}
+		base, err := BuildMap(store.NewMemStore(), chunker.DefaultConfig(), entries)
+		if err != nil {
+			b.Fatal(err)
+		}
+		head := base
+		for c := 0; c < commits; c++ {
+			ops := make([]Op, batch)
+			for j := range ops {
+				ops[j] = Put(key(rng.Intn(rows)), val())
+			}
+			if head, err = head.Edit(ops); err != nil {
+				b.Fatal(err)
+			}
+		}
+		want, _, err := base.Diff(head)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if deltas, _, err := base.Diff(head); err != nil || len(deltas) != len(want) {
+				b.Fatalf("deltas=%d err=%v", len(deltas), err)
+			}
+		}
+		b.ReportMetric(float64(len(want)), "deltas")
+	})
 }
 
 func BenchmarkMerge3Disjoint(b *testing.B) {

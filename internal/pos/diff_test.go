@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -232,53 +233,155 @@ func TestDiffOracleRandomized(t *testing.T) {
 // Diff calls over one shared tree and store, the way a server's concurrent
 // requests do, and checks every caller's deltas delta for delta against the
 // serial iterator merge, and every caller's stats against each other's.
+// Besides random edits, the shapes include rows built against the leaf
+// diff's byte skip: values that embed the encoding of a neighbouring entry,
+// runs of equal and of empty values, insert and delete runs long enough to
+// move leaf boundaries, and a value that swallows its successor's encoding.
 func TestDiffParallelMatchesSerial(t *testing.T) {
 	const callers = 4
 	st := store.NewMemStore()
 	rng := rand.New(rand.NewSource(13))
 	a := mustBuild(t, st, genEntries(1000, 3))
 	empty := NewEmptyTree(st, testCfg())
+	type pair struct {
+		name     string
+		old, new *Tree
+	}
+	var pairs []pair
 	for _, edits := range []int{1, 60, 1500} {
 		b := editedTree(t, a, rng, edits)
-		for _, tc := range []struct {
-			name     string
-			old, new *Tree
-		}{
-			{"fwd", a, b},
-			{"rev", b, a},
-			{"self", a, a},
-			{"from-empty", empty, b},
-			{"to-empty", b, empty},
-		} {
-			want, _, err := index.GenericDiff(tc.old, tc.new)
-			if err != nil {
-				t.Fatal(err)
+		pairs = append(pairs,
+			pair{fmt.Sprintf("fwd edits=%d", edits), a, b},
+			pair{fmt.Sprintf("rev edits=%d", edits), b, a},
+			pair{fmt.Sprintf("self edits=%d", edits), a, a},
+			pair{fmt.Sprintf("from-empty edits=%d", edits), empty, b},
+			pair{fmt.Sprintf("to-empty edits=%d", edits), b, empty})
+	}
+	adv := adversarialEntries(1000)
+	advTree := mustBuild(t, st, adv)
+	for _, sh := range adversarialEdits(adv) {
+		b, err := advTree.Edit(sh.ops)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pairs = append(pairs, pair{sh.name + " fwd", advTree, b}, pair{sh.name + " rev", b, advTree})
+	}
+	k1, k2 := []byte("key-1"), []byte("key-2")
+	x, v := []byte("x"), []byte("v")
+	split := mustBuild(t, st, []Entry{{Key: k1, Val: x}, {Key: k2, Val: v}})
+	swallowed := mustBuild(t, st, []Entry{{Key: k1, Val: encodeEntry(slices.Clip(x), Entry{Key: k2, Val: v})}})
+	pairs = append(pairs, pair{"swallow fwd", split, swallowed}, pair{"swallow rev", swallowed, split})
+	for _, tc := range pairs {
+		want, _, err := index.GenericDiff(tc.old, tc.new)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		got := make([][]Delta, callers)
+		stats := make([]DiffStats, callers)
+		errs := make([]error, callers)
+		for i := 0; i < callers; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				got[i], stats[i], errs[i] = tc.old.Diff(tc.new)
+			}(i)
+		}
+		wg.Wait()
+		for i := 0; i < callers; i++ {
+			if errs[i] != nil {
+				t.Fatalf("%s caller %d: %v", tc.name, i, errs[i])
 			}
-			var wg sync.WaitGroup
-			got := make([][]Delta, callers)
-			stats := make([]DiffStats, callers)
-			errs := make([]error, callers)
-			for i := 0; i < callers; i++ {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					got[i], stats[i], errs[i] = tc.old.Diff(tc.new)
-				}(i)
+			if !reflect.DeepEqual(got[i], want) || stats[i].Deltas != len(got[i]) {
+				t.Fatalf("%s caller %d: %d deltas (stats %d), generic diff %d",
+					tc.name, i, len(got[i]), stats[i].Deltas, len(want))
 			}
-			wg.Wait()
-			for i := 0; i < callers; i++ {
-				if errs[i] != nil {
-					t.Fatalf("%s edits=%d caller %d: %v", tc.name, edits, i, errs[i])
-				}
-				if !reflect.DeepEqual(got[i], want) || stats[i].Deltas != len(got[i]) {
-					t.Fatalf("%s edits=%d caller %d: %d deltas (stats %d), generic diff %d",
-						tc.name, edits, i, len(got[i]), stats[i].Deltas, len(want))
-				}
-				if stats[i] != stats[0] {
-					t.Fatalf("%s edits=%d caller %d: stats %+v != %+v",
-						tc.name, edits, i, stats[i], stats[0])
-				}
+			if stats[i] != stats[0] {
+				t.Fatalf("%s caller %d: stats %+v != %+v",
+					tc.name, i, stats[i], stats[0])
 			}
+		}
+	}
+}
+
+// adversarialEntries returns n rows whose values defeat a careless byte
+// compare: every fifth embeds the encoding of the row after it, and the
+// rest run through empty values and runs of equal ones.  Keys are even
+// numbers, so an insert run can land between them.
+func adversarialEntries(n int) []Entry {
+	key := func(i int) []byte { return []byte(fmt.Sprintf("key-%08d", 2*i)) }
+	out := make([]Entry, n)
+	for i := range out {
+		var val []byte
+		switch i % 5 {
+		case 0:
+			val = encodeEntry([]byte("pre"), Entry{Key: key(i + 1), Val: []byte("same")})
+		case 1:
+			val = []byte{}
+		case 2, 3:
+			val = []byte("same")
+		default:
+			val = []byte(fmt.Sprintf("val-%d", i))
+		}
+		out[i] = Entry{Key: key(i), Val: val}
+	}
+	return out
+}
+
+// adversarialEdits returns the edit shapes run against adversarialEntries.
+func adversarialEdits(base []Entry) []editShape {
+	swallow := func(i int) []Op { // row i takes on row i+1's encoding, which goes
+		return []Op{Put(base[i].Key, encodeEntry(slices.Clip(base[i].Val), base[i+1])), Del(base[i+1].Key)}
+	}
+	var embed, equal, insert, del []Op
+	for i := 7; i+1 < len(base); i += 97 {
+		embed = append(embed, swallow(i)...)
+	}
+	for i := 300; i < 360; i++ {
+		equal = append(equal, Put(base[i].Key, []byte("same")))
+		equal = append(equal, Put(base[i+100].Key, []byte{}))
+	}
+	for i := 500; i < 800; i++ {
+		insert = append(insert, Put([]byte(fmt.Sprintf("key-%08d", 2*i+1)), []byte("same")))
+	}
+	for i := 200; i < 500; i++ {
+		del = append(del, Del(base[i].Key))
+	}
+	return []editShape{
+		{"embed", embed},
+		{"equal-runs", equal},
+		{"insert-run", insert},
+		{"delete-run", del},
+		{"mixed", append(append(append(swallow(3), equal[:20]...), insert[:50]...), del[250:]...)},
+	}
+}
+
+// TestDiffReadsEachNodeOnce: an uncached diff fetches every node it visits
+// from the store exactly once.  Only the roots are read for their levels;
+// each level below follows from its parent's, so no span is loaded twice.
+func TestDiffReadsEachNodeOnce(t *testing.T) {
+	ms := store.NewMemStore()
+	rng := rand.New(rand.NewSource(21))
+	a := mustBuild(t, ms, genEntries(30000, 21))
+	b := editedTree(t, a, rng, 10)
+	small := mustBuild(t, ms, genEntries(5, 1))
+	empty := NewEmptyTree(ms, testCfg())
+	for _, tc := range []struct {
+		name     string
+		old, new *Tree
+	}{
+		{"fwd", a, b},
+		{"rev", b, a},
+		{"heights", small, b},
+		{"from-empty", empty, small},
+	} {
+		gets := ms.Stats().Gets
+		_, stats, err := tc.old.Diff(tc.new)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := ms.Stats().Gets - gets; got != int64(stats.TouchedChunks) {
+			t.Fatalf("%s: %d store gets for %d touched chunks", tc.name, got, stats.TouchedChunks)
 		}
 	}
 }
@@ -484,4 +587,94 @@ func TestMerge3MatchesRebuild(t *testing.T) {
 	if rebuilt.Root() != merged.Root() {
 		t.Fatalf("merged root %s != rebuilt root %s", merged.Root().Short(), rebuilt.Root().Short())
 	}
+}
+
+// FuzzTreeDiff builds two trees from entry sets the input derives — a base,
+// and the base after the edits the rest of the input spells — and requires
+// Diff to equal the generic iterator merge in both directions.  The seeds
+// are the adversarial shapes: a value that swallows its successor's
+// encoding, values embedding neighbours' encodings, runs of equal and of
+// empty values, and insert and delete runs that move leaf boundaries.
+func FuzzTreeDiff(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{2, 3, 0, 0})                         // {k0, k2} against k0 swallowing k2
+	f.Add([]byte{255, 3, 20, 0, 3, 90, 0, 3, 160, 0}) // swallows across a larger tree
+	runs := []byte{200}
+	for i := byte(0); i < 60; i++ {
+		runs = append(runs, 0, i, 0)        // a run of empty values
+		runs = append(runs, 2, 60+i, 0)     // a run of values equal to a neighbour's
+		runs = append(runs, 1, 120+i, 0)    // a delete run
+		runs = append(runs, 0x80, 180+i, 9) // an insert run between and past the base keys
+	}
+	f.Add(runs)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		a, b := fuzzEntrySets(data)
+		st := store.NewMemStore()
+		ta, tb := mustBuild(t, st, a), mustBuild(t, st, b)
+		for _, p := range [][2]*Tree{{ta, tb}, {tb, ta}} {
+			got, stats, err := p[0].Diff(p[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _, err := index.GenericDiff(p[0], p[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) || len(got) > 0 && !reflect.DeepEqual(got, want) || stats.Deltas != len(got) {
+				t.Fatalf("Diff gave %d deltas (stats %d), generic diff %d:\n got %q\nwant %q",
+					len(got), stats.Deltas, len(want), got, want)
+			}
+		}
+	})
+}
+
+// fuzzEntrySets derives a base entry set and an edited one from data.
+// data[0] is the base's row count; row i has key 2i and a value cut from
+// data, empty for every seventh row.  The rest of data is edits of three
+// bytes each — kind, key and argument — over keys 0 to 511, odd ones new:
+//
+//	0: put a value of arg%32 bytes cut from data
+//	1: delete the key
+//	2: give an existing key the value of the row before it
+//	3: append the encoding of the next row to an existing key's value, and
+//	   delete that row
+func fuzzEntrySets(data []byte) (base, edited []Entry) {
+	if len(data) == 0 {
+		return nil, nil
+	}
+	key := func(i int) []byte { return []byte(fmt.Sprintf("k%04d", i)) }
+	cut := func(off, n int) []byte {
+		v := make([]byte, n)
+		for i := range v {
+			v[i] = data[(off+i)%len(data)]
+		}
+		return v
+	}
+	var es []Entry // the edited set, in key order
+	for i := 0; i < int(data[0]); i++ {
+		n := i % 11
+		if i%7 == 0 {
+			n = 0
+		}
+		es = append(es, Entry{Key: key(2 * i), Val: cut(i, n)})
+	}
+	base = slices.Clone(es)
+	for rec := data[1:]; len(rec) >= 3; rec = rec[3:] {
+		k := key(2*int(rec[1]) + int(rec[0]>>7)) // the kind's high bit picks the odd key
+		i, found := slices.BinarySearchFunc(es, k, func(e Entry, k []byte) int { return bytes.Compare(e.Key, k) })
+		switch kind := rec[0] & 3; {
+		case kind == 0 && found:
+			es[i].Val = cut(int(rec[2]), int(rec[2])%32)
+		case kind == 0:
+			es = slices.Insert(es, i, Entry{Key: k, Val: cut(int(rec[2]), int(rec[2])%32)})
+		case kind == 1 && found:
+			es = slices.Delete(es, i, i+1)
+		case kind == 2 && found && i > 0:
+			es[i].Val = es[i-1].Val
+		case kind == 3 && found && i+1 < len(es):
+			es[i].Val = encodeEntry(slices.Clip(es[i].Val), es[i+1])
+			es = slices.Delete(es, i+1, i+2)
+		}
+	}
+	return base, es
 }
