@@ -40,7 +40,7 @@ func main() {
 		ds2.Rows(), float64(afterSecond-afterFirst)/1024)
 
 	// Branch dataset-1 for VendorX and apply their corrections (Fig 5).
-	if err := db.Engine().Branch("dataset-1", "VendorX", ""); err != nil {
+	if err := db.Branch("dataset-1", "VendorX", ""); err != nil {
 		log.Fatal(err)
 	}
 	vendor, err := db.OpenDataset("dataset-1", "VendorX")

@@ -94,7 +94,7 @@ func main() {
 	}
 
 	// Tamper evidence survives distribution: verify by uid over the wire.
-	if _, err := writer.Verify("telemetry", ver.UID, true); err != nil {
+	if _, err := writer.VerifyVersion("telemetry", ver.UID, true); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("remote verification: OK")

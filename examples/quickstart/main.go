@@ -79,7 +79,7 @@ func main() {
 	}
 
 	// Every version is tamper-evident: validate content + history by uid.
-	if _, err := db.Verify("inventory", res.Version.UID, true); err != nil {
+	if _, err := db.VerifyVersion("inventory", res.Version.UID, true); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("verification: OK")

@@ -35,7 +35,7 @@ func main() {
 
 	// Clean validation: every chunk of the value and the full history is
 	// fetched and re-hashed on the spot.
-	rep, err := db.Verify("contract", head.UID, true)
+	rep, err := db.VerifyVersion("contract", head.UID, true)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func main() {
 
 	// The provider flips one bit in one chunk of the *current* value.
 	ver, _ := db.Get("contract", "master")
-	ids, err := ver.Value.ChunkIDs(provider, db.Engine().Chunking())
+	ids, err := ver.Value.ChunkIDs(provider, db.Chunking())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func main() {
 	}
 	fmt.Println("\nprovider flips one bit in chunk", target.Short(), "...")
 
-	rep, err = db.Verify("contract", head.UID, true)
+	rep, err = db.VerifyVersion("contract", head.UID, true)
 	if err == nil {
 		log.Fatal("TAMPERING WENT UNDETECTED — this must never happen")
 	}
@@ -71,7 +71,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("\nprovider rewrites revision 1 (history attack)...")
-	if _, err := db.Verify("contract", head.UID, true); err == nil {
+	if _, err := db.VerifyVersion("contract", head.UID, true); err == nil {
 		log.Fatal("HISTORY TAMPERING WENT UNDETECTED")
 	} else {
 		fmt.Println("deep validation caught it:", err)

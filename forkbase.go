@@ -162,8 +162,23 @@ var (
 
 // DB is a ForkBase instance: a chunk store, a branch table, and the Git-like
 // operation surface of the paper's Fig 1.
+//
+// The operations are the engine's (internal/core.DB), promoted through an
+// embedded field that go doc does not expand, so they are listed here:
+//
+//   - writes: Put, WriteBatch (all or nothing), EditMap, AppendList, SpliceBlob
+//   - reads: Get, GetVersion, Head, Latest, History, ListKeys, IndexOf, IndexKind
+//   - branches: Branch, BranchFromVersion, DeleteBranch, RenameBranch, ListBranches
+//   - diff and merge: Diff (two uids), DiffBranches (two heads), Merge (three-way)
+//   - tamper evidence and upkeep: VerifyVersion, GC, Scrub, StoreHealth
+//   - accounting: Stats, NodeCacheStats, VerifyStats, Metrics
+//   - integrations: PutCtx, GetCtx, MergeCtx, BuildAndPut, Store, Chunking,
+//     BranchTable, Feed, SetReadOnly and core.DB's other methods
+//
+// The methods declared here add behaviour on top: closing the backends,
+// replication, healing from a peer, typed puts, datasets and sessions.
 type DB struct {
-	eng *core.DB
+	*engine
 	acl *access.Controller
 
 	fileStore *store.FileStore      // non-nil for file-backed instances
@@ -175,21 +190,21 @@ type DB struct {
 	followCli *server.Client
 }
 
+// engine names core.DB so the embedded field stays unexported.
+type engine = core.DB
+
+// WriteOp is one object write of a WriteBatch.
+type WriteOp = core.WriteOp
+
 // Option configures Open.
 type Option func(*options)
 
+// options is the engine's configuration plus the backends Open resolves.
 type options struct {
-	dir            string
-	addrs          []string
-	followAddr     string
-	chunking       chunker.Config
-	idxKind        index.Kind
-	st             store.Store
-	branches       core.BranchTable
-	nodeCacheBytes int64
-	metrics        *obs.Registry
-	logger         *slog.Logger
-	slowOp         time.Duration
+	core.Options
+	dir        string
+	addrs      []string
+	followAddr string
 }
 
 // InMemory keeps everything in RAM (default).
@@ -220,7 +235,8 @@ func OpenReplica(primaryAddr string, opts ...Option) (*DB, error) {
 // WithChunking overrides the content-defined chunking parameters.
 func WithChunking(q uint, minSize, maxSize int) Option {
 	return func(o *options) {
-		o.chunking = chunker.Config{Q: q, Window: 48, MinSize: minSize, MaxSize: maxSize}
+		o.Chunking = chunker.DefaultConfig()
+		o.Chunking.Q, o.Chunking.MinSize, o.Chunking.MaxSize = q, minSize, maxSize
 	}
 }
 
@@ -231,11 +247,11 @@ func WithChunking(q uint, minSize, maxSize int) Option {
 // with either setting reads data written under the other, and GC,
 // verification, diff, merge and replication work identically for both.
 func WithIndex(k IndexKind) Option {
-	return func(o *options) { o.idxKind = k }
+	return func(o *options) { o.Index = k }
 }
 
 // WithStore injects a custom chunk store (advanced; used by benchmarks).
-func WithStore(st store.Store) Option { return func(o *options) { o.st = st } }
+func WithStore(st store.Store) Option { return func(o *options) { o.Store = st } }
 
 // WithNodeCache enables the decoded-node cache on the read path with the
 // given byte budget (<= 0 selects a 32 MiB default).
@@ -254,7 +270,7 @@ func WithNodeCache(bytes int64) Option {
 		if bytes <= 0 {
 			bytes = nodecache.DefaultBytes
 		}
-		o.nodeCacheBytes = bytes
+		o.NodeCacheBytes = bytes
 	}
 }
 
@@ -263,23 +279,25 @@ func WithNodeCache(bytes int64) Option {
 // accounting.  The default is obs.Default() (the process-wide registry);
 // obs.Discard disables instrumentation entirely.
 func WithMetrics(reg *obs.Registry) Option {
-	return func(o *options) { o.metrics = reg }
+	return func(o *options) { o.Metrics = reg }
 }
 
 // WithLogger routes the engine's structured log records (slow-op reports)
 // through l instead of slog.Default().
 func WithLogger(l *slog.Logger) Option {
-	return func(o *options) { o.logger = l }
+	return func(o *options) { o.Logger = l }
 }
 
 // WithSlowOpThreshold logs any engine or store operation that takes at
 // least d, carrying the request's trace ID so one slow write can be
 // followed across layers.  0 (the default) disables slow-op logging.
 func WithSlowOpThreshold(d time.Duration) Option {
-	return func(o *options) { o.slowOp = d }
+	return func(o *options) { o.SlowOp = d }
 }
 
-// Open creates or opens a ForkBase instance.
+// Open creates or opens a ForkBase instance.  Remote, FileBacked and
+// WithStore each choose the chunk store, so at most one of them may be
+// given.
 func Open(opts ...Option) (*DB, error) {
 	var o options
 	for _, opt := range opts {
@@ -289,24 +307,25 @@ func Open(opts ...Option) (*DB, error) {
 	// inverted Min/Max surfaces here, at open, instead of as a mis-shaped
 	// tree deep inside the first build.  The zero value means "defaults"
 	// and is always fine.
-	if o.chunking != (chunker.Config{}) {
-		if err := o.chunking.Validate(); err != nil {
+	if o.Chunking != (chunker.Config{}) {
+		if err := o.Chunking.Validate(); err != nil {
 			return nil, err
 		}
 	}
-	if !o.idxKind.Known() {
-		return nil, errors.New("forkbase: unknown index kind " + o.idxKind.String())
+	if !o.Index.Known() {
+		return nil, errors.New("forkbase: unknown index kind " + o.Index.String())
 	}
 	db := &DB{acl: access.NewController()}
 	switch {
+	case len(o.addrs) > 0 && (o.dir != "" || o.Store != nil), o.dir != "" && o.Store != nil:
+		return nil, errors.New("forkbase: Remote, FileBacked and WithStore each choose the chunk store; give at most one")
 	case len(o.addrs) > 0:
 		cl, err := cluster.Connect(o.addrs)
 		if err != nil {
 			return nil, err
 		}
 		db.clust = cl
-		o.st = cl.Store()
-		o.branches = cl.BranchTable()
+		o.Store, o.Branches = cl.Store(), cl.BranchTable()
 	case o.dir != "":
 		fs, err := store.OpenFileStore(o.dir)
 		if err != nil {
@@ -318,19 +337,9 @@ func Open(opts ...Option) (*DB, error) {
 			return nil, err
 		}
 		db.fileStore, db.fileHeads = fs, bt
-		o.st = fs
-		o.branches = bt
+		o.Store, o.Branches = fs, bt
 	}
-	db.eng = core.Open(core.Options{
-		Store:          o.st,
-		Branches:       o.branches,
-		Chunking:       o.chunking,
-		Index:          o.idxKind,
-		NodeCacheBytes: o.nodeCacheBytes,
-		Metrics:        o.metrics,
-		Logger:         o.logger,
-		SlowOp:         o.slowOp,
-	})
+	db.engine = core.Open(o.Options)
 	if o.followAddr != "" {
 		if db.clust != nil {
 			db.Close()
@@ -341,11 +350,11 @@ func Open(opts ...Option) (*DB, error) {
 			db.Close()
 			return nil, err
 		}
-		db.eng.SetReadOnly(true) // gate every path that reaches the engine
+		db.SetReadOnly(true) // gate every path that reaches the engine
 		db.followCli = cli
 		// The follower writes through the engine's verifying store, so every
 		// replicated chunk is integrity-checked before it lands.
-		db.follower = repl.NewFollower(repl.NewRemoteSource(cli), db.eng.Store(), db.eng.BranchTable(), repl.Options{})
+		db.follower = repl.NewFollower(repl.NewRemoteSource(cli), db.Store(), db.BranchTable(), repl.Options{})
 		db.follower.Start()
 	}
 	return db, nil
@@ -373,7 +382,7 @@ func (db *DB) Close() error {
 	if db.followCli != nil {
 		_ = db.followCli.Close()
 	}
-	db.eng.NodeCache().Purge() // nil-safe; covers injected caches too
+	db.NodeCache().Purge() // nil-safe; covers injected caches too
 	if db.fileStore != nil {
 		return errors.Join(db.fileHeads.Close(), db.fileStore.Close())
 	}
@@ -405,32 +414,19 @@ func (db *DB) WaitSynced(timeout time.Duration) error {
 	return db.follower.WaitCaughtUp(timeout)
 }
 
-// Engine exposes the underlying engine for advanced integrations
-// (the dataset and REST layers use it).
-func (db *DB) Engine() *core.DB { return db.eng }
-
-// --- object operations (paper Fig 1 API layer) -------------------------------
-
-// Put writes a new version of key on branch and returns it.
-func (db *DB) Put(key, branch string, v Value, meta map[string]string) (Version, error) {
-	return db.eng.Put(key, branch, v, meta)
-}
-
-// WriteOp is one object write of a WriteBatch.
-type WriteOp = core.WriteOp
-
-// WriteBatch writes new versions of many objects in one batched store round:
-// all version chunks land with a single lock acquisition (and one
-// group-commit write on file-backed stores, one round trip per node on
-// clusters).  Ops on the same key@branch chain like sequential Puts, and the
-// batch commits all or nothing (core.DB.WriteBatch).
-func (db *DB) WriteBatch(ops []WriteOp) ([]Version, error) {
-	return db.eng.WriteBatch(ops)
+// FeedLag reports how many feed entries this replica is behind its primary
+// (0 when caught up).  It costs one round trip to the primary; on a DB
+// that is not a replica it returns an error.
+func (db *DB) FeedLag() (uint64, error) {
+	if db.follower == nil {
+		return 0, errors.New("forkbase: not a replica")
+	}
+	return db.follower.Lag()
 }
 
 // PutString is Put with a string value.
 func (db *DB) PutString(key, branch, s string, meta map[string]string) (Version, error) {
-	return db.eng.Put(key, branch, value.String(s), meta)
+	return db.Put(key, branch, value.String(s), meta)
 }
 
 // PutMap builds a map value from entries — over the structure selected
@@ -438,30 +434,30 @@ func (db *DB) PutString(key, branch, s string, meta map[string]string) (Version,
 // engine's GC write fence, so a concurrent collection cannot sweep the
 // freshly built chunks before the head publishes them.
 func (db *DB) PutMap(key, branch string, entries []Entry, meta map[string]string) (Version, error) {
-	return db.eng.BuildAndPut(key, branch, meta, func() (Value, error) {
-		return db.eng.NewMapValue(entries)
+	return db.BuildAndPut(key, branch, meta, func() (Value, error) {
+		return db.NewMapValue(entries)
 	})
 }
 
 // PutBlob builds a blob value from data and Puts it (fenced; see PutMap).
 func (db *DB) PutBlob(key, branch string, data []byte, meta map[string]string) (Version, error) {
-	return db.eng.BuildAndPut(key, branch, meta, func() (Value, error) {
-		return value.NewBlob(db.eng.Store(), db.eng.Chunking(), data)
+	return db.BuildAndPut(key, branch, meta, func() (Value, error) {
+		return value.NewBlob(db.Store(), db.Chunking(), data)
 	})
 }
 
 // PutSet builds a set value from elements (over the structure selected
 // with WithIndex) and Puts it (fenced; see PutMap).
 func (db *DB) PutSet(key, branch string, elems [][]byte, meta map[string]string) (Version, error) {
-	return db.eng.BuildAndPut(key, branch, meta, func() (Value, error) {
-		return db.eng.NewSetValue(elems)
+	return db.BuildAndPut(key, branch, meta, func() (Value, error) {
+		return db.NewSetValue(elems)
 	})
 }
 
 // PutList builds a list value from items and Puts it (fenced; see PutMap).
 func (db *DB) PutList(key, branch string, items [][]byte, meta map[string]string) (Version, error) {
-	return db.eng.BuildAndPut(key, branch, meta, func() (Value, error) {
-		return value.NewList(db.eng.Store(), db.eng.Chunking(), items)
+	return db.BuildAndPut(key, branch, meta, func() (Value, error) {
+		return value.NewList(db.Store(), db.Chunking(), items)
 	})
 }
 
@@ -470,21 +466,13 @@ func (db *DB) PutList(key, branch string, items [][]byte, meta map[string]string
 // A value staged this way is unreachable until its Put: commit it promptly —
 // a GC running in between collects it.
 func BuildMapValue(db *DB, entries []Entry) (Value, error) {
-	return db.eng.NewMapValue(entries)
+	return db.NewMapValue(entries)
 }
 
 // BuildBlobValue constructs a blob value without committing a version; the
 // staging caveat on BuildMapValue applies.
 func BuildBlobValue(db *DB, data []byte) (Value, error) {
-	return value.NewBlob(db.eng.Store(), db.eng.Chunking(), data)
-}
-
-// Get returns the current version of key on branch.
-func (db *DB) Get(key, branch string) (Version, error) { return db.eng.Get(key, branch) }
-
-// GetVersion returns a historical version by uid (verified).
-func (db *DB) GetVersion(key string, uid Hash) (Version, error) {
-	return db.eng.GetVersion(key, uid)
+	return value.NewBlob(db.Store(), db.Chunking(), data)
 }
 
 // MapOf loads the map entries interface of a POS-Tree-backed map version.
@@ -496,138 +484,27 @@ func (db *DB) GetVersion(key string, uid Hash) (Version, error) {
 // shared across all readers of the store.  Treat them as read-only and copy
 // before mutating or holding long-term.
 func (db *DB) MapOf(v Version) (*pos.Tree, error) {
-	return v.Value.MapTree(db.eng.Store(), db.eng.Chunking())
+	return v.Value.MapTree(db.Store(), db.Chunking())
 }
-
-// IndexOf loads the versioned index backing a map- or set-valued version,
-// whatever structure it was written with (the root chunk self-describes).
-func (db *DB) IndexOf(v Version) (Index, error) {
-	return db.eng.IndexOf(v)
-}
-
-// IndexKind reports which structure this handle writes composite values
-// with (WithIndex; IndexPOS unless overridden).
-func (db *DB) IndexKind() IndexKind { return db.eng.IndexKind() }
 
 // BlobBytes materialises a blob-valued version's content.
 func (db *DB) BlobBytes(v Version) ([]byte, error) {
-	b, err := v.Value.Blob(db.eng.Store(), db.eng.Chunking())
+	b, err := v.Value.Blob(db.Store(), db.Chunking())
 	if err != nil {
 		return nil, err
 	}
 	return b.Bytes()
 }
 
-// Head returns the head uid of key@branch.
-func (db *DB) Head(key, branch string) (Hash, error) { return db.eng.Head(key, branch) }
-
-// Latest returns the branch and version with the highest sequence number.
-func (db *DB) Latest(key string) (string, Version, error) { return db.eng.Latest(key) }
-
-// History lists versions of key@branch, newest first.
-func (db *DB) History(key, branch string, limit int) ([]Version, error) {
-	return db.eng.History(key, branch, limit)
-}
-
-// Branch forks newBranch from fromBranch's head.
-func (db *DB) Branch(key, newBranch, fromBranch string) error {
-	return db.eng.Branch(key, newBranch, fromBranch)
-}
-
-// BranchFromVersion forks newBranch from a historical version.
-func (db *DB) BranchFromVersion(key, newBranch string, uid Hash) error {
-	return db.eng.BranchFromVersion(key, newBranch, uid)
-}
-
-// DeleteBranch removes a branch head.
-func (db *DB) DeleteBranch(key, branch string) error {
-	return db.eng.DeleteBranch(key, branch)
-}
-
-// RenameBranch renames a branch.
-func (db *DB) RenameBranch(key, from, to string) error {
-	return db.eng.RenameBranch(key, from, to)
-}
-
-// ListBranches lists key's branches, sorted.
-func (db *DB) ListBranches(key string) ([]string, error) { return db.eng.ListBranches(key) }
-
-// ListKeys lists all object keys, sorted.
-func (db *DB) ListKeys() ([]string, error) { return db.eng.ListKeys() }
-
-// Diff computes key-level deltas between two versions (differential query).
-func (db *DB) Diff(key string, from, to Hash) ([]Delta, DiffStats, error) {
-	return db.eng.Diff(key, from, to)
-}
-
-// DiffBranches diffs the heads of two branches.
-func (db *DB) DiffBranches(key, fromBranch, toBranch string) ([]Delta, DiffStats, error) {
-	return db.eng.DiffBranches(key, fromBranch, toBranch)
-}
-
-// Merge three-way-merges branch src into dst.
-func (db *DB) Merge(key, dst, src string, resolve Resolver, meta map[string]string) (MergeResult, error) {
-	return db.eng.Merge(key, dst, src, resolve, meta)
-}
-
-// EditMap writes a new version of a map- or set-valued object by applying
-// puts and deletes incrementally to the current head: cost is
-// O(changes·log N) and untouched pages are shared with the previous version.
-func (db *DB) EditMap(key, branch string, puts []Entry, deletes [][]byte, meta map[string]string) (Version, error) {
-	return db.eng.EditMap(key, branch, puts, deletes, meta)
-}
-
-// AppendList writes a new version of a list-valued object with items
-// appended.
-func (db *DB) AppendList(key, branch string, items [][]byte, meta map[string]string) (Version, error) {
-	return db.eng.AppendList(key, branch, items, meta)
-}
-
-// SpliceBlob writes a new version of a blob-valued object with bytes
-// [at, at+del) replaced by ins.
-func (db *DB) SpliceBlob(key, branch string, at, del uint64, ins []byte, meta map[string]string) (Version, error) {
-	return db.eng.SpliceBlob(key, branch, at, del, ins, meta)
-}
-
-// GC removes chunks unreachable from any branch head and reclaims their
-// storage.  In-memory stores free the swept chunks directly; file-backed
-// stores compact their log — live records of every segment holding garbage
-// are rewritten into fresh segments and the old files unlinked, so the
-// on-disk footprint shrinks to the live set.  Writers wait from mark to
-// sweep; readers do not.  Only injected stores with no reachable
-// store.Collector return core.ErrNotCollectable.
-func (db *DB) GC() (GCStats, error) {
-	return db.eng.GC()
-}
-
-// Scrub rehashes every chunk record on disk against its content address,
-// quarantines damaged segments (renamed aside, never unlinked), rescues
-// every intact record out of them, and records the store's health state.
-// The engine finds the file store anywhere in its stack — FileBacked or an
-// injected WithStore — and an instance without one gets
-// core.ErrNotScrubbable.  Pass durations and quarantine/loss totals land in
-// the metrics registry.
-func (db *DB) Scrub() (ScrubStats, error) {
-	return db.eng.Scrub()
-}
-
 // LastScrub reports the most recent scrub (or open-time recovery)
 // classification; ok is false when none has run or no file store is in the
 // engine's stack.
 func (db *DB) LastScrub() (ScrubStats, time.Time, bool) {
-	fs, ok := store.As[*store.FileStore](db.eng.RawStore())
+	fs, ok := store.As[*store.FileStore](db.RawStore())
 	if !ok {
 		return ScrubStats{}, time.Time{}, false
 	}
 	return fs.LastScrub()
-}
-
-// StoreHealth is nil while every chunk the store has acknowledged is
-// readable and intact; after a scrub or recovery finds unrepaired damage it
-// wraps store.ErrCorrupt until Heal (or replication) restores the lost
-// chunks.
-func (db *DB) StoreHealth() error {
-	return db.eng.StoreHealth()
 }
 
 // Heal walks the live Merkle graph from every branch head, refetches any
@@ -643,7 +520,7 @@ func (db *DB) Heal(src ChunkSource) (HealStats, error) {
 		}
 		src = repl.NewRemoteSource(db.followCli)
 	}
-	return db.eng.Heal(src)
+	return db.engine.Heal(src)
 }
 
 // HealFrom heals from the forkbased server at addr (see Heal).
@@ -653,68 +530,29 @@ func (db *DB) HealFrom(addr string) (HealStats, error) {
 		return HealStats{}, err
 	}
 	defer cli.Close()
-	return db.eng.Heal(repl.NewRemoteSource(cli))
-}
-
-// Verify validates the object graph reachable from uid; deep extends the
-// walk through the full derivation history.
-func (db *DB) Verify(key string, uid Hash, deep bool) (VerifyReport, error) {
-	return db.eng.VerifyVersion(key, uid, deep)
-}
-
-// Stats returns chunk-store dedup accounting.
-func (db *DB) Stats() StoreStats { return db.eng.Stats() }
-
-// CacheStats returns decoded-node cache effectiveness (zeros when the cache
-// was not enabled via WithNodeCache).
-func (db *DB) CacheStats() NodeCacheStats { return db.eng.NodeCacheStats() }
-
-// VerifyCacheStats returns the verification layer's amortization counters:
-// verified-stamp hits/misses/invalidations and the total rehashes skipped
-// (stamp hits plus provenance-trusted writes).  Enabled is false when there
-// is no stamp to consult — an in-memory store, or a stack that crosses a
-// trust boundary.
-func (db *DB) VerifyCacheStats() store.VerifyStats { return db.eng.VerifyStats() }
-
-// Metrics returns the registry this instance reports into (obs.Discard
-// when instrumentation is disabled; never nil).  Serve it over HTTP with
-// rest.New, or snapshot it with MetricsSnapshot.
-func (db *DB) Metrics() *obs.Registry { return db.eng.Metrics() }
-
-// MetricsSnapshot captures every metric series as a JSON-ready snapshot —
-// what `forkbase metrics` prints and /v1/metrics.json serves.
-func (db *DB) MetricsSnapshot() obs.Snapshot { return db.eng.Metrics().Snapshot() }
-
-// FeedLag reports how many feed entries this replica is behind its primary
-// (0 when caught up).  It costs one round trip to the primary; on a DB
-// that is not a replica it returns an error.
-func (db *DB) FeedLag() (uint64, error) {
-	if db.follower == nil {
-		return 0, errors.New("forkbase: not a replica")
-	}
-	return db.follower.Lag()
+	return db.engine.Heal(repl.NewRemoteSource(cli))
 }
 
 // --- datasets ----------------------------------------------------------------
 
 // CreateDataset writes rows as a new dataset.
 func (db *DB) CreateDataset(name, branch string, schema Schema, rows []Row, meta map[string]string) (*Dataset, error) {
-	return dataset.Create(db.eng, name, branch, schema, rows, meta)
+	return dataset.Create(db.engine, name, branch, schema, rows, meta)
 }
 
 // LoadCSVDataset loads a CSV stream (header first) as a dataset.
 func (db *DB) LoadCSVDataset(name, branch, keyColumn string, r io.Reader, meta map[string]string) (*Dataset, error) {
-	return dataset.CreateFromCSV(db.eng, name, branch, keyColumn, r, meta)
+	return dataset.CreateFromCSV(db.engine, name, branch, keyColumn, r, meta)
 }
 
 // OpenDataset attaches to the head version of a dataset.
 func (db *DB) OpenDataset(name, branch string) (*Dataset, error) {
-	return dataset.Open(db.eng, name, branch)
+	return dataset.Open(db.engine, name, branch)
 }
 
 // DiffDatasets runs a differential query between two branches of a dataset.
 func (db *DB) DiffDatasets(name, fromBranch, toBranch string) (DiffResult, error) {
-	return dataset.DiffBranches(db.eng, name, fromBranch, toBranch)
+	return dataset.DiffBranches(db.engine, name, fromBranch, toBranch)
 }
 
 // --- access control ----------------------------------------------------------

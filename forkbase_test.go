@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"strings"
 	"testing"
@@ -11,10 +12,60 @@ import (
 
 	"forkbase"
 	"forkbase/internal/access"
+	"forkbase/internal/chunker"
 	"forkbase/internal/core"
 	"forkbase/internal/obs"
+	"forkbase/internal/pos"
+	"forkbase/internal/server"
 	"forkbase/internal/store"
 )
+
+// api is every DB operation the examples, the CLI and the README call, with
+// the signature they call it by.  Most are the engine's, promoted into DB, so
+// a rename in the engine breaks this package's build rather than a caller's.
+type api interface {
+	Close() error
+	Put(key, branch string, v forkbase.Value, meta map[string]string) (forkbase.Version, error)
+	PutString(key, branch, s string, meta map[string]string) (forkbase.Version, error)
+	PutMap(key, branch string, entries []forkbase.Entry, meta map[string]string) (forkbase.Version, error)
+	PutBlob(key, branch string, data []byte, meta map[string]string) (forkbase.Version, error)
+	WriteBatch(ops []forkbase.WriteOp) ([]forkbase.Version, error)
+	Get(key, branch string) (forkbase.Version, error)
+	GetVersion(key string, uid forkbase.Hash) (forkbase.Version, error)
+	Head(key, branch string) (forkbase.Hash, error)
+	Latest(key string) (string, forkbase.Version, error)
+	History(key, branch string, limit int) ([]forkbase.Version, error)
+	ListKeys() ([]string, error)
+	ListBranches(key string) ([]string, error)
+	IndexOf(v forkbase.Version) (forkbase.Index, error)
+	IndexKind() forkbase.IndexKind
+	MapOf(v forkbase.Version) (*pos.Tree, error)
+	Chunking() chunker.Config
+	Branch(key, newBranch, fromBranch string) error
+	RenameBranch(key, from, to string) error
+	DiffBranches(key, fromBranch, toBranch string) ([]forkbase.Delta, forkbase.DiffStats, error)
+	Merge(key, dst, src string, resolve forkbase.Resolver, meta map[string]string) (forkbase.MergeResult, error)
+	VerifyVersion(key string, uid forkbase.Hash, deep bool) (forkbase.VerifyReport, error)
+	GC() (forkbase.GCStats, error)
+	Scrub() (forkbase.ScrubStats, error)
+	StoreHealth() error
+	HealFrom(addr string) (forkbase.HealStats, error)
+	Stats() forkbase.StoreStats
+	NodeCacheStats() forkbase.NodeCacheStats
+	VerifyStats() store.VerifyStats
+	Metrics() *obs.Registry
+	Following() bool
+	ReplStats() forkbase.ReplStats
+	WaitSynced(timeout time.Duration) error
+	FeedLag() (uint64, error)
+	OpenDataset(name, branch string) (*forkbase.Dataset, error)
+	LoadCSVDataset(name, branch, keyColumn string, r io.Reader, meta map[string]string) (*forkbase.Dataset, error)
+	DiffDatasets(name, fromBranch, toBranch string) (forkbase.DiffResult, error)
+	ACL() *access.Controller
+	SessionFor(user string) *forkbase.Session
+}
+
+var _ api = (*forkbase.DB)(nil)
 
 func TestPublicRoundTrip(t *testing.T) {
 	db := forkbase.MustOpen(forkbase.InMemory())
@@ -208,12 +259,12 @@ func TestPublicVerify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := db.Verify("k", v.UID, true)
+	rep, err := db.VerifyVersion("k", v.UID, true)
 	if err != nil || !rep.OK {
 		t.Fatalf("verify: %+v %v", rep, err)
 	}
 	// The same uid is not a version of any other key.
-	if rep, err := db.Verify("other", v.UID, true); !errors.Is(err, forkbase.ErrTampered) || rep.OK {
+	if rep, err := db.VerifyVersion("other", v.UID, true); !errors.Is(err, forkbase.ErrTampered) || rep.OK {
 		t.Fatalf("verify under a foreign key: %+v %v", rep, err)
 	}
 }
@@ -261,7 +312,7 @@ func TestPublicNodeCache(t *testing.T) {
 			}
 		}
 	}
-	st := db.CacheStats()
+	st := db.NodeCacheStats()
 	if st.Hits == 0 || st.Entries == 0 {
 		t.Fatalf("cache unused through public API: %+v", st)
 	}
@@ -269,7 +320,7 @@ func TestPublicNodeCache(t *testing.T) {
 	// Without WithNodeCache the stats stay zero.
 	plain := forkbase.MustOpen()
 	defer plain.Close()
-	if st := plain.CacheStats(); st != (forkbase.NodeCacheStats{}) {
+	if st := plain.NodeCacheStats(); st != (forkbase.NodeCacheStats{}) {
 		t.Fatalf("cache stats on uncached DB: %+v", st)
 	}
 }
@@ -345,7 +396,7 @@ func TestWriteBatchPublicAPI(t *testing.T) {
 		t.Fatalf("a = %q", s)
 	}
 	// Batched versions are tamper-verifiable like any others.
-	rep, err := db.Verify("a", got.UID, true)
+	rep, err := db.VerifyVersion("a", got.UID, true)
 	if err != nil || !rep.OK {
 		t.Fatalf("verify: %+v %v", rep, err)
 	}
@@ -402,6 +453,33 @@ func TestPublicOpenRejectsBadChunking(t *testing.T) {
 		t.Fatalf("valid config rejected: %v", err)
 	}
 	db.Close()
+}
+
+// TestOpenRejectsConflictingBackends: Remote, FileBacked and WithStore each
+// choose the chunk store, so Open refuses any two of them instead of letting
+// one silently replace the other.
+func TestOpenRejectsConflictingBackends(t *testing.T) {
+	srv := server.New(store.NewMemStore(), core.NewMemBranchTable(), nil)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	for _, tc := range []struct {
+		name string
+		a, b forkbase.Option
+	}{
+		{"remote+file", forkbase.Remote(addr), forkbase.FileBacked(t.TempDir())},
+		{"remote+store", forkbase.Remote(addr), forkbase.WithStore(store.NewMemStore())},
+		{"file+store", forkbase.FileBacked(t.TempDir()), forkbase.WithStore(store.NewMemStore())},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if db, err := forkbase.Open(tc.a, tc.b); err == nil {
+				db.Close()
+				t.Fatal("Open accepted two chunk stores")
+			}
+		})
+	}
 }
 
 // TestOpenRefusesUnknownIndexKind: an index kind that names neither
@@ -483,7 +561,7 @@ func TestPublicWithIndexMPT(t *testing.T) {
 	if _, err := db.GC(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Verify("m", res.Version.UID, true); err != nil {
+	if _, err := db.VerifyVersion("m", res.Version.UID, true); err != nil {
 		t.Fatalf("verify: %v", err)
 	}
 }

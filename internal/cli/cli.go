@@ -489,7 +489,7 @@ func cmdVerify(db *forkbase.DB, args []string, out io.Writer) error {
 			return err
 		}
 	}
-	rep, err := db.Verify(key, uid, *deep)
+	rep, err := db.VerifyVersion(key, uid, *deep)
 	fmt.Fprintf(out, "uid:      %s\nchunks:   %d\nversions: %d\n", rep.UID, rep.ChunksChecked, rep.VersionsChecked)
 	if err != nil {
 		for _, f := range rep.Failures {
@@ -510,7 +510,7 @@ func cmdStats(db *forkbase.DB, args []string, out io.Writer) error {
 	} else {
 		fmt.Fprintln(out, "health:         ok")
 	}
-	if vs := db.VerifyCacheStats(); vs.Enabled {
+	if vs := db.VerifyStats(); vs.Enabled {
 		fmt.Fprintf(out, "verify cache:   %d hits / %d misses / %d invalidations, %d hashes skipped\n",
 			vs.Hits, vs.Misses, vs.Invalidations, vs.SkippedHashes)
 	} else {
@@ -553,7 +553,7 @@ func cmdMetrics(db *forkbase.DB, args []string, out io.Writer) error {
 	}
 	enc := json.NewEncoder(out)
 	enc.SetIndent("", "  ")
-	return enc.Encode(db.MetricsSnapshot())
+	return enc.Encode(db.Metrics().Snapshot())
 }
 
 func cmdGC(db *forkbase.DB, args []string, out io.Writer) error {
