@@ -251,6 +251,23 @@ func TestSourceGuards(t *testing.T) {
 		pattern: `func \(db \*DB\) (Put|WriteBatch|Get|GetVersion|IndexOf|IndexKind|Head|Latest|History|Branch|BranchFromVersion|DeleteBranch|RenameBranch|ListBranches|ListKeys|Diff|DiffBranches|Merge|EditMap|AppendList|SpliceBlob|GC|Scrub|StoreHealth|Stats|Metrics|Engine)\(`,
 		paths:   []string{"forkbase.go"},
 		want:    0,
+	}, {
+		// The engine, the chunk store and the TCP server meter their
+		// operations with obs.Op: one place draws the 1-in-32 latency
+		// sample (internal/obs/op.go), so a fix to sampling or to the
+		// slow-op record is made once.
+		name:    "one op meter",
+		pattern: `\.Add\(1\)\s*&\s*\w+\s*==\s*1`,
+		paths:   []string{"internal"},
+		want:    1,
+	}, {
+		// Chunks travel only in batches: the single-chunk opcodes of wire
+		// versions 1 and 2 are retired, and a single put, get or has is a
+		// one-id batch.
+		name:    "the wire speaks batches only",
+		pattern: `OpPutChunk\b|OpGetChunk\b|OpHasChunk\b`,
+		paths:   []string{"internal"},
+		want:    0,
 	}} {
 		re := regexp.MustCompile(g.pattern)
 		var hits []string

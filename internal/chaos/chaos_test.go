@@ -166,8 +166,8 @@ func TestApplyLostReplyRecoversViaProbe(t *testing.T) {
 }
 
 // TestPutAmbiguousIsNotResent pins the idempotency gate for mutations with
-// no probe: a torn PutChunk reply surfaces ErrAmbiguous instead of being
-// silently re-sent.
+// no probe: a torn PutChunks reply to a single Put surfaces ErrAmbiguous
+// instead of being silently re-sent.
 func TestPutAmbiguousIsNotResent(t *testing.T) {
 	p, cl := startProxied(t)
 	rs := server.NewRemoteStore(cl)

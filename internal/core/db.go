@@ -152,16 +152,16 @@ func Open(opts Options) *DB {
 //	backend → metrics → verification → node cache
 //
 // Every chunk operation crossing into the backend is counted and timed per
-// backend kind (store.InstrumentSlow is the identity for obs.Discard, so a
+// backend kind (store.Instrument is the identity for obs.Discard, so a
 // metrics-disabled engine keeps the unwrapped hot path); every read is
 // verified above that; and the cache attachment sits on top, so only nodes
 // that passed verification are ever cached.  It returns the top handle
 // together with the layers DB addresses directly.  A stack the caller
-// injected (a CountingStore over a MemStore, a store with its own node
+// injected (a fault injector over a MemStore, a store with its own node
 // cache) is the backend here; its capabilities stay reachable through
 // store.As.
 func assembleStore(opts Options) (top, raw store.Store, verifier *store.VerifyingStore, cache *nodecache.Cache) {
-	raw = store.InstrumentSlow(opts.Store, opts.Metrics, opts.Logger, opts.SlowOp)
+	raw = store.Instrument(opts.Store, opts.Metrics, obs.SlowLog{Logger: opts.Logger, Threshold: opts.SlowOp})
 	verifier = store.NewVerifyingStore(raw)
 	if opts.NodeCacheBytes > 0 {
 		cache = nodecache.New(opts.NodeCacheBytes)
@@ -302,7 +302,7 @@ func (db *DB) PutCtx(ctx context.Context, key, branch string, v value.Value, met
 // is one fnode.SaveAll and one BranchTable.Apply, all or nothing, failing
 // with refused when an expectation no longer holds.  An empty result stores
 // and moves nothing.
-func (db *DB) write(ctx context.Context, op *engineOp, refused error, logKV func() []any,
+func (db *DB) write(ctx context.Context, op *obs.Op, refused error, logKV func() []any,
 	build func() ([]*fnode.FNode, []HeadOp, error)) (uids []hash.Hash, err error) {
 	if err := db.writeGuard(); err != nil {
 		return nil, err
@@ -310,8 +310,8 @@ func (db *DB) write(ctx context.Context, op *engineOp, refused error, logKV func
 	var start time.Time
 	var buildDur time.Duration
 	if op != nil {
-		start = db.met.begin()
-		defer func() { db.met.finish(ctx, op, start, &err, append(logKV(), "build", buildDur)...) }()
+		start = op.Begin()
+		defer func() { op.End(ctx, start, err, append(logKV(), "build", buildDur)...) }()
 	}
 	db.writeMu.RLock()
 	defer db.writeMu.RUnlock()
@@ -424,7 +424,7 @@ func (db *DB) BuildAndWriteBatchCtx(ctx context.Context, build func() ([]WriteOp
 // derived it from, an earlier op on the same key@branch, else the branch's
 // head — and published with a head CAS against it.  A one-op commit is
 // logged under its key and branch, a batch by its size.
-func (db *DB) commit(ctx context.Context, op *engineOp, build func() ([]WriteOp, error)) ([]Version, error) {
+func (db *DB) commit(ctx context.Context, op *obs.Op, build func() ([]WriteOp, error)) ([]Version, error) {
 	var ops []WriteOp
 	var fnodes []*fnode.FNode
 	logKV := func() []any {
@@ -486,7 +486,8 @@ func (db *DB) Get(key, branch string) (Version, error) {
 
 // GetCtx is Get carrying a request context (see PutCtx).
 func (db *DB) GetCtx(ctx context.Context, key, branch string) (_ Version, err error) {
-	defer db.met.finish(ctx, db.met.opGet, db.met.begin(), &err, "key", key, "branch", branch)
+	start := db.met.opGet.Begin()
+	defer func() { db.met.opGet.End(ctx, start, err, "key", key, "branch", branch) }()
 	head, err := db.Head(key, branch)
 	if err != nil {
 		return Version{}, err

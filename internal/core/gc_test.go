@@ -9,6 +9,7 @@ import (
 
 	"forkbase/internal/chunker"
 	"forkbase/internal/nodecache"
+	"forkbase/internal/obs"
 	"forkbase/internal/pos"
 	"forkbase/internal/store"
 	"forkbase/internal/value"
@@ -132,11 +133,11 @@ func TestGCOnWrappedStores(t *testing.T) {
 	if _, err := db.GC(); err != nil {
 		t.Fatalf("GC through malicious wrapper: %v", err)
 	}
-	cs := store.NewCountingStore(store.NewMemStore())
-	db2 := Open(Options{Store: cs, Chunking: chunker.SmallConfig()})
+	inst := store.Instrument(store.NewMemStore(), obs.NewRegistry())
+	db2 := Open(Options{Store: inst, Chunking: chunker.SmallConfig()})
 	db2.Put("k", "", value.String("v"), nil)
 	if _, err := db2.GC(); err != nil {
-		t.Fatalf("GC through counting wrapper: %v", err)
+		t.Fatalf("GC through instrumented wrapper: %v", err)
 	}
 }
 

@@ -34,7 +34,7 @@ func TestFNodeReadsHitTheNodeCache(t *testing.T) {
 		{"no cache", 0, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cs := store.NewCountingStore(store.NewMemStore())
+			cs := store.NewMemStore()
 			db := Open(Options{Store: cs, Chunking: chunker.SmallConfig(), NodeCacheBytes: tc.cacheBytes})
 			v1, err := db.Put("k", "", value.String("one"), nil)
 			if err != nil {

@@ -1,39 +1,23 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"log/slog"
-	"sync/atomic"
 	"time"
 
 	"forkbase/internal/obs"
 	"forkbase/internal/store"
 )
 
-// latSampleMask gates latency timing on the engine hot path: clock reads
-// cost ~50-100ns on virtualized hosts, which would dwarf the atomic adds
-// everywhere else, so only 1 of every latSampleMask+1 operations is timed.
-// Counters stay exact for every op; the histogram sees an unbiased sample
-// (any busy engine feeds it thousands of observations per second).  With a
-// slow-op threshold configured every operation is timed — detection must
-// not sample.
-const latSampleMask = 31
-
-// dbObs bundles the engine's observability wiring: per-operation counters
-// and latency histograms, GC/heal/scrub run accounting, and the
-// threshold-gated slow-op structured log that carries the trace ID minted
-// at the serving edge.  Every handle is resolved once at Open; the
-// per-operation cost is a few atomic adds plus, for sampled (or all, under
-// a slow-op threshold) operations, two clock reads.
+// dbObs bundles the engine's observability wiring: one obs.Op per metered
+// entry point (count, failures, sampled latency and the threshold-gated
+// slow-op record carrying the trace ID minted at the serving edge),
+// GC/heal/scrub run accounting, and the merge walk's ancestry counter.  Every
+// handle is resolved once at Open; under obs.Discard the Ops are nil.
 type dbObs struct {
-	reg    *obs.Registry
-	logger *slog.Logger
-	slowOp time.Duration
-	on     bool // false for obs.Discard: every hook short-circuits
-	sample atomic.Uint64
+	reg *obs.Registry
 
-	opPut, opWriteBatch, opEdit, opGet, opMerge *engineOp
+	opPut, opWriteBatch, opEdit, opGet, opMerge *obs.Op
 	mergeAncestry                               *obs.Counter
 
 	gcRuns, gcErrors, gcSwept, gcReclaimed, gcCompacted *obs.Counter
@@ -44,29 +28,22 @@ type dbObs struct {
 	scrubSeconds                                        *obs.Histogram
 }
 
-type engineOp struct {
-	name  string
-	total *obs.Counter
-	errs  *obs.Counter
-	lat   *obs.Histogram
-}
-
 func newDBObs(reg *obs.Registry, logger *slog.Logger, slowOp time.Duration) *dbObs {
-	o := &dbObs{
-		reg: reg, logger: logger, slowOp: slowOp,
-		on: reg != nil && reg != obs.Discard,
-	}
+	o := &dbObs{reg: reg}
 	total := reg.CounterVec("forkbase_engine_ops_total",
 		"Engine operations by entry point.", "op")
 	errsV := reg.CounterVec("forkbase_engine_errors_total",
 		"Engine operations that failed (not-found and stale-head excluded), by entry point.", "op")
 	lat := reg.HistogramVec("forkbase_engine_op_seconds",
 		"Engine operation latency by entry point.", "op")
-	mk := func(op string) *engineOp {
-		return &engineOp{name: op, total: total.With(op), errs: errsV.With(op), lat: lat.With(op)}
+	if total != nil {
+		mk := func(op string) *obs.Op {
+			return &obs.Op{Name: op, Count: total.With(op), Fails: errsV.With(op), Lat: lat.With(op),
+				Benign: benignOpErr, Slow: obs.SlowLog{Logger: logger, Threshold: slowOp}, Msg: "slow op"}
+		}
+		o.opPut, o.opWriteBatch, o.opEdit, o.opGet, o.opMerge =
+			mk("put"), mk("write_batch"), mk("edit"), mk("get"), mk("merge")
 	}
-	o.opPut, o.opWriteBatch, o.opEdit, o.opGet, o.opMerge =
-		mk("put"), mk("write_batch"), mk("edit"), mk("get"), mk("merge")
 	o.mergeAncestry = reg.Counter("forkbase_engine_merge_ancestry_nodes_total",
 		"FNodes loaded by merges' base-finding walks.")
 	o.gcRuns = reg.Counter("forkbase_gc_runs_total", "Completed GC/compaction passes.")
@@ -91,52 +68,6 @@ func newDBObs(reg *obs.Registry, logger *slog.Logger, slowOp time.Duration) *dbO
 func benignOpErr(err error) bool {
 	return errors.Is(err, ErrBranchNotFound) || errors.Is(err, ErrKeyNotFound) ||
 		errors.Is(err, ErrStaleHead) || errors.Is(err, store.ErrNotFound)
-}
-
-// begin opens one instrumented engine operation: it returns the start time
-// when this operation's latency will be recorded (sampled, or always under
-// a slow-op threshold), else the zero Time.  Evaluate as a defer argument
-// so it captures the entry time.
-func (o *dbObs) begin() time.Time {
-	if o == nil || !o.on {
-		return time.Time{}
-	}
-	if o.slowOp > 0 || o.sample.Add(1)&latSampleMask == 1 {
-		return time.Now()
-	}
-	return time.Time{}
-}
-
-// finish completes one instrumented engine operation: count it, record
-// latency when begin elected to time it, and — past the slow-op threshold —
-// emit a structured log record carrying the request's trace ID so the stall
-// can be joined with store-level slow-op records.
-func (o *dbObs) finish(ctx context.Context, h *engineOp, start time.Time, errp *error, kvs ...any) {
-	if o == nil || !o.on || h == nil {
-		return
-	}
-	err := *errp
-	h.total.Inc()
-	if err != nil && !benignOpErr(err) {
-		h.errs.Inc()
-	}
-	if start.IsZero() {
-		return
-	}
-	d := time.Since(start)
-	h.lat.Observe(d)
-	if o.slowOp > 0 && d >= o.slowOp && o.logger != nil {
-		args := make([]any, 0, len(kvs)+8)
-		args = append(args, "op", h.name, "duration", d)
-		if id := obs.TraceID(ctx); id != "" {
-			args = append(args, "trace_id", id)
-		}
-		args = append(args, kvs...)
-		if err != nil {
-			args = append(args, "err", err)
-		}
-		o.logger.Warn("slow op", args...)
-	}
 }
 
 func (o *dbObs) gcDone(start time.Time, gs GCStats, err error) {

@@ -376,21 +376,17 @@ func RunFig4(rows int) (Fig4Result, error) {
 	for _, q := range []uint{12, 10, 8, 6} {
 		cfg := chunker.Config{Q: q, Window: 48, MinSize: 1 << (q - 3), MaxSize: 1 << (q + 4)}
 		ms := store.NewMemStore()
-		cs := store.NewCountingStore(ms)
-		db := core.Open(core.Options{Store: cs, Chunking: cfg})
+		db := core.Open(core.Options{Store: ms, Chunking: cfg})
 
-		cs.Mark("start")
+		start := ms.Stats().PhysicalBytes
 		if _, err := dataset.CreateFromCSV(db, "dataset-1", "", "id", bytes.NewReader(orig), nil); err != nil {
 			return Fig4Result{}, err
 		}
-		cs.Mark("first load")
+		afterFirst := ms.Stats().PhysicalBytes
 		if _, err := dataset.CreateFromCSV(db, "dataset-2", "", "id", bytes.NewReader(edited), nil); err != nil {
 			return Fig4Result{}, err
 		}
-		cs.Mark("second load")
-
-		incs := cs.Increments()
-		first, second := incs[0].PhysicalBytes, incs[1].PhysicalBytes
+		first, second := afterFirst-start, ms.Stats().PhysicalBytes-afterFirst
 		factor := float64(first)
 		if second > 0 {
 			factor = float64(first) / float64(second)

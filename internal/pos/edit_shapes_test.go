@@ -338,8 +338,8 @@ func TestEditReadBound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large table")
 	}
-	counting := store.NewCountingStore(store.NewMemStore())
-	log := &getLog{Store: counting}
+	mem := store.NewMemStore()
+	log := &getLog{Store: mem}
 	const rows = 100003
 	tree, err := BuildMap(log, chunker.DefaultConfig(), genRows(rows))
 	if err != nil {
@@ -371,7 +371,7 @@ func TestEditReadBound(t *testing.T) {
 		kept[id] = true
 	}
 	for _, id := range fetched {
-		c, err := counting.Get(id)
+		c, err := mem.Get(id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -403,7 +403,7 @@ func TestAppendReadBound(t *testing.T) {
 		}
 		return n
 	}
-	check := func(name string, st *store.CountingStore, root hash.Hash, nLeaves int, appendOne func() error) {
+	check := func(name string, st *store.MemStore, root hash.Hash, nLeaves int, appendOne func() error) {
 		if nLeaves < 1000 {
 			t.Fatalf("%s: only %d leaves", name, nLeaves)
 		}
@@ -417,7 +417,7 @@ func TestAppendReadBound(t *testing.T) {
 		}
 	}
 
-	st := store.NewCountingStore(store.NewMemStore())
+	st := store.NewMemStore()
 	seq, err := BuildSeq(st, cfg, genItems(40000, 3))
 	if err != nil {
 		t.Fatal(err)

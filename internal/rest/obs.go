@@ -131,7 +131,9 @@ const traceHeader = "X-Trace-Id"
 const maxTraceIDLen = 64
 
 // ServeHTTP implements http.Handler: mint/propagate the trace ID, serve the
-// route, then account for it.
+// route, then account for it.  The accounting is deferred, so a handler that
+// panics is counted as a 500 and leaves the in-flight gauge where it found
+// it; the panic itself goes on to net/http.
 func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	route := routeLabel(r.URL.Path)
@@ -145,20 +147,26 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 	sr := &statusRecorder{ResponseWriter: w}
 	h.met.inflight.Add(1)
+	served := false
+	defer func() {
+		h.met.inflight.Add(-1)
+		switch {
+		case !served:
+			sr.code = http.StatusInternalServerError
+		case sr.code == 0:
+			sr.code = http.StatusOK
+		}
+		elapsed := time.Since(start)
+		h.met.reqs.With(route, strconv.Itoa(sr.code)).Inc()
+		h.met.seconds.With(route).Observe(elapsed)
+		if h.slowReq > 0 && elapsed >= h.slowReq {
+			h.logger.Warn("slow http request",
+				"trace_id", tid, "route", route, "method", r.Method,
+				"status", sr.code, "elapsed", elapsed)
+		}
+	}()
 	h.mux.ServeHTTP(sr, r.WithContext(ctx))
-	h.met.inflight.Add(-1)
-
-	if sr.code == 0 {
-		sr.code = http.StatusOK
-	}
-	elapsed := time.Since(start)
-	h.met.reqs.With(route, strconv.Itoa(sr.code)).Inc()
-	h.met.seconds.With(route).Observe(elapsed)
-	if h.slowReq > 0 && elapsed >= h.slowReq {
-		h.logger.Warn("slow http request",
-			"trace_id", tid, "route", route, "method", r.Method,
-			"status", sr.code, "elapsed", elapsed)
-	}
+	served = true
 }
 
 // metricsProm serves GET /v1/metrics in Prometheus text exposition format.

@@ -77,6 +77,30 @@ func TestRESTMetricsEndToEnd(t *testing.T) {
 	}
 }
 
+// TestPanickingHandlerIsAccounted: a handler that panics is counted as a
+// 500 and takes its in-flight increment with it, and the panic still
+// reaches the caller (net/http, which recovers it).
+func TestPanickingHandlerIsAccounted(t *testing.T) {
+	reg := obs.NewRegistry()
+	db := core.Open(core.Options{Store: store.NewMemStore(), Metrics: reg})
+	h := New(db)
+	h.mux.HandleFunc("/boom", func(http.ResponseWriter, *http.Request) { panic("boom") })
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("the handler's panic did not reach the caller")
+			}
+		}()
+		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/boom", nil))
+	}()
+	if got, _ := reg.Value("forkbase_http_inflight"); got != 0 {
+		t.Errorf("http_inflight = %v after the panic, want 0", got)
+	}
+	if got, _ := reg.Value("forkbase_http_requests_total", "other", "500"); got != 1 {
+		t.Errorf(`http_requests_total{route="other",code="500"} = %v, want 1`, got)
+	}
+}
+
 // TestMetricsEndpoints: /v1/metrics serves the Prometheus text format and
 // /v1/metrics.json the snapshot, and both include the families the scrape
 // contract promises.

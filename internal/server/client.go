@@ -138,7 +138,7 @@ func (c *Client) teardownLocked() {
 // idempotent.
 func mutates(op Op) bool {
 	switch op {
-	case OpApply, OpPutChunk, OpPutChunks:
+	case OpApply, OpPutChunks:
 		return true
 	}
 	return false
@@ -267,9 +267,9 @@ var _ store.Store = (*RemoteStore)(nil)
 // NewRemoteStore wraps a client as a chunk store.
 func NewRemoteStore(c *Client) *RemoteStore { return &RemoteStore{c: c} }
 
-// putChunks ships cs as one frame (op is OpPutChunk or OpPutChunks).
-func (c *Client) putChunks(op Op, cs []*chunk.Chunk) (fresh []bool, err error) {
-	err = c.call(op, 0, func(b []byte) []byte {
+// putChunks ships cs as one PutChunks frame.
+func (c *Client) putChunks(cs []*chunk.Chunk) (fresh []bool, err error) {
+	err = c.call(OpPutChunks, 0, func(b []byte) []byte {
 		b = appendUvarint(b, uint64(len(cs)))
 		for _, ch := range cs {
 			id := ch.ID()
@@ -280,9 +280,9 @@ func (c *Client) putChunks(op Op, cs []*chunk.Chunk) (fresh []bool, err error) {
 	return fresh, err
 }
 
-// Put implements store.Store.
+// Put implements store.Store as a one-chunk PutChunks.
 func (r *RemoteStore) Put(ch *chunk.Chunk) (bool, error) {
-	fresh, err := r.c.putChunks(OpPutChunk, []*chunk.Chunk{ch})
+	fresh, err := r.c.putChunks([]*chunk.Chunk{ch})
 	return err == nil && fresh[0], err
 }
 
@@ -298,7 +298,7 @@ func (r *RemoteStore) PutBatch(cs []*chunk.Chunk) ([]bool, error) {
 			size += hash.Size + chunkWireSize(cs[n])
 			n++
 		}
-		part, err := r.c.putChunks(OpPutChunks, cs[:n])
+		part, err := r.c.putChunks(cs[:n])
 		if err != nil {
 			return make([]bool, cap(fresh)), err
 		}
@@ -307,17 +307,21 @@ func (r *RemoteStore) PutBatch(cs []*chunk.Chunk) ([]bool, error) {
 	return fresh, nil
 }
 
-// getChunks fetches ids (op is OpGetChunk or OpGetChunks); out[i] is nil
-// when ids[i] is absent on the server.  A reply answers by position and may
-// defer a tail that did not fit its frame, which is asked for again.  Every
-// chunk is verified against the id it answers, so a malicious server can
-// neither forge content nor satisfy a request with a different (valid)
-// chunk.  The chunks of one reply share its buffer.
-func (c *Client) getChunks(op Op, ids []hash.Hash) ([]*chunk.Chunk, error) {
+// GetChunks fetches a batch of chunks in one round trip (more when they
+// overflow one frame).  out[i] is nil when ids[i] is absent on the server.
+// A reply answers by position and may defer a tail that did not fit its
+// frame, which is asked for again.  Every chunk is verified against the id
+// it answers, so a malicious server can neither forge content nor satisfy a
+// request with a different (valid) chunk.  The chunks of one reply share its
+// buffer.
+func (c *Client) GetChunks(ids []hash.Hash) ([]*chunk.Chunk, error) {
+	if len(ids) == 0 {
+		return nil, nil
+	}
 	out := make([]*chunk.Chunk, len(ids))
 	for off := 0; off < len(ids); {
 		want, answered := ids[off:], 0
-		err := c.call(op, 0, func(b []byte) []byte { return appendIDs(b, want...) },
+		err := c.call(OpGetChunks, 0, func(b []byte) []byte { return appendIDs(b, want...) },
 			func(d *dec) { answered = d.chunkReply(want, out[off:]) })
 		if err == nil && answered == 0 {
 			err = fmt.Errorf("client: server deferred all %d requested chunks", len(want))
@@ -335,29 +339,14 @@ func (c *Client) getChunks(op Op, ids []hash.Hash) ([]*chunk.Chunk, error) {
 	return out, nil
 }
 
-// GetChunks fetches a batch of chunks in one round trip (more when they
-// overflow one frame).  out[i] is nil when ids[i] is absent on the server;
-// every returned chunk has been verified against ids[i].
-func (c *Client) GetChunks(ids []hash.Hash) ([]*chunk.Chunk, error) {
+// HasChunks answers presence for a batch of ids in one round trip.
+func (c *Client) HasChunks(ids []hash.Hash) (has []bool, err error) {
 	if len(ids) == 0 {
 		return nil, nil
 	}
-	return c.getChunks(OpGetChunks, ids)
-}
-
-// hasChunks answers presence for ids (op is OpHasChunk or OpHasChunks).
-func (c *Client) hasChunks(op Op, ids []hash.Hash) (has []bool, err error) {
-	err = c.call(op, 0, func(b []byte) []byte { return appendIDs(b, ids...) },
+	err = c.call(OpHasChunks, 0, func(b []byte) []byte { return appendIDs(b, ids...) },
 		func(d *dec) { has = d.bools(len(ids)) })
 	return has, err
-}
-
-// HasChunks answers presence for a batch of ids in one round trip.
-func (c *Client) HasChunks(ids []hash.Hash) ([]bool, error) {
-	if len(ids) == 0 {
-		return nil, nil
-	}
-	return c.hasChunks(OpHasChunks, ids)
 }
 
 // FeedSince reads the server's change feed from cursor, long-polling up to
@@ -394,9 +383,10 @@ func (c *Client) UnpinHead(uid hash.Hash) error {
 	return c.call(OpUnpinHead, 0, func(b []byte) []byte { return appendIDs(b, uid) }, nil)
 }
 
-// Get implements store.Store; the chunk is verified client-side.
+// Get implements store.Store as a one-id GetChunks; the chunk is verified
+// client-side.
 func (r *RemoteStore) Get(id hash.Hash) (*chunk.Chunk, error) {
-	out, err := r.c.getChunks(OpGetChunk, []hash.Hash{id})
+	out, err := r.c.GetChunks([]hash.Hash{id})
 	if err == nil && out[0] == nil {
 		err = store.ErrNotFound
 	}
@@ -406,9 +396,9 @@ func (r *RemoteStore) Get(id hash.Hash) (*chunk.Chunk, error) {
 	return out[0], nil
 }
 
-// Has implements store.Store.
+// Has implements store.Store as a one-id HasChunks.
 func (r *RemoteStore) Has(id hash.Hash) (bool, error) {
-	has, err := r.c.hasChunks(OpHasChunk, []hash.Hash{id})
+	has, err := r.c.HasChunks([]hash.Hash{id})
 	return err == nil && has[0], err
 }
 

@@ -1,13 +1,17 @@
 package server
 
 import (
+	"bufio"
 	"fmt"
 	"maps"
+	"net"
+	"strings"
 	"testing"
 
 	"forkbase/internal/chunk"
 	"forkbase/internal/chunker"
 	"forkbase/internal/core"
+	"forkbase/internal/hash"
 	"forkbase/internal/index"
 	"forkbase/internal/obs"
 	"forkbase/internal/store"
@@ -50,10 +54,9 @@ func TestServerOpcodeMetrics(t *testing.T) {
 	}
 
 	for op, want := range map[string]float64{
-		"PutChunk":  1,
-		"GetChunk":  3,
-		"HasChunk":  1,
-		"PutChunks": 1,
+		"PutChunks": 2,
+		"GetChunks": 3,
+		"HasChunks": 1,
 	} {
 		if got, ok := reg.Value("forkbase_server_requests_total", op); !ok || got != want {
 			t.Errorf("server_requests_total{%s} = %v (ok=%v), want %v", op, got, ok, want)
@@ -63,8 +66,50 @@ func TestServerOpcodeMetrics(t *testing.T) {
 		t.Errorf("server_errors_total = %v, want 0", got)
 	}
 	// The per-opcode latency histogram recorded every request.
-	if got, _ := reg.Value("forkbase_server_request_seconds", "GetChunk"); got != 3 {
-		t.Errorf("server_request_seconds{GetChunk} count = %v, want 3", got)
+	if got, _ := reg.Value("forkbase_server_request_seconds", "GetChunks"); got != 3 {
+		t.Errorf("server_request_seconds{GetChunks} count = %v, want 3", got)
+	}
+}
+
+// TestUnknownOpcodeMetrics: an opcode the protocol never assigned and a
+// retired one (1, the single-chunk put of versions 1 and 2) are both
+// answered "unknown op" on a connection that stays open, and both count
+// under op="unknown" as a request and as an error.
+func TestUnknownOpcodeMetrics(t *testing.T) {
+	reg := obs.NewRegistry()
+	srv := New(store.NewMemStore(), core.NewMemBranchTable(), nil)
+	srv.SetMetrics(reg)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	br := bufio.NewReader(conn)
+	for i, op := range []Op{200, 1} {
+		id := uint64(i + 1)
+		if _, err := conn.Write(frameOf(t, op, 0, id, appendIDs(nil, hash.Of([]byte("x"))))); err != nil {
+			t.Fatal(err)
+		}
+		h, payload, err := readFrame(br, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", op, err)
+		}
+		if h.op != op || h.id != id || h.flags&flagError == 0 || !strings.Contains(string(payload), "unknown op") {
+			t.Fatalf("%s: reply op %s id %d flags %#x %q, want an unknown-op error", op, h.op, h.id, h.flags, payload)
+		}
+	}
+	for _, family := range []string{"forkbase_server_requests_total", "forkbase_server_errors_total"} {
+		if got, _ := reg.Value(family, "unknown"); got != 2 {
+			t.Errorf("%s{op=unknown} = %v, want 2", family, got)
+		}
+		if got := reg.Sum(family); got != 2 {
+			t.Errorf("%s summed over every op = %v, want 2", family, got)
+		}
 	}
 }
 
@@ -74,7 +119,7 @@ func TestServerOpcodeMetrics(t *testing.T) {
 // exactly four requests — the Head, one PutChunks carrying the new index
 // nodes, one PutChunks carrying the FNode (a version object is always saved
 // as a batch) and the Apply.  The store's put is the only
-// dedup, so no HasChunk or HasChunks rides along, on either index structure.
+// dedup, so no HasChunks rides along, on either index structure.
 func TestRemoteEngineFetchesNoFNodeItWrote(t *testing.T) {
 	for _, kind := range []index.Kind{index.KindPOS, index.KindMPT} {
 		t.Run(kind.String(), func(t *testing.T) { remoteWarmEdit(t, kind) })

@@ -10,7 +10,7 @@
 //
 //	offset size field
 //	0      1    magic 0xFB
-//	1      1    protocol version (2)
+//	1      1    protocol version (3)
 //	2      1    op
 //	3      1    flags: bit 0 = error reply (the payload is the message
 //	            text); every other bit must be zero
@@ -21,11 +21,11 @@
 // (type, length, bytes; the ids travel separately), flag list, head ref
 // (key, branch), head ops (per op: key, branch, any, expect, set), string
 // list, stats, feed request, feed page — with unsigned-varint counts and
-// lengths and raw 32-byte ids.  The single-chunk ops are the n = 1 case of
-// the batch ops.  A GetChunks reply answers by position: one status byte per
-// requested id, then the present chunks; "deferred" marks the tail that
-// would have pushed the frame past MaxPayload, for the client to ask for
-// again.
+// lengths and raw 32-byte ids.  Chunks travel only in batches: a single
+// put, get or has is the n = 1 case of a batch op.  A GetChunks reply
+// answers by position: one status byte per requested id, then the present
+// chunks; "deferred" marks the tail that would have pushed the frame past
+// MaxPayload, for the client to ask for again.
 //
 // Bounds: a header with the wrong magic or version, an unknown flag or a
 // payload_len above MaxPayload ends the connection before anything is
@@ -57,10 +57,9 @@ type Op byte
 
 // Protocol operations.
 const (
-	OpPutChunk Op = iota + 1
-	OpGetChunk
-	OpHasChunk
-	OpStats
+	// Opcodes 1–3, the single-chunk put, get and has of versions 1 and 2,
+	// are retired: a one-id batch op is the same exchange.
+	OpStats Op = iota + 4
 	OpHead
 	// OpApply is one core.BranchTable.Apply.  It has version 1's CAS byte;
 	// the branch delete and rename bytes (7, 8) are retired.
@@ -92,9 +91,6 @@ const (
 )
 
 var opNames = map[Op]string{
-	OpPutChunk:  "PutChunk",
-	OpGetChunk:  "GetChunk",
-	OpHasChunk:  "HasChunk",
 	OpStats:     "Stats",
 	OpHead:      "Head",
 	OpApply:     "Apply",
@@ -118,7 +114,7 @@ func (o Op) String() string {
 
 const (
 	frameMagic   = 0xFB
-	frameVersion = 2
+	frameVersion = 3
 	headerLen    = 16
 	flagError    = 1 // reply flag: the payload is an error message
 
@@ -185,7 +181,7 @@ func readFrame(r io.Reader, scratch []byte) (header, []byte, error) {
 		return h, nil, fmt.Errorf("server: frame claims %d payload bytes, cap is %d", h.n, MaxPayload)
 	}
 	buf := scratch[:0]
-	if h.op == OpPutChunk || h.op == OpPutChunks || h.op == OpGetChunk || h.op == OpGetChunks {
+	if h.op == OpPutChunks || h.op == OpGetChunks {
 		buf = nil
 	}
 	for len(buf) < h.n {

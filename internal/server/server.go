@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -12,7 +13,6 @@ import (
 	"sync"
 	"time"
 
-	"forkbase/internal/chunk"
 	"forkbase/internal/core"
 	"forkbase/internal/hash"
 	"forkbase/internal/obs"
@@ -37,22 +37,15 @@ type Server struct {
 	wg      sync.WaitGroup
 }
 
-// srvMetrics holds the per-opcode and connection-lifecycle handles,
-// resolved once at SetMetrics.  All methods are nil-safe so the serving
-// path never branches on "is instrumentation configured".
+// srvMetrics holds the per-opcode meters and connection-lifecycle handles,
+// resolved once at SetMetrics.  ops has a slot for every byte an op can be:
+// an unassigned or retired opcode's slot is the shared "unknown" meter.
 type srvMetrics struct {
-	ops      map[Op]*srvOp
-	unknown  *srvOp
+	ops      [256]*obs.Op
 	inflight *obs.Gauge
 	open     *obs.Gauge
 	total    *obs.Counter
 	refused  *obs.Counter
-}
-
-type srvOp struct {
-	total *obs.Counter
-	errs  *obs.Counter
-	lat   *obs.Histogram
 }
 
 // SetMetrics instruments the server against reg: per-opcode request
@@ -68,8 +61,10 @@ func (s *Server) SetMetrics(reg *obs.Registry) {
 		"TCP requests answered with an error, by opcode.", "op")
 	lat := reg.HistogramVec("forkbase_server_request_seconds",
 		"TCP request handling latency, by opcode.", "op")
+	mk := func(name string) *obs.Op {
+		return &obs.Op{Name: name, Count: total.With(name), Fails: errsV.With(name), Lat: lat.With(name)}
+	}
 	m := &srvMetrics{
-		ops: make(map[Op]*srvOp, len(opNames)),
 		inflight: reg.Gauge("forkbase_server_inflight",
 			"TCP requests currently being handled."),
 		open: reg.Gauge("forkbase_server_conns_open",
@@ -79,29 +74,16 @@ func (s *Server) SetMetrics(reg *obs.Registry) {
 		refused: reg.Counter("forkbase_server_conns_refused_total",
 			"TCP connections shed by the MaxConns gate."),
 	}
-	// Pre-register every known opcode so the families expose complete
-	// zero-valued series from the first scrape.
-	for op := range opNames {
-		name := op.String()
-		m.ops[op] = &srvOp{total: total.With(name), errs: errsV.With(name), lat: lat.With(name)}
+	// Every known opcode is registered up front, so the families expose
+	// complete zero-valued series from the first scrape.
+	unknown := mk("unknown")
+	for i := range m.ops {
+		m.ops[i] = unknown
 	}
-	m.unknown = &srvOp{total: total.With("unknown"), errs: errsV.With("unknown"), lat: lat.With("unknown")}
+	for op, name := range opNames {
+		m.ops[op] = mk(name)
+	}
 	s.met = m
-}
-
-func (m *srvMetrics) opDone(op Op, start time.Time, failed bool) {
-	if m == nil {
-		return
-	}
-	h, ok := m.ops[op]
-	if !ok {
-		h = m.unknown
-	}
-	h.total.Inc()
-	h.lat.Since(start)
-	if failed {
-		h.errs.Inc()
-	}
 }
 
 // Limits bound a server's exposure to slow or excessive clients.  The zero
@@ -232,7 +214,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 			return
 		}
-		start := time.Now()
+		start := time.Now() // every request is timed: the clock is a sliver of a round trip
 		if s.met != nil {
 			s.met.inflight.Add(1)
 		}
@@ -245,7 +227,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		if s.met != nil {
 			s.met.inflight.Add(-1)
-			s.met.opDone(h.op, start, herr != nil)
+			s.met.ops[h.op].End(context.Background(), start, herr)
 		}
 		if s.limits.ReadTimeout > 0 {
 			// One deadline bounds this reply's write — a peer that stopped
@@ -329,57 +311,11 @@ func (s *Server) handle(h header, p, out []byte) ([]byte, error) {
 			heads[i] = branches[b]
 		}
 		return appendIDs(appendStrs(out, names), heads...), err
-	case OpPutChunk, OpPutChunks, OpGetChunk, OpGetChunks, OpHasChunk, OpHasChunks, OpPinHead, OpUnpinHead:
-	default:
-		return nil, fmt.Errorf("unknown op %d", op)
-	}
-	// What is left takes an id list — exactly one id unless it is a batch op
-	// — and a put, the chunks claiming those ids.  The single ops stay on
-	// the store's single calls, as their metrics do.
-	ids := d.ids()
-	var cs []*chunk.Chunk
-	if op == OpPutChunk || op == OpPutChunks {
-		cs = d.chunks(ids)
-	}
-	batch := op == OpPutChunks || op == OpGetChunks || op == OpHasChunks
-	if err := d.done(); err != nil || !batch && len(ids) != 1 {
-		return nil, errMalformed
-	}
-	switch op {
-	case OpPutChunk, OpPutChunks:
-		// Verify every claimed id up front (content addressing is the
-		// integrity contract in both directions), then land the whole batch
-		// in one store round.
-		for i, c := range cs {
-			if err := c.Recheck(); err != nil {
-				return nil, fmt.Errorf("chunk %d: %w", i, err)
-			}
+	case OpPinHead, OpUnpinHead:
+		ids := d.ids()
+		if err := d.done(); err != nil || len(ids) != 1 {
+			return nil, errMalformed
 		}
-		if op == OpPutChunk {
-			fresh, err := s.st.Put(cs[0])
-			return appendFlags(out, fresh), err
-		}
-		fresh, err := s.st.PutBatch(cs)
-		return appendFlags(out, fresh...), err
-	case OpGetChunk:
-		c, err := s.st.Get(ids[0])
-		if err != nil && !errors.Is(err, store.ErrNotFound) {
-			return nil, err
-		}
-		return appendChunkReply(out, []*chunk.Chunk{c}, MaxPayload), nil
-	case OpGetChunks:
-		cs, err := s.st.GetBatch(ids)
-		if err != nil {
-			return nil, err
-		}
-		return appendChunkReply(out, cs, MaxPayload), nil
-	case OpHasChunk:
-		ok, err := s.st.Has(ids[0])
-		return appendFlags(out, ok), err
-	case OpHasChunks:
-		flags, err := s.st.HasBatch(ids)
-		return appendFlags(out, flags...), err
-	default: // OpPinHead, OpUnpinHead
 		if s.feed == nil {
 			return nil, errNoFeed
 		}
@@ -389,6 +325,38 @@ func (s *Server) handle(h header, p, out []byte) ([]byte, error) {
 			s.feed.Unpin(ids[0])
 		}
 		return out, nil
+	case OpPutChunks:
+		ids := d.ids()
+		cs := d.chunks(ids)
+		if err := d.done(); err != nil {
+			return nil, err
+		}
+		// Verify every claimed id up front (content addressing is the
+		// integrity contract in both directions), then land the whole batch
+		// in one store round.
+		for i, c := range cs {
+			if err := c.Recheck(); err != nil {
+				return nil, fmt.Errorf("chunk %d: %w", i, err)
+			}
+		}
+		fresh, err := s.st.PutBatch(cs)
+		return appendFlags(out, fresh...), err
+	case OpGetChunks, OpHasChunks:
+		ids := d.ids()
+		if err := d.done(); err != nil {
+			return nil, err
+		}
+		if op == OpHasChunks {
+			flags, err := s.st.HasBatch(ids)
+			return appendFlags(out, flags...), err
+		}
+		cs, err := s.st.GetBatch(ids)
+		if err != nil {
+			return nil, err
+		}
+		return appendChunkReply(out, cs, MaxPayload), nil
+	default:
+		return nil, fmt.Errorf("unknown op %d", op)
 	}
 }
 

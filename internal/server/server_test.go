@@ -73,7 +73,7 @@ func TestServerRejectsMislabelledChunk(t *testing.T) {
 	// An honest client cannot mislabel (putChunks sends each chunk's own
 	// id), so claim the id by hand.
 	lie := chunk.NewClaimed(chunk.TypeBlobLeaf, []byte("actual content"), hash.Of([]byte("lie")))
-	if _, err = cl.putChunks(OpPutChunk, []*chunk.Chunk{lie}); err == nil {
+	if _, err = cl.putChunks([]*chunk.Chunk{lie}); err == nil {
 		t.Fatal("server accepted mislabelled chunk")
 	}
 }
@@ -301,7 +301,7 @@ func TestBatchedIngestRejectsForgery(t *testing.T) {
 
 	honest := chunk.New(chunk.TypeBlobLeaf, []byte("honest"))
 	forged := chunk.NewClaimed(chunk.TypeBlobLeaf, []byte("forged payload"), honest.ID())
-	if _, err = cl.putChunks(OpPutChunks, []*chunk.Chunk{honest, forged}); err == nil {
+	if _, err = cl.putChunks([]*chunk.Chunk{honest, forged}); err == nil {
 		t.Fatal("forged batch accepted")
 	}
 	// Nothing from the rejected batch landed.

@@ -128,13 +128,13 @@ func wireFrames(t testing.TB) []namedFrame {
 		rows = append(rows, namedFrame{name + "/request", req}, namedFrame{name + "/reply", rep})
 	}
 	record("Ping", false, func() error { return nil }) // Dial's ping, request 1
-	record("PutChunk", false, func() error { _, err := rs.Put(a); return err })
+	record("PutChunks-one", false, func() error { _, err := rs.Put(a); return err })
 	record("PutChunks", false, func() error { _, err := rs.PutBatch([]*chunk.Chunk{a, b}); return err })
-	record("PutChunks-empty", false, func() error { _, err := cl.putChunks(OpPutChunks, nil); return err })
-	record("GetChunk", false, func() error { _, err := rs.Get(a.ID()); return err })
-	record("GetChunk-absent", true, func() error { _, err := rs.Get(gone); return err })
+	record("PutChunks-empty", false, func() error { _, err := cl.putChunks(nil); return err })
+	record("GetChunks-one", false, func() error { _, err := rs.Get(a.ID()); return err })
+	record("GetChunks-one-absent", true, func() error { _, err := rs.Get(gone); return err })
 	record("GetChunks", false, func() error { _, err := rs.GetBatch([]hash.Hash{b.ID(), gone, a.ID()}); return err })
-	record("HasChunk", false, func() error { _, err := rs.Has(a.ID()); return err })
+	record("HasChunks-one", false, func() error { _, err := rs.Has(a.ID()); return err })
 	record("HasChunks", false, func() error { _, err := rs.HasBatch([]hash.Hash{gone, b.ID()}); return err })
 	record("Stats", false, func() error { rs.Stats(); return nil })
 	apply := func(ops ...core.HeadOp) func() error {
@@ -280,7 +280,7 @@ func hostileFrames(t testing.TB) []namedFrame {
 		{"truncated payload", append(hdr(frameMagic, frameVersion, byte(OpHead), 0, 100), "short"...)},
 		{"payload_len at the cap, no payload", hdr(frameMagic, frameVersion, byte(OpPutChunks), 0, MaxPayload)},
 		{"count beyond the payload", frameOf(t, OpGetChunks, 0, 9, appendUvarint(nil, 1<<40))},
-		{"chunk longer than the payload", frameOf(t, OpPutChunk, 0, 9,
+		{"chunk longer than the payload", frameOf(t, OpPutChunks, 0, 9,
 			appendUvarint(append(appendIDs(nil, hash.Hash{}), 1, byte(chunk.TypeBlobLeaf)), 1<<30))},
 		{"trailing bytes", frameOf(t, OpPing, 0, 9, []byte{0})},
 	}
@@ -509,49 +509,49 @@ func TestStalledReaderIsShed(t *testing.T) {
 
 // goldenFrames is the pinned output of wireFrames, in order.
 var goldenFrames = []struct{ name, wantHex string }{
-	{"Ping/request", "fb020b00000000000000000000000001"},
-	{"Ping/reply", "fb020b00000000000000000000000001"},
-	{"PutChunk/request", "fb02010000000025000000000000000201e3254ea61c09ead5a01d3bf07e946a561c6c2cd1c46b8ca1bfa8729d26a7d09f01010161"},
-	{"PutChunk/reply", "fb0201000000000200000000000000020101"},
-	{"PutChunks/request", "fb020c0000000049000000000000000302e3254ea61c09ead5a01d3bf07e946a561c6c2cd1c46b8ca1bfa8729d26a7d09f074a381eefaafb3c9d63676d586dd16d9c9aae2f563894e9074a58820724213b0201016102026262"},
-	{"PutChunks/reply", "fb020c00000000030000000000000003020001"},
-	{"PutChunks-empty/request", "fb020c000000000200000000000000040000"},
-	{"PutChunks-empty/reply", "fb020c0000000001000000000000000400"},
-	{"GetChunk/request", "fb02020000000021000000000000000501e3254ea61c09ead5a01d3bf07e946a561c6c2cd1c46b8ca1bfa8729d26a7d09f"},
-	{"GetChunk/reply", "fb020200000000060000000000000005010101010161"},
-	{"GetChunk-absent/request", "fb02020000000021000000000000000601283bb9deef02e6843abfb538efa1eca70801bd8a701c3f98191e123496339247"},
-	{"GetChunk-absent/reply", "fb020200000000030000000000000006010000"},
-	{"GetChunks/request", "fb020d0000000061000000000000000703074a381eefaafb3c9d63676d586dd16d9c9aae2f563894e9074a58820724213b283bb9deef02e6843abfb538efa1eca70801bd8a701c3f98191e123496339247e3254ea61c09ead5a01d3bf07e946a561c6c2cd1c46b8ca1bfa8729d26a7d09f"},
-	{"GetChunks/reply", "fb020d000000000c0000000000000007030100010202026262010161"},
-	{"HasChunk/request", "fb02030000000021000000000000000801e3254ea61c09ead5a01d3bf07e946a561c6c2cd1c46b8ca1bfa8729d26a7d09f"},
-	{"HasChunk/reply", "fb0203000000000200000000000000080101"},
-	{"HasChunks/request", "fb020e0000000041000000000000000902283bb9deef02e6843abfb538efa1eca70801bd8a701c3f98191e123496339247074a381eefaafb3c9d63676d586dd16d9c9aae2f563894e9074a58820724213b"},
-	{"HasChunks/reply", "fb020e00000000030000000000000009020001"},
-	{"Stats/request", "fb02040000000000000000000000000a"},
-	{"Stats/reply", "fb02040000000005000000000000000a040a0e020a"},
-	{"Apply/request", "fb0206000000004b000000000000000b01016b066d61737465720000000000000000000000000000000000000000000000000000000000000000003bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe"},
-	{"Apply/reply", "fb02060000000002000000000000000b0101"},
-	{"Apply-stale/request", "fb0206000000004b000000000000000c01016b066d6173746572000000000000000000000000000000000000000000000000000000000000000000fb04dcb6970e4c3d1873de51fd5a50d7bb46b3383113602665c350ec40b5f990"},
-	{"Apply-stale/reply", "fb02060000000002000000000000000c0100"},
-	{"Head/request", "fb02050000000009000000000000000d016b066d6173746572"},
-	{"Head/reply", "fb02050000000021000000000000000d013bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe"},
-	{"Head-absent/request", "fb02050000000007000000000000000e016b046e6f7065"},
-	{"Head-absent/reply", "fb02050000000001000000000000000e00"},
-	{"Apply-rename/request", "fb02060000000093000000000000000f02016b066d6173746572003bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe0000000000000000000000000000000000000000000000000000000000000000016b046d61696e0000000000000000000000000000000000000000000000000000000000000000003bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe"},
-	{"Apply-rename/reply", "fb02060000000002000000000000000f0101"},
-	{"Branches/request", "fb020900000000030000000000000010016b00"},
-	{"Branches/reply", "fb02090000000027000000000000001001046d61696e013bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe"},
-	{"Keys/request", "fb020a00000000000000000000000011"},
-	{"Keys/reply", "fb020a0000000003000000000000001101016b"},
-	{"Apply-delete/request", "fb02060000000049000000000000001201016b046d61696e0100000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000"},
-	{"Apply-delete/reply", "fb0206000000000200000000000000120101"},
-	{"Apply-error/request", "fb0206000000004800000000000000130100046d61696e0000000000000000000000000000000000000000000000000000000000000000003bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe"},
-	{"Apply-error/reply", "fb020601000000540000000000000013636f72653a206865616420222240226d61696e223a2061206b6579206d757374206265203120746f20363535333520627974657320616e642061206272616e6368206e616d65206174206d6f7374203635353335"},
-	{"PinHead/request", "fb021000000000210000000000000014013bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe"},
-	{"PinHead/reply", "fb021000000000000000000000000014"},
-	{"UnpinHead/request", "fb021100000000210000000000000015013bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe"},
-	{"UnpinHead/reply", "fb021100000000000000000000000015"},
-	{"FeedSince/request", "fb020f0000000004000000000000001603072001"},
-	{"FeedSince/reply", "fb020f000000004c00000000000000160507010105016b046d61696e3bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fefb04dcb6970e4c3d1873de51fd5a50d7bb46b3383113602665c350ec40b5f990"},
-	{"GetChunks-deferred/reply", "fb020d00000000090000000000000017040100020201010161"},
+	{"Ping/request", "fb030b00000000000000000000000001"},
+	{"Ping/reply", "fb030b00000000000000000000000001"},
+	{"PutChunks-one/request", "fb030c0000000025000000000000000201e3254ea61c09ead5a01d3bf07e946a561c6c2cd1c46b8ca1bfa8729d26a7d09f01010161"},
+	{"PutChunks-one/reply", "fb030c000000000200000000000000020101"},
+	{"PutChunks/request", "fb030c0000000049000000000000000302e3254ea61c09ead5a01d3bf07e946a561c6c2cd1c46b8ca1bfa8729d26a7d09f074a381eefaafb3c9d63676d586dd16d9c9aae2f563894e9074a58820724213b0201016102026262"},
+	{"PutChunks/reply", "fb030c00000000030000000000000003020001"},
+	{"PutChunks-empty/request", "fb030c000000000200000000000000040000"},
+	{"PutChunks-empty/reply", "fb030c0000000001000000000000000400"},
+	{"GetChunks-one/request", "fb030d0000000021000000000000000501e3254ea61c09ead5a01d3bf07e946a561c6c2cd1c46b8ca1bfa8729d26a7d09f"},
+	{"GetChunks-one/reply", "fb030d00000000060000000000000005010101010161"},
+	{"GetChunks-one-absent/request", "fb030d0000000021000000000000000601283bb9deef02e6843abfb538efa1eca70801bd8a701c3f98191e123496339247"},
+	{"GetChunks-one-absent/reply", "fb030d00000000030000000000000006010000"},
+	{"GetChunks/request", "fb030d0000000061000000000000000703074a381eefaafb3c9d63676d586dd16d9c9aae2f563894e9074a58820724213b283bb9deef02e6843abfb538efa1eca70801bd8a701c3f98191e123496339247e3254ea61c09ead5a01d3bf07e946a561c6c2cd1c46b8ca1bfa8729d26a7d09f"},
+	{"GetChunks/reply", "fb030d000000000c0000000000000007030100010202026262010161"},
+	{"HasChunks-one/request", "fb030e0000000021000000000000000801e3254ea61c09ead5a01d3bf07e946a561c6c2cd1c46b8ca1bfa8729d26a7d09f"},
+	{"HasChunks-one/reply", "fb030e000000000200000000000000080101"},
+	{"HasChunks/request", "fb030e0000000041000000000000000902283bb9deef02e6843abfb538efa1eca70801bd8a701c3f98191e123496339247074a381eefaafb3c9d63676d586dd16d9c9aae2f563894e9074a58820724213b"},
+	{"HasChunks/reply", "fb030e00000000030000000000000009020001"},
+	{"Stats/request", "fb03040000000000000000000000000a"},
+	{"Stats/reply", "fb03040000000005000000000000000a040a0e020a"},
+	{"Apply/request", "fb0306000000004b000000000000000b01016b066d61737465720000000000000000000000000000000000000000000000000000000000000000003bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe"},
+	{"Apply/reply", "fb03060000000002000000000000000b0101"},
+	{"Apply-stale/request", "fb0306000000004b000000000000000c01016b066d6173746572000000000000000000000000000000000000000000000000000000000000000000fb04dcb6970e4c3d1873de51fd5a50d7bb46b3383113602665c350ec40b5f990"},
+	{"Apply-stale/reply", "fb03060000000002000000000000000c0100"},
+	{"Head/request", "fb03050000000009000000000000000d016b066d6173746572"},
+	{"Head/reply", "fb03050000000021000000000000000d013bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe"},
+	{"Head-absent/request", "fb03050000000007000000000000000e016b046e6f7065"},
+	{"Head-absent/reply", "fb03050000000001000000000000000e00"},
+	{"Apply-rename/request", "fb03060000000093000000000000000f02016b066d6173746572003bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe0000000000000000000000000000000000000000000000000000000000000000016b046d61696e0000000000000000000000000000000000000000000000000000000000000000003bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe"},
+	{"Apply-rename/reply", "fb03060000000002000000000000000f0101"},
+	{"Branches/request", "fb030900000000030000000000000010016b00"},
+	{"Branches/reply", "fb03090000000027000000000000001001046d61696e013bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe"},
+	{"Keys/request", "fb030a00000000000000000000000011"},
+	{"Keys/reply", "fb030a0000000003000000000000001101016b"},
+	{"Apply-delete/request", "fb03060000000049000000000000001201016b046d61696e0100000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000"},
+	{"Apply-delete/reply", "fb0306000000000200000000000000120101"},
+	{"Apply-error/request", "fb0306000000004800000000000000130100046d61696e0000000000000000000000000000000000000000000000000000000000000000003bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe"},
+	{"Apply-error/reply", "fb030601000000540000000000000013636f72653a206865616420222240226d61696e223a2061206b6579206d757374206265203120746f20363535333520627974657320616e642061206272616e6368206e616d65206174206d6f7374203635353335"},
+	{"PinHead/request", "fb031000000000210000000000000014013bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe"},
+	{"PinHead/reply", "fb031000000000000000000000000014"},
+	{"UnpinHead/request", "fb031100000000210000000000000015013bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe"},
+	{"UnpinHead/reply", "fb031100000000000000000000000015"},
+	{"FeedSince/request", "fb030f0000000004000000000000001603072001"},
+	{"FeedSince/reply", "fb030f000000004c00000000000000160507010105016b046d61696e3bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fefb04dcb6970e4c3d1873de51fd5a50d7bb46b3383113602665c350ec40b5f990"},
+	{"GetChunks-deferred/reply", "fb030d00000000090000000000000017040100020201010161"},
 }

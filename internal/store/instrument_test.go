@@ -42,9 +42,9 @@ func TestInstrumentedStoreCounts(t *testing.T) {
 	wantOps := map[string]float64{
 		"get": 2, "put": 1, "has": 1, "put_batch": 1, "get_batch": 1, "has_batch": 1,
 	}
-	// Latency on the single-chunk paths is sampled (first op of every
-	// latSampleMask+1 is timed), so each family here records exactly one
-	// observation; batch paths are always timed.
+	// Latency on the single-chunk paths is sampled (obs.Op times the first
+	// op of every 32), so each family here records exactly one observation;
+	// batch paths are always timed.
 	wantTimed := map[string]float64{
 		"get": 1, "put": 1, "has": 1, "put_batch": 1, "get_batch": 1, "has_batch": 1,
 	}

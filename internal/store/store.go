@@ -9,8 +9,7 @@
 // wrapper that embeds Store, overrides the operations it cares about and
 // declares Unwrap: the verifying layer (VerifyingStore), the metrics layer
 // (Instrument), the value attachment WithNodeCache and the experiment
-// wrappers CountingStore (Fig 4 storage accounting) and MaliciousStore
-// (Fig 6 threat model).
+// wrapper MaliciousStore (Fig 6 threat model).
 //
 // Optional capabilities (Collector, Scrubber, Repairer, PlacementEpocher,
 // Kinder, VerifyCacheTruster, NodeCacheProvider) are implemented only by the

@@ -512,28 +512,27 @@ func TestFileStoreConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-func TestCountingStoreIncrements(t *testing.T) {
-	cs := NewCountingStore(NewMemStore())
-	cs.Mark("start")
+// TestMemStoreStatsDeltas: the storage accounting Fig 4 subtracts — a
+// duplicate put adds no physical bytes and no chunk but counts a dedup hit,
+// and dedup shows as logical bytes above physical ones.
+func TestMemStoreStatsDeltas(t *testing.T) {
+	ms := NewMemStore()
+	start := ms.Stats()
 	c1 := mkChunk(1)
-	cs.Put(c1)
-	cs.Mark("phase1")
-	cs.Put(c1) // duplicate: physical increment must be zero
-	cs.Put(mkChunk(2))
-	cs.Mark("phase2")
+	ms.Put(c1)
+	phase1 := ms.Stats()
+	ms.Put(c1) // duplicate: physical increment must be zero
+	ms.Put(mkChunk(2))
+	phase2 := ms.Stats()
 
-	incs := cs.Increments()
-	if len(incs) != 2 {
-		t.Fatalf("increments = %d", len(incs))
+	if d := phase1.PhysicalBytes - start.PhysicalBytes; d != int64(c1.Size()) || phase1.UniqueChunks-start.UniqueChunks != 1 {
+		t.Fatalf("phase1: +%d bytes, +%d chunks", d, phase1.UniqueChunks-start.UniqueChunks)
 	}
-	if incs[0].Label != "phase1" || incs[0].PhysicalBytes != int64(c1.Size()) || incs[0].NewChunks != 1 {
-		t.Fatalf("phase1 = %+v", incs[0])
+	if hits, fresh := phase2.DedupHits-phase1.DedupHits, phase2.UniqueChunks-phase1.UniqueChunks; hits != 1 || fresh != 1 {
+		t.Fatalf("phase2: %d dedup hits, %d new chunks", hits, fresh)
 	}
-	if incs[1].DedupHits != 1 || incs[1].NewChunks != 1 {
-		t.Fatalf("phase2 = %+v", incs[1])
-	}
-	if incs[1].PhysicalBytes >= incs[1].LogicalBytes {
-		t.Fatalf("phase2 dedup not visible: %+v", incs[1])
+	if phys, logical := phase2.PhysicalBytes-phase1.PhysicalBytes, phase2.LogicalBytes-phase1.LogicalBytes; phys >= logical {
+		t.Fatalf("phase2 dedup not visible: +%d physical, +%d logical", phys, logical)
 	}
 }
 

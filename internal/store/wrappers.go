@@ -10,68 +10,6 @@ import (
 	"forkbase/internal/hash"
 )
 
-// CountingStore wraps a Store and records the byte increments of delimited
-// phases, so experiments can report "loading dataset 2 increased storage by
-// only 0.04 KB" exactly like Fig 4 of the paper.
-//
-// Concurrency: the wrapper itself holds no per-op state — every Store call
-// is the embedded inner store's — and Mark/Increments guard the snapshot
-// slices with one mutex, so concurrent writers can go through a
-// CountingStore while an experiment thread marks phases.
-type CountingStore struct {
-	Store
-
-	mu     sync.Mutex
-	marks  []Stats
-	labels []string
-}
-
-// NewCountingStore wraps inner.
-func NewCountingStore(inner Store) *CountingStore {
-	return &CountingStore{Store: inner}
-}
-
-// Unwrap exposes the inner store to As: phase accounting changes neither
-// whose bytes are served nor what the backend can do.
-func (c *CountingStore) Unwrap() Store { return c.Store }
-
-// Mark snapshots the current counters under a label.
-func (c *CountingStore) Mark(label string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.marks = append(c.marks, c.Store.Stats())
-	c.labels = append(c.labels, label)
-}
-
-// Increment describes the storage change between two consecutive marks.
-type Increment struct {
-	Label         string
-	PhysicalBytes int64 // bytes actually added to storage
-	LogicalBytes  int64 // bytes that would have been added without dedup
-	NewChunks     int64
-	DedupHits     int64
-}
-
-// Increments reports the per-phase storage growth between consecutive marks.
-// Call Mark before and after each phase; phase i is labelled with the label
-// of its closing mark.
-func (c *CountingStore) Increments() []Increment {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var out []Increment
-	for i := 1; i < len(c.marks); i++ {
-		prev, cur := c.marks[i-1], c.marks[i]
-		out = append(out, Increment{
-			Label:         c.labels[i],
-			PhysicalBytes: cur.PhysicalBytes - prev.PhysicalBytes,
-			LogicalBytes:  cur.LogicalBytes - prev.LogicalBytes,
-			NewChunks:     cur.UniqueChunks - prev.UniqueChunks,
-			DedupHits:     cur.DedupHits - prev.DedupHits,
-		})
-	}
-	return out
-}
-
 // MaliciousStore wraps a Store and simulates the paper's threat model
 // (§II-D): "the storage is malicious, but the users keep track of the latest
 // uid of every branch".  It can silently corrupt stored chunks or substitute
