@@ -1,6 +1,7 @@
 // Command forkbased runs a ForkBase storage node: a TCP chunk/branch
 // service (for forkbase -remote and cluster deployments) and, optionally,
-// the REST API.
+// the REST API.  The node is a forkbase.DB opened from the flags, serving
+// DB.NewServer and, with -http, DB.NewHandler.
 //
 // A primary publishes its change feed over the same TCP port, so replicas
 // can follow it:
@@ -33,13 +34,10 @@ import (
 	"syscall"
 	"time"
 
-	"forkbase/internal/core"
+	"forkbase"
 	"forkbase/internal/index"
 	"forkbase/internal/obs"
-	"forkbase/internal/repl"
-	"forkbase/internal/rest"
 	"forkbase/internal/server"
-	"forkbase/internal/store"
 )
 
 // parseLevel maps the -log-level flag to a slog.Level.
@@ -90,73 +88,41 @@ func main() {
 		fatal(err.Error())
 	}
 
-	reg := obs.Default()
-
-	var st store.Store
-	var rawHeads core.BranchTable
-	var fileStore *store.FileStore // non-nil for file-backed nodes: scrub target
-	if *dir != "" {
-		fs, err := store.OpenFileStore(*dir)
-		if err != nil {
-			fatal("opening store", "dir", *dir, "err", err)
-		}
-		defer fs.Close()
-		bt, err := core.OpenFileBranchTable(*dir)
-		if err != nil {
-			fatal("opening branch table", "dir", *dir, "err", err)
-		}
-		defer bt.Close()
-		fileStore = fs
-		st, rawHeads = fs, bt
-	} else {
-		st, rawHeads = store.NewMemStore(), core.NewMemBranchTable()
+	opts := []forkbase.Option{
+		forkbase.WithIndex(idx), forkbase.WithMetrics(obs.Default()),
+		forkbase.WithLogger(logger), forkbase.WithSlowOpThreshold(*slowOp),
 	}
+	if *dir != "" {
+		opts = append(opts, forkbase.FileBacked(*dir))
+	}
+	if *follow != "" {
+		// The follower writes through the engine's verifying store, so every
+		// replicated chunk is integrity-checked; the engine, the TCP service
+		// and the REST API go read-only — replica state moves only through
+		// replication.
+		opts = append(opts, forkbase.WithFollow(*follow))
+	}
+	db, err := forkbase.Open(opts...)
+	if err != nil {
+		fatal("opening node", "dir", *dir, "primary", *follow, "err", err)
+	}
+	defer db.Close()
+	reg := db.Metrics()
 
 	// One feed serves every write path on this node: head moves through the
 	// TCP service (client Apply), through the REST engine, and — on replicas —
 	// through the follower all land in the same sequence, so downstream
 	// replicas can follow this node no matter how it is written to.
-	feed := core.NewFeed(0)
-	heads := core.WithFeed(rawHeads, feed)
-	eng := core.Open(core.Options{
-		Store: st, Branches: heads, Index: idx,
-		Metrics: reg, Logger: logger, SlowOp: *slowOp,
-	})
-	defer eng.Close()
-
-	srv := server.New(st, heads, logger)
-	srv.SetMetrics(reg)
-	srv.AttachFeed(feed)
+	srv := db.NewServer(logger)
 	srv.SetLimits(server.Limits{MaxConns: *maxConns, ReadTimeout: *readTimeout})
-
-	var follower *repl.Follower
-	var healSrc *repl.RemoteSource // replicas self-heal disk loss from the primary
-	if *follow != "" {
-		cli, err := server.Dial(*follow)
-		if err != nil {
-			fatal("dialing primary", "primary", *follow, "err", err)
-		}
-		defer cli.Close()
-		healSrc = repl.NewRemoteSource(cli)
-		// The follower writes through the engine's verifying store so every
-		// replicated chunk is integrity-checked; the local TCP service goes
-		// read-only — replica state moves only through replication.
-		follower = repl.NewFollower(repl.NewRemoteSource(cli), eng.Store(), eng.BranchTable(), repl.Options{})
-		follower.RegisterMetrics(reg)
-		follower.Start()
-		defer follower.Close()
-		srv.SetReadOnly(true)
-		eng.SetReadOnly(true) // backstop: any engine-level write path rejects too
+	role := "primary"
+	if db.Following() {
+		role = "replica"
 		logger.Info("following primary", "primary", *follow)
 	}
-
 	addr, err := srv.Listen(*listen)
 	if err != nil {
 		fatal("listen", "addr", *listen, "err", err)
-	}
-	role := "primary"
-	if *follow != "" {
-		role = "replica"
 	}
 	logger.Info("chunk/branch service up", "role", role, "addr", addr)
 
@@ -165,16 +131,14 @@ func main() {
 	// chunks are refetched from the primary, verified, and landed back, so
 	// the detect → quarantine → repair loop closes without an operator.
 	if *scrubEvery > 0 {
-		if fileStore == nil {
+		if *dir == "" {
 			logger.Warn("scrub-interval ignored: in-memory store has no disk to scrub")
 		} else {
 			go func() {
 				tick := time.NewTicker(*scrubEvery)
 				defer tick.Stop()
 				for range tick.C {
-					// Through the engine so scrub runs/durations land in the
-					// metrics registry alongside GC and heal.
-					scr, err := eng.Scrub()
+					scr, err := db.Scrub()
 					if err != nil {
 						logger.Error("scrub failed", "err", err)
 						continue
@@ -186,10 +150,10 @@ func main() {
 							"unreadable", scr.Unreadable,
 							"rescued", scr.Rescued, "lost", len(scr.Lost))
 					}
-					if fileStore.Health() == nil || healSrc == nil {
+					if db.StoreHealth() == nil || !db.Following() {
 						continue
 					}
-					hs, err := eng.Heal(healSrc)
+					hs, err := db.Heal(nil) // from the primary it follows
 					if err != nil {
 						logger.Error("heal failed", "err", err)
 						continue
@@ -211,7 +175,7 @@ func main() {
 			tick := time.NewTicker(*statsEvery)
 			defer tick.Stop()
 			for range tick.C {
-				s := eng.Stats()
+				s := db.Stats()
 				args := []any{
 					"engine_ops", int64(reg.Sum("forkbase_engine_ops_total")),
 					"engine_errors", int64(reg.Sum("forkbase_engine_errors_total")),
@@ -222,8 +186,8 @@ func main() {
 					"unique_chunks", s.UniqueChunks,
 					"physical_bytes", s.PhysicalBytes,
 				}
-				if follower != nil {
-					if lag, err := follower.Lag(); err == nil {
+				if db.Following() {
+					if lag, err := db.FeedLag(); err == nil {
 						args = append(args, "repl_lag", lag)
 					} else {
 						args = append(args, "repl_lag_err", err.Error())
@@ -258,17 +222,13 @@ func main() {
 	}
 
 	if *httpAddr != "" {
-		h := rest.New(eng).WithLogger(logger).WithSlowRequest(*slowOp)
-		if fileStore != nil {
-			h.WithScrubber(fileStore)
-		}
-		if follower != nil {
-			h.WithReplStatus(follower.Stats).SetReadOnly(true)
+		h := db.NewHandler().WithLogger(logger).WithSlowRequest(*slowOp)
+		if db.Following() {
 			// Readiness = synced within the lag threshold; a partitioned or
 			// badly lagging replica answers healthz with 503 so load
 			// balancers drain it instead of serving stale reads.
 			h.WithReadiness(func() (bool, string) {
-				lag, err := follower.Lag()
+				lag, err := db.FeedLag()
 				if err != nil {
 					return false, fmt.Sprintf("cannot reach primary: %v", err)
 				}

@@ -9,17 +9,16 @@ import (
 
 	"forkbase"
 	"forkbase/internal/cluster"
-	"forkbase/internal/core"
-	"forkbase/internal/server"
-	"forkbase/internal/store"
 )
 
 func main() {
 	// Start three storage nodes (in production these are `forkbased`
-	// processes on separate machines).
+	// processes on separate machines; each is a DB serving its TCP service).
 	var addrs []string
 	for i := 0; i < 3; i++ {
-		srv := server.New(store.NewMemStore(), core.NewMemBranchTable(), nil)
+		node := forkbase.MustOpen(forkbase.InMemory())
+		defer node.Close()
+		srv := node.NewServer(nil)
 		addr, err := srv.Listen("127.0.0.1:0")
 		if err != nil {
 			log.Fatal(err)

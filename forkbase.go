@@ -37,6 +37,7 @@ import (
 	"forkbase/internal/obs"
 	"forkbase/internal/pos"
 	"forkbase/internal/repl"
+	"forkbase/internal/rest"
 	"forkbase/internal/server"
 	"forkbase/internal/store"
 	"forkbase/internal/value"
@@ -170,13 +171,14 @@ var (
 //   - reads: Get, GetVersion, Head, Latest, History, ListKeys, IndexOf, IndexKind
 //   - branches: Branch, BranchFromVersion, DeleteBranch, RenameBranch, ListBranches
 //   - diff and merge: Diff (two uids), DiffBranches (two heads), Merge (three-way)
-//   - tamper evidence and upkeep: VerifyVersion, GC, Scrub, StoreHealth
+//   - tamper evidence and upkeep: VerifyVersion, GC, Scrub, StoreHealth, LastScrub
 //   - accounting: Stats, NodeCacheStats, VerifyStats, Metrics
 //   - integrations: PutCtx, GetCtx, MergeCtx, BuildAndPut, Store, Chunking,
 //     BranchTable, Feed, SetReadOnly and core.DB's other methods
 //
 // The methods declared here add behaviour on top: closing the backends,
-// replication, healing from a peer, typed puts, datasets and sessions.
+// replication, the node's TCP and REST services, healing from a peer, typed
+// puts, datasets and sessions.
 type DB struct {
 	*engine
 	acl *access.Controller
@@ -355,6 +357,7 @@ func Open(opts ...Option) (*DB, error) {
 		// The follower writes through the engine's verifying store, so every
 		// replicated chunk is integrity-checked before it lands.
 		db.follower = repl.NewFollower(repl.NewRemoteSource(cli), db.Store(), db.BranchTable(), repl.Options{})
+		db.follower.RegisterMetrics(db.Metrics())
 		db.follower.Start()
 	}
 	return db, nil
@@ -394,6 +397,32 @@ func (db *DB) Close() error {
 
 // Following reports whether this DB is a read replica.
 func (db *DB) Following() bool { return db.follower != nil }
+
+// NewServer builds the TCP chunk/branch service over this DB — what
+// `forkbased -listen` serves and what Remote, cluster shards and replicas
+// (WithFollow) dial.  It serves the backend under the engine's store meter
+// (RawStore) and the engine's branch table, so a head moved over the wire
+// lands in the same change feed as one moved by the engine, and it reports
+// into the engine's registry.  A replica's server is read-only.  The caller
+// sets limits, listens and closes it; closing the server leaves the DB open.
+func (db *DB) NewServer(logger *slog.Logger) *server.Server {
+	srv := server.New(db.RawStore(), db.BranchTable(), logger)
+	srv.SetMetrics(db.Metrics())
+	srv.AttachFeed(db.Feed())
+	srv.SetReadOnly(db.Following())
+	return srv
+}
+
+// NewHandler builds the REST API over this DB (`forkbased -http`).  Write
+// routes answer 403 on a replica, and a replica publishes its follower's
+// progress at GET /v1/repl/status.
+func (db *DB) NewHandler() *rest.Handler {
+	h := rest.New(db.engine)
+	if db.follower != nil {
+		h.WithReplStatus(db.follower.Stats)
+	}
+	return h
+}
 
 // ReplStats snapshots replication progress (zeros when not following).
 func (db *DB) ReplStats() ReplStats {
@@ -494,17 +523,6 @@ func (db *DB) BlobBytes(v Version) ([]byte, error) {
 		return nil, err
 	}
 	return b.Bytes()
-}
-
-// LastScrub reports the most recent scrub (or open-time recovery)
-// classification; ok is false when none has run or no file store is in the
-// engine's stack.
-func (db *DB) LastScrub() (ScrubStats, time.Time, bool) {
-	fs, ok := store.As[*store.FileStore](db.RawStore())
-	if !ok {
-		return ScrubStats{}, time.Time{}, false
-	}
-	return fs.LastScrub()
 }
 
 // Heal walks the live Merkle graph from every branch head, refetches any

@@ -16,7 +16,6 @@ import (
 	"forkbase/internal/core"
 	"forkbase/internal/obs"
 	"forkbase/internal/pos"
-	"forkbase/internal/server"
 	"forkbase/internal/store"
 )
 
@@ -459,7 +458,9 @@ func TestPublicOpenRejectsBadChunking(t *testing.T) {
 // choose the chunk store, so Open refuses any two of them instead of letting
 // one silently replace the other.
 func TestOpenRejectsConflictingBackends(t *testing.T) {
-	srv := server.New(store.NewMemStore(), core.NewMemBranchTable(), nil)
+	node := forkbase.MustOpen()
+	defer node.Close()
+	srv := node.NewServer(nil)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

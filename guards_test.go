@@ -268,6 +268,22 @@ func TestSourceGuards(t *testing.T) {
 		pattern: `OpPutChunk\b|OpGetChunk\b|OpHasChunk\b`,
 		paths:   []string{"internal"},
 		want:    0,
+	}, {
+		// A node's TCP service is built from its DB (DB.NewServer), which
+		// shares the DB's store, branch table, feed, registry and read-only
+		// state; forkbased, the examples and the CLI do not wire a server
+		// beside an engine by hand, so a fence between the two has one home.
+		name:    "one node assembly",
+		pattern: `server\.New\(`,
+		paths:   []string{"cmd", "examples", "internal/cli", "forkbase.go"},
+		want:    1,
+	}, {
+		// A replica's REST API refuses writes because its engine is
+		// read-only (core.DB.ReadOnly); the handler keeps no copy to set.
+		name:    "REST keeps no read-only state",
+		pattern: `readOnly`,
+		paths:   []string{"internal/rest"},
+		want:    0,
 	}} {
 		re := regexp.MustCompile(g.pattern)
 		var hits []string

@@ -134,9 +134,10 @@ func Open(opts Options) *DB {
 	}
 	db.st, db.raw, db.verifier, db.ncache = assembleStore(opts)
 	// Every head movement is journaled into the change feed (the replication
-	// source).  A caller that already wrapped its table — cmd/forkbased
-	// shares one feed between the TCP server and this engine — keeps its
-	// feed; otherwise the DB owns a fresh one of the default capacity.
+	// source).  A caller that already wrapped its table keeps its feed;
+	// otherwise the DB owns a fresh one of the default capacity.  A node's
+	// TCP server serves the wrapped table (DB.BranchTable) and this feed, so
+	// head moves over the wire land in the same sequence.
 	ft, ok := opts.Branches.(*FeedTable)
 	if !ok {
 		ft = WithFeed(opts.Branches, NewFeed(0))
@@ -181,7 +182,11 @@ func (db *DB) Close() error { return nil }
 // Store returns the verifying chunk store (reads are tamper-checked).
 func (db *DB) Store() store.Store { return db.st }
 
-// RawStore returns the unwrapped chunk store (for stats and benchmarks).
+// RawStore returns the backend under the engine's store meter: the chunk
+// store the engine was opened over, wrapped only by store.Instrument, so
+// chunk operations through it are counted in the forkbase_store_* families
+// but not verified and not cached.  It serves Stats, capability discovery
+// (store.As) and peers that rehash what they fetch (the TCP server).
 func (db *DB) RawStore() store.Store { return db.raw }
 
 // Chunking returns the chunker configuration.
@@ -250,6 +255,10 @@ var ErrReadOnly = errors.New("core: engine is read-only (replica)")
 // The replication follower is unaffected: it writes through the store and
 // branch table, not through engine operations.
 func (db *DB) SetReadOnly(ro bool) { db.readOnly.Store(ro) }
+
+// ReadOnly reports whether the engine-level write gate is on.  Edges that
+// answer a write before reaching the engine (REST's 403) read it here.
+func (db *DB) ReadOnly() bool { return db.readOnly.Load() }
 
 // writeGuard rejects engine mutations when read-only.
 func (db *DB) writeGuard() error {

@@ -282,8 +282,8 @@ func (f *Feed) PinnedHeads() []hash.Hash {
 // FeedTable wraps a BranchTable and journals every successful Apply into a
 // Feed, as one group.  The wrap happens once, at the point writes enter the
 // system: core.Open wraps its branch table automatically, and a network
-// primary (cmd/forkbased) wraps before handing the table to both the TCP
-// server and the REST engine, so every write shares one sequence.
+// node serves that same table (DB.BranchTable) over TCP beside the engine
+// (forkbase.DB.NewServer), so every write shares one sequence.
 //
 // Every Apply holds mu across the table operation AND its journal append.
 // This is load-bearing: replicas converge by applying the *last* feed entry

@@ -198,6 +198,17 @@ func (db *DB) Scrub() (store.ScrubStats, error) {
 	return ss, err
 }
 
+// LastScrub reports the most recent scrub (or open-time recovery)
+// classification; ok is false when none has run or no file store is in the
+// engine's stack.
+func (db *DB) LastScrub() (store.ScrubStats, time.Time, bool) {
+	fs, ok := store.As[*store.FileStore](db.raw)
+	if !ok {
+		return store.ScrubStats{}, time.Time{}, false
+	}
+	return fs.LastScrub()
+}
+
 // StoreHealth reports the backing store's media health: nil while every
 // acknowledged chunk is readable and intact (or the store has no media to
 // audit), an error wrapping store.ErrCorrupt while lost chunks await

@@ -294,6 +294,10 @@ func (f *Follower) RegisterMetrics(reg *obs.Registry) {
 		})
 }
 
+// Lag reports how many feed entries the follower is behind its primary (0
+// when caught up), at the cost of one probe of the source; an unreachable
+// primary is an error.  forkbased's readiness check and the repl_lag gauge
+// read it.
 func (f *Follower) Lag() (uint64, error) {
 	target, err := f.src.Seq()
 	if err != nil {
@@ -308,16 +312,6 @@ func (f *Follower) Lag() (uint64, error) {
 		return 0, nil
 	}
 	return target.Seq - f.cursor.Seq, nil
-}
-
-// Ready is the readiness predicate behind /v1/healthz: the replica is
-// serving-fit when it can reach its primary and is synced to within maxLag
-// feed entries.  A live-but-lagging follower stays "alive" (the loop is
-// running) while reporting not-ready, so load balancers drain it instead of
-// serving stale reads.
-func (f *Follower) Ready(maxLag uint64) bool {
-	lag, err := f.Lag()
-	return err == nil && lag <= maxLag
 }
 
 // snapshot performs a full catch-up: anchor a cursor, mirror every primary

@@ -65,8 +65,8 @@ func TestFollowerOneWayPartitionSnapshotsAndConverges(t *testing.T) {
 	if err := f.WaitCaughtUp(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if !f.Ready(0) {
-		t.Fatal("caught-up follower reports not ready")
+	if lag, err := f.Lag(); err != nil || lag != 0 {
+		t.Fatalf("caught-up follower: Lag = %d, %v; want 0, nil", lag, err)
 	}
 
 	// Blind the follower: requests flow, responses stall.
@@ -82,8 +82,8 @@ func TestFollowerOneWayPartitionSnapshotsAndConverges(t *testing.T) {
 	// hang); its readiness probe must fail too, since it cannot reach the
 	// primary.
 	time.Sleep(400 * time.Millisecond)
-	if f.Ready(1000) {
-		t.Fatal("partitioned follower reports ready")
+	if _, err := f.Lag(); err == nil {
+		t.Fatal("partitioned follower reaches its primary")
 	}
 
 	proxy.Heal()

@@ -132,7 +132,8 @@ func TestReadOnlyHandlerRejectsWrites(t *testing.T) {
 	if _, err := db.Put("obj", "master", value.String("v"), nil); err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(New(db).SetReadOnly(true))
+	db.SetReadOnly(true)
+	srv := httptest.NewServer(New(db))
 	defer srv.Close()
 
 	writes := []struct {

@@ -37,22 +37,12 @@ import (
 	"forkbase/internal/value"
 )
 
-// ScrubberStore is the store capability behind POST /v1/scrub: verify every
-// on-disk chunk, quarantine damage, and report health.  *store.FileStore
-// satisfies it.
-type ScrubberStore interface {
-	store.Scrubber
-	LastScrub() (store.ScrubStats, time.Time, bool)
-}
-
 // Handler serves the REST API over a core engine.
 type Handler struct {
 	db         *core.DB
 	mux        *http.ServeMux
 	replStatus func() repl.Stats     // nil on non-replicas
 	ready      func() (bool, string) // nil = always ready
-	scrubber   ScrubberStore         // nil when the store has no disk to scrub
-	readOnly   bool                  // replicas reject mutating routes
 
 	reg     *obs.Registry // exposed at /v1/metrics(.json); engine's by default
 	met     *restMetrics
@@ -80,17 +70,17 @@ func New(db *core.DB) *Handler {
 	return h
 }
 
-// WithScrubber wires the file store behind POST /v1/scrub and folds its
-// health state into /v1/healthz.  Returns h for chaining.
-func (h *Handler) WithScrubber(s ScrubberStore) *Handler {
-	h.scrubber = s
-	return h
-}
+// WithScrubber does nothing and returns h.  Scrub and store health come
+// from the engine (core.DB.Scrub, StoreHealth, LastScrub), which finds a
+// file store anywhere in its stack; the frozen benchmark harness
+// (benchmark/rig.go) still calls this and is the only reason it remains.
+func (h *Handler) WithScrubber(store.Scrubber) *Handler { return h }
 
 // WithReadiness installs the readiness predicate behind /v1/healthz.  A
-// replica wires its follower's lag check here (repl.Follower.Ready); a
-// primary usually leaves it nil (always ready).  The detail string explains
-// a not-ready verdict.  Returns h for chaining.
+// replica wires its follower's lag check here (forkbased: reachable and
+// within -max-lag feed entries); a primary usually leaves it nil (always
+// ready).  The detail string explains a not-ready verdict.  Returns h for
+// chaining.
 func (h *Handler) WithReadiness(fn func() (bool, string)) *Handler {
 	h.ready = fn
 	return h
@@ -132,17 +122,17 @@ func (h *Handler) healthz(w http.ResponseWriter, r *http.Request) {
 			"verify_skipped_hashes":      h.reg.Sum("forkbase_verify_skipped_hashes_total"),
 		}
 	}
-	if h.scrubber != nil {
+	if _, disk := store.As[store.Scrubber](h.db.RawStore()); disk {
 		// Store health is reported, not folded into readiness: a store with
 		// lost chunks still serves every intact version, and taking it out of
 		// rotation would also take out its repair path (heal needs to reach
 		// it).  Operators alert on store_health != "ok".
-		if herr := h.scrubber.Health(); herr != nil {
+		if herr := h.db.StoreHealth(); herr != nil {
 			body["store_health"] = herr.Error()
 		} else {
 			body["store_health"] = "ok"
 		}
-		if st, at, ok := h.scrubber.LastScrub(); ok {
+		if st, at, ok := h.db.LastScrub(); ok {
 			body["last_scrub"] = map[string]any{
 				"at":                   at.UTC().Format(time.RFC3339),
 				"segments":             st.Segments,
@@ -172,18 +162,11 @@ func (h *Handler) WithReplStatus(fn func() repl.Stats) *Handler {
 	return h
 }
 
-// SetReadOnly makes every mutating route answer 403: replica state moves
-// only through replication, never through client writes.  Returns h for
-// chaining.
-func (h *Handler) SetReadOnly(ro bool) *Handler {
-	h.readOnly = ro
-	return h
-}
-
-// denyWrite rejects a mutating request on a read-only node and reports
-// whether it did.
+// denyWrite rejects a mutating request on a read-only engine (a replica:
+// its state moves only through replication, never through client writes)
+// before the request is decoded, and reports whether it did.
 func (h *Handler) denyWrite(w http.ResponseWriter) bool {
-	if !h.readOnly {
+	if !h.db.ReadOnly() {
 		return false
 	}
 	writeJSON(w, http.StatusForbidden, errorBody{Error: "node is a read-only replica (write to the primary)"})
@@ -253,7 +236,8 @@ func writeErr(w http.ResponseWriter, err error) {
 	case errors.Is(err, core.ErrBranchExists),
 		errors.Is(err, core.ErrStaleHead):
 		code = http.StatusConflict
-	case errors.Is(err, core.ErrNotCollectable):
+	case errors.Is(err, core.ErrNotCollectable),
+		errors.Is(err, core.ErrNotScrubbable):
 		code = http.StatusNotImplemented
 	case errors.Is(err, core.ErrTampered):
 		code = http.StatusBadGateway // the storage layer is lying to us
@@ -587,19 +571,9 @@ func (h *Handler) scrub(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "POST only"})
 		return
 	}
-	if h.scrubber == nil {
-		writeJSON(w, http.StatusNotImplemented, errorBody{Error: "store has no scrub capability"})
-		return
-	}
-	// Prefer the engine's scrub path (it records scrub metrics); fall back to
-	// the wired scrubber when the engine's store chain has no scrub
-	// capability (tests wiring a standalone ScrubberStore).
 	st, err := h.db.Scrub()
-	if errors.Is(err, core.ErrNotScrubbable) {
-		st, err = h.scrubber.Scrub()
-	}
 	if err != nil {
-		writeErr(w, err)
+		writeErr(w, err) // ErrNotScrubbable: 501, a store with no disk
 		return
 	}
 	lost := make([]string, len(st.Lost))
@@ -617,7 +591,7 @@ func (h *Handler) scrub(w http.ResponseWriter, r *http.Request) {
 		"rescued":              st.Rescued,
 		"lost":                 lost,
 		"elapsed_ns":           st.ElapsedNs,
-		"healthy":              h.scrubber.Health() == nil,
+		"healthy":              h.db.StoreHealth() == nil,
 	})
 }
 

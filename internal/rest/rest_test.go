@@ -434,6 +434,55 @@ func TestGCEndpointNotCollectable(t *testing.T) {
 	}
 }
 
+// TestScrubAndHealthComeFromTheEngine: POST /v1/scrub and the store fields
+// of /v1/healthz need no wiring beyond New — over a file store they scrub
+// and report health; over a store with no disk, scrub is 501 and healthz
+// reports no store health.
+func TestScrubAndHealthComeFromTheEngine(t *testing.T) {
+	fs, err := store.OpenFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	for _, tc := range []struct {
+		name string
+		st   store.Store
+		disk bool
+	}{{"file", fs, true}, {"mem", store.NewMemStore(), false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			db := core.Open(core.Options{Store: tc.st, Chunking: chunker.SmallConfig()})
+			srv := httptest.NewServer(New(db))
+			defer srv.Close()
+			if code, body := doJSON(t, "PUT", srv.URL+"/v1/obj/k", putBody{Kind: "string", Value: "v"}); code != http.StatusCreated {
+				t.Fatalf("put: %d %v", code, body)
+			}
+
+			code, body := doJSON(t, "POST", srv.URL+"/v1/scrub", nil)
+			if !tc.disk {
+				if code != http.StatusNotImplemented {
+					t.Fatalf("scrub without a disk = %d %v, want 501", code, body)
+				}
+			} else if code != http.StatusOK || body["healthy"] != true {
+				t.Fatalf("scrub = %d %v, want 200 and healthy", code, body)
+			}
+
+			code, body = doJSON(t, "GET", srv.URL+"/v1/healthz", nil)
+			if code != http.StatusOK {
+				t.Fatalf("healthz = %d %v", code, body)
+			}
+			_, hasHealth := body["store_health"]
+			_, hasLast := body["last_scrub"]
+			if !tc.disk {
+				if hasHealth || hasLast {
+					t.Fatalf("healthz without a disk reports store fields: %v", body)
+				}
+			} else if body["store_health"] != "ok" || !hasLast {
+				t.Fatalf("healthz = %v, want store_health ok and last_scrub", body)
+			}
+		})
+	}
+}
+
 func TestHealthzDefaultReady(t *testing.T) {
 	srv, _, _ := newServer(t)
 	resp, err := http.Get(srv.URL + "/v1/healthz")

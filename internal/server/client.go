@@ -51,12 +51,8 @@ func (o *ClientOptions) fill() {
 	if o.OpTimeout <= 0 {
 		o.OpTimeout = 10 * time.Second
 	}
-	if o.Retry.Attempts == 0 {
-		o.Retry.Attempts = 4
-	}
-	if o.Retry.Base <= 0 {
-		o.Retry.Base = 50 * time.Millisecond
-	}
+	// Zero Attempts and Base take retry.Policy's own defaults; the cap is
+	// tighter than retry.DefaultMax.
 	if o.Retry.Max <= 0 {
 		o.Retry.Max = time.Second
 	}

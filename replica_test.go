@@ -10,27 +10,21 @@ import (
 
 	"forkbase/internal/core"
 	"forkbase/internal/dataset"
-	"forkbase/internal/server"
-	"forkbase/internal/store"
 	"forkbase/internal/value"
 )
 
-// startPrimaryNode runs what `forkbased -listen` runs: a TCP node whose
-// engine and server share one feed-wrapped branch table.
+// startPrimaryNode runs what `forkbased -listen` runs: an in-memory DB
+// serving its TCP service (NewServer).  It returns the DB's engine.
 func startPrimaryNode(t *testing.T) (*core.DB, string) {
 	t.Helper()
-	st := store.NewMemStore()
-	feed := core.NewFeed(0)
-	heads := core.WithFeed(core.NewMemBranchTable(), feed)
-	eng := core.Open(core.Options{Store: st, Branches: heads})
-	srv := server.New(st, heads, nil)
-	srv.AttachFeed(feed)
+	db := MustOpen()
+	srv := db.NewServer(nil)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { srv.Close() })
-	return eng, addr
+	t.Cleanup(func() { srv.Close(); db.Close() })
+	return db.engine, addr
 }
 
 func TestOpenReplicaFollowsPrimary(t *testing.T) {
