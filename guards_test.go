@@ -278,6 +278,14 @@ func TestSourceGuards(t *testing.T) {
 		paths:   []string{"cmd", "examples", "internal/cli", "forkbase.go"},
 		want:    1,
 	}, {
+		// A follower's lease on its feed cursor keeps what it pulls safe
+		// from the primary's collector; per-head pins, two round trips a
+		// head, do not come back beside it.
+		name:    "no per-head pins",
+		pattern: `PinHead|PinnedHeads|pins\s+map`,
+		paths:   []string{"internal"},
+		want:    0,
+	}, {
 		// A replica's REST API refuses writes because its engine is
 		// read-only (core.DB.ReadOnly); the handler keeps no copy to set.
 		name:    "REST keeps no read-only state",

@@ -19,8 +19,9 @@ type FeedEntry struct {
 	// Key and Branch name the head that moved.
 	Key    string
 	Branch string
-	// Old is the head before the movement (zero for branch creation).  It is
-	// advisory — replicas converge on New alone.
+	// Old is the head before the movement (zero for branch creation).
+	// Replicas converge on New alone; the collector keeps the Old of every
+	// entry after a live lease's cursor (see leasedRoots).
 	Old hash.Hash
 	// New is the head after the movement; zero means the branch was deleted.
 	New hash.Hash
@@ -31,11 +32,10 @@ type FeedEntry struct {
 // forces a snapshot catch-up).
 const DefaultFeedCapacity = 4096
 
-// DefaultPinLease is how long a replica's pin on a head survives without
-// being refreshed.  Pins protect in-flight syncs from the collector; the
-// lease bounds the damage of a replica that vanished mid-sync — its pins
-// expire instead of holding garbage live forever.
-const DefaultPinLease = time.Minute
+// DefaultLease is how long a follower's lease on its feed cursor (see
+// leasedRoots) lives without a read or probe renewing it: the expiry bounds
+// the cost of a follower that vanished mid-sync.
+const DefaultLease = time.Minute
 
 // Feed is the primary-side change feed: a bounded, sequence-numbered ring of
 // head movements with blocking tail reads.  It is safe for concurrent use.
@@ -47,8 +47,17 @@ type Feed struct {
 	start   uint64      // seq of the oldest retained entry (0 when empty)
 	next    uint64      // seq the next Append will assign
 	cap     int
-	wake    chan struct{}      // closed and replaced on every Append
-	pins    map[hash.Hash]*pin // heads replicas are actively pulling
+	wake    chan struct{} // closed and replaced on every Append
+	leases  map[uint64]lease
+	ttl     time.Duration // a lease's life without renewal: DefaultLease
+	pruneAt int           // lease count at which the next new lease drops lapsed ones
+}
+
+// lease is a follower's hold on the feed: what it may be pulling is what
+// was current at cursor or later.
+type lease struct {
+	cursor   uint64
+	deadline time.Time
 }
 
 // FeedCursor is a replica's resumable position: a sequence number *within a
@@ -61,14 +70,6 @@ type FeedCursor struct {
 	Seq   uint64
 }
 
-// pin is a refcounted, leased GC root.  A replica pins each head before
-// pulling its chunks and unpins after the local head advances; the deadline
-// covers replicas that die mid-sync.
-type pin struct {
-	count    int
-	deadline time.Time
-}
-
 // NewFeed returns an empty feed retaining up to capacity entries
 // (0 selects DefaultFeedCapacity).
 func NewFeed(capacity int) *Feed {
@@ -76,11 +77,12 @@ func NewFeed(capacity int) *Feed {
 		capacity = DefaultFeedCapacity
 	}
 	return &Feed{
-		epoch: uint64(time.Now().UnixNano()),
-		next:  1,
-		cap:   capacity,
-		wake:  make(chan struct{}),
-		pins:  make(map[hash.Hash]*pin),
+		epoch:  uint64(time.Now().UnixNano()),
+		next:   1,
+		cap:    capacity,
+		wake:   make(chan struct{}),
+		leases: make(map[uint64]lease),
+		ttl:    DefaultLease,
 	}
 }
 
@@ -168,15 +170,18 @@ const (
 	feedMaxWait      = 30 * time.Second
 )
 
-// Read is the one feed-read rule every replication source serves.  A
-// negative limit probes: no entries, and the cursor of the feed's tip.  A
+// Read is the one feed-read rule every replication source serves, for the
+// follower holding lease (0: a reader without one).  A read sets the
+// lease's cursor to cursor; a negative limit probes — no entries, the cursor
+// of the feed's tip, and the lease only created or renewed.  A
 // cursor of another incarnation (a nonzero epoch that is not this feed's)
 // comes back truncated, exactly like one that fell out of the ring: the
 // reader must snapshot.  Otherwise it long-polls up to wait (at most
 // feedMaxWait) while nothing follows cursor, and returns Since's page of at
 // most limit entries (0, or more than feedDefaultLimit, means
 // feedDefaultLimit) and the cursor to resume from.
-func (f *Feed) Read(cursor FeedCursor, limit int, wait time.Duration) ([]FeedEntry, FeedCursor, bool) {
+func (f *Feed) Read(lease uint64, cursor FeedCursor, limit int, wait time.Duration) ([]FeedEntry, FeedCursor, bool) {
+	f.hold(lease, cursor, limit >= 0)
 	if limit < 0 {
 		return nil, FeedCursor{Epoch: f.epoch, Seq: f.Seq()}, false
 	}
@@ -220,63 +225,60 @@ func (f *Feed) Wait(cursor uint64, timeout time.Duration) bool {
 	}
 }
 
-// Pin registers root as a temporary GC root for at most lease (0 selects
-// DefaultPinLease).  Pins are refcounted: each Pin needs a matching Unpin,
-// and a fresh Pin extends the deadline of an existing one.  The garbage
-// collector keeps every pinned head's chunk graph alive, so a replica
-// pulling a head it learned from the feed can never have the ground
-// collected from under an in-flight sync.
-func (f *Feed) Pin(root hash.Hash, lease time.Duration) {
-	if root.IsZero() {
+// hold creates or renews lease id (0: none) for DefaultLease; a read also
+// sets its cursor to the one it reads from, while a probe leaves the cursor
+// of a live lease where it is.  A new or lapsed lease starts at cursor 0.
+func (f *Feed) hold(id uint64, cursor FeedCursor, read bool) {
+	if id == 0 {
 		return
 	}
-	if lease <= 0 {
-		lease = DefaultPinLease
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	p := f.pins[root]
-	if p == nil {
-		p = &pin{}
-		f.pins[root] = p
-	}
-	p.count++
-	if d := time.Now().Add(lease); d.After(p.deadline) {
-		p.deadline = d
-	}
-}
-
-// Unpin releases one Pin of root; the last release (or an expired lease)
-// makes the head collectable again.
-func (f *Feed) Unpin(root hash.Hash) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	p := f.pins[root]
-	if p == nil {
-		return
-	}
-	p.count--
-	if p.count <= 0 {
-		delete(f.pins, root)
-	}
-}
-
-// PinnedHeads returns the heads currently pinned by replicas (expired
-// leases are dropped).  The garbage collector treats these as additional,
-// advisory roots.
-func (f *Feed) PinnedHeads() []hash.Hash {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	now := time.Now()
-	out := make([]hash.Hash, 0, len(f.pins))
-	for root, p := range f.pins {
-		if now.After(p.deadline) {
-			delete(f.pins, root)
-			continue
-		}
-		out = append(out, root)
+	l, ok := f.leases[id]
+	if !ok && len(f.leases) >= f.pruneAt { // amortised: lapsed leases cannot pile up
+		f.dropLapsed(now)
+		f.pruneAt = 2*len(f.leases) + 64
 	}
-	return out
+	if read || now.After(l.deadline) {
+		l.cursor = 0 // lapsed, or another incarnation's cursor: hold every retained Old
+	}
+	if read && (cursor.Epoch == 0 || cursor.Epoch == f.epoch) {
+		l.cursor = cursor.Seq
+	}
+	l.deadline = now.Add(f.ttl)
+	f.leases[id] = l
+}
+
+// leasedRoots returns the heads a leased follower may still be pulling: the
+// Old of every retained entry after the oldest live lease's cursor (none
+// without a live lease).  With the branch heads they are the GC roots: a
+// head current at cursor c is either still a head or the Old of the first
+// entry after c that moved its branch.
+func (f *Feed) leasedRoots() []hash.Hash {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.dropLapsed(time.Now())
+	oldest := f.next - 1
+	for _, l := range f.leases {
+		oldest = min(oldest, l.cursor)
+	}
+	var roots []hash.Hash
+	for _, e := range f.entries {
+		if e.Seq > oldest && !e.Old.IsZero() {
+			roots = append(roots, e.Old)
+		}
+	}
+	return roots
+}
+
+// dropLapsed deletes the leases whose deadline passed.  Callers hold mu.
+func (f *Feed) dropLapsed(now time.Time) {
+	for id, l := range f.leases {
+		if now.After(l.deadline) {
+			delete(f.leases, id)
+		}
+	}
 }
 
 // FeedTable wraps a BranchTable and journals every successful Apply into a

@@ -90,29 +90,48 @@ func TestFeedWait(t *testing.T) {
 	}
 }
 
-func TestFeedPins(t *testing.T) {
+// TestFeedLeases: the heads a lease holds are the Old of every retained
+// entry after its cursor.  A read sets the cursor, a probe only creates or
+// renews the lease, the oldest live lease decides, and a lapsed lease (or
+// none) holds nothing.
+func TestFeedLeases(t *testing.T) {
 	f := NewFeed(8)
-	r1, r2 := h(1), h(2)
-	f.Pin(r1, time.Minute)
-	f.Pin(r1, time.Minute) // refcount 2
-	f.Pin(r2, 10*time.Millisecond)
-	if got := len(f.PinnedHeads()); got != 2 {
-		t.Fatalf("pinned = %d, want 2", got)
+	for i := 1; i <= 5; i++ { // entry i moves the branch from h(i-1) to h(i); h(0) is zero
+		f.Append(FeedEntry{Key: "k", Branch: "master", Old: h(byte(i - 1)), New: h(byte(i))})
 	}
-	f.Unpin(r1)
-	if got := len(f.PinnedHeads()); got != 2 {
-		t.Fatalf("pinned after one unpin = %d, want 2 (refcounted)", got)
+	held := func() []hash.Hash { return f.leasedRoots() }
+	want := func(what string, roots ...hash.Hash) {
+		t.Helper()
+		if got := held(); fmt.Sprint(got) != fmt.Sprint(roots) {
+			t.Fatalf("%s: held %v, want %v", what, got, roots)
+		}
 	}
-	f.Unpin(r1)
-	time.Sleep(20 * time.Millisecond) // r2's lease expires
-	if got := len(f.PinnedHeads()); got != 0 {
-		t.Fatalf("pinned after release+expiry = %d, want 0", got)
-	}
-	f.Unpin(r1) // over-release is harmless
-	f.Pin(hash.Hash{}, time.Minute)
-	if got := len(f.PinnedHeads()); got != 0 {
-		t.Fatalf("zero hash must not pin, got %d", got)
-	}
+	want("no lease")
+	f.Read(0, FeedCursor{}, -1, 0)
+	f.Read(0, FeedCursor{Seq: 3}, 0, 0)
+	want("lease 0 is no lease")
+
+	tip := FeedCursor{Epoch: f.Epoch(), Seq: 5}
+	f.Read(1, FeedCursor{}, -1, 0)
+	want("a new lease holds every retained Old", h(1), h(2), h(3), h(4))
+	f.Read(1, FeedCursor{Epoch: f.Epoch(), Seq: 3}, 0, 0)
+	want("a read sets the cursor", h(3), h(4))
+	f.Read(1, FeedCursor{}, -1, 0)
+	want("a probe leaves it", h(3), h(4))
+	f.Read(2, tip, 0, 0)
+	want("the oldest lease decides", h(3), h(4))
+	f.Read(1, tip, 0, 0)
+	want("both at the tip")
+	f.Read(2, FeedCursor{Epoch: f.Epoch() + 1, Seq: 5}, 0, 0)
+	want("another incarnation's cursor holds every retained Old", h(1), h(2), h(3), h(4))
+
+	f.ttl = -time.Nanosecond // every renewal from here on has already lapsed
+	f.Read(1, FeedCursor{}, -1, 0)
+	f.Read(2, FeedCursor{Seq: 4}, 0, 0)
+	want("lapsed")
+	f.ttl = DefaultLease
+	f.Read(1, FeedCursor{}, -1, 0)
+	want("a probe after the lapse starts over", h(1), h(2), h(3), h(4))
 }
 
 func TestFeedTableJournalsEngineWrites(t *testing.T) {
@@ -185,15 +204,18 @@ func TestFeedTableRewrapKeepsSequence(t *testing.T) {
 	}
 }
 
-func TestGCKeepsPinnedHeads(t *testing.T) {
+// TestGCKeepsLeasedHeads: a head a follower may still be pulling — current
+// at its lease's cursor — survives GC after its branch is deleted, until the
+// follower reads on past the deletion.
+func TestGCKeepsLeasedHeads(t *testing.T) {
 	db := Open(Options{})
-	// Build a version on a branch, then delete the branch so the version
-	// becomes garbage — but pin its head first, as a replica mid-sync would.
 	v, err := db.Put("k", "doomed", value.String("payload"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	db.Feed().Pin(v.UID, time.Minute)
+	// A follower read the feed up to the put and is pulling its head.
+	const lease = 7
+	_, cursor, _ := db.Feed().Read(lease, FeedCursor{}, 0, 0)
 	if err := db.DeleteBranch("k", "doomed"); err != nil {
 		t.Fatal(err)
 	}
@@ -201,15 +223,17 @@ func TestGCKeepsPinnedHeads(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := db.GetVersion("k", v.UID); err != nil {
-		t.Fatalf("pinned head was collected: %v", err)
+		t.Fatalf("leased head was collected: %v", err)
 	}
-	// Released pin: the next pass collects it.
-	db.Feed().Unpin(v.UID)
+	// The follower reads on: the deletion is behind its cursor, and the next
+	// pass collects the head.
+	db.Feed().Read(lease, cursor, 0, 0)
+	db.Feed().Read(lease, FeedCursor{Epoch: cursor.Epoch, Seq: db.Feed().Seq()}, 0, 0)
 	if _, err := db.GC(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := db.GetVersion("k", v.UID); err == nil {
-		t.Fatal("unpinned garbage head survived GC")
+		t.Fatal("garbage head survived GC after the lease moved past it")
 	}
 }
 
@@ -381,9 +405,9 @@ func TestFeedConcurrentAppendSince(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 100; i++ {
-			f.PinnedHeads()
-			f.Pin(h(byte(i)), time.Millisecond)
-			f.Unpin(h(byte(i)))
+			f.leasedRoots()
+			f.Read(uint64(i%3+1), FeedCursor{Seq: uint64(i)}, 1, 0)
+			f.Read(uint64(i%3+1), FeedCursor{}, -1, 0)
 		}
 	}()
 	// Let the writers finish, then release the reader.

@@ -108,22 +108,22 @@ func (db *DB) gcInner() (GCStats, error) {
 	}, nil
 }
 
-// mark computes the live set: the closure of every branch head, and of every
-// head a replica has pinned, under fnode.Walk.  The walk's seen set is the
-// live set.
+// mark computes the live set: the closure of every branch head, and of the
+// heads leased followers may still be pulling (Feed.leasedRoots), under
+// fnode.Walk.  The walk's seen set is the live set.
 func (db *DB) mark() (map[hash.Hash]bool, error) {
 	live := make(map[hash.Hash]bool)
 	heads, err := db.branchHeads()
 	if err != nil {
 		return nil, err
 	}
-	// Feed pins: heads replicas are actively pulling stay fully reachable,
-	// so a concurrent collection can never break an in-flight sync.  Pinned
-	// roots may legitimately be gone already (a replica pinned a head it
-	// learned just before the branch was deleted and an earlier pass
-	// collected it between lease refreshes), so under a pin a missing chunk
-	// prunes the walk — and is not live — instead of failing the pass.
-	pinned := false
+	// Leased roots keep a follower's in-flight pull whole even after the
+	// branch moved away from the head it pulls.  They may legitimately be
+	// gone already (an Old an earlier pass collected before any lease
+	// held it), so under them a missing chunk prunes the walk — and is not
+	// live — instead of failing the pass.  The heads are read first: a head
+	// that moves after that is an Old by the time the roots are read.
+	leased := false
 	fetch := func(ids []hash.Hash) ([]*chunk.Chunk, error) {
 		chunks, err := db.st.GetBatch(ids)
 		if err != nil {
@@ -133,7 +133,7 @@ func (db *DB) mark() (map[hash.Hash]bool, error) {
 			if c != nil {
 				continue
 			}
-			if !pinned {
+			if !leased {
 				return nil, fmt.Errorf("core: gc mark %s: %w", ids[i].Short(), store.ErrNotFound)
 			}
 			delete(live, ids[i])
@@ -143,8 +143,8 @@ func (db *DB) mark() (map[hash.Hash]bool, error) {
 	if err := fnode.Walk(heads, live, fetch, nil); err != nil {
 		return nil, err
 	}
-	pinned = true
-	if err := fnode.Walk(db.feed.PinnedHeads(), live, fetch, nil); err != nil {
+	leased = true
+	if err := fnode.Walk(db.feed.leasedRoots(), live, fetch, nil); err != nil {
 		return nil, err
 	}
 	return live, nil

@@ -158,7 +158,7 @@ func BuildBlob(st store.Store, cfg chunker.Config, data []byte) (*Blob, error) {
 	if err != nil {
 		return nil, err
 	}
-	root, err := buildLevels(sink, cfg, leaves, 1, false)
+	root, err := buildLevels(sink, cfg, leaves, 1, false, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -104,21 +104,26 @@ func indexFanoutBits(q uint) uint {
 }
 
 func newLevelBuilder(sink *store.ChunkSink, cfg chunker.Config, level uint8, isMap bool) *levelBuilder {
+	return levelBuilderOn(nil, sink, cfg, level, isMap)
+}
+
+// levelBuilderOn is newLevelBuilder over buf, the scratch buffer a finished
+// builder of the same build or edit leaves behind (nil: a fresh one), so the
+// levels of one edit share one buffer instead of allocating one each.
+func levelBuilderOn(buf []byte, sink *store.ChunkSink, cfg chunker.Config, level uint8, isMap bool) *levelBuilder {
 	cfg = cfg.Normalized()
-	b := &levelBuilder{
+	if buf == nil {
+		buf = make([]byte, 0, nodeHeadroom+min(2<<cfg.Q, cfg.MaxSize))
+	}
+	return &levelBuilder{
 		sink:      sink,
 		cfg:       cfg,
 		level:     level,
 		isMap:     isMap,
 		boundary:  true,
 		levelScan: newLevelScan(cfg, level),
+		buf:       buf[:nodeHeadroom],
 	}
-	est := 2 << cfg.Q
-	if est > cfg.MaxSize {
-		est = cfg.MaxSize
-	}
-	b.buf = make([]byte, nodeHeadroom, nodeHeadroom+est)
-	return b
 }
 
 // afterAppend runs the boundary decision for the entry just encoded at the
@@ -221,12 +226,13 @@ func (b *levelBuilder) finish() ([]childRef, error) {
 	return b.emitted, nil
 }
 
-// buildLevels stacks index levels over refs until a single root remains.
-// Used both by from-scratch builds and to cap incremental edits whose top
-// level ended up with more than one node.
-func buildLevels(sink *store.ChunkSink, cfg chunker.Config, refs []childRef, level uint8, isMap bool) (childRef, error) {
+// buildLevels stacks index levels over refs until a single root remains,
+// every level on the scratch buffer buf (nil: a fresh one).  Used both by
+// from-scratch builds and to cap incremental edits whose top level ended up
+// with more than one node.
+func buildLevels(sink *store.ChunkSink, cfg chunker.Config, refs []childRef, level uint8, isMap bool, buf []byte) (childRef, error) {
 	for len(refs) > 1 {
-		lb := newLevelBuilder(sink, cfg, level, isMap)
+		lb := levelBuilderOn(buf, sink, cfg, level, isMap)
 		for _, r := range refs {
 			if err := lb.addRef(r); err != nil {
 				return childRef{}, err
@@ -237,6 +243,7 @@ func buildLevels(sink *store.ChunkSink, cfg chunker.Config, refs []childRef, lev
 		if err != nil {
 			return childRef{}, err
 		}
+		buf = lb.buf
 		level++
 	}
 	if len(refs) == 0 {
@@ -274,7 +281,7 @@ func BuildMap(st store.Store, cfg chunker.Config, entries []Entry) (*Tree, error
 	if err != nil {
 		return nil, err
 	}
-	root, err := buildLevels(sink, cfg, leaves, 1, true)
+	root, err := buildLevels(sink, cfg, leaves, 1, true, lb.buf)
 	if err != nil {
 		return nil, err
 	}

@@ -146,6 +146,7 @@ func (t *Tree) Edit(ops []Op) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
+	e.buf = lb.buf
 	resolveSplices(spl, emitted)
 	changed := spl[:0]
 	for k, sp := range spl {
@@ -239,7 +240,7 @@ func (t *Tree) EditRebuild(ops []Op) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	root, err := buildLevels(sink, t.cfg, leaves, 1, true)
+	root, err := buildLevels(sink, t.cfg, leaves, 1, true, lb.buf)
 	if err != nil {
 		return nil, err
 	}

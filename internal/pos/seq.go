@@ -67,7 +67,7 @@ func BuildSeq(st store.Store, cfg chunker.Config, items [][]byte) (*Seq, error) 
 	if err != nil {
 		return nil, err
 	}
-	root, err := buildLevels(sink, cfg, leaves, 1, false)
+	root, err := buildLevels(sink, cfg, leaves, 1, false, lb.buf)
 	if err != nil {
 		return nil, err
 	}

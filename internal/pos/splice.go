@@ -158,6 +158,7 @@ type levelEditor struct {
 	rootNode *node
 	above    *node // the virtual node above the root: root is its one ref
 	height   int
+	buf      []byte // the scratch buffer every level builder of the update runs on
 }
 
 // newLevelEditor starts an update of the tree rooted at root; rootNode is
@@ -218,7 +219,7 @@ func (e *levelEditor) seek(depth int, pick func(n *node) int) (cursor, error) {
 func (e *levelEditor) raise(spl []splice) (childRef, error) {
 	for level := uint8(1); ; level++ {
 		if len(spl) == 1 && spl[0].lo.isFirst() && spl[0].hi.end() {
-			return buildLevels(e.sink, e.cfg, spl[0].refs, level, e.isMap)
+			return buildLevels(e.sink, e.cfg, spl[0].refs, level, e.isMap, e.buf)
 		}
 		added := 0
 		for _, s := range spl {
@@ -269,7 +270,7 @@ func (e *levelEditor) loneSurvivor(spl []splice) (childRef, bool, error) {
 // beyond that parent; a tail that runs into the next splice's parent simply
 // absorbs it.  One level builder and one sink barrier serve the whole level.
 func (e *levelEditor) lift(lower []splice, level uint8) ([]splice, error) {
-	lb := newLevelBuilder(e.sink, e.cfg, level, e.isMap)
+	lb := levelBuilderOn(e.buf, e.sink, e.cfg, level, e.isMap)
 	var out []splice
 	for i := 0; i < len(lower); {
 		c := lower[i].lo.clone()
@@ -306,6 +307,7 @@ func (e *levelEditor) lift(lower []splice, level uint8) ([]splice, error) {
 	if err != nil {
 		return nil, err
 	}
+	e.buf = lb.buf
 	resolveSplices(out, emitted)
 	return out, nil
 }

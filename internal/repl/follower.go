@@ -16,8 +16,8 @@ import (
 // Options tune a Follower.
 type Options struct {
 	// Poll is the long-poll budget per feed read when the feed is idle
-	// (default 2s).  Shorter polls refresh GC pin leases more often;
-	// longer polls cost less chatter.
+	// (default 2s).  Every read renews the source's feed lease, so Poll must
+	// stay well under core.DefaultLease; longer polls cost less chatter.
 	Poll time.Duration
 	// BatchLimit bounds feed entries applied per round (default 256).
 	BatchLimit int
@@ -58,7 +58,7 @@ func (o *Options) backoffPolicy() retry.Policy {
 //
 //	         ┌──────────────┐ truncated / vanished-head loop ┌───────────┐
 //	start ──▶│ snapshot     │◀────────────────────────────── │ tail      │
-//	         │ (pin, walk,  │ ──────────────────────────────▶│ (feed →   │
+//	         │ (list, walk, │ ──────────────────────────────▶│ (feed →   │
 //	         │  all heads)  │   cursor anchored at the tip   │  deltas)  │
 //	         └──────────────┘                                └───────────┘
 type Follower struct {

@@ -14,26 +14,38 @@ import (
 	"forkbase/internal/fnode"
 	"forkbase/internal/hash"
 	"forkbase/internal/index"
+	"forkbase/internal/obs"
+	"forkbase/internal/server"
 	"forkbase/internal/store"
 	"forkbase/internal/value"
 )
 
-// countingSource counts a Source's chunk fetches and pins, and can slow
-// every fetch down.  With landed shared with a landingStore, most records the
-// largest number of chunks fetched but not yet landed.
+// countingSource counts a Source's chunk fetches, Seq probes and pins, and
+// can slow every fetch down or run a hook before the first.  With landed
+// shared with a landingStore, most records the largest number of chunks
+// fetched but not yet landed.
 type countingSource struct {
 	Source
 	delay          time.Duration
 	failAt         int64 // the fetch round that fails, once (0: none)
-	fetches        atomic.Int64
+	fetches, seqs  atomic.Int64
 	pins, unpins   atomic.Int64
 	fetched, most  atomic.Int64
 	landed         *atomic.Int64
 	firstFetchDone chan struct{}
+	beforeFirst    func() // runs inside the first fetch, before it reaches the source
+}
+
+func (s *countingSource) Seq() (core.FeedCursor, error) {
+	s.seqs.Add(1)
+	return s.Source.Seq()
 }
 
 func (s *countingSource) GetChunks(ids []hash.Hash) ([]*chunk.Chunk, error) {
 	n := s.fetches.Add(1)
+	if n == 1 && s.beforeFirst != nil {
+		s.beforeFirst()
+	}
 	if n == 1 && s.firstFetchDone != nil {
 		close(s.firstFetchDone)
 	}
@@ -270,27 +282,88 @@ func TestCloseDuringSnapshot(t *testing.T) {
 	}
 }
 
-// TestPullRefreshesPins: a pull that outlives repinAfter pins each root
-// again (Pin, then Unpin: the count stays, the deadline moves), and releases
-// every pin it took.
-func TestPullRefreshesPins(t *testing.T) {
-	defer func(d time.Duration) { repinAfter = d }(repinAfter)
-	repinAfter = 0
-	primary := core.Open(core.Options{})
-	mkObjects(t, primary, 20, 3, 0)
-	roots, _, _ := heads(t, primary)
-	src := &countingSource{Source: NewLocalSource(primary)}
-	_, st, _ := mkReplica()
-	s := &syncer{src: src, local: st}
-	if err := s.pull(roots); err != nil {
-		t.Fatal(err)
+// TestPullRenewsLease: what a pull walks was named by a feed read, which
+// leased it on the primary, so it survives a GC there even after its
+// branches moved away; a walk that outlives renewAfter renews the lease with
+// one Seq probe per fetch round, and a probe in between (WaitCaughtUp, Lag,
+// readiness) leaves the lease's cursor where the read set it.  No row pins a
+// head.  The GC rows fail if the collector ignores the lease: the roots'
+// chunks are swept and the pull's fetches come back empty.
+func TestPullRenewsLease(t *testing.T) {
+	moveAway := func(t *testing.T, primary *core.DB) {
+		keys, err := primary.ListKeys()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range keys {
+			if err := primary.DeleteBranch(k, "master"); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	pins, unpins, rounds := src.pins.Load(), src.unpins.Load(), src.fetches.Load()
-	if want := int64(len(roots)) * (1 + rounds); pins != want || unpins != pins {
-		t.Fatalf("%d roots over %d rounds: %d pins, %d unpins, want %d of each", len(roots), rounds, pins, unpins, want)
+	gc := func(t *testing.T, primary *core.DB) {
+		if gs, err := primary.GC(); err != nil || gs.Live == 0 {
+			t.Fatalf("GC: %+v, %v", gs, err)
+		}
 	}
-	if left := primary.Feed().PinnedHeads(); len(left) != 0 {
-		t.Fatalf("%d pins left after the pull", len(left))
+	for _, tc := range []struct {
+		name    string
+		renew   bool // renewAfter 0: every fetch round renews
+		midPull func(t *testing.T, primary *core.DB, src Source)
+	}{
+		{name: "renews past half a lease", renew: true},
+		{name: "branch moves away mid-pull and GC runs", midPull: func(t *testing.T, primary *core.DB, _ Source) {
+			moveAway(t, primary)
+			gc(t, primary)
+		}},
+		{name: "a WaitCaughtUp probe mid-pull does not release it", midPull: func(t *testing.T, primary *core.DB, src Source) {
+			moveAway(t, primary)
+			if _, err := src.Seq(); err != nil { // the tip is now past every move
+				t.Fatal(err)
+			}
+			gc(t, primary)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.renew {
+				defer func(d time.Duration) { renewAfter = d }(renewAfter)
+				renewAfter = 0
+			}
+			primary := core.Open(core.Options{})
+			mkObjects(t, primary, 20, 3, 0)
+			roots, _, _ := heads(t, primary)
+			src := &countingSource{Source: NewLocalSource(primary)}
+			// Lease the roots as a snapshot does: a read from the tip they are
+			// current at.
+			tip, err := src.Seq()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, _, err := src.FeedSince(tip, 0, 0); err != nil {
+				t.Fatal(err)
+			}
+			if tc.midPull != nil {
+				src.beforeFirst = func() { tc.midPull(t, primary, src.Source) } // the row's probe is not a renewal
+			}
+			_, st, _ := mkReplica()
+			s := &syncer{src: src, local: st}
+			probes := src.seqs.Load()
+			if err := s.pull(roots); err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range roots {
+				if ok, _ := st.Has(r); !ok {
+					t.Fatalf("root %s did not land", r.Short())
+				}
+			}
+			if pins, unpins := src.pins.Load(), src.unpins.Load(); pins != 0 || unpins != 0 {
+				t.Fatalf("the pull pinned %d and unpinned %d heads", pins, unpins)
+			}
+			renewals, rounds := src.seqs.Load()-probes, src.fetches.Load()
+			if want := map[bool]int64{true: rounds, false: 0}[tc.renew]; renewals != want {
+				t.Fatalf("%d fetch rounds renewed the lease %d times, want %d", rounds, renewals, want)
+			}
+		})
 	}
 }
 
@@ -333,17 +406,37 @@ func BenchmarkFollowerSnapshot(b *testing.B) {
 		mkObjects(b, db, 1000, 2, 100)
 		return db
 	}
+	// Over TCP the primary is served as cmd/forkbased serves it, and each
+	// follower dials it afresh.
+	manyObjectsTCP := func(b *testing.B) func() Source {
+		primary, addr := startPrimaryServer(b, obs.Discard)
+		mkObjects(b, primary, 1000, 2, 100)
+		return func() Source {
+			cl, err := server.Dial(addr)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Cleanup(func() { cl.Close() })
+			return NewRemoteSource(cl)
+		}
+	}
+	local := func(mk func(*testing.B) *core.DB) func(*testing.B) func() Source {
+		return func(b *testing.B) func() Source {
+			primary := mk(b)
+			return func() Source { return NewLocalSource(primary) }
+		}
+	}
 	for _, bc := range []struct {
 		name string
-		mk   func(*testing.B) *core.DB
-	}{{"one-object", oneObject}, {"many-objects", manyObjects}} {
+		mk   func(*testing.B) func() Source
+	}{{"one-object", local(oneObject)}, {"many-objects", local(manyObjects)}, {"many-objects-tcp", manyObjectsTCP}} {
 		b.Run(bc.name, func(b *testing.B) {
-			primary := bc.mk(b)
+			newSource := bc.mk(b)
 			b.ReportAllocs()
 			b.ResetTimer()
 			var bytes, rounds int64
 			for i := 0; i < b.N; i++ {
-				src := &countingSource{Source: NewLocalSource(primary)}
+				src := &countingSource{Source: newSource()}
 				_, st, bt := mkReplica()
 				f := NewFollower(src, st, bt, Options{Poll: 10 * time.Millisecond})
 				f.Start()

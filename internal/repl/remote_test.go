@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"forkbase/internal/core"
+	"forkbase/internal/obs"
 	"forkbase/internal/pos"
 	"forkbase/internal/server"
 	"forkbase/internal/store"
@@ -13,25 +14,68 @@ import (
 )
 
 // startPrimaryServer runs a primary the way cmd/forkbased does: one store,
-// one feed-wrapped branch table shared by the TCP server and the engine.
-func startPrimaryServer(t *testing.T) (*core.DB, string) {
-	t.Helper()
+// one feed-wrapped branch table shared by the TCP server and the engine,
+// the server metered in reg.
+func startPrimaryServer(tb testing.TB, reg *obs.Registry) (*core.DB, string) {
+	tb.Helper()
 	st := store.NewMemStore()
 	feed := core.NewFeed(0)
 	heads := core.WithFeed(core.NewMemBranchTable(), feed)
 	eng := core.Open(core.Options{Store: st, Branches: heads})
 	srv := server.New(st, heads, nil)
 	srv.AttachFeed(feed)
+	srv.SetMetrics(reg)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	t.Cleanup(func() { srv.Close() })
+	tb.Cleanup(func() { srv.Close() })
 	return eng, addr
 }
 
+// TestColdPullCountsRequests: a cold follower over TCP lists the primary's
+// heads a page of keys per request and pins nothing, by the server's
+// per-opcode meter — no Keys or Branches request, no opcode the server does
+// not know (where the retired pins would land), and at most ⌈heads/page⌉ + 1
+// Heads requests: 2 here, where every head fits one page.
+func TestColdPullCountsRequests(t *testing.T) {
+	reg := obs.NewRegistry()
+	primary, addr := startPrimaryServer(t, reg)
+	mkObjects(t, primary, 200, 2, 20)
+	roots, _, _ := heads(t, primary)
+	cl, err := server.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	src := &countingSource{Source: NewRemoteSource(cl)}
+	eng, st, bt := mkReplica()
+	f := NewFollower(src, st, bt, Options{Poll: 20 * time.Millisecond})
+	f.Start()
+	defer f.Close()
+	if err := f.WaitCaughtUp(60 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	requireConverged(t, primary, eng)
+	count := func(op string) float64 {
+		n, _ := reg.Value("forkbase_server_requests_total", op)
+		return n
+	}
+	if n := count("Heads"); n < 1 || n > 2 {
+		t.Errorf("%d heads listed in %v Heads requests, want 1 or 2", len(roots), n)
+	}
+	for _, op := range []string{"Keys", "Branches", "unknown"} {
+		if n := count(op); n != 0 {
+			t.Errorf("%v %s requests, want 0", n, op)
+		}
+	}
+	if src.pins.Load() != 0 || src.unpins.Load() != 0 || count("GetChunks") == 0 {
+		t.Errorf("%d pins, %d unpins, %v GetChunks", src.pins.Load(), src.unpins.Load(), count("GetChunks"))
+	}
+}
+
 func TestFollowerOverTCP(t *testing.T) {
-	primary, addr := startPrimaryServer(t)
+	primary, addr := startPrimaryServer(t, obs.NewRegistry())
 	if _, err := primary.BuildAndPut("obj", "master", nil, func() (value.Value, error) {
 		return value.NewMap(primary.Store(), primary.Chunking(), mapEntries(3000, 0))
 	}); err != nil {

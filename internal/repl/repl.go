@@ -22,6 +22,7 @@
 package repl
 
 import (
+	"math/rand"
 	"time"
 
 	"forkbase/internal/chunk"
@@ -30,29 +31,42 @@ import (
 )
 
 // Source is the replica's view of a primary: a sequenced change feed, a
-// branch-head snapshot, batched chunk reads, and GC pins bracketing each
-// publish's pull.  Two implementations ship: LocalSource (in-process, for
-// embedded replicas and tests) and RemoteSource (over the TCP
-// protocol's OpFeedSince/OpGetChunks/OpPinHead).
+// branch-head snapshot and batched chunk reads.  Two implementations ship:
+// LocalSource (in-process, for embedded replicas and tests) and
+// RemoteSource (over the TCP protocol's OpFeedSince/OpHeads/OpGetChunks).
+// Each holds one lease on the primary's feed (core.Feed.Read), which keeps
+// what its follower pulls safe from the primary's collector; one source
+// serves one follower.
 type Source interface {
-	// Seq returns the primary's current feed position (epoch + sequence).
+	// Seq returns the primary's current feed position (epoch + sequence)
+	// and renews the lease without moving its cursor, so a probe
+	// (WaitCaughtUp, Lag, readiness) never releases a pull in flight.
 	Seq() (core.FeedCursor, error)
 	// FeedSince reads feed entries after cursor (limit 0 = source default),
-	// long-polling up to wait when the feed is idle.  truncated reports the
-	// cursor is unusable — fell out of the feed's retained window, or
-	// belongs to a previous feed incarnation — and the replica must
-	// snapshot.
+	// long-polling up to wait when the feed is idle, and sets the lease's
+	// cursor to cursor.  truncated reports the cursor is unusable — fell
+	// out of the feed's retained window, or belongs to a previous feed
+	// incarnation — and the replica must snapshot.
 	FeedSince(cursor core.FeedCursor, limit int, wait time.Duration) (entries []core.FeedEntry, next core.FeedCursor, truncated bool, err error)
 	// Heads snapshots all branch heads: key -> branch -> uid.
 	Heads() (map[string]map[string]hash.Hash, error)
 	// GetChunks fetches chunks by id; out[i] is nil when ids[i] is absent.
 	// Returned chunks are verified against the requested ids before use.
 	GetChunks(ids []hash.Hash) ([]*chunk.Chunk, error)
-	// Pin and Unpin bracket a pull, one call per head: a pinned head
-	// survives primary-side garbage collection (lease-bounded) until
-	// released.
+	// Pin and Unpin are no-ops nothing in the product calls, kept only
+	// because the benchmark harness's traced source forwards them.
 	Pin(root hash.Hash) error
 	Unpin(root hash.Hash) error
+}
+
+// newLease mints a source's lease id: random, so followers of one primary
+// do not collide, and never 0, which reads without a lease.
+func newLease() uint64 {
+	for {
+		if id := rand.Uint64(); id != 0 {
+			return id
+		}
+	}
 }
 
 // Stats instruments a replica's sync progress.  Counters are cumulative
@@ -87,21 +101,22 @@ type Stats struct {
 // but replication still moves only chunk bytes, so measurements over a
 // LocalSource reflect wire costs faithfully.
 type LocalSource struct {
-	db *core.DB
+	db    *core.DB
+	lease uint64
 }
 
 // NewLocalSource wraps db.
-func NewLocalSource(db *core.DB) *LocalSource { return &LocalSource{db: db} }
+func NewLocalSource(db *core.DB) *LocalSource { return &LocalSource{db: db, lease: newLease()} }
 
 // Seq implements Source.
 func (s *LocalSource) Seq() (core.FeedCursor, error) {
-	_, tip, _ := s.db.Feed().Read(core.FeedCursor{}, -1, 0)
+	_, tip, _ := s.db.Feed().Read(s.lease, core.FeedCursor{}, -1, 0)
 	return tip, nil
 }
 
 // FeedSince implements Source.
 func (s *LocalSource) FeedSince(cursor core.FeedCursor, limit int, wait time.Duration) ([]core.FeedEntry, core.FeedCursor, bool, error) {
-	entries, next, truncated := s.db.Feed().Read(cursor, limit, wait)
+	entries, next, truncated := s.db.Feed().Read(s.lease, cursor, limit, wait)
 	return entries, next, truncated, nil
 }
 
@@ -131,14 +146,8 @@ func (s *LocalSource) GetChunks(ids []hash.Hash) ([]*chunk.Chunk, error) {
 	return out, nil
 }
 
-// Pin implements Source (default lease, like the server side).
-func (s *LocalSource) Pin(root hash.Hash) error {
-	s.db.Feed().Pin(root, 0)
-	return nil
-}
+// Pin implements Source as a no-op.
+func (s *LocalSource) Pin(hash.Hash) error { return nil }
 
-// Unpin implements Source.
-func (s *LocalSource) Unpin(root hash.Hash) error {
-	s.db.Feed().Unpin(root)
-	return nil
-}
+// Unpin implements Source as a no-op.
+func (s *LocalSource) Unpin(hash.Hash) error { return nil }

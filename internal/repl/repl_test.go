@@ -357,7 +357,6 @@ func TestPrimaryGCDuringInFlightSync(t *testing.T) {
 		t.Fatalf("follower hit errors during GC window: %+v", st2)
 	}
 	// After the replica releases its pin the next pass reclaims the graph.
-	primary.Feed().Unpin(tempHead) // idempotent safety: follower already unpinned
 	if _, err := primary.GC(); err != nil {
 		t.Fatal(err)
 	}

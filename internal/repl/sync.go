@@ -15,16 +15,17 @@ import (
 
 // ErrChunkVanished is returned when the source no longer has a chunk the
 // walk needs — the head being pulled was superseded and collected on the
-// primary (a pin lease expired, or the head predates the feed's pin
-// window).  The follower treats it as retriable: it re-reads the feed,
-// where a newer entry for the branch supersedes the vanished head.
+// primary (the source's lease lapsed, or the entry that moved the branch
+// away fell out of the feed's retained window).  The follower treats it as
+// retriable: it re-reads the feed, where a newer entry for the branch
+// supersedes the vanished head.
 var ErrChunkVanished = errors.New("repl: chunk vanished from source mid-sync")
 
 // errClosed ends a pull that Close interrupted.
 var errClosed = errors.New("repl: follower closed mid-sync")
 
-// repinAfter is how long a pull runs before it refreshes its roots' pins.
-var repinAfter = core.DefaultPinLease / 2
+// renewAfter is how long a pull runs before it renews the source's lease.
+var renewAfter = core.DefaultLease / 2
 
 // syncer pulls Merkle graphs from a Source into a local store.  It is the
 // mechanism under both catch-up modes: snapshot (every head) and
@@ -70,21 +71,9 @@ func (s *syncer) fetch(ids []hash.Hash) ([]*chunk.Chunk, error) {
 // rest is fetched with one GetChunks, and chunks land in the order the walk
 // finishes them, one PutBatch a batch: children strictly before parents, so
 // a torn pull leaves orphans (harmless) but never a chunk whose descendants
-// are absent.  The roots stay pinned on the source for the whole walk, the
-// pins refreshed every repinAfter.
+// are absent.  The feed read that named the roots leased them on the source;
+// a walk that outlives renewAfter renews that lease with one Seq probe.
 func (s *syncer) pull(roots []hash.Hash) error {
-	var pinned []hash.Hash
-	defer func() {
-		for _, r := range pinned {
-			_ = s.src.Unpin(r)
-		}
-	}()
-	for _, r := range roots {
-		if err := s.src.Pin(r); err != nil {
-			return err
-		}
-		pinned = append(pinned, r)
-	}
 	leased := time.Now()
 	var run []*chunk.Chunk // finished by the walk, not landed yet
 	land := func() (err error) {
@@ -100,12 +89,10 @@ func (s *syncer) pull(roots []hash.Hash) error {
 			return nil, errClosed
 		default:
 		}
-		if time.Since(leased) > repinAfter {
+		if time.Since(leased) > renewAfter {
 			leased = time.Now()
-			for _, r := range pinned { // the count stays, the deadline moves
-				if s.src.Pin(r) == nil {
-					_ = s.src.Unpin(r)
-				}
+			if _, err := s.src.Seq(); err != nil {
+				return nil, err
 			}
 		}
 		// Land what the last batch finished before fetching the next: the

@@ -247,30 +247,32 @@ func TestWalkersAgree(t *testing.T) {
 		}
 	})
 
-	t.Run("pin over a missing chunk prunes", func(t *testing.T) {
+	t.Run("lease over a missing chunk prunes", func(t *testing.T) {
 		mem := store.NewMemStore()
 		db := core.Open(core.Options{Store: mem, Chunking: chunker.SmallConfig()})
 		c := walkerCases[0]
 		head := c.history(t, db)
-		// A replica pinned a head whose branch is gone and whose value root
+		// A replica leased a head whose branch is gone and whose value root
 		// an earlier pass already collected.
 		doomed, err := db.BuildAndPut("obj", "doomed", nil, func() (value.Value, error) { return c.mk(db, 5) })
 		if err != nil {
 			t.Fatal(err)
 		}
-		db.Feed().Pin(doomed.UID, time.Minute)
+		if _, err := NewLocalSource(db).Seq(); err != nil { // a new lease holds every retained Old
+			t.Fatal(err)
+		}
 		if err := db.DeleteBranch("obj", "doomed"); err != nil {
 			t.Fatal(err)
 		}
 		mem.Delete(doomed.Value.Root())
 		gs, err := db.GC()
-		// Live: the branches' closure plus the pinned FNode; not the missing
+		// Live: the branches' closure plus the leased FNode; not the missing
 		// root, and nothing below it.
 		if want := len(closure(t, db, head.UID)) + 1; err != nil || gs.Live != want {
 			t.Fatalf("GC marked %d live (%v), want %d", gs.Live, err, want)
 		}
 		if ok, _ := mem.Has(doomed.UID); !ok {
-			t.Fatal("pinned head was collected")
+			t.Fatal("leased head was collected")
 		}
 	})
 

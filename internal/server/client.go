@@ -63,7 +63,7 @@ func (o *ClientOptions) fill() {
 // explicit read/write deadlines, and transport failures reconnect with
 // backoff under the client's retry policy.
 //
-// Idempotency contract: reads (Get/Has/GetBatch/feed/pin) are retried
+// Idempotency contract: reads (Get/Has/GetBatch/feed/heads) are retried
 // freely.  Mutations (head Applies, chunk puts) are re-sent only when the
 // failed attempt's one Write provably put zero bytes of the request frame on
 // the wire — otherwise the server may have executed it, and the ambiguous
@@ -130,8 +130,8 @@ func (c *Client) teardownLocked() {
 // these on a read-only node; the client never blindly re-sends one after a
 // transport failure that left the server's state unknown — a CAS executed
 // twice is a lost-update bug, and a re-run batch put skews freshness
-// accounting.  Everything else (reads, presence checks, feed reads, pins) is
-// idempotent.
+// accounting.  Everything else (reads, presence checks, feed reads and
+// probes, head listings) is idempotent.
 func mutates(op Op) bool {
 	switch op {
 	case OpApply, OpPutChunks:
@@ -345,15 +345,17 @@ func (c *Client) HasChunks(ids []hash.Hash) (has []bool, err error) {
 	return has, err
 }
 
-// FeedSince reads the server's change feed from cursor, long-polling up to
-// wait when the feed is idle.  It returns the entries, the resume cursor,
-// and whether the cursor was truncated — evicted from the feed's retained
-// window, or belonging to a previous feed incarnation (primary restart) —
-// in which case the caller must fall back to a snapshot catch-up.
-func (c *Client) FeedSince(cursor core.FeedCursor, limit int, wait time.Duration) (entries []core.FeedEntry, next core.FeedCursor, truncated bool, err error) {
+// FeedSince reads the server's change feed from cursor for a follower's
+// lease (0: none; see core.Feed.Read, which also defines the probe, limit
+// < 0), long-polling up to wait when the feed is idle.  It returns the
+// entries, the resume cursor, and whether the cursor was truncated — evicted
+// from the feed's retained window, or belonging to a previous feed
+// incarnation (primary restart) — in which case the caller must fall back to
+// a snapshot catch-up.
+func (c *Client) FeedSince(lease uint64, cursor core.FeedCursor, limit int, wait time.Duration) (entries []core.FeedEntry, next core.FeedCursor, truncated bool, err error) {
 	wait = max(wait, 0)
 	err = c.call(OpFeedSince, wait,
-		func(b []byte) []byte { return appendFeedReq(b, cursor, limit, uint64(wait.Milliseconds())) },
+		func(b []byte) []byte { return appendFeedReq(b, lease, cursor, limit, uint64(wait.Milliseconds())) },
 		func(d *dec) { next, truncated, entries = d.feedPage() })
 	if err != nil {
 		return nil, cursor, false, err
@@ -361,22 +363,33 @@ func (c *Client) FeedSince(cursor core.FeedCursor, limit int, wait time.Duration
 	return entries, next, truncated, nil
 }
 
-// FeedSeq probes the server's current feed position without reading entries.
-func (c *Client) FeedSeq() (core.FeedCursor, error) {
-	_, cur, _, err := c.FeedSince(core.FeedCursor{}, -1, 0)
-	return cur, err
-}
-
-// PinHead pins uid as a GC root on the server for the server's pin lease;
-// UnpinHead releases it.  Replicas bracket each head pull with these so a
-// primary-side collection cannot sweep a graph mid-sync.
-func (c *Client) PinHead(uid hash.Hash) error {
-	return c.call(OpPinHead, 0, func(b []byte) []byte { return appendIDs(b, uid) }, nil)
-}
-
-// UnpinHead releases a PinHead.
-func (c *Client) UnpinHead(uid hash.Hash) error {
-	return c.call(OpUnpinHead, 0, func(b []byte) []byte { return appendIDs(b, uid) }, nil)
+// Heads lists every head on the server — key → branch → uid — a page of
+// whole keys per round trip.  Like core.ListHeads it is no snapshot: a head
+// that moves mid-listing shows either value.
+func (c *Client) Heads() (map[string]map[string]hash.Hash, error) {
+	out := make(map[string]map[string]hash.Hash)
+	for from, more := "", []bool{true}; more[0]; {
+		var refs []string
+		var uids []hash.Hash
+		err := c.call(OpHeads, 0, func(b []byte) []byte { return appendStr(b, from) }, func(d *dec) {
+			refs, uids, more = d.strs(), d.ids(), d.bools(1)
+			// A page that runs on must end past from, or the listing would not end.
+			d.bad = d.bad || len(refs) != 2*len(uids) || more[0] && (len(uids) == 0 || refs[len(refs)-2] < from)
+		})
+		if err != nil {
+			return nil, err
+		}
+		for i, uid := range uids {
+			if out[refs[2*i]] == nil {
+				out[refs[2*i]] = make(map[string]hash.Hash)
+			}
+			out[refs[2*i]][refs[2*i+1]] = uid
+		}
+		if more[0] {
+			from = refs[len(refs)-2] + "\x00" // the least key after the last one listed
+		}
+	}
+	return out, nil
 }
 
 // Get implements store.Store as a one-id GetChunks; the chunk is verified

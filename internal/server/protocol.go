@@ -10,7 +10,7 @@
 //
 //	offset size field
 //	0      1    magic 0xFB
-//	1      1    protocol version (3)
+//	1      1    protocol version (4)
 //	2      1    op
 //	3      1    flags: bit 0 = error reply (the payload is the message
 //	            text); every other bit must be zero
@@ -79,15 +79,15 @@ const (
 	OpGetChunks
 	OpHasChunks
 	// OpFeedSince reads the primary's change feed from a cursor, optionally
-	// long-polling.  The reply carries the next cursor and whether the range
-	// was truncated (evicted from the feed's retained window), which forces
-	// the replica into a snapshot catch-up.
+	// long-polling, for the follower lease the request names (the read sets
+	// its cursor; a probe only renews it).  The reply carries the next cursor
+	// and whether the range was truncated (evicted from the feed's retained
+	// window), which forces the replica into a snapshot catch-up.
 	OpFeedSince
-	// OpPinHead / OpUnpinHead bracket a replica's pull of one head: a pinned
-	// head's chunk graph survives primary-side garbage collection until the
-	// pin is released or its lease expires.
-	OpPinHead
-	OpUnpinHead
+	// OpHeads lists a page of heads, whole keys in key order from a start
+	// key: a snapshot costs a request per page, not one per key.  It took
+	// the byte of version 3's per-head GC pin; the unpin's (17) is retired.
+	OpHeads
 )
 
 var opNames = map[Op]string{
@@ -101,8 +101,7 @@ var opNames = map[Op]string{
 	OpGetChunks: "GetChunks",
 	OpHasChunks: "HasChunks",
 	OpFeedSince: "FeedSince",
-	OpPinHead:   "PinHead",
-	OpUnpinHead: "UnpinHead",
+	OpHeads:     "Heads",
 }
 
 func (o Op) String() string {
@@ -114,7 +113,7 @@ func (o Op) String() string {
 
 const (
 	frameMagic   = 0xFB
-	frameVersion = 3
+	frameVersion = 4
 	headerLen    = 16
 	flagError    = 1 // reply flag: the payload is an error message
 
@@ -276,11 +275,12 @@ func appendStats(b []byte, s store.Stats) []byte {
 	return b
 }
 
-// appendFeedReq asks for entries with Seq > cursor.Seq (cursor.Epoch 0 = no
-// feed incarnation known yet); limit 0 takes the server's default and < 0 is
-// a sequence probe; waitMillis is the long-poll budget on an idle feed.
-func appendFeedReq(b []byte, cursor core.FeedCursor, limit int, waitMillis uint64) []byte {
-	b = appendUvarint(appendUvarint(b, cursor.Seq), cursor.Epoch)
+// appendFeedReq asks, on behalf of a follower's lease (0: none), for entries
+// with Seq > cursor.Seq (cursor.Epoch 0 = no feed incarnation known yet);
+// limit 0 takes the server's default and < 0 is a sequence probe; waitMillis
+// is the long-poll budget on an idle feed.
+func appendFeedReq(b []byte, lease uint64, cursor core.FeedCursor, limit int, waitMillis uint64) []byte {
+	b = appendUvarint(appendUvarint(appendUvarint(b, lease), cursor.Seq), cursor.Epoch)
 	return appendUvarint(binary.AppendVarint(b, int64(limit)), waitMillis)
 }
 
@@ -462,8 +462,8 @@ func (d *dec) stats() store.Stats {
 	return store.Stats{UniqueChunks: d.varint(), PhysicalBytes: d.varint(), LogicalBytes: d.varint(), DedupHits: d.varint(), Gets: d.varint()}
 }
 
-func (d *dec) feedReq() (cursor core.FeedCursor, limit int, waitMillis uint64) {
-	return core.FeedCursor{Seq: d.uvarint(), Epoch: d.uvarint()}, int(d.varint()), d.uvarint()
+func (d *dec) feedReq() (lease uint64, cursor core.FeedCursor, limit int, waitMillis uint64) {
+	return d.uvarint(), core.FeedCursor{Seq: d.uvarint(), Epoch: d.uvarint()}, int(d.varint()), d.uvarint()
 }
 
 func (d *dec) feedPage() (cursor core.FeedCursor, truncated bool, entries []core.FeedEntry) {

@@ -1,7 +1,10 @@
 package server
 
 import (
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -9,6 +12,7 @@ import (
 	"forkbase/internal/chunk"
 	"forkbase/internal/core"
 	"forkbase/internal/hash"
+	"forkbase/internal/obs"
 	"forkbase/internal/store"
 )
 
@@ -117,7 +121,7 @@ func TestFeedSinceOverWire(t *testing.T) {
 		t.Fatalf("cas2: %v %v", ok, err)
 	}
 
-	entries, next, truncated, err := cl.FeedSince(core.FeedCursor{}, 0, 0)
+	entries, next, truncated, err := cl.FeedSince(0, core.FeedCursor{}, 0, 0)
 	if err != nil || truncated {
 		t.Fatalf("FeedSince: %v truncated=%v", err, truncated)
 	}
@@ -129,13 +133,13 @@ func TestFeedSinceOverWire(t *testing.T) {
 	}
 
 	// A cursor from another feed incarnation is truncated, not aliased.
-	_, _, truncated, err = cl.FeedSince(core.FeedCursor{Epoch: feed.Epoch() + 1, Seq: 2}, 0, 0)
+	_, _, truncated, err = cl.FeedSince(0, core.FeedCursor{Epoch: feed.Epoch() + 1, Seq: 2}, 0, 0)
 	if err != nil || !truncated {
 		t.Fatalf("foreign-epoch cursor: err=%v truncated=%v", err, truncated)
 	}
 
 	// Sequence probe.
-	pos, err := cl.FeedSeq()
+	_, pos, _, err := cl.FeedSince(0, core.FeedCursor{}, -1, 0)
 	if err != nil || pos.Seq != 2 || pos.Epoch != feed.Epoch() {
 		t.Fatalf("FeedSeq = %+v, %v", pos, err)
 	}
@@ -146,7 +150,7 @@ func TestFeedSinceOverWire(t *testing.T) {
 		feed.Append(core.FeedEntry{Key: "k", Branch: "master", Old: u2, New: hash.Of([]byte("v3"))})
 	}()
 	start := time.Now()
-	entries, next, _, err = cl.FeedSince(core.FeedCursor{Epoch: feed.Epoch(), Seq: 2}, 0, 2*time.Second)
+	entries, next, _, err = cl.FeedSince(0, core.FeedCursor{Epoch: feed.Epoch(), Seq: 2}, 0, 2*time.Second)
 	if err != nil || len(entries) != 1 || next.Seq != 3 {
 		t.Fatalf("long poll: %v entries=%d next=%+v", err, len(entries), next)
 	}
@@ -154,19 +158,6 @@ func TestFeedSinceOverWire(t *testing.T) {
 		t.Fatal("long poll waited the full budget despite an append")
 	}
 
-	// Pin ops round-trip.
-	if err := cl.PinHead(u2); err != nil {
-		t.Fatal(err)
-	}
-	if len(feed.PinnedHeads()) != 1 {
-		t.Fatal("PinHead did not register")
-	}
-	if err := cl.UnpinHead(u2); err != nil {
-		t.Fatal(err)
-	}
-	if len(feed.PinnedHeads()) != 0 {
-		t.Fatal("UnpinHead did not release")
-	}
 }
 
 func TestFeedSinceWithoutFeed(t *testing.T) {
@@ -176,7 +167,7 @@ func TestFeedSinceWithoutFeed(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if _, _, _, err := cl.FeedSince(core.FeedCursor{}, 0, 0); err == nil || !strings.Contains(err.Error(), "change feed") {
+	if _, _, _, err := cl.FeedSince(0, core.FeedCursor{}, 0, 0); err == nil || !strings.Contains(err.Error(), "change feed") {
 		t.Fatalf("want change-feed error, got %v", err)
 	}
 }
@@ -220,5 +211,64 @@ func TestReadOnlyServerRejectsWrites(t *testing.T) {
 	got, err := rs.Get(c.ID())
 	if err != nil || string(got.Data()) != "nope" {
 		t.Fatalf("read on read-only server: %v %v", got, err)
+	}
+}
+
+// TestHeadsListsInPages: Client.Heads lists every head a page of whole keys
+// per request, in at most ⌈heads/page⌉ + 1 requests; a key whose last
+// branch goes while the pages are read is simply absent.
+func TestHeadsListsInPages(t *testing.T) {
+	defer func(n int) { headsPageLimit = n }(headsPageLimit)
+	const page = 10 // rows a page holds
+	headsPageLimit = 3*binary.MaxVarintLen64 + 1 + page*(2*binary.MaxVarintLen32+len("key-00")+len("b0")+hash.Size)
+	reg := obs.NewRegistry()
+	bt := core.NewMemBranchTable()
+	srv := New(store.NewMemStore(), bt, nil)
+	srv.SetMetrics(reg)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cl, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	want, heads := map[string]map[string]hash.Hash{}, 0
+	for k := 0; k < 50; k++ {
+		key := fmt.Sprintf("key-%02d", k)
+		want[key] = map[string]hash.Hash{}
+		for b := 0; b <= k%5/4; b++ { // every fifth key has two branches
+			uid := hash.Of([]byte(fmt.Sprint(k, b)))
+			if _, err := bt.Apply([]core.HeadOp{{Key: key, Branch: fmt.Sprintf("b%d", b), Set: uid}}); err != nil {
+				t.Fatal(err)
+			}
+			want[key][fmt.Sprintf("b%d", b)] = uid
+			heads++
+		}
+	}
+	got, err := cl.Heads()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("listed %d keys, want %d", len(got), len(want))
+	}
+	n, _ := reg.Value("forkbase_server_requests_total", "Heads")
+	if limit := float64((heads+page-1)/page + 1); n < 2 || n > limit {
+		t.Fatalf("%d heads listed in %v requests, want 2 to %v", heads, n, limit)
+	}
+
+	// Listing from a key skips the ones before it; a deleted key is gone.
+	if _, err := bt.Apply([]core.HeadOp{{Key: "key-48", Branch: "b0", Any: true}}); err != nil {
+		t.Fatal(err)
+	}
+	var refs []string
+	err = cl.call(OpHeads, 0, func(b []byte) []byte { return appendStr(b, "key-48") },
+		func(d *dec) { refs, _, _ = d.strs(), d.ids(), d.bools(1) })
+	if want := []string{"key-49", "b0", "key-49", "b1"}; err != nil || !reflect.DeepEqual(refs, want) {
+		t.Fatalf("heads from key-48: %q, %v; want %q", refs, err, want)
 	}
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -124,10 +125,11 @@ func New(st store.Store, heads core.BranchTable, logger *slog.Logger) *Server {
 	return &Server{st: st, heads: heads, conns: make(map[net.Conn]struct{}), logger: logger}
 }
 
-// AttachFeed publishes feed over OpFeedSince (and enables head pinning).
-// Call before Listen.  A primary shares the same feed with its local engine
-// (core.Open adopts a feed-wrapped branch table), so commits made through
-// any path — TCP Apply, REST, embedded — appear in one sequence.
+// AttachFeed publishes feed over OpFeedSince, whose reads and probes hold
+// the followers' leases on it.  Call before Listen.  A primary shares the
+// same feed with its local engine (core.Open adopts a feed-wrapped branch
+// table), so commits made through any path — TCP Apply, REST, embedded —
+// appear in one sequence.
 func (s *Server) AttachFeed(f *core.Feed) { s.feed = f }
 
 // SetReadOnly makes the server reject every mutating op (chunk puts and
@@ -245,7 +247,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-// errNoFeed answers feed and pin ops on a node that publishes no feed.
+// errNoFeed answers a feed read or probe on a node that publishes no feed.
 var errNoFeed = errors.New("server: node does not publish a change feed")
 
 // handle decodes the request payload p, executes the op and appends the
@@ -269,7 +271,7 @@ func (s *Server) handle(h header, p, out []byte) ([]byte, error) {
 		keys, err := s.heads.Keys()
 		return appendStrs(out, keys), err
 	case OpFeedSince:
-		cursor, limit, waitMillis := d.feedReq()
+		lease, cursor, limit, waitMillis := d.feedReq()
 		if err := d.done(); err != nil {
 			return nil, err
 		}
@@ -279,7 +281,7 @@ func (s *Server) handle(h header, p, out []byte) ([]byte, error) {
 		// Feed.Read clamps the wait; this bound only keeps the conversion
 		// from overflowing.
 		wait := time.Duration(min(waitMillis, math.MaxInt64/uint64(time.Millisecond))) * time.Millisecond
-		entries, next, truncated := s.feed.Read(cursor, limit, wait)
+		entries, next, truncated := s.feed.Read(lease, cursor, limit, wait)
 		return appendFeedPage(out, next, truncated, entries), nil
 	case OpApply:
 		ops := d.headOps()
@@ -301,30 +303,18 @@ func (s *Server) handle(h header, p, out []byte) ([]byte, error) {
 			return appendIDs(out, uid), err
 		}
 		branches, err := s.heads.Branches(key)
-		names := make([]string, 0, len(branches))
-		for b := range branches {
-			names = append(names, b)
-		}
-		sort.Strings(names)
+		names := branchNames(branches)
 		heads := make([]hash.Hash, len(names))
 		for i, b := range names {
 			heads[i] = branches[b]
 		}
 		return appendIDs(appendStrs(out, names), heads...), err
-	case OpPinHead, OpUnpinHead:
-		ids := d.ids()
-		if err := d.done(); err != nil || len(ids) != 1 {
-			return nil, errMalformed
+	case OpHeads:
+		from := d.str()
+		if err := d.done(); err != nil {
+			return nil, err
 		}
-		if s.feed == nil {
-			return nil, errNoFeed
-		}
-		if op == OpPinHead {
-			s.feed.Pin(ids[0], 0) // server-side lease; replicas re-pin per round
-		} else {
-			s.feed.Unpin(ids[0])
-		}
-		return out, nil
+		return s.headsPage(out, from, headsPageLimit)
 	case OpPutChunks:
 		ids := d.ids()
 		cs := d.chunks(ids)
@@ -358,6 +348,54 @@ func (s *Server) handle(h header, p, out []byte) ([]byte, error) {
 	default:
 		return nil, fmt.Errorf("unknown op %d", op)
 	}
+}
+
+// headsPageLimit bounds a heads page's payload.
+var headsPageLimit = MaxPayload
+
+// headsPage appends a page of the heads of the keys from `from` on, whole
+// keys in key order and branches in name order: key/branch pairs (strs),
+// their heads (ids) and a flag that keys remain which did not fit in limit
+// bytes.  The first key always ships, so asking again from the key after the
+// last one listed makes progress.  Like core.ListHeads, whose listing it
+// pages, it is no snapshot.
+func (s *Server) headsPage(out []byte, from string, limit int) ([]byte, error) {
+	all, err := core.ListHeads(s.heads)
+	if err != nil {
+		return nil, err
+	}
+	keys := make([]string, 0, len(all))
+	for key := range all {
+		if key >= from {
+			keys = append(keys, key)
+		}
+	}
+	sort.Strings(keys)
+	var refs []string
+	var uids []hash.Hash
+	size := 3*binary.MaxVarintLen64 + 1 // three counts and the flag
+	for _, key := range keys {
+		n, grown := len(uids), size
+		for _, b := range branchNames(all[key]) {
+			refs, uids = append(refs, key, b), append(uids, all[key][b])
+			grown += 2*binary.MaxVarintLen32 + len(key) + len(b) + hash.Size
+		}
+		if n > 0 && grown > limit {
+			return appendFlags(appendIDs(appendStrs(out, refs[:2*n]), uids[:n]...), true), nil
+		}
+		size = grown
+	}
+	return appendFlags(appendIDs(appendStrs(out, refs), uids...), false), nil
+}
+
+// branchNames returns the names in branches, sorted.
+func branchNames(branches map[string]hash.Hash) []string {
+	names := make([]string, 0, len(branches))
+	for b := range branches {
+		names = append(names, b)
+	}
+	sort.Strings(names)
+	return names
 }
 
 // Addr returns the bound address ("" before Listen).

@@ -147,13 +147,16 @@ func wireFrames(t testing.TB) []namedFrame {
 	record("Apply-rename", false, apply(core.HeadOp{Key: "k", Branch: "master", Expect: v1}, core.HeadOp{Key: "k", Branch: "main", Set: v1}))
 	record("Branches", false, func() error { _, err := bt.Branches("k"); return err })
 	record("Keys", false, func() error { _, err := bt.Keys(); return err })
+	record("Heads", false, func() error { _, err := cl.Heads(); return err })
+	record("Heads-after", false, func() error {
+		return cl.call(OpHeads, 0, func(b []byte) []byte { return appendStr(b, "k\x00") },
+			func(d *dec) { d.strs(); d.ids(); d.bools(1) })
+	})
 	record("Apply-delete", false, apply(core.HeadOp{Key: "k", Branch: "main", Any: true}))
 	record("Apply-error", true, apply(core.HeadOp{Branch: "main", Set: v1}))
-	record("PinHead", false, func() error { return cl.PinHead(v1) })
-	record("UnpinHead", false, func() error { return cl.UnpinHead(v1) })
 	// A feed's epoch is its start time, so only the request is recorded and
 	// the reply is assembled with a fixed one.
-	if _, _, _, err := cl.FeedSince(core.FeedCursor{Epoch: 7, Seq: 3}, 16, time.Millisecond); err != nil {
+	if _, _, _, err := cl.FeedSince(9, core.FeedCursor{Epoch: 7, Seq: 3}, 16, time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	req, _ := tp.take()
@@ -161,6 +164,9 @@ func wireFrames(t testing.TB) []namedFrame {
 		namedFrame{"FeedSince/request", req},
 		namedFrame{"FeedSince/reply", frameOf(t, OpFeedSince, 0, 22, appendFeedPage(nil, core.FeedCursor{Epoch: 7, Seq: 5},
 			true, []core.FeedEntry{{Seq: 5, Key: "k", Branch: "main", Old: v1, New: v2}}))},
+		// A page that stops before a key that did not fit.
+		namedFrame{"Heads-more/reply", frameOf(t, OpHeads, 0, 24,
+			appendFlags(appendIDs(appendStrs(nil, []string{"k", "main", "k", "x"}), v1, v2), true))},
 		// Four slots against a limit that fits one chunk: a deferred tail.
 		namedFrame{"GetChunks-deferred/reply", frameOf(t, OpGetChunks, 0, 23,
 			appendChunkReply(nil, []*chunk.Chunk{a, nil, b, a}, 16))},
@@ -232,12 +238,16 @@ func fuzzReplyDecoders(t *testing.T, p []byte) {
 		"branches": func(d *dec) []byte { return appendIDs(appendStrs(nil, d.strs()), d.ids()...) },
 		"stats":    func(d *dec) []byte { return appendStats(nil, d.stats()) },
 		"feedreq": func(d *dec) []byte {
-			cursor, limit, wait := d.feedReq()
-			return appendFeedReq(nil, cursor, limit, wait)
+			lease, cursor, limit, wait := d.feedReq()
+			return appendFeedReq(nil, lease, cursor, limit, wait)
 		},
 		"page": func(d *dec) []byte {
 			cursor, truncated, entries := d.feedPage()
 			return appendFeedPage(nil, cursor, truncated, entries)
+		},
+		"from": func(d *dec) []byte { return appendStr(nil, d.str()) },
+		"heads": func(d *dec) []byte {
+			return appendFlags(appendIDs(appendStrs(nil, d.strs()), d.ids()...), d.bools(1)...)
 		},
 		"put": func(d *dec) []byte {
 			ids := d.ids()
@@ -323,9 +333,9 @@ func TestHostileFramesCloseTheConnection(t *testing.T) {
 	}
 }
 
-// TestClientRejectsHostileReplies: a server that answers out of step, or
-// with a length it made up, costs the client an error — not a hang, not an
-// allocation — and never a result.
+// TestClientRejectsHostileReplies: a server that answers out of step, with
+// a length it made up, or with heads pages that never end, costs the client
+// an error — not a hang, not an allocation — and never a result.
 func TestClientRejectsHostileReplies(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -340,6 +350,9 @@ func TestClientRejectsHostileReplies(t *testing.T) {
 		}},
 		{"two heads", func(h header) []byte { return frameOf(t, h.op, 0, h.id, appendIDs(nil, hash.Hash{}, hash.Hash{})) }},
 		{"count beyond the payload", func(h header) []byte { return frameOf(t, h.op, 0, h.id, appendUvarint(nil, 1<<50)) }},
+		{"a heads page that makes no progress", func(h header) []byte {
+			return frameOf(t, h.op, 0, h.id, appendFlags(appendIDs(appendStrs(nil, nil)), true))
+		}},
 	} {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -375,6 +388,9 @@ func TestClientRejectsHostileReplies(t *testing.T) {
 		}
 		if uid, found, err := NewRemoteBranchTable(cl).Head("k", "master"); err == nil {
 			t.Errorf("%s: Head returned %s found=%v, want an error", tc.name, uid.Short(), found)
+		}
+		if heads, err := cl.Heads(); err == nil {
+			t.Errorf("%s: Heads returned %d keys, want an error", tc.name, len(heads))
 		}
 		cl.Close()
 		ln.Close()
@@ -509,49 +525,50 @@ func TestStalledReaderIsShed(t *testing.T) {
 
 // goldenFrames is the pinned output of wireFrames, in order.
 var goldenFrames = []struct{ name, wantHex string }{
-	{"Ping/request", "fb030b00000000000000000000000001"},
-	{"Ping/reply", "fb030b00000000000000000000000001"},
-	{"PutChunks-one/request", "fb030c0000000025000000000000000201e3254ea61c09ead5a01d3bf07e946a561c6c2cd1c46b8ca1bfa8729d26a7d09f01010161"},
-	{"PutChunks-one/reply", "fb030c000000000200000000000000020101"},
-	{"PutChunks/request", "fb030c0000000049000000000000000302e3254ea61c09ead5a01d3bf07e946a561c6c2cd1c46b8ca1bfa8729d26a7d09f074a381eefaafb3c9d63676d586dd16d9c9aae2f563894e9074a58820724213b0201016102026262"},
-	{"PutChunks/reply", "fb030c00000000030000000000000003020001"},
-	{"PutChunks-empty/request", "fb030c000000000200000000000000040000"},
-	{"PutChunks-empty/reply", "fb030c0000000001000000000000000400"},
-	{"GetChunks-one/request", "fb030d0000000021000000000000000501e3254ea61c09ead5a01d3bf07e946a561c6c2cd1c46b8ca1bfa8729d26a7d09f"},
-	{"GetChunks-one/reply", "fb030d00000000060000000000000005010101010161"},
-	{"GetChunks-one-absent/request", "fb030d0000000021000000000000000601283bb9deef02e6843abfb538efa1eca70801bd8a701c3f98191e123496339247"},
-	{"GetChunks-one-absent/reply", "fb030d00000000030000000000000006010000"},
-	{"GetChunks/request", "fb030d0000000061000000000000000703074a381eefaafb3c9d63676d586dd16d9c9aae2f563894e9074a58820724213b283bb9deef02e6843abfb538efa1eca70801bd8a701c3f98191e123496339247e3254ea61c09ead5a01d3bf07e946a561c6c2cd1c46b8ca1bfa8729d26a7d09f"},
-	{"GetChunks/reply", "fb030d000000000c0000000000000007030100010202026262010161"},
-	{"HasChunks-one/request", "fb030e0000000021000000000000000801e3254ea61c09ead5a01d3bf07e946a561c6c2cd1c46b8ca1bfa8729d26a7d09f"},
-	{"HasChunks-one/reply", "fb030e000000000200000000000000080101"},
-	{"HasChunks/request", "fb030e0000000041000000000000000902283bb9deef02e6843abfb538efa1eca70801bd8a701c3f98191e123496339247074a381eefaafb3c9d63676d586dd16d9c9aae2f563894e9074a58820724213b"},
-	{"HasChunks/reply", "fb030e00000000030000000000000009020001"},
-	{"Stats/request", "fb03040000000000000000000000000a"},
-	{"Stats/reply", "fb03040000000005000000000000000a040a0e020a"},
-	{"Apply/request", "fb0306000000004b000000000000000b01016b066d61737465720000000000000000000000000000000000000000000000000000000000000000003bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe"},
-	{"Apply/reply", "fb03060000000002000000000000000b0101"},
-	{"Apply-stale/request", "fb0306000000004b000000000000000c01016b066d6173746572000000000000000000000000000000000000000000000000000000000000000000fb04dcb6970e4c3d1873de51fd5a50d7bb46b3383113602665c350ec40b5f990"},
-	{"Apply-stale/reply", "fb03060000000002000000000000000c0100"},
-	{"Head/request", "fb03050000000009000000000000000d016b066d6173746572"},
-	{"Head/reply", "fb03050000000021000000000000000d013bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe"},
-	{"Head-absent/request", "fb03050000000007000000000000000e016b046e6f7065"},
-	{"Head-absent/reply", "fb03050000000001000000000000000e00"},
-	{"Apply-rename/request", "fb03060000000093000000000000000f02016b066d6173746572003bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe0000000000000000000000000000000000000000000000000000000000000000016b046d61696e0000000000000000000000000000000000000000000000000000000000000000003bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe"},
-	{"Apply-rename/reply", "fb03060000000002000000000000000f0101"},
-	{"Branches/request", "fb030900000000030000000000000010016b00"},
-	{"Branches/reply", "fb03090000000027000000000000001001046d61696e013bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe"},
-	{"Keys/request", "fb030a00000000000000000000000011"},
-	{"Keys/reply", "fb030a0000000003000000000000001101016b"},
-	{"Apply-delete/request", "fb03060000000049000000000000001201016b046d61696e0100000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000"},
-	{"Apply-delete/reply", "fb0306000000000200000000000000120101"},
-	{"Apply-error/request", "fb0306000000004800000000000000130100046d61696e0000000000000000000000000000000000000000000000000000000000000000003bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe"},
-	{"Apply-error/reply", "fb030601000000540000000000000013636f72653a206865616420222240226d61696e223a2061206b6579206d757374206265203120746f20363535333520627974657320616e642061206272616e6368206e616d65206174206d6f7374203635353335"},
-	{"PinHead/request", "fb031000000000210000000000000014013bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe"},
-	{"PinHead/reply", "fb031000000000000000000000000014"},
-	{"UnpinHead/request", "fb031100000000210000000000000015013bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe"},
-	{"UnpinHead/reply", "fb031100000000000000000000000015"},
-	{"FeedSince/request", "fb030f0000000004000000000000001603072001"},
-	{"FeedSince/reply", "fb030f000000004c00000000000000160507010105016b046d61696e3bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fefb04dcb6970e4c3d1873de51fd5a50d7bb46b3383113602665c350ec40b5f990"},
-	{"GetChunks-deferred/reply", "fb030d00000000090000000000000017040100020201010161"},
+	{"Ping/request", "fb040b00000000000000000000000001"},
+	{"Ping/reply", "fb040b00000000000000000000000001"},
+	{"PutChunks-one/request", "fb040c0000000025000000000000000201e3254ea61c09ead5a01d3bf07e946a561c6c2cd1c46b8ca1bfa8729d26a7d09f01010161"},
+	{"PutChunks-one/reply", "fb040c000000000200000000000000020101"},
+	{"PutChunks/request", "fb040c0000000049000000000000000302e3254ea61c09ead5a01d3bf07e946a561c6c2cd1c46b8ca1bfa8729d26a7d09f074a381eefaafb3c9d63676d586dd16d9c9aae2f563894e9074a58820724213b0201016102026262"},
+	{"PutChunks/reply", "fb040c00000000030000000000000003020001"},
+	{"PutChunks-empty/request", "fb040c000000000200000000000000040000"},
+	{"PutChunks-empty/reply", "fb040c0000000001000000000000000400"},
+	{"GetChunks-one/request", "fb040d0000000021000000000000000501e3254ea61c09ead5a01d3bf07e946a561c6c2cd1c46b8ca1bfa8729d26a7d09f"},
+	{"GetChunks-one/reply", "fb040d00000000060000000000000005010101010161"},
+	{"GetChunks-one-absent/request", "fb040d0000000021000000000000000601283bb9deef02e6843abfb538efa1eca70801bd8a701c3f98191e123496339247"},
+	{"GetChunks-one-absent/reply", "fb040d00000000030000000000000006010000"},
+	{"GetChunks/request", "fb040d0000000061000000000000000703074a381eefaafb3c9d63676d586dd16d9c9aae2f563894e9074a58820724213b283bb9deef02e6843abfb538efa1eca70801bd8a701c3f98191e123496339247e3254ea61c09ead5a01d3bf07e946a561c6c2cd1c46b8ca1bfa8729d26a7d09f"},
+	{"GetChunks/reply", "fb040d000000000c0000000000000007030100010202026262010161"},
+	{"HasChunks-one/request", "fb040e0000000021000000000000000801e3254ea61c09ead5a01d3bf07e946a561c6c2cd1c46b8ca1bfa8729d26a7d09f"},
+	{"HasChunks-one/reply", "fb040e000000000200000000000000080101"},
+	{"HasChunks/request", "fb040e0000000041000000000000000902283bb9deef02e6843abfb538efa1eca70801bd8a701c3f98191e123496339247074a381eefaafb3c9d63676d586dd16d9c9aae2f563894e9074a58820724213b"},
+	{"HasChunks/reply", "fb040e00000000030000000000000009020001"},
+	{"Stats/request", "fb04040000000000000000000000000a"},
+	{"Stats/reply", "fb04040000000005000000000000000a040a0e020a"},
+	{"Apply/request", "fb0406000000004b000000000000000b01016b066d61737465720000000000000000000000000000000000000000000000000000000000000000003bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe"},
+	{"Apply/reply", "fb04060000000002000000000000000b0101"},
+	{"Apply-stale/request", "fb0406000000004b000000000000000c01016b066d6173746572000000000000000000000000000000000000000000000000000000000000000000fb04dcb6970e4c3d1873de51fd5a50d7bb46b3383113602665c350ec40b5f990"},
+	{"Apply-stale/reply", "fb04060000000002000000000000000c0100"},
+	{"Head/request", "fb04050000000009000000000000000d016b066d6173746572"},
+	{"Head/reply", "fb04050000000021000000000000000d013bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe"},
+	{"Head-absent/request", "fb04050000000007000000000000000e016b046e6f7065"},
+	{"Head-absent/reply", "fb04050000000001000000000000000e00"},
+	{"Apply-rename/request", "fb04060000000093000000000000000f02016b066d6173746572003bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe0000000000000000000000000000000000000000000000000000000000000000016b046d61696e0000000000000000000000000000000000000000000000000000000000000000003bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe"},
+	{"Apply-rename/reply", "fb04060000000002000000000000000f0101"},
+	{"Branches/request", "fb040900000000030000000000000010016b00"},
+	{"Branches/reply", "fb04090000000027000000000000001001046d61696e013bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe"},
+	{"Keys/request", "fb040a00000000000000000000000011"},
+	{"Keys/reply", "fb040a0000000003000000000000001101016b"},
+	{"Heads/request", "fb04100000000001000000000000001200"},
+	{"Heads/reply", "fb0410000000002b000000000000001202016b046d61696e013bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe0100"},
+	{"Heads-after/request", "fb041000000000030000000000000013026b00"},
+	{"Heads-after/reply", "fb04100000000004000000000000001300000100"},
+	{"Apply-delete/request", "fb04060000000049000000000000001401016b046d61696e0100000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000"},
+	{"Apply-delete/reply", "fb0406000000000200000000000000140101"},
+	{"Apply-error/request", "fb0406000000004800000000000000150100046d61696e0000000000000000000000000000000000000000000000000000000000000000003bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe"},
+	{"Apply-error/reply", "fb040601000000540000000000000015636f72653a206865616420222240226d61696e223a2061206b6579206d757374206265203120746f20363535333520627974657320616e642061206272616e6368206e616d65206174206d6f7374203635353335"},
+	{"FeedSince/request", "fb040f000000000500000000000000160903072001"},
+	{"FeedSince/reply", "fb040f000000004c00000000000000160507010105016b046d61696e3bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fefb04dcb6970e4c3d1873de51fd5a50d7bb46b3383113602665c350ec40b5f990"},
+	{"Heads-more/reply", "fb0410000000004f000000000000001804016b046d61696e016b0178023bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fefb04dcb6970e4c3d1873de51fd5a50d7bb46b3383113602665c350ec40b5f9900101"},
+	{"GetChunks-deferred/reply", "fb040d00000000090000000000000017040100020201010161"},
 }
