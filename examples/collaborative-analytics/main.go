@@ -11,7 +11,7 @@ import (
 
 	"forkbase"
 	"forkbase/internal/access"
-	"forkbase/internal/pos"
+	"forkbase/internal/index"
 )
 
 func main() {
@@ -75,7 +75,7 @@ func main() {
 	// Admin A merges B's branch: the conflicting churn definition is
 	// detected at the key level...
 	_, err = alice.Merge("metrics", "master", "analytics-b", nil, nil)
-	var conflict *pos.ErrConflict
+	var conflict *index.ErrConflict
 	if !errors.As(err, &conflict) {
 		log.Fatalf("expected a conflict, got %v", err)
 	}

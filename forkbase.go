@@ -55,15 +55,15 @@ type (
 	// Entry is a key/value pair of a map value.
 	Entry = pos.Entry
 	// Delta is one key-level difference between two map values.
-	Delta = pos.Delta
+	Delta = index.Delta
 	// DiffStats instruments a differential query.
-	DiffStats = pos.DiffStats
+	DiffStats = index.DiffStats
 	// MergeStats reports sub-tree reuse of a three-way merge.
-	MergeStats = pos.MergeStats
+	MergeStats = index.MergeStats
 	// Conflict is a key modified divergently by both merge sides.
-	Conflict = pos.Conflict
+	Conflict = index.Conflict
 	// Resolver decides merged values for conflicting keys.
-	Resolver = pos.Resolver
+	Resolver = index.Resolver
 	// MergeResult is the outcome of DB.Merge.
 	MergeResult = core.MergeResult
 	// GCStats reports a garbage-collection / compaction run.
@@ -92,7 +92,7 @@ type (
 	// WithIndex): IndexPOS or IndexMPT.
 	IndexKind = index.Kind
 	// Index is the structure-agnostic handle to a map/set value's
-	// versioned index (get/iter/rank/diff/apply), whatever structure backs
+	// versioned index (get/iter/diff/apply), whatever structure backs
 	// it; obtained via DB.IndexOf.
 	Index = index.VersionedIndex
 	// IndexStats describes an index's physical shape (height, nodes, node
@@ -119,7 +119,7 @@ var (
 	// ErrTampered is returned when validation detects corruption.
 	ErrTampered = core.ErrTampered
 	// ErrKeyNotFound is returned by map lookups for absent keys.
-	ErrKeyNotFound = pos.ErrKeyNotFound
+	ErrKeyNotFound = index.ErrKeyNotFound
 	// ErrDenied is returned when access control rejects an operation.
 	ErrDenied = access.ErrDenied
 	// ErrReadOnlyReplica is returned by every mutating operation on a DB
@@ -157,8 +157,8 @@ var (
 	// NewBool constructs a boolean value.
 	NewBool = value.Bool
 	// ResolveOurs / ResolveTheirs are stock merge resolvers.
-	ResolveOurs   = pos.ResolveOurs
-	ResolveTheirs = pos.ResolveTheirs
+	ResolveOurs   = index.ResolveOurs
+	ResolveTheirs = index.ResolveTheirs
 )
 
 // DB is a ForkBase instance: a chunk store, a branch table, and the Git-like

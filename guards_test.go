@@ -292,6 +292,23 @@ func TestSourceGuards(t *testing.T) {
 		pattern: `readOnly`,
 		paths:   []string{"internal/rest"},
 		want:    0,
+	}, {
+		// index.VersionedIndex is what the engine, the edges and the paper's
+		// figures call.  Order statistics, positional diffs of lists and
+		// blobs, delta replay and the other operations no product path
+		// reached are gone, and do not come back beside the contract.
+		name:    "the index contract is what the engine calls",
+		pattern: `func \([a-z]+ \*(Tree|Trie)\) (At|Rank|RangeCount|Config|ApplyDeltas)\(|^func (DiffSeq|DiffBlob|NewEmpty(Tree|Seq|Blob)|Equal)\(`,
+		paths:   []string{"internal"},
+		want:    0,
+	}, {
+		// The index layer's vocabulary has one home, package index.  pos
+		// names only the record and mutation types its builders and edits
+		// are written in: Entry, Op, Put and Del.
+		name:    "pos re-exports only Entry and Op",
+		pattern: `^\s*(type\s+)?[A-Z]\w*\s+=\s+index\.`,
+		paths:   []string{"internal/pos"},
+		want:    4,
 	}} {
 		re := regexp.MustCompile(g.pattern)
 		var hits []string

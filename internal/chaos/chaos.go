@@ -10,8 +10,8 @@
 //     mid-frame truncation — scripted by tests or driven by a seeded
 //     Agitator for soak runs.
 //   - FlakyStore: a store.Store wrapper injecting transient errors
-//     (store.ErrUnavailable) and slow calls, composing with the existing
-//     counting/verifying/malicious wrappers.
+//     (store.ErrUnavailable) on a schedule or during an outage, composing
+//     with the existing counting/verifying/malicious wrappers.
 //   - PanicAt: a crash-point hook for FileStore.SetCrashHook that simulates
 //     a process crash at a named point of the rotate/compact lifecycle.
 //

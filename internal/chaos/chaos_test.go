@@ -179,7 +179,7 @@ func TestPutAmbiguousIsNotResent(t *testing.T) {
 }
 
 func TestFlakyStoreSchedule(t *testing.T) {
-	fs := chaos.NewFlakyStore(store.NewMemStore(), 1)
+	fs := chaos.NewFlakyStore(store.NewMemStore())
 	fs.FailEvery(2)
 	c := chunk.New(chunk.TypeBlobLeaf, []byte("flaky"))
 	if _, err := fs.Put(c); err != nil { // op 1: passes

@@ -2,58 +2,47 @@ package chaos
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
-	"time"
 
 	"forkbase/internal/chunk"
 	"forkbase/internal/hash"
 	"forkbase/internal/store"
 )
 
-// FlakyStore wraps a store.Store and injects transient failures and slow
-// calls.  Failures surface as store.ErrUnavailable — the transient class
-// the retry and serving layers are built to absorb — never as silent
-// corruption (that threat model is MaliciousStore's job).  It deliberately
-// declares no Unwrap: a fault injector ends every store.As walk, so a stack
-// containing it is never verify-cache-trusted and whatever it fronts stays
-// hidden from GC, scrub and heal discovery.
+// FlakyStore wraps a store.Store and injects transient failures: every nth
+// operation, or every operation during an outage.  Failures surface as
+// store.ErrUnavailable — the transient class the retry and serving layers
+// are built to absorb — never as silent corruption (that threat model is
+// MaliciousStore's job).  It deliberately declares no Unwrap: a fault
+// injector ends every store.As walk, so a stack containing it is never
+// verify-cache-trusted and whatever it fronts stays hidden from GC, scrub
+// and heal discovery.
 //
-// Concurrency: every knob, the rng and both counters (ops, failures) are
-// read and written only under one mutex in enter(), so the fault schedule
+// Concurrency: every knob and both counters (ops, failures) are read and
+// written only under one mutex in enter(), so the fault schedule
 // and its accounting stay consistent when concurrent requests, replica
 // syncs or GC drive the store from many goroutines.
 type FlakyStore struct {
 	Inner store.Store
 
 	mu        sync.Mutex
-	rng       *rand.Rand
-	failEvery int           // every nth op fails (0 = off); deterministic
-	prob      float64       // per-op failure probability from the seed
-	delay     time.Duration // injected latency per op
-	down      bool          // hard outage: every op fails until lifted
+	failEvery int  // every nth op fails (0 = off); deterministic
+	down      bool // hard outage: every op fails until lifted
 	ops       int64
 	failures  int64
 }
 
 var _ store.Store = (*FlakyStore)(nil)
 
-// NewFlakyStore wraps inner with a seeded fault source.  With no knobs set
-// it is a transparent pass-through.
-func NewFlakyStore(inner store.Store, seed int64) *FlakyStore {
-	return &FlakyStore{Inner: inner, rng: rand.New(rand.NewSource(seed))}
+// NewFlakyStore wraps inner.  With no knobs set it is a transparent
+// pass-through.
+func NewFlakyStore(inner store.Store) *FlakyStore {
+	return &FlakyStore{Inner: inner}
 }
 
-// FailEvery makes every nth operation fail (0 disables).  Deterministic
-// regardless of seed: the schedule is the op counter.
+// FailEvery makes every nth operation fail (0 disables).  Deterministic: the
+// schedule is the op counter.
 func (f *FlakyStore) FailEvery(n int) { f.mu.Lock(); f.failEvery = n; f.mu.Unlock() }
-
-// SetProb makes each operation fail with probability p, drawn from the
-// seeded source.
-func (f *FlakyStore) SetProb(p float64) { f.mu.Lock(); f.prob = p; f.mu.Unlock() }
-
-// SetDelay injects d of latency into every operation.
-func (f *FlakyStore) SetDelay(d time.Duration) { f.mu.Lock(); f.delay = d; f.mu.Unlock() }
 
 // SetDown toggles a hard outage: every operation fails until lifted.
 func (f *FlakyStore) SetDown(down bool) { f.mu.Lock(); f.down = down; f.mu.Unlock() }
@@ -61,21 +50,15 @@ func (f *FlakyStore) SetDown(down bool) { f.mu.Lock(); f.down = down; f.mu.Unloc
 // Failures reports how many operations were failed by injection.
 func (f *FlakyStore) Failures() int64 { f.mu.Lock(); defer f.mu.Unlock(); return f.failures }
 
-// enter applies the per-op fault schedule: count, delay, maybe fail.
+// enter applies the per-op fault schedule: count, maybe fail.
 func (f *FlakyStore) enter(op string) error {
 	f.mu.Lock()
 	f.ops++
-	delay := f.delay
-	fail := f.down ||
-		(f.failEvery > 0 && f.ops%int64(f.failEvery) == 0) ||
-		(f.prob > 0 && f.rng.Float64() < f.prob)
+	fail := f.down || (f.failEvery > 0 && f.ops%int64(f.failEvery) == 0)
 	if fail {
 		f.failures++
 	}
 	f.mu.Unlock()
-	if delay > 0 {
-		time.Sleep(delay)
-	}
 	if fail {
 		return fmt.Errorf("chaos: injected %s fault: %w", op, store.ErrUnavailable)
 	}

@@ -102,7 +102,7 @@ func TestChaosSoak(t *testing.T) {
 
 	// ---- 3-shard cluster, each shard behind its own proxy; shard 0's
 	// store browns out every 40th op on top of the network faults.
-	flaky := chaos.NewFlakyStore(store.NewMemStore(), soakSeed)
+	flaky := chaos.NewFlakyStore(store.NewMemStore())
 	flaky.FailEvery(40)
 	var shardAddrs []string
 	for _, sst := range []store.Store{flaky, store.NewMemStore(), store.NewMemStore()} {

@@ -17,7 +17,6 @@ import (
 
 	"forkbase"
 	"forkbase/internal/index"
-	"forkbase/internal/pos"
 	"forkbase/internal/value"
 )
 
@@ -247,7 +246,7 @@ func cmdMerge(db *forkbase.DB, args []string, out io.Writer) error {
 	}
 	res, err := db.Merge(p[0], p[1], p[2], resolver, meta)
 	if err != nil {
-		var ce *pos.ErrConflict
+		var ce *index.ErrConflict
 		if errors.As(err, &ce) {
 			for _, c := range ce.Conflicts {
 				fmt.Fprintf(out, "CONFLICT %s: ours=%q theirs=%q base=%q\n", c.Key, c.A, c.B, c.Base)
@@ -294,9 +293,9 @@ func cmdDiff(db *forkbase.DB, args []string, out io.Writer) error {
 	}
 	for _, d := range deltas {
 		switch d.Kind() {
-		case pos.Added:
+		case index.Added:
 			fmt.Fprintf(out, "+ %s\t%s\n", d.Key, d.To)
-		case pos.Removed:
+		case index.Removed:
 			fmt.Fprintf(out, "- %s\t%s\n", d.Key, d.From)
 		default:
 			fmt.Fprintf(out, "~ %s\t%q -> %q\n", d.Key, d.From, d.To)

@@ -9,6 +9,7 @@ import (
 
 	"forkbase/internal/chunker"
 	"forkbase/internal/hash"
+	"forkbase/internal/index"
 	"forkbase/internal/pos"
 	"forkbase/internal/store"
 	"forkbase/internal/value"
@@ -270,11 +271,11 @@ func TestDiffBranches(t *testing.T) {
 	if stats.TouchedChunks == 0 {
 		t.Fatal("no chunks touched?")
 	}
-	kinds := map[string]pos.DeltaKind{}
+	kinds := map[string]index.DeltaKind{}
 	for _, d := range deltas {
 		kinds[string(d.Key)] = d.Kind()
 	}
-	if kinds["row-0100"] != pos.Modified || kinds["row-0200"] != pos.Removed || kinds["row-new"] != pos.Added {
+	if kinds["row-0100"] != index.Modified || kinds["row-0200"] != index.Removed || kinds["row-new"] != index.Added {
 		t.Fatalf("kinds = %v", kinds)
 	}
 }
@@ -355,12 +356,12 @@ func TestMergeCleanAndConflict(t *testing.T) {
 	db.Put("data", "bob", mapVal(t, db, cm2), nil)
 
 	_, err = db.Merge("data", "alice", "bob", nil, nil)
-	var ce *pos.ErrConflict
+	var ce *index.ErrConflict
 	if !errors.As(err, &ce) {
 		t.Fatalf("want conflict, got %v", err)
 	}
 	// With a resolver the merge completes.
-	if _, err := db.Merge("data", "alice", "bob", pos.ResolveTheirs, nil); err != nil {
+	if _, err := db.Merge("data", "alice", "bob", index.ResolveTheirs, nil); err != nil {
 		t.Fatalf("resolved merge failed: %v", err)
 	}
 	got, _ := db.Get("data", "alice")

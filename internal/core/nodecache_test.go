@@ -139,7 +139,7 @@ func TestCachedObjectOfAnotherKind(t *testing.T) {
 				t.Fatal(err)
 			}
 			err = readCached(t, tc.target, func() error { _, err := tree.Get([]byte("row-00001")); return err })
-			if err == nil || errors.Is(err, pos.ErrKeyNotFound) {
+			if err == nil || errors.Is(err, index.ErrKeyNotFound) {
 				t.Fatalf("read through a ref to a foreign object: err = %v, want a chunk-type error", err)
 			}
 		})

@@ -433,7 +433,7 @@ type CellChange struct {
 // modifications — the multi-scope highlighting of paper Fig 5.
 type RowDelta struct {
 	Key   string
-	Kind  pos.DeltaKind
+	Kind  index.DeltaKind
 	From  Row // nil for additions
 	To    Row // nil for removals
 	Cells []CellChange
@@ -442,7 +442,7 @@ type RowDelta struct {
 // DiffResult is the output of a differential query.
 type DiffResult struct {
 	Deltas []RowDelta
-	Stats  pos.DiffStats
+	Stats  index.DiffStats
 }
 
 // Diff performs a differential query between two dataset versions (their
@@ -471,7 +471,7 @@ func Diff(from, to *Dataset) (DiffResult, error) {
 			}
 			rd.To = row
 		}
-		if rd.Kind == pos.Modified && sameSchema && len(rd.From) == len(rd.To) {
+		if rd.Kind == index.Modified && sameSchema && len(rd.From) == len(rd.To) {
 			for i := range rd.From {
 				if rd.From[i] != rd.To[i] {
 					rd.Cells = append(rd.Cells, CellChange{
@@ -518,9 +518,9 @@ func (r DiffResult) Summary() string {
 	var add, rem, mod int
 	for _, d := range r.Deltas {
 		switch d.Kind {
-		case pos.Added:
+		case index.Added:
 			add++
-		case pos.Removed:
+		case index.Removed:
 			rem++
 		default:
 			mod++

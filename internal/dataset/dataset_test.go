@@ -7,6 +7,7 @@ import (
 
 	"forkbase/internal/chunker"
 	"forkbase/internal/core"
+	"forkbase/internal/index"
 	"forkbase/internal/pos"
 	"forkbase/internal/value"
 )
@@ -242,10 +243,10 @@ func TestDiffBranchesCellLevel(t *testing.T) {
 		byKey[d.Key] = d
 	}
 	mod := byKey["id-00010"]
-	if mod.Kind != pos.Modified || len(mod.Cells) != 1 || mod.Cells[0].Column != "city" || mod.Cells[0].To != "NEWCITY" {
+	if mod.Kind != index.Modified || len(mod.Cells) != 1 || mod.Cells[0].Column != "city" || mod.Cells[0].To != "NEWCITY" {
 		t.Fatalf("modified delta = %+v", mod)
 	}
-	if byKey["id-extra"].Kind != pos.Added || byKey["id-00100"].Kind != pos.Removed {
+	if byKey["id-extra"].Kind != index.Added || byKey["id-00100"].Kind != index.Removed {
 		t.Fatalf("kinds wrong: %+v", byKey)
 	}
 	if res.Summary() == "" || !strings.Contains(res.Summary(), "1 added") {

@@ -15,6 +15,7 @@ import (
 	"forkbase/internal/core"
 	"forkbase/internal/dataset"
 	"forkbase/internal/hash"
+	"forkbase/internal/index"
 	"forkbase/internal/pos"
 	"forkbase/internal/store"
 	"forkbase/internal/value"
@@ -311,7 +312,7 @@ func RunFig3(baseEntries, editsPerSide int) (Fig3Result, error) {
 		return Fig3Result{}, err
 	}
 	start := time.Now()
-	merged, stats, err := pos.Merge3(base, a, b, nil)
+	merged, stats, err := index.Merge3(base, a, b, nil)
 	if err != nil {
 		return Fig3Result{}, err
 	}

@@ -88,13 +88,6 @@ func assertSameContents(t *testing.T, a, b index.VersionedIndex, ctx string) {
 	if a.Len() != b.Len() {
 		t.Fatalf("%s: Len %d vs %d", ctx, a.Len(), b.Len())
 	}
-	eq, err := index.Equal(a, b)
-	if err != nil {
-		t.Fatalf("%s: Equal: %v", ctx, err)
-	}
-	if !eq {
-		t.Fatalf("%s: Equal reports false for identical contents", ctx)
-	}
 }
 
 func assertSameDeltas(t *testing.T, da, db []index.Delta, ctx string) {
@@ -162,7 +155,7 @@ var opStreams = []opStream{
 }
 
 // TestDifferentialOpStream drives both structures through the same batched
-// op stream, checking contents, point reads, rank queries and per-step
+// op stream, checking contents, point reads and per-step
 // structural diffs against each other at every step.
 func TestDifferentialOpStream(t *testing.T) {
 	for _, s := range opStreams {
@@ -223,7 +216,7 @@ func differentialOpStream(t *testing.T, s opStream) {
 			logical[k] += shape.Bytes
 		}
 
-		// Point reads and rank queries agree.
+		// Point reads agree.
 		for i := 0; i < 10; i++ {
 			key := s.key(rng)
 			vp, errP := cur[index.KindPOS].Get(key)
@@ -233,31 +226,6 @@ func differentialOpStream(t *testing.T, s opStream) {
 			}
 			if errP == nil && !bytes.Equal(vp, vm) {
 				t.Fatalf("%s: Get(%q) = %q vs %q", ctx, key, vp, vm)
-			}
-			rp, err := cur[index.KindPOS].Rank(key)
-			if err != nil {
-				t.Fatalf("%s: pos Rank: %v", ctx, err)
-			}
-			rm, err := cur[index.KindMPT].Rank(key)
-			if err != nil {
-				t.Fatalf("%s: mpt Rank: %v", ctx, err)
-			}
-			if rp != rm {
-				t.Fatalf("%s: Rank(%q) = %d vs %d", ctx, key, rp, rm)
-			}
-		}
-		if n := cur[index.KindPOS].Len(); n > 0 {
-			i := uint64(rng.Intn(int(n)))
-			ep, err := cur[index.KindPOS].At(i)
-			if err != nil {
-				t.Fatalf("%s: pos At: %v", ctx, err)
-			}
-			em, err := cur[index.KindMPT].At(i)
-			if err != nil {
-				t.Fatalf("%s: mpt At: %v", ctx, err)
-			}
-			if !bytes.Equal(ep.Key, em.Key) || !bytes.Equal(ep.Val, em.Val) {
-				t.Fatalf("%s: At(%d) = (%q,%q) vs (%q,%q)", ctx, i, ep.Key, ep.Val, em.Key, em.Val)
 			}
 		}
 	}

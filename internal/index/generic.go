@@ -162,20 +162,3 @@ func Merge3(base, a, b VersionedIndex, resolve Resolver) (VersionedIndex, MergeS
 	}
 	return merged, stats, nil
 }
-
-// Equal reports whether two indexes hold identical record sets.  Same-kind
-// indexes compare by root hash (structural invariance); cross-kind
-// comparison falls back to a full iterator walk.
-func Equal(a, b VersionedIndex) (bool, error) {
-	if a.Kind() == b.Kind() {
-		return a.Root() == b.Root(), nil
-	}
-	if a.Len() != b.Len() {
-		return false, nil
-	}
-	deltas, _, err := GenericDiff(a, b)
-	if err != nil {
-		return false, err
-	}
-	return len(deltas) == 0, nil
-}

@@ -7,10 +7,11 @@
 // evidence.  This package is what lets the engine run that comparison
 // without naming a structure above the value layer:
 //
-//   - VersionedIndex is the operation surface (get/put/del/iter/rank/diff/
-//     merge/stats).  An index is an immutable value rooted at a chunk hash
-//     over a store.Store; "mutations" return a new index sharing unchanged
-//     chunks with the old one.
+//   - VersionedIndex is the operation surface (get/put/del/iter/diff/
+//     stats), exactly what the engine calls; Merge3 and GenericDiff are
+//     written against it.  An index is an immutable value rooted at a
+//     chunk hash over a store.Store; "mutations" return a new index sharing
+//     unchanged chunks with the old one.
 //   - Kind names a structure: KindPOS (package pos) or KindMPT (package
 //     mpt).  The set is closed: value.LoadIndex and the value constructors
 //     pick the structure in one switch, and fnode.Refs picks the child
@@ -27,7 +28,6 @@ import (
 	"errors"
 	"fmt"
 
-	"forkbase/internal/chunker"
 	"forkbase/internal/hash"
 	"forkbase/internal/store"
 )
@@ -100,7 +100,7 @@ func Del(key []byte) Op { return Op{Key: key, Delete: true} }
 // ErrKeyNotFound is returned by Get for absent keys.
 var ErrKeyNotFound = errors.New("index: key not found")
 
-// ErrOutOfRange is returned for ranks/positions past the end.
+// ErrOutOfRange is returned for positions past the end of a list or blob.
 var ErrOutOfRange = errors.New("index: position out of range")
 
 // Iterator walks an index in key order.
@@ -132,17 +132,11 @@ type VersionedIndex interface {
 	Len() uint64
 	// Store returns the backing chunk store.
 	Store() store.Store
-	// Config returns the chunking configuration the index was opened with.
-	Config() chunker.Config
 
 	// Get returns the value under key, or ErrKeyNotFound.
 	Get(key []byte) ([]byte, error)
 	// Has reports whether key is present.
 	Has(key []byte) (bool, error)
-	// At returns the entry at rank i (0-based, key order) in O(log N).
-	At(i uint64) (Entry, error)
-	// Rank returns the number of entries with key strictly less than key.
-	Rank(key []byte) (uint64, error)
 
 	// Apply applies a batch of puts and deletes and returns the resulting
 	// index.  The result is byte-identical to building the edited record

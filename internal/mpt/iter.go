@@ -248,108 +248,4 @@ func (it *Iter) seekChild(n *node, rem []byte) error {
 	return nil
 }
 
-// At returns the entry at rank i (0-based, key order) in O(depth), routing
-// through the per-child subtree counts.
-func (t *Trie) At(i uint64) (index.Entry, error) {
-	if i >= t.count {
-		return index.Entry{}, index.ErrOutOfRange
-	}
-	var prefix []byte
-	id := t.root
-	for {
-		n, err := t.src.Load(id)
-		if err != nil {
-			return index.Entry{}, fmt.Errorf("mpt: at: %w", err)
-		}
-		switch n.kind {
-		case kindLeaf:
-			if i != 0 {
-				return index.Entry{}, index.ErrOutOfRange
-			}
-			prefix = append(prefix, n.path...)
-			return index.Entry{Key: nibblesToKey(prefix), Val: n.val}, nil
-		case kindExt:
-			prefix = append(prefix, n.path...)
-			id = n.childID
-		default:
-			if n.hasVal {
-				if i == 0 {
-					return index.Entry{Key: nibblesToKey(prefix), Val: n.val}, nil
-				}
-				i--
-			}
-			routed := false
-			for s := 0; s < 16; s++ {
-				if n.childMask&(1<<s) == 0 {
-					continue
-				}
-				if i < n.childCounts[s] {
-					prefix = append(prefix, byte(s))
-					id = n.childIDs[s]
-					routed = true
-					break
-				}
-				i -= n.childCounts[s]
-			}
-			if !routed {
-				return index.Entry{}, index.ErrOutOfRange
-			}
-		}
-	}
-}
-
-// Rank returns the number of entries with key strictly less than key, in
-// O(depth): whole subtrees left of the search path are counted without
-// being read.
-func (t *Trie) Rank(key []byte) (uint64, error) {
-	if t.root.IsZero() {
-		return 0, nil
-	}
-	rem := keyNibbles(key)
-	var rank uint64
-	id := t.root
-	for {
-		n, err := t.src.Load(id)
-		if err != nil {
-			return 0, fmt.Errorf("mpt: rank: %w", err)
-		}
-		switch n.kind {
-		case kindLeaf:
-			if nibCompare(n.path, rem) < 0 {
-				rank++
-			}
-			return rank, nil
-		case kindExt:
-			cp := commonPrefix(n.path, rem)
-			switch {
-			case cp == len(n.path):
-				rem = rem[cp:]
-				id = n.childID
-			case cp == len(rem) || rem[cp] < n.path[cp]:
-				return rank, nil // whole subtree sorts after key
-			default:
-				return rank + n.childCount, nil // whole subtree sorts before
-			}
-		default:
-			if len(rem) == 0 {
-				return rank, nil // branch value (== key) and children all >= key
-			}
-			if n.hasVal {
-				rank++ // the branch's own key is a strict prefix of key
-			}
-			i := rem[0]
-			for s := 0; s < int(i); s++ {
-				if n.childMask&(1<<s) != 0 {
-					rank += n.childCounts[s]
-				}
-			}
-			if n.childMask&(1<<i) == 0 {
-				return rank, nil
-			}
-			id = n.childIDs[i]
-			rem = rem[1:]
-		}
-	}
-}
-
 var _ index.Iterator = (*Iter)(nil)

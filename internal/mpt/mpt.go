@@ -14,8 +14,10 @@
 //     value for a key ending at the branch.
 //
 // Child pointers are chunk hashes, every node is one TypeMPTNode chunk, and
-// each child pointer carries the entry count of its subtree, so rank
-// queries (At, Rank) run in O(depth) exactly as they do on POS-Trees.
+// each child pointer carries the entry count of its subtree: Load reads
+// Len off the root, and Apply checks the count it tracked against the one
+// it committed.  The counts are part of the node format, so every root
+// hash depends on them.
 // Canonical-form invariants (a branch always has >= 2 occupied slots, an
 // extension always points at a branch, paths are maximally compressed) make
 // the structure — and therefore the root hash — independent of operation
@@ -350,10 +352,6 @@ func (t *Trie) Len() uint64 { return t.count }
 
 // Store returns the backing chunk store.
 func (t *Trie) Store() store.Store { return t.src.Store() }
-
-// Config returns the chunking configuration (carried for interface parity;
-// trie node boundaries follow key structure, not content-defined chunking).
-func (t *Trie) Config() chunker.Config { return t.cfg }
 
 // keyNibbles expands a key into its nibble path, high nibble first.
 func keyNibbles(key []byte) []byte {

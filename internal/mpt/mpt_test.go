@@ -229,48 +229,6 @@ func TestIterateFrom(t *testing.T) {
 	}
 }
 
-func TestAtRank(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	st := store.NewMemStore()
-	entries := randEntries(rng, 120)
-	tr := buildT(t, st, entries)
-	want := sortedUnique(entries)
-
-	for i, e := range want {
-		got, err := tr.At(uint64(i))
-		if err != nil {
-			t.Fatalf("At(%d): %v", i, err)
-		}
-		if !bytes.Equal(got.Key, e.Key) || !bytes.Equal(got.Val, e.Val) {
-			t.Fatalf("At(%d) = (%q,%q), want (%q,%q)", i, got.Key, got.Val, e.Key, e.Val)
-		}
-		r, err := tr.Rank(e.Key)
-		if err != nil {
-			t.Fatalf("Rank(%q): %v", e.Key, err)
-		}
-		if r != uint64(i) {
-			t.Fatalf("Rank(%q) = %d, want %d", e.Key, r, i)
-		}
-	}
-	if _, err := tr.At(tr.Len()); !errors.Is(err, index.ErrOutOfRange) {
-		t.Fatalf("At(len) err = %v, want ErrOutOfRange", err)
-	}
-	// Rank of absent keys matches sort.Search over the sorted set.
-	for i := 0; i < 50; i++ {
-		probe := randEntries(rng, 1)[0].Key
-		want := uint64(sort.Search(len(sortedUnique(entries)), func(j int) bool {
-			return bytes.Compare(sortedUnique(entries)[j].Key, probe) >= 0
-		}))
-		got, err := tr.Rank(probe)
-		if err != nil {
-			t.Fatalf("Rank(%x): %v", probe, err)
-		}
-		if got != want {
-			t.Fatalf("Rank(%x) = %d, want %d", probe, got, want)
-		}
-	}
-}
-
 func TestDiffAndPrune(t *testing.T) {
 	st := store.NewMemStore()
 	entries := make([]index.Entry, 0, 3000)

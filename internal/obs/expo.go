@@ -15,7 +15,6 @@ import (
 	"io"
 	"strconv"
 	"strings"
-	"time"
 )
 
 // WritePrometheus writes the registry in Prometheus text format.
@@ -196,18 +195,4 @@ func labelMap(names, values []string) map[string]string {
 		m[n] = values[i]
 	}
 	return m
-}
-
-// Uptime tracks a start time for registry-derived health reporting.
-type Uptime struct{ start time.Time }
-
-// NewUptime starts the clock.
-func NewUptime() *Uptime { return &Uptime{start: time.Now()} }
-
-// Seconds since start.
-func (u *Uptime) Seconds() float64 {
-	if u == nil {
-		return 0
-	}
-	return time.Since(u.start).Seconds()
 }

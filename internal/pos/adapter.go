@@ -4,12 +4,11 @@ import "forkbase/internal/index"
 
 // This file ports the map POS-Tree behind the structure-agnostic
 // index.VersionedIndex contract.  Tree already satisfies most of the
-// interface directly (Get, Has, At, Rank, Root, Len, ChunkIDs,
-// ComputeStats, Store, Config); the methods below bridge the tree-typed
-// signatures (Edit, Iter, Diff) to the interface-typed ones.  The value
-// layer builds and loads trees by kind (value.LoadIndex), and the
-// reachability walks (GC mark, verify, replication prune) reach IndexChildren
-// through fnode.Refs.  Chunk encodings are untouched by this port: a DB
+// interface directly (Get, Has, Root, Len, ChunkIDs, ComputeStats, Store);
+// the methods below bridge the tree-typed signatures (Edit, Iter, Diff) to
+// the interface-typed ones.  The value layer builds and loads trees by kind
+// (value.LoadIndex), and the reachability walks (GC mark, verify,
+// replication prune) reach IndexChildren through fnode.Refs.  Chunk encodings are untouched by this port: a DB
 // written before the index layer existed reopens with byte-identical roots.
 
 // Kind identifies the structure (index.KindPOS).

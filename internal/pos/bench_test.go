@@ -9,6 +9,7 @@ import (
 
 	"forkbase/internal/chunk"
 	"forkbase/internal/chunker"
+	"forkbase/internal/index"
 	"forkbase/internal/nodecache"
 	"forkbase/internal/store"
 )
@@ -423,7 +424,7 @@ func BenchmarkMerge3Disjoint(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Merge3(tree, a, c, nil); err != nil {
+		if _, _, err := index.Merge3(tree, a, c, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"forkbase/internal/chunk"
 	"forkbase/internal/chunker"
 	"forkbase/internal/hash"
+	"forkbase/internal/index"
 	"forkbase/internal/store"
 )
 
@@ -19,11 +20,6 @@ type Blob struct {
 	cfg  chunker.Config
 	root hash.Hash
 	size uint64
-}
-
-// NewEmptyBlob returns the empty blob.
-func NewEmptyBlob(st store.Store, cfg chunker.Config) *Blob {
-	return &Blob{src: sourceFor(st), cfg: cfg}
 }
 
 // LoadBlob attaches to an existing blob by root hash.
@@ -210,7 +206,7 @@ func (b *Blob) Bytes() ([]byte, error) {
 // ReadAt fills p from offset off, returning the bytes copied.
 func (b *Blob) ReadAt(p []byte, off uint64) (int, error) {
 	if off >= b.size {
-		return 0, ErrOutOfRange
+		return 0, index.ErrOutOfRange
 	}
 	// Walk down by counts collecting only the needed leaves.
 	n := 0
@@ -260,7 +256,7 @@ func (b *Blob) ReadAt(p []byte, off uint64) (int, error) {
 // like Seq.Splice it reads one root→leaf path plus the spliced leaves.
 func (b *Blob) Splice(at, del uint64, ins []byte) (*Blob, error) {
 	if at > b.size {
-		return nil, ErrOutOfRange
+		return nil, index.ErrOutOfRange
 	}
 	if del > b.size-at {
 		del = b.size - at

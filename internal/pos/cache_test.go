@@ -9,6 +9,7 @@ import (
 	"forkbase/internal/chunk"
 	"forkbase/internal/chunker"
 	"forkbase/internal/hash"
+	"forkbase/internal/index"
 	"forkbase/internal/nodecache"
 	"forkbase/internal/store"
 )
@@ -142,7 +143,7 @@ func TestCachedDiffAndEdit(t *testing.T) {
 		t.Fatalf("deltas = %d, want 3", len(deltas))
 	}
 
-	merged, _, err := Merge3(tree, cachedEdit, tree, nil)
+	merged, _, err := index.Merge3(tree, cachedEdit, tree, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

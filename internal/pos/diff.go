@@ -13,26 +13,6 @@ import (
 	"forkbase/internal/index"
 )
 
-// Delta, DeltaKind and DiffStats are the shared diff vocabulary of the
-// versioned-index layer, re-exported so existing callers keep compiling
-// against pos.*.
-type (
-	// Delta is one key-level difference between two map trees.
-	Delta = index.Delta
-	// DeltaKind classifies a delta.
-	DeltaKind = index.DeltaKind
-	// DiffStats instruments a diff run; TouchedChunks is the "pages read"
-	// quantity behind the O(D·log N) claim of §II-B.
-	DiffStats = index.DiffStats
-)
-
-// Delta kinds.
-const (
-	Added    = index.Added
-	Removed  = index.Removed
-	Modified = index.Modified
-)
-
 // Diff computes the key-level differences from t (old) to o (new).
 //
 // Sub-trees with identical root hashes are pruned without being read —
@@ -43,21 +23,21 @@ const (
 // leaf runs plus the changed entries: equal entries encode to equal bytes,
 // so the entries two runs share are skipped by a byte compare, and only
 // those around a change are merged key by key.
-func (t *Tree) Diff(o *Tree) ([]Delta, DiffStats, error) {
+func (t *Tree) Diff(o *Tree) ([]index.Delta, index.DiffStats, error) {
 	if t.root == o.root {
-		return nil, DiffStats{}, nil
+		return nil, index.DiffStats{}, nil
 	}
 	d := &differ{old: *t, new: *o}
 	la, err := peek(&d.old)
 	if err != nil {
-		return nil, DiffStats{}, err
+		return nil, index.DiffStats{}, err
 	}
 	lb, err := peek(&d.new)
 	if err != nil {
-		return nil, DiffStats{}, err
+		return nil, index.DiffStats{}, err
 	}
 	if err := d.diffSpans(rootSpan(t), rootSpan(o), la, lb); err != nil {
-		return nil, DiffStats{}, err
+		return nil, index.DiffStats{}, err
 	}
 	d.stats.Deltas = len(d.out)
 	return d.out, d.stats, nil
@@ -83,8 +63,8 @@ func rootSpan(t *Tree) []slot {
 // root in its copy without touching the caller's trees.
 type differ struct {
 	old, new Tree
-	out      []Delta
-	stats    DiffStats
+	out      []index.Delta
+	stats    index.DiffStats
 }
 
 // peek reads the level of t's root, the level the walk starts at, and keeps
@@ -263,14 +243,14 @@ func (d *differ) diffLeaves(a, b leafRun) {
 		}
 		switch {
 		case cmp < 0:
-			d.out = append(d.out, Delta{Key: cp(ea.Key), From: cp(ea.Val)})
+			d.out = append(d.out, index.Delta{Key: cp(ea.Key), From: cp(ea.Val)})
 			ea, okA = ca.next()
 		case cmp > 0:
-			d.out = append(d.out, Delta{Key: cp(eb.Key), To: cp(eb.Val)})
+			d.out = append(d.out, index.Delta{Key: cp(eb.Key), To: cp(eb.Val)})
 			eb, okB = cb.next()
 		default:
 			if !bytes.Equal(ea.Val, eb.Val) {
-				d.out = append(d.out, Delta{Key: cp(ea.Key), From: cp(ea.Val), To: cp(eb.Val)})
+				d.out = append(d.out, index.Delta{Key: cp(ea.Key), From: cp(ea.Val), To: cp(eb.Val)})
 			}
 			skipShared(&ca, &cb)
 			ea, okA = ca.next()
@@ -395,18 +375,4 @@ func cp(b []byte) []byte {
 	out := make([]byte, len(b))
 	copy(out, b)
 	return out
-}
-
-// ApplyDeltas applies a diff to a tree: each delta becomes a put (To != nil)
-// or a delete.  Apply(A, Diff(A,B)) == B — the round-trip property.
-func (t *Tree) ApplyDeltas(deltas []Delta) (*Tree, error) {
-	ops := make([]Op, 0, len(deltas))
-	for _, d := range deltas {
-		if d.To == nil {
-			ops = append(ops, Del(d.Key))
-		} else {
-			ops = append(ops, Put(d.Key, d.To))
-		}
-	}
-	return t.Edit(ops)
 }

@@ -48,11 +48,11 @@ func TestDiffBasicKinds(t *testing.T) {
 	if len(deltas) != 3 {
 		t.Fatalf("got %d deltas: %+v", len(deltas), deltas)
 	}
-	kinds := map[string]DeltaKind{}
+	kinds := map[string]index.DeltaKind{}
 	for _, d := range deltas {
 		kinds[string(d.Key)] = d.Kind()
 	}
-	if kinds["b"] != Modified || kinds["c"] != Removed || kinds["d"] != Added {
+	if kinds["b"] != index.Modified || kinds["c"] != index.Removed || kinds["d"] != index.Added {
 		t.Fatalf("kinds = %v", kinds)
 	}
 }
@@ -74,7 +74,7 @@ func TestDiffApplyRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		applied, err := a.ApplyDeltas(deltas)
+		applied, err := a.Edit(deltaOps(deltas))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,7 +88,7 @@ func TestDiffApplyRoundTrip(t *testing.T) {
 func TestDiffAgainstEmpty(t *testing.T) {
 	st := store.NewMemStore()
 	a := mustBuild(t, st, genEntries(200, 5))
-	empty := NewEmptyTree(st, testCfg())
+	empty := mustBuild(t, st, nil)
 	deltas, _, err := a.Diff(empty)
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +97,7 @@ func TestDiffAgainstEmpty(t *testing.T) {
 		t.Fatalf("diff to empty: %d deltas", len(deltas))
 	}
 	for _, d := range deltas {
-		if d.Kind() != Removed {
+		if d.Kind() != index.Removed {
 			t.Fatalf("expected all Removed, got %v for %q", d.Kind(), d.Key)
 		}
 	}
@@ -105,7 +105,7 @@ func TestDiffAgainstEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(deltas) != 200 || deltas[0].Kind() != Added {
+	if len(deltas) != 200 || deltas[0].Kind() != index.Added {
 		t.Fatalf("diff from empty: %d deltas, first kind %v", len(deltas), deltas[0].Kind())
 	}
 }
@@ -212,15 +212,15 @@ func TestDiffOracleRandomized(t *testing.T) {
 			av, aok := am[string(d.Key)]
 			bv, bok := bm[string(d.Key)]
 			switch d.Kind() {
-			case Added:
+			case index.Added:
 				if aok || !bok || bv != string(d.To) {
 					t.Fatalf("bad Added delta %q", d.Key)
 				}
-			case Removed:
+			case index.Removed:
 				if !aok || bok || av != string(d.From) {
 					t.Fatalf("bad Removed delta %q", d.Key)
 				}
-			case Modified:
+			case index.Modified:
 				if !aok || !bok || av != string(d.From) || bv != string(d.To) {
 					t.Fatalf("bad Modified delta %q", d.Key)
 				}
@@ -242,7 +242,7 @@ func TestDiffParallelMatchesSerial(t *testing.T) {
 	st := store.NewMemStore()
 	rng := rand.New(rand.NewSource(13))
 	a := mustBuild(t, st, genEntries(1000, 3))
-	empty := NewEmptyTree(st, testCfg())
+	empty := mustBuild(t, st, nil)
 	type pair struct {
 		name     string
 		old, new *Tree
@@ -277,8 +277,8 @@ func TestDiffParallelMatchesSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 		var wg sync.WaitGroup
-		got := make([][]Delta, callers)
-		stats := make([]DiffStats, callers)
+		got := make([][]index.Delta, callers)
+		stats := make([]index.DiffStats, callers)
 		errs := make([]error, callers)
 		for i := 0; i < callers; i++ {
 			wg.Add(1)
@@ -365,7 +365,7 @@ func TestDiffReadsEachNodeOnce(t *testing.T) {
 	a := mustBuild(t, ms, genEntries(30000, 21))
 	b := editedTree(t, a, rng, 10)
 	small := mustBuild(t, ms, genEntries(5, 1))
-	empty := NewEmptyTree(ms, testCfg())
+	empty := mustBuild(t, ms, nil)
 	for _, tc := range []struct {
 		name     string
 		old, new *Tree
@@ -431,7 +431,7 @@ func TestMergeDisjoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	merged, stats, err := Merge3(base, a, b, nil)
+	merged, stats, err := index.Merge3(base, a, b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,8 +465,8 @@ func TestMergeConflict(t *testing.T) {
 	a, _ := base.Edit([]Op{Put(key, []byte("from-A"))})
 	b, _ := base.Edit([]Op{Put(key, []byte("from-B"))})
 
-	_, stats, err := Merge3(base, a, b, nil)
-	var ce *ErrConflict
+	_, stats, err := index.Merge3(base, a, b, nil)
+	var ce *index.ErrConflict
 	if !asConflict(err, &ce) {
 		t.Fatalf("want ErrConflict, got %v", err)
 	}
@@ -478,14 +478,14 @@ func TestMergeConflict(t *testing.T) {
 		t.Fatalf("conflict detail = %+v", c)
 	}
 
-	merged, _, err := Merge3(base, a, b, ResolveOurs)
+	merged, _, err := index.Merge3(base, a, b, index.ResolveOurs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v, _ := merged.Get(key); string(v) != "from-A" {
 		t.Fatalf("ResolveOurs = %q", v)
 	}
-	merged, _, err = Merge3(base, a, b, ResolveTheirs)
+	merged, _, err = index.Merge3(base, a, b, index.ResolveTheirs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -494,11 +494,11 @@ func TestMergeConflict(t *testing.T) {
 	}
 }
 
-func asConflict(err error, target **ErrConflict) bool {
+func asConflict(err error, target **index.ErrConflict) bool {
 	if err == nil {
 		return false
 	}
-	ce, ok := err.(*ErrConflict)
+	ce, ok := err.(*index.ErrConflict)
 	if ok {
 		*target = ce
 	}
@@ -511,7 +511,7 @@ func TestMergeSameChange(t *testing.T) {
 	key := []byte("key-00000010")
 	a, _ := base.Edit([]Op{Put(key, []byte("same"))})
 	b, _ := base.Edit([]Op{Put(key, []byte("same")), Put([]byte("extra"), []byte("b"))})
-	merged, _, err := Merge3(base, a, b, nil)
+	merged, _, err := index.Merge3(base, a, b, nil)
 	if err != nil {
 		t.Fatalf("identical change conflicted: %v", err)
 	}
@@ -529,8 +529,8 @@ func TestMergeDeleteVsModify(t *testing.T) {
 	key := []byte("key-00000033")
 	a, _ := base.Edit([]Op{Del(key)})
 	b, _ := base.Edit([]Op{Put(key, []byte("kept"))})
-	_, _, err := Merge3(base, a, b, nil)
-	var ce *ErrConflict
+	_, _, err := index.Merge3(base, a, b, nil)
+	var ce *index.ErrConflict
 	if !asConflict(err, &ce) {
 		t.Fatalf("delete-vs-modify should conflict, got %v", err)
 	}
@@ -538,7 +538,7 @@ func TestMergeDeleteVsModify(t *testing.T) {
 		t.Fatalf("A side should be nil (deleted): %+v", ce.Conflicts[0])
 	}
 	// Resolver chooses deletion.
-	merged, _, err := Merge3(base, a, b, func(c Conflict) ([]byte, bool) { return nil, false })
+	merged, _, err := index.Merge3(base, a, b, func(c index.Conflict) ([]byte, bool) { return nil, false })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -552,15 +552,15 @@ func TestMergeTrivialFastPaths(t *testing.T) {
 	base := mustBuild(t, st, genEntries(50, 4))
 	changed, _ := base.Edit([]Op{Put([]byte("x"), []byte("y"))})
 
-	m, _, err := Merge3(base, base, changed, nil)
+	m, _, err := index.Merge3(base, base, changed, nil)
 	if err != nil || m.Root() != changed.Root() {
 		t.Fatalf("untouched-A fast path: %v", err)
 	}
-	m, _, err = Merge3(base, changed, base, nil)
+	m, _, err = index.Merge3(base, changed, base, nil)
 	if err != nil || m.Root() != changed.Root() {
 		t.Fatalf("untouched-B fast path: %v", err)
 	}
-	m, _, err = Merge3(base, changed, changed, nil)
+	m, _, err = index.Merge3(base, changed, changed, nil)
 	if err != nil || m.Root() != changed.Root() {
 		t.Fatalf("identical-sides fast path: %v", err)
 	}
@@ -575,11 +575,11 @@ func TestMerge3MatchesRebuild(t *testing.T) {
 	base := mustBuild(t, st, genEntries(6000, 14))
 	a := editedTree(t, base, rng, 400)
 	b := editedTree(t, base, rng, 400)
-	merged, _, err := Merge3(base, a, b, ResolveOurs)
+	merged, _, err := index.Merge3(base, a, b, index.ResolveOurs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	entries, err := merged.Entries()
+	entries, err := merged.(*Tree).Entries()
 	if err != nil {
 		t.Fatal(err)
 	}

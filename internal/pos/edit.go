@@ -254,8 +254,3 @@ func (t *Tree) EditRebuild(ops []Op) (*Tree, error) {
 func (t *Tree) Insert(key, val []byte) (*Tree, error) {
 	return t.Edit([]Op{Put(key, val)})
 }
-
-// Remove is a convenience single-key delete.
-func (t *Tree) Remove(key []byte) (*Tree, error) {
-	return t.Edit([]Op{Del(key)})
-}

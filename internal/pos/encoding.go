@@ -25,9 +25,8 @@ import (
 	"forkbase/internal/index"
 )
 
-// Entry is one key/value record of a map POS-Tree leaf.  It is the shared
-// record type of the versioned-index layer; pos re-exports it so existing
-// callers keep compiling against pos.Entry.
+// Entry is one key/value record of a map POS-Tree leaf: the index layer's
+// record type, which pos's builders and edits are written in.
 type Entry = index.Entry
 
 // childRef is one routing entry of an index node: the identifier of a child

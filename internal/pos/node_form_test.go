@@ -12,6 +12,7 @@ import (
 	"forkbase/internal/chunk"
 	"forkbase/internal/chunker"
 	"forkbase/internal/hash"
+	"forkbase/internal/index"
 	"forkbase/internal/store"
 )
 
@@ -395,8 +396,6 @@ func TestZeroRefIndexIsCorruption(t *testing.T) {
 				}
 				return it.Err()
 			}},
-			{"Rank", func() error { _, err := bad.Rank([]byte("key")); return err }},
-			{"At", func() error { _, err := bad.At(0); return err }},
 			{"Diff", func() error { _, _, err := good.Diff(bad); return err }},
 			{"Diff reversed", func() error { _, _, err := bad.Diff(good); return err }},
 			{"Edit", func() error { _, err := bad.Edit([]Op{Put([]byte("key"), []byte("v"))}); return err }},
@@ -409,7 +408,7 @@ func TestZeroRefIndexIsCorruption(t *testing.T) {
 				}()
 				return op.run()
 			}()
-			if err == nil || errors.Is(err, ErrKeyNotFound) || !strings.Contains(err.Error(), "empty map index") {
+			if err == nil || errors.Is(err, index.ErrKeyNotFound) || !strings.Contains(err.Error(), "empty map index") {
 				t.Errorf("%s, %s: %v, want the empty index reported", root.name, op.name, err)
 			}
 		}
@@ -448,8 +447,6 @@ func TestLoadTreeKeepsItsRoot(t *testing.T) {
 	}{
 		{"Get", func() error { _, err := tree.Get(key); return err }},
 		{"Has", func() error { _, err := tree.Has(key); return err }},
-		{"At", func() error { _, err := tree.At(1777); return err }},
-		{"Rank", func() error { _, err := tree.Rank(key); return err }},
 		{"Iter", func() error { _, err := tree.Iter(); return err }},
 		{"IterFrom", func() error { _, err := tree.IterFrom(key); return err }},
 	} {

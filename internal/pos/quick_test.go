@@ -9,6 +9,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"forkbase/internal/index"
 	"forkbase/internal/store"
 )
 
@@ -92,7 +93,22 @@ func TestQuickEditEquivalence(t *testing.T) {
 	}
 }
 
-// QuickProperty: Diff/Apply round-trips for arbitrary divergent trees.
+// deltaOps turns a diff into the edit that replays it: each delta becomes a
+// put (To != nil) or a delete.
+func deltaOps(deltas []index.Delta) []Op {
+	ops := make([]Op, 0, len(deltas))
+	for _, d := range deltas {
+		if d.To == nil {
+			ops = append(ops, Del(d.Key))
+		} else {
+			ops = append(ops, Put(d.Key, d.To))
+		}
+	}
+	return ops
+}
+
+// QuickProperty: Edit(A, ops(Diff(A,B))) == B, in both directions, for
+// arbitrary divergent trees.
 func TestQuickDiffApplyRoundTrip(t *testing.T) {
 	st := store.NewMemStore()
 	f := func(b opsBatch) bool {
@@ -108,7 +124,7 @@ func TestQuickDiffApplyRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		applied, err := a.ApplyDeltas(deltas)
+		applied, err := a.Edit(deltaOps(deltas))
 		if err != nil {
 			return false
 		}
@@ -120,7 +136,7 @@ func TestQuickDiffApplyRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		reverted, err := c.ApplyDeltas(back)
+		reverted, err := c.Edit(deltaOps(back))
 		if err != nil {
 			return false
 		}
@@ -162,11 +178,11 @@ func TestQuickMergeDisjointCommutes(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		m1, _, err := Merge3(base, a, bb, nil)
+		m1, _, err := index.Merge3(base, a, bb, nil)
 		if err != nil {
 			return false
 		}
-		m2, _, err := Merge3(base, bb, a, nil)
+		m2, _, err := index.Merge3(base, bb, a, nil)
 		if err != nil {
 			return false
 		}

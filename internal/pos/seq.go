@@ -21,15 +21,6 @@ type Seq struct {
 	count uint64
 }
 
-// ErrOutOfRange is returned for positions past the end of a sequence.  It
-// is the index layer's shared sentinel.
-var ErrOutOfRange = index.ErrOutOfRange
-
-// NewEmptySeq returns the empty sequence.
-func NewEmptySeq(st store.Store, cfg chunker.Config) *Seq {
-	return &Seq{src: sourceFor(st), cfg: cfg}
-}
-
 // LoadSeq attaches to an existing sequence by root hash.
 func LoadSeq(st store.Store, cfg chunker.Config, root hash.Hash) (*Seq, error) {
 	s := &Seq{src: sourceFor(st), cfg: cfg, root: root}
@@ -87,7 +78,7 @@ func (s *Seq) Len() uint64 { return s.count }
 // callers must not modify it.
 func (s *Seq) Get(i uint64) ([]byte, error) {
 	if i >= s.count {
-		return nil, ErrOutOfRange
+		return nil, index.ErrOutOfRange
 	}
 	id := s.root
 	for {
@@ -98,7 +89,7 @@ func (s *Seq) Get(i uint64) ([]byte, error) {
 		switch n.typ {
 		case chunk.TypeSeqLeaf:
 			if i >= uint64(n.len()) {
-				return nil, ErrOutOfRange
+				return nil, index.ErrOutOfRange
 			}
 			return n.item(int(i)), nil
 		case chunk.TypeSeqIndex:
@@ -112,7 +103,7 @@ func (s *Seq) Get(i uint64) ([]byte, error) {
 				i -= n.count(j)
 			}
 			if !found {
-				return nil, ErrOutOfRange
+				return nil, index.ErrOutOfRange
 			}
 		default:
 			return nil, fmt.Errorf("pos: unexpected chunk %s in seq", n.typ)
@@ -167,7 +158,7 @@ func (s *Seq) walkLeaves(fn func(leaf *node)) error {
 // from-scratch build of the edited item list.
 func (s *Seq) Splice(at, del uint64, ins [][]byte) (*Seq, error) {
 	if at > s.count {
-		return nil, ErrOutOfRange
+		return nil, index.ErrOutOfRange
 	}
 	if del > s.count-at {
 		del = s.count - at

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"forkbase/internal/chunker"
+	"forkbase/internal/index"
 	"forkbase/internal/store"
 )
 
@@ -40,7 +41,7 @@ func TestSeqBuildAndGet(t *testing.T) {
 				t.Fatalf("n=%d Get(%d) = %q, %v", n, i, got, err)
 			}
 		}
-		if _, err := s.Get(uint64(n)); !errors.Is(err, ErrOutOfRange) {
+		if _, err := s.Get(uint64(n)); !errors.Is(err, index.ErrOutOfRange) {
 			t.Fatalf("n=%d out-of-range err = %v", n, err)
 		}
 	}

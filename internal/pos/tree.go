@@ -29,15 +29,6 @@ type Tree struct {
 	count uint64
 }
 
-// ErrKeyNotFound is returned by Get when the key is absent.  It is the
-// index layer's shared sentinel, so errors.Is matches across structures.
-var ErrKeyNotFound = index.ErrKeyNotFound
-
-// NewEmptyTree returns the empty map tree (zero root).
-func NewEmptyTree(st store.Store, cfg chunker.Config) *Tree {
-	return &Tree{src: sourceFor(st), cfg: cfg}
-}
-
 // LoadTree attaches to an existing tree by root hash.  A zero root is the
 // empty tree.  The root node is read to recover the entry count, and kept.
 func LoadTree(st store.Store, cfg chunker.Config, root hash.Hash) (*Tree, error) {
@@ -83,17 +74,14 @@ func (t *Tree) Len() uint64 { return t.count }
 // Store returns the backing chunk store.
 func (t *Tree) Store() store.Store { return t.src.Store() }
 
-// Config returns the chunking configuration.
-func (t *Tree) Config() chunker.Config { return t.cfg }
-
-// Get returns the value stored under key, or ErrKeyNotFound.
+// Get returns the value stored under key, or index.ErrKeyNotFound.
 //
 // The returned slice aliases shared decoded node data (like Iter.Entry and
 // chunk.Data): callers must not modify it, and should copy before holding
 // it long-term.
 func (t *Tree) Get(key []byte) ([]byte, error) {
 	if t.root.IsZero() {
-		return nil, ErrKeyNotFound
+		return nil, index.ErrKeyNotFound
 	}
 	n, err := t.load(t.root)
 	for err == nil {
@@ -104,13 +92,13 @@ func (t *Tree) Get(key []byte) ([]byte, error) {
 					return e.Val, nil
 				}
 			}
-			return nil, ErrKeyNotFound
+			return nil, index.ErrKeyNotFound
 		case chunk.TypeMapIndex:
 			// Descend into the first child whose split key (greatest key in
 			// subtree) is >= key — the B+-tree routing rule from the paper.
 			i := n.search(key)
 			if i == n.len() {
-				return nil, ErrKeyNotFound
+				return nil, index.ErrKeyNotFound
 			}
 			n, err = t.src.Load(n.ref(i).id)
 		default:
@@ -123,7 +111,7 @@ func (t *Tree) Get(key []byte) ([]byte, error) {
 // Has reports whether key is present.
 func (t *Tree) Has(key []byte) (bool, error) {
 	_, err := t.Get(key)
-	if errors.Is(err, ErrKeyNotFound) {
+	if errors.Is(err, index.ErrKeyNotFound) {
 		return false, nil
 	}
 	if err != nil {
@@ -150,14 +138,10 @@ func (t *Tree) Entries() ([]Entry, error) {
 	return out, it.Err()
 }
 
-// Stats describes the physical shape of a tree, the quantity behind the
-// paper's Fig 2 (node structure) experiment.  It is the shared shape type
-// of the versioned-index layer (index.Stats), comparable across structures.
-type Stats = index.Stats
-
-// ComputeStats walks the whole tree and reports its shape.
-func (t *Tree) ComputeStats() (Stats, error) {
-	st := Stats{Entries: t.count, MinNode: 1 << 30}
+// ComputeStats walks the whole tree and reports its shape (index.Stats), the
+// quantity behind the paper's Fig 2 (node structure) experiment.
+func (t *Tree) ComputeStats() (index.Stats, error) {
+	st := index.Stats{Entries: t.count, MinNode: 1 << 30}
 	if t.root.IsZero() {
 		st.MinNode = 0
 		return st, nil
@@ -194,7 +178,7 @@ func (t *Tree) ComputeStats() (Stats, error) {
 		return nil
 	}
 	if err := walk(t.root, 0); err != nil {
-		return Stats{}, err
+		return index.Stats{}, err
 	}
 	return st, nil
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"forkbase/internal/chunker"
+	"forkbase/internal/index"
 	"forkbase/internal/store"
 )
 
@@ -47,7 +48,7 @@ func TestBuildEmpty(t *testing.T) {
 	if tree.Len() != 0 {
 		t.Fatalf("empty tree len = %d", tree.Len())
 	}
-	if _, err := tree.Get([]byte("x")); !errors.Is(err, ErrKeyNotFound) {
+	if _, err := tree.Get([]byte("x")); !errors.Is(err, index.ErrKeyNotFound) {
 		t.Fatalf("Get on empty = %v, want ErrKeyNotFound", err)
 	}
 }
@@ -70,10 +71,10 @@ func TestBuildAndGet(t *testing.T) {
 					t.Fatalf("Get(%q) = %q, want %q", e.Key, v, e.Val)
 				}
 			}
-			if _, err := tree.Get([]byte("absent")); !errors.Is(err, ErrKeyNotFound) {
+			if _, err := tree.Get([]byte("absent")); !errors.Is(err, index.ErrKeyNotFound) {
 				t.Fatalf("absent key err = %v", err)
 			}
-			if _, err := tree.Get([]byte("zzzz-beyond-max")); !errors.Is(err, ErrKeyNotFound) {
+			if _, err := tree.Get([]byte("zzzz-beyond-max")); !errors.Is(err, index.ErrKeyNotFound) {
 				t.Fatalf("beyond-max key err = %v", err)
 			}
 		})
@@ -416,7 +417,7 @@ func TestEditEdgeCases(t *testing.T) {
 		}
 	})
 	t.Run("edit into empty tree", func(t *testing.T) {
-		empty := NewEmptyTree(st, testCfg())
+		empty := mustBuild(t, st, nil)
 		got, err := empty.Edit([]Op{Put([]byte("k"), []byte("v")), Del([]byte("g"))})
 		if err != nil {
 			t.Fatal(err)

@@ -73,7 +73,7 @@ func (h *Handler) importCSV(w http.ResponseWriter, r *http.Request, name string)
 				writeErr(w, err) // lost head race is the caller's 409, not a 400
 				return
 			}
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
+			writeBadBody(w, err, err.Error())
 			return
 		}
 		writeJSON(w, http.StatusOK, map[string]any{
@@ -89,7 +89,7 @@ func (h *Handler) importCSV(w http.ResponseWriter, r *http.Request, name string)
 	}
 	ds, err := dataset.CreateFromCSV(h.db, name, branchParam(r), keyCol, r.Body, nil)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
+		writeBadBody(w, err, err.Error())
 		return
 	}
 	writeJSON(w, http.StatusCreated, map[string]any{

@@ -8,7 +8,7 @@ import (
 	"testing"
 
 	"forkbase/internal/core"
-	"forkbase/internal/pos"
+	"forkbase/internal/index"
 	"forkbase/internal/repl"
 	"forkbase/internal/store"
 	"forkbase/internal/value"
@@ -25,7 +25,7 @@ func TestWriteErrMapping(t *testing.T) {
 	}{
 		{"branch not found", core.ErrBranchNotFound, http.StatusNotFound},
 		{"key not found", core.ErrKeyNotFound, http.StatusNotFound},
-		{"map key not found", pos.ErrKeyNotFound, http.StatusNotFound},
+		{"map key not found", index.ErrKeyNotFound, http.StatusNotFound},
 		{"chunk not found", store.ErrNotFound, http.StatusNotFound},
 		{"wrapped branch not found", fmt.Errorf("ctx: %w", core.ErrBranchNotFound), http.StatusNotFound},
 		{"branch exists", core.ErrBranchExists, http.StatusConflict},

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"forkbase/internal/obs"
+	"forkbase/internal/server"
 )
 
 // restMetrics holds the handler's pre-registered metric families.  Handles
@@ -134,6 +135,11 @@ const maxTraceIDLen = 64
 // route, then account for it.  The accounting is deferred, so a handler that
 // panics is counted as a 500 and leaves the in-flight gauge where it found
 // it; the panic itself goes on to net/http.
+//
+// Every request body is capped at server.MaxPayload, the TCP edge's frame
+// cap: a body declared longer is refused with 413 before anything is read,
+// and a read past the cap fails with *http.MaxBytesError, which the routes
+// answer with 413 too (writeBadBody).
 func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	route := routeLabel(r.URL.Path)
@@ -165,7 +171,12 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 				"status", sr.code, "elapsed", elapsed)
 		}
 	}()
-	h.mux.ServeHTTP(sr, r.WithContext(ctx))
+	if r.ContentLength > server.MaxPayload {
+		writeJSON(sr, http.StatusRequestEntityTooLarge, errorBody{Error: "request body too large"})
+	} else {
+		r.Body = http.MaxBytesReader(w, r.Body, server.MaxPayload)
+		h.mux.ServeHTTP(sr, r.WithContext(ctx))
+	}
 	served = true
 }
 

@@ -30,6 +30,7 @@ import (
 
 	"forkbase/internal/core"
 	"forkbase/internal/hash"
+	"forkbase/internal/index"
 	"forkbase/internal/obs"
 	"forkbase/internal/pos"
 	"forkbase/internal/repl"
@@ -230,7 +231,7 @@ func writeErr(w http.ResponseWriter, err error) {
 		code = http.StatusServiceUnavailable
 	case errors.Is(err, core.ErrBranchNotFound),
 		errors.Is(err, core.ErrKeyNotFound),
-		errors.Is(err, pos.ErrKeyNotFound),
+		errors.Is(err, index.ErrKeyNotFound),
 		errors.Is(err, store.ErrNotFound):
 		code = http.StatusNotFound
 	case errors.Is(err, core.ErrBranchExists),
@@ -243,6 +244,17 @@ func writeErr(w http.ResponseWriter, err error) {
 		code = http.StatusBadGateway // the storage layer is lying to us
 	}
 	writeJSON(w, code, errorBody{Error: err.Error()})
+}
+
+// writeBadBody answers a request body the route cannot use with msg: 413 when
+// err is the read that ran past the body cap (see ServeHTTP), else 400.
+func writeBadBody(w http.ResponseWriter, err error, msg string) {
+	code := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	writeJSON(w, code, errorBody{Error: msg})
 }
 
 // versionBody is the JSON rendering of a Version.
@@ -395,7 +407,7 @@ func (h *Handler) putObject(w http.ResponseWriter, r *http.Request, key string) 
 	}
 	var body putBody
 	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad JSON: " + err.Error()})
+		writeBadBody(w, err, "bad JSON: "+err.Error())
 		return
 	}
 	// Build + commit under the GC write fence: a concurrent POST /v1/gc
@@ -493,7 +505,7 @@ func (h *Handler) batch(w http.ResponseWriter, r *http.Request) {
 		Ops []batchOpBody `json:"ops"`
 	}
 	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad JSON: " + err.Error()})
+		writeBadBody(w, err, "bad JSON: "+err.Error())
 		return
 	}
 	if len(body.Ops) == 0 {
@@ -645,7 +657,7 @@ func (h *Handler) branch(w http.ResponseWriter, r *http.Request, key string) {
 	}
 	var body branchBody
 	if err := json.NewDecoder(r.Body).Decode(&body); err != nil || body.New == "" {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "need {new, from?}"})
+		writeBadBody(w, err, "need {new, from?}")
 		return
 	}
 	if err := h.db.Branch(key, body.New, body.From); err != nil {
@@ -672,16 +684,16 @@ func (h *Handler) merge(w http.ResponseWriter, r *http.Request, key string) {
 	}
 	var body mergeBody
 	if err := json.NewDecoder(r.Body).Decode(&body); err != nil || body.Into == "" || body.From == "" {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "need {into, from}"})
+		writeBadBody(w, err, "need {into, from}")
 		return
 	}
-	var resolve pos.Resolver
+	var resolve index.Resolver
 	switch body.Resolve {
 	case "":
 	case "ours":
-		resolve = pos.ResolveOurs
+		resolve = index.ResolveOurs
 	case "theirs":
-		resolve = pos.ResolveTheirs
+		resolve = index.ResolveTheirs
 	default:
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "resolve must be ours|theirs"})
 		return
@@ -692,7 +704,7 @@ func (h *Handler) merge(w http.ResponseWriter, r *http.Request, key string) {
 	}
 	res, err := h.db.MergeCtx(r.Context(), key, body.Into, body.From, resolve, meta)
 	if err != nil {
-		var ce *pos.ErrConflict
+		var ce *index.ErrConflict
 		if errors.As(err, &ce) {
 			conflicts := make([]map[string]string, len(ce.Conflicts))
 			for i, c := range ce.Conflicts {

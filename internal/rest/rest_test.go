@@ -532,7 +532,7 @@ func TestHealthzNotReadyIs503WithRetryAfter(t *testing.T) {
 // transiently-down store surfaces as 503 + Retry-After (backpressure), not
 // as a 500 or a fake 404.
 func TestUnavailableStoreIs503(t *testing.T) {
-	flaky := chaos.NewFlakyStore(store.NewMemStore(), 1)
+	flaky := chaos.NewFlakyStore(store.NewMemStore())
 	db := core.Open(core.Options{Store: flaky, Chunking: chunker.SmallConfig()})
 	srv := httptest.NewServer(New(db))
 	t.Cleanup(srv.Close)

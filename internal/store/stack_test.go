@@ -211,7 +211,7 @@ func checkCap[T any](t *testing.T, name string, st, backend store.Store) {
 func TestTrustDenyByDefault(t *testing.T) {
 	mem := store.NewMemStore()
 	opaque := map[string]store.Store{
-		"flaky":   chaos.NewFlakyStore(mem, 1),
+		"flaky":   chaos.NewFlakyStore(mem),
 		"remote":  server.NewRemoteStore(nil), // never dialed: discovery makes no calls
 		"foreign": foreign{mem},
 	}
