@@ -125,45 +125,10 @@ func (s *shardedStore) Put(ch *chunk.Chunk) (bool, error) {
 	return fresh, c.shardErr(n, err)
 }
 
-// PutBatch implements store.Store: the batch is split by placement and
-// each node receives its share as one OpPutChunks request, all shards in
-// parallel — a B-chunk batch over N nodes costs one round-trip time instead
-// of B.
+// PutBatch implements store.Store through scatter: each node receives its
+// share as one OpPutChunks request.
 func (s *shardedStore) PutBatch(cs []*chunk.Chunk) ([]bool, error) {
-	c := s.cluster()
-	groups := make(map[int][]int) // node index -> positions in cs
-	for i, ch := range cs {
-		n := c.shardIndex(ch.ID())
-		groups[n] = append(groups[n], i)
-	}
-	fresh := make([]bool, len(cs))
-	var wg sync.WaitGroup
-	errs := make([]error, len(c.stores))
-	for n, idxs := range groups {
-		part := make([]*chunk.Chunk, len(idxs))
-		for j, i := range idxs {
-			part[j] = cs[i]
-		}
-		wg.Add(1)
-		go func(n int, idxs []int, part []*chunk.Chunk) {
-			defer wg.Done()
-			partFresh, err := c.stores[n].PutBatch(part)
-			if err != nil {
-				errs[n] = c.shardErr(n, err)
-				return
-			}
-			for j, i := range idxs {
-				fresh[i] = partFresh[j]
-			}
-		}(n, idxs, part)
-	}
-	wg.Wait()
-	// Aggregate every failed shard (not just the first): a caller staring at
-	// a partial-failure error needs to know the full blast radius.
-	if err := errors.Join(errs...); err != nil {
-		return fresh, err
-	}
-	return fresh, nil
+	return scatter(s.cluster(), cs, (*chunk.Chunk).ID, (*server.RemoteStore).PutBatch)
 }
 
 // Get implements store.Store.
@@ -188,69 +153,56 @@ func (s *shardedStore) Has(id hash.Hash) (bool, error) {
 	return ok, c.shardErr(n, err)
 }
 
-// scatter partitions ids by placement, runs fn once per involved node in
-// parallel, and lets fn write results back through the position lists —
-// the shared skeleton of the batched read paths.
-func (s *shardedStore) scatter(ids []hash.Hash, fn func(node int, idxs []int, part []hash.Hash) error) error {
-	c := s.cluster()
-	groups := make(map[int][]int)
-	for i, id := range ids {
-		n := c.shardIndex(id)
+// scatter splits a batch by placement and hands each involved node its
+// share as one batch call, all nodes in parallel, writing each node's
+// results back to the positions its share came from — a B-item batch over N
+// nodes costs one round-trip time instead of B.
+func scatter[T, R any](c *Cluster, in []T, id func(T) hash.Hash, batch func(*server.RemoteStore, []T) ([]R, error)) ([]R, error) {
+	groups := make(map[int][]int) // node index -> positions in the batch
+	for i, x := range in {
+		n := c.shardIndex(id(x))
 		groups[n] = append(groups[n], i)
 	}
-	var wg sync.WaitGroup
+	out := make([]R, len(in))
 	errs := make([]error, len(c.stores))
+	var wg sync.WaitGroup
 	for n, idxs := range groups {
-		part := make([]hash.Hash, len(idxs))
+		part := make([]T, len(idxs))
 		for j, i := range idxs {
-			part[j] = ids[i]
+			part[j] = in[i]
 		}
 		wg.Add(1)
-		go func(n int, idxs []int, part []hash.Hash) {
+		go func(n int, idxs []int, part []T) {
 			defer wg.Done()
-			errs[n] = c.shardErr(n, fn(n, idxs, part))
+			res, err := batch(c.stores[n], part)
+			if err != nil {
+				errs[n] = c.shardErr(n, err)
+				return
+			}
+			for j, i := range idxs {
+				out[i] = res[j]
+			}
 		}(n, idxs, part)
 	}
 	wg.Wait()
 	// One slow-or-dead shard must not masquerade as total failure: name
 	// every shard that failed and let errors.Is/As find the causes.
-	return errors.Join(errs...)
+	return out, errors.Join(errs...)
 }
 
-// GetBatch implements store.Store: ids are split by placement and
-// fetched from all involved nodes in parallel, one OpGetChunks round trip
-// per node — a whole sync-frontier level costs one RTT regardless of size.
+// itself is an id list's placement key.
+func itself(id hash.Hash) hash.Hash { return id }
+
+// GetBatch implements store.Store through scatter: one OpGetChunks round
+// trip per node, so a whole sync-frontier level costs one RTT regardless of
+// size.
 func (s *shardedStore) GetBatch(ids []hash.Hash) ([]*chunk.Chunk, error) {
-	c := s.cluster()
-	out := make([]*chunk.Chunk, len(ids))
-	err := s.scatter(ids, func(n int, idxs []int, part []hash.Hash) error {
-		partOut, err := c.stores[n].GetBatch(part)
-		if err != nil {
-			return err
-		}
-		for j, i := range idxs {
-			out[i] = partOut[j]
-		}
-		return nil
-	})
-	return out, err
+	return scatter(s.cluster(), ids, itself, (*server.RemoteStore).GetBatch)
 }
 
-// HasBatch implements store.Store with the same scatter/gather.
+// HasBatch implements store.Store through scatter.
 func (s *shardedStore) HasBatch(ids []hash.Hash) ([]bool, error) {
-	c := s.cluster()
-	out := make([]bool, len(ids))
-	err := s.scatter(ids, func(n int, idxs []int, part []hash.Hash) error {
-		partOut, err := c.stores[n].HasBatch(part)
-		if err != nil {
-			return err
-		}
-		for j, i := range idxs {
-			out[i] = partOut[j]
-		}
-		return nil
-	})
-	return out, err
+	return scatter(s.cluster(), ids, itself, (*server.RemoteStore).HasBatch)
 }
 
 // Stats implements store.Store by aggregating all shards.

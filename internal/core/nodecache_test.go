@@ -104,7 +104,7 @@ func TestCachedObjectOfAnotherKind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mpt.Load(db.Store(), cfg, mv.Root()); err != nil {
+	if _, err := mpt.Load(db.Store(), mv.Root()); err != nil {
 		t.Fatal(err)
 	}
 	if posTree.Len() != uint64(len(entries)) {
@@ -152,7 +152,7 @@ func TestCachedObjectOfAnotherKind(t *testing.T) {
 		{"MPT root names a cached FNode", ver.UID},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			if err := readCached(t, tc.target, func() error { _, err := mpt.Load(db.Store(), cfg, tc.target); return err }); err == nil {
+			if err := readCached(t, tc.target, func() error { _, err := mpt.Load(db.Store(), tc.target); return err }); err == nil {
 				t.Fatal("loaded a foreign object as an MPT root")
 			}
 		})

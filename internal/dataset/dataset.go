@@ -18,6 +18,7 @@ import (
 	"sort"
 	"strings"
 
+	"forkbase/internal/codec"
 	"forkbase/internal/core"
 	"forkbase/internal/index"
 	"forkbase/internal/pos"
@@ -81,36 +82,23 @@ type Row []string
 // encodeRow renders cells with uvarint length prefixes — deterministic, so
 // identical rows encode identically and dedup page-wise.
 func encodeRow(r Row) []byte {
-	var out []byte
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], uint64(len(r)))
-	out = append(out, tmp[:n]...)
+	out := binary.AppendUvarint(nil, uint64(len(r)))
 	for _, cell := range r {
-		n = binary.PutUvarint(tmp[:], uint64(len(cell)))
-		out = append(out, tmp[:n]...)
-		out = append(out, cell...)
+		out = append(binary.AppendUvarint(out, uint64(len(cell))), cell...)
 	}
 	return out
 }
 
+// decodeRow parses encodeRow's form and refuses any other.  A row is a map
+// entry's value, which any writer can store.
 func decodeRow(data []byte) (Row, error) {
-	n, sz := binary.Uvarint(data)
-	if sz <= 0 {
-		return nil, errors.New("dataset: truncated row")
+	r := codec.NewReader(data)
+	row := make(Row, r.Count(1, -1)) // a cell is at least its length byte
+	for i := range row {
+		row[i] = string(r.Bytes())
 	}
-	p := data[sz:]
-	row := make(Row, 0, n)
-	for i := uint64(0); i < n; i++ {
-		l, sz := binary.Uvarint(p)
-		if sz <= 0 || uint64(len(p[sz:])) < l {
-			return nil, errors.New("dataset: truncated cell")
-		}
-		p = p[sz:]
-		row = append(row, string(p[:l]))
-		p = p[l:]
-	}
-	if len(p) != 0 {
-		return nil, errors.New("dataset: trailing row bytes")
+	if !r.Done() {
+		return nil, errors.New("dataset: malformed row")
 	}
 	return row, nil
 }

@@ -2,6 +2,8 @@ package dataset
 
 import (
 	"bytes"
+	"encoding/binary"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -367,4 +369,50 @@ func TestAppendCSV(t *testing.T) {
 	if _, err := ds2.AppendCSV(strings.NewReader("name,id,city\nx,y,z\n"), nil); err == nil {
 		t.Fatal("reordered header accepted")
 	}
+}
+
+// hostileRows are stored row encodings encodeRow never writes: a row is a
+// map entry's value, which any writer can store.
+func hostileRows() map[string][]byte {
+	return map[string][]byte{
+		"row count 2^62":            binary.AppendUvarint(nil, 1<<62),
+		"row count past the bytes":  {3, 1, 'a'},
+		"zero-padded cell length":   {1, 0x81, 0x00, 'a'},
+		"zero-padded row count":     {0x81, 0x00, 1, 'a'},
+		"cell length past the row":  {1, 5, 'a'},
+		"trailing byte after a row": {1, 1, 'a', 0},
+		"empty":                     {},
+	}
+}
+
+func TestDecodeRowRefusesHostileRows(t *testing.T) {
+	for name, enc := range hostileRows() {
+		if row, err := decodeRow(enc); err == nil {
+			t.Errorf("%s: accepted as %q", name, row)
+		}
+	}
+}
+
+// FuzzDecodeRow: decodeRow reads bytes any writer can store.  It must not
+// panic, must allocate by the input rather than by a count it read, and a
+// row it accepts must re-encode to the bytes it came from.
+func FuzzDecodeRow(f *testing.F) {
+	for _, r := range append(sampleRows(3), Row{}, Row{""}, Row{strings.Repeat("x", 300), "é"}) {
+		f.Add(encodeRow(r))
+	}
+	for _, enc := range hostileRows() {
+		f.Add(enc)
+	}
+	f.Fuzz(func(t *testing.T, enc []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		row, err := decodeRow(enc)
+		runtime.ReadMemStats(&after)
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(1<<16+32*len(enc)); got > limit {
+			t.Fatalf("%d-byte row allocated %d bytes (limit %d)", len(enc), got, limit)
+		}
+		if err == nil && !bytes.Equal(encodeRow(row), enc) {
+			t.Fatalf("%x decoded to %q, which encodes as %x", enc, row, encodeRow(row))
+		}
+	})
 }

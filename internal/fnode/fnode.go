@@ -20,6 +20,7 @@ import (
 	"sort"
 
 	"forkbase/internal/chunk"
+	"forkbase/internal/codec"
 	"forkbase/internal/hash"
 	"forkbase/internal/index"
 	"forkbase/internal/store"
@@ -53,6 +54,8 @@ type FNode struct {
 // ErrNotFNode is returned when a uid resolves to a non-FNode chunk.
 var ErrNotFNode = errors.New("fnode: chunk is not an FNode")
 
+var errMalformed = errors.New("fnode: malformed encoding")
+
 // New assembles an FNode for a fresh value deriving from bases.  It copies
 // key, bases and meta, so a saved FNode shares nothing with its caller.
 func New(key []byte, val value.Value, bases []hash.Hash, seq uint64, meta map[string]string) *FNode {
@@ -73,38 +76,27 @@ func (f *FNode) DecodedValue() (value.Value, error) {
 	return value.Decode(f.Value)
 }
 
-func appendUvarint(dst []byte, x uint64) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], x)
-	return append(dst, tmp[:n]...)
-}
-
-func appendBytes(dst, b []byte) []byte {
-	dst = appendUvarint(dst, uint64(len(b)))
-	return append(dst, b...)
-}
-
 // Encode renders the canonical byte form.  Every field participates, and
 // map keys are sorted, so the encoding — and therefore the uid — is a pure
 // function of the version's content and history.
 func (f *FNode) Encode() []byte {
-	var out []byte
-	out = appendBytes(out, f.Key)
-	out = appendUvarint(out, f.Seq)
-	out = appendUvarint(out, uint64(len(f.Bases)))
+	out := append(binary.AppendUvarint(nil, uint64(len(f.Key))), f.Key...)
+	out = binary.AppendUvarint(out, f.Seq)
+	out = binary.AppendUvarint(out, uint64(len(f.Bases)))
 	for _, b := range f.Bases {
 		out = append(out, b[:]...)
 	}
-	out = appendBytes(out, f.Value)
+	out = append(binary.AppendUvarint(out, uint64(len(f.Value))), f.Value...)
 	keys := make([]string, 0, len(f.Meta))
 	for k := range f.Meta {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	out = appendUvarint(out, uint64(len(keys)))
+	out = binary.AppendUvarint(out, uint64(len(keys)))
 	for _, k := range keys {
-		out = appendBytes(out, []byte(k))
-		out = appendBytes(out, []byte(f.Meta[k]))
+		v := f.Meta[k]
+		out = append(binary.AppendUvarint(out, uint64(len(k))), k...)
+		out = append(binary.AppendUvarint(out, uint64(len(v))), v...)
 	}
 	// Index kind: a single trailing byte, present only for non-default
 	// structures.  Omitting the POS default keeps every POS-backed encoding
@@ -115,85 +107,40 @@ func (f *FNode) Encode() []byte {
 	return out
 }
 
-// Decode parses the canonical byte form.
+// Decode parses the canonical byte form and refuses any other: a
+// non-minimal varint, meta keys out of order, a redundant or unknown index
+// kind byte, or bytes left over.
 func Decode(data []byte) (*FNode, error) {
-	f := &FNode{}
-	p := data
-	var err error
-	if f.Key, p, err = readBytes(p); err != nil {
-		return nil, fmt.Errorf("fnode: key: %w", err)
-	}
-	var n uint64
-	if f.Seq, p, err = readUvarint(p); err != nil {
-		return nil, fmt.Errorf("fnode: seq: %w", err)
-	}
-	if n, p, err = readUvarint(p); err != nil {
-		return nil, fmt.Errorf("fnode: base count: %w", err)
-	}
-	if n > uint64(len(p))/hash.Size {
-		return nil, errors.New("fnode: base count exceeds payload")
-	}
-	f.Bases = make([]hash.Hash, n)
+	r := codec.NewReader(data)
+	f := &FNode{Key: clone(r.Bytes()), Seq: r.Uvarint()}
+	f.Bases = make([]hash.Hash, r.Count(hash.Size, -1))
 	for i := range f.Bases {
-		copy(f.Bases[i][:], p[:hash.Size])
-		p = p[hash.Size:]
+		f.Bases[i] = r.ID()
 	}
-	if f.Value, p, err = readBytes(p); err != nil {
-		return nil, fmt.Errorf("fnode: value: %w", err)
-	}
-	if n, p, err = readUvarint(p); err != nil {
-		return nil, fmt.Errorf("fnode: meta count: %w", err)
-	}
-	if n > uint64(len(p))/2 { // an entry is at least its two length bytes
-		return nil, errors.New("fnode: meta count exceeds payload")
-	}
-	if n > 0 {
+	f.Value = clone(r.Bytes())
+	if n := r.Count(2, -1); n > 0 { // an entry is at least its two length bytes
 		f.Meta = make(map[string]string, n)
-		for i := uint64(0); i < n; i++ {
-			var k, v []byte
-			if k, p, err = readBytes(p); err != nil {
-				return nil, fmt.Errorf("fnode: meta key: %w", err)
-			}
-			if v, p, err = readBytes(p); err != nil {
-				return nil, fmt.Errorf("fnode: meta value: %w", err)
-			}
-			f.Meta[string(k)] = string(v)
+		prev := ""
+		for i := 0; i < n; i++ {
+			k, v := string(r.Bytes()), string(r.Bytes())
+			r.Check(i == 0 || k > prev) // Encode sorts the keys
+			f.Meta[k], prev = v, k
 		}
 	}
-	if len(p) > 0 {
-		f.Index = index.Kind(p[0])
-		if f.Index == index.KindPOS {
-			return nil, errors.New("fnode: redundant index kind byte (POS is encoded as absence)")
+	if r.Len() == 1 {
+		f.Index = index.Kind(r.Byte())
+		if f.Index == index.KindPOS || !f.Index.Known() {
+			return nil, fmt.Errorf("fnode: bad index kind byte %d (POS is encoded as absence)", f.Index)
 		}
-		if !f.Index.Known() {
-			return nil, fmt.Errorf("fnode: unknown index kind %d", p[0])
-		}
-		p = p[1:]
 	}
-	if len(p) != 0 {
-		return nil, fmt.Errorf("fnode: %d trailing bytes", len(p))
+	if !r.Done() {
+		return nil, errMalformed
 	}
 	return f, nil
 }
 
-func readUvarint(p []byte) (uint64, []byte, error) {
-	v, n := binary.Uvarint(p)
-	if n <= 0 {
-		return 0, nil, errors.New("truncated uvarint")
-	}
-	return v, p[n:], nil
-}
-
-func readBytes(p []byte) ([]byte, []byte, error) {
-	l, rest, err := readUvarint(p)
-	if err != nil {
-		return nil, nil, err
-	}
-	if uint64(len(rest)) < l {
-		return nil, nil, errors.New("truncated bytes")
-	}
-	return append([]byte(nil), rest[:l]...), rest[l:], nil
-}
+// clone copies b out of the encoding, so a decoded FNode holds none of it.
+func clone(b []byte) []byte { return append([]byte(nil), b...) }
 
 // cacheCost approximates the memory a decoded FNode holds, for the
 // decoded-node cache's budget: Decode copies every field out of the c.Size()

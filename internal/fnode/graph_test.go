@@ -103,6 +103,11 @@ func hostileChunks() map[string][]byte {
 		"index node with no payload at all":    {byte(chunk.TypeSeqIndex)},
 		"mpt node with no payload at all":      {byte(chunk.TypeMPTNode)},
 		"fnode that is only a huge key count":  cat(fn, uvarint(1<<60)),
+		"fnode with a zero-padded seq":         cat(fn, key, []byte{0x81, 0x00}, uvarint(0), str, uvarint(0)),
+		"fnode whose value has a trailing byte": cat(fn, key, uvarint(1), uvarint(0), uvarint(1+hash.Size+2),
+			[]byte{byte(value.KindMap)}, bytes.Repeat([]byte{7}, hash.Size), uvarint(5), []byte{0}, uvarint(0)),
+		"fnode with meta keys out of order": cat(fn, key, uvarint(1), uvarint(0), str, uvarint(2),
+			uvarint(1), []byte("b"), uvarint(0), uvarint(1), []byte("a"), uvarint(0)),
 	}
 }
 
@@ -153,8 +158,10 @@ func TestRefs(t *testing.T) {
 }
 
 // FuzzRefs: Refs is what heal and replica sync run over bytes a peer sent,
-// before anything has hashed them.  It must not panic, and must not allocate
-// by a length field instead of by the input.
+// before anything has hashed them.  It must not panic, must not allocate by
+// a length field instead of by the input, and an FNode it accepts must
+// re-encode, value descriptor included, to the bytes it came from: one
+// version, one uid.
 func FuzzRefs(f *testing.F) {
 	for _, c := range goldenChunks(f) {
 		f.Add(c.Encode())
@@ -176,6 +183,13 @@ func FuzzRefs(f *testing.F) {
 		}
 		if err == nil && len(refs)*hash.Size > len(enc) {
 			t.Fatalf("%d refs out of %d bytes", len(refs), len(enc))
+		}
+		if err == nil && c.Type() == chunk.TypeFNode {
+			f, _ := Decode(c.Data())
+			v, _ := f.DecodedValue()
+			if !bytes.Equal(f.Encode(), c.Data()) || !bytes.Equal(v.Encode(), f.Value) {
+				t.Fatalf("accepted FNode %x re-encodes as %x (value %x as %x)", c.Data(), f.Encode(), f.Value, v.Encode())
+			}
 		}
 	})
 }

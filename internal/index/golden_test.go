@@ -91,9 +91,9 @@ func goldenMap(cfg chunker.Config, edit bool) func(store.Store) (hash.Hash, erro
 	}
 }
 
-func goldenTrie(cfg chunker.Config) func(store.Store) (hash.Hash, error) {
+func goldenTrie() func(store.Store) (hash.Hash, error) {
 	return func(st store.Store) (hash.Hash, error) {
-		return rootOf(mpt.Build(st, cfg, goldenRows(10000)))
+		return rootOf(mpt.Build(st, goldenRows(10000)))
 	}
 }
 
@@ -121,7 +121,7 @@ func TestGoldenRoots(t *testing.T) {
 		{"pos-map-10k+edit8/default", goldenMap(def, true), "62bf3b5bdb6f58ed91186105deb04e108c41539482f5034f4562b549a36b6d5b"},
 		{"list-50k/default", goldenList(def), "a96941eae5f8d9d0dd0954094350559324755fe70e7726c9f606f0764e6af35d"},
 		{"blob-1MiB/default", goldenBlob(def), "7d4df8ddd0f1018631bd9a890caa757e59b7bb8e0af4e2d763e5bfccfc5e56c8"},
-		{"mpt-10k/default", goldenTrie(def), "4ba47d55282bf799b77d8faa1029227a8ecff078b420d2724ac2dee6f211dfa0"},
+		{"mpt-10k/default", goldenTrie(), "4ba47d55282bf799b77d8faa1029227a8ecff078b420d2724ac2dee6f211dfa0"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			root, err := tc.build(store.NewMemStore())

@@ -54,7 +54,7 @@ func TestCommitStartsNoGoroutine(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	trie, err := mpt.Build(probe, cfg, goldenRows(2000))
+	trie, err := mpt.Build(probe, goldenRows(2000))
 	must(err)
 	seq, err := pos.BuildSeq(probe, cfg, goldenItems(20000))
 	must(err)

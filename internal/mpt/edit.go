@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"forkbase/internal/chunk"
-	"forkbase/internal/chunker"
 	"forkbase/internal/hash"
 	"forkbase/internal/index"
 	"forkbase/internal/store"
@@ -361,7 +360,7 @@ func (t *Trie) Apply(ops []index.Op) (index.VersionedIndex, error) {
 		}
 	}
 	if root == nil {
-		return New(t.src.Store(), t.cfg), nil
+		return New(t.src.Store()), nil
 	}
 	sink := store.NewChunkSink(t.src.Store())
 	defer sink.Close()
@@ -375,18 +374,18 @@ func (t *Trie) Apply(ops []index.Op) (index.VersionedIndex, error) {
 	if total != uint64(count) {
 		return nil, fmt.Errorf("mpt: count drift: tracked %d, committed %d", count, total)
 	}
-	return &Trie{src: t.src, cfg: t.cfg, root: id, count: total}, nil
+	return &Trie{src: t.src, root: id, count: total}, nil
 }
 
 // Build constructs a trie over entries (need not be sorted; duplicate keys
 // keep the last value).  Because the trie is canonical, the result is
 // byte-identical to any edit sequence producing the same record set.
-func Build(st store.Store, cfg chunker.Config, entries []index.Entry) (*Trie, error) {
+func Build(st store.Store, entries []index.Entry) (*Trie, error) {
 	ops := make([]index.Op, len(entries))
 	for i, e := range entries {
 		ops[i] = index.Put(e.Key, e.Val)
 	}
-	idx, err := New(st, cfg).Apply(ops)
+	idx, err := New(st).Apply(ops)
 	if err != nil {
 		return nil, err
 	}

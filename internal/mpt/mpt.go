@@ -36,7 +36,7 @@ import (
 	"fmt"
 
 	"forkbase/internal/chunk"
-	"forkbase/internal/chunker"
+	"forkbase/internal/codec"
 	"forkbase/internal/hash"
 	"forkbase/internal/index"
 	"forkbase/internal/store"
@@ -89,12 +89,6 @@ func (n *node) count() uint64 {
 	}
 }
 
-func appendUvarint(dst []byte, x uint64) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], x)
-	return append(dst, tmp[:n]...)
-}
-
 // packNibbles appends the packed form of a nibble path: high nibble first,
 // odd lengths padded with a zero low nibble (the length travels separately,
 // so the pad is unambiguous).
@@ -108,32 +102,20 @@ func packNibbles(dst, nibs []byte) []byte {
 	return dst
 }
 
-func errTrunc(what string) error { return fmt.Errorf("mpt: truncated %s", what) }
-
-// readNibbles parses uvarint(count) | packed nibbles from p.
-func readNibbles(p []byte) (nibs, rest []byte, err error) {
-	n, sz := binary.Uvarint(p)
-	if sz <= 0 {
-		return nil, nil, errTrunc("path length")
+// readNibbles reads uvarint(count) | packed nibbles.
+func readNibbles(r *codec.Reader) []byte {
+	n := r.Uvarint()
+	r.Check(n <= 2*uint64(r.Len()))
+	packed := r.Take(int(n+1) / 2)
+	// An odd path's pad nibble is zero.
+	if r.Check(n%2 == 0 || len(packed) > 0 && packed[len(packed)-1]&0x0f == 0); r.Bad() {
+		return nil
 	}
-	p = p[sz:]
-	packed := int(n+1) / 2
-	if n > uint64(len(p))*2 || packed > len(p) {
-		return nil, nil, errTrunc("path nibbles")
+	nibs := make([]byte, n)
+	for i := range nibs { // high nibble first
+		nibs[i] = packed[i/2] >> (4 - 4*(i%2)) & 0x0f
 	}
-	nibs = make([]byte, n)
-	for i := range nibs {
-		b := p[i/2]
-		if i%2 == 0 {
-			nibs[i] = b >> 4
-		} else {
-			nibs[i] = b & 0x0f
-		}
-	}
-	if n%2 == 1 && p[packed-1]&0x0f != 0 {
-		return nil, nil, errors.New("mpt: nonzero nibble padding")
-	}
-	return nibs, p[packed:], nil
+	return nibs
 }
 
 // encodeNode renders the canonical [type][payload] chunk encoding of a
@@ -143,15 +125,15 @@ func encodeNode(dst []byte, kind byte, path, val []byte, hasVal bool, mask uint1
 	dst = append(dst, byte(chunk.TypeMPTNode), kind)
 	switch kind {
 	case kindLeaf:
-		dst = appendUvarint(dst, uint64(len(path)))
+		dst = binary.AppendUvarint(dst, uint64(len(path)))
 		dst = packNibbles(dst, path)
-		dst = appendUvarint(dst, uint64(len(val)))
+		dst = binary.AppendUvarint(dst, uint64(len(val)))
 		dst = append(dst, val...)
 	case kindExt:
-		dst = appendUvarint(dst, uint64(len(path)))
+		dst = binary.AppendUvarint(dst, uint64(len(path)))
 		dst = packNibbles(dst, path)
 		dst = append(dst, ids[0][:]...)
-		dst = appendUvarint(dst, counts[0])
+		dst = binary.AppendUvarint(dst, counts[0])
 	case kindBranch:
 		dst = append(dst, byte(mask>>8), byte(mask))
 		for i := 0; i < 16; i++ {
@@ -159,11 +141,11 @@ func encodeNode(dst []byte, kind byte, path, val []byte, hasVal bool, mask uint1
 				continue
 			}
 			dst = append(dst, ids[i][:]...)
-			dst = appendUvarint(dst, counts[i])
+			dst = binary.AppendUvarint(dst, counts[i])
 		}
 		if hasVal {
 			dst = append(dst, 1)
-			dst = appendUvarint(dst, uint64(len(val)))
+			dst = binary.AppendUvarint(dst, uint64(len(val)))
 			dst = append(dst, val...)
 		} else {
 			dst = append(dst, 0)
@@ -174,90 +156,35 @@ func encodeNode(dst []byte, kind byte, path, val []byte, hasVal bool, mask uint1
 
 // decodeNode parses a TypeMPTNode chunk payload.
 func decodeNode(c *chunk.Chunk) (*node, error) {
-	data := c.Data()
-	if len(data) < 1 {
-		return nil, errTrunc("node header")
-	}
-	n := &node{kind: data[0], encSize: c.Size()}
-	p := data[1:]
-	var err error
+	r := codec.NewReader(c.Data())
+	n := &node{kind: r.Byte(), encSize: c.Size()}
 	switch n.kind {
 	case kindLeaf:
-		if n.path, p, err = readNibbles(p); err != nil {
-			return nil, err
-		}
-		vl, sz := binary.Uvarint(p)
-		if sz <= 0 || uint64(len(p[sz:])) < vl {
-			return nil, errTrunc("leaf value")
-		}
-		p = p[sz:]
-		n.val = p[:vl:vl]
-		n.hasVal = true
-		p = p[vl:]
+		n.path = readNibbles(&r)
+		n.val, n.hasVal = r.Bytes(), true
 	case kindExt:
-		if n.path, p, err = readNibbles(p); err != nil {
-			return nil, err
-		}
-		if len(n.path) == 0 {
-			return nil, errors.New("mpt: extension with empty path")
-		}
-		if len(p) < hash.Size {
-			return nil, errTrunc("extension child")
-		}
-		copy(n.childID[:], p[:hash.Size])
-		p = p[hash.Size:]
-		cnt, sz := binary.Uvarint(p)
-		if sz <= 0 {
-			return nil, errTrunc("extension count")
-		}
-		n.childCount = cnt
-		p = p[sz:]
+		n.path = readNibbles(&r)
+		n.childID, n.childCount = r.ID(), r.Uvarint()
+		r.Check(len(n.path) > 0)
 	case kindBranch:
-		if len(p) < 2 {
-			return nil, errTrunc("branch bitmap")
-		}
-		n.childMask = uint16(p[0])<<8 | uint16(p[1])
-		p = p[2:]
+		n.childMask = uint16(r.Byte())<<8 | uint16(r.Byte())
 		for i := 0; i < 16; i++ {
-			if n.childMask&(1<<i) == 0 {
-				continue
+			if n.childMask&(1<<i) != 0 {
+				n.childIDs[i], n.childCounts[i] = r.ID(), r.Uvarint()
 			}
-			if len(p) < hash.Size {
-				return nil, errTrunc("branch child hash")
-			}
-			copy(n.childIDs[i][:], p[:hash.Size])
-			p = p[hash.Size:]
-			cnt, sz := binary.Uvarint(p)
-			if sz <= 0 {
-				return nil, errTrunc("branch child count")
-			}
-			n.childCounts[i] = cnt
-			p = p[sz:]
 		}
-		if len(p) < 1 {
-			return nil, errTrunc("branch value flag")
-		}
-		flag := p[0]
-		p = p[1:]
-		switch flag {
+		switch r.Byte() { // the value flag
 		case 0:
 		case 1:
-			vl, sz := binary.Uvarint(p)
-			if sz <= 0 || uint64(len(p[sz:])) < vl {
-				return nil, errTrunc("branch value")
-			}
-			p = p[sz:]
-			n.val = p[:vl:vl]
-			n.hasVal = true
-			p = p[vl:]
+			n.val, n.hasVal = r.Bytes(), true
 		default:
-			return nil, fmt.Errorf("mpt: bad branch value flag %d", flag)
+			r.Check(false)
 		}
 	default:
 		return nil, fmt.Errorf("mpt: unknown node kind %d", n.kind)
 	}
-	if len(p) != 0 {
-		return nil, fmt.Errorf("mpt: %d trailing bytes in node", len(p))
+	if !r.Done() {
+		return nil, errors.New("mpt: malformed node")
 	}
 	n.memSize = c.Size() + len(n.path) + 16*48
 	return n, nil
@@ -316,20 +243,19 @@ func decodeSourced(c *chunk.Chunk) (*node, int, error) {
 // new Trie sharing unchanged chunks with the old one.
 type Trie struct {
 	src   source
-	cfg   chunker.Config
 	root  hash.Hash
 	count uint64
 }
 
 // New returns the empty trie (zero root).
-func New(st store.Store, cfg chunker.Config) *Trie {
-	return &Trie{src: sourceFor(st), cfg: cfg}
+func New(st store.Store) *Trie {
+	return &Trie{src: sourceFor(st)}
 }
 
 // Load attaches to an existing trie by root hash.  A zero root is the
 // empty trie.  The root node is read to recover the entry count.
-func Load(st store.Store, cfg chunker.Config, root hash.Hash) (*Trie, error) {
-	t := &Trie{src: sourceFor(st), cfg: cfg, root: root}
+func Load(st store.Store, root hash.Hash) (*Trie, error) {
+	t := &Trie{src: sourceFor(st), root: root}
 	if root.IsZero() {
 		return t, nil
 	}

@@ -10,16 +10,14 @@ import (
 	"sync"
 	"testing"
 
-	"forkbase/internal/chunker"
+	"forkbase/internal/chunk"
 	"forkbase/internal/index"
 	"forkbase/internal/store"
 )
 
-func cfg() chunker.Config { return chunker.DefaultConfig() }
-
 func buildT(t *testing.T, st store.Store, entries []index.Entry) *Trie {
 	t.Helper()
-	tr, err := Build(st, cfg(), entries)
+	tr, err := Build(st, entries)
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
@@ -86,7 +84,7 @@ func TestGetPutBasics(t *testing.T) {
 		t.Fatalf("Get(zz) err = %v, want ErrKeyNotFound", err)
 	}
 	// Reload by root recovers the count.
-	re, err := Load(st, cfg(), tr.Root())
+	re, err := Load(st, tr.Root())
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
@@ -108,7 +106,7 @@ func TestStructuralInvariance(t *testing.T) {
 
 		// Same set via one-at-a-time inserts in shuffled order.
 		st2 := store.NewMemStore()
-		var inc index.VersionedIndex = New(st2, cfg())
+		var inc index.VersionedIndex = New(st2)
 		shuffled := append([]index.Entry(nil), entries...)
 		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
 		for _, e := range shuffled {
@@ -422,7 +420,7 @@ func editT(t *testing.T, tr *Trie, rng *rand.Rand, edits int) *Trie {
 func TestApplyRandomOpsOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	st := store.NewMemStore()
-	var tr index.VersionedIndex = New(st, cfg())
+	var tr index.VersionedIndex = New(st)
 	model := map[string][]byte{}
 	for round := 0; round < 40; round++ {
 		var ops []index.Op
@@ -547,7 +545,7 @@ func TestLoadRejectsWrongType(t *testing.T) {
 	st := store.NewMemStore()
 	// A POS-style chunk id is not an MPT node.
 	tr := buildT(t, st, []index.Entry{{Key: []byte("a"), Val: []byte("b")}})
-	re, err := Load(st, cfg(), tr.Root())
+	re, err := Load(st, tr.Root())
 	if err != nil || re.Len() != 1 {
 		t.Fatalf("Load mpt root: %v", err)
 	}
@@ -555,7 +553,7 @@ func TestLoadRejectsWrongType(t *testing.T) {
 
 func TestEmptyTrie(t *testing.T) {
 	st := store.NewMemStore()
-	tr := New(st, cfg())
+	tr := New(st)
 	if tr.Len() != 0 || !tr.Root().IsZero() {
 		t.Fatal("empty trie not empty")
 	}
@@ -577,5 +575,35 @@ func TestEmptyTrie(t *testing.T) {
 	}
 	if !back.Root().IsZero() || back.Len() != 0 {
 		t.Fatalf("delete-all root = %s len %d, want zero", back.Root().Short(), back.Len())
+	}
+}
+
+// TestDecodeRefusesNonCanonicalNodes: a node has one encoding, so a node
+// hash names one node.  Each hostile row re-encodes a field of an honest
+// leaf in a form the writer never emits.
+func TestDecodeRefusesNonCanonicalNodes(t *testing.T) {
+	decode := func(enc []byte) error {
+		c, err := chunk.Decode(enc)
+		if err == nil {
+			_, err = decodeNode(c)
+		}
+		return err
+	}
+	const typ = byte(chunk.TypeMPTNode)
+	leaf := encodeNode(nil, kindLeaf, []byte{1, 2, 3}, []byte("v"), true, 0, nil, nil)
+	if want := []byte{typ, kindLeaf, 3, 0x12, 0x30, 1, 'v'}; !bytes.Equal(leaf, want) {
+		t.Fatalf("honest leaf encodes as %x, want %x", leaf, want)
+	}
+	if err := decode(leaf); err != nil {
+		t.Fatalf("honest leaf %x: %v", leaf, err)
+	}
+	for name, enc := range map[string][]byte{
+		"leaf with a zero-padded path length":  {typ, kindLeaf, 0x83, 0x00, 0x12, 0x30, 1, 'v'},
+		"leaf with a zero-padded value length": {typ, kindLeaf, 3, 0x12, 0x30, 0x81, 0x00, 'v'},
+		"leaf with a nonzero pad nibble":       {typ, kindLeaf, 3, 0x12, 0x31, 1, 'v'},
+	} {
+		if err := decode(enc); err == nil {
+			t.Errorf("%s: %x accepted", name, enc)
+		}
 	}
 }

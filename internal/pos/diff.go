@@ -9,6 +9,7 @@ import (
 	"sort"
 
 	"forkbase/internal/chunk"
+	"forkbase/internal/codec"
 	"forkbase/internal/hash"
 	"forkbase/internal/index"
 )
@@ -272,7 +273,7 @@ type ent struct{ j, i int }
 // entry count.
 func (r leafRun) start(e ent) int {
 	if e.i == 0 {
-		_, sz := uvarint(r[e.j].data[1:])
+		_, sz := codec.Uvarint(r[e.j].data[1:])
 		return 1 + sz
 	}
 	return int(r[e.j].spans[e.i-1].aux >> 32)

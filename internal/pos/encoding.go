@@ -112,20 +112,6 @@ func capHint(n uint64, avail, minSize int) int {
 	return int(n)
 }
 
-// uvarint reads a minimal unsigned varint, the only form the writer emits:
-// sz <= 0 when p holds a truncated, overflowing or zero-padded one, so an
-// accepted node payload has exactly one encoding.
-func uvarint(p []byte) (x uint64, sz int) {
-	if len(p) > 0 && p[0] < 0x80 {
-		return uint64(p[0]), 1
-	}
-	x, sz = binary.Uvarint(p)
-	if sz > 1 && p[sz-1] == 0 {
-		return 0, -sz
-	}
-	return x, sz
-}
-
 // IndexChildren returns the child hashes of a POS-Tree index node chunk, or
 // nil for leaf chunks — the edge rule fnode.Refs applies to every chunk that
 // is neither an FNode nor an MPT node.

@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"forkbase/internal/chunk"
+	"forkbase/internal/codec"
 	"forkbase/internal/hash"
 	"forkbase/internal/store"
 )
@@ -161,7 +162,7 @@ func (n *node) parse(f *nodeFormat) error {
 	case uint64(len(data)) > math.MaxUint32:
 		return fmt.Errorf("pos: %d-byte %s is past the span table's 4 GiB reach", len(data), f.what)
 	}
-	cnt, sz := uvarint(data[1:])
+	cnt, sz := codec.Uvarint(data[1:])
 	if sz <= 0 {
 		return errTrunc(f.what)
 	}
@@ -191,7 +192,7 @@ func (n *node) parse(f *nodeFormat) error {
 				return errTrunc(f.what + " child hash")
 			}
 			p += hash.Size
-			if s.aux, sz = uvarint(data[p:]); sz <= 0 {
+			if s.aux, sz = codec.Uvarint(data[p:]); sz <= 0 {
 				return errTrunc(f.what + " count")
 			}
 			p += sz
@@ -208,7 +209,7 @@ func (n *node) parse(f *nodeFormat) error {
 // prefixed bounds the length-prefixed run at data[p:]; ok is false when its
 // length is malformed or runs past the payload.
 func prefixed(data []byte, p int) (lo, hi int, ok bool) {
-	l, sz := uvarint(data[p:])
+	l, sz := codec.Uvarint(data[p:])
 	if sz <= 0 || uint64(len(data)-p-sz) < l {
 		return 0, 0, false
 	}

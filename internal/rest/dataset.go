@@ -3,6 +3,7 @@ package rest
 import (
 	"errors"
 	"net/http"
+	"strings"
 
 	"forkbase/internal/core"
 	"forkbase/internal/dataset"
@@ -24,7 +25,7 @@ func (h *Handler) registerDatasets() {
 
 func (h *Handler) datasetRoute(w http.ResponseWriter, r *http.Request) {
 	rest := r.URL.Path[len("/v1/dataset/"):]
-	name, action, _ := cut(rest, '/')
+	name, action, _ := strings.Cut(rest, "/")
 	if name == "" {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "missing dataset name"})
 		return
@@ -46,15 +47,6 @@ func (h *Handler) datasetRoute(w http.ResponseWriter, r *http.Request) {
 	default:
 		writeJSON(w, http.StatusNotFound, errorBody{Error: "unknown dataset action " + action})
 	}
-}
-
-func cut(s string, sep byte) (before, after string, found bool) {
-	for i := 0; i < len(s); i++ {
-		if s[i] == sep {
-			return s[:i], s[i+1:], true
-		}
-	}
-	return s, "", false
 }
 
 func (h *Handler) importCSV(w http.ResponseWriter, r *http.Request, name string) {

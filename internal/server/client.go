@@ -199,7 +199,7 @@ func (c *Client) attempt(op Op, extraRead time.Duration, build func([]byte) []by
 		err = fmt.Errorf("reply to %s #%d does not answer %s #%d", h.op, h.id, op, c.lastID)
 	}
 	if err == nil && h.flags&flagError == 0 {
-		d := dec{b: payload}
+		d := newDec(payload)
 		if read != nil {
 			read(&d)
 		}
@@ -374,7 +374,7 @@ func (c *Client) Heads() (map[string]map[string]hash.Hash, error) {
 		err := c.call(OpHeads, 0, func(b []byte) []byte { return appendStr(b, from) }, func(d *dec) {
 			refs, uids, more = d.strs(), d.ids(), d.bools(1)
 			// A page that runs on must end past from, or the listing would not end.
-			d.bad = d.bad || len(refs) != 2*len(uids) || more[0] && (len(uids) == 0 || refs[len(refs)-2] < from)
+			d.Check(len(refs) == 2*len(uids) && (!more[0] || len(uids) > 0 && refs[len(refs)-2] >= from))
 		})
 		if err != nil {
 			return nil, err
@@ -440,7 +440,7 @@ func (r *RemoteBranchTable) Head(key, branch string) (hash.Hash, bool, error) {
 	var heads []hash.Hash
 	err := r.c.call(OpHead, 0, func(b []byte) []byte { return appendRef(b, key, branch) }, func(d *dec) {
 		heads = d.ids()
-		d.bad = d.bad || len(heads) > 1
+		d.Check(len(heads) <= 1)
 	})
 	if err != nil || len(heads) == 0 {
 		return hash.Hash{}, false, err
@@ -488,7 +488,7 @@ func (r *RemoteBranchTable) Branches(key string) (map[string]hash.Hash, error) {
 	var heads []hash.Hash
 	err := r.c.call(OpBranches, 0, func(b []byte) []byte { return appendRef(b, key, "") }, func(d *dec) {
 		names, heads = d.strs(), d.ids()
-		d.bad = d.bad || len(names) != len(heads)
+		d.Check(len(names) == len(heads))
 	})
 	if err != nil && retry.IsPermanent(err) && strings.HasPrefix(err.Error(), core.ErrKeyNotFound.Error()) {
 		return nil, fmt.Errorf("%w: %s", core.ErrKeyNotFound, key)

@@ -32,7 +32,8 @@
 // allocated (so Dial's ping is the version handshake: a peer speaking
 // another protocol gets a closed connection, not a hang); a payload is read
 // in steps that grow only as its bytes arrive; and every count inside one
-// is checked against the bytes that remain before it sizes an allocation.
+// is checked against the bytes that remain before it sizes an allocation
+// (codec.Reader, which also refuses a zero-padded varint).
 //
 // Content addressing makes the protocol trivially safe against a buggy or
 // malicious server: clients re-hash every chunk they receive.
@@ -47,6 +48,7 @@ import (
 	"strconv"
 
 	"forkbase/internal/chunk"
+	"forkbase/internal/codec"
 	"forkbase/internal/core"
 	"forkbase/internal/hash"
 	"forkbase/internal/store"
@@ -332,77 +334,26 @@ func appendChunkReply(b []byte, cs []*chunk.Chunk, limit int) []byte {
 	return b
 }
 
-// dec reads one payload front to back.  The first short or oversized field
-// latches bad and every later read returns a zero value, so a decoder reads
-// its fields unconditionally and checks done() once.
-type dec struct {
-	b   []byte
-	bad bool
-}
+// dec reads one payload's shapes through the latching codec.Reader, so a
+// decoder reads its fields unconditionally and checks done() once.
+type dec struct{ codec.Reader }
+
+func newDec(p []byte) dec { return dec{codec.NewReader(p)} }
 
 // done reports whether the whole payload decoded, with nothing left over.
 func (d *dec) done() error {
-	if d.bad || len(d.b) != 0 {
+	if !d.Done() {
 		return errMalformed
 	}
 	return nil
 }
 
-func (d *dec) take(n int) []byte {
-	if d.bad || n > len(d.b) {
-		d.bad, d.b = true, nil
-		return nil
-	}
-	p := d.b[:n:n]
-	d.b = d.b[n:]
-	return p
-}
-
-func (d *dec) byte() byte {
-	if p := d.take(1); p != nil {
-		return p[0]
-	}
-	return 0
-}
-
-func (d *dec) uvarint() uint64 {
-	v, n := binary.Uvarint(d.b)
-	if n <= 0 {
-		d.bad, d.b = true, nil
-		return 0
-	}
-	d.b = d.b[n:]
-	return v
-}
-
-func (d *dec) varint() int64 {
-	u := d.uvarint() // zigzag, as binary.AppendVarint wrote it
-	return int64(u>>1) ^ -int64(u&1)
-}
-
-// count reads how many items follow and refuses a number the remaining bytes
-// cannot hold at itemMin bytes each — so a count never sizes an allocation
-// larger than the input that backs it.  want >= 0 demands exactly that many.
-func (d *dec) count(itemMin, want int) int {
-	n := d.uvarint()
-	if n > uint64(len(d.b)/itemMin) || want >= 0 && n != uint64(want) {
-		d.bad, d.b = true, nil
-		return 0
-	}
-	return int(n)
-}
-
-func (d *dec) id() (h hash.Hash) {
-	copy(h[:], d.take(hash.Size))
-	return h
-}
-
-func (d *dec) str() string { return string(d.take(d.count(1, -1))) }
+func (d *dec) str() string { return string(d.Bytes()) }
 
 func (d *dec) ids() []hash.Hash {
-	out := make([]hash.Hash, d.count(hash.Size, -1))
+	out := make([]hash.Hash, d.Count(hash.Size, -1))
 	for i := range out {
-		out[i] = d.id()
+		out[i] = d.ID()
 	}
 	return out
 }
@@ -412,12 +363,11 @@ func (d *dec) ids() []hash.Hash {
 // per id.  The chunks alias the payload and are *claimed*: nothing is
 // trusted until Recheck has hashed it.
 func (d *dec) chunks(ids []hash.Hash) []*chunk.Chunk {
-	out := make([]*chunk.Chunk, d.count(2, len(ids)))
+	out := make([]*chunk.Chunk, d.Count(2, len(ids)))
 	for i := range out {
-		t := chunk.Type(d.byte())
-		data := d.take(d.count(1, -1))
-		if d.bad || !t.Valid() {
-			d.bad = true
+		t := chunk.Type(d.Byte())
+		data := d.Bytes()
+		if d.Check(t.Valid()); d.Bad() {
 			return nil
 		}
 		out[i] = chunk.NewClaimed(t, data, ids[i])
@@ -426,7 +376,7 @@ func (d *dec) chunks(ids []hash.Hash) []*chunk.Chunk {
 }
 
 // flags reads a list of exactly n flag bytes; the result aliases the payload.
-func (d *dec) flags(n int) []byte { return d.take(d.count(1, n)) }
+func (d *dec) flags(n int) []byte { return d.Take(d.Count(1, n)) }
 
 func (d *dec) bools(n int) []bool {
 	out := make([]bool, n)
@@ -440,18 +390,18 @@ func (d *dec) ref() (key, branch string) { return d.str(), d.str() }
 
 func (d *dec) headOps() []core.HeadOp {
 	const opMin = 2 + 1 + 2*hash.Size // two empty names, the any byte, two ids
-	out := make([]core.HeadOp, d.count(opMin, -1))
+	out := make([]core.HeadOp, d.Count(opMin, -1))
 	for i := range out {
 		key, branch := d.ref()
-		anyHead := d.byte()
-		d.bad = d.bad || anyHead > 1
-		out[i] = core.HeadOp{Key: key, Branch: branch, Any: anyHead == 1, Expect: d.id(), Set: d.id()}
+		anyHead := d.Byte()
+		d.Check(anyHead <= 1)
+		out[i] = core.HeadOp{Key: key, Branch: branch, Any: anyHead == 1, Expect: d.ID(), Set: d.ID()}
 	}
 	return out
 }
 
 func (d *dec) strs() []string {
-	out := make([]string, d.count(1, -1))
+	out := make([]string, d.Count(1, -1))
 	for i := range out {
 		out[i] = d.str()
 	}
@@ -459,21 +409,21 @@ func (d *dec) strs() []string {
 }
 
 func (d *dec) stats() store.Stats {
-	return store.Stats{UniqueChunks: d.varint(), PhysicalBytes: d.varint(), LogicalBytes: d.varint(), DedupHits: d.varint(), Gets: d.varint()}
+	return store.Stats{UniqueChunks: d.Varint(), PhysicalBytes: d.Varint(), LogicalBytes: d.Varint(), DedupHits: d.Varint(), Gets: d.Varint()}
 }
 
 func (d *dec) feedReq() (lease uint64, cursor core.FeedCursor, limit int, waitMillis uint64) {
-	return d.uvarint(), core.FeedCursor{Seq: d.uvarint(), Epoch: d.uvarint()}, int(d.varint()), d.uvarint()
+	return d.Uvarint(), core.FeedCursor{Seq: d.Uvarint(), Epoch: d.Uvarint()}, int(d.Varint()), d.Uvarint()
 }
 
 func (d *dec) feedPage() (cursor core.FeedCursor, truncated bool, entries []core.FeedEntry) {
-	cursor, truncated = core.FeedCursor{Seq: d.uvarint(), Epoch: d.uvarint()}, d.byte() != 0
+	cursor, truncated = core.FeedCursor{Seq: d.Uvarint(), Epoch: d.Uvarint()}, d.Byte() != 0
 	const entryMin = 1 + 2 + 2*hash.Size // a seq, two empty strings, two ids
-	entries = make([]core.FeedEntry, d.count(entryMin, -1))
+	entries = make([]core.FeedEntry, d.Count(entryMin, -1))
 	for i := range entries {
-		seq := d.uvarint()
+		seq := d.Uvarint()
 		key, branch := d.ref()
-		entries[i] = core.FeedEntry{Seq: seq, Key: key, Branch: branch, Old: d.id(), New: d.id()}
+		entries[i] = core.FeedEntry{Seq: seq, Key: key, Branch: branch, Old: d.ID(), New: d.ID()}
 	}
 	return cursor, truncated, entries
 }
@@ -491,13 +441,13 @@ func (d *dec) chunkReply(ids []hash.Hash, out []*chunk.Chunk) (answered int) {
 		case s == chunkDeferred:
 			answered = min(answered, i)
 		case answered < i || s > chunkDeferred:
-			d.bad = true // an answer behind the deferred tail, or no status at all
+			d.Check(false) // an answer behind the deferred tail, or no status at all
 		case s == chunkPresent:
 			present = append(present, ids[i])
 		}
 	}
 	cs := d.chunks(present)
-	if d.bad {
+	if d.Bad() {
 		return 0
 	}
 	for i, s := range status[:answered] {

@@ -253,7 +253,7 @@ var errNoFeed = errors.New("server: node does not publish a change feed")
 // handle decodes the request payload p, executes the op and appends the
 // reply payload to out (which already holds the reply header).
 func (s *Server) handle(h header, p, out []byte) ([]byte, error) {
-	op, d := h.op, dec{b: p}
+	op, d := h.op, newDec(p)
 	if h.flags != 0 {
 		return nil, fmt.Errorf("server: request carries reply flags %#x", h.flags)
 	}

@@ -223,8 +223,8 @@ func fuzzReplyDecoders(t *testing.T, p []byte) {
 	// The client knows how many flags or chunks it asked for; here the
 	// payload's own leading count stands in for that.
 	asked := func(d *dec) int {
-		n, _ := binary.Uvarint(d.b)
-		return int(min(n, uint64(len(d.b))))
+		peek := d.Reader
+		return int(min(peek.Uvarint(), uint64(peek.Len())))
 	}
 	shapes := map[string]func(d *dec) []byte{
 		"ids":   func(d *dec) []byte { return appendIDs(nil, d.ids()...) },
@@ -260,12 +260,12 @@ func fuzzReplyDecoders(t *testing.T, p []byte) {
 		},
 	}
 	for name, roundTrip := range shapes {
-		d := dec{b: p}
+		d := newDec(p)
 		enc := roundTrip(&d)
 		if d.done() != nil {
 			continue
 		}
-		d2 := dec{b: enc}
+		d2 := newDec(enc)
 		if enc2 := roundTrip(&d2); d2.done() != nil || !bytes.Equal(enc, enc2) {
 			t.Fatalf("%s: %x decoded, re-encoded as %x, which decodes to %x (err %v)", name, p, enc, enc2, d2.done())
 		}

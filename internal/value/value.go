@@ -16,6 +16,7 @@ import (
 	"strconv"
 
 	"forkbase/internal/chunker"
+	"forkbase/internal/codec"
 	"forkbase/internal/hash"
 	"forkbase/internal/index"
 	"forkbase/internal/mpt"
@@ -200,11 +201,8 @@ func (v Value) Equal(o Value) bool {
 func (v Value) Encode() []byte {
 	if v.kind.Composite() {
 		out := make([]byte, 0, 1+hash.Size+binary.MaxVarintLen64)
-		out = append(out, byte(v.kind))
-		out = append(out, v.root[:]...)
-		var tmp [binary.MaxVarintLen64]byte
-		n := binary.PutUvarint(tmp[:], v.count)
-		return append(out, tmp[:n]...)
+		out = append(append(out, byte(v.kind)), v.root[:]...)
+		return binary.AppendUvarint(out, v.count)
 	}
 	out := make([]byte, 0, 1+len(v.inline))
 	out = append(out, byte(v.kind))
@@ -228,16 +226,12 @@ func Decode(data []byte) (Value, error) {
 		}
 		return Value{kind: k, inline: append([]byte(nil), payload...)}, nil
 	case KindBlob, KindMap, KindSet, KindList:
-		if len(payload) < hash.Size+1 {
-			return Value{}, fmt.Errorf("%w: composite too short", ErrBadDescriptor)
+		r := codec.NewReader(payload)
+		v := Value{kind: k, root: r.ID(), count: r.Uvarint()}
+		if !r.Done() {
+			return Value{}, fmt.Errorf("%w: malformed %s", ErrBadDescriptor, k)
 		}
-		var root hash.Hash
-		copy(root[:], payload[:hash.Size])
-		count, n := binary.Uvarint(payload[hash.Size:])
-		if n <= 0 {
-			return Value{}, fmt.Errorf("%w: bad count", ErrBadDescriptor)
-		}
-		return Value{kind: k, root: root, count: count}, nil
+		return v, nil
 	default:
 		return Value{}, fmt.Errorf("%w: unknown kind %d", ErrBadDescriptor, data[0])
 	}
@@ -273,7 +267,7 @@ func newIndexed(st store.Store, cfg chunker.Config, kind Kind, k index.Kind, ent
 	case index.KindPOS:
 		ix, err = asIndex(pos.BuildMap(st, cfg, entries))
 	case index.KindMPT:
-		ix, err = asIndex(mpt.Build(st, cfg, entries))
+		ix, err = asIndex(mpt.Build(st, entries))
 	default:
 		err = unknownKind(k)
 	}
@@ -293,7 +287,7 @@ func LoadIndex(st store.Store, cfg chunker.Config, root hash.Hash, k index.Kind)
 	case index.KindPOS:
 		return asIndex(pos.LoadTree(st, cfg, root))
 	case index.KindMPT:
-		return asIndex(mpt.Load(st, cfg, root))
+		return asIndex(mpt.Load(st, root))
 	}
 	return nil, unknownKind(k)
 }
