@@ -41,11 +41,12 @@ type HealStats struct {
 }
 
 // Heal walks the live Merkle graph from every branch head, re-verifying each
-// chunk through the verifying read path, and repairs every missing-or-corrupt
-// chunk from src: refetched in batches, rehashed against the requested id,
-// and written back through the store's Repair capability (plain Put when the
-// store lacks it).  Children of repaired chunks rejoin the walk, so damage
-// deep inside a subtree hidden behind a damaged parent is still found.
+// chunk with one batched read of the verifying store per walk round, and
+// repairs every missing-or-corrupt chunk from src: refetched in batches,
+// rehashed against the requested id, and written back through the store's
+// Repair capability (plain Put when the store lacks it).  Children of
+// repaired chunks rejoin the walk, so damage deep inside a subtree hidden
+// behind a damaged parent is still found.
 //
 // This is anti-entropy, not a write: it restores bytes the store already
 // acknowledged, so it is permitted on read-only replicas — a follower can
@@ -77,24 +78,22 @@ func (db *DB) healInner(src ChunkSource) (HealStats, error) {
 	hs.Branches = len(heads)
 
 	err = fnode.Walk(heads, map[hash.Hash]bool{}, func(ids []hash.Hash) ([]*chunk.Chunk, error) {
-		out := make([]*chunk.Chunk, len(ids))
-		have := make([]bool, len(ids))
-		for i, id := range ids {
+		out, errs, have := make([]*chunk.Chunk, len(ids)), make([]error, len(ids)), make([]bool, len(ids))
+		// Heal's contract is to re-verify what is actually on disk, so
+		// every read must pay the rehash: the batched read is fresh (the
+		// read stamps afresh on success).
+		db.verifier.GetEach(ids, out, errs, true)
+		for i, err := range errs {
 			hs.Checked++
-			// Heal's contract is to re-verify what is actually on disk, so
-			// every read must pay the rehash: drop any verified stamp
-			// before the Get (the read stamps afresh on success).
-			db.verifier.Invalidate(id)
-			c, err := db.st.Get(id)
 			switch {
 			case err == nil:
-				out[i], have[i] = c, true
+				have[i] = true
 			case errors.Is(err, store.ErrNotFound):
 				hs.Missing++
 			case errors.Is(err, chunk.ErrCorrupt):
 				hs.Corrupt++
 			default:
-				return nil, fmt.Errorf("core: heal read %s: %w", id.Short(), err)
+				return nil, fmt.Errorf("core: heal read %s: %w", ids[i].Short(), err)
 			}
 		}
 		out, err := fnode.FetchMissing(ids, have, out, src.GetChunks)

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"forkbase/internal/chunk"
 	"forkbase/internal/fnode"
@@ -44,8 +45,9 @@ var ErrTampered = errors.New("core: tamper detected")
 // deep=false verifies only the head version's value, matching the common
 // "validate what I just fetched" flow; deep=true also reports each version
 // whose Seq is not above a base's, which no hash catches and which would
-// mislead Merge's Seq-ordered base walk.  Reads go through the verifying
-// store, so corruption surfaces as chunk.ErrCorrupt; a chunk that fails is
+// mislead Merge's Seq-ordered base walk.  Each walk round is one batched
+// read of the verifying store (GetEach), which gives every chunk its own
+// verdict, so corruption surfaces as chunk.ErrCorrupt; a chunk that fails is
 // reported and not descended into — its pointers are not trustworthy.  As
 // in Heal, every read pays the rehash: a verified stamp says what the bytes
 // were when written or last read, and validation reports what they are now.
@@ -61,12 +63,17 @@ func (db *DB) VerifyVersion(key string, uid hash.Hash, deep bool) (VerifyReport,
 	// FNode's Seq, edges each (child, base) pair.
 	seqs := map[hash.Hash]uint64{}
 	var edges [][2]hash.Hash
+	var out []*chunk.Chunk
+	var errs []error
 	err := fnode.Walk([]hash.Hash{uid}, seen, func(ids []hash.Hash) ([]*chunk.Chunk, error) {
-		out := make([]*chunk.Chunk, len(ids))
+		// One batched, fresh read per round, reusing the last round's slots.
+		out = slices.Grow(out[:0], len(ids))[:len(ids)]
+		errs = slices.Grow(errs[:0], len(ids))[:len(ids)]
+		db.verifier.GetEach(ids, out, errs, true)
 		for i, id := range ids {
-			db.verifier.Invalidate(id) // the read stamps afresh on success
-			c, err := db.st.Get(id)
-			if err != nil {
+			c := out[i]
+			out[i] = nil // until it verifies
+			if err := errs[i]; err != nil {
 				context := "chunk reachable from " + uid.Short()
 				if id == uid {
 					context = "version object (FNode)"

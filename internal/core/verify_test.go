@@ -9,6 +9,7 @@ import (
 	"forkbase/internal/chunker"
 	"forkbase/internal/fnode"
 	"forkbase/internal/hash"
+	"forkbase/internal/obs"
 	"forkbase/internal/pos"
 	"forkbase/internal/store"
 	"forkbase/internal/value"
@@ -370,5 +371,191 @@ func TestDeepVerifyReadsEachChunkOnce(t *testing.T) {
 	reads64, distinct64 := measure(64)
 	if reads64-reads16 != distinct64-distinct16 {
 		t.Fatalf("48 more versions cost %d more reads for %d new chunks", reads64-reads16, distinct64-distinct16)
+	}
+}
+
+// readCounter counts the reads of each id that reach it, batched or not.
+type readCounter struct {
+	store.Store
+	reads map[hash.Hash]int
+}
+
+func (r *readCounter) Unwrap() store.Store { return r.Store }
+
+func (r *readCounter) Get(id hash.Hash) (*chunk.Chunk, error) {
+	r.reads[id]++
+	return r.Store.Get(id)
+}
+
+func (r *readCounter) GetBatch(ids []hash.Hash) ([]*chunk.Chunk, error) {
+	for _, id := range ids {
+		r.reads[id]++
+	}
+	return r.Store.GetBatch(ids)
+}
+
+// TestOneRoundManyVerdicts: a walk round is one batched read with a verdict
+// per chunk, so several kinds of damage in one round are each reported on
+// their own — and no chunk of the round is read twice to tell them apart.
+// The damage sits on leaves, so it prunes nothing and every other chunk of
+// the closure is still checked.
+func TestOneRoundManyVerdicts(t *testing.T) {
+	// setup commits a table with history over a malicious provider counted
+	// per id, and picks n leaves that one round of the deep walk reads.
+	setup := func(t *testing.T, n int) (db *DB, mem *store.MemStore, mal *store.MaliciousStore, cnt *readCounter, head Version, closure []hash.Hash, leaves []hash.Hash) {
+		t.Helper()
+		mem = store.NewMemStore()
+		mal = store.NewMaliciousStore(mem)
+		cnt = &readCounter{Store: mal, reads: map[hash.Hash]int{}}
+		db = Open(Options{Store: cnt, Chunking: chunker.SmallConfig()})
+		var err error
+		if head, err = db.Put("t", "", bigMap(t, db, 2000, "v0"), nil); err != nil {
+			t.Fatal(err)
+		}
+		for n := 1; n <= 4; n++ {
+			edit := []pos.Entry{{Key: []byte(fmt.Sprintf("k-%05d", n*400)), Val: []byte(fmt.Sprintf("edit-%d", n))}}
+			if head, err = db.EditMap("t", "", edit, nil, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		err = fnode.Walk([]hash.Hash{head.UID}, map[hash.Hash]bool{}, func(ids []hash.Hash) ([]*chunk.Chunk, error) {
+			closure = append(closure, ids...)
+			cs, err := mem.GetBatch(ids)
+			if len(leaves) == 0 {
+				var round []hash.Hash
+				for _, c := range cs {
+					if refs, err := fnode.Refs(c); err == nil && len(refs) == 0 && c.Type() != chunk.TypeFNode {
+						round = append(round, c.ID())
+					}
+				}
+				if len(round) > n {
+					leaves = round[:n]
+				}
+			}
+			return cs, err
+		}, nil)
+		if err != nil || len(leaves) != n {
+			t.Fatalf("walk: %v; no round holds %d leaves", err, n)
+		}
+		clear(cnt.reads)
+		return db, mem, mal, cnt, head, closure, leaves
+	}
+	readOnce := func(t *testing.T, cnt *readCounter, closure []hash.Hash) {
+		t.Helper()
+		for _, id := range closure {
+			if cnt.reads[id] != 1 {
+				t.Fatalf("%s read %d times, want once", id.Short(), cnt.reads[id])
+			}
+		}
+		if len(cnt.reads) != len(closure) {
+			t.Fatalf("%d ids read, the closure has %d", len(cnt.reads), len(closure))
+		}
+		clear(cnt.reads)
+	}
+
+	t.Run("verify", func(t *testing.T) {
+		db, mem, mal, cnt, head, closure, leaves := setup(t, 3)
+		for i, id := range leaves[:2] {
+			if ok, err := mal.CorruptFlip(id, 3+i, 1); !ok || err != nil {
+				t.Fatalf("inject: %v %v", ok, err)
+			}
+		}
+		mem.Delete(leaves[2])
+		rep, err := db.VerifyVersion("t", head.UID, true)
+		if !errors.Is(err, ErrTampered) || len(rep.Failures) != 3 {
+			t.Fatalf("want three failures: %v %+v", err, rep.Failures)
+		}
+		for i, f := range rep.Failures {
+			want := chunk.ErrCorrupt
+			if f.ChunkID == leaves[2] {
+				want = store.ErrNotFound
+			}
+			if f.ChunkID != leaves[0] && f.ChunkID != leaves[1] && f.ChunkID != leaves[2] || i > 0 && f.ChunkID == rep.Failures[i-1].ChunkID || !errors.Is(f.Err, want) {
+				t.Fatalf("failure %d names %s (%v); want each of %v once", i, f.ChunkID.Short(), f.Err, leaves)
+			}
+		}
+		if rep.ChunksChecked != len(closure)-3 {
+			t.Fatalf("checked %d chunks, want the closure's %d less the 3 damaged", rep.ChunksChecked, len(closure))
+		}
+		readOnce(t, cnt, closure)
+	})
+
+	t.Run("heal", func(t *testing.T) {
+		db, mem, mal, cnt, head, closure, leaves := setup(t, 2)
+		replica := store.NewMemStore()
+		for _, id := range mem.IDs() {
+			c, _ := mem.Get(id)
+			if _, err := replica.Put(c); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if ok, err := mal.CorruptFlip(leaves[0], 3, 1); !ok || err != nil {
+			t.Fatalf("inject: %v %v", ok, err)
+		}
+		mem.Delete(leaves[1])
+		hs, err := db.Heal(testChunkSource{replica})
+		if err != nil || hs.Checked != len(closure) || hs.Missing != 1 || hs.Corrupt != 1 || hs.Repaired != 2 || len(hs.Failed) != 0 {
+			t.Fatalf("heal: %v %+v; want one missing and one corrupt, both repaired, of %d", err, hs, len(closure))
+		}
+		readOnce(t, cnt, closure)
+		if ok, _ := mem.Has(leaves[1]); !ok {
+			t.Fatal("the missing chunk was not restored")
+		}
+		// The provider stops forging: a second pass finds nothing to do.
+		mal.Heal()
+		if hs, err = db.Heal(testChunkSource{replica}); err != nil || hs.Missing+hs.Corrupt+hs.Repaired != 0 {
+			t.Fatalf("second pass: %v %+v", err, hs)
+		}
+		readOnce(t, cnt, closure)
+		if _, err := db.VerifyVersion("t", head.UID, true); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// BenchmarkVerifyDeep times a deep validation over a FileStore, whose reads
+// pay the rehash, in two shapes: a small map with a long history, where a
+// verify is many tiny walk rounds, and a large table with a short history,
+// where rounds are full.
+func BenchmarkVerifyDeep(b *testing.B) {
+	shapes := []struct {
+		name           string
+		rows, versions int
+	}{
+		{"map32x64", 32, 64},
+		{"table40k-16edits", 40000, 17},
+	}
+	for _, sh := range shapes {
+		b.Run(sh.name, func(b *testing.B) {
+			fs, err := store.OpenFileStore(b.TempDir())
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer fs.Close()
+			db := Open(Options{Store: fs, Metrics: obs.Discard})
+			entries := make([]pos.Entry, sh.rows)
+			for i := range entries {
+				entries[i] = pos.Entry{Key: []byte(fmt.Sprintf("row-%05d", i)), Val: []byte(fmt.Sprintf("value-%d", i))}
+			}
+			v, err := value.NewMap(db.Store(), db.Chunking(), entries)
+			if err != nil {
+				b.Fatal(err)
+			}
+			head, err := db.Put("t", "", v, nil)
+			for n := 1; err == nil && n < sh.versions; n++ {
+				edit := []pos.Entry{{Key: entries[n*7919%sh.rows].Key, Val: []byte(fmt.Sprintf("edit-%d", n))}}
+				head, err = db.EditMap("t", "", edit, nil, nil)
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := db.VerifyVersion("t", head.UID, true); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"maps"
 	"net"
@@ -11,6 +12,7 @@ import (
 	"forkbase/internal/chunk"
 	"forkbase/internal/chunker"
 	"forkbase/internal/core"
+	"forkbase/internal/fnode"
 	"forkbase/internal/hash"
 	"forkbase/internal/index"
 	"forkbase/internal/obs"
@@ -123,6 +125,99 @@ func TestUnknownOpcodeMetrics(t *testing.T) {
 func TestRemoteEngineFetchesNoFNodeItWrote(t *testing.T) {
 	for _, kind := range []index.Kind{index.KindPOS, index.KindMPT} {
 		t.Run(kind.String(), func(t *testing.T) { remoteWarmEdit(t, kind) })
+	}
+}
+
+// TestRemoteVerifyOneRequestPerWalkRound counts GetChunks requests: a remote
+// engine's deep verify reads each walk round with one batched request, not
+// one per chunk, and checks the whole closure.  Behind a server that forges
+// a chunk, the client refuses the reply holding it, and that round alone is
+// read again one id at a time: the report names exactly the forged chunk,
+// and every honest chunk of its round is still checked.
+func TestRemoteVerifyOneRequestPerWalkRound(t *testing.T) {
+	for _, forge := range []bool{false, true} {
+		t.Run(fmt.Sprintf("forge=%v", forge), func(t *testing.T) {
+			mem := store.NewMemStore()
+			mal := store.NewMaliciousStore(mem)
+			reg := obs.NewRegistry()
+			srv := New(mal, core.NewMemBranchTable(), nil)
+			srv.SetMetrics(reg)
+			addr, err := srv.Listen("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			cl, err := Dial(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			db := core.Open(core.Options{
+				Store:    NewRemoteStore(cl),
+				Branches: NewRemoteBranchTable(cl),
+				Chunking: chunker.SmallConfig(),
+				Metrics:  obs.Discard,
+			})
+
+			// A table with history: 2000 rows, then eight one-row edits.
+			entries := make([]index.Entry, 2000)
+			for i := range entries {
+				entries[i] = index.Entry{Key: []byte(fmt.Sprintf("row-%05d", i)), Val: []byte("v")}
+			}
+			v, err := db.NewMapValue(entries)
+			if err != nil {
+				t.Fatal(err)
+			}
+			head, err := db.Put("t", "", v, nil)
+			for i := 1; err == nil && i <= 8; i++ {
+				edit := []index.Entry{{Key: entries[i*211].Key, Val: []byte(fmt.Sprintf("edit-%d", i))}}
+				head, err = db.EditMap("t", "", edit, nil, nil)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			// The walk a deep verify makes, replayed on the server's store;
+			// with forge, a leaf read in a round with others is flipped.
+			var rounds, closure int
+			var forged hash.Hash
+			err = fnode.Walk([]hash.Hash{head.UID}, map[hash.Hash]bool{}, func(ids []hash.Hash) ([]*chunk.Chunk, error) {
+				rounds, closure = rounds+1, closure+len(ids)
+				cs, err := mem.GetBatch(ids)
+				for _, c := range cs {
+					if refs, _ := fnode.Refs(c); forge && forged.IsZero() && len(ids) > 1 && len(refs) == 0 && c.Type() != chunk.TypeFNode {
+						forged = c.ID()
+					}
+				}
+				return cs, err
+			}, nil)
+			if err != nil || rounds*2 > closure {
+				t.Fatalf("walk: %v; %d rounds for %d chunks are too few chunks per round for this test", err, rounds, closure)
+			}
+			if forge {
+				if ok, err := mal.CorruptFlip(forged, 7, 1); !ok || err != nil {
+					t.Fatalf("inject: %v %v", ok, err)
+				}
+			}
+
+			before, _ := reg.Value("forkbase_server_requests_total", "GetChunks")
+			rep, err := db.VerifyVersion("t", head.UID, true)
+			after, _ := reg.Value("forkbase_server_requests_total", "GetChunks")
+			requests := int(after - before)
+			if !forge {
+				if err != nil || rep.ChunksChecked != closure || requests > rounds {
+					t.Fatalf("deep verify: %v; checked %d of %d chunks in %d GetChunks requests, want at most one per walk round (%d)",
+						err, rep.ChunksChecked, closure, requests, rounds)
+				}
+				return
+			}
+			if !errors.Is(err, core.ErrTampered) || len(rep.Failures) != 1 || rep.Failures[0].ChunkID != forged || !errors.Is(rep.Failures[0].Err, chunk.ErrCorrupt) {
+				t.Fatalf("want exactly one corrupt chunk, %s: %v %+v", forged.Short(), err, rep.Failures)
+			}
+			if rep.ChunksChecked != closure-1 {
+				t.Fatalf("checked %d chunks, want every chunk but the forged one (%d)", rep.ChunksChecked, closure-1)
+			}
+		})
 	}
 }
 

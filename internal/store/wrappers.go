@@ -265,51 +265,50 @@ func (v *VerifyingStore) PutBatch(cs []*chunk.Chunk) ([]bool, error) {
 	return fresh, err
 }
 
-// GetBatch implements Store: every returned chunk passes the same
-// recheck-and-verify gauntlet as a point Get.  Over a witness each id is
-// read through the stamp exactly as Get reads it (FileStore's own GetBatch
-// is a per-id loop, so no batch round is lost).
+// GetBatch implements Store: GetEach, failing with the first chunk that
+// did not verify (an absent id is a nil slot, not an error).
 func (v *VerifyingStore) GetBatch(ids []hash.Hash) ([]*chunk.Chunk, error) {
-	var (
-		out     []*chunk.Chunk
-		stamped []bool // nil without a witness
-		err     error
-	)
-	if v.witness == nil {
-		if out, err = v.Store.GetBatch(ids); err != nil {
-			return out, err
+	out, errs := make([]*chunk.Chunk, len(ids)), make([]error, len(ids))
+	v.GetEach(ids, out, errs, false)
+	for i, err := range errs {
+		if err != nil && !errors.Is(err, ErrNotFound) {
+			return out, fmt.Errorf("batch chunk %d: %w", i, err)
 		}
-	} else {
-		out, stamped = make([]*chunk.Chunk, len(ids)), make([]bool, len(ids))
-		for i, id := range ids {
-			c, ok, err := v.witness.GetVerified(id)
-			if errors.Is(err, ErrNotFound) {
-				continue
+	}
+	return out, nil
+}
+
+// GetEach reads ids in one inner GetBatch round and gives each id its own
+// verdict: out[i] is the chunk checked against ids[i], or nil with errs[i]
+// saying why (ErrNotFound, chunk.ErrCorrupt, or the read's own failure).
+// Over a witness each id is read through its stamp exactly as Get reads it
+// (FileStore's own GetBatch is a per-id loop, so no round is lost); with
+// fresh, each stamp is dropped just before its id is read, so every chunk
+// pays the rehash, as validation and heal require.  A round that fails as a
+// whole — a wire client refuses a reply that holds one forged chunk — is
+// read again one id at a time, so every failure is still named.  out and
+// errs hold len(ids).
+func (v *VerifyingStore) GetEach(ids []hash.Hash, out []*chunk.Chunk, errs []error, fresh bool) {
+	var cs []*chunk.Chunk
+	oneByOne := v.witness != nil
+	if !oneByOne {
+		var err error
+		cs, err = v.Store.GetBatch(ids)
+		oneByOne = err != nil || len(cs) != len(ids)
+	}
+	for i, id := range ids {
+		switch {
+		case oneByOne:
+			if fresh {
+				v.Invalidate(id) // a no-op without a witness
 			}
-			if err != nil {
-				return out, err
-			}
-			out[i], stamped[i] = c, ok
+			out[i], errs[i] = v.Get(id)
+		case cs[i] == nil:
+			out[i], errs[i] = nil, ErrNotFound
+		default:
+			out[i], errs[i] = v.check(id, cs[i])
 		}
 	}
-	var work []int
-	for i, c := range out {
-		if c == nil || (stamped != nil && stamped[i]) {
-			continue
-		}
-		if err := c.Verify(ids[i]); err != nil {
-			return out, err
-		}
-		if c.Claimed() {
-			work = append(work, i)
-		}
-	}
-	ep := v.epochNow()
-	err = recheckIndexes(out, work)
-	for _, i := range work {
-		v.settle(ids[i], ep, err)
-	}
-	return out, err
 }
 
 // recheckIndexes rehashes cs[i] for each i in idx, in order, on the
@@ -348,6 +347,12 @@ func (v *VerifyingStore) Get(id hash.Hash) (*chunk.Chunk, error) {
 	if err != nil {
 		return nil, err
 	}
+	return v.check(id, c)
+}
+
+// check verifies c, read for id, against it; a chunk whose id is only
+// claimed is rehashed and the outcome settled in the witness.
+func (v *VerifyingStore) check(id hash.Hash, c *chunk.Chunk) (*chunk.Chunk, error) {
 	if err := c.Verify(id); err != nil {
 		return nil, err
 	}
@@ -355,7 +360,7 @@ func (v *VerifyingStore) Get(id hash.Hash) (*chunk.Chunk, error) {
 		return c, nil
 	}
 	ep := v.epochNow()
-	err = c.Recheck()
+	err := c.Recheck()
 	v.settle(id, ep, err)
 	if err != nil {
 		return nil, err
