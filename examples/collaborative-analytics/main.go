@@ -89,8 +89,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("merged as %s (%d chunks reused, %d new)\n",
-		res.Version.UID.Short(), res.Stats.ReusedChunks, res.Stats.NewChunks)
+	fmt.Printf("merged as %s (changed keys: %d on master, %d on analytics-b)\n",
+		res.Version.UID.Short(), res.Stats.DeltasA, res.Stats.DeltasB)
 
 	// Everyone sees the agreed state; provenance is in the DAG.
 	head, _ := db.Get("metrics", "master")

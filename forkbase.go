@@ -58,7 +58,8 @@ type (
 	Delta = index.Delta
 	// DiffStats instruments a differential query.
 	DiffStats = index.DiffStats
-	// MergeStats reports sub-tree reuse of a three-way merge.
+	// MergeStats counts a three-way merge's work in keys: those each side
+	// changed against the base, and the conflicts.
 	MergeStats = index.MergeStats
 	// Conflict is a key modified divergently by both merge sides.
 	Conflict = index.Conflict

@@ -257,8 +257,8 @@ func cmdMerge(db *forkbase.DB, args []string, out io.Writer) error {
 	if res.FastForward {
 		fmt.Fprintf(out, "fast-forward to %s\n", res.Version.UID)
 	} else {
-		fmt.Fprintf(out, "merged as %s (%d chunks reused, %d new)\n",
-			res.Version.UID, res.Stats.ReusedChunks, res.Stats.NewChunks)
+		fmt.Fprintf(out, "merged as %s (changed keys: %d on %s, %d on %s)\n",
+			res.Version.UID, res.Stats.DeltasA, p[1], res.Stats.DeltasB, p[2])
 	}
 	return nil
 }

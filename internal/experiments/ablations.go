@@ -8,6 +8,7 @@ import (
 	"forkbase/internal/baseline"
 	"forkbase/internal/chunker"
 	"forkbase/internal/hash"
+	"forkbase/internal/index"
 	"forkbase/internal/pos"
 	"forkbase/internal/store"
 )
@@ -131,28 +132,39 @@ func RunA1(entries, versions int) (A1Result, error) {
 
 // chunkShare returns the fraction of b's chunks also present in a.
 func chunkShare(a, b *pos.Tree) float64 {
-	aids, err := a.ChunkIDs()
+	shared, total, err := sharedChunks(b, a)
 	if err != nil {
 		return 0
 	}
-	bids, err := b.ChunkIDs()
+	if total == 0 {
+		return 1
+	}
+	return float64(shared) / float64(total)
+}
+
+// sharedChunks lists ix's chunk ids and counts those that one of had also
+// lists.
+func sharedChunks(ix index.VersionedIndex, had ...index.VersionedIndex) (shared, total int, err error) {
+	set := map[hash.Hash]bool{}
+	for _, h := range had {
+		ids, err := h.ChunkIDs()
+		if err != nil {
+			return 0, 0, err
+		}
+		for _, id := range ids {
+			set[id] = true
+		}
+	}
+	ids, err := ix.ChunkIDs()
 	if err != nil {
-		return 0
+		return 0, 0, err
 	}
-	set := make(map[hash.Hash]bool, len(aids))
-	for _, id := range aids {
-		set[id] = true
-	}
-	shared := 0
-	for _, id := range bids {
+	for _, id := range ids {
 		if set[id] {
 			shared++
 		}
 	}
-	if len(bids) == 0 {
-		return 1
-	}
-	return float64(shared) / float64(len(bids))
+	return shared, len(ids), nil
 }
 
 func min(a, b int) int {

@@ -312,24 +312,29 @@ func RunFig3(baseEntries, editsPerSide int) (Fig3Result, error) {
 		return Fig3Result{}, err
 	}
 	start := time.Now()
-	merged, stats, err := index.Merge3(base, a, b, nil)
+	merged, _, err := index.Merge3(base, a, b, nil)
 	if err != nil {
 		return Fig3Result{}, err
 	}
 	elapsed := time.Since(start).Nanoseconds()
-	ids, err := merged.ChunkIDs()
+	// Reuse is measured over chunk-id sets, outside the timed merge: a chunk
+	// of the merged index is reused when base, a or b already had it.
+	reused, total, err := sharedChunks(merged, base, a, b)
 	if err != nil {
 		return Fig3Result{}, err
 	}
-	return Fig3Result{
+	r := Fig3Result{
 		BaseEntries:   baseEntries,
 		EditedPerSide: editsPerSide,
-		MergedChunks:  len(ids),
-		ReusedChunks:  stats.ReusedChunks,
-		NewChunks:     stats.NewChunks,
-		ReuseFraction: stats.ReuseFraction(),
+		MergedChunks:  total,
+		ReusedChunks:  reused,
+		NewChunks:     total - reused,
 		MergeNanos:    elapsed,
-	}, nil
+	}
+	if total > 0 {
+		r.ReuseFraction = float64(reused) / float64(total)
+	}
+	return r, nil
 }
 
 // PrintFig3 renders the merge-reuse result.

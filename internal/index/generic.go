@@ -76,6 +76,9 @@ func cloneBytes(b []byte) []byte {
 // overlapping regions are recalculated.  Conflicts — keys changed by both
 // sides to different values — go to the resolver; with a nil resolver the
 // merge fails with *ErrConflict.  The merged index inherits a's structure.
+// A merge costs its two side diffs and one Apply, so it grows with what the
+// sides changed, not with the table; how much of the result was reused is a
+// measurement over chunk-id sets (experiments.RunFig3), not merge work.
 func Merge3(base, a, b VersionedIndex, resolve Resolver) (VersionedIndex, MergeStats, error) {
 	var stats MergeStats
 	// Trivial cases first: untouched sides merge to the other side.  Root
@@ -143,22 +146,9 @@ func Merge3(base, a, b VersionedIndex, resolve Resolver) (VersionedIndex, MergeS
 		return nil, stats, &ErrConflict{Conflicts: conflicts}
 	}
 
-	// Attribute newly calculated chunks via the store's unique-count delta
-	// (cheap and exact), as the reuse accounting for the paper's Fig 3.
-	before := a.Store().Stats()
 	merged, err := a.Apply(ops)
 	if err != nil {
 		return nil, stats, err
-	}
-	after := a.Store().Stats()
-	stats.NewChunks = int(after.UniqueChunks - before.UniqueChunks)
-	ids, err := merged.ChunkIDs()
-	if err != nil {
-		return nil, stats, err
-	}
-	stats.ReusedChunks = len(ids) - stats.NewChunks
-	if stats.ReusedChunks < 0 {
-		stats.ReusedChunks = 0
 	}
 	return merged, stats, nil
 }

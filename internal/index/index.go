@@ -264,22 +264,9 @@ type Resolver func(c Conflict) (val []byte, keep bool)
 func ResolveOurs(c Conflict) ([]byte, bool)   { return c.A, c.A != nil }
 func ResolveTheirs(c Conflict) ([]byte, bool) { return c.B, c.B != nil }
 
-// MergeStats instruments a merge: how much of the merged index was reused
-// versus freshly calculated.
+// MergeStats counts a merge's work: the keys each side changed against the
+// base and the keys both changed differently.
 type MergeStats struct {
 	DeltasA, DeltasB int
 	Conflicts        int
-	// ReusedChunks / NewChunks partition the merged index's chunk set by
-	// whether the chunk already existed or had to be newly calculated.
-	ReusedChunks int
-	NewChunks    int
-}
-
-// ReuseFraction is ReusedChunks/(ReusedChunks+NewChunks).
-func (m MergeStats) ReuseFraction() float64 {
-	t := m.ReusedChunks + m.NewChunks
-	if t == 0 {
-		return 1
-	}
-	return float64(m.ReusedChunks) / float64(t)
 }

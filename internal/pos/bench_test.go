@@ -9,7 +9,6 @@ import (
 
 	"forkbase/internal/chunk"
 	"forkbase/internal/chunker"
-	"forkbase/internal/index"
 	"forkbase/internal/nodecache"
 	"forkbase/internal/store"
 )
@@ -410,24 +409,6 @@ func BenchmarkTreeDiff(b *testing.B) {
 		}
 		b.ReportMetric(float64(len(want)), "deltas")
 	})
-}
-
-func BenchmarkMerge3Disjoint(b *testing.B) {
-	tree, _ := benchTree(b, 100000)
-	a, err := tree.Edit([]Op{Put([]byte("key-0000000001"), []byte("A"))})
-	if err != nil {
-		b.Fatal(err)
-	}
-	c, err := tree.Edit([]Op{Put([]byte("key-0000099998"), []byte("B"))})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := index.Merge3(tree, a, c, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 func BenchmarkBlobBuild(b *testing.B) {

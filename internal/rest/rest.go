@@ -722,8 +722,6 @@ func (h *Handler) merge(w http.ResponseWriter, r *http.Request, key string) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"version":      renderVersion(res.Version, body.Into),
 		"fast_forward": res.FastForward,
-		"reused":       res.Stats.ReusedChunks,
-		"new_chunks":   res.Stats.NewChunks,
 	})
 }
 

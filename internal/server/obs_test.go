@@ -121,7 +121,9 @@ func TestUnknownOpcodeMetrics(t *testing.T) {
 // exactly four requests — the Head, one PutChunks carrying the new index
 // nodes, one PutChunks carrying the FNode (a version object is always saved
 // as a batch) and the Apply.  The store's put is the only
-// dedup, so no HasChunks rides along, on either index structure.
+// dedup, so no HasChunks rides along, on either index structure.  A warm
+// merge of two one-row branches is the two Heads, the same two PutChunks and
+// the Apply: no Stats request and no read of the merged index.
 func TestRemoteEngineFetchesNoFNodeItWrote(t *testing.T) {
 	for _, kind := range []index.Kind{index.KindPOS, index.KindMPT} {
 		t.Run(kind.String(), func(t *testing.T) { remoteWarmEdit(t, kind) })
@@ -307,5 +309,38 @@ func remoteWarmEdit(t *testing.T, kind index.Kind) {
 	want := map[string]float64{"Head": 1, "PutChunks": 2, "Apply": 1}
 	if d := requests(); !maps.Equal(d, want) {
 		t.Fatalf("warm EditMap on a head this client wrote: requests %v, want %v", d, want)
+	}
+
+	// A warm merge of two one-row branches: each side's new path is read
+	// back, so the two side diffs and the Apply find every node cached.  The
+	// merge reads both heads, writes its index nodes and its FNode, and moves
+	// the head; it asks the server for no store-wide Stats.
+	if err := db.Branch("t", "dev", ""); err != nil {
+		t.Fatal(err)
+	}
+	side := func(branch, row, val string) {
+		t.Helper()
+		ver, err := db.EditMap("t", branch, []index.Entry{{Key: []byte(row), Val: []byte(val)}}, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix, err := db.IndexOf(ver)
+		if err == nil {
+			_, err = ix.Get([]byte(row))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	side("dev", "row-01900", "dev")
+	side("", "row-00042", "third")
+	requests()
+	res, err := db.Merge("t", "", "dev", nil, nil)
+	if err != nil || res.FastForward || res.Stats.DeltasA != 1 || res.Stats.DeltasB != 1 {
+		t.Fatalf("Merge = %+v, %v; want a merge of one row from each side", res, err)
+	}
+	want = map[string]float64{"Head": 2, "PutChunks": 2, "Apply": 1}
+	if d := requests(); !maps.Equal(d, want) {
+		t.Fatalf("warm Merge of two one-row branches: requests %v, want %v", d, want)
 	}
 }
