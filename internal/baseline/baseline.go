@@ -229,9 +229,6 @@ func (d *DeltaChain) Read(version int) (map[string][]byte, error) {
 // StorageBytes implements VersionedStore.
 func (d *DeltaChain) StorageBytes() int64 { return d.bytes }
 
-// ChainLength returns the number of committed versions.
-func (d *DeltaChain) ChainLength() int { return len(d.deltas) }
-
 type versionError int
 
 func (e versionError) Error() string { return "baseline: unknown version" }

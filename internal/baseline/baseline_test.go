@@ -119,8 +119,8 @@ func TestDeltaChainDeletes(t *testing.T) {
 	if err != nil || len(got) != 2 {
 		t.Fatalf("v0 damaged: %v %v", got, err)
 	}
-	if d.ChainLength() != 2 {
-		t.Fatalf("chain length %d", d.ChainLength())
+	if len(d.deltas) != 2 {
+		t.Fatalf("chain length %d", len(d.deltas))
 	}
 }
 
