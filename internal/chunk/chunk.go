@@ -86,9 +86,6 @@ type Chunk struct {
 // ErrCorrupt is returned when a chunk's bytes do not match its claimed id.
 var ErrCorrupt = errors.New("chunk: content does not match id (corruption or tampering)")
 
-// ErrBadEncoding is returned when decoding malformed chunk bytes.
-var ErrBadEncoding = errors.New("chunk: malformed encoding")
-
 // New creates a chunk of the given type, taking ownership of data.
 func New(t Type, data []byte) *Chunk {
 	if !t.Valid() {
@@ -186,27 +183,6 @@ func (c *Chunk) ID() hash.Hash { return c.id }
 
 // Size returns the encoded size in bytes (1 type byte + payload).
 func (c *Chunk) Size() int { return 1 + len(c.data) }
-
-// Encode renders the canonical byte form: [type][payload...].
-func (c *Chunk) Encode() []byte {
-	out := make([]byte, 1+len(c.data))
-	out[0] = byte(c.typ)
-	copy(out[1:], c.data)
-	return out
-}
-
-// Decode parses the canonical byte form.  The returned chunk aliases b's
-// payload region; callers handing Decode a shared buffer must copy first.
-func Decode(b []byte) (*Chunk, error) {
-	if len(b) < 1 {
-		return nil, fmt.Errorf("%w: empty", ErrBadEncoding)
-	}
-	t := Type(b[0])
-	if !t.Valid() {
-		return nil, fmt.Errorf("%w: unknown type %d", ErrBadEncoding, b[0])
-	}
-	return New(t, b[1:]), nil
-}
 
 // Verify checks that the chunk's content hashes to want. It is how ForkBase
 // detects malicious storage: a provider can withhold data but cannot forge it.

@@ -1,10 +1,8 @@
 package chunk
 
 import (
-	"bytes"
 	"errors"
 	"testing"
-	"testing/quick"
 
 	"forkbase/internal/hash"
 )
@@ -38,33 +36,6 @@ func TestIDMatchesManualHash(t *testing.T) {
 	want := hash.Of(append([]byte{byte(TypeFNode)}, []byte("abc")...))
 	if c.ID() != want {
 		t.Fatal("id does not equal hash of encoding")
-	}
-}
-
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	f := func(data []byte, typSeed uint8) bool {
-		typ := Type(typSeed%8) + 1
-		c := New(typ, data)
-		d, err := Decode(c.Encode())
-		if err != nil {
-			return false
-		}
-		return d.Type() == typ && bytes.Equal(d.Data(), data) && d.ID() == c.ID()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDecodeErrors(t *testing.T) {
-	if _, err := Decode(nil); err == nil {
-		t.Fatal("Decode(nil) succeeded")
-	}
-	if _, err := Decode([]byte{0xFF, 1, 2}); err == nil {
-		t.Fatal("Decode with invalid type succeeded")
-	}
-	if _, err := Decode([]byte{0, 1, 2}); err == nil {
-		t.Fatal("Decode with TypeInvalid succeeded")
 	}
 }
 
@@ -105,7 +76,7 @@ func TestNewPanicsOnInvalidType(t *testing.T) {
 func TestNewPrehashedTrusted(t *testing.T) {
 	ref := New(TypeBlobLeaf, []byte("payload"))
 	var id hash.Hash
-	prov := HashEncoding(&id, ref.Encode())
+	prov := HashEncoding(&id, []byte("\x01payload"))
 	c := NewPrehashed(TypeBlobLeaf, []byte("payload"), id, prov)
 	if c.ID() != ref.ID() || c.Type() != ref.Type() {
 		t.Fatal("prehashed chunk differs from New")
@@ -135,7 +106,7 @@ func TestNewPrehashedRejectsForgedProvenance(t *testing.T) {
 	// A genuine token covers only the id it was minted for: replaying it
 	// against a different id panics too.
 	var otherID hash.Hash
-	prov := HashEncoding(&otherID, New(TypeBlobLeaf, []byte("other")).Encode())
+	prov := HashEncoding(&otherID, []byte("\x01other"))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("NewPrehashed with replayed provenance did not panic")

@@ -583,10 +583,7 @@ func TestEmptyTrie(t *testing.T) {
 // leaf in a form the writer never emits.
 func TestDecodeRefusesNonCanonicalNodes(t *testing.T) {
 	decode := func(enc []byte) error {
-		c, err := chunk.Decode(enc)
-		if err == nil {
-			_, err = decodeNode(c)
-		}
+		_, err := decodeNode(chunk.New(chunk.Type(enc[0]), enc[1:]))
 		return err
 	}
 	const typ = byte(chunk.TypeMPTNode)
