@@ -60,8 +60,8 @@ func DefaultConfig() Config {
 	return Config{Q: 12, Window: rolling.DefaultWindow, MinSize: 1 << 9, MaxSize: 1 << 16}
 }
 
-// SmallConfig yields ~256 B average chunks; useful for index levels and for
-// tests that want deep trees from small inputs.
+// SmallConfig yields ~256 B average chunks, for tests that want deep trees
+// from small inputs.
 func SmallConfig() Config {
 	return Config{Q: 8, Window: rolling.DefaultWindow, MinSize: 1 << 5, MaxSize: 1 << 12}
 }
@@ -112,15 +112,6 @@ func (b *ByteChunker) Write(p []byte) []int {
 		}
 	}
 	return cuts
-}
-
-// Roll feeds a single byte; it returns true if a boundary occurs after it.
-func (b *ByteChunker) Roll(by byte) bool {
-	if b.roll(by) {
-		b.reset()
-		return true
-	}
-	return false
 }
 
 // roll feeds one byte and reports whether a boundary occurs after it,

@@ -30,6 +30,15 @@ func SplitBytes(data []byte, cfg Config) [][]byte {
 	return out
 }
 
+// Roll feeds a single byte; it returns true if a boundary occurs after it.
+func (b *ByteChunker) Roll(by byte) bool {
+	if b.roll(by) {
+		b.reset()
+		return true
+	}
+	return false
+}
+
 // EntryChunker consumes whole entries (as encoded byte slices) and decides
 // after each entry whether a node boundary occurs.  If the pattern fires
 // mid-entry the boundary is extended to the end of that entry, as §II-A of
