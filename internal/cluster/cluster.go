@@ -89,9 +89,6 @@ func (c *Cluster) Close() error {
 	return first
 }
 
-// Nodes returns the number of nodes.
-func (c *Cluster) Nodes() int { return len(c.stores) }
-
 // shardIndex is the placement function: every read and write path must
 // derive placement from it, or batched writes could land where reads do not
 // look.
@@ -226,9 +223,4 @@ func (c *Cluster) ShardStats() []store.Stats {
 		out[i] = rs.Stats()
 	}
 	return out
-}
-
-// OpenDB assembles a core.DB backed by the cluster.
-func (c *Cluster) OpenDB() *core.DB {
-	return core.Open(core.Options{Store: c.Store(), Branches: c.heads})
 }

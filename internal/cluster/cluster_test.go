@@ -41,12 +41,17 @@ func startCluster(t *testing.T, n int) (*Cluster, []*server.Server) {
 	return c, servers
 }
 
+// openDB assembles a core.DB backed by the cluster, as the facade does.
+func openDB(c *Cluster) *core.DB {
+	return core.Open(core.Options{Store: c.Store(), Branches: c.BranchTable()})
+}
+
 func TestClusterEndToEnd(t *testing.T) {
 	c, _ := startCluster(t, 3)
-	if c.Nodes() != 3 {
-		t.Fatalf("nodes = %d", c.Nodes())
+	if len(c.stores) != 3 {
+		t.Fatalf("nodes = %d", len(c.stores))
 	}
-	db := c.OpenDB()
+	db := openDB(c)
 
 	// Store a map object large enough to spread chunks across shards.
 	entries := make([]pos.Entry, 5000)
@@ -114,7 +119,7 @@ func TestClusterVerifyTamperEvidence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	db := c.OpenDB()
+	db := openDB(c)
 	ver, err := db.Put("doc", "", value.String("sensitive"), nil)
 	if err != nil {
 		t.Fatal(err)
