@@ -40,7 +40,7 @@ const DefaultLease = time.Minute
 // Feed is the primary-side change feed: a bounded, sequence-numbered ring of
 // head movements with blocking tail reads.  It is safe for concurrent use.
 type Feed struct {
-	epoch   uint64 // identifies this feed incarnation; see Epoch
+	epoch   uint64 // this incarnation: stable for its lifetime, new at each restart
 	mu      sync.Mutex
 	entries []FeedEntry // ring contents, entries[0].Seq == start
 	ends    []bool      // ends[i]: entries[i] is the last of its Append
@@ -85,10 +85,6 @@ func NewFeed(capacity int) *Feed {
 		ttl:    DefaultLease,
 	}
 }
-
-// Epoch identifies this feed incarnation (stable for the feed's lifetime,
-// different across restarts with overwhelming probability).
-func (f *Feed) Epoch() uint64 { return f.epoch }
 
 // Append records a group of head movements — one Apply's — under
 // consecutive sequence numbers (their Seq fields are ignored) and returns

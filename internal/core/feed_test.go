@@ -111,10 +111,10 @@ func TestFeedLeases(t *testing.T) {
 	f.Read(0, FeedCursor{Seq: 3}, 0, 0)
 	want("lease 0 is no lease")
 
-	tip := FeedCursor{Epoch: f.Epoch(), Seq: 5}
+	tip := FeedCursor{Epoch: f.epoch, Seq: 5}
 	f.Read(1, FeedCursor{}, -1, 0)
 	want("a new lease holds every retained Old", h(1), h(2), h(3), h(4))
-	f.Read(1, FeedCursor{Epoch: f.Epoch(), Seq: 3}, 0, 0)
+	f.Read(1, FeedCursor{Epoch: f.epoch, Seq: 3}, 0, 0)
 	want("a read sets the cursor", h(3), h(4))
 	f.Read(1, FeedCursor{}, -1, 0)
 	want("a probe leaves it", h(3), h(4))
@@ -122,7 +122,7 @@ func TestFeedLeases(t *testing.T) {
 	want("the oldest lease decides", h(3), h(4))
 	f.Read(1, tip, 0, 0)
 	want("both at the tip")
-	f.Read(2, FeedCursor{Epoch: f.Epoch() + 1, Seq: 5}, 0, 0)
+	f.Read(2, FeedCursor{Epoch: f.epoch + 1, Seq: 5}, 0, 0)
 	want("another incarnation's cursor holds every retained Old", h(1), h(2), h(3), h(4))
 
 	f.ttl = -time.Nanosecond // every renewal from here on has already lapsed

@@ -97,6 +97,7 @@ func TestGetChunksRejectsForgedPayload(t *testing.T) {
 func TestFeedSinceOverWire(t *testing.T) {
 	st := store.NewMemStore()
 	feed := core.NewFeed(64)
+	_, tip, _ := feed.Read(0, core.FeedCursor{}, -1, 0)
 	heads := core.WithFeed(core.NewMemBranchTable(), feed)
 	srv := New(st, heads, nil)
 	srv.AttachFeed(feed)
@@ -125,7 +126,7 @@ func TestFeedSinceOverWire(t *testing.T) {
 	if err != nil || truncated {
 		t.Fatalf("FeedSince: %v truncated=%v", err, truncated)
 	}
-	if len(entries) != 2 || next.Seq != 2 || next.Epoch != feed.Epoch() {
+	if len(entries) != 2 || next.Seq != 2 || next.Epoch != tip.Epoch {
 		t.Fatalf("entries=%d next=%+v", len(entries), next)
 	}
 	if entries[0].New != u1 || entries[1].Old != u1 || entries[1].New != u2 {
@@ -133,14 +134,14 @@ func TestFeedSinceOverWire(t *testing.T) {
 	}
 
 	// A cursor from another feed incarnation is truncated, not aliased.
-	_, _, truncated, err = cl.FeedSince(0, core.FeedCursor{Epoch: feed.Epoch() + 1, Seq: 2}, 0, 0)
+	_, _, truncated, err = cl.FeedSince(0, core.FeedCursor{Epoch: tip.Epoch + 1, Seq: 2}, 0, 0)
 	if err != nil || !truncated {
 		t.Fatalf("foreign-epoch cursor: err=%v truncated=%v", err, truncated)
 	}
 
 	// Sequence probe.
 	_, pos, _, err := cl.FeedSince(0, core.FeedCursor{}, -1, 0)
-	if err != nil || pos.Seq != 2 || pos.Epoch != feed.Epoch() {
+	if err != nil || pos.Seq != 2 || pos.Epoch != tip.Epoch {
 		t.Fatalf("FeedSeq = %+v, %v", pos, err)
 	}
 
@@ -150,7 +151,7 @@ func TestFeedSinceOverWire(t *testing.T) {
 		feed.Append(core.FeedEntry{Key: "k", Branch: "master", Old: u2, New: hash.Of([]byte("v3"))})
 	}()
 	start := time.Now()
-	entries, next, _, err = cl.FeedSince(0, core.FeedCursor{Epoch: feed.Epoch(), Seq: 2}, 0, 2*time.Second)
+	entries, next, _, err = cl.FeedSince(0, core.FeedCursor{Epoch: tip.Epoch, Seq: 2}, 0, 2*time.Second)
 	if err != nil || len(entries) != 1 || next.Seq != 3 {
 		t.Fatalf("long poll: %v entries=%d next=%+v", err, len(entries), next)
 	}
