@@ -35,6 +35,19 @@ func TestSumIntoZeroAlloc(t *testing.T) {
 	}
 }
 
+// OfParts is the reference SumTagged and SumInto are checked against: the
+// hash of the concatenation of parts, without materialising it.
+func OfParts(parts ...[]byte) Hash {
+	d := statePool.Get().(*digestState)
+	d.h.Reset()
+	for _, p := range parts {
+		d.h.Write(p)
+	}
+	out := d.finish()
+	statePool.Put(d)
+	return out
+}
+
 func TestSumTaggedMatchesOfParts(t *testing.T) {
 	payload := []byte("tagged digest equivalence")
 	want := OfParts([]byte{0x2a}, payload)

@@ -43,26 +43,13 @@ var ErrInvalidHash = errors.New("hash: invalid hash string")
 var digests atomic.Int64
 
 // Digests returns the process-wide number of digest computations (Of,
-// OfParts, SumTagged, SumInto) since start.
+// SumTagged, SumInto) since start.
 func Digests() int64 { return digests.Load() }
 
 // Of returns the hash of data.
 func Of(data []byte) Hash {
 	digests.Add(1)
 	return sha256.Sum256(data)
-}
-
-// OfParts returns the hash of the concatenation of parts without
-// materialising the concatenation.
-func OfParts(parts ...[]byte) Hash {
-	d := statePool.Get().(*digestState)
-	d.h.Reset()
-	for _, p := range parts {
-		d.h.Write(p)
-	}
-	out := d.finish()
-	statePool.Put(d)
-	return out
 }
 
 // digestState is a pooled SHA-256 state plus the scratch buffers that keep
@@ -130,13 +117,6 @@ func (h Hash) Short() string {
 	return s
 }
 
-// Bytes returns the raw digest as a fresh slice.
-func (h Hash) Bytes() []byte {
-	out := make([]byte, Size)
-	copy(out, h[:])
-	return out
-}
-
 // Compare orders hashes lexicographically by raw digest bytes.
 func (h Hash) Compare(o Hash) int {
 	return bytes.Compare(h[:], o[:])
@@ -153,24 +133,5 @@ func Parse(s string) (Hash, error) {
 		return h, fmt.Errorf("%w: %v", ErrInvalidHash, err)
 	}
 	copy(h[:], raw)
-	return h, nil
-}
-
-// MustParse is Parse for tests and constants; it panics on malformed input.
-func MustParse(s string) Hash {
-	h, err := Parse(s)
-	if err != nil {
-		panic(err)
-	}
-	return h
-}
-
-// FromBytes copies a raw 32-byte digest into a Hash.
-func FromBytes(b []byte) (Hash, error) {
-	var h Hash
-	if len(b) != Size {
-		return h, fmt.Errorf("%w: raw length %d, want %d", ErrInvalidHash, len(b), Size)
-	}
-	copy(h[:], b)
 	return h, nil
 }

@@ -89,17 +89,6 @@ func TestCompare(t *testing.T) {
 	}
 }
 
-func TestFromBytes(t *testing.T) {
-	h := Of([]byte("x"))
-	got, err := FromBytes(h.Bytes())
-	if err != nil || got != h {
-		t.Fatalf("FromBytes round trip: %v", err)
-	}
-	if _, err := FromBytes([]byte("short")); err == nil {
-		t.Fatal("FromBytes accepted short input")
-	}
-}
-
 func TestShort(t *testing.T) {
 	h := Of([]byte("y"))
 	if len(h.Short()) != 10 {
@@ -110,11 +99,3 @@ func TestShort(t *testing.T) {
 	}
 }
 
-func TestMustParsePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustParse did not panic")
-		}
-	}()
-	MustParse("bogus")
-}
