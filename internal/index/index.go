@@ -29,7 +29,6 @@ import (
 	"fmt"
 
 	"forkbase/internal/hash"
-	"forkbase/internal/store"
 )
 
 // Kind identifies an index structure.
@@ -130,8 +129,6 @@ type VersionedIndex interface {
 	Root() hash.Hash
 	// Len returns the number of entries.
 	Len() uint64
-	// Store returns the backing chunk store.
-	Store() store.Store
 
 	// Get returns the value under key, or ErrKeyNotFound.
 	Get(key []byte) ([]byte, error)

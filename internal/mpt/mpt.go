@@ -276,9 +276,6 @@ func (t *Trie) Root() hash.Hash { return t.root }
 // Len returns the number of entries.
 func (t *Trie) Len() uint64 { return t.count }
 
-// Store returns the backing chunk store.
-func (t *Trie) Store() store.Store { return t.src.Store() }
-
 // keyNibbles expands a key into its nibble path, high nibble first.
 func keyNibbles(key []byte) []byte {
 	out := make([]byte, 0, len(key)*2)

@@ -71,9 +71,6 @@ func (t *Tree) Root() hash.Hash { return t.root }
 // Len returns the number of entries.
 func (t *Tree) Len() uint64 { return t.count }
 
-// Store returns the backing chunk store.
-func (t *Tree) Store() store.Store { return t.src.Store() }
-
 // Get returns the value stored under key, or index.ErrKeyNotFound.
 //
 // The returned slice aliases shared decoded node data (like Iter.Entry and
