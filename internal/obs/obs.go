@@ -214,13 +214,6 @@ func (v *CounterVec) With(values ...string) *Counter {
 // Gauge is a value that can go up and down.  Nil-safe.
 type Gauge struct{ v atomic.Int64 }
 
-// Set replaces the value.
-func (g *Gauge) Set(n int64) {
-	if g != nil {
-		g.v.Store(n)
-	}
-}
-
 // Add adjusts the value by n (n may be negative).
 func (g *Gauge) Add(n int64) {
 	if g != nil {

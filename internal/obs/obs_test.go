@@ -18,7 +18,7 @@ func TestPrometheusGolden(t *testing.T) {
 	cv := r.CounterVec("test_errors_total", "Errors by kind.", "kind")
 	cv.With("io").Add(3)
 	cv.With("corrupt").Inc()
-	r.Gauge("test_inflight", "In-flight requests.").Set(7)
+	r.Gauge("test_inflight", "In-flight requests.").Add(7)
 	r.GaugeFunc("test_uptime_seconds", "Uptime.", func() float64 { return 1.5 })
 	h := r.Histogram("test_op_seconds", "Op latency.")
 	h.Observe(200 * time.Nanosecond)  // bucket 0 (≤256ns)
@@ -70,7 +70,7 @@ func TestJSONSnapshot(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("snap_total", "help").Add(5)
 	r.CounterVec("snap_by_kind_total", "help", "kind").With("a").Add(2)
-	r.Gauge("snap_gauge", "help").Set(-3)
+	r.Gauge("snap_gauge", "help").Add(-3)
 	h := r.Histogram("snap_seconds", "help")
 	for i := 0; i < 100; i++ {
 		h.Observe(time.Microsecond)
@@ -245,7 +245,7 @@ func TestNilSafety(t *testing.T) {
 	var r *Registry
 	r.Counter("x", "h").Inc()
 	r.CounterVec("x", "h", "l").With("v").Add(5)
-	r.Gauge("x", "h").Set(1)
+	r.Gauge("x", "h").Add(1)
 	r.GaugeFunc("x", "h", func() float64 { return 1 })
 	r.Histogram("x", "h").Observe(time.Second)
 	r.HistogramVec("x", "h", "l").With("v").Since(time.Now())
