@@ -98,4 +98,3 @@ func TestShort(t *testing.T) {
 		t.Fatal("Short is not a prefix of String")
 	}
 }
-
