@@ -39,14 +39,6 @@ func newRESTMetrics(reg *obs.Registry) *restMetrics {
 	}
 }
 
-// WithMetrics points the handler at a registry other than the engine's
-// (tests use a private one).  Returns h for chaining.
-func (h *Handler) WithMetrics(reg *obs.Registry) *Handler {
-	h.reg = reg
-	h.met = newRESTMetrics(reg)
-	return h
-}
-
 // WithLogger installs the structured logger behind slow-request warnings
 // (nil keeps slog.Default()).  Returns h for chaining.
 func (h *Handler) WithLogger(l *slog.Logger) *Handler {

@@ -45,14 +45,14 @@ type Handler struct {
 	replStatus func() repl.Stats     // nil on non-replicas
 	ready      func() (bool, string) // nil = always ready
 
-	reg     *obs.Registry // exposed at /v1/metrics(.json); engine's by default
+	reg     *obs.Registry // the engine's, exposed at /v1/metrics(.json)
 	met     *restMetrics
 	logger  *slog.Logger
 	slowReq time.Duration // 0 = no slow-request logging
 }
 
-// New builds the handler.  Metrics default to the engine's registry, the
-// logger to slog.Default(); override with WithMetrics / WithLogger.
+// New builds the handler.  Metrics go to the engine's registry, the logger
+// defaults to slog.Default(); override it with WithLogger.
 func New(db *core.DB) *Handler {
 	h := &Handler{db: db, mux: http.NewServeMux(), logger: slog.Default()}
 	h.reg = db.Metrics()
