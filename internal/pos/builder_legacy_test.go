@@ -61,9 +61,9 @@ func newIndexChunker(cfg chunker.Config) *indexChunker {
 }
 
 func (c *indexChunker) Add(encoded []byte) bool {
-	c.h.Write(encoded)
+	sum := c.h.Write(encoded)
 	c.entries++
-	hit := c.entries >= 2 && c.h.Sum64()&c.mask == 0 || c.entries >= indexMaxEntries
+	hit := c.entries >= 2 && sum&c.mask == 0 || c.entries >= indexMaxEntries
 	if hit {
 		c.Reset()
 	}

@@ -62,12 +62,6 @@ func New(q uint, window int) *Hasher {
 	return h
 }
 
-// Q returns the pattern bit-width.
-func (h *Hasher) Q() uint { return h.q }
-
-// Window returns the window size in bytes.
-func (h *Hasher) Window() int { return h.window }
-
 // Reset clears the window so the hasher can be reused from a chunk boundary.
 // Resetting at every emitted boundary is what makes chunking a deterministic
 // function of the byte stream following the boundary.
@@ -103,9 +97,6 @@ func (h *Hasher) Write(p []byte) uint64 {
 	}
 	return h.hash
 }
-
-// Sum64 returns the current hash value.
-func (h *Hasher) Sum64() uint64 { return h.hash }
 
 // OnPattern reports whether the current window ends on a split pattern,
 // i.e. Φ MOD 2^q == 0.  The window must be full: requiring h.n == window

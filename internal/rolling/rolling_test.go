@@ -20,7 +20,7 @@ func TestWindowEquivalence(t *testing.T) {
 		h1.Write(data)
 		h2 := New(10, w)
 		h2.Write(data[len(data)-w:])
-		return h1.Sum64() == h2.Sum64()
+		return h1.hash == h2.hash
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -46,7 +46,7 @@ func TestResetClearsState(t *testing.T) {
 	data := []byte("fresh stream fed to both hashers after the reset point")
 	h.Write(data)
 	after.Write(data)
-	if h.Sum64() != after.Sum64() {
+	if h.hash != after.hash {
 		t.Fatal("Reset did not clear window state")
 	}
 }
@@ -201,9 +201,9 @@ func sameAsHasher(tb testing.TB, data []byte, q uint, window, minSize int, step 
 				break
 			}
 		}
-		if hit != want || got != ref.Sum64() {
+		if hit != want || got != ref.hash {
 			tb.Fatalf("q=%d w=%d min=%d, chunk at %d of %d bytes: Find = (%d, %#x), Hasher = (%d, %#x)",
-				q, window, minSize, start, len(node), hit, got, want, ref.Sum64())
+				q, window, minSize, start, len(node), hit, got, want, ref.hash)
 		}
 		switch {
 		case hit >= 0:
