@@ -29,13 +29,12 @@ type Server struct {
 	limits   Limits
 	met      *srvMetrics // set by SetMetrics before Listen; nil = uninstrumented
 
-	mu      sync.Mutex
-	ln      net.Listener
-	conns   map[net.Conn]struct{}
-	closed  bool
-	refused uint64 // connections shed by the MaxConns gate
-	logger  *slog.Logger
-	wg      sync.WaitGroup
+	mu     sync.Mutex
+	ln     net.Listener
+	conns  map[net.Conn]struct{}
+	closed bool
+	logger *slog.Logger
+	wg     sync.WaitGroup
 }
 
 // srvMetrics holds the per-opcode meters and connection-lifecycle handles,
@@ -108,13 +107,6 @@ type Limits struct {
 // SetLimits configures load-shedding bounds.  Call before Listen.
 func (s *Server) SetLimits(l Limits) { s.limits = l }
 
-// Refused reports how many connections the MaxConns gate has shed.
-func (s *Server) Refused() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.refused
-}
-
 // New creates a server over the given store and branch table.  A nil
 // logger selects slog.Default(); routine transport noise (peer hangups,
 // malformed frames) is logged at Debug, so the default level stays quiet.
@@ -170,7 +162,6 @@ func (s *Server) acceptLoop(ln net.Listener) {
 			return
 		}
 		if s.limits.MaxConns > 0 && len(s.conns) >= s.limits.MaxConns {
-			s.refused++
 			s.mu.Unlock()
 			if s.met != nil {
 				s.met.refused.Inc()

@@ -10,6 +10,7 @@ import (
 	"forkbase/internal/chunk"
 	"forkbase/internal/core"
 	"forkbase/internal/hash"
+	"forkbase/internal/obs"
 	"forkbase/internal/retry"
 	"forkbase/internal/store"
 	"forkbase/internal/value"
@@ -343,6 +344,8 @@ func TestWriteBatchOverWire(t *testing.T) {
 
 func TestServerMaxConnsGateShedsAndRecovers(t *testing.T) {
 	srv := New(store.NewMemStore(), core.NewMemBranchTable(), nil)
+	reg := obs.NewRegistry()
+	srv.SetMetrics(reg)
 	srv.SetLimits(Limits{MaxConns: 1})
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
@@ -363,7 +366,7 @@ func TestServerMaxConnsGateShedsAndRecovers(t *testing.T) {
 	if err == nil {
 		t.Fatal("connection over MaxConns was served")
 	}
-	if srv.Refused() == 0 {
+	if n, _ := reg.Value("forkbase_server_conns_refused_total"); n == 0 {
 		t.Fatal("gate shed nothing")
 	}
 	// Freeing the slot lets the next client in; the retry policy absorbs
