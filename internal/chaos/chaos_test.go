@@ -210,7 +210,7 @@ func TestFlakyStoreSchedule(t *testing.T) {
 // acknowledged chunk intact.
 func TestCrashAtRotateRecovers(t *testing.T) {
 	dir := t.TempDir()
-	fs, err := store.OpenFileStoreSegmented(dir, 2048)
+	fs, err := store.OpenFileStoreWith(dir, store.FileStoreOptions{SegmentSize: 2048})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestCrashAtRotateRecovers(t *testing.T) {
 		t.Fatal("store never reached the rotate crash point")
 	}
 	fs.Close()
-	re, err := store.OpenFileStoreSegmented(dir, 2048)
+	re, err := store.OpenFileStoreWith(dir, store.FileStoreOptions{SegmentSize: 2048})
 	if err != nil {
 		t.Fatalf("reopen after crash: %v", err)
 	}

@@ -279,7 +279,7 @@ func soakCrashPoints(t *testing.T) {
 	}
 	open := func() *store.FileStore {
 		t.Helper()
-		fs, err := store.OpenFileStoreSegmented(dir, 4096)
+		fs, err := store.OpenFileStoreWith(dir, store.FileStoreOptions{SegmentSize: 4096})
 		if err != nil {
 			t.Fatalf("open %s: %v", dir, err)
 		}

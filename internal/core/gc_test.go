@@ -159,7 +159,7 @@ func TestGCNotCollectable(t *testing.T) {
 // the compacted store survives a reopen.
 func TestGCFileBacked(t *testing.T) {
 	dir := t.TempDir()
-	fs, err := store.OpenFileStoreSegmented(dir, 8<<10)
+	fs, err := store.OpenFileStoreWith(dir, store.FileStoreOptions{SegmentSize: 8 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestGCFileBacked(t *testing.T) {
 	fs.Close()
 
 	// The compacted layout must round-trip a restart.
-	fs2, err := store.OpenFileStoreSegmented(dir, 8<<10)
+	fs2, err := store.OpenFileStoreWith(dir, store.FileStoreOptions{SegmentSize: 8 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestGCFileBacked(t *testing.T) {
 // the file-backed path: swept ids must leave the decoded-node cache even
 // though the store reclaims them via compaction rather than deletion.
 func TestGCPurgesNodeCacheFileBacked(t *testing.T) {
-	fs, err := store.OpenFileStoreSegmented(t.TempDir(), 8<<10)
+	fs, err := store.OpenFileStoreWith(t.TempDir(), store.FileStoreOptions{SegmentSize: 8 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func TestGCRacingLastBranchDelete(t *testing.T) {
 // chunks can be swept between landing and the head CAS that publishes them:
 // every head must still verify deep once the dust settles.
 func TestGCRacingWriters(t *testing.T) {
-	fs, err := store.OpenFileStoreSegmented(t.TempDir(), 16<<10)
+	fs, err := store.OpenFileStoreWith(t.TempDir(), store.FileStoreOptions{SegmentSize: 16 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}

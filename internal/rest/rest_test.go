@@ -377,7 +377,7 @@ func (m *movingTable) Apply(ops []core.HeadOp) (bool, error) {
 // TestGCEndpoint drives POST /v1/gc against a file-backed engine: churned
 // garbage is swept, disk space is reclaimed, and live data survives.
 func TestGCEndpoint(t *testing.T) {
-	fs, err := store.OpenFileStoreSegmented(t.TempDir(), 8<<10)
+	fs, err := store.OpenFileStoreWith(t.TempDir(), store.FileStoreOptions{SegmentSize: 8 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}

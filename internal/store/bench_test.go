@@ -222,7 +222,7 @@ func BenchmarkFileStoreSweep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		fs, err := OpenFileStoreSegmented(b.TempDir(), 256<<10)
+		fs, err := OpenFileStoreWith(b.TempDir(), FileStoreOptions{SegmentSize: 256 << 10})
 		if err != nil {
 			b.Fatal(err)
 		}

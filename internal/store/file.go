@@ -354,12 +354,6 @@ func OpenFileStore(dir string) (*FileStore, error) {
 	return OpenFileStoreWith(dir, FileStoreOptions{})
 }
 
-// OpenFileStoreSegmented is OpenFileStore with a custom segment size,
-// exposed so tests can force multi-segment layouts cheaply.
-func OpenFileStoreSegmented(dir string, segSize int64) (*FileStore, error) {
-	return OpenFileStoreWith(dir, FileStoreOptions{SegmentSize: segSize})
-}
-
 // OpenFileStoreWith opens a file store with explicit options.
 func OpenFileStoreWith(dir string, opts FileStoreOptions) (*FileStore, error) {
 	if opts.SegmentSize <= 0 {
@@ -1007,8 +1001,7 @@ func (f *FileStore) HasBatch(ids []hash.Hash) ([]bool, error) {
 // batch-wide lock to amortize.
 func (f *FileStore) GetBatch(ids []hash.Hash) ([]*chunk.Chunk, error) { return getEach(f.Get, ids) }
 
-// IDs returns the ids of all indexed chunks (order unspecified); used by
-// tests and diagnostics.
+// IDs returns the ids of all indexed chunks (order unspecified), for tests.
 func (f *FileStore) IDs() []hash.Hash {
 	var out []hash.Hash
 	for i := range f.shards {

@@ -39,7 +39,7 @@ func TestFileStoreMmapSealedReads(t *testing.T) {
 	if !mmapSupported {
 		t.Skip("no mmap on this platform")
 	}
-	s, err := OpenFileStoreSegmented(t.TempDir(), 2048)
+	s, err := OpenFileStoreWith(t.TempDir(), FileStoreOptions{SegmentSize: 2048})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func sweepKeep(keep map[hash.Hash]bool) func(hash.Hash) bool {
 
 func TestFileStoreSweepCompacts(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenFileStoreSegmented(dir, 2048)
+	s, err := OpenFileStoreWith(dir, FileStoreOptions{SegmentSize: 2048})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestFileStoreSweepCompacts(t *testing.T) {
 	// The directory really lost the victim files, and a reopen sees the
 	// compacted layout: live chunks present, swept ones gone for good.
 	s.Close()
-	s2, err := OpenFileStoreSegmented(dir, 2048)
+	s2, err := OpenFileStoreWith(dir, FileStoreOptions{SegmentSize: 2048})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestFileStoreSweepCompacts(t *testing.T) {
 // little garbage is rewritten by the sweep all the same — there is no
 // dead-byte threshold — and every live chunk survives the move.
 func TestFileStoreSweepCompactsLightGarbage(t *testing.T) {
-	s, err := OpenFileStoreSegmented(t.TempDir(), 2048)
+	s, err := OpenFileStoreWith(t.TempDir(), FileStoreOptions{SegmentSize: 2048})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestFileStoreZeroCopySurvivesCompaction(t *testing.T) {
 	if !mmapSupported {
 		t.Skip("no mmap on this platform")
 	}
-	s, err := OpenFileStoreSegmented(t.TempDir(), 2048)
+	s, err := OpenFileStoreWith(t.TempDir(), FileStoreOptions{SegmentSize: 2048})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func copyDir(t *testing.T, src, dst string) {
 func TestFileStoreCrashMidCompaction(t *testing.T) {
 	dir := t.TempDir()
 	crashed := t.TempDir()
-	s, err := OpenFileStoreSegmented(dir, 2048)
+	s, err := OpenFileStoreWith(dir, FileStoreOptions{SegmentSize: 2048})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestFileStoreCrashMidCompaction(t *testing.T) {
 		t.Fatal("compaction never reached the crash point")
 	}
 
-	re, err := OpenFileStoreSegmented(crashed, 2048)
+	re, err := OpenFileStoreWith(crashed, FileStoreOptions{SegmentSize: 2048})
 	if err != nil {
 		t.Fatalf("reopen after crash: %v", err)
 	}
@@ -290,7 +290,7 @@ func TestFileStoreCrashMidCompaction(t *testing.T) {
 // leaves behind: recovery must glob, not probe sequentially.
 func TestFileStoreRecoverSegmentGaps(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenFileStoreSegmented(dir, 2048)
+	s, err := OpenFileStoreWith(dir, FileStoreOptions{SegmentSize: 2048})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +307,7 @@ func TestFileStoreRecoverSegmentGaps(t *testing.T) {
 	if _, err := os.Stat(s.segmentPath(0)); !os.IsNotExist(err) {
 		t.Skip("segment 0 survived; gap scenario not reached")
 	}
-	re, err := OpenFileStoreSegmented(dir, 2048)
+	re, err := OpenFileStoreWith(dir, FileStoreOptions{SegmentSize: 2048})
 	if err != nil {
 		t.Fatalf("reopen with segment gaps: %v", err)
 	}
@@ -451,7 +451,7 @@ func TestFileStoreRotatesBeforeCrossing(t *testing.T) {
 			}
 			readAll(s)
 			s.Close()
-			re, err := OpenFileStoreSegmented(dir, segSize)
+			re, err := OpenFileStoreWith(dir, FileStoreOptions{SegmentSize: segSize})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -131,8 +131,7 @@ func (m *MemStore) Len() int {
 	return len(m.chunks)
 }
 
-// IDs returns the ids of all stored chunks (order unspecified); used by the
-// garbage collector and by tests.
+// IDs returns the ids of all stored chunks (order unspecified), for tests.
 func (m *MemStore) IDs() []hash.Hash {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
@@ -188,7 +187,7 @@ func (m *MemStore) Repair(c *chunk.Chunk) error {
 	return nil
 }
 
-// Delete removes a chunk (used by GC); it is a no-op if absent.
+// Delete removes a chunk, for tests that lose one; it is a no-op if absent.
 func (m *MemStore) Delete(id hash.Hash) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

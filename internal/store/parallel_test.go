@@ -108,7 +108,7 @@ func TestGroupSyncerCoalesces(t *testing.T) {
 // rewritten segments, MovedBytes their on-disk volume, and every moved
 // chunk must remain readable.
 func TestSweepMovedAccounting(t *testing.T) {
-	s, err := OpenFileStoreSegmented(t.TempDir(), 2048)
+	s, err := OpenFileStoreWith(t.TempDir(), FileStoreOptions{SegmentSize: 2048})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,7 @@ func quarantineFiles(t *testing.T, dir string) []string {
 // TestScrubCleanStore pins the no-fault path: a scrub over an intact
 // multi-segment store touches nothing and reports healthy.
 func TestScrubCleanStore(t *testing.T) {
-	s, err := OpenFileStoreSegmented(t.TempDir(), 2048)
+	s, err := OpenFileStoreWith(t.TempDir(), FileStoreOptions{SegmentSize: 2048})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestScrubTornSegment(t *testing.T) {
 // scrub, and the damaged record is simply not indexed.
 func TestRecoverySeedsHealth(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenFileStoreSegmented(dir, 2048)
+	s, err := OpenFileStoreWith(dir, FileStoreOptions{SegmentSize: 2048})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestRecoverySeedsHealth(t *testing.T) {
 	}
 	flipPayloadByte(t, filepath.Join(dir, "seg-000001.log"))
 
-	s2, err := OpenFileStoreSegmented(dir, 2048)
+	s2, err := OpenFileStoreWith(dir, FileStoreOptions{SegmentSize: 2048})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestRecoverySeedsHealth(t *testing.T) {
 // untouched bytes aside as seg-N.quarantine.
 func TestRecoveryKeepsDamagedSealedSegment(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenFileStoreSegmented(dir, 2048)
+	s, err := OpenFileStoreWith(dir, FileStoreOptions{SegmentSize: 2048})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestRecoveryKeepsDamagedSealedSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, err := OpenFileStoreSegmented(dir, 2048)
+	s2, err := OpenFileStoreWith(dir, FileStoreOptions{SegmentSize: 2048})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +335,7 @@ func TestRecoveryKeepsDamagedSealedSegment(t *testing.T) {
 // TestRepairInsertsAbsent: Repair of a chunk the store never held is a plain
 // verified insert.
 func TestRepairInsertsAbsent(t *testing.T) {
-	s, err := OpenFileStoreSegmented(t.TempDir(), 2048)
+	s, err := OpenFileStoreWith(t.TempDir(), FileStoreOptions{SegmentSize: 2048})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -120,16 +120,13 @@ func (s Stats) DedupRatio() float64 {
 	return float64(s.LogicalBytes) / float64(s.PhysicalBytes)
 }
 
-// SavedBytes returns the bytes avoided thanks to deduplication.
-func (s Stats) SavedBytes() int64 { return s.LogicalBytes - s.PhysicalBytes }
-
 func (s Stats) String() string {
 	return fmt.Sprintf("chunks=%d physical=%dB logical=%dB dedup=%.2fx hits=%d",
 		s.UniqueChunks, s.PhysicalBytes, s.LogicalBytes, s.DedupRatio(), s.DedupHits)
 }
 
-// MustPut stores c into s and panics on error; for internal writers whose
-// stores are infallible (MemStore).
+// MustPut stores c into s and panics on error, for tests that plant a
+// hand-built chunk.
 func MustPut(s Store, c *chunk.Chunk) {
 	if _, err := s.Put(c); err != nil {
 		panic(fmt.Sprintf("store: put failed: %v", err))

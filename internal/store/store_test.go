@@ -81,8 +81,8 @@ func TestMemStoreStats(t *testing.T) {
 	if st.DedupRatio() <= 1.0 {
 		t.Fatalf("dedup ratio %f", st.DedupRatio())
 	}
-	if st.SavedBytes() != int64(c1.Size()) {
-		t.Fatalf("saved = %d", st.SavedBytes())
+	if saved := st.LogicalBytes - st.PhysicalBytes; saved != int64(c1.Size()) {
+		t.Fatalf("saved = %d", saved)
 	}
 	if st.String() == "" {
 		t.Fatal("empty Stats string")
@@ -186,7 +186,7 @@ func TestFileStoreReopenRecovers(t *testing.T) {
 
 func TestFileStoreSegmentRotation(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenFileStoreSegmented(dir, 2048) // tiny segments
+	s, err := OpenFileStoreWith(dir, FileStoreOptions{SegmentSize: 2048}) // tiny segments
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestFileStoreSegmentRotation(t *testing.T) {
 		}
 	}
 	s.Close()
-	s2, err := OpenFileStoreSegmented(dir, 2048)
+	s2, err := OpenFileStoreWith(dir, FileStoreOptions{SegmentSize: 2048})
 	if err != nil {
 		t.Fatal(err)
 	}

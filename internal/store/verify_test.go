@@ -96,7 +96,7 @@ func warmFileStack(t *testing.T) (*FileStore, *VerifyingStore, []hash.Hash) {
 	if !mmapSupported {
 		t.Skip("no mmap on this platform; sealed reads are unclaimed")
 	}
-	fs, err := OpenFileStoreSegmented(t.TempDir(), 2048)
+	fs, err := OpenFileStoreWith(t.TempDir(), FileStoreOptions{SegmentSize: 2048})
 	if err != nil {
 		t.Fatal(err)
 	}
