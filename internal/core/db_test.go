@@ -409,7 +409,7 @@ func TestMergeSetValues(t *testing.T) {
 		for i, e := range elems {
 			bs[i] = []byte(e)
 		}
-		v, err := value.NewSet(db.Store(), db.Chunking(), bs)
+		v, err := value.NewSetWith(db.Store(), db.Chunking(), index.KindPOS, bs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -423,7 +423,7 @@ func TestMergeSetValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := res.Version.Value.SetTree(db.Store(), db.Chunking())
+	tr, err := res.Version.Value.Index(db.Store(), db.Chunking(), index.KindPOS)
 	if err != nil {
 		t.Fatal(err)
 	}

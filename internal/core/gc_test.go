@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"forkbase/internal/chunker"
+	"forkbase/internal/index"
 	"forkbase/internal/nodecache"
 	"forkbase/internal/obs"
 	"forkbase/internal/pos"
@@ -426,7 +427,7 @@ func TestEditMapIncremental(t *testing.T) {
 
 func TestEditMapOnSet(t *testing.T) {
 	db := newTestDB()
-	v, err := value.NewSet(db.Store(), db.Chunking(), [][]byte{[]byte("a"), []byte("b")})
+	v, err := value.NewSetWith(db.Store(), db.Chunking(), index.KindPOS, [][]byte{[]byte("a"), []byte("b")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,7 +439,7 @@ func TestEditMapOnSet(t *testing.T) {
 	if v2.Value.Kind() != value.KindSet {
 		t.Fatalf("kind changed to %s", v2.Value.Kind())
 	}
-	tr, _ := v2.Value.SetTree(db.Store(), db.Chunking())
+	tr, _ := v2.Value.Index(db.Store(), db.Chunking(), index.KindPOS)
 	if ok, _ := tr.Has([]byte("c")); !ok {
 		t.Fatal("set add lost")
 	}

@@ -345,11 +345,6 @@ func (v Value) Index(st store.Store, cfg chunker.Config, hint index.Kind) (index
 	return LoadIndex(st, cfg, v.root, hint)
 }
 
-// NewSet builds a set value from elements using the default POS-Tree.
-func NewSet(st store.Store, cfg chunker.Config, elems [][]byte) (Value, error) {
-	return NewSetWith(st, cfg, index.KindPOS, elems)
-}
-
 // NewList builds a list value from items.
 func NewList(st store.Store, cfg chunker.Config, items [][]byte) (Value, error) {
 	s, err := pos.BuildSeq(st, cfg, items)
@@ -384,14 +379,6 @@ func FromBlob(b *pos.Blob) Value {
 func (v Value) MapTree(st store.Store, cfg chunker.Config) (*pos.Tree, error) {
 	if v.kind != KindMap {
 		return nil, fmt.Errorf("%w: have %s want map", ErrWrongKind, v.kind)
-	}
-	return pos.LoadTree(st, cfg, v.root)
-}
-
-// SetTree loads the underlying tree of a set value.
-func (v Value) SetTree(st store.Store, cfg chunker.Config) (*pos.Tree, error) {
-	if v.kind != KindSet {
-		return nil, fmt.Errorf("%w: have %s want set", ErrWrongKind, v.kind)
 	}
 	return pos.LoadTree(st, cfg, v.root)
 }

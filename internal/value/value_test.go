@@ -147,14 +147,14 @@ func TestMapValue(t *testing.T) {
 
 func TestSetValue(t *testing.T) {
 	st := store.NewMemStore()
-	v, err := NewSet(st, cfg(), [][]byte{[]byte("x"), []byte("y"), []byte("x")})
+	v, err := NewSetWith(st, cfg(), index.KindPOS, [][]byte{[]byte("x"), []byte("y"), []byte("x")})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v.Count() != 2 {
 		t.Fatalf("set count %d", v.Count())
 	}
-	tr, err := v.SetTree(st, cfg())
+	tr, err := v.Index(st, cfg(), index.KindPOS)
 	if err != nil {
 		t.Fatal(err)
 	}
