@@ -151,18 +151,3 @@ func MutateRows(schema dataset.Schema, rows []dataset.Row, modified, inserted, d
 	}
 	return out
 }
-
-// Zipf returns n keys drawn from a Zipf distribution over the id space —
-// used by read-path benchmarks to model skewed access.
-func Zipf(n, keySpace int, s float64, seed int64) []string {
-	rng := rand.New(rand.NewSource(seed))
-	if s <= 1 {
-		s = 1.1
-	}
-	z := rand.NewZipf(rng, s, 1, uint64(keySpace-1))
-	out := make([]string, n)
-	for i := range out {
-		out[i] = fmt.Sprintf("id-%08d", z.Uint64())
-	}
-	return out
-}

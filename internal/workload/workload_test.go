@@ -99,18 +99,3 @@ func TestMutateRows(t *testing.T) {
 		}
 	}
 }
-
-func TestZipf(t *testing.T) {
-	keys := Zipf(10000, 1000, 1.2, 5)
-	if len(keys) != 10000 {
-		t.Fatalf("len = %d", len(keys))
-	}
-	counts := map[string]int{}
-	for _, k := range keys {
-		counts[k]++
-	}
-	// Zipf should concentrate mass on few keys.
-	if counts["id-00000000"] < len(keys)/20 {
-		t.Fatalf("head key only %d hits — not skewed", counts["id-00000000"])
-	}
-}
