@@ -372,8 +372,9 @@ func compactionPoint(n int) int64 { return max(compactFloor, compactRatio*int64(
 // with nothing after it — which is what an interrupted append leaves.  Only
 // the tail can be torn, so any other damage is ErrHeadsCorrupt: a bad
 // header, a length no writer produces, a checksum failure with bytes after
-// it, a record that does not decode or does not apply.  Every length is
-// checked against the bytes that remain before it is used.
+// it, a record that does not decode or does not apply, and a record that
+// looks torn but has an intact record after it (see torn).  Every length
+// is checked against the bytes that remain before it is used.
 func scanJournal(b []byte, apply func(headRecord) error) (int, error) {
 	if len(b) < headerLen || string(b[:len(headsMagic)]) != headsMagic {
 		return 0, fmt.Errorf("%w: no heads journal header", ErrHeadsCorrupt)
@@ -393,12 +394,12 @@ func scanJournal(b []byte, apply func(headRecord) error) (int, error) {
 			return off, fmt.Errorf("%w: record at offset %d claims %d bytes", ErrHeadsCorrupt, off, n)
 		}
 		if int(n) > len(rest)-frameLen {
-			return off, nil
+			return torn(b, off)
 		}
 		p, end := rest[frameLen:frameLen+int(n)], off+frameLen+int(n)
 		if crc32.Checksum(p, castagnoli) != binary.LittleEndian.Uint32(rest[4:]) {
 			if end == len(b) {
-				return off, nil
+				return torn(b, off)
 			}
 			return off, fmt.Errorf("%w: record at offset %d fails its checksum", ErrHeadsCorrupt, off)
 		}
@@ -410,6 +411,23 @@ func scanJournal(b []byte, apply func(headRecord) error) (int, error) {
 			return off, fmt.Errorf("%w: record at offset %d: %v", ErrHeadsCorrupt, off, err)
 		}
 		off = end
+	}
+	return off, nil
+}
+
+// torn accepts the record at off as a torn tail, so the intact prefix ends
+// there, unless an intact record — length in range, inside b, checksum
+// matching — starts at a later offset.  An interrupted append never leaves
+// a complete record after the one it tore, so that is damage (a flipped
+// length, say), and cutting at off would drop complete records.
+func torn(b []byte, off int) (int, error) {
+	for at := off + 1; at+frameLen+minPayload <= len(b); at++ {
+		rest := b[at:]
+		n := binary.LittleEndian.Uint32(rest)
+		if n >= minPayload && n <= maxPayload && int(n) <= len(rest)-frameLen &&
+			crc32.Checksum(rest[frameLen:frameLen+int(n)], castagnoli) == binary.LittleEndian.Uint32(rest[4:]) {
+			return off, fmt.Errorf("%w: record at offset %d is cut short, but an intact record starts at offset %d", ErrHeadsCorrupt, off, at)
+		}
 	}
 	return off, nil
 }
@@ -515,8 +533,8 @@ func OpenFileBranchTable(dir string) (*FileBranchTable, error) {
 }
 
 // replay rebuilds the table from the journal's bytes and opens the journal
-// for appending, first cutting off a torn tail — nothing can follow one, so
-// no other head is lost with it.  A version 1 journal is rewritten as a
+// for appending, first cutting off a torn tail — scanJournal has checked
+// that no intact record follows one, so no other head is lost with it.  A version 1 journal is rewritten as a
 // version 2 snapshot instead, so no version 2 record follows a version 1
 // header.
 func (f *FileBranchTable) replay(data []byte) error {

@@ -324,6 +324,7 @@ func hostileJournals() []struct {
 		corrupt bool
 	}{
 		{"length past EOF", withA(lenAs(recB, 1000)), false},
+		{"length past EOF, intact record after", withA(lenAs(recB, 1000), recA), true},
 		{"checksum failure on the last record", withA(flip(recB, frameLen+5)), false},
 		{"length 0xFFFFFFFF", withA(lenAs(recB, 0xFFFFFFFF)), true},
 		{"length below any record", withA(lenAs(recB, 3), recB), true},
@@ -429,6 +430,59 @@ func TestHeadsJournalTornTail(t *testing.T) {
 			t.Fatalf("cut at %d: the append after recovery did not survive a reopen", cut)
 		}
 	}
+}
+
+// TestHeadsJournalEveryBitFlip flips each bit of a three-record journal in
+// turn and opens it.  A flip is refused (ErrHeadsCorrupt, file unchanged)
+// or cuts the journal, but a cut may drop only the last record: no crash
+// leaves a complete record after the one it tore, so a cut that drops an
+// intact record loses an acknowledged head in silence.
+func TestHeadsJournalEveryBitFlip(t *testing.T) {
+	src := t.TempDir()
+	f := openHeads(t, src)
+	var heads []map[string]map[string]hash.Hash // heads[i]: after i records
+	var ends []int                              // ends[i]: journal length after i records
+	heads, ends = append(heads, allHeadsOf(t, f)), append(ends, len(journalOf(t, src)))
+	for i, key := range []string{"a", "b", "c"} {
+		mustCAS(t, f, key, "master", hash.Hash{}, fill(byte(0x11*(i+1))))
+		heads, ends = append(heads, allHeadsOf(t, f)), append(ends, len(journalOf(t, src)))
+	}
+	f.Close()
+	full := journalOf(t, src)
+	dir := t.TempDir()
+	path := filepath.Join(dir, headsFile)
+	var refused, lostLast int
+	for bit := 0; bit < 8*len(full); bit++ {
+		b := slices.Clone(full)
+		b[bit/8] ^= 1 << (bit % 8)
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		g, err := OpenFileBranchTable(dir)
+		if err != nil {
+			if !errors.Is(err, ErrHeadsCorrupt) {
+				t.Fatalf("bit %d: %v", bit, err)
+			}
+			if got := journalOf(t, dir); !bytes.Equal(got, b) {
+				t.Fatalf("bit %d: a refused journal was changed", bit)
+			}
+			refused++
+			continue
+		}
+		got, size := allHeadsOf(t, g), len(journalOf(t, dir))
+		g.Close()
+		kept := slices.Index(ends, size)
+		if kept < 0 || !reflect.DeepEqual(got, heads[kept]) {
+			t.Fatalf("bit %d: opened to %d bytes with heads %v", bit, size, got)
+		}
+		switch {
+		case kept == len(ends)-2:
+			lostLast++
+		case kept < len(ends)-2:
+			t.Errorf("bit %d (byte %d): the cut to %d bytes drops %d complete records", bit, bit/8, size, len(ends)-2-kept)
+		}
+	}
+	t.Logf("%d flips: %d refused, %d lose only the last record", 8*len(full), refused, lostLast)
 }
 
 // FuzzHeadsJournal: the journal decoder reads whatever is on disk.  It must
