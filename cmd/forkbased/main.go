@@ -55,6 +55,14 @@ func parseLevel(s string) (slog.Level, error) {
 	return 0, fmt.Errorf("unknown log level %q (want debug|info|warn|error)", s)
 }
 
+// restServer serves the REST API under the TCP service's -read-timeout: a
+// request's header and body must arrive, and a kept-alive connection must
+// send its next request, within it (0: no deadline).  A client that stalls
+// mid-request is disconnected instead of holding a connection open.
+func restServer(addr string, h http.Handler, timeout time.Duration) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: timeout, ReadTimeout: timeout, IdleTimeout: timeout}
+}
+
 func main() {
 	listen := flag.String("listen", "127.0.0.1:7450", "TCP address for the chunk/branch service")
 	httpAddr := flag.String("http", "", "optional HTTP address for the REST API")
@@ -240,7 +248,7 @@ func main() {
 		}
 		go func() {
 			logger.Info("REST API up", "addr", *httpAddr)
-			if err := http.ListenAndServe(*httpAddr, h); err != nil {
+			if err := restServer(*httpAddr, h, *readTimeout).ListenAndServe(); err != nil {
 				fatal("http listener", "err", err)
 			}
 		}()
