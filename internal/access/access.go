@@ -10,6 +10,7 @@ package access
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 )
 
@@ -54,11 +55,22 @@ type grant struct {
 type Controller struct {
 	mu     sync.RWMutex
 	grants map[string][]grant // user -> grants
+	admins map[string]bool    // superusers
 }
 
 // NewController returns an empty ACL; users have no rights until granted.
 func NewController() *Controller {
-	return &Controller{grants: make(map[string][]grant)}
+	return &Controller{
+		grants: make(map[string][]grant),
+		admins: make(map[string]bool),
+	}
+}
+
+// AddSuperuser gives user admin over everything.
+func (c *Controller) AddSuperuser(user string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.admins[user] = true
 }
 
 // Grant gives user the given level over key@branch (either may be Wildcard).
@@ -68,10 +80,28 @@ func (c *Controller) Grant(user, key, branch string, level Level) {
 	c.grants[user] = append(c.grants[user], grant{key: key, branch: branch, level: level})
 }
 
+// Revoke removes all grants of user matching key@branch exactly.
+func (c *Controller) Revoke(user, key, branch string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	gs := c.grants[user]
+	out := gs[:0]
+	for _, g := range gs {
+		if g.key == key && g.branch == branch {
+			continue
+		}
+		out = append(out, g)
+	}
+	c.grants[user] = out
+}
+
 // LevelFor returns the strongest level user holds over key@branch.
 func (c *Controller) LevelFor(user, key, branch string) Level {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
+	if c.admins[user] {
+		return Admin
+	}
 	best := None
 	for _, g := range c.grants[user] {
 		if (g.key == Wildcard || g.key == key) && (g.branch == Wildcard || g.branch == branch) && g.level > best {
@@ -87,4 +117,47 @@ func (c *Controller) Check(user, key, branch string, level Level) error {
 		return fmt.Errorf("%w: %s needs %s on %s@%s (has %s)", ErrDenied, user, level, key, branch, got)
 	}
 	return nil
+}
+
+// Entry is one row of a Grants listing.
+type Entry struct {
+	Key    string
+	Branch string
+	Level  Level
+}
+
+// Grants lists user's grants sorted by key then branch.
+func (c *Controller) Grants(user string) []Entry {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	out := make([]Entry, 0, len(c.grants[user]))
+	for _, g := range c.grants[user] {
+		out = append(out, Entry{Key: g.key, Branch: g.branch, Level: g.level})
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Key != out[j].Key {
+			return out[i].Key < out[j].Key
+		}
+		return out[i].Branch < out[j].Branch
+	})
+	return out
+}
+
+// Users lists all users with any grant or superuser bit, sorted.
+func (c *Controller) Users() []string {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	seen := map[string]bool{}
+	for u := range c.grants {
+		seen[u] = true
+	}
+	for u := range c.admins {
+		seen[u] = true
+	}
+	out := make([]string, 0, len(seen))
+	for u := range seen {
+		out = append(out, u)
+	}
+	sort.Strings(out)
+	return out
 }

@@ -45,6 +45,14 @@ func TestWildcards(t *testing.T) {
 	}
 }
 
+func TestSuperuser(t *testing.T) {
+	c := NewController()
+	c.AddSuperuser("root")
+	if err := c.Check("root", "any", "thing", Admin); err != nil {
+		t.Fatalf("superuser denied: %v", err)
+	}
+}
+
 func TestStrongestGrantWins(t *testing.T) {
 	c := NewController()
 	c.Grant("u", "k", "b", Read)
@@ -52,6 +60,39 @@ func TestStrongestGrantWins(t *testing.T) {
 	c.Grant("u", "k", "b", Write)
 	if got := c.LevelFor("u", "k", "b"); got != Admin {
 		t.Fatalf("level = %v", got)
+	}
+}
+
+func TestRevoke(t *testing.T) {
+	c := NewController()
+	c.Grant("u", "k", "b", Write)
+	c.Grant("u", "k", "other", Read)
+	c.Revoke("u", "k", "b")
+	if err := c.Check("u", "k", "b", Read); !errors.Is(err, ErrDenied) {
+		t.Fatal("revoked grant still active")
+	}
+	if err := c.Check("u", "k", "other", Read); err != nil {
+		t.Fatalf("unrelated grant revoked: %v", err)
+	}
+}
+
+func TestGrantsListing(t *testing.T) {
+	c := NewController()
+	c.Grant("u", "b-key", "x", Read)
+	c.Grant("u", "a-key", "y", Write)
+	gs := c.Grants("u")
+	if len(gs) != 2 || gs[0].Key != "a-key" || gs[1].Key != "b-key" {
+		t.Fatalf("grants = %+v", gs)
+	}
+}
+
+func TestUsers(t *testing.T) {
+	c := NewController()
+	c.Grant("bob", "k", "b", Read)
+	c.AddSuperuser("alice")
+	us := c.Users()
+	if len(us) != 2 || us[0] != "alice" || us[1] != "bob" {
+		t.Fatalf("users = %v", us)
 	}
 }
 
