@@ -34,6 +34,10 @@ var reachAllow = []reachEntry{
 	{name: "internal/core.DB.WriteBatch", reason: "public API: forkbase.DB promotes it"},
 	{name: "internal/core.DB.BranchFromVersion", reason: "public API: forkbase.DB promotes it"},
 	{name: "internal/core.DB.NodeCacheStats", reason: "public API: forkbase.DB promotes it"},
+	{name: "internal/access.Controller.AddSuperuser", reason: "public API: forkbase.DB.ACL hands out the controller, and no other call makes a superuser"},
+	{name: "internal/access.Controller.Revoke", reason: "public API: forkbase.DB.ACL hands out the controller, and no other call takes a grant back"},
+	{name: "internal/access.Controller.Grants", reason: "public API: forkbase.DB.ACL hands out the controller, and no other call lists a user's grants"},
+	{name: "internal/access.Controller.Users", reason: "public API: forkbase.DB.ACL hands out the controller, and no other call lists the users"},
 
 	{name: "internal/rest.Handler.ServeHTTP", reason: "http.Handler: net/http calls it"},
 	{name: "internal/cli.multiFlag.Set", reason: "flag.Value: package flag calls it"},
