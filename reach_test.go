@@ -173,7 +173,7 @@ func (s *exportScan) unreached() []string {
 // entry that does not cover exactly what it claims.
 func (s *exportScan) audit(allow []reachEntry) []string {
 	var problems []string
-	covered := map[string]bool{}
+	unreached, covered := s.unreached(), map[string]bool{}
 	for _, e := range allow {
 		if e.reason == "" {
 			problems = append(problems, e.name+": allowlisted without a reason")
@@ -186,8 +186,8 @@ func (s *exportScan) audit(allow []reachEntry) []string {
 			continue
 		}
 		n := 0
-		for _, k := range s.unreached() {
-			if s.file[k] == e.name || strings.HasPrefix(k, e.name+".") && !strings.Contains(k[len(e.name)+1:], "/") {
+		for _, k := range unreached {
+			if s.file[k] == e.name || strings.HasPrefix(k, e.name+".") {
 				covered[k] = true
 				n++
 			}
@@ -199,7 +199,7 @@ func (s *exportScan) audit(allow []reachEntry) []string {
 			problems = append(problems, fmt.Sprintf("%s: covers %d unreached exports, allowlist says %d", e.name, n, e.n))
 		}
 	}
-	for _, k := range s.unreached() {
+	for _, k := range unreached {
 		if !covered[k] {
 			problems = append(problems, fmt.Sprintf("%s: exported, unreached and not allowlisted (%s)", k, s.file[k]))
 		}
@@ -247,8 +247,8 @@ func scanExports(dir string) (*exportScan, error) {
 		return os.Open(export[path])
 	})}
 	s := &exportScan{file: map[string]string{}, reached: map[string]bool{}}
-	var methods []string // keys of declared methods
-	viaIface := map[string]bool{}
+	var methods []string          // keys of the exported methods declared
+	viaIface := map[string]bool{} // names of methods called through an interface
 	for _, p := range pkgs {
 		var files []*ast.File
 		for _, name := range p.GoFiles {
@@ -267,9 +267,14 @@ func scanExports(dir string) (*exportScan, error) {
 			return strings.TrimPrefix(path, p.Module.Path+"/")
 		}
 		declare := func(obj types.Object) {
-			if obj.Exported() {
-				rel, _ := filepath.Rel(p.Module.Dir, fset.Position(obj.Pos()).Filename)
-				s.file[reachKey(obj, trim)] = filepath.ToSlash(rel)
+			if !obj.Exported() {
+				return
+			}
+			key := reachKey(obj, trim)
+			rel, _ := filepath.Rel(p.Module.Dir, fset.Position(obj.Pos()).Filename)
+			s.file[key] = filepath.ToSlash(rel)
+			if fn, ok := obj.(*types.Func); ok && fn.Type().(*types.Signature).Recv() != nil {
+				methods = append(methods, key)
 			}
 		}
 		scope := pkg.Scope()
@@ -284,13 +289,11 @@ func scanExports(dir string) (*exportScan, error) {
 			if iface, ok := named.Underlying().(*types.Interface); ok {
 				for i := 0; i < iface.NumExplicitMethods(); i++ {
 					declare(iface.ExplicitMethod(i))
-					methods = append(methods, reachKey(iface.ExplicitMethod(i), trim))
 				}
 				continue
 			}
 			for i := 0; i < named.NumMethods(); i++ {
 				declare(named.Method(i))
-				methods = append(methods, reachKey(named.Method(i), trim))
 			}
 		}
 		for _, obj := range info.Uses {
