@@ -534,9 +534,9 @@ func OpenFileBranchTable(dir string) (*FileBranchTable, error) {
 
 // replay rebuilds the table from the journal's bytes and opens the journal
 // for appending, first cutting off a torn tail — scanJournal has checked
-// that no intact record follows one, so no other head is lost with it.  A version 1 journal is rewritten as a
-// version 2 snapshot instead, so no version 2 record follows a version 1
-// header.
+// that no intact record follows one, so no other head is lost with it.  A
+// version 1 journal is rewritten as a version 2 snapshot instead, so no
+// version 2 record follows a version 1 header.
 func (f *FileBranchTable) replay(data []byte) error {
 	intact, err := scanJournal(data, func(r headRecord) error { return r.applyTo(f.mem) })
 	if err != nil {
