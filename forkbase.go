@@ -184,9 +184,9 @@ type DB struct {
 	*engine
 	acl *access.Controller
 
-	fileStore *store.FileStore      // non-nil for file-backed instances
-	fileHeads *core.FileBranchTable // non-nil for file-backed instances
-	clust     *cluster.Cluster      // non-nil for cluster-backed instances
+	fileStore *store.FileStore // non-nil for file-backed instances
+	fileHeads *core.HeadTable  // non-nil for file-backed instances
+	clust     *cluster.Cluster // non-nil for cluster-backed instances
 
 	// Replica state (WithFollow / OpenReplica).
 	follower  *repl.Follower
@@ -380,11 +380,11 @@ func MustOpen(opts ...Option) *DB {
 // payloads the storage engine handed out (their segment mappings are
 // released); copy anything that must outlive the handle.
 func (db *DB) Close() error {
+	if db.followCli != nil {
+		_ = db.followCli.Close() // fails the follower's in-flight long poll at once
+	}
 	if db.follower != nil {
 		_ = db.follower.Close() // stop pulling before the store goes away
-	}
-	if db.followCli != nil {
-		_ = db.followCli.Close()
 	}
 	db.NodeCache().Purge() // nil-safe; covers injected caches too
 	if db.fileStore != nil {

@@ -138,74 +138,129 @@ func plan(ops []HeadOp, look func(key, branch string) hash.Hash) ([]headRecord, 
 	return changes, true
 }
 
-// MemBranchTable is the in-memory branch table.
-type MemBranchTable struct {
-	mu    sync.RWMutex
+// HeadTable is the branch table: the heads, in memory, and — when it is
+// opened on a directory — heads.log, an append-only journal next to the
+// chunk log, so a file-backed ForkBase instance recovers its branches on
+// reopen.  A journaled Apply is one record appended with one write before
+// it returns — its cost independent of how many heads exist, and a torn
+// append loses the whole Apply — and the journal is rewritten as a snapshot
+// once it has outgrown the live heads (README, "Heads journal").  An append
+// reaches the page cache, not the disk: the durability of the store's
+// SyncNone.
+type HeadTable struct {
+	// mu serialises Apply and owns the journal fields below it.  Its holder
+	// alone writes heads, so it reads heads without rw.
+	mu sync.Mutex
+	// rw guards heads for readers; Apply holds it only to install, so a
+	// reader never waits on a journal write.
+	rw    sync.RWMutex
 	heads map[string]map[string]hash.Hash // key -> branch -> uid
+
+	path      string   // the journal; "" for a table without one
+	file      *os.File // the journal, open for appending; nil once closed
+	size      int64    // journal length in bytes
+	compactAt int64    // journal length past which it is compacted
+	err       error    // set when a failed append could not be undone
+	buf       []byte   // record encoding scratch
 }
 
-var _ BranchTable = (*MemBranchTable)(nil)
+var _ BranchTable = (*HeadTable)(nil)
 
-// NewMemBranchTable returns an empty branch table.
-func NewMemBranchTable() *MemBranchTable {
-	return &MemBranchTable{heads: make(map[string]map[string]hash.Hash)}
+// NewMemBranchTable returns an empty branch table without a journal.
+func NewMemBranchTable() *HeadTable {
+	return &HeadTable{heads: make(map[string]map[string]hash.Hash)}
 }
 
 // Head implements BranchTable.
-func (m *MemBranchTable) Head(key, branch string) (hash.Hash, bool, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	uid, ok := m.heads[key][branch]
+func (t *HeadTable) Head(key, branch string) (hash.Hash, bool, error) {
+	t.rw.RLock()
+	defer t.rw.RUnlock()
+	uid, ok := t.heads[key][branch]
 	return uid, ok, nil
 }
 
-// Apply implements BranchTable.
-func (m *MemBranchTable) Apply(ops []HeadOp) (bool, error) {
+// Apply implements BranchTable: with a journal, the heads it changes go to
+// it as one record — a set or delete for one head, a batch for several —
+// before they go to the table.  An Apply that changes nothing writes nothing.
+func (t *HeadTable) Apply(ops []HeadOp) (bool, error) {
 	if err := checkOps(ops); err != nil {
 		return false, err
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	changes, ok := plan(ops, func(k, b string) hash.Hash { return m.heads[k][b] })
-	_ = m.applyLocked(headRecord{op: opBatch, batch: changes}) // plan's records apply
-	return ok, nil
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	err := t.err
+	if t.path != "" && t.file == nil {
+		err = errHeadsClosed
+	}
+	if err != nil {
+		return false, err
+	}
+	changes, ok := plan(ops, func(k, b string) hash.Hash { return t.heads[k][b] })
+	if len(changes) == 0 {
+		return ok, nil
+	}
+	if t.file != nil {
+		r := changes[0]
+		if len(changes) > 1 {
+			r = headRecord{op: opBatch, batch: changes}
+		}
+		t.buf = appendRecord(t.buf[:0], r)
+		if _, err := t.file.Write(t.buf); err != nil {
+			// A partial record left in place would sit in front of the next
+			// one and fail every later open as damage, so it is cut off; if
+			// even that fails, nothing more may be appended.
+			if terr := t.file.Truncate(t.size); terr != nil {
+				t.err = fmt.Errorf("core: heads journal unusable after a failed append: %w", terr)
+			}
+			return false, fmt.Errorf("core: heads journal append: %w", err)
+		}
+		t.size += int64(len(t.buf))
+	}
+	t.rw.Lock()
+	_ = t.install(headRecord{op: opBatch, batch: changes}) // plan's records apply
+	t.rw.Unlock()
+	if t.file != nil && t.size > t.compactAt {
+		_ = t.compact() // on failure the journal is still complete; the next append retries
+	}
+	return true, nil
 }
 
 // CompareAndSet implements BranchTable.
-func (m *MemBranchTable) CompareAndSet(key, branch string, old, new hash.Hash) (bool, error) {
-	return m.Apply([]HeadOp{{Key: key, Branch: branch, Expect: old, Set: new}})
+func (t *HeadTable) CompareAndSet(key, branch string, old, new hash.Hash) (bool, error) {
+	return t.Apply([]HeadOp{{Key: key, Branch: branch, Expect: old, Set: new}})
 }
 
-// applyLocked applies journal record r; the caller holds m.mu.  A delete
-// or rename of a missing branch, or a rename onto an existing one, fails.
-func (m *MemBranchTable) applyLocked(r headRecord) error {
+// install applies journal record r to the heads; the caller holds mu and
+// rw for writing, or owns t.  A delete or rename of a missing branch, or a
+// rename onto an existing one, fails.
+func (t *HeadTable) install(r headRecord) error {
 	switch r.op {
 	case opSet:
-		if m.heads[r.key] == nil {
-			m.heads[r.key] = make(map[string]hash.Hash)
+		if t.heads[r.key] == nil {
+			t.heads[r.key] = make(map[string]hash.Hash)
 		}
-		m.heads[r.key][r.branch] = r.uid
+		t.heads[r.key][r.branch] = r.uid
 	case opDelete:
-		if _, ok := m.heads[r.key][r.branch]; !ok {
+		if _, ok := t.heads[r.key][r.branch]; !ok {
 			return fmt.Errorf("%w: %s@%s", ErrBranchNotFound, r.key, r.branch)
 		}
-		delete(m.heads[r.key], r.branch)
-		if len(m.heads[r.key]) == 0 {
-			delete(m.heads, r.key)
+		delete(t.heads[r.key], r.branch)
+		if len(t.heads[r.key]) == 0 {
+			delete(t.heads, r.key)
 		}
 	case opRename:
-		uid, ok := m.heads[r.key][r.branch]
+		uid, ok := t.heads[r.key][r.branch]
 		if !ok {
 			return fmt.Errorf("%w: %s@%s", ErrBranchNotFound, r.key, r.branch)
 		}
-		if _, exists := m.heads[r.key][r.to]; exists {
+		if _, exists := t.heads[r.key][r.to]; exists {
 			return fmt.Errorf("%w: %s@%s", ErrBranchExists, r.key, r.to)
 		}
-		m.heads[r.key][r.to] = uid
-		delete(m.heads[r.key], r.branch)
+		t.heads[r.key][r.to] = uid
+		delete(t.heads[r.key], r.branch)
 	case opBatch:
 		for _, s := range r.batch {
-			if err := m.applyLocked(s); err != nil {
+			if err := t.install(s); err != nil {
 				return err
 			}
 		}
@@ -214,10 +269,10 @@ func (m *MemBranchTable) applyLocked(r headRecord) error {
 }
 
 // Branches implements BranchTable.
-func (m *MemBranchTable) Branches(key string) (map[string]hash.Hash, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	src, ok := m.heads[key]
+func (t *HeadTable) Branches(key string) (map[string]hash.Hash, error) {
+	t.rw.RLock()
+	defer t.rw.RUnlock()
+	src, ok := t.heads[key]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrKeyNotFound, key)
 	}
@@ -229,37 +284,30 @@ func (m *MemBranchTable) Branches(key string) (map[string]hash.Hash, error) {
 }
 
 // Keys implements BranchTable.
-func (m *MemBranchTable) Keys() ([]string, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	out := make([]string, 0, len(m.heads))
-	for k := range m.heads {
+func (t *HeadTable) Keys() ([]string, error) {
+	t.rw.RLock()
+	defer t.rw.RUnlock()
+	out := make([]string, 0, len(t.heads))
+	for k := range t.heads {
 		out = append(out, k)
 	}
 	sort.Strings(out)
 	return out, nil
 }
 
-// FileBranchTable persists heads in heads.log, an append-only journal next
-// to the chunk log, so a file-backed ForkBase instance recovers its branches
-// on reopen.  An Apply is one record appended with one write before it
-// returns — its cost independent of how many heads exist, and a torn append
-// loses the whole Apply — and the journal is rewritten as a snapshot once it
-// has outgrown the live heads (README, "Heads journal").  An append reaches
-// the page cache, not the disk: the durability of the store's SyncNone.
-type FileBranchTable struct {
-	mem  *MemBranchTable
-	path string
-
-	mu        sync.Mutex // serialises mutations and journal writes
-	file      *os.File   // the journal, open for appending; nil once closed
-	size      int64      // journal length in bytes
-	compactAt int64      // journal length past which it is compacted
-	err       error      // set when a failed append could not be undone
-	buf       []byte     // record encoding scratch
+// Close closes the journal, if there is one; later mutations of a journaled
+// table fail, reads still answer.  Every acknowledged mutation is in the
+// journal before it returns, so Close only releases the file.
+func (t *HeadTable) Close() error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.file == nil {
+		return nil
+	}
+	err := t.file.Close()
+	t.file = nil
+	return err
 }
-
-var _ BranchTable = (*FileBranchTable)(nil)
 
 // The journal is an 8-byte header — magic, format version — and records
 // framed [u32 len][u32 crc32c][payload], little-endian.  A payload is one
@@ -338,25 +386,23 @@ func appendName(b []byte, s string) []byte {
 	return append(binary.LittleEndian.AppendUint16(b, uint16(len(s))), s...)
 }
 
-// appendSnapshot encodes m as a compacted journal: the header, then one set
-// record per head, in key and branch order.
-func appendSnapshot(b []byte, m *MemBranchTable) []byte {
+// appendSnapshot encodes heads as a compacted journal: the header, then one
+// set record per head, in key and branch order.
+func appendSnapshot(b []byte, heads map[string]map[string]hash.Hash) []byte {
 	b = append(append(b, headsMagic...), headsVersion)
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	keys := make([]string, 0, len(m.heads))
-	for k := range m.heads {
+	keys := make([]string, 0, len(heads))
+	for k := range heads {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		branches := make([]string, 0, len(m.heads[k]))
-		for br := range m.heads[k] {
+		branches := make([]string, 0, len(heads[k]))
+		for br := range heads[k] {
 			branches = append(branches, br)
 		}
 		sort.Strings(branches)
 		for _, br := range branches {
-			b = appendRecord(b, headRecord{op: opSet, key: k, branch: br, uid: m.heads[k][br]})
+			b = appendRecord(b, headRecord{op: opSet, key: k, branch: br, uid: heads[k][br]})
 		}
 	}
 	return b
@@ -496,27 +542,20 @@ func takeName(p []byte) (string, []byte, bool) {
 	return string(p[2 : 2+n]), p[2+n:], true
 }
 
-// applyTo applies r to m: a record replayed, or the in-memory half of an
-// Apply whose record is in the journal.
-func (r headRecord) applyTo(m *MemBranchTable) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.applyLocked(r)
-}
-
 // OpenFileBranchTable opens the heads journal in dir, creating it — from the
 // branches.json of an older store, when there is one — if it does not exist.
 // A torn last record is truncated; any other damage fails the open with
 // ErrHeadsCorrupt and leaves the file as it was.
-func OpenFileBranchTable(dir string) (*FileBranchTable, error) {
-	f := &FileBranchTable{mem: NewMemBranchTable(), path: filepath.Join(dir, headsFile)}
+func OpenFileBranchTable(dir string) (*HeadTable, error) {
+	t := NewMemBranchTable()
+	t.path = filepath.Join(dir, headsFile)
 	legacy := filepath.Join(dir, legacyHeads)
-	data, err := os.ReadFile(f.path)
+	data, err := os.ReadFile(t.path)
 	switch {
 	case err == nil:
-		err = f.replay(data)
+		err = t.replay(data)
 	case errors.Is(err, os.ErrNotExist):
-		err = f.convert(legacy)
+		err = t.convert(legacy)
 	default:
 		err = fmt.Errorf("core: heads journal: %w", err)
 	}
@@ -526,26 +565,26 @@ func OpenFileBranchTable(dir string) (*FileBranchTable, error) {
 	// The journal is complete before the JSON file goes, so when a crash
 	// leaves both, the journal is the one to keep.
 	if err := os.Remove(legacy); err != nil && !errors.Is(err, os.ErrNotExist) {
-		f.file.Close()
+		t.file.Close()
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	return f, nil
+	return t, nil
 }
 
-// replay rebuilds the table from the journal's bytes and opens the journal
+// replay rebuilds the heads from the journal's bytes and opens the journal
 // for appending, first cutting off a torn tail — scanJournal has checked
 // that no intact record follows one, so no other head is lost with it.  A
 // version 1 journal is rewritten as a version 2 snapshot instead, so no
 // version 2 record follows a version 1 header.
-func (f *FileBranchTable) replay(data []byte) error {
-	intact, err := scanJournal(data, func(r headRecord) error { return r.applyTo(f.mem) })
+func (t *HeadTable) replay(data []byte) error {
+	intact, err := scanJournal(data, t.install)
 	if err != nil {
-		return fmt.Errorf("%w (%s)", err, f.path)
+		return fmt.Errorf("%w (%s)", err, t.path)
 	}
 	if data[len(headsMagic)] != headsVersion {
-		return f.compact()
+		return t.compact()
 	}
-	file, err := os.OpenFile(f.path, os.O_WRONLY|os.O_APPEND, 0)
+	file, err := os.OpenFile(t.path, os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		return fmt.Errorf("core: heads journal: %w", err)
 	}
@@ -558,17 +597,17 @@ func (f *FileBranchTable) replay(data []byte) error {
 			return fmt.Errorf("core: heads journal: cutting off a torn tail: %w", err)
 		}
 	}
-	f.file, f.size = file, int64(intact)
-	f.compactAt = compactionPoint(len(appendSnapshot(nil, f.mem)))
+	t.file, t.size = file, int64(intact)
+	t.compactAt = compactionPoint(len(appendSnapshot(nil, t.heads)))
 	return nil
 }
 
 // convert creates the journal as a snapshot of legacy, an older store's
 // branches.json, or of no heads when there is none.
-func (f *FileBranchTable) convert(legacy string) error {
+func (t *HeadTable) convert(legacy string) error {
 	data, err := os.ReadFile(legacy)
 	if errors.Is(err, os.ErrNotExist) {
-		return f.compact()
+		return t.compact()
 	}
 	if err != nil {
 		return fmt.Errorf("core: %w", err)
@@ -587,18 +626,20 @@ func (f *FileBranchTable) convert(legacy string) error {
 			ops = append(ops, HeadOp{Key: key, Branch: br, Any: true, Set: uid})
 		}
 	}
-	if _, err := f.mem.Apply(ops); err != nil {
+	if err := checkOps(ops); err != nil {
 		return fmt.Errorf("core: %s: %w", legacy, err)
 	}
-	return f.compact()
+	changes, _ := plan(ops, func(k, b string) hash.Hash { return t.heads[k][b] })
+	_ = t.install(headRecord{op: opBatch, batch: changes}) // plan's records apply
+	return t.compact()
 }
 
 // compact rewrites the journal as a snapshot of the live heads — written to
 // a temporary file, fsynced, renamed over the journal, directory fsynced —
-// and appends continue in the new file.  The caller holds f.mu, or owns f.
-func (f *FileBranchTable) compact() error {
-	snap := appendSnapshot(nil, f.mem)
-	tmp := f.path + ".tmp"
+// and appends continue in the new file.  The caller holds t.mu, or owns t.
+func (t *HeadTable) compact() error {
+	snap := appendSnapshot(nil, t.heads)
+	tmp := t.path + ".tmp"
 	file, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("core: heads journal: %w", err)
@@ -608,95 +649,20 @@ func (f *FileBranchTable) compact() error {
 		err = file.Sync()
 	}
 	if err == nil {
-		err = os.Rename(tmp, f.path)
+		err = os.Rename(tmp, t.path)
 	}
 	if err != nil {
 		file.Close()
 		os.Remove(tmp)
 		return fmt.Errorf("core: heads journal compaction: %w", err)
 	}
-	if d, err := os.Open(filepath.Dir(f.path)); err == nil {
+	if d, err := os.Open(filepath.Dir(t.path)); err == nil {
 		_ = d.Sync() // best effort: some platforms cannot fsync a directory
 		d.Close()
 	}
-	if f.file != nil {
-		f.file.Close() // every record in it is in the snapshot
+	if t.file != nil {
+		t.file.Close() // every record in it is in the snapshot
 	}
-	f.file, f.size, f.compactAt = file, int64(len(snap)), compactionPoint(len(snap))
+	t.file, t.size, t.compactAt = file, int64(len(snap)), compactionPoint(len(snap))
 	return nil
-}
-
-// Head implements BranchTable.
-func (f *FileBranchTable) Head(key, branch string) (hash.Hash, bool, error) {
-	return f.mem.Head(key, branch)
-}
-
-// Apply implements BranchTable: the heads it changes go to the journal as
-// one record — a set or delete for one head, a batch for several — and then
-// to the table.  An Apply that changes nothing writes nothing.
-func (f *FileBranchTable) Apply(ops []HeadOp) (bool, error) {
-	if err := checkOps(ops); err != nil {
-		return false, err
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	err := f.err
-	if f.file == nil {
-		err = errHeadsClosed
-	}
-	if err != nil {
-		return false, err
-	}
-	// Only f.mu's holder writes f.mem, so reading it needs no other lock.
-	changes, ok := plan(ops, func(k, b string) hash.Hash { return f.mem.heads[k][b] })
-	if len(changes) == 0 {
-		return ok, nil
-	}
-	r := changes[0]
-	if len(changes) > 1 {
-		r = headRecord{op: opBatch, batch: changes}
-	}
-	f.buf = appendRecord(f.buf[:0], r)
-	if _, err := f.file.Write(f.buf); err != nil {
-		// A partial record left in place would sit in front of the next one
-		// and fail every later open as damage, so it is cut off; if even
-		// that fails, nothing more may be appended.
-		if terr := f.file.Truncate(f.size); terr != nil {
-			f.err = fmt.Errorf("core: heads journal unusable after a failed append: %w", terr)
-		}
-		return false, fmt.Errorf("core: heads journal append: %w", err)
-	}
-	f.size += int64(len(f.buf))
-	_ = r.applyTo(f.mem) // plan's records apply
-	if f.size > f.compactAt {
-		_ = f.compact() // on failure the journal is still complete; the next append retries
-	}
-	return true, nil
-}
-
-// CompareAndSet implements BranchTable.
-func (f *FileBranchTable) CompareAndSet(key, branch string, old, new hash.Hash) (bool, error) {
-	return f.Apply([]HeadOp{{Key: key, Branch: branch, Expect: old, Set: new}})
-}
-
-// Branches implements BranchTable.
-func (f *FileBranchTable) Branches(key string) (map[string]hash.Hash, error) {
-	return f.mem.Branches(key)
-}
-
-// Keys implements BranchTable.
-func (f *FileBranchTable) Keys() ([]string, error) { return f.mem.Keys() }
-
-// Close closes the journal; later mutations fail, reads still answer.  Every
-// acknowledged mutation is in the journal before it returns, so Close only
-// releases the file.
-func (f *FileBranchTable) Close() error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.file == nil {
-		return nil
-	}
-	err := f.file.Close()
-	f.file = nil
-	return err
 }

@@ -65,7 +65,8 @@ func (*noCopy) Unlock() {}
 type Options struct {
 	// Store is the chunk store; defaults to a fresh MemStore.
 	Store store.Store
-	// Branches is the branch table; defaults to a fresh MemBranchTable.
+	// Branches is the branch table; defaults to an empty table without a journal
+	// (NewMemBranchTable).
 	Branches BranchTable
 	// Chunking overrides the chunker configuration (zero Q = DefaultConfig).
 	// Open panics if the config, with its other zero fields defaulted, fails

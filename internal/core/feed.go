@@ -42,7 +42,7 @@ const DefaultLease = time.Minute
 type Feed struct {
 	epoch   uint64 // this incarnation: stable for its lifetime, new at each restart
 	mu      sync.Mutex
-	entries []FeedEntry // ring contents, entries[0].Seq == start
+	entries []FeedEntry // the retained entries, entries[0].Seq == start
 	ends    []bool      // ends[i]: entries[i] is the last of its Append
 	start   uint64      // seq of the oldest retained entry (0 when empty)
 	next    uint64      // seq the next Append will assign
@@ -101,8 +101,9 @@ func (f *Feed) Append(group ...FeedEntry) uint64 {
 		f.ends = append(f.ends, i == len(group)-1)
 	}
 	if drop := len(f.entries) - f.cap; drop > 0 {
-		f.entries = append(f.entries[:0], f.entries[drop:]...)
-		f.ends = append(f.ends[:0], f.ends[drop:]...)
+		// Reslicing, not copying: append moves the retained entries only
+		// when it outgrows the backing array, so a trim is amortised O(1).
+		f.entries, f.ends = f.entries[drop:], f.ends[drop:]
 		f.start += uint64(drop)
 	}
 	seq := f.next - 1
@@ -173,10 +174,11 @@ const (
 // cursor of another incarnation (a nonzero epoch that is not this feed's)
 // comes back truncated, exactly like one that fell out of the ring: the
 // reader must snapshot.  Otherwise it long-polls up to wait (at most
-// feedMaxWait) while nothing follows cursor, and returns Since's page of at
-// most limit entries (0, or more than feedDefaultLimit, means
-// feedDefaultLimit) and the cursor to resume from.
-func (f *Feed) Read(lease uint64, cursor FeedCursor, limit int, wait time.Duration) ([]FeedEntry, FeedCursor, bool) {
+// feedMaxWait, and no longer than stop stays open) while nothing follows
+// cursor, and returns Since's page of at most limit entries (0, or more
+// than feedDefaultLimit, means feedDefaultLimit) and the cursor to resume
+// from.
+func (f *Feed) Read(lease uint64, cursor FeedCursor, limit int, wait time.Duration, stop <-chan struct{}) ([]FeedEntry, FeedCursor, bool) {
 	f.hold(lease, cursor, limit >= 0)
 	if limit < 0 {
 		return nil, FeedCursor{Epoch: f.epoch, Seq: f.Seq()}, false
@@ -188,16 +190,16 @@ func (f *Feed) Read(lease uint64, cursor FeedCursor, limit int, wait time.Durati
 		limit = feedDefaultLimit
 	}
 	if wait > 0 {
-		f.Wait(cursor.Seq, min(wait, feedMaxWait))
+		f.Wait(cursor.Seq, min(wait, feedMaxWait), stop)
 	}
 	entries, next, truncated := f.Since(cursor.Seq, limit)
 	return entries, FeedCursor{Epoch: f.epoch, Seq: next}, truncated
 }
 
-// Wait blocks until the feed's newest sequence exceeds cursor or the timeout
-// elapses, and reports whether new entries are available.  A zero or
-// negative timeout polls without blocking.
-func (f *Feed) Wait(cursor uint64, timeout time.Duration) bool {
+// Wait blocks until the feed's newest sequence exceeds cursor, the timeout
+// elapses or stop closes (nil: never), and reports whether new entries are
+// available.  A zero or negative timeout polls without blocking.
+func (f *Feed) Wait(cursor uint64, timeout time.Duration, stop <-chan struct{}) bool {
 	deadline := time.Now().Add(timeout)
 	for {
 		f.mu.Lock()
@@ -216,6 +218,9 @@ func (f *Feed) Wait(cursor uint64, timeout time.Duration) bool {
 		case <-wake:
 			t.Stop()
 		case <-t.C:
+			return false
+		case <-stop:
+			t.Stop()
 			return false
 		}
 	}
@@ -277,11 +282,12 @@ func (f *Feed) dropLapsed(now time.Time) {
 	}
 }
 
-// FeedTable wraps a BranchTable and journals every successful Apply into a
-// Feed, as one group.  The wrap happens once, at the point writes enter the
-// system: core.Open wraps its branch table automatically, and a network
-// node serves that same table (DB.BranchTable) over TCP beside the engine
-// (forkbase.DB.NewServer), so every write shares one sequence.
+// FeedTable is a BranchTable that also journals every successful Apply into
+// a Feed, as one group; its reads are the table's own.  The wrap happens
+// once, at the point writes enter the system: core.Open wraps its branch
+// table automatically, and a network node serves that same table
+// (DB.BranchTable) over TCP beside the engine (forkbase.DB.NewServer), so
+// every write shares one sequence.
 //
 // Every Apply holds mu across the table operation AND its journal append.
 // This is load-bearing: replicas converge by applying the *last* feed entry
@@ -290,9 +296,9 @@ func (f *Feed) dropLapsed(now time.Time) {
 // older head.  Branch-table mutations are tiny metadata operations, so the
 // serialization is not a throughput concern.
 type FeedTable struct {
-	inner BranchTable
-	feed  *Feed
-	mu    sync.Mutex
+	BranchTable // the table the feed sequences
+	feed        *Feed
+	mu          sync.Mutex
 }
 
 var _ BranchTable = (*FeedTable)(nil)
@@ -304,19 +310,11 @@ func WithFeed(table BranchTable, feed *Feed) *FeedTable {
 	if ft, ok := table.(*FeedTable); ok {
 		return ft
 	}
-	return &FeedTable{inner: table, feed: feed}
+	return &FeedTable{BranchTable: table, feed: feed}
 }
 
 // Feed returns the journal.
 func (t *FeedTable) Feed() *Feed { return t.feed }
-
-// Unwrap returns the wrapped table.
-func (t *FeedTable) Unwrap() BranchTable { return t.inner }
-
-// Head implements BranchTable.
-func (t *FeedTable) Head(key, branch string) (hash.Hash, bool, error) {
-	return t.inner.Head(key, branch)
-}
 
 // Apply implements BranchTable: an Apply that succeeds is journaled, in the
 // same critical section, as one group of an entry per op that moves a head.
@@ -330,7 +328,7 @@ func (t *FeedTable) Apply(ops []HeadOp) (bool, error) {
 		old := op.Expect
 		if op.Any {
 			var err error
-			if old, _, err = t.inner.Head(op.Key, op.Branch); err != nil {
+			if old, _, err = t.BranchTable.Head(op.Key, op.Branch); err != nil {
 				return false, err
 			}
 		}
@@ -338,22 +336,15 @@ func (t *FeedTable) Apply(ops []HeadOp) (bool, error) {
 			group = append(group, FeedEntry{Key: op.Key, Branch: op.Branch, Old: old, New: op.Set})
 		}
 	}
-	ok, err := t.inner.Apply(ops)
+	ok, err := t.BranchTable.Apply(ops)
 	if ok && err == nil && len(group) > 0 {
 		t.feed.Append(group...)
 	}
 	return ok, err
 }
 
-// CompareAndSet implements BranchTable.
+// CompareAndSet implements BranchTable: the one-op Apply, so it lands in the
+// feed too.
 func (t *FeedTable) CompareAndSet(key, branch string, old, new hash.Hash) (bool, error) {
 	return t.Apply([]HeadOp{{Key: key, Branch: branch, Expect: old, Set: new}})
 }
-
-// Branches implements BranchTable.
-func (t *FeedTable) Branches(key string) (map[string]hash.Hash, error) {
-	return t.inner.Branches(key)
-}
-
-// Keys implements BranchTable.
-func (t *FeedTable) Keys() ([]string, error) { return t.inner.Keys() }

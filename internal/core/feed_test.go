@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -69,11 +70,11 @@ func TestFeedTruncation(t *testing.T) {
 
 func TestFeedWait(t *testing.T) {
 	f := NewFeed(8)
-	if f.Wait(0, 10*time.Millisecond) {
+	if f.Wait(0, 10*time.Millisecond, nil) {
 		t.Fatal("Wait on empty feed should time out")
 	}
 	done := make(chan bool, 1)
-	go func() { done <- f.Wait(0, 2*time.Second) }()
+	go func() { done <- f.Wait(0, 2*time.Second, nil) }()
 	time.Sleep(5 * time.Millisecond)
 	f.Append(FeedEntry{Key: "k", Branch: "master", New: h(1)})
 	select {
@@ -85,7 +86,7 @@ func TestFeedWait(t *testing.T) {
 		t.Fatal("Wait did not wake on append")
 	}
 	// Already-satisfied cursor returns immediately.
-	if !f.Wait(0, 0) {
+	if !f.Wait(0, 0, nil) {
 		t.Fatal("Wait with satisfied cursor should return true")
 	}
 }
@@ -107,30 +108,30 @@ func TestFeedLeases(t *testing.T) {
 		}
 	}
 	want("no lease")
-	f.Read(0, FeedCursor{}, -1, 0)
-	f.Read(0, FeedCursor{Seq: 3}, 0, 0)
+	f.Read(0, FeedCursor{}, -1, 0, nil)
+	f.Read(0, FeedCursor{Seq: 3}, 0, 0, nil)
 	want("lease 0 is no lease")
 
 	tip := FeedCursor{Epoch: f.epoch, Seq: 5}
-	f.Read(1, FeedCursor{}, -1, 0)
+	f.Read(1, FeedCursor{}, -1, 0, nil)
 	want("a new lease holds every retained Old", h(1), h(2), h(3), h(4))
-	f.Read(1, FeedCursor{Epoch: f.epoch, Seq: 3}, 0, 0)
+	f.Read(1, FeedCursor{Epoch: f.epoch, Seq: 3}, 0, 0, nil)
 	want("a read sets the cursor", h(3), h(4))
-	f.Read(1, FeedCursor{}, -1, 0)
+	f.Read(1, FeedCursor{}, -1, 0, nil)
 	want("a probe leaves it", h(3), h(4))
-	f.Read(2, tip, 0, 0)
+	f.Read(2, tip, 0, 0, nil)
 	want("the oldest lease decides", h(3), h(4))
-	f.Read(1, tip, 0, 0)
+	f.Read(1, tip, 0, 0, nil)
 	want("both at the tip")
-	f.Read(2, FeedCursor{Epoch: f.epoch + 1, Seq: 5}, 0, 0)
+	f.Read(2, FeedCursor{Epoch: f.epoch + 1, Seq: 5}, 0, 0, nil)
 	want("another incarnation's cursor holds every retained Old", h(1), h(2), h(3), h(4))
 
 	f.ttl = -time.Nanosecond // every renewal from here on has already lapsed
-	f.Read(1, FeedCursor{}, -1, 0)
-	f.Read(2, FeedCursor{Seq: 4}, 0, 0)
+	f.Read(1, FeedCursor{}, -1, 0, nil)
+	f.Read(2, FeedCursor{Seq: 4}, 0, 0, nil)
 	want("lapsed")
 	f.ttl = DefaultLease
-	f.Read(1, FeedCursor{}, -1, 0)
+	f.Read(1, FeedCursor{}, -1, 0, nil)
 	want("a probe after the lapse starts over", h(1), h(2), h(3), h(4))
 }
 
@@ -215,7 +216,7 @@ func TestGCKeepsLeasedHeads(t *testing.T) {
 	}
 	// A follower read the feed up to the put and is pulling its head.
 	const lease = 7
-	_, cursor, _ := db.Feed().Read(lease, FeedCursor{}, 0, 0)
+	_, cursor, _ := db.Feed().Read(lease, FeedCursor{}, 0, 0, nil)
 	if err := db.DeleteBranch("k", "doomed"); err != nil {
 		t.Fatal(err)
 	}
@@ -227,8 +228,8 @@ func TestGCKeepsLeasedHeads(t *testing.T) {
 	}
 	// The follower reads on: the deletion is behind its cursor, and the next
 	// pass collects the head.
-	db.Feed().Read(lease, cursor, 0, 0)
-	db.Feed().Read(lease, FeedCursor{Epoch: cursor.Epoch, Seq: db.Feed().Seq()}, 0, 0)
+	db.Feed().Read(lease, cursor, 0, 0, nil)
+	db.Feed().Read(lease, FeedCursor{Epoch: cursor.Epoch, Seq: db.Feed().Seq()}, 0, 0, nil)
 	if _, err := db.GC(); err != nil {
 		t.Fatal(err)
 	}
@@ -406,8 +407,8 @@ func TestFeedConcurrentAppendSince(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 100; i++ {
 			f.leasedRoots()
-			f.Read(uint64(i%3+1), FeedCursor{Seq: uint64(i)}, 1, 0)
-			f.Read(uint64(i%3+1), FeedCursor{}, -1, 0)
+			f.Read(uint64(i%3+1), FeedCursor{Seq: uint64(i)}, 1, 0, nil)
+			f.Read(uint64(i%3+1), FeedCursor{}, -1, 0, nil)
 		}
 	}()
 	// Let the writers finish, then release the reader.
@@ -419,5 +420,91 @@ func TestFeedConcurrentAppendSince(t *testing.T) {
 
 	if got := f.Seq(); got != 800 {
 		t.Fatalf("total appended = %d, want 800", got)
+	}
+}
+
+// TestFeedWraparound appends groups of one to four entries to a feed of
+// capacity 8 until it has dropped hundreds of times, and checks every read
+// after every append against the retained window of a plain list: Since at
+// every cursor around the window, paged and not, its truncation, and the
+// roots a lease at that cursor holds.
+func TestFeedWraparound(t *testing.T) {
+	const capacity = 8
+	f := NewFeed(capacity)
+	var all []FeedEntry
+	var ends []bool
+	for g := 0; g < 300; g++ {
+		var group []FeedEntry
+		for i := 0; i <= g%4; i++ {
+			seq := uint64(len(all) + 1)
+			old := hash.Of([]byte(fmt.Sprint(seq)))
+			if seq%5 == 0 {
+				old = hash.Hash{} // a create: no Old to hold
+			}
+			e := FeedEntry{Seq: seq, Key: "k", Branch: fmt.Sprint(i), Old: old, New: h(byte(seq))}
+			all, ends, group = append(all, e), append(ends, i == g%4), append(group, e)
+		}
+		f.Append(group...)
+		first := max(0, len(all)-capacity) // index in all of the oldest retained entry
+		tip := uint64(len(all))
+		for c := uint64(max(0, first-2)); c <= tip+1; c++ { // from a truncated cursor to one past the tip
+			got, next, truncated := f.Since(c, 0)
+			var want []FeedEntry
+			if int(c) >= first {
+				want = all[min(int(c), len(all)):]
+			}
+			wantTrunc := int(c) < first || c > tip
+			if fmt.Sprint(got) != fmt.Sprint(want) || truncated != wantTrunc || (len(want) > 0 && next != tip) {
+				t.Fatalf("append %d, Since(%d): %d entries next %d truncated %v; want %d entries truncated %v",
+					g, c, len(got), next, truncated, len(want), wantTrunc)
+			}
+			page, _, _ := f.Since(c, 3)
+			if fmt.Sprint(page) != fmt.Sprint(want[:len(page)]) {
+				t.Fatalf("append %d, Since(%d, 3) is not a prefix of Since(%d)", g, c, c)
+			}
+			if len(page) > 0 {
+				at := int(c) // index in all of the page's first entry
+				firstEnd := at
+				for !ends[firstEnd] {
+					firstEnd++
+				}
+				switch {
+				case !ends[at+len(page)-1]:
+					t.Fatalf("append %d, Since(%d, 3) splits a group", g, c)
+				case len(page) > 3 && at+len(page)-1 != firstEnd:
+					t.Fatalf("append %d, Since(%d, 3) runs past its limit beyond its first group", g, c)
+				case len(page) < len(want) && len(page) <= 3 && slices.Contains(ends[at+len(page):at+min(3, len(want))], true):
+					t.Fatalf("append %d, Since(%d, 3) stops short of a group that fits", g, c)
+				}
+			}
+			f.Read(1, FeedCursor{Epoch: f.epoch, Seq: c}, 0, 0, nil)
+			var roots []hash.Hash
+			for _, e := range all[first:] {
+				if e.Seq > c && !e.Old.IsZero() {
+					roots = append(roots, e.Old)
+				}
+			}
+			if got := f.leasedRoots(); fmt.Sprint(got) != fmt.Sprint(roots) {
+				t.Fatalf("append %d, lease at %d: held %v, want %v", g, c, got, roots)
+			}
+		}
+	}
+}
+
+// BenchmarkFeedAppend appends one entry to a full feed, so every append
+// drops the oldest entry.
+func BenchmarkFeedAppend(b *testing.B) {
+	for _, capacity := range []int{DefaultFeedCapacity, 65536} {
+		b.Run(fmt.Sprint(capacity), func(b *testing.B) {
+			f := NewFeed(capacity)
+			e := FeedEntry{Key: "k", Branch: "master", Old: h(1), New: h(2)}
+			for i := 0; i < capacity; i++ {
+				f.Append(e)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				f.Append(e)
+			}
+		})
 	}
 }

@@ -31,7 +31,7 @@ func fill(b byte) hash.Hash {
 	return h
 }
 
-func openHeads(t testing.TB, dir string) *FileBranchTable {
+func openHeads(t testing.TB, dir string) *HeadTable {
 	t.Helper()
 	f, err := OpenFileBranchTable(dir)
 	if err != nil {
@@ -74,10 +74,10 @@ func allHeadsOf(t testing.TB, bt BranchTable) map[string]map[string]hash.Hash {
 }
 
 // journalOp is one step of a golden-vector script.
-type journalOp func(*FileBranchTable) error
+type journalOp func(*HeadTable) error
 
 func opSetHead(key, branch string, old, new hash.Hash) journalOp {
-	return func(f *FileBranchTable) error {
+	return func(f *HeadTable) error {
 		if ok, err := f.CompareAndSet(key, branch, old, new); !ok || err != nil {
 			return fmt.Errorf("CAS %s@%s: ok=%v err=%v", key, branch, ok, err)
 		}
@@ -86,7 +86,7 @@ func opSetHead(key, branch string, old, new hash.Hash) journalOp {
 }
 
 func opApply(ops ...HeadOp) journalOp {
-	return func(f *FileBranchTable) error {
+	return func(f *HeadTable) error {
 		if ok, err := f.Apply(ops); !ok || err != nil {
 			return fmt.Errorf("Apply %v: ok=%v err=%v", ops, ok, err)
 		}
@@ -99,13 +99,13 @@ func opDeleteHead(key, branch string) journalOp {
 }
 
 func opRenameHead(key, from, to string) journalOp {
-	return func(f *FileBranchTable) error {
+	return func(f *HeadTable) error {
 		uid, _, _ := f.Head(key, from)
 		return opApply(renameOps(key, from, to, uid)...)(f)
 	}
 }
 
-func opCompact(f *FileBranchTable) error {
+func opCompact(f *HeadTable) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.compact()
@@ -264,7 +264,7 @@ func TestHeadsJournalReadsVersion1(t *testing.T) {
 			if got := allHeadsOf(t, f); !reflect.DeepEqual(got, tc.want) {
 				t.Fatalf("opened %v, want %v", got, tc.want)
 			}
-			snap := appendSnapshot(nil, f.mem)
+			snap := appendSnapshot(nil, f.heads)
 			if got := journalOf(t, dir); !bytes.Equal(got, snap) || got[len(headsMagic)] != headsVersion {
 				t.Fatalf("journal after open\n got %x\nwant %x", got, snap)
 			}
@@ -513,7 +513,7 @@ func FuzzHeadsJournal(f *testing.F) {
 		m := NewMemBranchTable()
 		var recs []headRecord
 		intact, err := scanJournal(b, func(r headRecord) error {
-			if err := r.applyTo(m); err != nil {
+			if err := m.install(r); err != nil {
 				return err
 			}
 			recs = append(recs, r)
@@ -536,12 +536,12 @@ func FuzzHeadsJournal(f *testing.F) {
 		if !bytes.Equal(enc, b[:intact]) {
 			t.Fatalf("%x decoded to %d records, which encode as %x", b[:intact], len(recs), enc)
 		}
-		snap := appendSnapshot(nil, m)
+		snap := appendSnapshot(nil, m.heads)
 		m2 := NewMemBranchTable()
-		if n, err := scanJournal(snap, func(r headRecord) error { return r.applyTo(m2) }); err != nil || n != len(snap) {
+		if n, err := scanJournal(snap, func(r headRecord) error { return m2.install(r) }); err != nil || n != len(snap) {
 			t.Fatalf("snapshot %x: intact %d, err %v", snap, n, err)
 		}
-		if !reflect.DeepEqual(allHeadsOf(t, m), allHeadsOf(t, m2)) || !bytes.Equal(appendSnapshot(nil, m2), snap) {
+		if !reflect.DeepEqual(allHeadsOf(t, m), allHeadsOf(t, m2)) || !bytes.Equal(appendSnapshot(nil, m2.heads), snap) {
 			t.Fatalf("snapshot %x does not round-trip", snap)
 		}
 	})
@@ -910,5 +910,80 @@ func TestHeadsRefusalsWriteNothing(t *testing.T) {
 	}
 	if !bytes.Equal(journalOf(t, dir), journal) {
 		t.Fatal("a refused mutation reached the journal")
+	}
+}
+
+// TestHeadTablesAgree runs one seeded script of Applys — sets, deletes,
+// renames as a delete plus a create, multi-head batches and stale
+// expectations — against a table without a journal and a journaled one:
+// both give the same answer and hold the same heads after every op, a
+// refused Apply writes nothing, and a reopen of the journaled table
+// reproduces the heads.
+func TestHeadTablesAgree(t *testing.T) {
+	keys, branches := []string{"a", "b", "c"}, []string{"master", "dev", "x"}
+	for _, seed := range []int64{1, 2, 3} {
+		dir := t.TempDir()
+		mem, file := NewMemBranchTable(), openHeads(t, dir)
+		rng := rand.New(rand.NewSource(seed))
+		pick := func() (string, string) { return keys[rng.Intn(len(keys))], branches[rng.Intn(len(branches))] }
+		uid := func() hash.Hash { return fill(byte(1 + rng.Intn(255))) }
+		for i := 0; i < 500; i++ {
+			heads := allHeadsOf(t, mem)
+			k, b := pick()
+			var ops []HeadOp
+			stale := false
+			switch rng.Intn(5) {
+			case 0: // a create or a move
+				ops = []HeadOp{{Key: k, Branch: b, Expect: heads[k][b], Set: uid()}}
+			case 1: // a delete
+				ops = []HeadOp{{Key: k, Branch: b, Expect: heads[k][b]}}
+			case 2: // a rename
+				ops = renameOps(k, b, branches[rng.Intn(len(branches))], heads[k][b])
+			case 3: // a batch over several heads, some unchecked
+				for _, j := range rng.Perm(len(keys))[:2+rng.Intn(2)] {
+					op := HeadOp{Key: keys[j], Branch: b, Expect: heads[keys[j]][b], Any: rng.Intn(3) == 0}
+					if rng.Intn(4) > 0 {
+						op.Set = uid()
+					}
+					ops = append(ops, op)
+				}
+			case 4: // a batch whose last expectation is stale
+				stale = true
+				other := uid()
+				for other == heads[k][b] {
+					other = uid()
+				}
+				ops = []HeadOp{{Key: keys[0], Branch: "y", Any: true, Set: uid()}, {Key: k, Branch: b, Expect: other, Set: uid()}}
+			}
+			journal := journalOf(t, dir)
+			okMem, errMem := mem.Apply(ops)
+			okFile, errFile := file.Apply(ops)
+			if okMem != okFile || errMem != nil || errFile != nil {
+				t.Fatalf("seed %d op %d %v: mem ok=%v err=%v, journaled ok=%v err=%v", seed, i, ops, okMem, errMem, okFile, errFile)
+			}
+			if stale && okMem {
+				t.Fatalf("seed %d op %d: a stale expectation was accepted", seed, i)
+			}
+			if !okFile && !bytes.Equal(journalOf(t, dir), journal) {
+				t.Fatalf("seed %d op %d: a refused Apply reached the journal", seed, i)
+			}
+			if got, want := allHeadsOf(t, file), allHeadsOf(t, mem); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d op %d: journaled heads %v, mem heads %v", seed, i, got, want)
+			}
+			uidMem, okMem, _ := mem.Head(k, b)
+			uidFile, okFile, _ := file.Head(k, b)
+			if uidMem != uidFile || okMem != okFile {
+				t.Fatalf("seed %d op %d: Head(%s, %s) answers differ", seed, i, k, b)
+			}
+		}
+		if err := file.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := allHeadsOf(t, openHeads(t, dir)), allHeadsOf(t, mem); !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: reopened heads %v, want %v", seed, got, want)
+		}
+		if err := mem.Close(); err != nil {
+			t.Fatalf("Close without a journal: %v", err)
+		}
 	}
 }

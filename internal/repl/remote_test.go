@@ -164,7 +164,7 @@ func TestFollowerSurvivesPrimaryRestart(t *testing.T) {
 	// "Restart" the primary at the same address: same store and branches,
 	// fresh feed (as a process restart would have).
 	feed2 := core.NewFeed(0)
-	heads2 := core.WithFeed(heads.Unwrap(), feed2)
+	heads2 := core.WithFeed(heads.BranchTable, feed2)
 	primary2 := core.Open(core.Options{Store: st, Branches: heads2})
 	srv2 := server.New(st, heads2, nil)
 	srv2.AttachFeed(feed2)

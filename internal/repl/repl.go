@@ -110,13 +110,13 @@ func NewLocalSource(db *core.DB) *LocalSource { return &LocalSource{db: db, leas
 
 // Seq implements Source.
 func (s *LocalSource) Seq() (core.FeedCursor, error) {
-	_, tip, _ := s.db.Feed().Read(s.lease, core.FeedCursor{}, -1, 0)
+	_, tip, _ := s.db.Feed().Read(s.lease, core.FeedCursor{}, -1, 0, nil)
 	return tip, nil
 }
 
 // FeedSince implements Source.
 func (s *LocalSource) FeedSince(cursor core.FeedCursor, limit int, wait time.Duration) ([]core.FeedEntry, core.FeedCursor, bool, error) {
-	entries, next, truncated := s.db.Feed().Read(s.lease, cursor, limit, wait)
+	entries, next, truncated := s.db.Feed().Read(s.lease, cursor, limit, wait, nil)
 	return entries, next, truncated, nil
 }
 

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -73,14 +74,23 @@ type Client struct {
 	addr string
 	opts ClientOptions
 
-	mu     sync.Mutex
-	conn   net.Conn
+	// turn is held for a whole exchange.  A channel, not a mutex: blocked
+	// senders take it in arrival order, so a short request queued behind a
+	// follower's long poll goes next instead of losing to the poll after it.
+	turn   chan struct{}
+	conn   net.Conn // written holding turn and closeMu both
 	br     *bufio.Reader
 	wbuf   []byte // scratch: the request frame, unless a large batch outgrows it
 	rbuf   []byte // scratch: a reply payload that carries no chunks
 	lastID uint64 // request id of the latest frame sent
-	closed bool
-	stop   chan struct{} // closed by Close; aborts in-flight backoffs
+
+	// Close takes closeMu, which guards closed, never turn, so it does not
+	// wait out an exchange: it cancels ctx, which aborts dials and backoffs,
+	// and closes conn, which fails a read or write in flight at once.
+	closeMu sync.Mutex
+	closed  bool
+	ctx     context.Context
+	cancel  context.CancelFunc
 }
 
 // errClientClosed is returned by every op after Close.
@@ -97,19 +107,29 @@ func Dial(addr string) (*Client, error) {
 // version, and a server that does not speak it closes the connection.
 func DialWithOptions(addr string, opts ClientOptions) (*Client, error) {
 	opts.fill()
-	c := &Client{addr: addr, opts: opts, stop: make(chan struct{}),
+	c := &Client{addr: addr, opts: opts, turn: make(chan struct{}, 1),
 		wbuf: make([]byte, 0, 64<<10), rbuf: make([]byte, 0, 4<<10)}
+	c.ctx, c.cancel = context.WithCancel(context.Background())
 	if err := c.call(OpPing, 0, nil, nil); err != nil {
+		c.Close()
 		return nil, err
 	}
 	return c, nil
 }
 
-// connectLocked dials and installs a fresh connection.  Callers hold c.mu.
+// connectLocked dials and installs a fresh connection, unless Close came
+// first.  Callers hold c.turn.
 func (c *Client) connectLocked() error {
-	conn, err := net.DialTimeout("tcp", c.addr, c.opts.DialTimeout)
+	d := net.Dialer{Timeout: c.opts.DialTimeout}
+	conn, err := d.DialContext(c.ctx, "tcp", c.addr)
 	if err != nil {
 		return fmt.Errorf("client: dial %s: %w", c.addr, err)
+	}
+	c.closeMu.Lock()
+	defer c.closeMu.Unlock()
+	if c.closed {
+		conn.Close()
+		return retry.Permanent(errClientClosed)
 	}
 	c.conn = conn
 	c.br = bufio.NewReader(conn)
@@ -118,8 +138,10 @@ func (c *Client) connectLocked() error {
 
 // teardownLocked discards a connection after a transport failure, so the
 // next attempt redials instead of reading a stream that lost its framing.
-// Callers hold c.mu.
+// Callers hold c.turn.
 func (c *Client) teardownLocked() {
+	c.closeMu.Lock()
+	defer c.closeMu.Unlock()
 	if c.conn != nil {
 		c.conn.Close()
 	}
@@ -154,7 +176,7 @@ var ErrAmbiguous = errors.New("client: request outcome unknown")
 // extraRead widens the read deadline for an op that legitimately idles on
 // the server (a long-poll feed read).
 func (c *Client) call(op Op, extraRead time.Duration, build func([]byte) []byte, read func(*dec)) error {
-	return c.opts.Retry.Do(c.stop, func() error { return c.attempt(op, extraRead, build, read) })
+	return c.opts.Retry.Do(c.ctx.Done(), func() error { return c.attempt(op, extraRead, build, read) })
 }
 
 // attempt is one full exchange: (re)connect, send the request frame with
@@ -163,9 +185,9 @@ func (c *Client) call(op Op, extraRead time.Duration, build func([]byte) []byte,
 // non-idempotent failures are permanent; everything else is transient and
 // redials.
 func (c *Client) attempt(op Op, extraRead time.Duration, build func([]byte) []byte, read func(*dec)) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
+	c.turn <- struct{}{}
+	defer func() { <-c.turn }()
+	if c.ctx.Err() != nil {
 		return retry.Permanent(errClientClosed)
 	}
 	if c.conn == nil {
@@ -235,21 +257,19 @@ func (c *Client) MaxBlock(extra time.Duration) time.Duration {
 }
 
 // Close shuts the connection.  Safe to call more than once; concurrent ops
-// fail fast instead of waiting out their backoff.
+// fail fast instead of waiting out their exchange or backoff.
 func (c *Client) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.cancel()
+	c.closeMu.Lock()
+	defer c.closeMu.Unlock()
 	if c.closed {
 		return nil
 	}
 	c.closed = true
-	close(c.stop)
 	if c.conn == nil {
 		return nil
 	}
-	err := c.conn.Close()
-	c.conn, c.br = nil, nil
-	return err
+	return c.conn.Close()
 }
 
 // RemoteStore adapts a Client into a store.Store.  Every fetched chunk is

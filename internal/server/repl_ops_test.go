@@ -97,7 +97,7 @@ func TestGetChunksRejectsForgedPayload(t *testing.T) {
 func TestFeedSinceOverWire(t *testing.T) {
 	st := store.NewMemStore()
 	feed := core.NewFeed(64)
-	_, tip, _ := feed.Read(0, core.FeedCursor{}, -1, 0)
+	_, tip, _ := feed.Read(0, core.FeedCursor{}, -1, 0, nil)
 	heads := core.WithFeed(core.NewMemBranchTable(), feed)
 	srv := New(st, heads, nil)
 	srv.AttachFeed(feed)

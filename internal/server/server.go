@@ -33,6 +33,7 @@ type Server struct {
 	ln     net.Listener
 	conns  map[net.Conn]struct{}
 	closed bool
+	done   chan struct{} // closed by Close: ends every long poll
 	logger *slog.Logger
 	wg     sync.WaitGroup
 }
@@ -114,7 +115,7 @@ func New(st store.Store, heads core.BranchTable, logger *slog.Logger) *Server {
 	if logger == nil {
 		logger = slog.Default()
 	}
-	return &Server{st: st, heads: heads, conns: make(map[net.Conn]struct{}), logger: logger}
+	return &Server{st: st, heads: heads, conns: make(map[net.Conn]struct{}), done: make(chan struct{}), logger: logger}
 }
 
 // AttachFeed publishes feed over OpFeedSince, whose reads and probes hold
@@ -272,7 +273,7 @@ func (s *Server) handle(h header, p, out []byte) ([]byte, error) {
 		// Feed.Read clamps the wait; this bound only keeps the conversion
 		// from overflowing.
 		wait := time.Duration(min(waitMillis, math.MaxInt64/uint64(time.Millisecond))) * time.Millisecond
-		entries, next, truncated := s.feed.Read(lease, cursor, limit, wait)
+		entries, next, truncated := s.feed.Read(lease, cursor, limit, wait, s.done)
 		return appendFeedPage(out, next, truncated, entries), nil
 	case OpApply:
 		ops := d.headOps()
@@ -407,6 +408,7 @@ func (s *Server) Close() error {
 		return nil
 	}
 	s.closed = true
+	close(s.done)
 	ln := s.ln
 	for c := range s.conns {
 		c.Close()

@@ -127,9 +127,10 @@ type FileStore struct {
 	// lost holds ids whose every on-disk copy was found damaged; entries are
 	// dropped once the id is indexed again (repair).
 	lost map[hash.Hash]struct{}
-	// damaged holds sealed segments recovery could not parse to their end;
-	// they are left byte-for-byte on disk, exempt from compaction, until a
-	// scrub quarantines them.
+	// damaged holds the segments in which recovery found a record failing
+	// its hash, or, sealed, could not parse to their end; they are left
+	// byte-for-byte on disk, exempt from compaction, until a scrub
+	// quarantines them.
 	damaged map[int]struct{}
 }
 
@@ -481,11 +482,13 @@ func (f *FileStore) recover() error {
 }
 
 // scanSegment indexes one segment at open and classifies its records into
-// st.  A record that will not parse ends the scan and counts as torn.  In
-// the last segment that is a crash mid-append: the tail is cut off.  In a
-// sealed segment it is damage: the file stays byte-for-byte as it was, the
-// records after the damage stay unindexed, and Health reports ErrCorrupt
-// until a scrub quarantines the segment.
+// st.  A record whose bytes fail their hash is damage wherever it is: it
+// stays unindexed and the segment is marked damaged.  A record that will
+// not parse ends the scan and counts as torn.  In the last segment that is
+// a crash mid-append: the tail is cut off.  In a sealed segment it is
+// damage: the records after it stay unindexed and the segment is marked
+// damaged.  A damaged segment stays byte-for-byte as it was, compaction
+// skips it, and Health reports ErrCorrupt until a scrub quarantines it.
 func (f *FileStore) scanSegment(seg int, last bool, st *ScrubStats, claimed *[]hash.Hash) error {
 	data, release, err := f.segmentBytes(seg)
 	if err != nil {
@@ -502,10 +505,12 @@ func (f *FileStore) scanSegment(seg int, last bool, st *ScrubStats, claimed *[]h
 		switch {
 		case chunk.New(typ, payload).ID() != id:
 			// Bit rot inside a record: refuse to index it but keep going;
-			// readers will get ErrNotFound rather than corrupt data.
+			// readers will get ErrNotFound rather than corrupt data.  The
+			// segment is evidence, kept whole for a scrub to quarantine.
 			use.dead += rec
 			st.Corrupt++
 			*claimed = append(*claimed, id)
+			f.damaged[seg] = struct{}{}
 		case dup:
 			// Duplicate copy (crash between compaction's rewrite and its
 			// unlink): the first occurrence won, this one is garbage.

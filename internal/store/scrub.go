@@ -199,7 +199,7 @@ func (f *FileStore) Health() error {
 		return fmt.Errorf("filestore: %d chunk(s) lost to corruption await repair: %w", n, ErrCorrupt)
 	}
 	if n := len(f.damaged); n > 0 {
-		return fmt.Errorf("filestore: %d sealed segment(s) unparseable past a damaged record await scrub: %w", n, ErrCorrupt)
+		return fmt.Errorf("filestore: %d segment(s) holding a rotted or unparseable record await scrub: %w", n, ErrCorrupt)
 	}
 	return nil
 }

@@ -332,6 +332,55 @@ func TestRecoveryKeepsDamagedSealedSegment(t *testing.T) {
 	}
 }
 
+// TestRecoveryKeepsRottedSealedSegment: a sealed segment whose record fails
+// its hash at open is evidence, like one that will not parse.  Health
+// reports it, a sweep that keeps everything leaves the file where it is
+// (the rotted record made it look like garbage to compact), and the next
+// scrub finds the rot and sets the bytes aside as seg-N.quarantine.
+func TestRecoveryKeepsRottedSealedSegment(t *testing.T) {
+	dir := t.TempDir()
+	opts := FileStoreOptions{SegmentSize: 4096}
+	s, err := OpenFileStoreWith(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillSegments(t, s, 60)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := s.segmentPath(1)
+	flipPayloadByte(t, path)
+	rotted, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := OpenFileStoreWith(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if err := s2.Health(); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("health = %v, want ErrCorrupt", err)
+	}
+	if _, err := s2.Sweep(func(hash.Hash) bool { return true }); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, rotted) {
+		t.Fatalf("the sweep did not leave the rotted segment as it was (err %v)", err)
+	}
+	st, err := s2.Scrub()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Corrupt != 1 || st.QuarantinedSegments != 1 {
+		t.Fatalf("scrub corrupt=%d quarantined=%d, want 1/1", st.Corrupt, st.QuarantinedSegments)
+	}
+	if got, err := os.ReadFile(s2.quarantinePath(1)); err != nil || !bytes.Equal(got, rotted) {
+		t.Fatalf("quarantine does not hold the rotted bytes (err %v)", err)
+	}
+}
+
 // TestRepairInsertsAbsent: Repair of a chunk the store never held is a plain
 // verified insert.
 func TestRepairInsertsAbsent(t *testing.T) {

@@ -66,8 +66,7 @@ var reachAllow = []reachEntry{
 	{name: "internal/pos.Blob.ReadAt", reason: "test oracle: the random read the blob tests compare against"},
 
 	{name: "internal/core.BranchTable.CompareAndSet", reason: harness},
-	{name: "internal/core.MemBranchTable.CompareAndSet", reason: harness},
-	{name: "internal/core.FileBranchTable.CompareAndSet", reason: harness},
+	{name: "internal/core.HeadTable.CompareAndSet", reason: harness},
 	{name: "internal/core.FeedTable.CompareAndSet", reason: harness},
 	{name: "internal/server.RemoteBranchTable.CompareAndSet", reason: harness},
 	{name: "internal/index.VersionedIndex.IterateFrom", reason: harness},

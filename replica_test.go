@@ -152,6 +152,43 @@ func TestOpenReplicaFollowsPrimary(t *testing.T) {
 // errOf2 collapses (T, error) returns for the rejection table.
 func errOf2[T any](_ T, err error) error { return err }
 
+// TestReplicaCloseDoesNotWaitOutThePoll: a caught-up replica's follower sits
+// in a long poll on its primary's feed (2 s by default); Close fails that
+// exchange at once instead of waiting for it, and so does the primary's
+// server Close for the poll it is serving.
+func TestReplicaCloseDoesNotWaitOutThePoll(t *testing.T) {
+	db := MustOpen()
+	defer db.Close()
+	srv := db.NewServer(nil)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	replica, err := OpenReplica(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := replica.WaitSynced(30 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(50 * time.Millisecond) // the follower is in its next poll
+	start := time.Now()
+	if err := replica.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took > 500*time.Millisecond {
+		t.Fatalf("replica Close took %v", took)
+	}
+	start = time.Now()
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took > 500*time.Millisecond {
+		t.Fatalf("server Close took %v", took)
+	}
+}
+
 func TestReplicaCloseIsIdempotentAndConcurrent(t *testing.T) {
 	_, addr := startPrimaryNode(t)
 	replica, err := OpenReplica(addr)
