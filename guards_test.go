@@ -113,6 +113,15 @@ func TestSourceGuards(t *testing.T) {
 		paths:   []string{"internal", "forkbase.go"},
 		want:    0,
 	}, {
+		// FileStore alone retires a verified stamp: a swept or lost id leaves
+		// its index, compaction and quarantine move the placement epoch, and
+		// Repair writes a fresh entry.  An engine hook unmarking beside it is
+		// a second answer to "when does a stamp die?".
+		name:    "one owner for the verified stamp",
+		pattern: `\.Invalidate(All)?\(`,
+		paths:   []string{"internal"},
+		want:    0,
+	}, {
 		// Recovery, scrub, compaction and quarantine agree on what a segment
 		// record is because scanRecords is the only code that parses its
 		// header; a second parser is a second answer to "where does this

@@ -510,8 +510,8 @@ func cmdStats(db *forkbase.DB, args []string, out io.Writer) error {
 		fmt.Fprintln(out, "health:         ok")
 	}
 	if vs := db.VerifyStats(); vs.Enabled {
-		fmt.Fprintf(out, "verify cache:   %d hits / %d misses / %d invalidations, %d hashes skipped\n",
-			vs.Hits, vs.Misses, vs.Invalidations, vs.SkippedHashes)
+		fmt.Fprintf(out, "verify cache:   %d hits / %d misses, %d hashes skipped\n",
+			vs.Hits, vs.Misses, vs.SkippedHashes)
 	} else {
 		fmt.Fprintf(out, "verify cache:   off (%d hashes skipped by provenance)\n", vs.SkippedHashes)
 	}

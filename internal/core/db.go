@@ -36,7 +36,7 @@ type DB struct {
 	// layers directly and never looks them up again.
 	st       store.Store           // top handle: verifier plus attachments
 	raw      store.Store           // instrumented backend: Stats, capability discovery (store.As)
-	verifier *store.VerifyingStore // invalidation hooks and VerifyStats
+	verifier *store.VerifyingStore // fresh reads (verify, heal) and VerifyStats
 	ncache   *nodecache.Cache      // the read path's decoded-node cache (core's own or caller-attached); nil = none
 
 	met     *dbObs // observability wiring (metrics, slow-op logs)
@@ -84,10 +84,11 @@ type Options struct {
 	// the FNodes behind version reads share it, so a version this engine
 	// saved or has read once is read again without touching the store.
 	// Because chunks are immutable and content-addressed the cache needs no
-	// invalidation; GC purges the ids it sweeps.  The cache is layered
-	// *above* the verifying store, so only nodes that passed tamper
-	// verification, or that this engine encoded itself, are ever cached;
-	// deep verification reads bytes and never consults it.
+	// invalidation; GC purges the ids it sweeps or moves, and a scrub that
+	// quarantines purges it whole.  The cache is layered *above* the
+	// verifying store, so only nodes that passed tamper verification, or
+	// that this engine encoded itself, are ever cached; deep verification
+	// reads bytes and never consults it.
 	NodeCacheBytes int64
 	// Metrics selects the registry this engine reports into: engine
 	// operation counts/latencies, store-level per-backend instrumentation,

@@ -85,19 +85,15 @@ func (db *DB) gcInner() (GCStats, error) {
 	// Purge swept ids from the decoded-node cache the read path uses (core's
 	// own or one the caller attached; nil-safe).  Relocated chunks are
 	// purged too: their content is unchanged, but a cached decode may alias
-	// storage the compaction retired.
+	// storage the compaction retired.  Their verified stamps are the store's
+	// to retire, and it has: a swept id left the index, and compaction moved
+	// the placement epoch before it repointed anything.
 	for _, id := range res.SweptIDs {
 		db.ncache.Remove(id)
 	}
 	for _, id := range res.MovedIDs {
 		db.ncache.Remove(id)
 	}
-	// Swept ids no longer resolve, and moved ids live in relocated records;
-	// neither may keep skipping the rehash on a stale stamp.  (FileStore's
-	// placement epoch also retires the moved ones — this is the explicit half
-	// of the belt-and-braces pair.)
-	db.verifier.Invalidate(res.SweptIDs...)
-	db.verifier.Invalidate(res.MovedIDs...)
 	return GCStats{
 		Live:              len(live),
 		Swept:             res.Swept,

@@ -129,10 +129,8 @@ func (db *DB) healInner(src ChunkSource) (HealStats, error) {
 					continue
 				}
 			}
-			// A cached decode may alias storage of the damaged copy, and a
-			// verified stamp still describes the bytes repair replaced.
+			// A cached decode may alias storage of the damaged copy.
 			db.ncache.Remove(want)
-			db.verifier.Invalidate(want)
 			hs.Repaired++
 			hs.BytesFetched += int64(c.Size())
 			// The repaired chunk's children rejoin the walk.

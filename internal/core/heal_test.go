@@ -6,13 +6,16 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime/debug"
 	"strings"
 	"testing"
 
 	"forkbase/internal/chunk"
 	"forkbase/internal/chunker"
 	"forkbase/internal/hash"
+	"forkbase/internal/pos"
 	"forkbase/internal/store"
+	"forkbase/internal/value"
 )
 
 // testChunkSource adapts any local store into a repair source — the same
@@ -263,5 +266,90 @@ func TestHealNoDamageIsNoop(t *testing.T) {
 	}
 	if hs.Checked == 0 {
 		t.Fatal("no-op heal checked nothing")
+	}
+}
+
+// TestScrubQuarantinePurgesNodeCache: a quarantine parks the segment's
+// mapping, and a later sweep releases it once enough mappings are parked.
+// Decoded POS nodes alias chunk bytes, so a cached decode of a record the
+// quarantine rescued (or lost) must not outlive the scrub: after a heal and
+// a run of GCs, every committed key still reads back its value.  A fault on
+// a released mapping fails the test instead of the binary.
+func TestScrubQuarantinePurgesNodeCache(t *testing.T) {
+	dir := t.TempDir()
+	fs, err := store.OpenFileStoreWith(dir, store.FileStoreOptions{SegmentSize: 8 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	db := Open(Options{Store: fs, Branches: NewMemBranchTable(), Chunking: chunker.SmallConfig(), NodeCacheBytes: 16 << 20})
+	const rows = 3000
+	readAll := func() (err error) {
+		defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+		defer func() {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("fault reading the map: %v", r)
+			}
+		}()
+		uid, err := db.Head("m", "")
+		if err != nil {
+			return err
+		}
+		v, err := db.GetVersion("m", uid)
+		if err != nil {
+			return err
+		}
+		tree, err := pos.LoadTree(db.Store(), db.Chunking(), v.Value.Root())
+		if err != nil {
+			return err
+		}
+		for i := 0; i < rows; i++ {
+			got, err := tree.Get([]byte(fmt.Sprintf("k-%05d", i)))
+			if err != nil {
+				return fmt.Errorf("k-%05d: %w", i, err)
+			}
+			if want := fmt.Sprintf("v1-%d", i); string(got) != want {
+				return fmt.Errorf("k-%05d = %q, want %q", i, got, want)
+			}
+		}
+		return nil
+	}
+	if _, err := db.Put("m", "", bigMap(t, db, rows, "v1"), nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := readAll(); err != nil {
+		t.Fatal(err)
+	}
+	replica := mirrorStore(t, fs)
+
+	rotSegment(t, dir, 1)
+	ss, err := db.Scrub()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ss.QuarantinedSegments != 1 || len(ss.Lost) == 0 {
+		t.Fatalf("scrub did not quarantine the rotted segment: %+v", ss)
+	}
+	if _, err := db.Heal(testChunkSource{replica}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Put("filler", "", value.String("f"), nil); err != nil {
+		t.Fatal(err)
+	}
+	// Each pass compacts a segment and parks its mapping; past the parking
+	// bound the sweeps release the quarantined segment's mapping too.
+	for i := 0; i < 14; i++ {
+		if _, err := db.Put("tmp", "", bigMap(t, db, 200, fmt.Sprintf("t%d", i)), nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.DeleteBranch("tmp", DefaultBranch); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.GC(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := readAll(); err != nil {
+		t.Fatal(err)
 	}
 }

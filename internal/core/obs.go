@@ -137,8 +137,6 @@ func (db *DB) registerGauges() {
 		func() float64 { return float64(vs.VerifyStats().Hits) })
 	reg.CounterFunc("forkbase_verify_cache_misses_total", "Claimed reads without a current verified stamp (rehash paid, stamp written).",
 		func() float64 { return float64(vs.VerifyStats().Misses) })
-	reg.CounterFunc("forkbase_verify_cache_invalidations_total", "Verified stamps retired by GC, scrub, heal or repair (ids, plus one per wholesale retirement).",
-		func() float64 { return float64(vs.VerifyStats().Invalidations) })
 	reg.CounterFunc("forkbase_verify_skipped_hashes_total", "Rehashes amortized away (verified-stamp hits plus provenance-trusted writes).",
 		func() float64 { return float64(vs.VerifyStats().SkippedHashes) })
 	if db.ncache != nil {
@@ -156,9 +154,9 @@ func (db *DB) registerGauges() {
 	}
 }
 
-// VerifyStats snapshots the verifying layer's amortization counters: hits,
-// misses and invalidations of the store's verified stamp plus the total
-// rehashes skipped (stamp hits and provenance-trusted writes).
+// VerifyStats snapshots the verifying layer's amortization counters: hits
+// and misses of the store's verified stamp plus the total rehashes skipped
+// (stamp hits and provenance-trusted writes).
 func (db *DB) VerifyStats() store.VerifyStats { return db.verifier.VerifyStats() }
 
 // Metrics returns the registry this engine reports into (obs.Discard when
@@ -185,15 +183,13 @@ func (db *DB) Scrub() (store.ScrubStats, error) {
 	start := time.Now()
 	ss, err := scr.Scrub()
 	db.met.scrubDone(start, ss, err)
-	// Scrub itself never consults a verified stamp (it reads segment files
-	// directly), but its findings do invalidate: lost ids must not be
-	// vouched for, and a quarantine pass rescues records into new homes —
-	// drop everything rather than reason about which survived.  (FileStore's
-	// placement epoch bump covers direct store.Scrub() callers; this is the
-	// engine-level half of the pair.)
-	db.verifier.Invalidate(ss.Lost...)
+	// A quarantine parks the segment's mapping, which a later sweep
+	// releases, and decoded nodes alias chunk bytes: drop every cached
+	// decode rather than reason about which were rescued or lost.  (The
+	// store retired the verified stamps itself: lost ids left its index and
+	// the quarantine moved the placement epoch.)
 	if ss.QuarantinedSegments > 0 {
-		db.verifier.InvalidateAll()
+		db.ncache.Purge()
 	}
 	return ss, err
 }

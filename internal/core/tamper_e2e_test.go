@@ -49,7 +49,6 @@ func TestTamperAfterVerifyScrubHealRecovers(t *testing.T) {
 
 	// Phase 3 — scrub classifies despite the warm cache (scrub reads the
 	// segment bytes directly; a verified stamp is never an oracle for it).
-	invalidated := db.VerifyStats().Invalidations
 	ss, err := db.Scrub()
 	if err != nil {
 		t.Fatal(err)
@@ -60,8 +59,24 @@ func TestTamperAfterVerifyScrubHealRecovers(t *testing.T) {
 	if err := fs.Health(); !errors.Is(err, store.ErrCorrupt) {
 		t.Fatalf("health = %v, want ErrCorrupt", err)
 	}
-	if db.VerifyStats().Invalidations == invalidated {
-		t.Fatal("scrub findings invalidated no verified stamp")
+	// Every stamp died with the quarantine: a stamped survivor's next read
+	// pays exactly one digest.
+	lost := make(map[hash.Hash]bool)
+	for _, id := range ss.Lost {
+		lost[id] = true
+	}
+	for _, id := range ids {
+		if lost[id] {
+			continue
+		}
+		before := db.VerifyStats()
+		if _, err := db.Store().Get(id); err != nil {
+			t.Fatal(err)
+		}
+		if after := db.VerifyStats(); after.Misses-before.Misses != 1 || after.Hits != before.Hits {
+			t.Fatalf("survivor %s read after the quarantine: %+v, before %+v", id.Short(), after, before)
+		}
+		break
 	}
 	// The lost chunk must not be served from any cache layer.
 	if _, err := db.Store().Get(ss.Lost[0]); err == nil {

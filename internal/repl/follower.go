@@ -254,9 +254,6 @@ func (f *Follower) run() {
 	}
 }
 
-// Lag reports how many feed entries the replica trails the primary by
-// right now (one Seq probe against the source).  An epoch mismatch —
-// primary restarted, or nothing applied yet — counts as fully behind.
 // RegisterMetrics publishes this follower's sync progress into reg:
 // cumulative sync counters (rounds, snapshot fallbacks, heads applied,
 // chunks/bytes fetched, Merkle-prune skips, errors) read at scrape time
@@ -296,8 +293,9 @@ func (f *Follower) RegisterMetrics(reg *obs.Registry) {
 
 // Lag reports how many feed entries the follower is behind its primary (0
 // when caught up), at the cost of one probe of the source; an unreachable
-// primary is an error.  forkbased's readiness check and the repl_lag gauge
-// read it.
+// primary is an error.  An epoch mismatch — primary restarted, or nothing
+// applied yet — counts as fully behind.  forkbased's readiness check and the
+// repl_lag gauge read it.
 func (f *Follower) Lag() (uint64, error) {
 	target, err := f.src.Seq()
 	if err != nil {

@@ -3,7 +3,6 @@ package rest
 import (
 	"errors"
 	"net/http"
-	"strings"
 
 	"forkbase/internal/core"
 	"forkbase/internal/dataset"
@@ -18,34 +17,20 @@ import (
 //	GET  /v1/dataset/{name}?branch=B            export CSV
 //	GET  /v1/dataset/{name}/stat?branch=B       dataset statistics
 //	GET  /v1/dataset/{name}/diff?from=B1&to=B2  cell-level differential query
+var datasetRoutes = routeFamily{prefix: "/v1/dataset/", template: "/v1/dataset/{name}", noun: "dataset name",
+	root: (*Handler).dataset, actions: map[string]action{
+		"stat": (*Handler).datasetStat, "diff": (*Handler).datasetDiff,
+	}}
 
-func (h *Handler) registerDatasets() {
-	h.mux.HandleFunc("/v1/dataset/", h.datasetRoute)
-}
-
-func (h *Handler) datasetRoute(w http.ResponseWriter, r *http.Request) {
-	rest := r.URL.Path[len("/v1/dataset/"):]
-	name, action, _ := strings.Cut(rest, "/")
-	if name == "" {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "missing dataset name"})
-		return
-	}
-	switch action {
-	case "":
-		switch r.Method {
-		case http.MethodPost:
-			h.importCSV(w, r, name)
-		case http.MethodGet:
-			h.exportCSV(w, r, name)
-		default:
-			writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "GET or POST"})
-		}
-	case "stat":
-		h.datasetStat(w, r, name)
-	case "diff":
-		h.datasetDiff(w, r, name)
+// dataset serves /v1/dataset/{name}: POST imports, GET exports.
+func (h *Handler) dataset(w http.ResponseWriter, r *http.Request, name string) {
+	switch r.Method {
+	case http.MethodPost:
+		h.importCSV(w, r, name)
+	case http.MethodGet:
+		h.exportCSV(w, r, name)
 	default:
-		writeJSON(w, http.StatusNotFound, errorBody{Error: "unknown dataset action " + action})
+		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "GET or POST"})
 	}
 }
 

@@ -55,36 +55,12 @@ func (h *Handler) WithSlowRequest(d time.Duration) *Handler {
 	return h
 }
 
-// knownActions bounds the route-label space: an unknown action collapses
-// into a single "?" label instead of minting a family instance per typo.
-var objActions = map[string]bool{
-	"history": true, "branches": true, "branch": true,
-	"merge": true, "diff": true, "verify": true,
-}
-
-var datasetActions = map[string]bool{"stat": true, "diff": true}
-
 // routeLabel maps a request path to its route template.
 func routeLabel(path string) string {
-	switch {
-	case strings.HasPrefix(path, "/v1/obj/"):
-		_, action, ok := strings.Cut(strings.TrimPrefix(path, "/v1/obj/"), "/")
-		if !ok || action == "" {
-			return "/v1/obj/{key}"
+	for _, f := range routeFamilies {
+		if strings.HasPrefix(path, f.prefix) {
+			return f.label(path)
 		}
-		if objActions[action] {
-			return "/v1/obj/{key}/" + action
-		}
-		return "/v1/obj/{key}/?"
-	case strings.HasPrefix(path, "/v1/dataset/"):
-		_, action, ok := strings.Cut(strings.TrimPrefix(path, "/v1/dataset/"), "/")
-		if !ok || action == "" {
-			return "/v1/dataset/{name}"
-		}
-		if datasetActions[action] {
-			return "/v1/dataset/{name}/" + action
-		}
-		return "/v1/dataset/{name}/?"
 	}
 	switch path {
 	case "/v1/keys", "/v1/stats", "/v1/batch", "/v1/gc", "/v1/scrub",

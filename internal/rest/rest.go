@@ -59,7 +59,10 @@ func New(db *core.DB) *Handler {
 	h.met = newRESTMetrics(h.reg)
 	h.mux.HandleFunc("/v1/keys", h.keys)
 	h.mux.HandleFunc("/v1/stats", h.stats)
-	h.mux.HandleFunc("/v1/obj/", h.object)
+	for _, f := range routeFamilies {
+		f := f
+		h.mux.HandleFunc(f.prefix, func(w http.ResponseWriter, r *http.Request) { f.serve(h, w, r) })
+	}
 	h.mux.HandleFunc("/v1/batch", h.batch)
 	h.mux.HandleFunc("/v1/gc", h.gc)
 	h.mux.HandleFunc("/v1/scrub", h.scrub)
@@ -67,7 +70,6 @@ func New(db *core.DB) *Handler {
 	h.mux.HandleFunc("/v1/healthz", h.healthz)
 	h.mux.HandleFunc("/v1/metrics", h.metricsProm)
 	h.mux.HandleFunc("/v1/metrics.json", h.metricsJSON)
-	h.registerDatasets()
 	return h
 }
 
@@ -109,18 +111,17 @@ func (h *Handler) healthz(w http.ResponseWriter, r *http.Request) {
 		// it doing work".  Counter families only — gauge funcs may probe the
 		// network (repl lag) and a health check must stay cheap.
 		body["metrics"] = map[string]any{
-			"engine_ops":                 h.reg.Sum("forkbase_engine_ops_total"),
-			"engine_errors":              h.reg.Sum("forkbase_engine_errors_total"),
-			"http_requests":              h.reg.Sum("forkbase_http_requests_total"),
-			"server_requests":            h.reg.Sum("forkbase_server_requests_total"),
-			"store_errors":               h.reg.Sum("forkbase_store_errors_total"),
-			"cache_hits":                 h.reg.Sum("forkbase_cache_hits_total"),
-			"cache_misses":               h.reg.Sum("forkbase_cache_misses_total"),
-			"retry_gaveup":               h.reg.Sum("forkbase_retry_gaveup_total"),
-			"verify_cache_hits":          h.reg.Sum("forkbase_verify_cache_hits_total"),
-			"verify_cache_misses":        h.reg.Sum("forkbase_verify_cache_misses_total"),
-			"verify_cache_invalidations": h.reg.Sum("forkbase_verify_cache_invalidations_total"),
-			"verify_skipped_hashes":      h.reg.Sum("forkbase_verify_skipped_hashes_total"),
+			"engine_ops":            h.reg.Sum("forkbase_engine_ops_total"),
+			"engine_errors":         h.reg.Sum("forkbase_engine_errors_total"),
+			"http_requests":         h.reg.Sum("forkbase_http_requests_total"),
+			"server_requests":       h.reg.Sum("forkbase_server_requests_total"),
+			"store_errors":          h.reg.Sum("forkbase_store_errors_total"),
+			"cache_hits":            h.reg.Sum("forkbase_cache_hits_total"),
+			"cache_misses":          h.reg.Sum("forkbase_cache_misses_total"),
+			"retry_gaveup":          h.reg.Sum("forkbase_retry_gaveup_total"),
+			"verify_cache_hits":     h.reg.Sum("forkbase_verify_cache_hits_total"),
+			"verify_cache_misses":   h.reg.Sum("forkbase_verify_cache_misses_total"),
+			"verify_skipped_hashes": h.reg.Sum("forkbase_verify_skipped_hashes_total"),
 		}
 	}
 	if _, disk := store.As[store.Scrubber](h.db.RawStore()); disk {
@@ -323,38 +324,62 @@ func (h *Handler) stats(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// object routes /v1/obj/{key}[/{action}].
-func (h *Handler) object(w http.ResponseWriter, r *http.Request) {
-	rest := strings.TrimPrefix(r.URL.Path, "/v1/obj/")
-	key, action, _ := strings.Cut(rest, "/")
-	if key == "" {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "missing key"})
-		return
-	}
-	switch action {
-	case "":
-		switch r.Method {
-		case http.MethodGet:
-			h.getObject(w, r, key)
-		case http.MethodPut:
-			h.putObject(w, r, key)
-		default:
-			writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "GET or PUT"})
-		}
-	case "history":
-		h.history(w, r, key)
-	case "branches":
-		h.branches(w, r, key)
-	case "branch":
-		h.branch(w, r, key)
-	case "merge":
-		h.merge(w, r, key)
-	case "diff":
-		h.diff(w, r, key)
-	case "verify":
-		h.verify(w, r, key)
+// action serves one route of a family for the key or name in the path.
+type action func(h *Handler, w http.ResponseWriter, r *http.Request, name string)
+
+// routeFamily is the routes under prefix: {name} itself, served by root,
+// and {name}/{action} for each action in the table.  The dispatch (serve)
+// and the metric label (label) read the one table, so every action served
+// has its own label and an unknown one collapses into the family's "?".
+type routeFamily struct {
+	prefix, template, noun string // "/v1/obj/", "/v1/obj/{key}", "key"
+	root                   action
+	actions                map[string]action
+}
+
+// objRoutes routes /v1/obj/{key}[/{action}].
+var objRoutes = routeFamily{prefix: "/v1/obj/", template: "/v1/obj/{key}", noun: "key",
+	root: (*Handler).object, actions: map[string]action{
+		"history": (*Handler).history, "branches": (*Handler).branches, "branch": (*Handler).branch,
+		"merge": (*Handler).merge, "diff": (*Handler).diff, "verify": (*Handler).verify,
+	}}
+
+var routeFamilies = []*routeFamily{&objRoutes, &datasetRoutes}
+
+func (f *routeFamily) serve(h *Handler, w http.ResponseWriter, r *http.Request) {
+	name, act, _ := strings.Cut(strings.TrimPrefix(r.URL.Path, f.prefix), "/")
+	switch fn := f.actions[act]; {
+	case name == "":
+		writeJSON(w, http.StatusBadRequest, errorBody{Error: "missing " + f.noun})
+	case act == "":
+		f.root(h, w, r, name)
+	case fn != nil:
+		fn(h, w, r, name)
 	default:
-		writeJSON(w, http.StatusNotFound, errorBody{Error: "unknown action " + action})
+		writeJSON(w, http.StatusNotFound, errorBody{Error: "unknown action " + act})
+	}
+}
+
+func (f *routeFamily) label(path string) string {
+	_, act, ok := strings.Cut(strings.TrimPrefix(path, f.prefix), "/")
+	switch {
+	case !ok || act == "":
+		return f.template
+	case f.actions[act] != nil:
+		return f.template + "/" + act
+	}
+	return f.template + "/?"
+}
+
+// object serves /v1/obj/{key}: GET reads it, PUT writes it.
+func (h *Handler) object(w http.ResponseWriter, r *http.Request, key string) {
+	switch r.Method {
+	case http.MethodGet:
+		h.getObject(w, r, key)
+	case http.MethodPut:
+		h.putObject(w, r, key)
+	default:
+		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "GET or PUT"})
 	}
 }
 

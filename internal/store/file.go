@@ -889,9 +889,9 @@ func (f *FileStore) MarkVerified(id hash.Hash, epoch uint64) {
 	sh.mu.Unlock()
 }
 
-// UnmarkVerified drops id's verified stamp (no-op if absent).  Scrub, heal,
-// repair and GC route here through VerifyingStore.Invalidate whenever they
-// learn the on-disk bytes are damaged, moved, or about to be rewritten.
+// UnmarkVerified drops id's verified stamp (no-op if absent); the verifying
+// layer calls it when a recheck of id fails.  Stamps of bytes that move or
+// die need no call: Sweep, quarantine and Repair retire them here.
 func (f *FileStore) UnmarkVerified(id hash.Hash) {
 	sh := f.shard(id)
 	sh.mu.Lock()
@@ -903,8 +903,8 @@ func (f *FileStore) UnmarkVerified(id hash.Hash) {
 }
 
 // UnmarkAllVerified retires every verified stamp at once.  Implemented as a
-// placement-epoch bump: stamps are keyed to the epoch they were minted at, so advancing it invalidates all of them in O(1)
-// without walking the index shards.
+// placement-epoch bump: stamps are keyed to the epoch they were minted at,
+// so advancing it retires all of them in O(1) without walking the shards.
 func (f *FileStore) UnmarkAllVerified() { f.placeEpoch.Add(1) }
 
 // VerifiedServes reports how many Gets were answered with a fresh verified

@@ -11,8 +11,9 @@ import (
 // nodes in it and package fnode its version objects (FNodes), all through
 // Nodes.  The cache is keyed by chunk id, and because chunks are immutable and
 // content-addressed the cache never needs invalidation — only GC deletion
-// needs to call Remove.  One id space holds every kind, so Nodes checks the
-// type of each hit and treats a hit of another kind as a miss.
+// and scrub quarantine, which retire the bytes decodes alias, purge it.  One
+// id space holds every kind, so Nodes checks the type of each hit and treats
+// a hit of another kind as a miss.
 //
 // Attaching the cache to the store handle (rather than threading it through
 // every tree constructor) means every POS-Tree, trie, sequence, blob and

@@ -415,3 +415,72 @@ func TestDedupPutLeavesStoredBytesUnstamped(t *testing.T) {
 		t.Fatalf("GetBatch of rotted bytes after a dedup write = %v, want ErrCorrupt", err)
 	}
 }
+
+// movingWitness is a trusted witness whose placement moves right after every
+// read it answers and every write it takes, as a compaction landing between
+// the bytes and the stamp would.  A stamp minted at the new epoch vouches
+// for a copy nobody hashed.
+type movingWitness struct {
+	*MemStore
+	epoch       uint64
+	marks, late int
+}
+
+func (w *movingWitness) VerifyCacheTrusted() bool { return true }
+func (w *movingWitness) PlacementEpoch() uint64   { return w.epoch }
+func (w *movingWitness) UnmarkVerified(hash.Hash) {}
+func (w *movingWitness) UnmarkAllVerified()       { w.epoch++ }
+func (w *movingWitness) VerifiedServes() int64    { return 0 }
+
+func (w *movingWitness) GetVerified(id hash.Hash) (*chunk.Chunk, bool, error) {
+	defer func() { w.epoch++ }()
+	c, err := w.MemStore.Get(id)
+	if err != nil {
+		return nil, false, err
+	}
+	return chunk.NewClaimed(c.Type(), c.Data(), id), false, nil
+}
+
+func (w *movingWitness) Put(c *chunk.Chunk) (bool, error) {
+	defer func() { w.epoch++ }()
+	return w.MemStore.Put(c)
+}
+
+func (w *movingWitness) PutBatch(cs []*chunk.Chunk) ([]bool, error) {
+	defer func() { w.epoch++ }()
+	return w.MemStore.PutBatch(cs)
+}
+
+func (w *movingWitness) MarkVerified(id hash.Hash, epoch uint64) {
+	w.marks++
+	if epoch == w.epoch {
+		w.late++
+	}
+}
+
+// TestStampEpochReadBeforeTheBytes pins that a stamp carries the placement
+// epoch read before the bytes it vouches for — before the read on Get, before
+// the write on Put and PutBatch — so a placement event in between refuses
+// it.
+func TestStampEpochReadBeforeTheBytes(t *testing.T) {
+	w := &movingWitness{MemStore: NewMemStore()}
+	v := NewVerifyingStore(w)
+	if !v.VerifyStats().Enabled {
+		t.Fatal("witness not engaged over a trusted VerifiedIndexer")
+	}
+	cs := []*chunk.Chunk{mkChunk(1), mkChunk(2), mkChunk(3)}
+	if _, err := v.PutBatch(cs[:2]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := v.Put(cs[2]); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cs {
+		if _, err := v.Get(c.ID()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if w.marks != 6 || w.late != 0 {
+		t.Fatalf("%d of %d stamps minted at the epoch after their bytes", w.late, w.marks)
+	}
+}

@@ -119,11 +119,14 @@ func (m *MaliciousStore) AttackCount() int {
 // when the *immediate* inner store offers that capability and the stack is
 // trusted (see VerifyCacheTruster: local Mem/File stores qualify; anything
 // with a wire, fault-injection, or adversarial layer does not).  A successful
-// recheck stamps the id at the placement epoch read before the rehash, and a
-// repeat read the stamp still covers skips the hash.  Without a witness every
-// claimed chunk is rehashed on every read.  Writes honor in-process
-// provenance (chunk.Claimed() == false) instead of rehashing; claimed chunks
-// from disk, the wire, or untrusted constructors still pay the full recheck.
+// recheck stamps the id at the placement epoch read before the bytes were,
+// and a repeat read the stamp still covers skips the hash.  The store alone
+// retires stamps (an id's entry rewritten or gone, the epoch moved); this
+// layer only mints them and drops one whose recheck failed.  Without a
+// witness every claimed chunk is rehashed on every read.  Writes honor
+// in-process provenance (chunk.Claimed() == false) instead of rehashing;
+// claimed chunks from disk, the wire, or untrusted constructors still pay
+// the full recheck.
 //
 // Has, HasBatch and Stats are the embedded store's own: presence needs no
 // verification — a forged chunk is caught when it is actually read.
@@ -140,9 +143,8 @@ type VerifyingStore struct {
 	epoch PlacementEpocher
 
 	// misses counts claimed reads that paid a recheck over the witness,
-	// invalidations the ids (and wholesale calls) Invalidate and
-	// InvalidateAll retired, skippedHashes the provenance-trusted writes.
-	misses, invalidations, skippedHashes atomic.Int64
+	// skippedHashes the provenance-trusted writes.
+	misses, skippedHashes atomic.Int64
 }
 
 // VerifyCacheTruster is the capability by which a store declares that its
@@ -228,12 +230,13 @@ func (v *VerifyingStore) Put(ch *chunk.Chunk) (bool, error) {
 	if err := v.recheckWrite(ch); err != nil {
 		return false, err
 	}
+	ep := v.epochNow()
 	fresh, err := v.Store.Put(ch)
 	if err == nil && fresh && v.witness != nil {
 		// The bytes just written are known-good: stamp them so the first
 		// read back skips the rehash.  A dedup hit wrote nothing, so the
 		// bytes already stored are not the ones just checked.
-		v.witness.MarkVerified(ch.ID(), v.epochNow())
+		v.witness.MarkVerified(ch.ID(), ep)
 	}
 	return fresh, err
 }
@@ -253,9 +256,9 @@ func (v *VerifyingStore) PutBatch(cs []*chunk.Chunk) ([]bool, error) {
 	if err := recheckIndexes(cs, work); err != nil {
 		return make([]bool, len(cs)), err
 	}
+	ep := v.epochNow()
 	fresh, err := v.Store.PutBatch(cs)
 	if err == nil && v.witness != nil {
-		ep := v.epochNow()
 		for i, ch := range cs {
 			if fresh[i] {
 				v.witness.MarkVerified(ch.ID(), ep)
@@ -283,11 +286,10 @@ func (v *VerifyingStore) GetBatch(ids []hash.Hash) ([]*chunk.Chunk, error) {
 // saying why (ErrNotFound, chunk.ErrCorrupt, or the read's own failure).
 // Over a witness each id is read through its stamp exactly as Get reads it
 // (FileStore's own GetBatch is a per-id loop, so no round is lost); with
-// fresh, each stamp is dropped just before its id is read, so every chunk
-// pays the rehash, as validation and heal require.  A round that fails as a
-// whole — a wire client refuses a reply that holds one forged chunk — is
-// read again one id at a time, so every failure is still named.  out and
-// errs hold len(ids).
+// fresh, each id is read past its stamp and rehashed, as validation and heal
+// require.  A round that fails as a whole — a wire client refuses a reply
+// that holds one forged chunk — is read again one id at a time, so every
+// failure is still named.  out and errs hold len(ids).
 func (v *VerifyingStore) GetEach(ids []hash.Hash, out []*chunk.Chunk, errs []error, fresh bool) {
 	var cs []*chunk.Chunk
 	oneByOne := v.witness != nil
@@ -299,14 +301,11 @@ func (v *VerifyingStore) GetEach(ids []hash.Hash, out []*chunk.Chunk, errs []err
 	for i, id := range ids {
 		switch {
 		case oneByOne:
-			if fresh {
-				v.Invalidate(id) // a no-op without a witness
-			}
-			out[i], errs[i] = v.Get(id)
+			out[i], errs[i] = v.get(id, fresh)
 		case cs[i] == nil:
 			out[i], errs[i] = nil, ErrNotFound
 		default:
-			out[i], errs[i] = v.check(id, cs[i])
+			out[i], errs[i] = v.check(id, cs[i], 0) // no witness to stamp
 		}
 	}
 }
@@ -326,12 +325,19 @@ func recheckIndexes(cs []*chunk.Chunk, idx []int) error {
 // merely claimed by the inner store (FileStore's zero-copy mmap path trusts
 // its own index) are rehashed here — unless the witness stamped the id at
 // the current placement epoch, in which case the hash is skipped.
-func (v *VerifyingStore) Get(id hash.Hash) (*chunk.Chunk, error) {
+func (v *VerifyingStore) Get(id hash.Hash) (*chunk.Chunk, error) { return v.get(id, false) }
+
+// get is Get; with fresh the stamp is read past, so a claimed chunk pays
+// the rehash.  The epoch is read before the bytes: a placement event
+// between the two then refuses the stamp instead of vouching for a copy
+// nobody hashed.
+func (v *VerifyingStore) get(id hash.Hash, fresh bool) (*chunk.Chunk, error) {
 	var (
 		c   *chunk.Chunk
 		err error
 	)
-	if v.witness != nil {
+	ep := v.epochNow()
+	if v.witness != nil && !fresh {
 		var stamped bool
 		c, stamped, err = v.witness.GetVerified(id)
 		if err == nil && stamped {
@@ -347,19 +353,19 @@ func (v *VerifyingStore) Get(id hash.Hash) (*chunk.Chunk, error) {
 	if err != nil {
 		return nil, err
 	}
-	return v.check(id, c)
+	return v.check(id, c, ep)
 }
 
-// check verifies c, read for id, against it; a chunk whose id is only
-// claimed is rehashed and the outcome settled in the witness.
-func (v *VerifyingStore) check(id hash.Hash, c *chunk.Chunk) (*chunk.Chunk, error) {
+// check verifies c, read for id at placement epoch ep, against it; a chunk
+// whose id is only claimed is rehashed and the outcome settled in the
+// witness.
+func (v *VerifyingStore) check(id hash.Hash, c *chunk.Chunk, ep uint64) (*chunk.Chunk, error) {
 	if err := c.Verify(id); err != nil {
 		return nil, err
 	}
 	if !c.Claimed() {
 		return c, nil
 	}
-	ep := v.epochNow()
 	err := c.Recheck()
 	v.settle(id, ep, err)
 	if err != nil {
@@ -369,7 +375,7 @@ func (v *VerifyingStore) check(id hash.Hash, c *chunk.Chunk) (*chunk.Chunk, erro
 }
 
 // settle records in the witness the outcome of rechecking id, whose epoch
-// was read before the rehash: a stamp when it passed, none when it failed.
+// was read before its bytes: a stamp when it passed, none when it failed.
 func (v *VerifyingStore) settle(id hash.Hash, ep uint64, err error) {
 	if v.witness == nil {
 		return
@@ -388,11 +394,9 @@ type VerifyStats struct {
 	// VerifiedIndexer directly beneath the verifier).
 	Enabled bool `json:"enabled"`
 	// Hits counts reads the witness's stamp served; Misses claimed reads
-	// that paid a recheck over the witness; Invalidations the ids passed to
-	// Invalidate plus InvalidateAll calls.
-	Hits          int64 `json:"hits"`
-	Misses        int64 `json:"misses"`
-	Invalidations int64 `json:"invalidations"`
+	// that paid a recheck over the witness.
+	Hits   int64 `json:"hits"`
+	Misses int64 `json:"misses"`
 	// SkippedHashes counts every rehash amortized away: stamp hits on reads
 	// plus provenance-trusted chunks on writes.
 	SkippedHashes int64 `json:"skipped_hashes"`
@@ -403,7 +407,6 @@ func (v *VerifyingStore) VerifyStats() VerifyStats {
 	st := VerifyStats{
 		Enabled:       v.witness != nil,
 		Misses:        v.misses.Load(),
-		Invalidations: v.invalidations.Load(),
 		SkippedHashes: v.skippedHashes.Load(),
 	}
 	if v.witness != nil {
@@ -411,26 +414,4 @@ func (v *VerifyingStore) VerifyStats() VerifyStats {
 		st.SkippedHashes += st.Hits
 	}
 	return st
-}
-
-// Invalidate drops the witness's stamps for ids (no-op without a witness).
-// Scrub, quarantine, repair, heal and GC call this for every id whose
-// inner-store bytes they move, delete, or find damaged.
-func (v *VerifyingStore) Invalidate(ids ...hash.Hash) {
-	if v.witness == nil {
-		return
-	}
-	v.invalidations.Add(int64(len(ids)))
-	for _, id := range ids {
-		v.witness.UnmarkVerified(id)
-	}
-}
-
-// InvalidateAll retires every stamp (no-op without a witness).
-func (v *VerifyingStore) InvalidateAll() {
-	if v.witness == nil {
-		return
-	}
-	v.invalidations.Add(1)
-	v.witness.UnmarkAllVerified()
 }
