@@ -206,7 +206,7 @@ func BenchmarkMapUpdate100k(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	tree, err := db.MapOf(ver)
+	tree, err := ver.Value.MapTree(db.Store(), db.Chunking())
 	if err != nil {
 		b.Fatal(err)
 	}

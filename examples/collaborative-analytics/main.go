@@ -94,8 +94,8 @@ func main() {
 
 	// Everyone sees the agreed state; provenance is in the DAG.
 	head, _ := db.Get("metrics", "master")
-	tree, _ := db.MapOf(head)
-	churn, _ := tree.Get([]byte("metric:churn"))
+	ix, _ := db.IndexOf(head)
+	churn, _ := ix.Get([]byte("metric:churn"))
 	fmt.Println("final churn metric:", string(churn))
 	hist, _ := db.History("metrics", "master", 0)
 	fmt.Println("versions on master:", len(hist))
@@ -106,13 +106,9 @@ func main() {
 func putMap(db *forkbase.DB, s interface {
 	Put(key, branch string, v forkbase.Value, meta map[string]string) (forkbase.Version, error)
 }, key, branch string, entries []forkbase.Entry, msg string) (forkbase.Version, error) {
-	v, err := buildMap(db, entries)
+	v, err := db.NewMapValue(entries)
 	if err != nil {
 		return forkbase.Version{}, err
 	}
 	return s.Put(key, branch, v, map[string]string{"message": msg})
-}
-
-func buildMap(db *forkbase.DB, entries []forkbase.Entry) (forkbase.Value, error) {
-	return forkbase.BuildMapValue(db, entries)
 }

@@ -62,11 +62,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	tree, err := reader.MapOf(got)
+	ix, err := reader.IndexOf(got)
 	if err != nil {
 		log.Fatal(err)
 	}
-	v, err := tree.Get([]byte("sensor-02999"))
+	v, err := ix.Get([]byte("sensor-02999"))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -61,11 +61,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	tree, err := db.MapOf(head)
+	ix, err := db.IndexOf(head)
 	if err != nil {
 		log.Fatal(err)
 	}
-	n, _ := tree.Get([]byte("bananas"))
+	n, _ := ix.Get([]byte("bananas"))
 	fmt.Println("bananas after merge:", string(n))
 
 	// Full history, newest first.

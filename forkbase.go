@@ -14,7 +14,7 @@
 //
 // Quick start:
 //
-//	db := forkbase.Open(forkbase.InMemory())
+//	db := forkbase.MustOpen(forkbase.InMemory())
 //	db.PutString("greeting", "master", "hello", nil)
 //	v, _ := db.Get("greeting", "master")
 //	fmt.Println(v.Value.Display())
@@ -27,7 +27,6 @@ import (
 	"time"
 
 	"forkbase/internal/access"
-	"forkbase/internal/chunker"
 	"forkbase/internal/cluster"
 	"forkbase/internal/core"
 	"forkbase/internal/dataset"
@@ -124,10 +123,10 @@ var (
 	// ErrDenied is returned when access control rejects an operation.
 	ErrDenied = access.ErrDenied
 	// ErrReadOnlyReplica is returned by every mutating operation on a DB
-	// opened as a read replica (WithFollow / OpenReplica): replica state
-	// moves only through replication; writes go to the primary.  It is the
-	// engine-level gate (core.ErrReadOnly), so paths that reach the engine
-	// directly — dataset handles, REST — reject writes identically.
+	// opened as a read replica (WithFollow): replica state moves only
+	// through replication; writes go to the primary.  It is the engine-level
+	// gate (core.ErrReadOnly), so paths that reach the engine directly —
+	// dataset handles, REST — reject writes identically.
 	ErrReadOnlyReplica = core.ErrReadOnly
 )
 
@@ -166,16 +165,9 @@ var (
 // operation surface of the paper's Fig 1.
 //
 // The operations are the engine's (internal/core.DB), promoted through an
-// embedded field that go doc does not expand, so they are listed here:
-//
-//   - writes: Put, WriteBatch (all or nothing), EditMap, AppendList, SpliceBlob
-//   - reads: Get, GetVersion, Head, Latest, History, ListKeys, IndexOf, IndexKind
-//   - branches: Branch, BranchFromVersion, DeleteBranch, RenameBranch, ListBranches
-//   - diff and merge: Diff (two uids), DiffBranches (two heads), Merge (three-way)
-//   - tamper evidence and upkeep: VerifyVersion, GC, Scrub, StoreHealth, LastScrub
-//   - accounting: Stats, NodeCacheStats, VerifyStats, Metrics
-//   - integrations: PutCtx, GetCtx, MergeCtx, BuildAndPut, Store, Chunking,
-//     BranchTable, Feed, SetReadOnly and core.DB's other methods
+// embedded field that go doc does not expand.  testdata/api.golden records
+// the full method set, promoted methods included, with every other exported
+// name of the package; TestPublicAPI fails when it and the code disagree.
 //
 // The methods declared here add behaviour on top: closing the backends,
 // replication, the node's TCP and REST services, healing from a peer, typed
@@ -188,7 +180,7 @@ type DB struct {
 	fileHeads *core.HeadTable  // non-nil for file-backed instances
 	clust     *cluster.Cluster // non-nil for cluster-backed instances
 
-	// Replica state (WithFollow / OpenReplica).
+	// Replica state (WithFollow).
 	follower  *repl.Follower
 	followCli *server.Client
 }
@@ -228,20 +220,6 @@ func Remote(addrs ...string) Option { return func(o *options) { o.addrs = addrs 
 // returns ErrReadOnlyReplica.  Combine with FileBacked for a durable
 // replica or WithNodeCache for a hot read tier.
 func WithFollow(addr string) Option { return func(o *options) { o.followAddr = addr } }
-
-// OpenReplica is Open(WithFollow(primaryAddr), opts...): a read replica
-// that scales read traffic horizontally off one primary.
-func OpenReplica(primaryAddr string, opts ...Option) (*DB, error) {
-	return Open(append([]Option{WithFollow(primaryAddr)}, opts...)...)
-}
-
-// WithChunking overrides the content-defined chunking parameters.
-func WithChunking(q uint, minSize, maxSize int) Option {
-	return func(o *options) {
-		o.Chunking = chunker.DefaultConfig()
-		o.Chunking.Q, o.Chunking.MinSize, o.Chunking.MaxSize = q, minSize, maxSize
-	}
-}
 
 // WithIndex selects the structure backing new composite (map/set) values:
 // IndexPOS (default) or IndexMPT.  The choice applies to values written
@@ -306,15 +284,6 @@ func Open(opts ...Option) (*DB, error) {
 	for _, opt := range opts {
 		opt(&o)
 	}
-	// Fail fast on a bad chunking configuration: a nonsensical Q or an
-	// inverted Min/Max surfaces here, at open, instead of as a mis-shaped
-	// tree deep inside the first build.  The zero value means "defaults"
-	// and is always fine.
-	if o.Chunking != (chunker.Config{}) {
-		if err := o.Chunking.Validate(); err != nil {
-			return nil, err
-		}
-	}
 	if !o.Index.Known() {
 		return nil, errors.New("forkbase: unknown index kind " + o.Index.String())
 	}
@@ -342,6 +311,7 @@ func Open(opts ...Option) (*DB, error) {
 		db.fileStore, db.fileHeads = fs, bt
 		o.Store, o.Branches = fs, bt
 	}
+	o.ReadOnly = o.followAddr != "" // gates every path that reaches a replica's engine
 	db.engine = core.Open(o.Options)
 	if o.followAddr != "" {
 		if db.clust != nil {
@@ -353,7 +323,6 @@ func Open(opts ...Option) (*DB, error) {
 			db.Close()
 			return nil, err
 		}
-		db.SetReadOnly(true) // gate every path that reaches the engine
 		db.followCli = cli
 		// The follower writes through the engine's verifying store, so every
 		// replicated chunk is integrity-checked before it lands.
@@ -491,32 +460,6 @@ func (db *DB) PutList(key, branch string, items [][]byte, meta map[string]string
 	})
 }
 
-// BuildMapValue constructs a map value in db's store without committing a
-// version; pair it with Session.Put when access control must gate the write.
-// A value staged this way is unreachable until its Put: commit it promptly —
-// a GC running in between collects it.
-func BuildMapValue(db *DB, entries []Entry) (Value, error) {
-	return db.NewMapValue(entries)
-}
-
-// BuildBlobValue constructs a blob value without committing a version; the
-// staging caveat on BuildMapValue applies.
-func BuildBlobValue(db *DB, data []byte) (Value, error) {
-	return value.NewBlob(db.Store(), db.Chunking(), data)
-}
-
-// MapOf loads the map entries interface of a POS-Tree-backed map version.
-// For structure-agnostic access — required for MPT-backed versions — use
-// IndexOf.
-//
-// Slices returned by the tree's read methods (Get, At, Iter.Entry) alias
-// shared decoded node data — with the node cache enabled this data is
-// shared across all readers of the store.  Treat them as read-only and copy
-// before mutating or holding long-term.
-func (db *DB) MapOf(v Version) (*pos.Tree, error) {
-	return v.Value.MapTree(db.Store(), db.Chunking())
-}
-
 // BlobBytes materialises a blob-valued version's content.
 func (db *DB) BlobBytes(v Version) ([]byte, error) {
 	b, err := v.Value.Blob(db.Store(), db.Chunking())
@@ -589,9 +532,6 @@ type Session struct {
 // SessionFor returns a session for user.
 func (db *DB) SessionFor(user string) *Session { return &Session{db: db, user: user} }
 
-// User returns the session's identity.
-func (s *Session) User() string { return s.user }
-
 func (s *Session) check(key, branch string, lvl access.Level) error {
 	if branch == "" {
 		branch = DefaultBranch
@@ -615,8 +555,8 @@ func (s *Session) Put(key, branch string, v Value, meta map[string]string) (Vers
 	return s.db.Put(key, branch, v, meta)
 }
 
-// Branch forks a branch if the user holds write access on the source and
-// admin is not required for fresh branch names.
+// Branch forks a branch if the user can read the source and write the new
+// branch.
 func (s *Session) Branch(key, newBranch, fromBranch string) error {
 	if err := s.check(key, fromBranch, access.Read); err != nil {
 		return err

@@ -15,7 +15,6 @@ import (
 	"forkbase/internal/chunker"
 	"forkbase/internal/core"
 	"forkbase/internal/obs"
-	"forkbase/internal/pos"
 	"forkbase/internal/store"
 )
 
@@ -38,7 +37,6 @@ type api interface {
 	ListBranches(key string) ([]string, error)
 	IndexOf(v forkbase.Version) (forkbase.Index, error)
 	IndexKind() forkbase.IndexKind
-	MapOf(v forkbase.Version) (*pos.Tree, error)
 	Chunking() chunker.Config
 	Branch(key, newBranch, fromBranch string) error
 	RenameBranch(key, from, to string) error
@@ -296,13 +294,13 @@ func TestPublicNodeCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree, err := db.MapOf(ver)
+	ix, err := db.IndexOf(ver)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for pass := 0; pass < 2; pass++ {
 		for i := 0; i < 5000; i += 113 {
-			v, err := tree.Get([]byte(fmt.Sprintf("k%06d", i)))
+			v, err := ix.Get([]byte(fmt.Sprintf("k%06d", i)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -437,23 +435,6 @@ func TestWriteBatchFileBacked(t *testing.T) {
 	}
 }
 
-func TestPublicOpenRejectsBadChunking(t *testing.T) {
-	// Inverted min/max must fail at Open, not deep inside the first build.
-	if _, err := forkbase.Open(forkbase.WithChunking(12, 1<<16, 1<<9)); err == nil {
-		t.Fatal("Open accepted MinSize > MaxSize")
-	}
-	// Absurd Q likewise.
-	if _, err := forkbase.Open(forkbase.WithChunking(99, 1<<9, 1<<16)); err == nil {
-		t.Fatal("Open accepted Q=99")
-	}
-	// A valid explicit config still opens.
-	db, err := forkbase.Open(forkbase.WithChunking(10, 1<<7, 1<<14))
-	if err != nil {
-		t.Fatalf("valid config rejected: %v", err)
-	}
-	db.Close()
-}
-
 // TestOpenRejectsConflictingBackends: Remote, FileBacked and WithStore each
 // choose the chunk store, so Open refuses any two of them instead of letting
 // one silently replace the other.
@@ -530,8 +511,8 @@ func TestPublicWithIndexMPT(t *testing.T) {
 	if got, err := ix.Get([]byte("k0042")); err != nil || string(got) != "v42" {
 		t.Fatalf("Get = %q, %v", got, err)
 	}
-	if _, err := db.MapOf(ver); err == nil {
-		t.Fatal("MapOf decoded an MPT root as a POS-Tree")
+	if _, err := ver.Value.MapTree(db.Store(), db.Chunking()); err == nil {
+		t.Fatal("MapTree decoded an MPT root as a POS-Tree")
 	}
 	// Branch, edit, diff, merge all flow through the engine generically.
 	if err := db.Branch("m", "fork", ""); err != nil {

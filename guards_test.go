@@ -123,7 +123,7 @@ func TestSourceGuards(t *testing.T) {
 		want:    0,
 	}, {
 		// Recovery, scrub, compaction and quarantine agree on what a segment
-		// record is because scanRecords is the only code that parses its
+		// record is because recordAt is the only code that parses its
 		// header; a second parser is a second answer to "where does this
 		// segment stop making sense?".
 		name:    "one segment-record decoder",

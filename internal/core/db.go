@@ -9,7 +9,6 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"forkbase/internal/chunker"
@@ -46,7 +45,7 @@ type DB struct {
 	feed    *Feed
 	noCopy  noCopy
 
-	readOnly atomic.Bool
+	readOnly bool // fixed at Open: replicas move only through replication
 
 	// writeMu fences garbage collection against in-flight engine writes:
 	// every mutating method runs in write, which holds the read side from
@@ -104,6 +103,10 @@ type Options struct {
 	// carried by the request context — the handle for following one slow
 	// PutBatch across layers.  0 disables slow-op logging.
 	SlowOp time.Duration
+	// ReadOnly makes every mutating engine operation, GC included, return
+	// ErrReadOnly for the life of the DB.  A replica sets it: replication
+	// writes through the store and branch table, not engine operations.
+	ReadOnly bool
 }
 
 // Open assembles a DB from options.
@@ -130,9 +133,10 @@ func Open(opts Options) *DB {
 		opts.Logger = slog.Default()
 	}
 	db := &DB{
-		met:     newDBObs(opts.Metrics, opts.Logger, opts.SlowOp),
-		cfg:     opts.Chunking,
-		idxKind: opts.Index,
+		met:      newDBObs(opts.Metrics, opts.Logger, opts.SlowOp),
+		cfg:      opts.Chunking,
+		idxKind:  opts.Index,
+		readOnly: opts.ReadOnly,
 	}
 	db.st, db.raw, db.verifier, db.ncache = assembleStore(opts)
 	// Every head movement is journaled into the change feed (the replication
@@ -251,20 +255,15 @@ func (db *DB) Feed() *Feed { return db.feed }
 // engine (a replica: its state moves only through replication).
 var ErrReadOnly = errors.New("core: engine is read-only (replica)")
 
-// SetReadOnly turns the engine-level write gate on or off.  Replicas set it
-// so every mutation path — including layers that reach the engine directly,
-// like dataset handles — is rejected, not just the public API wrappers.
-// The replication follower is unaffected: it writes through the store and
-// branch table, not through engine operations.
-func (db *DB) SetReadOnly(ro bool) { db.readOnly.Store(ro) }
+// ReadOnly reports whether the engine was opened read-only
+// (Options.ReadOnly).  Edges that answer a write before reaching the engine
+// (REST's 403) read it here.
+func (db *DB) ReadOnly() bool { return db.readOnly }
 
-// ReadOnly reports whether the engine-level write gate is on.  Edges that
-// answer a write before reaching the engine (REST's 403) read it here.
-func (db *DB) ReadOnly() bool { return db.readOnly.Load() }
-
-// writeGuard rejects engine mutations when read-only.
+// writeGuard rejects engine mutations when read-only, whichever layer (a
+// dataset handle, REST, the facade) reaches the engine.
 func (db *DB) writeGuard() error {
-	if db.readOnly.Load() {
+	if db.readOnly {
 		return ErrReadOnly
 	}
 	return nil
@@ -292,15 +291,7 @@ type Version struct {
 // stored at that point; it is unreachable garbage unless the caller reuses
 // it.
 func (db *DB) Put(key, branch string, v value.Value, meta map[string]string) (Version, error) {
-	return db.PutCtx(context.Background(), key, branch, v, meta)
-}
-
-// PutCtx is Put carrying a request context: the trace ID minted at the
-// serving edge rides ctx into the slow-op log, so a stalled commit can be
-// attributed to the request that issued it.  ctx does not cancel the
-// write — a version is either fully committed or not published.
-func (db *DB) PutCtx(ctx context.Context, key, branch string, v value.Value, meta map[string]string) (Version, error) {
-	return db.BuildAndPutCtx(ctx, key, branch, meta, func() (value.Value, error) { return v, nil })
+	return db.BuildAndPutCtx(context.Background(), key, branch, meta, func() (value.Value, error) { return v, nil })
 }
 
 // write is the one frame every mutating engine method runs in: the write
@@ -413,10 +404,13 @@ func (db *DB) BuildAndPut(key, branch string, meta map[string]string, build func
 	return db.BuildAndPutCtx(context.Background(), key, branch, meta, build)
 }
 
-// BuildAndPutCtx is BuildAndPut carrying a request context.  The slow-op
-// record splits the build phase (chunking, store writes and deriving the
-// version object) from the whole operation, so a slow commit shows whether
-// the time went to building the value or to publishing it.
+// BuildAndPutCtx is BuildAndPut carrying a request context: the trace ID
+// minted at the serving edge rides ctx into the slow-op log, so a stalled
+// commit can be attributed to the request that issued it.  ctx does not
+// cancel the write — a version is either fully committed or not published.
+// The slow-op record splits the build phase (chunking, store writes and
+// deriving the version object) from the whole operation, so a slow commit
+// shows whether the time went to building the value or to publishing it.
 func (db *DB) BuildAndPutCtx(ctx context.Context, key, branch string, meta map[string]string, build func() (value.Value, error)) (Version, error) {
 	return first(db.commit(ctx, db.met.opPut, func() ([]WriteOp, error) {
 		v, err := build()
@@ -495,7 +489,7 @@ func (db *DB) Get(key, branch string) (Version, error) {
 	return db.GetCtx(context.Background(), key, branch)
 }
 
-// GetCtx is Get carrying a request context (see PutCtx).
+// GetCtx is Get carrying a request context (see BuildAndPutCtx).
 func (db *DB) GetCtx(ctx context.Context, key, branch string) (_ Version, err error) {
 	start := db.met.opGet.Begin()
 	defer func() { db.met.opGet.End(ctx, start, err, "key", key, "branch", branch) }()
@@ -686,7 +680,7 @@ func (db *DB) Diff(key string, from, to hash.Hash) ([]index.Delta, index.DiffSta
 	if err != nil {
 		return nil, index.DiffStats{}, err
 	}
-	return db.DiffValues(vf.Value, vt.Value)
+	return db.diffValues(vf.Value, vt.Value)
 }
 
 // DiffBranches diffs the heads of two branches of key.
@@ -702,12 +696,12 @@ func (db *DB) DiffBranches(key, fromBranch, toBranch string) ([]index.Delta, ind
 	return db.Diff(key, from, to)
 }
 
-// DiffValues diffs two map/set values directly.  Each side loads under the
+// diffValues diffs two map/set values directly.  Each side loads under the
 // structure its value carries (value.Index; a bare decoded descriptor loads
 // as the engine default), so same-structure diffs prune shared subtrees —
 // whatever the structure — and cross-structure diffs fall back to the
 // generic iterator merge.
-func (db *DB) DiffValues(a, b value.Value) ([]index.Delta, index.DiffStats, error) {
+func (db *DB) diffValues(a, b value.Value) ([]index.Delta, index.DiffStats, error) {
 	if a.Kind() != b.Kind() {
 		return nil, index.DiffStats{}, fmt.Errorf("core: cannot diff %s against %s", a.Kind(), b.Kind())
 	}
@@ -748,8 +742,8 @@ func (db *DB) Merge(key, dst, src string, resolve index.Resolver, meta map[strin
 	return db.MergeCtx(context.Background(), key, dst, src, resolve, meta)
 }
 
-// MergeCtx is Merge carrying a request context (see PutCtx).  The slow-op
-// record carries ancestry_nodes, the FNodes the base walk loaded.
+// MergeCtx is Merge carrying a request context (see BuildAndPutCtx).  The
+// slow-op record carries ancestry_nodes, the FNodes the base walk loaded.
 func (db *DB) MergeCtx(ctx context.Context, key, dst, src string, resolve index.Resolver, meta map[string]string) (MergeResult, error) {
 	// Default the names up front: Head defaults them on the read side, and
 	// the CAS must target the branch whose head it read.

@@ -285,7 +285,7 @@ func TestMixedStructuresInOneDB(t *testing.T) {
 		t.Fatalf("pos object records %s", posVer.Index)
 	}
 	// Cross-structure diff via the generic fallback: identical contents.
-	deltas, _, err := db.DiffValues(posVer.Value, mptVer.Value)
+	deltas, _, err := db.diffValues(posVer.Value, mptVer.Value)
 	if err != nil {
 		t.Fatal(err)
 	}

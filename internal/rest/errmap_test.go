@@ -128,11 +128,12 @@ func TestReplStatusEndpoint(t *testing.T) {
 // TestReadOnlyHandlerRejectsWrites: every mutating route on a replica's
 // REST API answers 403; reads keep working.
 func TestReadOnlyHandlerRejectsWrites(t *testing.T) {
-	db := core.Open(core.Options{})
-	if _, err := db.Put("obj", "master", value.String("v"), nil); err != nil {
+	opts := core.Options{Store: store.NewMemStore(), Branches: core.NewMemBranchTable()}
+	if _, err := core.Open(opts).Put("obj", "master", value.String("v"), nil); err != nil {
 		t.Fatal(err)
 	}
-	db.SetReadOnly(true)
+	opts.ReadOnly = true
+	db := core.Open(opts)
 	srv := httptest.NewServer(New(db))
 	defer srv.Close()
 

@@ -244,28 +244,51 @@ func (l recordLoc) diskBytes() int64 { return int64(recordHeader) + int64(l.leng
 
 const recordHeader = hash.Size + 4 + 1
 
-// scanRecords is the one decoder of the record header.  It walks data (one
-// segment's bytes) from the start, calling fn with each record's offset,
-// claimed id, type and payload (aliasing data), and returns the offset where
-// parsing stopped: len(data) for a clean segment, otherwise the start of the
-// first record whose header is cut short, names an invalid type, or claims a
-// negative length or more bytes than remain.  Nothing is hashed or
-// allocated here; what a bad record means is the caller's call.
-func scanRecords(data []byte, fn func(off int64, id hash.Hash, typ chunk.Type, payload []byte)) int64 {
-	size := int64(len(data))
-	off := int64(0)
-	for size-off >= recordHeader {
-		h := data[off : off+recordHeader]
-		plen := int32(binary.LittleEndian.Uint32(h[hash.Size:]))
-		typ := chunk.Type(h[hash.Size+4])
-		if plen < 0 || !typ.Valid() || int64(plen) > size-off-recordHeader {
-			break
-		}
-		end := off + recordHeader + int64(plen)
-		fn(off, hash.Hash(h[:hash.Size]), typ, data[off+recordHeader:end:end])
-		off = end
+// recordAt is the one decoder of the record header: the claimed id, type
+// and payload (aliasing data) of the record at off in data (one segment's
+// bytes), or ok false when its header is cut short, names an invalid type,
+// or claims a negative length or more bytes than remain.  Nothing is hashed
+// or allocated here; what a bad record means is the caller's call.
+func recordAt(data []byte, off int64) (id hash.Hash, typ chunk.Type, payload []byte, ok bool) {
+	rest := int64(len(data)) - off - recordHeader // payload bytes left
+	if rest < 0 {
+		return id, 0, nil, false
 	}
-	return off
+	h := data[off : off+recordHeader]
+	plen := int32(binary.LittleEndian.Uint32(h[hash.Size:]))
+	if typ = chunk.Type(h[hash.Size+4]); plen < 0 || !typ.Valid() || int64(plen) > rest {
+		return id, 0, nil, false
+	}
+	end := off + recordHeader + int64(plen)
+	return hash.Hash(h[:hash.Size]), typ, data[off+recordHeader : end : end], true
+}
+
+// scanRecords walks data from the start, calling fn with each record's
+// offset, claimed id, type and payload, and returns the offset where parsing
+// stopped: len(data) for a clean segment, otherwise the start of the first
+// record recordAt refuses.
+func scanRecords(data []byte, fn func(off int64, id hash.Hash, typ chunk.Type, payload []byte)) int64 {
+	off := int64(0)
+	for {
+		id, typ, payload, ok := recordAt(data, off)
+		if !ok {
+			return off
+		}
+		fn(off, id, typ, payload)
+		off += recordHeader + int64(len(payload))
+	}
+}
+
+// nextIntact returns the first offset after from where an intact record
+// starts (recordAt parses it and its bytes hash to its id), or -1.  Each
+// offset costs a header parse, plus a hash of the payload a parsed one claims.
+func nextIntact(data []byte, from int64) int64 {
+	for off := from + 1; off+recordHeader <= int64(len(data)); off++ {
+		if id, typ, payload, ok := recordAt(data, off); ok && chunk.New(typ, payload).ID() == id {
+			return off
+		}
+	}
+	return -1
 }
 
 // DefaultSegmentSize is the size at which a new log segment is started.
@@ -484,11 +507,12 @@ func (f *FileStore) recover() error {
 // scanSegment indexes one segment at open and classifies its records into
 // st.  A record whose bytes fail their hash is damage wherever it is: it
 // stays unindexed and the segment is marked damaged.  A record that will
-// not parse ends the scan and counts as torn.  In the last segment that is
-// a crash mid-append: the tail is cut off.  In a sealed segment it is
-// damage: the records after it stay unindexed and the segment is marked
-// damaged.  A damaged segment stays byte-for-byte as it was, compaction
-// skips it, and Health reports ErrCorrupt until a scrub quarantines it.
+// not parse counts as torn.  In either kind of segment it is damage when an
+// intact record starts after it (nextIntact): the segment is marked damaged
+// and indexing resumes there.  Otherwise the rest is a torn tail, cut off
+// in the last segment (a crash mid-append) and damage in a sealed one.  A
+// damaged segment stays byte-for-byte as it was, compaction skips it, and
+// Health reports ErrCorrupt until a scrub quarantines it.
 func (f *FileStore) scanSegment(seg int, last bool, st *ScrubStats, claimed *[]hash.Hash) error {
 	data, release, err := f.segmentBytes(seg)
 	if err != nil {
@@ -498,7 +522,7 @@ func (f *FileStore) scanSegment(seg int, last bool, st *ScrubStats, claimed *[]h
 	st.Segments++
 	st.ScannedBytes += size
 	use := f.useOf(seg)
-	end := scanRecords(data, func(off int64, id hash.Hash, typ chunk.Type, payload []byte) {
+	index := func(off int64, id hash.Hash, typ chunk.Type, payload []byte) {
 		rec := int64(recordHeader + len(payload))
 		sh := f.shard(id)
 		_, dup := sh.m[id]
@@ -522,13 +546,25 @@ func (f *FileStore) scanSegment(seg int, last bool, st *ScrubStats, claimed *[]h
 			f.stats.PhysicalBytes += int64(1 + len(payload))
 			st.Ok++
 		}
-	})
+	}
+	end := scanRecords(data, index)
+	for end < size {
+		st.Torn++
+		next := nextIntact(data, end)
+		if next < 0 {
+			break
+		}
+		use.dead += next - end
+		f.damaged[seg] = struct{}{}
+		end = next + scanRecords(data[next:], func(off int64, id hash.Hash, typ chunk.Type, payload []byte) {
+			index(next+off, id, typ, payload)
+		})
+	}
 	release()
 	use.total = size
 	if end == size {
 		return nil
 	}
-	st.Torn++
 	if !last {
 		use.dead += size - end
 		f.damaged[seg] = struct{}{}

@@ -3,7 +3,9 @@ package store
 import (
 	"bytes"
 	"encoding/hex"
+	"errors"
 	"fmt"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -75,6 +77,76 @@ func TestScanRecords(t *testing.T) {
 			})
 			if !reflect.DeepEqual(got, tc.want) || end != tc.wantEnd {
 				t.Fatalf("got %v end %d, want %v end %d", got, end, tc.want, tc.wantEnd)
+			}
+		})
+	}
+}
+
+// TestRecoveryResyncsPastDamage: a length field rotted in the active
+// segment (bit 6 of its high byte, so the record claims about a GiB) is
+// damage, not a torn tail, when intact records follow it.  Recovery indexes
+// every record after it, cuts nothing, and reports the segment unhealthy
+// until a scrub quarantines it and rescues those records.
+func TestRecoveryResyncsPastDamage(t *testing.T) {
+	for _, r := range []int{0, 5, 18} {
+		t.Run(fmt.Sprint("record ", r), func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := OpenFileStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ids []hash.Hash
+			for i := 0; i < 20; i++ {
+				c := chunk.New(chunk.TypeBlobLeaf, []byte(fmt.Sprintf("chunk %02d", i)))
+				if _, err := s.Put(c); err != nil {
+					t.Fatal(err)
+				}
+				ids = append(ids, c.ID())
+			}
+			loc, _ := s.lookup(ids[r])
+			path := s.segmentPath(loc.segment)
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data[loc.offset+hash.Size+3] ^= 1 << 6
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			s2, err := OpenFileStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s2.Close()
+			if fi, err := os.Stat(path); err != nil || fi.Size() != int64(len(data)) {
+				t.Fatalf("recovery cut the segment: %v (err %v), had %d bytes", fi.Size(), err, len(data))
+			}
+			for i, id := range ids {
+				if _, err := s2.Get(id); (i == r) != (err != nil) {
+					t.Fatalf("record %d (damage at %d): get err %v", i, r, err)
+				}
+			}
+			if err := s2.Health(); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("health after recovery = %v, want ErrCorrupt", err)
+			}
+			st, err := s2.Scrub()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.QuarantinedSegments != 1 || st.Rescued != len(ids)-1 {
+				t.Fatalf("scrub quarantined=%d rescued=%d, want 1/%d", st.QuarantinedSegments, st.Rescued, len(ids)-1)
+			}
+			if err := s2.Health(); err != nil {
+				t.Fatalf("health after quarantine = %v", err)
+			}
+			for i, id := range ids {
+				if _, err := s2.Get(id); (i == r) != (err != nil) {
+					t.Fatalf("after scrub, record %d (damage at %d): get err %v", i, r, err)
+				}
 			}
 		})
 	}

@@ -255,10 +255,11 @@ func TestRecoverySeedsHealth(t *testing.T) {
 }
 
 // TestRecoveryKeepsDamagedSealedSegment: a rotted length field mid-way
-// through a sealed segment stops recovery's scan of that segment, but never
-// cuts the file.  The records before the damage are served, health reports
-// the damage, compaction leaves the segment alone, and a scrub sets the
-// untouched bytes aside as seg-N.quarantine.
+// through a sealed segment loses recovery only that record, and never cuts
+// the file.  The records before and after the damage are served, health
+// reports the damage, compaction leaves the segment alone, and a scrub
+// rescues every other record and sets the untouched bytes aside as
+// seg-N.quarantine.
 func TestRecoveryKeepsDamagedSealedSegment(t *testing.T) {
 	dir := t.TempDir()
 	s, err := OpenFileStoreWith(dir, FileStoreOptions{SegmentSize: 2048})
@@ -301,7 +302,7 @@ func TestRecoveryKeepsDamagedSealedSegment(t *testing.T) {
 		t.Fatalf("health = %v, want ErrCorrupt", err)
 	}
 	for i, e := range entries {
-		if _, err := s2.Get(e.id); (i < k) != (err == nil) {
+		if _, err := s2.Get(e.id); (i != k) != (err == nil) {
 			t.Fatalf("record %d of %d (damage at %d): get err %v", i, len(entries), k, err)
 		}
 	}
@@ -316,8 +317,8 @@ func TestRecoveryKeepsDamagedSealedSegment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.QuarantinedSegments != 1 || st.Rescued != k || len(st.Lost) != 0 {
-		t.Fatalf("scrub quarantined=%d rescued=%d lost=%d, want 1/%d/0", st.QuarantinedSegments, st.Rescued, len(st.Lost), k)
+	if st.QuarantinedSegments != 1 || st.Rescued != len(entries)-1 || len(st.Lost) != 0 {
+		t.Fatalf("scrub quarantined=%d rescued=%d lost=%d, want 1/%d/0", st.QuarantinedSegments, st.Rescued, len(st.Lost), len(entries)-1)
 	}
 	if got, err := os.ReadFile(s2.quarantinePath(1)); err != nil || !bytes.Equal(got, damaged) {
 		t.Fatalf("quarantine does not hold the original bytes (err %v)", err)
@@ -325,9 +326,9 @@ func TestRecoveryKeepsDamagedSealedSegment(t *testing.T) {
 	if err := s2.Health(); err != nil {
 		t.Fatalf("health after quarantine = %v, want nil", err)
 	}
-	for _, e := range entries[:k] {
-		if _, err := s2.Get(e.id); err != nil {
-			t.Fatalf("rescued record unreadable: %v", err)
+	for i, e := range entries {
+		if _, err := s2.Get(e.id); i != k && err != nil {
+			t.Fatalf("rescued record %d unreadable: %v", i, err)
 		}
 	}
 }

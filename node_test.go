@@ -48,7 +48,7 @@ func TestNodeBuiltFromDB(t *testing.T) {
 
 	// Both heads reach a replica of the server: the server's Apply and the
 	// engine's land in one feed.
-	replica, err := forkbase.OpenReplica(addr, forkbase.WithMetrics(obs.NewRegistry()))
+	replica, err := forkbase.Open(forkbase.WithFollow(addr), forkbase.WithMetrics(obs.NewRegistry()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,21 +19,14 @@ import (
 )
 
 // reachAllow names every exported identifier that no non-test code of the
-// module references, with the reason it stays.  A name is "path.Name" or
-// "path.Type.Method", the path relative to the module ("forkbase" for the
-// root package); a whole file ("forkbase.go") or package ("internal/chaos")
-// covers every unreached identifier declared in it.  Each entry must cover
+// module references, with the reason it stays, except the public API's:
+// those have their reasons in testdata/api.golden (see TestPublicAPI).  A
+// name is "path.Name" or "path.Type.Method", the path relative to the module
+// ("forkbase" for the root package); a whole file ("forkbase.go") or package
+// ("internal/chaos") covers every unreached identifier declared in it.  Each entry must cover
 // exactly n unreached identifiers (a name covers one), so an entry that is
 // reached, renamed or deleted fails the guard as an unlisted one does.
 var reachAllow = []reachEntry{
-	{name: "forkbase.go", n: 35, reason: "the facade's public API"},
-	{name: "internal/core.DB.EditMap", reason: "public API: forkbase.DB promotes it"},
-	{name: "internal/core.DB.AppendList", reason: "public API: forkbase.DB promotes it"},
-	{name: "internal/core.DB.SpliceBlob", reason: "public API: forkbase.DB promotes it"},
-	{name: "internal/core.DB.IndexOf", reason: "public API: forkbase.DB promotes it"},
-	{name: "internal/core.DB.WriteBatch", reason: "public API: forkbase.DB promotes it"},
-	{name: "internal/core.DB.BranchFromVersion", reason: "public API: forkbase.DB promotes it"},
-	{name: "internal/core.DB.NodeCacheStats", reason: "public API: forkbase.DB promotes it"},
 	{name: "internal/access.Controller.AddSuperuser", reason: "public API: forkbase.DB.ACL hands out the controller, and no other call makes a superuser"},
 	{name: "internal/access.Controller.Revoke", reason: "public API: forkbase.DB.ACL hands out the controller, and no other call takes a grant back"},
 	{name: "internal/access.Controller.Grants", reason: "public API: forkbase.DB.ACL hands out the controller, and no other call lists a user's grants"},
@@ -58,7 +51,6 @@ var reachAllow = []reachEntry{
 	{name: "internal/chunker.SmallConfig", reason: "test support: the small chunk geometry tests across the module build deep trees with"},
 	{name: "internal/fnode.FNode.Save", reason: "test support: the fnode, store and core tests save one hand-built FNode"},
 	{name: "internal/server.Client.MaxBlock", reason: "test support: the deadline budget the chaos tests hold client ops to"},
-	{name: "internal/value.Value.AsString", reason: "test support: the tests' typed read of a string value (forkbase.Value's too)"},
 
 	{name: "internal/pos.Tree.Entries", reason: "test oracle: the entry list the map tests compare against"},
 	{name: "internal/pos.Tree.Insert", reason: "test oracle: the one-entry edit the map tests compare against"},
@@ -69,7 +61,6 @@ var reachAllow = []reachEntry{
 	{name: "internal/core.HeadTable.CompareAndSet", reason: harness},
 	{name: "internal/core.FeedTable.CompareAndSet", reason: harness},
 	{name: "internal/server.RemoteBranchTable.CompareAndSet", reason: harness},
-	{name: "internal/index.VersionedIndex.IterateFrom", reason: harness},
 	{name: "internal/pos.Tree.IterateFrom", reason: harness},
 	{name: "internal/mpt.Trie.IterateFrom", reason: harness},
 	{name: "internal/repl.NewLocalSource", reason: harness},
@@ -101,14 +92,27 @@ type reachEntry struct {
 
 // TestEveryExportHasACaller type-checks every non-test package of the
 // module and fails on an exported identifier that no non-test code
-// references and reachAllow does not name, and on a reachAllow entry that
-// does not cover what it claims.
+// references and neither reachAllow nor the public API's reasons name, on
+// an entry that does not cover what it claims, and on a name both list.
 func TestEveryExportHasACaller(t *testing.T) {
-	s, err := scanExports(".")
+	s, err := moduleScan()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range s.audit(reachAllow) {
+	public, err := goldenAllow(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	listed := map[string]bool{}
+	for _, e := range public {
+		listed[e.name] = true
+	}
+	for _, e := range reachAllow {
+		if listed[e.name] {
+			t.Errorf("%s: allowlisted and given a reason in %s; keep one", e.name, apiGolden)
+		}
+	}
+	for _, p := range s.audit(append(public, reachAllow...)) {
 		t.Error(p)
 	}
 }
@@ -151,10 +155,18 @@ func TestReachScanFixture(t *testing.T) {
 
 // exportScan holds, for each exported identifier the scanned module's
 // non-test code declares, the file declaring it (relative to the module
-// root) and whether any non-test code references it.
+// root) and whether any non-test code references it, and each scanned
+// package's type information by import path.
 type exportScan struct {
 	file    map[string]string
 	reached map[string]bool
+	pkgs    map[string]*types.Package
+	module  string // the module path
+}
+
+// key is reachKey for an object of the scanned module.
+func (s *exportScan) key(obj types.Object) string {
+	return reachKey(obj, func(path string) string { return strings.TrimPrefix(path, s.module+"/") })
 }
 
 func (s *exportScan) unreached() []string {
@@ -245,7 +257,7 @@ func scanExports(dir string) (*exportScan, error) {
 	conf := types.Config{Importer: importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
 		return os.Open(export[path])
 	})}
-	s := &exportScan{file: map[string]string{}, reached: map[string]bool{}}
+	s := &exportScan{file: map[string]string{}, reached: map[string]bool{}, pkgs: map[string]*types.Package{}}
 	var methods []string          // keys of the exported methods declared
 	viaIface := map[string]bool{} // names of methods called through an interface
 	for _, p := range pkgs {
@@ -262,14 +274,12 @@ func scanExports(dir string) (*exportScan, error) {
 		if err != nil {
 			return nil, err
 		}
-		trim := func(path string) string {
-			return strings.TrimPrefix(path, p.Module.Path+"/")
-		}
+		s.pkgs[p.ImportPath], s.module = pkg, p.Module.Path
 		declare := func(obj types.Object) {
 			if !obj.Exported() {
 				return
 			}
-			key := reachKey(obj, trim)
+			key := s.key(obj)
 			rel, _ := filepath.Rel(p.Module.Dir, fset.Position(obj.Pos()).Filename)
 			s.file[key] = filepath.ToSlash(rel)
 			if fn, ok := obj.(*types.Func); ok && fn.Type().(*types.Signature).Recv() != nil {
@@ -302,7 +312,7 @@ func scanExports(dir string) (*exportScan, error) {
 				}
 			}
 			if obj.Pkg() != nil {
-				s.reached[reachKey(obj, trim)] = true
+				s.reached[s.key(obj)] = true
 			}
 		}
 	}

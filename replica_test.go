@@ -52,7 +52,7 @@ func TestOpenReplicaFollowsPrimary(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	replica, err := OpenReplica(addr, WithNodeCache(1<<20))
+	replica, err := Open(WithFollow(addr), WithNodeCache(1<<20))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,11 +76,11 @@ func TestOpenReplicaFollowsPrimary(t *testing.T) {
 	if rv.UID != pv.UID {
 		t.Fatalf("replica head %s != primary head %s", rv.UID.Short(), pv.UID.Short())
 	}
-	tree, err := replica.MapOf(rv)
+	ix, err := replica.IndexOf(rv)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := tree.Get([]byte("k-00042"))
+	got, err := ix.Get([]byte("k-00042"))
 	if err != nil || string(got) != "v" {
 		t.Fatalf("replica map read: %q %v", got, err)
 	}
@@ -165,7 +165,7 @@ func TestReplicaCloseDoesNotWaitOutThePoll(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	replica, err := OpenReplica(addr)
+	replica, err := Open(WithFollow(addr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestReplicaCloseDoesNotWaitOutThePoll(t *testing.T) {
 
 func TestReplicaCloseIsIdempotentAndConcurrent(t *testing.T) {
 	_, addr := startPrimaryNode(t)
-	replica, err := OpenReplica(addr)
+	replica, err := Open(WithFollow(addr))
 	if err != nil {
 		t.Fatal(err)
 	}
