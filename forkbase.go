@@ -376,10 +376,14 @@ func (db *DB) Following() bool { return db.follower != nil }
 // into the engine's registry.  A replica's server is read-only.  The caller
 // sets limits, listens and closes it; closing the server leaves the DB open.
 func (db *DB) NewServer(logger *slog.Logger) *server.Server {
-	srv := server.New(db.RawStore(), db.BranchTable(), logger)
+	var srv *server.Server
+	if db.Following() {
+		srv = server.NewReadOnly(db.RawStore(), db.BranchTable(), logger)
+	} else {
+		srv = server.New(db.RawStore(), db.BranchTable(), logger)
+	}
 	srv.SetMetrics(db.Metrics())
 	srv.AttachFeed(db.Feed())
-	srv.SetReadOnly(db.Following())
 	return srv
 }
 

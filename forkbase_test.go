@@ -497,8 +497,8 @@ func TestPublicWithIndexMPT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ver.Index != forkbase.IndexMPT {
-		t.Fatalf("version index = %s", ver.Index)
+	if ver.Value.IndexKind() != forkbase.IndexMPT {
+		t.Fatalf("version index = %s", ver.Value.IndexKind())
 	}
 	// Structure-agnostic access works; the POS-typed accessor refuses.
 	ix, err := db.IndexOf(ver)

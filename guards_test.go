@@ -207,6 +207,14 @@ func TestSourceGuards(t *testing.T) {
 		paths:   []string{"internal"},
 		want:    0,
 	}, {
+		// The FNode's trailing kind byte is the one record of a value's
+		// structure: FNode.Value is the decoded value, which carries it, so
+		// no caller stamps it, passes it as a hint or keeps a copy beside it.
+		name:    "one record of a value's structure",
+		pattern: `WithIndexKind|idxKnown|DecodedValue|kindOf\(`,
+		paths:   []string{"internal"},
+		want:    0,
+	}, {
 		// Dedup is the store's job; a setting that dedups above it is a second
 		// answer to "is this chunk stored?".
 		name:    "no dedup setting above the store",
@@ -284,10 +292,12 @@ func TestSourceGuards(t *testing.T) {
 		// shares the DB's store, branch table, feed, registry and read-only
 		// state; forkbased, the examples and the CLI do not wire a server
 		// beside an engine by hand, so a fence between the two has one home.
+		// Its two lines are the two constructors: New, and NewReadOnly for a
+		// replica.
 		name:    "one node assembly",
-		pattern: `server\.New\(`,
+		pattern: `server\.New(ReadOnly)?\(`,
 		paths:   []string{"cmd", "examples", "internal/cli", "forkbase.go"},
-		want:    1,
+		want:    2,
 	}, {
 		// A follower's lease on its feed cursor keeps what it pulls safe
 		// from the primary's collector; per-head pins, two round trips a

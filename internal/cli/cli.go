@@ -346,7 +346,7 @@ func cmdMeta(db *forkbase.DB, args []string, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "uid:  %s\nseq:  %d\nkind: %s\n", ver.UID, ver.Seq, ver.Value.Kind())
 	if k := ver.Value.Kind(); k == value.KindMap || k == value.KindSet {
-		fmt.Fprintf(out, "index: %s\n", ver.Index)
+		fmt.Fprintf(out, "index: %s\n", ver.Value.IndexKind())
 	}
 	for _, b := range ver.Bases {
 		fmt.Fprintf(out, "base: %s\n", b)

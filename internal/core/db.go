@@ -218,22 +218,7 @@ func (db *DB) NewSetValue(elems [][]byte) (value.Value, error) {
 // IndexOf loads the versioned index backing a map- or set-valued version,
 // whatever structure it was written with.
 func (db *DB) IndexOf(v Version) (index.VersionedIndex, error) {
-	return v.Value.Index(db.st, db.cfg, v.Index)
-}
-
-// kindOf resolves which index structure backs a value: known directly for
-// values built through the constructors or read through the engine, the
-// engine default for bare descriptors, and the POS zero value for kinds that
-// have no key index at all (primitives, blobs, lists) so their FNode
-// encodings stay byte-identical with pre-index-layer versions.
-func (db *DB) kindOf(v value.Value) index.Kind {
-	if v.Kind() != value.KindMap && v.Kind() != value.KindSet {
-		return index.KindPOS
-	}
-	if k, ok := v.IndexKind(); ok {
-		return k
-	}
-	return db.idxKind
+	return v.Value.Index(db.st, db.cfg)
 }
 
 // NodeCache returns the decoded-node cache the read path uses (core's own or
@@ -277,9 +262,6 @@ type Version struct {
 	Value value.Value
 	Meta  map[string]string
 	Key   string
-	// Index is the structure backing the version's composite value (from
-	// the FNode's self-describing metadata); index.KindPOS for primitives.
-	Index index.Kind
 }
 
 // Put writes a new version of key on branch, deriving from the current
@@ -359,16 +341,14 @@ func (db *DB) successor(key string, parent hash.Hash, p *fnode.FNode, v value.Va
 		}
 		bases, seq = []hash.Hash{parent}, p.Seq+1
 	}
-	f := fnode.New([]byte(key), v, bases, seq, meta)
-	f.Index = db.kindOf(v)
-	return f, nil
+	return fnode.New([]byte(key), v, bases, seq, meta), nil
 }
 
 // saved is the Version a write returns for FNode f, stored as uid, which it
 // built from v and meta.  f is frozen once saved, so the Version gets its
 // own Bases.
 func saved(key string, uid hash.Hash, f *fnode.FNode, v value.Value, meta map[string]string) Version {
-	return Version{UID: uid, Seq: f.Seq, Bases: slices.Clone(f.Bases), Value: v, Meta: meta, Key: key, Index: f.Index}
+	return Version{UID: uid, Seq: f.Seq, Bases: slices.Clone(f.Bases), Value: v, Meta: meta, Key: key}
 }
 
 // WriteOp is one object write of a WriteBatch.
@@ -518,15 +498,7 @@ func versionOf(key string, uid hash.Hash, f *fnode.FNode) (Version, error) {
 	if string(f.Key) != key {
 		return Version{}, fmt.Errorf("core: version %s belongs to key %q, not %q", uid.Short(), f.Key, key)
 	}
-	v, err := f.DecodedValue()
-	if err != nil {
-		return Version{}, err
-	}
-	// Stamp the FNode's recorded structure onto the decoded descriptor, so
-	// its loads — empty values included — keep the branch's structure
-	// instead of falling back to the engine default.
-	v = v.WithIndexKind(f.Index)
-	return Version{UID: uid, Seq: f.Seq, Bases: slices.Clone(f.Bases), Value: v, Meta: maps.Clone(f.Meta), Key: key, Index: f.Index}, nil
+	return Version{UID: uid, Seq: f.Seq, Bases: slices.Clone(f.Bases), Value: f.Value, Meta: maps.Clone(f.Meta), Key: key}, nil
 }
 
 // Head returns the head uid of key@branch.
@@ -697,10 +669,9 @@ func (db *DB) DiffBranches(key, fromBranch, toBranch string) ([]index.Delta, ind
 }
 
 // diffValues diffs two map/set values directly.  Each side loads under the
-// structure its value carries (value.Index; a bare decoded descriptor loads
-// as the engine default), so same-structure diffs prune shared subtrees —
-// whatever the structure — and cross-structure diffs fall back to the
-// generic iterator merge.
+// structure its value carries (value.Index), so same-structure diffs prune
+// shared subtrees — whatever the structure — and cross-structure diffs fall
+// back to the generic iterator merge.
 func (db *DB) diffValues(a, b value.Value) ([]index.Delta, index.DiffStats, error) {
 	if a.Kind() != b.Kind() {
 		return nil, index.DiffStats{}, fmt.Errorf("core: cannot diff %s against %s", a.Kind(), b.Kind())
@@ -710,11 +681,11 @@ func (db *DB) diffValues(a, b value.Value) ([]index.Delta, index.DiffStats, erro
 	default:
 		return nil, index.DiffStats{}, fmt.Errorf("core: diff unsupported for %s values", a.Kind())
 	}
-	ia, err := a.Index(db.st, db.cfg, db.idxKind)
+	ia, err := a.Index(db.st, db.cfg)
 	if err != nil {
 		return nil, index.DiffStats{}, err
 	}
-	ib, err := b.Index(db.st, db.cfg, ia.Kind())
+	ib, err := b.Index(db.st, db.cfg)
 	if err != nil {
 		return nil, index.DiffStats{}, err
 	}
@@ -800,7 +771,6 @@ func (db *DB) MergeCtx(ctx context.Context, key, dst, src string, resolve index.
 		}
 		// The merged version derives from both heads.
 		merged = fnode.New([]byte(key), v, []hash.Hash{dstHead, srcHead}, max(dv.Seq, sv.Seq)+1, meta)
-		merged.Index = db.kindOf(v)
 		res = MergeResult{Version: Version{Value: v}, Stats: stats}
 		return []*fnode.FNode{merged}, move, nil
 	})
@@ -828,7 +798,7 @@ func (db *DB) mergeValues(baseVal, a, b value.Value, resolve index.Resolver) (va
 
 	// The destination side decides the structure; a missing base loads as
 	// that structure's empty index so the base→a diff can prune.
-	at, err := a.Index(db.st, db.cfg, db.idxKind)
+	at, err := a.Index(db.st, db.cfg)
 	if err != nil {
 		return value.Value{}, index.MergeStats{}, err
 	}
@@ -836,7 +806,7 @@ func (db *DB) mergeValues(baseVal, a, b value.Value, resolve index.Resolver) (va
 		if v.Kind() == value.KindInvalid || v.Root().IsZero() && !v.Kind().Composite() {
 			return value.LoadIndex(db.st, db.cfg, hash.Hash{}, at.Kind())
 		}
-		return v.Index(db.st, db.cfg, at.Kind())
+		return v.Index(db.st, db.cfg)
 	}
 	baseIdx, err := loadIdx(baseVal)
 	if err != nil {

@@ -423,7 +423,7 @@ func TestMergeSetValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := res.Version.Value.Index(db.Store(), db.Chunking(), index.KindPOS)
+	tr, err := res.Version.Value.Index(db.Store(), db.Chunking())
 	if err != nil {
 		t.Fatal(err)
 	}

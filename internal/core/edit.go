@@ -43,7 +43,7 @@ func (db *DB) EditMap(key, branch string, puts []index.Entry, deletes [][]byte, 
 		default:
 			return value.Value{}, fmt.Errorf("core: EditMap on %s value", cur.Value.Kind())
 		}
-		ix, err := cur.Value.Index(db.st, db.cfg, cur.Index)
+		ix, err := cur.Value.Index(db.st, db.cfg)
 		if err != nil {
 			return value.Value{}, err
 		}

@@ -439,7 +439,7 @@ func TestEditMapOnSet(t *testing.T) {
 	if v2.Value.Kind() != value.KindSet {
 		t.Fatalf("kind changed to %s", v2.Value.Kind())
 	}
-	tr, _ := v2.Value.Index(db.Store(), db.Chunking(), index.KindPOS)
+	tr, _ := v2.Value.Index(db.Store(), db.Chunking())
 	if ok, _ := tr.Has([]byte("c")); !ok {
 		t.Fatal("set add lost")
 	}

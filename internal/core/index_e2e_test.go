@@ -43,16 +43,16 @@ func TestMPTEngineRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ver.Index != index.KindMPT {
-		t.Fatalf("version records index %s, want mpt", ver.Index)
+	if ver.Value.IndexKind() != index.KindMPT {
+		t.Fatalf("version records index %s, want mpt", ver.Value.IndexKind())
 	}
 	// The FNode round-trips the kind.
 	got, err := db.Get("table", "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Index != index.KindMPT {
-		t.Fatalf("loaded version records index %s, want mpt", got.Index)
+	if got.Value.IndexKind() != index.KindMPT {
+		t.Fatalf("loaded version records index %s, want mpt", got.Value.IndexKind())
 	}
 	ix, err := db.IndexOf(got)
 	if err != nil {
@@ -71,8 +71,8 @@ func TestMPTEngineRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v2.Index != index.KindMPT {
-		t.Fatalf("edited version records index %s", v2.Index)
+	if v2.Value.IndexKind() != index.KindMPT {
+		t.Fatalf("edited version records index %s", v2.Value.IndexKind())
 	}
 	deltas, stats, err := db.Diff("table", ver.UID, v2.UID)
 	if err != nil {
@@ -111,8 +111,8 @@ func TestMPTEngineMerge(t *testing.T) {
 	if res.FastForward {
 		t.Fatal("expected a real merge")
 	}
-	if res.Version.Index != index.KindMPT {
-		t.Fatalf("merge version records index %s", res.Version.Index)
+	if res.Version.Value.IndexKind() != index.KindMPT {
+		t.Fatalf("merge version records index %s", res.Version.Value.IndexKind())
 	}
 	ix, err := db.IndexOf(res.Version)
 	if err != nil {
@@ -274,15 +274,15 @@ func TestMixedStructuresInOneDB(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mptVer.Index != index.KindMPT {
-		t.Fatalf("recorded kind = %s, want mpt (the kind the value was built with)", mptVer.Index)
+	if mptVer.Value.IndexKind() != index.KindMPT {
+		t.Fatalf("recorded kind = %s, want mpt (the kind the value was built with)", mptVer.Value.IndexKind())
 	}
 	posVer, err := db.Get("posObj", "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if posVer.Index != index.KindPOS {
-		t.Fatalf("pos object records %s", posVer.Index)
+	if posVer.Value.IndexKind() != index.KindPOS {
+		t.Fatalf("pos object records %s", posVer.Value.IndexKind())
 	}
 	// Cross-structure diff via the generic fallback: identical contents.
 	deltas, _, err := db.diffValues(posVer.Value, mptVer.Value)
@@ -341,8 +341,8 @@ func TestEmptyHeadKeepsStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !empty.Value.Root().IsZero() || empty.Index != index.KindMPT {
-		t.Fatalf("emptied head: root=%s index=%s", empty.Value.Root().Short(), empty.Index)
+	if !empty.Value.Root().IsZero() || empty.Value.IndexKind() != index.KindMPT {
+		t.Fatalf("emptied head: root=%s index=%s", empty.Value.Root().Short(), empty.Value.IndexKind())
 	}
 	// Diverge the fork with a key master's deletes do not touch, so the
 	// merge is a clean three-way merge.
@@ -356,8 +356,8 @@ func TestEmptyHeadKeepsStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Version.Index != index.KindMPT {
-		t.Fatalf("merge onto empty MPT head flipped the branch to %s", res.Version.Index)
+	if res.Version.Value.IndexKind() != index.KindMPT {
+		t.Fatalf("merge onto empty MPT head flipped the branch to %s", res.Version.Value.IndexKind())
 	}
 	ix, err := pdb.IndexOf(res.Version)
 	if err != nil {
@@ -372,7 +372,7 @@ func TestEmptyHeadKeepsStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v2.Index != index.KindMPT {
-		t.Fatalf("edit on MPT branch recorded %s", v2.Index)
+	if v2.Value.IndexKind() != index.KindMPT {
+		t.Fatalf("edit on MPT branch recorded %s", v2.Value.IndexKind())
 	}
 }

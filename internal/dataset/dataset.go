@@ -190,7 +190,7 @@ func open(db *core.DB, name, branch string, ver core.Version) (*Dataset, error) 
 	if err != nil {
 		return nil, err
 	}
-	ix, err := ver.Value.Index(db.Store(), db.Chunking(), ver.Index)
+	ix, err := ver.Value.Index(db.Store(), db.Chunking())
 	if err != nil {
 		return nil, err
 	}

@@ -38,17 +38,14 @@ type FNode struct {
 	// Bases are the uids of the parent versions: none for an initial
 	// version, one for a normal update, two for a merge.
 	Bases []hash.Hash
-	// Value is the encoded value descriptor (value.Value.Encode).
-	Value []byte
+	// Value is the version's value.  It is encoded as its descriptor
+	// (value.Value.Encode) and, for a map or set, its index structure
+	// (Value.IndexKind): the one record of that structure, so readers
+	// self-describe without engine configuration.
+	Value value.Value
 	// Meta carries user annotations (author, message, ...).  Keys are
 	// encoded sorted, keeping the uid deterministic.
 	Meta map[string]string
-	// Index records which index structure backs composite values of this
-	// version, so readers self-describe without engine configuration.  The
-	// default (index.KindPOS, the zero value) is encoded as *absence* —
-	// POS-backed FNodes stay byte-identical to those written before the
-	// index layer existed, and old chunks decode as POS-backed.
-	Index index.Kind
 }
 
 // ErrNotFNode is returned when a uid resolves to a non-FNode chunk.
@@ -63,17 +60,12 @@ func New(key []byte, val value.Value, bases []hash.Hash, seq uint64, meta map[st
 		Key:   append([]byte(nil), key...),
 		Seq:   seq,
 		Bases: append([]hash.Hash(nil), bases...),
-		Value: val.Encode(),
+		Value: val,
 	}
 	if len(meta) > 0 {
 		f.Meta = maps.Clone(meta)
 	}
 	return f
-}
-
-// DecodedValue parses the embedded value descriptor.
-func (f *FNode) DecodedValue() (value.Value, error) {
-	return value.Decode(f.Value)
 }
 
 // Encode renders the canonical byte form.  Every field participates, and
@@ -86,7 +78,8 @@ func (f *FNode) Encode() []byte {
 	for _, b := range f.Bases {
 		out = append(out, b[:]...)
 	}
-	out = append(binary.AppendUvarint(out, uint64(len(f.Value))), f.Value...)
+	desc := f.Value.Encode()
+	out = append(binary.AppendUvarint(out, uint64(len(desc))), desc...)
 	keys := make([]string, 0, len(f.Meta))
 	for k := range f.Meta {
 		keys = append(keys, k)
@@ -98,18 +91,20 @@ func (f *FNode) Encode() []byte {
 		out = append(binary.AppendUvarint(out, uint64(len(k))), k...)
 		out = append(binary.AppendUvarint(out, uint64(len(v))), v...)
 	}
-	// Index kind: a single trailing byte, present only for non-default
-	// structures.  Omitting the POS default keeps every POS-backed encoding
-	// (and therefore uid) byte-identical with pre-index-layer versions.
-	if f.Index != index.KindPOS {
-		out = append(out, byte(f.Index))
+	// Index kind: a single trailing byte, present only for a map or set
+	// over a non-default structure.  Omitting the POS default keeps every
+	// POS-backed encoding (and therefore uid) byte-identical with
+	// pre-index-layer versions.
+	if k := f.Value.IndexKind(); k != index.KindPOS {
+		out = append(out, byte(k))
 	}
 	return out
 }
 
 // Decode parses the canonical byte form and refuses any other: a
-// non-minimal varint, meta keys out of order, a redundant or unknown index
-// kind byte, or bytes left over.
+// non-minimal varint, meta keys out of order, a malformed value descriptor,
+// a redundant or unknown index kind byte, one on a value that is not a map
+// or set, or bytes left over.
 func Decode(data []byte) (*FNode, error) {
 	r := codec.NewReader(data)
 	f := &FNode{Key: clone(r.Bytes()), Seq: r.Uvarint()}
@@ -117,7 +112,7 @@ func Decode(data []byte) (*FNode, error) {
 	for i := range f.Bases {
 		f.Bases[i] = r.ID()
 	}
-	f.Value = clone(r.Bytes())
+	desc := r.Bytes()
 	if n := r.Count(2, -1); n > 0 { // an entry is at least its two length bytes
 		f.Meta = make(map[string]string, n)
 		prev := ""
@@ -127,15 +122,21 @@ func Decode(data []byte) (*FNode, error) {
 			f.Meta[k], prev = v, k
 		}
 	}
+	k := index.KindPOS
 	if r.Len() == 1 {
-		f.Index = index.Kind(r.Byte())
-		if f.Index == index.KindPOS || !f.Index.Known() {
-			return nil, fmt.Errorf("fnode: bad index kind byte %d (POS is encoded as absence)", f.Index)
+		k = index.Kind(r.Byte())
+		if k == index.KindPOS || !k.Known() {
+			return nil, fmt.Errorf("fnode: bad index kind byte %d (POS is encoded as absence)", k)
 		}
 	}
 	if !r.Done() {
 		return nil, errMalformed
 	}
+	v, err := value.Decode(desc, k)
+	if err != nil {
+		return nil, err
+	}
+	f.Value = v
 	return f, nil
 }
 

@@ -2,6 +2,7 @@ package fnode
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -29,11 +30,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if dec.Meta["author"] != "alice" || dec.Meta["msg"] != "hello" {
 		t.Fatalf("meta = %v", dec.Meta)
 	}
-	v, err := dec.DecodedValue()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, _ := v.AsString()
+	s, _ := dec.Value.AsString()
 	if s != "payload" {
 		t.Fatalf("value = %q", s)
 	}
@@ -509,12 +506,25 @@ func TestHistoryNodesParallelsHistory(t *testing.T) {
 // DBs reopen with identical uids — while non-default kinds append exactly
 // one self-describing byte.
 func TestIndexKindEncoding(t *testing.T) {
-	f := New([]byte("k"), value.Int(7), []hash.Hash{hash.Of([]byte("p"))}, 2, map[string]string{"a": "b"})
-	legacy := f.Encode()
-
-	mptF := *f
-	mptF.Index = index.KindMPT
-	tagged := mptF.Encode()
+	// Only a map or set carries the kind byte: build the version over an
+	// empty map of each structure.  The bytes are pinned: no uid moves.
+	st := store.NewMemStore()
+	mk := func(k index.Kind) *FNode {
+		v, err := value.NewMapWith(st, chunker.SmallConfig(), k, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return New([]byte("k"), v, []hash.Hash{hash.Of([]byte("p"))}, 2, map[string]string{"a": "b"})
+	}
+	f, mptF := mk(index.KindPOS), mk(index.KindMPT)
+	const legacyHex = "016b0201148de9c5a7a44d19e56cd9ae1a554bf67847afb0c58f6e12fa29ac7ddfca994022060000000000000000000000000000000000000000000000000000000000000000000101610162"
+	legacy, tagged := f.Encode(), mptF.Encode()
+	if got := hex.EncodeToString(legacy); got != legacyHex {
+		t.Fatalf("POS encoding %s, want %s", got, legacyHex)
+	}
+	if got := hex.EncodeToString(tagged); got != legacyHex+"01" {
+		t.Fatalf("MPT encoding %s, want the POS bytes and kind byte 01", got)
+	}
 	if len(tagged) != len(legacy)+1 || tagged[len(tagged)-1] != byte(index.KindMPT) {
 		t.Fatalf("MPT encoding should be legacy + 1 kind byte (len %d vs %d)", len(tagged), len(legacy))
 	}
@@ -527,15 +537,15 @@ func TestIndexKindEncoding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dec.Index != index.KindPOS {
-		t.Fatalf("legacy decode Index = %v", dec.Index)
+	if dec.Value.IndexKind() != index.KindPOS {
+		t.Fatalf("legacy decode Index = %v", dec.Value.IndexKind())
 	}
 	dec2, err := Decode(tagged)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dec2.Index != index.KindMPT {
-		t.Fatalf("tagged decode Index = %v", dec2.Index)
+	if dec2.Value.IndexKind() != index.KindMPT {
+		t.Fatalf("tagged decode Index = %v", dec2.Value.IndexKind())
 	}
 	// uids differ between kinds (the kind is part of identity)…
 	if f.UID() == mptF.UID() {
@@ -545,5 +555,10 @@ func TestIndexKindEncoding(t *testing.T) {
 	// canonical (one record set + history → one uid).
 	if _, err := Decode(append(append([]byte{}, legacy...), 0)); err == nil {
 		t.Fatal("redundant POS kind byte accepted")
+	}
+	// No writer puts a kind byte on a value that is not a map or set.
+	prim := New([]byte("k"), value.Int(7), nil, 1, nil).Encode()
+	if _, err := Decode(append(prim, byte(index.KindMPT))); err == nil {
+		t.Fatal("kind byte on an int value accepted")
 	}
 }

@@ -38,10 +38,7 @@ func Refs(c *chunk.Chunk) ([]hash.Hash, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fnode: decoding %s: %w", c.ID().Short(), err)
 	}
-	v, err := f.DecodedValue()
-	if err != nil {
-		return nil, fmt.Errorf("fnode: value of %s: %w", c.ID().Short(), err)
-	}
+	v := f.Value
 	refs := f.Bases
 	if v.Kind().Composite() && !v.Root().IsZero() {
 		refs = append(refs, v.Root())

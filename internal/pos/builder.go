@@ -272,7 +272,7 @@ func BuildMap(st store.Store, cfg chunker.Config, entries []Entry) (*Tree, error
 	sink := store.NewChunkSink(st)
 	defer sink.Close()
 	lb := newLevelBuilder(sink, cfg, 0, true)
-	for _, e := range normalizeEntries(entries) {
+	for _, e := range lastPerKey(entries, entryKey) {
 		if err := lb.addEntry(e); err != nil {
 			return nil, err
 		}
@@ -291,33 +291,35 @@ func BuildMap(st store.Store, cfg chunker.Config, entries []Entry) (*Tree, error
 	return &Tree{src: sourceFor(st), cfg: cfg, root: root.id, count: root.count}, nil
 }
 
-// normalizeEntries sorts entries by key, keeping the last occurrence of
-// duplicate keys.  Bulk ingest commonly arrives already sorted and unique
-// (CSV keyed by primary key, export/import round-trips), so that case is
-// detected with one linear scan and returns the input slice untouched — no
-// copy, no sort.
-func normalizeEntries(entries []Entry) []Entry {
+// lastPerKey returns xs sorted by key, keeping the last of each run of
+// equal keys: the normal form of a build's entries and of an edit's ops.
+// Bulk ingest commonly arrives already sorted and unique (CSV keyed by
+// primary key, export/import round-trips), so that case is detected with one
+// linear scan and returns xs itself, with no copy and no sort.  Otherwise
+// the result is a sorted copy; xs is never mutated.
+func lastPerKey[T any](xs []T, key func(T) []byte) []T {
 	presorted := true
-	for i := 1; i < len(entries); i++ {
-		if bytes.Compare(entries[i-1].Key, entries[i].Key) >= 0 {
+	for i := 1; i < len(xs); i++ {
+		if bytes.Compare(key(xs[i-1]), key(xs[i])) >= 0 {
 			presorted = false
 			break
 		}
 	}
 	if presorted {
-		return entries
+		return xs
 	}
-	sorted := make([]Entry, len(entries))
-	copy(sorted, entries)
-	slices.SortStableFunc(sorted, func(a, b Entry) int {
-		return bytes.Compare(a.Key, b.Key)
-	})
+	sorted := slices.Clone(xs)
+	slices.SortStableFunc(sorted, func(a, b T) int { return bytes.Compare(key(a), key(b)) })
 	out := sorted[:0]
-	for i, e := range sorted {
-		if i+1 < len(sorted) && bytes.Equal(e.Key, sorted[i+1].Key) {
+	for i, x := range sorted {
+		if i+1 < len(sorted) && bytes.Equal(key(x), key(sorted[i+1])) {
 			continue // superseded by a later duplicate
 		}
-		out = append(out, e)
+		out = append(out, x)
 	}
 	return out
 }
+
+func entryKey(e Entry) []byte { return e.Key }
+
+func opKey(o Op) []byte { return o.Key }

@@ -87,6 +87,25 @@ func TestBuildMapPresortedFastPath(t *testing.T) {
 	}
 }
 
+// TestLastPerKey: the one sort-and-dedupe keeps the last op per key in key
+// order, leaves its input as it was, and hands a sorted unique input back
+// without copying it.
+func TestLastPerKey(t *testing.T) {
+	ops := []Op{Put([]byte("b"), []byte("1")), Del([]byte("a")), Put([]byte("b"), []byte("2")), Put([]byte("a"), []byte("3"))}
+	before := fmt.Sprint(ops)
+	got := lastPerKey(ops, opKey)
+	if fmt.Sprint(ops) != before {
+		t.Fatalf("input mutated: %v, was %v", ops, before)
+	}
+	want := []Op{Put([]byte("a"), []byte("3")), Put([]byte("b"), []byte("2"))}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("lastPerKey = %v, want %v", got, want)
+	}
+	if again := lastPerKey(got, opKey); &again[0] != &got[0] {
+		t.Fatal("a sorted unique input was copied")
+	}
+}
+
 // TestEditMatchesRebuildAfterSinkRefactor re-pins the incremental-edit
 // oracle through the sink path with randomized ops (the property suite in
 // quick_test.go covers more shapes; this anchors the builder refactor

@@ -182,7 +182,7 @@ func TestDiffOracleRandomized(t *testing.T) {
 				model[nk] = "new"
 			}
 		}
-		ops = normalizeOps(ops)
+		ops = lastPerKey(ops, opKey)
 		b, err := a.Edit(ops)
 		if err != nil {
 			t.Fatal(err)

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"slices"
-	"sort"
 
 	"forkbase/internal/chunk"
 	"forkbase/internal/hash"
@@ -21,23 +20,6 @@ var (
 	Put = index.Put
 	Del = index.Del
 )
-
-// normalizeOps sorts ops by key keeping only the last op per key.
-func normalizeOps(ops []Op) []Op {
-	sorted := make([]Op, len(ops))
-	copy(sorted, ops)
-	sort.SliceStable(sorted, func(i, j int) bool {
-		return bytes.Compare(sorted[i].Key, sorted[j].Key) < 0
-	})
-	out := sorted[:0]
-	for i, o := range sorted {
-		if i+1 < len(sorted) && bytes.Equal(o.Key, sorted[i+1].Key) {
-			continue
-		}
-		out = append(out, o)
-	}
-	return out
-}
 
 // Edit applies a batch of mutations and returns the resulting tree.
 //
@@ -56,7 +38,7 @@ func normalizeOps(ops []Op) []Op {
 // over the edited record set; the property tests enforce this against
 // EditRebuild.
 func (t *Tree) Edit(ops []Op) (*Tree, error) {
-	ops = normalizeOps(ops)
+	ops = lastPerKey(ops, opKey)
 	if len(ops) == 0 {
 		return t, nil
 	}
@@ -172,7 +154,7 @@ func (t *Tree) Edit(ops []Op) (*Tree, error) {
 // tree to Edit; it exists for the incremental-vs-rebuild ablation and as the
 // oracle for property tests.
 func (t *Tree) EditRebuild(ops []Op) (*Tree, error) {
-	ops = normalizeOps(ops)
+	ops = lastPerKey(ops, opKey)
 	if len(ops) == 0 {
 		return t, nil
 	}

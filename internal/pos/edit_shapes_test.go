@@ -168,7 +168,7 @@ func checkEditEquivalence(st *store.MemStore, tree *Tree, base []Entry, ops []Op
 	}
 
 	var want []Entry // base merged with the normalized ops
-	norm := normalizeOps(ops)
+	norm := lastPerKey(ops, opKey)
 	for _, e := range base {
 		for ; len(norm) > 0 && bytes.Compare(norm[0].Key, e.Key) < 0; norm = norm[1:] {
 			if !norm[0].Delete {

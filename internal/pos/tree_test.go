@@ -324,7 +324,7 @@ func TestEditMatchesRebuildRandomized(t *testing.T) {
 			t.Fatalf("round %d: len %d != %d", round, inc.Len(), reb.Len())
 		}
 		// Update the model and verify content.
-		for _, o := range normalizeOps(ops) {
+		for _, o := range lastPerKey(ops, opKey) {
 			if o.Delete {
 				delete(model, string(o.Key))
 			} else {

@@ -74,8 +74,8 @@ func TestFollowerSyncsMPTPrimary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ver.Index != index.KindMPT {
-		t.Fatalf("replicated version records index %s", ver.Index)
+	if ver.Value.IndexKind() != index.KindMPT {
+		t.Fatalf("replicated version records index %s", ver.Value.IndexKind())
 	}
 	ix, err := replica.IndexOf(ver)
 	if err != nil {

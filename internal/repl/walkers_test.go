@@ -39,11 +39,7 @@ func reach(t *testing.T, st store.Store, id, stop hash.Hash, out map[hash.Hash]b
 		if err != nil {
 			t.Fatal(err)
 		}
-		v, err := f.DecodedValue()
-		if err != nil {
-			t.Fatal(err)
-		}
-		kids = append(f.Bases, v.Root()) // zero for primitives and empties
+		kids = append(f.Bases, f.Value.Root()) // zero for primitives and empties
 	case chunk.TypeMapIndex, chunk.TypeSeqIndex:
 		kids, err = pos.IndexChildren(c)
 	case chunk.TypeMPTNode:

@@ -281,7 +281,7 @@ func renderVersion(v core.Version, branch string) versionBody {
 		Branch: branch,
 	}
 	if k := v.Value.Kind(); k == value.KindMap || k == value.KindSet {
-		out.Index = v.Index.String()
+		out.Index = v.Value.IndexKind().String()
 	}
 	if v.Value.Kind().Composite() {
 		out.Count = v.Value.Count()

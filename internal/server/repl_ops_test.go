@@ -176,8 +176,7 @@ func TestFeedSinceWithoutFeed(t *testing.T) {
 func TestReadOnlyServerRejectsWrites(t *testing.T) {
 	st := store.NewMemStore()
 	heads := core.NewMemBranchTable()
-	srv := New(st, heads, nil)
-	srv.SetReadOnly(true)
+	srv := NewReadOnly(st, heads, nil)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -25,7 +25,7 @@ type Server struct {
 	st       store.Store
 	heads    core.BranchTable
 	feed     *core.Feed // non-nil when this node publishes a change feed
-	readOnly bool       // replicas reject mutating ops
+	readOnly bool       // fixed at NewReadOnly: replicas reject mutating ops
 	limits   Limits
 	met      *srvMetrics // set by SetMetrics before Listen; nil = uninstrumented
 
@@ -118,17 +118,21 @@ func New(st store.Store, heads core.BranchTable, logger *slog.Logger) *Server {
 	return &Server{st: st, heads: heads, conns: make(map[net.Conn]struct{}), done: make(chan struct{}), logger: logger}
 }
 
+// NewReadOnly is New for a replica: the server rejects every mutating op
+// (chunk puts and head Applies) for its life, because a replica's state
+// moves only through replication, never through client writes.
+func NewReadOnly(st store.Store, heads core.BranchTable, logger *slog.Logger) *Server {
+	s := New(st, heads, logger)
+	s.readOnly = true
+	return s
+}
+
 // AttachFeed publishes feed over OpFeedSince, whose reads and probes hold
 // the followers' leases on it.  Call before Listen.  A primary shares the
 // same feed with its local engine (core.Open adopts a feed-wrapped branch
 // table), so commits made through any path — TCP Apply, REST, embedded —
 // appear in one sequence.
 func (s *Server) AttachFeed(f *core.Feed) { s.feed = f }
-
-// SetReadOnly makes the server reject every mutating op (chunk puts and
-// head Applies).  Replicas serve reads this way: their state
-// moves only through replication, never through client writes.
-func (s *Server) SetReadOnly(ro bool) { s.readOnly = ro }
 
 // errReadOnly is what mutating ops receive from a read-only node.
 var errReadOnly = errors.New("server: node is a read-only replica")

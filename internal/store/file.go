@@ -291,6 +291,29 @@ func nextIntact(data []byte, from int64) int64 {
 	return -1
 }
 
+// walkRecords is the one record walk of recovery and scrub, so the two
+// classify the same bytes the same way.  It calls fn with each record
+// scanRecords parses; at one it refuses, it resumes at the next intact
+// record (nextIntact), and where none follows the rest of data is a torn
+// tail.  It returns how many spans it could not parse (resynced ones and
+// the tail), the bytes the resynced ones cover, and where the last parsed
+// record ends: len(data) unless the tail is torn.
+func walkRecords(data []byte, fn func(off int64, id hash.Hash, typ chunk.Type, payload []byte)) (torn int, skipped, end int64) {
+	end = scanRecords(data, fn)
+	for end < int64(len(data)) {
+		torn++
+		next := nextIntact(data, end)
+		if next < 0 {
+			break
+		}
+		skipped += next - end
+		end = next + scanRecords(data[next:], func(off int64, id hash.Hash, typ chunk.Type, payload []byte) {
+			fn(next+off, id, typ, payload)
+		})
+	}
+	return torn, skipped, end
+}
+
 // DefaultSegmentSize is the size at which a new log segment is started.
 const DefaultSegmentSize = 64 << 20
 
@@ -508,11 +531,11 @@ func (f *FileStore) recover() error {
 // st.  A record whose bytes fail their hash is damage wherever it is: it
 // stays unindexed and the segment is marked damaged.  A record that will
 // not parse counts as torn.  In either kind of segment it is damage when an
-// intact record starts after it (nextIntact): the segment is marked damaged
-// and indexing resumes there.  Otherwise the rest is a torn tail, cut off
-// in the last segment (a crash mid-append) and damage in a sealed one.  A
-// damaged segment stays byte-for-byte as it was, compaction skips it, and
-// Health reports ErrCorrupt until a scrub quarantines it.
+// intact record starts after it (walkRecords resyncs there): the segment is
+// marked damaged.  Otherwise the rest is a torn tail, cut off in the last
+// segment (a crash mid-append) and damage in a sealed one.  A damaged
+// segment stays byte-for-byte as it was, compaction skips it, and Health
+// reports ErrCorrupt until a scrub quarantines it.
 func (f *FileStore) scanSegment(seg int, last bool, st *ScrubStats, claimed *[]hash.Hash) error {
 	data, release, err := f.segmentBytes(seg)
 	if err != nil {
@@ -547,18 +570,11 @@ func (f *FileStore) scanSegment(seg int, last bool, st *ScrubStats, claimed *[]h
 			st.Ok++
 		}
 	}
-	end := scanRecords(data, index)
-	for end < size {
-		st.Torn++
-		next := nextIntact(data, end)
-		if next < 0 {
-			break
-		}
-		use.dead += next - end
+	torn, skipped, end := walkRecords(data, index)
+	st.Torn += torn
+	if skipped > 0 {
+		use.dead += skipped
 		f.damaged[seg] = struct{}{}
-		end = next + scanRecords(data[next:], func(off int64, id hash.Hash, typ chunk.Type, payload []byte) {
-			index(next+off, id, typ, payload)
-		})
 	}
 	release()
 	use.total = size

@@ -90,33 +90,7 @@ func TestScanRecords(t *testing.T) {
 func TestRecoveryResyncsPastDamage(t *testing.T) {
 	for _, r := range []int{0, 5, 18} {
 		t.Run(fmt.Sprint("record ", r), func(t *testing.T) {
-			dir := t.TempDir()
-			s, err := OpenFileStore(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var ids []hash.Hash
-			for i := 0; i < 20; i++ {
-				c := chunk.New(chunk.TypeBlobLeaf, []byte(fmt.Sprintf("chunk %02d", i)))
-				if _, err := s.Put(c); err != nil {
-					t.Fatal(err)
-				}
-				ids = append(ids, c.ID())
-			}
-			loc, _ := s.lookup(ids[r])
-			path := s.segmentPath(loc.segment)
-			if err := s.Close(); err != nil {
-				t.Fatal(err)
-			}
-			data, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			data[loc.offset+hash.Size+3] ^= 1 << 6
-			if err := os.WriteFile(path, data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-
+			dir, path, data, ids := rotLengthField(t, r)
 			s2, err := OpenFileStore(dir)
 			if err != nil {
 				t.Fatal(err)
@@ -147,6 +121,70 @@ func TestRecoveryResyncsPastDamage(t *testing.T) {
 				if _, err := s2.Get(id); (i == r) != (err != nil) {
 					t.Fatalf("after scrub, record %d (damage at %d): get err %v", i, r, err)
 				}
+			}
+		})
+	}
+}
+
+// rotLengthField writes 20 small chunks to a fresh store in dir, closes it
+// and flips bit 6 of the high byte of record r's length field, so the
+// record claims about a GiB.  It returns the damaged segment's path and
+// bytes, and the chunk ids in write order.
+func rotLengthField(t *testing.T, r int) (dir, path string, data []byte, ids []hash.Hash) {
+	t.Helper()
+	dir = t.TempDir()
+	s, err := OpenFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		c := chunk.New(chunk.TypeBlobLeaf, []byte(fmt.Sprintf("chunk %02d", i)))
+		if _, err := s.Put(c); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, c.ID())
+	}
+	loc, _ := s.lookup(ids[r])
+	path = s.segmentPath(loc.segment)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if data, err = os.ReadFile(path); err != nil {
+		t.Fatal(err)
+	}
+	data[loc.offset+hash.Size+3] ^= 1 << 6
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return dir, path, data, ids
+}
+
+// TestScrubCountsAsRecoveryDoes: scrub and recovery walk a segment's
+// records the same way, so the first scrub after open classifies the
+// damaged segment exactly as open did: every record past the rotted one is
+// ok, and the rotted one is one torn span.
+func TestScrubCountsAsRecoveryDoes(t *testing.T) {
+	for _, r := range []int{0, 5, 18} {
+		t.Run(fmt.Sprint("record ", r), func(t *testing.T) {
+			dir, _, _, ids := rotLengthField(t, r)
+			s, err := OpenFileStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			open, _, ok := s.LastScrub()
+			if !ok {
+				t.Fatal("open recorded no classification")
+			}
+			if open.Ok != len(ids)-1 || open.Corrupt != 0 || open.Torn != 1 {
+				t.Fatalf("open: ok=%d corrupt=%d torn=%d, want %d/0/1", open.Ok, open.Corrupt, open.Torn, len(ids)-1)
+			}
+			st, err := s.Scrub()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Ok != open.Ok || st.Corrupt != open.Corrupt || st.Torn != open.Torn {
+				t.Fatalf("scrub: ok=%d corrupt=%d torn=%d; open: ok=%d corrupt=%d torn=%d", st.Ok, st.Corrupt, st.Torn, open.Ok, open.Corrupt, open.Torn)
 			}
 		})
 	}

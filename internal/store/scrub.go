@@ -15,9 +15,10 @@ import (
 // the index, and the quarantine/repair primitives built on top of it.
 //
 // Detection: content addressing makes rot self-evident — rehash the record,
-// compare against the 32-byte id in its header.  Classification mirrors
-// recovery's: ok (rehash matches), corrupt (mismatch), torn (the sequential
-// scan cannot parse further), unreadable (the bytes cannot be fetched).
+// compare against the 32-byte id in its header.  Classification is
+// recovery's, over the same record walk (walkRecords): ok (rehash matches),
+// corrupt (mismatch), torn (a span the walk cannot parse, resynced past or
+// the tail), unreadable (the bytes cannot be fetched).
 //
 // Quarantine: a segment holding any bad record is *renamed* to
 // seg-NNNNNN.quarantine — never unlinked, so a forensic copy (and any data a
@@ -80,7 +81,7 @@ func (f *FileStore) scrubSegment(seg int, st *ScrubStats) bool {
 	defer release()
 	st.ScannedBytes += int64(len(data))
 	bad := false
-	end := scanRecords(data, func(_ int64, id hash.Hash, typ chunk.Type, payload []byte) {
+	torn, _, _ := walkRecords(data, func(_ int64, id hash.Hash, typ chunk.Type, payload []byte) {
 		if chunk.New(typ, payload).ID() != id {
 			st.Corrupt++
 			bad = true
@@ -88,11 +89,8 @@ func (f *FileStore) scrubSegment(seg int, st *ScrubStats) bool {
 			st.Ok++
 		}
 	})
-	if end < int64(len(data)) {
-		st.Torn++
-		return true
-	}
-	return bad
+	st.Torn += torn
+	return bad || torn > 0
 }
 
 // quarantine rescues what it can out of a damaged segment, then renames the

@@ -240,9 +240,10 @@ type ScrubStats struct {
 	Ok int
 	// Corrupt counts records whose content rehashes to a different id.
 	Corrupt int
-	// Torn counts malformed or truncated records (the sequential scan of a
-	// unit stops at the first tear; indexed records beyond it are still
-	// rescued individually during quarantine).
+	// Torn counts spans of a unit the record walk cannot parse: each one
+	// it resyncs past to the next intact record, and a tail where none
+	// follows.  Records beyond a tear are counted like any other, and the
+	// indexed ones are rescued individually during quarantine.
 	Torn int
 	// Unreadable counts storage units whose bytes could not be read at all.
 	Unreadable int

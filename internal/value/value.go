@@ -73,14 +73,10 @@ type Value struct {
 	root   hash.Hash // composite index root
 	count  uint64    // composite cardinality (entries, items or bytes)
 
-	// idx/idxKnown carry the index structure of a map/set value *in
-	// memory only* (the encoding stays untouched; persistence records the
-	// kind on the FNode).  Values built through constructors know their
-	// structure; the engine stamps the FNode's recorded kind onto the
-	// values it decodes, and a bare decoded descriptor loads as the
-	// caller's hint.
-	idx      index.Kind
-	idxKnown bool
+	// idx is the index structure of a map/set value (POS for every other
+	// kind).  The descriptor encoding leaves it out: the FNode records it
+	// in its trailing kind byte, and Decode takes it from there.
+	idx index.Kind
 }
 
 // ErrWrongKind is returned by typed accessors used on the wrong kind.
@@ -209,12 +205,17 @@ func (v Value) Encode() []byte {
 	return append(out, v.inline...)
 }
 
-// Decode parses descriptor bytes produced by Encode.
-func Decode(data []byte) (Value, error) {
+// Decode parses descriptor bytes produced by Encode, for a value indexed by
+// structure ix: the kind its FNode records.  Only a map or set has a
+// structure other than POS.
+func Decode(data []byte, ix index.Kind) (Value, error) {
 	if len(data) < 1 {
 		return Value{}, fmt.Errorf("%w: empty", ErrBadDescriptor)
 	}
 	k := Kind(data[0])
+	if ix != index.KindPOS && k != KindMap && k != KindSet {
+		return Value{}, fmt.Errorf("%w: %s value with index kind %s", ErrBadDescriptor, k, ix)
+	}
 	payload := data[1:]
 	switch k {
 	case KindString, KindInt, KindFloat, KindBool:
@@ -227,7 +228,7 @@ func Decode(data []byte) (Value, error) {
 		return Value{kind: k, inline: append([]byte(nil), payload...)}, nil
 	case KindBlob, KindMap, KindSet, KindList:
 		r := codec.NewReader(payload)
-		v := Value{kind: k, root: r.ID(), count: r.Uvarint()}
+		v := Value{kind: k, root: r.ID(), count: r.Uvarint(), idx: ix}
 		if !r.Done() {
 			return Value{}, fmt.Errorf("%w: malformed %s", ErrBadDescriptor, k)
 		}
@@ -279,9 +280,9 @@ func newIndexed(st store.Store, cfg chunker.Config, kind Kind, k index.Kind, ent
 
 // LoadIndex attaches to the index of structure k rooted at root; a zero root
 // is the empty index.  Stored data is not sniffed: the kind is recorded on the
-// hashed FNode, known to the constructor that built the value, or else the
-// caller's default.  The root read goes through the node cache and fails with
-// a typed error on a root of the other structure.
+// hashed FNode or known to the constructor that built the value.  The root
+// read goes through the node cache and fails with a typed error on a root of
+// the other structure.
 func LoadIndex(st store.Store, cfg chunker.Config, root hash.Hash, k index.Kind) (index.VersionedIndex, error) {
 	switch k {
 	case index.KindPOS:
@@ -310,39 +311,22 @@ func FromIndex(kind Kind, ix index.VersionedIndex) Value {
 	if kind != KindMap && kind != KindSet {
 		panic(fmt.Sprintf("value: FromIndex on %s", kind))
 	}
-	return Value{kind: kind, root: ix.Root(), count: ix.Len(), idx: ix.Kind(), idxKnown: true}
+	return Value{kind: kind, root: ix.Root(), count: ix.Len(), idx: ix.Kind()}
 }
 
-// IndexKind reports the structure backing a map/set value, when the value
-// was built in this process (constructors know it) or stamped with
-// WithIndexKind; ok is false for bare decoded descriptors.
-func (v Value) IndexKind() (index.Kind, bool) { return v.idx, v.idxKnown }
+// IndexKind reports the structure backing a map/set value: the one it was
+// built with, or the one its FNode records.  Every other kind reports POS.
+func (v Value) IndexKind() index.Kind { return v.idx }
 
-// WithIndexKind returns the value stamped with its known index structure —
-// how the engine propagates an FNode's recorded kind onto the descriptor
-// it decoded, so empty values keep their branch's structure.  A no-op for
-// non-map/set kinds.
-func (v Value) WithIndexKind(k index.Kind) Value {
-	if v.kind == KindMap || v.kind == KindSet {
-		v.idx, v.idxKnown = k, true
-	}
-	return v
-}
-
-// Index loads the versioned index backing a map or set value.  A value that
-// carries its structure (constructors, FromIndex, WithIndexKind — so
-// everything the engine's GetVersion returns) loads it regardless of hint;
-// that also keeps a branch whose head emptied on its structure.  A bare
-// decoded descriptor loads as hint's kind, and a root of another structure
-// fails the load.  Either way LoadIndex's root read is the only store read.
-func (v Value) Index(st store.Store, cfg chunker.Config, hint index.Kind) (index.VersionedIndex, error) {
+// Index loads the versioned index backing a map or set value, under the
+// structure the value carries, so a branch whose head emptied keeps its
+// structure.  A root of another structure fails the load, and LoadIndex's
+// root read is the only store read.
+func (v Value) Index(st store.Store, cfg chunker.Config) (index.VersionedIndex, error) {
 	if v.kind != KindMap && v.kind != KindSet {
 		return nil, fmt.Errorf("%w: have %s want map or set", ErrWrongKind, v.kind)
 	}
-	if v.idxKnown {
-		hint = v.idx
-	}
-	return LoadIndex(st, cfg, v.root, hint)
+	return LoadIndex(st, cfg, v.root, v.idx)
 }
 
 // NewList builds a list value from items.
@@ -410,7 +394,7 @@ func (v Value) ChunkIDs(st store.Store, cfg chunker.Config) ([]hash.Hash, error)
 	}
 	switch v.kind {
 	case KindMap, KindSet:
-		ix, err := v.Index(st, cfg, index.KindPOS)
+		ix, err := v.Index(st, cfg)
 		if err != nil {
 			return nil, err
 		}

@@ -56,7 +56,7 @@ func TestPrimitiveRoundTrips(t *testing.T) {
 			if c.v.Kind() != c.kind {
 				t.Fatalf("kind = %v", c.v.Kind())
 			}
-			dec, err := Decode(c.v.Encode())
+			dec, err := Decode(c.v.Encode(), index.KindPOS)
 			if err != nil {
 				t.Fatalf("decode: %v", err)
 			}
@@ -73,7 +73,7 @@ func TestPrimitiveRoundTrips(t *testing.T) {
 func TestEncodeDecodeQuick(t *testing.T) {
 	f := func(s string, i int64, b bool) bool {
 		for _, v := range []Value{String(s), Int(i), Bool(b)} {
-			d, err := Decode(v.Encode())
+			d, err := Decode(v.Encode(), index.KindPOS)
 			if err != nil || !d.Equal(v) {
 				return false
 			}
@@ -111,7 +111,7 @@ func TestDecodeErrors(t *testing.T) {
 		{byte(KindMap), 1}, // composite too short
 	}
 	for i, b := range bad {
-		if _, err := Decode(b); err == nil {
+		if _, err := Decode(b, index.KindPOS); err == nil {
 			t.Fatalf("case %d decoded", i)
 		}
 	}
@@ -139,7 +139,7 @@ func TestMapValue(t *testing.T) {
 		t.Fatalf("%q %v", got, err)
 	}
 	// Descriptor round trip preserves root and count.
-	dec, err := Decode(v.Encode())
+	dec, err := Decode(v.Encode(), index.KindPOS)
 	if err != nil || !dec.Equal(v) || dec.Count() != 2 {
 		t.Fatalf("map descriptor round trip: %v", err)
 	}
@@ -154,7 +154,7 @@ func TestSetValue(t *testing.T) {
 	if v.Count() != 2 {
 		t.Fatalf("set count %d", v.Count())
 	}
-	tr, err := v.Index(st, cfg(), index.KindPOS)
+	tr, err := v.Index(st, cfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,11 +282,11 @@ func TestKindStrings(t *testing.T) {
 	}
 }
 
-// TestBareDescriptorLoadsUnderItsHint: a bare decoded descriptor loads its
-// index as hint's kind with exactly the store reads of a value that carries
-// its kind — there is no sniff — and a root of the other structure, loaded
-// under the wrong hint, fails the load instead of yielding rows.
-func TestBareDescriptorLoadsUnderItsHint(t *testing.T) {
+// TestDecodeTakesItsIndexKind: a descriptor decoded under the kind its FNode
+// records loads that structure with the store reads of the value it was
+// encoded from, and one decoded under the other structure fails the load
+// instead of yielding rows.  A value that is not a map or set takes no kind.
+func TestDecodeTakesItsIndexKind(t *testing.T) {
 	st := store.NewMemStore()
 	entries := []pos.Entry{{Key: []byte("a"), Val: []byte("1")}, {Key: []byte("b"), Val: []byte("2")}}
 	for _, tc := range []struct{ kind, other index.Kind }{
@@ -297,16 +297,13 @@ func TestBareDescriptorLoadsUnderItsHint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bare, err := Decode(v.Encode())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, known := bare.IndexKind(); known {
-			t.Fatal("a decoded descriptor claims to know its structure")
+		dec, err := Decode(v.Encode(), tc.kind)
+		if err != nil || dec.IndexKind() != tc.kind {
+			t.Fatalf("%s: decoded kind %s (%v)", tc.kind, dec.IndexKind(), err)
 		}
 		gets := func(v Value) int64 {
 			before := st.Stats().Gets
-			ix, err := v.Index(st, cfg(), tc.kind)
+			ix, err := v.Index(st, cfg())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -315,12 +312,19 @@ func TestBareDescriptorLoadsUnderItsHint(t *testing.T) {
 			}
 			return st.Stats().Gets - before
 		}
-		if known, bareGets := gets(v), gets(bare); bareGets != known {
-			t.Fatalf("%s: store reads: %d with the kind known, %d bare; want the same", tc.kind, known, bareGets)
+		if built, decoded := gets(v), gets(dec); decoded != built {
+			t.Fatalf("%s: store reads: %d built, %d decoded; want the same", tc.kind, built, decoded)
 		}
-		if ix, err := bare.Index(st, cfg(), tc.other); err == nil {
-			t.Fatalf("a %s root loaded under a %s hint = a %s index of %d rows, want an error", tc.kind, tc.other, ix.Kind(), ix.Len())
+		wrong, err := Decode(v.Encode(), tc.other)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if ix, err := wrong.Index(st, cfg()); err == nil {
+			t.Fatalf("a %s root decoded as %s = a %s index of %d rows, want an error", tc.kind, tc.other, ix.Kind(), ix.Len())
+		}
+	}
+	if _, err := Decode(String("s").Encode(), index.KindMPT); !errors.Is(err, ErrBadDescriptor) {
+		t.Fatalf("string value under an MPT kind: %v, want ErrBadDescriptor", err)
 	}
 }
 

@@ -3,13 +3,16 @@ package forkbase
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"forkbase/internal/chunk"
 	"forkbase/internal/core"
 	"forkbase/internal/dataset"
+	"forkbase/internal/server"
 	"forkbase/internal/value"
 )
 
@@ -206,4 +209,37 @@ func TestReplicaCloseIsIdempotentAndConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestReplicaServerCannotBeMadeWritable: a replica's TCP service is
+// read-only from construction.  No method of the server it returns can lift
+// that, and a remote chunk put is refused.
+func TestReplicaServerCannotBeMadeWritable(t *testing.T) {
+	_, addr := startPrimaryNode(t)
+	replica, err := Open(WithFollow(addr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer replica.Close()
+	srv := replica.NewServer(nil)
+	typ := reflect.TypeOf(srv)
+	for i := 0; i < typ.NumMethod(); i++ {
+		if name := typ.Method(i).Name; strings.Contains(name, "ReadOnly") {
+			t.Errorf("a replica's server has method %s", name)
+		}
+	}
+	raddr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cl, err := server.Dial(raddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	c := chunk.New(chunk.TypeBlobLeaf, []byte("refused"))
+	if _, err := server.NewRemoteStore(cl).Put(c); err == nil || !strings.Contains(err.Error(), "read-only replica") {
+		t.Fatalf("replica Put = %v, want the read-only error", err)
+	}
 }
