@@ -128,6 +128,14 @@ var (
 	// gate (core.ErrReadOnly), so paths that reach the engine directly —
 	// dataset handles, REST — reject writes identically.
 	ErrReadOnlyReplica = core.ErrReadOnly
+	// ErrCollected is returned by a Put of a value built or read before a
+	// GC that completed since and may have swept its chunks.  Nothing is
+	// published: rebuild or reload the value and retry.
+	ErrCollected = core.ErrCollected
+	// ErrTooLarge is returned by a write that would store a chunk of more
+	// than 16 MiB, which no replica or client could fetch.  A string or one
+	// map entry is one chunk: store large data as a blob, which is chunked.
+	ErrTooLarge = store.ErrTooLarge
 )
 
 // DefaultBranch is the branch used when none is named.

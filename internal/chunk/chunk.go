@@ -83,6 +83,12 @@ type Chunk struct {
 	claimed atomic.Bool
 }
 
+// MaxSize is the most data bytes one chunk may hold.  Stores refuse a
+// larger chunk on write, and the wire protocol's frame cap is derived from
+// it, so every chunk a store acknowledges fits one frame to a replica or a
+// client.  Data that does not fit is stored as a blob, which is chunked.
+const MaxSize = 16 << 20
+
 // ErrCorrupt is returned when a chunk's bytes do not match its claimed id.
 var ErrCorrupt = errors.New("chunk: content does not match id (corruption or tampering)")
 

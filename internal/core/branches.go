@@ -82,6 +82,10 @@ var (
 	ErrBranchNotFound = errors.New("core: branch not found")
 	ErrKeyNotFound    = errors.New("core: key not found")
 	ErrStaleHead      = errors.New("core: concurrent update (stale head)")
+	// ErrCollected: a commit's value was built or read before a garbage
+	// collection that completed since, which may have swept its chunks.
+	// Nothing is published; rebuild or reload the value and retry.
+	ErrCollected = errors.New("core: value predates a garbage collection; rebuild or reload it")
 	// ErrHeadsCorrupt: the heads journal is damaged somewhere other than a
 	// torn tail, or is not a heads journal.  Open refuses it and leaves the
 	// file as it found it.

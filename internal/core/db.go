@@ -9,6 +9,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"forkbase/internal/chunker"
@@ -53,7 +54,23 @@ type DB struct {
 	// mark and sweep — so a version can never be swept between its chunks
 	// landing and its head advancing.  Readers are unaffected.
 	writeMu sync.RWMutex
+	// collected is the collection clock's reading after this engine's last
+	// sweep that deleted chunks (0: none); written under writeMu's write
+	// side, read under its read side.  A value stamped with an epoch at or
+	// below it may have lost chunks to that sweep.
+	collected uint64
 }
+
+// gcClock is the process-wide collection clock: every engine's sweep that
+// deletes chunks ticks it, so epochs of different engines never alias.
+var gcClock atomic.Uint64
+
+// epoch is the collection epoch a writer or reader takes before it stores
+// or reads its first chunk: the value it builds or loads is stamped with it
+// (value.WithEpoch), and commit refuses a stamp that a completed sweep
+// followed with ErrCollected.  It is never 0, which marks an unstamped
+// value.
+func epoch() uint64 { return gcClock.Load() + 1 }
 
 type noCopy struct{}
 
@@ -205,14 +222,22 @@ func (db *DB) IndexKind() index.Kind { return db.idxKind }
 // structure.  All engine-adjacent layers (public API, REST, datasets) build
 // composite values through these helpers so index selection plumbs through
 // uniformly.
+//
+// The value is stamped with the collection epoch it was built under, so a
+// Put of it after a GC that may have swept its chunks fails with
+// ErrCollected instead of publishing a head that names missing chunks.
 func (db *DB) NewMapValue(entries []index.Entry) (value.Value, error) {
-	return value.NewMapWith(db.st, db.cfg, db.idxKind, entries)
+	e := epoch()
+	v, err := value.NewMapWith(db.st, db.cfg, db.idxKind, entries)
+	return value.WithEpoch(v, e), err
 }
 
 // NewSetValue builds a set value over the engine's configured index
-// structure.
+// structure, stamped as NewMapValue's.
 func (db *DB) NewSetValue(elems [][]byte) (value.Value, error) {
-	return value.NewSetWith(db.st, db.cfg, db.idxKind, elems)
+	e := epoch()
+	v, err := value.NewSetWith(db.st, db.cfg, db.idxKind, elems)
+	return value.WithEpoch(v, e), err
 }
 
 // IndexOf loads the versioned index backing a map- or set-valued version,
@@ -346,9 +371,10 @@ func (db *DB) successor(key string, parent hash.Hash, p *fnode.FNode, v value.Va
 
 // saved is the Version a write returns for FNode f, stored as uid, which it
 // built from v and meta.  f is frozen once saved, so the Version gets its
-// own Bases.
-func saved(key string, uid hash.Hash, f *fnode.FNode, v value.Value, meta map[string]string) Version {
-	return Version{UID: uid, Seq: f.Seq, Bases: slices.Clone(f.Bases), Value: v, Meta: meta, Key: key}
+// own Bases.  Its value is stamped with e, an epoch the write took under
+// the fence: published, its chunks were live then.
+func saved(key string, uid hash.Hash, f *fnode.FNode, v value.Value, meta map[string]string, e uint64) Version {
+	return Version{UID: uid, Seq: f.Seq, Bases: slices.Clone(f.Bases), Value: value.WithEpoch(v, e), Meta: meta, Key: key}
 }
 
 // WriteOp is one object write of a WriteBatch.
@@ -412,6 +438,7 @@ func (db *DB) BuildAndWriteBatchCtx(ctx context.Context, build func() ([]WriteOp
 func (db *DB) commit(ctx context.Context, op *obs.Op, build func() ([]WriteOp, error)) ([]Version, error) {
 	var ops []WriteOp
 	var fnodes []*fnode.FNode
+	var e uint64
 	logKV := func() []any {
 		if len(ops) == 1 {
 			return []any{"key", ops[0].Key, "branch", orDefault(ops[0].Branch)}
@@ -420,6 +447,7 @@ func (db *DB) commit(ctx context.Context, op *obs.Op, build func() ([]WriteOp, e
 	}
 	uids, err := db.write(ctx, op, ErrStaleHead, logKV, func() ([]*fnode.FNode, []HeadOp, error) {
 		var err error
+		e = epoch()
 		if ops, err = build(); err != nil {
 			return nil, nil, err
 		}
@@ -428,6 +456,9 @@ func (db *DB) commit(ctx context.Context, op *obs.Op, build func() ([]WriteOp, e
 		last := make(map[string]int, len(ops)) // key@branch → its latest op
 		for i, w := range ops {
 			branch := orDefault(w.Branch)
+			if made := value.EpochOf(w.Value); made != 0 && made <= db.collected {
+				return nil, nil, fmt.Errorf("op %d (%s@%s): %w", i, w.Key, branch, ErrCollected)
+			}
 			ref := w.Key + "\x00" + branch
 			parent, p := w.parent, (*fnode.FNode)(nil)
 			if prev, ok := last[ref]; ok {
@@ -451,7 +482,7 @@ func (db *DB) commit(ctx context.Context, op *obs.Op, build func() ([]WriteOp, e
 	}
 	out := make([]Version, len(ops))
 	for i, w := range ops {
-		out[i] = saved(w.Key, uids[i], fnodes[i], w.Value, w.Meta)
+		out[i] = saved(w.Key, uids[i], fnodes[i], w.Value, w.Meta, e)
 	}
 	return out, nil
 }
@@ -483,22 +514,24 @@ func (db *DB) GetCtx(ctx context.Context, key, branch string) (_ Version, err er
 // GetVersion returns a specific version of key by uid.  The FNode chunk is
 // verified against the uid, so a forged version cannot be returned.
 func (db *DB) GetVersion(key string, uid hash.Hash) (Version, error) {
+	e := epoch()
 	f, err := fnode.Load(db.st, uid)
 	if err != nil {
 		return Version{}, err
 	}
-	return versionOf(key, uid, f)
+	return versionOf(key, uid, f, e)
 }
 
 // versionOf builds the Version of key that FNode f, loaded and verified
-// under uid, describes — rejecting an FNode of another key.  f may be the
-// decoded-node cache's shared copy, so the Version gets its own Bases and
-// Meta: a caller mutating them cannot change what the next read returns.
-func versionOf(key string, uid hash.Hash, f *fnode.FNode) (Version, error) {
+// under uid after epoch e was taken, describes — rejecting an FNode of
+// another key.  f may be the decoded-node cache's shared copy, so the
+// Version gets its own Bases and Meta, and its value, not f's, carries the
+// epoch: a caller mutating them cannot change what the next read returns.
+func versionOf(key string, uid hash.Hash, f *fnode.FNode, e uint64) (Version, error) {
 	if string(f.Key) != key {
 		return Version{}, fmt.Errorf("core: version %s belongs to key %q, not %q", uid.Short(), f.Key, key)
 	}
-	return Version{UID: uid, Seq: f.Seq, Bases: slices.Clone(f.Bases), Value: f.Value, Meta: maps.Clone(f.Meta), Key: key}, nil
+	return Version{UID: uid, Seq: f.Seq, Bases: slices.Clone(f.Bases), Value: value.WithEpoch(f.Value, e), Meta: maps.Clone(f.Meta), Key: key}, nil
 }
 
 // Head returns the head uid of key@branch.
@@ -628,13 +661,14 @@ func (db *DB) History(key, branch string, limit int) ([]Version, error) {
 	if err != nil {
 		return nil, err
 	}
+	e := epoch()
 	uids, nodes, err := fnode.HistoryNodes(db.st, head, limit)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]Version, len(nodes))
 	for i, f := range nodes {
-		if out[i], err = versionOf(key, uids[i], f); err != nil {
+		if out[i], err = versionOf(key, uids[i], f, e); err != nil {
 			return nil, err
 		}
 	}
@@ -723,7 +757,9 @@ func (db *DB) MergeCtx(ctx context.Context, key, dst, src string, resolve index.
 	var res MergeResult
 	var merged *fnode.FNode
 	logKV := func() []any { return []any{"key", key, "dst", dst, "src", src, "ancestry_nodes", anc.Loaded} }
+	var e uint64
 	uids, err := db.write(ctx, db.met.opMerge, ErrStaleHead, logKV, func() ([]*fnode.FNode, []HeadOp, error) {
+		e = epoch()
 		dstHead, err := db.head(key, dst)
 		if err != nil {
 			return nil, nil, err
@@ -740,11 +776,11 @@ func (db *DB) MergeCtx(ctx context.Context, key, dst, src string, resolve index.
 			}
 			return nil, nil, err
 		}
-		dv, err := versionOf(key, dstHead, anc.A)
+		dv, err := versionOf(key, dstHead, anc.A, e)
 		if err != nil {
 			return nil, nil, err
 		}
-		sv, err := versionOf(key, srcHead, anc.B)
+		sv, err := versionOf(key, srcHead, anc.B, e)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -759,7 +795,7 @@ func (db *DB) MergeCtx(ctx context.Context, key, dst, src string, resolve index.
 		}
 		var base value.Value // unrelated histories merge against an empty base
 		if !anc.Base.IsZero() {
-			bv, err := versionOf(key, anc.Base, anc.BaseNode)
+			bv, err := versionOf(key, anc.Base, anc.BaseNode, e)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -778,7 +814,7 @@ func (db *DB) MergeCtx(ctx context.Context, key, dst, src string, resolve index.
 		return MergeResult{}, err
 	}
 	if merged != nil {
-		res.Version = saved(key, uids[0], merged, res.Version.Value, meta)
+		res.Version = saved(key, uids[0], merged, res.Version.Value, meta, e)
 	}
 	return res, nil
 }

@@ -69,9 +69,10 @@ func (db *DB) gcInner() (GCStats, error) {
 	}
 	// Writers are fenced from mark to sweep so a version mid-commit (chunks
 	// stored, head not yet advanced) can never be collected; readers proceed
-	// throughout.  Chunks staged outside the engine's fenced operations (a
-	// value built now, Put much later) are not protected: commit staged
-	// values promptly, or use the BuildAnd* helpers.
+	// throughout.  Chunks staged outside the fence (a value built now, Put
+	// much later) may be swept, but the value carries the epoch it was built
+	// or read under, and a sweep that deletes anything moves the engine past
+	// it: the late Put fails with ErrCollected and publishes nothing.
 	db.writeMu.Lock()
 	defer db.writeMu.Unlock()
 	live, err := db.mark()
@@ -79,6 +80,9 @@ func (db *DB) gcInner() (GCStats, error) {
 		return GCStats{}, err
 	}
 	res, err := col.Sweep(func(id hash.Hash) bool { return live[id] })
+	if res.Swept > 0 || err != nil { // a failed sweep may have deleted some
+		db.collected = gcClock.Add(1)
+	}
 	if err != nil {
 		return GCStats{}, err
 	}

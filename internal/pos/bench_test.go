@@ -187,7 +187,9 @@ func BenchmarkTreeInsert(b *testing.B) {
 // BenchmarkEditScattered commits 8 puts to a 100k-row table of 96-byte rows,
 // packed into one leaf or spread evenly over the key space, with and
 // without a decoded-node cache.  gets/op is the chunks one Edit fetches from
-// the store: the read side of "commit cost proportional to the edit".
+// the store: the read side of "commit cost proportional to the edit";
+// emitted-B/op and found-B/op are the bytes it emits and the bytes it hands
+// the boundary hash.
 func BenchmarkEditScattered(b *testing.B) {
 	const rows, batch = 100003, 8
 	entries := genRows(rows)
@@ -210,7 +212,7 @@ func BenchmarkEditScattered(b *testing.B) {
 					b.Fatal(err)
 				}
 				ops := make([]Op, batch)
-				gets := ms.Stats().Gets
+				before, found := ms.Stats(), findBytes.Load()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					for j := range ops {
@@ -220,7 +222,10 @@ func BenchmarkEditScattered(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
-				b.ReportMetric(float64(ms.Stats().Gets-gets)/float64(b.N), "gets/op")
+				after := ms.Stats()
+				b.ReportMetric(float64(after.Gets-before.Gets)/float64(b.N), "gets/op")
+				b.ReportMetric(float64(after.LogicalBytes-before.LogicalBytes)/float64(b.N), "emitted-B/op")
+				b.ReportMetric(float64(findBytes.Load()-found)/float64(b.N), "found-B/op")
 			})
 		}
 	}

@@ -139,6 +139,7 @@ func (b *blobBuilder) finish() ([]childRef, error) {
 			return nil, err
 		}
 	}
+	b.tally()
 	return b.emitted, nil
 }
 

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sort"
+	"sync/atomic"
 
 	"forkbase/internal/chunk"
 	"forkbase/internal/chunker"
@@ -66,26 +68,73 @@ const indexMaxEntries = 1 << 10
 type levelScan struct {
 	scan         rolling.Scan
 	begin, check int
+	window       int
+	first        int    // leaves: the first offset at which a pattern can count
 	fanout       uint64 // index levels: the hash bits that must be zero
 	pos          int    // bytes of the open node scanned so far
 	h            uint64 // the hash state after them
+	scanned      int    // bytes handed to Find since the last tally
 }
+
+// findBytes counts the bytes every level scan has handed to Find, one add
+// per finished level, so tests pin a re-chunk's hashing cost with
+// before/after deltas as hash.Digests pins its digests.
+var findBytes atomic.Int64
 
 // find resumes the scan over node, the open node's bytes, and returns Find's
 // hit and hash state.
 func (ls *levelScan) find(node []byte) (int, uint64) {
+	ls.scanned += max(len(node)-max(ls.pos, ls.begin), 0)
 	hit, h := ls.scan.Find(node, ls.pos, ls.h, ls.begin, ls.check)
 	ls.pos, ls.h = len(node), h
 	return hit, h
 }
 
+// seed returns the scan state at offset p of node: the hash of the at most
+// window hashed bytes before p, which is all the state a scan carries.
+func (ls *levelScan) seed(node []byte, p int) uint64 {
+	if p == ls.pos {
+		return ls.h
+	}
+	s := max(ls.begin, p-ls.window)
+	if s >= p {
+		return 0
+	}
+	ls.scanned += p - s
+	_, h := ls.scan.Find(node[:p], s, 0, s, math.MaxInt)
+	return h
+}
+
+// scanRange returns the first counted pattern of a leaf at node offsets
+// [lo, hi), or -1, scanning from the seeded state at lo; without a hit it
+// leaves the scan state at hi.
+func (ls *levelScan) scanRange(node []byte, lo, hi int) int {
+	if lo = max(lo, ls.first); lo >= hi {
+		return -1
+	}
+	h := ls.seed(node, lo)
+	ls.scanned += hi - lo
+	hit, h := ls.scan.Find(node[:hi], lo, h, ls.begin, ls.check)
+	if hit < 0 {
+		ls.pos, ls.h = hi, h
+	}
+	return hit
+}
+
 // restart resets the scan state at a node boundary.
 func (ls *levelScan) restart() { ls.pos, ls.h = 0, 0 }
 
+// tally hands the bytes scanned so far to findBytes.
+func (ls *levelScan) tally() {
+	findBytes.Add(int64(ls.scanned))
+	ls.scanned = 0
+}
+
 func newLevelScan(cfg chunker.Config, level uint8) levelScan {
-	ls := levelScan{scan: rolling.NewScan(cfg.Q, cfg.Window)}
+	ls := levelScan{scan: rolling.NewScan(cfg.Q, cfg.Window), window: cfg.Window}
 	if level == 0 {
 		ls.begin, ls.check = ls.scan.SkipStart(cfg.MinSize), cfg.MinSize-1
+		ls.first = ls.begin + cfg.Window - 1
 	} else {
 		ls.check = math.MaxInt
 		ls.fanout = uint64(1)<<indexFanoutBits(cfg.Q) - 1
@@ -169,6 +218,96 @@ func (b *levelBuilder) addRef(r childRef) error {
 	return b.afterAppend(r.splitKey, r.count)
 }
 
+// appendRun appends the entries [a, z) of o, an old node of this level,
+// with the cuts, bytes and scan state that feeding them one by one through
+// addEntry, addItem or addRef would give, but as one copy of their encoded
+// bytes per node they land in, hashing only where o's own cuts prove
+// nothing.  The proof needs o cut canonically under b's config, as every
+// node of a tree built under that config is:
+//
+//   - Leaf.  A pattern at byte i depends only on bytes [i-W+1, i] and counts
+//     only at node offset >= first (the min-size rule).  o's non-last
+//     entries hold no counted pattern, or o would have been cut there.  So a
+//     copied byte needs no hash when its offset in o is >= first, it lies
+//     outside o's last entry, and the run also copied the W-1 bytes before
+//     it.  The rest, at most the run's head and o's last entry, is scanned.
+//   - Index.  The cut after an entry reads its count in the node and the
+//     hash of the W bytes before its end.  Entry j of o with 1 <= j < len-1
+//     did not cut, so its hash bits are nonzero wherever the same W bytes
+//     end it; any other entry's hash is computed from those W bytes.
+//
+// MaxSize and the entry bound are arithmetic on entry ends.
+func (b *levelBuilder) appendRun(o *node, a, z int) error {
+	for a < z {
+		k, cut := b.copyRun(o, a, z)
+		if cut {
+			if err := b.closeNode(); err != nil {
+				return err
+			}
+		}
+		a = k + 1
+	}
+	return nil
+}
+
+// copyRun appends o's entries [a, k], where k is the first entry of [a, z)
+// after which the open node cuts, or z-1 when none does, and reports
+// whether it cuts.  A pattern in the run's head, where o proves nothing,
+// truncates the copy to its entry; the remainder is copied again from there.
+func (b *levelBuilder) copyRun(o *node, a, z int) (k int, cut bool) {
+	from, last := o.end(a-1), o.len()-1
+	shift := len(b.buf) - nodeHeadroom - from // o's payload offset + shift = open-node offset
+	k = z - 1
+	if b.level == 0 {
+		if j := a + sort.Search(z-a, func(i int) bool { return o.end(a+i)+shift >= b.cfg.MaxSize }); j < z {
+			k, cut = j, true
+		}
+	} else if room := indexMaxEntries - b.n; z-a >= room {
+		k, cut = a+room-1, true
+	}
+	b.buf = append(b.buf, o.data[from:o.end(k)]...)
+	node := b.buf[nodeHeadroom:]
+	if b.level == 0 {
+		proven := max(o.end(-1)+b.first, from+b.window-1)
+		hit := b.scanRange(node, from+shift, min(proven, o.end(k))+shift)
+		if hit < 0 && k == last {
+			hit = b.scanRange(node, max(proven, o.end(last-1))+shift, o.end(k)+shift)
+		}
+		if hit >= 0 {
+			k = a + sort.Search(k-a, func(i int) bool { return o.end(a+i)+shift > hit })
+			cut = true
+		}
+	} else {
+		for j := a; j <= k; j++ {
+			if b.n+j-a+1 < 2 || 1 <= j && j < last && o.end(j)-b.window >= from {
+				continue
+			}
+			if b.seed(node, o.end(j)+shift)&b.fanout == 0 {
+				k, cut = j, true
+				break
+			}
+		}
+	}
+	b.buf = b.buf[:nodeHeadroom+o.end(k)+shift]
+	if b.level == 0 {
+		b.count += uint64(k - a + 1)
+	} else {
+		for j := a; j <= k; j++ {
+			b.count += o.count(j)
+		}
+	}
+	if b.isMap {
+		b.lastKey = o.key(k)
+	}
+	b.n += k - a + 1
+	b.boundary = false
+	if !cut { // the scan state moves to the end of the open node
+		node = b.buf[nodeHeadroom:]
+		b.h, b.pos = b.seed(node, len(node)), len(node)
+	}
+	return k, cut
+}
+
 // atBoundary reports whether the builder sits exactly at a node boundary
 // (nothing buffered).  Used by incremental edits to detect re-synchronisation
 // with the old chunking.
@@ -223,6 +362,7 @@ func (b *levelBuilder) finish() ([]childRef, error) {
 	if err := b.closeNode(); err != nil {
 		return nil, err
 	}
+	b.tally()
 	return b.emitted, nil
 }
 

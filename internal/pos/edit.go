@@ -95,27 +95,24 @@ func (t *Tree) Edit(ops []Op) (*Tree, error) {
 				return nil, fmt.Errorf("pos: expected map leaf, got %s", n.typ)
 			}
 			ids = append(ids, ref.id)
-			for j := 0; j < n.len(); j++ {
-				old := n.entry(j)
-				for ; i < len(ops) && bytes.Compare(ops[i].Key, old.Key) < 0; i++ {
-					if err := put(ops[i]); err != nil {
-						return nil, err
-					}
+			run := 0 // the first old entry not yet fed
+			for ; i < len(ops); i++ {
+				j := n.search(ops[i].Key)
+				if j == n.len() && !last {
+					break // the op falls in a later leaf
 				}
-				if i < len(ops) && bytes.Equal(ops[i].Key, old.Key) {
-					err = put(ops[i])
-					i++
-				} else {
-					err = lb.addEntry(old)
-				}
-				if err != nil {
+				if err := lb.appendRun(n, run, j); err != nil {
 					return nil, err
 				}
-			}
-			for ; last && i < len(ops); i++ {
 				if err := put(ops[i]); err != nil {
 					return nil, err
 				}
+				if run = j; j < n.len() && bytes.Equal(n.key(j), ops[i].Key) {
+					run++ // replaced or deleted
+				}
+			}
+			if err := lb.appendRun(n, run, n.len()); err != nil {
+				return nil, err
 			}
 			if err := c.next(); err != nil {
 				return nil, err

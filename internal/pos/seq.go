@@ -176,15 +176,7 @@ func (s *Seq) Splice(at, del uint64, ins [][]byte) (*Seq, error) {
 		if leaf.typ != chunk.TypeSeqLeaf || b > uint64(leaf.len()) {
 			return fmt.Errorf("pos: seq splice: %s with %d items where a leaf of at least %d was expected", leaf.typ, leaf.len(), b)
 		}
-		keep := func(lo, hi int) error {
-			for i := lo; i < hi; i++ {
-				if err := lb.addItem(leaf.item(i)); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		if err := keep(0, int(a)); err != nil {
+		if err := lb.appendRun(leaf, 0, int(a)); err != nil {
 			return err
 		}
 		for i := 0; insert && i < len(ins); i++ {
@@ -192,7 +184,7 @@ func (s *Seq) Splice(at, del uint64, ins [][]byte) (*Seq, error) {
 				return err
 			}
 		}
-		return keep(int(b), leaf.len())
+		return lb.appendRun(leaf, int(b), leaf.len())
 	}
 	root, err := splicePositions(s.src, s.cfg, sink, childRef{id: s.root, count: s.count}, at, del, lb.atBoundary, feed, lb.finish)
 	if err != nil {

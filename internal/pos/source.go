@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"forkbase/internal/chunk"
 	"forkbase/internal/codec"
@@ -70,6 +71,25 @@ func (n *node) ref(i int) childRef {
 }
 
 func (n *node) count(i int) uint64 { return n.spans[i].aux }
+
+// end returns the payload offset just past element i, so element i's
+// encoding is data[end(i-1):end(i)]; end(-1) is where the first begins.
+func (n *node) end(i int) int {
+	if i < 0 {
+		return 1 + uvarintLen(uint64(len(n.spans)))
+	}
+	s := &n.spans[i]
+	switch n.typ {
+	case chunk.TypeMapLeaf:
+		return int(s.aux >> 32)
+	case chunk.TypeMapIndex, chunk.TypeSeqIndex:
+		return int(s.hi) + hash.Size + uvarintLen(s.aux)
+	}
+	return int(s.hi)
+}
+
+// uvarintLen is the encoded size of x as an unsigned varint.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
 // search returns the first i whose key is >= key (n.len() if none): the
 // leaf probe and, over split keys, the B+-tree routing rule.

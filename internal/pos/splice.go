@@ -294,9 +294,17 @@ func (e *levelEditor) lift(lower []splice, level uint8) ([]splice, error) {
 				sp.hi = c.parent()
 				break
 			}
-			if err := lb.addRef(c.ref()); err != nil {
+			// The old refs up to the next lower splice or the parent's end
+			// go in as one run.
+			f := &c.frames[len(c.frames)-1]
+			stop := f.n.len()
+			if i < len(lower) && c.sameParent(lower[i].lo) {
+				stop = lower[i].lo.frames[len(c.frames)-1].idx
+			}
+			if err := lb.appendRun(f.n, f.idx, stop); err != nil {
 				return nil, err
 			}
+			f.idx = stop - 1
 			if err := c.next(); err != nil {
 				return nil, err
 			}

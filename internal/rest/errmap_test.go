@@ -31,6 +31,8 @@ func TestWriteErrMapping(t *testing.T) {
 		{"branch exists", core.ErrBranchExists, http.StatusConflict},
 		{"stale head", core.ErrStaleHead, http.StatusConflict},
 		{"wrapped stale head", fmt.Errorf("op 3: %w: k@b", core.ErrStaleHead), http.StatusConflict},
+		{"collected", fmt.Errorf("op 0 (k@master): %w", core.ErrCollected), http.StatusConflict},
+		{"too large", fmt.Errorf("x: %w", store.ErrTooLarge), http.StatusRequestEntityTooLarge},
 		{"not collectable", core.ErrNotCollectable, http.StatusNotImplemented},
 		{"tampered", core.ErrTampered, http.StatusBadGateway},
 		{"unknown", errors.New("disk on fire"), http.StatusInternalServerError},

@@ -236,8 +236,11 @@ func writeErr(w http.ResponseWriter, err error) {
 		errors.Is(err, store.ErrNotFound):
 		code = http.StatusNotFound
 	case errors.Is(err, core.ErrBranchExists),
-		errors.Is(err, core.ErrStaleHead):
+		errors.Is(err, core.ErrStaleHead),
+		errors.Is(err, core.ErrCollected):
 		code = http.StatusConflict
+	case errors.Is(err, store.ErrTooLarge):
+		code = http.StatusRequestEntityTooLarge
 	case errors.Is(err, core.ErrNotCollectable),
 		errors.Is(err, core.ErrNotScrubbable):
 		code = http.StatusNotImplemented

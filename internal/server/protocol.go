@@ -119,12 +119,13 @@ const (
 	headerLen    = 16
 	flagError    = 1 // reply flag: the payload is an error message
 
-	// MaxPayload caps one frame's payload: room for the largest batch a
-	// replica fetches (fnode.WalkBatch, 512 ids) of the largest chunks the
-	// default chunker cuts (64 KiB) plus their framing.  Larger batches are
-	// split (puts) or answered in part (gets); a single chunk that does not
-	// fit cannot travel.
-	MaxPayload = 512 * (1<<16 + 16)
+	// MaxPayload caps one frame's payload: room for two chunks of
+	// chunk.MaxSize, the most a store acknowledges, plus 16 bytes of framing
+	// for each of the 512 ids of the largest batch a replica fetches
+	// (fnode.WalkBatch) — which is also that batch of the largest chunks
+	// the default chunker cuts (64 KiB).  Larger batches are split (puts) or
+	// answered in part (gets), and any one chunk a store holds fits.
+	MaxPayload = 2*chunk.MaxSize + 512*16
 )
 
 // GetChunks reply statuses, one per requested id.

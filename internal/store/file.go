@@ -69,6 +69,10 @@ type FileStore struct {
 
 	// group coalesces the fsyncs of concurrent SyncAlways committers.
 	group groupSyncer
+	// syncs counts the fsyncs the store completed, of the active segment
+	// (tail) and of its directory (dir), so tests can pin each path's
+	// durability cost.
+	syncs struct{ tail, dir atomic.Int64 }
 
 	shards [indexShards]indexShard
 
@@ -710,6 +714,9 @@ func (f *FileStore) Put(c *chunk.Chunk) (bool, error) {
 // dedup against each other.
 func (f *FileStore) PutBatch(cs []*chunk.Chunk) ([]bool, error) {
 	fresh := make([]bool, len(cs))
+	if err := checkSizes(cs...); err != nil {
+		return fresh, err
+	}
 	// The locked section sits in a closure so the deferred unlock also
 	// covers simulated crashes (panics from injected crash hooks); the
 	// fsync policy runs after the lock is released so SyncAlways cohorts
@@ -831,8 +838,8 @@ func (f *FileStore) writeStaged(run []segEntry, newChunks bool) error {
 // what lets compaction unlink a victim as soon as its live records land in
 // (or beyond) the new active segment.
 func (f *FileStore) rotate() error {
-	if err := f.active.Sync(); err != nil {
-		return fmt.Errorf("filestore: %w", err)
+	if err := f.syncTail(); err != nil {
+		return err
 	}
 	if err := f.active.Close(); err != nil {
 		return fmt.Errorf("filestore: %w", err)
@@ -843,7 +850,20 @@ func (f *FileStore) rotate() error {
 	// through while active.
 	f.at(CrashRotateAfterSeal, seg)
 	f.actSeg.Store(int64(seg + 1))
-	return f.openActive()
+	if err := f.openActive(); err != nil {
+		return err
+	}
+	f.syncDir() // the new segment's name, so its synced records are found
+	return nil
+}
+
+// syncTail fsyncs the active segment.  Callers hold f.mu.
+func (f *FileStore) syncTail() error {
+	if err := f.active.Sync(); err != nil {
+		return fmt.Errorf("filestore: %w", err)
+	}
+	f.syncs.tail.Add(1)
+	return nil
 }
 
 // Get implements Store.
@@ -1218,8 +1238,8 @@ func (f *FileStore) compactLocked(res *SweepStats) error {
 	// Durability barrier: every rewritten record is on disk before any
 	// victim disappears.  Records that landed in segments sealed during the
 	// rewrite were fsynced by rotate; the tail needs an explicit sync.
-	if err := f.active.Sync(); err != nil {
-		return fmt.Errorf("filestore: %w", err)
+	if err := f.syncTail(); err != nil {
+		return err
 	}
 	for _, seg := range victims {
 		f.at(CrashCompactBeforeUnlink, seg)
@@ -1301,7 +1321,9 @@ func (f *FileStore) relocateLocked(data []byte, entries []segEntry) error {
 // (best-effort: some platforms cannot fsync directories).
 func (f *FileStore) syncDir() {
 	if d, err := os.Open(f.dir); err == nil {
-		_ = d.Sync()
+		if d.Sync() == nil {
+			f.syncs.dir.Add(1)
+		}
 		d.Close()
 	}
 }
@@ -1320,7 +1342,7 @@ func (f *FileStore) Sync() error {
 		// OS, and Close closed the tail already.
 		return nil
 	}
-	return f.active.Sync()
+	return f.syncTail()
 }
 
 // Close closes the store.  Further operations fail, and

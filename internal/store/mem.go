@@ -36,6 +36,9 @@ func (s *MemStore) VerifyCacheTrusted() bool { return true }
 
 // Put implements Store.
 func (m *MemStore) Put(c *chunk.Chunk) (bool, error) {
+	if err := checkSizes(c); err != nil {
+		return false, err
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.stats.LogicalBytes += int64(c.Size())
@@ -54,6 +57,9 @@ func (m *MemStore) Put(c *chunk.Chunk) (bool, error) {
 // convoy concurrent readers on the mutex.
 func (m *MemStore) PutBatch(cs []*chunk.Chunk) ([]bool, error) {
 	fresh := make([]bool, len(cs))
+	if err := checkSizes(cs...); err != nil {
+		return fresh, err
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for i, c := range cs {

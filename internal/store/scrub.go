@@ -140,8 +140,8 @@ func (f *FileStore) quarantine(seg int, st *ScrubStats) error {
 
 	// Durability barrier: every rescued record is on disk before the only
 	// other copy is set aside.
-	if err := f.active.Sync(); err != nil {
-		return fmt.Errorf("filestore: %w", err)
+	if err := f.syncTail(); err != nil {
+		return err
 	}
 	if err := os.Rename(f.segmentPath(seg), f.quarantinePath(seg)); err != nil {
 		return fmt.Errorf("filestore: quarantining seg %d: %w", seg, err)

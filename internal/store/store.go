@@ -31,6 +31,21 @@ import (
 // ErrNotFound is returned when a requested chunk is absent.
 var ErrNotFound = errors.New("store: chunk not found")
 
+// ErrTooLarge refuses a chunk of more than chunk.MaxSize data bytes: no
+// frame of the wire protocol could carry it to a replica or a client.
+var ErrTooLarge = errors.New("store: chunk too large")
+
+// checkSizes returns ErrTooLarge for the first chunk of cs over
+// chunk.MaxSize; a store's Put and PutBatch refuse the whole call with it.
+func checkSizes(cs ...*chunk.Chunk) error {
+	for _, c := range cs {
+		if n := len(c.Data()); n > chunk.MaxSize {
+			return fmt.Errorf("%w: a %d-byte %s chunk exceeds the %d-byte limit", ErrTooLarge, n, c.Type(), chunk.MaxSize)
+		}
+	}
+	return nil
+}
+
 // ErrUnavailable marks a transient backend failure: the store (or the node
 // in front of it) cannot serve the request *right now*, but retrying later
 // may succeed.  Serving layers translate it into backpressure (REST replies

@@ -77,7 +77,24 @@ type Value struct {
 	// kind).  The descriptor encoding leaves it out: the FNode records it
 	// in its trailing kind byte, and Decode takes it from there.
 	idx index.Kind
+
+	// epoch is the engine's collection epoch the value was built or read
+	// under (0: none); see WithEpoch.  It is not encoded.
+	epoch uint64
 }
+
+// WithEpoch returns v stamped with the collection epoch e, which an engine
+// reads before it builds or reads a value's chunks and compares when the
+// value is committed: a collection completed since then may have swept
+// them.  EpochOf reads the stamp.  Neither is part of the descriptor, so
+// Equal and Encode ignore it.
+func WithEpoch(v Value, e uint64) Value {
+	v.epoch = e
+	return v
+}
+
+// EpochOf returns the collection epoch v was stamped with (0: none).
+func EpochOf(v Value) uint64 { return v.epoch }
 
 // ErrWrongKind is returned by typed accessors used on the wrong kind.
 var ErrWrongKind = errors.New("value: wrong kind")

@@ -1,7 +1,10 @@
 package forkbase_test
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -109,5 +112,93 @@ func TestNodeBuiltFromDB(t *testing.T) {
 	}
 	if status["following"] != true {
 		t.Fatalf("replica /v1/repl/status = %v, want following: true", status)
+	}
+}
+
+// TestPutAfterGCRefusesCollectedValue: a value built, or read from a branch,
+// before a GC that swept its chunks is refused at Put with ErrCollected
+// instead of being acked under a head that names missing chunks.  A rebuilt
+// or reloaded value commits, its head deep-verifies, and the next GC passes.
+// PutBlob, PutList and EditMap build under the fence and keep committing.
+func TestPutAfterGCRefusesCollectedValue(t *testing.T) {
+	var es []forkbase.Entry
+	for i := 0; i < 500; i++ {
+		es = append(es, forkbase.Entry{Key: []byte(fmt.Sprintf("k%05d", i)), Val: []byte(fmt.Sprintf("v%05d-some-padding-bytes", i))})
+	}
+	for name, opt := range map[string]forkbase.Option{"InMemory": forkbase.InMemory(), "FileBacked": forkbase.FileBacked(t.TempDir())} {
+		t.Run(name, func(t *testing.T) {
+			db := forkbase.MustOpen(opt, forkbase.WithMetrics(obs.NewRegistry()))
+			defer db.Close()
+			commitsAfterGC := func(what string, put func() (forkbase.Version, error)) {
+				t.Helper()
+				ver, err := put()
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				if rep, err := db.VerifyVersion(ver.Key, ver.UID, true); err != nil || !rep.OK {
+					t.Fatalf("%s: deep verify = %+v, %v", what, rep, err)
+				}
+				if _, err := db.GC(); err != nil {
+					t.Fatalf("%s: GC after the commit: %v", what, err)
+				}
+			}
+
+			// Built before a GC that swept it.
+			v, err := db.NewMapValue(es)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gs, err := db.GC()
+			if err != nil || gs.Swept == 0 {
+				t.Fatalf("GC = %+v, %v; want the unpublished value's chunks swept", gs, err)
+			}
+			if _, err := db.Put("m", "master", v, nil); !errors.Is(err, forkbase.ErrCollected) {
+				t.Fatalf("Put of a value built before the GC = %v, want ErrCollected", err)
+			}
+			commitsAfterGC("rebuilt value", func() (forkbase.Version, error) {
+				v, err := db.NewMapValue(es)
+				if err != nil {
+					return forkbase.Version{}, err
+				}
+				return db.Put("m", "master", v, nil)
+			})
+
+			// Read from a branch that is then deleted and collected.
+			if _, err := db.PutMap("m", "tmp", es[:400], nil); err != nil {
+				t.Fatal(err)
+			}
+			tmp, err := db.Get("m", "tmp")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := db.DeleteBranch("m", "tmp"); err != nil {
+				t.Fatal(err)
+			}
+			if gs, err := db.GC(); err != nil || gs.Swept == 0 {
+				t.Fatalf("GC = %+v, %v; want the deleted branch's chunks swept", gs, err)
+			}
+			if _, err := db.Put("m", "master", tmp.Value, nil); !errors.Is(err, forkbase.ErrCollected) {
+				t.Fatalf("Put of a value read before the GC = %v, want ErrCollected", err)
+			}
+
+			// A head read after the GCs commits, warm or cold, and so do the
+			// paths that build under the fence.
+			commitsAfterGC("reloaded head", func() (forkbase.Version, error) {
+				head, err := db.Get("m", "master")
+				if err != nil {
+					return forkbase.Version{}, err
+				}
+				return db.Put("m", "copy", head.Value, nil)
+			})
+			commitsAfterGC("PutBlob", func() (forkbase.Version, error) {
+				return db.PutBlob("b", "", bytes.Repeat([]byte("blob "), 4000), nil)
+			})
+			commitsAfterGC("PutList", func() (forkbase.Version, error) {
+				return db.PutList("l", "", [][]byte{[]byte("a"), []byte("b")}, nil)
+			})
+			commitsAfterGC("EditMap", func() (forkbase.Version, error) {
+				return db.EditMap("m", "master", []forkbase.Entry{{Key: []byte("k00001"), Val: []byte("edited")}}, nil, nil)
+			})
+		})
 	}
 }

@@ -243,3 +243,38 @@ func TestReplicaServerCannotBeMadeWritable(t *testing.T) {
 		t.Fatalf("replica Put = %v, want the read-only error", err)
 	}
 }
+
+// TestOversizedWriteIsRefusedAndReplicationContinues: a string value is
+// inline in its one FNode chunk, so a 40 MiB string is refused with
+// ErrTooLarge rather than acked as a chunk no follower can fetch; a key
+// written after it reaches a replica, and a 1 MiB string replicates.
+func TestOversizedWriteIsRefusedAndReplicationContinues(t *testing.T) {
+	primary, addr := startPrimaryNode(t)
+	if _, err := primary.Put("huge", "master", value.String(strings.Repeat("x", 40<<20)), nil); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("Put of a 40 MiB string = %v, want ErrTooLarge", err)
+	}
+	big, err := primary.Put("big", "master", value.String(strings.Repeat("y", 1<<20)), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after, err := primary.Put("after", "master", value.String("v"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replica, err := Open(WithFollow(addr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer replica.Close()
+	if err := replica.WaitSynced(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	for key, want := range map[string]Version{"big": big, "after": after} {
+		if got, err := replica.Get(key, ""); err != nil || got.UID != want.UID {
+			t.Fatalf("replica Get(%s) = %v, %v; want %s", key, got.UID.Short(), err, want.UID.Short())
+		}
+	}
+	if _, err := replica.Get("huge", ""); !errors.Is(err, ErrBranchNotFound) {
+		t.Fatalf("replica Get(huge) = %v, want ErrBranchNotFound", err)
+	}
+}
