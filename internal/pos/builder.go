@@ -18,19 +18,26 @@ import (
 // nodeHeadroom reserves space at the front of a node buffer for the chunk
 // type byte, the node level byte and the entry-count varint, so the finished
 // node is a contiguous [type][level][uvarint n][entries] run that can be
-// hashed and stored in place — no per-node payload copy.
+// hashed and stored in place — no per-node payload copy.  A blob leaf uses
+// only the type byte: it is [type][bytes].
 const nodeHeadroom = 2 + binary.MaxVarintLen64
 
-// levelBuilder assembles one level of a POS-Tree.  Entries are encoded
-// directly into the open node's buffer; the chunker decides boundaries; each
-// finished node is emitted into the write sink, which hashes it in place and
-// lands it in a batched store write.  A childRef is complete — id included —
-// the moment closeNode returns, whether or not its batch has been flushed.
+// levelBuilder assembles one level of a POS-Tree, of any variant.  Entries
+// are encoded directly into the open node's buffer; the chunker decides
+// boundaries; each finished node is emitted into the write sink, which hashes
+// it in place and lands it in a batched store write.  A childRef is complete
+// — id included — the moment closeNode returns, whether or not its batch has
+// been flushed.
+//
+// A blob leaf is a level-0 node whose elements are single bytes and which
+// has no header: a byte can cut only at its own end, so the byte-granular
+// blob cut is the leaf rule of every other variant.
 type levelBuilder struct {
 	sink  *store.ChunkSink
 	cfg   chunker.Config
 	level uint8
-	isMap bool
+	leaf  chunk.Type // the variant: TypeMapLeaf, TypeSeqLeaf or TypeBlobLeaf
+	typ   chunk.Type // the type of the nodes this level emits
 
 	// Every level detects boundaries with one contiguous bulk scan over the
 	// node buffer; see levelScan for the leaf and index rules.
@@ -40,9 +47,9 @@ type levelBuilder struct {
 	// Emit borrows it only for the duration of the call (the sink copies the
 	// surviving payload), so one buffer serves every node of the level.
 	buf      []byte
-	n        int    // entries in the open node
+	n        int    // entries (a blob leaf's bytes) in the open node
 	lastKey  []byte // greatest key seen in the open node (map only)
-	count    uint64 // leaf entries below the open node
+	count    uint64 // leaf entries (blob bytes) below the open node
 	emitted  []childRef
 	boundary bool // true when positioned exactly at a node boundary
 }
@@ -152,23 +159,39 @@ func indexFanoutBits(q uint) uint {
 	return min(max(q, 8)-6, 8, q)
 }
 
-func newLevelBuilder(sink *store.ChunkSink, cfg chunker.Config, level uint8, isMap bool) *levelBuilder {
-	return levelBuilderOn(nil, sink, cfg, level, isMap)
+// indexType returns the index node type of the variant whose leaves are
+// leaf: lists and blobs both route by count.
+func indexType(leaf chunk.Type) chunk.Type {
+	if leaf == chunk.TypeMapLeaf {
+		return chunk.TypeMapIndex
+	}
+	return chunk.TypeSeqIndex
+}
+
+// newLevelBuilder returns a builder of the given level of the variant whose
+// leaves are leaf.
+func newLevelBuilder(sink *store.ChunkSink, cfg chunker.Config, level uint8, leaf chunk.Type) *levelBuilder {
+	return levelBuilderOn(nil, sink, cfg, level, leaf)
 }
 
 // levelBuilderOn is newLevelBuilder over buf, the scratch buffer a finished
 // builder of the same build or edit leaves behind (nil: a fresh one), so the
 // levels of one edit share one buffer instead of allocating one each.
-func levelBuilderOn(buf []byte, sink *store.ChunkSink, cfg chunker.Config, level uint8, isMap bool) *levelBuilder {
+func levelBuilderOn(buf []byte, sink *store.ChunkSink, cfg chunker.Config, level uint8, leaf chunk.Type) *levelBuilder {
 	cfg = cfg.Normalized()
 	if buf == nil {
 		buf = make([]byte, 0, nodeHeadroom+min(2<<cfg.Q, cfg.MaxSize))
+	}
+	typ := leaf
+	if level > 0 {
+		typ = indexType(leaf)
 	}
 	return &levelBuilder{
 		sink:      sink,
 		cfg:       cfg,
 		level:     level,
-		isMap:     isMap,
+		leaf:      leaf,
+		typ:       typ,
 		boundary:  true,
 		levelScan: newLevelScan(cfg, level),
 		buf:       buf[:nodeHeadroom],
@@ -208,9 +231,39 @@ func (b *levelBuilder) addItem(item []byte) error {
 	return b.afterAppend(nil, 1)
 }
 
+// addBytes feeds p, new bytes of a blob leaf level, cutting where feeding
+// them one by one through afterAppend would: after the first counted
+// pattern, or at MaxSize.  It takes at most twice the expected leaf size per
+// scan, so a cut wastes at most that much copying; bytes past a cut are
+// taken again into the next node, whose scan starts afresh.  The scratch
+// buffer grows once, to the largest node p can fill.
+func (b *levelBuilder) addBytes(p []byte) error {
+	b.buf = slices.Grow(b.buf, min(len(p), b.cfg.MaxSize-(len(b.buf)-nodeHeadroom)))
+	for len(p) > 0 {
+		held := len(b.buf) - nodeHeadroom
+		take := min(len(p), b.cfg.MaxSize-held, 2<<b.cfg.Q)
+		b.buf = append(b.buf, p[:take]...)
+		hit, _ := b.find(b.buf[nodeHeadroom:])
+		if hit >= 0 {
+			take = hit + 1 - held
+			b.buf = b.buf[:nodeHeadroom+hit+1]
+		}
+		b.n += take
+		b.count += uint64(take)
+		b.boundary = false
+		p = p[take:]
+		if hit >= 0 || b.n >= b.cfg.MaxSize {
+			if err := b.closeNode(); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // addRef feeds one child reference (index levels).
 func (b *levelBuilder) addRef(r childRef) error {
-	if b.isMap {
+	if b.typ == chunk.TypeMapIndex {
 		b.buf = encodeChildRef(b.buf, r)
 	} else {
 		b.buf = encodeSeqChildRef(b.buf, r)
@@ -220,10 +273,11 @@ func (b *levelBuilder) addRef(r childRef) error {
 
 // appendRun appends the entries [a, z) of o, an old node of this level,
 // with the cuts, bytes and scan state that feeding them one by one through
-// addEntry, addItem or addRef would give, but as one copy of their encoded
-// bytes per node they land in, hashing only where o's own cuts prove
-// nothing.  The proof needs o cut canonically under b's config, as every
-// node of a tree built under that config is:
+// addEntry, addItem, addBytes or addRef would give, but as one copy of their
+// encoded bytes per node they land in, hashing only where o's own cuts prove
+// nothing; a blob leaf's entries are its bytes.  The proof needs o cut
+// canonically under b's config, as every node of a tree built under that
+// config is:
 //
 //   - Leaf.  A pattern at byte i depends only on bytes [i-W+1, i] and counts
 //     only at node offset >= first (the min-size rule).  o's non-last
@@ -255,7 +309,7 @@ func (b *levelBuilder) appendRun(o *node, a, z int) error {
 // whether it cuts.  A pattern in the run's head, where o proves nothing,
 // truncates the copy to its entry; the remainder is copied again from there.
 func (b *levelBuilder) copyRun(o *node, a, z int) (k int, cut bool) {
-	from, last := o.end(a-1), o.len()-1
+	from, last := o.end(a-1), o.elems()-1
 	shift := len(b.buf) - nodeHeadroom - from // o's payload offset + shift = open-node offset
 	k = z - 1
 	if b.level == 0 {
@@ -296,7 +350,7 @@ func (b *levelBuilder) copyRun(o *node, a, z int) (k int, cut bool) {
 			b.count += o.count(j)
 		}
 	}
-	if b.isMap {
+	if b.leaf == chunk.TypeMapLeaf {
 		b.lastKey = o.key(k)
 	}
 	b.n += k - a + 1
@@ -319,31 +373,21 @@ func (b *levelBuilder) closeNode() error {
 		b.boundary = true
 		return nil
 	}
-	var t chunk.Type
-	if b.isMap {
-		t = chunk.TypeMapLeaf
-		if b.level > 0 {
-			t = chunk.TypeMapIndex
-		}
-	} else {
-		t = chunk.TypeSeqLeaf
-		if b.level > 0 {
-			t = chunk.TypeSeqIndex
-		}
+	rs := nodeHeadroom - 1 // a blob leaf: [type][bytes]
+	if b.typ != chunk.TypeBlobLeaf {
+		var tmp [binary.MaxVarintLen64]byte
+		nlen := binary.PutUvarint(tmp[:], uint64(b.n))
+		rs -= 1 + nlen
+		b.buf[rs+1] = b.level
+		copy(b.buf[rs+2:], tmp[:nlen])
 	}
-	var tmp [binary.MaxVarintLen64]byte
-	nlen := binary.PutUvarint(tmp[:], uint64(b.n))
-	rs := nodeHeadroom - 2 - nlen
-	region := b.buf[rs:]
-	region[0] = byte(t)
-	region[1] = b.level
-	copy(region[2:], tmp[:nlen])
-	id, err := b.sink.Emit(t, region)
+	b.buf[rs] = byte(b.typ)
+	id, err := b.sink.Emit(b.typ, b.buf[rs:])
 	if err != nil {
 		return fmt.Errorf("pos: storing node: %w", err)
 	}
 	ref := childRef{id: id, count: b.count}
-	if b.isMap {
+	if b.leaf == chunk.TypeMapLeaf {
 		ref.splitKey = append([]byte(nil), b.lastKey...)
 	}
 	b.emitted = append(b.emitted, ref)
@@ -370,9 +414,9 @@ func (b *levelBuilder) finish() ([]childRef, error) {
 // every level on the scratch buffer buf (nil: a fresh one).  Used both by
 // from-scratch builds and to cap incremental edits whose top level ended up
 // with more than one node.
-func buildLevels(sink *store.ChunkSink, cfg chunker.Config, refs []childRef, level uint8, isMap bool, buf []byte) (childRef, error) {
+func buildLevels(sink *store.ChunkSink, cfg chunker.Config, refs []childRef, level uint8, leaf chunk.Type, buf []byte) (childRef, error) {
 	for len(refs) > 1 {
-		lb := levelBuilderOn(buf, sink, cfg, level, isMap)
+		lb := levelBuilderOn(buf, sink, cfg, level, leaf)
 		for _, r := range refs {
 			if err := lb.addRef(r); err != nil {
 				return childRef{}, err
@@ -401,31 +445,44 @@ func editSink(src nodeSource) *store.ChunkSink {
 	return store.NewChunkSink(src.WriteThrough())
 }
 
+// build is the from-scratch build of every variant: feed adds the leaf
+// elements to a leaf builder of the variant whose leaves are leaf, index
+// levels are stacked over the leaves until one root remains, and sink, which
+// build closes, is flushed.  One level builder feeds one sink, on the
+// caller's goroutine.
+func build(sink *store.ChunkSink, cfg chunker.Config, leaf chunk.Type, feed func(lb *levelBuilder) error) (childRef, error) {
+	defer sink.Close()
+	lb := newLevelBuilder(sink, cfg, 0, leaf)
+	if err := feed(lb); err != nil {
+		return childRef{}, err
+	}
+	leaves, err := lb.finish()
+	if err != nil {
+		return childRef{}, err
+	}
+	root, err := buildLevels(sink, cfg, leaves, 1, leaf, lb.buf)
+	if err != nil {
+		return childRef{}, err
+	}
+	return root, sink.Flush()
+}
+
 // BuildMap constructs a map POS-Tree over entries (which need not be sorted;
 // duplicate keys keep the last value) and returns the tree.  The build is a
 // pure function of the final record set — the SIRI structural-invariance
 // property — because node boundaries depend only on the sorted entry stream.
 // Nodes flow to the store through a batched sink; the tree is fully landed
-// when BuildMap returns.  One level builder feeds one sink, on the caller's
-// goroutine.
+// when BuildMap returns.
 func BuildMap(st store.Store, cfg chunker.Config, entries []Entry) (*Tree, error) {
-	sink := store.NewChunkSink(st)
-	defer sink.Close()
-	lb := newLevelBuilder(sink, cfg, 0, true)
-	for _, e := range lastPerKey(entries, entryKey) {
-		if err := lb.addEntry(e); err != nil {
-			return nil, err
+	root, err := build(store.NewChunkSink(st), cfg, chunk.TypeMapLeaf, func(lb *levelBuilder) error {
+		for _, e := range lastPerKey(entries, entryKey) {
+			if err := lb.addEntry(e); err != nil {
+				return err
+			}
 		}
-	}
-	leaves, err := lb.finish()
+		return nil
+	})
 	if err != nil {
-		return nil, err
-	}
-	root, err := buildLevels(sink, cfg, leaves, 1, true, lb.buf)
-	if err != nil {
-		return nil, err
-	}
-	if err := sink.Flush(); err != nil {
 		return nil, err
 	}
 	return &Tree{src: sourceFor(st), cfg: cfg, root: root.id, count: root.count}, nil

@@ -82,7 +82,7 @@ type legacyLevelBuilder struct {
 	cfg   chunker.Config
 	chk   boundary
 	level uint8
-	isMap bool
+	leaf  chunk.Type
 
 	buf      []byte
 	n        int
@@ -92,7 +92,7 @@ type legacyLevelBuilder struct {
 	boundary bool
 }
 
-func newLegacyLevelBuilder(st store.Store, cfg chunker.Config, level uint8, isMap bool) *legacyLevelBuilder {
+func newLegacyLevelBuilder(st store.Store, cfg chunker.Config, level uint8, leaf chunk.Type) *legacyLevelBuilder {
 	var chk boundary
 	if level == 0 {
 		chk = leafChunker{chunker.NewByteChunker(cfg)}
@@ -104,7 +104,7 @@ func newLegacyLevelBuilder(st store.Store, cfg chunker.Config, level uint8, isMa
 		cfg:      cfg,
 		chk:      chk,
 		level:    level,
-		isMap:    isMap,
+		leaf:     leaf,
 		boundary: true,
 	}
 }
@@ -126,25 +126,19 @@ func (b *legacyLevelBuilder) closeNode() error {
 		b.boundary = true
 		return nil
 	}
-	var c *chunk.Chunk
-	if b.isMap {
-		t := chunk.TypeMapLeaf
-		if b.level > 0 {
+	t := b.leaf
+	if b.level > 0 {
+		t = chunk.TypeSeqIndex
+		if b.leaf == chunk.TypeMapLeaf {
 			t = chunk.TypeMapIndex
 		}
-		c = chunk.New(t, encodeNodePayload(b.level, b.n, b.buf))
-	} else {
-		t := chunk.TypeSeqLeaf
-		if b.level > 0 {
-			t = chunk.TypeSeqIndex
-		}
-		c = chunk.New(t, encodeNodePayload(b.level, b.n, b.buf))
 	}
+	c := chunk.New(t, encodeNodePayload(b.level, b.n, b.buf))
 	if _, err := b.st.Put(c); err != nil {
 		return err
 	}
 	ref := childRef{id: c.ID(), count: b.count}
-	if b.isMap {
+	if b.leaf == chunk.TypeMapLeaf {
 		ref.splitKey = append([]byte(nil), b.lastKey...)
 	}
 	b.emitted = append(b.emitted, ref)
@@ -164,13 +158,13 @@ func (b *legacyLevelBuilder) finish() ([]childRef, error) {
 	return b.emitted, nil
 }
 
-func legacyBuildLevels(st store.Store, cfg chunker.Config, refs []childRef, level uint8, isMap bool) (childRef, error) {
+func legacyBuildLevels(st store.Store, cfg chunker.Config, refs []childRef, level uint8, leaf chunk.Type) (childRef, error) {
 	for len(refs) > 1 {
-		lb := newLegacyLevelBuilder(st, cfg, level, isMap)
+		lb := newLegacyLevelBuilder(st, cfg, level, leaf)
 		var enc []byte
 		for _, r := range refs {
 			enc = enc[:0]
-			if isMap {
+			if leaf == chunk.TypeMapLeaf {
 				enc = encodeChildRef(enc, r)
 			} else {
 				enc = encodeSeqChildRef(enc, r)
@@ -216,7 +210,7 @@ func legacyNormalizeEntries(entries []Entry) []Entry {
 // property of the record set, not of the write path that stored it.
 func buildMapPerChunk(st store.Store, cfg chunker.Config, entries []Entry) (*Tree, error) {
 	sorted := legacyNormalizeEntries(entries)
-	lb := newLegacyLevelBuilder(st, cfg, 0, true)
+	lb := newLegacyLevelBuilder(st, cfg, 0, chunk.TypeMapLeaf)
 	var enc []byte
 	for _, e := range sorted {
 		enc = enc[:0]
@@ -229,7 +223,7 @@ func buildMapPerChunk(st store.Store, cfg chunker.Config, entries []Entry) (*Tre
 	if err != nil {
 		return nil, err
 	}
-	root, err := legacyBuildLevels(st, cfg, leaves, 1, true)
+	root, err := legacyBuildLevels(st, cfg, leaves, 1, chunk.TypeMapLeaf)
 	if err != nil {
 		return nil, err
 	}

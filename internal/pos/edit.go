@@ -58,12 +58,12 @@ func (t *Tree) Edit(ops []Op) (*Tree, error) {
 	// the path that returns a new tree flushes explicitly.
 	sink := editSink(t.src)
 	defer sink.Close()
-	e, err := newLevelEditor(t.src, t.cfg, sink, true, childRef{id: t.root, count: t.count}, t.top)
+	e, err := newLevelEditor(t.src, t.cfg, sink, chunk.TypeMapLeaf, childRef{id: t.root, count: t.count}, t.top)
 	if err != nil {
 		return nil, err
 	}
 
-	lb := newLevelBuilder(sink, t.cfg, 0, true)
+	lb := newLevelBuilder(sink, t.cfg, 0, chunk.TypeMapLeaf)
 	put := func(o Op) error {
 		if o.Delete {
 			return nil
@@ -158,72 +158,38 @@ func (t *Tree) EditRebuild(ops []Op) (*Tree, error) {
 	// The rebuild re-emits the entire record set, almost all of which chunks
 	// identically to the existing tree; the store's put lands those as dedup
 	// hits.
-	sink := editSink(t.src)
-	defer sink.Close()
-	lb := newLevelBuilder(sink, t.cfg, 0, true)
-	feed := func(e Entry) error {
-		return lb.addEntry(e)
-	}
 	it, err := t.Iter()
 	if err != nil {
 		return nil, err
 	}
-	opIdx := 0
-	advanced := it.Next()
-	for advanced || opIdx < len(ops) {
-		switch {
-		case advanced && opIdx < len(ops):
-			e, op := it.Entry(), ops[opIdx]
-			cmp := bytes.Compare(e.Key, op.Key)
-			switch {
-			case cmp < 0:
-				if err := feed(e); err != nil {
-					return nil, err
+	root, err := build(editSink(t.src), t.cfg, chunk.TypeMapLeaf, func(lb *levelBuilder) error {
+		advanced := it.Next()
+		for advanced || len(ops) > 0 {
+			cmp := -1 // the old entry goes first
+			if !advanced {
+				cmp = 1
+			} else if len(ops) > 0 {
+				cmp = bytes.Compare(it.Entry().Key, ops[0].Key)
+			}
+			if cmp < 0 {
+				if err := lb.addEntry(it.Entry()); err != nil {
+					return err
 				}
 				advanced = it.Next()
-			case cmp == 0:
-				if !op.Delete {
-					if err := feed(Entry{Key: op.Key, Val: op.Val}); err != nil {
-						return nil, err
-					}
+				continue
+			}
+			if op := ops[0]; !op.Delete {
+				if err := lb.addEntry(Entry{Key: op.Key, Val: op.Val}); err != nil {
+					return err
 				}
+			}
+			if ops = ops[1:]; cmp == 0 {
 				advanced = it.Next()
-				opIdx++
-			default:
-				if !op.Delete {
-					if err := feed(Entry{Key: op.Key, Val: op.Val}); err != nil {
-						return nil, err
-					}
-				}
-				opIdx++
 			}
-		case advanced:
-			if err := feed(it.Entry()); err != nil {
-				return nil, err
-			}
-			advanced = it.Next()
-		default:
-			op := ops[opIdx]
-			if !op.Delete {
-				if err := feed(Entry{Key: op.Key, Val: op.Val}); err != nil {
-					return nil, err
-				}
-			}
-			opIdx++
 		}
-	}
-	if err := it.Err(); err != nil {
-		return nil, err
-	}
-	leaves, err := lb.finish()
+		return it.Err()
+	})
 	if err != nil {
-		return nil, err
-	}
-	root, err := buildLevels(sink, t.cfg, leaves, 1, true, lb.buf)
-	if err != nil {
-		return nil, err
-	}
-	if err := sink.Flush(); err != nil {
 		return nil, err
 	}
 	return &Tree{src: t.src, cfg: t.cfg, root: root.id, count: root.count}, nil

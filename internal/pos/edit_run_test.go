@@ -1,6 +1,7 @@
 package pos
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"forkbase/internal/chunker"
+	"forkbase/internal/hash"
 	"forkbase/internal/store"
 )
 
@@ -271,34 +273,182 @@ func FuzzEditMatchesRebuild(f *testing.F) {
 }
 
 // TestEditHashesAroundTheChange pins the hashing an edit pays on the two
-// BenchmarkEditScattered shapes: the bytes handed to the boundary hash are
-// at most a fifth of the bytes the edit emits (a re-chunk that hashed every
-// byte it copied hands it about as many as it emits).
+// BenchmarkEditScattered shapes and on single-element list and blob splices
+// (10-byte replacements in a 4 MiB random blob): the bytes handed to the
+// boundary hash are at most a fifth of the bytes the edit emits (a re-chunk
+// that hashed every byte it copied hands it about as many as it emits).
 func TestEditHashesAroundTheChange(t *testing.T) {
 	const rows, batch, edits = 100003, 8, 20
+	cfg := chunker.DefaultConfig()
 	ms := store.NewMemStore()
-	tree, err := BuildMap(ms, chunker.DefaultConfig(), genRows(rows))
+	tree, err := BuildMap(ms, cfg, genRows(rows))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, shape := range []struct {
-		name   string
-		stride int
-	}{{"clustered", 1}, {"scattered", rows / batch}} {
-		before, found := ms.Stats().LogicalBytes, findBytes.Load()
-		for i := 0; i < edits; i++ {
+	list, err := BuildSeq(ms, cfg, genItems(rows, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(72))
+	data := make([]byte, 4<<20)
+	rng.Read(data)
+	blob, err := BuildBlob(ms, cfg, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapEdit := func(stride int) func(i int) error {
+		return func(i int) error {
 			ops := make([]Op, batch)
 			for j := range ops {
-				ops[j] = Put(rowKey((i*131+j*shape.stride)%rows), []byte(fmt.Sprintf("edit-%d-%d", i, j)))
+				ops[j] = Put(rowKey((i*131+j*stride)%rows), []byte(fmt.Sprintf("edit-%d-%d", i, j)))
 			}
-			if _, err := tree.Edit(ops); err != nil {
+			_, err := tree.Edit(ops)
+			return err
+		}
+	}
+	for _, row := range []struct {
+		name string
+		edit func(i int) error
+	}{
+		{"clustered", mapEdit(1)},
+		{"scattered", mapEdit(rows / batch)},
+		{"list splice", func(i int) error {
+			_, err := list.Splice(uint64(rng.Intn(rows)), 1, [][]byte{fmt.Appendf(nil, "edit-%d", i)})
+			return err
+		}},
+		{"blob splice", func(i int) error {
+			ins := make([]byte, 10)
+			rng.Read(ins)
+			_, err := blob.Splice(uint64(rng.Intn(len(data)-len(ins))), uint64(len(ins)), ins)
+			return err
+		}},
+	} {
+		before, found := ms.Stats().LogicalBytes, findBytes.Load()
+		for i := 0; i < edits; i++ {
+			if err := row.edit(i); err != nil {
 				t.Fatal(err)
 			}
 		}
 		emitted, hashed := ms.Stats().LogicalBytes-before, findBytes.Load()-found
-		t.Logf("%s: %d B emitted, %d B hashed per edit", shape.name, emitted/edits, hashed/edits)
+		t.Logf("%s: %d B emitted, %d B hashed per edit", row.name, emitted/edits, hashed/edits)
 		if emitted == 0 || hashed*5 > emitted {
-			t.Errorf("%s: %d B handed to the boundary hash for %d B emitted, want at most a fifth", shape.name, hashed, emitted)
+			t.Errorf("%s: %d B handed to the boundary hash for %d B emitted, want at most a fifth", row.name, hashed, emitted)
 		}
 	}
+}
+
+// spliceConfigs are the chunkings FuzzSpliceMatchesBuild splices under: the
+// test pages (MinSize below the window) and the run table's tight pages,
+// where size cuts and pattern cuts interleave.
+var spliceConfigs = []chunker.Config{testCfg(), runConfigs[1].cfg}
+
+// spliceBase returns the value FuzzSpliceMatchesBuild splices: the 64 KiB
+// random blob of TestBlobSpliceOracle, or a list of 500 items shaped like
+// TestQuickSeqSpliceModel's.
+func spliceBase(blob bool) (data []byte, items [][]byte) {
+	if blob {
+		data = make([]byte, 64*1024)
+		rand.New(rand.NewSource(31)).Read(data)
+		return data, nil
+	}
+	items = make([][]byte, 500)
+	for i := range items {
+		items[i] = []byte(fmt.Sprintf("item-%06d", i))
+	}
+	return nil, items
+}
+
+// spliceItems splits a fuzz insertion into list items at every zero byte.
+func spliceItems(ins []byte) [][]byte {
+	if len(ins) == 0 {
+		return nil
+	}
+	return bytes.Split(ins, []byte{0})
+}
+
+// FuzzSpliceMatchesBuild splices a list or a blob at an arbitrary place:
+// the result equals a fresh build of the spliced content, and the splice
+// stores no chunk that its result does not reference.  The seeds are the
+// TestBlobSpliceOracle and TestQuickSeqSpliceModel shapes.
+func FuzzSpliceMatchesBuild(f *testing.F) {
+	rng := rand.New(rand.NewSource(31))
+	for i := 0; i < 8; i++ {
+		ins := make([]byte, rng.Intn(400))
+		rng.Read(ins)
+		f.Add(true, uint8(i), uint32(rng.Intn(64*1024+1)), uint16(rng.Intn(500)), ins)
+		var items [][]byte
+		for j := rng.Intn(10); j > 0; j-- {
+			items = append(items, fmt.Appendf(nil, "new-%d-%d", i, j))
+		}
+		f.Add(false, uint8(i), uint32(rng.Intn(501)), uint16(rng.Intn(20)), bytes.Join(items, []byte{0}))
+	}
+	f.Fuzz(func(t *testing.T, blob bool, ci uint8, at uint32, del uint16, ins []byte) {
+		cfg := spliceConfigs[int(ci)%len(spliceConfigs)]
+		st := store.NewMemStore()
+		data, items := spliceBase(blob)
+		var splice, fresh func() (splicedValue, error)
+		if blob {
+			b, err := BuildBlob(st, cfg, data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pos := uint64(at) % uint64(len(data)+1)
+			want := append(append(append([]byte(nil), data[:pos]...), ins...), data[min(pos+uint64(del), uint64(len(data))):]...)
+			splice = func() (splicedValue, error) { return b.Splice(pos, uint64(del), ins) }
+			fresh = func() (splicedValue, error) { return BuildBlob(st, cfg, want) }
+		} else {
+			s, err := BuildSeq(st, cfg, items)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pos, add := uint64(at)%uint64(len(items)+1), spliceItems(ins)
+			want := append(append(append([][]byte(nil), items[:pos]...), add...), items[min(pos+uint64(del), uint64(len(items))):]...)
+			splice = func() (splicedValue, error) { return s.Splice(pos, uint64(del), add) }
+			fresh = func() (splicedValue, error) { return BuildSeq(st, cfg, want) }
+		}
+		if err := checkSpliceEquivalence(st, splice, fresh); err != nil {
+			t.Fatalf("splice at %d of %d, %d bytes inserted: %v", at, del, len(ins), err)
+		}
+	})
+}
+
+// splicedValue is what a splice returns, a *Seq or a *Blob.
+type splicedValue interface {
+	Root() hash.Hash
+	ChunkIDs() ([]hash.Hash, error)
+}
+
+// checkSpliceEquivalence runs splice over st, the MemStore under the value
+// it splices: its result equals fresh's, a build of the spliced content, and
+// it stores no chunk that its result does not reference.
+func checkSpliceEquivalence(st *store.MemStore, splice, fresh func() (splicedValue, error)) error {
+	before := map[hash.Hash]bool{}
+	for _, id := range st.IDs() {
+		before[id] = true
+	}
+	got, err := splice()
+	if err != nil {
+		return fmt.Errorf("Splice: %w", err)
+	}
+	ids, err := got.ChunkIDs()
+	if err != nil {
+		return fmt.Errorf("ChunkIDs: %w", err)
+	}
+	for _, id := range ids {
+		before[id] = true
+	}
+	for _, id := range st.IDs() {
+		if !before[id] {
+			c, _ := st.Get(id)
+			return fmt.Errorf("Splice left orphan chunk %s (%s, %d B)", id.Short(), c.Type(), c.Size())
+		}
+	}
+	want, err := fresh()
+	if err != nil {
+		return fmt.Errorf("fresh build: %w", err)
+	}
+	if got.Root() != want.Root() {
+		return fmt.Errorf("spliced root %s != fresh build %s", got.Root().Short(), want.Root().Short())
+	}
+	return nil
 }

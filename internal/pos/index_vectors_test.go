@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"forkbase/internal/chunk"
 	"forkbase/internal/chunker"
 	"forkbase/internal/hash"
 	"forkbase/internal/store"
@@ -16,9 +17,10 @@ import (
 // two-entry minimum or the index hash state shows up here as a diff of
 // literal integers rather than a silent reshape of every index level.
 
-// vecRefs deterministically expands a seed into n child refs: ascending split
-// keys with a random suffix (map refs only), random ids and random counts.
-func vecRefs(seed uint64, n int, isMap bool) []childRef {
+// vecRefs deterministically expands a seed into n child refs of the variant
+// whose leaves are leaf: ascending split keys with a random suffix (map refs
+// only), random ids and random counts.
+func vecRefs(seed uint64, n int, leaf chunk.Type) []childRef {
 	x := seed
 	next := func() uint64 {
 		x += 0x9E3779B97F4A7C15
@@ -34,7 +36,7 @@ func vecRefs(seed uint64, n int, isMap bool) []childRef {
 			binary.LittleEndian.PutUint64(id[j:], next())
 		}
 		refs[i] = childRef{id: id, count: 1 + next()%5000}
-		if isMap {
+		if leaf == chunk.TypeMapLeaf {
 			shift := next() % 64 // a suffix of 1 to 16 hex digits
 			refs[i].splitKey = fmt.Appendf(nil, "key-%06d-%x", i, next()>>shift)
 		}
@@ -43,19 +45,19 @@ func vecRefs(seed uint64, n int, isMap bool) []childRef {
 }
 
 var indexVectors = []struct {
-	name  string
-	seed  uint64
-	n     int
-	isMap bool
-	cfg   chunker.Config
-	cuts  []int // entries in the level so far at every node close, in order
+	name string
+	seed uint64
+	n    int
+	leaf chunk.Type
+	cfg  chunker.Config
+	cuts []int // entries in the level so far at every node close, in order
 }{
 	{
-		name:  "default-map",
-		seed:  1,
-		n:     2000,
-		isMap: true,
-		cfg:   chunker.DefaultConfig(),
+		name: "default-map",
+		seed: 1,
+		n:    2000,
+		leaf: chunk.TypeMapLeaf,
+		cfg:  chunker.DefaultConfig(),
 		cuts: []int{
 			7, 11, 50, 122, 244, 407, 424, 492, 506, 531,
 			535, 546, 554, 560, 732, 744, 853, 971, 989, 991,
@@ -64,11 +66,11 @@ var indexVectors = []struct {
 		},
 	},
 	{
-		name:  "small-map",
-		seed:  2,
-		n:     200,
-		isMap: true,
-		cfg:   chunker.SmallConfig(),
+		name: "small-map",
+		seed: 2,
+		n:    200,
+		leaf: chunk.TypeMapLeaf,
+		cfg:  chunker.SmallConfig(),
 		cuts: []int{
 			3, 10, 22, 25, 33, 39, 41, 48, 56, 61,
 			66, 70, 75, 78, 82, 102, 105, 110, 112, 114,
@@ -80,6 +82,7 @@ var indexVectors = []struct {
 		name: "small-seq",
 		seed: 3,
 		n:    200,
+		leaf: chunk.TypeSeqLeaf,
 		cfg:  chunker.SmallConfig(),
 		cuts: []int{
 			7, 20, 30, 36, 41, 45, 48, 54, 58, 60,
@@ -97,10 +100,10 @@ var indexVectors = []struct {
 func TestIndexGoldenCuts(t *testing.T) {
 	for _, tc := range indexVectors {
 		t.Run(tc.name, func(t *testing.T) {
-			refs := vecRefs(tc.seed, tc.n, tc.isMap)
+			refs := vecRefs(tc.seed, tc.n, tc.leaf)
 
 			sink := store.NewChunkSink(store.NewMemStore())
-			lb := newLevelBuilder(sink, tc.cfg, 1, tc.isMap)
+			lb := newLevelBuilder(sink, tc.cfg, 1, tc.leaf)
 			var cuts []int
 			for i, r := range refs {
 				before := len(lb.emitted)
@@ -117,7 +120,7 @@ func TestIndexGoldenCuts(t *testing.T) {
 			cuts = nil
 			var enc []byte
 			for i, r := range refs {
-				if tc.isMap {
+				if tc.leaf == chunk.TypeMapLeaf {
 					enc = encodeChildRef(enc[:0], r)
 				} else {
 					enc = encodeSeqChildRef(enc[:0], r)

@@ -50,8 +50,8 @@ func formStore(t testing.TB) *store.MemStore {
 	}
 	sink := store.NewChunkSink(st)
 	for _, vec := range indexVectors {
-		lb := newLevelBuilder(sink, vec.cfg, 1, vec.isMap)
-		for _, r := range vecRefs(vec.seed, vec.n, vec.isMap) {
+		lb := newLevelBuilder(sink, vec.cfg, 1, vec.leaf)
+		for _, r := range vecRefs(vec.seed, vec.n, vec.leaf) {
 			must(lb.addRef(r))
 		}
 		_, err := lb.finish()

@@ -46,23 +46,10 @@ func LoadSeq(st store.Store, cfg chunker.Config, root hash.Hash) (*Seq, error) {
 
 // BuildSeq constructs a sequence over items.
 func BuildSeq(st store.Store, cfg chunker.Config, items [][]byte) (*Seq, error) {
-	sink := store.NewChunkSink(st)
-	defer sink.Close()
-	lb := newLevelBuilder(sink, cfg, 0, false)
-	for _, it := range items {
-		if err := lb.addItem(it); err != nil {
-			return nil, err
-		}
-	}
-	leaves, err := lb.finish()
+	root, err := build(store.NewChunkSink(st), cfg, chunk.TypeSeqLeaf, func(lb *levelBuilder) error {
+		return addItems(lb, items)
+	})
 	if err != nil {
-		return nil, err
-	}
-	root, err := buildLevels(sink, cfg, leaves, 1, false, lb.buf)
-	if err != nil {
-		return nil, err
-	}
-	if err := sink.Flush(); err != nil {
 		return nil, err
 	}
 	return &Seq{src: sourceFor(st), cfg: cfg, root: root.id, count: root.count}, nil
@@ -171,26 +158,24 @@ func (s *Seq) Splice(at, del uint64, ins [][]byte) (*Seq, error) {
 	}
 	sink := editSink(s.src)
 	defer sink.Close()
-	lb := newLevelBuilder(sink, s.cfg, 0, false)
-	feed := func(leaf *node, a, b uint64, insert bool) error {
-		if leaf.typ != chunk.TypeSeqLeaf || b > uint64(leaf.len()) {
-			return fmt.Errorf("pos: seq splice: %s with %d items where a leaf of at least %d was expected", leaf.typ, leaf.len(), b)
-		}
-		if err := lb.appendRun(leaf, 0, int(a)); err != nil {
-			return err
-		}
-		for i := 0; insert && i < len(ins); i++ {
-			if err := lb.addItem(ins[i]); err != nil {
-				return err
-			}
-		}
-		return lb.appendRun(leaf, int(b), leaf.len())
-	}
-	root, err := splicePositions(s.src, s.cfg, sink, childRef{id: s.root, count: s.count}, at, del, lb.atBoundary, feed, lb.finish)
+	lb := newLevelBuilder(sink, s.cfg, 0, chunk.TypeSeqLeaf)
+	root, err := splicePositions(s.src, lb, childRef{id: s.root, count: s.count}, at, del, func() error {
+		return addItems(lb, ins)
+	})
 	if err != nil {
 		return nil, err
 	}
 	return &Seq{src: s.src, cfg: s.cfg, root: root.id, count: root.count}, nil
+}
+
+// addItems feeds items to a sequence leaf builder.
+func addItems(lb *levelBuilder, items [][]byte) error {
+	for _, it := range items {
+		if err := lb.addItem(it); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Append returns the sequence with items added at the end.

@@ -7,7 +7,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"forkbase/internal/chunk"
 	"forkbase/internal/chunker"
+	"forkbase/internal/hash"
 	"forkbase/internal/index"
 	"forkbase/internal/store"
 )
@@ -275,4 +277,106 @@ func TestBlobSpliceOracle(t *testing.T) {
 	if err != nil || !bytes.Equal(got, model) {
 		t.Fatalf("final content mismatch (err=%v)", err)
 	}
+}
+
+// TestBlobLeavesMatchByteChunker: BuildBlob cuts its leaves exactly where
+// chunker.ByteChunker, the byte-at-a-time reference, cuts the same bytes,
+// under the default and small pages and a config whose MinSize is below the
+// window, over random bytes around a run without patterns that only MaxSize
+// cuts.
+func TestBlobLeavesMatchByteChunker(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  chunker.Config
+	}{
+		{"default", chunker.DefaultConfig()},
+		{"small", chunker.SmallConfig()},
+		{"MinSize below the window", testCfg()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			rng := rand.New(rand.NewSource(int64(cfg.MaxSize)))
+			head, tail := make([]byte, 8*cfg.MaxSize), make([]byte, cfg.MaxSize+77)
+			rng.Read(head)
+			rng.Read(tail)
+			data := append(append(head, patternFree(t, cfg, 3*cfg.MaxSize+123)...), tail...)
+
+			var want []int
+			prev := 0
+			for _, cut := range chunker.NewByteChunker(cfg).Write(data) {
+				want, prev = append(want, cut-prev), cut
+			}
+			if prev < len(data) {
+				want = append(want, len(data)-prev)
+			}
+			full := 0
+			for _, size := range want {
+				if size == cfg.MaxSize {
+					full++
+				}
+			}
+			if full < 2 {
+				t.Fatalf("%d leaves of MaxSize among %d: the run does not reach the size cut", full, len(want))
+			}
+
+			b, err := BuildBlob(store.NewMemStore(), cfg, data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := blobLeafSizes(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("BuildBlob leaves of\n%v\nByteChunker cuts\n%v", got, want)
+			}
+		})
+	}
+}
+
+// patternFree returns n bytes repeating a 7-byte period in whose windows no
+// pattern fires under cfg, so that only MaxSize cuts them.  A run of one
+// byte value will not do: when q divides the window, its hash is zero, which
+// is a pattern.
+func patternFree(t *testing.T, cfg chunker.Config, n int) []byte {
+	t.Helper()
+	rng := rand.New(rand.NewSource(7))
+	period := make([]byte, 7)
+	for try := 0; try < 100; try++ {
+		rng.Read(period)
+		run := bytes.Repeat(period, n/len(period)+1)[:n]
+		cuts := chunker.NewByteChunker(cfg).Write(run)
+		sizeOnly := len(cuts) == n/cfg.MaxSize
+		for k, cut := range cuts {
+			sizeOnly = sizeOnly && cut == (k+1)*cfg.MaxSize
+		}
+		if sizeOnly {
+			return run
+		}
+	}
+	t.Fatal("no pattern-free period found")
+	return nil
+}
+
+// blobLeafSizes returns the sizes of b's leaves in order.
+func blobLeafSizes(b *Blob) ([]int, error) {
+	var sizes []int
+	var walk func(id hash.Hash) error
+	walk = func(id hash.Hash) error {
+		n, err := b.src.Load(id)
+		if err != nil {
+			return err
+		}
+		if n.typ == chunk.TypeBlobLeaf {
+			sizes = append(sizes, len(n.data))
+			return nil
+		}
+		for i := 0; i < n.len(); i++ {
+			if err := walk(n.ref(i).id); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	return sizes, walk(b.root)
 }

@@ -48,6 +48,15 @@ const spanBytes = 16
 
 func (n *node) len() int { return len(n.spans) }
 
+// elems counts the elements appendRun copies: len, or a blob leaf's bytes,
+// each of which is one element.
+func (n *node) elems() int {
+	if n.typ == chunk.TypeBlobLeaf {
+		return len(n.data)
+	}
+	return len(n.spans)
+}
+
 func (n *node) key(i int) []byte {
 	s := &n.spans[i]
 	return n.data[s.lo:s.hi:s.hi]
@@ -73,8 +82,12 @@ func (n *node) ref(i int) childRef {
 func (n *node) count(i int) uint64 { return n.spans[i].aux }
 
 // end returns the payload offset just past element i, so element i's
-// encoding is data[end(i-1):end(i)]; end(-1) is where the first begins.
+// encoding is data[end(i-1):end(i)]; end(-1) is where the first begins.  A
+// blob leaf's element i is byte i.
 func (n *node) end(i int) int {
+	if n.typ == chunk.TypeBlobLeaf {
+		return i + 1
+	}
 	if i < 0 {
 		return 1 + uvarintLen(uint64(len(n.spans)))
 	}

@@ -93,7 +93,7 @@ func (c *cursor) descend(pick func(n *node) int) error {
 	if err != nil {
 		return err
 	}
-	if n.typ != e.indexType() || int(n.level) != e.height-len(c.frames) {
+	if n.typ != indexType(e.leaf) || int(n.level) != e.height-len(c.frames) {
 		return fmt.Errorf("pos: edit: unexpected %s (level %d, %d refs) at depth %d of a height-%d tree",
 			n.typ, n.level, n.len(), len(c.frames), e.height)
 	}
@@ -153,7 +153,7 @@ type levelEditor struct {
 	src      nodeSource
 	cfg      chunker.Config
 	sink     *store.ChunkSink
-	isMap    bool
+	leaf     chunk.Type // the variant's leaf type
 	root     childRef
 	rootNode *node
 	above    *node // the virtual node above the root: root is its one ref
@@ -163,7 +163,7 @@ type levelEditor struct {
 
 // newLevelEditor starts an update of the tree rooted at root; rootNode is
 // its decoded root, or nil to load it.
-func newLevelEditor(src nodeSource, cfg chunker.Config, sink *store.ChunkSink, isMap bool, root childRef, rootNode *node) (*levelEditor, error) {
+func newLevelEditor(src nodeSource, cfg chunker.Config, sink *store.ChunkSink, leaf chunk.Type, root childRef, rootNode *node) (*levelEditor, error) {
 	if rootNode == nil {
 		n, err := src.Load(root.id)
 		if err != nil {
@@ -171,19 +171,12 @@ func newLevelEditor(src nodeSource, cfg chunker.Config, sink *store.ChunkSink, i
 		}
 		rootNode = n
 	}
-	e := &levelEditor{src: src, cfg: cfg, sink: sink, isMap: isMap, root: root, rootNode: rootNode, height: int(rootNode.level) + 1}
-	if !rootNode.isLeaf() && rootNode.typ != e.indexType() {
+	e := &levelEditor{src: src, cfg: cfg, sink: sink, leaf: leaf, root: root, rootNode: rootNode, height: int(rootNode.level) + 1}
+	if rootNode.typ != leaf && rootNode.typ != indexType(leaf) {
 		return nil, fmt.Errorf("pos: edit: unexpected root chunk type %s", rootNode.typ)
 	}
-	e.above = refNode(root, e.indexType())
+	e.above = refNode(root, indexType(leaf))
 	return e, nil
-}
-
-func (e *levelEditor) indexType() chunk.Type {
-	if e.isMap {
-		return chunk.TypeMapIndex
-	}
-	return chunk.TypeSeqIndex
 }
 
 // load returns r's node; the root, which every seek starts from, is read once.
@@ -219,7 +212,7 @@ func (e *levelEditor) seek(depth int, pick func(n *node) int) (cursor, error) {
 func (e *levelEditor) raise(spl []splice) (childRef, error) {
 	for level := uint8(1); ; level++ {
 		if len(spl) == 1 && spl[0].lo.isFirst() && spl[0].hi.end() {
-			return buildLevels(e.sink, e.cfg, spl[0].refs, level, e.isMap, e.buf)
+			return buildLevels(e.sink, e.cfg, spl[0].refs, level, e.leaf, e.buf)
 		}
 		added := 0
 		for _, s := range spl {
@@ -270,7 +263,7 @@ func (e *levelEditor) loneSurvivor(spl []splice) (childRef, bool, error) {
 // beyond that parent; a tail that runs into the next splice's parent simply
 // absorbs it.  One level builder and one sink barrier serve the whole level.
 func (e *levelEditor) lift(lower []splice, level uint8) ([]splice, error) {
-	lb := levelBuilderOn(e.buf, e.sink, e.cfg, level, e.isMap)
+	lb := levelBuilderOn(e.buf, e.sink, e.cfg, level, e.leaf)
 	var out []splice
 	for i := 0; i < len(lower); {
 		c := lower[i].lo.clone()
@@ -321,16 +314,14 @@ func (e *levelEditor) lift(lower []splice, level uint8) ([]splice, error) {
 }
 
 // splicePositions is the leaf pass of the count-routed variants (Seq, Blob):
-// units [at, at+del) of the value rooted at root are removed and the caller's
-// insertion placed at `at`.  It walks the old leaves from the one holding
-// `at` until the edit is applied and atBoundary reports the caller's leaf
-// builder re-synchronised with an old leaf start.  feed receives each old
-// leaf with the unit range [a, b) to drop from it and whether the insertion
-// goes at a; finish returns the rebuilt leaf refs.  The one resulting splice
-// is raised to a root and the sink flushed.
-func splicePositions(src nodeSource, cfg chunker.Config, sink *store.ChunkSink, root childRef, at, del uint64,
-	atBoundary func() bool, feed func(leaf *node, a, b uint64, insert bool) error, finish func() ([]childRef, error)) (childRef, error) {
-	e, err := newLevelEditor(src, cfg, sink, false, root, nil)
+// elements [at, at+del) of the value rooted at root are removed and insert
+// adds the insertion to lb, the variant's leaf builder, at `at`.  It walks
+// the old leaves from the one holding `at`, copying each leaf's kept
+// elements through appendRun, until the edit is applied and lb sits on an
+// old leaf start.  The one resulting splice is raised to a root and the sink
+// flushed.
+func splicePositions(src nodeSource, lb *levelBuilder, root childRef, at, del uint64, insert func() error) (childRef, error) {
+	e, err := newLevelEditor(src, lb.cfg, lb.sink, lb.leaf, root, nil)
 	if err != nil {
 		return childRef{}, err
 	}
@@ -347,36 +338,47 @@ func splicePositions(src nodeSource, cfg chunker.Config, sink *store.ChunkSink, 
 	}
 	sp := splice{lo: c.clone()}
 	pos, end, inserted := at-rest, at+del, false // pos: absolute position of the leaf c addresses
-	within := func(x, n uint64) uint64 {         // x as an offset into the n units from pos
+	within := func(x, n uint64) uint64 {         // x as an offset into the n elements from pos
 		if x <= pos {
 			return 0
 		}
 		return min(x-pos, n)
 	}
-	for !c.end() && !(inserted && pos >= end && atBoundary()) {
+	for !c.end() && !(inserted && pos >= end && lb.atBoundary()) {
 		ref := c.ref()
 		leaf, err := e.load(ref)
 		if err != nil {
 			return childRef{}, err
 		}
 		a, b := within(at, ref.count), within(end, ref.count)
-		insert := !inserted && pos+a == at
-		if err := feed(leaf, a, b, insert); err != nil {
+		if leaf.typ != lb.leaf || b > uint64(leaf.elems()) {
+			return childRef{}, fmt.Errorf("pos: splice: %s of %d elements where a %s of at least %d was expected", leaf.typ, leaf.elems(), lb.leaf, b)
+		}
+		if err := lb.appendRun(leaf, 0, int(a)); err != nil {
 			return childRef{}, err
 		}
-		inserted = inserted || insert
+		if !inserted && pos+a == at {
+			if err := insert(); err != nil {
+				return childRef{}, err
+			}
+			inserted = true
+		}
+		if err := lb.appendRun(leaf, int(b), leaf.elems()); err != nil {
+			return childRef{}, err
+		}
 		pos += ref.count
 		if err := c.next(); err != nil {
 			return childRef{}, err
 		}
 	}
 	sp.hi = c
-	if sp.refs, err = finish(); err != nil {
+	if sp.refs, err = lb.finish(); err != nil {
 		return childRef{}, err
 	}
+	e.buf = lb.buf
 	newRoot, err := e.raise([]splice{sp})
 	if err != nil {
 		return childRef{}, err
 	}
-	return newRoot, sink.Flush()
+	return newRoot, lb.sink.Flush()
 }
