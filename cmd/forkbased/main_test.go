@@ -21,12 +21,14 @@ func TestRESTDropsAStalledHeader(t *testing.T) {
 	go hs.Serve(ln)
 	defer hs.Close()
 
+	// The server's read deadline can start before Dial returns, so the clock
+	// starts before Dial: the measured interval then bounds the server's.
+	start := time.Now()
 	conn, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	start := time.Now()
 	if _, err := io.WriteString(conn, "GET /v1/keys HTTP/1.1\r\nHost: forkbase\r\n"); err != nil {
 		t.Fatal(err)
 	}

@@ -38,6 +38,7 @@ func BenchmarkRoundTrip(b *testing.B) {
 	_, node := sized(1, 4<<10)
 	batch, _ := sized(8, 4<<10)
 	_, frontier := sized(64, 512)
+	_, level := sized(1024, 4<<10)
 	if ok, err := bt.CompareAndSet("k", "master", hash.Hash{}, small[0]); err != nil || !ok {
 		b.Fatalf("seeding the head: %v %v", ok, err)
 	}
@@ -51,6 +52,7 @@ func BenchmarkRoundTrip(b *testing.B) {
 		{"Get/4KiB", func() error { _, err := rs.Get(node[0]); return err }},
 		{"PutBatch/8x4KiB", func() error { _, err := rs.PutBatch(batch); return err }},
 		{"GetChunks/64x512B", func() error { _, err := rs.GetBatch(frontier); return err }},
+		{"GetChunks/1024x4KiB", func() error { _, err := rs.GetBatch(level); return err }},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()

@@ -81,7 +81,7 @@ type Client struct {
 	conn   net.Conn // written holding turn and closeMu both
 	br     *bufio.Reader
 	wbuf   []byte // scratch: the request frame, unless a large batch outgrows it
-	rbuf   []byte // scratch: a reply payload that carries no chunks
+	rbuf   []byte // every reply payload; kept at the largest size a reply grew it to
 	lastID uint64 // request id of the latest frame sent
 
 	// Close takes closeMu, which guards closed, never turn, so it does not
@@ -171,8 +171,9 @@ var ErrAmbiguous = errors.New("client: request outcome unknown")
 // call performs one request-response exchange under the retry policy.
 // build appends the request payload behind the frame header (nil: none);
 // read decodes the reply payload (nil: none expected) and must copy out
-// whatever it keeps, except for the chunk-bearing replies, whose buffer is
-// theirs.  Both run under the connection lock and again on every retry.
+// whatever it keeps: the payload is the connection's buffer, which the next
+// exchange overwrites.  Both run under the connection lock and again on
+// every retry.
 // extraRead widens the read deadline for an op that legitimately idles on
 // the server (a long-poll feed read).
 func (c *Client) call(op Op, extraRead time.Duration, build func([]byte) []byte, read func(*dec)) error {
@@ -200,8 +201,7 @@ func (c *Client) attempt(op Op, extraRead time.Duration, build func([]byte) []by
 	if build != nil {
 		frame = build(frame)
 	}
-	frame, err := finishFrame(frame)
-	if err != nil {
+	if err := finishFrame(frame); err != nil {
 		return retry.Permanent(err) // over the frame cap; nothing was sent
 	}
 	_ = c.conn.SetWriteDeadline(time.Now().Add(c.opts.OpTimeout))
@@ -216,6 +216,9 @@ func (c *Client) attempt(op Op, extraRead time.Duration, build func([]byte) []by
 	}
 	_ = c.conn.SetReadDeadline(time.Now().Add(c.opts.OpTimeout + extraRead))
 	h, payload, err := readFrame(c.br, c.rbuf)
+	if err == nil {
+		c.rbuf = payload[:0] // the next reply of this size allocates nothing
+	}
 	if err == nil && (h.id != c.lastID || h.op != op) {
 		// The stream is out of step: a transport failure like any other.
 		err = fmt.Errorf("reply to %s #%d does not answer %s #%d", h.op, h.id, op, c.lastID)
@@ -328,8 +331,7 @@ func (r *RemoteStore) PutBatch(cs []*chunk.Chunk) ([]bool, error) {
 // A reply answers by position and may defer a tail that did not fit its
 // frame, which is asked for again.  Every chunk is verified against the id
 // it answers, so a malicious server can neither forge content nor satisfy a
-// request with a different (valid) chunk.  The chunks of one reply share its
-// buffer.
+// request with a different (valid) chunk.  Each chunk owns its bytes.
 func (c *Client) GetChunks(ids []hash.Hash) ([]*chunk.Chunk, error) {
 	if len(ids) == 0 {
 		return nil, nil

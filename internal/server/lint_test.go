@@ -16,9 +16,10 @@ import (
 //  1. no naked net.Dial — dialing must bound connection setup
 //     (net.DialTimeout or a net.Dialer with Timeout);
 //  2. any function that touches the wire — reads a frame with readFrame or
-//     calls Write (in this package only ever on a connection) — must also
-//     set a deadline (SetDeadline / SetReadDeadline / SetWriteDeadline) in
-//     that same function, so a stalled peer becomes a timeout, not a hang.
+//     calls Write or WriteTo (in this package only ever on a connection, or
+//     from a reply's vectored parts to one) — must also set a deadline
+//     (SetDeadline / SetReadDeadline / SetWriteDeadline) in that same
+//     function, so a stalled peer becomes a timeout, not a hang.
 //
 // The check is intentionally syntactic: it cannot prove the deadline
 // covers the right conn, but it catches the regression that matters — a
@@ -65,7 +66,7 @@ func TestWireCallsCarryDeadlines(t *testing.T) {
 					if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "net" {
 						dials = append(dials, call.Pos())
 					}
-				case "Write":
+				case "Write", "WriteTo":
 					codecs = append(codecs, call.Pos())
 				case "SetDeadline", "SetReadDeadline", "SetWriteDeadline":
 					hasDeadline = true

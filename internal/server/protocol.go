@@ -40,10 +40,12 @@
 package server
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"slices"
 	"strconv"
 
@@ -154,20 +156,26 @@ func appendHeader(b []byte, op Op, flags byte, id uint64) []byte {
 	return binary.BigEndian.AppendUint64(b, id)
 }
 
-func finishFrame(b []byte) ([]byte, error) {
-	n := len(b) - headerLen
-	if n > MaxPayload {
-		return nil, fmt.Errorf("server: %d-byte payload exceeds the %d-byte frame cap", n, MaxPayload)
+// finishFrame fills in the payload length of the frame that parts make in
+// order; the first part starts with the header.
+func finishFrame(parts ...[]byte) error {
+	n := -headerLen
+	for _, p := range parts {
+		n += len(p)
 	}
-	binary.BigEndian.PutUint32(b[4:8], uint32(n))
-	return b, nil
+	if n > MaxPayload {
+		return fmt.Errorf("server: %d-byte payload exceeds the %d-byte frame cap", n, MaxPayload)
+	}
+	binary.BigEndian.PutUint32(parts[0][4:8], uint32(n))
+	return nil
 }
 
-// readFrame reads one frame.  The header is checked before anything is
-// allocated for it, and the payload buffer grows in doubling steps only as
-// the bytes arrive, so a hostile length costs at most the first step.  A
-// payload lands in scratch when it fits — except on the chunk-carrying ops,
-// whose decoded chunks alias the payload and outlive the exchange.
+// readFrame reads one frame into scratch.  The header is checked before
+// anything is allocated for it, and a payload that outgrows scratch moves to
+// a buffer that grows in doubling steps only as the bytes arrive, so a
+// hostile length costs at most the first step.  The payload it returns is
+// that buffer, which a caller may keep as the next call's scratch once
+// nothing it decoded aliases it.
 func readFrame(r io.Reader, scratch []byte) (header, []byte, error) {
 	var b [headerLen]byte
 	if _, err := io.ReadFull(r, b[:]); err != nil {
@@ -183,9 +191,6 @@ func readFrame(r io.Reader, scratch []byte) (header, []byte, error) {
 		return h, nil, fmt.Errorf("server: frame claims %d payload bytes, cap is %d", h.n, MaxPayload)
 	}
 	buf := scratch[:0]
-	if h.op == OpPutChunks || h.op == OpGetChunks {
-		buf = nil
-	}
 	for len(buf) < h.n {
 		step := min(h.n-len(buf), max(len(buf), 64<<10))
 		if cap(buf)-len(buf) < step {
@@ -216,10 +221,13 @@ func appendIDs(b []byte, ids ...hash.Hash) []byte {
 	return b
 }
 
-func appendChunk(b []byte, c *chunk.Chunk) []byte {
-	b = appendUvarint(append(b, byte(c.Type())), uint64(len(c.Data())))
-	return append(b, c.Data()...)
+// appendChunkHead appends the part of c's encoding before its bytes: its
+// type and length.
+func appendChunkHead(b []byte, c *chunk.Chunk) []byte {
+	return appendUvarint(append(b, byte(c.Type())), uint64(len(c.Data())))
 }
+
+func appendChunk(b []byte, c *chunk.Chunk) []byte { return append(appendChunkHead(b, c), c.Data()...) }
 
 // chunkWireSize bounds appendChunk's output for c.
 func chunkWireSize(c *chunk.Chunk) int { return 1 + binary.MaxVarintLen32 + len(c.Data()) }
@@ -303,7 +311,12 @@ func appendFeedPage(b []byte, cursor core.FeedCursor, truncated bool, entries []
 // (nil = absent), then the present chunks.  From the first chunk that would
 // push the reply past limit bytes on, every slot is marked deferred; the
 // first present chunk always ships, so asking again makes progress.
-func appendChunkReply(b []byte, cs []*chunk.Chunk, limit int) []byte {
+//
+// It copies no chunk bytes.  The reply comes back as parts in wire order,
+// for one vectored write: every field it encodes is appended to b, whose
+// earlier bytes (a frame header) begin the first part, and each shipped
+// chunk's own data is a part of its own, behind its head.
+func appendChunkReply(b []byte, cs []*chunk.Chunk, limit int) net.Buffers {
 	start := len(b)
 	b = appendUvarint(b, uint64(len(cs)))
 	off := len(b) // the status bytes are b[off : off+len(cs)]
@@ -325,14 +338,20 @@ func appendChunkReply(b []byte, cs []*chunk.Chunk, limit int) []byte {
 	for i := answered; i < len(cs); i++ {
 		b[off+i] = chunkDeferred
 	}
-	b = slices.Grow(b, start+size-len(b)) // one allocation for a large batch, not a doubling series
+	// Room for every field still to come, so the parts sliced from b below
+	// all share its final backing array.
+	b = slices.Grow(b, (1+shipped)*(1+binary.MaxVarintLen32))
 	b = appendUvarint(b, uint64(shipped))
+	parts := make(net.Buffers, 0, 2*shipped+1)
+	from := 0
 	for _, c := range cs[:answered] {
 		if c != nil {
-			b = appendChunk(b, c)
+			b = appendChunkHead(b, c)
+			parts = append(parts, b[from:], c.Data())
+			from = len(b)
 		}
 	}
-	return b
+	return append(parts, b[from:])
 }
 
 // dec reads one payload's shapes through the latching codec.Reader, so a
@@ -361,15 +380,20 @@ func (d *dec) ids() []hash.Hash {
 
 // chunks reads a chunk list whose ids travelled separately (the request's id
 // list for a put, the caller's own ids for a get reply), exactly one chunk
-// per id.  The chunks alias the payload and are *claimed*: nothing is
-// trusted until Recheck has hashed it.
-func (d *dec) chunks(ids []hash.Hash) []*chunk.Chunk {
+// per id.  With own, each chunk owns an exact-size copy of its bytes, so none
+// aliases or pins a frame buffer that its connection reuses; without, the
+// chunks alias the payload, which must be theirs.  The chunks are *claimed*:
+// nothing is trusted until Recheck has hashed it.
+func (d *dec) chunks(ids []hash.Hash, own bool) []*chunk.Chunk {
 	out := make([]*chunk.Chunk, d.Count(2, len(ids)))
 	for i := range out {
 		t := chunk.Type(d.Byte())
 		data := d.Bytes()
 		if d.Check(t.Valid()); d.Bad() {
 			return nil
+		}
+		if own {
+			data = bytes.Clone(data)
 		}
 		out[i] = chunk.NewClaimed(t, data, ids[i])
 	}
@@ -432,7 +456,8 @@ func (d *dec) feedPage() (cursor core.FeedCursor, truncated bool, entries []core
 // chunkReply reads the answer to a batch get for ids into out and returns
 // how many leading ids it answered: out[i] stays nil when ids[i] is absent,
 // and the server deferred everything from ids[answered] on.  Nothing is
-// written to out unless the reply's fields all decode.
+// written to out unless the reply's fields all decode.  Each chunk owns its
+// bytes: the reply is read into the client's reused buffer.
 func (d *dec) chunkReply(ids []hash.Hash, out []*chunk.Chunk) (answered int) {
 	status := d.flags(len(ids))
 	answered = len(status)
@@ -447,7 +472,7 @@ func (d *dec) chunkReply(ids []hash.Hash, out []*chunk.Chunk) (answered int) {
 			present = append(present, ids[i])
 		}
 	}
-	cs := d.chunks(present)
+	cs := d.chunks(present, true)
 	if d.Bad() {
 		return 0
 	}

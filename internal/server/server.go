@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -197,10 +198,16 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 	}()
 	br := bufio.NewReader(conn)
-	// Per-connection scratch: a request payload that carries no chunks, and
-	// the reply frame to anything but a large batch get (which outgrows it
-	// into a buffer of its own, dropped after the write).
+	// Per-connection scratch, fixed in size: a request payload up to 4 KiB
+	// (a larger one gets a buffer of its own, dropped after the request),
+	// and every byte a reply encodes.  A GetChunks reply writes the chunks'
+	// stored bytes from where the store keeps them, so a reply of any size
+	// fits out unless its ids alone outgrow it.
 	in, out := make([]byte, 0, 4<<10), make([]byte, 0, 64<<10)
+	var one [1][]byte
+	// The reply frame, as parts of one vectored write.  It lives across
+	// requests because WriteTo takes its address.
+	var reply net.Buffers
 	if s.limits.ReadTimeout > 0 {
 		_ = conn.SetDeadline(time.Now().Add(s.limits.ReadTimeout))
 	}
@@ -212,16 +219,27 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 			return
 		}
+		if h.op == OpPutChunks && len(payload) <= cap(in) {
+			// The chunks a put lands alias its payload, so it must not stay in
+			// the scratch the next request overwrites.  A larger payload
+			// already has a buffer of its own, dropped after the request:
+			// copying its chunks out of it would double a commit's allocation.
+			payload = bytes.Clone(payload)
+		}
 		start := time.Now() // every request is timed: the clock is a sliver of a round trip
 		if s.met != nil {
 			s.met.inflight.Add(1)
 		}
-		reply, herr := s.handle(h, payload, appendHeader(out, h.op, 0, h.id))
+		b, parts, herr := s.handle(h, payload, appendHeader(out, h.op, 0, h.id))
+		if herr == nil && parts == nil {
+			one[0], parts = b, one[:]
+		}
 		if herr == nil {
-			reply, herr = finishFrame(reply)
+			herr = finishFrame(parts...)
 		}
 		if herr != nil {
-			reply, _ = finishFrame(append(appendHeader(out, h.op, flagError, h.id), herr.Error()...))
+			one[0], parts = append(appendHeader(out, h.op, flagError, h.id), herr.Error()...), one[:]
+			_ = finishFrame(parts...)
 		}
 		if s.met != nil {
 			s.met.inflight.Add(-1)
@@ -233,7 +251,8 @@ func (s *Server) serveConn(conn net.Conn) {
 			// and the wait for the next request.
 			_ = conn.SetDeadline(time.Now().Add(s.limits.ReadTimeout))
 		}
-		if _, err := conn.Write(reply); err != nil {
+		reply = parts
+		if _, err := reply.WriteTo(conn); err != nil {
 			s.logger.Debug("reply write failed", "remote", conn.RemoteAddr().String(), "err", err)
 			return
 		}
@@ -247,56 +266,58 @@ func (s *Server) serveConn(conn net.Conn) {
 var errNoFeed = errors.New("server: node does not publish a change feed")
 
 // handle decodes the request payload p, executes the op and appends the
-// reply payload to out (which already holds the reply header).
-func (s *Server) handle(h header, p, out []byte) ([]byte, error) {
+// reply payload to out (which already holds the reply header).  A GetChunks
+// reply ships the stored chunk bytes by reference: handle returns it as the
+// parts of a vectored write (appendChunkReply), and no bytes.
+func (s *Server) handle(h header, p, out []byte) ([]byte, net.Buffers, error) {
 	op, d := h.op, newDec(p)
 	if h.flags != 0 {
-		return nil, fmt.Errorf("server: request carries reply flags %#x", h.flags)
+		return nil, nil, fmt.Errorf("server: request carries reply flags %#x", h.flags)
 	}
 	if s.readOnly && mutates(op) {
-		return nil, errReadOnly
+		return nil, nil, errReadOnly
 	}
 	switch op {
 	case OpPing, OpStats, OpKeys:
 		if err := d.done(); err != nil || op == OpPing {
-			return out, err
+			return out, nil, err
 		}
 		if op == OpStats {
-			return appendStats(out, s.st.Stats()), nil
+			return appendStats(out, s.st.Stats()), nil, nil
 		}
 		keys, err := s.heads.Keys()
-		return appendStrs(out, keys), err
+		return appendStrs(out, keys), nil, err
 	case OpFeedSince:
 		lease, cursor, limit, waitMillis := d.feedReq()
 		if err := d.done(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if s.feed == nil {
-			return nil, errNoFeed
+			return nil, nil, errNoFeed
 		}
 		// Feed.Read clamps the wait; this bound only keeps the conversion
 		// from overflowing.
 		wait := time.Duration(min(waitMillis, math.MaxInt64/uint64(time.Millisecond))) * time.Millisecond
 		entries, next, truncated := s.feed.Read(lease, cursor, limit, wait, s.done)
-		return appendFeedPage(out, next, truncated, entries), nil
+		return appendFeedPage(out, next, truncated, entries), nil, nil
 	case OpApply:
 		ops := d.headOps()
 		if err := d.done(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		ok, err := s.heads.Apply(ops)
-		return appendFlags(out, ok), err
+		return appendFlags(out, ok), nil, err
 	case OpHead, OpBranches:
 		key, branch := d.ref()
 		if err := d.done(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if op == OpHead {
 			uid, ok, err := s.heads.Head(key, branch)
 			if !ok {
-				return appendIDs(out), err
+				return appendIDs(out), nil, err
 			}
-			return appendIDs(out, uid), err
+			return appendIDs(out, uid), nil, err
 		}
 		branches, err := s.heads.Branches(key)
 		names := branchNames(branches)
@@ -304,45 +325,46 @@ func (s *Server) handle(h header, p, out []byte) ([]byte, error) {
 		for i, b := range names {
 			heads[i] = branches[b]
 		}
-		return appendIDs(appendStrs(out, names), heads...), err
+		return appendIDs(appendStrs(out, names), heads...), nil, err
 	case OpHeads:
 		from := d.str()
 		if err := d.done(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		return s.headsPage(out, from, headsPageLimit)
+		reply, err := s.headsPage(out, from, headsPageLimit)
+		return reply, nil, err
 	case OpPutChunks:
 		ids := d.ids()
-		cs := d.chunks(ids)
+		cs := d.chunks(ids, false) // serveConn gave the payload a buffer of its own
 		if err := d.done(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		// Verify every claimed id up front (content addressing is the
 		// integrity contract in both directions), then land the whole batch
 		// in one store round.
 		for i, c := range cs {
 			if err := c.Recheck(); err != nil {
-				return nil, fmt.Errorf("chunk %d: %w", i, err)
+				return nil, nil, fmt.Errorf("chunk %d: %w", i, err)
 			}
 		}
 		fresh, err := s.st.PutBatch(cs)
-		return appendFlags(out, fresh...), err
+		return appendFlags(out, fresh...), nil, err
 	case OpGetChunks, OpHasChunks:
 		ids := d.ids()
 		if err := d.done(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if op == OpHasChunks {
 			flags, err := s.st.HasBatch(ids)
-			return appendFlags(out, flags...), err
+			return appendFlags(out, flags...), nil, err
 		}
 		cs, err := s.st.GetBatch(ids)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		return appendChunkReply(out, cs, MaxPayload), nil
+		return nil, appendChunkReply(out, cs, MaxPayload), nil
 	default:
-		return nil, fmt.Errorf("unknown op %d", op)
+		return nil, nil, fmt.Errorf("unknown op %d", op)
 	}
 }
 

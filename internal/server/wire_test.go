@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -84,8 +85,8 @@ type namedFrame struct {
 // frameOf assembles a frame from a payload, as both ends do.
 func frameOf(t testing.TB, op Op, flags byte, id uint64, payload []byte) []byte {
 	t.Helper()
-	b, err := finishFrame(append(appendHeader(nil, op, flags, id), payload...))
-	if err != nil {
+	b := append(appendHeader(nil, op, flags, id), payload...)
+	if err := finishFrame(b); err != nil {
 		t.Fatal(err)
 	}
 	return b
@@ -169,7 +170,7 @@ func wireFrames(t testing.TB) []namedFrame {
 			appendFlags(appendIDs(appendStrs(nil, []string{"k", "main", "k", "x"}), v1, v2), true))},
 		// Four slots against a limit that fits one chunk: a deferred tail.
 		namedFrame{"GetChunks-deferred/reply", frameOf(t, OpGetChunks, 0, 23,
-			appendChunkReply(nil, []*chunk.Chunk{a, nil, b, a}, 16))},
+			bytes.Join(appendChunkReply(nil, []*chunk.Chunk{a, nil, b, a}, 16), nil))},
 	)
 }
 
@@ -205,7 +206,7 @@ func FuzzFrame(f *testing.F) {
 		runtime.ReadMemStats(&before)
 		h, payload, err := readFrame(bytes.NewReader(frame), nil)
 		if err == nil {
-			_, _ = srv.handle(h, payload, nil)
+			_, _, _ = srv.handle(h, payload, nil)
 			fuzzReplyDecoders(t, payload)
 		}
 		runtime.ReadMemStats(&after)
@@ -251,12 +252,12 @@ func fuzzReplyDecoders(t *testing.T, p []byte) {
 		},
 		"put": func(d *dec) []byte {
 			ids := d.ids()
-			return appendChunks(appendIDs(nil, ids...), d.chunks(ids))
+			return appendChunks(appendIDs(nil, ids...), d.chunks(ids, false))
 		},
 		"chunkreply": func(d *dec) []byte {
 			out := make([]*chunk.Chunk, asked(d))
 			answered := d.chunkReply(make([]hash.Hash, len(out)), out)
-			return appendChunkReply(nil, out[:answered], MaxPayload)
+			return bytes.Join(appendChunkReply(nil, out[:answered], MaxPayload), nil)
 		},
 	}
 	for name, roundTrip := range shapes {
@@ -520,6 +521,74 @@ func TestStalledReaderIsShed(t *testing.T) {
 			t.Fatalf("requests served=%v, conns_open=%v: the stalled reader still holds its connection", served, open)
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestGetChunksRepliesOwnTheirBytes: a client reads every reply into one
+// buffer it reuses, so a chunk it returned must not alias that buffer — else
+// the next reply rewrites the chunk under its verified id.
+func TestGetChunksRepliesOwnTheirBytes(t *testing.T) {
+	srv, addr := startServer(t)
+	cs, ids := sizedChunks(1024, 4<<10) // a 4 MiB reply
+	if _, err := srv.st.PutBatch(cs); err != nil {
+		t.Fatal(err)
+	}
+	cl, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	got, err := cl.GetChunks(ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The same chunks in reverse: a reply of the same size, every chunk's
+	// bytes where a different chunk's were.
+	reversed := slices.Clone(ids)
+	slices.Reverse(reversed)
+	if _, err := cl.GetChunks(reversed); err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range got {
+		if err := chunk.NewClaimed(c.Type(), c.Data(), ids[i]).Recheck(); err != nil || !bytes.Equal(c.Data(), cs[i].Data()) {
+			t.Fatalf("chunk %d changed after the next reply: %v", i, err)
+		}
+	}
+}
+
+// TestGetChunksReplyAllocatesNoPayload: the server answers a batch get from
+// the stored chunks' own bytes, so what it allocates per reply depends on the
+// number of ids, not on the bytes it ships.
+func TestGetChunksReplyAllocatesNoPayload(t *testing.T) {
+	st := store.NewMemStore()
+	srv := New(st, core.NewMemBranchTable(), nil)
+	out := make([]byte, 0, 64<<10)
+	perReply := func(size int) uint64 {
+		cs, ids := sizedChunks(256, size)
+		if _, err := st.PutBatch(cs); err != nil {
+			t.Fatal(err)
+		}
+		req := appendIDs(nil, ids...)
+		h := header{op: OpGetChunks, n: len(req)}
+		const runs = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			_, parts, err := srv.handle(h, req, appendHeader(out, h.op, 0, h.id))
+			if err == nil {
+				err = finishFrame(parts...)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	small, large := perReply(256), perReply(16<<10) // 64 KiB and 4 MiB of chunk bytes
+	t.Logf("bytes allocated per reply: %d shipping 64 KiB, %d shipping 4 MiB", small, large)
+	if large > small+4<<10 {
+		t.Errorf("a 4 MiB reply allocated %d bytes, a 64 KiB one %d: the reply copies its payload", large, small)
 	}
 }
 
