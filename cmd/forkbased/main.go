@@ -1,6 +1,6 @@
 // Command forkbased runs a ForkBase storage node: a TCP chunk/branch
-// service (for forkbase -remote and cluster deployments) and, optionally,
-// the REST API.  The node is a forkbase.DB opened from the flags, serving
+// service (for forkbase -remote clients and WithFollow replicas) and,
+// optionally, the REST API.  The node is a forkbase.DB opened from the flags, serving
 // DB.NewServer and, with -http, DB.NewHandler.
 //
 // A primary publishes its change feed over the same TCP port, so replicas

@@ -1,35 +1,33 @@
-// Distributed: a three-node ForkBase cluster in one process — chunks are
-// sharded by content hash across nodes, branch metadata lives on the
-// master, and two independent clients collaborate through it.
+// Distributed: one primary node, a client that writes to it over TCP, and a
+// read replica that follows it — in one process.  The writer commits and
+// branches through forkbase.Remote; the replica converges by Merkle-delta
+// sync (forkbase.WithFollow) and serves the same versions from its own store.
 package main
 
 import (
 	"fmt"
 	"log"
+	"time"
 
 	"forkbase"
-	"forkbase/internal/cluster"
 )
 
 func main() {
-	// Start three storage nodes (in production these are `forkbased`
-	// processes on separate machines; each is a DB serving its TCP service).
-	var addrs []string
-	for i := 0; i < 3; i++ {
-		node := forkbase.MustOpen(forkbase.InMemory())
-		defer node.Close()
-		srv := node.NewServer(nil)
-		addr, err := srv.Listen("127.0.0.1:0")
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer srv.Close()
-		addrs = append(addrs, addr)
-		fmt.Printf("node %d listening on %s\n", i, addr)
+	// The primary (in production a `forkbased -listen` process): a DB
+	// serving its TCP chunk/branch service.
+	primary := forkbase.MustOpen(forkbase.InMemory())
+	defer primary.Close()
+	srv := primary.NewServer(nil)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		log.Fatal(err)
 	}
+	defer srv.Close()
+	fmt.Println("primary listening on", addr)
 
-	// Client 1 writes a dataset through the cluster.
-	writer := forkbase.MustOpen(forkbase.Remote(addrs...))
+	// A writer runs the engine in its own process over the primary's store
+	// and branch table.
+	writer := forkbase.MustOpen(forkbase.Remote(addr))
 	defer writer.Close()
 
 	entries := make([]forkbase.Entry, 3000)
@@ -43,58 +41,58 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("committed", ver.UID.Short(), "through the cluster")
+	fmt.Println("writer committed", ver.UID.Short(), "to the primary")
 
-	// Chunks landed on every shard.
-	cl, err := cluster.Connect(addrs)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer cl.Close()
-	for i, st := range cl.ShardStats() {
-		fmt.Printf("  shard %d: %d chunks, %d bytes\n", i, st.UniqueChunks, st.PhysicalBytes)
-	}
-
-	// Client 2 — a different process in real life — reads and branches.
-	reader := forkbase.MustOpen(forkbase.Remote(addrs...))
-	defer reader.Close()
-	got, err := reader.Get("telemetry", "master")
-	if err != nil {
-		log.Fatal(err)
-	}
-	ix, err := reader.IndexOf(got)
-	if err != nil {
-		log.Fatal(err)
-	}
-	v, err := ix.Get([]byte("sensor-02999"))
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("client 2 read sensor-02999 =", string(v))
-
-	if err := reader.Branch("telemetry", "calibration", ""); err != nil {
+	if err := writer.Branch("telemetry", "calibration", ""); err != nil {
 		log.Fatal(err)
 	}
 	entries[0].Val = []byte("recalibrated")
-	if _, err := reader.PutMap("telemetry", "calibration", entries, nil); err != nil {
+	if _, err := writer.PutMap("telemetry", "calibration", entries, nil); err != nil {
 		log.Fatal(err)
 	}
-
-	// Client 1 sees the branch immediately (shared metadata master) and
-	// diffs it — the diff only moves O(D log N) chunks over the network.
 	deltas, stats, err := writer.DiffBranches("telemetry", "master", "calibration")
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("client 1 sees %d delta(s) on the calibration branch (%d pages fetched)\n",
+	fmt.Printf("writer: %d delta(s) on the calibration branch (%d pages fetched)\n",
 		len(deltas), stats.TouchedChunks)
 	for _, d := range deltas {
 		fmt.Printf("  %s %s: %q -> %q\n", d.Kind(), d.Key, d.From, d.To)
 	}
 
-	// Tamper evidence survives distribution: verify by uid over the wire.
-	if _, err := writer.VerifyVersion("telemetry", ver.UID, true); err != nil {
+	// A read replica tails the primary's change feed and pulls only the
+	// chunks it lacks, verifying each before it lands.  WaitSynced is the
+	// read-your-writes fence: everything the primary had is now local.
+	replica := forkbase.MustOpen(forkbase.WithFollow(addr))
+	defer replica.Close()
+	if err := replica.WaitSynced(10 * time.Second); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("remote verification: OK")
+	got, err := replica.Get("telemetry", "calibration")
+	if err != nil {
+		log.Fatal(err)
+	}
+	ix, err := replica.IndexOf(got)
+	if err != nil {
+		log.Fatal(err)
+	}
+	v, err := ix.Get([]byte("sensor-00000"))
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println("replica read sensor-00000 =", string(v), "at", got.UID.Short())
+
+	// Tamper evidence survives replication: the replica deep-verifies the
+	// writer's first version from its own store.
+	if _, err := replica.VerifyVersion("telemetry", ver.UID, true); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println("replica verification: OK")
+
+	// The replica serves reads only.
+	if _, err := replica.PutString("telemetry", "master", "x", nil); err == nil {
+		log.Fatal("replica accepted a write")
+	} else {
+		fmt.Println("replica refuses writes:", err)
+	}
 }

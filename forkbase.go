@@ -27,7 +27,6 @@ import (
 	"time"
 
 	"forkbase/internal/access"
-	"forkbase/internal/cluster"
 	"forkbase/internal/core"
 	"forkbase/internal/dataset"
 	"forkbase/internal/hash"
@@ -186,11 +185,11 @@ type DB struct {
 
 	fileStore *store.FileStore // non-nil for file-backed instances
 	fileHeads *core.HeadTable  // non-nil for file-backed instances
-	clust     *cluster.Cluster // non-nil for cluster-backed instances
 
-	// Replica state (WithFollow).
-	follower  *repl.Follower
-	followCli *server.Client
+	// remote is the connection to the one server behind Remote or
+	// WithFollow; follower is non-nil for a replica.
+	remote   *server.Client
+	follower *repl.Follower
 }
 
 // engine names core.DB so the embedded field stays unexported.
@@ -206,7 +205,8 @@ type Option func(*options)
 type options struct {
 	core.Options
 	dir        string
-	addrs      []string
+	remote     bool // Remote was given, even with an empty addr
+	addr       string
 	followAddr string
 }
 
@@ -216,9 +216,9 @@ func InMemory() Option { return func(o *options) {} }
 // FileBacked persists chunks and branch heads under dir.
 func FileBacked(dir string) Option { return func(o *options) { o.dir = dir } }
 
-// Remote connects to a cluster of forkbased servers; addrs[0] is the
-// metadata master.
-func Remote(addrs ...string) Option { return func(o *options) { o.addrs = addrs } }
+// Remote keeps chunks and branch heads on the forkbased server at addr: the
+// engine runs in this process over that server's store and branch table.
+func Remote(addr string) Option { return func(o *options) { o.remote, o.addr = true, addr } }
 
 // WithFollow opens the DB as a read replica of the forkbased primary at
 // addr: a follower goroutine tails the primary's change feed and converges
@@ -297,15 +297,17 @@ func Open(opts ...Option) (*DB, error) {
 	}
 	db := &DB{acl: access.NewController()}
 	switch {
-	case len(o.addrs) > 0 && (o.dir != "" || o.Store != nil), o.dir != "" && o.Store != nil:
+	case o.remote && (o.dir != "" || o.Store != nil), o.dir != "" && o.Store != nil:
 		return nil, errors.New("forkbase: Remote, FileBacked and WithStore each choose the chunk store; give at most one")
-	case len(o.addrs) > 0:
-		cl, err := cluster.Connect(o.addrs)
+	case o.remote && o.followAddr != "":
+		return nil, errors.New("forkbase: WithFollow cannot be combined with Remote")
+	case o.remote:
+		cl, err := server.Dial(o.addr)
 		if err != nil {
 			return nil, err
 		}
-		db.clust = cl
-		o.Store, o.Branches = cl.Store(), cl.BranchTable()
+		db.remote = cl
+		o.Store, o.Branches = server.NewRemoteStore(cl), server.NewRemoteBranchTable(cl)
 	case o.dir != "":
 		fs, err := store.OpenFileStore(o.dir)
 		if err != nil {
@@ -322,16 +324,12 @@ func Open(opts ...Option) (*DB, error) {
 	o.ReadOnly = o.followAddr != "" // gates every path that reaches a replica's engine
 	db.engine = core.Open(o.Options)
 	if o.followAddr != "" {
-		if db.clust != nil {
-			db.Close()
-			return nil, errors.New("forkbase: WithFollow cannot be combined with Remote")
-		}
 		cli, err := server.Dial(o.followAddr)
 		if err != nil {
 			db.Close()
 			return nil, err
 		}
-		db.followCli = cli
+		db.remote = cli
 		// The follower writes through the engine's verifying store, so every
 		// replicated chunk is integrity-checked before it lands.
 		db.follower = repl.NewFollower(repl.NewRemoteSource(cli), db.Store(), db.BranchTable(), repl.Options{})
@@ -357,27 +355,25 @@ func MustOpen(opts ...Option) *DB {
 // payloads the storage engine handed out (their segment mappings are
 // released); copy anything that must outlive the handle.
 func (db *DB) Close() error {
-	if db.followCli != nil {
-		_ = db.followCli.Close() // fails the follower's in-flight long poll at once
+	var err error
+	if db.remote != nil {
+		err = db.remote.Close() // fails a follower's in-flight long poll at once
 	}
 	if db.follower != nil {
 		_ = db.follower.Close() // stop pulling before the store goes away
 	}
 	db.NodeCache().Purge() // nil-safe; covers injected caches too
 	if db.fileStore != nil {
-		return errors.Join(db.fileHeads.Close(), db.fileStore.Close())
+		err = errors.Join(err, db.fileHeads.Close(), db.fileStore.Close())
 	}
-	if db.clust != nil {
-		return db.clust.Close()
-	}
-	return nil
+	return err
 }
 
 // Following reports whether this DB is a read replica.
 func (db *DB) Following() bool { return db.follower != nil }
 
 // NewServer builds the TCP chunk/branch service over this DB — what
-// `forkbased -listen` serves and what Remote, cluster shards and replicas
+// `forkbased -listen` serves and what Remote clients and replicas
 // (WithFollow) dial.  It serves the backend under the engine's store meter
 // (RawStore) and the engine's branch table, so a head moved over the wire
 // lands in the same change feed as one moved by the engine, and it reports
@@ -489,10 +485,10 @@ func (db *DB) BlobBytes(v Version) ([]byte, error) {
 // the primary it follows; otherwise a source is required.
 func (db *DB) Heal(src ChunkSource) (HealStats, error) {
 	if src == nil {
-		if db.followCli == nil {
+		if db.follower == nil {
 			return HealStats{}, errors.New("forkbase: heal needs a chunk source")
 		}
-		src = repl.NewRemoteSource(db.followCli)
+		src = repl.NewRemoteSource(db.remote)
 	}
 	return db.engine.Heal(src)
 }

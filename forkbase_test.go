@@ -12,6 +12,7 @@ import (
 
 	"forkbase"
 	"forkbase/internal/access"
+	"forkbase/internal/chunk"
 	"forkbase/internal/chunker"
 	"forkbase/internal/core"
 	"forkbase/internal/obs"
@@ -437,7 +438,8 @@ func TestWriteBatchFileBacked(t *testing.T) {
 
 // TestOpenRejectsConflictingBackends: Remote, FileBacked and WithStore each
 // choose the chunk store, so Open refuses any two of them instead of letting
-// one silently replace the other.
+// one silently replace the other; a replica keeps its own store, so
+// WithFollow refuses Remote too.
 func TestOpenRejectsConflictingBackends(t *testing.T) {
 	node := forkbase.MustOpen()
 	defer node.Close()
@@ -454,13 +456,54 @@ func TestOpenRejectsConflictingBackends(t *testing.T) {
 		{"remote+file", forkbase.Remote(addr), forkbase.FileBacked(t.TempDir())},
 		{"remote+store", forkbase.Remote(addr), forkbase.WithStore(store.NewMemStore())},
 		{"file+store", forkbase.FileBacked(t.TempDir()), forkbase.WithStore(store.NewMemStore())},
+		{"remote+follow", forkbase.Remote(addr), forkbase.WithFollow(addr)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if db, err := forkbase.Open(tc.a, tc.b); err == nil {
 				db.Close()
-				t.Fatal("Open accepted two chunk stores")
+				t.Fatal("Open accepted two conflicting backends")
 			}
 		})
+	}
+}
+
+// TestRemoteDialFailure: Remote dials its server in Open, so an address
+// nothing listens on, or none at all, fails there rather than leaving the
+// client writing to memory of its own.
+func TestRemoteDialFailure(t *testing.T) {
+	for _, addr := range []string{"127.0.0.1:1", ""} {
+		if db, err := forkbase.Open(forkbase.Remote(addr)); err == nil {
+			db.Close()
+			t.Fatalf("Open(Remote(%q)) connected to nothing", addr)
+		}
+	}
+}
+
+// TestRemoteDetectsForgedChunk: a Remote client verifies what the server
+// sends, so a server whose store corrupts a chunk cannot pass it off as the
+// version the client committed.
+func TestRemoteDetectsForgedChunk(t *testing.T) {
+	mal := store.NewMaliciousStore(store.NewMemStore())
+	node := forkbase.MustOpen(forkbase.WithStore(mal))
+	defer node.Close()
+	srv := node.NewServer(nil)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	client := forkbase.MustOpen(forkbase.Remote(addr))
+	defer client.Close()
+	ver, err := client.PutString("doc", "", "sensitive", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := mal.CorruptFlip(ver.UID, 2, 3); err != nil || !ok {
+		t.Fatalf("inject: %v %v", ok, err)
+	}
+	if _, err := client.Get("doc", ""); !errors.Is(err, chunk.ErrCorrupt) {
+		t.Fatalf("client read of a forged version: %v, want chunk.ErrCorrupt", err)
 	}
 }
 

@@ -299,6 +299,17 @@ func TestSourceGuards(t *testing.T) {
 		paths:   []string{"cmd", "examples", "internal/cli", "forkbase.go"},
 		want:    2,
 	}, {
+		// A Remote client runs the engine over one server's store and
+		// branch table, and a replica follows one primary: every node
+		// service (GC mark, sync, heal, deep verify) walks a version's
+		// whole graph in one store, so no client-side layer splits that
+		// graph across servers.  The three lines are Remote's and
+		// WithFollow's dials in Open and HealFrom's dial of its peer.
+		name:    "one server behind a Remote",
+		pattern: `server\.Dial\(`,
+		paths:   []string{"forkbase.go"},
+		want:    3,
+	}, {
 		// A follower's lease on its feed cursor keeps what it pulls safe
 		// from the primary's collector; per-head pins, two round trips a
 		// head, do not come back beside it.

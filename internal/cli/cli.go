@@ -25,7 +25,7 @@ func Run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("forkbase", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	dir := fs.String("dir", "", "file-backed data directory (default: in-memory)")
-	remote := fs.String("remote", "", "comma-separated server addresses (first is master)")
+	remote := fs.String("remote", "", "address (host:port) of the forkbased server holding the data")
 	indexKind := fs.String("index", "", "index structure for new composite values: pos|mpt (default pos)")
 	fs.Usage = func() { usage(stderr, fs) }
 	if err := fs.Parse(args); err != nil {
@@ -39,8 +39,11 @@ func Run(args []string, stdout, stderr io.Writer) int {
 
 	var opts []forkbase.Option
 	switch {
+	case strings.Contains(*remote, ","):
+		fmt.Fprintf(stderr, "forkbase: -remote accepts one server address, got %q\n", *remote)
+		return 2
 	case *remote != "":
-		opts = append(opts, forkbase.Remote(strings.Split(*remote, ",")...))
+		opts = append(opts, forkbase.Remote(*remote))
 	case *dir != "":
 		opts = append(opts, forkbase.FileBacked(*dir))
 	}
@@ -74,7 +77,7 @@ func Run(args []string, stdout, stderr io.Writer) int {
 }
 
 func usage(w io.Writer, fs *flag.FlagSet) {
-	fmt.Fprintln(w, "usage: forkbase [-dir DIR | -remote ADDRS] COMMAND [ARGS]")
+	fmt.Fprintln(w, "usage: forkbase [-dir DIR | -remote ADDR] COMMAND [ARGS]")
 	fmt.Fprintln(w, "\ncommands:")
 	names := make([]string, 0, len(commands))
 	for n := range commands {

@@ -2,6 +2,7 @@ package cli
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -233,4 +234,44 @@ func openTestDB(t *testing.T, dir string) *forkbase.DB {
 		t.Fatal(err)
 	}
 	return db
+}
+
+// TestRemoteFlow drives the CLI's -remote path against an in-process node:
+// a put in one invocation is read back by the next, both over TCP.  A
+// comma-separated list is a usage error, since a client dials one server.
+func TestRemoteFlow(t *testing.T) {
+	node := forkbase.MustOpen()
+	defer node.Close()
+	srv := node.NewServer(nil)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	remote := func(args ...string) (string, string, int) {
+		var out, errb bytes.Buffer
+		code := Run(append([]string{"-remote", addr}, args...), &out, &errb)
+		return out.String(), errb.String(), code
+	}
+
+	out, errs, code := remote("put", "greeting", "hello over tcp")
+	if code != 0 {
+		t.Fatalf("put failed: %s", errs)
+	}
+	uid := strings.TrimSpace(out)
+	if head, err := node.Head("greeting", ""); err != nil || head.String() != uid {
+		t.Fatalf("node head = %v (%v), CLI printed %q", head, err, uid)
+	}
+	out, errs, code = remote("get", "greeting")
+	if code != 0 || strings.TrimSpace(out) != "hello over tcp" {
+		t.Fatalf("get = %q %q (%d)", out, errs, code)
+	}
+
+	var errb bytes.Buffer
+	if code := Run([]string{"-remote", addr + "," + addr, "get", "greeting"}, io.Discard, &errb); code != 2 {
+		t.Fatalf("two addresses exited %d, want 2", code)
+	}
+	if !strings.Contains(errb.String(), "one server address") {
+		t.Fatalf("usage error does not say one address is accepted: %q", errb.String())
+	}
 }

@@ -113,10 +113,10 @@ func (o *dbObs) scrubDone(start time.Time, ss store.ScrubStats, err error) {
 }
 
 // registerGauges publishes scrape-time views of the store's dedup
-// accounting and the decoded-node cache.  Remote/cluster stores are
-// excluded — their Stats() is a network round trip, too expensive for a
-// scrape — and re-registration replaces the callback, so when a test
-// process opens engines serially the latest engine's gauges win.
+// accounting and the decoded-node cache.  A remote store is excluded —
+// its Stats() is a network round trip, too expensive for a scrape — and
+// re-registration replaces the callback, so when a test process opens
+// engines serially the latest engine's gauges win.
 func (db *DB) registerGauges() {
 	reg := db.met.reg
 	kind := store.KindOf(db.raw)

@@ -83,14 +83,14 @@ func TestInstrumentIdentity(t *testing.T) {
 	}
 }
 
-// shardLikeStore reports absence the way cluster.ShardError does: the
-// sentinel wrapped in context, never bare.
-type shardLikeStore struct{ Store }
+// wrappingStore reports absence the way a layered store may: the sentinel
+// wrapped in context, never bare.
+type wrappingStore struct{ Store }
 
-func (s shardLikeStore) Get(id hash.Hash) (*chunk.Chunk, error) {
+func (s wrappingStore) Get(id hash.Hash) (*chunk.Chunk, error) {
 	c, err := s.Store.Get(id)
 	if err != nil {
-		return nil, fmt.Errorf("shard 3: %w", err)
+		return nil, fmt.Errorf("backend: %w", err)
 	}
 	return c, nil
 }
@@ -100,7 +100,7 @@ func (s shardLikeStore) Get(id hash.Hash) (*chunk.Chunk, error) {
 // MaliciousStore.CorruptFlip's "unknown id" answer into a hard failure.
 func TestWrappedNotFoundIsNotAnError(t *testing.T) {
 	reg := obs.NewRegistry()
-	inner := shardLikeStore{NewMemStore()}
+	inner := wrappingStore{NewMemStore()}
 	absent := hash.Of([]byte("absent"))
 
 	st := Instrument(inner, reg)
