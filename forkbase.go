@@ -202,11 +202,15 @@ type WriteOp = core.WriteOp
 type Option func(*options)
 
 // options is the engine's configuration plus the backends Open resolves.
+// Each backend option records that it was given, so Open can refuse an
+// empty argument instead of reading it as "not given".
 type options struct {
 	core.Options
+	fileBacked bool
 	dir        string
-	remote     bool // Remote was given, even with an empty addr
+	remote     bool
 	addr       string
+	follow     bool
 	followAddr string
 }
 
@@ -214,7 +218,7 @@ type options struct {
 func InMemory() Option { return func(o *options) {} }
 
 // FileBacked persists chunks and branch heads under dir.
-func FileBacked(dir string) Option { return func(o *options) { o.dir = dir } }
+func FileBacked(dir string) Option { return func(o *options) { o.fileBacked, o.dir = true, dir } }
 
 // Remote keeps chunks and branch heads on the forkbased server at addr: the
 // engine runs in this process over that server's store and branch table.
@@ -227,7 +231,7 @@ func Remote(addr string) Option { return func(o *options) { o.remote, o.addr = t
 // is a complete, tamper-verified version — and every mutating operation
 // returns ErrReadOnlyReplica.  Combine with FileBacked for a durable
 // replica or WithNodeCache for a hot read tier.
-func WithFollow(addr string) Option { return func(o *options) { o.followAddr = addr } }
+func WithFollow(addr string) Option { return func(o *options) { o.follow, o.followAddr = true, addr } }
 
 // WithIndex selects the structure backing new composite (map/set) values:
 // IndexPOS (default) or IndexMPT.  The choice applies to values written
@@ -286,7 +290,8 @@ func WithSlowOpThreshold(d time.Duration) Option {
 
 // Open creates or opens a ForkBase instance.  Remote, FileBacked and
 // WithStore each choose the chunk store, so at most one of them may be
-// given.
+// given.  An empty address or directory is refused before anything is
+// dialled or opened.
 func Open(opts ...Option) (*DB, error) {
 	var o options
 	for _, opt := range opts {
@@ -297,9 +302,15 @@ func Open(opts ...Option) (*DB, error) {
 	}
 	db := &DB{acl: access.NewController()}
 	switch {
-	case o.remote && (o.dir != "" || o.Store != nil), o.dir != "" && o.Store != nil:
+	case o.fileBacked && o.dir == "":
+		return nil, errors.New("forkbase: FileBacked needs a directory")
+	case o.remote && o.addr == "":
+		return nil, errors.New("forkbase: Remote needs a server address")
+	case o.follow && o.followAddr == "":
+		return nil, errors.New("forkbase: WithFollow needs a primary's address")
+	case o.remote && (o.fileBacked || o.Store != nil), o.fileBacked && o.Store != nil:
 		return nil, errors.New("forkbase: Remote, FileBacked and WithStore each choose the chunk store; give at most one")
-	case o.remote && o.followAddr != "":
+	case o.remote && o.follow:
 		return nil, errors.New("forkbase: WithFollow cannot be combined with Remote")
 	case o.remote:
 		cl, err := server.Dial(o.addr)
@@ -308,7 +319,7 @@ func Open(opts ...Option) (*DB, error) {
 		}
 		db.remote = cl
 		o.Store, o.Branches = server.NewRemoteStore(cl), server.NewRemoteBranchTable(cl)
-	case o.dir != "":
+	case o.fileBacked:
 		fs, err := store.OpenFileStore(o.dir)
 		if err != nil {
 			return nil, err
@@ -321,9 +332,9 @@ func Open(opts ...Option) (*DB, error) {
 		db.fileStore, db.fileHeads = fs, bt
 		o.Store, o.Branches = fs, bt
 	}
-	o.ReadOnly = o.followAddr != "" // gates every path that reaches a replica's engine
+	o.ReadOnly = o.follow // gates every path that reaches a replica's engine
 	db.engine = core.Open(o.Options)
-	if o.followAddr != "" {
+	if o.follow {
 		cli, err := server.Dial(o.followAddr)
 		if err != nil {
 			db.Close()

@@ -479,6 +479,29 @@ func TestRemoteDialFailure(t *testing.T) {
 	}
 }
 
+// TestOpenRefusesEmptyBackendArgument: an empty directory or address is a
+// configuration Open cannot honour, not "option not given", so each option
+// given one fails Open with an error naming it, before anything is dialled
+// or opened.
+func TestOpenRefusesEmptyBackendArgument(t *testing.T) {
+	for name, opt := range map[string]forkbase.Option{
+		"FileBacked": forkbase.FileBacked(""),
+		"WithFollow": forkbase.WithFollow(""),
+		"Remote":     forkbase.Remote(""),
+	} {
+		t.Run(name, func(t *testing.T) {
+			db, err := forkbase.Open(opt)
+			if err == nil {
+				db.Close()
+				t.Fatalf("Open(%s(\"\")) succeeded", name)
+			}
+			if !strings.Contains(err.Error(), name) || strings.Contains(err.Error(), "dial") {
+				t.Fatalf("Open(%s(\"\")) = %v, want an error naming %s and no dial", name, err, name)
+			}
+		})
+	}
+}
+
 // TestRemoteDetectsForgedChunk: a Remote client verifies what the server
 // sends, so a server whose store corrupts a chunk cannot pass it off as the
 // version the client committed.

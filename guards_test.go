@@ -231,11 +231,12 @@ func TestSourceGuards(t *testing.T) {
 		want:    0,
 	}, {
 		// One write frame: every engine write runs in core's DB.write, which
-		// holds the GC fence's read side (heal, not a write, holds it too) …
+		// holds the head table's GC fence read side (heal, not a write, holds
+		// it too, and FeedTable.Apply holds it for every other publisher) …
 		name:    "one write frame: the fence",
-		pattern: `writeMu\.RLock\(`,
+		pattern: `fence\.RLock\(`,
 		paths:   []string{"internal/core"},
-		want:    2,
+		want:    3,
 	}, {
 		// … derives its version objects in one successor rule (a merge's
 		// two-base FNode aside) …
@@ -244,11 +245,19 @@ func TestSourceGuards(t *testing.T) {
 		paths:   []string{"internal/core"},
 		want:    2,
 	}, {
-		// … and publishes them with one Apply.
+		// … and publishes them with one Apply, through the fence it holds.
 		name:    "one write frame: the publish",
-		pattern: `heads\.Apply\(`,
+		pattern: `heads\.apply\(`,
 		paths:   []string{"internal/core"},
 		want:    1,
+	}, {
+		// One collection rule: the GC fence and the collection clock belong
+		// to the head table every publish passes through (core.FeedTable),
+		// not to the engine, so TCP and follower Applies keep the rule too.
+		name:    "one collection rule",
+		pattern: `writeMu|gcClock`,
+		paths:   []string{"internal/core"},
+		want:    0,
 	}, {
 		// One POS node form: a decoded node is its payload plus a span table,
 		// so the decode path builds no per-entry, per-ref or per-item structs …

@@ -37,14 +37,17 @@ func Run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	var opts []forkbase.Option
-	switch {
-	case strings.Contains(*remote, ","):
+	// An empty flag is unset.  Every backend flag given goes to Open, whose
+	// "at most one" rule refuses a pair.
+	if strings.Contains(*remote, ",") {
 		fmt.Fprintf(stderr, "forkbase: -remote accepts one server address, got %q\n", *remote)
 		return 2
-	case *remote != "":
+	}
+	var opts []forkbase.Option
+	if *remote != "" {
 		opts = append(opts, forkbase.Remote(*remote))
-	case *dir != "":
+	}
+	if *dir != "" {
 		opts = append(opts, forkbase.FileBacked(*dir))
 	}
 	if *indexKind != "" {

@@ -267,7 +267,13 @@ func TestRemoteFlow(t *testing.T) {
 		t.Fatalf("get = %q %q (%d)", out, errs, code)
 	}
 
+	// Two backends are refused by Open, not settled by the first flag seen.
 	var errb bytes.Buffer
+	if code := Run([]string{"-remote", addr, "-dir", t.TempDir(), "get", "greeting"}, io.Discard, &errb); code != 1 ||
+		!strings.Contains(errb.String(), "at most one") {
+		t.Fatalf("-remote with -dir exited %d (%q), want 1 and Open's one-backend error", code, errb.String())
+	}
+	errb.Reset()
 	if code := Run([]string{"-remote", addr + "," + addr, "get", "greeting"}, io.Discard, &errb); code != 2 {
 		t.Fatalf("two addresses exited %d, want 2", code)
 	}

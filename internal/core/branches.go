@@ -15,6 +15,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"time"
 
 	"forkbase/internal/hash"
 )
@@ -38,14 +39,18 @@ type BranchTable interface {
 	Branches(key string) (map[string]hash.Hash, error)
 	// Keys lists all keys with at least one branch, sorted.
 	Keys() ([]string, error)
+	// Epoch is the collection epoch a writer takes before its first chunk
+	// read or write and hands Apply in each HeadOp: a FeedTable refuses the
+	// op with ErrCollected once a sweep has completed since (FeedTable.Epoch).
+	Epoch() uint64
 }
 
 // ListHeads lists every head in bt: key → branch → uid.  A key whose last
 // branch is deleted between the key listing and its branch lookup has no
-// heads left and is skipped — every engine write holds the fence GC holds,
-// but the TCP server and the replication follower move heads without the
-// engine.  Any other error fails the listing: a partial one would read as
-// branches gone.
+// heads left and is skipped: GC lists under the fence every Apply of its
+// FeedTable waits on, but other listings (a heads page, a follower's
+// snapshot) race the Applies.  Any other error fails the listing: a partial
+// one would read as branches gone.
 func ListHeads(bt BranchTable) (map[string]map[string]hash.Hash, error) {
 	keys, err := bt.Keys()
 	if err != nil {
@@ -74,6 +79,10 @@ type HeadOp struct {
 	Any    bool
 	// Set is the head the op leaves; zero deletes the branch.
 	Set hash.Hash
+	// Epoch is the collection epoch (BranchTable.Epoch) the op's writer took
+	// before its first chunk read or write, or its value's when that is
+	// older; 0 is unstamped, which no table refuses.
+	Epoch uint64
 }
 
 // Branch-table errors.
@@ -82,9 +91,10 @@ var (
 	ErrBranchNotFound = errors.New("core: branch not found")
 	ErrKeyNotFound    = errors.New("core: key not found")
 	ErrStaleHead      = errors.New("core: concurrent update (stale head)")
-	// ErrCollected: a commit's value was built or read before a garbage
-	// collection that completed since, which may have swept its chunks.
-	// Nothing is published; rebuild or reload the value and retry.
+	// ErrCollected: a head op's epoch predates a garbage collection that
+	// completed since, which may have swept the chunks its value was built
+	// from or read under.  Nothing is published; rebuild or reload the value
+	// and retry.
 	ErrCollected = errors.New("core: value predates a garbage collection; rebuild or reload it")
 	// ErrHeadsCorrupt: the heads journal is damaged somewhere other than a
 	// torn tail, or is not a heads journal.  Open refuses it and leaves the
@@ -166,14 +176,22 @@ type HeadTable struct {
 	compactAt int64    // journal length past which it is compacted
 	err       error    // set when a failed append could not be undone
 	buf       []byte   // record encoding scratch
+
+	stamp uint64 // this incarnation: the epoch its collection clock starts at
 }
 
 var _ BranchTable = (*HeadTable)(nil)
 
 // NewMemBranchTable returns an empty branch table without a journal.
 func NewMemBranchTable() *HeadTable {
-	return &HeadTable{heads: make(map[string]map[string]hash.Hash)}
+	return &HeadTable{heads: make(map[string]map[string]hash.Hash), stamp: uint64(time.Now().UnixNano())}
 }
+
+// Epoch implements BranchTable: the table's incarnation stamp, new at every
+// open, as a Feed's epoch is.  A HeadTable sweeps nothing itself; the
+// FeedTable in front of it counts its collections on top of the stamp, so
+// an epoch taken before a restart can never pass for a later one.
+func (t *HeadTable) Epoch() uint64 { return t.stamp }
 
 // Head implements BranchTable.
 func (t *HeadTable) Head(key, branch string) (hash.Hash, bool, error) {

@@ -8,8 +8,6 @@ import (
 	"maps"
 	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"forkbase/internal/chunker"
@@ -42,35 +40,17 @@ type DB struct {
 	met     *dbObs // observability wiring (metrics, slow-op logs)
 	cfg     chunker.Config
 	idxKind index.Kind // structure new composite values are indexed with
-	heads   BranchTable
-	feed    *Feed
-	noCopy  noCopy
+	// heads holds the GC fence and the collection clock: every head moves
+	// through its Apply, and the epoch a writer or reader takes before it
+	// stores or reads its first chunk is heads.Epoch().  A value built or
+	// loaded is stamped with it (value.WithEpoch), and a commit hands it to
+	// Apply, which refuses it with ErrCollected once a sweep followed it.
+	heads  *FeedTable
+	feed   *Feed
+	noCopy noCopy
 
 	readOnly bool // fixed at Open: replicas move only through replication
-
-	// writeMu fences garbage collection against in-flight engine writes:
-	// every mutating method runs in write, which holds the read side from
-	// its first read to its head Apply, and gc holds the write side across
-	// mark and sweep — so a version can never be swept between its chunks
-	// landing and its head advancing.  Readers are unaffected.
-	writeMu sync.RWMutex
-	// collected is the collection clock's reading after this engine's last
-	// sweep that deleted chunks (0: none); written under writeMu's write
-	// side, read under its read side.  A value stamped with an epoch at or
-	// below it may have lost chunks to that sweep.
-	collected uint64
 }
-
-// gcClock is the process-wide collection clock: every engine's sweep that
-// deletes chunks ticks it, so epochs of different engines never alias.
-var gcClock atomic.Uint64
-
-// epoch is the collection epoch a writer or reader takes before it stores
-// or reads its first chunk: the value it builds or loads is stamped with it
-// (value.WithEpoch), and commit refuses a stamp that a completed sweep
-// followed with ErrCollected.  It is never 0, which marks an unstamped
-// value.
-func epoch() uint64 { return gcClock.Load() + 1 }
 
 type noCopy struct{}
 
@@ -227,7 +207,7 @@ func (db *DB) IndexKind() index.Kind { return db.idxKind }
 // Put of it after a GC that may have swept its chunks fails with
 // ErrCollected instead of publishing a head that names missing chunks.
 func (db *DB) NewMapValue(entries []index.Entry) (value.Value, error) {
-	e := epoch()
+	e := db.heads.Epoch()
 	v, err := value.NewMapWith(db.st, db.cfg, db.idxKind, entries)
 	return value.WithEpoch(v, e), err
 }
@@ -235,7 +215,7 @@ func (db *DB) NewMapValue(entries []index.Entry) (value.Value, error) {
 // NewSetValue builds a set value over the engine's configured index
 // structure, stamped as NewMapValue's.
 func (db *DB) NewSetValue(elems [][]byte) (value.Value, error) {
-	e := epoch()
+	e := db.heads.Epoch()
 	v, err := value.NewSetWith(db.st, db.cfg, db.idxKind, elems)
 	return value.WithEpoch(v, e), err
 }
@@ -305,14 +285,16 @@ func (db *DB) Put(key, branch string, v value.Value, meta map[string]string) (Ve
 // guard, op's metrics (nil: unmetered; logKV, called after build, names the
 // slow-op record's fields), and the GC fence's read side across build and
 // publish, so a collection cannot sweep a version between its chunks landing
-// and its head moving.  build reads heads, stores a value's chunks and
-// returns the FNodes versioning it and the head moves publishing them, the
-// first len(fnodes) of which set their heads to those FNodes.  The publish
-// is one fnode.SaveAll and one BranchTable.Apply, all or nothing, failing
-// with refused when an expectation no longer holds.  An empty result stores
-// and moves nothing.
+// and its head moving.  build gets the epoch taken under the fence, reads
+// heads, stores a value's chunks and returns the FNodes versioning it and
+// the head moves publishing them, the first len(fnodes) of which set their
+// heads to those FNodes.  Each op that sets a head carries that epoch, or
+// its value's when build stamped an older one.  The publish is one fnode.SaveAll and one
+// Apply through the fence already held, all or nothing, failing with
+// refused when an expectation no longer holds.  An empty result stores and
+// moves nothing.
 func (db *DB) write(ctx context.Context, op *obs.Op, refused error, logKV func() []any,
-	build func() ([]*fnode.FNode, []HeadOp, error)) (uids []hash.Hash, err error) {
+	build func(e uint64) ([]*fnode.FNode, []HeadOp, error)) (uids []hash.Hash, err error) {
 	if err := db.writeGuard(); err != nil {
 		return nil, err
 	}
@@ -322,9 +304,10 @@ func (db *DB) write(ctx context.Context, op *obs.Op, refused error, logKV func()
 		start = op.Begin()
 		defer func() { op.End(ctx, start, err, append(logKV(), "build", buildDur)...) }()
 	}
-	db.writeMu.RLock()
-	defer db.writeMu.RUnlock()
-	fnodes, heads, err := build()
+	db.heads.fence.RLock()
+	defer db.heads.fence.RUnlock()
+	e := db.heads.Epoch()
+	fnodes, heads, err := build(e)
 	if !start.IsZero() {
 		buildDur = time.Since(start)
 	}
@@ -342,7 +325,12 @@ func (db *DB) write(ctx context.Context, op *obs.Op, refused error, logKV func()
 	if len(heads) == 0 {
 		return uids, nil
 	}
-	if ok, err := db.heads.Apply(heads); err != nil || ok {
+	for i := range heads { // a delete publishes no chunk: it goes unstamped
+		if !heads[i].Set.IsZero() && (heads[i].Epoch == 0 || heads[i].Epoch > e) {
+			heads[i].Epoch = e
+		}
+	}
+	if ok, err := db.heads.apply(heads); err != nil || ok {
 		return uids, err
 	}
 	if len(heads) == 1 {
@@ -445,9 +433,9 @@ func (db *DB) commit(ctx context.Context, op *obs.Op, build func() ([]WriteOp, e
 		}
 		return []any{"ops", len(ops)}
 	}
-	uids, err := db.write(ctx, op, ErrStaleHead, logKV, func() ([]*fnode.FNode, []HeadOp, error) {
+	uids, err := db.write(ctx, op, ErrStaleHead, logKV, func(epoch uint64) ([]*fnode.FNode, []HeadOp, error) {
 		var err error
-		e = epoch()
+		e = epoch
 		if ops, err = build(); err != nil {
 			return nil, nil, err
 		}
@@ -456,9 +444,6 @@ func (db *DB) commit(ctx context.Context, op *obs.Op, build func() ([]WriteOp, e
 		last := make(map[string]int, len(ops)) // key@branch → its latest op
 		for i, w := range ops {
 			branch := orDefault(w.Branch)
-			if made := value.EpochOf(w.Value); made != 0 && made <= db.collected {
-				return nil, nil, fmt.Errorf("op %d (%s@%s): %w", i, w.Key, branch, ErrCollected)
-			}
 			ref := w.Key + "\x00" + branch
 			parent, p := w.parent, (*fnode.FNode)(nil)
 			if prev, ok := last[ref]; ok {
@@ -473,7 +458,7 @@ func (db *DB) commit(ctx context.Context, op *obs.Op, build func() ([]WriteOp, e
 				return nil, nil, err
 			}
 			last[ref] = i
-			heads[i] = HeadOp{Key: w.Key, Branch: branch, Expect: parent}
+			heads[i] = HeadOp{Key: w.Key, Branch: branch, Expect: parent, Epoch: value.EpochOf(w.Value)}
 		}
 		return fnodes, heads, nil
 	})
@@ -514,7 +499,7 @@ func (db *DB) GetCtx(ctx context.Context, key, branch string) (_ Version, err er
 // GetVersion returns a specific version of key by uid.  The FNode chunk is
 // verified against the uid, so a forged version cannot be returned.
 func (db *DB) GetVersion(key string, uid hash.Hash) (Version, error) {
-	e := epoch()
+	e := db.heads.Epoch()
 	f, err := fnode.Load(db.st, uid)
 	if err != nil {
 		return Version{}, err
@@ -585,7 +570,7 @@ func (db *DB) Latest(key string) (string, Version, error) {
 // metadata operation: no data is copied, the new branch simply shares every
 // chunk with its origin.
 func (db *DB) Branch(key, newBranch, fromBranch string) error {
-	_, err := db.write(context.Background(), nil, ErrBranchExists, nil, func() ([]*fnode.FNode, []HeadOp, error) {
+	_, err := db.write(context.Background(), nil, ErrBranchExists, nil, func(uint64) ([]*fnode.FNode, []HeadOp, error) {
 		head, err := db.Head(key, fromBranch)
 		return nil, []HeadOp{{Key: key, Branch: newBranch, Set: head}}, err
 	})
@@ -597,7 +582,7 @@ func (db *DB) Branch(key, newBranch, fromBranch string) error {
 // version no head references (a deleted branch's) cannot be collected in
 // between.
 func (db *DB) BranchFromVersion(key, newBranch string, uid hash.Hash) error {
-	_, err := db.write(context.Background(), nil, ErrBranchExists, nil, func() ([]*fnode.FNode, []HeadOp, error) {
+	_, err := db.write(context.Background(), nil, ErrBranchExists, nil, func(uint64) ([]*fnode.FNode, []HeadOp, error) {
 		_, err := db.GetVersion(key, uid)
 		return nil, []HeadOp{{Key: key, Branch: newBranch, Set: uid}}, err
 	})
@@ -607,7 +592,7 @@ func (db *DB) BranchFromVersion(key, newBranch string, uid hash.Hash) error {
 // DeleteBranch removes a branch head (chunks remain; they may be shared).
 // It fails with ErrBranchNotFound, or ErrStaleHead if a commit moves it.
 func (db *DB) DeleteBranch(key, branch string) error {
-	_, err := db.write(context.Background(), nil, ErrStaleHead, nil, func() ([]*fnode.FNode, []HeadOp, error) {
+	_, err := db.write(context.Background(), nil, ErrStaleHead, nil, func(uint64) ([]*fnode.FNode, []HeadOp, error) {
 		uid, err := db.head(key, branch)
 		return nil, []HeadOp{{Key: key, Branch: branch, Expect: uid}}, err
 	})
@@ -618,7 +603,7 @@ func (db *DB) DeleteBranch(key, branch string) error {
 // its head.  It fails with ErrBranchNotFound when from does not exist,
 // ErrBranchExists when to does, and ErrStaleHead if a commit moves either.
 func (db *DB) RenameBranch(key, from, to string) error {
-	_, err := db.write(context.Background(), nil, ErrStaleHead, nil, func() ([]*fnode.FNode, []HeadOp, error) {
+	_, err := db.write(context.Background(), nil, ErrStaleHead, nil, func(uint64) ([]*fnode.FNode, []HeadOp, error) {
 		uid, err := db.head(key, from)
 		if err != nil {
 			return nil, nil, err
@@ -661,7 +646,7 @@ func (db *DB) History(key, branch string, limit int) ([]Version, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := epoch()
+	e := db.heads.Epoch()
 	uids, nodes, err := fnode.HistoryNodes(db.st, head, limit)
 	if err != nil {
 		return nil, err
@@ -758,8 +743,8 @@ func (db *DB) MergeCtx(ctx context.Context, key, dst, src string, resolve index.
 	var merged *fnode.FNode
 	logKV := func() []any { return []any{"key", key, "dst", dst, "src", src, "ancestry_nodes", anc.Loaded} }
 	var e uint64
-	uids, err := db.write(ctx, db.met.opMerge, ErrStaleHead, logKV, func() ([]*fnode.FNode, []HeadOp, error) {
-		e = epoch()
+	uids, err := db.write(ctx, db.met.opMerge, ErrStaleHead, logKV, func(epoch uint64) ([]*fnode.FNode, []HeadOp, error) {
+		e = epoch
 		dstHead, err := db.head(key, dst)
 		if err != nil {
 			return nil, nil, err

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"forkbase/internal/hash"
@@ -295,10 +297,22 @@ func (f *Feed) dropLapsed(now time.Time) {
 // appended in the opposite order would permanently park replicas on the
 // older head.  Branch-table mutations are tiny metadata operations, so the
 // serialization is not a throughput concern.
+//
+// Because every head moves here — engine commits, TCP Applies and a
+// follower's — the table also keeps the one collection rule.  GC holds the
+// fence's write side from listing heads to ticking the clock, so no head
+// moves during a collection; every Apply holds its read side, and refuses
+// an op whose epoch precedes a sweep that completed since with ErrCollected.
+// A writer that stored chunks before that sweep may have lost them to it.
 type FeedTable struct {
 	BranchTable // the table the feed sequences
 	feed        *Feed
 	mu          sync.Mutex
+
+	fence sync.RWMutex
+	// swept counts the collections that deleted chunks under the fence; it
+	// moves only under the write side, so it is stable under the read side.
+	swept atomic.Uint64
 }
 
 var _ BranchTable = (*FeedTable)(nil)
@@ -316,15 +330,37 @@ func WithFeed(table BranchTable, feed *Feed) *FeedTable {
 // Feed returns the journal.
 func (t *FeedTable) Feed() *Feed { return t.feed }
 
-// Apply implements BranchTable: an Apply that succeeds is journaled, in the
-// same critical section, as one group of an entry per op that moves a head.
-// An op's Old is the head it expected, so only an op with Any costs a head
-// read (of the head before the Apply).
+// Epoch implements BranchTable: the wrapped table's epoch plus the
+// collections that swept chunks under this table's fence.  Over a
+// HeadTable that is the collection clock, starting at the table's
+// incarnation stamp; over a remote table it is the server's clock as this
+// client last saw it, so the engine takes its epoch from the node that
+// collects.
+func (t *FeedTable) Epoch() uint64 { return t.BranchTable.Epoch() + t.swept.Load() }
+
+// Apply implements BranchTable under the fence's read side (see apply).
 func (t *FeedTable) Apply(ops []HeadOp) (bool, error) {
+	t.fence.RLock()
+	defer t.fence.RUnlock()
+	return t.apply(ops)
+}
+
+// apply is Apply for a caller that already holds the fence's read side (an
+// RWMutex must not be read-locked twice: a waiting GC would deadlock it).
+// An op stamped before the current epoch fails the whole Apply with
+// ErrCollected; otherwise an Apply that succeeds is journaled, in the same
+// critical section, as one group of an entry per op that moves a head.  An
+// op's Old is the head it expected, so only an op with Any costs a head read
+// (of the head before the Apply).
+func (t *FeedTable) apply(ops []HeadOp) (bool, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	now := t.Epoch()
 	group := make([]FeedEntry, 0, len(ops))
-	for _, op := range ops {
+	for i, op := range ops {
+		if op.Epoch != 0 && op.Epoch < now {
+			return false, fmt.Errorf("%w: op %d (%s@%s)", ErrCollected, i, op.Key, op.Branch)
+		}
 		old := op.Expect
 		if op.Any {
 			var err error
@@ -341,6 +377,17 @@ func (t *FeedTable) Apply(ops []HeadOp) (bool, error) {
 		t.feed.Append(group...)
 	}
 	return ok, err
+}
+
+// collect runs a collection: sweep, with every Apply fenced out.  When it
+// reports that it deleted chunks, the clock moves before the fence lifts, so
+// every op stamped before it is refused.
+func (t *FeedTable) collect(sweep func() (deleted bool)) {
+	t.fence.Lock()
+	defer t.fence.Unlock()
+	if sweep() {
+		t.swept.Add(1)
+	}
 }
 
 // CompareAndSet implements BranchTable: the one-op Apply, so it lands in the

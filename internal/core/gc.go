@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"sort"
+	"strings"
 	"time"
 
 	"forkbase/internal/chunk"
@@ -67,22 +69,22 @@ func (db *DB) gcInner() (GCStats, error) {
 	if !ok {
 		return GCStats{}, ErrNotCollectable
 	}
-	// Writers are fenced from mark to sweep so a version mid-commit (chunks
-	// stored, head not yet advanced) can never be collected; readers proceed
-	// throughout.  Chunks staged outside the fence (a value built now, Put
-	// much later) may be swept, but the value carries the epoch it was built
-	// or read under, and a sweep that deletes anything moves the engine past
-	// it: the late Put fails with ErrCollected and publishes nothing.
-	db.writeMu.Lock()
-	defer db.writeMu.Unlock()
-	live, err := db.mark()
-	if err != nil {
-		return GCStats{}, err
-	}
-	res, err := col.Sweep(func(id hash.Hash) bool { return live[id] })
-	if res.Swept > 0 || err != nil { // a failed sweep may have deleted some
-		db.collected = gcClock.Add(1)
-	}
+	// The head table fences out every Apply from listing the heads to the
+	// clock tick, so an engine commit (chunks stored, head not yet moved)
+	// is never collected; readers proceed.  Chunks stored outside the fence
+	// (a value built now and Put later, a TCP client's PutChunks) may be
+	// swept, but the op publishing them carries an epoch the tick passes:
+	// its Apply fails with ErrCollected and publishes nothing.
+	var res store.SweepStats
+	var live map[hash.Hash]bool
+	var err error
+	db.heads.collect(func() bool {
+		if live, err = db.mark(); err != nil {
+			return false
+		}
+		res, err = col.Sweep(func(id hash.Hash) bool { return live[id] })
+		return res.Swept > 0 || err != nil // a failed sweep may have deleted some
+	})
 	if err != nil {
 		return GCStats{}, err
 	}
@@ -110,10 +112,10 @@ func (db *DB) gcInner() (GCStats, error) {
 
 // mark computes the live set: the closure of every branch head, and of the
 // heads leased followers may still be pulling (Feed.leasedRoots), under
-// fnode.Walk.  The walk's seen set is the live set.
+// fnode.Walk.  The walk's seen set is the live set.  A chunk missing under
+// a head fails the pass with every head that lacks a chunk named.
 func (db *DB) mark() (map[hash.Hash]bool, error) {
-	live := make(map[hash.Hash]bool)
-	heads, err := db.branchHeads()
+	all, heads, err := db.branchHeads()
 	if err != nil {
 		return nil, err
 	}
@@ -123,7 +125,9 @@ func (db *DB) mark() (map[hash.Hash]bool, error) {
 	// held it), so under them a missing chunk prunes the walk — and is not
 	// live — instead of failing the pass.  The heads are read first: a head
 	// that moves after that is an Old by the time the roots are read.
+	live := make(map[hash.Hash]bool)
 	leased := false
+	var missing hash.Hash
 	fetch := func(ids []hash.Hash) ([]*chunk.Chunk, error) {
 		chunks, err := db.st.GetBatch(ids)
 		if err != nil {
@@ -134,14 +138,28 @@ func (db *DB) mark() (map[hash.Hash]bool, error) {
 				continue
 			}
 			if !leased {
-				return nil, fmt.Errorf("core: gc mark %s: %w", ids[i].Short(), store.ErrNotFound)
+				missing = ids[i]
+				return nil, store.ErrNotFound
 			}
 			delete(live, ids[i])
 		}
 		return chunks, nil
 	}
 	if err := fnode.Walk(heads, live, fetch, nil); err != nil {
-		return nil, err
+		if missing.IsZero() {
+			return nil, err
+		}
+		// Name every head whose closure lacks a chunk, walking each alone.
+		gone, names := missing, []string(nil)
+		for key, branches := range all {
+			for branch, head := range branches {
+				if fnode.Walk([]hash.Hash{head}, map[hash.Hash]bool{}, fetch, nil) != nil {
+					names = append(names, fmt.Sprintf("%s@%s (uid %s)", key, branch, head))
+				}
+			}
+		}
+		sort.Strings(names)
+		return nil, fmt.Errorf("core: gc mark: chunk %s missing under %s: %w", gone, strings.Join(names, ", "), store.ErrNotFound)
 	}
 	leased = true
 	if err := fnode.Walk(db.feed.leasedRoots(), live, fetch, nil); err != nil {
@@ -150,9 +168,9 @@ func (db *DB) mark() (map[hash.Hash]bool, error) {
 	return live, nil
 }
 
-// branchHeads returns the head of every branch of every key: the roots of
-// everything the store must keep.
-func (db *DB) branchHeads() ([]hash.Hash, error) {
+// branchHeads lists every head of every branch (ListHeads), and the same
+// heads as one list: the roots of everything the store must keep.
+func (db *DB) branchHeads() (map[string]map[string]hash.Hash, []hash.Hash, error) {
 	all, err := ListHeads(db.heads)
 	var heads []hash.Hash
 	for _, branches := range all {
@@ -160,5 +178,5 @@ func (db *DB) branchHeads() ([]hash.Hash, error) {
 			heads = append(heads, head)
 		}
 	}
-	return heads, err
+	return all, heads, err
 }

@@ -3,11 +3,15 @@ package core
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"forkbase/internal/chunk"
 	"forkbase/internal/chunker"
+	"forkbase/internal/fnode"
+	"forkbase/internal/hash"
 	"forkbase/internal/index"
 	"forkbase/internal/nodecache"
 	"forkbase/internal/obs"
@@ -595,5 +599,50 @@ func TestGCConcurrentReadersCannotResurrect(t *testing.T) {
 		if _, ok := cache.Get(id); ok {
 			t.Fatalf("swept chunk %s resurrected in cache", id.Short())
 		}
+	}
+}
+
+// TestGCMarkNamesBrokenHeads: a chunk missing under live heads fails the
+// pass with every head that reaches it named by key, branch and uid, beside
+// the missing chunk's id; an intact head is not named.
+func TestGCMarkNamesBrokenHeads(t *testing.T) {
+	mem := store.NewMemStore()
+	db := Open(Options{Store: mem, Chunking: chunker.SmallConfig(), Metrics: obs.Discard})
+	broken, err := db.Put("broken", "", bigMap(t, db, 400, "broken"), nil)
+	if err == nil {
+		err = db.Branch("broken", "dev", "")
+	}
+	if err == nil {
+		_, err = db.Put("intact", "", bigMap(t, db, 400, "intact"), nil)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	var leaf hash.Hash
+	err = fnode.Walk([]hash.Hash{broken.UID}, map[hash.Hash]bool{}, func(ids []hash.Hash) ([]*chunk.Chunk, error) {
+		cs, err := mem.GetBatch(ids)
+		for _, c := range cs {
+			if refs, _ := fnode.Refs(c); leaf.IsZero() && len(refs) == 0 && c.Type() != chunk.TypeFNode {
+				leaf = c.ID()
+			}
+		}
+		return cs, err
+	}, nil)
+	if err != nil || leaf.IsZero() {
+		t.Fatalf("no leaf under the head: %v", err)
+	}
+	mem.Delete(leaf)
+
+	_, err = db.GC()
+	if !errors.Is(err, store.ErrNotFound) {
+		t.Fatalf("GC with a leaf gone = %v, want ErrNotFound", err)
+	}
+	for _, want := range []string{leaf.String(), "broken@master", "broken@dev", broken.UID.String()} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("GC error %q does not name %s", err, want)
+		}
+	}
+	if strings.Contains(err.Error(), "intact@") {
+		t.Errorf("GC error %q names an intact head", err)
 	}
 }

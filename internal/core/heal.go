@@ -67,11 +67,11 @@ func (db *DB) healInner(src ChunkSource) (HealStats, error) {
 	if src == nil {
 		return hs, errors.New("core: heal requires a source")
 	}
-	db.writeMu.RLock()
-	defer db.writeMu.RUnlock()
+	db.heads.fence.RLock()
+	defer db.heads.fence.RUnlock()
 
 	rep, _ := store.As[store.Repairer](db.raw)
-	heads, err := db.branchHeads()
+	_, heads, err := db.branchHeads()
 	if err != nil {
 		return hs, err
 	}

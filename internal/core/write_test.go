@@ -29,9 +29,9 @@ func (f *fenceTable) probe() {
 	if !f.armed {
 		return
 	}
-	free := f.db.writeMu.TryLock()
+	free := f.db.heads.fence.TryLock()
 	if free {
-		f.db.writeMu.Unlock()
+		f.db.heads.fence.Unlock()
 	}
 	f.fenced = append(f.fenced, !free)
 }

@@ -418,11 +418,15 @@ func (f *Follower) tailOnce(cursor core.FeedCursor) (core.FeedCursor, bool, erro
 
 // publish pulls the graph of every head ops sets in one walk, then makes all
 // of ops local heads with one Apply: a replica shows a feed page, or a
-// snapshot, whole or not at all — never part of a primary's batch.
+// snapshot, whole or not at all — never part of a primary's batch.  An op
+// that sets a head carries the epoch taken before the pull, so the local
+// table refuses it if a collection swept chunks in between.
 func (f *Follower) publish(ops []core.HeadOp) error {
+	e := f.heads.Epoch()
 	var roots []hash.Hash
-	for _, op := range ops {
+	for i, op := range ops {
 		if !op.Set.IsZero() {
+			ops[i].Epoch = e
 			roots = append(roots, op.Set)
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"forkbase/internal/chunk"
@@ -452,20 +453,50 @@ func (r *RemoteStore) Stats() (st store.Stats) {
 // RemoteBranchTable adapts a Client into a core.BranchTable.
 type RemoteBranchTable struct {
 	c *Client
+	// epoch is the highest collection epoch a Head or Apply reply carried
+	// (0: none yet).  A stale one can only refuse more than the server's
+	// own, never less.
+	epoch atomic.Uint64
 }
 
 // NewRemoteBranchTable wraps a client as a branch table.
 func NewRemoteBranchTable(c *Client) *RemoteBranchTable { return &RemoteBranchTable{c: c} }
 
+// note keeps e if it is the highest epoch seen.
+func (r *RemoteBranchTable) note(e uint64) {
+	for old := r.epoch.Load(); e > old && !r.epoch.CompareAndSwap(old, e); old = r.epoch.Load() {
+	}
+}
+
+// Epoch implements core.BranchTable: the server's collection epoch as this
+// client last saw it, so the engine over this table stamps its ops with the
+// clock of the node that collects.  A client that has had no Head or Apply
+// reply yet asks with a Head; if that fails, it answers 1, an epoch every
+// collecting server refuses.
+func (r *RemoteBranchTable) Epoch() uint64 {
+	if e := r.epoch.Load(); e != 0 {
+		return e
+	}
+	if _, _, err := r.Head("", ""); err != nil {
+		return 1
+	}
+	return r.epoch.Load()
+}
+
 // Head implements core.BranchTable.
 func (r *RemoteBranchTable) Head(key, branch string) (hash.Hash, bool, error) {
 	var heads []hash.Hash
+	var epoch uint64
 	err := r.c.call(OpHead, 0, func(b []byte) []byte { return appendRef(b, key, branch) }, func(d *dec) {
-		heads = d.ids()
+		heads, epoch = d.ids(), d.Uvarint()
 		d.Check(len(heads) <= 1)
 	})
-	if err != nil || len(heads) == 0 {
+	if err != nil {
 		return hash.Hash{}, false, err
+	}
+	r.note(epoch)
+	if len(heads) == 0 {
+		return hash.Hash{}, false, nil
 	}
 	return heads[0], true, nil
 }
@@ -474,14 +505,35 @@ func (r *RemoteBranchTable) Head(key, branch string) (hash.Hash, bool, error) {
 // transport failure is resolved by probing the heads: if each holds what
 // the ops leave it at, the Apply landed — uids are content-addressed, so
 // that is the caller's postcondition, whichever attempt established it.
+// The server's refusal of a stale epoch is core.ErrCollected, after a Head
+// has fetched the epoch the caller's retry needs.
 func (r *RemoteBranchTable) Apply(ops []core.HeadOp) (bool, error) {
 	var applied []bool
+	var epoch uint64
 	err := r.c.call(OpApply, 0, func(b []byte) []byte { return appendHeadOps(b, ops) },
-		func(d *dec) { applied = d.bools(1) })
+		func(d *dec) { applied, epoch = d.bools(1), d.Uvarint() })
+	if err == nil {
+		r.note(epoch)
+	}
+	if rerr := refusal(err, core.ErrCollected); rerr != nil {
+		// The refusal carries no epoch; a failed Head leaves the old one,
+		// which can only refuse the retry again.
+		_, _, _ = r.Head("", "")
+		return false, rerr
+	}
 	if errors.Is(err, ErrAmbiguous) && r.landed(ops) {
 		return true, nil
 	}
 	return err == nil && applied[0], err
+}
+
+// refusal is err as sentinel, which errors.Is then matches, when err is the
+// server's refusal with it (only the text crosses the wire); otherwise nil.
+func refusal(err, sentinel error) error {
+	if err == nil || !retry.IsPermanent(err) || !strings.HasPrefix(err.Error(), sentinel.Error()) {
+		return nil
+	}
+	return fmt.Errorf("%w%s", sentinel, strings.TrimPrefix(err.Error(), sentinel.Error()))
 }
 
 // landed reports whether every head ops touch holds the value the last op
@@ -512,8 +564,8 @@ func (r *RemoteBranchTable) Branches(key string) (map[string]hash.Hash, error) {
 		names, heads = d.strs(), d.ids()
 		d.Check(len(names) == len(heads))
 	})
-	if err != nil && retry.IsPermanent(err) && strings.HasPrefix(err.Error(), core.ErrKeyNotFound.Error()) {
-		return nil, fmt.Errorf("%w: %s", core.ErrKeyNotFound, key)
+	if rerr := refusal(err, core.ErrKeyNotFound); rerr != nil {
+		return nil, rerr
 	}
 	if err != nil {
 		return nil, err

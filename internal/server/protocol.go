@@ -10,7 +10,7 @@
 //
 //	offset size field
 //	0      1    magic 0xFB
-//	1      1    protocol version (4)
+//	1      1    protocol version (5)
 //	2      1    op
 //	3      1    flags: bit 0 = error reply (the payload is the message
 //	            text); every other bit must be zero
@@ -19,9 +19,10 @@
 //
 // A payload is a sequence of a few shared shapes — id list, chunk list
 // (type, length, bytes; the ids travel separately), flag list, head ref
-// (key, branch), head ops (per op: key, branch, any, expect, set), string
-// list, stats, feed request, feed page — with unsigned-varint counts and
-// lengths and raw 32-byte ids.  Chunks travel only in batches: a single
+// (key, branch), head ops (per op: key, branch, any, expect, set, epoch),
+// string list, stats, feed request, feed page — with unsigned-varint counts
+// and lengths, raw 32-byte ids and unsigned-varint collection epochs.  A
+// Head or Apply reply ends with the server's collection epoch.  Chunks travel only in batches: a single
 // put, get or has is the n = 1 case of a batch op.  A GetChunks reply
 // answers by position: one status byte per requested id, then the present
 // chunks; "deferred" marks the tail that would have pushed the frame past
@@ -117,7 +118,7 @@ func (o Op) String() string {
 
 const (
 	frameMagic   = 0xFB
-	frameVersion = 4
+	frameVersion = 5
 	headerLen    = 16
 	flagError    = 1 // reply flag: the payload is an error message
 
@@ -261,12 +262,13 @@ func appendRef(b []byte, key, branch string) []byte {
 }
 
 // appendHeadOps is the head ops shape: a count, then per op its ref, a byte
-// that is 1 when the op expects any head, and its expect and set ids.
+// that is 1 when the op expects any head, its expect and set ids, and its
+// collection epoch.
 func appendHeadOps(b []byte, ops []core.HeadOp) []byte {
 	b = appendUvarint(b, uint64(len(ops)))
 	for _, op := range ops {
 		b = appendBool(appendRef(b, op.Key, op.Branch), op.Any)
-		b = append(append(b, op.Expect[:]...), op.Set[:]...)
+		b = appendUvarint(append(append(b, op.Expect[:]...), op.Set[:]...), op.Epoch)
 	}
 	return b
 }
@@ -414,13 +416,13 @@ func (d *dec) bools(n int) []bool {
 func (d *dec) ref() (key, branch string) { return d.str(), d.str() }
 
 func (d *dec) headOps() []core.HeadOp {
-	const opMin = 2 + 1 + 2*hash.Size // two empty names, the any byte, two ids
+	const opMin = 2 + 1 + 2*hash.Size + 1 // two empty names, the any byte, two ids, an epoch
 	out := make([]core.HeadOp, d.Count(opMin, -1))
 	for i := range out {
 		key, branch := d.ref()
 		anyHead := d.Byte()
 		d.Check(anyHead <= 1)
-		out[i] = core.HeadOp{Key: key, Branch: branch, Any: anyHead == 1, Expect: d.ID(), Set: d.ID()}
+		out[i] = core.HeadOp{Key: key, Branch: branch, Any: anyHead == 1, Expect: d.ID(), Set: d.ID(), Epoch: d.Uvarint()}
 	}
 	return out
 }

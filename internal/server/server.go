@@ -305,8 +305,10 @@ func (s *Server) handle(h header, p, out []byte) ([]byte, net.Buffers, error) {
 		if err := d.done(); err != nil {
 			return nil, nil, err
 		}
+		// The table's Apply fences out a collection and refuses an op whose
+		// epoch a sweep followed; the reply carries the epoch to take next.
 		ok, err := s.heads.Apply(ops)
-		return appendFlags(out, ok), nil, err
+		return appendUvarint(appendFlags(out, ok), s.heads.Epoch()), nil, err
 	case OpHead, OpBranches:
 		key, branch := d.ref()
 		if err := d.done(); err != nil {
@@ -314,10 +316,12 @@ func (s *Server) handle(h header, p, out []byte) ([]byte, net.Buffers, error) {
 		}
 		if op == OpHead {
 			uid, ok, err := s.heads.Head(key, branch)
-			if !ok {
-				return appendIDs(out), nil, err
+			if ok {
+				out = appendIDs(out, uid)
+			} else {
+				out = appendIDs(out)
 			}
-			return appendIDs(out, uid), nil, err
+			return appendUvarint(out, s.heads.Epoch()), nil, err
 		}
 		branches, err := s.heads.Branches(key)
 		names := branchNames(branches)

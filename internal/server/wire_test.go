@@ -99,8 +99,11 @@ func frameOf(t testing.TB, op Op, flags byte, id uint64, payload []byte) []byte 
 // encoders.
 func wireFrames(t testing.TB) []namedFrame {
 	t.Helper()
-	srv := New(store.NewMemStore(), core.NewMemBranchTable(), nil)
-	srv.AttachFeed(core.NewFeed(0))
+	// A table's epoch starts at its incarnation stamp, a clock reading, so
+	// the served one is stamped 7 and the epochs replies carry are fixed.
+	feed := core.NewFeed(0)
+	srv := New(store.NewMemStore(), core.WithFeed(stampedTable{core.NewMemBranchTable(), 7}, feed), nil)
+	srv.AttachFeed(feed)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -141,7 +144,7 @@ func wireFrames(t testing.TB) []namedFrame {
 	apply := func(ops ...core.HeadOp) func() error {
 		return func() error { _, err := bt.Apply(ops); return err }
 	}
-	record("Apply", false, apply(core.HeadOp{Key: "k", Branch: "master", Set: v1}))
+	record("Apply", false, apply(core.HeadOp{Key: "k", Branch: "master", Set: v1, Epoch: 7}))
 	record("Apply-stale", false, apply(core.HeadOp{Key: "k", Branch: "master", Set: v2}))
 	record("Head", false, func() error { _, _, err := bt.Head("k", "master"); return err })
 	record("Head-absent", false, func() error { _, _, err := bt.Head("k", "nope"); return err })
@@ -155,6 +158,13 @@ func wireFrames(t testing.TB) []namedFrame {
 	})
 	record("Apply-delete", false, apply(core.HeadOp{Key: "k", Branch: "main", Any: true}))
 	record("Apply-error", true, apply(core.HeadOp{Branch: "main", Set: v1}))
+	// An op stamped before the table's epoch: a sweep may have taken its
+	// chunks.  Sent bare, since the table's refusal path then asks for a head.
+	record("Apply-collected", true, func() error {
+		return cl.call(OpApply, 0, func(b []byte) []byte {
+			return appendHeadOps(b, []core.HeadOp{{Key: "k", Branch: "main", Set: v1, Epoch: 6}})
+		}, nil)
+	})
 	// A feed's epoch is its start time, so only the request is recorded and
 	// the reply is assembled with a fixed one.
 	if _, _, _, err := cl.FeedSince(9, core.FeedCursor{Epoch: 7, Seq: 3}, 16, time.Millisecond); err != nil {
@@ -163,16 +173,24 @@ func wireFrames(t testing.TB) []namedFrame {
 	req, _ := tp.take()
 	return append(rows,
 		namedFrame{"FeedSince/request", req},
-		namedFrame{"FeedSince/reply", frameOf(t, OpFeedSince, 0, 22, appendFeedPage(nil, core.FeedCursor{Epoch: 7, Seq: 5},
+		namedFrame{"FeedSince/reply", frameOf(t, OpFeedSince, 0, 23, appendFeedPage(nil, core.FeedCursor{Epoch: 7, Seq: 5},
 			true, []core.FeedEntry{{Seq: 5, Key: "k", Branch: "main", Old: v1, New: v2}}))},
 		// A page that stops before a key that did not fit.
-		namedFrame{"Heads-more/reply", frameOf(t, OpHeads, 0, 24,
+		namedFrame{"Heads-more/reply", frameOf(t, OpHeads, 0, 25,
 			appendFlags(appendIDs(appendStrs(nil, []string{"k", "main", "k", "x"}), v1, v2), true))},
 		// Four slots against a limit that fits one chunk: a deferred tail.
-		namedFrame{"GetChunks-deferred/reply", frameOf(t, OpGetChunks, 0, 23,
+		namedFrame{"GetChunks-deferred/reply", frameOf(t, OpGetChunks, 0, 24,
 			bytes.Join(appendChunkReply(nil, []*chunk.Chunk{a, nil, b, a}, 16), nil))},
 	)
 }
+
+// stampedTable is a head table with a fixed incarnation stamp.
+type stampedTable struct {
+	*core.HeadTable
+	stamp uint64
+}
+
+func (t stampedTable) Epoch() uint64 { return t.stamp }
 
 // TestGoldenFrames pins the wire format: any change to a byte of any frame
 // is a protocol change, and must come with a frameVersion bump.
@@ -230,6 +248,10 @@ func fuzzReplyDecoders(t *testing.T, p []byte) {
 	shapes := map[string]func(d *dec) []byte{
 		"ids":   func(d *dec) []byte { return appendIDs(nil, d.ids()...) },
 		"flags": func(d *dec) []byte { return appendFlags(nil, d.bools(asked(d))...) },
+		"head":  func(d *dec) []byte { return appendUvarint(appendIDs(nil, d.ids()...), d.Uvarint()) },
+		"applied": func(d *dec) []byte {
+			return appendUvarint(appendFlags(nil, d.bools(asked(d))...), d.Uvarint())
+		},
 		"ref": func(d *dec) []byte {
 			key, branch := d.ref()
 			return appendRef(nil, key, branch)
@@ -594,50 +616,52 @@ func TestGetChunksReplyAllocatesNoPayload(t *testing.T) {
 
 // goldenFrames is the pinned output of wireFrames, in order.
 var goldenFrames = []struct{ name, wantHex string }{
-	{"Ping/request", "fb040b00000000000000000000000001"},
-	{"Ping/reply", "fb040b00000000000000000000000001"},
-	{"PutChunks-one/request", "fb040c0000000025000000000000000201e3254ea61c09ead5a01d3bf07e946a561c6c2cd1c46b8ca1bfa8729d26a7d09f01010161"},
-	{"PutChunks-one/reply", "fb040c000000000200000000000000020101"},
-	{"PutChunks/request", "fb040c0000000049000000000000000302e3254ea61c09ead5a01d3bf07e946a561c6c2cd1c46b8ca1bfa8729d26a7d09f074a381eefaafb3c9d63676d586dd16d9c9aae2f563894e9074a58820724213b0201016102026262"},
-	{"PutChunks/reply", "fb040c00000000030000000000000003020001"},
-	{"PutChunks-empty/request", "fb040c000000000200000000000000040000"},
-	{"PutChunks-empty/reply", "fb040c0000000001000000000000000400"},
-	{"GetChunks-one/request", "fb040d0000000021000000000000000501e3254ea61c09ead5a01d3bf07e946a561c6c2cd1c46b8ca1bfa8729d26a7d09f"},
-	{"GetChunks-one/reply", "fb040d00000000060000000000000005010101010161"},
-	{"GetChunks-one-absent/request", "fb040d0000000021000000000000000601283bb9deef02e6843abfb538efa1eca70801bd8a701c3f98191e123496339247"},
-	{"GetChunks-one-absent/reply", "fb040d00000000030000000000000006010000"},
-	{"GetChunks/request", "fb040d0000000061000000000000000703074a381eefaafb3c9d63676d586dd16d9c9aae2f563894e9074a58820724213b283bb9deef02e6843abfb538efa1eca70801bd8a701c3f98191e123496339247e3254ea61c09ead5a01d3bf07e946a561c6c2cd1c46b8ca1bfa8729d26a7d09f"},
-	{"GetChunks/reply", "fb040d000000000c0000000000000007030100010202026262010161"},
-	{"HasChunks-one/request", "fb040e0000000021000000000000000801e3254ea61c09ead5a01d3bf07e946a561c6c2cd1c46b8ca1bfa8729d26a7d09f"},
-	{"HasChunks-one/reply", "fb040e000000000200000000000000080101"},
-	{"HasChunks/request", "fb040e0000000041000000000000000902283bb9deef02e6843abfb538efa1eca70801bd8a701c3f98191e123496339247074a381eefaafb3c9d63676d586dd16d9c9aae2f563894e9074a58820724213b"},
-	{"HasChunks/reply", "fb040e00000000030000000000000009020001"},
-	{"Stats/request", "fb04040000000000000000000000000a"},
-	{"Stats/reply", "fb04040000000005000000000000000a040a0e020a"},
-	{"Apply/request", "fb0406000000004b000000000000000b01016b066d61737465720000000000000000000000000000000000000000000000000000000000000000003bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe"},
-	{"Apply/reply", "fb04060000000002000000000000000b0101"},
-	{"Apply-stale/request", "fb0406000000004b000000000000000c01016b066d6173746572000000000000000000000000000000000000000000000000000000000000000000fb04dcb6970e4c3d1873de51fd5a50d7bb46b3383113602665c350ec40b5f990"},
-	{"Apply-stale/reply", "fb04060000000002000000000000000c0100"},
-	{"Head/request", "fb04050000000009000000000000000d016b066d6173746572"},
-	{"Head/reply", "fb04050000000021000000000000000d013bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe"},
-	{"Head-absent/request", "fb04050000000007000000000000000e016b046e6f7065"},
-	{"Head-absent/reply", "fb04050000000001000000000000000e00"},
-	{"Apply-rename/request", "fb04060000000093000000000000000f02016b066d6173746572003bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe0000000000000000000000000000000000000000000000000000000000000000016b046d61696e0000000000000000000000000000000000000000000000000000000000000000003bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe"},
-	{"Apply-rename/reply", "fb04060000000002000000000000000f0101"},
-	{"Branches/request", "fb040900000000030000000000000010016b00"},
-	{"Branches/reply", "fb04090000000027000000000000001001046d61696e013bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe"},
-	{"Keys/request", "fb040a00000000000000000000000011"},
-	{"Keys/reply", "fb040a0000000003000000000000001101016b"},
-	{"Heads/request", "fb04100000000001000000000000001200"},
-	{"Heads/reply", "fb0410000000002b000000000000001202016b046d61696e013bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe0100"},
-	{"Heads-after/request", "fb041000000000030000000000000013026b00"},
-	{"Heads-after/reply", "fb04100000000004000000000000001300000100"},
-	{"Apply-delete/request", "fb04060000000049000000000000001401016b046d61696e0100000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000"},
-	{"Apply-delete/reply", "fb0406000000000200000000000000140101"},
-	{"Apply-error/request", "fb0406000000004800000000000000150100046d61696e0000000000000000000000000000000000000000000000000000000000000000003bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe"},
-	{"Apply-error/reply", "fb040601000000540000000000000015636f72653a206865616420222240226d61696e223a2061206b6579206d757374206265203120746f20363535333520627974657320616e642061206272616e6368206e616d65206174206d6f7374203635353335"},
-	{"FeedSince/request", "fb040f000000000500000000000000160903072001"},
-	{"FeedSince/reply", "fb040f000000004c00000000000000160507010105016b046d61696e3bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fefb04dcb6970e4c3d1873de51fd5a50d7bb46b3383113602665c350ec40b5f990"},
-	{"Heads-more/reply", "fb0410000000004f000000000000001804016b046d61696e016b0178023bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fefb04dcb6970e4c3d1873de51fd5a50d7bb46b3383113602665c350ec40b5f9900101"},
-	{"GetChunks-deferred/reply", "fb040d00000000090000000000000017040100020201010161"},
+	{"Ping/request", "fb050b00000000000000000000000001"},
+	{"Ping/reply", "fb050b00000000000000000000000001"},
+	{"PutChunks-one/request", "fb050c0000000025000000000000000201e3254ea61c09ead5a01d3bf07e946a561c6c2cd1c46b8ca1bfa8729d26a7d09f01010161"},
+	{"PutChunks-one/reply", "fb050c000000000200000000000000020101"},
+	{"PutChunks/request", "fb050c0000000049000000000000000302e3254ea61c09ead5a01d3bf07e946a561c6c2cd1c46b8ca1bfa8729d26a7d09f074a381eefaafb3c9d63676d586dd16d9c9aae2f563894e9074a58820724213b0201016102026262"},
+	{"PutChunks/reply", "fb050c00000000030000000000000003020001"},
+	{"PutChunks-empty/request", "fb050c000000000200000000000000040000"},
+	{"PutChunks-empty/reply", "fb050c0000000001000000000000000400"},
+	{"GetChunks-one/request", "fb050d0000000021000000000000000501e3254ea61c09ead5a01d3bf07e946a561c6c2cd1c46b8ca1bfa8729d26a7d09f"},
+	{"GetChunks-one/reply", "fb050d00000000060000000000000005010101010161"},
+	{"GetChunks-one-absent/request", "fb050d0000000021000000000000000601283bb9deef02e6843abfb538efa1eca70801bd8a701c3f98191e123496339247"},
+	{"GetChunks-one-absent/reply", "fb050d00000000030000000000000006010000"},
+	{"GetChunks/request", "fb050d0000000061000000000000000703074a381eefaafb3c9d63676d586dd16d9c9aae2f563894e9074a58820724213b283bb9deef02e6843abfb538efa1eca70801bd8a701c3f98191e123496339247e3254ea61c09ead5a01d3bf07e946a561c6c2cd1c46b8ca1bfa8729d26a7d09f"},
+	{"GetChunks/reply", "fb050d000000000c0000000000000007030100010202026262010161"},
+	{"HasChunks-one/request", "fb050e0000000021000000000000000801e3254ea61c09ead5a01d3bf07e946a561c6c2cd1c46b8ca1bfa8729d26a7d09f"},
+	{"HasChunks-one/reply", "fb050e000000000200000000000000080101"},
+	{"HasChunks/request", "fb050e0000000041000000000000000902283bb9deef02e6843abfb538efa1eca70801bd8a701c3f98191e123496339247074a381eefaafb3c9d63676d586dd16d9c9aae2f563894e9074a58820724213b"},
+	{"HasChunks/reply", "fb050e00000000030000000000000009020001"},
+	{"Stats/request", "fb05040000000000000000000000000a"},
+	{"Stats/reply", "fb05040000000005000000000000000a040a0e020a"},
+	{"Apply/request", "fb0506000000004c000000000000000b01016b066d61737465720000000000000000000000000000000000000000000000000000000000000000003bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe07"},
+	{"Apply/reply", "fb05060000000003000000000000000b010107"},
+	{"Apply-stale/request", "fb0506000000004c000000000000000c01016b066d6173746572000000000000000000000000000000000000000000000000000000000000000000fb04dcb6970e4c3d1873de51fd5a50d7bb46b3383113602665c350ec40b5f99000"},
+	{"Apply-stale/reply", "fb05060000000003000000000000000c010007"},
+	{"Head/request", "fb05050000000009000000000000000d016b066d6173746572"},
+	{"Head/reply", "fb05050000000022000000000000000d013bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe07"},
+	{"Head-absent/request", "fb05050000000007000000000000000e016b046e6f7065"},
+	{"Head-absent/reply", "fb05050000000002000000000000000e0007"},
+	{"Apply-rename/request", "fb05060000000095000000000000000f02016b066d6173746572003bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe000000000000000000000000000000000000000000000000000000000000000000016b046d61696e0000000000000000000000000000000000000000000000000000000000000000003bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe00"},
+	{"Apply-rename/reply", "fb05060000000003000000000000000f010107"},
+	{"Branches/request", "fb050900000000030000000000000010016b00"},
+	{"Branches/reply", "fb05090000000027000000000000001001046d61696e013bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe"},
+	{"Keys/request", "fb050a00000000000000000000000011"},
+	{"Keys/reply", "fb050a0000000003000000000000001101016b"},
+	{"Heads/request", "fb05100000000001000000000000001200"},
+	{"Heads/reply", "fb0510000000002b000000000000001202016b046d61696e013bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe0100"},
+	{"Heads-after/request", "fb051000000000030000000000000013026b00"},
+	{"Heads-after/reply", "fb05100000000004000000000000001300000100"},
+	{"Apply-delete/request", "fb0506000000004a000000000000001401016b046d61696e010000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000"},
+	{"Apply-delete/reply", "fb050600000000030000000000000014010107"},
+	{"Apply-error/request", "fb0506000000004900000000000000150100046d61696e0000000000000000000000000000000000000000000000000000000000000000003bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe00"},
+	{"Apply-error/reply", "fb050601000000540000000000000015636f72653a206865616420222240226d61696e223a2061206b6579206d757374206265203120746f20363535333520627974657320616e642061206272616e6368206e616d65206174206d6f7374203635353335"},
+	{"Apply-collected/request", "fb0506000000004a000000000000001601016b046d61696e0000000000000000000000000000000000000000000000000000000000000000003bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe06"},
+	{"Apply-collected/reply", "fb0506010000004e0000000000000016636f72653a2076616c75652070726564617465732061206761726261676520636f6c6c656374696f6e3b2072656275696c64206f722072656c6f61642069743a206f70203020286b406d61696e29"},
+	{"FeedSince/request", "fb050f000000000500000000000000170903072001"},
+	{"FeedSince/reply", "fb050f000000004c00000000000000170507010105016b046d61696e3bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fefb04dcb6970e4c3d1873de51fd5a50d7bb46b3383113602665c350ec40b5f990"},
+	{"Heads-more/reply", "fb0510000000004f000000000000001904016b046d61696e016b0178023bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fefb04dcb6970e4c3d1873de51fd5a50d7bb46b3383113602665c350ec40b5f9900101"},
+	{"GetChunks-deferred/reply", "fb050d00000000090000000000000018040100020201010161"},
 }

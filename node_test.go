@@ -202,3 +202,129 @@ func TestPutAfterGCRefusesCollectedValue(t *testing.T) {
 		})
 	}
 }
+
+// servedPrimary opens an in-memory primary serving NewServer and a Remote
+// client of it.
+func servedPrimary(t *testing.T) (primary, client *forkbase.DB) {
+	t.Helper()
+	primary = forkbase.MustOpen(forkbase.WithMetrics(obs.NewRegistry()))
+	t.Cleanup(func() { primary.Close() })
+	srv := primary.NewServer(nil)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	client, err = forkbase.Open(forkbase.Remote(addr), forkbase.WithMetrics(obs.NewRegistry()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { client.Close() })
+	return primary, client
+}
+
+// TestRemoteCommitAfterPrimaryGC: a map a Remote client built lands its
+// chunks on the primary, whose GC sweeps them before the client's Put.  The
+// Put is refused with ErrCollected instead of being acked under a head that
+// names swept chunks; a rebuilt value commits and deep-verifies on both
+// ends, and the next GC passes.
+func TestRemoteCommitAfterPrimaryGC(t *testing.T) {
+	primary, client := servedPrimary(t)
+	var es []forkbase.Entry
+	for i := 0; i < 500; i++ {
+		es = append(es, forkbase.Entry{Key: []byte(fmt.Sprintf("k%05d", i)), Val: []byte(fmt.Sprintf("v%05d-some-padding-bytes", i))})
+	}
+	v, err := client.NewMapValue(es)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gs, err := primary.GC(); err != nil || gs.Swept == 0 {
+		t.Fatalf("primary GC = %+v, %v; want the unpublished value's chunks swept", gs, err)
+	}
+	if _, err := client.Put("m", "", v, nil); !errors.Is(err, forkbase.ErrCollected) {
+		t.Fatalf("remote Put of a value the primary collected = %v, want ErrCollected", err)
+	}
+	if v, err = client.NewMapValue(es); err != nil {
+		t.Fatal(err)
+	}
+	ver, err := client.Put("m", "", v, nil)
+	if err != nil {
+		t.Fatalf("remote Put of the rebuilt value: %v", err)
+	}
+	for name, db := range map[string]*forkbase.DB{"client": client, "primary": primary} {
+		if rep, err := db.VerifyVersion("m", ver.UID, true); err != nil || !rep.OK {
+			t.Fatalf("%s deep verify of the rebuilt value = %+v, %v", name, rep, err)
+		}
+	}
+	if _, err := primary.GC(); err != nil {
+		t.Fatalf("primary GC after the commit: %v", err)
+	}
+}
+
+// TestRemotePutsRacingPrimaryGC: a Remote client commits 400 PutStrings over
+// 20 keys while the primary collects, retrying a put refused with
+// ErrCollected.  A pass starts as each put is acked, so it runs during the
+// next put's round trips and may sweep that put's FNode between its
+// PutChunks and its Apply.  No GC pass fails, every put acks within a
+// bounded number of retries, and every head deep-verifies on the primary.
+// (Passes run back to back, with no pause, would sweep every attempt's
+// FNode in turn: the rule refuses each, and the writer starves.)
+func TestRemotePutsRacingPrimaryGC(t *testing.T) {
+	primary, client := servedPrimary(t)
+	acked, stop, done := make(chan struct{}, 1), make(chan struct{}), make(chan error, 1)
+	passes := 0
+	go func() {
+		for {
+			select {
+			case <-stop:
+				done <- nil
+				return
+			case <-acked:
+			}
+			if _, err := primary.GC(); err != nil {
+				done <- fmt.Errorf("GC pass %d: %w", passes, err)
+				return
+			}
+			passes++
+		}
+	}()
+	const keys, puts, maxRetries = 20, 400, 5
+	retries := 0
+	var putErr error
+	for i := 0; i < puts && putErr == nil; i++ {
+		key := fmt.Sprintf("key-%02d", i%keys)
+		for try := 0; ; try++ {
+			_, err := client.PutString(key, "", fmt.Sprintf("value %d", i), nil)
+			if err == nil {
+				break
+			}
+			if !errors.Is(err, forkbase.ErrCollected) || try == maxRetries {
+				putErr = fmt.Errorf("put %d (%s), try %d: %w", i, key, try, err)
+				break
+			}
+			retries++
+		}
+		select {
+		case acked <- struct{}{}:
+		default: // a pass is already due
+		}
+	}
+	close(stop)
+	if err := errors.Join(putErr, <-done); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d GC passes, %d ErrCollected retries", passes, retries)
+	if _, err := primary.GC(); err != nil {
+		t.Fatalf("final GC: %v", err)
+	}
+	for k := 0; k < keys; k++ {
+		key := fmt.Sprintf("key-%02d", k)
+		head, err := primary.Head(key, "")
+		if err == nil {
+			_, err = primary.VerifyVersion(key, head, true)
+		}
+		if err != nil {
+			t.Errorf("head of %s: %v", key, err)
+		}
+	}
+}
