@@ -479,6 +479,23 @@ func TestRemoteDialFailure(t *testing.T) {
 	}
 }
 
+// TestRemoteMalformedAddressFailsAtOnce: an address the dialer cannot parse
+// (no port, too many colons) fails Open on its first dial, without the
+// backoff a refused connection or a DNS failure gets.
+func TestRemoteMalformedAddressFailsAtOnce(t *testing.T) {
+	for _, addr := range []string{"127.0.0.1", "1:2:3"} {
+		before, _ := obs.Default().Value("forkbase_retry_retries_total")
+		db, err := forkbase.Open(forkbase.Remote(addr))
+		if err == nil {
+			db.Close()
+			t.Fatalf("Open(Remote(%q)) connected", addr)
+		}
+		if after, _ := obs.Default().Value("forkbase_retry_retries_total"); after != before {
+			t.Errorf("Open(Remote(%q)) retried %v times before failing: %v", addr, after-before, err)
+		}
+	}
+}
+
 // TestOpenRefusesEmptyBackendArgument: an empty directory or address is a
 // configuration Open cannot honour, not "option not given", so each option
 // given one fails Open with an error naming it, before anything is dialled

@@ -4,6 +4,13 @@
 // the leaf cut.  The POS-Tree builders cut every level with rolling.Scan
 // over their contiguous node buffers (pos.newLevelScan).
 //
+// The leaf cut is normalized in two regions on the one rolling hash: a
+// pattern at chunk offset i >= MinSize-1 counts when all Q hash bits are zero
+// below offset NormalSize() = 2^Q, and when the low rolling.EasyBits(Q) bits
+// are zero from there on.  Chunk sizes then bunch around 2^Q instead of
+// spreading geometrically past MinSize, so the nodes an edit lands in — drawn
+// in proportion to their size — are barely larger than the mean.
+//
 // Because the min/max guards and the rolling hash are deterministic
 // functions of the bytes following the previous boundary, chunking remains a
 // pure function of the stream — the property that makes POS-Tree
@@ -18,7 +25,7 @@ import (
 
 // Config controls chunk-boundary detection.
 type Config struct {
-	// Q is the pattern bit-width; expected chunk size is 2^Q bytes.
+	// Q is the pattern bit-width; chunks average about 2^Q bytes.
 	Q uint
 	// Window is the rolling hash window size in bytes.
 	Window int
@@ -55,16 +62,20 @@ func (c Config) Validate() error {
 }
 
 // DefaultConfig yields ~4 KiB average chunks, the sweet spot the ForkBase
-// paper uses for page-level deduplication.
+// paper uses for page-level deduplication: MinSize is half of 2^Q, so with
+// the normalized cut the mean stays near 4.3 KiB.
 func DefaultConfig() Config {
-	return Config{Q: 12, Window: rolling.DefaultWindow, MinSize: 1 << 9, MaxSize: 1 << 16}
+	return Config{Q: 12, Window: rolling.DefaultWindow, MinSize: 1 << 11, MaxSize: 1 << 16}
 }
 
-// SmallConfig yields ~256 B average chunks, for tests that want deep trees
+// SmallConfig yields ~270 B average chunks, for tests that want deep trees
 // from small inputs.
 func SmallConfig() Config {
-	return Config{Q: 8, Window: rolling.DefaultWindow, MinSize: 1 << 5, MaxSize: 1 << 12}
+	return Config{Q: 8, Window: rolling.DefaultWindow, MinSize: 1 << 7, MaxSize: 1 << 12}
 }
+
+// NormalSize is the chunk offset from which the easy pattern counts: 2^Q.
+func (c Config) NormalSize() int { return 1 << c.Q }
 
 // Normalized returns the config with zero or inconsistent fields replaced by
 // the same defaults the chunkers apply internally, so callers that read the
@@ -122,7 +133,10 @@ func (b *ByteChunker) roll(by byte) bool {
 	if b.n >= b.cfg.MaxSize {
 		return true
 	}
-	return b.n >= b.cfg.MinSize && b.h.OnPattern()
+	if b.n <= b.cfg.NormalSize() { // offset n-1 is below 2^Q
+		return b.n >= b.cfg.MinSize && b.h.OnPattern()
+	}
+	return b.n >= b.cfg.MinSize && b.h.OnEasyPattern()
 }
 
 func (b *ByteChunker) reset() {

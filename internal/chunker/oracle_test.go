@@ -60,15 +60,19 @@ func NewEntryChunker(cfg Config) *EntryChunker {
 }
 
 // Add feeds one encoded entry and reports whether the node should be closed
-// after it.  A pattern anywhere inside the entry (at or past MinSize) closes
-// the node at the entry's end.
+// after it.  A pattern anywhere inside the entry (at or past MinSize; the
+// easy one past NormalSize) closes the node at the entry's end.
 func (e *EntryChunker) Add(encoded []byte) bool {
 	hit := false
 	for _, by := range encoded {
 		e.h.Roll(by)
 		e.bytes++
-		if !hit && e.bytes >= e.cfg.MinSize && e.h.OnPattern() {
-			hit = true
+		if !hit && e.bytes >= e.cfg.MinSize {
+			if e.bytes <= e.cfg.NormalSize() {
+				hit = e.h.OnPattern()
+			} else {
+				hit = e.h.OnEasyPattern()
+			}
 		}
 	}
 	e.entries++

@@ -8,7 +8,8 @@ import (
 
 // FastCDC-2020-style pinned vectors for the rolling-hash chunker: a fixed
 // SplitMix64-generated input must always cut at exactly these offsets. Any
-// change to the Γ table, the rolling update, or the min/max clamping shows up
+// change to the Γ table, the rolling update, the min/max clamping or the
+// two-region rule (full pattern below 2^Q, easy one from there) shows up
 // here as a diff of literal integers rather than a silent re-chunk of every
 // stored object (which would destroy cross-version dedup).
 
@@ -44,10 +45,9 @@ var rollingVectors = []struct {
 		n:    128 << 10,
 		cfg:  DefaultConfig(),
 		cuts: []int{
-			1391, 2734, 4686, 15612, 16799, 23126, 23638, 26351, 36075, 42618,
-			44179, 44843, 48410, 49354, 54444, 55386, 69354, 71378, 74739, 78040,
-			82214, 82886, 84140, 89150, 89917, 90955, 92511, 95682, 97362, 101726,
-			102635, 104827, 110306, 112114, 117323, 127124, 131072,
+			2734, 7667, 12987, 15612, 19727, 23126, 26351, 30828, 35962, 42092,
+			44179, 48410, 54444, 59296, 64573, 69354, 74739, 78040, 82214, 89150,
+			91447, 95682, 100840, 104827, 109010, 112114, 117133, 121711, 126231, 131072,
 		},
 	},
 	{
@@ -56,12 +56,13 @@ var rollingVectors = []struct {
 		n:    16 << 10,
 		cfg:  SmallConfig(),
 		cuts: []int{
-			850, 1055, 1509, 1793, 2261, 2641, 2963, 3389, 3819, 3878,
-			4729, 5079, 5761, 6052, 6385, 6784, 6922, 7137, 7275, 7342,
-			7618, 8108, 8230, 8527, 8645, 8913, 9026, 9132, 9428, 9506,
-			9554, 9647, 9953, 10144, 10544, 10599, 10782, 11071, 11155, 11656,
-			11709, 11819, 11884, 11975, 12667, 12873, 13142, 13493, 13692, 14520,
-			15335, 15932, 16205, 16333, 16384,
+			307, 639, 850, 1055, 1316, 1509, 1793, 2064, 2261, 2641,
+			2943, 3230, 3389, 3787, 4195, 4455, 4729, 4987, 5390, 5656,
+			5969, 6385, 6777, 6922, 7137, 7275, 7618, 8014, 8230, 8527,
+			8683, 8913, 9132, 9424, 9554, 9840, 10117, 10419, 10571, 10782,
+			11071, 11373, 11656, 11819, 11975, 12259, 12646, 12873, 13142, 13439,
+			13692, 14091, 14520, 14855, 15147, 15335, 15708, 15932, 16205, 16333,
+			16384,
 		},
 	},
 	{
@@ -70,12 +71,14 @@ var rollingVectors = []struct {
 		n:    16 << 10,
 		cfg:  tcfg(),
 		cuts: []int{
-			373, 758, 1369, 1437, 1590, 1767, 2110, 2298, 2331, 2389,
-			3435, 3488, 3642, 3729, 3962, 5122, 5344, 5379, 5740, 5863,
-			5945, 6166, 6332, 7111, 7346, 7428, 7843, 8030, 8855, 8921,
-			9422, 9904, 9942, 10114, 10996, 11119, 11443, 11562, 11837, 12098,
-			12164, 12289, 13045, 13503, 13653, 14035, 14570, 14631, 14878, 15884,
-			16329, 16379, 16384,
+			261, 373, 717, 758, 1024, 1290, 1369, 1437, 1590, 1767,
+			2110, 2298, 2331, 2389, 2764, 3106, 3435, 3488, 3642, 3729,
+			3962, 4423, 4768, 5051, 5122, 5344, 5379, 5740, 5863, 5945,
+			6166, 6332, 6609, 6881, 7111, 7346, 7428, 7843, 8030, 8338,
+			8715, 8855, 8921, 9237, 9422, 9825, 9904, 9942, 10114, 10374,
+			10631, 10972, 11119, 11417, 11562, 11837, 12098, 12164, 12289, 12599,
+			12910, 13045, 13416, 13503, 13653, 14021, 14359, 14570, 14631, 14878,
+			15185, 15444, 15717, 15884, 16232, 16329, 16379, 16384,
 		},
 	},
 }
@@ -171,7 +174,7 @@ func scanCuts(data []byte, cfg Config) []int {
 	pos, h := 0, uint64(0)
 	for start < len(data) {
 		end = min(end+1+(end%301), start+cfg.MaxSize, len(data))
-		hit, nh := s.Find(data[start:end], pos, h, begin, check)
+		hit, nh := s.Find(data[start:end], pos, h, begin, check, cfg.NormalSize())
 		switch {
 		case hit >= 0:
 			start += hit + 1

@@ -58,41 +58,60 @@ type levelBuilder struct {
 const indexMaxEntries = 1 << 10
 
 // levelScan is a level's boundary rule: the rolling-hash scanner, its
-// constants (the index hashing starts at, i.e. the min-size skip, and the
-// first index a pattern may fire at) and its state over the open node.  Map,
-// list and blob leaves and every index level get it from newLevelScan, so
-// they cannot disagree.
+// constants (the index hashing starts at, i.e. the min-size skip, the first
+// index a pattern may fire at and the normal point) and its state over the
+// open node.  Map, list and blob leaves and every index level get it from
+// newLevelScan, so they cannot disagree.
 //
 // A leaf cuts byte-granularly: a pattern anywhere in an entry, at or past
 // MinSize, closes the node at that entry's end (the paper's "extend the
-// boundary to cover the whole entry"), and so does reaching MaxSize.  An
-// index level cuts entry-granularly: after each entry the low fanout bits of
-// the rolling hash decide, so the cut probability does not depend on entry
-// size, and with a two-entry minimum every index level at least halves the
-// node count — byte-granular patterns cannot promise that when entries are
-// longer than the pattern distance.  Its scan has no checkable index; Find
-// only advances the hash to the end of the entry.
+// boundary to cover the whole entry"), and so does reaching MaxSize.  Below
+// node offset 2^Q a pattern needs all Q hash bits zero, from there only the
+// low rolling.EasyBits(Q): the normalized cut, under which leaf sizes bunch
+// around 2^Q.  An index level cuts entry-granularly: after each entry the low
+// fanout bits of the rolling hash decide, so the cut probability does not
+// depend on entry size, with the same two regions counted in entries: no cut
+// below half the expected fanout, all fanout bits below it, two bits fewer
+// from it on.  Its scan has no checkable index; Find only advances the hash
+// to the end of the entry.
 type levelScan struct {
-	scan         rolling.Scan
-	begin, check int
-	window       int
-	first        int    // leaves: the first offset at which a pattern can count
-	fanout       uint64 // index levels: the hash bits that must be zero
-	pos          int    // bytes of the open node scanned so far
-	h            uint64 // the hash state after them
-	scanned      int    // bytes handed to Find since the last tally
+	scan                 rolling.Scan
+	begin, check, normal int
+	window               int
+	first                int // leaves: the first offset at which a pattern can count
+	// Index levels: a cut after the n-th entry needs n >= minFan, and then
+	// the hash bits fanout zero while n < normalFan, the bits easyFanout
+	// from there.
+	fanout, easyFanout uint64
+	minFan, normalFan  int
+	pos                int    // bytes of the open node scanned so far
+	h                  uint64 // the hash state after them, unless stale
+	stale              bool   // a copied run moved pos without computing h
+	scanned            int    // bytes Find hashed since the last tally
 }
 
-// findBytes counts the bytes every level scan has handed to Find, one add
-// per finished level, so tests pin a re-chunk's hashing cost with
-// before/after deltas as hash.Digests pins its digests.
+// findBytes counts the bytes every level scan has had Find hash, one add per
+// finished level, so tests pin a re-chunk's hashing cost with before/after
+// deltas as hash.Digests pins its digests.
 var findBytes atomic.Int64
+
+// hashed counts the bytes a Find from lo over node[:hi] hashed: up to its
+// hit, where it stops, or to hi.
+func (ls *levelScan) hashed(lo, hi, hit int) {
+	if hit >= 0 {
+		hi = hit + 1
+	}
+	ls.scanned += max(hi-max(lo, ls.begin), 0)
+}
 
 // find resumes the scan over node, the open node's bytes, and returns Find's
 // hit and hash state.
 func (ls *levelScan) find(node []byte) (int, uint64) {
-	ls.scanned += max(len(node)-max(ls.pos, ls.begin), 0)
-	hit, h := ls.scan.Find(node, ls.pos, ls.h, ls.begin, ls.check)
+	if ls.stale {
+		ls.h, ls.stale = ls.seed(node, ls.pos), false
+	}
+	hit, h := ls.scan.Find(node, ls.pos, ls.h, ls.begin, ls.check, ls.normal)
+	ls.hashed(ls.pos, len(node), hit)
 	ls.pos, ls.h = len(node), h
 	return hit, h
 }
@@ -100,7 +119,7 @@ func (ls *levelScan) find(node []byte) (int, uint64) {
 // seed returns the scan state at offset p of node: the hash of the at most
 // window hashed bytes before p, which is all the state a scan carries.
 func (ls *levelScan) seed(node []byte, p int) uint64 {
-	if p == ls.pos {
+	if p == ls.pos && !ls.stale {
 		return ls.h
 	}
 	s := max(ls.begin, p-ls.window)
@@ -108,7 +127,7 @@ func (ls *levelScan) seed(node []byte, p int) uint64 {
 		return 0
 	}
 	ls.scanned += p - s
-	_, h := ls.scan.Find(node[:p], s, 0, s, math.MaxInt)
+	_, h := ls.scan.Find(node[:p], s, 0, s, math.MaxInt, math.MaxInt)
 	return h
 }
 
@@ -120,16 +139,16 @@ func (ls *levelScan) scanRange(node []byte, lo, hi int) int {
 		return -1
 	}
 	h := ls.seed(node, lo)
-	ls.scanned += hi - lo
-	hit, h := ls.scan.Find(node[:hi], lo, h, ls.begin, ls.check)
+	hit, h := ls.scan.Find(node[:hi], lo, h, ls.begin, ls.check, ls.normal)
+	ls.hashed(lo, hi, hit)
 	if hit < 0 {
-		ls.pos, ls.h = hi, h
+		ls.pos, ls.h, ls.stale = hi, h, false
 	}
 	return hit
 }
 
 // restart resets the scan state at a node boundary.
-func (ls *levelScan) restart() { ls.pos, ls.h = 0, 0 }
+func (ls *levelScan) restart() { ls.pos, ls.h, ls.stale = 0, 0, false }
 
 // tally hands the bytes scanned so far to findBytes.
 func (ls *levelScan) tally() {
@@ -142,19 +161,32 @@ func newLevelScan(cfg chunker.Config, level uint8) levelScan {
 	if level == 0 {
 		ls.begin, ls.check = ls.scan.SkipStart(cfg.MinSize), cfg.MinSize-1
 		ls.first = ls.begin + cfg.Window - 1
+		ls.normal = cfg.NormalSize()
 	} else {
-		ls.check = math.MaxInt
-		ls.fanout = uint64(1)<<indexFanoutBits(cfg.Q) - 1
+		bits := indexFanoutBits(cfg.Q)
+		ls.check, ls.normal = math.MaxInt, math.MaxInt
+		ls.fanout, ls.easyFanout = uint64(1)<<bits-1, uint64(1)<<rolling.EasyBits(bits)-1
+		ls.minFan, ls.normalFan = max(2, 1<<(bits-1)), 1<<bits
 	}
 	return ls
 }
 
-// indexFanoutBits chooses the expected children per index node (2^bits) so
-// that index nodes stay size-proportionate to leaves: an index entry is
-// ~48 bytes (split key + 32-byte hash + count), so matching the 2^Q leaf
-// target gives bits ≈ Q-6, clamped to [2, 8] so reduction stays geometric
-// (≥4× per level) and nodes stay bounded (≤256 children on average), and
-// never more bits than the hash has.
+// indexCut reports whether an index node cuts after its n-th entry, whose
+// end leaves the hash h: the two-region rule, or the entry bound.
+func (ls *levelScan) indexCut(n int, h uint64) bool {
+	mask := ls.fanout
+	if n >= ls.normalFan {
+		mask = ls.easyFanout
+	}
+	return n >= ls.minFan && h&mask == 0 || n >= indexMaxEntries
+}
+
+// indexFanoutBits chooses the expected children per index node (about
+// 2^bits) so that index nodes stay size-proportionate to leaves: an index
+// entry is ~48 bytes (split key + 32-byte hash + count), so matching the 2^Q
+// leaf target gives bits ≈ Q-6, clamped to [2, 8] so reduction stays
+// geometric (≥2× per level, the cut's minimum) and nodes stay bounded (≤256
+// children on average), and never more bits than the hash has.
 func indexFanoutBits(q uint) uint {
 	return min(max(q, 8)-6, 8, q)
 }
@@ -211,7 +243,7 @@ func (b *levelBuilder) afterAppend(key []byte, below uint64) error {
 	if b.level == 0 {
 		cut = hit >= 0 || len(node) >= b.cfg.MaxSize
 	} else {
-		cut = b.n >= 2 && h&b.fanout == 0 || b.n >= indexMaxEntries
+		cut = b.indexCut(b.n, h)
 	}
 	if cut {
 		return b.closeNode()
@@ -280,15 +312,22 @@ func (b *levelBuilder) addRef(r childRef) error {
 // config is:
 //
 //   - Leaf.  A pattern at byte i depends only on bytes [i-W+1, i] and counts
-//     only at node offset >= first (the min-size rule).  o's non-last
+//     only at node offset >= first (the min-size rule), under the full mask
+//     below the normal point and the easy mask from it.  o's non-last
 //     entries hold no counted pattern, or o would have been cut there.  So a
 //     copied byte needs no hash when its offset in o is >= first, it lies
-//     outside o's last entry, and the run also copied the W-1 bytes before
-//     it.  The rest, at most the run's head and o's last entry, is scanned.
+//     outside o's last entry, the run also copied the W-1 bytes before it,
+//     and it does not move from below o's normal point to at or past the
+//     open node's: no full pattern does not rule out an easy one.  The
+//     rest, at most the run's head, the bytes that cross the normal point
+//     and o's last entry, is scanned.
 //   - Index.  The cut after an entry reads its count in the node and the
-//     hash of the W bytes before its end.  Entry j of o with 1 <= j < len-1
-//     did not cut, so its hash bits are nonzero wherever the same W bytes
-//     end it; any other entry's hash is computed from those W bytes.
+//     hash of the W bytes before its end.  Entry j of o with count j+1 at
+//     least the minimum, j < len-1, did not cut, so the mask of its region
+//     does not clear its hash wherever the same W bytes end it, and an easy
+//     mask that does not clear it rules out the full one; any other entry,
+//     and one whose count moves into the easy region, is tested from those
+//     W bytes.
 //
 // MaxSize and the entry bound are arithmetic on entry ends.
 func (b *levelBuilder) appendRun(o *node, a, z int) error {
@@ -306,8 +345,8 @@ func (b *levelBuilder) appendRun(o *node, a, z int) error {
 
 // copyRun appends o's entries [a, k], where k is the first entry of [a, z)
 // after which the open node cuts, or z-1 when none does, and reports
-// whether it cuts.  A pattern in the run's head, where o proves nothing,
-// truncates the copy to its entry; the remainder is copied again from there.
+// whether it cuts.  A pattern in the run's unproven bytes truncates the copy
+// to its entry; the remainder is copied again from there.
 func (b *levelBuilder) copyRun(o *node, a, z int) (k int, cut bool) {
 	from, last := o.end(a-1), o.elems()-1
 	shift := len(b.buf) - nodeHeadroom - from // o's payload offset + shift = open-node offset
@@ -322,21 +361,20 @@ func (b *levelBuilder) copyRun(o *node, a, z int) (k int, cut bool) {
 	b.buf = append(b.buf, o.data[from:o.end(k)]...)
 	node := b.buf[nodeHeadroom:]
 	if b.level == 0 {
-		proven := max(o.end(-1)+b.first, from+b.window-1)
-		hit := b.scanRange(node, from+shift, min(proven, o.end(k))+shift)
-		if hit < 0 && k == last {
-			hit = b.scanRange(node, max(proven, o.end(last-1))+shift, o.end(k)+shift)
-		}
-		if hit >= 0 {
+		if hit := b.scanUnproven(node, o, from, shift, k == last, o.end(k)+shift); hit >= 0 {
 			k = a + sort.Search(k-a, func(i int) bool { return o.end(a+i)+shift > hit })
 			cut = true
 		}
 	} else {
 		for j := a; j <= k; j++ {
-			if b.n+j-a+1 < 2 || 1 <= j && j < last && o.end(j)-b.window >= from {
+			// o tested entry j, under a mask at least as strict as the open
+			// node's count n needs, over the same W bytes.
+			n := b.n + j - a + 1
+			proven := j+1 >= b.minFan && j < last && o.end(j)-b.window >= from && (n < b.normalFan || j+1 >= b.normalFan)
+			if n < b.minFan || proven {
 				continue
 			}
-			if b.seed(node, o.end(j)+shift)&b.fanout == 0 {
+			if b.indexCut(n, b.seed(node, o.end(j)+shift)) {
 				k, cut = j, true
 				break
 			}
@@ -355,11 +393,41 @@ func (b *levelBuilder) copyRun(o *node, a, z int) (k int, cut bool) {
 	}
 	b.n += k - a + 1
 	b.boundary = false
-	if !cut { // the scan state moves to the end of the open node
-		node = b.buf[nodeHeadroom:]
-		b.h, b.pos = b.seed(node, len(node)), len(node)
+	// The scan state moves to the end of the open node; its hash is seeded
+	// only if an appended entry needs it, not when another run follows.
+	if end := len(b.buf) - nodeHeadroom; !cut && b.pos != end {
+		b.pos, b.stale = end, true
 	}
 	return k, cut
+}
+
+// scanUnproven returns the first counted pattern among the leaf bytes a run
+// copied from o at o.data[from:] to open-node offsets up to end, or -1,
+// scanning in offset order only the bytes o does not vouch for: the run's
+// head up to proven, those that cross from below o's normal point to at or
+// past the open node's, and, when the run reaches it, o's last entry.
+func (b *levelBuilder) scanUnproven(node []byte, o *node, from, shift int, toLast bool, end int) int {
+	proven := max(o.end(-1)+b.first, from+b.window-1) + shift
+	spans := [3][2]int{{from + shift, proven}}
+	if d := o.end(-1) + shift; d > 0 { // o's offset 0 lands at d
+		spans[1] = [2]int{max(b.normal, proven), b.normal + d}
+	}
+	if toLast {
+		spans[2] = [2]int{max(proven, o.end(o.elems()-2)+shift), end}
+		if spans[2][0] < spans[1][0] {
+			spans[1], spans[2] = spans[2], spans[1]
+		}
+	}
+	lo := 0 // offsets below lo are settled
+	for _, sp := range spans {
+		if a, z := max(sp[0], lo), min(sp[1], end); a < z {
+			if hit := b.scanRange(node, a, z); hit >= 0 {
+				return hit
+			}
+			lo = z
+		}
+	}
+	return -1
 }
 
 // atBoundary reports whether the builder sits exactly at a node boundary

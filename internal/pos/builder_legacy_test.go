@@ -43,27 +43,37 @@ func (l leafChunker) Add(encoded []byte) bool {
 func (l leafChunker) Reset() { l.c.Reset() }
 
 // indexChunker cuts index levels through the byte-wise rolling.Hasher: after
-// each entry the low fanout bits of the hash decide, with a two-entry minimum
-// and an indexMaxEntries cap.  It is the oracle for levelBuilder's index
-// rule, which makes the same decision from the bulk scan's state.
+// the n-th entry, n at least half the expected fanout, the low fanout bits of
+// the hash decide below the expected fanout and two bits fewer from it on,
+// and indexMaxEntries caps the node.  It is the oracle for levelBuilder's
+// index rule, which makes the same decision from the bulk scan's state.
 type indexChunker struct {
-	h       *rolling.Hasher
-	mask    uint64
-	entries int
+	h                 *rolling.Hasher
+	mask, easy        uint64
+	minFan, normalFan int
+	entries           int
 }
 
 func newIndexChunker(cfg chunker.Config) *indexChunker {
 	cfg = cfg.Normalized()
+	bits := indexFanoutBits(cfg.Q)
 	return &indexChunker{
-		h:    rolling.New(cfg.Q, cfg.Window),
-		mask: uint64(1)<<indexFanoutBits(cfg.Q) - 1,
+		h:         rolling.New(cfg.Q, cfg.Window),
+		mask:      uint64(1)<<bits - 1,
+		easy:      uint64(1)<<rolling.EasyBits(bits) - 1,
+		minFan:    max(2, 1<<(bits-1)),
+		normalFan: 1 << bits,
 	}
 }
 
 func (c *indexChunker) Add(encoded []byte) bool {
 	sum := c.h.Write(encoded)
 	c.entries++
-	hit := c.entries >= 2 && sum&c.mask == 0 || c.entries >= indexMaxEntries
+	mask := c.mask
+	if c.entries >= c.normalFan {
+		mask = c.easy
+	}
+	hit := c.entries >= c.minFan && sum&mask == 0 || c.entries >= indexMaxEntries
 	if hit {
 		c.Reset()
 	}

@@ -240,8 +240,44 @@ func decodeOps(b []byte) []Op {
 	return ops
 }
 
+// normalShiftRows are batches whose copied runs cross a leaf's normal point
+// (2^Q, where the easy pattern starts to count): in every leaf that reaches
+// it, the first entry grows by 24 bytes, moving the bytes before the point
+// across it, or the first entry with at least 30 value bytes below the point
+// shrinks to one byte, moving bytes past it back below.
+func normalShiftRows(cfg chunker.Config, layout [][][]Entry) []editShape {
+	var up, down []Op
+	for _, g := range layout {
+		for _, l := range g {
+			size := 0
+			for _, e := range l {
+				size += len(encodeEntry(nil, e))
+			}
+			if size <= cfg.NormalSize() {
+				continue
+			}
+			up = append(up, Put(l[0].Key, append(bytes.Repeat([]byte{'+'}, 24), l[0].Val...)))
+			off := 0
+			for _, e := range l {
+				if off >= cfg.NormalSize() {
+					break
+				}
+				if len(e.Val) >= 30 {
+					down = append(down, Put(e.Key, []byte("s")))
+					break
+				}
+				off += len(encodeEntry(nil, e))
+			}
+		}
+	}
+	if len(up) == 0 {
+		return nil
+	}
+	return []editShape{{"runs shifted up across the normal point", up}, {"runs shifted down across the normal point", down}}
+}
+
 // FuzzEditMatchesRebuild edits the run table's trees with arbitrary batches,
-// seeded with the table's rows.
+// seeded with the table's rows and with runs shifted across the normal point.
 func FuzzEditMatchesRebuild(f *testing.F) {
 	for ci, rc := range runConfigs {
 		for bi, base := range runBases {
@@ -253,7 +289,7 @@ func FuzzEditMatchesRebuild(f *testing.F) {
 			if err != nil {
 				f.Fatal(err)
 			}
-			for _, row := range runRows(rc.cfg, layout) {
+			for _, row := range append(runRows(rc.cfg, layout), normalShiftRows(rc.cfg, layout)...) {
 				f.Add(uint8(ci), uint8(bi), encodeOps(row.ops))
 			}
 		}
@@ -274,9 +310,14 @@ func FuzzEditMatchesRebuild(f *testing.F) {
 
 // TestEditHashesAroundTheChange pins the hashing an edit pays on the two
 // BenchmarkEditScattered shapes and on single-element list and blob splices
-// (10-byte replacements in a 4 MiB random blob): the bytes handed to the
-// boundary hash are at most a fifth of the bytes the edit emits (a re-chunk
-// that hashed every byte it copied hands it about as many as it emits).
+// (10-byte replacements in a 4 MiB random blob): the bytes the boundary
+// hash reads, up to the pattern it stops at, are at most a fifth of the
+// bytes the edit emits (a re-chunk that hashed every byte it copied reads
+// about as many as it emits).  The map rows shrink values from 82 bytes to
+// about 11, which moves easy-region cuts below 2^Q, where three in four no
+// longer count; a leaf that merges into the next old one hashes that leaf's
+// first MinSize bytes, which its old node never tested, up to its first
+// pattern.
 func TestEditHashesAroundTheChange(t *testing.T) {
 	const rows, batch, edits = 100003, 8, 20
 	cfg := chunker.DefaultConfig()
@@ -366,11 +407,78 @@ func spliceItems(ins []byte) [][]byte {
 	return bytes.Split(ins, []byte{0})
 }
 
+// leafElems returns the element count of every leaf of the value rooted at
+// root, in order.
+func leafElems(st store.Store, root hash.Hash) ([]int, error) {
+	n, err := sourceFor(st).Load(root)
+	if err != nil {
+		return nil, err
+	}
+	if n.isLeaf() {
+		return []int{n.elems()}, nil
+	}
+	var out []int
+	for i := 0; i < n.len(); i++ {
+		sub, err := leafElems(st, n.ref(i).id)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, sub...)
+	}
+	return out, nil
+}
+
 // FuzzSpliceMatchesBuild splices a list or a blob at an arbitrary place:
 // the result equals a fresh build of the spliced content, and the splice
 // stores no chunk that its result does not reference.  The seeds are the
-// TestBlobSpliceOracle and TestQuickSeqSpliceModel shapes.
+// TestBlobSpliceOracle and TestQuickSeqSpliceModel shapes, and splices near
+// a leaf's start that shift the rest of a leaf reaching the normal point up
+// or down across it.
 func FuzzSpliceMatchesBuild(f *testing.F) {
+	cfg := spliceConfigs[0]
+	for _, blob := range []bool{true, false} {
+		data, items := spliceBase(blob)
+		var root hash.Hash
+		st := store.NewMemStore()
+		if blob {
+			b, err := BuildBlob(st, cfg, data)
+			if err != nil {
+				f.Fatal(err)
+			}
+			root = b.Root()
+		} else {
+			s, err := BuildSeq(st, cfg, items)
+			if err != nil {
+				f.Fatal(err)
+			}
+			root = s.Root()
+		}
+		leaves, err := leafElems(st, root)
+		if err != nil {
+			f.Fatal(err)
+		}
+		// Shift by 24 bytes: 24 blob bytes, or two list items of 11 bytes
+		// and a length prefix each.
+		ins, del, width := bytes.Repeat([]byte{'+'}, 24), 24, 1
+		if !blob {
+			ins, del, width = []byte("item-+00000\x00item-+00001"), 2, 12
+		}
+		var up, down bool
+		at := 0
+		for _, n := range leaves {
+			if n*width > cfg.NormalSize()+24 && !up {
+				f.Add(blob, uint8(0), uint32(at+1), uint16(0), ins)
+				up = true
+			} else if n*width > cfg.NormalSize()+24 && !down {
+				f.Add(blob, uint8(0), uint32(at+1), uint16(del), []byte(nil))
+				down = true
+			}
+			at += n
+		}
+		if !up || !down {
+			f.Fatalf("blob %v: no two leaves reach past the normal point", blob)
+		}
+	}
 	rng := rand.New(rand.NewSource(31))
 	for i := 0; i < 8; i++ {
 		ins := make([]byte, rng.Intn(400))

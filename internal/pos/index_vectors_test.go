@@ -13,9 +13,10 @@ import (
 
 // Pinned vectors for the index-level cut, in the style of the chunker's
 // rolling vectors: a fixed SplitMix64 stream of child refs must always close
-// index nodes after exactly these entries.  A change to the fanout rule, the
-// two-entry minimum or the index hash state shows up here as a diff of
-// literal integers rather than a silent reshape of every index level.
+// index nodes after exactly these entries.  A change to the fanout rule, its
+// two regions (no cut below half the expected fanout, all fanout bits below
+// it, two fewer from it on) or the index hash state shows up here as a diff
+// of literal integers rather than a silent reshape of every index level.
 
 // vecRefs deterministically expands a seed into n child refs of the variant
 // whose leaves are leaf: ascending split keys with a random suffix (map refs
@@ -59,10 +60,9 @@ var indexVectors = []struct {
 		leaf: chunk.TypeMapLeaf,
 		cfg:  chunker.DefaultConfig(),
 		cuts: []int{
-			7, 11, 50, 122, 244, 407, 424, 492, 506, 531,
-			535, 546, 554, 560, 732, 744, 853, 971, 989, 991,
-			996, 1039, 1107, 1194, 1401, 1416, 1434, 1704, 1721, 1735,
-			1747, 1880, 1905, 1940, 1987,
+			50, 122, 196, 244, 313, 382, 424, 492, 531, 627,
+			705, 744, 831, 900, 971, 1039, 1107, 1187, 1272, 1361,
+			1401, 1434, 1563, 1627, 1704, 1747, 1852, 1905, 1940, 1987,
 		},
 	},
 	{
@@ -72,10 +72,12 @@ var indexVectors = []struct {
 		leaf: chunk.TypeMapLeaf,
 		cfg:  chunker.SmallConfig(),
 		cuts: []int{
-			3, 10, 22, 25, 33, 39, 41, 48, 56, 61,
-			66, 70, 75, 78, 82, 102, 105, 110, 112, 114,
-			119, 123, 125, 129, 134, 136, 138, 147, 152, 154,
-			158, 164, 171, 173, 175, 180, 183, 187, 194,
+			3, 9, 13, 19, 22, 25, 29, 33, 38, 40,
+			44, 48, 52, 56, 60, 66, 70, 74, 76, 78,
+			82, 87, 91, 95, 100, 102, 105, 110, 112, 114,
+			119, 123, 125, 129, 134, 136, 138, 142, 146, 150,
+			152, 154, 158, 163, 171, 173, 175, 180, 183, 187,
+			192, 194,
 		},
 	},
 	{
@@ -85,11 +87,12 @@ var indexVectors = []struct {
 		leaf: chunk.TypeSeqLeaf,
 		cfg:  chunker.SmallConfig(),
 		cuts: []int{
-			7, 20, 30, 36, 41, 45, 48, 54, 58, 60,
-			62, 69, 75, 79, 82, 85, 90, 96, 99, 103,
-			106, 110, 113, 122, 126, 128, 134, 136, 141, 144,
-			148, 150, 154, 161, 165, 168, 176, 179, 185, 188,
-			192, 194,
+			7, 13, 17, 20, 24, 29, 34, 36, 41, 45,
+			48, 52, 54, 58, 60, 62, 68, 74, 76, 79,
+			82, 85, 89, 94, 96, 99, 103, 106, 110, 113,
+			122, 126, 128, 133, 135, 140, 144, 148, 150, 154,
+			160, 162, 165, 168, 172, 176, 179, 184, 188, 192,
+			194,
 		},
 	},
 }

@@ -14,6 +14,13 @@
 //
 // The expected distance between patterns is therefore 2^q bytes, which sets
 // the average chunk size.
+//
+// Chunkers normalize the cut (FastCDC, Xia et al., USENIX ATC 2016) on this
+// one hash: before a normal point a pattern needs all q bits zero, from it on
+// only the low EasyBits(q) bits.  Chunk sizes then cluster around the normal
+// point instead of spreading geometrically, and every full pattern still
+// counts in the easy region, so a boundary cut without the normal point
+// remains a candidate under it.
 package rolling
 
 import "sync"
@@ -30,6 +37,7 @@ const DefaultWindow = 48
 type Hasher struct {
 	q      uint   // pattern bit-width; chunks average 2^q bytes
 	mask   uint64 // 2^q - 1
+	easy   uint64 // 2^EasyBits(q) - 1
 	window int
 	table  [256]uint64 // Γ
 	shiftK [256]uint64 // δ^k(Γ(b)) precomputed per byte value
@@ -52,6 +60,7 @@ func New(q uint, window int) *Hasher {
 	h := &Hasher{
 		q:      q,
 		mask:   (uint64(1) << q) - 1,
+		easy:   (uint64(1) << EasyBits(q)) - 1,
 		window: window,
 		buf:    make([]byte, window),
 	}
@@ -105,6 +114,17 @@ func (h *Hasher) OnPattern() bool {
 	return h.n == h.window && h.hash&h.mask == 0
 }
 
+// OnEasyPattern reports whether the current window ends on a pattern of the
+// easy region past a normal point: Φ MOD 2^EasyBits(q) == 0.  Every full
+// pattern is also an easy one.
+func (h *Hasher) OnEasyPattern() bool {
+	return h.n == h.window && h.hash&h.easy == 0
+}
+
+// EasyBits is the pattern width past a normal point: two bits fewer than q,
+// so patterns fire four times as often there, and at least one.
+func EasyBits(q uint) uint { return max(q, 3) - 2 }
+
 // maxScanQ is the widest pattern NewScan accepts: its tables hold q-bit
 // values in uint32.
 const maxScanQ = 30
@@ -125,7 +145,9 @@ const maxScanQ = 30
 //	g_i = g_{i-1} ⊕ D[i][b_i] ⊕ D[i-w][b_{i-w}],  D[j][b] = δ^{-(j+1)}(Γ(b))
 //
 // D depends only on j mod q.  δ is a bijection on q bits, so h_i is zero —
-// the split pattern — exactly when g_i is.
+// the split pattern — exactly when g_i is, and h_i's low EasyBits(q) bits
+// are zero exactly when g_i's bits under δ^{-(i+1)} of that mask are: the
+// easy mask rotates with i mod q too.
 //
 // Scan is a small immutable value over a table shared by every scanner of
 // the same q, and therefore safe to share between goroutines.
@@ -137,6 +159,10 @@ type Scan struct {
 	// index is r mod q: two views of one shared list, out lagging in by
 	// window mod q rows.
 	in, out []*[4]row
+	// full and easy[r] are the masks g must clear after each byte of the
+	// step, before and past the normal point.
+	full *[4]uint32
+	easy []*[4]uint32
 }
 
 // row is one rotation of Γ, a row of D.
@@ -145,12 +171,18 @@ type row = [256]uint32
 // tables holds, per q, D's four-row windows quads[j] = D[j..j+3] for
 // j < 2q, built on first use.  D is periodic in j, so both views, started
 // at any offset below q, read four consecutive rows without wrapping.
-var tables [maxScanQ + 1]struct {
+// easy[r] holds the easy masks in g's frame after the bytes r..r+3 (mod q)
+// and full the q-bit mask four times.
+var tables [maxScanQ + 1]scanTables
+
+type scanTables struct {
 	once  sync.Once
 	quads []*[4]row
+	full  *[4]uint32
+	easy  []*[4]uint32
 }
 
-func derotated(q uint) []*[4]row {
+func derotated(q uint) *scanTables {
 	t := &tables[q]
 	t.once.Do(func() {
 		g := gamma(q)
@@ -164,8 +196,19 @@ func derotated(q uint) []*[4]row {
 		for j := range t.quads {
 			t.quads[j] = (*[4]row)(d[j : j+4])
 		}
+		// The byte at index i leaves g = δ^{-(i+1)}(h): the easy mask of h,
+		// de-rotated by i+1.
+		em := make([]uint32, q+4)
+		for k := range em {
+			em[k] = uint32(rotQ(1<<EasyBits(q)-1, q-uint(k)%q, q))
+		}
+		t.full = &[4]uint32{1<<q - 1, 1<<q - 1, 1<<q - 1, 1<<q - 1}
+		t.easy = make([]*[4]uint32, q)
+		for r := range t.easy {
+			t.easy[r] = (*[4]uint32)(em[r+1 : r+5])
+		}
 	})
-	return t.quads
+	return t
 }
 
 // NewScan returns a scanner with the same pattern semantics as New(q, window).
@@ -177,8 +220,8 @@ func NewScan(q uint, window int) Scan {
 	if window <= 0 {
 		panic("rolling: window must be positive")
 	}
-	quads, lag := derotated(q), int(q)-window%int(q)
-	return Scan{q: int(q), window: window, step: 4 % int(q), in: quads[:q], out: quads[lag : lag+int(q)]}
+	t, lag := derotated(q), int(q)-window%int(q)
+	return Scan{q: int(q), window: window, step: 4 % int(q), in: t.quads[:q], out: t.quads[lag : lag+int(q)], full: t.full, easy: t.easy}
 }
 
 // Find resumes scanning node[pos:] for the first split pattern, where node is
@@ -186,15 +229,18 @@ func NewScan(q uint, window int) Scan {
 // (bytes before begin were skipped, legal because no boundary may fire until
 // the window no longer overlaps them); a pattern only counts at indexes
 // >= check (the min-size rule, 0-based: byte i is the (i+1)-th byte of the
-// chunk).  It returns the index of the first boundary byte or -1, plus the
-// hash state to pass back in when more bytes arrive.  A check past the end
-// of node never fires, so Find then just advances the state to len(node).
+// chunk).  Below index normal a pattern needs all q bits of the hash zero,
+// from normal on the low EasyBits(q) bits.  It returns the index of the
+// first boundary byte or -1, plus the hash state after the boundary byte or
+// after node, the state to pass back in when more bytes arrive.  A check
+// past the end of node never fires, so Find then just advances the state to
+// len(node).
 //
 // Callers must keep begin <= check-window+1 so that every checkable index
 // has a full window of hashed bytes behind it; begin = max(0, minSize-window)
 // with check = minSize-1 satisfies this exactly.
-func (s *Scan) Find(node []byte, pos int, h uint64, begin, check int) (int, uint64) {
-	n, q, w, in, out := len(node), s.q, s.window, s.in, s.out
+func (s *Scan) Find(node []byte, pos int, h uint64, begin, check, normal int) (int, uint64) {
+	n, q, w, in := len(node), s.q, s.window, s.in
 	i := max(pos, begin)
 	if i >= n {
 		return -1, h
@@ -207,51 +253,80 @@ func (s *Scan) Find(node []byte, pos int, h uint64, begin, check int) (int, uint
 	// the byte that completes the window.
 	for fillEnd := min(begin+w, n); i < fillEnd; i++ {
 		g ^= in[r][0][node[i]]
+		mask := s.full[0]
+		if i >= normal {
+			mask = s.easy[r][0]
+		}
 		if r++; r == q {
 			r = 0
 		}
-		if g == 0 && i >= check && i-begin+1 >= w {
-			return i, 0
+		if g&mask == 0 && i >= check && i-begin+1 >= w {
+			return i, uint64(rotl(g, uint(r), uint(q)))
 		}
 	}
-	// Steady state: lead[k] enters the window as trail[k] leaves it.
-	if i < n {
-		lead := node[i:]
-		trail := node[i-w:][:len(lead)]
-		// Four bytes a step: x_j is what the step's first j+1 bytes XOR into
-		// g, so its byte j hits exactly when g == x_j, and the only
-		// loop-carried work is the final XOR.
-		for len(lead) >= 4 {
-			a, b := lead[:4], trail[:4]
-			l, t := in[r], out[r]
-			x0 := l[0][a[0]] ^ t[0][b[0]]
-			x1 := x0 ^ l[1][a[1]] ^ t[1][b[1]]
-			x2 := x1 ^ l[2][a[2]] ^ t[2][b[2]]
-			x3 := x2 ^ l[3][a[3]] ^ t[3][b[3]]
-			if g == x0 || g == x1 || g == x2 || g == x3 {
-				for j, x := range [4]uint32{x0, x1, x2, x3} {
-					if at := n - len(lead) + j; g == x && at >= check {
-						return at, 0
-					}
+	// Steady state, the full-mask region first.
+	mid := min(max(normal, i), n)
+	hit, g, r := s.steady(node, i, mid, g, r, check, false)
+	if hit < 0 {
+		hit, g, r = s.steady(node, mid, n, g, r, check, true)
+	}
+	return hit, uint64(rotl(g, uint(r), uint(q))) // r == (hit+1 or n) mod q
+}
+
+// steady scans node[i:end) with a full window behind every byte, r = i mod
+// q, testing g against the full mask, or against the easy masks when easy is
+// set, after each byte.  It returns the first counted pattern or -1, and g
+// and r after it or after end.
+func (s *Scan) steady(node []byte, i, end int, g uint32, r, check int, easy bool) (int, uint32, int) {
+	if i >= end {
+		return -1, g, r
+	}
+	q, in, out := s.q, s.in, s.out
+	// lead[k] enters the window as trail[k] leaves it.
+	lead := node[i:end]
+	trail := node[i-s.window:][:len(lead)]
+	// Four bytes a step: x_j is what the step's first j+1 bytes XOR into
+	// g, so its byte j hits exactly when g ^ x_j clears mask j — when g == x_j
+	// under the full mask — and the only loop-carried work is the final XOR.
+	for len(lead) >= 4 {
+		a, b := lead[:4], trail[:4]
+		l, t := in[r], out[r]
+		x0 := l[0][a[0]] ^ t[0][b[0]]
+		x1 := x0 ^ l[1][a[1]] ^ t[1][b[1]]
+		x2 := x1 ^ l[2][a[2]] ^ t[2][b[2]]
+		x3 := x2 ^ l[3][a[3]] ^ t[3][b[3]]
+		m := s.full
+		if easy {
+			m = s.easy[r]
+		}
+		if !easy && (g == x0 || g == x1 || g == x2 || g == x3) ||
+			easy && ((g^x0)&m[0] == 0 || (g^x1)&m[1] == 0 || (g^x2)&m[2] == 0 || (g^x3)&m[3] == 0) {
+			for j, x := range [4]uint32{x0, x1, x2, x3} {
+				if at := end - len(lead) + j; (g^x)&m[j] == 0 && at >= check {
+					return at, g ^ x, (r + j + 1) % q
 				}
 			}
-			g ^= x3
-			if r += s.step; r >= q {
-				r -= q
-			}
-			lead, trail = lead[4:], trail[4:]
 		}
-		for ; len(lead) > 0; lead, trail = lead[1:], trail[1:] {
-			g ^= in[r][0][lead[0]] ^ out[r][0][trail[0]]
-			if r++; r == q {
-				r = 0
-			}
-			if at := n - len(lead); g == 0 && at >= check {
-				return at, 0
-			}
+		g ^= x3
+		if r += s.step; r >= q {
+			r -= q
+		}
+		lead, trail = lead[4:], trail[4:]
+	}
+	for ; len(lead) > 0; lead, trail = lead[1:], trail[1:] {
+		g ^= in[r][0][lead[0]] ^ out[r][0][trail[0]]
+		mask := s.full[0]
+		if easy {
+			mask = s.easy[r][0]
+		}
+		if r++; r == q {
+			r = 0
+		}
+		if at := end - len(lead); g&mask == 0 && at >= check {
+			return at, g, r
 		}
 	}
-	return -1, uint64(rotl(g, uint(r), uint(q))) // r == n mod q
+	return -1, g, r
 }
 
 // SkipStart returns the index at which hashing may begin for a chunk whose

@@ -179,8 +179,9 @@ func BenchmarkRoll(b *testing.B) {
 // last position and state, and a hit restarts the chunk after it with fresh
 // state, carrying the bytes already appended — and fails unless every call
 // returns the hit and the state of a byte-wise Hasher fed the same chunk from
-// the skip point.
-func sameAsHasher(tb testing.TB, data []byte, q uint, window, minSize int, step func() int) {
+// the skip point, testing the full pattern below normal and the easy one
+// from there.
+func sameAsHasher(tb testing.TB, data []byte, q uint, window, minSize, normal int, step func() int) {
 	tb.Helper()
 	s := NewScan(q, window)
 	begin, check := s.SkipStart(minSize), minSize-1
@@ -189,21 +190,21 @@ func sameAsHasher(tb testing.TB, data []byte, q uint, window, minSize int, step 
 	for start < len(data) {
 		end = min(end+step(), len(data))
 		node := data[start:end]
-		hit, got := s.Find(node, pos, h, begin, check)
+		hit, got := s.Find(node, pos, h, begin, check, normal)
 		want := -1
 		for ; pos < len(node); pos++ {
 			if pos < begin {
 				continue
 			}
 			ref.Roll(node[pos])
-			if pos >= check && ref.OnPattern() {
+			if pos >= check && (pos < normal && ref.OnPattern() || pos >= normal && ref.OnEasyPattern()) {
 				want = pos
 				break
 			}
 		}
 		if hit != want || got != ref.hash {
-			tb.Fatalf("q=%d w=%d min=%d, chunk at %d of %d bytes: Find = (%d, %#x), Hasher = (%d, %#x)",
-				q, window, minSize, start, len(node), hit, got, want, ref.hash)
+			tb.Fatalf("q=%d w=%d min=%d normal=%d, chunk at %d of %d bytes: Find = (%d, %#x), Hasher = (%d, %#x)",
+				q, window, minSize, normal, start, len(node), hit, got, want, ref.hash)
 		}
 		switch {
 		case hit >= 0:
@@ -222,17 +223,45 @@ func sameAsHasher(tb testing.TB, data []byte, q uint, window, minSize int, step 
 // boundary decisions, and returns the exact state, of the byte-wise Hasher
 // across every pattern width (q < 4 wraps the row offset more than once per
 // step), windows that are multiples of q or shorter than it, min-sizes below,
-// at and above the window, and resumption at random splits.
+// at and above the window, and normal points inside the window fill, just
+// past the min-size and at 2^q, so the easy mask is tested in every rotation.
 func TestScanMatchesHasher(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	data := make([]byte, 3000)
 	for q := uint(1); q <= maxScanQ; q++ {
 		for _, w := range []int{1, 3, 16, 48, 64} {
 			for _, minSize := range []int{max(1, w/2), w, 2*w + 5} {
-				rng.Read(data)
-				sameAsHasher(t, data, q, w, minSize, func() int { return rng.Intn(100) })
+				for _, normal := range []int{w / 2, minSize + 7, 1 << min(q, 11)} {
+					rng.Read(data)
+					sameAsHasher(t, data, q, w, minSize, normal, func() int { return rng.Intn(100) })
+				}
 			}
 		}
+	}
+}
+
+// TestEasyPatternFrequency: past the normal point the pattern fires four
+// times as often as the full one, and every full pattern is an easy one.
+func TestEasyPatternFrequency(t *testing.T) {
+	const q, n = 10, 1 << 20
+	data := make([]byte, n)
+	rand.New(rand.NewSource(43)).Read(data)
+	h := New(q, 32)
+	full, easy := 0, 0
+	for _, by := range data {
+		h.Roll(by)
+		if h.OnPattern() {
+			full++
+			if !h.OnEasyPattern() {
+				t.Fatal("a full pattern is not an easy one")
+			}
+		}
+		if h.OnEasyPattern() {
+			easy++
+		}
+	}
+	if want := n >> EasyBits(q); easy < want*3/4 || easy > want*5/4 || easy < 3*full {
+		t.Fatalf("easy pattern fired %d times (full %d) over %d bytes, expected ~%d", easy, full, n, want)
 	}
 }
 
@@ -247,7 +276,7 @@ func TestScanTablesShared(t *testing.T) {
 		go func(k int) {
 			defer wg.Done()
 			s := NewScan(uint(9+k%2), DefaultWindow)
-			hits[k], _ = s.Find(data, 0, 0, 0, 500)
+			hits[k], _ = s.Find(data, 0, 0, 0, 500, 1000)
 		}(k)
 	}
 	wg.Wait()
@@ -262,17 +291,21 @@ func TestScanTablesShared(t *testing.T) {
 }
 
 // FuzzScan checks Find against the byte-wise Hasher on arbitrary bytes and
-// geometries.  The input is a SplitMix64 stream (vecInput) followed by raw
-// bytes, so the corpus stays small while the seeds are the chunker's three
-// golden-vector inputs at their own geometries.
+// geometries, in both regions of the two-region rule: the full pattern
+// below the normal point, the easy mask from it on.  The input is a
+// SplitMix64 stream (vecInput) followed by raw bytes, so the corpus stays
+// small while the seeds are the chunker's three golden-vector inputs at
+// their own geometries (q, w and minSize enter one below their value), plus
+// a normal point below the window.
 func FuzzScan(f *testing.F) {
-	f.Add(uint64(1), uint32(128<<10), []byte(nil), uint16(12), uint16(48), uint16(512), uint16(777)) // DefaultConfig
-	f.Add(uint64(2), uint32(16<<10), []byte(nil), uint16(8), uint16(48), uint16(32), uint16(301))    // SmallConfig
-	f.Add(uint64(3), uint32(16<<10), []byte(nil), uint16(8), uint16(16), uint16(32), uint16(97))     // window 16
-	f.Fuzz(func(t *testing.T, seed uint64, n uint32, tail []byte, q, w, minSize, stride uint16) {
+	f.Add(uint64(1), uint32(128<<10), []byte(nil), uint16(11), uint16(47), uint16(2047), uint16(4096), uint16(777)) // DefaultConfig
+	f.Add(uint64(2), uint32(16<<10), []byte(nil), uint16(7), uint16(47), uint16(127), uint16(256), uint16(301))     // SmallConfig
+	f.Add(uint64(3), uint32(16<<10), []byte(nil), uint16(7), uint16(15), uint16(31), uint16(256), uint16(97))       // window 16
+	f.Add(uint64(4), uint32(16<<10), []byte(nil), uint16(7), uint16(47), uint16(39), uint16(20), uint16(211))       // normal point below the window
+	f.Fuzz(func(t *testing.T, seed uint64, n uint32, tail []byte, q, w, minSize, normal, stride uint16) {
 		data := append(vecInput(seed, int(n%(256<<10))), tail...)
 		k := 0
-		sameAsHasher(t, data, uint(q%maxScanQ)+1, int(w%256)+1, int(minSize%1024)+1, func() int {
+		sameAsHasher(t, data, uint(q%maxScanQ)+1, int(w%256)+1, int(minSize%4096)+1, int(normal%8192), func() int {
 			k++
 			return 1 + (k*int(stride))%1000
 		})
@@ -310,18 +343,18 @@ func TestScanSkipStart(t *testing.T) {
 
 // BenchmarkScanFind times the boundary scan every POS-Tree builder runs (map
 // and list leaves, blob leaves) at the default geometry, with the builders'
-// min-size skip.
+// min-size skip and normal point.
 func BenchmarkScanFind(b *testing.B) {
 	data := make([]byte, 1<<16)
 	rand.New(rand.NewSource(7)).Read(data)
 	s := NewScan(12, 48)
 	b.SetBytes(int64(len(data)))
-	begin := s.SkipStart(512)
+	begin := s.SkipStart(2048)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		start := 0
 		for start < len(data) {
-			hit, _ := s.Find(data[start:], 0, 0, begin, 511)
+			hit, _ := s.Find(data[start:], 0, 0, begin, 2047, 4096)
 			if hit < 0 {
 				break
 			}

@@ -119,12 +119,19 @@ func DialWithOptions(addr string, opts ClientOptions) (*Client, error) {
 }
 
 // connectLocked dials and installs a fresh connection, unless Close came
-// first.  Callers hold c.turn.
+// first.  Callers hold c.turn.  A dial error is transient, except one the
+// address itself causes (a missing port, too many colons), which no redial
+// can mend.
 func (c *Client) connectLocked() error {
 	d := net.Dialer{Timeout: c.opts.DialTimeout}
 	conn, err := d.DialContext(c.ctx, "tcp", c.addr)
 	if err != nil {
-		return fmt.Errorf("client: dial %s: %w", c.addr, err)
+		err = fmt.Errorf("client: dial %s: %w", c.addr, err)
+		var bad *net.AddrError
+		if errors.As(err, &bad) {
+			return retry.Permanent(err)
+		}
+		return err
 	}
 	c.closeMu.Lock()
 	defer c.closeMu.Unlock()
@@ -194,7 +201,7 @@ func (c *Client) attempt(op Op, extraRead time.Duration, build func([]byte) []by
 	}
 	if c.conn == nil {
 		if err := c.connectLocked(); err != nil {
-			return err // transient: the policy redials with backoff
+			return err // unless malformed, the policy redials with backoff
 		}
 	}
 	c.lastID++
