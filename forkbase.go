@@ -362,9 +362,10 @@ func MustOpen(opts ...Option) *DB {
 // Close stops the replication follower, releases file handles and network
 // connections, and purges the decoded-node cache so post-close reads fail at
 // the store uniformly instead of succeeding whenever a node happens to be
-// cached.  For file-backed instances, closing also invalidates the zero-copy
-// payloads the storage engine handed out (their segment mappings are
-// released); copy anything that must outlive the handle.
+// cached.  A file-backed instance fsyncs its chunks, then its heads journal,
+// so chunks are on disk before the heads naming them, and invalidates the
+// zero-copy payloads the storage engine handed out (their segment mappings
+// are released); copy anything that must outlive the handle.
 func (db *DB) Close() error {
 	var err error
 	if db.remote != nil {
@@ -375,7 +376,7 @@ func (db *DB) Close() error {
 	}
 	db.NodeCache().Purge() // nil-safe; covers injected caches too
 	if db.fileStore != nil {
-		err = errors.Join(err, db.fileHeads.Close(), db.fileStore.Close())
+		err = errors.Join(err, db.fileStore.Close(), db.fileHeads.Close())
 	}
 	return err
 }

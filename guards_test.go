@@ -148,6 +148,15 @@ func TestSourceGuards(t *testing.T) {
 		paths:   []string{"internal/store/file.go", "internal/store/scrub.go"},
 		want:    0,
 	}, {
+		// One durability contract for segments and heads.log: an ack is in
+		// the OS, rewrites fsync themselves, Close fsyncs both files.  A
+		// per-ack fsync policy that covers the chunks and not the head
+		// naming them buys no power-cut guarantee.
+		name:    "one durability contract",
+		pattern: `SyncAlways|SyncPolicy|groupSyncer|afterCommit`,
+		paths:   []string{"internal", "cmd", "forkbase.go"},
+		want:    0,
+	}, {
 		// POS nodes, MPT nodes and FNodes share the engine's one byte budget
 		// (core.Options.NodeCacheBytes, built in core/db.go); a second cache
 		// is a second budget and a second set of ids GC must purge.

@@ -78,8 +78,8 @@ type Chunk struct {
 	// claimed chunks whose content does not hash to their id.  A successful
 	// Recheck clears the flag (the content has been proven to match the id),
 	// so a chunk pays for verification at most once per process no matter
-	// how many layers it passes through.  Atomic because batch rechecks fan
-	// out across a worker pool while readers consult Claimed concurrently.
+	// how many layers it passes through.  Atomic because MemStore hands one
+	// *Chunk to concurrent readers, any of which may Recheck it.
 	claimed atomic.Bool
 }
 

@@ -17,6 +17,7 @@ import (
 
 	"forkbase"
 	"forkbase/internal/index"
+	"forkbase/internal/store"
 	"forkbase/internal/value"
 )
 
@@ -498,7 +499,14 @@ func cmdVerify(db *forkbase.DB, args []string, out io.Writer) error {
 	fmt.Fprintf(out, "uid:      %s\nchunks:   %d\nversions: %d\n", rep.UID, rep.ChunksChecked, rep.VersionsChecked)
 	if err != nil {
 		for _, f := range rep.Failures {
-			fmt.Fprintf(out, "TAMPERED: %s (%s): %v\n", f.ChunkID, f.Context, f.Err)
+			label := "TAMPERED"
+			switch {
+			case errors.Is(f.Err, store.ErrNotFound):
+				label = "MISSING"
+			case errors.Is(f.Err, store.ErrUnavailable):
+				label = "UNAVAILABLE"
+			}
+			fmt.Fprintf(out, "%s: %s (%s): %v\n", label, f.ChunkID, f.Context, f.Err)
 		}
 		return err
 	}

@@ -136,6 +136,18 @@ func TestVerifyCommand(t *testing.T) {
 	}
 }
 
+// TestVerifyCommandReportsMissing: a version the store does not hold is
+// reported as missing, not as tampering, and fails the command.
+func TestVerifyCommandReportsMissing(t *testing.T) {
+	elsewhere, _, _ := run(t, t.TempDir(), "put", "k", "written to another directory")
+	dir := t.TempDir()
+	run(t, dir, "put", "k", "payload")
+	out, _, code := run(t, dir, "verify", "k", "-uid", strings.TrimSpace(elsewhere))
+	if code == 0 || !strings.Contains(out, "MISSING: ") || strings.Contains(out, "TAMPERED") {
+		t.Fatalf("verify of an absent version: exit %d, %q", code, out)
+	}
+}
+
 func TestErrorExitCodes(t *testing.T) {
 	dir := t.TempDir()
 	for _, args := range [][]string{

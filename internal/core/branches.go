@@ -15,6 +15,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"forkbase/internal/hash"
@@ -48,8 +49,8 @@ type BranchTable interface {
 // ListHeads lists every head in bt: key → branch → uid.  A key whose last
 // branch is deleted between the key listing and its branch lookup has no
 // heads left and is skipped: GC lists under the fence every Apply of its
-// FeedTable waits on, but other listings (a heads page, a follower's
-// snapshot) race the Applies.  Any other error fails the listing: a partial
+// FeedTable waits on, but other listings (a follower's local heads, a
+// snapshot source) race the Applies.  Any other error fails the listing: a partial
 // one would read as branches gone.
 func ListHeads(bt BranchTable) (map[string]map[string]hash.Hash, error) {
 	keys, err := bt.Keys()
@@ -158,9 +159,10 @@ func plan(ops []HeadOp, look func(key, branch string) hash.Hash) ([]headRecord, 
 // reopen.  A journaled Apply is one record appended with one write before
 // it returns — its cost independent of how many heads exist, and a torn
 // append loses the whole Apply — and the journal is rewritten as a snapshot
-// once it has outgrown the live heads (README, "Heads journal").  An append
-// reaches the page cache, not the disk: the durability of the store's
-// SyncNone.
+// once it has outgrown the live heads (README, "Heads journal").  The
+// journal keeps the chunk store's durability contract: an append reaches the
+// OS, not the disk; cutting a torn tail and compaction fsync their rewrites;
+// Close fsyncs the journal.
 type HeadTable struct {
 	// mu serialises Apply and owns the journal fields below it.  Its holder
 	// alone writes heads, so it reads heads without rw.
@@ -170,12 +172,13 @@ type HeadTable struct {
 	rw    sync.RWMutex
 	heads map[string]map[string]hash.Hash // key -> branch -> uid
 
-	path      string   // the journal; "" for a table without one
-	file      *os.File // the journal, open for appending; nil once closed
-	size      int64    // journal length in bytes
-	compactAt int64    // journal length past which it is compacted
-	err       error    // set when a failed append could not be undone
-	buf       []byte   // record encoding scratch
+	path      string       // the journal; "" for a table without one
+	file      *os.File     // the journal, open for appending; nil once closed
+	size      int64        // journal length in bytes
+	compactAt int64        // journal length past which it is compacted
+	err       error        // set when a failed append could not be undone
+	buf       []byte       // record encoding scratch
+	syncs     atomic.Int64 // journal fsyncs completed, as FileStore counts its own
 
 	stamp uint64 // this incarnation: the epoch its collection clock starts at
 }
@@ -317,18 +320,27 @@ func (t *HeadTable) Keys() ([]string, error) {
 	return out, nil
 }
 
-// Close closes the journal, if there is one; later mutations of a journaled
-// table fail, reads still answer.  Every acknowledged mutation is in the
-// journal before it returns, so Close only releases the file.
+// Close fsyncs the journal, if there is one, so every acknowledged mutation
+// is on disk, and closes it; later mutations of a journaled table fail,
+// reads still answer.
 func (t *HeadTable) Close() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.file == nil {
 		return nil
 	}
-	err := t.file.Close()
+	err := errors.Join(t.sync(t.file), t.file.Close())
 	t.file = nil
 	return err
+}
+
+// sync fsyncs a journal file and counts it.
+func (t *HeadTable) sync(file *os.File) error {
+	if err := file.Sync(); err != nil {
+		return err
+	}
+	t.syncs.Add(1)
+	return nil
 }
 
 // The journal is an 8-byte header — magic, format version — and records
@@ -612,7 +624,7 @@ func (t *HeadTable) replay(data []byte) error {
 	}
 	if intact < len(data) {
 		if err = file.Truncate(int64(intact)); err == nil {
-			err = file.Sync()
+			err = t.sync(file)
 		}
 		if err != nil {
 			file.Close()
@@ -668,7 +680,7 @@ func (t *HeadTable) compact() error {
 	}
 	_, err = file.Write(snap)
 	if err == nil {
-		err = file.Sync()
+		err = t.sync(file)
 	}
 	if err == nil {
 		err = os.Rename(tmp, t.path)

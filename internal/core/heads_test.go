@@ -868,6 +868,27 @@ func TestFileBranchTableClose(t *testing.T) {
 	}
 }
 
+// TestHeadsCloseFsyncsTheJournal pins Close as the journal's durability
+// point: after N acknowledged Applies, none of which fsynced, Close makes
+// exactly one journal fsync, so a cleanly closed table has every head on
+// disk.
+func TestHeadsCloseFsyncsTheJournal(t *testing.T) {
+	f := openHeads(t, t.TempDir())
+	before := f.syncs.Load()
+	for i := 0; i < 10; i++ {
+		mustCAS(t, f, fmt.Sprint("k", i), "master", hash.Hash{}, fill(byte(i+1)))
+	}
+	if got := f.syncs.Load() - before; got != 0 {
+		t.Fatalf("10 acked Applies made %d journal fsyncs, want 0", got)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := f.syncs.Load() - before; got != 1 {
+		t.Errorf("10 acked Applies and a Close made %d journal fsyncs, want 1", got)
+	}
+}
+
 // TestHeadsRefusalsWriteNothing: a mutation the table refuses — a stale
 // CAS, a missing or clashing branch, a name no record can hold — leaves the
 // journal as it was.

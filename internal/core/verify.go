@@ -8,6 +8,7 @@ import (
 	"forkbase/internal/chunk"
 	"forkbase/internal/fnode"
 	"forkbase/internal/hash"
+	"forkbase/internal/store"
 )
 
 // VerifyReport summarises a tamper-evidence validation run (paper §III-C):
@@ -36,7 +37,7 @@ type VerifyFailure struct {
 	Err     error
 }
 
-// ErrTampered is returned by VerifyVersion when validation fails.
+// ErrTampered is returned by VerifyVersion when validation finds tampering.
 var ErrTampered = errors.New("core: tamper detected")
 
 // VerifyVersion validates the object graph reachable from uid, which must be
@@ -51,11 +52,25 @@ var ErrTampered = errors.New("core: tamper detected")
 // reported and not descended into — its pointers are not trustworthy.  As
 // in Heal, every read pays the rehash: a verified stamp says what the bytes
 // were when written or last read, and validation reports what they are now.
+// An absent chunk (store.ErrNotFound) or a transient read error is reported
+// but is no evidence of tampering: the error wraps ErrTampered if any other
+// failure occurred, else store.ErrNotFound if a chunk is missing, else it is
+// the transient error.
 func (db *DB) VerifyVersion(key string, uid hash.Hash, deep bool) (VerifyReport, error) {
 	rep := VerifyReport{UID: uid, OK: true}
+	var tampered, missing int
+	var transient error
 	fail := func(id hash.Hash, context string, err error) {
 		rep.OK = false
 		rep.Failures = append(rep.Failures, VerifyFailure{ChunkID: id, Context: context, Err: err})
+		switch {
+		case errors.Is(err, store.ErrNotFound):
+			missing++
+		case errors.Is(err, store.ErrUnavailable):
+			transient = err
+		default:
+			tampered++
+		}
 	}
 	seen := map[hash.Hash]bool{}
 	// A deep walk also holds every base edge to the Seq order merges rely
@@ -125,8 +140,11 @@ func (db *DB) VerifyVersion(key string, uid hash.Hash, deep bool) (VerifyReport,
 			}
 		}
 	}
-	if !rep.OK {
-		return rep, fmt.Errorf("%w: %d corrupt chunk(s) reachable from %s", ErrTampered, len(rep.Failures), uid.Short())
+	switch {
+	case tampered > 0:
+		return rep, fmt.Errorf("%w: %d corrupt chunk(s) reachable from %s", ErrTampered, tampered, uid.Short())
+	case missing > 0:
+		return rep, fmt.Errorf("%w: %d chunk(s) missing under %s", store.ErrNotFound, missing, uid.Short())
 	}
-	return rep, nil
+	return rep, transient
 }

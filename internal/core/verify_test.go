@@ -87,6 +87,58 @@ func TestVerifyDetectsValueCorruption(t *testing.T) {
 	}
 }
 
+// unavailableStore answers every read of one chunk with a transient error.
+type unavailableStore struct {
+	store.Store
+	down hash.Hash
+}
+
+func (s *unavailableStore) Get(id hash.Hash) (*chunk.Chunk, error) {
+	if id == s.down {
+		return nil, store.ErrUnavailable
+	}
+	return s.Store.Get(id)
+}
+
+func (s *unavailableStore) GetBatch(ids []hash.Hash) ([]*chunk.Chunk, error) {
+	return nil, store.ErrUnavailable // readers fall back to Get
+}
+
+// TestVerifyReportsMissingAsMissing: a chunk the store no longer holds, or
+// cannot read for now, is listed as a failure but is no evidence of
+// tampering: verify fails with store.ErrNotFound for a missing map chunk
+// and with the transient error for an unavailable one, never ErrTampered.
+func TestVerifyReportsMissingAsMissing(t *testing.T) {
+	for name, want := range map[string]error{"missing": store.ErrNotFound, "unavailable": store.ErrUnavailable} {
+		t.Run(name, func(t *testing.T) {
+			mem := store.NewMemStore()
+			st := &unavailableStore{Store: mem}
+			db := Open(Options{Store: st, Chunking: chunker.SmallConfig()})
+			v, err := db.Put("data", "", bigMapValue(t, db, 2000, "v1"), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids, err := v.Value.ChunkIDs(db.RawStore(), db.Chunking())
+			if err != nil {
+				t.Fatal(err)
+			}
+			target := ids[len(ids)/2]
+			if want == store.ErrNotFound {
+				mem.Delete(target)
+			} else {
+				st.down = target
+			}
+			rep, err := db.VerifyVersion("data", v.UID, true)
+			if !errors.Is(err, want) || errors.Is(err, ErrTampered) {
+				t.Fatalf("verify = %v; want %v and not ErrTampered", err, want)
+			}
+			if rep.OK || len(rep.Failures) != 1 || rep.Failures[0].ChunkID != target || !errors.Is(rep.Failures[0].Err, want) {
+				t.Fatalf("report = %+v; want one failure naming %s", rep, target.Short())
+			}
+		})
+	}
+}
+
 func TestVerifyDetectsFNodeCorruption(t *testing.T) {
 	db, mal := newMaliciousDB()
 	v, err := db.Put("data", "", value.String("x"), nil)

@@ -604,3 +604,49 @@ func TestDecodeRefusesNonCanonicalNodes(t *testing.T) {
 		}
 	}
 }
+
+// FuzzMPTNode: decodeNode reads bytes a peer or a disk handed over.  No
+// input may panic it, and every payload it accepts is the one encoding
+// encodeNode writes for the node it decoded, so a node hash names one node.
+func FuzzMPTNode(f *testing.F) {
+	st := store.NewMemStore()
+	if _, err := Build(st, randEntries(rand.New(rand.NewSource(7)), 300)); err != nil {
+		f.Fatal(err)
+	}
+	seen := map[string]bool{} // leaf, ext, branch and branch+value
+	for _, id := range st.IDs() {
+		c, err := st.Get(id)
+		if err != nil {
+			f.Fatal(err)
+		}
+		n, err := decodeNode(c)
+		if err != nil {
+			f.Fatal(err)
+		}
+		form := fmt.Sprint(n.kind, n.kind == kindBranch && n.hasVal)
+		if seen[form] {
+			continue
+		}
+		seen[form] = true
+		for _, cut := range []int{len(c.Data()), len(c.Data()) - 1, len(c.Data()) / 2, 1} {
+			f.Add(c.Data()[:cut])
+		}
+	}
+	if len(seen) != 4 {
+		f.Fatalf("seeds cover %d node forms, want 4", len(seen))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		n, err := decodeNode(chunk.New(chunk.TypeMPTNode, data))
+		if err != nil {
+			return
+		}
+		ids, counts := n.childIDs, n.childCounts
+		if n.kind == kindExt {
+			ids[0], counts[0] = n.childID, n.childCount
+		}
+		enc := encodeNode(nil, n.kind, n.path, n.val, n.hasVal, n.childMask, &ids, &counts)
+		if !bytes.Equal(enc[1:], data) {
+			t.Fatalf("%x decodes to a node that encodes as %x", data, enc[1:])
+		}
+	})
+}

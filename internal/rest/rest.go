@@ -149,7 +149,6 @@ func (h *Handler) healthz(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if !ready {
-		w.Header().Set("Retry-After", retryAfterSeconds)
 		writeJSON(w, http.StatusServiceUnavailable, body)
 		return
 	}
@@ -204,7 +203,11 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
+// writeJSON answers v under code; a 503 carries the Retry-After hint.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	if code == http.StatusServiceUnavailable {
+		w.Header().Set("Retry-After", retryAfterSeconds)
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(v)
@@ -215,37 +218,40 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 // rediscovered quickly.
 const retryAfterSeconds = "1"
 
-// writeErr is the single engine-error→HTTP-status mapping.  Every handler
-// funnels non-validation errors through here, so a given engine condition
-// surfaces as the same status on every route: absence is 404, lost races
-// and conflicts are 409, a missing store capability is 501, detected
-// tampering is 502, and a transiently unavailable store is 503 with a
-// Retry-After hint (back off, don't fail over).  Anything unrecognized
-// stays a 500 — a genuine server-side fault.
-func writeErr(w http.ResponseWriter, err error) {
-	code := http.StatusInternalServerError
+// statusOf is the single engine-error→HTTP-status mapping.  Every handler
+// funnels non-validation errors through it (writeErr), so a given engine
+// condition surfaces as the same status on every route: absence is 404, lost
+// races and conflicts are 409, a missing store capability is 501, detected
+// tampering is 502, and a transiently unavailable store is 503 (writeJSON
+// adds a Retry-After hint: back off, don't fail over).  Anything
+// unrecognized stays a 500 — a genuine server-side fault.
+func statusOf(err error) int {
 	switch {
 	case errors.Is(err, store.ErrUnavailable):
-		w.Header().Set("Retry-After", retryAfterSeconds)
-		code = http.StatusServiceUnavailable
+		return http.StatusServiceUnavailable
 	case errors.Is(err, core.ErrBranchNotFound),
 		errors.Is(err, core.ErrKeyNotFound),
 		errors.Is(err, index.ErrKeyNotFound),
 		errors.Is(err, store.ErrNotFound):
-		code = http.StatusNotFound
+		return http.StatusNotFound
 	case errors.Is(err, core.ErrBranchExists),
 		errors.Is(err, core.ErrStaleHead),
 		errors.Is(err, core.ErrCollected):
-		code = http.StatusConflict
+		return http.StatusConflict
 	case errors.Is(err, store.ErrTooLarge):
-		code = http.StatusRequestEntityTooLarge
+		return http.StatusRequestEntityTooLarge
 	case errors.Is(err, core.ErrNotCollectable),
 		errors.Is(err, core.ErrNotScrubbable):
-		code = http.StatusNotImplemented
+		return http.StatusNotImplemented
 	case errors.Is(err, core.ErrTampered):
-		code = http.StatusBadGateway // the storage layer is lying to us
+		return http.StatusBadGateway // the storage layer is lying to us
 	}
-	writeJSON(w, code, errorBody{Error: err.Error()})
+	return http.StatusInternalServerError
+}
+
+// writeErr answers err with its message under its status (statusOf).
+func writeErr(w http.ResponseWriter, err error) {
+	writeJSON(w, statusOf(err), errorBody{Error: err.Error()})
 }
 
 // writeBadBody answers a request body the route cannot use with msg: 413 when
@@ -810,7 +816,7 @@ func (h *Handler) verify(w http.ResponseWriter, r *http.Request, key string) {
 			fails[i] = map[string]string{"chunk": f.ChunkID.String(), "context": f.Context, "error": f.Err.Error()}
 		}
 		body["failures"] = fails
-		writeJSON(w, http.StatusBadGateway, body)
+		writeJSON(w, statusOf(verr), body)
 		return
 	}
 	writeJSON(w, http.StatusOK, body)

@@ -258,6 +258,30 @@ func TestVerifyEndpoint(t *testing.T) {
 	}
 }
 
+// TestVerifyEndpointReportsAMissingChunk: a chunk the store lost is no
+// evidence of tampering, so the verify route answers 404, not 502, and
+// still lists the failure.
+func TestVerifyEndpointReportsAMissingChunk(t *testing.T) {
+	srv, _, mal := newServer(t)
+	code, body := doJSON(t, http.MethodPut, srv.URL+"/v1/obj/doc",
+		putBody{Kind: "blob", Value: strings.Repeat("sensitive ", 5000)})
+	if code != http.StatusCreated {
+		t.Fatalf("put: %d", code)
+	}
+	uid := body["uid"].(string)
+	mem := mal.Unwrap().(*store.MemStore)
+	for _, id := range mem.IDs() {
+		if id.String() != uid {
+			mem.Delete(id)
+			break
+		}
+	}
+	code, body = doJSON(t, http.MethodGet, srv.URL+"/v1/obj/doc/verify?uid="+uid+"&deep=1", nil)
+	if code != http.StatusNotFound || body["ok"] != false || len(body["failures"].([]any)) != 1 {
+		t.Fatalf("verify with a chunk missing: %d %v; want 404 listing one failure", code, body)
+	}
+}
+
 func TestErrorPaths(t *testing.T) {
 	srv, _, _ := newServer(t)
 	code, _ := doJSON(t, http.MethodGet, srv.URL+"/v1/obj/nothing", nil)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -270,5 +271,64 @@ func TestHeadsListsInPages(t *testing.T) {
 		func(d *dec) { refs, _, _ = d.strs(), d.ids(), d.bools(1) })
 	if want := []string{"key-49", "b0", "key-49", "b1"}; err != nil || !reflect.DeepEqual(refs, want) {
 		t.Fatalf("heads from key-48: %q, %v; want %q", refs, err, want)
+	}
+}
+
+// branchCounter counts the Branches calls on the table it wraps.
+type branchCounter struct {
+	core.BranchTable
+	calls atomic.Int64
+}
+
+func (c *branchCounter) Branches(key string) (map[string]hash.Hash, error) {
+	c.calls.Add(1)
+	return c.BranchTable.Branches(key)
+}
+
+// TestHeadsPageReadsOnlyWhatItShips: a paged listing of K keys in P pages
+// reads each key's branches about once — at most K+P Branches calls (the
+// key that overflows a page is read again by the next) — not the whole
+// table per page, and lists what the table holds.
+func TestHeadsPageReadsOnlyWhatItShips(t *testing.T) {
+	defer func(n int) { headsPageLimit = n }(headsPageLimit)
+	const page, keys = 5, 50 // rows a page holds, keys listed
+	headsPageLimit = 3*binary.MaxVarintLen64 + 1 + page*(2*binary.MaxVarintLen32+len("key-00")+len("b0")+hash.Size)
+	reg := obs.NewRegistry()
+	bt := &branchCounter{BranchTable: core.NewMemBranchTable()}
+	srv := New(store.NewMemStore(), bt, nil)
+	srv.SetMetrics(reg)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cl, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	want := map[string]map[string]hash.Hash{}
+	for k := 0; k < keys; k++ {
+		key := fmt.Sprintf("key-%02d", k)
+		uid := hash.Of([]byte(key))
+		if _, err := bt.Apply([]core.HeadOp{{Key: key, Branch: "b0", Set: uid}}); err != nil {
+			t.Fatal(err)
+		}
+		want[key] = map[string]hash.Hash{"b0": uid}
+	}
+	got, err := cl.Heads()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("listed %d keys, want %d", len(got), len(want))
+	}
+	pages, _ := reg.Value("forkbase_server_requests_total", "Heads")
+	if pages < keys/page {
+		t.Fatalf("%d keys listed in %v pages, want at least %d", keys, pages, keys/page)
+	}
+	if calls := bt.calls.Load(); float64(calls) > keys+pages {
+		t.Fatalf("%d keys in %v pages made %d Branches calls, want at most %v", keys, pages, calls, keys+pages)
 	}
 }

@@ -379,27 +379,28 @@ var headsPageLimit = MaxPayload
 // keys in key order and branches in name order: key/branch pairs (strs),
 // their heads (ids) and a flag that keys remain which did not fit in limit
 // bytes.  The first key always ships, so asking again from the key after the
-// last one listed makes progress.  Like core.ListHeads, whose listing it
-// pages, it is no snapshot.
+// last one listed makes progress.  It reads the branches of the keys it
+// ships and of the one that overflows, no more.  Like core.ListHeads it is
+// no snapshot, and it skips a key whose last branch went after the listing.
 func (s *Server) headsPage(out []byte, from string, limit int) ([]byte, error) {
-	all, err := core.ListHeads(s.heads)
+	keys, err := s.heads.Keys()
 	if err != nil {
 		return nil, err
 	}
-	keys := make([]string, 0, len(all))
-	for key := range all {
-		if key >= from {
-			keys = append(keys, key)
-		}
-	}
-	sort.Strings(keys)
 	var refs []string
 	var uids []hash.Hash
 	size := 3*binary.MaxVarintLen64 + 1 // three counts and the flag
-	for _, key := range keys {
+	for _, key := range keys[sort.SearchStrings(keys, from):] {
+		branches, err := s.heads.Branches(key)
+		if errors.Is(err, core.ErrKeyNotFound) {
+			continue
+		}
+		if err != nil {
+			return nil, err
+		}
 		n, grown := len(uids), size
-		for _, b := range branchNames(all[key]) {
-			refs, uids = append(refs, key, b), append(uids, all[key][b])
+		for _, b := range branchNames(branches) {
+			refs, uids = append(refs, key, b), append(uids, branches[b])
 			grown += 2*binary.MaxVarintLen32 + len(key) + len(b) + hash.Size
 		}
 		if n > 0 && grown > limit {

@@ -18,10 +18,6 @@ type crashSim struct{ point string }
 // of acknowledged writes: every Put (or every sweep-survivor) that returned
 // success before the crash reads back byte-identical after recovery, and the
 // scrub finds no corruption to quarantine.
-//
-// The store runs under SyncAlways so "acknowledged" and "durable" coincide
-// at every instant — the strongest contract, and the one the crash points
-// are placed to protect.
 func TestCrashRecoveryMatrix(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -36,7 +32,7 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			s, err := OpenFileStoreWith(dir, FileStoreOptions{SegmentSize: 4096, SyncPolicy: SyncAlways})
+			s, err := OpenFileStoreWith(dir, FileStoreOptions{SegmentSize: 4096})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -2,6 +2,7 @@ package store
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -32,7 +33,9 @@ import (
 // records, with one write(2) before it returns, and a record's index entry is
 // published only once its bytes are in the file.  An acknowledged write is
 // therefore in the OS — it survives the death of the process, though not of
-// the machine, unless SyncAlways fsynced it too.
+// the machine.  The store's one durability contract, which the heads journal
+// keeps too: rotation, compaction and quarantine fsync their own rewrites,
+// and Close fsyncs the active segment, so a cleanly closed store is on disk.
 //
 // Segment lifecycle:
 //
@@ -65,10 +68,7 @@ type FileStore struct {
 	dir        string
 	maxSegment int64
 	noMmap     bool
-	syncPolicy SyncPolicy
 
-	// group coalesces the fsyncs of concurrent SyncAlways committers.
-	group groupSyncer
 	// syncs counts the fsyncs the store completed, of the active segment
 	// (tail) and of its directory (dir), so tests can pin each path's
 	// durability cost.
@@ -321,68 +321,11 @@ func walkRecords(data []byte, fn func(off int64, id hash.Hash, typ chunk.Type, p
 // DefaultSegmentSize is the size at which a new log segment is started.
 const DefaultSegmentSize = 64 << 20
 
-// SyncPolicy selects when the active tail is fsynced.
-type SyncPolicy int
-
-const (
-	// SyncNone acknowledges a write once it is in the OS, so a process
-	// death loses nothing acknowledged; surviving a machine crash is left
-	// to segment rotation and explicit Sync calls.  The default.  Sealed
-	// segments are always fsynced regardless of policy.
-	SyncNone SyncPolicy = iota
-	// SyncAlways makes every acknowledged Put and PutBatch durable: the
-	// committer fsyncs the tail before returning.  Committers
-	// arriving while an fsync is in flight share the next one (groupSyncer),
-	// so a lone writer pays one fsync per commit and W concurrent writers
-	// tend toward one per W commits.
-	SyncAlways
-)
-
 // FileStoreOptions tune OpenFileStoreWith.
 type FileStoreOptions struct {
 	// SegmentSize is the size at which the active segment rotates
 	// (0 = DefaultSegmentSize).
 	SegmentSize int64
-	// SyncPolicy selects when the active tail is fsynced (default SyncNone).
-	SyncPolicy SyncPolicy
-}
-
-// groupSyncer coalesces concurrent fsync requests: the first caller becomes
-// the leader and keeps fsyncing until no new waiters arrived during the last
-// round; everyone whose request was covered by a round gets that round's
-// result.  Waiter channels are buffered so the leader never blocks handing
-// out results.
-type groupSyncer struct {
-	mu      sync.Mutex
-	waiters []chan error
-	leading bool
-}
-
-// sync enqueues one request and returns once a do() round covering it ran.
-func (g *groupSyncer) sync(do func() error) error {
-	ch := make(chan error, 1)
-	g.mu.Lock()
-	g.waiters = append(g.waiters, ch)
-	if g.leading {
-		g.mu.Unlock()
-		return <-ch
-	}
-	g.leading = true
-	for {
-		batch := g.waiters
-		g.waiters = nil
-		if len(batch) == 0 {
-			g.leading = false
-			g.mu.Unlock()
-			return <-ch
-		}
-		g.mu.Unlock()
-		err := do()
-		for _, w := range batch {
-			w <- err
-		}
-		g.mu.Lock()
-	}
 }
 
 var (
@@ -417,7 +360,6 @@ func OpenFileStoreWith(dir string, opts FileStoreOptions) (*FileStore, error) {
 		dir:        dir,
 		maxSegment: opts.SegmentSize,
 		noMmap:     !mmapSupported,
-		syncPolicy: opts.SyncPolicy,
 		segUse:     make(map[int]*segUsage),
 		maps:       make(map[int]*mseg),
 		readers:    make(map[int]*os.File),
@@ -433,16 +375,6 @@ func OpenFileStoreWith(dir string, opts FileStoreOptions) (*FileStore, error) {
 		return nil, err
 	}
 	return fs, nil
-}
-
-// afterCommit applies the tail sync policy after a Put/PutBatch released
-// f.mu.  SyncAlways funnels through the shared barrier: under concurrency the
-// leader's fsync covers every committer that arrived while it ran.
-func (f *FileStore) afterCommit() error {
-	if f.syncPolicy != SyncAlways {
-		return nil
-	}
-	return f.group.sync(f.Sync)
 }
 
 func (f *FileStore) segmentPath(n int) string {
@@ -717,22 +649,14 @@ func (f *FileStore) PutBatch(cs []*chunk.Chunk) ([]bool, error) {
 	if err := checkSizes(cs...); err != nil {
 		return fresh, err
 	}
-	// The locked section sits in a closure so the deferred unlock also
-	// covers simulated crashes (panics from injected crash hooks); the
-	// fsync policy runs after the lock is released so SyncAlways cohorts
-	// can coalesce behind one leader.
-	err := func() error {
-		f.mu.Lock()
-		defer f.mu.Unlock()
-		if err := f.writable(); err != nil {
-			return err
-		}
-		return f.appendLocked(cs, fresh)
-	}()
-	if err == nil && slices.Contains(fresh, true) {
-		err = f.afterCommit()
+	// The deferred unlock also covers simulated crashes (panics from
+	// injected crash hooks).
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if err := f.writable(); err != nil {
+		return fresh, err
 	}
-	return fresh, err
+	return fresh, f.appendLocked(cs, fresh)
 }
 
 // appendLocked appends a record for every chunk of cs the index does not
@@ -1333,21 +1257,10 @@ func (f *FileStore) syncDir() {
 // calls it and is the only reason it remains.
 func (f *FileStore) Flush() error { return nil }
 
-// Sync fsyncs the active segment.
-func (f *FileStore) Sync() error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.closed {
-		// A SyncAlways commit racing Close is benign: its write is in the
-		// OS, and Close closed the tail already.
-		return nil
-	}
-	return f.syncTail()
-}
-
-// Close closes the store.  Further operations fail, and
-// zero-copy payloads returned by Get become invalid: each segment mapping is
-// released once its in-flight readers drain.
+// Close fsyncs the active segment, so every acknowledged write is on disk,
+// and closes the store.  Further operations fail, and zero-copy payloads
+// returned by Get become invalid: each segment mapping is released once its
+// in-flight readers drain.
 func (f *FileStore) Close() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -1355,6 +1268,7 @@ func (f *FileStore) Close() error {
 		return nil
 	}
 	f.closed = true
+	err := f.syncTail()
 	f.readersMu.Lock()
 	f.readersClosed = true
 	for _, r := range f.readers {
@@ -1372,5 +1286,5 @@ func (f *FileStore) Close() error {
 	}
 	f.retired = nil
 	f.segMu.Unlock()
-	return f.active.Close()
+	return errors.Join(err, f.active.Close())
 }

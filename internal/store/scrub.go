@@ -221,28 +221,22 @@ func (f *FileStore) Repair(c *chunk.Chunk) error {
 	if err := c.Recheck(); err != nil {
 		return err
 	}
-	err := func() error {
-		f.mu.Lock()
-		defer f.mu.Unlock()
-		if err := f.writable(); err != nil {
-			return err
-		}
-		id := c.ID()
-		if loc, ok := f.lookup(id); ok {
-			sh := f.shard(id)
-			sh.mu.Lock()
-			delete(sh.m, id)
-			sh.mu.Unlock()
-			f.stats.UniqueChunks--
-			f.stats.PhysicalBytes -= int64(1 + loc.length)
-			if u, ok := f.segUse[loc.segment]; ok {
-				u.dead += loc.diskBytes()
-			}
-		}
-		return f.appendLocked([]*chunk.Chunk{c}, make([]bool, 1))
-	}()
-	if err != nil {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if err := f.writable(); err != nil {
 		return err
 	}
-	return f.afterCommit()
+	id := c.ID()
+	if loc, ok := f.lookup(id); ok {
+		sh := f.shard(id)
+		sh.mu.Lock()
+		delete(sh.m, id)
+		sh.mu.Unlock()
+		f.stats.UniqueChunks--
+		f.stats.PhysicalBytes -= int64(1 + loc.length)
+		if u, ok := f.segUse[loc.segment]; ok {
+			u.dead += loc.diskBytes()
+		}
+	}
+	return f.appendLocked([]*chunk.Chunk{c}, make([]bool, 1))
 }

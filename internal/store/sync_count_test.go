@@ -8,24 +8,20 @@ import (
 	"forkbase/internal/chunk"
 )
 
-// TestSyncPolicyFsyncCounts pins what each sync policy costs in fsyncs:
-// under SyncAlways every one of N sequential commits makes one tail sync,
-// under SyncNone a commit makes none, and a dedup-only commit never syncs.
+// TestSyncPolicyFsyncCounts pins what an acknowledged write costs in
+// fsyncs: none.  An ack means the write is in the OS; a commit, batched or
+// not, and a dedup-only commit sync neither the tail nor the directory.
 func TestSyncPolicyFsyncCounts(t *testing.T) {
 	const n = 5
 	for _, tc := range []struct {
 		name    string
-		policy  SyncPolicy
-		perPut  int64
 		batched bool
 	}{
-		{"always/Put", SyncAlways, 1, false},
-		{"always/PutBatch", SyncAlways, 1, true},
-		{"none/Put", SyncNone, 0, false},
-		{"none/PutBatch", SyncNone, 0, true},
+		{"none/Put", false},
+		{"none/PutBatch", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			f, err := OpenFileStoreWith(t.TempDir(), FileStoreOptions{SyncPolicy: tc.policy})
+			f, err := OpenFileStore(t.TempDir())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -47,8 +43,8 @@ func TestSyncPolicyFsyncCounts(t *testing.T) {
 			if err := put(fileChunk(0)); err != nil { // nothing new: no sync
 				t.Fatal(err)
 			}
-			if got, want := f.syncs.tail.Load()-tail, n*tc.perPut; got != want {
-				t.Errorf("%d commits made %d tail fsyncs, want %d", n, got, want)
+			if got := f.syncs.tail.Load() - tail; got != 0 {
+				t.Errorf("%d commits made %d tail fsyncs, want 0", n, got)
 			}
 			if got := f.syncs.dir.Load() - dir; got != 0 {
 				t.Errorf("%d commits made %d directory fsyncs, want 0", n, got)
@@ -80,6 +76,35 @@ func TestRotationFsyncCounts(t *testing.T) {
 	}
 	if got := f.syncs.dir.Load() - dir; got != 1 {
 		t.Errorf("a seal made %d directory fsyncs, want 1", got)
+	}
+}
+
+// TestCloseFsyncsTheTail pins Close as the store's durability point: after
+// N acknowledged writes, none of which fsynced, Close makes exactly one fsync
+// of the active segment, so a cleanly closed store has every ack on disk.
+func TestCloseFsyncsTheTail(t *testing.T) {
+	f, err := OpenFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tail, dir := f.syncs.tail.Load(), f.syncs.dir.Load()
+	for i := 0; i < 10; i++ {
+		if _, err := f.Put(fileChunk(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := f.syncs.tail.Load() - tail; got != 1 {
+		t.Errorf("10 acked writes and a Close made %d tail fsyncs, want 1", got)
+	}
+	if got := f.syncs.dir.Load() - dir; got != 0 {
+		t.Errorf("10 acked writes and a Close made %d directory fsyncs, want 0", got)
+	}
+	closed := f.syncs.tail.Load()
+	if err := f.Close(); err != nil || f.syncs.tail.Load() != closed {
+		t.Errorf("a second Close = %v and made %d tail fsyncs, want nil and 0", err, f.syncs.tail.Load()-closed)
 	}
 }
 

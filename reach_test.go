@@ -42,7 +42,6 @@ var reachAllow = []reachEntry{
 	{name: "internal/store.MaliciousStore.AttackCount", reason: "test support: the tamper tests' attack count"},
 	{name: "internal/store.FileStore.SetCrashHook", reason: "test support: the crash-recovery matrix's crash points"},
 	{name: "internal/hash.Digests", reason: "test support: the store and sink tests' reference digests"},
-	{name: "internal/store.SyncNone", reason: "enum value: the zero SyncPolicy, named for the tests that choose it"},
 	{name: "internal/store.MustPut", reason: "test support: the core tests plant hand-built chunks with it"},
 	{name: "internal/store.MemStore.IDs", reason: "test support: tests list the chunks to tamper with or count"},
 	{name: "internal/store.MemStore.Delete", reason: "test support: tests lose a chunk with it"},
