@@ -241,11 +241,12 @@ func TestSourceGuards(t *testing.T) {
 	}, {
 		// One write frame: every engine write runs in core's DB.write, which
 		// holds the head table's GC fence read side (heal, not a write, holds
-		// it too, and FeedTable.Apply holds it for every other publisher) …
+		// it too, and FeedTable.Apply and a remote writer's FeedTable.Commit
+		// hold it for every other publisher) …
 		name:    "one write frame: the fence",
 		pattern: `fence\.RLock\(`,
 		paths:   []string{"internal/core"},
-		want:    3,
+		want:    4,
 	}, {
 		// … derives its version objects in one successor rule (a merge's
 		// two-base FNode aside) …

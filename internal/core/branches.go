@@ -29,6 +29,11 @@ import (
 type BranchTable interface {
 	// Head returns the branch head; ok=false if the branch does not exist.
 	Head(key, branch string) (uid hash.Hash, ok bool, err error)
+	// LastHead is Head as this table last saw it: remembered is true when
+	// the answer comes from memory instead of the table that moves the head
+	// (a remote table's), so it may be stale.  A write builds against it
+	// and its Apply's expectation proves it current.
+	LastHead(key, branch string) (uid hash.Hash, ok, remembered bool, err error)
 	// Apply checks ops in order, each against the heads the earlier ones
 	// leave, and makes all of them or none: it returns false, changing
 	// nothing, when an expectation fails.
@@ -202,6 +207,12 @@ func (t *HeadTable) Head(key, branch string) (hash.Hash, bool, error) {
 	defer t.rw.RUnlock()
 	uid, ok := t.heads[key][branch]
 	return uid, ok, nil
+}
+
+// LastHead implements BranchTable: the table holds the heads, so it is Head.
+func (t *HeadTable) LastHead(key, branch string) (hash.Hash, bool, bool, error) {
+	uid, ok, err := t.Head(key, branch)
+	return uid, ok, false, err
 }
 
 // Apply implements BranchTable: with a journal, the heads it changes go to

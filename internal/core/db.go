@@ -47,6 +47,7 @@ type DB struct {
 	// Apply, which refuses it with ErrCollected once a sweep followed it.
 	heads  *FeedTable
 	feed   *Feed
+	stager store.Stager // the store's, when it holds a write's chunks for its publish; nil = none
 	noCopy noCopy
 
 	readOnly bool // fixed at Open: replicas move only through replication
@@ -147,6 +148,7 @@ func Open(opts Options) *DB {
 	}
 	db.heads = ft
 	db.feed = ft.Feed()
+	db.stager, _ = store.As[store.Stager](db.st)
 	db.registerGauges()
 	return db
 }
@@ -274,9 +276,10 @@ type Version struct {
 // NOT performed: if another writer advances the head between the read and
 // the compare-and-set, Put returns ErrStaleHead (wrapped, so errors.Is
 // matches) without writing the head, and the caller decides whether to
-// reload and retry, branch, or give up.  The version chunk itself is already
-// stored at that point; it is unreachable garbage unless the caller reuses
-// it.
+// reload and retry, branch, or give up.  (A head a remote table only
+// remembered is read again once before that: see write.)  The version chunk
+// itself is already stored at that point; it is unreachable garbage unless
+// the caller reuses it.
 func (db *DB) Put(key, branch string, v value.Value, meta map[string]string) (Version, error) {
 	return db.BuildAndPutCtx(context.Background(), key, branch, meta, func() (value.Value, error) { return v, nil })
 }
@@ -285,16 +288,23 @@ func (db *DB) Put(key, branch string, v value.Value, meta map[string]string) (Ve
 // guard, op's metrics (nil: unmetered; logKV, called after build, names the
 // slow-op record's fields), and the GC fence's read side across build and
 // publish, so a collection cannot sweep a version between its chunks landing
-// and its head moving.  build gets the epoch taken under the fence, reads
-// heads, stores a value's chunks and returns the FNodes versioning it and
-// the head moves publishing them, the first len(fnodes) of which set their
-// heads to those FNodes.  Each op that sets a head carries that epoch, or
-// its value's when build stamped an older one.  The publish is one fnode.SaveAll and one
-// Apply through the fence already held, all or nothing, failing with
-// refused when an expectation no longer holds.  An empty result stores and
-// moves nothing.
+// and its head moving.  build gets the epoch taken under the fence and a
+// head reader, reads heads, stores a value's chunks and returns the FNodes
+// versioning it and the head moves publishing them, the first len(fnodes) of
+// which set their heads to those FNodes.  Each op that sets a head carries
+// that epoch, or its value's when build stamped an older one.  The publish
+// is one fnode.SaveAll and one Apply through the fence already held, all or
+// nothing, failing with refused when an expectation no longer holds.  An
+// empty result stores and moves nothing.  On a store that stages a write's
+// chunks (store.Stager) they travel with the Apply.
+//
+// The head reader answers as the branch table last saw the head
+// (BranchTable.LastHead).  When an answer came from memory and the publish
+// is refused, or the build or publish finds a chunk missing or collected,
+// build runs once more against heads read now: one attempt against current
+// heads before refused.
 func (db *DB) write(ctx context.Context, op *obs.Op, refused error, logKV func() []any,
-	build func(e uint64) ([]*fnode.FNode, []HeadOp, error)) (uids []hash.Hash, err error) {
+	build func(e uint64, heads *headReader) ([]*fnode.FNode, []HeadOp, error)) (uids []hash.Hash, err error) {
 	if err := db.writeGuard(); err != nil {
 		return nil, err
 	}
@@ -304,39 +314,81 @@ func (db *DB) write(ctx context.Context, op *obs.Op, refused error, logKV func()
 		start = op.Begin()
 		defer func() { op.End(ctx, start, err, append(logKV(), "build", buildDur)...) }()
 	}
+	if db.stager != nil {
+		defer db.stager.Stage()()
+	}
 	db.heads.fence.RLock()
 	defer db.heads.fence.RUnlock()
 	e := db.heads.Epoch()
-	fnodes, heads, err := build(e)
-	if !start.IsZero() {
-		buildDur = time.Since(start)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if len(fnodes) > 0 {
-		if uids, err = fnode.SaveAll(db.st, fnodes); err != nil {
-			return nil, err
+	attempt := func(r *headReader) ([]hash.Hash, []HeadOp, bool, error) {
+		fnodes, heads, err := build(e, r)
+		if !start.IsZero() {
+			buildDur = time.Since(start)
 		}
-		for i, uid := range uids {
-			heads[i].Set = uid
+		if err != nil {
+			return nil, nil, false, err
 		}
-	}
-	if len(heads) == 0 {
-		return uids, nil
-	}
-	for i := range heads { // a delete publishes no chunk: it goes unstamped
-		if !heads[i].Set.IsZero() && (heads[i].Epoch == 0 || heads[i].Epoch > e) {
-			heads[i].Epoch = e
+		var uids []hash.Hash
+		if len(fnodes) > 0 {
+			if uids, err = fnode.SaveAll(db.st, fnodes); err != nil {
+				return nil, nil, false, err
+			}
+			for i, uid := range uids {
+				heads[i].Set = uid
+			}
 		}
+		if len(heads) == 0 {
+			return uids, nil, true, nil
+		}
+		for i := range heads { // a delete publishes no chunk: it goes unstamped
+			if !heads[i].Set.IsZero() && (heads[i].Epoch == 0 || heads[i].Epoch > e) {
+				heads[i].Epoch = e
+			}
+		}
+		ok, err := db.heads.apply(heads)
+		return uids, heads, ok, err
 	}
-	if ok, err := db.heads.apply(heads); err != nil || ok {
+	last := &headReader{t: db.heads, last: true}
+	uids, heads, ok, err := attempt(last)
+	if last.remembered && (err == nil && !ok || errors.Is(err, store.ErrNotFound) || errors.Is(err, ErrCollected)) {
+		uids, heads, ok, err = attempt(&headReader{t: db.heads})
+	}
+	if err != nil || ok {
 		return uids, err
 	}
 	if len(heads) == 1 {
 		return nil, fmt.Errorf("%w: %s@%s", refused, heads[0].Key, heads[0].Branch)
 	}
 	return nil, fmt.Errorf("%w: a head of the %d-op batch moved; nothing committed", refused, len(heads))
+}
+
+// headReader reads heads for a write's build: as the branch table last saw
+// them (BranchTable.LastHead) on a write's first attempt, from the table
+// itself on its retry.
+type headReader struct {
+	t          BranchTable
+	last       bool // read with LastHead
+	remembered bool // an answer came from memory, so it may be stale
+}
+
+// head is key@branch's head; ok=false when the branch does not exist.
+func (r *headReader) head(key, branch string) (uid hash.Hash, ok bool, err error) {
+	if !r.last {
+		return r.t.Head(key, branch)
+	}
+	uid, ok, mem, err := r.t.LastHead(key, branch)
+	r.remembered = r.remembered || mem
+	return uid, ok, err
+}
+
+// must is r's head of key@branch, failing with ErrBranchNotFound when the
+// branch does not exist.
+func (r *headReader) must(key, branch string) (hash.Hash, error) {
+	uid, ok, err := r.head(key, branch)
+	if err == nil && !ok {
+		err = fmt.Errorf("%w: %s@%s", ErrBranchNotFound, key, branch)
+	}
+	return uid, err
 }
 
 // successor derives the FNode recording v as the version of key after
@@ -406,7 +458,7 @@ func (db *DB) BuildAndPut(key, branch string, meta map[string]string, build func
 // deriving the version object) from the whole operation, so a slow commit
 // shows whether the time went to building the value or to publishing it.
 func (db *DB) BuildAndPutCtx(ctx context.Context, key, branch string, meta map[string]string, build func() (value.Value, error)) (Version, error) {
-	return first(db.commit(ctx, db.met.opPut, func() ([]WriteOp, error) {
+	return first(db.commit(ctx, db.met.opPut, func(*headReader) ([]WriteOp, error) {
 		v, err := build()
 		return []WriteOp{{Key: key, Branch: branch, Value: v, Meta: meta}}, err
 	}))
@@ -415,15 +467,18 @@ func (db *DB) BuildAndPutCtx(ctx context.Context, key, branch string, meta map[s
 // BuildAndWriteBatchCtx is BuildAndPutCtx for batched writes: build
 // assembles the ops (storing their values' chunks) inside the fence.
 func (db *DB) BuildAndWriteBatchCtx(ctx context.Context, build func() ([]WriteOp, error)) ([]Version, error) {
-	return db.commit(ctx, db.met.opWriteBatch, build)
+	return db.commit(ctx, db.met.opWriteBatch, func(*headReader) ([]WriteOp, error) { return build() })
 }
 
 // commit is the write of Put, the edits and WriteBatch: each op build
 // returns is stored as the successor of its parent — the version an edit
 // derived it from, an earlier op on the same key@branch, else the branch's
-// head — and published with a head CAS against it.  A one-op commit is
-// logged under its key and branch, a batch by its size.
-func (db *DB) commit(ctx context.Context, op *obs.Op, build func() ([]WriteOp, error)) ([]Version, error) {
+// head — and published with a head CAS against it.  When write runs the
+// build again against current heads, build itself runs again only if an op
+// was derived from a head (an edit's); the others keep their values and
+// are re-derived from the heads alone.  A one-op commit is logged under its
+// key and branch, a batch by its size.
+func (db *DB) commit(ctx context.Context, op *obs.Op, build func(heads *headReader) ([]WriteOp, error)) ([]Version, error) {
 	var ops []WriteOp
 	var fnodes []*fnode.FNode
 	var e uint64
@@ -433,11 +488,13 @@ func (db *DB) commit(ctx context.Context, op *obs.Op, build func() ([]WriteOp, e
 		}
 		return []any{"ops", len(ops)}
 	}
-	uids, err := db.write(ctx, op, ErrStaleHead, logKV, func(epoch uint64) ([]*fnode.FNode, []HeadOp, error) {
+	uids, err := db.write(ctx, op, ErrStaleHead, logKV, func(epoch uint64, r *headReader) ([]*fnode.FNode, []HeadOp, error) {
 		var err error
 		e = epoch
-		if ops, err = build(); err != nil {
-			return nil, nil, err
+		if ops == nil || slices.ContainsFunc(ops, func(w WriteOp) bool { return !w.parent.IsZero() }) {
+			if ops, err = build(r); err != nil {
+				return nil, nil, err
+			}
 		}
 		heads := make([]HeadOp, len(ops))
 		fnodes = make([]*fnode.FNode, len(ops))
@@ -450,7 +507,7 @@ func (db *DB) commit(ctx context.Context, op *obs.Op, build func() ([]WriteOp, e
 				p = fnodes[prev]
 				parent = p.UID()
 			} else if parent.IsZero() {
-				if parent, _, err = db.heads.Head(w.Key, branch); err != nil {
+				if parent, _, err = r.head(w.Key, branch); err != nil {
 					return nil, nil, fmt.Errorf("op %d (%s@%s): %w", i, w.Key, branch, err)
 				}
 			}
@@ -488,7 +545,13 @@ func (db *DB) Get(key, branch string) (Version, error) {
 // GetCtx is Get carrying a request context (see BuildAndPutCtx).
 func (db *DB) GetCtx(ctx context.Context, key, branch string) (_ Version, err error) {
 	start := db.met.opGet.Begin()
-	defer func() { db.met.opGet.End(ctx, start, err, "key", key, "branch", branch) }()
+	defer func() {
+		if db.met.opGet.Logs(start) { // boxing the fields costs a hit its only allocations
+			db.met.opGet.End(ctx, start, err, "key", key, "branch", branch)
+			return
+		}
+		db.met.opGet.End(ctx, start, err)
+	}()
 	head, err := db.Head(key, branch)
 	if err != nil {
 		return Version{}, err
@@ -534,14 +597,7 @@ func orDefault(branch string) string {
 
 // head is Head of the branch named exactly branch.
 func (db *DB) head(key, branch string) (hash.Hash, error) {
-	uid, ok, err := db.heads.Head(key, branch)
-	if err != nil {
-		return hash.Hash{}, err
-	}
-	if !ok {
-		return hash.Hash{}, fmt.Errorf("%w: %s@%s", ErrBranchNotFound, key, branch)
-	}
-	return uid, nil
+	return (&headReader{t: db.heads}).must(key, branch)
 }
 
 // Latest returns the branch and version with the highest logical sequence
@@ -570,7 +626,7 @@ func (db *DB) Latest(key string) (string, Version, error) {
 // metadata operation: no data is copied, the new branch simply shares every
 // chunk with its origin.
 func (db *DB) Branch(key, newBranch, fromBranch string) error {
-	_, err := db.write(context.Background(), nil, ErrBranchExists, nil, func(uint64) ([]*fnode.FNode, []HeadOp, error) {
+	_, err := db.write(context.Background(), nil, ErrBranchExists, nil, func(uint64, *headReader) ([]*fnode.FNode, []HeadOp, error) {
 		head, err := db.Head(key, fromBranch)
 		return nil, []HeadOp{{Key: key, Branch: newBranch, Set: head}}, err
 	})
@@ -582,7 +638,7 @@ func (db *DB) Branch(key, newBranch, fromBranch string) error {
 // version no head references (a deleted branch's) cannot be collected in
 // between.
 func (db *DB) BranchFromVersion(key, newBranch string, uid hash.Hash) error {
-	_, err := db.write(context.Background(), nil, ErrBranchExists, nil, func(uint64) ([]*fnode.FNode, []HeadOp, error) {
+	_, err := db.write(context.Background(), nil, ErrBranchExists, nil, func(uint64, *headReader) ([]*fnode.FNode, []HeadOp, error) {
 		_, err := db.GetVersion(key, uid)
 		return nil, []HeadOp{{Key: key, Branch: newBranch, Set: uid}}, err
 	})
@@ -592,7 +648,7 @@ func (db *DB) BranchFromVersion(key, newBranch string, uid hash.Hash) error {
 // DeleteBranch removes a branch head (chunks remain; they may be shared).
 // It fails with ErrBranchNotFound, or ErrStaleHead if a commit moves it.
 func (db *DB) DeleteBranch(key, branch string) error {
-	_, err := db.write(context.Background(), nil, ErrStaleHead, nil, func(uint64) ([]*fnode.FNode, []HeadOp, error) {
+	_, err := db.write(context.Background(), nil, ErrStaleHead, nil, func(uint64, *headReader) ([]*fnode.FNode, []HeadOp, error) {
 		uid, err := db.head(key, branch)
 		return nil, []HeadOp{{Key: key, Branch: branch, Expect: uid}}, err
 	})
@@ -603,7 +659,7 @@ func (db *DB) DeleteBranch(key, branch string) error {
 // its head.  It fails with ErrBranchNotFound when from does not exist,
 // ErrBranchExists when to does, and ErrStaleHead if a commit moves either.
 func (db *DB) RenameBranch(key, from, to string) error {
-	_, err := db.write(context.Background(), nil, ErrStaleHead, nil, func(uint64) ([]*fnode.FNode, []HeadOp, error) {
+	_, err := db.write(context.Background(), nil, ErrStaleHead, nil, func(uint64, *headReader) ([]*fnode.FNode, []HeadOp, error) {
 		uid, err := db.head(key, from)
 		if err != nil {
 			return nil, nil, err
@@ -743,13 +799,13 @@ func (db *DB) MergeCtx(ctx context.Context, key, dst, src string, resolve index.
 	var merged *fnode.FNode
 	logKV := func() []any { return []any{"key", key, "dst", dst, "src", src, "ancestry_nodes", anc.Loaded} }
 	var e uint64
-	uids, err := db.write(ctx, db.met.opMerge, ErrStaleHead, logKV, func(epoch uint64) ([]*fnode.FNode, []HeadOp, error) {
-		e = epoch
-		dstHead, err := db.head(key, dst)
+	uids, err := db.write(ctx, db.met.opMerge, ErrStaleHead, logKV, func(epoch uint64, heads *headReader) ([]*fnode.FNode, []HeadOp, error) {
+		e, merged = epoch, nil
+		dstHead, err := heads.must(key, dst)
 		if err != nil {
 			return nil, nil, err
 		}
-		srcHead, err := db.head(key, src)
+		srcHead, err := heads.must(key, src)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -770,10 +826,20 @@ func (db *DB) MergeCtx(ctx context.Context, key, dst, src string, resolve index.
 			return nil, nil, err
 		}
 		move := []HeadOp{{Key: key, Branch: dst, Expect: dstHead, Set: srcHead}}
+		if heads.remembered {
+			// A head answered from memory may be stale.  The op on src moves
+			// nothing: it checks that the source merged is src's head, so a
+			// source that moved since is refused and read again, not merged.
+			move = append(move, HeadOp{Key: key, Branch: src, Expect: srcHead, Set: srcHead})
+		}
 		switch anc.Base {
 		case srcHead: // already merged: dst contains src (or is src)
 			res = MergeResult{Version: dv, FastForward: true}
-			return nil, nil, nil
+			if !heads.remembered {
+				return nil, nil, nil
+			}
+			move[0].Set = dstHead // check both heads instead
+			return nil, move, nil
 		case dstHead: // src descends from dst
 			res = MergeResult{Version: sv, FastForward: true}
 			return nil, move, nil

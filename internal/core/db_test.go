@@ -10,6 +10,7 @@ import (
 	"forkbase/internal/chunker"
 	"forkbase/internal/hash"
 	"forkbase/internal/index"
+	"forkbase/internal/obs"
 	"forkbase/internal/pos"
 	"forkbase/internal/store"
 	"forkbase/internal/value"
@@ -740,5 +741,19 @@ func TestHistoryDecodesOnce(t *testing.T) {
 		if s, _ := v.Value.AsString(); s != want {
 			t.Fatalf("hist[%d] = %q, want %q", i, s, want)
 		}
+	}
+}
+
+// TestWarmGetAllocatesNothing: a Get whose FNode is a node-cache hit
+// allocates nothing.  The slow-op record's key and branch fields are boxed
+// only when the record is written, not on every call.
+func TestWarmGetAllocatesNothing(t *testing.T) {
+	db := Open(Options{NodeCacheBytes: 1 << 20, Metrics: obs.NewRegistry()})
+	if _, err := db.Put("key", "branch", value.String("v"), nil); err != nil {
+		t.Fatal(err)
+	}
+	var err error
+	if n := testing.AllocsPerRun(100, func() { _, err = db.Get("key", "branch") }); err != nil || n != 0 {
+		t.Fatalf("warm Get: %v allocations a call, err %v; want 0", n, err)
 	}
 }

@@ -10,12 +10,15 @@ import (
 
 // editHead is the write of the three edit methods: it reads the head of
 // key@branch, derives a new value from it with edit, and commits that value
-// against the head it was derived from.  Like Put it does not retry: a
-// concurrent writer costs ErrStaleHead and the caller reloads.
+// against the head it was derived from.  The head is the one the branch
+// table last saw (a remote table's memory costs no round trip); when that
+// one proves stale the edit is made once more against the current head.
+// Like Put it does not retry beyond that: a concurrent writer costs
+// ErrStaleHead and the caller reloads.
 func (db *DB) editHead(key, branch string, meta map[string]string, edit func(cur Version) (value.Value, error)) (Version, error) {
-	return first(db.commit(context.Background(), db.met.opEdit, func() ([]WriteOp, error) {
+	return first(db.commit(context.Background(), db.met.opEdit, func(heads *headReader) ([]WriteOp, error) {
 		w := []WriteOp{{Key: key, Branch: branch, Meta: meta}}
-		head, err := db.Head(key, branch)
+		head, err := heads.must(key, orDefault(branch))
 		if err != nil {
 			return w, err
 		}

@@ -2,11 +2,15 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"forkbase/internal/chunk"
+	"forkbase/internal/fnode"
 	"forkbase/internal/hash"
+	"forkbase/internal/store"
 )
 
 // FeedEntry is one sequenced head movement of the primary's change feed.
@@ -298,12 +302,16 @@ func (f *Feed) dropLapsed(now time.Time) {
 // older head.  Branch-table mutations are tiny metadata operations, so the
 // serialization is not a throughput concern.
 //
-// Because every head moves here — engine commits, TCP Applies and a
-// follower's — the table also keeps the one collection rule.  GC holds the
-// fence's write side from listing heads to ticking the clock, so no head
-// moves during a collection; every Apply holds its read side, and refuses
-// an op whose epoch precedes a sweep that completed since with ErrCollected.
-// A writer that stored chunks before that sweep may have lost them to it.
+// Because every head moves here — engine commits, remote commits and a
+// follower's Applies — the table also keeps the one collection rule.  GC
+// holds the fence's write side from listing heads to ticking the clock, so
+// no head moves during a collection; every Apply holds its read side, and
+// refuses an op whose epoch precedes a sweep that completed since with
+// ErrCollected.  A writer that stored chunks before that sweep may have lost
+// them to it.  A remote writer's Commit lands its chunks under the same hold
+// as its ops; when it carries every chunk its ops rely on that the writer
+// put outside a commit (whole), it is refused only for what it names and
+// did not carry.
 type FeedTable struct {
 	BranchTable // the table the feed sequences
 	feed        *Feed
@@ -348,19 +356,104 @@ func (t *FeedTable) Apply(ops []HeadOp) (bool, error) {
 // apply is Apply for a caller that already holds the fence's read side (an
 // RWMutex must not be read-locked twice: a waiting GC would deadlock it).
 // An op stamped before the current epoch fails the whole Apply with
-// ErrCollected; otherwise an Apply that succeeds is journaled, in the same
+// ErrCollected once this table has swept: over a remote table, which never
+// does, the epoch moves only with the server's replies, and the server
+// judges its own sweeps when the commit reaches it.
+func (t *FeedTable) apply(ops []HeadOp) (bool, error) {
+	if t.swept.Load() > 0 {
+		if i := t.stale(ops); i >= 0 {
+			return false, fmt.Errorf("%w: op %d (%s@%s)", ErrCollected, i, ops[i].Key, ops[i].Branch)
+		}
+	}
+	return t.publish(ops)
+}
+
+// stale returns the index of the first op stamped before the current epoch,
+// or -1.
+func (t *FeedTable) stale(ops []HeadOp) int {
+	now := t.Epoch()
+	return slices.IndexFunc(ops, func(op HeadOp) bool { return op.Epoch != 0 && op.Epoch < now })
+}
+
+// Commit is a remote writer's publish: under one hold of the fence's read
+// side it lands the chunks cs in st and applies ops, so no collection falls
+// between the two.  An op stamped before the current epoch was built from
+// chunks a sweep may have taken since.  A commit that is not whole — the
+// writer put chunks its ops may rely on outside any commit since it took
+// that epoch — is then refused with ErrCollected, as Apply refuses it.  A
+// whole commit was stamped early only because the writer had not seen the
+// sweep; it is refused only if one HasBatch finds missing an id it names
+// but does not carry — a ref of a carried chunk, or the head an op sets.  A
+// commit of fresh ops costs no store read.  The chunks land even when an
+// op's expectation fails, as a put followed by an Apply would.
+func (t *FeedTable) Commit(st store.Store, cs []*chunk.Chunk, ops []HeadOp, whole bool) (bool, error) {
+	t.fence.RLock()
+	defer t.fence.RUnlock()
+	if len(cs) > 0 {
+		if _, err := st.PutBatch(cs); err != nil {
+			return false, err
+		}
+	}
+	if i := t.stale(ops); i >= 0 {
+		if !whole {
+			return false, fmt.Errorf("%w: op %d (%s@%s)", ErrCollected, i, ops[i].Key, ops[i].Branch)
+		}
+		if err := named(st, cs, ops); err != nil {
+			return false, err
+		}
+	}
+	return t.publish(ops)
+}
+
+// named checks that st holds every id the commit of cs and ops names and
+// does not carry, with one HasBatch.  Presence stands for the subtree under
+// an id only because a whole commit's writer put nothing it relies on in a
+// request of its own: what it did not carry it read under a published head,
+// and a sweep keeps such a chunk only while it is reachable, children and
+// all.
+func named(st store.Store, cs []*chunk.Chunk, ops []HeadOp) error {
+	seen := make(map[hash.Hash]bool, len(cs))
+	for _, c := range cs {
+		seen[c.ID()] = true
+	}
+	var want []hash.Hash
+	add := func(id hash.Hash) {
+		if !id.IsZero() && !seen[id] {
+			seen[id] = true
+			want = append(want, id)
+		}
+	}
+	for _, c := range cs {
+		refs, err := fnode.Refs(c)
+		if err != nil {
+			return err
+		}
+		for _, id := range refs {
+			add(id)
+		}
+	}
+	for _, op := range ops {
+		add(op.Set)
+	}
+	has, err := st.HasBatch(want)
+	if err != nil {
+		return err
+	}
+	if i := slices.Index(has, false); i >= 0 {
+		return fmt.Errorf("%w: the commit names %s, which it does not carry and a sweep took", ErrCollected, want[i].Short())
+	}
+	return nil
+}
+
+// publish applies ops and journals an Apply that succeeds, in the same
 // critical section, as one group of an entry per op that moves a head.  An
 // op's Old is the head it expected, so only an op with Any costs a head read
-// (of the head before the Apply).
-func (t *FeedTable) apply(ops []HeadOp) (bool, error) {
+// (of the head before the Apply).  The caller holds the fence's read side.
+func (t *FeedTable) publish(ops []HeadOp) (bool, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	now := t.Epoch()
 	group := make([]FeedEntry, 0, len(ops))
-	for i, op := range ops {
-		if op.Epoch != 0 && op.Epoch < now {
-			return false, fmt.Errorf("%w: op %d (%s@%s)", ErrCollected, i, op.Key, op.Branch)
-		}
+	for _, op := range ops {
 		old := op.Expect
 		if op.Any {
 			var err error

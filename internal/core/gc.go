@@ -69,12 +69,13 @@ func (db *DB) gcInner() (GCStats, error) {
 	if !ok {
 		return GCStats{}, ErrNotCollectable
 	}
-	// The head table fences out every Apply from listing the heads to the
-	// clock tick, so an engine commit (chunks stored, head not yet moved)
-	// is never collected; readers proceed.  Chunks stored outside the fence
-	// (a value built now and Put later, a TCP client's PutChunks) may be
-	// swept, but the op publishing them carries an epoch the tick passes:
-	// its Apply fails with ErrCollected and publishes nothing.
+	// The head table fences out every Apply and remote Commit from listing
+	// the heads to the clock tick, so an engine commit (chunks stored, head
+	// not yet moved) is never collected; readers proceed.  Chunks stored
+	// outside the fence (a value built now and Put later, a TCP client's
+	// PutChunks) may be swept, but the op publishing them carries an epoch
+	// the tick passes: its Apply fails with ErrCollected, and a Commit does
+	// when a chunk it names is gone, and nothing is published.
 	var res store.SweepStats
 	var live map[hash.Hash]bool
 	var err error

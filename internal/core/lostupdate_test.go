@@ -15,20 +15,37 @@ import (
 )
 
 // racedTable is a branch table on which a rival writer commits right after
-// the first head read has been answered — the window between an edit reading
-// the head it derives from and publishing its result.
+// the first head read past skip has been answered — the window between an
+// edit reading the head it derives from and publishing its result.  A write
+// reads heads through LastHead, a plain read through Head.
 type racedTable struct {
 	core.BranchTable
 	rival func() // nil until armed
+	skip  int    // head reads answered before the rival commits
 	once  sync.Once
+}
+
+func (r *racedTable) race() {
+	if r.rival == nil {
+		return
+	}
+	if r.skip > 0 {
+		r.skip--
+		return
+	}
+	r.once.Do(r.rival)
 }
 
 func (r *racedTable) Head(key, branch string) (hash.Hash, bool, error) {
 	uid, ok, err := r.BranchTable.Head(key, branch)
-	if r.rival != nil {
-		r.once.Do(r.rival)
-	}
+	r.race()
 	return uid, ok, err
+}
+
+func (r *racedTable) LastHead(key, branch string) (hash.Hash, bool, bool, error) {
+	uid, ok, remembered, err := r.BranchTable.LastHead(key, branch)
+	r.race()
+	return uid, ok, remembered, err
 }
 
 // rows renders a version's value as position- or key-tagged rows, so "the
@@ -187,5 +204,67 @@ func TestEditsDoNotLoseConcurrentUpdates(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestMergeKeepsTheSourceItRead: on a table that answers every head read
+// from the heads themselves, a merge publishes with one compare-and-set on
+// its destination.  A commit to the source after the merge read both heads
+// does not fail it: the merge merges the source it read.  Nor does a commit
+// to the destination fail a merge that finds the source merged already,
+// which publishes nothing.
+func TestMergeKeepsTheSourceItRead(t *testing.T) {
+	row := func(db *core.DB, branch, key string) core.Version {
+		t.Helper()
+		ver, err := db.EditMap("k", branch, []index.Entry{{Key: []byte(key), Val: []byte(key)}}, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ver
+	}
+	for _, merged := range []bool{false, true} {
+		t.Run(fmt.Sprintf("merged=%v", merged), func(t *testing.T) {
+			st, bt := store.NewMemStore(), core.NewMemBranchTable()
+			raced := &racedTable{BranchTable: bt}
+			db := core.Open(core.Options{Store: st, Branches: raced})
+			rival := core.Open(core.Options{Store: st, Branches: bt})
+			defer db.Close()
+			defer rival.Close()
+			seed, err := rival.NewMapValue([]index.Entry{{Key: []byte("a"), Val: []byte("1")}})
+			if err == nil {
+				_, err = rival.Put("k", "", seed, nil)
+			}
+			if err == nil {
+				err = rival.Branch("k", "dev", "")
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			src := row(rival, "dev", "d")
+			moved := "dev"
+			if merged {
+				if _, err := rival.Merge("k", "", "dev", nil, nil); err != nil {
+					t.Fatal(err)
+				}
+				moved = ""
+			} else {
+				row(rival, "", "m")
+			}
+			var rivalVer core.Version
+			raced.skip, raced.rival = 1, func() { rivalVer = row(rival, moved, "R") } // after the dst and src reads
+			res, err := db.Merge("k", "", "dev", nil, nil)
+			if err != nil {
+				t.Fatalf("Merge with a commit to %q after its head reads: %v", moved, err)
+			}
+			if rivalVer.UID.IsZero() {
+				t.Fatal("the rival did not commit during the merge")
+			}
+			if merged != res.FastForward {
+				t.Fatalf("Merge = %+v, want FastForward %v", res, merged)
+			}
+			if bases := res.Version.Bases; !merged && (len(bases) != 2 || bases[1] != src.UID) {
+				t.Fatalf("merge bases %v, want the source it read, %s", bases, src.UID.Short())
+			}
+		})
 	}
 }

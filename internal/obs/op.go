@@ -55,6 +55,12 @@ func (o *Op) Begin() time.Time {
 	return time.Time{}
 }
 
+// Logs reports whether End, given start, would write a slow-op record, so
+// that a caller on a hot path builds the record's fields only then.
+func (o *Op) Logs(start time.Time) bool {
+	return o != nil && !start.IsZero() && o.Slow.Threshold > 0 && o.Slow.Logger != nil && time.Since(start) >= o.Slow.Threshold
+}
+
 // End counts the operation, records its latency when start is non-zero and,
 // past the slow-op threshold, writes the slow-op record: the layer's
 // attributes, op, duration, the trace ID ctx carries, kvs, and err when

@@ -48,13 +48,14 @@ func LoadBlob(st store.Store, cfg chunker.Config, root hash.Hash) (*Blob, error)
 
 // BuildBlob constructs a blob over data.
 func BuildBlob(st store.Store, cfg chunker.Config, data []byte) (*Blob, error) {
-	root, err := build(store.NewChunkSink(st), cfg, chunk.TypeBlobLeaf, func(lb *levelBuilder) error {
+	src := sourceFor(st)
+	root, err := build(editSink(src), cfg, chunk.TypeBlobLeaf, func(lb *levelBuilder) error {
 		return lb.addBytes(data)
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &Blob{src: sourceFor(st), cfg: cfg, root: root.id, size: root.count}, nil
+	return &Blob{src: src, cfg: cfg, root: root.id, size: root.count}, nil
 }
 
 // Root returns the root hash.

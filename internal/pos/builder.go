@@ -504,9 +504,10 @@ func buildLevels(sink *store.ChunkSink, cfg chunker.Config, refs []childRef, lev
 	return refs[0], nil
 }
 
-// editSink returns the write sink for incremental edits and merges: on a
-// store with a decoded-node cache the nodes the edit lands enter the cache
-// under the gateway's write rule (store.Nodes.WriteThrough).  Re-emitted
+// editSink returns the write sink for builds, incremental edits and merges:
+// on a store with a decoded-node cache the nodes a write lands enter the
+// cache under the gateway's write rule (store.Nodes.WriteThrough), so a
+// remote engine reads back what it built without a round trip.  Re-emitted
 // shared subtrees go to the store like new nodes; its put turns them away as
 // dedup hits.
 func editSink(src nodeSource) *store.ChunkSink {
@@ -542,7 +543,8 @@ func build(sink *store.ChunkSink, cfg chunker.Config, leaf chunk.Type, feed func
 // Nodes flow to the store through a batched sink; the tree is fully landed
 // when BuildMap returns.
 func BuildMap(st store.Store, cfg chunker.Config, entries []Entry) (*Tree, error) {
-	root, err := build(store.NewChunkSink(st), cfg, chunk.TypeMapLeaf, func(lb *levelBuilder) error {
+	src := sourceFor(st)
+	root, err := build(editSink(src), cfg, chunk.TypeMapLeaf, func(lb *levelBuilder) error {
 		for _, e := range lastPerKey(entries, entryKey) {
 			if err := lb.addEntry(e); err != nil {
 				return err
@@ -553,7 +555,7 @@ func BuildMap(st store.Store, cfg chunker.Config, entries []Entry) (*Tree, error
 	if err != nil {
 		return nil, err
 	}
-	return &Tree{src: sourceFor(st), cfg: cfg, root: root.id, count: root.count}, nil
+	return &Tree{src: src, cfg: cfg, root: root.id, count: root.count}, nil
 }
 
 // lastPerKey returns xs sorted by key, keeping the last of each run of

@@ -46,13 +46,14 @@ func LoadSeq(st store.Store, cfg chunker.Config, root hash.Hash) (*Seq, error) {
 
 // BuildSeq constructs a sequence over items.
 func BuildSeq(st store.Store, cfg chunker.Config, items [][]byte) (*Seq, error) {
-	root, err := build(store.NewChunkSink(st), cfg, chunk.TypeSeqLeaf, func(lb *levelBuilder) error {
+	src := sourceFor(st)
+	root, err := build(editSink(src), cfg, chunk.TypeSeqLeaf, func(lb *levelBuilder) error {
 		return addItems(lb, items)
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &Seq{src: sourceFor(st), cfg: cfg, root: root.id, count: root.count}, nil
+	return &Seq{src: src, cfg: cfg, root: root.id, count: root.count}, nil
 }
 
 // Root returns the root hash (zero for empty).

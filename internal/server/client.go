@@ -2,8 +2,8 @@ package server
 
 import (
 	"bufio"
+	"container/list"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -66,7 +66,7 @@ func (o *ClientOptions) fill() {
 // backoff under the client's retry policy.
 //
 // Idempotency contract: reads (Get/Has/GetBatch/feed/heads) are retried
-// freely.  Mutations (head Applies, chunk puts) are re-sent only when the
+// freely.  Mutations (commits, chunk puts) are re-sent only when the
 // failed attempt's one Write provably put zero bytes of the request frame on
 // the wire — otherwise the server may have executed it, and the ambiguous
 // error is surfaced to the caller (who owns the op-level recovery; see
@@ -82,8 +82,14 @@ type Client struct {
 	conn   net.Conn // written holding turn and closeMu both
 	br     *bufio.Reader
 	wbuf   []byte // scratch: the request frame, unless a large batch outgrows it
-	rbuf   []byte // every reply payload; kept at the largest size a reply grew it to
+	rbuf   []byte // every reply payload; kept unless a reply grew it past replyKeep
 	lastID uint64 // request id of the latest frame sent
+
+	stage staging // the chunks engine writes put, until a request carries them
+	// epoch is the highest collection epoch a Head or Commit reply carried
+	// (0: none yet); outside is the epoch this client had seen when its
+	// latest put outside a commit (a PutChunks) was sent (0: none yet).
+	epoch, outside atomic.Uint64
 
 	// Close takes closeMu, which guards closed, never turn, so it does not
 	// wait out an exchange: it cancels ctx, which aborts dials and backoffs,
@@ -96,6 +102,11 @@ type Client struct {
 
 // errClientClosed is returned by every op after Close.
 var errClientClosed = errors.New("client: closed")
+
+// replyKeep is the largest reply buffer a client keeps between exchanges:
+// above the ~2 MiB replies of a replica's 512-id fetch, which then reuse
+// it, and far below the MaxPayload one outsized reply grows it to.
+const replyKeep = 4 << 20
 
 // Dial connects to a server with default options and verifies liveness with
 // a ping.
@@ -164,7 +175,7 @@ func (c *Client) teardownLocked() {
 // probes, head listings) is idempotent.
 func mutates(op Op) bool {
 	switch op {
-	case OpApply, OpPutChunks:
+	case OpCommit, OpPutChunks:
 		return true
 	}
 	return false
@@ -226,6 +237,9 @@ func (c *Client) attempt(op Op, extraRead time.Duration, build func([]byte) []by
 	h, payload, err := readFrame(c.br, c.rbuf)
 	if err == nil {
 		c.rbuf = payload[:0] // the next reply of this size allocates nothing
+		if cap(payload) > replyKeep {
+			c.rbuf = make([]byte, 0, 4<<10)
+		}
 	}
 	if err == nil && (h.id != c.lastID || h.op != op) {
 		// The stream is out of step: a transport failure like any other.
@@ -268,19 +282,31 @@ func (c *Client) MaxBlock(extra time.Duration) time.Duration {
 }
 
 // Close shuts the connection.  Safe to call more than once; concurrent ops
-// fail fast instead of waiting out their exchange or backoff.
+// fail fast instead of waiting out their exchange or backoff.  Chunks still
+// staged (a put another goroutine made during an engine write, reported
+// fresh, whose write's commit and final flush both failed) are landed
+// first; Close reports it if they could not be.
 func (c *Client) Close() error {
+	c.closeMu.Lock()
+	closed := c.closed
+	c.closeMu.Unlock()
+	var err error
+	if !closed && c.stage.pending() > 0 {
+		if err = c.flush(); err != nil {
+			err = fmt.Errorf("client: staged chunks not landed: %w", err)
+		}
+	}
 	c.cancel()
 	c.closeMu.Lock()
 	defer c.closeMu.Unlock()
 	if c.closed {
-		return nil
+		return err
 	}
 	c.closed = true
 	if c.conn == nil {
-		return nil
+		return err
 	}
-	return c.conn.Close()
+	return errors.Join(err, c.conn.Close())
 }
 
 // RemoteStore adapts a Client into a store.Store.  Every fetched chunk is
@@ -289,40 +315,229 @@ type RemoteStore struct {
 	c *Client
 }
 
-var _ store.Store = (*RemoteStore)(nil)
+var (
+	_ store.Store  = (*RemoteStore)(nil)
+	_ store.Stager = (*RemoteStore)(nil)
+)
 
 // NewRemoteStore wraps a client as a chunk store.
 func NewRemoteStore(c *Client) *RemoteStore { return &RemoteStore{c: c} }
 
+// stageLimit is the most staged chunk bytes a client holds: past it they
+// are landed with PutChunks, so a build too large for one frame spills, and
+// a commit's chunks leave half a frame to its head ops.
+const stageLimit = MaxPayload / 2
+
+// staging holds the chunks a RemoteStore puts inside an engine write,
+// oldest first, until a request carries them: the write's Commit, or a
+// PutChunks that lands them early once they pass stageLimit or when the
+// write ends without a commit.  A chunk read asks the server only for what
+// staging does not hold, so nothing the write stored lands outside its
+// commit's hold of the server's fence.  Engine writes over one client run
+// one at a time, build included, so a commit carries its own write's
+// chunks: a client is built for one writer, and writers that should build
+// in parallel each open a client.  A put another goroutine makes during a
+// write cannot be told apart from the write's own: it is staged too,
+// reported fresh, and lands with that write's commit, the flush that ends
+// the write, or Close.  A request takes its chunks from the front while it
+// holds the connection's turn, so nothing sent after it can overtake them,
+// and they leave only once it was answered: a request that failed in
+// transport leaves them for the next one.
+type staging struct {
+	write sync.Mutex // held by an engine write from Stage to done
+
+	mu      sync.Mutex
+	active  bool                       // an engine write holds write
+	chunks  []*chunk.Chunk             // held, oldest first
+	held    map[hash.Hash]*chunk.Chunk // the same chunks, by id
+	size    int                        // their put wire size
+	dropped uint64                     // chunks taken off the front since the client began
+}
+
+// hold stages cs if an engine write is in flight, and reports whether it
+// did and whether the staged chunks have passed stageLimit.  A chunk
+// staged already is not staged again.
+func (s *staging) hold(cs []*chunk.Chunk) (held, full bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.active {
+		return false, false
+	}
+	if s.held == nil {
+		s.held = make(map[hash.Hash]*chunk.Chunk)
+	}
+	for _, c := range cs {
+		if _, ok := s.held[c.ID()]; !ok {
+			s.held[c.ID()] = c
+			s.chunks = append(s.chunks, c)
+			s.size += putWireSize(c)
+		}
+	}
+	return true, s.size > stageLimit
+}
+
+// take returns the longest run of staged chunks from the front whose put
+// shape fits room bytes (at least one chunk, if any is staged and force),
+// and the count through which drop then retires them.  Every staged chunk
+// fits when pending()+putShapeSize <= room.
+func (s *staging) take(room int, force bool) ([]*chunk.Chunk, uint64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n, size := 0, putShapeSize
+	for n < len(s.chunks) && (size+putWireSize(s.chunks[n]) <= room || force && n == 0) {
+		size += putWireSize(s.chunks[n])
+		n++
+	}
+	return slices.Clone(s.chunks[:n]), s.dropped + uint64(n)
+}
+
+// drop retires the staged chunks before through, unless another request
+// retired them first.
+func (s *staging) drop(through uint64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if through <= s.dropped {
+		return
+	}
+	k := int(through - s.dropped)
+	for _, c := range s.chunks[:k] {
+		s.size -= putWireSize(c)
+		delete(s.held, c.ID())
+	}
+	clear(s.chunks[:k])
+	s.chunks, s.dropped = s.chunks[k:], through
+	if len(s.chunks) == 0 {
+		s.chunks = s.chunks[:0:0]
+	}
+}
+
+// pending reports the staged chunks' put wire size (0: none is staged).
+func (s *staging) pending() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.size
+}
+
+// lookup sets out[i] to the staged chunk with ids[i], for each one staging
+// holds, and returns the positions of the others (nil: none is held).
+func (s *staging) lookup(ids []hash.Hash, out []*chunk.Chunk) (ask []int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.held) == 0 {
+		return nil
+	}
+	ask = make([]int, 0, len(ids))
+	for i, id := range ids {
+		if out[i] = s.held[id]; out[i] == nil {
+			ask = append(ask, i)
+		}
+	}
+	return ask
+}
+
+// answered reports whether a request that carried staged chunks is done
+// with them: it was answered, refused by the server (which lands a commit's
+// chunks before judging its ops) or could never be sent.  After a transport
+// failure they stay staged; sent again, a chunk lands once.
+func answered(err error) bool {
+	return err == nil || retry.IsPermanent(err) && !errors.Is(err, ErrAmbiguous)
+}
+
+// Stage implements store.Stager: until done, chunks this store puts wait
+// for the write's Commit (RemoteBranchTable.Apply) to carry them.  It waits
+// for a write in flight on the same client to end.
+func (r *RemoteStore) Stage() (done func()) {
+	s := &r.c.stage
+	s.write.Lock()
+	s.mu.Lock()
+	s.active = true
+	s.mu.Unlock()
+	return func() {
+		s.mu.Lock()
+		s.active = false
+		s.mu.Unlock()
+		_ = r.c.flush() // left by a write that failed before its commit; on failure the next request carries them
+		s.write.Unlock()
+	}
+}
+
+// flush lands the staged chunks with PutChunks, as many frames as they need.
+func (c *Client) flush() error {
+	for c.stage.pending() > 0 {
+		var through uint64
+		var n int
+		c.putOutside()
+		err := c.call(OpPutChunks, 0, func(b []byte) []byte {
+			var cs []*chunk.Chunk
+			cs, through = c.stage.take(MaxPayload, true)
+			n = len(cs)
+			return appendPut(b, cs)
+		}, func(d *dec) { d.bools(n) })
+		if answered(err) {
+			c.stage.drop(through)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // putChunks ships cs as one PutChunks frame.
 func (c *Client) putChunks(cs []*chunk.Chunk) (fresh []bool, err error) {
-	err = c.call(OpPutChunks, 0, func(b []byte) []byte {
-		b = appendUvarint(b, uint64(len(cs)))
-		for _, ch := range cs {
-			id := ch.ID()
-			b = append(b, id[:]...)
-		}
-		return appendChunks(b, cs)
-	}, func(d *dec) { fresh = d.bools(len(cs)) })
+	c.putOutside()
+	err = c.call(OpPutChunks, 0, func(b []byte) []byte { return appendPut(b, cs) },
+		func(d *dec) { fresh = d.bools(len(cs)) })
 	return fresh, err
 }
 
-// Put implements store.Store as a one-chunk PutChunks.
+// putOutside records a PutChunks before it is sent: no commit whose ops are
+// stamped at the epoch this client has seen by now is whole (see
+// RemoteBranchTable.Apply).
+func (c *Client) putOutside() { raise(&c.outside, c.seenEpoch()) }
+
+// note keeps e if it is the highest epoch a reply carried.
+func (c *Client) note(e uint64) { raise(&c.epoch, e) }
+
+// seenEpoch is the server's collection epoch as this client last saw it;
+// before any reply carried one it is 1, older than every server's.
+func (c *Client) seenEpoch() uint64 { return max(c.epoch.Load(), 1) }
+
+// raise stores e in a if it is higher.
+func raise(a *atomic.Uint64, e uint64) {
+	for old := a.Load(); e > old && !a.CompareAndSwap(old, e); old = a.Load() {
+	}
+}
+
+// Put implements store.Store as a one-chunk PutBatch.
 func (r *RemoteStore) Put(ch *chunk.Chunk) (bool, error) {
-	fresh, err := r.c.putChunks([]*chunk.Chunk{ch})
+	fresh, err := r.PutBatch([]*chunk.Chunk{ch})
 	return err == nil && fresh[0], err
 }
 
-// PutBatch implements store.Store: the whole batch travels in one
-// request and lands on the server in one store round, collapsing N network
-// round trips into one — the dominant cost of remote bulk ingest.  A batch
-// too large for one frame travels as several, each landing on its own.
+// PutBatch implements store.Store.  Inside an engine write (Stage) the
+// chunks are staged for the write's Commit and reported fresh; otherwise
+// the whole batch travels in one request and lands on the server in one
+// store round, collapsing N network round trips into one — the dominant
+// cost of remote bulk ingest.  A batch too large for one frame travels as
+// several, each landing on its own.
 func (r *RemoteStore) PutBatch(cs []*chunk.Chunk) ([]bool, error) {
 	fresh := make([]bool, 0, len(cs))
+	if held, full := r.c.stage.hold(cs); held {
+		if full {
+			if err := r.c.flush(); err != nil {
+				return make([]bool, len(cs)), err
+			}
+		}
+		for range cs {
+			fresh = append(fresh, true)
+		}
+		return fresh, nil
+	}
 	for len(cs) > 0 {
-		n, size := 0, 2*binary.MaxVarintLen32
-		for n < len(cs) && (n == 0 || size+hash.Size+chunkWireSize(cs[n]) <= MaxPayload) {
-			size += hash.Size + chunkWireSize(cs[n])
+		n, size := 0, putShapeSize
+		for n < len(cs) && (n == 0 || size+putWireSize(cs[n]) <= MaxPayload) {
+			size += putWireSize(cs[n])
 			n++
 		}
 		part, err := r.c.putChunks(cs[:n])
@@ -345,6 +560,37 @@ func (c *Client) GetChunks(ids []hash.Hash) ([]*chunk.Chunk, error) {
 		return nil, nil
 	}
 	out := make([]*chunk.Chunk, len(ids))
+	ask := c.stage.lookup(ids, out) // a staged chunk is read from staging
+	if ask == nil {
+		if err := c.getChunks(ids, out); err != nil {
+			return nil, err
+		}
+		return out, nil
+	}
+	if len(ask) == 0 {
+		return out, nil
+	}
+	got := make([]*chunk.Chunk, len(ask))
+	if err := c.getChunks(pick(ids, ask), got); err != nil {
+		return nil, err
+	}
+	for j, i := range ask {
+		out[i] = got[j]
+	}
+	return out, nil
+}
+
+// pick returns ids at the positions at.
+func pick(ids []hash.Hash, at []int) []hash.Hash {
+	out := make([]hash.Hash, len(at))
+	for j, i := range at {
+		out[j] = ids[i]
+	}
+	return out
+}
+
+// getChunks asks the server for ids, answering into out.
+func (c *Client) getChunks(ids []hash.Hash, out []*chunk.Chunk) error {
 	for off := 0; off < len(ids); {
 		want, answered := ids[off:], 0
 		err := c.call(OpGetChunks, 0, func(b []byte) []byte { return appendIDs(b, want...) },
@@ -358,18 +604,42 @@ func (c *Client) GetChunks(ids []hash.Hash) ([]*chunk.Chunk, error) {
 			}
 		}
 		if err != nil {
-			return nil, err
+			return err
 		}
 		off += answered
 	}
-	return out, nil
+	return nil
 }
 
-// HasChunks answers presence for a batch of ids in one round trip.
-func (c *Client) HasChunks(ids []hash.Hash) (has []bool, err error) {
+// HasChunks answers presence for a batch of ids in one round trip; a
+// staged chunk is present.
+func (c *Client) HasChunks(ids []hash.Hash) ([]bool, error) {
 	if len(ids) == 0 {
 		return nil, nil
 	}
+	staged := make([]*chunk.Chunk, len(ids))
+	ask := c.stage.lookup(ids, staged)
+	if ask == nil {
+		return c.hasChunks(ids)
+	}
+	has := make([]bool, len(ids))
+	for i, ch := range staged {
+		has[i] = ch != nil
+	}
+	if len(ask) == 0 {
+		return has, nil
+	}
+	got, err := c.hasChunks(pick(ids, ask))
+	if err != nil {
+		return nil, err
+	}
+	for j, i := range ask {
+		has[i] = got[j]
+	}
+	return has, nil
+}
+
+func (c *Client) hasChunks(ids []hash.Hash) (has []bool, err error) {
 	err = c.call(OpHasChunks, 0, func(b []byte) []byte { return appendIDs(b, ids...) },
 		func(d *dec) { has = d.bools(len(ids)) })
 	return has, err
@@ -457,41 +727,43 @@ func (r *RemoteStore) Stats() (st store.Stats) {
 	return st
 }
 
-// RemoteBranchTable adapts a Client into a core.BranchTable.
+// RemoteBranchTable adapts a Client into a core.BranchTable.  It keeps
+// what the paper says users keep: the last head it saw of each branch, from
+// Head replies and the ops it applied (LastHead).
 type RemoteBranchTable struct {
-	c *Client
-	// epoch is the highest collection epoch a Head or Apply reply carried
-	// (0: none yet).  A stale one can only refuse more than the server's
-	// own, never less.
-	epoch atomic.Uint64
+	c    *Client
+	seen seenHeads
 }
 
 // NewRemoteBranchTable wraps a client as a branch table.
 func NewRemoteBranchTable(c *Client) *RemoteBranchTable { return &RemoteBranchTable{c: c} }
 
-// note keeps e if it is the highest epoch seen.
-func (r *RemoteBranchTable) note(e uint64) {
-	for old := r.epoch.Load(); e > old && !r.epoch.CompareAndSwap(old, e); old = r.epoch.Load() {
-	}
-}
-
 // Epoch implements core.BranchTable: the server's collection epoch as this
 // client last saw it, so the engine over this table stamps its ops with the
-// clock of the node that collects.  A client that has had no Head or Apply
+// clock of the node that collects.  A client that has had no Head or Commit
 // reply yet asks with a Head; if that fails, it answers 1, an epoch every
-// collecting server refuses.
+// collecting server refuses.  A stale epoch costs a whole commit the
+// server's presence check of what it names (see Apply).
 func (r *RemoteBranchTable) Epoch() uint64 {
-	if e := r.epoch.Load(); e != 0 {
-		return e
+	if r.c.epoch.Load() == 0 {
+		_, _, _ = r.head("", "")
 	}
-	if _, _, err := r.Head("", ""); err != nil {
-		return 1
-	}
-	return r.epoch.Load()
+	return r.c.seenEpoch()
 }
 
-// Head implements core.BranchTable.
+// Head implements core.BranchTable: the server's answer, which LastHead
+// then remembers.
 func (r *RemoteBranchTable) Head(key, branch string) (hash.Hash, bool, error) {
+	uid, ok, err := r.head(key, branch)
+	if err == nil {
+		r.seen.put(key, branch, uid)
+	}
+	return uid, ok, err
+}
+
+// head asks the server for key@branch's head, noting the epoch its reply
+// carries.
+func (r *RemoteBranchTable) head(key, branch string) (hash.Hash, bool, error) {
 	var heads []hash.Hash
 	var epoch uint64
 	err := r.c.call(OpHead, 0, func(b []byte) []byte { return appendRef(b, key, branch) }, func(d *dec) {
@@ -501,37 +773,75 @@ func (r *RemoteBranchTable) Head(key, branch string) (hash.Hash, bool, error) {
 	if err != nil {
 		return hash.Hash{}, false, err
 	}
-	r.note(epoch)
+	r.c.note(epoch)
 	if len(heads) == 0 {
 		return hash.Hash{}, false, nil
 	}
 	return heads[0], true, nil
 }
 
-// Apply implements core.BranchTable in one round trip.  An ambiguous
-// transport failure is resolved by probing the heads: if each holds what
-// the ops leave it at, the Apply landed — uids are content-addressed, so
-// that is the caller's postcondition, whichever attempt established it.
-// The server's refusal of a stale epoch is core.ErrCollected, after a Head
-// has fetched the epoch the caller's retry needs.
-func (r *RemoteBranchTable) Apply(ops []core.HeadOp) (bool, error) {
-	var applied []bool
-	var epoch uint64
-	err := r.c.call(OpApply, 0, func(b []byte) []byte { return appendHeadOps(b, ops) },
-		func(d *dec) { applied, epoch = d.bools(1), d.Uvarint() })
-	if err == nil {
-		r.note(epoch)
+// LastHead implements core.BranchTable: the head this client last saw, with
+// no round trip, else the server's (Head).
+func (r *RemoteBranchTable) LastHead(key, branch string) (hash.Hash, bool, bool, error) {
+	if uid, ok := r.seen.get(key, branch); ok {
+		return uid, !uid.IsZero(), true, nil
 	}
-	if rerr := refusal(err, core.ErrCollected); rerr != nil {
-		// The refusal carries no epoch; a failed Head leaves the old one,
-		// which can only refuse the retry again.
-		_, _, _ = r.Head("", "")
-		return false, rerr
+	uid, ok, err := r.Head(key, branch)
+	return uid, ok, false, err
+}
+
+// Apply implements core.BranchTable as one Commit request, which carries
+// every chunk the client's engine writes staged (RemoteStore.Stage) — the
+// chunks the ops publish among them — so they land with the ops under one
+// hold of the server's GC fence.  The commit is whole when every op that
+// sets a head is stamped after the epoch this client had seen at its latest
+// PutChunks: a value the ops rely on was then put in staged writes only,
+// which land under a fence hold with all their chunks, so the server checks
+// a stale op for what it names instead of refusing it.  An ambiguous
+// transport failure is resolved by probing the heads: if each holds what
+// the ops leave it at, the commit landed — uids are content-addressed, so
+// that is the caller's postcondition, whichever attempt established it.
+// The server's refusal of a stale op is core.ErrCollected.
+func (r *RemoteBranchTable) Apply(ops []core.HeadOp) (bool, error) {
+	c := r.c
+	room := MaxPayload - 1 - headOpsWireSize(ops) // less the whole byte and the ops
+	if c.stage.pending()+putShapeSize > room {
+		if err := c.flush(); err != nil {
+			return false, err
+		}
+	}
+	var applied []bool
+	var epoch, through uint64
+	err := c.call(OpCommit, 0, func(b []byte) []byte {
+		// Under the connection's turn, after every PutChunks sent before:
+		// one that took this write's chunks from staging has marked them.
+		outside := c.outside.Load()
+		whole := !slices.ContainsFunc(ops, func(op core.HeadOp) bool { return op.Epoch != 0 && op.Epoch <= outside })
+		var cs []*chunk.Chunk
+		cs, through = c.stage.take(room, false) // every chunk staged before the check above fits
+		return appendCommit(b, whole, cs, ops)
+	}, func(d *dec) { applied, epoch = d.bools(1), d.Uvarint() })
+	if answered(err) {
+		c.stage.drop(through)
+	}
+	if err == nil {
+		r.c.note(epoch)
 	}
 	if errors.Is(err, ErrAmbiguous) && r.landed(ops) {
 		return true, nil
 	}
-	return err == nil && applied[0], err
+	ok := err == nil && applied[0]
+	for _, op := range ops {
+		if ok {
+			r.seen.put(op.Key, op.Branch, op.Set)
+		} else {
+			r.seen.forget(op.Key, op.Branch)
+		}
+	}
+	if rerr := refusal(err, core.ErrCollected); rerr != nil {
+		return false, rerr
+	}
+	return ok, err
 }
 
 // refusal is err as sentinel, which errors.Is then matches, when err is the
@@ -588,4 +898,61 @@ func (r *RemoteBranchTable) Branches(key string) (map[string]hash.Hash, error) {
 func (r *RemoteBranchTable) Keys() (keys []string, err error) {
 	err = r.c.call(OpKeys, 0, nil, func(d *dec) { keys = d.strs() })
 	return keys, err
+}
+
+// seenHeadsMax bounds the heads a client remembers.
+const seenHeadsMax = 4096
+
+// seenHeads is the last head a client saw of each (key, branch), a zero uid
+// for a branch it saw absent, dropping the least recently used past
+// seenHeadsMax.
+type seenHeads struct {
+	mu    sync.Mutex
+	order list.List // of *seenHead, the most recently used in front
+	refs  map[headRef]*list.Element
+}
+
+type headRef struct{ key, branch string }
+
+type seenHead struct {
+	ref headRef
+	uid hash.Hash
+}
+
+func (s *seenHeads) get(key, branch string) (hash.Hash, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e, ok := s.refs[headRef{key, branch}]
+	if !ok {
+		return hash.Hash{}, false
+	}
+	s.order.MoveToFront(e)
+	return e.Value.(*seenHead).uid, true
+}
+
+func (s *seenHeads) put(key, branch string, uid hash.Hash) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	ref := headRef{key, branch}
+	if e, ok := s.refs[ref]; ok {
+		e.Value.(*seenHead).uid = uid
+		s.order.MoveToFront(e)
+		return
+	}
+	if s.refs == nil {
+		s.refs = make(map[headRef]*list.Element)
+	}
+	s.refs[ref] = s.order.PushFront(&seenHead{ref, uid})
+	if s.order.Len() > seenHeadsMax {
+		delete(s.refs, s.order.Remove(s.order.Back()).(*seenHead).ref)
+	}
+}
+
+func (s *seenHeads) forget(key, branch string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if e, ok := s.refs[headRef{key, branch}]; ok {
+		s.order.Remove(e)
+		delete(s.refs, headRef{key, branch})
+	}
 }

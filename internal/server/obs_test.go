@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"math/rand"
 	"net"
 	"strings"
 	"testing"
@@ -17,6 +18,7 @@ import (
 	"forkbase/internal/index"
 	"forkbase/internal/obs"
 	"forkbase/internal/store"
+	"forkbase/internal/value"
 )
 
 // TestServerOpcodeMetrics: each wire opcode moves its own labeled counter
@@ -118,12 +120,11 @@ func TestUnknownOpcodeMetrics(t *testing.T) {
 // TestRemoteEngineFetchesNoFNodeItWrote counts requests by opcode: a client
 // engine with a node cache caches every FNode it saves, so reading back a
 // head it committed is one Head round trip, and a warm edit on that head is
-// exactly four requests — the Head, one PutChunks carrying the new index
-// nodes, one PutChunks carrying the FNode (a version object is always saved
-// as a batch) and the Apply.  The store's put is the only
-// dedup, so no HasChunks rides along, on either index structure.  A warm
-// merge of two one-row branches is the two Heads, the same two PutChunks and
-// the Apply: no Stats request and no read of the merged index.
+// exactly one request — the Commit, carrying the new index nodes and the
+// FNode with the head op, built against the head the client remembers.  The
+// store's put is the only dedup, so no HasChunks rides along, on either
+// index structure.  A warm merge of two one-row branches is one Commit too:
+// no Head, no Stats request and no read of the merged index.
 func TestRemoteEngineFetchesNoFNodeItWrote(t *testing.T) {
 	for _, kind := range []index.Kind{index.KindPOS, index.KindMPT} {
 		t.Run(kind.String(), func(t *testing.T) { remoteWarmEdit(t, kind) })
@@ -306,15 +307,16 @@ func remoteWarmEdit(t *testing.T, kind index.Kind) {
 	}
 	requests()
 	edit("second")
-	want := map[string]float64{"Head": 1, "PutChunks": 2, "Apply": 1}
+	want := map[string]float64{"Commit": 1}
 	if d := requests(); !maps.Equal(d, want) {
 		t.Fatalf("warm EditMap on a head this client wrote: requests %v, want %v", d, want)
 	}
 
 	// A warm merge of two one-row branches: each side's new path is read
 	// back, so the two side diffs and the Apply find every node cached.  The
-	// merge reads both heads, writes its index nodes and its FNode, and moves
-	// the head; it asks the server for no store-wide Stats.
+	// merge builds on both heads as the client last saw them, and its one
+	// Commit carries its index nodes and its FNode, moves the head and checks
+	// the source's; it asks the server for no store-wide Stats.
 	if err := db.Branch("t", "dev", ""); err != nil {
 		t.Fatal(err)
 	}
@@ -339,8 +341,184 @@ func remoteWarmEdit(t *testing.T, kind index.Kind) {
 	if err != nil || res.FastForward || res.Stats.DeltasA != 1 || res.Stats.DeltasB != 1 {
 		t.Fatalf("Merge = %+v, %v; want a merge of one row from each side", res, err)
 	}
-	want = map[string]float64{"Head": 2, "PutChunks": 2, "Apply": 1}
+	want = map[string]float64{"Commit": 1}
 	if d := requests(); !maps.Equal(d, want) {
 		t.Fatalf("warm Merge of two one-row branches: requests %v, want %v", d, want)
+	}
+}
+
+// remoteRig serves an in-memory node and returns a dialer of client engines
+// over it (each on its own connection, with a node cache) and a counter of
+// the requests the node served since the counter's last call, by opcode.
+func remoteRig(t *testing.T) (open func() *core.DB, requests func() map[string]float64) {
+	reg := obs.NewRegistry()
+	srv := New(store.NewMemStore(), core.NewMemBranchTable(), nil)
+	srv.SetMetrics(reg)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	open = func() *core.DB {
+		cl, err := Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { cl.Close() })
+		return core.Open(core.Options{Store: NewRemoteStore(cl), Branches: NewRemoteBranchTable(cl),
+			Chunking: chunker.SmallConfig(), NodeCacheBytes: 16 << 20, Metrics: obs.Discard})
+	}
+	last := map[string]float64{}
+	requests = func() map[string]float64 {
+		d := map[string]float64{}
+		for _, name := range opNames {
+			n, _ := reg.Value("forkbase_server_requests_total", name)
+			if n != last[name] {
+				d[name] = n - last[name]
+			}
+			last[name] = n
+		}
+		return d
+	}
+	return open, requests
+}
+
+// rowsOf returns n rows named row-00000 on.
+func rowsOf(n int) []index.Entry {
+	entries := make([]index.Entry, n)
+	for i := range entries {
+		entries[i] = index.Entry{Key: []byte(fmt.Sprintf("row-%05d", i)), Val: []byte("v")}
+	}
+	return entries
+}
+
+// readRow reads row of ver through the engine, caching ver's FNode and the
+// path to the row.
+func readRow(t *testing.T, db *core.DB, ver core.Version, row string) string {
+	t.Helper()
+	ver, err := db.GetVersion(ver.Key, ver.UID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := db.IndexOf(ver)
+	if err != nil {
+		t.Fatal(err)
+	}
+	val, err := ix.Get([]byte(row))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(val)
+}
+
+// TestRemoteStaleHeadIsReadOnce: a client builds a write against the head it
+// last saw.  When another client has moved that head, the Commit is refused
+// and the write is made once more against the head read now — a Head and a
+// second Commit — and lands on it, keeping the other client's row.  A merge
+// whose source moved is refused by its check op on the source, and is made
+// again against both heads read now.
+func TestRemoteStaleHeadIsReadOnce(t *testing.T) {
+	open, requests := remoteRig(t)
+	a, b := open(), open()
+	v, err := a.NewMapValue(rowsOf(2000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Put("t", "", v, nil); err != nil {
+		t.Fatal(err)
+	}
+	edit := func(db *core.DB, branch, row, val string) core.Version {
+		t.Helper()
+		ver, err := db.EditMap("t", branch, []index.Entry{{Key: []byte(row), Val: []byte(val)}}, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ver
+	}
+	edit(a, "", "row-00042", "a")
+	moved := edit(b, "", "row-00043", "b")
+	readRow(t, a, moved, "row-00043") // a caches b's nodes, not b's head
+	requests()
+	ver := edit(a, "", "row-00042", "a2")
+	if d, want := requests(), map[string]float64{"Commit": 2, "Head": 1}; !maps.Equal(d, want) {
+		t.Fatalf("EditMap on a head another client moved: requests %v, want %v", d, want)
+	}
+	if len(ver.Bases) != 1 || ver.Bases[0] != moved.UID || readRow(t, a, ver, "row-00043") != "b" {
+		t.Fatalf("the retried edit derives from %v, want b's version %s with its row", ver.Bases, moved.UID.Short())
+	}
+
+	if err := a.Branch("t", "dev", ""); err != nil {
+		t.Fatal(err)
+	}
+	mine := edit(a, "dev", "row-01900", "dev")
+	readRow(t, a, mine, "row-01900")
+	readRow(t, a, edit(a, "", "row-00042", "a3"), "row-00042")
+	src := edit(b, "dev", "row-01901", "b-dev")
+	readRow(t, a, src, "row-01901")
+	if _, _, err := a.Diff("t", mine.UID, src.UID); err != nil { // a caches every node b wrote
+		t.Fatal(err)
+	}
+	requests()
+	res, err := a.Merge("t", "", "dev", nil, nil)
+	if err != nil || res.FastForward {
+		t.Fatalf("Merge = %+v, %v", res, err)
+	}
+	if d, want := requests(), map[string]float64{"Commit": 2, "Head": 2}; !maps.Equal(d, want) {
+		t.Fatalf("Merge whose source another client moved: requests %v, want %v", d, want)
+	}
+	if bases := res.Version.Bases; len(bases) != 2 || bases[1] != src.UID || readRow(t, a, res.Version, "row-01901") != "b-dev" {
+		t.Fatalf("the retried merge has bases %v, want b's dev head %s as its source", bases, src.UID.Short())
+	}
+}
+
+// TestRemoteBuildReadsBackFromTheCache: a build writes its nodes through the
+// node cache as an edit does, so reading rows of a table a client just built
+// costs each Get its Head and nothing more.
+func TestRemoteBuildReadsBackFromTheCache(t *testing.T) {
+	open, requests := remoteRig(t)
+	db := open()
+	rows := rowsOf(2000)
+	if _, err := db.BuildAndPut("t", "", nil, func() (value.Value, error) { return db.NewMapValue(rows) }); err != nil {
+		t.Fatal(err)
+	}
+	requests()
+	rnd := rand.New(rand.NewSource(1))
+	for i := 0; i < 50; i++ {
+		ver, err := db.Get("t", "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		row := string(rows[rnd.Intn(len(rows))].Key)
+		if got := readRow(t, db, ver, row); got != "v" {
+			t.Fatalf("%s = %q", row, got)
+		}
+	}
+	if d, want := requests(), map[string]float64{"Head": 50}; !maps.Equal(d, want) {
+		t.Fatalf("50 Gets of random rows of a table this client built: requests %v, want %v", d, want)
+	}
+}
+
+// TestRemoteBuildLargerThanAFrame: a write's chunks wait for its Commit
+// only up to half a frame; past that they land with a PutChunks of their
+// own, and the Commit carries the rest.  (The first Head is a new client's
+// probe of the server's epoch.)  The version deep-verifies.
+func TestRemoteBuildLargerThanAFrame(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 20 MiB blob")
+	}
+	open, requests := remoteRig(t)
+	db := open()
+	data := make([]byte, 20<<20)
+	rand.New(rand.NewSource(1)).Read(data)
+	requests()
+	ver, err := db.BuildAndPut("b", "", nil, func() (value.Value, error) { return value.NewBlob(db.Store(), db.Chunking(), data) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d, want := requests(), map[string]float64{"Head": 2, "PutChunks": 1, "Commit": 1}; !maps.Equal(d, want) {
+		t.Fatalf("a 20 MiB build: requests %v, want %v", d, want)
+	}
+	if rep, err := db.VerifyVersion("b", ver.UID, true); err != nil || !rep.OK {
+		t.Fatalf("deep verify = %+v, %v", rep, err)
 	}
 }

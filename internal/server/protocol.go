@@ -10,7 +10,7 @@
 //
 //	offset size field
 //	0      1    magic 0xFB
-//	1      1    protocol version (5)
+//	1      1    protocol version (6)
 //	2      1    op
 //	3      1    flags: bit 0 = error reply (the payload is the message
 //	            text); every other bit must be zero
@@ -22,11 +22,12 @@
 // (key, branch), head ops (per op: key, branch, any, expect, set, epoch),
 // string list, stats, feed request, feed page — with unsigned-varint counts
 // and lengths, raw 32-byte ids and unsigned-varint collection epochs.  A
-// Head or Apply reply ends with the server's collection epoch.  Chunks travel only in batches: a single
-// put, get or has is the n = 1 case of a batch op.  A GetChunks reply
-// answers by position: one status byte per requested id, then the present
-// chunks; "deferred" marks the tail that would have pushed the frame past
-// MaxPayload, for the client to ask for again.
+// Head or Commit reply ends with the server's collection epoch.  Chunks
+// travel only in batches: a single put, get or has is the n = 1 case of a
+// batch op, and a Commit carries a write's chunks with its head ops.  A
+// GetChunks reply answers by position: one status byte per requested id,
+// then the present chunks; "deferred" marks the tail that would have pushed
+// the frame past MaxPayload, for the client to ask for again.
 //
 // Bounds: a header with the wrong magic or version, an unknown flag or a
 // payload_len above MaxPayload ends the connection before anything is
@@ -66,9 +67,10 @@ const (
 	// are retired: a one-id batch op is the same exchange.
 	OpStats Op = iota + 4
 	OpHead
-	// OpApply is one core.BranchTable.Apply.  It has version 1's CAS byte;
-	// the branch delete and rename bytes (7, 8) are retired.
-	OpApply
+	// Version 5's Apply (6, version 1's CAS byte) is retired: a heads-only
+	// Apply is a Commit with no chunks.  The branch delete and rename bytes
+	// (7, 8) are retired too.
+	_
 	_
 	_
 	OpBranches
@@ -93,12 +95,21 @@ const (
 	// key: a snapshot costs a request per page, not one per key.  It took
 	// the byte of version 3's per-head GC pin; the unpin's (17) is retired.
 	OpHeads
+	_
+	// OpCommit is one engine write's publish: the whole byte, the chunks
+	// the write stored and its head ops.  The server rechecks every chunk
+	// as PutChunks does, then lands them and applies the ops under one hold
+	// of the GC fence's read side (core.FeedTable.Commit).  With whole set
+	// the client vouches that the ops rely on no chunk it put outside a
+	// commit since the epochs they carry, so a stale op is checked for what
+	// it names instead of refused.
+	OpCommit
 )
 
 var opNames = map[Op]string{
 	OpStats:     "Stats",
 	OpHead:      "Head",
-	OpApply:     "Apply",
+	OpCommit:    "Commit",
 	OpBranches:  "Branches",
 	OpKeys:      "Keys",
 	OpPing:      "Ping",
@@ -118,7 +129,7 @@ func (o Op) String() string {
 
 const (
 	frameMagic   = 0xFB
-	frameVersion = 5
+	frameVersion = 6
 	headerLen    = 16
 	flagError    = 1 // reply flag: the payload is an error message
 
@@ -239,6 +250,37 @@ func appendChunks(b []byte, cs []*chunk.Chunk) []byte {
 		b = appendChunk(b, c)
 	}
 	return b
+}
+
+// appendPut is the put shape of PutChunks and Commit: the chunks' ids, then
+// the chunks.
+func appendPut(b []byte, cs []*chunk.Chunk) []byte {
+	b = appendUvarint(b, uint64(len(cs)))
+	for _, c := range cs {
+		id := c.ID()
+		b = append(b, id[:]...)
+	}
+	return appendChunks(b, cs)
+}
+
+// appendCommit is a Commit request: the whole byte, the put shape, ops.
+func appendCommit(b []byte, whole bool, cs []*chunk.Chunk, ops []core.HeadOp) []byte {
+	return appendHeadOps(appendPut(appendBool(b, whole), cs), ops)
+}
+
+// putShapeSize bounds what appendPut adds besides the chunks: the counts.
+const putShapeSize = 2 * binary.MaxVarintLen32
+
+// putWireSize bounds what appendPut adds for c.
+func putWireSize(c *chunk.Chunk) int { return hash.Size + chunkWireSize(c) }
+
+// headOpsWireSize bounds appendHeadOps's output for ops.
+func headOpsWireSize(ops []core.HeadOp) int {
+	n := binary.MaxVarintLen32
+	for _, op := range ops {
+		n += 2*binary.MaxVarintLen32 + len(op.Key) + len(op.Branch) + 1 + 2*hash.Size + binary.MaxVarintLen64
+	}
+	return n
 }
 
 func appendBool(b []byte, v bool) []byte {
@@ -371,6 +413,16 @@ func (d *dec) done() error {
 }
 
 func (d *dec) str() string { return string(d.Bytes()) }
+
+// put reads the put shape; the chunks alias the payload (see chunks).
+func (d *dec) put() []*chunk.Chunk { return d.chunks(d.ids(), false) }
+
+// commit reads a Commit request: the whole byte, the put shape, head ops.
+func (d *dec) commit() (whole bool, cs []*chunk.Chunk, ops []core.HeadOp) {
+	w := d.Byte()
+	d.Check(w <= 1)
+	return w == 1, d.put(), d.headOps()
+}
 
 func (d *dec) ids() []hash.Hash {
 	out := make([]hash.Hash, d.Count(hash.Size, -1))

@@ -15,6 +15,7 @@ import (
 	"sync"
 	"time"
 
+	"forkbase/internal/chunk"
 	"forkbase/internal/core"
 	"forkbase/internal/hash"
 	"forkbase/internal/obs"
@@ -24,9 +25,9 @@ import (
 // Server exposes a chunk store and a branch table over TCP.
 type Server struct {
 	st       store.Store
-	heads    core.BranchTable
-	feed     *core.Feed // non-nil when this node publishes a change feed
-	readOnly bool       // fixed at NewReadOnly: replicas reject mutating ops
+	heads    *core.FeedTable // the table served, fenced for GC (core.WithFeed)
+	feed     *core.Feed      // non-nil when this node publishes a change feed
+	readOnly bool            // fixed at NewReadOnly: replicas reject mutating ops
 	limits   Limits
 	met      *srvMetrics // set by SetMetrics before Listen; nil = uninstrumented
 
@@ -109,18 +110,21 @@ type Limits struct {
 // SetLimits configures load-shedding bounds.  Call before Listen.
 func (s *Server) SetLimits(l Limits) { s.limits = l }
 
-// New creates a server over the given store and branch table.  A nil
-// logger selects slog.Default(); routine transport noise (peer hangups,
-// malformed frames) is logged at Debug, so the default level stays quiet.
+// New creates a server over the given store and branch table.  A table
+// that is not a core.FeedTable already (a node's engine serves its own,
+// DB.BranchTable) is wrapped in one with a feed of its own, for the fence a
+// Commit holds.  A nil logger selects slog.Default(); routine transport
+// noise (peer hangups, malformed frames) is logged at Debug, so the default
+// level stays quiet.
 func New(st store.Store, heads core.BranchTable, logger *slog.Logger) *Server {
 	if logger == nil {
 		logger = slog.Default()
 	}
-	return &Server{st: st, heads: heads, conns: make(map[net.Conn]struct{}), done: make(chan struct{}), logger: logger}
+	return &Server{st: st, heads: core.WithFeed(heads, core.NewFeed(0)), conns: make(map[net.Conn]struct{}), done: make(chan struct{}), logger: logger}
 }
 
 // NewReadOnly is New for a replica: the server rejects every mutating op
-// (chunk puts and head Applies) for its life, because a replica's state
+// (chunk puts and commits) for its life, because a replica's state
 // moves only through replication, never through client writes.
 func NewReadOnly(st store.Store, heads core.BranchTable, logger *slog.Logger) *Server {
 	s := New(st, heads, logger)
@@ -131,7 +135,7 @@ func NewReadOnly(st store.Store, heads core.BranchTable, logger *slog.Logger) *S
 // AttachFeed publishes feed over OpFeedSince, whose reads and probes hold
 // the followers' leases on it.  Call before Listen.  A primary shares the
 // same feed with its local engine (core.Open adopts a feed-wrapped branch
-// table), so commits made through any path — TCP Apply, REST, embedded —
+// table), so commits made through any path — TCP Commit, REST, embedded —
 // appear in one sequence.
 func (s *Server) AttachFeed(f *core.Feed) { s.feed = f }
 
@@ -219,7 +223,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 			return
 		}
-		if h.op == OpPutChunks && len(payload) <= cap(in) {
+		if (h.op == OpPutChunks || h.op == OpCommit) && len(payload) <= cap(in) {
 			// The chunks a put lands alias its payload, so it must not stay in
 			// the scratch the next request overwrites.  A larger payload
 			// already has a buffer of its own, dropped after the request:
@@ -300,14 +304,17 @@ func (s *Server) handle(h header, p, out []byte) ([]byte, net.Buffers, error) {
 		wait := time.Duration(min(waitMillis, math.MaxInt64/uint64(time.Millisecond))) * time.Millisecond
 		entries, next, truncated := s.feed.Read(lease, cursor, limit, wait, s.done)
 		return appendFeedPage(out, next, truncated, entries), nil, nil
-	case OpApply:
-		ops := d.headOps()
+	case OpCommit:
+		whole, cs, ops := d.commit() // serveConn gave the payload a buffer of its own
 		if err := d.done(); err != nil {
 			return nil, nil, err
 		}
-		// The table's Apply fences out a collection and refuses an op whose
-		// epoch a sweep followed; the reply carries the epoch to take next.
-		ok, err := s.heads.Apply(ops)
+		if err := recheck(cs); err != nil {
+			return nil, nil, err
+		}
+		// The table lands the chunks and applies the ops under one hold of
+		// the fence; the reply carries the epoch to take next.
+		ok, err := s.heads.Commit(s.st, cs, ops, whole)
 		return appendUvarint(appendFlags(out, ok), s.heads.Epoch()), nil, err
 	case OpHead, OpBranches:
 		key, branch := d.ref()
@@ -338,18 +345,12 @@ func (s *Server) handle(h header, p, out []byte) ([]byte, net.Buffers, error) {
 		reply, err := s.headsPage(out, from, headsPageLimit)
 		return reply, nil, err
 	case OpPutChunks:
-		ids := d.ids()
-		cs := d.chunks(ids, false) // serveConn gave the payload a buffer of its own
+		cs := d.put() // serveConn gave the payload a buffer of its own
 		if err := d.done(); err != nil {
 			return nil, nil, err
 		}
-		// Verify every claimed id up front (content addressing is the
-		// integrity contract in both directions), then land the whole batch
-		// in one store round.
-		for i, c := range cs {
-			if err := c.Recheck(); err != nil {
-				return nil, nil, fmt.Errorf("chunk %d: %w", i, err)
-			}
+		if err := recheck(cs); err != nil {
+			return nil, nil, err
 		}
 		fresh, err := s.st.PutBatch(cs)
 		return appendFlags(out, fresh...), nil, err
@@ -370,6 +371,18 @@ func (s *Server) handle(h header, p, out []byte) ([]byte, net.Buffers, error) {
 	default:
 		return nil, nil, fmt.Errorf("unknown op %d", op)
 	}
+}
+
+// recheck verifies every claimed id up front, before anything of a put or
+// a commit lands: content addressing is the integrity contract in both
+// directions.
+func recheck(cs []*chunk.Chunk) error {
+	for i, c := range cs {
+		if err := c.Recheck(); err != nil {
+			return fmt.Errorf("chunk %d: %w", i, err)
+		}
+	}
+	return nil
 }
 
 // headsPageLimit bounds a heads page's payload.

@@ -144,11 +144,19 @@ func wireFrames(t testing.TB) []namedFrame {
 	apply := func(ops ...core.HeadOp) func() error {
 		return func() error { _, err := bt.Apply(ops); return err }
 	}
-	record("Apply", false, apply(core.HeadOp{Key: "k", Branch: "master", Set: v1, Epoch: 7}))
-	record("Apply-stale", false, apply(core.HeadOp{Key: "k", Branch: "master", Set: v2}))
+	record("Commit", false, apply(core.HeadOp{Key: "k", Branch: "master", Set: v1, Epoch: 7}))
+	// A write's chunks, staged by the store, travel with its head op.
+	record("Commit-chunks", false, func() error {
+		defer rs.Stage()()
+		if _, err := rs.PutBatch([]*chunk.Chunk{a, b}); err != nil {
+			return err
+		}
+		return apply(core.HeadOp{Key: "c", Branch: "master", Set: b.ID(), Epoch: 7})()
+	})
+	record("Commit-stale", false, apply(core.HeadOp{Key: "k", Branch: "master", Set: v2}))
 	record("Head", false, func() error { _, _, err := bt.Head("k", "master"); return err })
 	record("Head-absent", false, func() error { _, _, err := bt.Head("k", "nope"); return err })
-	record("Apply-rename", false, apply(core.HeadOp{Key: "k", Branch: "master", Expect: v1}, core.HeadOp{Key: "k", Branch: "main", Set: v1}))
+	record("Commit-rename", false, apply(core.HeadOp{Key: "k", Branch: "master", Expect: v1}, core.HeadOp{Key: "k", Branch: "main", Set: v1}))
 	record("Branches", false, func() error { _, err := bt.Branches("k"); return err })
 	record("Keys", false, func() error { _, err := bt.Keys(); return err })
 	record("Heads", false, func() error { _, err := cl.Heads(); return err })
@@ -156,14 +164,16 @@ func wireFrames(t testing.TB) []namedFrame {
 		return cl.call(OpHeads, 0, func(b []byte) []byte { return appendStr(b, "k\x00") },
 			func(d *dec) { d.strs(); d.ids(); d.bools(1) })
 	})
-	record("Apply-delete", false, apply(core.HeadOp{Key: "k", Branch: "main", Any: true}))
-	record("Apply-error", true, apply(core.HeadOp{Branch: "main", Set: v1}))
-	// An op stamped before the table's epoch: a sweep may have taken its
-	// chunks.  Sent bare, since the table's refusal path then asks for a head.
-	record("Apply-collected", true, func() error {
-		return cl.call(OpApply, 0, func(b []byte) []byte {
-			return appendHeadOps(b, []core.HeadOp{{Key: "k", Branch: "main", Set: v1, Epoch: 6}})
-		}, nil)
+	record("Commit-delete", false, apply(core.HeadOp{Key: "k", Branch: "main", Any: true}))
+	record("Commit-error", true, apply(core.HeadOp{Branch: "main", Set: v1}))
+	// An op stamped before the table's epoch, setting a head the server
+	// does not hold: a sweep may have taken it.
+	record("Commit-collected", true, apply(core.HeadOp{Key: "k", Branch: "main", Set: v1, Epoch: 6}))
+	// The same op after a PutChunks sent at epoch 7: the commit is not
+	// whole, so the stale op is refused without a presence check.
+	record("Commit-outside", true, func() error {
+		cl.putOutside()
+		return apply(core.HeadOp{Key: "k", Branch: "main", Set: v1, Epoch: 6})()
 	})
 	// A feed's epoch is its start time, so only the request is recorded and
 	// the reply is assembled with a fixed one.
@@ -272,9 +282,10 @@ func fuzzReplyDecoders(t *testing.T, p []byte) {
 		"heads": func(d *dec) []byte {
 			return appendFlags(appendIDs(appendStrs(nil, d.strs()), d.ids()...), d.bools(1)...)
 		},
-		"put": func(d *dec) []byte {
-			ids := d.ids()
-			return appendChunks(appendIDs(nil, ids...), d.chunks(ids, false))
+		"put": func(d *dec) []byte { return appendPut(nil, d.put()) },
+		"commit": func(d *dec) []byte {
+			whole, cs, ops := d.commit()
+			return appendCommit(nil, whole, cs, ops)
 		},
 		"chunkreply": func(d *dec) []byte {
 			out := make([]*chunk.Chunk, asked(d))
@@ -578,6 +589,62 @@ func TestGetChunksRepliesOwnTheirBytes(t *testing.T) {
 	}
 }
 
+// TestClientReplyBufferIsBounded: a client keeps its reply buffer between
+// exchanges, so replies of the common sizes allocate nothing, but not at the
+// size one outsized reply grew it to: after a 16 MiB chunk and then a run of
+// small batches it holds at most replyKeep.
+func TestClientReplyBufferIsBounded(t *testing.T) {
+	srv, addr := startServer(t)
+	big := chunk.New(chunk.TypeBlobLeaf, bytes.Repeat([]byte{7}, chunk.MaxSize))
+	small, ids := sizedChunks(16, 512)
+	if _, err := srv.st.PutBatch(append(small, big)); err != nil {
+		t.Fatal(err)
+	}
+	cl, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if got, err := cl.GetChunks([]hash.Hash{big.ID()}); err != nil || len(got[0].Data()) != chunk.MaxSize {
+		t.Fatalf("16 MiB fetch: %v", err)
+	}
+	for i := 0; i < 1000; i++ {
+		if _, err := cl.GetChunks(ids); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := cap(cl.rbuf); got > 4<<20 {
+		t.Fatalf("client keeps a %d-byte reply buffer after small batches, want at most %d", got, 4<<20)
+	}
+}
+
+// TestCloseLandsStagedChunks: a put made while an engine write is staging
+// is reported fresh before it reaches the server; a Close before the write
+// ends lands it, so an acked put is not lost with the connection.
+func TestCloseLandsStagedChunks(t *testing.T) {
+	srv, addr := startServer(t)
+	cl, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs := NewRemoteStore(cl)
+	done := rs.Stage()
+	a := chunk.New(chunk.TypeBlobLeaf, []byte("staged"))
+	if fresh, err := rs.PutBatch([]*chunk.Chunk{a}); err != nil || !fresh[0] {
+		t.Fatalf("staged put = %v, %v", fresh, err)
+	}
+	if has, _ := srv.st.Has(a.ID()); has {
+		t.Fatal("a staged chunk reached the server before a request carried it")
+	}
+	if err := cl.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	done()
+	if has, err := srv.st.Has(a.ID()); err != nil || !has {
+		t.Fatalf("server has the staged chunk after Close = %v, %v; want true", has, err)
+	}
+}
+
 // TestGetChunksReplyAllocatesNoPayload: the server answers a batch get from
 // the stored chunks' own bytes, so what it allocates per reply depends on the
 // number of ids, not on the bytes it ships.
@@ -616,52 +683,56 @@ func TestGetChunksReplyAllocatesNoPayload(t *testing.T) {
 
 // goldenFrames is the pinned output of wireFrames, in order.
 var goldenFrames = []struct{ name, wantHex string }{
-	{"Ping/request", "fb050b00000000000000000000000001"},
-	{"Ping/reply", "fb050b00000000000000000000000001"},
-	{"PutChunks-one/request", "fb050c0000000025000000000000000201e3254ea61c09ead5a01d3bf07e946a561c6c2cd1c46b8ca1bfa8729d26a7d09f01010161"},
-	{"PutChunks-one/reply", "fb050c000000000200000000000000020101"},
-	{"PutChunks/request", "fb050c0000000049000000000000000302e3254ea61c09ead5a01d3bf07e946a561c6c2cd1c46b8ca1bfa8729d26a7d09f074a381eefaafb3c9d63676d586dd16d9c9aae2f563894e9074a58820724213b0201016102026262"},
-	{"PutChunks/reply", "fb050c00000000030000000000000003020001"},
-	{"PutChunks-empty/request", "fb050c000000000200000000000000040000"},
-	{"PutChunks-empty/reply", "fb050c0000000001000000000000000400"},
-	{"GetChunks-one/request", "fb050d0000000021000000000000000501e3254ea61c09ead5a01d3bf07e946a561c6c2cd1c46b8ca1bfa8729d26a7d09f"},
-	{"GetChunks-one/reply", "fb050d00000000060000000000000005010101010161"},
-	{"GetChunks-one-absent/request", "fb050d0000000021000000000000000601283bb9deef02e6843abfb538efa1eca70801bd8a701c3f98191e123496339247"},
-	{"GetChunks-one-absent/reply", "fb050d00000000030000000000000006010000"},
-	{"GetChunks/request", "fb050d0000000061000000000000000703074a381eefaafb3c9d63676d586dd16d9c9aae2f563894e9074a58820724213b283bb9deef02e6843abfb538efa1eca70801bd8a701c3f98191e123496339247e3254ea61c09ead5a01d3bf07e946a561c6c2cd1c46b8ca1bfa8729d26a7d09f"},
-	{"GetChunks/reply", "fb050d000000000c0000000000000007030100010202026262010161"},
-	{"HasChunks-one/request", "fb050e0000000021000000000000000801e3254ea61c09ead5a01d3bf07e946a561c6c2cd1c46b8ca1bfa8729d26a7d09f"},
-	{"HasChunks-one/reply", "fb050e000000000200000000000000080101"},
-	{"HasChunks/request", "fb050e0000000041000000000000000902283bb9deef02e6843abfb538efa1eca70801bd8a701c3f98191e123496339247074a381eefaafb3c9d63676d586dd16d9c9aae2f563894e9074a58820724213b"},
-	{"HasChunks/reply", "fb050e00000000030000000000000009020001"},
-	{"Stats/request", "fb05040000000000000000000000000a"},
-	{"Stats/reply", "fb05040000000005000000000000000a040a0e020a"},
-	{"Apply/request", "fb0506000000004c000000000000000b01016b066d61737465720000000000000000000000000000000000000000000000000000000000000000003bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe07"},
-	{"Apply/reply", "fb05060000000003000000000000000b010107"},
-	{"Apply-stale/request", "fb0506000000004c000000000000000c01016b066d6173746572000000000000000000000000000000000000000000000000000000000000000000fb04dcb6970e4c3d1873de51fd5a50d7bb46b3383113602665c350ec40b5f99000"},
-	{"Apply-stale/reply", "fb05060000000003000000000000000c010007"},
-	{"Head/request", "fb05050000000009000000000000000d016b066d6173746572"},
-	{"Head/reply", "fb05050000000022000000000000000d013bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe07"},
-	{"Head-absent/request", "fb05050000000007000000000000000e016b046e6f7065"},
-	{"Head-absent/reply", "fb05050000000002000000000000000e0007"},
-	{"Apply-rename/request", "fb05060000000095000000000000000f02016b066d6173746572003bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe000000000000000000000000000000000000000000000000000000000000000000016b046d61696e0000000000000000000000000000000000000000000000000000000000000000003bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe00"},
-	{"Apply-rename/reply", "fb05060000000003000000000000000f010107"},
-	{"Branches/request", "fb050900000000030000000000000010016b00"},
-	{"Branches/reply", "fb05090000000027000000000000001001046d61696e013bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe"},
-	{"Keys/request", "fb050a00000000000000000000000011"},
-	{"Keys/reply", "fb050a0000000003000000000000001101016b"},
-	{"Heads/request", "fb05100000000001000000000000001200"},
-	{"Heads/reply", "fb0510000000002b000000000000001202016b046d61696e013bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe0100"},
-	{"Heads-after/request", "fb051000000000030000000000000013026b00"},
-	{"Heads-after/reply", "fb05100000000004000000000000001300000100"},
-	{"Apply-delete/request", "fb0506000000004a000000000000001401016b046d61696e010000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000"},
-	{"Apply-delete/reply", "fb050600000000030000000000000014010107"},
-	{"Apply-error/request", "fb0506000000004900000000000000150100046d61696e0000000000000000000000000000000000000000000000000000000000000000003bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe00"},
-	{"Apply-error/reply", "fb050601000000540000000000000015636f72653a206865616420222240226d61696e223a2061206b6579206d757374206265203120746f20363535333520627974657320616e642061206272616e6368206e616d65206174206d6f7374203635353335"},
-	{"Apply-collected/request", "fb0506000000004a000000000000001601016b046d61696e0000000000000000000000000000000000000000000000000000000000000000003bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe06"},
-	{"Apply-collected/reply", "fb0506010000004e0000000000000016636f72653a2076616c75652070726564617465732061206761726261676520636f6c6c656374696f6e3b2072656275696c64206f722072656c6f61642069743a206f70203020286b406d61696e29"},
-	{"FeedSince/request", "fb050f000000000500000000000000170903072001"},
-	{"FeedSince/reply", "fb050f000000004c00000000000000170507010105016b046d61696e3bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fefb04dcb6970e4c3d1873de51fd5a50d7bb46b3383113602665c350ec40b5f990"},
-	{"Heads-more/reply", "fb0510000000004f000000000000001904016b046d61696e016b0178023bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fefb04dcb6970e4c3d1873de51fd5a50d7bb46b3383113602665c350ec40b5f9900101"},
-	{"GetChunks-deferred/reply", "fb050d00000000090000000000000018040100020201010161"},
+	{"Ping/request", "fb060b00000000000000000000000001"},
+	{"Ping/reply", "fb060b00000000000000000000000001"},
+	{"PutChunks-one/request", "fb060c0000000025000000000000000201e3254ea61c09ead5a01d3bf07e946a561c6c2cd1c46b8ca1bfa8729d26a7d09f01010161"},
+	{"PutChunks-one/reply", "fb060c000000000200000000000000020101"},
+	{"PutChunks/request", "fb060c0000000049000000000000000302e3254ea61c09ead5a01d3bf07e946a561c6c2cd1c46b8ca1bfa8729d26a7d09f074a381eefaafb3c9d63676d586dd16d9c9aae2f563894e9074a58820724213b0201016102026262"},
+	{"PutChunks/reply", "fb060c00000000030000000000000003020001"},
+	{"PutChunks-empty/request", "fb060c000000000200000000000000040000"},
+	{"PutChunks-empty/reply", "fb060c0000000001000000000000000400"},
+	{"GetChunks-one/request", "fb060d0000000021000000000000000501e3254ea61c09ead5a01d3bf07e946a561c6c2cd1c46b8ca1bfa8729d26a7d09f"},
+	{"GetChunks-one/reply", "fb060d00000000060000000000000005010101010161"},
+	{"GetChunks-one-absent/request", "fb060d0000000021000000000000000601283bb9deef02e6843abfb538efa1eca70801bd8a701c3f98191e123496339247"},
+	{"GetChunks-one-absent/reply", "fb060d00000000030000000000000006010000"},
+	{"GetChunks/request", "fb060d0000000061000000000000000703074a381eefaafb3c9d63676d586dd16d9c9aae2f563894e9074a58820724213b283bb9deef02e6843abfb538efa1eca70801bd8a701c3f98191e123496339247e3254ea61c09ead5a01d3bf07e946a561c6c2cd1c46b8ca1bfa8729d26a7d09f"},
+	{"GetChunks/reply", "fb060d000000000c0000000000000007030100010202026262010161"},
+	{"HasChunks-one/request", "fb060e0000000021000000000000000801e3254ea61c09ead5a01d3bf07e946a561c6c2cd1c46b8ca1bfa8729d26a7d09f"},
+	{"HasChunks-one/reply", "fb060e000000000200000000000000080101"},
+	{"HasChunks/request", "fb060e0000000041000000000000000902283bb9deef02e6843abfb538efa1eca70801bd8a701c3f98191e123496339247074a381eefaafb3c9d63676d586dd16d9c9aae2f563894e9074a58820724213b"},
+	{"HasChunks/reply", "fb060e00000000030000000000000009020001"},
+	{"Stats/request", "fb06040000000000000000000000000a"},
+	{"Stats/reply", "fb06040000000005000000000000000a040a0e020a"},
+	{"Commit/request", "fb0612000000004f000000000000000b01000001016b066d61737465720000000000000000000000000000000000000000000000000000000000000000003bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe07"},
+	{"Commit/reply", "fb06120000000003000000000000000b010107"},
+	{"Commit-chunks/request", "fb06120000000096000000000000000c0102e3254ea61c09ead5a01d3bf07e946a561c6c2cd1c46b8ca1bfa8729d26a7d09f074a381eefaafb3c9d63676d586dd16d9c9aae2f563894e9074a58820724213b0201016102026262010163066d6173746572000000000000000000000000000000000000000000000000000000000000000000074a381eefaafb3c9d63676d586dd16d9c9aae2f563894e9074a58820724213b07"},
+	{"Commit-chunks/reply", "fb06120000000003000000000000000c010107"},
+	{"Commit-stale/request", "fb0612000000004f000000000000000d01000001016b066d6173746572000000000000000000000000000000000000000000000000000000000000000000fb04dcb6970e4c3d1873de51fd5a50d7bb46b3383113602665c350ec40b5f99000"},
+	{"Commit-stale/reply", "fb06120000000003000000000000000d010007"},
+	{"Head/request", "fb06050000000009000000000000000e016b066d6173746572"},
+	{"Head/reply", "fb06050000000022000000000000000e013bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe07"},
+	{"Head-absent/request", "fb06050000000007000000000000000f016b046e6f7065"},
+	{"Head-absent/reply", "fb06050000000002000000000000000f0007"},
+	{"Commit-rename/request", "fb06120000000098000000000000001001000002016b066d6173746572003bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe000000000000000000000000000000000000000000000000000000000000000000016b046d61696e0000000000000000000000000000000000000000000000000000000000000000003bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe00"},
+	{"Commit-rename/reply", "fb061200000000030000000000000010010107"},
+	{"Branches/request", "fb060900000000030000000000000011016b00"},
+	{"Branches/reply", "fb06090000000027000000000000001101046d61696e013bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe"},
+	{"Keys/request", "fb060a00000000000000000000000012"},
+	{"Keys/reply", "fb060a00000000050000000000000012020163016b"},
+	{"Heads/request", "fb06100000000001000000000000001300"},
+	{"Heads/reply", "fb061000000000540000000000000013040163066d6173746572016b046d61696e02074a381eefaafb3c9d63676d586dd16d9c9aae2f563894e9074a58820724213b3bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe0100"},
+	{"Heads-after/request", "fb061000000000030000000000000014026b00"},
+	{"Heads-after/reply", "fb06100000000004000000000000001400000100"},
+	{"Commit-delete/request", "fb0612000000004d000000000000001501000001016b046d61696e010000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000"},
+	{"Commit-delete/reply", "fb061200000000030000000000000015010107"},
+	{"Commit-error/request", "fb0612000000004c00000000000000160100000100046d61696e0000000000000000000000000000000000000000000000000000000000000000003bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe00"},
+	{"Commit-error/reply", "fb061201000000540000000000000016636f72653a206865616420222240226d61696e223a2061206b6579206d757374206265203120746f20363535333520627974657320616e642061206272616e6368206e616d65206174206d6f7374203635353335"},
+	{"Commit-collected/request", "fb0612000000004d000000000000001701000001016b046d61696e0000000000000000000000000000000000000000000000000000000000000000003bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe06"},
+	{"Commit-collected/reply", "fb061201000000860000000000000017636f72653a2076616c75652070726564617465732061206761726261676520636f6c6c656374696f6e3b2072656275696c64206f722072656c6f61642069743a2074686520636f6d6d6974206e616d657320485036434e464d5535352c20776869636820697420646f6573206e6f7420636172727920616e64206120737765657020746f6f6b"},
+	{"Commit-outside/request", "fb0612000000004d000000000000001800000001016b046d61696e0000000000000000000000000000000000000000000000000000000000000000003bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe06"},
+	{"Commit-outside/reply", "fb0612010000004e0000000000000018636f72653a2076616c75652070726564617465732061206761726261676520636f6c6c656374696f6e3b2072656275696c64206f722072656c6f61642069743a206f70203020286b406d61696e29"},
+	{"FeedSince/request", "fb060f000000000500000000000000190903072001"},
+	{"FeedSince/reply", "fb060f000000004c00000000000000170507010105016b046d61696e3bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fefb04dcb6970e4c3d1873de51fd5a50d7bb46b3383113602665c350ec40b5f990"},
+	{"Heads-more/reply", "fb0610000000004f000000000000001904016b046d61696e016b0178023bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fefb04dcb6970e4c3d1873de51fd5a50d7bb46b3383113602665c350ec40b5f9900101"},
+	{"GetChunks-deferred/reply", "fb060d00000000090000000000000018040100020201010161"},
 }

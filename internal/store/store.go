@@ -90,6 +90,14 @@ type Store interface {
 	HasBatch(ids []hash.Hash) ([]bool, error)
 }
 
+// Stager is a store that holds back the chunks an engine write puts until
+// the write publishes them (a Remote client's, whose commit carries them in
+// the same request as its head moves).  Stage marks a write begun, and the
+// func it returns marks it done; a put outside every write lands at once.
+type Stager interface {
+	Stage() (done func())
+}
+
 // As returns the first layer of st's wrapper stack that implements T,
 // walking Unwrap() Store from the top.  It is the only capability lookup: a
 // capability is implemented by the one layer that owns it, wrappers expose

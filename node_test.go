@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -16,6 +17,7 @@ import (
 	"forkbase/internal/core"
 	"forkbase/internal/obs"
 	"forkbase/internal/server"
+	"forkbase/internal/store"
 )
 
 // TestNodeBuiltFromDB drives the node forkbased runs: a file-backed primary
@@ -261,17 +263,179 @@ func TestRemoteCommitAfterPrimaryGC(t *testing.T) {
 	}
 }
 
+// sweepBetweenPuts is a client's chunk store that runs gc once, right after
+// its first PutBatch was answered.
+type sweepBetweenPuts struct {
+	store.Store
+	gc   func()
+	once sync.Once
+}
+
+func (s *sweepBetweenPuts) Unwrap() store.Store { return s.Store }
+
+func (s *sweepBetweenPuts) PutBatch(cs []*chunk.Chunk) ([]bool, error) {
+	fresh, err := s.Store.PutBatch(cs)
+	s.once.Do(s.gc)
+	return fresh, err
+}
+
+// TestRemoteValueSweptBetweenItsPuts: a map a Remote client builds outside
+// a write lands in one PutChunks per 128 chunks.  The primary collects
+// between the first and the second, sweeping the first request's leaves,
+// and the index nodes and root that name them land after the sweep.  The
+// client's Put of the value is refused with ErrCollected instead of being
+// acked under a head whose leaves are gone; a rebuilt value commits and
+// deep-verifies on the primary, and the next GC passes.
+func TestRemoteValueSweptBetweenItsPuts(t *testing.T) {
+	primary := forkbase.MustOpen(forkbase.WithMetrics(obs.NewRegistry()))
+	t.Cleanup(func() { primary.Close() })
+	srv := primary.NewServer(nil)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	cl, err := server.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+	var gcErr error
+	st := &sweepBetweenPuts{Store: server.NewRemoteStore(cl), gc: func() {
+		if gs, err := primary.GC(); err != nil || gs.Swept == 0 {
+			gcErr = fmt.Errorf("primary GC between the value's puts = %+v, %v; want its first chunks swept", gs, err)
+		}
+	}}
+	client := core.Open(core.Options{Store: st, Branches: server.NewRemoteBranchTable(cl), NodeCacheBytes: 16 << 20, Metrics: obs.NewRegistry()})
+	var es []forkbase.Entry
+	for i := 0; i < 30000; i++ {
+		es = append(es, forkbase.Entry{Key: []byte(fmt.Sprintf("k%06d", i)), Val: []byte(fmt.Sprintf("v%06d-some-padding-bytes", i))})
+	}
+	v, err := client.NewMapValue(es)
+	if err == nil {
+		err = gcErr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.Put("m", "", v, nil); !errors.Is(err, forkbase.ErrCollected) {
+		t.Fatalf("remote Put of a value swept between its puts = %v, want ErrCollected", err)
+	}
+	if v, err = client.NewMapValue(es); err != nil {
+		t.Fatal(err)
+	}
+	ver, err := client.Put("m", "", v, nil)
+	if err != nil {
+		t.Fatalf("remote Put of the rebuilt value: %v", err)
+	}
+	if rep, err := primary.VerifyVersion("m", ver.UID, true); err != nil || !rep.OK {
+		t.Fatalf("primary deep verify of the rebuilt value = %+v, %v", rep, err)
+	}
+	if _, err := primary.GC(); err != nil {
+		t.Fatalf("primary GC after the commit: %v", err)
+	}
+}
+
+// TestRemoteWriteAfterPrimaryGC: a Remote client's epoch is the one its
+// last reply carried, so after the primary sweeps chunks nobody published,
+// the client's next write is stamped before that sweep.  A write begun after
+// the sweep names nothing the sweep took, so it commits with no refusal: the
+// primary checks what a stale commit names instead of refusing it.
+func TestRemoteWriteAfterPrimaryGC(t *testing.T) {
+	primary, client := servedPrimary(t)
+	if _, err := client.PutString("s", "", "first", nil); err != nil {
+		t.Fatal(err)
+	}
+	var es []forkbase.Entry
+	for i := 0; i < 200; i++ {
+		es = append(es, forkbase.Entry{Key: []byte(fmt.Sprintf("k%05d", i)), Val: []byte("unpublished")})
+	}
+	if _, err := primary.NewMapValue(es); err != nil {
+		t.Fatal(err)
+	}
+	if gs, err := primary.GC(); err != nil || gs.Swept == 0 {
+		t.Fatalf("primary GC = %+v, %v; want the unpublished map swept", gs, err)
+	}
+	ver, err := client.PutString("s", "", "second", nil)
+	if err != nil {
+		t.Fatalf("remote PutString begun after the sweep: %v", err)
+	}
+	if rep, err := primary.VerifyVersion("s", ver.UID, true); err != nil || !rep.OK {
+		t.Fatalf("primary deep verify = %+v, %v", rep, err)
+	}
+}
+
+// TestRemoteWritersShareOneClient: writers on one Remote client stage their
+// chunks on its one connection, and a commit carries whatever is staged when
+// it is sent, a concurrent writer's chunks included.  Four writers edit and
+// put concurrently while the primary collects; every head they publish
+// deep-verifies on the primary, so no commit overtook a chunk it names.
+func TestRemoteWritersShareOneClient(t *testing.T) {
+	primary, client := servedPrimary(t)
+	stop, gcDone := make(chan struct{}), make(chan error, 1)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				gcDone <- nil
+				return
+			default:
+			}
+			if _, err := primary.GC(); err != nil {
+				gcDone <- err
+				return
+			}
+		}
+	}()
+	const writers, rounds = 4, 30
+	errs := make(chan error, writers)
+	for w := 0; w < writers; w++ {
+		go func(w int) {
+			key := fmt.Sprintf("table-%d", w)
+			var es []forkbase.Entry
+			for i := 0; i < 300; i++ {
+				es = append(es, forkbase.Entry{Key: []byte(fmt.Sprintf("k%05d", i)), Val: []byte(key)})
+			}
+			_, err := client.BuildAndPut(key, "", nil, func() (forkbase.Value, error) { return client.NewMapValue(es) })
+			for i := 0; err == nil && i < rounds; i++ {
+				row := []forkbase.Entry{{Key: []byte(fmt.Sprintf("k%05d", i*7)), Val: []byte(fmt.Sprint(i))}}
+				if _, err = client.EditMap(key, "", row, nil, nil); err == nil {
+					_, err = client.PutString(key+"-s", "", fmt.Sprint(i), nil)
+				}
+			}
+			errs <- err
+		}(w)
+	}
+	var err error
+	for w := 0; w < writers; w++ {
+		err = errors.Join(err, <-errs)
+	}
+	close(stop)
+	if err = errors.Join(err, <-gcDone); err != nil {
+		t.Fatal(err)
+	}
+	for w := 0; w < writers; w++ {
+		for _, key := range []string{fmt.Sprintf("table-%d", w), fmt.Sprintf("table-%d-s", w)} {
+			head, err := primary.Head(key, "")
+			if err == nil {
+				_, err = primary.VerifyVersion(key, head, true)
+			}
+			if err != nil {
+				t.Errorf("head of %s: %v", key, err)
+			}
+		}
+	}
+}
+
 // TestRemotePutsRacingPrimaryGC: a Remote client commits 400 PutStrings over
-// 20 keys while the primary collects, retrying a put refused with
-// ErrCollected.  A pass starts as each put is acked, so it runs during the
-// next put's round trips and may sweep that put's FNode between its
-// PutChunks and its Apply.  No GC pass fails, every put acks within a
-// bounded number of retries, and every head deep-verifies on the primary.
-// (Passes run back to back, with no pause, would sweep every attempt's
-// FNode in turn: the rule refuses each, and the writer starves.)
+// 20 keys while the primary collects in a loop with no pause, retrying a
+// put refused with ErrCollected.  A commit lands its chunks and moves its
+// head under one hold of the primary's GC fence, so no pass can sweep a
+// put's FNode between the two: every put is acked within three attempts, no
+// GC pass fails, and every head deep-verifies on the primary.
 func TestRemotePutsRacingPrimaryGC(t *testing.T) {
 	primary, client := servedPrimary(t)
-	acked, stop, done := make(chan struct{}, 1), make(chan struct{}), make(chan error, 1)
+	stop, done := make(chan struct{}), make(chan error, 1)
 	passes := 0
 	go func() {
 		for {
@@ -279,7 +443,7 @@ func TestRemotePutsRacingPrimaryGC(t *testing.T) {
 			case <-stop:
 				done <- nil
 				return
-			case <-acked:
+			default:
 			}
 			if _, err := primary.GC(); err != nil {
 				done <- fmt.Errorf("GC pass %d: %w", passes, err)
@@ -288,7 +452,7 @@ func TestRemotePutsRacingPrimaryGC(t *testing.T) {
 			passes++
 		}
 	}()
-	const keys, puts, maxRetries = 20, 400, 5
+	const keys, puts, maxRetries = 20, 400, 2
 	retries := 0
 	var putErr error
 	for i := 0; i < puts && putErr == nil; i++ {
@@ -303,10 +467,6 @@ func TestRemotePutsRacingPrimaryGC(t *testing.T) {
 				break
 			}
 			retries++
-		}
-		select {
-		case acked <- struct{}{}:
-		default: // a pass is already due
 		}
 	}
 	close(stop)
