@@ -424,28 +424,26 @@ func (h *Handler) getObject(w http.ResponseWriter, r *http.Request, key string) 
 	writeJSON(w, http.StatusOK, renderVersion(v, branch))
 }
 
-// putBody is the JSON request for PUT /v1/obj/{key}.
-type putBody struct {
-	Kind    string            `json:"kind"` // string|int|float|bool|map|set|list|blob
-	Value   string            `json:"value,omitempty"`
-	Entries map[string]string `json:"entries,omitempty"` // map kind
-	Items   []string          `json:"items,omitempty"`   // list/set kind
-	Meta    map[string]string `json:"meta,omitempty"`
-}
-
+// putObject serves PUT /v1/obj/{key}, whose body is
+//
+//	{"kind": "string|int|float|bool|map|set|list|blob", "value": "...",
+//	 "entries": {"k": "v", ...}, "items": ["...", ...], "meta": {"k": "v", ...}}
+//
+// with value for the scalar kinds and blob, entries for map, and items for
+// list and set (body.go decodes it).
 func (h *Handler) putObject(w http.ResponseWriter, r *http.Request, key string) {
 	if h.denyWrite(w) {
 		return
 	}
-	var body putBody
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
+	body, err := decodeBody(r, decodePut)
+	if err != nil {
 		writeBadBody(w, err, "bad JSON: "+err.Error())
 		return
 	}
 	// Build + commit under the GC write fence: a concurrent POST /v1/gc
 	// cannot sweep the value's chunks before the head publishes them.
 	var badReq error
-	ver, err := h.db.BuildAndPutCtx(r.Context(), key, branchParam(r), body.Meta, func() (value.Value, error) {
+	ver, err := h.db.BuildAndPutCtx(r.Context(), key, branchParam(r), body.meta, func() (value.Value, error) {
 		v, err := h.buildValue(body)
 		if err != nil {
 			badReq = err
@@ -463,65 +461,60 @@ func (h *Handler) putObject(w http.ResponseWriter, r *http.Request, key string) 
 	writeJSON(w, http.StatusCreated, renderVersion(ver, branchParam(r)))
 }
 
-func (h *Handler) buildValue(body putBody) (value.Value, error) {
-	switch body.Kind {
+func (h *Handler) buildValue(body putReq) (value.Value, error) {
+	switch body.kind {
 	case "", "string":
-		return value.String(body.Value), nil
+		return value.String(body.value), nil
 	case "int":
-		i, err := strconv.ParseInt(body.Value, 10, 64)
+		i, err := strconv.ParseInt(body.value, 10, 64)
 		if err != nil {
 			return value.Value{}, fmt.Errorf("bad int: %w", err)
 		}
 		return value.Int(i), nil
 	case "float":
-		f, err := strconv.ParseFloat(body.Value, 64)
+		f, err := strconv.ParseFloat(body.value, 64)
 		if err != nil {
 			return value.Value{}, fmt.Errorf("bad float: %w", err)
 		}
 		return value.Float(f), nil
 	case "bool":
-		b, err := strconv.ParseBool(body.Value)
+		b, err := strconv.ParseBool(body.value)
 		if err != nil {
 			return value.Value{}, fmt.Errorf("bad bool: %w", err)
 		}
 		return value.Bool(b), nil
 	case "blob":
-		return value.NewBlob(h.db.Store(), h.db.Chunking(), []byte(body.Value))
+		return value.NewBlob(h.db.Store(), h.db.Chunking(), []byte(body.value))
 	case "map":
-		entries := make([]pos.Entry, 0, len(body.Entries))
-		for k, v := range body.Entries {
-			entries = append(entries, pos.Entry{Key: []byte(k), Val: []byte(v)})
+		var entries []pos.Entry
+		if body.entries != nil {
+			entries = *body.entries
 		}
 		// Engine helper: the map is indexed with the engine's configured
 		// structure (POS-Tree or MPT).
 		return h.db.NewMapValue(entries)
 	case "set":
-		elems := make([][]byte, len(body.Items))
-		for i, s := range body.Items {
+		elems := make([][]byte, len(body.items))
+		for i, s := range body.items {
 			elems[i] = []byte(s)
 		}
 		return h.db.NewSetValue(elems)
 	case "list":
-		items := make([][]byte, len(body.Items))
-		for i, s := range body.Items {
+		items := make([][]byte, len(body.items))
+		for i, s := range body.items {
 			items[i] = []byte(s)
 		}
 		return value.NewList(h.db.Store(), h.db.Chunking(), items)
 	default:
-		return value.Value{}, fmt.Errorf("unknown kind %q", body.Kind)
+		return value.Value{}, fmt.Errorf("unknown kind %q", body.kind)
 	}
 }
 
-// batchOpBody is one write of POST /v1/batch.
-type batchOpBody struct {
-	Key    string `json:"key"`
-	Branch string `json:"branch,omitempty"`
-	putBody
-}
-
-// batch handles POST /v1/batch: the ops' version objects are committed
-// through the engine's batched write path (one store round for all FNodes,
-// one Apply for all heads), the bulk-ingest entry point for REST clients.
+// batch handles POST /v1/batch, whose body is {"ops": [op, ...]}, each op a
+// put body with the op's "key" and, optionally, its "branch".  The ops'
+// version objects are committed through the engine's batched write path (one
+// store round for all FNodes, one Apply for all heads), the bulk-ingest entry
+// point for REST clients.
 // The batch commits all or nothing: 201 with a version per op, in op order,
 // or an error — 409 when a head it derives from moved — and no op
 // committed.
@@ -533,19 +526,17 @@ func (h *Handler) batch(w http.ResponseWriter, r *http.Request) {
 	if h.denyWrite(w) {
 		return
 	}
-	var body struct {
-		Ops []batchOpBody `json:"ops"`
-	}
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
+	body, err := decodeBody(r, decodeBatch)
+	if err != nil {
 		writeBadBody(w, err, "bad JSON: "+err.Error())
 		return
 	}
-	if len(body.Ops) == 0 {
+	if len(body) == 0 {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "need ops"})
 		return
 	}
-	for i, op := range body.Ops {
-		if op.Key == "" {
+	for i, op := range body {
+		if op.key == "" {
 			writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("op %d: missing key", i)})
 			return
 		}
@@ -553,15 +544,15 @@ func (h *Handler) batch(w http.ResponseWriter, r *http.Request) {
 	// Values are built inside the GC write fence along with the commit, so
 	// a concurrent collection cannot sweep them mid-batch.
 	var badReq error
-	ops := make([]core.WriteOp, len(body.Ops))
+	ops := make([]core.WriteOp, len(body))
 	vers, err := h.db.BuildAndWriteBatchCtx(r.Context(), func() ([]core.WriteOp, error) {
-		for i, op := range body.Ops {
-			v, err := h.buildValue(op.putBody)
+		for i, op := range body {
+			v, err := h.buildValue(op.putReq)
 			if err != nil {
 				badReq = fmt.Errorf("op %d: %w", i, err)
 				return nil, badReq
 			}
-			ops[i] = core.WriteOp{Key: op.Key, Branch: branchOrDefault(op.Branch), Value: v, Meta: op.Meta}
+			ops[i] = core.WriteOp{Key: op.key, Branch: branchOrDefault(op.branch), Value: v, Meta: op.meta}
 		}
 		return ops, nil
 	})
@@ -674,11 +665,8 @@ func (h *Handler) branches(w http.ResponseWriter, r *http.Request, key string) {
 	writeJSON(w, http.StatusOK, map[string]any{"branches": heads})
 }
 
-type branchBody struct {
-	New  string `json:"new"`
-	From string `json:"from,omitempty"`
-}
-
+// branch serves POST /v1/obj/{key}/branch, whose body is {"new": B, "from":
+// A}, from optional.
 func (h *Handler) branch(w http.ResponseWriter, r *http.Request, key string) {
 	if r.Method != http.MethodPost {
 		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "POST only"})
@@ -687,25 +675,20 @@ func (h *Handler) branch(w http.ResponseWriter, r *http.Request, key string) {
 	if h.denyWrite(w) {
 		return
 	}
-	var body branchBody
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil || body.New == "" {
+	body, err := decodeBody(r, decodeBranch)
+	if err != nil || body.new == "" {
 		writeBadBody(w, err, "need {new, from?}")
 		return
 	}
-	if err := h.db.Branch(key, body.New, body.From); err != nil {
+	if err := h.db.Branch(key, body.new, body.from); err != nil {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, map[string]string{"branch": body.New})
+	writeJSON(w, http.StatusCreated, map[string]string{"branch": body.new})
 }
 
-type mergeBody struct {
-	Into    string `json:"into"`
-	From    string `json:"from"`
-	Resolve string `json:"resolve,omitempty"` // "", "ours", "theirs"
-	Message string `json:"message,omitempty"`
-}
-
+// merge serves POST /v1/obj/{key}/merge, whose body is {"into": B, "from":
+// A, "resolve": "ours|theirs", "message": M}, the last two optional.
 func (h *Handler) merge(w http.ResponseWriter, r *http.Request, key string) {
 	if r.Method != http.MethodPost {
 		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "POST only"})
@@ -714,13 +697,13 @@ func (h *Handler) merge(w http.ResponseWriter, r *http.Request, key string) {
 	if h.denyWrite(w) {
 		return
 	}
-	var body mergeBody
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil || body.Into == "" || body.From == "" {
+	body, err := decodeBody(r, decodeMerge)
+	if err != nil || body.into == "" || body.from == "" {
 		writeBadBody(w, err, "need {into, from}")
 		return
 	}
 	var resolve index.Resolver
-	switch body.Resolve {
+	switch body.resolve {
 	case "":
 	case "ours":
 		resolve = index.ResolveOurs
@@ -731,10 +714,10 @@ func (h *Handler) merge(w http.ResponseWriter, r *http.Request, key string) {
 		return
 	}
 	meta := map[string]string{}
-	if body.Message != "" {
-		meta["message"] = body.Message
+	if body.message != "" {
+		meta["message"] = body.message
 	}
-	res, err := h.db.MergeCtx(r.Context(), key, body.Into, body.From, resolve, meta)
+	res, err := h.db.MergeCtx(r.Context(), key, body.into, body.from, resolve, meta)
 	if err != nil {
 		var ce *index.ErrConflict
 		if errors.As(err, &ce) {
@@ -752,7 +735,7 @@ func (h *Handler) merge(w http.ResponseWriter, r *http.Request, key string) {
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"version":      renderVersion(res.Version, body.Into),
+		"version":      renderVersion(res.Version, body.into),
 		"fast_forward": res.FastForward,
 	})
 }

@@ -81,8 +81,8 @@ type Client struct {
 	turn   chan struct{}
 	conn   net.Conn // written holding turn and closeMu both
 	br     *bufio.Reader
-	wbuf   []byte // scratch: the request frame, unless a large batch outgrows it
-	rbuf   []byte // every reply payload; kept unless a reply grew it past replyKeep
+	wbuf   []byte // every request frame; kept unless a request grew it past bufKeep
+	rbuf   []byte // every reply payload; kept unless a reply grew it past bufKeep
 	lastID uint64 // request id of the latest frame sent
 
 	stage staging // the chunks engine writes put, until a request carries them
@@ -103,10 +103,11 @@ type Client struct {
 // errClientClosed is returned by every op after Close.
 var errClientClosed = errors.New("client: closed")
 
-// replyKeep is the largest reply buffer a client keeps between exchanges:
-// above the ~2 MiB replies of a replica's 512-id fetch, which then reuse
-// it, and far below the MaxPayload one outsized reply grows it to.
-const replyKeep = 4 << 20
+// bufKeep is the largest request or reply buffer a client keeps between
+// exchanges: above the ~2 MiB replies of a replica's 512-id fetch and the
+// commits and puts of a few chunks, which then reuse it, and far below the
+// MaxPayload one outsized frame grows it to.
+const bufKeep = 4 << 20
 
 // Dial connects to a server with default options and verifies liveness with
 // a ping.
@@ -220,6 +221,10 @@ func (c *Client) attempt(op Op, extraRead time.Duration, build func([]byte) []by
 	if build != nil {
 		frame = build(frame)
 	}
+	c.wbuf = frame[:0] // the next request of this size allocates nothing
+	if cap(frame) > bufKeep {
+		c.wbuf = make([]byte, 0, 64<<10)
+	}
 	if err := finishFrame(frame); err != nil {
 		return retry.Permanent(err) // over the frame cap; nothing was sent
 	}
@@ -237,7 +242,7 @@ func (c *Client) attempt(op Op, extraRead time.Duration, build func([]byte) []by
 	h, payload, err := readFrame(c.br, c.rbuf)
 	if err == nil {
 		c.rbuf = payload[:0] // the next reply of this size allocates nothing
-		if cap(payload) > replyKeep {
+		if cap(payload) > bufKeep {
 			c.rbuf = make([]byte, 0, 4<<10)
 		}
 	}

@@ -592,7 +592,7 @@ func TestGetChunksRepliesOwnTheirBytes(t *testing.T) {
 // TestClientReplyBufferIsBounded: a client keeps its reply buffer between
 // exchanges, so replies of the common sizes allocate nothing, but not at the
 // size one outsized reply grew it to: after a 16 MiB chunk and then a run of
-// small batches it holds at most replyKeep.
+// small batches it holds at most bufKeep.
 func TestClientReplyBufferIsBounded(t *testing.T) {
 	srv, addr := startServer(t)
 	big := chunk.New(chunk.TypeBlobLeaf, bytes.Repeat([]byte{7}, chunk.MaxSize))
@@ -615,6 +615,40 @@ func TestClientReplyBufferIsBounded(t *testing.T) {
 	}
 	if got := cap(cl.rbuf); got > 4<<20 {
 		t.Fatalf("client keeps a %d-byte reply buffer after small batches, want at most %d", got, 4<<20)
+	}
+}
+
+// TestClientRequestBufferIsBounded: the request twin of the test above.  A
+// client keeps the frame a request grew, so a second 1 MiB put builds its
+// frame where the first did, but not at the size one outsized request grew
+// it to: after a 16 MiB chunk it holds at most bufKeep.
+func TestClientRequestBufferIsBounded(t *testing.T) {
+	_, addr := startServer(t)
+	cl, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	mib, _ := sizedChunks(2, 1<<20)
+	if _, err := cl.putChunks(mib[:1]); err != nil {
+		t.Fatal(err)
+	}
+	if got := cap(cl.wbuf); got < 1<<20 {
+		t.Fatalf("after a 1 MiB put the client keeps a %d-byte request buffer", got)
+	}
+	frame := &cl.wbuf[:1][0]
+	if _, err := cl.putChunks(mib[1:]); err != nil {
+		t.Fatal(err)
+	}
+	if &cl.wbuf[:1][0] != frame {
+		t.Fatal("a second 1 MiB put allocated a new request frame")
+	}
+	big := chunk.New(chunk.TypeBlobLeaf, bytes.Repeat([]byte{7}, chunk.MaxSize))
+	if _, err := cl.putChunks([]*chunk.Chunk{big}); err != nil {
+		t.Fatal(err)
+	}
+	if got := cap(cl.wbuf); got > 4<<20 {
+		t.Fatalf("client keeps a %d-byte request buffer after a 16 MiB put, want at most %d", got, 4<<20)
 	}
 }
 
