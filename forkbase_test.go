@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"maps"
 	"strings"
 	"testing"
 	"time"
@@ -225,6 +226,12 @@ func TestPublicScrubFindsInjectedFileStore(t *testing.T) {
 	}
 }
 
+// TestPublicSessionACL: a session checks its user's grants before every
+// operation (branch-based access control, paper Fig 1).  Get and Put need
+// read and write on their branch.  For Branch, Merge, Diff and DeleteBranch,
+// with any one required grant held one level short (Write for Admin, Read for
+// Write, none for Read) the call returns ErrDenied and moves no head; with every grant held it returns what the DB method returns on an
+// identical DB and leaves the same heads.
 func TestPublicSessionACL(t *testing.T) {
 	db := forkbase.MustOpen()
 	defer db.Close()
@@ -247,6 +254,124 @@ func TestPublicSessionACL(t *testing.T) {
 	}
 	if err := r.DeleteBranch("doc", "master"); !errors.Is(err, forkbase.ErrDenied) {
 		t.Fatalf("reader delete-branch: %v", err)
+	}
+
+	// A table on master, and a dev branch off it; each side edits a row.
+	open := func() *forkbase.DB {
+		t.Helper()
+		db := forkbase.MustOpen()
+		t.Cleanup(func() { db.Close() })
+		var rows []forkbase.Entry
+		for i := 0; i < 50; i++ {
+			rows = append(rows, forkbase.Entry{Key: []byte(fmt.Sprintf("row-%02d", i)), Val: []byte("v")})
+		}
+		_, err := db.PutMap("t", "master", rows, nil)
+		if err == nil {
+			err = db.Branch("t", "dev", "master")
+		}
+		for _, e := range []struct{ branch, row string }{{"dev", "row-07"}, {"master", "row-42"}} {
+			if err == nil {
+				_, err = db.EditMap("t", e.branch, []forkbase.Entry{{Key: []byte(e.row), Val: []byte(e.branch)}}, nil, nil)
+			}
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+	heads := func(db *forkbase.DB) map[string]string {
+		t.Helper()
+		names, err := db.ListBranches("t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]string{}
+		for _, b := range names {
+			uid, err := db.Head("t", b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[b] = uid.String()
+		}
+		return out
+	}
+	type grant struct {
+		branch string
+		level  access.Level
+	}
+	// Each op is run as a session's call and as the DB's; the result is
+	// what the two must agree on.
+	for _, tc := range []struct {
+		name    string
+		grants  []grant
+		session func(s *forkbase.Session) (any, error)
+		direct  func(db *forkbase.DB) (any, error)
+	}{{
+		name:    "Branch",
+		grants:  []grant{{"master", access.Read}, {"feature", access.Write}},
+		session: func(s *forkbase.Session) (any, error) { return nil, s.Branch("t", "feature", "master") },
+		direct:  func(db *forkbase.DB) (any, error) { return nil, db.Branch("t", "feature", "master") },
+	}, {
+		name:   "Merge",
+		grants: []grant{{"dev", access.Read}, {"master", access.Write}},
+		session: func(s *forkbase.Session) (any, error) {
+			res, err := s.Merge("t", "master", "dev", nil, nil)
+			return fmt.Sprint(res.Version.UID, res.FastForward, res.Stats), err
+		},
+		direct: func(db *forkbase.DB) (any, error) {
+			res, err := db.Merge("t", "master", "dev", nil, nil)
+			return fmt.Sprint(res.Version.UID, res.FastForward, res.Stats), err
+		},
+	}, {
+		name:   "Diff",
+		grants: []grant{{"master", access.Read}, {"dev", access.Read}},
+		session: func(s *forkbase.Session) (any, error) {
+			deltas, stats, err := s.Diff("t", "master", "dev")
+			return fmt.Sprintf("%q %+v", deltas, stats), err
+		},
+		direct: func(db *forkbase.DB) (any, error) {
+			deltas, stats, err := db.DiffBranches("t", "master", "dev")
+			return fmt.Sprintf("%q %+v", deltas, stats), err
+		},
+	}, {
+		name:    "DeleteBranch",
+		grants:  []grant{{"dev", access.Admin}},
+		session: func(s *forkbase.Session) (any, error) { return nil, s.DeleteBranch("t", "dev") },
+		direct:  func(db *forkbase.DB) (any, error) { return nil, db.DeleteBranch("t", "dev") },
+	}} {
+		t.Run(tc.name, func(t *testing.T) {
+			for missing := range tc.grants {
+				db := open()
+				for i, g := range tc.grants {
+					if i == missing {
+						g.level-- // one level short: a check that asks too little lets it through
+					}
+					if g.level > access.None {
+						db.ACL().Grant("u", "t", g.branch, g.level)
+					}
+				}
+				before := heads(db)
+				if _, err := tc.session(db.SessionFor("u")); !errors.Is(err, forkbase.ErrDenied) {
+					g := tc.grants[missing]
+					t.Fatalf("with %v for %v on %s: %v, want ErrDenied", g.level-1, g.level, g.branch, err)
+				}
+				if after := heads(db); !maps.Equal(after, before) {
+					t.Fatalf("a denied call moved heads %v to %v", before, after)
+				}
+			}
+			db, twin := open(), open()
+			for _, g := range tc.grants {
+				db.ACL().Grant("u", "t", g.branch, g.level)
+			}
+			got, err := tc.session(db.SessionFor("u"))
+			want, werr := tc.direct(twin)
+			if err != nil || werr != nil || got != want {
+				t.Fatalf("with every grant: %v, %v; the DB method: %v, %v", got, err, want, werr)
+			}
+			if a, b := heads(db), heads(twin); !maps.Equal(a, b) {
+				t.Fatalf("heads %v after the session's call, %v after the DB's", a, b)
+			}
+		})
 	}
 }
 

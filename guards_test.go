@@ -307,6 +307,16 @@ func TestSourceGuards(t *testing.T) {
 		paths:   []string{"internal"},
 		want:    0,
 	}, {
+		// One landing rule: every chunk a client sends lands through
+		// core.FeedTable.Commit, which checks a commit with no head ops or a
+		// stale op for what it names, so every chunk a server holds was
+		// complete when it landed.  A put the server lands in its store
+		// directly is a second rule that check cannot see.
+		name:    "one landing rule",
+		pattern: `s\.st\.PutBatch\(`,
+		paths:   []string{"internal/server"},
+		want:    0,
+	}, {
 		// A node's TCP service is built from its DB (DB.NewServer), which
 		// shares the DB's store, branch table, feed, registry and read-only
 		// state; forkbased, the examples and the CLI do not wire a server

@@ -166,7 +166,7 @@ func TestApplyLostReplyRecoversViaProbe(t *testing.T) {
 }
 
 // TestPutAmbiguousIsNotResent pins the idempotency gate for mutations with
-// no probe: a torn PutChunks reply to a single Put surfaces ErrAmbiguous
+// no probe: a torn Commit reply to a single Put surfaces ErrAmbiguous
 // instead of being silently re-sent.
 func TestPutAmbiguousIsNotResent(t *testing.T) {
 	p, cl := startProxied(t)

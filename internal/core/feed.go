@@ -308,10 +308,9 @@ func (f *Feed) dropLapsed(now time.Time) {
 // no head moves during a collection; every Apply holds its read side, and
 // refuses an op whose epoch precedes a sweep that completed since with
 // ErrCollected.  A writer that stored chunks before that sweep may have lost
-// them to it.  A remote writer's Commit lands its chunks under the same hold
-// as its ops; when it carries every chunk its ops rely on that the writer
-// put outside a commit (whole), it is refused only for what it names and
-// did not carry.
+// them to it.  A remote writer's chunks land only in a Commit, under the
+// same hold as its ops, and a Commit that could name a swept chunk is
+// refused only for what it names and did not carry.
 type FeedTable struct {
 	BranchTable // the table the feed sequences
 	feed        *Feed
@@ -375,42 +374,42 @@ func (t *FeedTable) stale(ops []HeadOp) int {
 	return slices.IndexFunc(ops, func(op HeadOp) bool { return op.Epoch != 0 && op.Epoch < now })
 }
 
-// Commit is a remote writer's publish: under one hold of the fence's read
-// side it lands the chunks cs in st and applies ops, so no collection falls
-// between the two.  An op stamped before the current epoch was built from
-// chunks a sweep may have taken since.  A commit that is not whole — the
-// writer put chunks its ops may rely on outside any commit since it took
-// that epoch — is then refused with ErrCollected, as Apply refuses it.  A
-// whole commit was stamped early only because the writer had not seen the
-// sweep; it is refused only if one HasBatch finds missing an id it names
-// but does not carry — a ref of a carried chunk, or the head an op sets.  A
-// commit of fresh ops costs no store read.  The chunks land even when an
-// op's expectation fails, as a put followed by an Apply would.
-func (t *FeedTable) Commit(st store.Store, cs []*chunk.Chunk, ops []HeadOp, whole bool) (bool, error) {
+// Commit is the one way a remote writer's chunks land: under one hold of
+// the fence's read side it lands the chunks cs in st and applies ops, so no
+// collection falls between the two, and it returns st's fresh flags for cs
+// and whether the ops applied.  A commit with no head ops (a put outside a
+// write, or a write's chunks landed before its publish), or with an op
+// stamped before the current epoch (built from chunks a sweep may have
+// taken since), is first checked for what it names (named) and refused
+// with ErrCollected, landing nothing, if a name is missing.  So every chunk
+// a remote writer landed was complete when it landed, and a commit of fresh
+// ops costs no store read.  The chunks land even when an op's expectation
+// fails, as a put followed by an Apply would.
+func (t *FeedTable) Commit(st store.Store, cs []*chunk.Chunk, ops []HeadOp) (fresh []bool, ok bool, err error) {
 	t.fence.RLock()
 	defer t.fence.RUnlock()
-	if len(cs) > 0 {
-		if _, err := st.PutBatch(cs); err != nil {
-			return false, err
-		}
-	}
-	if i := t.stale(ops); i >= 0 {
-		if !whole {
-			return false, fmt.Errorf("%w: op %d (%s@%s)", ErrCollected, i, ops[i].Key, ops[i].Branch)
-		}
+	if len(ops) == 0 || t.stale(ops) >= 0 {
 		if err := named(st, cs, ops); err != nil {
-			return false, err
+			return nil, false, err
 		}
 	}
-	return t.publish(ops)
+	if len(cs) > 0 {
+		if fresh, err = st.PutBatch(cs); err != nil {
+			return nil, false, err
+		}
+	}
+	if len(ops) == 0 {
+		return fresh, true, nil
+	}
+	ok, err = t.publish(ops)
+	return fresh, ok, err
 }
 
 // named checks that st holds every id the commit of cs and ops names and
 // does not carry, with one HasBatch.  Presence stands for the subtree under
-// an id only because a whole commit's writer put nothing it relies on in a
-// request of its own: what it did not carry it read under a published head,
-// and a sweep keeps such a chunk only while it is reachable, children and
-// all.
+// an id: a remote writer's chunks land complete (Commit), an engine write's
+// under the fence, and a sweep keeps a chunk only while it is reachable,
+// children and all.
 func named(st store.Store, cs []*chunk.Chunk, ops []HeadOp) error {
 	seen := make(map[hash.Hash]bool, len(cs))
 	for _, c := range cs {

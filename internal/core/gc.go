@@ -73,9 +73,9 @@ func (db *DB) gcInner() (GCStats, error) {
 	// the heads to the clock tick, so an engine commit (chunks stored, head
 	// not yet moved) is never collected; readers proceed.  Chunks stored
 	// outside the fence (a value built now and Put later, a TCP client's
-	// PutChunks) may be swept, but the op publishing them carries an epoch
-	// the tick passes: its Apply fails with ErrCollected, and a Commit does
-	// when a chunk it names is gone, and nothing is published.
+	// put outside a write) may be swept, but the op publishing them carries
+	// an epoch the tick passes: its Apply fails with ErrCollected, and a
+	// Commit does when a chunk it names is gone, and nothing is published.
 	var res store.SweepStats
 	var live map[hash.Hash]bool
 	var err error

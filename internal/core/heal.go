@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"forkbase/internal/chunk"
@@ -44,9 +45,9 @@ type HealStats struct {
 // chunk with one batched read of the verifying store per walk round, and
 // repairs every missing-or-corrupt chunk from src: refetched in batches,
 // rehashed against the requested id, and written back through the store's
-// Repair capability (plain Put when the store lacks it).  Children of
-// repaired chunks rejoin the walk, so damage deep inside a subtree hidden
-// behind a damaged parent is still found.
+// Repair capability, or, when the store lacks it, put children first once
+// the walk ends.  Children of repaired chunks rejoin the walk, so damage
+// deep inside a subtree hidden behind a damaged parent is still found.
 //
 // This is anti-entropy, not a write: it restores bytes the store already
 // acknowledged, so it is permitted on read-only replicas — a follower can
@@ -76,6 +77,13 @@ func (db *DB) healInner(src ChunkSource) (HealStats, error) {
 		return hs, err
 	}
 	hs.Branches = len(heads)
+	var land []*chunk.Chunk // repairs for a store without Repair, in walk order
+	repaired := func(c *chunk.Chunk) {
+		// A cached decode may alias storage of the damaged copy.
+		db.ncache.Remove(c.ID())
+		hs.Repaired++
+		hs.BytesFetched += int64(c.Size())
+	}
 
 	err = fnode.Walk(heads, map[hash.Hash]bool{}, func(ids []hash.Hash) ([]*chunk.Chunk, error) {
 		out, errs, have := make([]*chunk.Chunk, len(ids)), make([]error, len(ids)), make([]bool, len(ids))
@@ -113,26 +121,13 @@ func (db *DB) healInner(src ChunkSource) (HealStats, error) {
 				hs.Failed = append(hs.Failed, want)
 				continue
 			}
-			if rep != nil {
-				if err := rep.Repair(c); err != nil {
-					return nil, fmt.Errorf("core: heal repair %s: %w", want.Short(), err)
-				}
+			if rep == nil {
+				land = append(land, c)
+			} else if err := rep.Repair(c); err != nil {
+				return nil, fmt.Errorf("core: heal repair %s: %w", want.Short(), err)
 			} else {
-				// No repair capability: Put covers the missing case; a
-				// corrupt-but-resident copy that Put dedup-hits against
-				// stays broken, so re-read to find out.
-				if _, err := db.st.Put(c); err != nil {
-					return nil, fmt.Errorf("core: heal put %s: %w", want.Short(), err)
-				}
-				if _, err := db.st.Get(want); err != nil {
-					hs.Failed = append(hs.Failed, want)
-					continue
-				}
+				repaired(c)
 			}
-			// A cached decode may alias storage of the damaged copy.
-			db.ncache.Remove(want)
-			hs.Repaired++
-			hs.BytesFetched += int64(c.Size())
 			// The repaired chunk's children rejoin the walk.
 			out[i] = c
 		}
@@ -140,6 +135,23 @@ func (db *DB) healInner(src ChunkSource) (HealStats, error) {
 	}, nil)
 	if err != nil {
 		return hs, err
+	}
+	// A store without Repair (a Remote) gets the repairs in one PutBatch,
+	// children first: the walk reaches a chunk's children a round after
+	// it, and a remote landing that names a chunk the server lacks is
+	// refused.  Put covers the missing case; a corrupt-but-resident copy
+	// that Put dedup-hits against stays broken, so re-read to find out.
+	if slices.Reverse(land); len(land) > 0 {
+		if _, err := db.st.PutBatch(land); err != nil {
+			return hs, fmt.Errorf("core: heal put: %w", err)
+		}
+	}
+	for _, c := range land {
+		if _, err := db.st.Get(c.ID()); err != nil {
+			hs.Failed = append(hs.Failed, c.ID())
+		} else {
+			repaired(c)
+		}
 	}
 	if len(hs.Failed) > 0 {
 		return hs, fmt.Errorf("core: heal left %d chunk(s) unrepaired: %w", len(hs.Failed), chunk.ErrCorrupt)

@@ -10,14 +10,18 @@
 package dataset
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/csv"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 
+	"forkbase/internal/chunk"
 	"forkbase/internal/codec"
 	"forkbase/internal/core"
 	"forkbase/internal/index"
@@ -45,6 +49,9 @@ func (s Schema) Validate() error {
 	for _, c := range s.Columns {
 		if c == "" {
 			return errors.New("dataset: empty column name")
+		}
+		if strings.Contains(c, ",") {
+			return fmt.Errorf("dataset: column name %q holds a comma, which separates columns in Encode", c)
 		}
 		if seen[c] {
 			return fmt.Errorf("dataset: duplicate column %q", c)
@@ -272,29 +279,12 @@ func (d *Dataset) UpdateRows(upserts []Row, deleteKeys []string, meta map[string
 // sink, so appending a delta to a large dataset costs O(delta · log N) node
 // reads and writes.
 func (d *Dataset) AppendCSV(r io.Reader, meta map[string]string) (*Dataset, error) {
-	cr := csv.NewReader(r)
-	header, err := cr.Read()
+	header, rows, err := readCSV(r)
 	if err != nil {
-		return nil, fmt.Errorf("dataset: reading CSV header: %w", err)
+		return nil, err
 	}
-	if len(header) != len(d.Schema.Columns) {
-		return nil, fmt.Errorf("dataset: CSV has %d columns, schema has %d", len(header), len(d.Schema.Columns))
-	}
-	for i, c := range header {
-		if c != d.Schema.Columns[i] {
-			return nil, fmt.Errorf("dataset: CSV column %d is %q, schema says %q", i, c, d.Schema.Columns[i])
-		}
-	}
-	var rows []Row
-	for line := 2; ; line++ {
-		rec, err := cr.Read()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("dataset: CSV line %d: %w", line, err)
-		}
-		rows = append(rows, Row(rec))
+	if !slices.Equal(header, d.Schema.Columns) {
+		return nil, fmt.Errorf("dataset: CSV header %q is not the schema's columns %q", header, d.Schema.Columns)
 	}
 	return d.UpdateRows(rows, nil, meta)
 }
@@ -337,42 +327,101 @@ func (d *Dataset) Stat() (Stat, error) {
 
 // --- CSV import/export ------------------------------------------------------
 
-// LoadCSV reads a CSV stream (first record = header) into rows + schema.
-// keyColumn names the primary-key column.
-func LoadCSV(r io.Reader, keyColumn string) (Schema, []Row, error) {
-	cr := csv.NewReader(r)
+// ErrLineTooLong refuses a CSV line longer than chunk.MaxSize bytes, its
+// newline included: no chunk could store its row.
+var ErrLineTooLong = fmt.Errorf("dataset: CSV line longer than %d bytes", chunk.MaxSize)
+
+// readCSV reads a CSV stream's header and rows, each row as wide as the
+// header.  It refuses a line longer than chunk.MaxSize (ErrLineTooLong) and
+// a cell holding "\r\n", which a CSV reader returns as "\n", so ExportCSV
+// could not write the cell back.
+func readCSV(r io.Reader) ([]string, []Row, error) {
+	cr := csv.NewReader(&lineBound{br: bufio.NewReader(r)})
 	cr.FieldsPerRecord = -1
-	header, err := cr.Read()
-	if err != nil {
-		return Schema{}, nil, fmt.Errorf("dataset: reading CSV header: %w", err)
-	}
-	keyIdx := -1
-	for i, c := range header {
-		if c == keyColumn {
-			keyIdx = i
-			break
+	var header []string
+	var rows []Row
+	for line := 1; ; line++ {
+		rec, err := cr.Read()
+		switch {
+		case line == 1 && err != nil:
+			return nil, nil, fmt.Errorf("dataset: reading CSV header: %w", err)
+		case errors.Is(err, io.EOF):
+			return header, rows, nil
+		case err != nil:
+			return nil, nil, fmt.Errorf("dataset: CSV line %d: %w", line, err)
+		case slices.ContainsFunc(rec, func(c string) bool { return strings.Contains(c, "\r\n") }):
+			return nil, nil, fmt.Errorf("dataset: CSV line %d: a cell holds \\r\\n, which CSV reads back as \\n", line)
+		case line == 1:
+			header = rec
+		case len(rec) != len(header):
+			return nil, nil, fmt.Errorf("dataset: CSV line %d has %d fields, header has %d", line, len(rec), len(header))
+		default:
+			rows = append(rows, Row(rec))
 		}
 	}
+}
+
+// lineBound hands a reader's bytes on one whole line at a time, and refuses
+// a line longer than chunk.MaxSize with ErrLineTooLong before any of it is
+// handed on.  A line longer than br's buffer is held as copies of the
+// parts br returns, so a line costs one copy more and one hostile line a
+// bounded allocation instead of one the size of the stream.
+type lineBound struct {
+	br    *bufio.Reader
+	parts [][]byte // the current line's parts; reused
+	line  [][]byte // what is left of them to hand on
+	err   error    // the error that ended the line
+}
+
+func (l *lineBound) Read(p []byte) (int, error) {
+	if len(l.line) == 0 && l.err == nil {
+		l.line, l.err = l.next()
+	}
+	if len(l.line) == 0 {
+		return 0, l.err
+	}
+	n := copy(p, l.line[0])
+	if l.line[0] = l.line[0][n:]; len(l.line[0]) == 0 {
+		l.line = l.line[1:]
+	}
+	return n, nil
+}
+
+// next reads the next line, its newline included.  Its last part aliases
+// br's buffer, which is read again only once the line has been handed on.
+func (l *lineBound) next() ([][]byte, error) {
+	parts, n := l.parts[:0], 0
+	for {
+		frag, err := l.br.ReadSlice('\n')
+		if n += len(frag); n > chunk.MaxSize {
+			return nil, ErrLineTooLong
+		}
+		if err != bufio.ErrBufferFull {
+			if len(frag) > 0 {
+				parts = append(parts, frag)
+			}
+			l.parts = parts
+			return parts, err
+		}
+		parts = append(parts, bytes.Clone(frag))
+	}
+}
+
+// LoadCSV reads a CSV stream (first record = header) into rows + schema.
+// keyColumn names the primary-key column.  A line longer than
+// chunk.MaxSize fails with ErrLineTooLong.
+func LoadCSV(r io.Reader, keyColumn string) (Schema, []Row, error) {
+	header, rows, err := readCSV(r)
+	if err != nil {
+		return Schema{}, nil, err
+	}
+	keyIdx := slices.Index(header, keyColumn)
 	if keyIdx < 0 {
 		return Schema{}, nil, fmt.Errorf("dataset: key column %q not in header %v", keyColumn, header)
 	}
 	schema := Schema{Columns: header, KeyColumn: keyIdx}
 	if err := schema.Validate(); err != nil {
 		return Schema{}, nil, err
-	}
-	var rows []Row
-	for line := 2; ; line++ {
-		rec, err := cr.Read()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			return Schema{}, nil, fmt.Errorf("dataset: CSV line %d: %w", line, err)
-		}
-		if len(rec) != len(header) {
-			return Schema{}, nil, fmt.Errorf("dataset: CSV line %d has %d fields, header has %d", line, len(rec), len(header))
-		}
-		rows = append(rows, Row(rec))
 	}
 	return schema, rows, nil
 }
@@ -395,7 +444,13 @@ func (d *Dataset) ExportCSV(w io.Writer) error {
 	}
 	var writeErr error
 	err := d.Scan(func(r Row) bool {
-		writeErr = cw.Write(r)
+		if len(r) == 1 && r[0] == "" {
+			// A lone empty cell is a blank line, which a CSV reader skips.
+			cw.Flush()
+			_, writeErr = io.WriteString(w, "\"\"\n")
+		} else {
+			writeErr = cw.Write(r)
+		}
 		return writeErr == nil
 	})
 	if err != nil {

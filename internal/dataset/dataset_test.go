@@ -3,10 +3,14 @@ package dataset
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"reflect"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 
+	"forkbase/internal/chunk"
 	"forkbase/internal/chunker"
 	"forkbase/internal/core"
 	"forkbase/internal/index"
@@ -413,6 +417,93 @@ func FuzzDecodeRow(f *testing.F) {
 		}
 		if err == nil && !bytes.Equal(encodeRow(row), enc) {
 			t.Fatalf("%x decoded to %q, which encodes as %x", enc, row, encodeRow(row))
+		}
+	})
+}
+
+// TestLongCSVLineCostsOneCopy: a line longer than the line reader's buffer
+// is held once before the CSV reader buffers it, so an accepted 8 MiB line
+// allocates about one copy more than encoding/csv alone (7.0× the body; 11×
+// when the held line grew by doubling), and a line past chunk.MaxSize is
+// refused having held at most chunk.MaxSize bytes.
+func TestLongCSVLineCostsOneCopy(t *testing.T) {
+	for _, tc := range []struct {
+		line    int
+		err     error
+		perByte float64
+	}{{8 << 20, nil, 8.5}, {chunk.MaxSize + 1, ErrLineTooLong, 1.1}} {
+		body := []byte("id,v\n1," + strings.Repeat("x", tc.line-3) + "\n")
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, err := LoadCSV(bytes.NewReader(body), "id")
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, tc.err) {
+			t.Fatalf("a %d-byte line: %v, want %v", tc.line, err, tc.err)
+		}
+		got := after.TotalAlloc - before.TotalAlloc
+		if limit := uint64(tc.perByte * float64(len(body))); got > limit {
+			t.Fatalf("a %d-byte line allocated %d bytes (%.2f× the body), want at most %.1f×", tc.line, got, float64(got)/float64(len(body)), tc.perByte)
+		}
+	}
+}
+
+// csvSeeds are FuzzLoadCSV's seeds: the hostile-body rows (one line longer
+// than the line reader's buffer), quoted fields holding newlines and
+// quotes, a missing key column, duplicate keys, ragged rows, an empty key
+// and CRLF line ends.
+var csvSeeds = []string{
+	"id,v\n1," + strings.Repeat("A", 8<<10) + "\n",
+	"id,v\n2," + strings.Repeat("A", 8<<10) + "\n",
+	"id,name\n1,\"two\nlines\"\n2,\"a \"\"quoted\"\" word\"\n3,\"crlf\r\nin a field\"\n",
+	"key,v\n1,a\n",
+	"id,v\n1,a\n1,b\n",
+	"id,v\n1,a,extra\n2\n",
+	"id\n\"\"\n",
+	"v,id\r\nx,1\r\ny,0\r\n",
+}
+
+// FuzzLoadCSV: on any bytes LoadCSV neither panics nor allocates out of
+// proportion to its input, and a table it accepts, stored with Create and
+// written back with ExportCSV, loads again to the same schema and to the
+// rows the dataset holds (the last row of a key, in key order).
+func FuzzLoadCSV(f *testing.F) {
+	for _, seed := range csvSeeds {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		schema, rows, err := LoadCSV(bytes.NewReader(in), "id")
+		runtime.ReadMemStats(&after)
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(1<<16+256*len(in)); got > limit {
+			t.Fatalf("%d bytes of CSV allocated %d bytes (limit %d)", len(in), got, limit)
+		}
+		if err != nil {
+			return
+		}
+		ds, err := Create(newDB(), "d", "", schema, rows, nil)
+		if err != nil {
+			t.Fatalf("storing an accepted table: %v", err)
+		}
+		var out bytes.Buffer
+		if err := ds.ExportCSV(&out); err != nil {
+			t.Fatal(err)
+		}
+		schema2, rows2, err := LoadCSV(bytes.NewReader(out.Bytes()), "id")
+		if err != nil {
+			t.Fatalf("loading the export %q: %v", out.Bytes(), err)
+		}
+		held := map[string]Row{}
+		for _, r := range rows {
+			held[r[schema.KeyColumn]] = r
+		}
+		var want []Row
+		for _, r := range held {
+			want = append(want, r)
+		}
+		sort.Slice(want, func(i, j int) bool { return want[i][schema.KeyColumn] < want[j][schema.KeyColumn] })
+		if !reflect.DeepEqual(schema2, schema) || !reflect.DeepEqual(rows2, want) {
+			t.Fatalf("%q loaded as %v %q, exported as %q, which loads as %v %q", in, schema, want, out.Bytes(), schema2, rows2)
 		}
 	})
 }

@@ -29,6 +29,7 @@ import (
 	"time"
 
 	"forkbase/internal/core"
+	"forkbase/internal/dataset"
 	"forkbase/internal/hash"
 	"forkbase/internal/index"
 	"forkbase/internal/obs"
@@ -255,11 +256,12 @@ func writeErr(w http.ResponseWriter, err error) {
 }
 
 // writeBadBody answers a request body the route cannot use with msg: 413 when
-// err is the read that ran past the body cap (see ServeHTTP), else 400.
+// err is the read that ran past the body cap (see ServeHTTP) or a CSV line
+// past the dataset package's line bound, else 400.
 func writeBadBody(w http.ResponseWriter, err error, msg string) {
 	code := http.StatusBadRequest
 	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
+	if errors.As(err, &tooLarge) || errors.Is(err, dataset.ErrLineTooLong) {
 		code = http.StatusRequestEntityTooLarge
 	}
 	writeJSON(w, code, errorBody{Error: msg})

@@ -2,7 +2,6 @@ package server
 
 import (
 	"bufio"
-	"container/list"
 	"context"
 	"errors"
 	"fmt"
@@ -66,11 +65,13 @@ func (o *ClientOptions) fill() {
 // backoff under the client's retry policy.
 //
 // Idempotency contract: reads (Get/Has/GetBatch/feed/heads) are retried
-// freely.  Mutations (commits, chunk puts) are re-sent only when the
-// failed attempt's one Write provably put zero bytes of the request frame on
-// the wire — otherwise the server may have executed it, and the ambiguous
-// error is surfaced to the caller (who owns the op-level recovery; see
-// RemoteBranchTable.Apply for the head probe).
+// freely.  The one mutation, a Commit (which every chunk put travels in), is
+// re-sent only when the failed attempt's one Write provably put zero bytes
+// of the request frame on the wire — otherwise the server may have executed
+// it, and the ambiguous error is surfaced to the caller (who owns the
+// op-level recovery; see RemoteBranchTable.Apply for the head probe).  A
+// commit executed twice is a lost-update bug, and a put executed twice skews
+// freshness accounting.
 type Client struct {
 	addr string
 	opts ClientOptions
@@ -85,11 +86,10 @@ type Client struct {
 	rbuf   []byte // every reply payload; kept unless a reply grew it past bufKeep
 	lastID uint64 // request id of the latest frame sent
 
-	stage staging // the chunks engine writes put, until a request carries them
+	stage staging // the chunks engine writes put, until a Commit carries them
 	// epoch is the highest collection epoch a Head or Commit reply carried
-	// (0: none yet); outside is the epoch this client had seen when its
-	// latest put outside a commit (a PutChunks) was sent (0: none yet).
-	epoch, outside atomic.Uint64
+	// (0: none yet).
+	epoch atomic.Uint64
 
 	// Close takes closeMu, which guards closed, never turn, so it does not
 	// wait out an exchange: it cancels ctx, which aborts dials and backoffs,
@@ -168,20 +168,6 @@ func (c *Client) teardownLocked() {
 	c.conn, c.br = nil, nil
 }
 
-// mutates reports whether op changes server state.  The server refuses
-// these on a read-only node; the client never blindly re-sends one after a
-// transport failure that left the server's state unknown — a CAS executed
-// twice is a lost-update bug, and a re-run batch put skews freshness
-// accounting.  Everything else (reads, presence checks, feed reads and
-// probes, head listings) is idempotent.
-func mutates(op Op) bool {
-	switch op {
-	case OpCommit, OpPutChunks:
-		return true
-	}
-	return false
-}
-
 // ErrAmbiguous marks a transport failure after part of a non-idempotent
 // request may have reached the server: the op may or may not have executed.
 // Callers that can probe (re-read the head, re-check presence) should; see
@@ -231,7 +217,7 @@ func (c *Client) attempt(op Op, extraRead time.Duration, build func([]byte) []by
 	_ = c.conn.SetWriteDeadline(time.Now().Add(c.opts.OpTimeout))
 	if n, err := c.conn.Write(frame); err != nil {
 		c.teardownLocked()
-		if n > 0 && mutates(op) {
+		if n > 0 && op == OpCommit {
 			ambiguousTotal.Inc()
 			return retry.Permanent(fmt.Errorf("%w: send of %s interrupted after %s: %v",
 				ErrAmbiguous, op, c.addr, err))
@@ -259,7 +245,7 @@ func (c *Client) attempt(op Op, extraRead time.Duration, build func([]byte) []by
 	}
 	if err != nil {
 		c.teardownLocked()
-		if mutates(op) {
+		if op == OpCommit {
 			// The request reached the wire whole; only the reply was lost.
 			ambiguousTotal.Inc()
 			return retry.Permanent(fmt.Errorf("%w: reply to %s lost from %s: %v",
@@ -329,13 +315,13 @@ var (
 func NewRemoteStore(c *Client) *RemoteStore { return &RemoteStore{c: c} }
 
 // stageLimit is the most staged chunk bytes a client holds: past it they
-// are landed with PutChunks, so a build too large for one frame spills, and
-// a commit's chunks leave half a frame to its head ops.
+// are landed with a Commit of no head ops, so a build too large for one
+// frame spills, and a commit's chunks leave half a frame to its head ops.
 const stageLimit = MaxPayload / 2
 
 // staging holds the chunks a RemoteStore puts inside an engine write,
-// oldest first, until a request carries them: the write's Commit, or a
-// PutChunks that lands them early once they pass stageLimit or when the
+// oldest first, until a Commit carries them: the write's, or one with no
+// head ops that lands them early once they pass stageLimit or when the
 // write ends without a commit.  A chunk read asks the server only for what
 // staging does not hold, so nothing the write stored lands outside its
 // commit's hold of the server's fence.  Engine writes over one client run
@@ -442,8 +428,9 @@ func (s *staging) lookup(ids []hash.Hash, out []*chunk.Chunk) (ask []int) {
 
 // answered reports whether a request that carried staged chunks is done
 // with them: it was answered, refused by the server (which lands a commit's
-// chunks before judging its ops) or could never be sent.  After a transport
-// failure they stay staged; sent again, a chunk lands once.
+// chunks before judging its ops, and none when they name a chunk it lacks,
+// which sending them again would not mend) or could never be sent.  After a
+// transport failure they stay staged; sent again, a chunk lands once.
 func answered(err error) bool {
 	return err == nil || retry.IsPermanent(err) && !errors.Is(err, ErrAmbiguous)
 }
@@ -466,53 +453,62 @@ func (r *RemoteStore) Stage() (done func()) {
 	}
 }
 
-// flush lands the staged chunks with PutChunks, as many frames as they need.
+// flush lands the staged chunks with Commits of no head ops, as many
+// frames as they need.
 func (c *Client) flush() error {
 	for c.stage.pending() > 0 {
-		var through uint64
-		var n int
-		c.putOutside()
-		err := c.call(OpPutChunks, 0, func(b []byte) []byte {
-			var cs []*chunk.Chunk
-			cs, through = c.stage.take(MaxPayload, true)
-			n = len(cs)
-			return appendPut(b, cs)
-		}, func(d *dec) { d.bools(n) })
-		if answered(err) {
-			c.stage.drop(through)
-		}
-		if err != nil {
+		if _, err := c.commitStaged(nil, true); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// putChunks ships cs as one PutChunks frame.
-func (c *Client) putChunks(cs []*chunk.Chunk) (fresh []bool, err error) {
-	c.putOutside()
-	err = c.call(OpPutChunks, 0, func(b []byte) []byte { return appendPut(b, cs) },
-		func(d *dec) { fresh = d.bools(len(cs)) })
-	return fresh, err
+// commit is one Commit exchange: the chunks take returns under the
+// connection's turn, so nothing sent after the request overtakes them, then
+// ops.  It notes the epoch the reply carries and returns the server's fresh
+// flags for the chunks and whether the ops applied.
+func (c *Client) commit(ops []core.HeadOp, take func() []*chunk.Chunk) (fresh []bool, applied bool, err error) {
+	var n int
+	var ok []bool
+	var epoch uint64
+	err = c.call(OpCommit, 0, func(b []byte) []byte {
+		cs := take()
+		n = len(cs)
+		return appendCommit(b, cs, ops)
+	}, func(d *dec) { fresh, ok, epoch = d.bools(n), d.bools(1), d.Uvarint() })
+	if err != nil {
+		return nil, false, err
+	}
+	c.note(epoch)
+	return fresh, ok[0], nil
 }
 
-// putOutside records a PutChunks before it is sent: no commit whose ops are
-// stamped at the epoch this client has seen by now is whole (see
-// RemoteBranchTable.Apply).
-func (c *Client) putOutside() { raise(&c.outside, c.seenEpoch()) }
+// commitStaged is a Commit of ops carrying the staged chunks from the front
+// that fit beside them (at least one, if force), which it retires once the
+// request is answered.  The server's refusal to land them is
+// core.ErrCollected.
+func (c *Client) commitStaged(ops []core.HeadOp, force bool) (bool, error) {
+	var through uint64
+	_, applied, err := c.commit(ops, func() (cs []*chunk.Chunk) {
+		cs, through = c.stage.take(MaxPayload-headOpsWireSize(ops), force)
+		return cs
+	})
+	if answered(err) {
+		c.stage.drop(through)
+	}
+	return applied, refusal(err, core.ErrCollected)
+}
 
 // note keeps e if it is the highest epoch a reply carried.
-func (c *Client) note(e uint64) { raise(&c.epoch, e) }
+func (c *Client) note(e uint64) {
+	for old := c.epoch.Load(); e > old && !c.epoch.CompareAndSwap(old, e); old = c.epoch.Load() {
+	}
+}
 
 // seenEpoch is the server's collection epoch as this client last saw it;
 // before any reply carried one it is 1, older than every server's.
 func (c *Client) seenEpoch() uint64 { return max(c.epoch.Load(), 1) }
-
-// raise stores e in a if it is higher.
-func raise(a *atomic.Uint64, e uint64) {
-	for old := a.Load(); e > old && !a.CompareAndSwap(old, e); old = a.Load() {
-	}
-}
 
 // Put implements store.Store as a one-chunk PutBatch.
 func (r *RemoteStore) Put(ch *chunk.Chunk) (bool, error) {
@@ -522,10 +518,11 @@ func (r *RemoteStore) Put(ch *chunk.Chunk) (bool, error) {
 
 // PutBatch implements store.Store.  Inside an engine write (Stage) the
 // chunks are staged for the write's Commit and reported fresh; otherwise
-// the whole batch travels in one request and lands on the server in one
-// store round, collapsing N network round trips into one — the dominant
-// cost of remote bulk ingest.  A batch too large for one frame travels as
-// several, each landing on its own.
+// the whole batch travels in one Commit with no head ops and lands on the
+// server in one store round, collapsing N network round trips into one —
+// the dominant cost of remote bulk ingest.  A batch too large for one frame
+// travels as several, each landing on its own.  The server refuses a
+// landing that names a chunk it lacks with core.ErrCollected.
 func (r *RemoteStore) PutBatch(cs []*chunk.Chunk) ([]bool, error) {
 	fresh := make([]bool, 0, len(cs))
 	if held, full := r.c.stage.hold(cs); held {
@@ -540,14 +537,14 @@ func (r *RemoteStore) PutBatch(cs []*chunk.Chunk) ([]bool, error) {
 		return fresh, nil
 	}
 	for len(cs) > 0 {
-		n, size := 0, putShapeSize
+		n, size := 0, putShapeSize+headOpsWireSize(nil)
 		for n < len(cs) && (n == 0 || size+putWireSize(cs[n]) <= MaxPayload) {
 			size += putWireSize(cs[n])
 			n++
 		}
-		part, err := r.c.putChunks(cs[:n])
+		part, _, err := r.c.commit(nil, func() []*chunk.Chunk { return cs[:n] })
 		if err != nil {
-			return make([]bool, cap(fresh)), err
+			return make([]bool, cap(fresh)), refusal(err, core.ErrCollected)
 		}
 		fresh, cs = append(fresh, part...), cs[n:]
 	}
@@ -745,30 +742,14 @@ func NewRemoteBranchTable(c *Client) *RemoteBranchTable { return &RemoteBranchTa
 
 // Epoch implements core.BranchTable: the server's collection epoch as this
 // client last saw it, so the engine over this table stamps its ops with the
-// clock of the node that collects.  A client that has had no Head or Commit
-// reply yet asks with a Head; if that fails, it answers 1, an epoch every
-// collecting server refuses.  A stale epoch costs a whole commit the
-// server's presence check of what it names (see Apply).
-func (r *RemoteBranchTable) Epoch() uint64 {
-	if r.c.epoch.Load() == 0 {
-		_, _, _ = r.head("", "")
-	}
-	return r.c.seenEpoch()
-}
+// clock of the node that collects.  Before any Head or Commit reply it is 1,
+// older than every server's epoch: a stale op costs its commit the server's
+// presence check of what it names, not a refusal.
+func (r *RemoteBranchTable) Epoch() uint64 { return r.c.seenEpoch() }
 
 // Head implements core.BranchTable: the server's answer, which LastHead
-// then remembers.
+// then remembers, noting the epoch its reply carries.
 func (r *RemoteBranchTable) Head(key, branch string) (hash.Hash, bool, error) {
-	uid, ok, err := r.head(key, branch)
-	if err == nil {
-		r.seen.put(key, branch, uid)
-	}
-	return uid, ok, err
-}
-
-// head asks the server for key@branch's head, noting the epoch its reply
-// carries.
-func (r *RemoteBranchTable) head(key, branch string) (hash.Hash, bool, error) {
 	var heads []hash.Hash
 	var epoch uint64
 	err := r.c.call(OpHead, 0, func(b []byte) []byte { return appendRef(b, key, branch) }, func(d *dec) {
@@ -779,10 +760,12 @@ func (r *RemoteBranchTable) head(key, branch string) (hash.Hash, bool, error) {
 		return hash.Hash{}, false, err
 	}
 	r.c.note(epoch)
-	if len(heads) == 0 {
-		return hash.Hash{}, false, nil
+	var uid hash.Hash
+	if len(heads) > 0 {
+		uid = heads[0]
 	}
-	return heads[0], true, nil
+	r.seen.put(key, branch, uid)
+	return uid, len(heads) > 0, nil
 }
 
 // LastHead implements core.BranchTable: the head this client last saw, with
@@ -798,44 +781,23 @@ func (r *RemoteBranchTable) LastHead(key, branch string) (hash.Hash, bool, bool,
 // Apply implements core.BranchTable as one Commit request, which carries
 // every chunk the client's engine writes staged (RemoteStore.Stage) — the
 // chunks the ops publish among them — so they land with the ops under one
-// hold of the server's GC fence.  The commit is whole when every op that
-// sets a head is stamped after the epoch this client had seen at its latest
-// PutChunks: a value the ops rely on was then put in staged writes only,
-// which land under a fence hold with all their chunks, so the server checks
-// a stale op for what it names instead of refusing it.  An ambiguous
-// transport failure is resolved by probing the heads: if each holds what
-// the ops leave it at, the commit landed — uids are content-addressed, so
-// that is the caller's postcondition, whichever attempt established it.
-// The server's refusal of a stale op is core.ErrCollected.
+// hold of the server's GC fence.  Staged chunks past what fits beside the
+// ops land first, in Commits of their own.  An ambiguous transport failure
+// is resolved by probing the heads: if each holds what the ops leave it at,
+// the commit landed — uids are content-addressed, so that is the caller's
+// postcondition, whichever attempt established it.  The server's refusal of
+// a landing is core.ErrCollected.
 func (r *RemoteBranchTable) Apply(ops []core.HeadOp) (bool, error) {
 	c := r.c
-	room := MaxPayload - 1 - headOpsWireSize(ops) // less the whole byte and the ops
-	if c.stage.pending()+putShapeSize > room {
+	if c.stage.pending()+putShapeSize > MaxPayload-headOpsWireSize(ops) {
 		if err := c.flush(); err != nil {
 			return false, err
 		}
 	}
-	var applied []bool
-	var epoch, through uint64
-	err := c.call(OpCommit, 0, func(b []byte) []byte {
-		// Under the connection's turn, after every PutChunks sent before:
-		// one that took this write's chunks from staging has marked them.
-		outside := c.outside.Load()
-		whole := !slices.ContainsFunc(ops, func(op core.HeadOp) bool { return op.Epoch != 0 && op.Epoch <= outside })
-		var cs []*chunk.Chunk
-		cs, through = c.stage.take(room, false) // every chunk staged before the check above fits
-		return appendCommit(b, whole, cs, ops)
-	}, func(d *dec) { applied, epoch = d.bools(1), d.Uvarint() })
-	if answered(err) {
-		c.stage.drop(through)
-	}
-	if err == nil {
-		r.c.note(epoch)
-	}
+	ok, err := c.commitStaged(ops, false)
 	if errors.Is(err, ErrAmbiguous) && r.landed(ops) {
 		return true, nil
 	}
-	ok := err == nil && applied[0]
 	for _, op := range ops {
 		if ok {
 			r.seen.put(op.Key, op.Branch, op.Set)
@@ -843,17 +805,14 @@ func (r *RemoteBranchTable) Apply(ops []core.HeadOp) (bool, error) {
 			r.seen.forget(op.Key, op.Branch)
 		}
 	}
-	if rerr := refusal(err, core.ErrCollected); rerr != nil {
-		return false, rerr
-	}
 	return ok, err
 }
 
 // refusal is err as sentinel, which errors.Is then matches, when err is the
-// server's refusal with it (only the text crosses the wire); otherwise nil.
+// server's refusal with it (only the text crosses the wire); otherwise err.
 func refusal(err, sentinel error) error {
 	if err == nil || !retry.IsPermanent(err) || !strings.HasPrefix(err.Error(), sentinel.Error()) {
-		return nil
+		return err
 	}
 	return fmt.Errorf("%w%s", sentinel, strings.TrimPrefix(err.Error(), sentinel.Error()))
 }
@@ -886,11 +845,8 @@ func (r *RemoteBranchTable) Branches(key string) (map[string]hash.Hash, error) {
 		names, heads = d.strs(), d.ids()
 		d.Check(len(names) == len(heads))
 	})
-	if rerr := refusal(err, core.ErrKeyNotFound); rerr != nil {
-		return nil, rerr
-	}
 	if err != nil {
-		return nil, err
+		return nil, refusal(err, core.ErrKeyNotFound)
 	}
 	out := make(map[string]hash.Hash, len(names))
 	for i, b := range names {
@@ -909,55 +865,40 @@ func (r *RemoteBranchTable) Keys() (keys []string, err error) {
 const seenHeadsMax = 4096
 
 // seenHeads is the last head a client saw of each (key, branch), a zero uid
-// for a branch it saw absent, dropping the least recently used past
-// seenHeadsMax.
+// for a branch it saw absent.  At seenHeadsMax refs a new one drops an
+// arbitrary other: a forgotten head is read from the server again.
 type seenHeads struct {
-	mu    sync.Mutex
-	order list.List // of *seenHead, the most recently used in front
-	refs  map[headRef]*list.Element
+	mu   sync.Mutex
+	refs map[headRef]hash.Hash
 }
 
 type headRef struct{ key, branch string }
 
-type seenHead struct {
-	ref headRef
-	uid hash.Hash
-}
-
 func (s *seenHeads) get(key, branch string) (hash.Hash, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.refs[headRef{key, branch}]
-	if !ok {
-		return hash.Hash{}, false
-	}
-	s.order.MoveToFront(e)
-	return e.Value.(*seenHead).uid, true
+	uid, ok := s.refs[headRef{key, branch}]
+	return uid, ok
 }
 
 func (s *seenHeads) put(key, branch string, uid hash.Hash) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ref := headRef{key, branch}
-	if e, ok := s.refs[ref]; ok {
-		e.Value.(*seenHead).uid = uid
-		s.order.MoveToFront(e)
-		return
-	}
 	if s.refs == nil {
-		s.refs = make(map[headRef]*list.Element)
+		s.refs = make(map[headRef]hash.Hash)
 	}
-	s.refs[ref] = s.order.PushFront(&seenHead{ref, uid})
-	if s.order.Len() > seenHeadsMax {
-		delete(s.refs, s.order.Remove(s.order.Back()).(*seenHead).ref)
+	if _, ok := s.refs[ref]; !ok && len(s.refs) >= seenHeadsMax {
+		for other := range s.refs {
+			delete(s.refs, other)
+			break
+		}
 	}
+	s.refs[ref] = uid
 }
 
 func (s *seenHeads) forget(key, branch string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if e, ok := s.refs[headRef{key, branch}]; ok {
-		s.order.Remove(e)
-		delete(s.refs, headRef{key, branch})
-	}
+	delete(s.refs, headRef{key, branch})
 }

@@ -58,7 +58,7 @@ func TestServerOpcodeMetrics(t *testing.T) {
 	}
 
 	for op, want := range map[string]float64{
-		"PutChunks": 2,
+		"Commit":    2,
 		"GetChunks": 3,
 		"HasChunks": 1,
 	} {
@@ -75,10 +75,11 @@ func TestServerOpcodeMetrics(t *testing.T) {
 	}
 }
 
-// TestUnknownOpcodeMetrics: an opcode the protocol never assigned and a
-// retired one (1, the single-chunk put of versions 1 and 2) are both
-// answered "unknown op" on a connection that stays open, and both count
-// under op="unknown" as a request and as an error.
+// TestUnknownOpcodeMetrics: an opcode the protocol never assigned and two
+// retired ones (1, the single-chunk put of versions 1 and 2, and 12,
+// version 6's PutChunks) are each answered "unknown op" on a connection
+// that stays open, and each counts under op="unknown" as a request and as
+// an error.
 func TestUnknownOpcodeMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
 	srv := New(store.NewMemStore(), core.NewMemBranchTable(), nil)
@@ -94,7 +95,8 @@ func TestUnknownOpcodeMetrics(t *testing.T) {
 	}
 	defer conn.Close()
 	br := bufio.NewReader(conn)
-	for i, op := range []Op{200, 1} {
+	ops := []Op{200, 1, 12}
+	for i, op := range ops {
 		id := uint64(i + 1)
 		if _, err := conn.Write(frameOf(t, op, 0, id, appendIDs(nil, hash.Of([]byte("x"))))); err != nil {
 			t.Fatal(err)
@@ -108,11 +110,11 @@ func TestUnknownOpcodeMetrics(t *testing.T) {
 		}
 	}
 	for _, family := range []string{"forkbase_server_requests_total", "forkbase_server_errors_total"} {
-		if got, _ := reg.Value(family, "unknown"); got != 2 {
-			t.Errorf("%s{op=unknown} = %v, want 2", family, got)
+		if got, _ := reg.Value(family, "unknown"); got != float64(len(ops)) {
+			t.Errorf("%s{op=unknown} = %v, want %d", family, got, len(ops))
 		}
-		if got := reg.Sum(family); got != 2 {
-			t.Errorf("%s summed over every op = %v, want 2", family, got)
+		if got := reg.Sum(family); got != float64(len(ops)) {
+			t.Errorf("%s summed over every op = %v, want %d", family, got, len(ops))
 		}
 	}
 }
@@ -499,9 +501,9 @@ func TestRemoteBuildReadsBackFromTheCache(t *testing.T) {
 }
 
 // TestRemoteBuildLargerThanAFrame: a write's chunks wait for its Commit
-// only up to half a frame; past that they land with a PutChunks of their
-// own, and the Commit carries the rest.  (The first Head is a new client's
-// probe of the server's epoch.)  The version deep-verifies.
+// only up to half a frame; past that they land with a Commit of no head ops
+// of their own, and the write's Commit carries the rest.  The Head is the
+// write's read of the branch.  The version deep-verifies.
 func TestRemoteBuildLargerThanAFrame(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 20 MiB blob")
@@ -515,7 +517,7 @@ func TestRemoteBuildLargerThanAFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d, want := requests(), map[string]float64{"Head": 2, "PutChunks": 1, "Commit": 1}; !maps.Equal(d, want) {
+	if d, want := requests(), map[string]float64{"Head": 1, "Commit": 2}; !maps.Equal(d, want) {
 		t.Fatalf("a 20 MiB build: requests %v, want %v", d, want)
 	}
 	if rep, err := db.VerifyVersion("b", ver.UID, true); err != nil || !rep.OK {

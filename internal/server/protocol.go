@@ -10,7 +10,7 @@
 //
 //	offset size field
 //	0      1    magic 0xFB
-//	1      1    protocol version (6)
+//	1      1    protocol version (7)
 //	2      1    op
 //	3      1    flags: bit 0 = error reply (the payload is the message
 //	            text); every other bit must be zero
@@ -23,8 +23,9 @@
 // string list, stats, feed request, feed page — with unsigned-varint counts
 // and lengths, raw 32-byte ids and unsigned-varint collection epochs.  A
 // Head or Commit reply ends with the server's collection epoch.  Chunks
-// travel only in batches: a single put, get or has is the n = 1 case of a
-// batch op, and a Commit carries a write's chunks with its head ops.  A
+// travel only in batches: a single get or has is the n = 1 case of a batch
+// op, and every chunk a client sends travels in a Commit, with its write's
+// head ops or with none.  A
 // GetChunks reply answers by position: one status byte per requested id,
 // then the present chunks; "deferred" marks the tail that would have pushed
 // the frame past MaxPayload, for the client to ask for again.
@@ -76,10 +77,9 @@ const (
 	OpBranches
 	OpKeys
 	OpPing
-	// OpPutChunks ingests a batch of chunks in one round trip: the server
-	// verifies every claimed id and lands the batch with one Store.PutBatch
-	// (group commit on file-backed stores).
-	OpPutChunks
+	// Version 6's PutChunks (12) is retired: a put is a Commit with no head
+	// ops.
+	_
 	// OpGetChunks / OpHasChunks fetch, or answer presence for, a batch of ids
 	// in one round trip — Merkle-delta sync resolves a whole frontier level
 	// per request and prunes shared subtrees without shipping them.
@@ -96,13 +96,13 @@ const (
 	// the byte of version 3's per-head GC pin; the unpin's (17) is retired.
 	OpHeads
 	_
-	// OpCommit is one engine write's publish: the whole byte, the chunks
-	// the write stored and its head ops.  The server rechecks every chunk
-	// as PutChunks does, then lands them and applies the ops under one hold
-	// of the GC fence's read side (core.FeedTable.Commit).  With whole set
-	// the client vouches that the ops rely on no chunk it put outside a
-	// commit since the epochs they carry, so a stale op is checked for what
-	// it names instead of refused.
+	// OpCommit lands chunks and applies head ops: an engine write's publish,
+	// or with no ops a put outside a write or a write's chunks sent ahead of
+	// its publish.  The server rechecks every chunk, then lands them and
+	// applies the ops under one hold of the GC fence's read side
+	// (core.FeedTable.Commit), which first checks a commit with no ops or a
+	// stale op for what it names.  The reply carries the chunks' fresh
+	// flags, the applied flag and the epoch.
 	OpCommit
 )
 
@@ -113,7 +113,6 @@ var opNames = map[Op]string{
 	OpBranches:  "Branches",
 	OpKeys:      "Keys",
 	OpPing:      "Ping",
-	OpPutChunks: "PutChunks",
 	OpGetChunks: "GetChunks",
 	OpHasChunks: "HasChunks",
 	OpFeedSince: "FeedSince",
@@ -129,7 +128,7 @@ func (o Op) String() string {
 
 const (
 	frameMagic   = 0xFB
-	frameVersion = 6
+	frameVersion = 7
 	headerLen    = 16
 	flagError    = 1 // reply flag: the payload is an error message
 
@@ -252,8 +251,7 @@ func appendChunks(b []byte, cs []*chunk.Chunk) []byte {
 	return b
 }
 
-// appendPut is the put shape of PutChunks and Commit: the chunks' ids, then
-// the chunks.
+// appendPut is the put shape of a Commit: the chunks' ids, then the chunks.
 func appendPut(b []byte, cs []*chunk.Chunk) []byte {
 	b = appendUvarint(b, uint64(len(cs)))
 	for _, c := range cs {
@@ -263,9 +261,9 @@ func appendPut(b []byte, cs []*chunk.Chunk) []byte {
 	return appendChunks(b, cs)
 }
 
-// appendCommit is a Commit request: the whole byte, the put shape, ops.
-func appendCommit(b []byte, whole bool, cs []*chunk.Chunk, ops []core.HeadOp) []byte {
-	return appendHeadOps(appendPut(appendBool(b, whole), cs), ops)
+// appendCommit is a Commit request: the put shape, then ops.
+func appendCommit(b []byte, cs []*chunk.Chunk, ops []core.HeadOp) []byte {
+	return appendHeadOps(appendPut(b, cs), ops)
 }
 
 // putShapeSize bounds what appendPut adds besides the chunks: the counts.
@@ -414,14 +412,10 @@ func (d *dec) done() error {
 
 func (d *dec) str() string { return string(d.Bytes()) }
 
-// put reads the put shape; the chunks alias the payload (see chunks).
-func (d *dec) put() []*chunk.Chunk { return d.chunks(d.ids(), false) }
-
-// commit reads a Commit request: the whole byte, the put shape, head ops.
-func (d *dec) commit() (whole bool, cs []*chunk.Chunk, ops []core.HeadOp) {
-	w := d.Byte()
-	d.Check(w <= 1)
-	return w == 1, d.put(), d.headOps()
+// commit reads a Commit request: the put shape, whose chunks alias the
+// payload (see chunks), then head ops.
+func (d *dec) commit() (cs []*chunk.Chunk, ops []core.HeadOp) {
+	return d.chunks(d.ids(), false), d.headOps()
 }
 
 func (d *dec) ids() []hash.Hash {

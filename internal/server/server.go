@@ -123,9 +123,9 @@ func New(st store.Store, heads core.BranchTable, logger *slog.Logger) *Server {
 	return &Server{st: st, heads: core.WithFeed(heads, core.NewFeed(0)), conns: make(map[net.Conn]struct{}), done: make(chan struct{}), logger: logger}
 }
 
-// NewReadOnly is New for a replica: the server rejects every mutating op
-// (chunk puts and commits) for its life, because a replica's state
-// moves only through replication, never through client writes.
+// NewReadOnly is New for a replica: the server rejects every Commit for its
+// life, because a replica's state moves only through replication, never
+// through client writes.
 func NewReadOnly(st store.Store, heads core.BranchTable, logger *slog.Logger) *Server {
 	s := New(st, heads, logger)
 	s.readOnly = true
@@ -139,7 +139,7 @@ func NewReadOnly(st store.Store, heads core.BranchTable, logger *slog.Logger) *S
 // appear in one sequence.
 func (s *Server) AttachFeed(f *core.Feed) { s.feed = f }
 
-// errReadOnly is what mutating ops receive from a read-only node.
+// errReadOnly is what a Commit receives from a read-only node.
 var errReadOnly = errors.New("server: node is a read-only replica")
 
 // Listen binds addr (e.g. "127.0.0.1:0") and serves until Close.
@@ -223,9 +223,9 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 			return
 		}
-		if (h.op == OpPutChunks || h.op == OpCommit) && len(payload) <= cap(in) {
-			// The chunks a put lands alias its payload, so it must not stay in
-			// the scratch the next request overwrites.  A larger payload
+		if h.op == OpCommit && len(payload) <= cap(in) {
+			// The chunks a commit lands alias its payload, so it must not stay
+			// in the scratch the next request overwrites.  A larger payload
 			// already has a buffer of its own, dropped after the request:
 			// copying its chunks out of it would double a commit's allocation.
 			payload = bytes.Clone(payload)
@@ -278,9 +278,6 @@ func (s *Server) handle(h header, p, out []byte) ([]byte, net.Buffers, error) {
 	if h.flags != 0 {
 		return nil, nil, fmt.Errorf("server: request carries reply flags %#x", h.flags)
 	}
-	if s.readOnly && mutates(op) {
-		return nil, nil, errReadOnly
-	}
 	switch op {
 	case OpPing, OpStats, OpKeys:
 		if err := d.done(); err != nil || op == OpPing {
@@ -304,8 +301,11 @@ func (s *Server) handle(h header, p, out []byte) ([]byte, net.Buffers, error) {
 		wait := time.Duration(min(waitMillis, math.MaxInt64/uint64(time.Millisecond))) * time.Millisecond
 		entries, next, truncated := s.feed.Read(lease, cursor, limit, wait, s.done)
 		return appendFeedPage(out, next, truncated, entries), nil, nil
-	case OpCommit:
-		whole, cs, ops := d.commit() // serveConn gave the payload a buffer of its own
+	case OpCommit: // the one op that changes server state
+		if s.readOnly {
+			return nil, nil, errReadOnly
+		}
+		cs, ops := d.commit() // serveConn gave the payload a buffer of its own
 		if err := d.done(); err != nil {
 			return nil, nil, err
 		}
@@ -314,8 +314,8 @@ func (s *Server) handle(h header, p, out []byte) ([]byte, net.Buffers, error) {
 		}
 		// The table lands the chunks and applies the ops under one hold of
 		// the fence; the reply carries the epoch to take next.
-		ok, err := s.heads.Commit(s.st, cs, ops, whole)
-		return appendUvarint(appendFlags(out, ok), s.heads.Epoch()), nil, err
+		fresh, ok, err := s.heads.Commit(s.st, cs, ops)
+		return appendUvarint(appendFlags(appendFlags(out, fresh...), ok), s.heads.Epoch()), nil, err
 	case OpHead, OpBranches:
 		key, branch := d.ref()
 		if err := d.done(); err != nil {
@@ -344,16 +344,6 @@ func (s *Server) handle(h header, p, out []byte) ([]byte, net.Buffers, error) {
 		}
 		reply, err := s.headsPage(out, from, headsPageLimit)
 		return reply, nil, err
-	case OpPutChunks:
-		cs := d.put() // serveConn gave the payload a buffer of its own
-		if err := d.done(); err != nil {
-			return nil, nil, err
-		}
-		if err := recheck(cs); err != nil {
-			return nil, nil, err
-		}
-		fresh, err := s.st.PutBatch(cs)
-		return appendFlags(out, fresh...), nil, err
 	case OpGetChunks, OpHasChunks:
 		ids := d.ids()
 		if err := d.done(); err != nil {
@@ -373,9 +363,8 @@ func (s *Server) handle(h header, p, out []byte) ([]byte, net.Buffers, error) {
 	}
 }
 
-// recheck verifies every claimed id up front, before anything of a put or
-// a commit lands: content addressing is the integrity contract in both
-// directions.
+// recheck verifies every claimed id up front, before anything of a commit
+// lands: content addressing is the integrity contract in both directions.
 func recheck(cs []*chunk.Chunk) error {
 	for i, c := range cs {
 		if err := c.Recheck(); err != nil {

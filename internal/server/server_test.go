@@ -2,13 +2,17 @@ package server
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
 	"net"
 	"sync"
 	"testing"
 	"time"
 
 	"forkbase/internal/chunk"
+	"forkbase/internal/chunker"
 	"forkbase/internal/core"
+	"forkbase/internal/fnode"
 	"forkbase/internal/hash"
 	"forkbase/internal/obs"
 	"forkbase/internal/retry"
@@ -71,11 +75,102 @@ func TestServerRejectsMislabelledChunk(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	// An honest client cannot mislabel (putChunks sends each chunk's own
-	// id), so claim the id by hand.
+	// An honest client cannot mislabel (a put sends each chunk's own id),
+	// so claim the id by hand.
 	lie := chunk.NewClaimed(chunk.TypeBlobLeaf, []byte("actual content"), hash.Of([]byte("lie")))
-	if _, err = cl.putChunks([]*chunk.Chunk{lie}); err == nil {
+	if _, err = NewRemoteStore(cl).PutBatch([]*chunk.Chunk{lie}); err == nil {
 		t.Fatal("server accepted mislabelled chunk")
+	}
+}
+
+// TestPutNamingAMissingChunkLandsNothing: a put outside a write is a
+// Commit with no head ops, which the server checks for what it names.  A
+// batch with a chunk naming one the server lacks is refused with
+// core.ErrCollected and lands nothing, not even the chunk beside it that
+// names nothing; the batch that carries the named chunk lands.
+func TestPutNamingAMissingChunkLandsNothing(t *testing.T) {
+	srv, addr := startServer(t)
+	cl, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	rs := NewRemoteStore(cl)
+	named := chunk.New(chunk.TypeBlobLeaf, []byte("named"))
+	other := chunk.New(chunk.TypeBlobLeaf, []byte("names nothing"))
+	parent := chunk.New(chunk.TypeFNode, fnode.New([]byte("k"), value.String("v"), []hash.Hash{named.ID()}, 2, nil).Encode())
+	if _, err := rs.PutBatch([]*chunk.Chunk{other, parent}); !errors.Is(err, core.ErrCollected) {
+		t.Fatalf("put naming a chunk the server lacks = %v, want core.ErrCollected", err)
+	}
+	for _, c := range []*chunk.Chunk{other, parent} {
+		if has, _ := srv.st.Has(c.ID()); has {
+			t.Fatalf("chunk %s of the refused put landed", c.ID().Short())
+		}
+	}
+	if fresh, err := rs.PutBatch([]*chunk.Chunk{named, parent}); err != nil || !fresh[0] || !fresh[1] {
+		t.Fatalf("put carrying the named chunk = %v, %v; want both fresh", fresh, err)
+	}
+}
+
+// mirrorSource is a repair source over a copy of a store's chunks.
+type mirrorSource struct{ st store.Store }
+
+func (m mirrorSource) GetChunks(ids []hash.Hash) ([]*chunk.Chunk, error) { return m.st.GetBatch(ids) }
+
+// TestHealOverWireLandsChildrenFirst: a Remote store has no Repair, so Heal
+// puts what it repaired, and a put outside a write is refused if it names a
+// chunk the server lacks.  With a head FNode, its blob's root and a child of
+// that root all lost on the server, Heal repairs all three and the version
+// deep-verifies again.
+func TestHealOverWireLandsChildrenFirst(t *testing.T) {
+	srv, addr := startServer(t)
+	ms := srv.st.(*store.MemStore)
+	cl, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	db := core.Open(core.Options{Store: NewRemoteStore(cl), Branches: NewRemoteBranchTable(cl), Chunking: chunker.SmallConfig()})
+	data := make([]byte, 64<<10)
+	rand.New(rand.NewSource(1)).Read(data)
+	ver, err := db.BuildAndPut("b", "", nil, func() (value.Value, error) { return value.NewBlob(db.Store(), db.Chunking(), data) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	replica := store.NewMemStore()
+	for _, id := range ms.IDs() {
+		c, err := ms.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := replica.Put(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lost := []hash.Hash{ver.UID, ver.Value.Root()}
+	root, err := ms.Get(lost[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	children, err := fnode.Refs(root)
+	if err != nil || len(children) == 0 {
+		t.Fatalf("blob root names %d children (%v); want an index node", len(children), err)
+	}
+	lost = append(lost, children[0])
+	for _, id := range lost {
+		ms.Delete(id)
+	}
+	hs, err := db.Heal(mirrorSource{replica})
+	if err != nil || hs.Missing != len(lost) || hs.Repaired != len(lost) {
+		t.Fatalf("heal = %+v, %v; want %d missing and repaired", hs, err, len(lost))
+	}
+	for _, id := range lost {
+		if has, _ := ms.Has(id); !has {
+			t.Fatalf("chunk %s not back on the server", id.Short())
+		}
+	}
+	if rep, err := db.VerifyVersion("b", ver.UID, true); err != nil || !rep.OK {
+		t.Fatalf("deep verify after heal = %+v, %v", rep, err)
 	}
 }
 
@@ -302,7 +397,7 @@ func TestBatchedIngestRejectsForgery(t *testing.T) {
 
 	honest := chunk.New(chunk.TypeBlobLeaf, []byte("honest"))
 	forged := chunk.NewClaimed(chunk.TypeBlobLeaf, []byte("forged payload"), honest.ID())
-	if _, err = cl.putChunks([]*chunk.Chunk{honest, forged}); err == nil {
+	if _, err = NewRemoteStore(cl).PutBatch([]*chunk.Chunk{honest, forged}); err == nil {
 		t.Fatal("forged batch accepted")
 	}
 	// Nothing from the rejected batch landed.
@@ -312,7 +407,7 @@ func TestBatchedIngestRejectsForgery(t *testing.T) {
 }
 
 // TestWriteBatchOverWire drives core.DB.WriteBatch against a remote store:
-// the version chunks travel as one OpPutChunks batch.
+// the version chunks travel with the batch's head ops in one Commit.
 func TestWriteBatchOverWire(t *testing.T) {
 	_, addr := startServer(t)
 	cl, err := Dial(addr)
@@ -409,5 +504,28 @@ func TestServerReadTimeoutReapsStalledConn(t *testing.T) {
 		t.Fatal("server answered a torn frame")
 	} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
 		t.Fatal("server never reaped the stalled connection")
+	}
+}
+
+// TestSeenHeadsIsBounded: a client remembers at most seenHeadsMax heads.
+// After 5,000 distinct refs it holds exactly that many, the last ref among
+// them, and forget removes one.
+func TestSeenHeadsIsBounded(t *testing.T) {
+	var s seenHeads
+	uid := hash.Of([]byte("v"))
+	const refs = 5000
+	for i := 0; i < refs; i++ {
+		s.put(fmt.Sprintf("k%d", i), "master", uid)
+	}
+	if len(s.refs) != seenHeadsMax {
+		t.Fatalf("%d refs remembered after %d, want %d", len(s.refs), refs, seenHeadsMax)
+	}
+	last := fmt.Sprintf("k%d", refs-1)
+	if got, ok := s.get(last, "master"); !ok || got != uid {
+		t.Fatalf("the last ref = %s, %v; want it remembered", got.Short(), ok)
+	}
+	s.forget(last, "master")
+	if _, ok := s.get(last, "master"); ok || len(s.refs) != seenHeadsMax-1 {
+		t.Fatalf("after forget: remembered %v, %d refs; want it gone and %d refs", ok, len(s.refs), seenHeadsMax-1)
 	}
 }

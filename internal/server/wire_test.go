@@ -15,9 +15,11 @@ import (
 
 	"forkbase/internal/chunk"
 	"forkbase/internal/core"
+	"forkbase/internal/fnode"
 	"forkbase/internal/hash"
 	"forkbase/internal/obs"
 	"forkbase/internal/store"
+	"forkbase/internal/value"
 )
 
 // tap is a TCP relay that records what each side sent.  One request is in
@@ -121,6 +123,7 @@ func wireFrames(t testing.TB) []namedFrame {
 	b := chunk.New(chunk.TypeMapLeaf, []byte("bb"))
 	gone := hash.Of([]byte("gone"))
 	v1, v2 := hash.Of([]byte("v1")), hash.Of([]byte("v2"))
+	orphan := chunk.New(chunk.TypeFNode, fnode.New([]byte("k"), value.String("x"), []hash.Hash{gone}, 2, nil).Encode())
 
 	var rows []namedFrame
 	record := func(name string, wantErr bool, do func() error) {
@@ -132,9 +135,13 @@ func wireFrames(t testing.TB) []namedFrame {
 		rows = append(rows, namedFrame{name + "/request", req}, namedFrame{name + "/reply", rep})
 	}
 	record("Ping", false, func() error { return nil }) // Dial's ping, request 1
-	record("PutChunks-one", false, func() error { _, err := rs.Put(a); return err })
-	record("PutChunks", false, func() error { _, err := rs.PutBatch([]*chunk.Chunk{a, b}); return err })
-	record("PutChunks-empty", false, func() error { _, err := cl.putChunks(nil); return err })
+	// A put outside a write is a Commit with no head ops.
+	record("Commit-put-one", false, func() error { _, err := rs.Put(a); return err })
+	record("Commit-put", false, func() error { _, err := rs.PutBatch([]*chunk.Chunk{a, b}); return err })
+	record("Commit-empty", false, func() error { _, err := bt.Apply(nil); return err })
+	// A put of a chunk naming one the server does not hold: a sweep may
+	// have taken it, so nothing lands.
+	record("Commit-put-collected", true, func() error { _, err := rs.Put(orphan); return err })
 	record("GetChunks-one", false, func() error { _, err := rs.Get(a.ID()); return err })
 	record("GetChunks-one-absent", true, func() error { _, err := rs.Get(gone); return err })
 	record("GetChunks", false, func() error { _, err := rs.GetBatch([]hash.Hash{b.ID(), gone, a.ID()}); return err })
@@ -169,12 +176,6 @@ func wireFrames(t testing.TB) []namedFrame {
 	// An op stamped before the table's epoch, setting a head the server
 	// does not hold: a sweep may have taken it.
 	record("Commit-collected", true, apply(core.HeadOp{Key: "k", Branch: "main", Set: v1, Epoch: 6}))
-	// The same op after a PutChunks sent at epoch 7: the commit is not
-	// whole, so the stale op is refused without a presence check.
-	record("Commit-outside", true, func() error {
-		cl.putOutside()
-		return apply(core.HeadOp{Key: "k", Branch: "main", Set: v1, Epoch: 6})()
-	})
 	// A feed's epoch is its start time, so only the request is recorded and
 	// the reply is assembled with a fixed one.
 	if _, _, _, err := cl.FeedSince(9, core.FeedCursor{Epoch: 7, Seq: 3}, 16, time.Millisecond); err != nil {
@@ -259,8 +260,9 @@ func fuzzReplyDecoders(t *testing.T, p []byte) {
 		"ids":   func(d *dec) []byte { return appendIDs(nil, d.ids()...) },
 		"flags": func(d *dec) []byte { return appendFlags(nil, d.bools(asked(d))...) },
 		"head":  func(d *dec) []byte { return appendUvarint(appendIDs(nil, d.ids()...), d.Uvarint()) },
-		"applied": func(d *dec) []byte {
-			return appendUvarint(appendFlags(nil, d.bools(asked(d))...), d.Uvarint())
+		"committed": func(d *dec) []byte {
+			fresh := d.bools(asked(d))
+			return appendUvarint(appendFlags(appendFlags(nil, fresh...), d.bools(1)...), d.Uvarint())
 		},
 		"ref": func(d *dec) []byte {
 			key, branch := d.ref()
@@ -282,10 +284,9 @@ func fuzzReplyDecoders(t *testing.T, p []byte) {
 		"heads": func(d *dec) []byte {
 			return appendFlags(appendIDs(appendStrs(nil, d.strs()), d.ids()...), d.bools(1)...)
 		},
-		"put": func(d *dec) []byte { return appendPut(nil, d.put()) },
 		"commit": func(d *dec) []byte {
-			whole, cs, ops := d.commit()
-			return appendCommit(nil, whole, cs, ops)
+			cs, ops := d.commit()
+			return appendCommit(nil, cs, ops)
 		},
 		"chunkreply": func(d *dec) []byte {
 			out := make([]*chunk.Chunk, asked(d))
@@ -315,16 +316,16 @@ func hostileFrames(t testing.TB) []namedFrame {
 	}
 	return []namedFrame{
 		{"payload_len one past the cap", hdr(frameMagic, frameVersion, byte(OpGetChunks), 0, MaxPayload+1)},
-		{"payload_len 4 GiB", hdr(frameMagic, frameVersion, byte(OpPutChunks), 0, 0xFFFFFFFF)},
+		{"payload_len 4 GiB", hdr(frameMagic, frameVersion, byte(OpCommit), 0, 0xFFFFFFFF)},
 		{"bad magic", hdr('G', frameVersion, byte(OpPing), 0, 0)},
 		{"bad version", hdr(frameMagic, frameVersion+1, byte(OpPing), 0, 0)},
 		{"unknown flag", hdr(frameMagic, frameVersion, byte(OpPing), 0x80, 0)},
 		{"gob stream", []byte("\x1f\xff\x81\x03\x01\x01\x07Request\x01\xff\x82\x00\x01\x0e\x01")},
 		{"truncated header", hdr(frameMagic, frameVersion, byte(OpPing), 0, 0)[:7]},
 		{"truncated payload", append(hdr(frameMagic, frameVersion, byte(OpHead), 0, 100), "short"...)},
-		{"payload_len at the cap, no payload", hdr(frameMagic, frameVersion, byte(OpPutChunks), 0, MaxPayload)},
+		{"payload_len at the cap, no payload", hdr(frameMagic, frameVersion, byte(OpCommit), 0, MaxPayload)},
 		{"count beyond the payload", frameOf(t, OpGetChunks, 0, 9, appendUvarint(nil, 1<<40))},
-		{"chunk longer than the payload", frameOf(t, OpPutChunks, 0, 9,
+		{"chunk longer than the payload", frameOf(t, OpCommit, 0, 9,
 			appendUvarint(append(appendIDs(nil, hash.Hash{}), 1, byte(chunk.TypeBlobLeaf)), 1<<30))},
 		{"trailing bytes", frameOf(t, OpPing, 0, 9, []byte{0})},
 	}
@@ -509,7 +510,7 @@ func TestBatchLargerThanAFrame(t *testing.T) {
 			t.Fatalf("slot %d: wrong chunk back", i)
 		}
 	}
-	for _, op := range []string{"PutChunks", "GetChunks"} {
+	for _, op := range []string{"Commit", "GetChunks"} {
 		if n, _ := reg.Value("forkbase_server_requests_total", op); n != 2 {
 			t.Errorf("%s took %v frames, want 2", op, n)
 		}
@@ -629,22 +630,23 @@ func TestClientRequestBufferIsBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
+	rs := NewRemoteStore(cl)
 	mib, _ := sizedChunks(2, 1<<20)
-	if _, err := cl.putChunks(mib[:1]); err != nil {
+	if _, err := rs.PutBatch(mib[:1]); err != nil {
 		t.Fatal(err)
 	}
 	if got := cap(cl.wbuf); got < 1<<20 {
 		t.Fatalf("after a 1 MiB put the client keeps a %d-byte request buffer", got)
 	}
 	frame := &cl.wbuf[:1][0]
-	if _, err := cl.putChunks(mib[1:]); err != nil {
+	if _, err := rs.PutBatch(mib[1:]); err != nil {
 		t.Fatal(err)
 	}
 	if &cl.wbuf[:1][0] != frame {
 		t.Fatal("a second 1 MiB put allocated a new request frame")
 	}
 	big := chunk.New(chunk.TypeBlobLeaf, bytes.Repeat([]byte{7}, chunk.MaxSize))
-	if _, err := cl.putChunks([]*chunk.Chunk{big}); err != nil {
+	if _, err := rs.PutBatch([]*chunk.Chunk{big}); err != nil {
 		t.Fatal(err)
 	}
 	if got := cap(cl.wbuf); got > 4<<20 {
@@ -717,56 +719,56 @@ func TestGetChunksReplyAllocatesNoPayload(t *testing.T) {
 
 // goldenFrames is the pinned output of wireFrames, in order.
 var goldenFrames = []struct{ name, wantHex string }{
-	{"Ping/request", "fb060b00000000000000000000000001"},
-	{"Ping/reply", "fb060b00000000000000000000000001"},
-	{"PutChunks-one/request", "fb060c0000000025000000000000000201e3254ea61c09ead5a01d3bf07e946a561c6c2cd1c46b8ca1bfa8729d26a7d09f01010161"},
-	{"PutChunks-one/reply", "fb060c000000000200000000000000020101"},
-	{"PutChunks/request", "fb060c0000000049000000000000000302e3254ea61c09ead5a01d3bf07e946a561c6c2cd1c46b8ca1bfa8729d26a7d09f074a381eefaafb3c9d63676d586dd16d9c9aae2f563894e9074a58820724213b0201016102026262"},
-	{"PutChunks/reply", "fb060c00000000030000000000000003020001"},
-	{"PutChunks-empty/request", "fb060c000000000200000000000000040000"},
-	{"PutChunks-empty/reply", "fb060c0000000001000000000000000400"},
-	{"GetChunks-one/request", "fb060d0000000021000000000000000501e3254ea61c09ead5a01d3bf07e946a561c6c2cd1c46b8ca1bfa8729d26a7d09f"},
-	{"GetChunks-one/reply", "fb060d00000000060000000000000005010101010161"},
-	{"GetChunks-one-absent/request", "fb060d0000000021000000000000000601283bb9deef02e6843abfb538efa1eca70801bd8a701c3f98191e123496339247"},
-	{"GetChunks-one-absent/reply", "fb060d00000000030000000000000006010000"},
-	{"GetChunks/request", "fb060d0000000061000000000000000703074a381eefaafb3c9d63676d586dd16d9c9aae2f563894e9074a58820724213b283bb9deef02e6843abfb538efa1eca70801bd8a701c3f98191e123496339247e3254ea61c09ead5a01d3bf07e946a561c6c2cd1c46b8ca1bfa8729d26a7d09f"},
-	{"GetChunks/reply", "fb060d000000000c0000000000000007030100010202026262010161"},
-	{"HasChunks-one/request", "fb060e0000000021000000000000000801e3254ea61c09ead5a01d3bf07e946a561c6c2cd1c46b8ca1bfa8729d26a7d09f"},
-	{"HasChunks-one/reply", "fb060e000000000200000000000000080101"},
-	{"HasChunks/request", "fb060e0000000041000000000000000902283bb9deef02e6843abfb538efa1eca70801bd8a701c3f98191e123496339247074a381eefaafb3c9d63676d586dd16d9c9aae2f563894e9074a58820724213b"},
-	{"HasChunks/reply", "fb060e00000000030000000000000009020001"},
-	{"Stats/request", "fb06040000000000000000000000000a"},
-	{"Stats/reply", "fb06040000000005000000000000000a040a0e020a"},
-	{"Commit/request", "fb0612000000004f000000000000000b01000001016b066d61737465720000000000000000000000000000000000000000000000000000000000000000003bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe07"},
-	{"Commit/reply", "fb06120000000003000000000000000b010107"},
-	{"Commit-chunks/request", "fb06120000000096000000000000000c0102e3254ea61c09ead5a01d3bf07e946a561c6c2cd1c46b8ca1bfa8729d26a7d09f074a381eefaafb3c9d63676d586dd16d9c9aae2f563894e9074a58820724213b0201016102026262010163066d6173746572000000000000000000000000000000000000000000000000000000000000000000074a381eefaafb3c9d63676d586dd16d9c9aae2f563894e9074a58820724213b07"},
-	{"Commit-chunks/reply", "fb06120000000003000000000000000c010107"},
-	{"Commit-stale/request", "fb0612000000004f000000000000000d01000001016b066d6173746572000000000000000000000000000000000000000000000000000000000000000000fb04dcb6970e4c3d1873de51fd5a50d7bb46b3383113602665c350ec40b5f99000"},
-	{"Commit-stale/reply", "fb06120000000003000000000000000d010007"},
-	{"Head/request", "fb06050000000009000000000000000e016b066d6173746572"},
-	{"Head/reply", "fb06050000000022000000000000000e013bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe07"},
-	{"Head-absent/request", "fb06050000000007000000000000000f016b046e6f7065"},
-	{"Head-absent/reply", "fb06050000000002000000000000000f0007"},
-	{"Commit-rename/request", "fb06120000000098000000000000001001000002016b066d6173746572003bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe000000000000000000000000000000000000000000000000000000000000000000016b046d61696e0000000000000000000000000000000000000000000000000000000000000000003bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe00"},
-	{"Commit-rename/reply", "fb061200000000030000000000000010010107"},
-	{"Branches/request", "fb060900000000030000000000000011016b00"},
-	{"Branches/reply", "fb06090000000027000000000000001101046d61696e013bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe"},
-	{"Keys/request", "fb060a00000000000000000000000012"},
-	{"Keys/reply", "fb060a00000000050000000000000012020163016b"},
-	{"Heads/request", "fb06100000000001000000000000001300"},
-	{"Heads/reply", "fb061000000000540000000000000013040163066d6173746572016b046d61696e02074a381eefaafb3c9d63676d586dd16d9c9aae2f563894e9074a58820724213b3bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe0100"},
-	{"Heads-after/request", "fb061000000000030000000000000014026b00"},
-	{"Heads-after/reply", "fb06100000000004000000000000001400000100"},
-	{"Commit-delete/request", "fb0612000000004d000000000000001501000001016b046d61696e010000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000"},
-	{"Commit-delete/reply", "fb061200000000030000000000000015010107"},
-	{"Commit-error/request", "fb0612000000004c00000000000000160100000100046d61696e0000000000000000000000000000000000000000000000000000000000000000003bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe00"},
-	{"Commit-error/reply", "fb061201000000540000000000000016636f72653a206865616420222240226d61696e223a2061206b6579206d757374206265203120746f20363535333520627974657320616e642061206272616e6368206e616d65206174206d6f7374203635353335"},
-	{"Commit-collected/request", "fb0612000000004d000000000000001701000001016b046d61696e0000000000000000000000000000000000000000000000000000000000000000003bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe06"},
-	{"Commit-collected/reply", "fb061201000000860000000000000017636f72653a2076616c75652070726564617465732061206761726261676520636f6c6c656374696f6e3b2072656275696c64206f722072656c6f61642069743a2074686520636f6d6d6974206e616d657320485036434e464d5535352c20776869636820697420646f6573206e6f7420636172727920616e64206120737765657020746f6f6b"},
-	{"Commit-outside/request", "fb0612000000004d000000000000001800000001016b046d61696e0000000000000000000000000000000000000000000000000000000000000000003bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe06"},
-	{"Commit-outside/reply", "fb0612010000004e0000000000000018636f72653a2076616c75652070726564617465732061206761726261676520636f6c6c656374696f6e3b2072656275696c64206f722072656c6f61642069743a206f70203020286b406d61696e29"},
-	{"FeedSince/request", "fb060f000000000500000000000000190903072001"},
-	{"FeedSince/reply", "fb060f000000004c00000000000000170507010105016b046d61696e3bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fefb04dcb6970e4c3d1873de51fd5a50d7bb46b3383113602665c350ec40b5f990"},
-	{"Heads-more/reply", "fb0610000000004f000000000000001904016b046d61696e016b0178023bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fefb04dcb6970e4c3d1873de51fd5a50d7bb46b3383113602665c350ec40b5f9900101"},
-	{"GetChunks-deferred/reply", "fb060d00000000090000000000000018040100020201010161"},
+	{"Ping/request", "fb070b00000000000000000000000001"},
+	{"Ping/reply", "fb070b00000000000000000000000001"},
+	{"Commit-put-one/request", "fb07120000000026000000000000000201e3254ea61c09ead5a01d3bf07e946a561c6c2cd1c46b8ca1bfa8729d26a7d09f0101016100"},
+	{"Commit-put-one/reply", "fb0712000000000500000000000000020101010107"},
+	{"Commit-put/request", "fb0712000000004a000000000000000302e3254ea61c09ead5a01d3bf07e946a561c6c2cd1c46b8ca1bfa8729d26a7d09f074a381eefaafb3c9d63676d586dd16d9c9aae2f563894e9074a58820724213b020101610202626200"},
+	{"Commit-put/reply", "fb071200000000060000000000000003020001010107"},
+	{"Commit-empty/request", "fb071200000000030000000000000004000000"},
+	{"Commit-empty/reply", "fb07120000000004000000000000000400010107"},
+	{"Commit-put-collected/request", "fb0712000000004d000000000000000501871f2f03cc6327491e40600ae5ebc5102b44ec33d52ceac25c035e2a3a4bac02010628016b0201283bb9deef02e6843abfb538efa1eca70801bd8a701c3f98191e1234963392470201780000"},
+	{"Commit-put-collected/reply", "fb071201000000860000000000000005636f72653a2076616c75652070726564617465732061206761726261676520636f6c6c656374696f6e3b2072656275696c64206f722072656c6f61642069743a2074686520636f6d6d6974206e616d6573204641353354585850414c2c20776869636820697420646f6573206e6f7420636172727920616e64206120737765657020746f6f6b"},
+	{"GetChunks-one/request", "fb070d0000000021000000000000000601e3254ea61c09ead5a01d3bf07e946a561c6c2cd1c46b8ca1bfa8729d26a7d09f"},
+	{"GetChunks-one/reply", "fb070d00000000060000000000000006010101010161"},
+	{"GetChunks-one-absent/request", "fb070d0000000021000000000000000701283bb9deef02e6843abfb538efa1eca70801bd8a701c3f98191e123496339247"},
+	{"GetChunks-one-absent/reply", "fb070d00000000030000000000000007010000"},
+	{"GetChunks/request", "fb070d0000000061000000000000000803074a381eefaafb3c9d63676d586dd16d9c9aae2f563894e9074a58820724213b283bb9deef02e6843abfb538efa1eca70801bd8a701c3f98191e123496339247e3254ea61c09ead5a01d3bf07e946a561c6c2cd1c46b8ca1bfa8729d26a7d09f"},
+	{"GetChunks/reply", "fb070d000000000c0000000000000008030100010202026262010161"},
+	{"HasChunks-one/request", "fb070e0000000021000000000000000901e3254ea61c09ead5a01d3bf07e946a561c6c2cd1c46b8ca1bfa8729d26a7d09f"},
+	{"HasChunks-one/reply", "fb070e000000000200000000000000090101"},
+	{"HasChunks/request", "fb070e0000000041000000000000000a02283bb9deef02e6843abfb538efa1eca70801bd8a701c3f98191e123496339247074a381eefaafb3c9d63676d586dd16d9c9aae2f563894e9074a58820724213b"},
+	{"HasChunks/reply", "fb070e0000000003000000000000000a020001"},
+	{"Stats/request", "fb07040000000000000000000000000b"},
+	{"Stats/reply", "fb07040000000005000000000000000b040a0e020a"},
+	{"Commit/request", "fb0712000000004e000000000000000c000001016b066d61737465720000000000000000000000000000000000000000000000000000000000000000003bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe07"},
+	{"Commit/reply", "fb07120000000004000000000000000c00010107"},
+	{"Commit-chunks/request", "fb07120000000095000000000000000d02e3254ea61c09ead5a01d3bf07e946a561c6c2cd1c46b8ca1bfa8729d26a7d09f074a381eefaafb3c9d63676d586dd16d9c9aae2f563894e9074a58820724213b0201016102026262010163066d6173746572000000000000000000000000000000000000000000000000000000000000000000074a381eefaafb3c9d63676d586dd16d9c9aae2f563894e9074a58820724213b07"},
+	{"Commit-chunks/reply", "fb07120000000006000000000000000d020000010107"},
+	{"Commit-stale/request", "fb0712000000004e000000000000000e000001016b066d6173746572000000000000000000000000000000000000000000000000000000000000000000fb04dcb6970e4c3d1873de51fd5a50d7bb46b3383113602665c350ec40b5f99000"},
+	{"Commit-stale/reply", "fb07120000000004000000000000000e00010007"},
+	{"Head/request", "fb07050000000009000000000000000f016b066d6173746572"},
+	{"Head/reply", "fb07050000000022000000000000000f013bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe07"},
+	{"Head-absent/request", "fb070500000000070000000000000010016b046e6f7065"},
+	{"Head-absent/reply", "fb0705000000000200000000000000100007"},
+	{"Commit-rename/request", "fb071200000000970000000000000011000002016b066d6173746572003bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe000000000000000000000000000000000000000000000000000000000000000000016b046d61696e0000000000000000000000000000000000000000000000000000000000000000003bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe00"},
+	{"Commit-rename/reply", "fb07120000000004000000000000001100010107"},
+	{"Branches/request", "fb070900000000030000000000000012016b00"},
+	{"Branches/reply", "fb07090000000027000000000000001201046d61696e013bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe"},
+	{"Keys/request", "fb070a00000000000000000000000013"},
+	{"Keys/reply", "fb070a00000000050000000000000013020163016b"},
+	{"Heads/request", "fb07100000000001000000000000001400"},
+	{"Heads/reply", "fb071000000000540000000000000014040163066d6173746572016b046d61696e02074a381eefaafb3c9d63676d586dd16d9c9aae2f563894e9074a58820724213b3bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe0100"},
+	{"Heads-after/request", "fb071000000000030000000000000015026b00"},
+	{"Heads-after/reply", "fb07100000000004000000000000001500000100"},
+	{"Commit-delete/request", "fb0712000000004c0000000000000016000001016b046d61696e010000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000"},
+	{"Commit-delete/reply", "fb07120000000004000000000000001600010107"},
+	{"Commit-error/request", "fb0712000000004b000000000000001700000100046d61696e0000000000000000000000000000000000000000000000000000000000000000003bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe00"},
+	{"Commit-error/reply", "fb071201000000540000000000000017636f72653a206865616420222240226d61696e223a2061206b6579206d757374206265203120746f20363535333520627974657320616e642061206272616e6368206e616d65206174206d6f7374203635353335"},
+	{"Commit-collected/request", "fb0712000000004c0000000000000018000001016b046d61696e0000000000000000000000000000000000000000000000000000000000000000003bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fe06"},
+	{"Commit-collected/reply", "fb071201000000860000000000000018636f72653a2076616c75652070726564617465732061206761726261676520636f6c6c656374696f6e3b2072656275696c64206f722072656c6f61642069743a2074686520636f6d6d6974206e616d657320485036434e464d5535352c20776869636820697420646f6573206e6f7420636172727920616e64206120737765657020746f6f6b"},
+	{"FeedSince/request", "fb070f000000000500000000000000190903072001"},
+	{"FeedSince/reply", "fb070f000000004c00000000000000170507010105016b046d61696e3bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fefb04dcb6970e4c3d1873de51fd5a50d7bb46b3383113602665c350ec40b5f990"},
+	{"Heads-more/reply", "fb0710000000004f000000000000001904016b046d61696e016b0178023bfc269594ef649228e9a74bab00f042efc91d5acc6fbee31a382e80d42388fefb04dcb6970e4c3d1873de51fd5a50d7bb46b3383113602665c350ec40b5f9900101"},
+	{"GetChunks-deferred/reply", "fb070d00000000090000000000000018040100020201010161"},
 }

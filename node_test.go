@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -18,6 +19,7 @@ import (
 	"forkbase/internal/obs"
 	"forkbase/internal/server"
 	"forkbase/internal/store"
+	"forkbase/internal/value"
 )
 
 // TestNodeBuiltFromDB drives the node forkbased runs: a file-backed primary
@@ -81,7 +83,7 @@ func TestNodeBuiltFromDB(t *testing.T) {
 	defer cl.Close()
 	c := chunk.New(chunk.TypeBlobLeaf, []byte("refused"))
 	if _, err := server.NewRemoteStore(cl).PutBatch([]*chunk.Chunk{c}); err == nil || !strings.Contains(err.Error(), "read-only replica") {
-		t.Fatalf("replica PutChunks = %v, want the read-only error", err)
+		t.Fatalf("replica PutBatch = %v, want the read-only error", err)
 	}
 	op := core.HeadOp{Key: "tcp", Branch: core.DefaultBranch, Any: true, Set: c.ID()}
 	if _, err := server.NewRemoteBranchTable(cl).Apply([]core.HeadOp{op}); err == nil || !strings.Contains(err.Error(), "read-only replica") {
@@ -205,6 +207,26 @@ func TestPutAfterGCRefusesCollectedValue(t *testing.T) {
 	}
 }
 
+// servePrimary opens an in-memory primary serving NewServer, and returns it
+// with a wire client of that server.
+func servePrimary(t *testing.T) (*forkbase.DB, *server.Client) {
+	t.Helper()
+	primary := forkbase.MustOpen(forkbase.WithMetrics(obs.NewRegistry()))
+	t.Cleanup(func() { primary.Close() })
+	srv := primary.NewServer(nil)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	cl, err := server.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+	return primary, cl
+}
+
 // servedPrimary opens an in-memory primary serving NewServer and a Remote
 // client of it.
 func servedPrimary(t *testing.T) (primary, client *forkbase.DB) {
@@ -280,26 +302,15 @@ func (s *sweepBetweenPuts) PutBatch(cs []*chunk.Chunk) ([]bool, error) {
 }
 
 // TestRemoteValueSweptBetweenItsPuts: a map a Remote client builds outside
-// a write lands in one PutChunks per 128 chunks.  The primary collects
-// between the first and the second, sweeping the first request's leaves,
-// and the index nodes and root that name them land after the sweep.  The
-// client's Put of the value is refused with ErrCollected instead of being
-// acked under a head whose leaves are gone; a rebuilt value commits and
+// a write lands in one Commit with no head ops per 128 chunks.  The primary
+// collects between the first and the second, sweeping the first request's
+// leaves.  A landing that names a chunk the server lacks is refused, so the
+// index nodes that name the swept leaves never land: the build, or else the
+// client's Put of the value, fails with ErrCollected instead of being acked
+// under a head whose leaves are gone.  A rebuilt value commits and
 // deep-verifies on the primary, and the next GC passes.
 func TestRemoteValueSweptBetweenItsPuts(t *testing.T) {
-	primary := forkbase.MustOpen(forkbase.WithMetrics(obs.NewRegistry()))
-	t.Cleanup(func() { primary.Close() })
-	srv := primary.NewServer(nil)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	cl, err := server.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { cl.Close() })
+	primary, cl := servePrimary(t)
 	var gcErr error
 	st := &sweepBetweenPuts{Store: server.NewRemoteStore(cl), gc: func() {
 		if gs, err := primary.GC(); err != nil || gs.Swept == 0 {
@@ -312,14 +323,14 @@ func TestRemoteValueSweptBetweenItsPuts(t *testing.T) {
 		es = append(es, forkbase.Entry{Key: []byte(fmt.Sprintf("k%06d", i)), Val: []byte(fmt.Sprintf("v%06d-some-padding-bytes", i))})
 	}
 	v, err := client.NewMapValue(es)
+	if gcErr != nil {
+		t.Fatal(gcErr)
+	}
 	if err == nil {
-		err = gcErr
+		_, err = client.Put("m", "", v, nil)
 	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := client.Put("m", "", v, nil); !errors.Is(err, forkbase.ErrCollected) {
-		t.Fatalf("remote Put of a value swept between its puts = %v, want ErrCollected", err)
+	if !errors.Is(err, forkbase.ErrCollected) {
+		t.Fatalf("remote build and Put of a value swept between its puts = %v, want ErrCollected", err)
 	}
 	if v, err = client.NewMapValue(es); err != nil {
 		t.Fatal(err)
@@ -333,6 +344,65 @@ func TestRemoteValueSweptBetweenItsPuts(t *testing.T) {
 	}
 	if _, err := primary.GC(); err != nil {
 		t.Fatalf("primary GC after the commit: %v", err)
+	}
+}
+
+// sweepBeforeApply is a client's branch table that runs gc, once set,
+// right before its next Apply is sent.
+type sweepBeforeApply struct {
+	*server.RemoteBranchTable
+	gc func()
+}
+
+func (t *sweepBeforeApply) Apply(ops []core.HeadOp) (bool, error) {
+	if gc := t.gc; gc != nil {
+		t.gc = nil
+		gc()
+	}
+	return t.RemoteBranchTable.Apply(ops)
+}
+
+// TestRemoteSpillSweptBeforeItsCommit: a Remote write too large for one
+// frame lands its first chunks ahead of its publish, in a Commit with no
+// head ops.  The primary collects between that landing and the write's
+// Commit, sweeping them.  The write's op was stamped before the sweep, so
+// its Commit is checked for what it names and refused with ErrCollected:
+// the write is never acked under a head whose chunks are gone, and the
+// primary's next GC passes.
+func TestRemoteSpillSweptBeforeItsCommit(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 20 MiB blob")
+	}
+	primary, cl := servePrimary(t)
+	heads := &sweepBeforeApply{RemoteBranchTable: server.NewRemoteBranchTable(cl)}
+	client := core.Open(core.Options{Store: server.NewRemoteStore(cl), Branches: heads, Metrics: obs.NewRegistry()})
+	// A first write takes the server's epoch, so the next one's op is stale
+	// only by the sweep.
+	if _, err := client.Put("s", "", value.String("epoch"), nil); err != nil {
+		t.Fatal(err)
+	}
+	var gcErr error
+	heads.gc = func() {
+		if gs, err := primary.GC(); err != nil || gs.Swept == 0 {
+			gcErr = fmt.Errorf("primary GC between the spill and the commit = %+v, %v; want the spilled chunks swept", gs, err)
+		}
+	}
+	data := make([]byte, 20<<20)
+	rand.New(rand.NewSource(1)).Read(data)
+	_, err := client.BuildAndPut("b", "", nil, func() (value.Value, error) {
+		return value.NewBlob(client.Store(), client.Chunking(), data)
+	})
+	if gcErr != nil {
+		t.Fatal(gcErr)
+	}
+	if !errors.Is(err, forkbase.ErrCollected) {
+		t.Fatalf("remote write whose spilled chunks were swept before its commit = %v, want ErrCollected", err)
+	}
+	if _, err := primary.Head("b", ""); err == nil {
+		t.Fatal("the refused write moved a head on the primary")
+	}
+	if _, err := primary.GC(); err != nil {
+		t.Fatalf("primary GC after the refusal: %v", err)
 	}
 }
 
