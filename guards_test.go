@@ -363,6 +363,21 @@ func TestSourceGuards(t *testing.T) {
 		paths:   []string{"internal/rest"},
 		want:    0,
 	}, {
+		// internal/rest's route table says which methods each path answers
+		// and which of them write; its dispatcher answers 405 and a
+		// replica's 403 for every route.  The two lines reading the method
+		// are the dispatcher's and the slow-request log's; a handler that
+		// checks the method or the replica gate itself is a second table.
+		name:    "one route table: the method",
+		pattern: `r\.Method`,
+		paths:   []string{"internal/rest"},
+		want:    2,
+	}, {
+		name:    "one route table: the replica gate",
+		pattern: `denyWrite|ReadOnly\(\)`,
+		paths:   []string{"internal/rest"},
+		want:    1,
+	}, {
 		// index.VersionedIndex is what the engine, the edges and the paper's
 		// figures call.  Order statistics, positional diffs of lists and
 		// blobs, delta replay and the other operations no product path

@@ -331,10 +331,18 @@ func (d *Dataset) Stat() (Stat, error) {
 // newline included: no chunk could store its row.
 var ErrLineTooLong = fmt.Errorf("dataset: CSV line longer than %d bytes", chunk.MaxSize)
 
+// maxColumns bounds a CSV header's width: encoding/csv spends about 150
+// bytes on each field of a record, so a line of commas would cost about 150
+// times its length if its width were not refused before it is parsed.
+const maxColumns = 4096
+
+var errTooWide = fmt.Errorf("dataset: CSV record wider than its header, or a header wider than %d columns", maxColumns)
+
 // readCSV reads a CSV stream's header and rows, each row as wide as the
-// header.  It refuses a line longer than chunk.MaxSize (ErrLineTooLong) and
-// a cell holding "\r\n", which a CSV reader returns as "\n", so ExportCSV
-// could not write the cell back.
+// header.  It refuses a line longer than chunk.MaxSize (ErrLineTooLong), a
+// record wider than the header or a header wider than maxColumns
+// (errTooWide), and a cell holding "\r\n", which a CSV reader returns as
+// "\n", so ExportCSV could not write the cell back.
 func readCSV(r io.Reader) ([]string, []Row, error) {
 	cr := csv.NewReader(&lineBound{br: bufio.NewReader(r)})
 	cr.FieldsPerRecord = -1
@@ -362,15 +370,20 @@ func readCSV(r io.Reader) ([]string, []Row, error) {
 }
 
 // lineBound hands a reader's bytes on one whole line at a time, and refuses
-// a line longer than chunk.MaxSize with ErrLineTooLong before any of it is
-// handed on.  A line longer than br's buffer is held as copies of the
-// parts br returns, so a line costs one copy more and one hostile line a
-// bounded allocation instead of one the size of the stream.
+// a line longer than chunk.MaxSize with ErrLineTooLong, or one that makes
+// its record too wide with errTooWide, before any of it is handed on.  A
+// line longer than br's buffer is held as copies of the parts br returns,
+// so a line costs one copy more and one hostile line a bounded allocation
+// instead of one the size of the stream.
 type lineBound struct {
 	br    *bufio.Reader
 	parts [][]byte // the current line's parts; reused
 	line  [][]byte // what is left of them to hand on
 	err   error    // the error that ended the line
+
+	quoted bool // the lines handed on end inside a quoted field
+	fields int  // the fields of the record they began (0: none begun)
+	width  int  // the header's fields (0: not read yet)
 }
 
 func (l *lineBound) Read(p []byte) (int, error) {
@@ -401,10 +414,50 @@ func (l *lineBound) next() ([][]byte, error) {
 				parts = append(parts, frag)
 			}
 			l.parts = parts
+			if werr := l.count(parts); werr != nil {
+				return nil, werr
+			}
 			return parts, err
 		}
 		parts = append(parts, bytes.Clone(frag))
 	}
+}
+
+// count adds a line's fields, its separators outside quotes, to the record
+// it begins or continues, and refuses the record once it is wider than the
+// header, or the header once it is wider than maxColumns.  Toggling on each
+// quote follows the CSV reader's state on every line it accepts (a doubled
+// quote toggles twice; a quote out of place is an error it stops at), and a
+// blank line between records is skipped, as the CSV reader skips it.
+func (l *lineBound) count(line [][]byte) error {
+	if len(line) == 0 || l.fields == 0 && len(line) == 1 && len(bytes.Trim(line[0], "\r\n")) == 0 {
+		return nil
+	}
+	l.fields = max(l.fields, 1)
+	for _, part := range line {
+		for _, c := range part {
+			switch {
+			case c == '"':
+				l.quoted = !l.quoted
+			case c == ',' && !l.quoted:
+				l.fields++
+			}
+		}
+	}
+	limit := l.width
+	if limit == 0 { // the header's own bound
+		limit = maxColumns
+	}
+	if l.fields > limit {
+		return errTooWide
+	}
+	if !l.quoted { // the record ends with the line
+		if l.width == 0 {
+			l.width = l.fields
+		}
+		l.fields = 0
+	}
+	return nil
 }
 
 // LoadCSV reads a CSV stream (first record = header) into rows + schema.

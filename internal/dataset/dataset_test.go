@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
 	"sort"
@@ -447,13 +448,51 @@ func TestLongCSVLineCostsOneCopy(t *testing.T) {
 	}
 }
 
+// TestCSVWidthBound: a record wider than its header, and a header wider
+// than maxColumns, are refused before the CSV reader parses them, with the
+// separators inside quoted fields and blank lines between records not
+// counted; a line of 1 MiB of commas costs about one copy of itself.
+func TestCSVWidthBound(t *testing.T) {
+	columns := func(n int) string {
+		names := make([]string, n)
+		for i := range names {
+			names[i] = fmt.Sprintf("c%d", i)
+		}
+		names[0] = "id"
+		return strings.Join(names, ",") + "\n"
+	}
+	for _, tc := range []struct {
+		name, csv string
+		err       error
+	}{
+		{"header at the bound", columns(maxColumns) + "1" + strings.Repeat(",", maxColumns-1) + "\n", nil},
+		{"header past the bound", columns(maxColumns + 1), errTooWide},
+		{"row one field wider", "id,v\n1,a,b\n", errTooWide},
+		{"commas in quoted fields", "id,v\n1,\",,\n,,\"\n2,\"a \"\",\"\" b\"\n", nil},
+		{"blank lines", "\r\n\nid,v\n\n1,a\n\n", nil},
+		{"row of commas", "id,v\n1," + strings.Repeat(",", 1<<20) + "\n", errTooWide},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, err := LoadCSV(strings.NewReader(tc.csv), "id")
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, tc.err) {
+			t.Errorf("%s: %v, want %v", tc.name, err, tc.err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; tc.err != nil && got > 2*uint64(len(tc.csv))+1<<16 {
+			t.Errorf("%s: refusing %d bytes allocated %d", tc.name, len(tc.csv), got)
+		}
+	}
+}
+
 // csvSeeds are FuzzLoadCSV's seeds: the hostile-body rows (one line longer
-// than the line reader's buffer), quoted fields holding newlines and
-// quotes, a missing key column, duplicate keys, ragged rows, an empty key
-// and CRLF line ends.
+// than the line reader's buffer, and one of commas), quoted fields holding
+// newlines and quotes, a missing key column, duplicate keys, ragged rows,
+// an empty key and CRLF line ends.
 var csvSeeds = []string{
 	"id,v\n1," + strings.Repeat("A", 8<<10) + "\n",
 	"id,v\n2," + strings.Repeat("A", 8<<10) + "\n",
+	"id,v\n1," + strings.Repeat(",", 8<<10) + "\n",
 	"id,name\n1,\"two\nlines\"\n2,\"a \"\"quoted\"\" word\"\n3,\"crlf\r\nin a field\"\n",
 	"key,v\n1,a\n",
 	"id,v\n1,a\n1,b\n",

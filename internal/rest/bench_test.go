@@ -13,6 +13,7 @@ import (
 	"forkbase/internal/chunker"
 	"forkbase/internal/core"
 	"forkbase/internal/store"
+	"forkbase/internal/value"
 )
 
 // collabBody is a PUT body shaped like the rest-collab benchmark's: a map of
@@ -72,5 +73,30 @@ func BenchmarkPutObject(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		put(objects + i)
+	}
+}
+
+// BenchmarkDispatch: four requests served in process, past the edge's
+// accounting, routing and refusals and through cheap handlers: a read of a
+// string object, its one-version history, a method the path does not list
+// (405) and an action the family lacks (404).
+//
+//	go test -run xxx -bench Dispatch -benchmem -cpu 1 ./internal/rest
+func BenchmarkDispatch(b *testing.B) {
+	db := core.Open(core.Options{Store: store.NewMemStore()})
+	if _, err := db.Put("k", "master", value.String("v"), nil); err != nil {
+		b.Fatal(err)
+	}
+	h := New(db)
+	reqs := []*http.Request{
+		httptest.NewRequest(http.MethodGet, "/v1/obj/k", nil),
+		httptest.NewRequest(http.MethodGet, "/v1/obj/k/history?limit=1", nil),
+		httptest.NewRequest(http.MethodPost, "/v1/keys", nil),
+		httptest.NewRequest(http.MethodGet, "/v1/obj/k/nope", nil),
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.ServeHTTP(httptest.NewRecorder(), reqs[i%len(reqs)])
 	}
 }

@@ -83,7 +83,9 @@ var hostileBodies = []struct {
 // and a JSON route's reader (readBody) has then allocated twice the cap, give
 // or take the request's own few KiB.  The dataset routes stream their CSV
 // through the dataset package's reader, which refuses the one long line past
-// chunk.MaxSize within the same bound.
+// chunk.MaxSize within the same bound, and a record of 1 MiB of commas under
+// the cap with 400 at about one copy of the body, before the CSV reader
+// spends its per-field cost on it.
 func TestHostileBodies(t *testing.T) {
 	db := core.Open(core.Options{Store: store.NewMemStore(), Chunking: chunker.SmallConfig()})
 	h := New(db)
@@ -127,6 +129,26 @@ func TestHostileBodies(t *testing.T) {
 		if !tc.declared && got > 2*server.MaxPayload+1<<20 {
 			t.Errorf("%s: cutting the body off allocated %d bytes (%.2f× the cap %d), want at most 2×",
 				tc.name, got, float64(got)/server.MaxPayload, server.MaxPayload)
+		}
+	}
+	// A body under the cap whose record has 1 MiB of commas: the dataset
+	// package refuses its width before the CSV reader spends about 150
+	// bytes per field on it.
+	for _, b := range hostileBodies[len(hostileBodies)-2:] {
+		body := b.head + strings.Repeat(",", 1<<20) + b.tail
+		rec := httptest.NewRecorder()
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		h.ServeHTTP(rec, httptest.NewRequest(b.method, b.path, strings.NewReader(body)))
+		runtime.ReadMemStats(&after)
+		got := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%s, a row of commas: %d bytes allocated, %.2f× the body", b.name, got, float64(got)/float64(len(body)))
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("%s, a row of commas: %d %.80s, want 400", b.name, rec.Code, rec.Body)
+		}
+		if got > 4*uint64(len(body))+1<<20 {
+			t.Errorf("%s, a row of commas: %d bytes allocated for a %d-byte body, want at most 4× + 1 MiB", b.name, got, len(body))
 		}
 	}
 	if keys, err := db.ListKeys(); err != nil || len(keys) != 1 {

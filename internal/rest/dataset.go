@@ -8,36 +8,9 @@ import (
 	"forkbase/internal/dataset"
 )
 
-// Dataset routes (registered under /v1/dataset/):
-//
-//	POST /v1/dataset/{name}?branch=B&key=COL    import CSV (request body)
-//	POST /v1/dataset/{name}?branch=B&append=1   bulk-upsert CSV rows into the
-//	                                            existing dataset (batched
-//	                                            incremental write path)
-//	GET  /v1/dataset/{name}?branch=B            export CSV
-//	GET  /v1/dataset/{name}/stat?branch=B       dataset statistics
-//	GET  /v1/dataset/{name}/diff?from=B1&to=B2  cell-level differential query
-var datasetRoutes = routeFamily{prefix: "/v1/dataset/", template: "/v1/dataset/{name}", noun: "dataset name",
-	root: (*Handler).dataset, actions: map[string]action{
-		"stat": (*Handler).datasetStat, "diff": (*Handler).datasetDiff,
-	}}
-
-// dataset serves /v1/dataset/{name}: POST imports, GET exports.
-func (h *Handler) dataset(w http.ResponseWriter, r *http.Request, name string) {
-	switch r.Method {
-	case http.MethodPost:
-		h.importCSV(w, r, name)
-	case http.MethodGet:
-		h.exportCSV(w, r, name)
-	default:
-		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "GET or POST"})
-	}
-}
-
+// importCSV creates the dataset from a CSV body, or with append=1 upserts
+// the body's rows into it through the batched incremental write path.
 func (h *Handler) importCSV(w http.ResponseWriter, r *http.Request, name string) {
-	if h.denyWrite(w) {
-		return
-	}
 	if r.URL.Query().Get("append") == "1" {
 		cur, err := dataset.Open(h.db, name, branchParam(r))
 		if err != nil {

@@ -12,7 +12,6 @@ import (
 	"log/slog"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"forkbase/internal/obs"
@@ -55,19 +54,10 @@ func (h *Handler) WithSlowRequest(d time.Duration) *Handler {
 	return h
 }
 
-// routeLabel maps a request path to its route template.
+// routeLabel maps a request path to its route template (resolve).
 func routeLabel(path string) string {
-	for _, f := range routeFamilies {
-		if strings.HasPrefix(path, f.prefix) {
-			return f.label(path)
-		}
-	}
-	switch path {
-	case "/v1/keys", "/v1/stats", "/v1/batch", "/v1/gc", "/v1/scrub",
-		"/v1/repl/status", "/v1/healthz", "/v1/metrics", "/v1/metrics.json":
-		return path
-	}
-	return "other"
+	_, _, label, _, _ := resolve(path)
+	return label
 }
 
 // statusRecorder captures the status code a handler writes so the
@@ -149,22 +139,14 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // metricsProm serves GET /v1/metrics in Prometheus text exposition format.
-func (h *Handler) metricsProm(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "GET only"})
-		return
-	}
+func (h *Handler) metricsProm(w http.ResponseWriter, r *http.Request, _ string) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = h.reg.WritePrometheus(w)
 }
 
 // metricsJSON serves GET /v1/metrics.json — the same registry as a
 // structured snapshot, for the CLI and for tests.
-func (h *Handler) metricsJSON(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "GET only"})
-		return
-	}
+func (h *Handler) metricsJSON(w http.ResponseWriter, r *http.Request, _ string) {
 	w.Header().Set("Content-Type", "application/json")
 	_ = h.reg.WriteJSON(w)
 }

@@ -1,21 +1,7 @@
 // Package rest exposes the ForkBase engine over HTTP/JSON — the RESTful API
-// of the paper's semantic-view layer (Fig 1).  Routes:
-//
-//	GET    /v1/keys                               list object keys
-//	GET    /v1/obj/{key}?branch=B                 current version
-//	PUT    /v1/obj/{key}?branch=B                 put (JSON body)
-//	GET    /v1/obj/{key}/history?branch=B&limit=N version chain
-//	GET    /v1/obj/{key}/branches                 list branches
-//	POST   /v1/obj/{key}/branch                   fork branch (JSON body)
-//	POST   /v1/obj/{key}/merge                    merge branches (JSON body)
-//	GET    /v1/obj/{key}/diff?from=B1&to=B2       differential query
-//	GET    /v1/obj/{key}/verify?uid=U&deep=1      tamper validation
-//	POST   /v1/batch                              multi-key bulk write (JSON)
-//	POST   /v1/gc                                 collect unreachable chunks
-//	POST   /v1/scrub                              verify + quarantine on-disk chunks
-//	GET    /v1/stats                              store dedup accounting
-//	GET    /v1/repl/status                        replication progress
-//	GET    /v1/healthz                            liveness + readiness + store health
+// of the paper's semantic-view layer (Fig 1).  Its routes are the table
+// routes below New: every path, the methods it answers, which of them write,
+// and each path's query parameters.
 package rest
 
 import (
@@ -58,20 +44,144 @@ func New(db *core.DB) *Handler {
 	h := &Handler{db: db, mux: http.NewServeMux(), logger: slog.Default()}
 	h.reg = db.Metrics()
 	h.met = newRESTMetrics(h.reg)
-	h.mux.HandleFunc("/v1/keys", h.keys)
-	h.mux.HandleFunc("/v1/stats", h.stats)
-	for _, f := range routeFamilies {
-		f := f
-		h.mux.HandleFunc(f.prefix, func(w http.ResponseWriter, r *http.Request) { f.serve(h, w, r) })
+	seen := map[string]bool{}
+	for _, rt := range routes {
+		pattern, _, _ := strings.Cut(rt.path, "{") // a family's templates share its prefix
+		if !seen[pattern] {
+			seen[pattern] = true
+			h.mux.HandleFunc(pattern, h.dispatch)
+		}
 	}
-	h.mux.HandleFunc("/v1/batch", h.batch)
-	h.mux.HandleFunc("/v1/gc", h.gc)
-	h.mux.HandleFunc("/v1/scrub", h.scrub)
-	h.mux.HandleFunc("/v1/repl/status", h.replStatusHandler)
-	h.mux.HandleFunc("/v1/healthz", h.healthz)
-	h.mux.HandleFunc("/v1/metrics", h.metricsProm)
-	h.mux.HandleFunc("/v1/metrics.json", h.metricsJSON)
 	return h
+}
+
+// route is one method of one path of the API.  The path is exact, or a
+// template whose {key} or {name} is one path segment (see families).  A
+// write is refused with 403 on a read-only node, a replica whose state moves
+// only through replication, before its handler reads the request.
+type route struct {
+	method, path string
+	write        bool
+	serve        action
+}
+
+// action serves a route for the key or dataset name in its path ("" for an
+// exact path).
+type action func(h *Handler, w http.ResponseWriter, r *http.Request, name string)
+
+const reads, writes = false, true
+
+// routes is the REST API: New registers its paths on the mux, dispatch
+// answers every request from it, and routeLabel labels every request's
+// metrics with its templates.  A path's methods are listed in the order its
+// 405 answer names them.
+var routes = []route{
+	{"GET", "/v1/keys", reads, (*Handler).keys},
+	{"GET", "/v1/obj/{key}", reads, (*Handler).getObject},       // ?branch=B, or ?uid=U
+	{"PUT", "/v1/obj/{key}", writes, (*Handler).putObject},      // ?branch=B; JSON body
+	{"GET", "/v1/obj/{key}/history", reads, (*Handler).history}, // ?branch=B&limit=N
+	{"GET", "/v1/obj/{key}/branches", reads, (*Handler).branches},
+	{"POST", "/v1/obj/{key}/branch", writes, (*Handler).branch},  // JSON body
+	{"POST", "/v1/obj/{key}/merge", writes, (*Handler).merge},    // JSON body
+	{"GET", "/v1/obj/{key}/diff", reads, (*Handler).diff},        // ?from=B1&to=B2
+	{"GET", "/v1/obj/{key}/verify", reads, (*Handler).verify},    // ?uid=U&deep=1
+	{"GET", "/v1/dataset/{name}", reads, (*Handler).exportCSV},   // ?branch=B
+	{"POST", "/v1/dataset/{name}", writes, (*Handler).importCSV}, // ?branch=B&key=COL, or ?branch=B&append=1; CSV body
+	{"GET", "/v1/dataset/{name}/stat", reads, (*Handler).datasetStat},
+	{"GET", "/v1/dataset/{name}/diff", reads, (*Handler).datasetDiff}, // ?from=B1&to=B2
+	{"POST", "/v1/batch", writes, (*Handler).batch},                   // JSON body
+	{"POST", "/v1/gc", writes, (*Handler).gc},
+	{"POST", "/v1/scrub", reads, (*Handler).scrub}, // local maintenance, not a logical write
+	{"GET", "/v1/stats", reads, (*Handler).stats},
+	{"GET", "/v1/repl/status", reads, (*Handler).replStatusHandler},
+	{"GET", "/v1/healthz", reads, (*Handler).healthz},
+	{"GET", "/v1/metrics", reads, (*Handler).metricsProm},
+	{"GET", "/v1/metrics.json", reads, (*Handler).metricsJSON},
+}
+
+// families are the templates with a {key} or {name} segment, by the prefix
+// the mux serves them under: root is the template of the name itself, and
+// the action after the name picks root + "/" + action.  A path with no name
+// is answered "missing " + noun.
+var families = []struct{ prefix, root, noun string }{
+	{"/v1/obj/", "/v1/obj/{key}", "key"},
+	{"/v1/dataset/", "/v1/dataset/{name}", "dataset name"},
+}
+
+// byPath is routes by path, each path's methods in table order.
+var byPath = func() map[string][]route {
+	m := map[string][]route{}
+	for _, rt := range routes {
+		m[rt.path] = append(m[rt.path], rt)
+	}
+	return m
+}()
+
+// resolve finds the routes serving path, one per method, the {key} or
+// {name} in it and its metric label.  A path under a family with no name,
+// or with an action the family lacks, gets the status and text to refuse it
+// with (400, 404); the latter is labelled root + "/?".  A path outside the
+// table has no routes and is labelled "other".
+func resolve(path string) (rs []route, name, label string, code int, refusal string) {
+	for _, f := range families {
+		rest, ok := strings.CutPrefix(path, f.prefix)
+		if !ok {
+			continue
+		}
+		name, act, _ := strings.Cut(rest, "/")
+		if rs = byPath[f.root]; act != "" {
+			rs = byPath[f.root+"/"+act]
+		}
+		if rs == nil {
+			label, code, refusal = f.root+"/?", http.StatusNotFound, "unknown action "+act
+		} else {
+			label = rs[0].path
+		}
+		if name == "" {
+			rs, code, refusal = nil, http.StatusBadRequest, "missing "+f.noun
+		}
+		return rs, name, label, code, refusal
+	}
+	if rs = byPath[path]; rs == nil {
+		return nil, "", "other", 0, ""
+	}
+	return rs, "", path, 0, ""
+}
+
+// dispatch answers a request from the route table: a path resolve refuses,
+// then a method the path does not list (405), then a write on a read-only
+// node (403), each before the route's handler reads anything.
+func (h *Handler) dispatch(w http.ResponseWriter, r *http.Request) {
+	rs, name, _, code, refusal := resolve(r.URL.Path)
+	if code != 0 {
+		writeJSON(w, code, errorBody{Error: refusal})
+		return
+	}
+	for _, rt := range rs {
+		if rt.method != r.Method {
+			continue
+		}
+		if rt.write && h.db.ReadOnly() {
+			writeJSON(w, http.StatusForbidden, errorBody{Error: "node is a read-only replica (write to the primary)"})
+			return
+		}
+		rt.serve(h, w, r, name)
+		return
+	}
+	writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: allowed(rs)})
+}
+
+// allowed is a 405 answer's text: the methods a path's routes answer, "GET
+// only" or "GET or PUT".
+func allowed(rs []route) string {
+	if len(rs) == 1 {
+		return rs[0].method + " only"
+	}
+	methods := make([]string, len(rs))
+	for i, rt := range rs {
+		methods[i] = rt.method
+	}
+	return strings.Join(methods, " or ")
 }
 
 // WithScrubber does nothing and returns h.  Scrub and store health come
@@ -94,11 +204,7 @@ func (h *Handler) WithReadiness(fn func() (bool, string)) *Handler {
 // orchestrators poll.  Answering at all is liveness; the status code is
 // readiness: 200 when serving-fit, 503 (with Retry-After) when not — e.g. a
 // follower lagging beyond its threshold or cut off from its primary.
-func (h *Handler) healthz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "GET only"})
-		return
-	}
+func (h *Handler) healthz(w http.ResponseWriter, r *http.Request, _ string) {
 	ready, detail := true, ""
 	if h.ready != nil {
 		ready, detail = h.ready()
@@ -164,22 +270,7 @@ func (h *Handler) WithReplStatus(fn func() repl.Stats) *Handler {
 	return h
 }
 
-// denyWrite rejects a mutating request on a read-only engine (a replica:
-// its state moves only through replication, never through client writes)
-// before the request is decoded, and reports whether it did.
-func (h *Handler) denyWrite(w http.ResponseWriter) bool {
-	if !h.db.ReadOnly() {
-		return false
-	}
-	writeJSON(w, http.StatusForbidden, errorBody{Error: "node is a read-only replica (write to the primary)"})
-	return true
-}
-
-func (h *Handler) replStatusHandler(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "GET only"})
-		return
-	}
+func (h *Handler) replStatusHandler(w http.ResponseWriter, r *http.Request, _ string) {
 	if h.replStatus == nil {
 		writeJSON(w, http.StatusOK, map[string]any{"following": false})
 		return
@@ -301,11 +392,7 @@ func renderVersion(v core.Version, branch string) versionBody {
 	return out
 }
 
-func (h *Handler) keys(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "GET only"})
-		return
-	}
+func (h *Handler) keys(w http.ResponseWriter, r *http.Request, _ string) {
 	keys, err := h.db.ListKeys()
 	if err != nil {
 		writeErr(w, err)
@@ -317,11 +404,7 @@ func (h *Handler) keys(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"keys": keys})
 }
 
-func (h *Handler) stats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "GET only"})
-		return
-	}
+func (h *Handler) stats(w http.ResponseWriter, r *http.Request, _ string) {
 	s := h.db.Stats()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"unique_chunks":  s.UniqueChunks,
@@ -331,65 +414,6 @@ func (h *Handler) stats(w http.ResponseWriter, r *http.Request) {
 		"dedup_hits":     s.DedupHits,
 		"index":          h.db.IndexKind().String(),
 	})
-}
-
-// action serves one route of a family for the key or name in the path.
-type action func(h *Handler, w http.ResponseWriter, r *http.Request, name string)
-
-// routeFamily is the routes under prefix: {name} itself, served by root,
-// and {name}/{action} for each action in the table.  The dispatch (serve)
-// and the metric label (label) read the one table, so every action served
-// has its own label and an unknown one collapses into the family's "?".
-type routeFamily struct {
-	prefix, template, noun string // "/v1/obj/", "/v1/obj/{key}", "key"
-	root                   action
-	actions                map[string]action
-}
-
-// objRoutes routes /v1/obj/{key}[/{action}].
-var objRoutes = routeFamily{prefix: "/v1/obj/", template: "/v1/obj/{key}", noun: "key",
-	root: (*Handler).object, actions: map[string]action{
-		"history": (*Handler).history, "branches": (*Handler).branches, "branch": (*Handler).branch,
-		"merge": (*Handler).merge, "diff": (*Handler).diff, "verify": (*Handler).verify,
-	}}
-
-var routeFamilies = []*routeFamily{&objRoutes, &datasetRoutes}
-
-func (f *routeFamily) serve(h *Handler, w http.ResponseWriter, r *http.Request) {
-	name, act, _ := strings.Cut(strings.TrimPrefix(r.URL.Path, f.prefix), "/")
-	switch fn := f.actions[act]; {
-	case name == "":
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "missing " + f.noun})
-	case act == "":
-		f.root(h, w, r, name)
-	case fn != nil:
-		fn(h, w, r, name)
-	default:
-		writeJSON(w, http.StatusNotFound, errorBody{Error: "unknown action " + act})
-	}
-}
-
-func (f *routeFamily) label(path string) string {
-	_, act, ok := strings.Cut(strings.TrimPrefix(path, f.prefix), "/")
-	switch {
-	case !ok || act == "":
-		return f.template
-	case f.actions[act] != nil:
-		return f.template + "/" + act
-	}
-	return f.template + "/?"
-}
-
-// object serves /v1/obj/{key}: GET reads it, PUT writes it.
-func (h *Handler) object(w http.ResponseWriter, r *http.Request, key string) {
-	switch r.Method {
-	case http.MethodGet:
-		h.getObject(w, r, key)
-	case http.MethodPut:
-		h.putObject(w, r, key)
-	default:
-		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "GET or PUT"})
-	}
 }
 
 func branchParam(r *http.Request) string { return branchOrDefault(r.URL.Query().Get("branch")) }
@@ -434,9 +458,6 @@ func (h *Handler) getObject(w http.ResponseWriter, r *http.Request, key string) 
 // with value for the scalar kinds and blob, entries for map, and items for
 // list and set (body.go decodes it).
 func (h *Handler) putObject(w http.ResponseWriter, r *http.Request, key string) {
-	if h.denyWrite(w) {
-		return
-	}
 	body, err := decodeBody(r, decodePut)
 	if err != nil {
 		writeBadBody(w, err, "bad JSON: "+err.Error())
@@ -520,14 +541,7 @@ func (h *Handler) buildValue(body putReq) (value.Value, error) {
 // The batch commits all or nothing: 201 with a version per op, in op order,
 // or an error — 409 when a head it derives from moved — and no op
 // committed.
-func (h *Handler) batch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "POST only"})
-		return
-	}
-	if h.denyWrite(w) {
-		return
-	}
+func (h *Handler) batch(w http.ResponseWriter, r *http.Request, _ string) {
 	body, err := decodeBody(r, decodeBatch)
 	if err != nil {
 		writeBadBody(w, err, "bad JSON: "+err.Error())
@@ -576,14 +590,7 @@ func (h *Handler) batch(w http.ResponseWriter, r *http.Request) {
 // gc handles POST /v1/gc: a full mark-and-sweep over the engine's store,
 // with log compaction on file-backed stores.  Stores without a collection
 // capability answer 501.
-func (h *Handler) gc(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "POST only"})
-		return
-	}
-	if h.denyWrite(w) {
-		return
-	}
+func (h *Handler) gc(w http.ResponseWriter, r *http.Request, _ string) {
 	stats, err := h.db.GC()
 	if err != nil {
 		writeErr(w, err) // ErrNotCollectable maps to 501 like everywhere else
@@ -603,11 +610,7 @@ func (h *Handler) gc(w http.ResponseWriter, r *http.Request) {
 // damaged segments, report the classification.  Scrub is local maintenance,
 // not a logical write, so read-only replicas may run it too; stores without
 // disk answer 501.
-func (h *Handler) scrub(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "POST only"})
-		return
-	}
+func (h *Handler) scrub(w http.ResponseWriter, r *http.Request, _ string) {
 	st, err := h.db.Scrub()
 	if err != nil {
 		writeErr(w, err) // ErrNotScrubbable: 501, a store with no disk
@@ -649,19 +652,16 @@ func (h *Handler) history(w http.ResponseWriter, r *http.Request, key string) {
 	writeJSON(w, http.StatusOK, map[string]any{"history": out})
 }
 
+// branches lists the key's heads from one read of the branch table, so a
+// branch deleted meanwhile is either listed or not, never a failed listing.
 func (h *Handler) branches(w http.ResponseWriter, r *http.Request, key string) {
-	bs, err := h.db.ListBranches(key)
+	bs, err := h.db.BranchTable().Branches(key)
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	heads := map[string]string{}
-	for _, b := range bs {
-		uid, err := h.db.Head(key, b)
-		if err != nil {
-			writeErr(w, err)
-			return
-		}
+	heads := make(map[string]string, len(bs))
+	for b, uid := range bs {
 		heads[b] = uid.String()
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"branches": heads})
@@ -670,13 +670,6 @@ func (h *Handler) branches(w http.ResponseWriter, r *http.Request, key string) {
 // branch serves POST /v1/obj/{key}/branch, whose body is {"new": B, "from":
 // A}, from optional.
 func (h *Handler) branch(w http.ResponseWriter, r *http.Request, key string) {
-	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "POST only"})
-		return
-	}
-	if h.denyWrite(w) {
-		return
-	}
 	body, err := decodeBody(r, decodeBranch)
 	if err != nil || body.new == "" {
 		writeBadBody(w, err, "need {new, from?}")
@@ -692,13 +685,6 @@ func (h *Handler) branch(w http.ResponseWriter, r *http.Request, key string) {
 // merge serves POST /v1/obj/{key}/merge, whose body is {"into": B, "from":
 // A, "resolve": "ours|theirs", "message": M}, the last two optional.
 func (h *Handler) merge(w http.ResponseWriter, r *http.Request, key string) {
-	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "POST only"})
-		return
-	}
-	if h.denyWrite(w) {
-		return
-	}
 	body, err := decodeBody(r, decodeMerge)
 	if err != nil || body.into == "" || body.from == "" {
 		writeBadBody(w, err, "need {into, from}")

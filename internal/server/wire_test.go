@@ -681,6 +681,66 @@ func TestCloseLandsStagedChunks(t *testing.T) {
 	}
 }
 
+// hasRecorder records the ids of every HasBatch its store answers.
+type hasRecorder struct {
+	store.Store
+	mu   sync.Mutex
+	asks [][]hash.Hash
+}
+
+func (r *hasRecorder) HasBatch(ids []hash.Hash) ([]bool, error) {
+	r.mu.Lock()
+	r.asks = append(r.asks, slices.Clone(ids))
+	r.mu.Unlock()
+	return r.Store.HasBatch(ids)
+}
+
+// TestHasBatchAnswersStagedIDs: inside a write, a presence check answers
+// the ids staging holds itself and asks the server, in one HasChunks
+// request, about the others only; with every id staged it sends nothing.
+func TestHasBatchAnswersStagedIDs(t *testing.T) {
+	st := &hasRecorder{Store: store.NewMemStore()}
+	srv := New(st, core.NewMemBranchTable(), nil)
+	reg := obs.NewRegistry()
+	srv.SetMetrics(reg)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	cl, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+	rs := NewRemoteStore(cl)
+	staged, held, absent := chunk.New(chunk.TypeBlobLeaf, []byte("staged")),
+		chunk.New(chunk.TypeBlobLeaf, []byte("held")), chunk.New(chunk.TypeBlobLeaf, []byte("absent"))
+	if _, err := st.Put(held); err != nil {
+		t.Fatal(err)
+	}
+	asked := func() float64 { n, _ := reg.Value("forkbase_server_requests_total", "HasChunks"); return n }
+
+	done := rs.Stage()
+	defer done()
+	if _, err := rs.Put(staged); err != nil {
+		t.Fatal(err)
+	}
+	has, err := rs.HasBatch([]hash.Hash{staged.ID(), held.ID(), absent.ID()})
+	if err != nil || !slices.Equal(has, []bool{true, true, false}) {
+		t.Fatalf("HasBatch(staged, held, absent) = %v, %v; want [true true false]", has, err)
+	}
+	if n := asked(); n != 1 || len(st.asks) != 1 || !slices.Equal(st.asks[0], []hash.Hash{held.ID(), absent.ID()}) {
+		t.Fatalf("%v HasChunks requests asking the server's store %v; want one asking [held absent]", n, st.asks)
+	}
+	if has, err := rs.HasBatch([]hash.Hash{staged.ID(), staged.ID()}); err != nil || !slices.Equal(has, []bool{true, true}) {
+		t.Fatalf("HasBatch(staged, staged) = %v, %v; want [true true]", has, err)
+	}
+	if n := asked(); n != 1 {
+		t.Fatalf("a presence check of staged ids alone sent a request (%v HasChunks in all)", n)
+	}
+}
+
 // TestGetChunksReplyAllocatesNoPayload: the server answers a batch get from
 // the stored chunks' own bytes, so what it allocates per reply depends on the
 // number of ids, not on the bytes it ships.
