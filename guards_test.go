@@ -308,12 +308,21 @@ func TestSourceGuards(t *testing.T) {
 		want:    0,
 	}, {
 		// One landing rule: every chunk a client sends lands through
-		// core.FeedTable.Commit, which checks a commit with no head ops or a
-		// stale op for what it names, so every chunk a server holds was
+		// core.FeedTable.Commit, which lands a carried chunk only when it is
+		// complete or a fresh op's Set reaches it through carried chunks,
+		// whatever the client sent, so every chunk a server holds was
 		// complete when it landed.  A put the server lands in its store
 		// directly is a second rule that check cannot see.
 		name:    "one landing rule",
 		pattern: `s\.st\.PutBatch\(`,
+		paths:   []string{"internal/server"},
+		want:    0,
+	}, {
+		// The server holds the whole landing rule, so a Remote client
+		// polices nothing: its writers share one staging and build and
+		// commit concurrently, with no lock that spans a write.
+		name:    "a Remote client does not serialise its writers",
+		pattern: `\.write\.(Lock|Unlock)\(|write\s+sync\.Mutex`,
 		paths:   []string{"internal/server"},
 		want:    0,
 	}, {

@@ -309,8 +309,8 @@ func (f *Feed) dropLapsed(now time.Time) {
 // refuses an op whose epoch precedes a sweep that completed since with
 // ErrCollected.  A writer that stored chunks before that sweep may have lost
 // them to it.  A remote writer's chunks land only in a Commit, under the
-// same hold as its ops, and a Commit that could name a swept chunk is
-// refused only for what it names and did not carry.
+// same hold as its ops, and only those that are complete or that its fresh
+// ops reach: the rule is the server's alone, whatever the client carries.
 type FeedTable struct {
 	BranchTable // the table the feed sequences
 	feed        *Feed
@@ -375,73 +375,251 @@ func (t *FeedTable) stale(ops []HeadOp) int {
 }
 
 // Commit is the one way a remote writer's chunks land: under one hold of
-// the fence's read side it lands the chunks cs in st and applies ops, so no
-// collection falls between the two, and it returns st's fresh flags for cs
-// and whether the ops applied.  A commit with no head ops (a put outside a
-// write, or a write's chunks landed before its publish), or with an op
-// stamped before the current epoch (built from chunks a sweep may have
-// taken since), is first checked for what it names (named) and refused
-// with ErrCollected, landing nothing, if a name is missing.  So every chunk
-// a remote writer landed was complete when it landed, and a commit of fresh
-// ops costs no store read.  The chunks land even when an op's expectation
-// fails, as a put followed by an Apply would.
+// the fence's read side it lands in st the chunks of cs the landing rule
+// admits and applies ops, so no collection falls between the two.  It
+// returns st's fresh flags for cs (false for a chunk that did not land)
+// and whether the ops applied.
+//
+// The rule asks nothing of the client, so it holds whatever a commit
+// carries.  A carried chunk lands when each id it names is in st or lands
+// in the same commit: presence stands for the subtree under an id, since
+// every chunk a server holds landed complete or under the fence, and a
+// sweep keeps a chunk only while it is reachable, children and all.  A
+// carried chunk also lands when a fresh op's Set reaches it through
+// carried chunks: a fresh op is stamped with the current epoch, so no sweep
+// completed since its writer built what it reaches, and a commit of
+// fresh ops that reach all it carries costs no store read.  Nothing else
+// lands.  A stale op (stamped with another epoch) applies only if its Set
+// is in st or lands; otherwise the ops fail with ErrCollected.  An
+// unstamped op is neither checked nor reaches.  A commit with no ops that
+// leaves a chunk unlanded answers ErrCollected once the others landed.
+// The chunks land even when an op's expectation fails, as a put followed
+// by an Apply would.
 func (t *FeedTable) Commit(st store.Store, cs []*chunk.Chunk, ops []HeadOp) (fresh []bool, ok bool, err error) {
 	t.fence.RLock()
 	defer t.fence.RUnlock()
-	if len(ops) == 0 || t.stale(ops) >= 0 {
-		if err := named(st, cs, ops); err != nil {
-			return nil, false, err
-		}
+	now := t.Epoch()
+	l, err := land(st, cs, ops, now)
+	if err != nil {
+		return nil, false, err
 	}
-	if len(cs) > 0 {
-		if fresh, err = st.PutBatch(cs); err != nil {
-			return nil, false, err
-		}
+	if fresh, err = l.put(st, cs); err != nil {
+		return nil, false, err
 	}
-	if len(ops) == 0 {
-		return fresh, true, nil
+	// A put answers for every chunk it carries, a stale op for its Set.
+	if l.left > 0 && len(ops) == 0 || slices.ContainsFunc(ops, func(op HeadOp) bool {
+		return op.Epoch != 0 && op.Epoch != now && !l.holds(op.Set)
+	}) {
+		return nil, false, fmt.Errorf("%w: the commit names %s, which it does not carry and a sweep took", ErrCollected, l.lacked().Short())
 	}
 	ok, err = t.publish(ops)
 	return fresh, ok, err
 }
 
-// named checks that st holds every id the commit of cs and ops names and
-// does not carry, with one HasBatch.  Presence stands for the subtree under
-// an id: a remote writer's chunks land complete (Commit), an engine write's
-// under the fence, and a sweep keeps a chunk only while it is reachable,
-// children and all.
-func named(st store.Store, cs []*chunk.Chunk, ops []HeadOp) error {
-	seen := make(map[hash.Hash]bool, len(cs))
-	for _, c := range cs {
-		seen[c.ID()] = true
+// landing is what the landing rule (Commit) decided for a commit's carried
+// chunks: one node per distinct id, sorted by id.
+type landing struct {
+	nodes []carried
+	first [4]uint64          // bit b is set when a node's id starts with byte b
+	named []hash.Hash        // ids the undecided nodes and stale ops name and no node is
+	has   map[hash.Hash]bool // whether st holds each of named (nil: none)
+	left  int                // nodes that do not land
+}
+
+// carried is a chunk a commit carries, the ids it names, and its fate.
+type carried struct {
+	c    *chunk.Chunk
+	refs []hash.Hash
+	fate uint8
+}
+
+// A carried chunk's fate: undecided, on the completeness walk's path,
+// landing or left out.
+const (
+	undecided uint8 = iota
+	onPath
+	lands
+	left
+)
+
+// Reach returns, in their order and in cs's own array, the chunks of cs
+// that the Set of one of ops reaches through cs: what a Commit carrying cs
+// lands unchecked when ops are fresh.  A client whose writes share one
+// staging carries with a write's commit what Reach finds for its ops, so
+// one rule decides what a commit must carry and what it lands unchecked.
+func Reach(cs []*chunk.Chunk, ops []HeadOp) ([]*chunk.Chunk, error) {
+	l, err := carry(cs)
+	if err != nil {
+		return nil, err
 	}
-	var want []hash.Hash
-	add := func(id hash.Hash) {
-		if !id.IsZero() && !seen[id] {
-			seen[id] = true
-			want = append(want, id)
-		}
+	for _, op := range ops {
+		l.reach(op.Set)
 	}
-	for _, c := range cs {
+	return slices.DeleteFunc(cs, func(c *chunk.Chunk) bool { return !l.holds(c.ID()) }), nil
+}
+
+// carry is the landing of cs with every fate undecided: one node per
+// distinct id, sorted by id, each with the ids it names (fnode.Refs).
+func carry(cs []*chunk.Chunk) (landing, error) {
+	l := landing{nodes: make([]carried, len(cs))}
+	for i, c := range cs {
 		refs, err := fnode.Refs(c)
 		if err != nil {
-			return err
+			return landing{}, err
 		}
-		for _, id := range refs {
-			add(id)
+		l.nodes[i] = carried{c: c, refs: refs}
+	}
+	slices.SortFunc(l.nodes, func(a, b carried) int { return a.c.ID().Compare(b.c.ID()) })
+	l.nodes = slices.CompactFunc(l.nodes, func(a, b carried) bool { return a.c.ID() == b.c.ID() })
+	for _, n := range l.nodes {
+		b := n.c.ID()[0]
+		l.first[b>>6] |= 1 << (b & 63)
+	}
+	return l, nil
+}
+
+// reach marks what root reaches through undecided nodes as landing.
+func (l *landing) reach(root hash.Hash) {
+	stack := make([]int, 0, 8)
+	mark := func(id hash.Hash) {
+		if k := l.find(id); k >= 0 && l.nodes[k].fate == undecided {
+			l.nodes[k].fate = lands
+			stack = append(stack, k)
+		}
+	}
+	for mark(root); len(stack) > 0; {
+		k := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, id := range l.nodes[k].refs {
+			mark(id)
+		}
+	}
+}
+
+// land decides the fate of every chunk cs carries, for a commit of ops at
+// epoch now: what a fresh op reaches lands, and the rest when complete.
+// It asks st, in one HasBatch and only when something is left to check,
+// about the ids that no fresh op reaches and the commit does not carry.
+func land(st store.Store, cs []*chunk.Chunk, ops []HeadOp, now uint64) (landing, error) {
+	l, err := carry(cs)
+	if err != nil {
+		return landing{}, err
+	}
+	for _, op := range ops {
+		if op.Epoch != 0 && op.Epoch == now {
+			l.reach(op.Set)
+		}
+	}
+	for _, n := range l.nodes {
+		if n.fate == undecided {
+			for _, id := range n.refs {
+				if !id.IsZero() && l.find(id) < 0 {
+					l.named = append(l.named, id)
+				}
+			}
 		}
 	}
 	for _, op := range ops {
-		add(op.Set)
+		if op.Epoch != 0 && op.Epoch != now && !op.Set.IsZero() && l.find(op.Set) < 0 {
+			l.named = append(l.named, op.Set)
+		}
 	}
-	has, err := st.HasBatch(want)
-	if err != nil {
-		return err
+	if len(l.named) > 0 {
+		has, err := st.HasBatch(l.named)
+		if err != nil {
+			return landing{}, err
+		}
+		l.has = make(map[hash.Hash]bool, len(l.named))
+		for i, id := range l.named {
+			l.has[id] = has[i]
+		}
 	}
-	if i := slices.Index(has, false); i >= 0 {
-		return fmt.Errorf("%w: the commit names %s, which it does not carry and a sweep took", ErrCollected, want[i].Short())
+	// Post-order, so a chunk is judged after the carried chunks it names;
+	// one on the path (a cycle, which no hash admits) does not land.
+	type frame struct{ k, next int }
+	var stack []frame
+	for k := range l.nodes {
+		if l.nodes[k].fate != undecided {
+			continue
+		}
+		l.nodes[k].fate = onPath
+		stack = append(stack[:0], frame{k: k})
+		for len(stack) > 0 {
+			f := &stack[len(stack)-1]
+			n := &l.nodes[f.k]
+			if f.next < len(n.refs) {
+				j := l.find(n.refs[f.next])
+				f.next++
+				if j >= 0 && l.nodes[j].fate == undecided {
+					l.nodes[j].fate = onPath
+					stack = append(stack, frame{k: j})
+				}
+				continue
+			}
+			n.fate = lands
+			if slices.ContainsFunc(n.refs, func(id hash.Hash) bool { return !l.holds(id) }) {
+				n.fate = left
+				l.left++
+			}
+			stack = stack[:len(stack)-1]
+		}
 	}
-	return nil
+	return l, nil
+}
+
+// find returns the index of the node with id, or -1.  Most ids a commit's
+// chunks name are not carried, and the first-byte filter turns them away.
+func (l *landing) find(id hash.Hash) int {
+	if l.first[id[0]>>6]&(1<<(id[0]&63)) == 0 {
+		return -1
+	}
+	k, ok := slices.BinarySearchFunc(l.nodes, id, func(n carried, id hash.Hash) int { return n.c.ID().Compare(id) })
+	if !ok {
+		return -1
+	}
+	return k
+}
+
+// holds reports whether id is zero, lands, or is in the store.
+func (l *landing) holds(id hash.Hash) bool {
+	if k := l.find(id); k >= 0 {
+		return l.nodes[k].fate == lands
+	}
+	return id.IsZero() || l.has[id]
+}
+
+// lacked returns an id the commit names and st lacks: the cause of every
+// chunk that does not land and of every stale op's Set that is not held.
+func (l *landing) lacked() hash.Hash {
+	for _, id := range l.named {
+		if !l.has[id] {
+			return id
+		}
+	}
+	return hash.Hash{}
+}
+
+// put lands the chunks of cs that land with one PutBatch and returns st's
+// fresh flags by position in cs, false for a chunk that did not land.
+func (l *landing) put(st store.Store, cs []*chunk.Chunk) ([]bool, error) {
+	put := cs
+	if l.left > 0 {
+		put = slices.DeleteFunc(slices.Clone(cs), func(c *chunk.Chunk) bool { return !l.holds(c.ID()) })
+	}
+	if len(put) == 0 {
+		return make([]bool, len(cs)), nil
+	}
+	got, err := st.PutBatch(put)
+	if err != nil || l.left == 0 {
+		return got, err
+	}
+	fresh := make([]bool, len(cs))
+	for i, c := range cs {
+		if l.holds(c.ID()) {
+			fresh[i], got = got[0], got[1:]
+		}
+	}
+	return fresh, nil
 }
 
 // publish applies ops and journals an Apply that succeeds, in the same

@@ -1,12 +1,18 @@
 package server
 
 import (
+	"fmt"
+	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
 	"forkbase/internal/chunk"
 	"forkbase/internal/core"
 	"forkbase/internal/hash"
+	"forkbase/internal/index"
 	"forkbase/internal/store"
+	"forkbase/internal/value"
 )
 
 // BenchmarkRoundTrip measures whole request-response exchanges on loopback
@@ -61,6 +67,79 @@ func BenchmarkRoundTrip(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkWriters measures commits per second for one and two writers over
+// one client, and for two writers over a client each: every writer makes
+// clustered 8-row edits of its own 20k-row map through a remote engine, on
+// loopback against a memory store.  It reports num_cpu beside the rate,
+// since the server and the writers share the host's cores.
+func BenchmarkWriters(b *testing.B) {
+	for _, bc := range []struct{ clients, writers int }{{1, 1}, {1, 2}, {2, 2}} {
+		b.Run(fmt.Sprintf("clients=%d/writers=%d", bc.clients, bc.writers), func(b *testing.B) {
+			srv := New(store.NewMemStore(), core.NewMemBranchTable(), nil)
+			addr, err := srv.Listen("127.0.0.1:0")
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer srv.Close()
+			dbs := make([]*core.DB, bc.clients)
+			for i := range dbs {
+				cl, err := Dial(addr)
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer cl.Close()
+				dbs[i] = core.Open(core.Options{Store: NewRemoteStore(cl), Branches: NewRemoteBranchTable(cl), NodeCacheBytes: 32 << 20})
+			}
+			rng := rand.New(rand.NewSource(1))
+			row := func(i int) index.Entry {
+				v := make([]byte, 96)
+				rng.Read(v)
+				return index.Entry{Key: []byte(fmt.Sprintf("k%06d", i)), Val: v}
+			}
+			const rows = 20000
+			edits := make([][][]index.Entry, bc.writers) // each writer's edits, made up front
+			for w := range edits {
+				db := dbs[w%bc.clients]
+				es := make([]index.Entry, rows)
+				for i := range es {
+					es[i] = row(i)
+				}
+				if _, err := db.BuildAndPut(fmt.Sprint("t", w), "", nil, func() (value.Value, error) { return db.NewMapValue(es) }); err != nil {
+					b.Fatal(err)
+				}
+				for n := 0; n < b.N/bc.writers+1; n++ {
+					off, edit := rng.Intn(rows-8), make([]index.Entry, 8)
+					for i := range edit {
+						edit[i] = row(off + i)
+					}
+					edits[w] = append(edits[w], edit)
+				}
+			}
+			b.ResetTimer()
+			start := time.Now()
+			errs := make(chan error, bc.writers)
+			for w := range edits {
+				go func(w int) {
+					var err error
+					for _, edit := range edits[w] {
+						if _, err = dbs[w%bc.clients].EditMap(fmt.Sprint("t", w), "", edit, nil, nil); err != nil {
+							break
+						}
+					}
+					errs <- err
+				}(w)
+			}
+			for range edits {
+				if err := <-errs; err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(bc.writers*(b.N/bc.writers+1))/time.Since(start).Seconds(), "commits/s")
+			b.ReportMetric(float64(runtime.NumCPU()), "num_cpu")
 		})
 	}
 }

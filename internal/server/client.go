@@ -274,9 +274,9 @@ func (c *Client) MaxBlock(extra time.Duration) time.Duration {
 
 // Close shuts the connection.  Safe to call more than once; concurrent ops
 // fail fast instead of waiting out their exchange or backoff.  Chunks still
-// staged (a put another goroutine made during an engine write, reported
-// fresh, whose write's commit and final flush both failed) are landed
-// first; Close reports it if they could not be.
+// staged (put while a write was in flight and reported fresh, and carried
+// by no commit that was answered) are landed first, as far as the server
+// admits them; Close reports it if they could not be sent.
 func (c *Client) Close() error {
 	c.closeMu.Lock()
 	closed := c.closed
@@ -319,30 +319,25 @@ func NewRemoteStore(c *Client) *RemoteStore { return &RemoteStore{c: c} }
 // frame spills, and a commit's chunks leave half a frame to its head ops.
 const stageLimit = MaxPayload / 2
 
-// staging holds the chunks a RemoteStore puts inside an engine write,
-// oldest first, until a Commit carries them: the write's, or one with no
-// head ops that lands them early once they pass stageLimit or when the
-// write ends without a commit.  A chunk read asks the server only for what
-// staging does not hold, so nothing the write stored lands outside its
-// commit's hold of the server's fence.  Engine writes over one client run
-// one at a time, build included, so a commit carries its own write's
-// chunks: a client is built for one writer, and writers that should build
-// in parallel each open a client.  A put another goroutine makes during a
-// write cannot be told apart from the write's own: it is staged too,
-// reported fresh, and lands with that write's commit, the flush that ends
-// the write, or Close.  A request takes its chunks from the front while it
+// staging holds the chunks a RemoteStore puts while engine writes are in
+// flight until a Commit carries them: a write's, or one with no head ops
+// once they pass stageLimit or when the last write ends.  Writes share it
+// and build concurrently; with another write in flight a write's commit
+// carries what its ops reach (take), so a stale write's chunks travel with
+// its own commit and no sweep can take them first.  The server lands what
+// is complete or what a fresh op reaches (core.FeedTable.Commit) and drops
+// the rest without an error to whoever put it: the commit that publishes
+// a chunk decides its fate.  A chunk read asks the server only for what
+// staging does not hold.  A request takes its chunks oldest first while it
 // holds the connection's turn, so nothing sent after it can overtake them,
 // and they leave only once it was answered: a request that failed in
 // transport leaves them for the next one.
 type staging struct {
-	write sync.Mutex // held by an engine write from Stage to done
-
-	mu      sync.Mutex
-	active  bool                       // an engine write holds write
-	chunks  []*chunk.Chunk             // held, oldest first
-	held    map[hash.Hash]*chunk.Chunk // the same chunks, by id
-	size    int                        // their put wire size
-	dropped uint64                     // chunks taken off the front since the client began
+	mu     sync.Mutex
+	active int                        // engine writes in flight
+	chunks []*chunk.Chunk             // held, oldest first, and those retired since the last take
+	held   map[hash.Hash]*chunk.Chunk // the staged chunks, by id
+	size   int                        // their put wire size
 }
 
 // hold stages cs if an engine write is in flight, and reports whether it
@@ -351,7 +346,7 @@ type staging struct {
 func (s *staging) hold(cs []*chunk.Chunk) (held, full bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.active {
+	if s.active == 0 {
 		return false, false
 	}
 	if s.held == nil {
@@ -367,38 +362,40 @@ func (s *staging) hold(cs []*chunk.Chunk) (held, full bool) {
 	return true, s.size > stageLimit
 }
 
-// take returns the longest run of staged chunks from the front whose put
-// shape fits room bytes (at least one chunk, if any is staged and force),
-// and the count through which drop then retires them.  Every staged chunk
-// fits when pending()+putShapeSize <= room.
-func (s *staging) take(room int, force bool) ([]*chunk.Chunk, uint64) {
+// take returns, oldest first, the staged chunks a Commit of ops carries
+// that fit room bytes with their put shape (at least one, if force): every
+// staged chunk unless another write is in flight, and then what ops reach
+// through staged chunks (core.Reach).  Every staged chunk fits when
+// pending()+putShapeSize <= room.
+func (s *staging) take(ops []core.HeadOp, room int, force bool) []*chunk.Chunk {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n, size := 0, putShapeSize
-	for n < len(s.chunks) && (size+putWireSize(s.chunks[n]) <= room || force && n == 0) {
-		size += putWireSize(s.chunks[n])
-		n++
+	s.chunks = slices.DeleteFunc(s.chunks, func(c *chunk.Chunk) bool { return s.held[c.ID()] != c })
+	cs := slices.Clone(s.chunks)
+	if len(ops) > 0 && s.active > 1 {
+		if reached, err := core.Reach(cs, ops); err == nil { // else all: the server judges each
+			cs = reached
+		}
 	}
-	return slices.Clone(s.chunks[:n]), s.dropped + uint64(n)
+	size := putShapeSize
+	for i, c := range cs {
+		if size += putWireSize(c); size > room && (i > 0 || !force) {
+			return cs[:i]
+		}
+	}
+	return cs
 }
 
-// drop retires the staged chunks before through, unless another request
-// retired them first.
-func (s *staging) drop(through uint64) {
+// drop retires the staged chunks cs, unless another request retired them
+// first.
+func (s *staging) drop(cs []*chunk.Chunk) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if through <= s.dropped {
-		return
-	}
-	k := int(through - s.dropped)
-	for _, c := range s.chunks[:k] {
-		s.size -= putWireSize(c)
-		delete(s.held, c.ID())
-	}
-	clear(s.chunks[:k])
-	s.chunks, s.dropped = s.chunks[k:], through
-	if len(s.chunks) == 0 {
-		s.chunks = s.chunks[:0:0]
+	for _, c := range cs {
+		if s.held[c.ID()] == c {
+			delete(s.held, c.ID())
+			s.size -= putWireSize(c)
+		}
 	}
 }
 
@@ -427,37 +424,40 @@ func (s *staging) lookup(ids []hash.Hash, out []*chunk.Chunk) (ask []int) {
 }
 
 // answered reports whether a request that carried staged chunks is done
-// with them: it was answered, refused by the server (which lands a commit's
-// chunks before judging its ops, and none when they name a chunk it lacks,
-// which sending them again would not mend) or could never be sent.  After a
-// transport failure they stay staged; sent again, a chunk lands once.
+// with them: it was answered, refused by the server (which lands what its
+// rule admits before it judges the ops, and would refuse the rest again)
+// or could never be sent.  After a transport failure they stay staged;
+// sent again, a chunk lands once.
 func answered(err error) bool {
 	return err == nil || retry.IsPermanent(err) && !errors.Is(err, ErrAmbiguous)
 }
 
 // Stage implements store.Stager: until done, chunks this store puts wait
-// for the write's Commit (RemoteBranchTable.Apply) to carry them.  It waits
-// for a write in flight on the same client to end.
+// for a Commit (RemoteBranchTable.Apply) to carry them.  It never blocks:
+// writes over one client build and commit concurrently, and the last one
+// to end lands what no commit carried.
 func (r *RemoteStore) Stage() (done func()) {
 	s := &r.c.stage
-	s.write.Lock()
 	s.mu.Lock()
-	s.active = true
+	s.active++
 	s.mu.Unlock()
 	return func() {
 		s.mu.Lock()
-		s.active = false
+		s.active--
+		last := s.active == 0
 		s.mu.Unlock()
-		_ = r.c.flush() // left by a write that failed before its commit; on failure the next request carries them
-		s.write.Unlock()
+		if last {
+			_ = r.c.flush() // left by a write that failed before its commit; on failure the next request carries them
+		}
 	}
 }
 
 // flush lands the staged chunks with Commits of no head ops, as many
-// frames as they need.
+// frames as they need.  A chunk the server refuses is dropped with no
+// error: the commit that publishes it decides its fate.
 func (c *Client) flush() error {
 	for c.stage.pending() > 0 {
-		if _, err := c.commitStaged(nil, true); err != nil {
+		if _, err := c.commitStaged(nil, true); err != nil && !errors.Is(err, core.ErrCollected) {
 			return err
 		}
 	}
@@ -484,18 +484,17 @@ func (c *Client) commit(ops []core.HeadOp, take func() []*chunk.Chunk) (fresh []
 	return fresh, ok[0], nil
 }
 
-// commitStaged is a Commit of ops carrying the staged chunks from the front
-// that fit beside them (at least one, if force), which it retires once the
-// request is answered.  The server's refusal to land them is
-// core.ErrCollected.
+// commitStaged is a Commit of ops carrying the staged chunks take picks,
+// which it retires once the request is answered.  The server's refusal of
+// a stale op, or of a chunk in a commit of no ops, is core.ErrCollected.
 func (c *Client) commitStaged(ops []core.HeadOp, force bool) (bool, error) {
-	var through uint64
-	_, applied, err := c.commit(ops, func() (cs []*chunk.Chunk) {
-		cs, through = c.stage.take(MaxPayload-headOpsWireSize(ops), force)
+	var cs []*chunk.Chunk
+	_, applied, err := c.commit(ops, func() []*chunk.Chunk {
+		cs = c.stage.take(ops, MaxPayload-headOpsWireSize(ops), force)
 		return cs
 	})
 	if answered(err) {
-		c.stage.drop(through)
+		c.stage.drop(cs)
 	}
 	return applied, refusal(err, core.ErrCollected)
 }
@@ -516,13 +515,13 @@ func (r *RemoteStore) Put(ch *chunk.Chunk) (bool, error) {
 	return err == nil && fresh[0], err
 }
 
-// PutBatch implements store.Store.  Inside an engine write (Stage) the
-// chunks are staged for the write's Commit and reported fresh; otherwise
+// PutBatch implements store.Store.  While an engine write is in flight
+// (Stage) the chunks are staged for a Commit and reported fresh; otherwise
 // the whole batch travels in one Commit with no head ops and lands on the
 // server in one store round, collapsing N network round trips into one —
 // the dominant cost of remote bulk ingest.  A batch too large for one frame
-// travels as several, each landing on its own.  The server refuses a
-// landing that names a chunk it lacks with core.ErrCollected.
+// travels as several, each landing on its own.  A chunk naming one the
+// server lacks does not land, and fails the batch with core.ErrCollected.
 func (r *RemoteStore) PutBatch(cs []*chunk.Chunk) ([]bool, error) {
 	fresh := make([]bool, 0, len(cs))
 	if held, full := r.c.stage.hold(cs); held {
@@ -786,7 +785,7 @@ func (r *RemoteBranchTable) LastHead(key, branch string) (hash.Hash, bool, bool,
 // is resolved by probing the heads: if each holds what the ops leave it at,
 // the commit landed — uids are content-addressed, so that is the caller's
 // postcondition, whichever attempt established it.  The server's refusal of
-// a landing is core.ErrCollected.
+// a stale op whose value it cannot land is core.ErrCollected.
 func (r *RemoteBranchTable) Apply(ops []core.HeadOp) (bool, error) {
 	c := r.c
 	if c.stage.pending()+putShapeSize > MaxPayload-headOpsWireSize(ops) {

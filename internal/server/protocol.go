@@ -100,9 +100,9 @@ const (
 	// or with no ops a put outside a write or a write's chunks sent ahead of
 	// its publish.  The server rechecks every chunk, then lands them and
 	// applies the ops under one hold of the GC fence's read side
-	// (core.FeedTable.Commit), which first checks a commit with no ops or a
-	// stale op for what it names.  The reply carries the chunks' fresh
-	// flags, the applied flag and the epoch.
+	// (core.FeedTable.Commit), which lands only what is complete or what a
+	// fresh op reaches.  The reply carries the chunks' fresh flags (false
+	// for one left out), the applied flag and the epoch.
 	OpCommit
 )
 

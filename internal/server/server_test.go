@@ -83,12 +83,12 @@ func TestServerRejectsMislabelledChunk(t *testing.T) {
 	}
 }
 
-// TestPutNamingAMissingChunkLandsNothing: a put outside a write is a
-// Commit with no head ops, which the server checks for what it names.  A
-// batch with a chunk naming one the server lacks is refused with
-// core.ErrCollected and lands nothing, not even the chunk beside it that
-// names nothing; the batch that carries the named chunk lands.
-func TestPutNamingAMissingChunkLandsNothing(t *testing.T) {
+// TestPutNamingAMissingChunkLandsWhatIsComplete: a put outside a write is
+// a Commit with no head ops, whose chunks land only when complete.  A
+// batch with a chunk naming one the server lacks lands the chunk beside it
+// that names nothing, not the incomplete one, and is refused with
+// core.ErrCollected; the batch that carries the named chunk lands.
+func TestPutNamingAMissingChunkLandsWhatIsComplete(t *testing.T) {
 	srv, addr := startServer(t)
 	cl, err := Dial(addr)
 	if err != nil {
@@ -102,9 +102,9 @@ func TestPutNamingAMissingChunkLandsNothing(t *testing.T) {
 	if _, err := rs.PutBatch([]*chunk.Chunk{other, parent}); !errors.Is(err, core.ErrCollected) {
 		t.Fatalf("put naming a chunk the server lacks = %v, want core.ErrCollected", err)
 	}
-	for _, c := range []*chunk.Chunk{other, parent} {
-		if has, _ := srv.st.Has(c.ID()); has {
-			t.Fatalf("chunk %s of the refused put landed", c.ID().Short())
+	for c, want := range map[*chunk.Chunk]bool{other: true, parent: false} {
+		if has, _ := srv.st.Has(c.ID()); has != want {
+			t.Fatalf("server has chunk %s of the refused put = %v, want %v", c.ID().Short(), has, want)
 		}
 	}
 	if fresh, err := rs.PutBatch([]*chunk.Chunk{named, parent}); err != nil || !fresh[0] || !fresh[1] {

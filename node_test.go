@@ -558,3 +558,146 @@ func TestRemotePutsRacingPrimaryGC(t *testing.T) {
 		}
 	}
 }
+
+// TestRemoteValueStagedIntoAnotherWrite: a map a Remote client builds
+// outside any write lands its first 128 leaves in a Commit with no head
+// ops, and the primary sweeps them.  One Head brings the client's epoch up
+// to date, and a second goroutine's write parks in its build, so the map's
+// later chunks, among them the index nodes naming the swept leaves, are
+// staged while that write is in flight and ride its fresh Commit.  The
+// server lands only what that write's op reaches or what is complete, so
+// the map's Put is refused with ErrCollected instead of being acked under
+// a head whose leaves are gone; the concurrent write is acked, every head
+// deep-verifies on the primary, and the next GC passes.
+func TestRemoteValueStagedIntoAnotherWrite(t *testing.T) {
+	primary, cl := servePrimary(t)
+	heads := server.NewRemoteBranchTable(cl)
+	var client *core.DB
+	var hookErr error
+	inBuild, release, written := make(chan struct{}), make(chan struct{}), make(chan error, 1)
+	st := &sweepBetweenPuts{Store: server.NewRemoteStore(cl), gc: func() {
+		if gs, err := primary.GC(); err != nil || gs.Swept < 128 {
+			hookErr = fmt.Errorf("primary GC after the map's first put = %+v, %v; want its 128 leaves swept", gs, err)
+		}
+		if _, _, err := heads.Head("w", ""); err != nil {
+			hookErr = errors.Join(hookErr, err)
+		}
+		go func() {
+			_, err := client.BuildAndPut("w", "", nil, func() (value.Value, error) {
+				close(inBuild)
+				<-release
+				return value.String("concurrent"), nil
+			})
+			written <- err
+		}()
+		<-inBuild
+	}}
+	client = core.Open(core.Options{Store: st, Branches: heads, NodeCacheBytes: 16 << 20, Metrics: obs.NewRegistry()})
+	var es []forkbase.Entry
+	for i := 0; i < 30000; i++ {
+		es = append(es, forkbase.Entry{Key: []byte(fmt.Sprintf("k%06d", i)), Val: []byte(fmt.Sprintf("v%06d-some-padding-bytes", i))})
+	}
+	v, err := client.NewMapValue(es)
+	close(release)
+	if werr := <-written; werr != nil {
+		t.Fatalf("the concurrent write: %v", werr)
+	}
+	if hookErr != nil {
+		t.Fatal(hookErr)
+	}
+	if err == nil {
+		_, err = client.Put("m", "", v, nil)
+	}
+	if !errors.Is(err, forkbase.ErrCollected) {
+		t.Fatalf("Put of a map whose first leaves were swept, staged into another write = %v, want ErrCollected", err)
+	}
+	if _, err := primary.Head("m", ""); err == nil {
+		t.Fatal("the refused Put moved a head on the primary")
+	}
+	keys, err := primary.ListKeys()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range keys {
+		head, err := primary.Head(key, "")
+		if err == nil {
+			var rep core.VerifyReport
+			if rep, err = primary.VerifyVersion(key, head, true); err == nil && !rep.OK {
+				err = fmt.Errorf("%+v", rep)
+			}
+		}
+		if err != nil {
+			t.Errorf("primary deep verify of %s: %v", key, err)
+		}
+	}
+	if _, err := primary.GC(); err != nil {
+		t.Fatalf("primary GC after the refusal: %v", err)
+	}
+}
+
+// TestRemoteWritersOverlapOnOneClient: while writer A's commit waits, writer
+// B's write over the same client starts and stages its chunks; nothing makes
+// B wait for A.  A's commit carries what A's op reaches, so B's chunks are
+// still staged when A is acked and travel with B's own commit.  Both heads
+// deep-verify on the primary.
+func TestRemoteWritersOverlapOnOneClient(t *testing.T) {
+	primary, cl := servePrimary(t)
+	parked, release := make(chan struct{}), make(chan struct{})
+	heads := &sweepBeforeApply{RemoteBranchTable: server.NewRemoteBranchTable(cl), gc: func() { close(parked); <-release }}
+	client := core.Open(core.Options{Store: server.NewRemoteStore(cl), Branches: heads, Metrics: obs.NewRegistry()})
+	aDone, bDone := make(chan error, 1), make(chan error, 1)
+	go func() { _, err := client.Put("a", "", value.String("writer A"), nil); aDone <- err }()
+	<-parked
+	released := false
+	defer func() {
+		if !released {
+			close(release)
+		}
+	}()
+
+	data := make([]byte, 64<<10)
+	rand.New(rand.NewSource(1)).Read(data)
+	staged, finish := make(chan value.Value, 1), make(chan struct{})
+	go func() {
+		_, err := client.BuildAndPut("b", "", nil, func() (value.Value, error) {
+			v, err := value.NewBlob(client.Store(), client.Chunking(), data)
+			staged <- v
+			<-finish
+			return v, err
+		})
+		bDone <- err
+	}()
+	var b value.Value
+	select {
+	case b = <-staged:
+	case <-time.After(5 * time.Second):
+		t.Fatal("writer B's build did not run while writer A's commit waited")
+	}
+	if has, _ := primary.Store().Has(b.Root()); has {
+		t.Fatal("writer B's blob reached the primary before a commit carried it")
+	}
+	close(release)
+	released = true
+	if err := <-aDone; err != nil {
+		t.Fatalf("writer A: %v", err)
+	}
+	if has, _ := primary.Store().Has(b.Root()); has {
+		t.Fatal("writer A's commit carried writer B's blob, which A's op does not reach")
+	}
+	close(finish)
+	if err := <-bDone; err != nil {
+		t.Fatalf("writer B: %v", err)
+	}
+	for _, key := range []string{"a", "b"} {
+		head, err := primary.Head(key, "")
+		if err == nil {
+			var rep core.VerifyReport
+			if rep, err = primary.VerifyVersion(key, head, true); err == nil && !rep.OK {
+				err = fmt.Errorf("%+v", rep)
+			}
+		}
+		if err != nil {
+			t.Errorf("primary deep verify of %s: %v", key, err)
+		}
+	}
+}
