@@ -318,7 +318,7 @@ func Open(opts ...Option) (*DB, error) {
 			return nil, err
 		}
 		db.remote = cl
-		o.Store, o.Branches = server.NewRemoteStore(cl), server.NewRemoteBranchTable(cl)
+		o.Store, o.Branches = cl, cl
 	case o.fileBacked:
 		fs, err := store.OpenFileStore(o.dir)
 		if err != nil {

@@ -326,6 +326,23 @@ func TestSourceGuards(t *testing.T) {
 		paths:   []string{"internal/server"},
 		want:    0,
 	}, {
+		// A Remote engine runs over the server.Client itself, which is the
+		// chunk store and the branch table it serves; an adapter type that
+		// forwards each method into the client is a second home for its
+		// staging, epoch and remembered heads.
+		name:    "one Remote type",
+		pattern: `type Remote(Store|BranchTable) struct`,
+		paths:   []string{"internal/server"},
+		want:    0,
+	}, {
+		// A chunk read inside a write answers what staging holds and asks
+		// the server once for the rest, in one helper that GetChunks and
+		// HasChunks share.
+		name:    "staging answers reads in one place",
+		pattern: `stage\.lookup\(`,
+		paths:   []string{"internal/server"},
+		want:    1,
+	}, {
 		// A node's TCP service is built from its DB (DB.NewServer), which
 		// shares the DB's store, branch table, feed, registry and read-only
 		// state; forkbased, the examples and the CLI do not wire a server

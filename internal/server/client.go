@@ -59,8 +59,9 @@ func (o *ClientOptions) fill() {
 	}
 }
 
-// Client is a connection to one ForkBase server.  Requests are serialised
-// over a single TCP connection guarded by a mutex; every attempt runs under
+// Client is a connection to one ForkBase server, and the chunk store and
+// branch table a Remote engine runs over.  Requests are serialised over a
+// single TCP connection guarded by a mutex; every attempt runs under
 // explicit read/write deadlines, and transport failures reconnect with
 // backoff under the client's retry policy.
 //
@@ -69,9 +70,9 @@ func (o *ClientOptions) fill() {
 // re-sent only when the failed attempt's one Write provably put zero bytes
 // of the request frame on the wire — otherwise the server may have executed
 // it, and the ambiguous error is surfaced to the caller (who owns the
-// op-level recovery; see RemoteBranchTable.Apply for the head probe).  A
-// commit executed twice is a lost-update bug, and a put executed twice skews
-// freshness accounting.
+// op-level recovery; see Apply for the head probe).  A commit executed
+// twice is a lost-update bug, and a put executed twice skews freshness
+// accounting.
 type Client struct {
 	addr string
 	opts ClientOptions
@@ -90,6 +91,9 @@ type Client struct {
 	// epoch is the highest collection epoch a Head or Commit reply carried
 	// (0: none yet).
 	epoch atomic.Uint64
+	// seen is what the paper says users keep: the last head this client saw
+	// of each branch, from Head replies and the ops it applied (LastHead).
+	seen seenHeads
 
 	// Close takes closeMu, which guards closed, never turn, so it does not
 	// wait out an exchange: it cancels ctx, which aborts dials and backoffs,
@@ -171,7 +175,7 @@ func (c *Client) teardownLocked() {
 // ErrAmbiguous marks a transport failure after part of a non-idempotent
 // request may have reached the server: the op may or may not have executed.
 // Callers that can probe (re-read the head, re-check presence) should; see
-// RemoteBranchTable.Apply.
+// Client.Apply.
 var ErrAmbiguous = errors.New("client: request outcome unknown")
 
 // call performs one request-response exchange under the retry policy.
@@ -300,101 +304,129 @@ func (c *Client) Close() error {
 	return errors.Join(err, c.conn.Close())
 }
 
-// RemoteStore adapts a Client into a store.Store.  Every fetched chunk is
-// re-hashed locally, so a malicious server cannot forge content.
-type RemoteStore struct {
-	c *Client
-}
-
 var (
-	_ store.Store  = (*RemoteStore)(nil)
-	_ store.Stager = (*RemoteStore)(nil)
+	_ store.Store      = (*Client)(nil)
+	_ store.Stager     = (*Client)(nil)
+	_ core.BranchTable = (*Client)(nil)
 )
 
-// NewRemoteStore wraps a client as a chunk store.
-func NewRemoteStore(c *Client) *RemoteStore { return &RemoteStore{c: c} }
+// NewRemoteStore and NewRemoteBranchTable return c, for callers that name
+// the client by its role: it is the chunk store and branch table it serves.
+func NewRemoteStore(c *Client) *Client       { return c }
+func NewRemoteBranchTable(c *Client) *Client { return c }
 
 // stageLimit is the most staged chunk bytes a client holds: past it they
 // are landed with a Commit of no head ops, so a build too large for one
 // frame spills, and a commit's chunks leave half a frame to its head ops.
 const stageLimit = MaxPayload / 2
 
-// staging holds the chunks a RemoteStore puts while engine writes are in
-// flight until a Commit carries them: a write's, or one with no head ops
-// once they pass stageLimit or when the last write ends.  Writes share it
-// and build concurrently; with another write in flight a write's commit
-// carries what its ops reach (take), so a stale write's chunks travel with
-// its own commit and no sweep can take them first.  The server lands what
-// is complete or what a fresh op reaches (core.FeedTable.Commit) and drops
-// the rest without an error to whoever put it: the commit that publishes
-// a chunk decides its fate.  A chunk read asks the server only for what
+// chunkRoom is what one Commit frame leaves its chunks beside ops.
+func chunkRoom(ops []core.HeadOp) int { return MaxPayload - putShapeSize - headOpsWireSize(ops) }
+
+// fill returns how many of cs, from the first, fit room bytes of a Commit
+// frame: at least one if force.
+func fill(cs []*chunk.Chunk, room int, force bool) int {
+	size := 0
+	for i, c := range cs {
+		if size += putWireSize(c); size > room && (i > 0 || !force) {
+			return i
+		}
+	}
+	return len(cs)
+}
+
+// staging holds the chunks a client puts while engine writes are in flight
+// until a Commit carries them: a write's, or one with no head ops once they
+// pass stageLimit or when the last write ends.  Writes share it and build
+// concurrently; with another write in flight a write's commit carries what
+// its ops reach (take), so a stale write's chunks travel with its own
+// commit and no sweep can take them first.  The server lands what is
+// complete or what a fresh op reaches (core.FeedTable.Commit) and drops the
+// rest without an error to whoever put it: the commit that publishes a
+// chunk decides its fate.  A chunk read asks the server only for what
 // staging does not hold.  A request takes its chunks oldest first while it
 // holds the connection's turn, so nothing sent after it can overtake them,
 // and they leave only once it was answered: a request that failed in
-// transport leaves them for the next one.
+// transport leaves them for the next one.  A chunk put again under a later
+// epoch than its staged copy's replaces it at the tail, behind the chunks
+// its fresh build re-put first: a copy a stale build staged before a sweep
+// never stands in for it.
 type staging struct {
 	mu     sync.Mutex
-	active int                        // engine writes in flight
-	chunks []*chunk.Chunk             // held, oldest first, and those retired since the last take
-	held   map[hash.Hash]*chunk.Chunk // the staged chunks, by id
-	size   int                        // their put wire size
+	active int                       // engine writes in flight
+	queue  []stagedChunk             // held, oldest first, and those retired since the last take
+	held   map[hash.Hash]stagedChunk // the staged chunks, by id
+	size   int                       // their put wire size
 }
 
-// hold stages cs if an engine write is in flight, and reports whether it
-// did and whether the staged chunks have passed stageLimit.  A chunk
-// staged already is not staged again.
-func (s *staging) hold(cs []*chunk.Chunk) (held, full bool) {
+// stagedChunk is a staged copy of a chunk: it and the client's epoch when
+// it was put, which together tell a copy from one that replaced it.
+type stagedChunk struct {
+	*chunk.Chunk
+	epoch uint64
+}
+
+// hold stages cs, put at epoch, if an engine write is in flight, and
+// reports whether it did and whether the staged chunks have passed
+// stageLimit.  A chunk staged already is staged again only under a later
+// epoch.
+func (s *staging) hold(cs []*chunk.Chunk, epoch uint64) (held, full bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.active == 0 {
 		return false, false
 	}
 	if s.held == nil {
-		s.held = make(map[hash.Hash]*chunk.Chunk)
+		s.held = make(map[hash.Hash]stagedChunk)
 	}
 	for _, c := range cs {
-		if _, ok := s.held[c.ID()]; !ok {
-			s.held[c.ID()] = c
-			s.chunks = append(s.chunks, c)
-			s.size += putWireSize(c)
+		old, ok := s.held[c.ID()]
+		if ok && old.epoch >= epoch {
+			continue
 		}
+		if !ok {
+			s.size += putWireSize(c) // a copy replaced is the same size
+		}
+		e := stagedChunk{c, epoch}
+		s.held[c.ID()], s.queue = e, append(s.queue, e)
 	}
 	return true, s.size > stageLimit
 }
 
 // take returns, oldest first, the staged chunks a Commit of ops carries
-// that fit room bytes with their put shape (at least one, if force): every
-// staged chunk unless another write is in flight, and then what ops reach
-// through staged chunks (core.Reach).  Every staged chunk fits when
-// pending()+putShapeSize <= room.
-func (s *staging) take(ops []core.HeadOp, room int, force bool) []*chunk.Chunk {
+// that fill room bytes, and the copies they are: every staged chunk unless
+// another write is in flight, and then what ops reach through staged
+// chunks (core.Reach).
+func (s *staging) take(ops []core.HeadOp, room int, force bool) (cs []*chunk.Chunk, taken []stagedChunk) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.chunks = slices.DeleteFunc(s.chunks, func(c *chunk.Chunk) bool { return s.held[c.ID()] != c })
-	cs := slices.Clone(s.chunks)
+	s.queue = slices.DeleteFunc(s.queue, func(e stagedChunk) bool { return s.held[e.ID()] != e })
+	cs = make([]*chunk.Chunk, len(s.queue))
+	for i, e := range s.queue {
+		cs[i] = e.Chunk
+	}
 	if len(ops) > 0 && s.active > 1 {
 		if reached, err := core.Reach(cs, ops); err == nil { // else all: the server judges each
 			cs = reached
 		}
 	}
-	size := putShapeSize
+	cs = cs[:fill(cs, room, force)]
+	taken = make([]stagedChunk, len(cs))
 	for i, c := range cs {
-		if size += putWireSize(c); size > room && (i > 0 || !force) {
-			return cs[:i]
-		}
+		taken[i] = s.held[c.ID()]
 	}
-	return cs
+	return cs, taken
 }
 
-// drop retires the staged chunks cs, unless another request retired them
-// first.
-func (s *staging) drop(cs []*chunk.Chunk) {
+// drop retires the staged copies taken, unless another request retired
+// them first or a later put replaced them.
+func (s *staging) drop(taken []stagedChunk) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, c := range cs {
-		if s.held[c.ID()] == c {
-			delete(s.held, c.ID())
-			s.size -= putWireSize(c)
+	for _, e := range taken {
+		if s.held[e.ID()] == e {
+			delete(s.held, e.ID())
+			s.size -= putWireSize(e.Chunk)
 		}
 	}
 }
@@ -406,38 +438,27 @@ func (s *staging) pending() int {
 	return s.size
 }
 
-// lookup sets out[i] to the staged chunk with ids[i], for each one staging
-// holds, and returns the positions of the others (nil: none is held).
-func (s *staging) lookup(ids []hash.Hash, out []*chunk.Chunk) (ask []int) {
+// lookup returns the staged chunk with each of ids, nil where staging holds
+// none, or nil when nothing is staged.
+func (s *staging) lookup(ids []hash.Hash) []*chunk.Chunk {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(s.held) == 0 {
 		return nil
 	}
-	ask = make([]int, 0, len(ids))
+	out := make([]*chunk.Chunk, len(ids))
 	for i, id := range ids {
-		if out[i] = s.held[id]; out[i] == nil {
-			ask = append(ask, i)
-		}
+		out[i] = s.held[id].Chunk
 	}
-	return ask
+	return out
 }
 
-// answered reports whether a request that carried staged chunks is done
-// with them: it was answered, refused by the server (which lands what its
-// rule admits before it judges the ops, and would refuse the rest again)
-// or could never be sent.  After a transport failure they stay staged;
-// sent again, a chunk lands once.
-func answered(err error) bool {
-	return err == nil || retry.IsPermanent(err) && !errors.Is(err, ErrAmbiguous)
-}
-
-// Stage implements store.Stager: until done, chunks this store puts wait
-// for a Commit (RemoteBranchTable.Apply) to carry them.  It never blocks:
-// writes over one client build and commit concurrently, and the last one
-// to end lands what no commit carried.
-func (r *RemoteStore) Stage() (done func()) {
-	s := &r.c.stage
+// Stage implements store.Stager: until done, chunks this client puts wait
+// for a Commit (Apply) to carry them.  It never blocks: writes over one
+// client build and commit concurrently, and the last one to end lands what
+// no commit carried.
+func (c *Client) Stage() (done func()) {
+	s := &c.stage
 	s.mu.Lock()
 	s.active++
 	s.mu.Unlock()
@@ -447,7 +468,7 @@ func (r *RemoteStore) Stage() (done func()) {
 		last := s.active == 0
 		s.mu.Unlock()
 		if last {
-			_ = r.c.flush() // left by a write that failed before its commit; on failure the next request carries them
+			_ = c.flush() // left by a write that failed before its commit; on failure the next request carries them
 		}
 	}
 }
@@ -484,17 +505,21 @@ func (c *Client) commit(ops []core.HeadOp, take func() []*chunk.Chunk) (fresh []
 	return fresh, ok[0], nil
 }
 
-// commitStaged is a Commit of ops carrying the staged chunks take picks,
-// which it retires once the request is answered.  The server's refusal of
-// a stale op, or of a chunk in a commit of no ops, is core.ErrCollected.
+// commitStaged is a Commit of ops carrying the staged chunks take picks.
+// It retires them once the request is done with them: answered, refused by
+// the server (which lands what its rule admits before it judges the ops,
+// and would refuse the rest again) or never sent.  After a transport
+// failure they stay staged; sent again, a chunk lands once.  The server's
+// refusal of a stale op, or of a chunk in a commit of no ops, is
+// core.ErrCollected.
 func (c *Client) commitStaged(ops []core.HeadOp, force bool) (bool, error) {
-	var cs []*chunk.Chunk
-	_, applied, err := c.commit(ops, func() []*chunk.Chunk {
-		cs = c.stage.take(ops, MaxPayload-headOpsWireSize(ops), force)
+	var taken []stagedChunk
+	_, applied, err := c.commit(ops, func() (cs []*chunk.Chunk) {
+		cs, taken = c.stage.take(ops, chunkRoom(ops), force)
 		return cs
 	})
-	if answered(err) {
-		c.stage.drop(cs)
+	if err == nil || retry.IsPermanent(err) && !errors.Is(err, ErrAmbiguous) {
+		c.stage.drop(taken)
 	}
 	return applied, refusal(err, core.ErrCollected)
 }
@@ -505,13 +530,16 @@ func (c *Client) note(e uint64) {
 	}
 }
 
-// seenEpoch is the server's collection epoch as this client last saw it;
-// before any reply carried one it is 1, older than every server's.
-func (c *Client) seenEpoch() uint64 { return max(c.epoch.Load(), 1) }
+// Epoch implements core.BranchTable: the server's collection epoch as this
+// client last saw it, so the engine over this client stamps its ops with
+// the clock of the node that collects.  Before any Head or Commit reply it
+// is 1, older than every server's epoch: a stale op costs its commit the
+// server's presence check of what it names, not a refusal.
+func (c *Client) Epoch() uint64 { return max(c.epoch.Load(), 1) }
 
 // Put implements store.Store as a one-chunk PutBatch.
-func (r *RemoteStore) Put(ch *chunk.Chunk) (bool, error) {
-	fresh, err := r.PutBatch([]*chunk.Chunk{ch})
+func (c *Client) Put(ch *chunk.Chunk) (bool, error) {
+	fresh, err := c.PutBatch([]*chunk.Chunk{ch})
 	return err == nil && fresh[0], err
 }
 
@@ -522,11 +550,11 @@ func (r *RemoteStore) Put(ch *chunk.Chunk) (bool, error) {
 // the dominant cost of remote bulk ingest.  A batch too large for one frame
 // travels as several, each landing on its own.  A chunk naming one the
 // server lacks does not land, and fails the batch with core.ErrCollected.
-func (r *RemoteStore) PutBatch(cs []*chunk.Chunk) ([]bool, error) {
+func (c *Client) PutBatch(cs []*chunk.Chunk) ([]bool, error) {
 	fresh := make([]bool, 0, len(cs))
-	if held, full := r.c.stage.hold(cs); held {
+	if held, full := c.stage.hold(cs, c.epoch.Load()); held {
 		if full {
-			if err := r.c.flush(); err != nil {
+			if err := c.flush(); err != nil {
 				return make([]bool, len(cs)), err
 			}
 		}
@@ -536,12 +564,8 @@ func (r *RemoteStore) PutBatch(cs []*chunk.Chunk) ([]bool, error) {
 		return fresh, nil
 	}
 	for len(cs) > 0 {
-		n, size := 0, putShapeSize+headOpsWireSize(nil)
-		for n < len(cs) && (n == 0 || size+putWireSize(cs[n]) <= MaxPayload) {
-			size += putWireSize(cs[n])
-			n++
-		}
-		part, _, err := r.c.commit(nil, func() []*chunk.Chunk { return cs[:n] })
+		n := fill(cs, chunkRoom(nil), true)
+		part, _, err := c.commit(nil, func() []*chunk.Chunk { return cs[:n] })
 		if err != nil {
 			return make([]bool, cap(fresh)), refusal(err, core.ErrCollected)
 		}
@@ -550,48 +574,52 @@ func (r *RemoteStore) PutBatch(cs []*chunk.Chunk) ([]bool, error) {
 	return fresh, nil
 }
 
-// GetChunks fetches a batch of chunks in one round trip (more when they
-// overflow one frame).  out[i] is nil when ids[i] is absent on the server.
-// A reply answers by position and may defer a tail that did not fit its
-// frame, which is asked for again.  Every chunk is verified against the id
-// it answers, so a malicious server can neither forge content nor satisfy a
-// request with a different (valid) chunk.  Each chunk owns its bytes.
-func (c *Client) GetChunks(ids []hash.Hash) ([]*chunk.Chunk, error) {
+// readStaged answers ids by position: from staging, as staged says of
+// the chunk it holds, where it holds one, and from one ask of the server
+// for the rest.
+func readStaged[T any](c *Client, ids []hash.Hash, staged func(*chunk.Chunk) T, ask func([]hash.Hash) ([]T, error)) ([]T, error) {
 	if len(ids) == 0 {
 		return nil, nil
 	}
-	out := make([]*chunk.Chunk, len(ids))
-	ask := c.stage.lookup(ids, out) // a staged chunk is read from staging
-	if ask == nil {
-		if err := c.getChunks(ids, out); err != nil {
-			return nil, err
+	held := c.stage.lookup(ids)
+	if held == nil {
+		return ask(ids)
+	}
+	out, at, want := make([]T, len(ids)), make([]int, 0, len(ids)), make([]hash.Hash, 0, len(ids))
+	for i, ch := range held {
+		if ch != nil {
+			out[i] = staged(ch)
+		} else {
+			at, want = append(at, i), append(want, ids[i])
 		}
+	}
+	if len(want) == 0 {
 		return out, nil
 	}
-	if len(ask) == 0 {
-		return out, nil
-	}
-	got := make([]*chunk.Chunk, len(ask))
-	if err := c.getChunks(pick(ids, ask), got); err != nil {
+	got, err := ask(want)
+	if err != nil {
 		return nil, err
 	}
-	for j, i := range ask {
+	for j, i := range at {
 		out[i] = got[j]
 	}
 	return out, nil
 }
 
-// pick returns ids at the positions at.
-func pick(ids []hash.Hash, at []int) []hash.Hash {
-	out := make([]hash.Hash, len(at))
-	for j, i := range at {
-		out[j] = ids[i]
-	}
-	return out
+// GetChunks fetches a batch of chunks in one round trip (more when they
+// overflow one frame), reading a staged chunk from staging.  out[i] is nil
+// when ids[i] is absent on the server.  A reply answers by position and may
+// defer a tail that did not fit its frame, which is asked for again.  Every
+// chunk is verified against the id it answers, so a malicious server can
+// neither forge content nor satisfy a request with a different (valid)
+// chunk.  Each chunk owns its bytes.
+func (c *Client) GetChunks(ids []hash.Hash) ([]*chunk.Chunk, error) {
+	return readStaged(c, ids, func(ch *chunk.Chunk) *chunk.Chunk { return ch }, c.getChunks)
 }
 
-// getChunks asks the server for ids, answering into out.
-func (c *Client) getChunks(ids []hash.Hash, out []*chunk.Chunk) error {
+// getChunks asks the server for ids.
+func (c *Client) getChunks(ids []hash.Hash) ([]*chunk.Chunk, error) {
+	out := make([]*chunk.Chunk, len(ids))
 	for off := 0; off < len(ids); {
 		want, answered := ids[off:], 0
 		err := c.call(OpGetChunks, 0, func(b []byte) []byte { return appendIDs(b, want...) },
@@ -605,39 +633,17 @@ func (c *Client) getChunks(ids []hash.Hash, out []*chunk.Chunk) error {
 			}
 		}
 		if err != nil {
-			return err
+			return nil, err
 		}
 		off += answered
 	}
-	return nil
+	return out, nil
 }
 
 // HasChunks answers presence for a batch of ids in one round trip; a
 // staged chunk is present.
 func (c *Client) HasChunks(ids []hash.Hash) ([]bool, error) {
-	if len(ids) == 0 {
-		return nil, nil
-	}
-	staged := make([]*chunk.Chunk, len(ids))
-	ask := c.stage.lookup(ids, staged)
-	if ask == nil {
-		return c.hasChunks(ids)
-	}
-	has := make([]bool, len(ids))
-	for i, ch := range staged {
-		has[i] = ch != nil
-	}
-	if len(ask) == 0 {
-		return has, nil
-	}
-	got, err := c.hasChunks(pick(ids, ask))
-	if err != nil {
-		return nil, err
-	}
-	for j, i := range ask {
-		has[i] = got[j]
-	}
-	return has, nil
+	return readStaged(c, ids, func(*chunk.Chunk) bool { return true }, c.hasChunks)
 }
 
 func (c *Client) hasChunks(ids []hash.Hash) (has []bool, err error) {
@@ -695,8 +701,8 @@ func (c *Client) Heads() (map[string]map[string]hash.Hash, error) {
 
 // Get implements store.Store as a one-id GetChunks; the chunk is verified
 // client-side.
-func (r *RemoteStore) Get(id hash.Hash) (*chunk.Chunk, error) {
-	out, err := r.c.GetChunks([]hash.Hash{id})
+func (c *Client) Get(id hash.Hash) (*chunk.Chunk, error) {
+	out, err := c.GetChunks([]hash.Hash{id})
 	if err == nil && out[0] == nil {
 		err = store.ErrNotFound
 	}
@@ -707,101 +713,81 @@ func (r *RemoteStore) Get(id hash.Hash) (*chunk.Chunk, error) {
 }
 
 // Has implements store.Store as a one-id HasChunks.
-func (r *RemoteStore) Has(id hash.Hash) (bool, error) {
-	has, err := r.c.HasChunks([]hash.Hash{id})
+func (c *Client) Has(id hash.Hash) (bool, error) {
+	has, err := c.HasChunks([]hash.Hash{id})
 	return err == nil && has[0], err
 }
 
-// GetBatch implements store.Store: one round trip for the whole id
-// list, collapsing the per-chunk request latency that made RemoteStore reads
-// pay one RTT per Get.
-func (r *RemoteStore) GetBatch(ids []hash.Hash) ([]*chunk.Chunk, error) { return r.c.GetChunks(ids) }
+// GetBatch implements store.Store as GetChunks: one round trip for the
+// whole id list.
+func (c *Client) GetBatch(ids []hash.Hash) ([]*chunk.Chunk, error) { return c.GetChunks(ids) }
 
-// HasBatch implements store.Store.
-func (r *RemoteStore) HasBatch(ids []hash.Hash) ([]bool, error) { return r.c.HasChunks(ids) }
+// HasBatch implements store.Store as HasChunks.
+func (c *Client) HasBatch(ids []hash.Hash) ([]bool, error) { return c.HasChunks(ids) }
 
-// Stats implements store.Store.
-func (r *RemoteStore) Stats() (st store.Stats) {
-	if err := r.c.call(OpStats, 0, nil, func(d *dec) { st = d.stats() }); err != nil {
+// Stats implements store.Store: the server's store's counters.
+func (c *Client) Stats() (st store.Stats) {
+	if err := c.call(OpStats, 0, nil, func(d *dec) { st = d.stats() }); err != nil {
 		return store.Stats{}
 	}
 	return st
 }
 
-// RemoteBranchTable adapts a Client into a core.BranchTable.  It keeps
-// what the paper says users keep: the last head it saw of each branch, from
-// Head replies and the ops it applied (LastHead).
-type RemoteBranchTable struct {
-	c    *Client
-	seen seenHeads
-}
-
-// NewRemoteBranchTable wraps a client as a branch table.
-func NewRemoteBranchTable(c *Client) *RemoteBranchTable { return &RemoteBranchTable{c: c} }
-
-// Epoch implements core.BranchTable: the server's collection epoch as this
-// client last saw it, so the engine over this table stamps its ops with the
-// clock of the node that collects.  Before any Head or Commit reply it is 1,
-// older than every server's epoch: a stale op costs its commit the server's
-// presence check of what it names, not a refusal.
-func (r *RemoteBranchTable) Epoch() uint64 { return r.c.seenEpoch() }
-
 // Head implements core.BranchTable: the server's answer, which LastHead
 // then remembers, noting the epoch its reply carries.
-func (r *RemoteBranchTable) Head(key, branch string) (hash.Hash, bool, error) {
+func (c *Client) Head(key, branch string) (hash.Hash, bool, error) {
 	var heads []hash.Hash
 	var epoch uint64
-	err := r.c.call(OpHead, 0, func(b []byte) []byte { return appendRef(b, key, branch) }, func(d *dec) {
+	err := c.call(OpHead, 0, func(b []byte) []byte { return appendRef(b, key, branch) }, func(d *dec) {
 		heads, epoch = d.ids(), d.Uvarint()
 		d.Check(len(heads) <= 1)
 	})
 	if err != nil {
 		return hash.Hash{}, false, err
 	}
-	r.c.note(epoch)
+	c.note(epoch)
 	var uid hash.Hash
 	if len(heads) > 0 {
 		uid = heads[0]
 	}
-	r.seen.put(key, branch, uid)
+	c.seen.put(key, branch, uid)
 	return uid, len(heads) > 0, nil
 }
 
 // LastHead implements core.BranchTable: the head this client last saw, with
 // no round trip, else the server's (Head).
-func (r *RemoteBranchTable) LastHead(key, branch string) (hash.Hash, bool, bool, error) {
-	if uid, ok := r.seen.get(key, branch); ok {
+func (c *Client) LastHead(key, branch string) (hash.Hash, bool, bool, error) {
+	if uid, ok := c.seen.get(key, branch); ok {
 		return uid, !uid.IsZero(), true, nil
 	}
-	uid, ok, err := r.Head(key, branch)
+	uid, ok, err := c.Head(key, branch)
 	return uid, ok, false, err
 }
 
 // Apply implements core.BranchTable as one Commit request, which carries
-// every chunk the client's engine writes staged (RemoteStore.Stage) — the
-// chunks the ops publish among them — so they land with the ops under one
-// hold of the server's GC fence.  Staged chunks past what fits beside the
-// ops land first, in Commits of their own.  An ambiguous transport failure
-// is resolved by probing the heads: if each holds what the ops leave it at,
+// every chunk the client's engine writes staged (Stage) — the chunks the
+// ops publish among them — so they land with the ops under one hold of the
+// server's GC fence.  Staged chunks past what fits beside the ops land
+// first, in Commits of their own.  An ambiguous transport failure is
+// resolved by probing the heads: if each holds what the ops leave it at,
 // the commit landed — uids are content-addressed, so that is the caller's
 // postcondition, whichever attempt established it.  The server's refusal of
 // a stale op whose value it cannot land is core.ErrCollected.
-func (r *RemoteBranchTable) Apply(ops []core.HeadOp) (bool, error) {
-	c := r.c
-	if c.stage.pending()+putShapeSize > MaxPayload-headOpsWireSize(ops) {
+func (c *Client) Apply(ops []core.HeadOp) (bool, error) {
+	if c.stage.pending() > chunkRoom(ops) {
 		if err := c.flush(); err != nil {
 			return false, err
 		}
 	}
 	ok, err := c.commitStaged(ops, false)
-	if errors.Is(err, ErrAmbiguous) && r.landed(ops) {
+	if errors.Is(err, ErrAmbiguous) && c.landed(ops) {
 		return true, nil
 	}
 	for _, op := range ops {
 		if ok {
-			r.seen.put(op.Key, op.Branch, op.Set)
+			c.seen.put(op.Key, op.Branch, op.Set)
 		} else {
-			r.seen.forget(op.Key, op.Branch)
+			c.seen.forget(op.Key, op.Branch)
 		}
 	}
 	return ok, err
@@ -818,12 +804,12 @@ func refusal(err, sentinel error) error {
 
 // landed reports whether every head ops touch holds the value the last op
 // on it sets (zero: the branch is gone).
-func (r *RemoteBranchTable) landed(ops []core.HeadOp) bool {
+func (c *Client) landed(ops []core.HeadOp) bool {
 	for i, op := range ops {
 		if slices.ContainsFunc(ops[i+1:], func(o core.HeadOp) bool { return o.Key == op.Key && o.Branch == op.Branch }) {
 			continue // a later op decides this head
 		}
-		if cur, _, err := r.Head(op.Key, op.Branch); err != nil || cur != op.Set {
+		if cur, _, err := c.Head(op.Key, op.Branch); err != nil || cur != op.Set {
 			return false
 		}
 	}
@@ -831,16 +817,16 @@ func (r *RemoteBranchTable) landed(ops []core.HeadOp) bool {
 }
 
 // CompareAndSet implements core.BranchTable.
-func (r *RemoteBranchTable) CompareAndSet(key, branch string, old, new hash.Hash) (bool, error) {
-	return r.Apply([]core.HeadOp{{Key: key, Branch: branch, Expect: old, Set: new}})
+func (c *Client) CompareAndSet(key, branch string, old, new hash.Hash) (bool, error) {
+	return c.Apply([]core.HeadOp{{Key: key, Branch: branch, Expect: old, Set: new}})
 }
 
 // Branches implements core.BranchTable.  An absent key is core.ErrKeyNotFound
 // here as in the engine: the server's refusal crosses the wire as text.
-func (r *RemoteBranchTable) Branches(key string) (map[string]hash.Hash, error) {
+func (c *Client) Branches(key string) (map[string]hash.Hash, error) {
 	var names []string
 	var heads []hash.Hash
-	err := r.c.call(OpBranches, 0, func(b []byte) []byte { return appendRef(b, key, "") }, func(d *dec) {
+	err := c.call(OpBranches, 0, func(b []byte) []byte { return appendRef(b, key, "") }, func(d *dec) {
 		names, heads = d.strs(), d.ids()
 		d.Check(len(names) == len(heads))
 	})
@@ -855,8 +841,8 @@ func (r *RemoteBranchTable) Branches(key string) (map[string]hash.Hash, error) {
 }
 
 // Keys implements core.BranchTable.
-func (r *RemoteBranchTable) Keys() (keys []string, err error) {
-	err = r.c.call(OpKeys, 0, nil, func(d *dec) { keys = d.strs() })
+func (c *Client) Keys() (keys []string, err error) {
+	err = c.call(OpKeys, 0, nil, func(d *dec) { keys = d.strs() })
 	return keys, err
 }
 

@@ -741,6 +741,97 @@ func TestHasBatchAnswersStagedIDs(t *testing.T) {
 	}
 }
 
+// getRecorder records the ids of every GetBatch its store answers.
+type getRecorder struct {
+	store.Store
+	mu   sync.Mutex
+	asks [][]hash.Hash
+}
+
+func (r *getRecorder) GetBatch(ids []hash.Hash) ([]*chunk.Chunk, error) {
+	r.mu.Lock()
+	r.asks = append(r.asks, slices.Clone(ids))
+	r.mu.Unlock()
+	return r.Store.GetBatch(ids)
+}
+
+// TestGetChunksAnswersStagedIDs: inside a write, a batch read answers the
+// ids staging holds with the staged chunks and asks the server, in one
+// GetChunks request, for the others only; with every id staged it sends
+// nothing.
+func TestGetChunksAnswersStagedIDs(t *testing.T) {
+	st := &getRecorder{Store: store.NewMemStore()}
+	srv := New(st, core.NewMemBranchTable(), nil)
+	reg := obs.NewRegistry()
+	srv.SetMetrics(reg)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	cl, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+	staged, held, absent := chunk.New(chunk.TypeBlobLeaf, []byte("staged")),
+		chunk.New(chunk.TypeBlobLeaf, []byte("held")), chunk.New(chunk.TypeBlobLeaf, []byte("absent"))
+	if _, err := st.Put(held); err != nil {
+		t.Fatal(err)
+	}
+	asked := func() float64 { n, _ := reg.Value("forkbase_server_requests_total", "GetChunks"); return n }
+
+	done := cl.Stage()
+	defer done()
+	if _, err := cl.Put(staged); err != nil {
+		t.Fatal(err)
+	}
+	got, err := cl.GetChunks([]hash.Hash{staged.ID(), held.ID(), absent.ID()})
+	if err != nil || len(got) != 3 || got[0] != staged || got[1] == nil || got[1].ID() != held.ID() || got[2] != nil {
+		t.Fatalf("GetChunks(staged, held, absent) = %v, %v; want [the staged chunk, the server's, nil]", got, err)
+	}
+	if n := asked(); n != 1 || len(st.asks) != 1 || !slices.Equal(st.asks[0], []hash.Hash{held.ID(), absent.ID()}) {
+		t.Fatalf("%v GetChunks requests asking the server's store %v; want one asking [held absent]", n, st.asks)
+	}
+	if got, err := cl.GetChunks([]hash.Hash{staged.ID(), staged.ID()}); err != nil || len(got) != 2 || got[0] != staged || got[1] != staged {
+		t.Fatalf("GetChunks(staged, staged) = %v, %v; want the staged chunk twice", got, err)
+	}
+	if n := asked(); n != 1 {
+		t.Fatalf("a read of staged ids alone sent a request (%v GetChunks in all)", n)
+	}
+}
+
+// TestStagingRestagesUnderALaterEpoch: a parent chunk a stale build staged
+// under epoch 1 is staged again, at the tail, when a build under epoch 2
+// puts it after re-putting its child.  A take that has room for one chunk
+// carries the child first, so no request carries the parent ahead of the
+// child that makes it complete; a request in flight with the old copy
+// retires only that copy; a second put under the same epoch changes
+// nothing.
+func TestStagingRestagesUnderALaterEpoch(t *testing.T) {
+	var s staging
+	s.active = 1
+	stale, child, fresh := chunk.New(chunk.TypeBlobLeaf, []byte("parent")),
+		chunk.New(chunk.TypeBlobLeaf, []byte("child")), chunk.New(chunk.TypeBlobLeaf, []byte("parent"))
+	s.hold([]*chunk.Chunk{stale}, 1)
+	_, inFlight := s.take(nil, chunkRoom(nil), true)
+	s.hold([]*chunk.Chunk{child, fresh}, 2)
+	s.hold([]*chunk.Chunk{child, fresh}, 2)
+	if want := putWireSize(child) + putWireSize(fresh); s.pending() != want {
+		t.Fatalf("staged %d bytes, want %d: the child and one copy of the parent", s.pending(), want)
+	}
+	if cs, _ := s.take(nil, 1, true); len(cs) != 1 || cs[0] != child {
+		t.Fatalf("a one-chunk take = %v, want the child", cs)
+	}
+	s.drop(inFlight)
+	if cs, _ := s.take(nil, chunkRoom(nil), true); len(cs) != 2 || cs[0] != child || cs[1] != fresh {
+		t.Fatalf("staged after the old copy's drop = %v, want [child, the new copy of the parent]", cs)
+	}
+	if want := putWireSize(child) + putWireSize(fresh); s.pending() != want {
+		t.Fatalf("staged %d bytes after the old copy's drop, want %d", s.pending(), want)
+	}
+}
+
 // TestGetChunksReplyAllocatesNoPayload: the server answers a batch get from
 // the stored chunks' own bytes, so what it allocates per reply depends on the
 // number of ids, not on the bytes it ships.

@@ -76,10 +76,10 @@ type Store interface {
 
 	// PutBatch stores every chunk of cs that is absent, in one round: MemStore
 	// takes its write lock once, FileStore group-commits with a single index
-	// pass and one flush, RemoteStore ships one request.  fresh[i] reports
-	// whether cs[i] was new (false = dedup hit).  Implementations must either
-	// apply the whole batch or return an error having applied a prefix; they
-	// never skip chunks silently.
+	// pass and one flush, a Remote server.Client ships one request.
+	// fresh[i] reports whether cs[i] was new (false = dedup hit).
+	// Implementations must either apply the whole batch or return an error
+	// having applied a prefix; they never skip chunks silently.
 	PutBatch(cs []*chunk.Chunk) (fresh []bool, err error)
 	// GetBatch retrieves the chunks with the given ids in one round.  out[i]
 	// is nil when ids[i] is absent — absence is not an error, so one batched

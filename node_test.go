@@ -347,10 +347,14 @@ func TestRemoteValueSweptBetweenItsPuts(t *testing.T) {
 	}
 }
 
+// RemoteBranchTable is a server.Client in its role as a branch table, the
+// one sweepBeforeApply wraps.
+type RemoteBranchTable = server.Client
+
 // sweepBeforeApply is a client's branch table that runs gc, once set,
 // right before its next Apply is sent.
 type sweepBeforeApply struct {
-	*server.RemoteBranchTable
+	*RemoteBranchTable
 	gc func()
 }
 

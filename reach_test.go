@@ -59,7 +59,9 @@ var reachAllow = []reachEntry{
 	{name: "internal/core.BranchTable.CompareAndSet", reason: harness},
 	{name: "internal/core.HeadTable.CompareAndSet", reason: harness},
 	{name: "internal/core.FeedTable.CompareAndSet", reason: harness},
-	{name: "internal/server.RemoteBranchTable.CompareAndSet", reason: harness},
+	{name: "internal/server.Client.CompareAndSet", reason: harness},
+	{name: "internal/server.NewRemoteStore", reason: harness},
+	{name: "internal/server.NewRemoteBranchTable", reason: harness},
 	{name: "internal/pos.Tree.IterateFrom", reason: harness},
 	{name: "internal/mpt.Trie.IterateFrom", reason: harness},
 	{name: "internal/repl.NewLocalSource", reason: harness},
