@@ -22,8 +22,9 @@ type ackedHead struct {
 	uid         hash.Hash
 }
 
-// openFileEngine opens the product stack over dir: a FileStore under its
-// default policy (SyncNone) and the heads journal.  closeAll closes both.
+// openFileEngine opens the product stack over dir: a FileStore (a
+// write-through log, fsynced by Close) and the heads journal.  closeAll
+// closes both.
 func openFileEngine(dir string) (db *DB, closeAll func(), err error) {
 	fs, err := store.OpenFileStore(dir)
 	if err != nil {
@@ -116,11 +117,12 @@ func checkCommitsSurvived(t *testing.T, dir string, acked []ackedHead) {
 }
 
 // TestCommitsSurviveKill pins zero lost acknowledged commits on the product
-// stack (FileStore under SyncNone and the heads journal): a commit whose
-// head was acknowledged has its version object and value in the segment
-// files, whatever becomes of the process afterwards.  One row reopens the
-// directory in-process without closing the writer; the others SIGKILL a
-// child writer (this test binary, re-executed) at a seeded point.
+// stack (a FileStore, whose log is written through and fsynced by Close,
+// and the heads journal): a commit whose head was acknowledged has its
+// version object and value in the segment files, whatever becomes of the
+// process afterwards.  One row reopens the directory in-process without
+// closing the writer; the others SIGKILL a child writer (this test binary,
+// re-executed) at a seeded point.
 func TestCommitsSurviveKill(t *testing.T) {
 	if dir := os.Getenv(killDirEnv); dir != "" {
 		seed, _ := strconv.Atoi(os.Getenv(killSeedEnv))

@@ -399,48 +399,88 @@ func (t *FeedTable) Commit(st store.Store, cs []*chunk.Chunk, ops []HeadOp) (fre
 	t.fence.RLock()
 	defer t.fence.RUnlock()
 	now := t.Epoch()
-	l, err := land(st, cs, ops, now)
+	stale := func(op HeadOp) bool { return op.Epoch != 0 && op.Epoch != now }
+	l, err := carry(cs)
 	if err != nil {
 		return nil, false, err
 	}
-	if fresh, err = l.put(st, cs); err != nil {
-		return nil, false, err
+	// One HasBatch asks st about what the commit names and does not carry:
+	// the stale ops' Sets and the refs of the chunks no fresh op reaches.
+	var named []hash.Hash
+	ask := func(ids ...hash.Hash) {
+		for _, id := range ids {
+			if !id.IsZero() && l.carried(id) == nil {
+				named = append(named, id)
+			}
+		}
+	}
+	for _, op := range ops {
+		if stale(op) {
+			ask(op.Set)
+		} else if op.Epoch != 0 {
+			l.reach(op.Set)
+		}
+	}
+	for _, c := range cs {
+		if n := l.table[c.ID()]; !n.known {
+			ask(n.refs...)
+		}
+	}
+	if len(named) > 0 {
+		has, err := st.HasBatch(named)
+		if err != nil {
+			return nil, false, err
+		}
+		l.has = make(map[hash.Hash]bool, len(named))
+		for i, id := range named {
+			l.has[id] = has[i]
+		}
+	}
+	// What lands is cs filtered by holds; st's fresh flags follow by position.
+	fresh = make([]bool, len(cs))
+	put := make([]*chunk.Chunk, 0, len(cs))
+	for i, c := range cs {
+		if fresh[i] = l.holds(c.ID()); fresh[i] {
+			put = append(put, c)
+		}
+	}
+	if len(put) > 0 {
+		got, err := st.PutBatch(put)
+		if err != nil {
+			return nil, false, err
+		}
+		for i := range fresh {
+			if fresh[i] {
+				fresh[i], got = got[0], got[1:]
+			}
+		}
 	}
 	// A put answers for every chunk it carries, a stale op for its Set.
-	if l.left > 0 && len(ops) == 0 || slices.ContainsFunc(ops, func(op HeadOp) bool {
-		return op.Epoch != 0 && op.Epoch != now && !l.holds(op.Set)
-	}) {
-		return nil, false, fmt.Errorf("%w: the commit names %s, which it does not carry and a sweep took", ErrCollected, l.lacked().Short())
+	if len(put) < len(cs) && len(ops) == 0 || slices.ContainsFunc(ops, func(op HeadOp) bool { return stale(op) && !l.holds(op.Set) }) {
+		var lacked hash.Hash // the cause of every chunk left out and every stale Set not held
+		if i := slices.IndexFunc(named, func(id hash.Hash) bool { return !l.has[id] }); i >= 0 {
+			lacked = named[i]
+		}
+		return nil, false, fmt.Errorf("%w: the commit names %s, which it does not carry and a sweep took", ErrCollected, lacked.Short())
 	}
 	ok, err = t.publish(ops)
 	return fresh, ok, err
 }
 
-// landing is what the landing rule (Commit) decided for a commit's carried
-// chunks: one node per distinct id, sorted by id.
+// landing is a commit's table of carried chunks, built once: from each
+// carried id to the ids it names (fnode.Refs) and what the rule decided.
 type landing struct {
-	nodes []carried
-	first [4]uint64          // bit b is set when a node's id starts with byte b
-	named []hash.Hash        // ids the undecided nodes and stale ops name and no node is
-	has   map[hash.Hash]bool // whether st holds each of named (nil: none)
-	left  int                // nodes that do not land
+	table map[hash.Hash]*entry
+	first [4]uint64          // bit b is set when a carried id starts with byte b
+	has   map[hash.Hash]bool // whether st holds each uncarried id asked about
 }
 
-// carried is a chunk a commit carries, the ids it names, and its fate.
-type carried struct {
-	c    *chunk.Chunk
-	refs []hash.Hash
-	fate uint8
+// entry is a carried chunk's refs and, once it is reached or decided
+// (known), whether it lands.
+type entry struct {
+	refs         []hash.Hash
+	known, lands bool
 }
-
-// A carried chunk's fate: undecided, on the completeness walk's path,
-// landing or left out.
-const (
-	undecided uint8 = iota
-	onPath
-	lands
-	left
-)
 
 // Reach returns, in their order and in cs's own array, the chunks of cs
 // that the Set of one of ops reaches through cs: what a Commit carrying cs
@@ -455,171 +495,90 @@ func Reach(cs []*chunk.Chunk, ops []HeadOp) ([]*chunk.Chunk, error) {
 	for _, op := range ops {
 		l.reach(op.Set)
 	}
-	return slices.DeleteFunc(cs, func(c *chunk.Chunk) bool { return !l.holds(c.ID()) }), nil
+	return slices.DeleteFunc(cs, func(c *chunk.Chunk) bool { return !l.table[c.ID()].lands }), nil
 }
 
-// carry is the landing of cs with every fate undecided: one node per
-// distinct id, sorted by id, each with the ids it names (fnode.Refs).
+// carry builds the table of cs, with nothing known.
 func carry(cs []*chunk.Chunk) (landing, error) {
-	l := landing{nodes: make([]carried, len(cs))}
+	l := landing{table: make(map[hash.Hash]*entry, len(cs))}
+	nodes := make([]entry, len(cs))
 	for i, c := range cs {
 		refs, err := fnode.Refs(c)
 		if err != nil {
 			return landing{}, err
 		}
-		l.nodes[i] = carried{c: c, refs: refs}
-	}
-	slices.SortFunc(l.nodes, func(a, b carried) int { return a.c.ID().Compare(b.c.ID()) })
-	l.nodes = slices.CompactFunc(l.nodes, func(a, b carried) bool { return a.c.ID() == b.c.ID() })
-	for _, n := range l.nodes {
-		b := n.c.ID()[0]
-		l.first[b>>6] |= 1 << (b & 63)
+		id := c.ID()
+		nodes[i].refs, l.table[id] = refs, &nodes[i]
+		l.first[id[0]>>6] |= 1 << (id[0] & 63)
 	}
 	return l, nil
 }
 
-// reach marks what root reaches through undecided nodes as landing.
+// carried returns id's entry in the table, or nil when id is not carried.
+// Most ids a commit's chunks name are not, and the first-byte filter turns
+// them away before the table.
+func (l *landing) carried(id hash.Hash) *entry {
+	if l.first[id[0]>>6]&(1<<(id[0]&63)) == 0 {
+		return nil
+	}
+	return l.table[id]
+}
+
+// reach marks what root reaches through carried chunks as landing.
 func (l *landing) reach(root hash.Hash) {
-	stack := make([]int, 0, 8)
+	var stack []*entry
 	mark := func(id hash.Hash) {
-		if k := l.find(id); k >= 0 && l.nodes[k].fate == undecided {
-			l.nodes[k].fate = lands
-			stack = append(stack, k)
+		if n := l.carried(id); n != nil && !n.known {
+			n.known, n.lands = true, true
+			stack = append(stack, n)
 		}
 	}
 	for mark(root); len(stack) > 0; {
-		k := stack[len(stack)-1]
+		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, id := range l.nodes[k].refs {
-			mark(id)
+		for _, ref := range n.refs {
+			mark(ref)
 		}
 	}
 }
 
-// land decides the fate of every chunk cs carries, for a commit of ops at
-// epoch now: what a fresh op reaches lands, and the rest when complete.
-// It asks st, in one HasBatch and only when something is left to check,
-// about the ids that no fresh op reaches and the commit does not carry.
-func land(st store.Store, cs []*chunk.Chunk, ops []HeadOp, now uint64) (landing, error) {
-	l, err := carry(cs)
-	if err != nil {
-		return landing{}, err
-	}
-	for _, op := range ops {
-		if op.Epoch != 0 && op.Epoch == now {
-			l.reach(op.Set)
-		}
-	}
-	for _, n := range l.nodes {
-		if n.fate == undecided {
-			for _, id := range n.refs {
-				if !id.IsZero() && l.find(id) < 0 {
-					l.named = append(l.named, id)
-				}
-			}
-		}
-	}
-	for _, op := range ops {
-		if op.Epoch != 0 && op.Epoch != now && !op.Set.IsZero() && l.find(op.Set) < 0 {
-			l.named = append(l.named, op.Set)
-		}
-	}
-	if len(l.named) > 0 {
-		has, err := st.HasBatch(l.named)
-		if err != nil {
-			return landing{}, err
-		}
-		l.has = make(map[hash.Hash]bool, len(l.named))
-		for i, id := range l.named {
-			l.has[id] = has[i]
-		}
-	}
-	// Post-order, so a chunk is judged after the carried chunks it names;
-	// one on the path (a cycle, which no hash admits) does not land.
-	type frame struct{ k, next int }
-	var stack []frame
-	for k := range l.nodes {
-		if l.nodes[k].fate != undecided {
-			continue
-		}
-		l.nodes[k].fate = onPath
-		stack = append(stack[:0], frame{k: k})
-		for len(stack) > 0 {
-			f := &stack[len(stack)-1]
-			n := &l.nodes[f.k]
-			if f.next < len(n.refs) {
-				j := l.find(n.refs[f.next])
-				f.next++
-				if j >= 0 && l.nodes[j].fate == undecided {
-					l.nodes[j].fate = onPath
-					stack = append(stack, frame{k: j})
-				}
-				continue
-			}
-			n.fate = lands
-			if slices.ContainsFunc(n.refs, func(id hash.Hash) bool { return !l.holds(id) }) {
-				n.fate = left
-				l.left++
-			}
-			stack = stack[:len(stack)-1]
-		}
-	}
-	return l, nil
-}
-
-// find returns the index of the node with id, or -1.  Most ids a commit's
-// chunks name are not carried, and the first-byte filter turns them away.
-func (l *landing) find(id hash.Hash) int {
-	if l.first[id[0]>>6]&(1<<(id[0]&63)) == 0 {
-		return -1
-	}
-	k, ok := slices.BinarySearchFunc(l.nodes, id, func(n carried, id hash.Hash) int { return n.c.ID().Compare(id) })
-	if !ok {
-		return -1
-	}
-	return k
-}
-
-// holds reports whether id is zero, lands, or is in the store.
-func (l *landing) holds(id hash.Hash) bool {
-	if k := l.find(id); k >= 0 {
-		return l.nodes[k].fate == lands
+// held reports whether id is zero, in st (as asked), or a carried chunk
+// known to land.
+func (l *landing) held(id hash.Hash) bool {
+	if n := l.carried(id); n != nil {
+		return n.lands
 	}
 	return id.IsZero() || l.has[id]
 }
 
-// lacked returns an id the commit names and st lacks: the cause of every
-// chunk that does not land and of every stale op's Set that is not held.
-func (l *landing) lacked() hash.Hash {
-	for _, id := range l.named {
-		if !l.has[id] {
-			return id
+// holds is held, once a carried chunk neither reached nor decided is
+// decided, after the carried chunks it names: it lands when each id it
+// names is held.  The walk keeps its path on a stack, and a chunk on the
+// path reads as not landing, so a cycle, which no hash admits, lands
+// nothing.
+func (l *landing) holds(id hash.Hash) bool {
+	type frame struct {
+		n    *entry
+		todo []hash.Hash // the refs not yet visited
+	}
+	if n := l.carried(id); n != nil && !n.known {
+		n.known = true
+		for stack := []frame{{n, n.refs}}; len(stack) > 0; {
+			f := &stack[len(stack)-1]
+			if len(f.todo) > 0 {
+				m := l.carried(f.todo[0])
+				f.todo = f.todo[1:]
+				if m != nil && !m.known {
+					m.known = true
+					stack = append(stack, frame{m, m.refs})
+				}
+				continue
+			}
+			f.n.lands = !slices.ContainsFunc(f.n.refs, func(ref hash.Hash) bool { return !l.held(ref) })
+			stack = stack[:len(stack)-1]
 		}
 	}
-	return hash.Hash{}
-}
-
-// put lands the chunks of cs that land with one PutBatch and returns st's
-// fresh flags by position in cs, false for a chunk that did not land.
-func (l *landing) put(st store.Store, cs []*chunk.Chunk) ([]bool, error) {
-	put := cs
-	if l.left > 0 {
-		put = slices.DeleteFunc(slices.Clone(cs), func(c *chunk.Chunk) bool { return !l.holds(c.ID()) })
-	}
-	if len(put) == 0 {
-		return make([]bool, len(cs)), nil
-	}
-	got, err := st.PutBatch(put)
-	if err != nil || l.left == 0 {
-		return got, err
-	}
-	fresh := make([]bool, len(cs))
-	for i, c := range cs {
-		if l.holds(c.ID()) {
-			fresh[i], got = got[0], got[1:]
-		}
-	}
-	return fresh, nil
+	return l.held(id)
 }
 
 // publish applies ops and journals an Apply that succeeds, in the same

@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"slices"
+	"runtime"
 	"testing"
 
 	"forkbase/internal/chunk"
@@ -20,17 +20,24 @@ import (
 // order, or when a fresh op's Set reaches it through carried chunks, and
 // nothing else.  A stale op applies only if its Set is held; an unstamped
 // op is neither checked nor reaches; a commit of no ops that leaves a chunk
-// out answers ErrCollected once the others landed.
+// out answers ErrCollected once the others landed.  A chunk carried twice
+// lands once, and a chain of 100,000 links carried parents first lands
+// whole, with allocations bounded per link.
 func TestCommitLandsWhatIsCompleteOrReached(t *testing.T) {
 	present := chunk.New(chunk.TypeBlobLeaf, []byte("present"))
 	gone := hash.Of([]byte("gone"))
-	names := func(tag string, ids ...hash.Hash) *chunk.Chunk {
-		return chunk.New(chunk.TypeFNode, fnode.New([]byte(tag), value.String(tag), ids, 2, nil).Encode())
-	}
 	a := names("a", present.ID()) // complete
 	d := names("d", a.ID())       // complete once a lands
 	b := names("b", gone)         // names what a sweep took
 	c := names("c", b.ID())       // incomplete through b
+	e1 := names("e1", present.ID())
+	e2 := names("e2", e1.ID())
+	e3 := names("e3", e2.ID()) // a three-link chain
+	long := make([]*chunk.Chunk, 100000)
+	for i, below := len(long)-1, present.ID(); i >= 0; i-- {
+		long[i] = names(fmt.Sprint("l", i), below) // long[0] is the top
+		below = long[i].ID()
+	}
 	type epoch int
 	const (
 		unstamped epoch = iota
@@ -45,6 +52,8 @@ func TestCommitLandsWhatIsCompleteOrReached(t *testing.T) {
 		noOps   bool
 		lands   []*chunk.Chunk
 		applies bool
+		// allocs bounds the commit's allocations per carried chunk (0: any).
+		allocs float64
 	}{
 		{name: "a put lands what is complete, in any order", cs: []*chunk.Chunk{d, a, b, c}, noOps: true, lands: []*chunk.Chunk{d, a}},
 		{name: "a fresh op lands what it reaches", cs: []*chunk.Chunk{c, b}, set: c.ID(), epoch: fresh, lands: []*chunk.Chunk{c, b}, applies: true},
@@ -54,6 +63,9 @@ func TestCommitLandsWhatIsCompleteOrReached(t *testing.T) {
 		{name: "a stale op setting a held head", set: present.ID(), epoch: stale, applies: true},
 		{name: "a stale op setting a missing head", set: gone, epoch: stale},
 		{name: "an unstamped op", cs: []*chunk.Chunk{b}, set: gone, epoch: unstamped, applies: true},
+		{name: "one id carried twice", cs: []*chunk.Chunk{a, d, a}, noOps: true, lands: []*chunk.Chunk{a, d}, applies: true},
+		{name: "a three-link chain carried parents first", cs: []*chunk.Chunk{e3, e2, e1}, set: e3.ID(), epoch: stale, lands: []*chunk.Chunk{e3, e2, e1}, applies: true},
+		{name: "a 100,000-link chain carried parents first", cs: long, noOps: true, lands: long, applies: true, allocs: 8},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			st := store.NewMemStore()
@@ -66,17 +78,30 @@ func TestCommitLandsWhatIsCompleteOrReached(t *testing.T) {
 				e := map[epoch]uint64{unstamped: 0, fresh: ft.Epoch(), stale: ft.Epoch() - 1}[row.epoch]
 				ops = []HeadOp{{Key: "k", Branch: "master", Any: true, Set: row.set, Epoch: e}}
 			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
 			freshFlags, ok, err := ft.Commit(st, row.cs, ops)
+			runtime.ReadMemStats(&after)
+			if per := float64(after.Mallocs-before.Mallocs) / float64(len(row.cs)); row.allocs > 0 && per > row.allocs {
+				t.Errorf("Commit made %.1f allocations per carried chunk, want at most %v", per, row.allocs)
+			}
 			if wantErr := !row.applies; wantErr != errors.Is(err, ErrCollected) || err == nil && ok != row.applies {
 				t.Fatalf("Commit = %v, %v; want applied %v", ok, err, row.applies)
 			}
+			lands := make(map[*chunk.Chunk]bool, len(row.lands))
+			for _, c := range row.lands {
+				lands[c] = true
+			}
+			seen := make(map[*chunk.Chunk]bool, len(row.cs))
 			for i, c := range row.cs {
-				lands := slices.Contains(row.lands, c)
-				if has, _ := st.Has(c.ID()); has != lands {
-					t.Errorf("store has carried chunk %s = %v, want %v", c.ID().Short(), has, lands)
+				if has, _ := st.Has(c.ID()); has != lands[c] {
+					t.Errorf("store has carried chunk %s = %v, want %v", c.ID().Short(), has, lands[c])
 				}
-				if err == nil && freshFlags[i] != lands {
-					t.Errorf("fresh flag of %s = %v, want %v", c.ID().Short(), freshFlags[i], lands)
+				// A chunk's first landing is fresh, a second copy is not.
+				first := !seen[c]
+				seen[c] = true
+				if err == nil && freshFlags[i] != (lands[c] && first) {
+					t.Errorf("fresh flag %d of %s = %v, want %v", i, c.ID().Short(), freshFlags[i], lands[c] && first)
 				}
 			}
 			if head, _, _ := ft.Head("k", "master"); (head == row.set && !head.IsZero()) != (row.applies && !row.noOps) {
@@ -84,6 +109,11 @@ func TestCommitLandsWhatIsCompleteOrReached(t *testing.T) {
 			}
 		})
 	}
+}
+
+// names returns the FNode chunk tagged tag whose bases are ids.
+func names(tag string, ids ...hash.Hash) *chunk.Chunk {
+	return chunk.New(chunk.TypeFNode, fnode.New([]byte(tag), value.String(tag), ids, 2, nil).Encode())
 }
 
 // recordPuts is a store that keeps the chunks put through it while on.
